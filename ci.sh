@@ -18,6 +18,8 @@ echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
 echo "==> cargo test -q --offline"
+# The root manifest's default-members cover the workspace, so this is
+# also what a bare `cargo test -q` (Tier-1) runs.
 cargo test -q --offline --workspace
 
 echo "==> repro trace smoke (exports + validates a Chrome trace)"
@@ -83,6 +85,15 @@ echo "==> kernel-path equivalence table, pass 2: auto (SIMD where detected)"
 # pins the SIMD tiles against the identical golden scalar references.
 UKERNELS_KERNEL_PATH=auto cargo test -q --offline -p ukernels \
   --test equivalence --test direct_conv_props >/dev/null
+
+echo "==> benchmark quick smoke (one second of each workload, every op output-checked)"
+# The standalone benchmark crate (own manifest and lock file, path
+# dependencies only). Every exec frame is compared with its reference —
+# single-pool QUInt8 bit for bit against the sequential evaluator — so a
+# kernel change that breaks bit-equality fails here, not in the next
+# benchmark run. Timings are not gated. Needs two cores, like the
+# benchmark itself.
+benchmark/check.sh --quick >/dev/null
 
 echo "==> repro measure smoke (worker pools + predictor calibration + baseline schema)"
 # Real-thread execution of the miniature net on two workers per pool;

@@ -132,7 +132,7 @@ impl ParallelBackend {
                 let x = task.inputs[0];
                 let channels =
                     usoc::split_channel_count(task.kind, x.shape()).unwrap_or_else(|| match axis {
-                        SplitAxis::Filters => task.filter.map(|f| f.shape().dim(0)).unwrap_or(0),
+                        SplitAxis::Filters => task.master_filter().map_or(0, |f| f.shape().dim(0)),
                         SplitAxis::InputChannels => x.shape().c(),
                     });
                 (0, channels)

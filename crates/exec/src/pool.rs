@@ -158,31 +158,51 @@ impl WorkerPool {
     /// Spawns `threads` workers (at least one). `init` runs once on each
     /// worker before it starts pulling tasks — the exec backend uses it
     /// to switch the worker's kernels to the blocked implementations.
+    ///
+    /// Returns only after every worker has run `init`, so a first batch
+    /// is never timed against thread start-up. A panic in `init` is
+    /// re-raised here.
     pub fn new(name: &str, threads: usize, init: impl Fn() + Send + Sync + 'static) -> WorkerPool {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
+        let threads = threads.max(1);
         let init = Arc::new(init);
-        let workers = (0..threads.max(1))
+        // The start-up latch: one "task" per worker, done when its
+        // `init` has returned (or panicked).
+        let started = Batch::new(threads);
+        let workers = (0..threads)
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 let init = Arc::clone(&init);
+                let started = Arc::clone(&started);
                 std::thread::Builder::new()
                     .name(format!("uexec-{name}-{w}"))
-                    .spawn(move || {
-                        init();
-                        worker_loop(&shared);
+                    .spawn(move || match catch_unwind(AssertUnwindSafe(|| init())) {
+                        Ok(()) => {
+                            started.task_done();
+                            worker_loop(&shared);
+                        }
+                        Err(payload) => {
+                            started.panics.lock().unwrap().push(payload);
+                            started.task_done();
+                        }
                     })
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool {
+        // Built before the wait so a re-raised `init` panic still joins
+        // the surviving workers through `Drop`.
+        let pool = WorkerPool {
             name: name.to_string(),
             shared,
             workers,
-        }
+        };
+        started.wait();
+        started.propagate();
+        pool
     }
 
     /// The pool's name.
@@ -384,8 +404,15 @@ mod tests {
         let pool = WorkerPool::new("t", 3, move || {
             i2.fetch_add(1, Ordering::SeqCst);
         });
-        // Drain a trivial batch so workers are definitely up.
-        pool.run(vec![Box::new(|| {})]);
+        // `new` is a start-up latch: no batch needed to know all three
+        // workers are up.
         assert_eq!(inits.load(Ordering::SeqCst), 3);
+        assert_eq!(pool.threads(), 3);
+    }
+
+    #[test]
+    fn init_panic_reaches_the_constructor() {
+        let caught = catch_unwind(|| WorkerPool::new("t", 2, || panic!("init exploded")));
+        assert!(caught.is_err(), "an init panic must not leave a dead pool");
     }
 }

@@ -144,6 +144,82 @@ fn single_pool_mode_matches_cooperative_bitwise() {
     assert_eq!(uruntime::ExecBackend::name(&single), "parallel-single-pool");
 }
 
+/// Every node output of `a` equals `b`'s, bit for bit.
+fn assert_frames_equal(a: &[Tensor], b: &[Tensor], what: &str) {
+    assert_eq!(a.len(), b.len());
+    for (node, (ta, tb)) in a.iter().zip(b).enumerate() {
+        assert!(ta.bit_equal(tb), "{what}: node {node} differs");
+    }
+}
+
+/// The same weights with an empty cast memo.
+fn unmemoised(w: &Weights) -> Weights {
+    Weights::from_per_node(w.clone().into_per_node())
+}
+
+#[test]
+fn weights_are_cast_once_and_frames_do_not_change() {
+    // A cooperative QUInt8 + F16 plan needs both copies of every split
+    // layer. The first frame builds them; later frames (and both pools'
+    // workers, chunk by chunk) only read them, and read the same bits a
+    // memo-less run computes.
+    let (g, w, calib, x) = setup();
+    let spec = SocSpec::exynos_7420();
+    let plan = split_plan(
+        &g,
+        &spec,
+        DtypePlan::proc_friendly_cpu(),
+        DtypePlan::proc_friendly_gpu(),
+        "ulayer-split",
+    );
+    for (threads, mode) in [(2, PoolMode::Cooperative), (4, PoolMode::SinglePool)] {
+        let w = unmemoised(&w);
+        let backend = ParallelBackend::new(&spec, &ExecConfig::with_threads(threads), mode);
+        assert_eq!(w.filter_casts_built(), 0);
+        let first = evaluate_plan_with_backend(&g, &plan, &w, &calib, &x, &backend).unwrap();
+        let built = w.filter_casts_built();
+        let weighted = (0..g.len()).filter(|&i| w.of(unn::NodeId(i)).filter.is_some());
+        assert!(built >= weighted.count(), "every weighted layer was cast");
+        for frame in 2..=4 {
+            let again = evaluate_plan_with_backend(&g, &plan, &w, &calib, &x, &backend).unwrap();
+            assert_eq!(w.filter_casts_built(), built, "frame {frame} cast again");
+            assert_frames_equal(&again, &first, "warm frame");
+        }
+        let cold =
+            evaluate_plan_with_backend(&g, &plan, &unmemoised(&w), &calib, &x, &backend).unwrap();
+        assert_frames_equal(&cold, &first, "memo-less weights");
+    }
+}
+
+#[test]
+fn changing_a_layer_through_of_mut_is_seen_by_the_next_frame() {
+    let (g, mut w, calib, x) = setup();
+    let spec = SocSpec::exynos_7420();
+    let plan = single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8).unwrap();
+    let backend = ParallelBackend::new(&spec, &ExecConfig::with_threads(2), PoolMode::SinglePool);
+    let before = evaluate_plan_with_backend(&g, &plan, &w, &calib, &x, &backend).unwrap();
+
+    let node = (0..g.len())
+        .map(unn::NodeId)
+        .find(|&id| w.of(id).filter.is_some())
+        .expect("a weighted layer");
+    let flipped = {
+        let f = w.of(node).filter.as_ref().unwrap();
+        let data = f.as_f32().unwrap().iter().map(|v| -v).collect();
+        Tensor::from_f32(f.shape().clone(), data).unwrap()
+    };
+    w.of_mut(node).filter = Some(flipped);
+
+    let after = evaluate_plan_with_backend(&g, &plan, &w, &calib, &x, &backend).unwrap();
+    let fresh =
+        evaluate_plan_with_backend(&g, &plan, &unmemoised(&w), &calib, &x, &backend).unwrap();
+    assert_frames_equal(&after, &fresh, "after of_mut");
+    assert!(
+        !after[node.0].bit_equal(&before[node.0]),
+        "the negated filter must change the layer's output"
+    );
+}
+
 #[test]
 fn backend_records_per_node_timings() {
     let (g, w, calib, x) = setup();

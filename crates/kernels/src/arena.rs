@@ -15,14 +15,16 @@
 //!   that own worker threads (the exec backend) keep one arena per worker.
 //! - **Thread-local** — the classic `conv2d`/`fully_connected`/GEMM entry
 //!   points keep their public signatures and borrow buffers from a
-//!   per-thread arena via [`take_thread_arena`]/[`restore_thread_arena`]
-//!   (take/put-back, so nested kernel calls can never double-borrow).
+//!   per-thread arena through a [`ThreadArenaGuard`] (take on entry,
+//!   put back on drop — error paths included — so nested kernel calls
+//!   can never double-borrow).
 //!
 //! The arena never shrinks; [`ScratchArena::capacity_bytes`] exposes the
 //! footprint so tests can assert that repeated layer executions reuse
 //! capacity instead of growing monotonically.
 
 use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
 
 use utensor::F16;
 
@@ -39,19 +41,19 @@ pub struct ScratchArena {
     pub patches_f16: Vec<F16>,
     /// im2col patch matrix, QUInt8 path.
     pub patches_u8: Vec<u8>,
-    /// Packed `A` panel (f32 blocked GEMM).
+    /// Packed `A` panel (f32 blocked GEMM; also the F16 GEMM's, which
+    /// widens `A` to f32 at pack time).
     pub pack_a_f32: Vec<f32>,
     /// Packed `B` panel (f32 blocked GEMM).
     pub pack_b_f32: Vec<f32>,
-    /// Packed `A` panel (F16 blocked GEMM).
-    pub pack_a_f16: Vec<F16>,
     /// Packed `B` panel (F16 blocked GEMM).
     pub pack_b_f16: Vec<F16>,
     /// Packed zero-point-subtracted `A` panel (QUInt8 blocked GEMM).
     pub pack_a_i16: Vec<i16>,
     /// Packed zero-point-subtracted `B` panel (QUInt8 blocked GEMM).
     pub pack_b_i16: Vec<i16>,
-    /// `i32` accumulators (QUInt8 GEMM row / blocked tile).
+    /// `i32` accumulators (QUInt8 GEMM row / blocked `m × n` sums /
+    /// direct depthwise output row).
     pub acc_i32: Vec<i32>,
 }
 
@@ -70,7 +72,6 @@ impl ScratchArena {
             + self.patches_u8.capacity()
             + self.pack_a_f32.capacity() * 4
             + self.pack_b_f32.capacity() * 4
-            + self.pack_a_f16.capacity() * 2
             + self.pack_b_f16.capacity() * 2
             + self.pack_a_i16.capacity() * 2
             + self.pack_b_i16.capacity() * 2
@@ -93,9 +94,10 @@ pub fn take_thread_arena() -> ScratchArena {
     THREAD_ARENA.with(|a| std::mem::take(&mut *a.borrow_mut()))
 }
 
-/// Returns a previously taken arena to the calling thread, keeping the
-/// larger of each buffer pair so capacity ratchets up to the high-water
-/// mark and is never lost.
+/// Returns a previously taken arena to the calling thread. Whichever of
+/// the returned arena and the placeholder a nested call may have grown
+/// holds more capacity is kept *whole* (buffers are not merged one by
+/// one), so the footprint ratchets up to the high-water mark.
 pub fn restore_thread_arena(arena: ScratchArena) {
     THREAD_ARENA.with(|slot| {
         let mut cur = slot.borrow_mut();
@@ -103,6 +105,38 @@ pub fn restore_thread_arena(arena: ScratchArena) {
             *cur = arena;
         }
     });
+}
+
+/// The calling thread's arena, held for a scope: [`take_thread_arena`]
+/// on construction, [`restore_thread_arena`] on drop. Kernels hold the
+/// arena through this guard so an early `return Err` / `?` cannot drop
+/// the warmed buffers.
+pub struct ThreadArenaGuard(ScratchArena);
+
+impl ThreadArenaGuard {
+    /// Takes the calling thread's arena until the guard drops.
+    pub fn take() -> ThreadArenaGuard {
+        ThreadArenaGuard(take_thread_arena())
+    }
+}
+
+impl Deref for ThreadArenaGuard {
+    type Target = ScratchArena;
+    fn deref(&self) -> &ScratchArena {
+        &self.0
+    }
+}
+
+impl DerefMut for ThreadArenaGuard {
+    fn deref_mut(&mut self) -> &mut ScratchArena {
+        &mut self.0
+    }
+}
+
+impl Drop for ThreadArenaGuard {
+    fn drop(&mut self) {
+        restore_thread_arena(std::mem::take(&mut self.0));
+    }
 }
 
 /// Capacity currently held by the calling thread's arena, in bytes.
@@ -142,6 +176,17 @@ mod tests {
         // A smaller arena restored on top does not clobber the warm one.
         restore_thread_arena(ScratchArena::new());
         assert_eq!(thread_arena_capacity_bytes(), warmed);
+    }
+
+    #[test]
+    fn guard_restores_on_every_exit() {
+        fn fails_midway() -> Result<(), ()> {
+            let mut arena = ThreadArenaGuard::take();
+            arena.pack_b_i16.reserve_exact(4096);
+            Err(())
+        }
+        assert!(fails_midway().is_err());
+        assert!(thread_arena_capacity_bytes() >= 4096 * 2);
     }
 
     #[test]

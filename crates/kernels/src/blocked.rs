@@ -8,13 +8,31 @@
 //! - `K` is cut into panels of [`KC`] so one packed `A`-panel and one
 //!   packed `B`-panel fit in cache together;
 //! - within a panel, `A` is packed into `MR`-row interleaved micro-panels
-//!   and `B` into `NR`-column micro-panels, so the inner loop reads both
-//!   operands contiguously;
-//! - an `MR × NR` register-tile accumulator takes one multiply-add per
+//!   and `B` into `nr`-column micro-panels, so the inner loop reads both
+//!   operands contiguously. `B` is packed [`NC`] columns at a time and
+//!   every `A` micro-panel runs against a `B` micro-panel while it is
+//!   cache-hot;
+//! - an `MR × nr` register-tile accumulator takes one multiply-add per
 //!   operand pair before anything is written back.
 //!
 //! Pack buffers come from a [`ScratchArena`], so steady-state execution
 //! does not allocate.
+//!
+//! ## Tile geometry
+//!
+//! The panel layout is a property of the register tile that reads it.
+//! The scalar tiles (and NEON) use the plain `MR × NR = 4 × 8` layout:
+//! `pa[p·MR + r]`, `pb[p·NR + x]`. The AVX2 QUInt8 tile is `4 × 16` over
+//! **K-pair** panels — two consecutive `k` per 32-bit lane: `B`
+//! interleaved, `pb[(g·16 + x)·2 + s]` for `k = 2g + s`, `A` with each
+//! row contiguous, `pa[r·kc_pad + k]`, an odd `kc` zero-padded — so one
+//! `vpmaddwd` multiplies sixteen operand pairs and pair-sums them into
+//! eight `i32` lanes. Operands are zero-point-subtracted, so a padded
+//! lane is a true zero and the pad is exact. The AVX2 F16 tile is
+//! `4 × 16` in the plain layout. Both F16 tiles read an `A` panel widened
+//! to f32 at pack time (exact), which takes the software `F16 → f32`
+//! conversion out of the MAC loop. Geometry constants live in
+//! [`crate::simd`]; the walk below is generic over them.
 //!
 //! ## Determinism and equivalence
 //!
@@ -47,18 +65,27 @@
 //! numerics of other threads.
 
 use std::cell::Cell;
+use std::ops::AddAssign;
 
-use utensor::quant::requantize;
+use utensor::quant::requantize_into;
 use utensor::{FixedPointMultiplier, QuantParams, TensorError, F16};
 
 use crate::arena::ScratchArena;
+use crate::dispatch::{active_kernel_path, KernelPath};
+use crate::simd;
 
 /// `K`-panel size: accumulation association is fixed by this constant.
 pub const KC: usize = 256;
 /// Register-tile rows (output channels per micro-kernel).
 pub const MR: usize = 4;
-/// Register-tile columns (output positions per micro-kernel).
+/// Register-tile columns (output positions per micro-kernel) of the
+/// scalar and NEON tiles. The AVX2 QUInt8 and F16 tiles are wider
+/// ([`crate::simd`]).
 pub const NR: usize = 8;
+/// Columns of `B` packed per pass (a multiple of every tile width): one
+/// packed block is `KC × NC` elements, small enough to stay in L2 while
+/// every row tile of `A` runs against it.
+pub const NC: usize = 256;
 
 thread_local! {
     static BLOCKED_ENABLED: Cell<bool> = const { Cell::new(false) };
@@ -76,38 +103,145 @@ pub fn blocked_kernels_enabled() -> bool {
     BLOCKED_ENABLED.with(|f| f.get())
 }
 
-/// Packs the `B` panel rows `p0..p0+kc` into `NR`-column micro-panels
-/// (zero-padded on the right edge).
-fn pack_b<T: Copy>(pb: &mut Vec<T>, b: &[T], n: usize, p0: usize, kc: usize, zero: T) {
-    let n_tiles = n.div_ceil(NR);
+/// Packs columns `j0..j1` of the `B` panel rows `p0..p0+kc` into
+/// `nr`-column micro-panels, `KS` consecutive `k` interleaved per lane
+/// (`pb[(g·nr + x)·KS + s]` for `k = g·KS + s`). The right edge and an
+/// odd `kc` are padded with `zero`.
+#[allow(clippy::too_many_arguments)]
+fn pack_b<S: Copy, T: Copy, const KS: usize>(
+    pb: &mut Vec<T>,
+    b: &[S],
+    n: usize,
+    (j0, j1): (usize, usize),
+    (p0, kc): (usize, usize),
+    nr: usize,
+    zero: T,
+    conv: impl Fn(S) -> T,
+) {
+    let panel_len = kc.next_multiple_of(KS) * nr;
     pb.clear();
-    pb.resize(n_tiles * kc * NR, zero);
-    for jt in 0..n_tiles {
-        let j0 = jt * NR;
-        let jw = NR.min(n - j0);
-        let panel = &mut pb[jt * kc * NR..(jt + 1) * kc * NR];
-        for p in 0..kc {
-            let src = &b[(p0 + p) * n + j0..(p0 + p) * n + j0 + jw];
-            panel[p * NR..p * NR + jw].copy_from_slice(src);
+    pb.resize((j1 - j0).div_ceil(nr) * panel_len, zero);
+    for (jt, panel) in pb.chunks_exact_mut(panel_len).enumerate() {
+        let c0 = j0 + jt * nr;
+        let jw = nr.min(j1 - c0);
+        for (g, lanes) in panel.chunks_exact_mut(nr * KS).enumerate() {
+            for s in 0..KS.min(kc - g * KS) {
+                let row = (p0 + g * KS + s) * n + c0;
+                for (dst, &v) in lanes[s..].iter_mut().step_by(KS).zip(&b[row..row + jw]) {
+                    *dst = conv(v);
+                }
+            }
         }
     }
 }
 
-/// Packs the `A` panel columns `p0..p0+kc` into `MR`-row interleaved
-/// micro-panels (zero-padded on the bottom edge).
-fn pack_a<T: Copy>(pa: &mut Vec<T>, a: &[T], m: usize, k: usize, p0: usize, kc: usize, zero: T) {
-    let m_tiles = m.div_ceil(MR);
+/// Packs the `A` panel columns `p0..p0+kc` into `MR`-row micro-panels,
+/// padded with `zero` on the bottom edge. The plain layout (`KS == 1`)
+/// interleaves the rows, `pa[p·MR + r]`; the K-pair layout (`KS == 2`)
+/// keeps each row contiguous, `pa[r·kc_pad + p]` with `kc_pad` the depth
+/// rounded up to even — consecutive `k` are already adjacent there, the
+/// pack is a straight widening copy, and the tile reads four row
+/// streams instead of one interleaved one.
+fn pack_a<S: Copy, T: Copy, const KS: usize>(
+    pa: &mut Vec<T>,
+    a: &[S],
+    (m, k): (usize, usize),
+    (p0, kc): (usize, usize),
+    zero: T,
+    conv: impl Fn(S) -> T,
+) {
+    let kc_pad = kc.next_multiple_of(KS);
     pa.clear();
-    pa.resize(m_tiles * kc * MR, zero);
-    for it in 0..m_tiles {
+    pa.resize(m.div_ceil(MR) * kc_pad * MR, zero);
+    for (it, panel) in pa.chunks_exact_mut(kc_pad * MR).enumerate() {
         let i0 = it * MR;
-        let iw = MR.min(m - i0);
-        let panel = &mut pa[it * kc * MR..(it + 1) * kc * MR];
-        for r in 0..iw {
+        for r in 0..MR.min(m - i0) {
             let row = &a[(i0 + r) * k + p0..(i0 + r) * k + p0 + kc];
-            for (p, &v) in row.iter().enumerate() {
-                panel[p * MR + r] = v;
+            if KS == 1 {
+                for (dst, &v) in panel[r..].iter_mut().step_by(MR).zip(row) {
+                    *dst = conv(v);
+                }
+            } else {
+                for (dst, &v) in panel[r * kc_pad..].iter_mut().zip(row) {
+                    *dst = conv(v);
+                }
             }
+        }
+    }
+}
+
+/// The rows and columns of `C` one register tile covers.
+#[derive(Clone, Copy)]
+struct TileSpan {
+    i0: usize,
+    iw: usize,
+    j0: usize,
+    jw: usize,
+}
+
+impl TileSpan {
+    /// Where the live part of tile row `r` sits in a row-major `m × n`
+    /// matrix.
+    fn row(&self, r: usize, n: usize) -> std::ops::Range<usize> {
+        let start = (self.i0 + r) * n + self.j0;
+        start..start + self.jw
+    }
+}
+
+/// The blocked loop nest shared by every dtype: for each `K` panel (in
+/// ascending order — the float kernels' association depends on it), pack
+/// `A`, then for each [`NC`]-column block pack `B` and hand every
+/// (`MR`-row, `nr`-column) micro-panel pair to `tile` with the padded
+/// panel depth. Each element of `C` is covered by exactly one tile per
+/// `K` panel.
+#[allow(clippy::too_many_arguments)]
+fn for_each_tile<SA: Copy, SB: Copy, TA: Copy, TB: Copy, const KS: usize>(
+    (m, k, n): (usize, usize, usize),
+    a: &[SA],
+    b: &[SB],
+    nr: usize,
+    (pa, pb): (&mut Vec<TA>, &mut Vec<TB>),
+    (zero_a, zero_b): (TA, TB),
+    conv_a: impl Fn(SA) -> TA,
+    conv_b: impl Fn(SB) -> TB,
+    mut tile: impl FnMut(TileSpan, &[TA], &[TB], usize),
+) {
+    debug_assert_eq!(NC % nr, 0, "NC must be a multiple of the tile width");
+    let mut p0 = 0;
+    while p0 < k {
+        let kc = KC.min(k - p0);
+        let kc_pad = kc.next_multiple_of(KS);
+        pack_a::<_, _, KS>(pa, a, (m, k), (p0, kc), zero_a, &conv_a);
+        for jb in (0..n).step_by(NC) {
+            let jb_end = n.min(jb + NC);
+            pack_b::<_, _, KS>(pb, b, n, (jb, jb_end), (p0, kc), nr, zero_b, &conv_b);
+            for (jt, pb_panel) in pb.chunks_exact(kc_pad * nr).enumerate() {
+                let j0 = jb + jt * nr;
+                for (it, pa_panel) in pa.chunks_exact(kc_pad * MR).enumerate() {
+                    let span = TileSpan {
+                        i0: it * MR,
+                        iw: MR.min(m - it * MR),
+                        j0,
+                        jw: nr.min(n - j0),
+                    };
+                    tile(span, pa_panel, pb_panel, kc_pad);
+                }
+            }
+        }
+        p0 += kc;
+    }
+}
+
+/// Adds the live part of a register tile into the `m × n` matrix `c`.
+fn add_tile<T: Copy + AddAssign, const NRT: usize>(
+    c: &mut [T],
+    n: usize,
+    span: TileSpan,
+    tile: &[[T; NRT]; MR],
+) {
+    for (r, tile_row) in tile.iter().enumerate().take(span.iw) {
+        for (cv, &tv) in c[span.row(r, n)].iter_mut().zip(tile_row) {
+            *cv += tv;
         }
     }
 }
@@ -134,43 +268,32 @@ pub fn gemm_f32_blocked(
         assert_eq!(bias.len(), m, "gemm_f32_blocked: bias length");
     }
     c.iter_mut().for_each(|v| *v = 0.0);
-    let simd = crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd;
-    let (m_tiles, n_tiles) = (m.div_ceil(MR), n.div_ceil(NR));
-    let mut p0 = 0;
-    while p0 < k {
-        let kc = KC.min(k - p0);
-        pack_b(&mut arena.pack_b_f32, b, n, p0, kc, 0.0f32);
-        pack_a(&mut arena.pack_a_f32, a, m, k, p0, kc, 0.0f32);
-        for it in 0..m_tiles {
-            let i0 = it * MR;
-            let iw = MR.min(m - i0);
-            let pa_panel = &arena.pack_a_f32[it * kc * MR..(it + 1) * kc * MR];
-            for jt in 0..n_tiles {
-                let j0 = jt * NR;
-                let jw = NR.min(n - j0);
-                let pb_panel = &arena.pack_b_f32[jt * kc * NR..(jt + 1) * kc * NR];
-                let mut acc = [[0.0f32; NR]; MR];
-                if !(simd && crate::simd::tile_f32(&mut acc, pa_panel, pb_panel, kc)) {
-                    for p in 0..kc {
-                        let avals = &pa_panel[p * MR..(p + 1) * MR];
-                        let bvals = &pb_panel[p * NR..(p + 1) * NR];
-                        for (r, &ar) in avals.iter().enumerate() {
-                            for (x, &bv) in bvals.iter().enumerate() {
-                                acc[r][x] += ar * bv;
-                            }
+    let simd = active_kernel_path() == KernelPath::Simd;
+    for_each_tile::<_, _, _, _, 1>(
+        (m, k, n),
+        a,
+        b,
+        NR,
+        (&mut arena.pack_a_f32, &mut arena.pack_b_f32),
+        (0.0f32, 0.0f32),
+        |v| v,
+        |v| v,
+        |span, pa, pb, kc| {
+            let mut acc = [[0.0f32; NR]; MR];
+            if !(simd && simd::tile_f32(&mut acc, pa, pb, kc)) {
+                for p in 0..kc {
+                    let avals = &pa[p * MR..(p + 1) * MR];
+                    let bvals = &pb[p * NR..(p + 1) * NR];
+                    for (r, &ar) in avals.iter().enumerate() {
+                        for (x, &bv) in bvals.iter().enumerate() {
+                            acc[r][x] += ar * bv;
                         }
                     }
                 }
-                for r in 0..iw {
-                    let row = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + jw];
-                    for (cv, &av) in row.iter_mut().zip(acc[r].iter()) {
-                        *cv += av;
-                    }
-                }
             }
-        }
-        p0 += kc;
-    }
+            add_tile(c, n, span, &acc);
+        },
+    );
     for i in 0..m {
         let row = &mut c[i * n..(i + 1) * n];
         if let Some(bias) = bias {
@@ -210,59 +333,62 @@ pub fn gemm_f16_blocked(
         assert_eq!(bias.len(), m, "gemm_f16_blocked: bias length");
     }
     c.iter_mut().for_each(|v| *v = F16::ZERO);
-    let simd = crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd;
-    let (m_tiles, n_tiles) = (m.div_ceil(MR), n.div_ceil(NR));
-    let mut p0 = 0;
-    while p0 < k {
-        let kc = KC.min(k - p0);
-        pack_b(&mut arena.pack_b_f16, b, n, p0, kc, F16::ZERO);
-        pack_a(&mut arena.pack_a_f16, a, m, k, p0, kc, F16::ZERO);
-        for it in 0..m_tiles {
-            let i0 = it * MR;
-            let iw = MR.min(m - i0);
-            let pa_panel = &arena.pack_a_f16[it * kc * MR..(it + 1) * kc * MR];
-            for jt in 0..n_tiles {
-                let j0 = jt * NR;
-                let jw = NR.min(n - j0);
-                let pb_panel = &arena.pack_b_f16[jt * kc * NR..(jt + 1) * kc * NR];
-                let mut acc = [[F16::ZERO; NR]; MR];
-                if !(simd && crate::simd::tile_f16(&mut acc, pa_panel, pb_panel, kc)) {
-                    for p in 0..kc {
-                        let avals = &pa_panel[p * MR..(p + 1) * MR];
-                        let bvals = &pb_panel[p * NR..(p + 1) * NR];
-                        for (r, &ar) in avals.iter().enumerate() {
-                            for (x, &bv) in bvals.iter().enumerate() {
-                                acc[r][x] = ar.mul_add(bv, acc[r][x]);
-                            }
-                        }
-                    }
-                }
-                for r in 0..iw {
-                    let row = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + jw];
-                    for (cv, &av) in row.iter_mut().zip(acc[r].iter()) {
-                        *cv += av;
+    let simd = active_kernel_path() == KernelPath::Simd && simd::simd_f16_available();
+    if simd {
+        f16_panels::<{ simd::NR_F16 }>(c, (m, k, n), a, b, arena, simd, |acc, pa, pb, kc| {
+            let handled = simd::tile_f16(acc, pa, pb, kc);
+            assert!(handled, "simd_f16_available() promised an F16 tile");
+        });
+    } else {
+        f16_panels::<NR>(c, (m, k, n), a, b, arena, simd, |acc, pa, pb, kc| {
+            for p in 0..kc {
+                let avals = &pa[p * MR..(p + 1) * MR];
+                let bvals = &pb[p * NR..(p + 1) * NR];
+                for (r, &ar) in avals.iter().enumerate() {
+                    for (x, &bv) in bvals.iter().enumerate() {
+                        // `F16::mul_add` with the A operand already wide.
+                        acc[r][x] = F16::from_f32(ar.mul_add(bv.to_f32(), acc[r][x].to_f32()));
                     }
                 }
             }
-        }
-        p0 += kc;
+        });
     }
-    for i in 0..m {
-        let row = &mut c[i * n..(i + 1) * n];
-        if let Some(bias) = bias {
-            let hb = F16::from_f32(bias[i]);
-            for cv in row.iter_mut() {
-                *cv += hb;
-            }
-        }
-        if relu {
-            for cv in row.iter_mut() {
-                if *cv < F16::ZERO {
-                    *cv = F16::ZERO;
-                }
-            }
-        }
+    for (i, row) in c.chunks_exact_mut(n.max(1)).enumerate() {
+        let hb = bias.map(|b| F16::from_f32(b[i]));
+        simd::f16_bias_relu(simd, row, hb, relu);
     }
+}
+
+/// The F16 panel walk for an `MR × NRT` tile: `A` widened to f32 at pack
+/// time (exact, once per panel instead of once per MAC), `B` kept as
+/// binary16, tile sums added into `c` in ascending panel order.
+#[allow(clippy::too_many_arguments)]
+fn f16_panels<const NRT: usize>(
+    c: &mut [F16],
+    (m, k, n): (usize, usize, usize),
+    a: &[F16],
+    b: &[F16],
+    arena: &mut ScratchArena,
+    simd: bool,
+    tile: impl Fn(&mut [[F16; NRT]; MR], &[f32], &[F16], usize),
+) {
+    for_each_tile::<_, _, _, _, 1>(
+        (m, k, n),
+        a,
+        b,
+        NRT,
+        (&mut arena.pack_a_f32, &mut arena.pack_b_f16),
+        (0.0f32, F16::ZERO),
+        F16::to_f32,
+        |v| v,
+        |span, pa, pb, kc| {
+            let mut acc = [[F16::ZERO; NRT]; MR];
+            tile(&mut acc, pa, pb, kc);
+            for (r, sums) in acc.iter().enumerate().take(span.iw) {
+                simd::f16_add_assign(simd, &mut c[span.row(r, n)], &sums[..span.jw]);
+            }
+        },
+    );
 }
 
 /// Blocked [`crate::gemm::gemm_quint8`] writing into a caller-provided
@@ -300,105 +426,84 @@ pub fn gemm_quint8_blocked(
         )));
     }
     let multiplier = FixedPointMultiplier::from_real(acc_scale / out_params.scale as f64)?;
-    let a_zp = a_params.zero_point as i16;
-    let b_zp = b_params.zero_point as i16;
-    let out_zp = out_params.zero_point;
+    let zps = (a_params.zero_point as i16, b_params.zero_point as i16);
 
-    let acc = &mut arena.acc_i32;
-    acc.clear();
-    acc.resize(m * n, 0);
-    let simd = crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd;
-    let (m_tiles, n_tiles) = (m.div_ceil(MR), n.div_ceil(NR));
-    let mut p0 = 0;
-    while p0 < k {
-        let kc = KC.min(k - p0);
-        // Pack with the zero point pre-subtracted, so padded lanes (value
-        // 0) contribute nothing to the i32 accumulators.
-        pack_b_sub(&mut arena.pack_b_i16, b, n, p0, kc, b_zp);
-        pack_a_sub(&mut arena.pack_a_i16, a, m, k, p0, kc, a_zp);
-        for it in 0..m_tiles {
-            let i0 = it * MR;
-            let iw = MR.min(m - i0);
-            let pa_panel = &arena.pack_a_i16[it * kc * MR..(it + 1) * kc * MR];
-            for jt in 0..n_tiles {
-                let j0 = jt * NR;
-                let jw = NR.min(n - j0);
-                let pb_panel = &arena.pack_b_i16[jt * kc * NR..(jt + 1) * kc * NR];
-                let mut tile = [[0i32; NR]; MR];
-                if !(simd && crate::simd::tile_i16(&mut tile, pa_panel, pb_panel, kc)) {
-                    for p in 0..kc {
-                        let avals = &pa_panel[p * MR..(p + 1) * MR];
-                        let bvals = &pb_panel[p * NR..(p + 1) * NR];
-                        for (r, &ar) in avals.iter().enumerate() {
-                            let ar = ar as i32;
-                            if ar == 0 {
-                                continue;
-                            }
-                            for (x, &bv) in bvals.iter().enumerate() {
-                                tile[r][x] += ar * bv as i32;
-                            }
-                        }
+    arena.acc_i32.clear();
+    arena.acc_i32.resize(m * n, 0);
+    if active_kernel_path() == KernelPath::Simd {
+        quint8_panels::<{ simd::NR_I16 }, { simd::KSTEP_I16 }>(
+            (m, k, n),
+            a,
+            b,
+            zps,
+            arena,
+            |tile, pa, pb, kc| {
+                let handled = simd::tile_i16(tile, pa, pb, kc);
+                assert!(
+                    handled,
+                    "the path resolves to Simd only where the tile exists"
+                );
+            },
+        );
+    } else {
+        quint8_panels::<NR, 1>((m, k, n), a, b, zps, arena, |tile, pa, pb, kc| {
+            for p in 0..kc {
+                let avals = &pa[p * MR..(p + 1) * MR];
+                let bvals = &pb[p * NR..(p + 1) * NR];
+                for (r, &ar) in avals.iter().enumerate() {
+                    let ar = ar as i32;
+                    if ar == 0 {
+                        continue;
                     }
-                }
-                for r in 0..iw {
-                    let row = &mut acc[(i0 + r) * n + j0..(i0 + r) * n + j0 + jw];
-                    for (av, &tv) in row.iter_mut().zip(tile[r].iter()) {
-                        *av += tv;
+                    for (x, &bv) in bvals.iter().enumerate() {
+                        tile[r][x] += ar * bv as i32;
                     }
                 }
             }
-        }
-        p0 += kc;
+        });
     }
     for i in 0..m {
         let qb = bias.map_or(0, |b| (b[i] as f64 / acc_scale).round() as i32);
-        let acc_row = &acc[i * n..(i + 1) * n];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-            let mut q = requantize(av + qb, &multiplier, out_zp);
-            if relu && q < out_zp {
-                q = out_zp;
-            }
-            *cv = q;
-        }
+        requantize_into(
+            &mut c[i * n..(i + 1) * n],
+            &arena.acc_i32[i * n..(i + 1) * n],
+            qb,
+            &multiplier,
+            out_params.zero_point,
+            relu,
+        );
     }
     Ok(())
 }
 
-/// [`pack_b`] with the zero point subtracted into `i16` lanes.
-fn pack_b_sub(pb: &mut Vec<i16>, b: &[u8], n: usize, p0: usize, kc: usize, zp: i16) {
-    let n_tiles = n.div_ceil(NR);
-    pb.clear();
-    pb.resize(n_tiles * kc * NR, 0);
-    for jt in 0..n_tiles {
-        let j0 = jt * NR;
-        let jw = NR.min(n - j0);
-        let panel = &mut pb[jt * kc * NR..(jt + 1) * kc * NR];
-        for p in 0..kc {
-            let src = &b[(p0 + p) * n + j0..(p0 + p) * n + j0 + jw];
-            for (dst, &v) in panel[p * NR..p * NR + jw].iter_mut().zip(src) {
-                *dst = v as i16 - zp;
-            }
-        }
-    }
-}
-
-/// [`pack_a`] with the zero point subtracted into `i16` lanes.
-fn pack_a_sub(pa: &mut Vec<i16>, a: &[u8], m: usize, k: usize, p0: usize, kc: usize, zp: i16) {
-    let m_tiles = m.div_ceil(MR);
-    pa.clear();
-    pa.resize(m_tiles * kc * MR, 0);
-    for it in 0..m_tiles {
-        let i0 = it * MR;
-        let iw = MR.min(m - i0);
-        let panel = &mut pa[it * kc * MR..(it + 1) * kc * MR];
-        for r in 0..iw {
-            let row = &a[(i0 + r) * k + p0..(i0 + r) * k + p0 + kc];
-            for (p, &v) in row.iter().enumerate() {
-                panel[p * MR + r] = v as i16 - zp;
-            }
-        }
-    }
+/// The QUInt8 panel walk for an `MR × NRT` tile over `KS`-interleaved
+/// panels, accumulating into `arena.acc_i32` (`m × n`, pre-zeroed).
+/// Operands are packed with the zero point pre-subtracted, so padded
+/// lanes (value 0) contribute nothing to the `i32` accumulators.
+fn quint8_panels<const NRT: usize, const KS: usize>(
+    (m, k, n): (usize, usize, usize),
+    a: &[u8],
+    b: &[u8],
+    (a_zp, b_zp): (i16, i16),
+    arena: &mut ScratchArena,
+    tile: impl Fn(&mut [[i32; NRT]; MR], &[i16], &[i16], usize),
+) {
+    let acc = &mut arena.acc_i32;
+    for_each_tile::<_, _, _, _, KS>(
+        (m, k, n),
+        a,
+        b,
+        NRT,
+        (&mut arena.pack_a_i16, &mut arena.pack_b_i16),
+        (0i16, 0i16),
+        |v| v as i16 - a_zp,
+        |v| v as i16 - b_zp,
+        |span, pa, pb, kc| {
+            let mut sums = [[0i32; NRT]; MR];
+            tile(&mut sums, pa, pb, kc);
+            add_tile(acc, n, span, &sums);
+        },
+    );
 }
 
 #[cfg(test)]

@@ -120,8 +120,8 @@ pub fn conv2d(
     // Patch matrices and the quantized accumulator row come from the
     // per-thread scratch arena: repeated convolutions (one per layer per
     // frame) reuse capacity instead of allocating in the hot loop.
-    let mut arena = crate::arena::take_thread_arena();
-    let result = match input.dtype() {
+    let mut arena = crate::arena::ThreadArenaGuard::take();
+    match input.dtype() {
         DType::F32 => {
             if out_params.is_some() {
                 return Err(TensorError::BadQuantParams(
@@ -272,9 +272,7 @@ pub fn conv2d(
             arena.patches_u8 = patches;
             res.and_then(|()| Tensor::from_quantized(out_shape, out, out_params))
         }
-    };
-    crate::arena::restore_thread_arena(arena);
-    result
+    }
 }
 
 /// Naive direct f32 convolution: the independent test oracle.

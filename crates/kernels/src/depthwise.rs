@@ -7,25 +7,34 @@
 //! per-channel GEMM is a degenerate `1 × (kh·kw) × (oh·ow)`.
 //!
 //! This module computes the whole depthwise output in one pass over the
-//! input, with zero intermediate allocation. Each output pixel
-//! accumulates its `kh·kw` taps in exactly the order — and with exactly
-//! the zero-weight / zero-point short-circuits — of the corresponding
-//! naive GEMM over im2col patches:
+//! input, with zero intermediate allocation. The float planes accumulate
+//! each output pixel's `kh·kw` taps in exactly the order — and with
+//! exactly the zero-weight short-circuits — of the corresponding naive
+//! GEMM over im2col patches:
 //!
 //! - **f32**: taps in `(ky, kx)` row-major order, skipping zero weights;
 //!   padded taps contribute `w * 0.0`, like a zero patch entry.
 //! - **F16**: one [`F16::mul_add`] per tap, no skips, padded taps use
 //!   [`F16::ZERO`] — the same MAC sequence as [`crate::gemm::gemm_f16_into`].
-//! - **QUInt8**: exact `i32` accumulation of zero-point-subtracted
-//!   products; padded patch entries equal the input zero point, so their
-//!   contribution is exactly zero, like the explicit skip.
+//!
+//! (Skipping a padded tap there could flip a `-0.0`, so the float planes
+//! keep the per-pixel form.)
+//!
+//! - **QUInt8** walks one *output row* at a time: an `i32` row
+//!   accumulator takes, for every in-bounds `ky` and nonzero tap `kx`,
+//!   `w′·(x − zp)` over the output-column range that tap can reach —
+//!   clipped once per `kx`, not tested once per MAC — and the row is
+//!   requantized in one vector pass. Padded patch entries equal the input
+//!   zero point, so the taps the clipping skips contribute exactly zero,
+//!   and `i32` sums are order-free: the result is the per-pixel sum, bit
+//!   for bit.
 //!
 //! The result is **bit-identical** to the im2col path for every dtype
 //! (for floats: identical to the naive-GEMM dispatch; the blocked
 //! dispatch is itself bit-identical to naive at depthwise sizes, where
 //! `kh·kw ≤ KC` always holds). The equivalence harness enforces this.
 
-use utensor::quant::requantize;
+use utensor::quant::requantize_into;
 use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, TensorError, F16};
 
 use crate::conv::Conv2dParams;
@@ -85,6 +94,17 @@ impl PlaneGeom {
     fn ix(&self, ox: usize, kx: usize) -> Option<usize> {
         let ix = (ox * self.stride + kx) as isize - self.pad as isize;
         (0..self.w as isize).contains(&ix).then_some(ix as usize)
+    }
+
+    /// The output columns `lo..hi` whose tap `kx` lands inside the input
+    /// row (`0 <= ox·stride + kx − pad < w`); empty when none does.
+    fn col_span(&self, kx: usize) -> (usize, usize) {
+        let lo = self.pad.saturating_sub(kx).div_ceil(self.stride);
+        let hi = match (self.w + self.pad).checked_sub(kx + 1) {
+            Some(last) => self.ow.min(last / self.stride + 1),
+            None => 0,
+        };
+        (lo, hi.max(lo))
     }
 }
 
@@ -159,42 +179,55 @@ fn dw_plane_f16(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// What every plane of one quantized depthwise call shares.
+struct QuantCall<'a> {
+    /// [`PlaneGeom::col_span`] of each `kx`.
+    spans: &'a [(usize, usize)],
+    /// Whether this thread's kernel path is SIMD.
+    simd: bool,
+    f_zp: i32,
+    x_zp: i32,
+    multiplier: &'a FixedPointMultiplier,
+    out_zp: u8,
+    relu: bool,
+}
+
+/// One QUInt8 plane, an output row at a time. `row_acc` is scratch of
+/// any length.
 fn dw_plane_quint8(
     out: &mut [u8],
     x: &[u8],
     f: &[u8],
     g: &PlaneGeom,
-    f_zp: i32,
-    x_zp: i32,
+    q: &QuantCall<'_>,
     qbias: i32,
-    multiplier: &FixedPointMultiplier,
-    out_zp: u8,
-    relu: bool,
+    row_acc: &mut Vec<i32>,
 ) {
-    for oy in 0..g.oh {
-        for ox in 0..g.ow {
-            let mut acc = 0i32;
-            for ky in 0..g.kh {
-                let iy = g.iy(oy, ky);
-                for kx in 0..g.kw {
-                    let wv = f[ky * g.kw + kx] as i32 - f_zp;
-                    if wv == 0 {
-                        continue;
-                    }
-                    let xv = match (iy, g.ix(ox, kx)) {
-                        (Some(iy), Some(ix)) => x[iy * g.w + ix] as i32 - x_zp,
-                        _ => 0,
-                    };
-                    acc += wv * xv;
+    for (oy, out_row) in out.chunks_exact_mut(g.ow).enumerate() {
+        row_acc.clear();
+        row_acc.resize(g.ow, 0);
+        for ky in 0..g.kh {
+            let Some(iy) = g.iy(oy, ky) else { continue };
+            let x_row = &x[iy * g.w..(iy + 1) * g.w];
+            for (kx, &(lo, hi)) in q.spans.iter().enumerate() {
+                let wv = f[ky * g.kw + kx] as i32 - q.f_zp;
+                if wv == 0 || lo == hi {
+                    continue;
                 }
+                // First input column the tap reads; `col_span` keeps the
+                // last one, `ix0 + (hi - lo - 1) * stride`, below `w`.
+                let ix0 = lo * g.stride + kx - g.pad;
+                crate::simd::mac_row_u8(
+                    q.simd,
+                    &mut row_acc[lo..hi],
+                    &x_row[ix0..],
+                    g.stride,
+                    wv,
+                    q.x_zp,
+                );
             }
-            let mut q = requantize(acc + qbias, multiplier, out_zp);
-            if relu && q < out_zp {
-                q = out_zp;
-            }
-            out[oy * g.ow + ox] = q;
         }
+        requantize_into(out_row, row_acc, qbias, q.multiplier, q.out_zp, q.relu);
     }
 }
 
@@ -295,24 +328,24 @@ pub fn depthwise_conv2d_direct(
             }
             let multiplier = FixedPointMultiplier::from_real(acc_scale / out_params.scale as f64)?;
             let mut out = vec![0u8; out_shape.numel()];
+            let spans: Vec<(usize, usize)> = (0..kw).map(|kx| g.col_span(kx)).collect();
+            let q = QuantCall {
+                spans: &spans,
+                simd: crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd,
+                f_zp: f_p.zero_point as i32,
+                x_zp: x_p.zero_point as i32,
+                multiplier: &multiplier,
+                out_zp: out_params.zero_point,
+                relu: params.relu,
+            };
+            let mut arena = crate::arena::ThreadArenaGuard::take();
             for b in 0..n {
                 for ci in 0..c {
                     let xp = &x[(b * c + ci) * in_plane..(b * c + ci + 1) * in_plane];
                     let op = &mut out[(b * c + ci) * out_plane..(b * c + ci + 1) * out_plane];
                     let fp = &f[ci * taps..(ci + 1) * taps];
                     let qb = bias.map_or(0, |b| (b[ci] as f64 / acc_scale).round() as i32);
-                    dw_plane_quint8(
-                        op,
-                        xp,
-                        fp,
-                        &g,
-                        f_p.zero_point as i32,
-                        x_p.zero_point as i32,
-                        qb,
-                        &multiplier,
-                        out_params.zero_point,
-                        params.relu,
-                    );
+                    dw_plane_quint8(op, xp, fp, &g, &q, qb, &mut arena.acc_i32);
                 }
             }
             Tensor::from_quantized(out_shape, out, out_params)

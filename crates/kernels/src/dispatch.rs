@@ -160,6 +160,9 @@ pub fn registered_fast_paths() -> Vec<&'static str> {
     if simd::simd_f16_available() {
         paths.push("gemm/f16/blocked-simd");
     }
+    if utensor::quant::requantize_simd_available() {
+        paths.push("requantize/quint8/simd");
+    }
     paths
 }
 

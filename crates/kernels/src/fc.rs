@@ -61,8 +61,8 @@ pub fn fully_connected(
 
     // GEMM scratch (the blocked path's pack buffers, the quantized
     // accumulator) comes from the per-thread arena.
-    let mut arena = crate::arena::take_thread_arena();
-    let result = match input.dtype() {
+    let mut arena = crate::arena::ThreadArenaGuard::take();
+    match input.dtype() {
         DType::F32 => {
             if out_params.is_some() {
                 return Err(TensorError::BadQuantParams(
@@ -145,9 +145,7 @@ pub fn fully_connected(
             }
             res.and_then(|()| Tensor::from_quantized(out_shape, out, out_params))
         }
-    };
-    crate::arena::restore_thread_arena(arena);
-    result
+    }
 }
 
 #[cfg(test)]

@@ -180,14 +180,22 @@ pub fn gemm_quint8(
     let mut c = vec![0u8; m * n];
     // Accumulator row from the per-thread arena: repeated calls (one per
     // layer per frame on the exec backend) stop allocating once warm.
-    let mut arena = crate::arena::take_thread_arena();
-    let mut acc = std::mem::take(&mut arena.acc_i32);
-    let res = gemm_quint8_into(
-        &mut c, m, k, n, a, a_params, b, b_params, bias, out_params, relu, &mut acc,
-    );
-    arena.acc_i32 = acc;
-    crate::arena::restore_thread_arena(arena);
-    res.map(|()| c)
+    let mut arena = crate::arena::ThreadArenaGuard::take();
+    gemm_quint8_into(
+        &mut c,
+        m,
+        k,
+        n,
+        a,
+        a_params,
+        b,
+        b_params,
+        bias,
+        out_params,
+        relu,
+        &mut arena.acc_i32,
+    )?;
+    Ok(c)
 }
 
 /// [`gemm_quint8`] writing into a caller-provided `m*n` buffer, with the

@@ -39,6 +39,7 @@ pub mod simd;
 pub use activation::{fake_quant, relu, softmax_f32};
 pub use arena::{
     restore_thread_arena, take_thread_arena, thread_arena_capacity_bytes, ScratchArena,
+    ThreadArenaGuard,
 };
 pub use blocked::{
     blocked_kernels_enabled, gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked,

@@ -62,8 +62,8 @@ pub fn pointwise_conv2d(
     let cols = out_shape.h() * out_shape.w();
     let plane = ic * cols;
 
-    let mut arena = crate::arena::take_thread_arena();
-    let result = match input.dtype() {
+    let mut arena = crate::arena::ThreadArenaGuard::take();
+    match input.dtype() {
         DType::F32 => {
             if out_params.is_some() {
                 return Err(TensorError::BadQuantParams(
@@ -173,9 +173,7 @@ pub fn pointwise_conv2d(
             }
             res.and_then(|()| Tensor::from_quantized(out_shape, out, out_params))
         }
-    };
-    crate::arena::restore_thread_arena(arena);
-    result
+    }
 }
 
 #[cfg(test)]

@@ -1,15 +1,17 @@
 //! AVX2/FMA/F16C register-tile kernels (x86_64).
 //!
-//! `NR = 8` maps one tile row onto exactly one 256-bit vector (8 × f32 /
-//! 8 × i32) — the whole `MR × NR` accumulator lives in four `ymm`
-//! registers per dtype. Every function here is `unsafe` because it is
-//! compiled with `#[target_feature]`; callers in [`super`] check
+//! The f32 tile is `MR × 8`: one tile row is exactly one 256-bit vector.
+//! The QUInt8 and F16 tiles are `MR × 16` — two vectors per row, eight
+//! accumulators — so the eight independent dependency chains hide the
+//! multiply / convert latency. Every function here is `unsafe` because
+//! it is compiled with `#[target_feature]`; callers in [`super`] check
 //! `is_x86_feature_detected!` first (see `simd_available`).
 
 use core::arch::x86_64::*;
 
 use utensor::F16;
 
+use super::{NR_F16, NR_I16};
 use crate::blocked::{MR, NR};
 
 /// f32 tile: `acc[r] += a[p*MR+r] * b[p*NR..]` for `p` in `0..kc`.
@@ -38,64 +40,161 @@ pub(super) unsafe fn tile_f32(acc: &mut [[f32; NR]; MR], pa: &[f32], pb: &[f32],
     }
 }
 
-/// F16 tile with per-MAC [`F16::mul_add`] semantics: widen to f32
-/// (exact), one f32 FMA (`vfmadd`), then round-to-nearest-even back to
-/// binary16 (`vcvtps2ph`). Bit-identical to the software path for all
+/// F16 `MR × 16` tile with per-MAC [`F16::mul_add`] semantics: `A` comes
+/// in already widened to f32 (exact, done at pack time), `B` widens per
+/// step (`vcvtph2ps`, exact), then one f32 FMA (`vfmadd`) and a
+/// round-to-nearest-even back to binary16 (`vcvtps2ph`) per MAC, in
+/// ascending `p` order. Bit-identical to the software path for all
 /// finite values and infinities; NaN payloads may differ (both quiet).
 ///
 /// # Safety
-/// Requires AVX2+FMA+F16C; `pa.len() >= kc * MR`, `pb.len() >= kc * NR`.
+/// Requires AVX2+FMA+F16C; `pa.len() >= kc * MR`, `pb.len() >= kc * 16`.
 #[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-pub(super) unsafe fn tile_f16(acc: &mut [[F16; NR]; MR], pa: &[F16], pb: &[F16], kc: usize) {
+pub(super) unsafe fn tile_f16(acc: &mut [[F16; NR_F16]; MR], pa: &[f32], pb: &[F16], kc: usize) {
     const RN: i32 = _MM_FROUND_TO_NEAREST_INT;
-    // Sound: F16 is #[repr(transparent)] over u16.
-    let mut v = [_mm256_setzero_ps(); MR];
+    debug_assert!(pa.len() >= kc * MR && pb.len() >= kc * NR_F16);
+    // Sound: F16 is #[repr(transparent)] over u16, and a tile row is 16
+    // of them — two 128-bit halves.
+    let mut v = [[_mm256_setzero_ps(); 2]; MR];
     for (vr, row) in v.iter_mut().zip(acc.iter()) {
-        *vr = _mm256_cvtph_ps(_mm_loadu_si128(row.as_ptr() as *const __m128i));
+        vr[0] = _mm256_cvtph_ps(_mm_loadu_si128(row.as_ptr() as *const __m128i));
+        vr[1] = _mm256_cvtph_ps(_mm_loadu_si128(row.as_ptr().add(8) as *const __m128i));
     }
     for p in 0..kc {
-        let vb = _mm256_cvtph_ps(_mm_loadu_si128(pb.as_ptr().add(p * NR) as *const __m128i));
+        // SAFETY: `p * 16 + 16 <= kc * 16 <= pb.len()` and
+        // `p * MR + r < kc * MR <= pa.len()` (asserted by the caller).
+        let b = pb.as_ptr().add(p * NR_F16);
+        let vb = [
+            _mm256_cvtph_ps(_mm_loadu_si128(b as *const __m128i)),
+            _mm256_cvtph_ps(_mm_loadu_si128(b.add(8) as *const __m128i)),
+        ];
         for (r, vr) in v.iter_mut().enumerate() {
-            let va = _mm256_set1_ps(pa.get_unchecked(p * MR + r).to_f32());
-            let fused = _mm256_fmadd_ps(va, vb, *vr);
-            // Round to binary16 and widen back, so the running sum holds
-            // exactly the value the scalar F16 accumulator would.
-            *vr = _mm256_cvtph_ps(_mm256_cvtps_ph::<RN>(fused));
+            let va = _mm256_set1_ps(*pa.get_unchecked(p * MR + r));
+            for (acc, &vb) in vr.iter_mut().zip(&vb) {
+                // Round to binary16 and widen back, so the running sum
+                // holds exactly the value the scalar F16 accumulator would.
+                *acc = _mm256_cvtph_ps(_mm256_cvtps_ph::<RN>(_mm256_fmadd_ps(va, vb, *acc)));
+            }
         }
     }
     for (row, vr) in acc.iter_mut().zip(v.iter()) {
-        _mm_storeu_si128(row.as_mut_ptr() as *mut __m128i, _mm256_cvtps_ph::<RN>(*vr));
+        _mm_storeu_si128(
+            row.as_mut_ptr() as *mut __m128i,
+            _mm256_cvtps_ph::<RN>(vr[0]),
+        );
+        _mm_storeu_si128(
+            row.as_mut_ptr().add(8) as *mut __m128i,
+            _mm256_cvtps_ph::<RN>(vr[1]),
+        );
     }
 }
 
-/// QUInt8 tile: exact `i16 × i16 → i32` multiply-accumulate. Products of
-/// zero-point-subtracted operands fit in 17 bits and a `KC`-panel sums at
-/// most 256 of them, so the `i32` lanes cannot overflow; integer
-/// arithmetic makes the result unconditionally bit-identical to scalar.
+/// QUInt8 `MR × 16` tile over K-pair panels: `pa[r*kc + k]` (each row
+/// contiguous) and `pb[(g*16 + x)*2 + s]` hold `k = 2g + s`. One
+/// `vpmaddwd` multiplies a broadcast `[a(r,k), a(r,k+1)]` pair against
+/// eight `[b(k,x), b(k+1,x)]` pairs and sums each pair into an `i32`
+/// lane — 16 exact MACs per instruction. Zero-point-subtracted operands
+/// are within ±255, so a product is at most 255², a pair sum at most
+/// 130 050, and a `KC`-panel (128 pair sums) stays below 2²⁴: no lane
+/// can overflow, and integer arithmetic makes the result unconditionally
+/// bit-identical to scalar.
 ///
 /// # Safety
-/// Requires AVX2; `pa.len() >= kc * MR`, `pb.len() >= kc * NR`.
+/// Requires AVX2; `kc` even, `pa.len() >= kc * MR`, `pb.len() >= kc * 16`.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn tile_i16(acc: &mut [[i32; NR]; MR], pa: &[i16], pb: &[i16], kc: usize) {
-    let mut v = [_mm256_setzero_si256(); MR];
+pub(super) unsafe fn tile_i16(acc: &mut [[i32; NR_I16]; MR], pa: &[i16], pb: &[i16], kc: usize) {
+    debug_assert_eq!(kc % 2, 0);
+    debug_assert!(pa.len() >= kc * MR && pb.len() >= kc * NR_I16);
+    let mut v = [[_mm256_setzero_si256(); 2]; MR];
     for (vr, row) in v.iter_mut().zip(acc.iter()) {
-        *vr = _mm256_loadu_si256(row.as_ptr() as *const __m256i);
+        vr[0] = _mm256_loadu_si256(row.as_ptr() as *const __m256i);
+        vr[1] = _mm256_loadu_si256(row.as_ptr().add(8) as *const __m256i);
     }
-    for p in 0..kc {
-        let vb16 = _mm_loadu_si128(pb.as_ptr().add(p * NR) as *const __m128i);
-        let vb = _mm256_cvtepi16_epi32(vb16);
+    for g in 0..kc / 2 {
+        // SAFETY: group `g` spans `pb[g * 32 .. g * 32 + 32]` and, in row
+        // `r`, `pa[r * kc + 2 * g ..][..2]`; `2 * g + 2 <= kc` keeps both
+        // inside the lengths asserted above.
+        let b = pb.as_ptr().add(g * 2 * NR_I16);
+        let vb = [
+            _mm256_loadu_si256(b as *const __m256i),
+            _mm256_loadu_si256(b.add(16) as *const __m256i),
+        ];
         for (r, vr) in v.iter_mut().enumerate() {
-            let a = *pa.get_unchecked(p * MR + r) as i32;
-            if a == 0 {
-                // Padded edge rows multiply by zero; skipping the exact
-                // no-op matches the scalar kernel's fast path.
-                continue;
+            // The row's two consecutive-k operands, broadcast as one
+            // 32-bit lane.
+            let pair = pa.as_ptr().add(r * kc + 2 * g) as *const i32;
+            let va = _mm256_set1_epi32(pair.read_unaligned());
+            for (acc, &vb) in vr.iter_mut().zip(&vb) {
+                *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(va, vb));
             }
-            let va = _mm256_set1_epi32(a);
-            *vr = _mm256_add_epi32(*vr, _mm256_mullo_epi32(va, vb));
         }
     }
     for (row, vr) in acc.iter_mut().zip(v.iter()) {
-        _mm256_storeu_si256(row.as_mut_ptr() as *mut __m256i, *vr);
+        _mm256_storeu_si256(row.as_mut_ptr() as *mut __m256i, vr[0]);
+        _mm256_storeu_si256(row.as_mut_ptr().add(8) as *mut __m256i, vr[1]);
     }
+}
+
+/// `c[i] += t[i]` with [`F16`]'s `+` (widen both, one f32 add, round to
+/// nearest even back to binary16) over the longest prefix that is a
+/// multiple of eight lanes; returns that prefix's length.
+///
+/// # Safety
+/// Requires AVX2+F16C.
+#[target_feature(enable = "avx2", enable = "f16c")]
+pub(super) unsafe fn f16_add_assign(c: &mut [F16], t: &[F16]) -> usize {
+    const RN: i32 = _MM_FROUND_TO_NEAREST_INT;
+    let blocks = c.len().min(t.len()) / 8;
+    for i in 0..blocks {
+        debug_assert!(i * 8 + 8 <= c.len() && i * 8 + 8 <= t.len());
+        // SAFETY: `i * 8 + 8 <= blocks * 8 <= min(c.len(), t.len())`, so
+        // each 16-byte access stays inside its slice (F16 is
+        // #[repr(transparent)] over u16).
+        let pc = c.as_mut_ptr().add(i * 8) as *mut __m128i;
+        let sum = _mm256_add_ps(
+            _mm256_cvtph_ps(_mm_loadu_si128(pc)),
+            _mm256_cvtph_ps(_mm_loadu_si128(t.as_ptr().add(i * 8) as *const __m128i)),
+        );
+        _mm_storeu_si128(pc, _mm256_cvtps_ph::<RN>(sum));
+    }
+    blocks * 8
+}
+
+/// The F16 GEMM row epilogue, `v += bias` (rounded to binary16) then
+/// `if v < 0 { v = 0 }`, over the longest prefix that is a multiple of
+/// eight lanes; returns that prefix's length. Like the scalar compare,
+/// the ReLU leaves `-0.0` and NaN alone.
+///
+/// # Safety
+/// Requires AVX2+F16C.
+#[target_feature(enable = "avx2", enable = "f16c")]
+pub(super) unsafe fn f16_bias_relu(row: &mut [F16], bias: Option<F16>, relu: bool) -> usize {
+    const RN: i32 = _MM_FROUND_TO_NEAREST_INT;
+    let zero = _mm256_setzero_ps();
+    let vbias = bias.map(|b| _mm256_set1_ps(b.to_f32()));
+    let blocks = row.len() / 8;
+    for i in 0..blocks {
+        debug_assert!(i * 8 + 8 <= row.len());
+        // SAFETY: `i * 8 + 8 <= blocks * 8 <= row.len()`.
+        let p = row.as_mut_ptr().add(i * 8) as *mut __m128i;
+        let mut v = _mm256_cvtph_ps(_mm_loadu_si128(p));
+        if let Some(vb) = vbias {
+            v = _mm256_cvtph_ps(_mm256_cvtps_ph::<RN>(_mm256_add_ps(v, vb)));
+        }
+        if relu {
+            v = _mm256_blendv_ps(v, zero, _mm256_cmp_ps::<_CMP_LT_OQ>(v, zero));
+        }
+        _mm_storeu_si128(p, _mm256_cvtps_ph::<RN>(v));
+    }
+    blocks * 8
+}
+
+/// [`super::mac_row_u8`] compiled for AVX2: plain safe code, which the
+/// compiler vectorizes eight `i32` lanes wide under this target feature.
+///
+/// # Safety
+/// Requires AVX2.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn mac_row_u8(acc: &mut [i32], x: &[u8], stride: usize, w: i32, zp: i32) {
+    super::mac_row_u8_body(acc, x, stride, w, zp);
 }

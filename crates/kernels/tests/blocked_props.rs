@@ -13,9 +13,10 @@ use testkit::{bools, prop_assert, prop_assume, props};
 use ukernels::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
 use ukernels::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use ukernels::{
-    conv2d, set_blocked_kernels, thread_arena_capacity_bytes, Conv2dParams, ScratchArena,
+    conv2d, fully_connected, pointwise_conv2d, set_blocked_kernels, thread_arena_capacity_bytes,
+    Conv2dParams, ScratchArena,
 };
-use utensor::{QuantParams, Shape, Tensor, F16};
+use utensor::{DType, QuantParams, Shape, Tensor, F16};
 
 fn pseudo_f32(n: usize, seed: usize) -> Vec<f32> {
     (0..n)
@@ -177,4 +178,37 @@ fn repeated_conv_does_not_grow_the_arena() {
         assert_eq!(thread_arena_capacity_bytes(), warm_blocked);
     }
     set_blocked_kernels(prev);
+}
+
+/// A kernel call that fails after taking the thread arena (a QUInt8 call
+/// without `out_params`, a float call with them) must hand the warmed
+/// arena back, not the empty placeholder.
+#[test]
+fn error_paths_keep_the_warmed_arena() {
+    let qp = QuantParams::from_range(-1.0, 1.0).unwrap();
+    let input = Tensor::from_f32(Shape::nchw(1, 8, 14, 14), pseudo_f32(8 * 14 * 14, 0)).unwrap();
+    let conv_f = Tensor::from_f32(Shape::oihw(16, 8, 3, 3), pseudo_f32(16 * 8 * 9, 1)).unwrap();
+    let pw_f = Tensor::from_f32(Shape::oihw(16, 8, 1, 1), pseudo_f32(16 * 8, 2)).unwrap();
+    let fc_w = Tensor::from_f32(Shape::new(vec![4, 8 * 14 * 14]), pseudo_f32(4 * 1568, 3)).unwrap();
+    let q = |t: &Tensor| t.cast(DType::QUInt8, Some(qp)).unwrap();
+    let p = Conv2dParams::unit();
+
+    set_blocked_kernels(true);
+    conv2d(&input, &conv_f, None, &p, None).unwrap();
+    conv2d(&q(&input), &q(&conv_f), None, &p, Some(qp)).unwrap();
+    let warm = thread_arena_capacity_bytes();
+    assert!(warm > 0);
+
+    assert!(conv2d(&q(&input), &q(&conv_f), None, &p, None).is_err());
+    assert_eq!(thread_arena_capacity_bytes(), warm, "conv2d QUInt8");
+    assert!(conv2d(&input, &conv_f, None, &p, Some(qp)).is_err());
+    assert_eq!(thread_arena_capacity_bytes(), warm, "conv2d f32");
+    assert!(pointwise_conv2d(&q(&input), &q(&pw_f), None, &p, None).is_err());
+    assert_eq!(thread_arena_capacity_bytes(), warm, "pointwise QUInt8");
+    assert!(pointwise_conv2d(&input, &pw_f, None, &p, Some(qp)).is_err());
+    assert_eq!(thread_arena_capacity_bytes(), warm, "pointwise f32");
+    assert!(fully_connected(&q(&input), &q(&fc_w), None, false, None).is_err());
+    assert_eq!(thread_arena_capacity_bytes(), warm, "fc QUInt8");
+    assert!(fully_connected(&input, &fc_w, None, false, Some(qp)).is_err());
+    assert_eq!(thread_arena_capacity_bytes(), warm, "fc f32");
 }

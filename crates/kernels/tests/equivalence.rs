@@ -24,8 +24,11 @@
 //!
 //! Seeded shape ladders cover the historical trouble spots: odd
 //! channels, stride 2, padding, 1×1 kernels, single-channel layers, and
-//! `K % KC != 0` remainder panels. The randomized section at the bottom
-//! adds shrinking on top.
+//! `K % KC != 0` remainder panels — and the remainders of the wide SIMD
+//! tiles: odd panel depths (the K-pair zero pad), `k = 1`, `k % KC` of 1
+//! and `KC − 1`, `n % 16` of 1 and 15, `m % MR != 0`; depthwise planes
+//! narrower than the window, single rows and single columns. The
+//! randomized section at the bottom adds shrinking on top.
 
 use std::thread;
 
@@ -33,10 +36,11 @@ use testkit::{bools, prop_assert, prop_assume, props};
 use ukernels::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
 use ukernels::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use ukernels::{
-    conv2d, depthwise_conv2d, registered_fast_paths, set_blocked_kernels, set_direct_conv,
+    conv2d, depthwise_conv2d, out_dim, registered_fast_paths, set_blocked_kernels, set_direct_conv,
     set_kernel_path, simd_available, simd_f16_available, Conv2dParams, PathChoice, ScratchArena,
 };
-use utensor::{DType, QuantParams, Shape, Tensor, F16};
+use utensor::quant::{requantize, requantize_into};
+use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, F16};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -55,6 +59,7 @@ const COVERED: &[&str] = &[
     "pointwise/f32/direct",
     "pointwise/f16/direct",
     "pointwise/quint8/direct",
+    "requantize/quint8/simd",
 ];
 
 fn pseudo_f32(n: usize, seed: usize) -> Vec<f32> {
@@ -100,14 +105,20 @@ fn conv_paths() -> Vec<PathChoice> {
     paths
 }
 
-/// GEMM shape ladder: in-panel shapes (bit-equal contract) plus one
-/// multi-panel `K % KC != 0` shape (tolerance contract for floats).
-const GEMM_SHAPES: [(usize, usize, usize); 5] = [
+/// GEMM shape ladder: in-panel shapes (bit-equal contract) plus
+/// multi-panel `K % KC != 0` shapes (tolerance contract for floats).
+/// Between them: odd and unit `k`, `k % KC` of 1 and `KC − 1`, `n % 16`
+/// of 1 and 15, and `m % MR != 0` — every remainder of the 4 × 16 tiles.
+const GEMM_SHAPES: [(usize, usize, usize); 9] = [
     (1, 1, 1),
     (3, 7, 5),
     (4, 8, 8),
     (5, 255, 9),
     (13, KC + 7, 21),
+    (2, 1, 33),
+    (9, 3, 15),
+    (6, KC + 1, 17),
+    (7, 2 * KC - 1, 31),
 ];
 
 fn gemm_cell_f32(path: PathChoice, tc: usize) {
@@ -151,12 +162,13 @@ fn gemm_cell_f16(path: PathChoice, tc: usize) {
             .iter()
             .map(|&v| F16::from_f32(v))
             .collect();
+        let relu = case % 2 == 1;
         let bias = pseudo_f32(m, case + 5);
-        let want = gemm_f16(m, k, n, &a, &b, Some(&bias), false);
+        let want = gemm_f16(m, k, n, &a, &b, Some(&bias), relu);
         for got in on_threads(tc, path, false, || {
             let mut got = vec![F16::ZERO; m * n];
             let mut arena = ScratchArena::new();
-            gemm_f16_blocked(&mut got, m, k, n, &a, &b, Some(&bias), false, &mut arena);
+            gemm_f16_blocked(&mut got, m, k, n, &a, &b, Some(&bias), relu, &mut arena);
             got
         }) {
             if k <= KC {
@@ -223,8 +235,29 @@ const DW_SHAPES: [(usize, usize, usize, usize, usize, usize); 5] = [
     (7, 8, 5, 3, 2, 1),
 ];
 
+/// [`DW_SHAPES`] plus the full window ladder `k ∈ {1,3,5}` × stride
+/// `∈ {1,2,3}` × pad `∈ {0,1,2}` over planes that stress the row form's
+/// column clipping: a plain one, a single row, a single column, and one
+/// narrower than the window (kept wherever the padded window fits).
+fn dw_shapes() -> Vec<(usize, usize, usize, usize, usize, usize)> {
+    let mut shapes = DW_SHAPES.to_vec();
+    for k in [1, 3, 5] {
+        for stride in [1, 2, 3] {
+            for pad in [0, 1, 2] {
+                for (h, w) in [(6, 7), (1, 9), (9, 1), (2, 2)] {
+                    if out_dim(h, k, stride, pad).is_some() && out_dim(w, k, stride, pad).is_some()
+                    {
+                        shapes.push((2, h, w, k, stride, pad));
+                    }
+                }
+            }
+        }
+    }
+    shapes
+}
+
 fn depthwise_cell(dtype: DType, tc: usize) {
-    for (case, &(c, h, w, k, stride, pad)) in DW_SHAPES.iter().enumerate() {
+    for (case, &(c, h, w, k, stride, pad)) in dw_shapes().iter().enumerate() {
         let relu = case % 2 == 0;
         let qp = QuantParams::from_range(-1.0, 1.0).unwrap();
         let out_qp = QuantParams::from_range(-4.0, 4.0).unwrap();
@@ -302,6 +335,47 @@ fn pointwise_cell(dtype: DType, tc: usize) {
     }
 }
 
+/// The slice requantizer (vector body where the host has one) against
+/// the scalar definition: right-shift multipliers across the shift range
+/// plus the left-shift form, zero points at and between the rails, with
+/// and without ReLU, over accumulators of every magnitude and a length
+/// that leaves a tail.
+fn requantize_cell(tc: usize) {
+    let acc: Vec<i32> = (0..83usize)
+        .map(|i| {
+            let wide = (i as i64 * 2654435761 + 12345) * 40503 % (1 << 32) - (1 << 31);
+            (wide >> (i % 29)) as i32
+        })
+        .chain([i32::MIN, i32::MAX, 0, -1, 1])
+        .collect();
+    for got_all in on_threads(tc, PathChoice::Auto, false, || {
+        let mut outs = Vec::new();
+        for real in [1e-7, 0.003, 0.25, 0.499, 0.73, 0.999_999, 1.0, 2.5] {
+            let m = FixedPointMultiplier::from_real(real).unwrap();
+            for zp in [0u8, 3, 128, 255] {
+                for relu in [false, true] {
+                    let bias = (real * 1e6) as i32 - zp as i32;
+                    let mut got = vec![0u8; acc.len()];
+                    requantize_into(&mut got, &acc, bias, &m, zp, relu);
+                    let want: Vec<u8> = acc
+                        .iter()
+                        .map(|&a| {
+                            let q = requantize(a.wrapping_add(bias), &m, zp);
+                            q.max(if relu { zp } else { 0 })
+                        })
+                        .collect();
+                    outs.push((got == want, real, zp, relu));
+                }
+            }
+        }
+        outs
+    }) {
+        for (same, real, zp, relu) in got_all {
+            assert!(same, "requantize tc={tc} real={real} zp={zp} relu={relu}");
+        }
+    }
+}
+
 /// Runs the cell that pins `key`; panics on an unknown key so a typo in
 /// [`COVERED`] cannot silently cover nothing.
 fn run_cell(key: &str, tc: usize) {
@@ -318,6 +392,7 @@ fn run_cell(key: &str, tc: usize) {
         "pointwise/f32/direct" => pointwise_cell(DType::F32, tc),
         "pointwise/f16/direct" => pointwise_cell(DType::F16, tc),
         "pointwise/quint8/direct" => pointwise_cell(DType::QUInt8, tc),
+        "requantize/quint8/simd" => requantize_cell(tc),
         other => panic!("no equivalence cell for fast path {other}"),
     }
 }

@@ -12,8 +12,12 @@
 //! is already applied to the network (§6); calibration is how this
 //! reproduction applies it.
 
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+
 use testkit::Rng;
-use utensor::{QuantParams, Tensor, TensorError};
+use utensor::{DType, QuantParams, Tensor, TensorError};
 
 use crate::graph::{Graph, NodeId};
 
@@ -27,10 +31,30 @@ pub struct LayerWeights {
     pub bias: Option<Vec<f32>>,
 }
 
+/// One node's whole-layer filter in the compute dtypes, derived from
+/// its master copy: at most one F16 and one QUInt8 tensor, each built by
+/// the first [`Weights::filter_as`] that asks and read by everyone
+/// after. A failed cast is remembered like a successful one.
+#[derive(Debug, Default)]
+struct FilterCasts {
+    f16: OnceLock<Result<Tensor, TensorError>>,
+    quint8: OnceLock<Result<Tensor, TensorError>>,
+    built: AtomicUsize,
+}
+
 /// All weights of a graph, indexed by node.
+///
+/// Besides the master copies, each node carries a memo of its filter
+/// cast to the compute dtypes ([`Weights::filter_as`]), so a plan that
+/// runs frame after frame converts and quantizes each layer's weights
+/// once. The memo lives here, next to the data it derives from: clones
+/// share it (the masters are equal, so the casts are), and
+/// [`Weights::of_mut`] — the only way to change a master — drops the
+/// node's memo for the clone being changed.
 #[derive(Clone, Debug)]
 pub struct Weights {
     per_node: Vec<LayerWeights>,
+    casts: Vec<Arc<FilterCasts>>,
 }
 
 impl Weights {
@@ -60,7 +84,7 @@ impl Weights {
                 per_node.push(LayerWeights::default());
             }
         }
-        Ok(Weights { per_node })
+        Ok(Weights::from_per_node(per_node))
     }
 
     /// The weights of a node.
@@ -73,9 +97,69 @@ impl Weights {
         &self.per_node[id.0]
     }
 
-    /// Mutable access, for training (quantlab) and tests.
+    /// Mutable access, for training (quantlab) and tests. Forgets the
+    /// node's memoised filter casts (for this `Weights`, not for clones
+    /// made earlier, whose master is unchanged).
     pub fn of_mut(&mut self, id: NodeId) -> &mut LayerWeights {
+        self.casts[id.0] = Arc::default();
         &mut self.per_node[id.0]
+    }
+
+    /// The node's whole filter in `dtype` — bit for bit
+    /// `of(id).filter.cast(dtype, params)`, without redoing the cast:
+    ///
+    /// - a master already in `dtype` (and, for QUInt8, under `params`) is
+    ///   borrowed as is;
+    /// - F16, and QUInt8 under explicit `params`, come from the node's
+    ///   memo, which the first caller builds (concurrent callers wait
+    ///   for it rather than building their own);
+    /// - anything else is cast on the spot: QUInt8 with `params: None`
+    ///   (parameters from the data's own range) and QUInt8 under
+    ///   parameters other than the memoised ones (a second calibration
+    ///   of the same weights).
+    ///
+    /// `None` for a node without a filter.
+    pub fn filter_as(
+        &self,
+        id: NodeId,
+        dtype: DType,
+        params: Option<QuantParams>,
+    ) -> Result<Option<Cow<'_, Tensor>>, TensorError> {
+        let Some(master) = self.per_node[id.0].filter.as_ref() else {
+            return Ok(None);
+        };
+        let wants_requantize =
+            dtype == DType::QUInt8 && params.is_some_and(|p| Some(p) != master.quant_params());
+        if master.dtype() == dtype && !wants_requantize {
+            return Ok(Some(Cow::Borrowed(master)));
+        }
+        let casts = &self.casts[id.0];
+        let slot = match (dtype, params) {
+            (DType::F16, _) => &casts.f16,
+            (DType::QUInt8, Some(_)) => &casts.quint8,
+            _ => return master.cast(dtype, params).map(|t| Some(Cow::Owned(t))),
+        };
+        let memo = slot
+            .get_or_init(|| {
+                casts.built.fetch_add(1, Ordering::Relaxed);
+                master.cast(dtype, params)
+            })
+            .as_ref()
+            .map_err(Clone::clone)?;
+        if dtype == DType::QUInt8 && memo.quant_params() != params {
+            return master.cast(dtype, params).map(|t| Some(Cow::Owned(t)));
+        }
+        Ok(Some(Cow::Borrowed(memo)))
+    }
+
+    /// How many whole-layer filter casts the memo has built so far
+    /// (nodes whose memo [`Weights::of_mut`] dropped no longer count).
+    /// Flat from the second frame of a plan on; a test hook.
+    pub fn filter_casts_built(&self) -> usize {
+        self.casts
+            .iter()
+            .map(|c| c.built.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Number of node entries.
@@ -91,7 +175,8 @@ impl Weights {
     /// Assembles weights from per-node entries (rewrite passes and
     /// tests; entry `i` belongs to node `i`).
     pub fn from_per_node(per_node: Vec<LayerWeights>) -> Weights {
-        Weights { per_node }
+        let casts = per_node.iter().map(|_| Arc::default()).collect();
+        Weights { per_node, casts }
     }
 
     /// Decomposes into per-node entries for a rewrite pass.
@@ -264,6 +349,99 @@ mod tests {
         assert_eq!(c.act_params.len(), 3);
         assert!(c.weight_params[0].is_some());
         assert!(c.weight_params[1].is_none());
+    }
+
+    #[test]
+    fn filter_as_equals_cast_and_builds_each_copy_once() {
+        let g = graph();
+        let w = Weights::random(&g, 3).unwrap();
+        let conv = NodeId(0);
+        let master = w.of(conv).filter.clone().unwrap();
+        let qp = QuantParams::from_data(master.as_f32().unwrap()).unwrap();
+
+        // The f32 master is borrowed, not copied.
+        let f32_view = w.filter_as(conv, DType::F32, None).unwrap().unwrap();
+        assert!(matches!(f32_view, Cow::Borrowed(_)));
+        assert_eq!(w.filter_casts_built(), 0);
+
+        for _ in 0..3 {
+            let h = w.filter_as(conv, DType::F16, None).unwrap().unwrap();
+            assert!(h.bit_equal(&master.cast(DType::F16, None).unwrap()));
+            let q = w.filter_as(conv, DType::QUInt8, Some(qp)).unwrap().unwrap();
+            assert!(q.bit_equal(&master.cast(DType::QUInt8, Some(qp)).unwrap()));
+        }
+        assert_eq!(w.filter_casts_built(), 2, "one F16 and one QUInt8 copy");
+
+        // Other parameters, or none, are answered exactly but not kept.
+        let other = QuantParams::from_range(-3.0, 3.0).unwrap();
+        let q = w
+            .filter_as(conv, DType::QUInt8, Some(other))
+            .unwrap()
+            .unwrap();
+        assert!(q.bit_equal(&master.cast(DType::QUInt8, Some(other)).unwrap()));
+        let q = w.filter_as(conv, DType::QUInt8, None).unwrap().unwrap();
+        assert!(q.bit_equal(&master.cast(DType::QUInt8, None).unwrap()));
+        assert_eq!(w.filter_casts_built(), 2);
+
+        // No filter, no copy.
+        assert!(w.filter_as(NodeId(1), DType::F16, None).unwrap().is_none());
+    }
+
+    #[test]
+    fn clones_share_the_memo_and_of_mut_drops_it_for_one_node() {
+        let g = graph();
+        let mut w = Weights::random(&g, 3).unwrap();
+        let (conv, fc) = (NodeId(0), NodeId(2));
+        w.filter_as(conv, DType::F16, None).unwrap();
+        w.filter_as(fc, DType::F16, None).unwrap();
+        let twin = w.clone();
+        assert_eq!(
+            twin.filter_casts_built(),
+            2,
+            "a clone reads the same copies"
+        );
+
+        // Changing a master forgets that node's copies here, and only here.
+        let doubled: Vec<f32> = w
+            .of(conv)
+            .filter
+            .as_ref()
+            .unwrap()
+            .as_f32()
+            .unwrap()
+            .to_vec();
+        let doubled: Vec<f32> = doubled.iter().map(|v| v * 2.0).collect();
+        let shape = w.of(conv).filter.as_ref().unwrap().shape().clone();
+        w.of_mut(conv).filter = Some(Tensor::from_f32(shape, doubled).unwrap());
+        assert_eq!(w.filter_casts_built(), 1);
+        assert_eq!(twin.filter_casts_built(), 2);
+        let fresh = w.filter_as(conv, DType::F16, None).unwrap().unwrap();
+        let want = w
+            .of(conv)
+            .filter
+            .as_ref()
+            .unwrap()
+            .cast(DType::F16, None)
+            .unwrap();
+        assert!(fresh.bit_equal(&want));
+        let old = twin.filter_as(conv, DType::F16, None).unwrap().unwrap();
+        assert!(!old.bit_equal(&want), "the clone still has the old master");
+    }
+
+    #[test]
+    fn two_threads_asking_for_one_layer_cast_it_once() {
+        let g = graph();
+        let w = Weights::random(&g, 3).unwrap();
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    gate.wait();
+                    w.filter_as(NodeId(2), DType::F16, None).unwrap().unwrap();
+                });
+            }
+        });
+        assert_eq!(w.filter_casts_built(), 1);
     }
 
     #[test]

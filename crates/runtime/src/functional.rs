@@ -10,6 +10,7 @@
 //! invariant: a split layer's merged output equals the whole-layer
 //! output.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use usoc::DtypePlan;
@@ -95,10 +96,8 @@ pub struct PartTask<'a> {
     pub name: &'a str,
     /// Stored inputs, in the plan's storage dtype.
     pub inputs: Vec<&'a Tensor>,
-    /// The node's full (unsliced, uncast) filter, if any.
-    pub filter: Option<&'a Tensor>,
-    /// The node's full bias, if any.
-    pub bias: Option<&'a [f32]>,
+    /// The graph's weights; this task reads `weights.of(node)`.
+    pub weights: &'a Weights,
     /// Quantization parameters for casting the filter.
     pub weight_params: Option<QuantParams>,
     /// The node's calibrated activation parameters.
@@ -108,6 +107,13 @@ pub struct PartTask<'a> {
     /// `Some((axis, lo, hi))` for a split part owning channels
     /// `lo..hi`; `None` for a whole-layer task.
     pub split: Option<(SplitAxis, usize, usize)>,
+}
+
+impl<'a> PartTask<'a> {
+    /// The node's full (unsliced, uncast) master filter, if any.
+    pub fn master_filter(&self) -> Option<&'a Tensor> {
+        self.weights.of(self.node).filter.as_ref()
+    }
 }
 
 /// Executes one [`PartTask`], returning the raw output in the part's
@@ -123,36 +129,57 @@ pub fn eval_part_task(t: &PartTask<'_>) -> Result<Tensor, TensorError> {
         return unn::run_layer(t.kind, &t.inputs, None, None, Some(t.act));
     }
     let x = t.inputs[0];
-    match t.split {
-        None => {
-            let filter = t
-                .filter
-                .map(|f| f.cast(t.dtypes.compute, t.weight_params))
-                .transpose()?;
-            compute_part(t.kind, x, filter.as_ref(), t.bias, t.dtypes, t.act)
-        }
+    // The input channels and the filter/bias rows this part owns.
+    let (x_part, rows) = match t.split {
+        None => (None, None),
         Some((SplitAxis::Filters, lo, hi)) => {
-            let f = t.filter.ok_or_else(|| {
-                TensorError::BadConcat(format!("{} has no filter to split", t.name))
-            })?;
-            let f_part = f
-                .slice_axis(0, lo, hi)?
-                .cast(t.dtypes.compute, t.weight_params)?;
-            let b_part = t.bias.map(|b| &b[lo..hi]);
-            compute_part(t.kind, x, Some(&f_part), b_part, t.dtypes, t.act)
+            if t.master_filter().is_none() {
+                return Err(TensorError::BadConcat(format!(
+                    "{} has no filter to split",
+                    t.name
+                )));
+            }
+            (None, Some((lo, hi)))
         }
         Some((SplitAxis::InputChannels, lo, hi)) => {
-            let x_part = x.slice_axis(1, lo, hi)?;
-            let f_part = t
-                .filter
-                .map(|f| {
-                    f.slice_axis(0, lo, hi)
-                        .and_then(|f| f.cast(t.dtypes.compute, t.weight_params))
-                })
-                .transpose()?;
-            let b_part = t.bias.map(|b| &b[lo..hi]);
-            compute_part(t.kind, &x_part, f_part.as_ref(), b_part, t.dtypes, t.act)
+            (Some(x.slice_axis(1, lo, hi)?), Some((lo, hi)))
         }
+    };
+    let filter = part_filter(t, rows)?;
+    let bias = t.weights.of(t.node).bias.as_deref();
+    let bias = bias.map(|b| rows.map_or(b, |(lo, hi)| &b[lo..hi]));
+    compute_part(
+        t.kind,
+        x_part.as_ref().unwrap_or(x),
+        filter.as_deref(),
+        bias,
+        t.dtypes,
+        t.act,
+    )
+}
+
+/// The filter rows `rows` (all of them for `None`) of the task's node in
+/// the part's compute dtype, taken from the whole-layer copy
+/// [`Weights::filter_as`] memoises instead of re-casting the f32 master
+/// every frame. Casting is elementwise under fixed parameters, so rows of
+/// the cast copy equal the cast of the rows, bit for bit.
+fn part_filter<'a>(
+    t: &PartTask<'a>,
+    rows: Option<(usize, usize)>,
+) -> Result<Option<Cow<'a, Tensor>>, TensorError> {
+    let compute = t.dtypes.compute;
+    if let (Some((lo, hi)), DType::QUInt8, None) = (rows, compute, t.weight_params) {
+        // Uncalibrated: the parameters come from the slice's own range,
+        // which no whole-layer copy can provide. Slice, then quantize.
+        return t
+            .master_filter()
+            .map(|f| f.slice_axis(0, lo, hi)?.cast(compute, None).map(Cow::Owned))
+            .transpose();
+    }
+    let whole = t.weights.filter_as(t.node, compute, t.weight_params)?;
+    match (whole, rows) {
+        (Some(whole), Some((lo, hi))) => Ok(Some(Cow::Owned(whole.slice_axis(0, lo, hi)?))),
+        (whole, _) => Ok(whole),
     }
 }
 
@@ -168,8 +195,7 @@ fn node_tasks<'a>(
     name: &'a str,
     placement: &NodePlacement,
     inputs: Vec<&'a Tensor>,
-    filter: Option<&'a Tensor>,
-    bias: Option<&'a [f32]>,
+    weights: &'a Weights,
     weight_params: Option<QuantParams>,
     act: QuantParams,
 ) -> Result<Vec<PartTask<'a>>, TensorError> {
@@ -181,8 +207,7 @@ fn node_tasks<'a>(
             kind,
             name,
             inputs,
-            filter,
-            bias,
+            weights,
             weight_params,
             act,
             dtypes: *dtypes,
@@ -195,7 +220,10 @@ fn node_tasks<'a>(
             let x = inputs[0];
             let channels =
                 usoc::split_channel_count(kind, x.shape()).unwrap_or_else(|| match axis {
-                    SplitAxis::Filters => filter.map(|f| f.shape().dim(0)).unwrap_or(0),
+                    SplitAxis::Filters => {
+                        let filter = weights.of(id).filter.as_ref();
+                        filter.map(|f| f.shape().dim(0)).unwrap_or(0)
+                    }
                     SplitAxis::InputChannels => x.shape().c(),
                 });
             let fracs: Vec<f64> = parts.iter().map(|p| p.2).collect();
@@ -213,8 +241,7 @@ fn node_tasks<'a>(
                     kind,
                     name,
                     inputs: inputs.clone(),
-                    filter,
-                    bias,
+                    weights,
                     weight_params,
                     act,
                     dtypes: *dtypes,
@@ -310,8 +337,7 @@ pub fn evaluate_plan_with_backend(
             &node.name,
             &plan.placements[i],
             inputs,
-            weights.of(id).filter.as_ref(),
-            weights.of(id).bias.as_deref(),
+            weights,
             calib.weight_params[i],
             act,
         )?;
@@ -351,8 +377,7 @@ fn evaluate_plan_inner(
             &node.name,
             &plan.placements[i],
             inputs,
-            weights.of(id).filter.as_ref(),
-            weights.of(id).bias.as_deref(),
+            weights,
             calib.weight_params[i],
             act,
         )?;
@@ -576,6 +601,62 @@ mod tests {
         let want = unn::forward(&g, &w, &calib, &x, DType::F32).unwrap();
         let diff = got.last().unwrap().max_abs_diff(want.last().unwrap());
         assert!(diff < 0.35, "diff = {diff}");
+    }
+
+    #[test]
+    fn uncalibrated_quint8_part_quantizes_its_own_rows() {
+        // With no calibrated filter parameters, each part's come from the
+        // range of the rows it owns — so a split layer cannot take rows
+        // of one whole-layer copy. Pinned against the layer computed by
+        // hand: slice the f32 master, quantize the slice, run the part.
+        let (g, w, mut calib, x) = setup();
+        let spec = SocSpec::exynos_7420();
+        let conv = NodeId(0);
+        calib.weight_params[conv.0] = None;
+        let fracs = [0.37, 0.63];
+        let plan = ExecutionPlan::new(
+            &g,
+            &spec,
+            (0..g.len())
+                .map(|i| {
+                    if i == conv.0 {
+                        NodePlacement::Split {
+                            parts: vec![
+                                (spec.cpu(), DtypePlan::uniform(DType::QUInt8), fracs[0]),
+                                (spec.gpu(), DtypePlan::uniform(DType::QUInt8), fracs[1]),
+                            ],
+                        }
+                    } else {
+                        NodePlacement::single(spec.cpu(), DType::QUInt8)
+                    }
+                })
+                .collect(),
+            "uncalibrated-split",
+        )
+        .unwrap();
+        let got = evaluate_plan(&g, &plan, &w, &calib, &x).unwrap();
+
+        let layer = w.of(conv);
+        let master = layer.filter.as_ref().unwrap();
+        let x0 = x.cast(DType::QUInt8, Some(calib.input_params)).unwrap();
+        let cuts = usoc::split_cuts(master.shape().dim(0), &fracs);
+        let parts: Vec<Tensor> = cuts
+            .windows(2)
+            .map(|c| {
+                let rows = master.slice_axis(0, c[0], c[1]).unwrap();
+                let f = rows.cast(DType::QUInt8, None).unwrap();
+                let bias = &layer.bias.as_ref().unwrap()[c[0]..c[1]];
+                let act = Some(calib.act_params[conv.0]);
+                unn::run_layer(&g.nodes()[conv.0].kind, &[&x0], Some(&f), Some(bias), act).unwrap()
+            })
+            .collect();
+        let want = Tensor::concat_axis(1, &parts.iter().collect::<Vec<_>>()).unwrap();
+        assert!(got[conv.0].bit_equal(&want));
+        assert_eq!(
+            w.filter_casts_built(),
+            2,
+            "conv2 and fc; not the uncalibrated conv1"
+        );
     }
 
     #[test]

@@ -273,7 +273,165 @@ pub fn rounding_divide_by_pot(x: i32, exponent: i32) -> i32 {
 /// `clamp(zero_point + round(multiplier * acc))`.
 pub fn requantize(acc: i32, multiplier: &FixedPointMultiplier, output_zero_point: u8) -> u8 {
     let scaled = multiplier.apply(acc);
-    (scaled + output_zero_point as i32).clamp(0, 255) as u8
+    // Saturating: a scaled value near `i32::MAX` plus the zero point
+    // must clamp to 255, not wrap.
+    scaled
+        .saturating_add(output_zero_point as i32)
+        .clamp(0, 255) as u8
+}
+
+/// Requantizes a slice of accumulators, the epilogue of the quantized
+/// GEMM and depthwise kernels:
+/// `out[i] = requantize(acc[i] + bias, multiplier, zero_point)`, floored
+/// at the zero point (quantized ReLU) when `relu`. `acc[i] + bias` wraps
+/// on `i32` overflow.
+///
+/// On x86_64 hosts with AVX2 the common case (`0 <= right_shift <= 31`)
+/// runs eight lanes at a time; the vector body is **exact** — every
+/// output equals the scalar [`requantize`], which stays the definition
+/// and handles left-shift multipliers and other hosts.
+///
+/// # Panics
+///
+/// Panics if `out` and `acc` differ in length.
+pub fn requantize_into(
+    out: &mut [u8],
+    acc: &[i32],
+    bias: i32,
+    multiplier: &FixedPointMultiplier,
+    output_zero_point: u8,
+    relu: bool,
+) {
+    assert_eq!(out.len(), acc.len(), "requantize_into: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if (0..=31).contains(&multiplier.right_shift)
+        && multiplier.multiplier >= 0
+        && requantize_simd_available()
+    {
+        // SAFETY: AVX2 was detected just above; the lengths are equal.
+        unsafe { requantize_avx2(out, acc, bias, multiplier, output_zero_point, relu) };
+        return;
+    }
+    let floor = if relu { output_zero_point } else { 0 };
+    for (o, &a) in out.iter_mut().zip(acc) {
+        *o = requantize(a.wrapping_add(bias), multiplier, output_zero_point).max(floor);
+    }
+}
+
+/// Whether [`requantize_into`] has a vector body on this host.
+pub fn requantize_simd_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// AVX2 body of [`requantize_into`] for `0 <= right_shift <= 31` and a
+/// non-negative mantissa.
+///
+/// Exactness, step by step against the scalar pipeline:
+///
+/// - `SaturatingRoundingDoublingHighMul(a, b)` is
+///   `trunc((ab + nudge) / 2^31)` with `nudge = 2^30` for `ab >= 0` and
+///   `1 - 2^30` otherwise. For `ab >= 0` truncation is `floor`; for
+///   `ab < 0` it is `ceil`, and `ceil(y / 2^31) = floor((y + 2^31 - 1) /
+///   2^31)`, so both signs reduce to `floor((ab + 2^30) / 2^31)`. The
+///   saturating case `a == b == i32::MIN` cannot occur with `b >= 0`,
+///   and the result always fits `i32`, so the low 32 bits of a *logical*
+///   64-bit shift equal the arithmetic one.
+/// - `RoundingDivideByPOT` is transcribed operation for operation in
+///   32-bit lanes (mask, remainder, sign-adjusted threshold, compare).
+/// - `clamp(scaled + zp, lo, 255)` is computed as
+///   `clamp(scaled, lo - zp, 255 - zp) + zp`, which cannot overflow and
+///   equals the scalar saturating add followed by the clamp.
+///
+/// # Safety
+///
+/// Requires AVX2 and `out.len() == acc.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn requantize_avx2(
+    out: &mut [u8],
+    acc: &[i32],
+    bias: i32,
+    multiplier: &FixedPointMultiplier,
+    output_zero_point: u8,
+    relu: bool,
+) {
+    use core::arch::x86_64::*;
+
+    debug_assert_eq!(out.len(), acc.len());
+    debug_assert!((0..=31).contains(&multiplier.right_shift) && multiplier.multiplier >= 0);
+    let zp = output_zero_point as i32;
+    let pot_mask = ((1i64 << multiplier.right_shift) - 1) as i32;
+
+    let vbias = _mm256_set1_epi32(bias);
+    let vmul = _mm256_set1_epi32(multiplier.multiplier);
+    let vround = _mm256_set1_epi64x(1 << 30);
+    let vshift = _mm_cvtsi32_si128(multiplier.right_shift);
+    let vmask = _mm256_set1_epi32(pot_mask);
+    let vhalf = _mm256_set1_epi32(pot_mask >> 1);
+    let vlo = _mm256_set1_epi32(if relu { 0 } else { -zp });
+    let vhi = _mm256_set1_epi32(255 - zp);
+    let vzp = _mm256_set1_epi32(zp);
+    let zero = _mm256_setzero_si256();
+    // Byte 0 of each dword to the low dword of its 128-bit lane, then
+    // the two low dwords side by side.
+    let pick_bytes = _mm256_setr_epi8(
+        0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, //
+        0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+    );
+    let pick_dwords = _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0);
+
+    // Eight accumulators in, eight output bytes in the low half out.
+    let requant8 = |raw: __m256i| -> __m128i {
+        let a = _mm256_add_epi32(raw, vbias);
+        let even = _mm256_srli_epi64::<31>(_mm256_add_epi64(_mm256_mul_epi32(a, vmul), vround));
+        let odd = _mm256_srli_epi64::<31>(_mm256_add_epi64(
+            _mm256_mul_epi32(_mm256_srli_epi64::<32>(a), vmul),
+            vround,
+        ));
+        let high = _mm256_blend_epi32::<0b1010_1010>(even, _mm256_slli_epi64::<32>(odd));
+
+        let remainder = _mm256_and_si256(high, vmask);
+        // Compares yield -1 for true: subtracting adds the 0/1 the
+        // scalar code adds.
+        let threshold = _mm256_sub_epi32(vhalf, _mm256_cmpgt_epi32(zero, high));
+        let round_up = _mm256_cmpgt_epi32(remainder, threshold);
+        let scaled = _mm256_sub_epi32(_mm256_sra_epi32(high, vshift), round_up);
+
+        let q = _mm256_add_epi32(_mm256_min_epi32(_mm256_max_epi32(scaled, vlo), vhi), vzp);
+        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+            _mm256_shuffle_epi8(q, pick_bytes),
+            pick_dwords,
+        ))
+    };
+
+    let blocks = acc.len() / 8;
+    for i in 0..blocks {
+        debug_assert!(i * 8 + 8 <= acc.len() && i * 8 + 8 <= out.len());
+        // SAFETY: `i * 8 + 8 <= blocks * 8 <= acc.len() == out.len()`, so
+        // the 32-byte load and the 8-byte store stay inside the slices.
+        let raw = _mm256_loadu_si256(acc.as_ptr().add(i * 8) as *const __m256i);
+        _mm_storel_epi64(out.as_mut_ptr().add(i * 8) as *mut __m128i, requant8(raw));
+    }
+    let tail = acc.len() % 8;
+    if tail > 0 {
+        // The last partial block goes through padded stack copies, so
+        // no load or store reaches past the slices.
+        let mut raw = [0i32; 8];
+        raw[..tail].copy_from_slice(&acc[blocks * 8..]);
+        let mut q = [0u8; 8];
+        _mm_storel_epi64(
+            q.as_mut_ptr() as *mut __m128i,
+            requant8(_mm256_loadu_si256(raw.as_ptr() as *const __m256i)),
+        );
+        out[blocks * 8..].copy_from_slice(&q[..tail]);
+    }
 }
 
 #[cfg(test)]

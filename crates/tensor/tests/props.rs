@@ -3,9 +3,15 @@
 //! Runs on the in-repo `testkit` property runner: deterministic in
 //! `TESTKIT_SEED`, case count overridable via `TESTKIT_CASES`.
 
-use testkit::{prop_assert, prop_assert_eq, prop_assume, props};
+use testkit::{bools, prop_assert, prop_assert_eq, prop_assume, props, Rng};
 use utensor::f16::{f16_bits_to_f32, f32_to_f16_bits};
+use utensor::quant::{requantize, requantize_into};
 use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, F16};
+
+/// The scalar definition [`requantize_into`] is held to, one element.
+fn requantize_scalar(acc: i32, bias: i32, m: &FixedPointMultiplier, zp: u8, relu: bool) -> u8 {
+    requantize(acc.wrapping_add(bias), m, zp).max(if relu { zp } else { 0 })
+}
 
 props! {
     #![cases(256)]
@@ -70,6 +76,36 @@ props! {
             "real = {real}, acc = {acc}, got = {got}, want = {want}");
     }
 
+    /// The slice requantizer (vector body where the host has one, scalar
+    /// tail) equals the scalar definition element for element: random
+    /// accumulators of every magnitude, multipliers in (0, 4) — so both
+    /// the right-shift and the left-shift form — every zero point, with
+    /// and without ReLU, and lengths that leave a tail.
+    fn requantize_into_equals_scalar(
+        real in 1e-9f64..4.0,
+        zp in 0u8..=255,
+        relu in bools(),
+        bias in -1_000_000i32..1_000_000,
+        len in 0usize..70,
+        seed in 0u64..u64::MAX,
+    ) {
+        let m = FixedPointMultiplier::from_real(real).unwrap();
+        let mut rng = Rng::seed_from_u64(seed);
+        let acc: Vec<i32> = (0..len)
+            .map(|_| {
+                // A uniform bit width, so small and huge values both occur.
+                let bits = rng.gen_range(0u32..=32);
+                (rng.next_u64() as i64 >> (64 - bits.max(1))) as i32
+            })
+            .collect();
+        let mut got = vec![0u8; len];
+        requantize_into(&mut got, &acc, bias, &m, zp, relu);
+        for (i, &a) in acc.iter().enumerate() {
+            let want = requantize_scalar(a, bias, &m, zp, relu);
+            prop_assert!(got[i] == want, "acc = {a}, m = {m:?}: got {}, want {want}", got[i]);
+        }
+    }
+
     /// Slicing a tensor in two along any axis and concatenating restores
     /// the original bits, for every dtype.
     fn slice_concat_identity(
@@ -128,4 +164,59 @@ fn fixed_point_multiplier_regression_case() {
         (got - want).abs() <= 1.0 + want.abs() * 1e-6,
         "real = {real}, acc = {acc}, got = {got}, want = {want}"
     );
+}
+
+/// The i32 extremes through [`requantize_into`], for right- and
+/// left-shift multipliers: the accumulator rails, values around zero and
+/// around the rounding ties, in every lane position.
+#[test]
+fn requantize_into_extremes_equal_scalar() {
+    let edge = [
+        i32::MIN,
+        i32::MIN + 1,
+        -(1 << 30) - 1,
+        -(1 << 30),
+        -3,
+        -2,
+        -1,
+        0,
+        1,
+        2,
+        3,
+        (1 << 30) - 1,
+        1 << 30,
+        i32::MAX - 1,
+        i32::MAX,
+    ];
+    // 19 elements: two full vector blocks plus a tail, rotated so every
+    // edge value visits every lane.
+    for rot in 0..edge.len() {
+        let acc: Vec<i32> = (0..19).map(|i| edge[(i + rot) % edge.len()]).collect();
+        for real in [
+            1e-9,
+            0.000_3,
+            0.25,
+            0.5,
+            0.731,
+            0.999_999_999,
+            1.0,
+            1.5,
+            3.999,
+        ] {
+            let m = FixedPointMultiplier::from_real(real).unwrap();
+            for zp in [0u8, 1, 128, 254, 255] {
+                for relu in [false, true] {
+                    for bias in [0i32, 1, -1, i32::MAX, i32::MIN] {
+                        let mut got = vec![0u8; acc.len()];
+                        requantize_into(&mut got, &acc, bias, &m, zp, relu);
+                        let want: Vec<u8> = acc
+                            .iter()
+                            .map(|&a| requantize_scalar(a, bias, &m, zp, relu))
+                            .collect();
+                        assert_eq!(got, want, "real {real} zp {zp} relu {relu} bias {bias}");
+                    }
+                }
+            }
+        }
+    }
 }
