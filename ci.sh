@@ -86,40 +86,51 @@ echo "==> kernel-path equivalence table, pass 2: auto (SIMD where detected)"
 UKERNELS_KERNEL_PATH=auto cargo test -q --offline -p ukernels \
   --test equivalence --test direct_conv_props >/dev/null
 
-echo "==> benchmark quick smoke (one second of each workload, every op output-checked)"
+echo "==> benchmark quick smoke (one second of each workload, every op output-checked) + exact record"
 # The standalone benchmark crate (own manifest and lock file, path
 # dependencies only). Every exec frame is compared with its reference —
 # single-pool QUInt8 bit for bit against the sequential evaluator — so a
 # kernel change that breaks bit-equality fails here, not in the next
-# benchmark run. Timings are not gated. Needs two cores, like the
-# benchmark itself.
-benchmark/check.sh --quick >/dev/null
+# benchmark run. Needs two cores, like the benchmark itself.
+#
+# Host timings are not gated, but the noise-free half of the output is:
+# the workload headings, every simulated-domain line, the exact
+# partitioner / plan-cache counts and the fleet's sim_digest must equal
+# the checked-in record for seed 1 (ci/bench_exact.expected), so a
+# refactor that moves simulated behaviour fails here. A change that
+# means to move one of them regenerates the record with the same filter
+# and says so.
+smoke_quick="$(mktemp -t ulayer-smoke-quick.XXXXXX.txt)"
+trap 'rm -f "$smoke_trace" "$smoke_quick"' EXIT
+benchmark/check.sh --quick >"$smoke_quick"
+awk '/^== / || / simulated *$/ || (/^   ulayer\./ && / - *$/) || /^   sim_digest/' \
+  "$smoke_quick" | sed 's/ *$//' | diff -u ci/bench_exact.expected - || {
+  echo "ci.sh: simulated / exact benchmark lines differ from ci/bench_exact.expected" >&2
+  exit 1
+}
 
-echo "==> repro measure smoke (worker pools + predictor calibration + baseline schema)"
+echo "==> repro measure smoke (worker pools + predictor calibration)"
 # Real-thread execution of the miniature net on two workers per pool;
-# writes a measurement document and schema-checks the checked-in
-# BENCH_exec.json baseline. Wall-clock values vary by host, so only the
-# document structure is gated, never the timings.
+# writes a measurement document. Wall-clock values vary by host, so the
+# timings are not gated (host time is the benchmark crate's job).
 smoke_measure="$(mktemp -t ulayer-smoke-measure.XXXXXX.json)"
-trap 'rm -f "$smoke_trace" "$smoke_measure"' EXIT
+trap 'rm -f "$smoke_trace" "$smoke_quick" "$smoke_measure"' EXIT
 cargo run --release --offline -p ubench --bin repro -- \
   measure squeezenet --miniature --threads=2 --repeat=1 --kernel-path=auto \
-  "--out=$smoke_measure" --baseline=BENCH_exec.json >/dev/null
+  "--out=$smoke_measure" >/dev/null
 test -s "$smoke_measure"
 
-echo "==> repro fleet smoke (64-device GPU-loss storm + order-fuzz gate + baseline schema)"
+echo "==> repro fleet smoke (64-device GPU-loss storm + order-fuzz gate)"
 # Seeded fleet of 64 mixed-SoC instances under a correlated GPU-loss
 # storm. The subcommand exits non-zero if the invariant audit fails
 # (exact offered = completed + degraded + shed, one shared weight
 # allocation, occupancy == executed) or if any shuffled same-timestamp
-# event order produces a report that differs from FIFO. Timings are
-# simulated, so the checked-in BENCH_fleet.json baseline is gated on
-# document structure only.
+# event order produces a report that differs from FIFO.
 smoke_fleet="$(mktemp -t ulayer-smoke-fleet.XXXXXX.json)"
-trap 'rm -f "$smoke_trace" "$smoke_measure" "$smoke_fleet"' EXIT
+trap 'rm -f "$smoke_trace" "$smoke_quick" "$smoke_measure" "$smoke_fleet"' EXIT
 cargo run --release --offline -p ubench --bin repro -- \
   fleet squeezenet --miniature --devices=64 --frames=16 --storm=gpu-loss \
-  --seed=42 --fuzz-orders=2 "--out=$smoke_fleet" --baseline=BENCH_fleet.json >/dev/null
+  --seed=42 --fuzz-orders=2 "--out=$smoke_fleet" >/dev/null
 test -s "$smoke_fleet"
 
 echo "==> repro mesh smoke (4-node partition storm + surviving-subset degradation)"
@@ -127,13 +138,12 @@ echo "==> repro mesh smoke (4-node partition storm + surviving-subset degradatio
 # subcommand exits non-zero if the frame accounting leaks (exact
 # offered = completed + degraded + shed), if any rung's output diverges
 # from the single-device QUInt8 reference, or if the partition
-# bookkeeping is inconsistent. Timings are simulated, so the checked-in
-# BENCH_mesh.json baseline is gated on document structure only.
+# bookkeeping is inconsistent.
 smoke_mesh="$(mktemp -t ulayer-smoke-mesh.XXXXXX.json)"
-trap 'rm -f "$smoke_trace" "$smoke_measure" "$smoke_fleet" "$smoke_mesh"' EXIT
+trap 'rm -f "$smoke_trace" "$smoke_quick" "$smoke_measure" "$smoke_fleet" "$smoke_mesh"' EXIT
 cargo run --release --offline -p ubench --bin repro -- \
   mesh --nodes=4 --frames=24 --link-fault=partition --seed=42 \
-  "--out=$smoke_mesh" --baseline=BENCH_mesh.json >/dev/null
+  "--out=$smoke_mesh" >/dev/null
 test -s "$smoke_mesh"
 
 echo "==> incremental-vs-scratch planning equivalence gate (zoo x SoCs x mesh x drift)"
@@ -143,17 +153,15 @@ echo "==> incremental-vs-scratch planning equivalence gate (zoo x SoCs x mesh x 
 # the QUInt8 outputs of the cached plan must match the scratch plan's.
 cargo test -q --offline -p ulayer --test plan_equivalence >/dev/null
 
-echo "==> repro plan smoke (drift-keyed cache hit rate + equivalence + baseline schema)"
+echo "==> repro plan smoke (drift-keyed cache hit rate + equivalence)"
 # Seeded calm stream over both SoCs. The subcommand exits non-zero if
 # any frame's incremental replan diverges from the scratch planner or
-# the cache hit rate falls below the gate. Wall timings vary by host,
-# so the checked-in BENCH_plan.json baseline is gated on document
-# structure only.
+# the cache hit rate falls below the gate.
 smoke_plan="$(mktemp -t ulayer-smoke-plan.XXXXXX.json)"
-trap 'rm -f "$smoke_trace" "$smoke_measure" "$smoke_fleet" "$smoke_mesh" "$smoke_plan"' EXIT
+trap 'rm -f "$smoke_trace" "$smoke_quick" "$smoke_measure" "$smoke_fleet" "$smoke_mesh" "$smoke_plan"' EXIT
 cargo run --release --offline -p ubench --bin repro -- \
   plan squeezenet --miniature --frames=64 --seed=42 --drift=calm \
-  --min-hit-rate=0.9 "--out=$smoke_plan" --baseline=BENCH_plan.json >/dev/null
+  --min-hit-rate=0.9 "--out=$smoke_plan" >/dev/null
 test -s "$smoke_plan"
 
 echo "==> repro fleet plan-cache gate (calm 64-device fleet, hit rate >= 90%)"

@@ -8,15 +8,18 @@
 //! repro serve [net] [--arrivals=fixed|bursty|poisson] [--rate=FPS] [--deadline=MS]
 //!             [--queue=N] [--frames=N] [--seed=N] [--miniature] [--trace-out=FILE]
 //! repro measure [net] [--miniature] [--threads=N] [--repeat=N]
-//!               [--kernel-path=auto|scalar|simd] [--out=FILE] [--baseline=FILE]
+//!               [--kernel-path=auto|scalar|simd] [--out=FILE]
 //! repro fleet [net] [--devices=N] [--frames=N] [--seed=N] [--miniature]
 //!             [--storm=none|throttle-wave|gpu-loss|flaky-epidemic|link-partition]
 //!             [--arrivals=fixed|bursty|poisson] [--rate=FPS] [--deadline=MS]
-//!             [--queue=N] [--fuzz-orders=N] [--out=FILE] [--baseline=FILE]
+//!             [--queue=N] [--fuzz-orders=N] [--plan-cache=on|off]
+//!             [--min-hit-rate=R] [--out=FILE]
 //! repro mesh [--nodes=N] [--frames=N] [--seed=N]
 //!            [--link-fault=none|drop|delay|jitter|flap|partition]
 //!            [--arrivals=fixed|bursty|poisson] [--rate=FPS] [--deadline=MS]
-//!            [--queue=N] [--out=FILE] [--baseline=FILE]
+//!            [--queue=N] [--out=FILE]
+//! repro plan [net] [--frames=N] [--seed=N] [--miniature]
+//!            [--drift=calm|throttle|loss|oscillate] [--min-hit-rate=R] [--out=FILE]
 //! ```
 //!
 //! Each subcommand prints paper-style rows; `all` runs everything.
@@ -30,13 +33,16 @@
 //! Perfetto).
 //!
 //! `fleet` simulates a mixed-SoC device fleet under a correlated fault
-//! storm, checks the fleet invariants and the schedule-order fuzz gate,
-//! and writes a machine-readable `BENCH_fleet.json`.
+//! storm and checks the fleet invariants and the schedule-order fuzz
+//! gate.
 //!
 //! `mesh` serves a RAM-limited MCU-style mesh through the partition-
 //! tolerant degradation ladder under a seeded link-fault scenario,
-//! checks the exact frame accounting and the QUInt8 bit-identity gate,
-//! and writes a machine-readable `BENCH_mesh.json`.
+//! and checks the exact frame accounting and the QUInt8 bit-identity
+//! gate.
+//!
+//! `measure`, `fleet`, `mesh` and `plan` write a machine-readable JSON
+//! document to `--out=FILE`; without the flag nothing is written.
 //!
 //! Argument parsing is table-driven ([`ubench::cli`]): unknown flags and
 //! malformed `--key=value` pairs are typed errors with exit code 2.
@@ -71,6 +77,175 @@ fn model_arg(sub: &'static str, p: &cli::Parsed, default: unn::ModelId) -> unn::
         }
     }
     model
+}
+
+/// Prints the collected violations under `label` and exits non-zero if
+/// there are any.
+fn exit_on_violations(label: &str, violations: &[String]) {
+    for v in violations {
+        eprintln!("{label}: {v}");
+    }
+    if !violations.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// Builds and writes a subcommand's machine-readable document when
+/// `--out=FILE` was given; without the flag nothing is written.
+fn write_out(path: Option<&str>, document: impl FnOnce() -> ubench::Json) {
+    let Some(path) = path else { return };
+    if let Err(e) = std::fs::write(path, document().render()) {
+        eprintln!("failed to write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
+}
+
+/// A rung table: label and realized service latency, plus the frames
+/// each rung executed when `counts` is given.
+fn print_rungs(rungs: &[(String, f64)], counts: Option<&[u64]>) {
+    let mut header = vec!["Rung", "Service (ms)"];
+    header.extend(counts.map(|_| "Frames"));
+    let mut t = Table::new(&header);
+    for (i, (label, lat_ms)) in rungs.iter().enumerate() {
+        let mut row = vec![label.clone(), ms(*lat_ms)];
+        row.extend(counts.map(|c| c[i].to_string()));
+        t.row(row);
+    }
+    print!("{}", t.render());
+}
+
+/// The planner-session line of a stream served from one cached ladder.
+fn print_planner_probes(ps: &ulayer::PlannerStats) {
+    println!(
+        "planner: {} probes, {} hit / {} miss (hit rate {:.1}%), {:.3} ms wall",
+        ps.frames,
+        ps.cache_hits,
+        ps.cache_misses,
+        ps.hit_rate() * 100.0,
+        ps.wall_ns as f64 / 1e6
+    );
+}
+
+/// What `serve`, `mesh` and `fleet` all report: the frame partition,
+/// the admission queue, per-rung occupancy and the latency tail.
+struct Slo<'a> {
+    /// `[offered, completed, degraded, shed, rejected]`.
+    counts: [u64; 5],
+    /// `(peak, capacity)` of the admission queue.
+    queue: (usize, usize),
+    /// Executed frames per rung label.
+    occupancy: Vec<(&'a str, u64)>,
+    /// Ascending latencies of the executed frames.
+    latencies: &'a [simcore::SimSpan],
+    /// The latency tail reported: p50 / p95 / p99, and p99.9 for a
+    /// fleet, a population large enough to have one.
+    quantiles: &'static [(&'static str, f64)],
+}
+
+impl<'a> From<&'a uruntime::ServeReport> for Slo<'a> {
+    fn from(r: &'a uruntime::ServeReport) -> Self {
+        Slo {
+            counts: [r.offered, r.completed, r.degraded, r.shed, r.rejected],
+            queue: (r.queue_peak, r.queue_capacity),
+            occupancy: r
+                .rung_labels
+                .iter()
+                .map(String::as_str)
+                .zip(r.rung_counts.iter().copied())
+                .collect(),
+            latencies: &r.latencies,
+            quantiles: &simcore::stats::SLO_QUANTILES[..3],
+        }
+    }
+}
+
+impl<'a> From<&'a uruntime::FleetReport> for Slo<'a> {
+    fn from(r: &'a uruntime::FleetReport) -> Self {
+        Slo {
+            counts: [r.offered, r.completed, r.degraded, r.shed, r.rejected],
+            queue: (r.queue_peak, r.queue_capacity),
+            occupancy: r
+                .rung_occupancy
+                .iter()
+                .map(|(label, n)| (label.as_str(), *n))
+                .collect(),
+            latencies: &r.latencies,
+            quantiles: &simcore::stats::SLO_QUANTILES,
+        }
+    }
+}
+
+impl Slo<'_> {
+    /// The Offered ... p99 table.
+    fn print_table(&self) {
+        let mut header = vec![
+            "Offered",
+            "Completed",
+            "Degraded",
+            "Shed",
+            "Rejected",
+            "Queue peak/cap",
+        ];
+        let mut row: Vec<String> = self.counts.iter().map(u64::to_string).collect();
+        row.push(format!("{}/{}", self.queue.0, self.queue.1));
+        for &(name, q) in self.quantiles {
+            header.push(if name == "p999" { "p99.9" } else { name });
+            row.push(opt_ms(simcore::stats::nearest_rank(self.latencies, q)));
+        }
+        let mut t = Table::new(&header);
+        t.row(row);
+        print!("{}", t.render());
+    }
+
+    fn print_occupancy(&self) {
+        let mut t = Table::new(&["Rung occupancy", "Frames"]);
+        for (label, count) in &self.occupancy {
+            t.row(vec![label.to_string(), count.to_string()]);
+        }
+        print!("{}", t.render());
+    }
+
+    /// The `totals` pairs every document starts with; the caller
+    /// appends its own.
+    fn totals_json(&self) -> Vec<(&'static str, ubench::Json)> {
+        ["offered", "completed", "degraded", "shed", "rejected"]
+            .into_iter()
+            .zip(self.counts)
+            .map(|(k, n)| (k, ubench::Json::n(n as f64)))
+            .collect()
+    }
+
+    fn occupancy_json(&self) -> ubench::Json {
+        ubench::Json::Obj(
+            self.occupancy
+                .iter()
+                .map(|(k, v)| (k.to_string(), ubench::Json::n(*v as f64)))
+                .collect(),
+        )
+    }
+
+    fn latency_json(&self) -> ubench::Json {
+        use ubench::Json;
+        let mut pairs: Vec<(String, Json)> = self
+            .quantiles
+            .iter()
+            .map(|&(name, q)| {
+                let v = simcore::stats::nearest_rank(self.latencies, q);
+                (
+                    format!("{name}_ms"),
+                    v.map_or(Json::Null, |s| Json::n(s.as_millis_f64())),
+                )
+            })
+            .collect();
+        pairs.push(("samples".into(), Json::n(self.latencies.len() as f64)));
+        Json::Obj(pairs)
+    }
+}
+
+/// `"ok"`, or the first invariant violation, for a document.
+fn invariants_json(check: Result<(), String>) -> ubench::Json {
+    ubench::Json::s(check.err().unwrap_or_else(|| "ok".to_string()))
 }
 
 fn main() {
@@ -410,12 +585,7 @@ fn faults(args: &[String]) {
     }
     println!("\n(recovery re-executes only the failed parts' output channels on the");
     println!(" surviving processor; outputs stay bit-identical to the fault-free run)");
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("FAULT-RUN VIOLATION: {v}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_violations("FAULT-RUN VIOLATION", &violations);
 }
 
 /// `repro serve [net] [--arrivals=NAME] [--rate=FPS] [--deadline=MS]
@@ -464,43 +634,9 @@ fn serve(args: &[String]) {
             ms(rep.mean_interval_ms),
             ms(rep.deadline_ms)
         );
-        let mut t = Table::new(&["Rung", "Service (ms)", "Frames"]);
-        for ((label, lat_ms), count) in rep.rungs.iter().zip(&r.rung_counts) {
-            t.row(vec![label.clone(), ms(*lat_ms), count.to_string()]);
-        }
-        print!("{}", t.render());
-        let mut t = Table::new(&[
-            "Offered",
-            "Completed",
-            "Degraded",
-            "Shed",
-            "Rejected",
-            "Queue peak/cap",
-            "p50",
-            "p95",
-            "p99",
-        ]);
-        t.row(vec![
-            r.offered.to_string(),
-            r.completed.to_string(),
-            r.degraded.to_string(),
-            r.shed.to_string(),
-            r.rejected.to_string(),
-            format!("{}/{}", r.queue_peak, r.queue_capacity),
-            opt_ms(r.latency_percentile(0.50)),
-            opt_ms(r.latency_percentile(0.95)),
-            opt_ms(r.latency_percentile(0.99)),
-        ]);
-        print!("{}", t.render());
-        let ps = &rep.planner;
-        println!(
-            "planner: {} probes, {} hit / {} miss (hit rate {:.1}%), {:.3} ms wall",
-            ps.frames,
-            ps.cache_hits,
-            ps.cache_misses,
-            ps.hit_rate() * 100.0,
-            ps.wall_ns as f64 / 1e6
-        );
+        print_rungs(&rep.rungs, Some(&r.rung_counts));
+        Slo::from(r).print_table();
+        print_planner_probes(&rep.planner);
         if let Err(e) = r.check_invariants() {
             violations.push(format!("{} / {}: {e}", rep.soc, rep.network));
         }
@@ -527,21 +663,15 @@ fn serve(args: &[String]) {
 
     println!("\n(bounded admission rejects at the door; the ladder degrades per-frame");
     println!(" from predicted slack and climbs back once the backlog drains)");
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("SERVE INVARIANT VIOLATION: {v}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_violations("SERVE INVARIANT VIOLATION", &violations);
 }
 
 /// `repro measure [net] [--miniature] [--threads=N] [--repeat=N]
-/// [--kernel-path={auto|scalar|simd}] [--out=FILE] [--baseline=FILE]`:
+/// [--kernel-path={auto|scalar|simd}] [--out=FILE]`:
 /// wall-clock measurement of the μLayer cooperative plan against the
 /// single-processor CPU baseline on real worker threads, plus predictor
-/// calibration from the measured samples. Writes a machine-readable
-/// `BENCH_exec.json`; with `--baseline=FILE` also schema-checks a
-/// checked-in baseline document.
+/// calibration from the measured samples. `--out=FILE` writes the
+/// machine-readable measurement document.
 fn measure_cmd(args: &[String]) {
     let p = parse_or_exit("measure", args);
     let model = model_arg("measure", &p, unn::ModelId::SqueezeNet);
@@ -554,8 +684,6 @@ fn measure_cmd(args: &[String]) {
         .str_of("--kernel-path")
         .map(|s| ukernels::PathChoice::parse(s).expect("validated at parse"))
         .unwrap_or_else(ukernels::PathChoice::from_env);
-    let out_path = p.str_of("--out").unwrap_or("BENCH_exec.json").to_string();
-    let baseline: Option<String> = p.str_of("--baseline").map(str::to_string);
 
     heading(&format!(
         "Measured execution: uLayer {} on real worker pools ({threads} threads/pool, best of {repeat})",
@@ -686,31 +814,14 @@ fn measure_cmd(args: &[String]) {
     }
     print!("{}", t.render());
 
-    let json = measure_json(&spec, &report, &fit);
-    if let Err(e) = std::fs::write(&out_path, json.render()) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
+    let out = p.str_of("--out");
+    if out.is_some() {
+        println!();
     }
-    println!("\nwrote {out_path}");
-
-    if let Some(path) = baseline {
-        match std::fs::read_to_string(&path) {
-            Ok(doc) => {
-                if let Err(missing) = check_measure_schema(&doc) {
-                    eprintln!("baseline {path} fails the schema check: missing {missing}");
-                    std::process::exit(1);
-                }
-                println!("baseline {path}: schema ok");
-            }
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    write_out(out, || measure_json(&spec, &report, &fit));
 }
 
-/// The machine-readable measurement document (`BENCH_exec.json`).
+/// The machine-readable measurement document.
 fn measure_json(
     spec: &usoc::SocSpec,
     report: &uexec::MeasureReport,
@@ -798,56 +909,19 @@ fn measure_json(
     ])
 }
 
-/// Schema tag of the measurement document. v2 adds `kernel_path_requested`,
-/// `kernel_path`, `cpu_features`, and `direct_conv`; v1 documents (without
-/// those keys) are still accepted by the checker.
+/// Schema tag of the measurement document.
 const MEASURE_SCHEMA: &str = "ulayer-exec-measure/v2";
-
-/// Checks that `doc` carries a known measurement schema tag and every
-/// key that tag requires. Returns the first missing marker.
-fn check_measure_schema(doc: &str) -> Result<(), &'static str> {
-    let v2 = doc.contains("\"schema\":\"ulayer-exec-measure/v2\"");
-    if !v2 && !doc.contains("\"schema\":\"ulayer-exec-measure/v1\"") {
-        return Err("\"schema\":\"ulayer-exec-measure/v1|v2\"");
-    }
-    let mut required = vec![
-        "\"model\"",
-        "\"soc\"",
-        "\"threads\"",
-        "\"repeat\"",
-        "\"host_parallelism\"",
-        "\"coop\"",
-        "\"single\"",
-        "\"measured_speedup\"",
-        "\"modeled_speedup\"",
-        "\"fit\"",
-        "\"layers\"",
-    ];
-    if v2 {
-        required.extend([
-            "\"kernel_path_requested\"",
-            "\"kernel_path\"",
-            "\"cpu_features\"",
-            "\"direct_conv\"",
-        ]);
-    }
-    for marker in required {
-        if !doc.contains(marker) {
-            return Err(marker);
-        }
-    }
-    Ok(())
-}
 
 /// `repro fleet [net] [--devices=N] [--frames=N] [--seed=N]
 /// [--storm=none|throttle-wave|gpu-loss|flaky-epidemic] [--arrivals=NAME]
 /// [--rate=FPS] [--deadline=MS] [--queue=N] [--fuzz-orders=N]
-/// [--miniature] [--out=FILE] [--baseline=FILE]`:
+/// [--plan-cache=on|off] [--min-hit-rate=R] [--miniature] [--out=FILE]`:
 /// a mixed-SoC device fleet served through the μLayer degradation
 /// ladder under a correlated fault storm, with one shared weight
 /// allocation and per-instance drift adapters. Prints the SLO rollup,
-/// writes `BENCH_fleet.json`, and exits non-zero if a fleet invariant
-/// breaks or the FIFO-vs-shuffled schedule-order gate diverges.
+/// writes the fleet document to `--out=FILE`, and exits non-zero if a
+/// fleet invariant breaks or the FIFO-vs-shuffled schedule-order gate
+/// diverges.
 fn fleet_cmd(args: &[String]) {
     let p = parse_or_exit("fleet", args);
     let model = model_arg("fleet", &p, unn::ModelId::SqueezeNet);
@@ -871,8 +945,6 @@ fn fleet_cmd(args: &[String]) {
     let fuzz_orders = p.usize_of("--fuzz-orders").unwrap_or(2);
     let plan_cache = p.str_of("--plan-cache").unwrap_or("on") == "on";
     let min_hit_rate = p.f64_of("--min-hit-rate");
-    let out_path = p.str_of("--out").unwrap_or("BENCH_fleet.json").to_string();
-    let baseline: Option<String> = p.str_of("--baseline").map(str::to_string);
 
     heading(&format!(
         "Fleet chaos serving: {devices} devices x {} under storm `{storm_name}` (seed {seed}, {frames} frames/device)",
@@ -900,11 +972,7 @@ fn fleet_cmd(args: &[String]) {
 
     for (soc, rungs) in &rep.cohort_rungs {
         println!("\n--- cohort: {soc} ---");
-        let mut t = Table::new(&["Rung", "Service (ms)"]);
-        for (label, lat_ms) in rungs {
-            t.row(vec![label.clone(), ms(*lat_ms)]);
-        }
-        print!("{}", t.render());
+        print_rungs(rungs, None);
     }
     println!(
         "\ncohort instances: {} (mean interval {} ms, deadline {} ms)",
@@ -914,41 +982,13 @@ fn fleet_cmd(args: &[String]) {
             .map(|(s, n)| format!("{s}: {n}"))
             .collect::<Vec<_>>()
             .join(", "),
-        ms(rep.mean_interval_ms),
-        ms(rep.deadline_ms),
+        ms(r.mean_interval.as_secs_f64() * 1e3),
+        ms(r.deadline.as_secs_f64() * 1e3),
     );
 
-    let mut t = Table::new(&[
-        "Offered",
-        "Completed",
-        "Degraded",
-        "Shed",
-        "Rejected",
-        "Queue peak/cap",
-        "p50",
-        "p95",
-        "p99",
-        "p99.9",
-    ]);
-    t.row(vec![
-        r.offered.to_string(),
-        r.completed.to_string(),
-        r.degraded.to_string(),
-        r.shed.to_string(),
-        r.rejected.to_string(),
-        format!("{}/{}", r.queue_peak, r.queue_capacity),
-        opt_ms(r.latency_percentile(0.50)),
-        opt_ms(r.latency_percentile(0.95)),
-        opt_ms(r.latency_percentile(0.99)),
-        opt_ms(r.latency_percentile(0.999)),
-    ]);
-    print!("{}", t.render());
-
-    let mut t = Table::new(&["Rung occupancy", "Frames"]);
-    for (label, count) in &r.rung_occupancy {
-        t.row(vec![label.clone(), count.to_string()]);
-    }
-    print!("{}", t.render());
+    let slo = Slo::from(r);
+    slo.print_table();
+    slo.print_occupancy();
 
     println!(
         "\nchaos: {} retries, {} fallbacks, {} throttled dispatches, {} realized deadline misses, {} GPUs lost",
@@ -992,37 +1032,11 @@ fn fleet_cmd(args: &[String]) {
         ));
     }
 
-    let json = fleet_json(&rep, &storm_name);
-    if let Err(e) = std::fs::write(&out_path, json.render()) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-
-    if let Some(path) = baseline {
-        match std::fs::read_to_string(&path) {
-            Ok(doc) => {
-                if let Err(missing) = check_fleet_schema(&doc) {
-                    eprintln!("baseline {path} fails the schema check: missing {missing}");
-                    std::process::exit(1);
-                }
-                println!("baseline {path}: schema ok");
-            }
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    write_out(p.str_of("--out"), || fleet_json(&rep, &storm_name));
 
     println!("\n(one weight allocation serves every instance; storms are correlated across");
     println!(" the fleet but each instance's faults, arrivals, and drift state are its own)");
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("FLEET VIOLATION: {v}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_violations("FLEET VIOLATION", &violations);
 }
 
 fn mesh_cmd(args: &[String]) {
@@ -1051,8 +1065,6 @@ fn mesh_cmd(args: &[String]) {
     let rate_fps = p.f64_of("--rate").unwrap_or(0.0);
     let deadline_ms = p.f64_of("--deadline").unwrap_or(0.0);
     let queue = p.usize_of("--queue").unwrap_or(4);
-    let out_path = p.str_of("--out").unwrap_or("BENCH_mesh.json").to_string();
-    let baseline: Option<String> = p.str_of("--baseline").map(str::to_string);
 
     heading(&format!(
         "Mesh serving: {nodes}-node MCU mesh under link fault `{fault_name}` (seed {seed}, {frames} frames)",
@@ -1073,11 +1085,7 @@ fn mesh_cmd(args: &[String]) {
     });
     let r = &rep.report;
 
-    let mut t = Table::new(&["Rung", "Service (ms)"]);
-    for (label, lat_ms) in &rep.rungs {
-        t.row(vec![label.clone(), ms(*lat_ms)]);
-    }
-    print!("{}", t.render());
+    print_rungs(&rep.rungs, None);
     println!(
         "\n{} nodes over {} links (mean interval {} ms, deadline {} ms)",
         rep.nodes,
@@ -1086,50 +1094,15 @@ fn mesh_cmd(args: &[String]) {
         ms(rep.deadline_ms),
     );
 
-    let s = &r.serve;
-    let mut t = Table::new(&[
-        "Offered",
-        "Completed",
-        "Degraded",
-        "Shed",
-        "Rejected",
-        "Queue peak/cap",
-        "p50",
-        "p95",
-        "p99",
-    ]);
-    t.row(vec![
-        s.offered.to_string(),
-        s.completed.to_string(),
-        s.degraded.to_string(),
-        s.shed.to_string(),
-        s.rejected.to_string(),
-        format!("{}/{}", s.queue_peak, s.queue_capacity),
-        opt_ms(s.latency_percentile(0.50)),
-        opt_ms(s.latency_percentile(0.95)),
-        opt_ms(s.latency_percentile(0.99)),
-    ]);
-    print!("{}", t.render());
-
-    let mut t = Table::new(&["Rung occupancy", "Frames"]);
-    for (label, count) in s.rung_labels.iter().zip(&s.rung_counts) {
-        t.row(vec![label.clone(), count.to_string()]);
-    }
-    print!("{}", t.render());
+    let slo = Slo::from(r);
+    slo.print_table();
+    slo.print_occupancy();
 
     println!(
         "\npartition: {} frames arrived with a link down, {} of them degraded to a surviving-subset rung",
         r.frames_during_partition, r.partition_degraded
     );
-    let ps = &rep.planner;
-    println!(
-        "planner: {} probes, {} hit / {} miss (hit rate {:.1}%), {:.3} ms wall",
-        ps.frames,
-        ps.cache_hits,
-        ps.cache_misses,
-        ps.hit_rate() * 100.0,
-        ps.wall_ns as f64 / 1e6
-    );
+    print_planner_probes(&rep.planner);
 
     let mut violations = Vec::new();
     if let Err(e) = r.check_invariants() {
@@ -1141,50 +1114,30 @@ fn mesh_cmd(args: &[String]) {
         violations.push("numerics gate: a rung diverged from the QUInt8 reference".to_string());
     }
 
-    let json = mesh_json(&rep, &fault_name);
-    if let Err(e) = std::fs::write(&out_path, json.render()) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-
-    if let Some(path) = baseline {
-        match std::fs::read_to_string(&path) {
-            Ok(doc) => {
-                if let Err(missing) = check_mesh_schema(&doc) {
-                    eprintln!("baseline {path} fails the schema check: missing {missing}");
-                    std::process::exit(1);
-                }
-                println!("baseline {path}: schema ok");
-            }
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    write_out(p.str_of("--out"), || mesh_json(&rep, &fault_name));
 
     println!("\n(each rung covers one surviving connected device subset; a partitioned mesh");
     println!(" degrades to its surviving component's rung instead of shedding the frame)");
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("MESH VIOLATION: {v}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_violations("MESH VIOLATION", &violations);
 }
 
-/// Schema tag of the mesh document (`BENCH_mesh.json`).
+/// Schema tag of the mesh document.
 const MESH_SCHEMA: &str = "ulayer-mesh/v1";
 
 /// The machine-readable mesh document.
 fn mesh_json(rep: &figures::MeshScenarioReport, fault: &str) -> ubench::Json {
     use ubench::Json;
-    let s = &rep.report.serve;
-    let opt_ms_json = |q: f64| match s.latency_percentile(q) {
-        Some(span) => Json::n(span.as_millis_f64()),
-        None => Json::Null,
-    };
+    let r = &rep.report;
+    let slo = Slo::from(r);
+    let mut totals = slo.totals_json();
+    totals.extend([
+        ("queue_peak", Json::n(r.queue_peak as f64)),
+        (
+            "frames_during_partition",
+            Json::n(r.frames_during_partition as f64),
+        ),
+        ("partition_degraded", Json::n(r.partition_degraded as f64)),
+    ]);
     Json::obj(vec![
         ("schema", Json::s(MESH_SCHEMA)),
         ("net", Json::s("mesh-cnn")),
@@ -1193,51 +1146,16 @@ fn mesh_json(rep: &figures::MeshScenarioReport, fault: &str) -> ubench::Json {
             "mesh",
             Json::obj(vec![
                 ("nodes", Json::n(rep.nodes as f64)),
-                ("links", Json::n(rep.report.links as f64)),
+                ("links", Json::n(r.links as f64)),
                 ("seed", Json::n(rep.seed as f64)),
-                ("queue_capacity", Json::n(s.queue_capacity as f64)),
+                ("queue_capacity", Json::n(r.queue_capacity as f64)),
                 ("mean_interval_ms", Json::n(rep.mean_interval_ms)),
                 ("deadline_ms", Json::n(rep.deadline_ms)),
             ]),
         ),
-        (
-            "totals",
-            Json::obj(vec![
-                ("offered", Json::n(s.offered as f64)),
-                ("completed", Json::n(s.completed as f64)),
-                ("degraded", Json::n(s.degraded as f64)),
-                ("shed", Json::n(s.shed as f64)),
-                ("rejected", Json::n(s.rejected as f64)),
-                ("queue_peak", Json::n(s.queue_peak as f64)),
-                (
-                    "frames_during_partition",
-                    Json::n(rep.report.frames_during_partition as f64),
-                ),
-                (
-                    "partition_degraded",
-                    Json::n(rep.report.partition_degraded as f64),
-                ),
-            ]),
-        ),
-        (
-            "rung_occupancy",
-            Json::Obj(
-                s.rung_labels
-                    .iter()
-                    .zip(&s.rung_counts)
-                    .map(|(k, v)| (k.clone(), Json::n(*v as f64)))
-                    .collect(),
-            ),
-        ),
-        (
-            "latency",
-            Json::obj(vec![
-                ("p50_ms", opt_ms_json(0.50)),
-                ("p95_ms", opt_ms_json(0.95)),
-                ("p99_ms", opt_ms_json(0.99)),
-                ("samples", Json::n(s.latencies.len() as f64)),
-            ]),
-        ),
+        ("totals", Json::obj(totals)),
+        ("rung_occupancy", slo.occupancy_json()),
+        ("latency", slo.latency_json()),
         ("bit_identical", Json::Bool(rep.bit_identical)),
         (
             "planner",
@@ -1249,60 +1167,27 @@ fn mesh_json(rep: &figures::MeshScenarioReport, fault: &str) -> ubench::Json {
                 ("wall_ms", Json::n(rep.planner.wall_ns as f64 / 1e6)),
             ]),
         ),
-        (
-            "invariants",
-            Json::s(match rep.report.check_invariants() {
-                Ok(()) => "ok".to_string(),
-                Err(e) => e,
-            }),
-        ),
+        ("invariants", invariants_json(r.check_invariants())),
     ])
 }
 
-/// Checks that `doc` carries the mesh schema tag and every required
-/// key. Returns the first missing marker.
-fn check_mesh_schema(doc: &str) -> Result<(), &'static str> {
-    if !doc.contains("\"schema\":\"ulayer-mesh/v1\"") {
-        return Err("\"schema\":\"ulayer-mesh/v1\"");
-    }
-    for marker in [
-        "\"net\"",
-        "\"scenario\"",
-        "\"mesh\"",
-        "\"nodes\"",
-        "\"links\"",
-        "\"totals\"",
-        "\"offered\"",
-        "\"completed\"",
-        "\"degraded\"",
-        "\"shed\"",
-        "\"frames_during_partition\"",
-        "\"partition_degraded\"",
-        "\"rung_occupancy\"",
-        "\"latency\"",
-        "\"bit_identical\"",
-        "\"planner\"",
-        "\"hit_rate\"",
-        "\"invariants\"",
-    ] {
-        if !doc.contains(marker) {
-            return Err(marker);
-        }
-    }
-    Ok(())
-}
-
-/// Schema tag of the fleet document (`BENCH_fleet.json`).
+/// Schema tag of the fleet document.
 const FLEET_SCHEMA: &str = "ulayer-fleet/v1";
 
 /// The machine-readable fleet document.
 fn fleet_json(rep: &figures::FleetStormReport, storm: &str) -> ubench::Json {
     use ubench::Json;
     let r = &rep.report;
-    let opt_ms_json = |q: f64| match r.latency_percentile(q) {
-        Some(s) => Json::n(s.as_millis_f64()),
-        None => Json::Null,
-    };
+    let slo = Slo::from(r);
+    let mut totals = slo.totals_json();
+    totals.extend([
+        ("retries", Json::n(r.retries as f64)),
+        ("fallbacks", Json::n(r.fallbacks as f64)),
+        ("throttled", Json::n(r.throttled as f64)),
+        ("missed", Json::n(r.missed as f64)),
+        ("gpu_lost_devices", Json::n(r.gpu_lost_devices as f64)),
+        ("queue_peak", Json::n(r.queue_peak as f64)),
+    ]);
     Json::obj(vec![
         ("schema", Json::s(FLEET_SCHEMA)),
         ("net", Json::s(r.net.clone())),
@@ -1314,8 +1199,11 @@ fn fleet_json(rep: &figures::FleetStormReport, storm: &str) -> ubench::Json {
                 ("frames_per_device", Json::n(r.frames_per_device as f64)),
                 ("seed", Json::n(r.seed as f64)),
                 ("queue_capacity", Json::n(r.queue_capacity as f64)),
-                ("mean_interval_ms", Json::n(rep.mean_interval_ms)),
-                ("deadline_ms", Json::n(rep.deadline_ms)),
+                (
+                    "mean_interval_ms",
+                    Json::n(r.mean_interval.as_secs_f64() * 1e3),
+                ),
+                ("deadline_ms", Json::n(r.deadline.as_secs_f64() * 1e3)),
                 (
                     "cohorts",
                     Json::Arr(
@@ -1333,41 +1221,9 @@ fn fleet_json(rep: &figures::FleetStormReport, storm: &str) -> ubench::Json {
                 ),
             ]),
         ),
-        (
-            "totals",
-            Json::obj(vec![
-                ("offered", Json::n(r.offered as f64)),
-                ("completed", Json::n(r.completed as f64)),
-                ("degraded", Json::n(r.degraded as f64)),
-                ("shed", Json::n(r.shed as f64)),
-                ("rejected", Json::n(r.rejected as f64)),
-                ("retries", Json::n(r.retries as f64)),
-                ("fallbacks", Json::n(r.fallbacks as f64)),
-                ("throttled", Json::n(r.throttled as f64)),
-                ("missed", Json::n(r.missed as f64)),
-                ("gpu_lost_devices", Json::n(r.gpu_lost_devices as f64)),
-                ("queue_peak", Json::n(r.queue_peak as f64)),
-            ]),
-        ),
-        (
-            "rung_occupancy",
-            Json::Obj(
-                r.rung_occupancy
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::n(*v as f64)))
-                    .collect(),
-            ),
-        ),
-        (
-            "latency",
-            Json::obj(vec![
-                ("p50_ms", opt_ms_json(0.50)),
-                ("p95_ms", opt_ms_json(0.95)),
-                ("p99_ms", opt_ms_json(0.99)),
-                ("p999_ms", opt_ms_json(0.999)),
-                ("samples", Json::n(r.latencies.len() as f64)),
-            ]),
-        ),
+        ("totals", Json::obj(totals)),
+        ("rung_occupancy", slo.occupancy_json()),
+        ("latency", slo.latency_json()),
         ("energy_j", Json::n(r.energy_j)),
         (
             "planner",
@@ -1405,57 +1261,17 @@ fn fleet_json(rep: &figures::FleetStormReport, storm: &str) -> ubench::Json {
                 ),
             ]),
         ),
-        (
-            "invariants",
-            Json::s(match r.check_invariants() {
-                Ok(()) => "ok".to_string(),
-                Err(e) => e,
-            }),
-        ),
+        ("invariants", invariants_json(r.check_invariants())),
     ])
 }
 
-/// Checks that `doc` carries the fleet schema tag and every required
-/// key. Returns the first missing marker.
-fn check_fleet_schema(doc: &str) -> Result<(), &'static str> {
-    if !doc.contains("\"schema\":\"ulayer-fleet/v1\"") {
-        return Err("\"schema\":\"ulayer-fleet/v1\"");
-    }
-    for marker in [
-        "\"net\"",
-        "\"scenario\"",
-        "\"fleet\"",
-        "\"cohorts\"",
-        "\"totals\"",
-        "\"offered\"",
-        "\"completed\"",
-        "\"degraded\"",
-        "\"shed\"",
-        "\"rung_occupancy\"",
-        "\"latency\"",
-        "\"energy_j\"",
-        "\"planner\"",
-        "\"hit_rate\"",
-        "\"planning_ms\"",
-        "\"weights\"",
-        "\"copies\"",
-        "\"fuzz\"",
-        "\"invariants\"",
-    ] {
-        if !doc.contains(marker) {
-            return Err(marker);
-        }
-    }
-    Ok(())
-}
-
 /// `repro plan [net] [--frames=N] [--drift=calm|throttle|loss|oscillate]
-/// [--seed=N] [--min-hit-rate=X] [--miniature] [--out=FILE]
-/// [--baseline=FILE]`: drives a drift-keyed planner session over a
-/// frame stream on both SoCs, cross-checks every incremental replan
-/// against a from-scratch plan (byte-identical or exit non-zero), and
-/// reports cache hit rates and planner time vs. the always-scratch
-/// ablation. Writes `BENCH_plan.json`.
+/// [--seed=N] [--min-hit-rate=X] [--miniature] [--out=FILE]`: drives a
+/// drift-keyed planner session over a frame stream on both SoCs,
+/// cross-checks every incremental replan against a from-scratch plan
+/// (byte-identical or exit non-zero), and reports cache hit rates and
+/// planner time vs. the always-scratch ablation. `--out=FILE` writes
+/// the planner document.
 fn plan_cmd(args: &[String]) {
     let p = parse_or_exit("plan", args);
     let model = model_arg("plan", &p, unn::ModelId::SqueezeNet);
@@ -1464,8 +1280,6 @@ fn plan_cmd(args: &[String]) {
     let seed = p.u64_of("--seed").unwrap_or(42);
     let drift = p.str_of("--drift").unwrap_or("calm").to_string();
     let min_hit_rate = p.f64_of("--min-hit-rate");
-    let out_path = p.str_of("--out").unwrap_or("BENCH_plan.json").to_string();
-    let baseline: Option<String> = p.str_of("--baseline").map(str::to_string);
 
     heading(&format!(
         "Planner cache: uLayer {} over {frames} frames of `{drift}` drift (seed {seed})",
@@ -1514,40 +1328,14 @@ fn plan_cmd(args: &[String]) {
     print!("{}", t.render());
     println!("\nequivalence: every exact-policy frame cross-checked against a from-scratch plan");
 
-    let json = plan_json(&reports, &drift, seed);
-    if let Err(e) = std::fs::write(&out_path, json.render()) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-
-    if let Some(path) = baseline {
-        match std::fs::read_to_string(&path) {
-            Ok(doc) => {
-                if let Err(missing) = check_plan_schema(&doc) {
-                    eprintln!("baseline {path} fails the schema check: missing {missing}");
-                    std::process::exit(1);
-                }
-                println!("baseline {path}: schema ok");
-            }
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    write_out(p.str_of("--out"), || plan_json(&reports, &drift, seed));
 
     println!("\n(a cache hit skips partitioning entirely; a drift-key miss replans only the");
     println!(" layers whose cost margin the drift change could have flipped)");
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("PLAN VIOLATION: {v}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_violations("PLAN VIOLATION", &violations);
 }
 
-/// Schema tag of the planner document (`BENCH_plan.json`).
+/// Schema tag of the planner document.
 const PLAN_SCHEMA: &str = "ulayer-plan/v1";
 
 /// The machine-readable planner document.
@@ -1597,37 +1385,6 @@ fn plan_json(reports: &[figures::PlanExperimentReport], drift: &str, seed: u64) 
             ),
         ),
     ])
-}
-
-/// Checks that `doc` carries the planner schema tag and every required
-/// key. Returns the first missing marker.
-fn check_plan_schema(doc: &str) -> Result<(), &'static str> {
-    if !doc.contains("\"schema\":\"ulayer-plan/v1\"") {
-        return Err("\"schema\":\"ulayer-plan/v1\"");
-    }
-    for marker in [
-        "\"net\"",
-        "\"drift\"",
-        "\"seed\"",
-        "\"socs\"",
-        "\"frames\"",
-        "\"hits\"",
-        "\"misses\"",
-        "\"hit_rate\"",
-        "\"incremental\"",
-        "\"scratch\"",
-        "\"layers_reenumerated\"",
-        "\"layers_copied\"",
-        "\"planner_wall_ms\"",
-        "\"planning_modeled_ms\"",
-        "\"scratch_wall_ms\"",
-        "\"equivalent\"",
-    ] {
-        if !doc.contains(marker) {
-            return Err(marker);
-        }
-    }
-    Ok(())
 }
 
 fn heading(title: &str) {

@@ -135,7 +135,6 @@ pub const MEASURE_FLAGS: &[FlagSpec] = &[
     flag("--repeat", FlagKind::UsizeMin(1)),
     flag("--kernel-path", FlagKind::OneOf(KERNEL_PATHS)),
     flag("--out", FlagKind::Str),
-    flag("--baseline", FlagKind::Str),
 ];
 
 /// `repro fleet` flags.
@@ -153,7 +152,6 @@ pub const FLEET_FLAGS: &[FlagSpec] = &[
     flag("--plan-cache", FlagKind::OneOf(ONOFF)),
     flag("--min-hit-rate", FlagKind::F64NonNeg),
     flag("--out", FlagKind::Str),
-    flag("--baseline", FlagKind::Str),
 ];
 
 /// `repro plan` flags.
@@ -164,7 +162,6 @@ pub const PLAN_FLAGS: &[FlagSpec] = &[
     flag("--drift", FlagKind::OneOf(DRIFTS)),
     flag("--min-hit-rate", FlagKind::F64NonNeg),
     flag("--out", FlagKind::Str),
-    flag("--baseline", FlagKind::Str),
 ];
 
 /// `repro mesh` flags.
@@ -178,7 +175,6 @@ pub const MESH_FLAGS: &[FlagSpec] = &[
     flag("--rate", FlagKind::F64NonNeg),
     flag("--deadline", FlagKind::F64NonNeg),
     flag("--out", FlagKind::Str),
-    flag("--baseline", FlagKind::Str),
 ];
 
 /// Every flag-taking subcommand and its table, for table-driven tests

@@ -1,8 +1,8 @@
 //! The per-figure reproduction experiments.
 //!
 //! One function per table/figure of the paper's evaluation, each
-//! returning structured data (consumed by the `repro` binary, the
-//! criterion benches, and the integration tests). The index of figures
+//! returning structured data (consumed by the `repro` binary and the
+//! integration tests). The index of figures
 //! and the expected shapes are documented in DESIGN.md §4 and
 //! EXPERIMENTS.md.
 
@@ -741,7 +741,15 @@ pub fn serve_overload(
                 queue_capacity: queue,
                 deadline,
             };
-            let report = uruntime::serve_stream(&spec, &g, &ladder, &times, &cfg).expect("serve");
+            let report = uruntime::serve_stream(
+                &spec,
+                &g,
+                &ladder,
+                &times,
+                &cfg,
+                &simcore::FaultPlan::none(),
+            )
+            .expect("serve");
             let rungs = ladder
                 .iter()
                 .zip(&report.rung_latency)
@@ -766,12 +774,9 @@ pub fn serve_overload(
 /// plus the schedule-order fuzz gate's verdict.
 #[derive(Clone, Debug)]
 pub struct FleetStormReport {
-    /// The fleet report (FIFO event order).
+    /// The fleet report (FIFO event order); it carries the resolved
+    /// mean inter-arrival interval and deadline the fleet ran with.
     pub report: uruntime::FleetReport,
-    /// Mean inter-arrival interval (ms) the fleet was sized with.
-    pub mean_interval_ms: f64,
-    /// Per-frame deadline (ms).
-    pub deadline_ms: f64,
     /// Per-cohort rungs: label and realized single-frame latency (ms).
     pub cohort_rungs: Vec<(String, Vec<(String, f64)>)>,
     /// How many seeded-shuffled event orders were re-run.
@@ -843,23 +848,6 @@ pub fn fleet_storm(
     let report =
         uruntime::run_fleet(&net, &cohorts, storm, &cfg, &adapter).map_err(|e| e.to_string())?;
 
-    // Reconstruct the auto-sized load parameters for reporting.
-    let full_max = cohorts
-        .iter()
-        .map(|c| c.rungs[0].latency)
-        .max()
-        .expect("cohorts non-empty");
-    let mean = if rate_fps > 0.0 {
-        SimSpan::from_secs_f64(1.0 / rate_fps)
-    } else {
-        SimSpan::from_nanos((full_max.as_nanos() / 2).max(1))
-    };
-    let deadline = if deadline_ms > 0.0 {
-        SimSpan::from_secs_f64(deadline_ms / 1e3)
-    } else {
-        full_max * 2u64
-    };
-
     // The order-fuzz gate: seeded-shuffled same-timestamp delivery must
     // reproduce the FIFO report byte-for-byte.
     let fifo_digest = report.digest();
@@ -891,8 +879,6 @@ pub fn fleet_storm(
         .collect();
     Ok(FleetStormReport {
         report,
-        mean_interval_ms: mean.as_secs_f64() * 1e3,
-        deadline_ms: deadline.as_secs_f64() * 1e3,
         cohort_rungs,
         fuzz_orders,
         fuzz_mismatches,
@@ -916,7 +902,7 @@ pub struct MeshScenarioReport {
     /// Ladder rungs: label and realized single-frame latency (ms).
     pub rungs: Vec<(String, f64)>,
     /// The mesh serving outcome (frame + partition accounting).
-    pub report: uruntime::MeshReport,
+    pub report: uruntime::ServeReport,
     /// Whether every rung's quantized output matched the single-device
     /// QUInt8 reference bit for bit.
     pub bit_identical: bool,
@@ -1055,7 +1041,7 @@ pub fn mesh_scenario(
         queue_capacity: queue,
         deadline,
     };
-    let report = uruntime::serve_mesh(&spec, &g, &ladder, &times, &cfg, &faults)
+    let report = uruntime::serve_stream(&spec, &g, &ladder, &times, &cfg, &faults)
         .map_err(|e| e.to_string())?;
 
     // Numerics gate: every rung — full mesh split, surviving subsets,
@@ -1081,7 +1067,7 @@ pub fn mesh_scenario(
 
     let rungs = ladder
         .iter()
-        .zip(&report.serve.rung_latency)
+        .zip(&report.rung_latency)
         .map(|(r, lat)| (r.label.clone(), lat.as_secs_f64() * 1e3))
         .collect();
     Ok(MeshScenarioReport {
@@ -1325,7 +1311,7 @@ mod tests {
         )
         .expect("mesh run");
         rep.report.check_invariants().expect("mesh invariants");
-        assert_eq!(rep.report.serve.shed, 0, "partition must not shed frames");
+        assert_eq!(rep.report.shed, 0, "partition must not shed frames");
         assert!(rep.report.frames_during_partition > 0, "cut never landed");
         assert!(
             rep.report.partition_degraded > 0,

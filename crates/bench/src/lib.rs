@@ -4,8 +4,8 @@
 //!   paper's evaluation (the data producers).
 //! - [`report`] — plain-text table rendering and summary statistics.
 //!
-//! The `repro` binary drives these and prints paper-style rows; the
-//! criterion benches under `benches/` measure the same workloads.
+//! The `repro` binary drives these and prints paper-style rows. Host
+//! timing is measured by the standalone `benchmark/` crate, not here.
 
 pub mod cli;
 pub mod export;

@@ -93,10 +93,10 @@ const MARGIN_RELATIVE_SLACK: f64 = 1e-9;
 /// Modeled planning spans charged to the simulated timeline. These are
 /// deliberately *deterministic* — a pure function of how much
 /// enumeration ran — so simulated makespans (and the fleet digest
-/// gates) never depend on host wall-clock.
-const PLAN_HIT_NS: u64 = 1_000;
-const PLAN_SCRATCH_BASE_NS: u64 = 8_000;
-const PLAN_SCRATCH_LAYER_NS: u64 = 4_000;
+/// gates) never depend on host wall-clock. The hit and scratch spans
+/// are `uruntime`'s ([`uruntime::serving::PLAN_HIT_SPAN`],
+/// [`uruntime::serving::plan_scratch_span`]), which the fleet's plan
+/// cache model charges too; the incremental ones exist only here.
 const PLAN_INCREMENTAL_BASE_NS: u64 = 3_000;
 const PLAN_REENUM_LAYER_NS: u64 = 4_000;
 const PLAN_COPIED_LAYER_NS: u64 = 200;
@@ -333,10 +333,8 @@ pub struct PlannedFrame {
 /// function of how much enumeration ran, never of wall-clock.
 pub fn planning_span(source: PlanSource, layers: usize) -> SimSpan {
     match source {
-        PlanSource::CacheHit => SimSpan::from_nanos(PLAN_HIT_NS),
-        PlanSource::Scratch => {
-            SimSpan::from_nanos(PLAN_SCRATCH_BASE_NS + PLAN_SCRATCH_LAYER_NS * layers as u64)
-        }
+        PlanSource::CacheHit => uruntime::serving::PLAN_HIT_SPAN,
+        PlanSource::Scratch => uruntime::serving::plan_scratch_span(layers),
         PlanSource::Incremental {
             reenumerated,
             copied,

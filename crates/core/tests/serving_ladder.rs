@@ -3,7 +3,7 @@
 //! slack estimates, and end-to-end overload serving with a
 //! partitioner-emitted ladder.
 
-use simcore::{ArrivalKind, ArrivalProcess, SimSpan};
+use simcore::{ArrivalKind, ArrivalProcess, FaultPlan, SimSpan};
 use ulayer::{DriftAdapter, ULayer, ULayerConfig};
 use unn::{ModelId, Weights};
 use uruntime::{evaluate_plan, execute_plan, serve_stream, FrameFate, ServeConfig};
@@ -95,7 +95,7 @@ fn drift_fed_ladder_routes_serving_around_a_lost_gpu() {
         queue_capacity: 5,
         deadline: full * 2u64,
     };
-    let report = serve_stream(&spec, &g, &ladder, &arrivals, &cfg).unwrap();
+    let report = serve_stream(&spec, &g, &ladder, &arrivals, &cfg, &FaultPlan::none()).unwrap();
     report.check_invariants().unwrap();
     assert_eq!(report.offered, 64);
 }
@@ -124,7 +124,7 @@ fn partitioner_ladder_survives_bursty_overload_and_recovers() {
         queue_capacity: 6,
         deadline: full * 2u64,
     };
-    let report = serve_stream(&spec, &g, &ladder, &arrivals, &cfg).unwrap();
+    let report = serve_stream(&spec, &g, &ladder, &arrivals, &cfg, &FaultPlan::none()).unwrap();
     report.check_invariants().unwrap();
     assert_eq!(report.offered, 100);
     assert!(report.queue_peak <= cfg.queue_capacity);

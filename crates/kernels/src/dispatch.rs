@@ -35,7 +35,7 @@ pub enum KernelPath {
 }
 
 impl KernelPath {
-    /// Stable lowercase name, used in reports and `BENCH_exec.json`.
+    /// Stable lowercase name, used in reports and measurement documents.
     pub fn as_str(&self) -> &'static str {
         match self {
             KernelPath::Scalar => "scalar",

@@ -1,18 +1,17 @@
-//! Fleet-scale chaos serving: thousands of SoC instances driven through
-//! the serve/fault/ladder stack by one discrete-event core.
+//! Fleet-scale chaos serving: thousands of SoC instances, each running
+//! the [`crate::serving`] step, driven by one discrete-event core.
 //!
-//! The [`crate::serve`] frontend models one SoC and one arrival stream.
-//! This module is the population-level version the ROADMAP's
-//! "millions of users" goal needs:
+//! [`crate::serve_stream`] serves one SoC and one arrival stream. This
+//! module is the population-level version the ROADMAP's "millions of
+//! users" goal needs — every instance is a [`Server`] with its own
+//! policy, and a stream is a fleet of one:
 //!
 //! - **Cohorts, not copies.** A [`FleetCohort`] realizes a degradation
-//!   ladder once per SoC model (each rung's plan is executed once by
-//!   [`execute_plan`] — the engine is deterministic, so one execution
-//!   *is* the rung's nominal service time). Instances are assigned to
-//!   cohorts by seed and perturb their silicon with per-device speed
-//!   factors (the [`usoc::SocSpec::with_device_speeds`] model): a
-//!   rung's service time on an instance scales by the slowest involved
-//!   device's inverse factor. This keeps a 1000-device run at
+//!   ladder once per SoC model ([`realize_ladder`]). Instances are
+//!   assigned to cohorts by seed and perturb their silicon with
+//!   per-device speed factors (the [`usoc::SocSpec::with_device_speeds`]
+//!   model): a rung's service time on an instance scales by the slowest
+//!   involved device's inverse factor. This keeps a 1000-device run at
 //!   thousands of cheap analytic dispatches instead of thousands of
 //!   full plan executions.
 //! - **One weight copy per network.** Every instance holds an
@@ -29,16 +28,6 @@
 //!   [`InstanceAdapter`] from a factory; one device's throttle
 //!   inflates only its own corrections (the `crates/core` isolation
 //!   test pins this down against `DriftAdapter`).
-//! - **Planning as overhead.** Each instance carries a modeled
-//!   drift-keyed plan cache: before every dispatch the instance's
-//!   adapter corrections are quantized into a
-//!   [`simcore::DriftKeyQuantizer`] key and probed against a small
-//!   per-instance LRU. A hit charges [`FLEET_PLAN_HIT_NS`]; a miss
-//!   charges a scratch-replan span proportional to the network depth —
-//!   both delay the frame's dispatch-ready time, so planner cost is
-//!   part of the served latency, not free. `--plan-cache=off` makes
-//!   every frame a scratch plan (the ablation the CI hit-rate gate
-//!   compares against).
 //! - **Schedule-order fuzzing.** The event core runs under a
 //!   [`TieOrder`]: FIFO by default, seeded-shuffled for fuzz runs.
 //!   Instances are causally independent and aggregation folds in
@@ -46,18 +35,30 @@
 //!   under both orderings — [`FleetReport::digest`] makes that a
 //!   byte-comparison, and the `repro fleet` gate ships it in CI.
 //!
-//! Dispatch semantics per instance mirror [`crate::serve_stream`]:
-//! bounded admission (reject at a full waiting room), FIFO dispatch,
-//! first-fit rung by fidelity whose drift-corrected estimate meets the
-//! deadline, shed when none fits — plus the fault surface: throttle
-//! windows inflate realized service, hard GPU loss removes GPU rungs
-//! (and marks the adapter), flaky transients burn retry attempts and,
-//! when persistent, re-route the frame to the first GPU-free rung
-//! (the CPU fallback path).
+//! What an instance's policy supplies to the shared step:
+//!
+//! - **Planning as overhead.** A modelled drift-keyed plan cache: the
+//!   adapter's corrections are quantized into a [`DriftKeyQuantizer`]
+//!   key and probed against a small per-instance LRU. A hit charges
+//!   [`PLAN_HIT_SPAN`], a miss [`plan_scratch_span`] of the network
+//!   depth; either delays the frame's ready time, so planner cost is
+//!   served latency. `plan_cache: false` replans every frame from
+//!   scratch (the ablation the CI hit-rate gate compares against).
+//! - **Estimates.** A rung touching a device the adapter knows is lost
+//!   is ineligible; the others cost their nominal latency scaled by the
+//!   instance's perturbation and the adapter's drift correction.
+//! - **Fault realization.** Throttle windows inflate the realized
+//!   service; they are sampled at the dispatch *start*, when the device
+//!   begins the work (link state, by contrast, is sampled at arrival,
+//!   see [`crate::serve`]). Flaky transients burn retry attempts and,
+//!   when persistent, re-route the frame to the first GPU-free rung
+//!   (the CPU fallback path) or lose it when there is none. Hard losses
+//!   that struck by a frame's arrival reach the adapter before the step.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use simcore::stats::nearest_rank;
 use simcore::{
     ArrivalKind, ArrivalProcess, DriftKeyQuantizer, EventQueue, FaultPlan, FleetScenario,
     ResourceId, RetryPolicy, SimSpan, SimTime, TieOrder,
@@ -65,20 +66,13 @@ use simcore::{
 use testkit::rng::fnv1a;
 use testkit::Rng;
 use unn::{Graph, Weights};
-use usoc::{DeviceId, SocSpec};
+use usoc::{DeviceId, DeviceKind, SocSpec};
 
-use crate::engine::{execute_plan, RunError, RunResult};
-use crate::serve::{nearest_rank, LadderRung};
-
-/// Modeled host time to fetch a cached plan for one frame. Mirrors the
-/// planner-session span model in `crates/core` so fleet numbers and
-/// single-stream numbers attribute planning on the same scale.
-pub const FLEET_PLAN_HIT_NS: u64 = 1_000;
-/// Modeled fixed cost of one from-scratch replan (cost-table probe plus
-/// pass-runner overhead).
-pub const FLEET_PLAN_MISS_BASE_NS: u64 = 8_000;
-/// Modeled per-layer cost of one from-scratch replan.
-pub const FLEET_PLAN_MISS_LAYER_NS: u64 = 4_000;
+use crate::engine::RunError;
+use crate::serving::{
+    audit_partition, plan_scratch_span, realize_ladder, FrameFate, LadderRung, Realized,
+    RealizedRung, ServePolicy, Server, PLAN_HIT_SPAN,
+};
 
 /// Per-instance drift-adaptation seam. `ulayer::DriftAdapter`
 /// implements this in `crates/core` (this crate sits below the
@@ -154,22 +148,6 @@ impl FleetNetwork {
     }
 }
 
-/// One realized ladder rung: nominal service time, energy, and device
-/// footprint on the cohort's *base* (unperturbed) spec.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FleetRung {
-    /// Rung label (`"full"`, `"single-cpu"`, ...).
-    pub label: String,
-    /// Sorted device indices the rung's plan touches.
-    pub devices: Vec<usize>,
-    /// Realized service latency of one frame on the base spec.
-    pub latency: SimSpan,
-    /// Energy of one frame on the base spec, joules.
-    pub energy_j: f64,
-    /// The planner's predicted latency (ladder metadata).
-    pub predicted: SimSpan,
-}
-
 /// A SoC model's realized ladder: what every instance assigned to this
 /// cohort serves with (scaled by its own perturbation factors).
 #[derive(Clone, Debug)]
@@ -182,13 +160,17 @@ pub struct FleetCohort {
     pub gpu: usize,
     /// Layers in the served graph (scales the modeled replan span).
     pub layers: usize,
-    /// Realized rungs, fidelity order.
-    pub rungs: Vec<FleetRung>,
+    /// Realized rungs on the base (unperturbed) spec, fidelity order.
+    pub rungs: Vec<RealizedRung>,
 }
 
 impl FleetCohort {
     /// Realizes `ladder` on `spec`: executes each rung's plan once for
     /// its nominal service latency, energy, and device footprint.
+    ///
+    /// Errors if the ladder is empty, the spec has no GPU (the fleet's
+    /// storms and its fallback path are defined against one), or a
+    /// rung's plan fails to execute.
     pub fn build(
         spec: &SocSpec,
         graph: &Graph,
@@ -199,30 +181,18 @@ impl FleetCohort {
                 "fleet: degradation ladder is empty".into(),
             ));
         }
-        let mut rungs = Vec::with_capacity(ladder.len());
-        for rung in ladder {
-            let result: RunResult = execute_plan(spec, graph, &rung.plan)?;
-            let devices: BTreeSet<usize> = rung
-                .plan
-                .placements
-                .iter()
-                .flat_map(|p| p.devices())
-                .map(|d| d.0)
-                .collect();
-            rungs.push(FleetRung {
-                label: rung.label.clone(),
-                devices: devices.into_iter().collect(),
-                latency: result.latency,
-                energy_j: result.energy.total_j(),
-                predicted: rung.predicted,
-            });
-        }
+        let Some(gpu) = spec.find(DeviceKind::Gpu) else {
+            return Err(RunError::MalformedPlan(format!(
+                "fleet: `{}` has no GPU, the device fleet storms target",
+                spec.name
+            )));
+        };
         Ok(FleetCohort {
             soc: spec.name.clone(),
-            gpu: spec.gpu().0,
+            gpu: gpu.0,
             layers: graph.nodes().len(),
             spec: spec.clone(),
-            rungs,
+            rungs: realize_ladder(spec, graph, ladder)?,
         })
     }
 }
@@ -308,7 +278,7 @@ pub struct FleetInstanceInfo {
 }
 
 /// One instance's rollup inside a [`FleetReport`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct InstanceSummary {
     /// Instance index.
     pub instance: usize,
@@ -353,12 +323,32 @@ pub struct InstanceSummary {
     pub energy_j: f64,
 }
 
+/// The counters a [`FleetReport`] totals over its [`InstanceSummary`]s,
+/// in one order for both.
+macro_rules! summed {
+    ($s:expr) => {
+        [
+            $s.offered,
+            $s.completed,
+            $s.degraded,
+            $s.shed,
+            $s.rejected,
+            $s.retries,
+            $s.fallbacks,
+            $s.throttled,
+            $s.missed,
+            $s.plan_hits,
+            $s.plan_misses,
+        ]
+    };
+}
+
 /// Aggregate fleet rollup. Everything in it is derived in instance
 /// order from per-instance state, so two runs with the same seed — or
 /// the same run under FIFO vs. shuffled event order — produce
 /// field-identical reports (`PartialEq`) and byte-identical
 /// [`FleetReport::digest`] strings.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FleetReport {
     /// Network name.
     pub net: String,
@@ -370,6 +360,12 @@ pub struct FleetReport {
     pub frames_per_device: usize,
     /// The master seed.
     pub seed: u64,
+    /// The mean inter-arrival interval the fleet ran with
+    /// ([`FleetConfig::mean_interval`], auto-sizing resolved).
+    pub mean_interval: SimSpan,
+    /// The per-frame deadline the fleet ran with
+    /// ([`FleetConfig::deadline`], auto-sizing resolved).
+    pub deadline: SimSpan,
     /// Instances per cohort, cohort order.
     pub cohort_instances: Vec<u64>,
     /// Cohort SoC names, cohort order.
@@ -444,11 +440,12 @@ impl FleetReport {
         }
     }
 
-    /// Checks the fleet invariants, returning the first violation:
-    /// exact fleet-wide and per-instance frame partition, rung
-    /// occupancy vs. executed frames, queue bounds, weight memory
-    /// accounted at one copy per network, and cross-checked
-    /// per-instance sums.
+    /// Checks the fleet invariants, returning the first violation: the
+    /// frame-partition audit every serving report shares, fleet-wide
+    /// and per instance, then what only a fleet has — every instance
+    /// offered every frame, a sorted latency list, weight memory
+    /// accounted at one copy per network, planner accounting, and
+    /// per-instance sums cross-checked against the fleet totals.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.per_instance.len() != self.fleet_size {
             return Err(format!(
@@ -464,39 +461,20 @@ impl FleetReport {
                 self.offered, self.fleet_size, self.frames_per_device
             ));
         }
-        if self.completed + self.degraded + self.shed != self.offered {
-            return Err(format!(
-                "fleet accounting leaks: completed {} + degraded {} + shed {} != offered {}",
-                self.completed, self.degraded, self.shed, self.offered
-            ));
-        }
-        if self.rejected > self.shed {
-            return Err(format!(
-                "rejected {} exceeds shed {}",
-                self.rejected, self.shed
-            ));
-        }
-        let executed = self.completed + self.degraded;
-        let occupancy: u64 = self.rung_occupancy.values().sum();
-        if occupancy != executed {
-            return Err(format!(
-                "rung occupancy sums to {occupancy}, but {executed} frames executed"
-            ));
-        }
-        if self.latencies.len() as u64 != executed {
-            return Err(format!(
-                "{} latencies recorded for {executed} executed frames",
-                self.latencies.len()
-            ));
-        }
+        audit_partition(
+            "fleet: ",
+            [
+                self.offered,
+                self.completed,
+                self.degraded,
+                self.shed,
+                self.rejected,
+            ],
+            (self.queue_peak, self.queue_capacity),
+            Some((self.rung_occupancy.values().sum(), self.latencies.len())),
+        )?;
         if self.latencies.windows(2).any(|w| w[1] < w[0]) {
             return Err("latency list is not sorted".into());
-        }
-        if self.queue_peak > self.queue_capacity {
-            return Err(format!(
-                "queue depth {} exceeded its bound {}",
-                self.queue_peak, self.queue_capacity
-            ));
         }
         if self.weight_copies != 1 {
             return Err(format!(
@@ -524,45 +502,20 @@ impl FleetReport {
         let mut planning = SimSpan::ZERO;
         let mut sums = [0u64; 11];
         for s in &self.per_instance {
-            if s.completed + s.degraded + s.shed != s.offered {
-                return Err(format!(
-                    "instance {}: accounting leaks ({} + {} + {} != {})",
-                    s.instance, s.completed, s.degraded, s.shed, s.offered
-                ));
-            }
-            if s.queue_peak > self.queue_capacity {
-                return Err(format!("instance {}: queue bound violated", s.instance));
-            }
-            for (acc, v) in sums.iter_mut().zip([
-                s.offered,
-                s.completed,
-                s.degraded,
-                s.shed,
-                s.rejected,
-                s.retries,
-                s.fallbacks,
-                s.throttled,
-                s.missed,
-                s.plan_hits,
-                s.plan_misses,
-            ]) {
+            // The summary keeps neither per-rung counts nor samples, so
+            // its executed total has no second witness.
+            audit_partition(
+                &format!("instance {}: ", s.instance),
+                [s.offered, s.completed, s.degraded, s.shed, s.rejected],
+                (s.queue_peak, self.queue_capacity),
+                None,
+            )?;
+            for (acc, v) in sums.iter_mut().zip(summed!(s)) {
                 *acc += v;
             }
             planning += s.planning;
         }
-        let totals = [
-            self.offered,
-            self.completed,
-            self.degraded,
-            self.shed,
-            self.rejected,
-            self.retries,
-            self.fallbacks,
-            self.throttled,
-            self.missed,
-            self.plan_hits,
-            self.plan_misses,
-        ];
+        let totals = summed!(self);
         if sums != totals {
             return Err(format!(
                 "per-instance sums {sums:?} disagree with fleet totals {totals:?}"
@@ -653,20 +606,18 @@ impl FleetReport {
     }
 }
 
-/// Per-instance simulation state.
-struct InstRun {
-    cohort: usize,
+/// One instance's serving policy and everything it tracks beside the
+/// shared [`crate::serving::Tally`]: silicon perturbation, the fault
+/// plan, the drift adapter, the modelled plan cache, and — counted
+/// straight into the instance's summary — planning, chaos and energy.
+struct InstancePolicy<'a> {
+    cohort: &'a FleetCohort,
+    cfg: &'a FleetConfig,
+    retry: &'a RetryPolicy,
     /// Per-device perturbation speed factors (>= 0.05).
     factors: Vec<f64>,
-    arrivals: Vec<SimTime>,
     faults: FaultPlan,
     adapter: Box<dyn InstanceAdapter>,
-    /// Shared weight handle — the memory-accounting witness.
-    weights: Arc<Weights>,
-    device_free: Vec<SimTime>,
-    prev_dispatch: SimTime,
-    /// Dispatch instants of admitted frames still in the waiting room.
-    starts: Vec<SimTime>,
     /// Per-instance GPU dispatch ordinal (transient-fault coordinate).
     gpu_ord: usize,
     /// Drift-key quantizer over device-index slots (hysteresis state
@@ -674,28 +625,14 @@ struct InstRun {
     quantizer: DriftKeyQuantizer,
     /// Plan-cache LRU of drift keys, most-recent last.
     plan_lru: Vec<Vec<(u64, i32)>>,
-    plan_hits: u64,
-    plan_misses: u64,
-    planning: SimSpan,
-    offered: u64,
-    completed: u64,
-    degraded: u64,
-    shed: u64,
-    rejected: u64,
-    retries: u64,
-    fallbacks: u64,
-    throttled: u64,
-    missed: u64,
-    rung_counts: Vec<u64>,
-    latencies: Vec<SimSpan>,
-    energy_j: f64,
-    queue_peak: usize,
+    /// The frame accounting is filled in from the tally at the end.
+    stats: InstanceSummary,
 }
 
-impl InstRun {
+impl InstancePolicy<'_> {
     /// Perturbation slowdown of a rung: the slowest involved device
     /// bounds the cooperative makespan.
-    fn slowdown(&self, rung: &FleetRung) -> f64 {
+    fn slowdown(&self, rung: &RealizedRung) -> f64 {
         rung.devices
             .iter()
             .map(|&d| 1.0 / self.factors[d])
@@ -703,13 +640,184 @@ impl InstRun {
     }
 
     /// Drift correction of a rung: the worst involved device.
-    fn correction(&self, rung: &FleetRung) -> f64 {
+    fn correction(&self, rung: &RealizedRung) -> f64 {
         rung.devices
             .iter()
             .map(|&d| self.adapter.correction(DeviceId(d)))
             .fold(f64::MIN_POSITIVE, f64::max)
             .clamp(1e-3, 1e6)
     }
+
+    fn touches_lost_device(&self, rung: &RealizedRung) -> bool {
+        rung.devices
+            .iter()
+            .any(|&d| self.adapter.is_lost(DeviceId(d)))
+    }
+
+    /// Throttle slowdown of a rung dispatched at `start`: the deepest
+    /// window open on any involved device at that instant.
+    fn throttle_slowdown(&self, rung: &RealizedRung, start: SimTime) -> f64 {
+        rung.devices.iter().fold(1.0f64, |slow, &d| {
+            slow.max(1.0 / self.faults.speed_factor_at(ResourceId(d), start))
+        })
+    }
+
+    /// Hard losses that have struck by `t` feed the adapter (the
+    /// fleet's analogue of the watchdog noticing the device is gone).
+    fn notice_losses(&mut self, t: SimTime) {
+        for l in &self.faults.losses {
+            if l.at <= t && !self.adapter.is_lost(DeviceId(l.resource.0)) {
+                self.adapter.mark_lost(DeviceId(l.resource.0));
+            }
+        }
+    }
+
+    /// Occupies `rung`'s devices until `until` for a realized `span`
+    /// (`base` is its perturbation-scaled nominal service — what the
+    /// adapter treats as "predicted"), charging energy pro rata.
+    fn occupy(
+        &mut self,
+        rung: &RealizedRung,
+        base: SimSpan,
+        span: SimSpan,
+        until: SimTime,
+        device_free: &mut [SimTime],
+    ) {
+        self.stats.energy_j += rung.energy_j * span_ratio(span, rung.latency);
+        for &d in &rung.devices {
+            device_free[d] = until;
+            self.adapter.observe(DeviceId(d), base, span);
+        }
+    }
+}
+
+impl ServePolicy for InstancePolicy<'_> {
+    /// Quantizes the adapter's current corrections into a drift key and
+    /// probes the instance's plan cache. Hit or miss, the span is served
+    /// latency, as `OverheadClass::Planning` charges it in the engine.
+    #[inline]
+    fn planning(&mut self) -> SimSpan {
+        let factors: Vec<(u64, f64)> = (0..self.factors.len())
+            .map(|d| {
+                let correction = self.adapter.correction(DeviceId(d));
+                (d as u64, correction.clamp(1e-3, 1e6))
+            })
+            .collect();
+        let key = self.quantizer.snapshot_key(&factors);
+        let hit = self.cfg.plan_cache
+            && match self.plan_lru.iter().position(|k| *k == key) {
+                Some(pos) => {
+                    let k = self.plan_lru.remove(pos);
+                    self.plan_lru.push(k);
+                    true
+                }
+                None => {
+                    self.plan_lru.push(key);
+                    if self.plan_lru.len() > self.cfg.plan_cache_capacity {
+                        self.plan_lru.remove(0);
+                    }
+                    false
+                }
+            };
+        let span = if hit {
+            self.stats.plan_hits += 1;
+            PLAN_HIT_SPAN
+        } else {
+            self.stats.plan_misses += 1;
+            plan_scratch_span(self.cohort.layers)
+        };
+        self.stats.planning += span;
+        span
+    }
+
+    #[inline]
+    fn estimate(&mut self, rung: &RealizedRung, _arrival: SimTime) -> Option<SimSpan> {
+        if self.touches_lost_device(rung) {
+            return None;
+        }
+        Some(rung.latency * (self.slowdown(rung) * self.correction(rung)))
+    }
+
+    #[inline]
+    fn realize(
+        &mut self,
+        rungs: &[RealizedRung],
+        r: usize,
+        start: SimTime,
+        _estimate: SimSpan,
+        device_free: &mut [SimTime],
+    ) -> Realized {
+        let rung = &rungs[r];
+        let gpu = self.cohort.gpu;
+        let max_attempts = self.cfg.max_attempts;
+        let base = rung.latency * self.slowdown(rung);
+        let slow = self.throttle_slowdown(rung, start);
+        if slow > 1.0 {
+            self.stats.throttled += 1;
+        }
+        let mut service = base * slow;
+
+        if rung.devices.contains(&gpu) {
+            let ord = self.gpu_ord;
+            self.gpu_ord += 1;
+            let failures = self
+                .faults
+                .transient_for(ResourceId(gpu), ord)
+                .map_or(0, |tf| tf.failures);
+            if failures >= max_attempts {
+                // Persistent: the watchdog burns the whole retry budget
+                // on the faulted rung, then re-routes to the first rung
+                // that avoids the GPU (the CPU fallback path).
+                self.stats.retries += max_attempts.saturating_sub(1) as u64;
+                let mut burn = service * max_attempts as u64;
+                for a in 2..=max_attempts {
+                    burn += self.retry.backoff_before(a);
+                }
+                let detect = start + burn;
+                self.occupy(rung, base, burn, detect, device_free);
+                let fallback = rungs
+                    .iter()
+                    .position(|fr| !fr.devices.contains(&gpu) && !self.touches_lost_device(fr));
+                // No GPU-free rung survives: the frame is lost.
+                let Some(fb) = fallback else {
+                    return Realized::Lost;
+                };
+                let rung = &rungs[fb];
+                let fb_start = rung
+                    .devices
+                    .iter()
+                    .fold(detect, |at, &d| at.max(device_free[d]));
+                let base = rung.latency * self.slowdown(rung);
+                let service = base * self.throttle_slowdown(rung, fb_start);
+                let finish = fb_start + service;
+                self.occupy(rung, base, service, finish, device_free);
+                self.stats.fallbacks += 1;
+                return Realized::Served { rung: fb, finish };
+            }
+            // Recoverable: each failed attempt costs a full service
+            // span plus its backoff before the retry succeeds.
+            self.stats.retries += failures as u64;
+            let mut extra = SimSpan::ZERO;
+            for a in 0..failures {
+                extra += service + self.retry.backoff_before(a + 2);
+            }
+            service += extra;
+        }
+
+        let finish = start + service;
+        self.occupy(rung, base, service, finish, device_free);
+        Realized::Served { rung: r, finish }
+    }
+}
+
+/// One fleet instance: its arrival stream, its handle on the shared
+/// weights, and the serving step's state and policy.
+struct Instance<'a> {
+    arrivals: Vec<SimTime>,
+    /// Shared weight handle — the memory-accounting witness.
+    weights: Arc<Weights>,
+    server: Server,
+    policy: InstancePolicy<'a>,
 }
 
 fn instance_seed(seed: u64, instance: usize) -> u64 {
@@ -769,29 +877,22 @@ pub fn run_fleet_with_faults(
     fault_for: &dyn Fn(&FleetInstanceInfo) -> FaultPlan,
     new_adapter: &dyn Fn() -> Box<dyn InstanceAdapter>,
 ) -> Result<FleetReport, RunError> {
-    if cohorts.is_empty() {
-        return Err(RunError::MalformedPlan("fleet: no cohorts".into()));
-    }
+    let malformed = |what: &str| Err(RunError::MalformedPlan(format!("fleet: {what}")));
+    let Some(full_max) = cohorts.iter().map(|c| c.rungs[0].latency).max() else {
+        return malformed("no cohorts");
+    };
     if cfg.devices == 0 || cfg.frames == 0 {
-        return Err(RunError::MalformedPlan(
-            "fleet: devices and frames must be >= 1".into(),
-        ));
+        return malformed("devices and frames must be >= 1");
     }
     if cfg.queue_capacity == 0 || cfg.max_attempts == 0 {
-        return Err(RunError::MalformedPlan(
-            "fleet: queue capacity and max attempts must be >= 1".into(),
-        ));
+        return malformed("queue capacity and max attempts must be >= 1");
     }
     if cfg.plan_cache && cfg.plan_cache_capacity == 0 {
-        return Err(RunError::MalformedPlan(
-            "fleet: plan cache capacity must be >= 1 when the cache is on".into(),
-        ));
+        return malformed("plan cache capacity must be >= 1 when the cache is on");
     }
-    let full_max = cohorts
-        .iter()
-        .map(|c| c.rungs[0].latency)
-        .max()
-        .expect("cohorts checked non-empty");
+    // The one sizing rule: an unset interval is a sustained 2x overload
+    // of the slowest cohort's full rung, an unset deadline twice its
+    // latency. The report carries what was resolved.
     let mean = if cfg.mean_interval == SimSpan::ZERO {
         SimSpan::from_nanos((full_max.as_nanos() / 2).max(1))
     } else {
@@ -803,14 +904,14 @@ pub fn run_fleet_with_faults(
         cfg.deadline
     };
     let horizon = mean * cfg.frames as u64 + deadline;
-    let policy = RetryPolicy {
+    let retry = RetryPolicy {
         max_attempts: cfg.max_attempts,
         ..RetryPolicy::default()
     };
 
     // Instance setup: everything derives from (seed, instance), never
     // from construction or visit order.
-    let mut insts: Vec<InstRun> = Vec::with_capacity(cfg.devices);
+    let mut insts: Vec<Instance> = Vec::with_capacity(cfg.devices);
     for i in 0..cfg.devices {
         let mut rng = Rng::seed_from_u64(instance_seed(cfg.seed, i) ^ fnv1a(b"fleet-instance"));
         let cohort = rng.gen_range(0..cohorts.len());
@@ -830,35 +931,26 @@ pub fn run_fleet_with_faults(
             max_attempts: cfg.max_attempts,
             seed: cfg.seed,
         };
-        insts.push(InstRun {
-            cohort,
-            factors,
+        insts.push(Instance {
             arrivals,
-            faults: fault_for(&info),
-            adapter: new_adapter(),
             weights: Arc::clone(&net.weights),
-            device_free: vec![SimTime::ZERO; ndev],
-            prev_dispatch: SimTime::ZERO,
-            starts: Vec::new(),
-            gpu_ord: 0,
-            quantizer: DriftKeyQuantizer::default(),
-            plan_lru: Vec::new(),
-            plan_hits: 0,
-            plan_misses: 0,
-            planning: SimSpan::ZERO,
-            offered: 0,
-            completed: 0,
-            degraded: 0,
-            shed: 0,
-            rejected: 0,
-            retries: 0,
-            fallbacks: 0,
-            throttled: 0,
-            missed: 0,
-            rung_counts: vec![0; cohorts[cohort].rungs.len()],
-            latencies: Vec::new(),
-            energy_j: 0.0,
-            queue_peak: 0,
+            server: Server::new(ndev, cohorts[cohort].rungs.len()),
+            policy: InstancePolicy {
+                cohort: &cohorts[cohort],
+                cfg,
+                retry: &retry,
+                factors,
+                faults: fault_for(&info),
+                adapter: new_adapter(),
+                gpu_ord: 0,
+                quantizer: DriftKeyQuantizer::default(),
+                plan_lru: Vec::new(),
+                stats: InstanceSummary {
+                    instance: i,
+                    cohort,
+                    ..InstanceSummary::default()
+                },
+            },
         });
     }
 
@@ -870,327 +962,84 @@ pub fn run_fleet_with_faults(
         q.push(inst.arrivals[0], (i, 0));
     }
     while let Some((t, (i, frame))) = q.pop() {
+        let inst = &mut insts[i];
         if frame + 1 < cfg.frames {
-            let next_at = insts[i].arrivals[frame + 1];
-            q.push(next_at, (i, frame + 1));
+            q.push(inst.arrivals[frame + 1], (i, frame + 1));
         }
-        let cohort = insts[i].cohort;
-        dispatch_frame(&mut insts[i], &cohorts[cohort], cfg, deadline, &policy, t);
+        inst.policy.notice_losses(t);
+        let record = inst.server.offer(
+            frame,
+            t,
+            cfg.queue_capacity,
+            deadline,
+            &inst.policy.cohort.rungs,
+            &mut inst.policy,
+        );
+        if matches!(record.fate, FrameFate::Executed { .. }) && record.finish > t + deadline {
+            inst.policy.stats.missed += 1;
+        }
+        inst.policy.adapter.finish_frame();
     }
 
     // Aggregation, instance order (deterministic f64 fold order).
-    let mut cohort_instances = vec![0u64; cohorts.len()];
-    let mut rung_occupancy: BTreeMap<String, u64> = BTreeMap::new();
-    let mut latencies: Vec<SimSpan> = Vec::new();
-    let mut weight_ptrs: BTreeSet<usize> = BTreeSet::new();
-    let mut per_instance = Vec::with_capacity(insts.len());
-    let mut totals = FleetReport {
+    let mut report = FleetReport {
         net: net.name.clone(),
         scenario: scenario_label.to_string(),
         fleet_size: cfg.devices,
         frames_per_device: cfg.frames,
         seed: cfg.seed,
-        cohort_instances: Vec::new(),
+        mean_interval: mean,
+        deadline,
+        cohort_instances: vec![0; cohorts.len()],
         cohort_socs: cohorts.iter().map(|c| c.soc.clone()).collect(),
-        offered: 0,
-        completed: 0,
-        degraded: 0,
-        shed: 0,
-        rejected: 0,
-        retries: 0,
-        fallbacks: 0,
-        throttled: 0,
-        missed: 0,
-        gpu_lost_devices: 0,
         plan_cache_enabled: cfg.plan_cache,
-        plan_hits: 0,
-        plan_misses: 0,
-        planning: SimSpan::ZERO,
-        rung_occupancy: BTreeMap::new(),
-        latencies: Vec::new(),
         queue_capacity: cfg.queue_capacity,
-        queue_peak: 0,
-        energy_j: 0.0,
         weight_bytes: net.weight_bytes(),
-        weight_copies: 0,
         naive_weight_bytes: net.weight_bytes() * cfg.devices as u64,
-        per_instance: Vec::new(),
+        per_instance: Vec::with_capacity(insts.len()),
+        ..FleetReport::default()
     };
-    for (i, inst) in insts.iter().enumerate() {
-        let cohort = &cohorts[inst.cohort];
-        cohort_instances[inst.cohort] += 1;
-        weight_ptrs.insert(Arc::as_ptr(&inst.weights) as usize);
-        for (r, count) in inst.rung_counts.iter().enumerate() {
-            *rung_occupancy
-                .entry(cohort.rungs[r].label.clone())
-                .or_insert(0) += count;
-        }
-        latencies.extend_from_slice(&inst.latencies);
-        totals.offered += inst.offered;
-        totals.completed += inst.completed;
-        totals.degraded += inst.degraded;
-        totals.shed += inst.shed;
-        totals.rejected += inst.rejected;
-        totals.retries += inst.retries;
-        totals.fallbacks += inst.fallbacks;
-        totals.throttled += inst.throttled;
-        totals.missed += inst.missed;
-        totals.plan_hits += inst.plan_hits;
-        totals.plan_misses += inst.plan_misses;
-        totals.planning += inst.planning;
-        totals.queue_peak = totals.queue_peak.max(inst.queue_peak);
-        totals.energy_j += inst.energy_j;
-        let gpu_lost = inst.adapter.is_lost(DeviceId(cohort.gpu));
-        totals.gpu_lost_devices += u64::from(gpu_lost);
-        per_instance.push(InstanceSummary {
-            instance: i,
-            cohort: inst.cohort,
-            offered: inst.offered,
-            completed: inst.completed,
-            degraded: inst.degraded,
-            shed: inst.shed,
-            rejected: inst.rejected,
-            retries: inst.retries,
-            fallbacks: inst.fallbacks,
-            throttled: inst.throttled,
-            missed: inst.missed,
-            plan_hits: inst.plan_hits,
-            plan_misses: inst.plan_misses,
-            planning: inst.planning,
-            queue_peak: inst.queue_peak,
-            gpu_lost,
-            gpu_correction: inst.adapter.correction(DeviceId(cohort.gpu)),
-            energy_j: inst.energy_j,
-        });
-    }
-    latencies.sort();
-    totals.cohort_instances = cohort_instances;
-    totals.rung_occupancy = rung_occupancy;
-    totals.latencies = latencies;
-    totals.weight_copies = weight_ptrs.len();
-    totals.per_instance = per_instance;
-    Ok(totals)
-}
-
-/// One frame through one instance: bounded admission, first-fit rung
-/// selection on drift-corrected estimates, fault realization.
-fn dispatch_frame(
-    inst: &mut InstRun,
-    cohort: &FleetCohort,
-    cfg: &FleetConfig,
-    deadline: SimSpan,
-    policy: &RetryPolicy,
-    t: SimTime,
-) {
-    inst.offered += 1;
-    // Hard losses that have struck by now feed the adapter (the fleet's
-    // analogue of the watchdog noticing the device is gone).
-    for l in &inst.faults.losses {
-        if l.at <= t && !inst.adapter.is_lost(DeviceId(l.resource.0)) {
-            inst.adapter.mark_lost(DeviceId(l.resource.0));
-        }
-    }
-
-    inst.starts.retain(|&s| s > t);
-    let depth = inst.starts.len();
-    inst.queue_peak = inst.queue_peak.max(depth);
-    if depth >= cfg.queue_capacity {
-        inst.rejected += 1;
-        inst.shed += 1;
-        inst.adapter.finish_frame();
-        return;
-    }
-
-    // Plan the frame before it can dispatch: quantize the adapter's
-    // current corrections into a drift key and probe the instance's
-    // plan cache. Hit or miss, the modeled planner span pushes the
-    // dispatch-ready instant back — planning is served latency here,
-    // exactly as `OverheadClass::Planning` charges it in the engine.
-    let factors: Vec<(u64, f64)> = (0..inst.device_free.len())
-        .map(|d| {
-            (
-                d as u64,
-                inst.adapter.correction(DeviceId(d)).clamp(1e-3, 1e6),
-            )
-        })
-        .collect();
-    let key = inst.quantizer.snapshot_key(&factors);
-    let hit = cfg.plan_cache
-        && match inst.plan_lru.iter().position(|k| *k == key) {
-            Some(pos) => {
-                let k = inst.plan_lru.remove(pos);
-                inst.plan_lru.push(k);
-                true
-            }
-            None => {
-                inst.plan_lru.push(key);
-                if inst.plan_lru.len() > cfg.plan_cache_capacity {
-                    inst.plan_lru.remove(0);
-                }
-                false
-            }
+    let mut weight_ptrs: BTreeSet<usize> = BTreeSet::new();
+    for inst in insts {
+        let (tally, policy) = (inst.server.tally, inst.policy);
+        let gpu = DeviceId(policy.cohort.gpu);
+        let s = InstanceSummary {
+            offered: tally.offered,
+            completed: tally.completed,
+            degraded: tally.degraded,
+            shed: tally.shed,
+            rejected: tally.rejected,
+            queue_peak: tally.queue_peak,
+            gpu_lost: policy.adapter.is_lost(gpu),
+            gpu_correction: policy.adapter.correction(gpu),
+            ..policy.stats
         };
-    let plan_span = if hit {
-        inst.plan_hits += 1;
-        SimSpan::from_nanos(FLEET_PLAN_HIT_NS)
-    } else {
-        inst.plan_misses += 1;
-        SimSpan::from_nanos(
-            FLEET_PLAN_MISS_BASE_NS + FLEET_PLAN_MISS_LAYER_NS * cohort.layers as u64,
-        )
-    };
-    inst.planning += plan_span;
-
-    let ready = t.max(inst.prev_dispatch) + plan_span;
-    let deadline_at = t + deadline;
-    let mut chosen: Option<(usize, SimTime)> = None;
-    for (r, rung) in cohort.rungs.iter().enumerate() {
-        if rung
-            .devices
-            .iter()
-            .any(|&d| inst.adapter.is_lost(DeviceId(d)))
-        {
-            continue;
+        report.cohort_instances[s.cohort] += 1;
+        weight_ptrs.insert(Arc::as_ptr(&inst.weights) as usize);
+        for (rung, count) in policy.cohort.rungs.iter().zip(&tally.rung_counts) {
+            *report.rung_occupancy.entry(rung.label.clone()).or_insert(0) += count;
         }
-        let start = rung
-            .devices
-            .iter()
-            .fold(ready, |acc, &d| acc.max(inst.device_free[d]));
-        let est = rung.latency * (inst.slowdown(rung) * inst.correction(rung));
-        if start + est <= deadline_at {
-            chosen = Some((r, start));
-            break;
-        }
+        report.latencies.extend_from_slice(&tally.latencies);
+        report.offered += s.offered;
+        report.completed += s.completed;
+        report.degraded += s.degraded;
+        report.shed += s.shed;
+        report.rejected += s.rejected;
+        report.retries += s.retries;
+        report.fallbacks += s.fallbacks;
+        report.throttled += s.throttled;
+        report.missed += s.missed;
+        report.plan_hits += s.plan_hits;
+        report.plan_misses += s.plan_misses;
+        report.planning += s.planning;
+        report.queue_peak = report.queue_peak.max(s.queue_peak);
+        report.energy_j += s.energy_j;
+        report.gpu_lost_devices += u64::from(s.gpu_lost);
+        report.per_instance.push(s);
     }
-    let Some((r, start)) = chosen else {
-        // No rung fits (or every surviving rung's devices are lost).
-        inst.shed += 1;
-        inst.prev_dispatch = ready;
-        inst.starts.push(ready);
-        inst.queue_peak = inst.queue_peak.max(depth + usize::from(ready > t));
-        inst.adapter.finish_frame();
-        return;
-    };
-
-    let rung = &cohort.rungs[r];
-    // The perturbation-scaled nominal service — what the adapter treats
-    // as "predicted" when it compares against the realized span.
-    let base = rung.latency * inst.slowdown(rung);
-    let mut fault_slow = 1.0f64;
-    for &d in &rung.devices {
-        fault_slow = fault_slow.max(1.0 / inst.faults.speed_factor_at(ResourceId(d), start));
-    }
-    if fault_slow > 1.0 {
-        inst.throttled += 1;
-    }
-    let mut service = base * fault_slow;
-    let mut serve_rung = r;
-    let mut finish = start + service;
-
-    let mut fell_back = false;
-    if rung.devices.contains(&cohort.gpu) {
-        let ord = inst.gpu_ord;
-        inst.gpu_ord += 1;
-        if let Some(tf) = inst.faults.transient_for(ResourceId(cohort.gpu), ord) {
-            if tf.failures >= cfg.max_attempts {
-                // Persistent: the watchdog burns the whole retry budget
-                // on the faulted rung, then re-routes to the first rung
-                // that avoids the GPU (the CPU fallback path).
-                inst.retries += cfg.max_attempts.saturating_sub(1) as u64;
-                let mut burn = service * cfg.max_attempts as u64;
-                for a in 2..=cfg.max_attempts {
-                    burn += policy.backoff_before(a);
-                }
-                let detect = start + burn;
-                for &d in &rung.devices {
-                    inst.device_free[d] = detect;
-                }
-                inst.energy_j += rung.energy_j * span_ratio(burn, rung.latency);
-                for &d in &rung.devices {
-                    inst.adapter.observe(DeviceId(d), base, burn);
-                }
-                let fb = cohort.rungs.iter().position(|fr| {
-                    !fr.devices.contains(&cohort.gpu)
-                        && !fr
-                            .devices
-                            .iter()
-                            .any(|&d| inst.adapter.is_lost(DeviceId(d)))
-                });
-                match fb {
-                    Some(fbr) => {
-                        let fb_rung = &cohort.rungs[fbr];
-                        let fb_start = fb_rung
-                            .devices
-                            .iter()
-                            .fold(detect, |acc, &d| acc.max(inst.device_free[d]));
-                        let fb_base = fb_rung.latency * inst.slowdown(fb_rung);
-                        let mut fb_slow = 1.0f64;
-                        for &d in &fb_rung.devices {
-                            fb_slow = fb_slow
-                                .max(1.0 / inst.faults.speed_factor_at(ResourceId(d), fb_start));
-                        }
-                        let fb_service = fb_base * fb_slow;
-                        finish = fb_start + fb_service;
-                        for &d in &fb_rung.devices {
-                            inst.device_free[d] = finish;
-                        }
-                        inst.energy_j += fb_rung.energy_j * span_ratio(fb_service, fb_rung.latency);
-                        for &d in &fb_rung.devices {
-                            inst.adapter.observe(DeviceId(d), fb_base, fb_service);
-                        }
-                        inst.fallbacks += 1;
-                        serve_rung = fbr;
-                        fell_back = true;
-                    }
-                    None => {
-                        // No GPU-free rung survives: the frame is lost.
-                        inst.shed += 1;
-                        inst.prev_dispatch = start;
-                        inst.starts.push(start);
-                        inst.queue_peak = inst.queue_peak.max(depth + usize::from(start > t));
-                        inst.adapter.finish_frame();
-                        return;
-                    }
-                }
-            } else {
-                // Recoverable: each failed attempt costs a full service
-                // span plus its backoff before the retry succeeds.
-                inst.retries += tf.failures as u64;
-                let mut extra = SimSpan::ZERO;
-                for a in 0..tf.failures {
-                    extra += service + policy.backoff_before(a + 2);
-                }
-                service += extra;
-                finish = start + service;
-            }
-        }
-    }
-
-    if !fell_back {
-        for &d in &rung.devices {
-            inst.device_free[d] = finish;
-        }
-        inst.energy_j += rung.energy_j * span_ratio(service, rung.latency);
-        for &d in &rung.devices {
-            inst.adapter.observe(DeviceId(d), base, service);
-        }
-    }
-
-    debug_assert!(start >= t && finish >= start, "fleet dispatch causality");
-    inst.prev_dispatch = start;
-    inst.starts.push(start);
-    inst.queue_peak = inst.queue_peak.max(depth + usize::from(start > t));
-    if serve_rung == 0 {
-        inst.completed += 1;
-    } else {
-        inst.degraded += 1;
-    }
-    inst.rung_counts[serve_rung] += 1;
-    inst.latencies.push(finish.since(t));
-    if finish > deadline_at {
-        inst.missed += 1;
-    }
-    inst.adapter.finish_frame();
+    report.latencies.sort();
+    report.weight_copies = weight_ptrs.len();
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1397,6 +1246,24 @@ mod tests {
             assert!(run_fleet(&net, &cohorts, None, &cfg, &unit_adapter).is_err());
         }
         assert!(run_fleet(&net, &[], None, &FleetConfig::default(), &unit_adapter).is_err());
+    }
+
+    #[test]
+    fn a_spec_without_a_gpu_is_a_typed_error() {
+        // The MCU mesh has CPU clusters only, so there is no storm
+        // target: an error, not a panic in `SocSpec::gpu()`.
+        let spec = SocSpec::mcu_mesh(4);
+        let graph = unn::ModelId::LeNet.build_miniature();
+        let ladder = vec![LadderRung {
+            label: "host".into(),
+            plan: single_processor_plan(&graph, &spec, spec.cpu(), DType::QUInt8).expect("plan"),
+            predicted: SimSpan::from_millis(1),
+        }];
+        let err = FleetCohort::build(&spec, &graph, &ladder).unwrap_err();
+        assert!(
+            matches!(err, RunError::MalformedPlan(ref m) if m.contains("no GPU")),
+            "{err:?}"
+        );
     }
 
     #[test]

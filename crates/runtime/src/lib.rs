@@ -19,13 +19,16 @@
 //!   nanosecond of every resource classified as compute, issue, sync,
 //!   map, unmap, merge, arrival, fallback, or idle) and Chrome
 //!   trace-event export, with fault windows as overlay tracks.
-//! - [`serve`] — the overload-robust serving frontend: bounded
-//!   admission with explicit backpressure, a deadline-aware degradation
-//!   ladder over pre-computed plans, and exact shed-frame accounting.
-//! - [`mesh`] — partition-tolerant serving for networked multi-device
-//!   specs: rung eligibility gated on link reachability, service times
-//!   stretched by link throttles, and partition bookkeeping on top of
-//!   the exact serving accounting.
+//! - [`serving`] — the serving core: the one per-instance step (bounded
+//!   admission with explicit backpressure, FIFO dispatch, first-fit rung
+//!   of a deadline-aware degradation ladder, exact frame accounting)
+//!   that a stream, a mesh and every fleet instance run, each with its
+//!   own statically dispatched policy.
+//! - [`serve`] — one arrival stream on one SoC or one networked mesh:
+//!   rung eligibility gated on link reachability, service times
+//!   stretched by link throttles, partition bookkeeping.
+//! - [`fleet`] — thousands of perturbed, fault-stormed instances behind
+//!   one discrete-event core, with a modelled plan cache per instance.
 //! - [`metrics`] — the counters/gauges registry every executor fills.
 //!
 //! # Examples
@@ -47,12 +50,12 @@ pub mod baselines;
 pub mod engine;
 pub mod fleet;
 pub mod functional;
-pub mod mesh;
 pub mod metrics;
 pub mod observe;
 pub mod pipeline;
 pub mod plan;
 pub mod serve;
+pub mod serving;
 
 pub use backend::{ExecBackend, SimulatedBackend};
 pub use baselines::{
@@ -65,13 +68,12 @@ pub use engine::{
 };
 pub use fleet::{
     run_fleet, run_fleet_with_faults, FleetCohort, FleetConfig, FleetInstanceInfo, FleetNetwork,
-    FleetReport, FleetRung, InstanceAdapter, InstanceSummary, UnitAdapter,
+    FleetReport, InstanceAdapter, InstanceSummary, UnitAdapter,
 };
 pub use functional::{
     eval_part_task, evaluate_plan, evaluate_plan_with_backend, evaluate_plan_with_recovery,
     split_axis, PartTask, SplitAxis,
 };
-pub use mesh::{serve_mesh, MeshReport};
 pub use metrics::{MetricsRegistry, SharedMetrics};
 pub use observe::{
     attribute, chrome_trace_json, chrome_trace_json_with_faults, Attribution, OverheadClass,
@@ -79,6 +81,5 @@ pub use observe::{
 };
 pub use pipeline::{execute_pipeline, execute_pipeline_with_faults, PipelineResult};
 pub use plan::{ExecutionPlan, NodePlacement};
-pub use serve::{
-    nearest_rank, serve_stream, FrameFate, FrameRecord, LadderRung, ServeConfig, ServeReport,
-};
+pub use serve::{serve_stream, ServeConfig, ServeReport};
+pub use serving::{FrameFate, FrameRecord, LadderRung, RealizedRung};

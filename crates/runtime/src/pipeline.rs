@@ -292,10 +292,12 @@ pub fn execute_pipeline_with_faults(
     if resilient {
         fill_fault_metrics(&mut metrics, &report);
         metrics.inc("frames.degraded", frames_degraded);
-        if let Some(dl) = deadline {
-            let missed = latencies.iter().filter(|&&l| l > dl).count();
-            metrics.inc("deadline.missed", missed as u64);
-        }
+    }
+    // A deadline can be missed with no fault at all (an overloaded
+    // stream), so the counter does not depend on the fault plan.
+    if let Some(dl) = deadline {
+        let missed = latencies.iter().filter(|&&l| l > dl).count();
+        metrics.inc("deadline.missed", missed as u64);
     }
 
     Ok((
@@ -384,6 +386,34 @@ mod tests {
             pipe.latencies
         );
         assert!(pipe.max_latency() >= pipe.mean_latency());
+    }
+
+    #[test]
+    fn deadline_misses_are_counted_without_any_fault() {
+        // The counter is reported for every call that gives a deadline,
+        // whether or not the fault plan is empty.
+        let (spec, g, plan) = setup();
+        let (pipe, report) = execute_pipeline_with_faults(
+            &spec,
+            &g,
+            &plan,
+            6,
+            SimSpan::ZERO,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
+            None,
+            Some(SimSpan::from_nanos(1)),
+        )
+        .expect("pipe");
+        assert_eq!(pipe.metrics.counter("deadline.missed"), 6);
+        assert_eq!(pipe.missed(SimSpan::from_nanos(1)), 6);
+        // Fault-only counters stay fault-only.
+        assert_eq!(pipe.metrics.counter("frames.degraded"), 0);
+        assert_eq!(report.injected, 0);
+        // Without a deadline the empty plan is still `execute_pipeline`.
+        let plain = execute_pipeline(&spec, &g, &plan, 6, SimSpan::ZERO).expect("plain");
+        assert_eq!(plain.latencies, pipe.latencies);
+        assert_eq!(plain.metrics.counter("deadline.missed"), 0);
     }
 
     #[test]

@@ -1,61 +1,56 @@
-//! Overload-robust serving: bounded admission and a deadline-aware
-//! degradation ladder over the plan-execution engine.
+//! Overload-robust, partition-tolerant serving of one arrival stream:
+//! the [`crate::serving`] step over one SoC or one networked mesh.
 //!
 //! [`crate::execute_pipeline`] models a camera at a fixed interval with
 //! an *unbounded* backlog: past saturation, latency grows without bound
-//! and every frame still runs the full cooperative plan. This module is
-//! the serving frontend the ROADMAP's "heavy traffic" goal needs:
+//! and every frame still runs the full cooperative plan. [`serve_stream`]
+//! is the serving frontend the ROADMAP's "heavy traffic" goal needs — a
+//! bounded admission queue, a deadline-aware degradation ladder and
+//! exact frame accounting, all of it the shared serving step — with
+//! *link state* as this entry's policy:
 //!
-//! - **Bounded admission queue.** A frame arriving when `queue_capacity`
-//!   admitted frames are still waiting is *rejected* at the door
-//!   (explicit backpressure) instead of silently queueing forever.
-//! - **Degradation ladder.** Each admitted frame is dispatched against
-//!   an ordered list of pre-computed [`LadderRung`]s — full cooperative
-//!   plan first, cheaper coarse-grained plans next, single-processor
-//!   plans last. Per frame the highest-fidelity rung whose predicted
-//!   completion meets the frame's deadline wins; if none fits, the
-//!   frame is *shed*. Cheaper rungs occupy fewer devices, so under
-//!   pressure consecutive frames overlap on disjoint processors — the
-//!   ladder trades per-frame fidelity/latency for throughput.
-//! - **Exact accounting.** Every offered frame ends in exactly one of
-//!   completed (rung 0), degraded (rung > 0), or shed (rejected at
-//!   admission or dropped at dispatch): `offered = completed +
-//!   degraded + shed` is an invariant
-//!   [`ServeReport::check_invariants`] enforces, along with the queue
-//!   bound itself.
+//! - **Reachability-gated rungs.** At each frame's arrival the down
+//!   links are read from the [`FaultPlan`] ([`FaultPlan::is_down_at`]
+//!   over the link resources at `ResourceId(ndev + link_index)`, the
+//!   engine's convention: lost by then, or throttled below
+//!   [`FaultPlan::DOWN_FACTOR`]), and only rungs whose whole device
+//!   footprint is reachable from the host over surviving links are
+//!   eligible. The ladder built by the core crate carries one rung per
+//!   surviving connected subset, so a partitioned mesh degrades to the
+//!   rung matching its surviving component instead of shedding.
+//! - **Throttle-aware service times.** A throttled (but up) link
+//!   stretches the service time of every eligible rung routed over it
+//!   by the worst link speed factor along its routes.
+//! - **A single SoC is the mesh with no links**: every device is
+//!   reachable, no factor applies, and a rung costs what executing its
+//!   plan once cost. Such a spec passes [`FaultPlan::none`].
 //! - **Recovery.** Rung selection is re-evaluated from slack every
-//!   frame, so when the backlog drains the stream climbs back to the
-//!   full cooperative plan on its own.
+//!   frame, so when the backlog drains (or a flapping link comes back)
+//!   the stream climbs back to the full plan on its own.
 //!
-//! Timing uses the same discrete simulation as everything else: each
-//! rung's plan is executed once by [`crate::execute_plan`] (the engine
-//! is deterministic, so one execution is the rung's service time), and
-//! the serving loop plays arrivals against per-device availability.
-
-use std::collections::BTreeSet;
+//! Link state is sampled at the frame's *arrival*: it feeds the
+//! estimate, which is made for the frame as it comes in. A fleet
+//! instance samples device throttles at the dispatch *start*
+//! ([`crate::fleet`]): they feed the realization, what the silicon did
+//! once it began. `tests/serving_pins.rs` pins both rules.
+//!
+//! Retry/timeout behaviour of individual transfers is *engine-level*:
+//! transfer tasks scheduled by [`crate::execute_plan_with_faults`] are
+//! retried by the same watchdog and [`simcore::RetryPolicy`] as kernel
+//! tasks, so link drops and device hiccups share one backoff bound.
 
 use simcore::chrome::export_with_overlays;
-use simcore::{OverlayEvent, SimSpan, SimTime, Trace, TraceArg};
+use simcore::stats::nearest_rank;
+use simcore::{FaultPlan, OverlayEvent, ResourceId, SimSpan, SimTime, Trace, TraceArg};
 use unn::Graph;
-use usoc::SocSpec;
+use usoc::{DeviceId, SocSpec};
 
-use crate::engine::{execute_plan, RunError, RunResult, TaskMeta};
+use crate::engine::{RunError, TaskMeta};
 use crate::metrics::MetricsRegistry;
-use crate::plan::ExecutionPlan;
-
-/// One rung of the degradation ladder: a pre-computed plan plus the
-/// planner's predicted latency (what admission control reasons with —
-/// the realized latency comes from executing the plan).
-#[derive(Clone, Debug)]
-pub struct LadderRung {
-    /// Short rung label (`"full"`, `"coarse"`, `"single-gpu"`, ...).
-    pub label: String,
-    /// The executable plan for this rung.
-    pub plan: ExecutionPlan,
-    /// Predicted serial latency of the plan (drift-corrected when the
-    /// ladder was built with a `DriftAdapter`).
-    pub predicted: SimSpan,
-}
+use crate::serving::{
+    audit_partition, realize_ladder, FrameFate, FrameRecord, LadderRung, Realized, RealizedRung,
+    ServePolicy, Server,
+};
 
 /// Serving-loop configuration.
 #[derive(Clone, Copy, Debug)]
@@ -65,38 +60,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Per-frame deadline, measured from the frame's arrival.
     pub deadline: SimSpan,
-}
-
-/// What became of one offered frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrameFate {
-    /// Executed on ladder rung `rung` (0 = full fidelity).
-    Executed {
-        /// Index into the ladder.
-        rung: usize,
-    },
-    /// Rejected at admission: the bounded queue was full.
-    Rejected,
-    /// Admitted, but at dispatch no rung could meet the deadline.
-    Shed,
-}
-
-/// One frame's serving record.
-#[derive(Clone, Copy, Debug)]
-pub struct FrameRecord {
-    /// Frame index in arrival order.
-    pub frame: usize,
-    /// Arrival instant.
-    pub arrival: SimTime,
-    /// Dispatch instant (service start); for rejected/shed frames, the
-    /// instant the frame left the system.
-    pub start: SimTime,
-    /// Completion instant (equals `start` for rejected/shed frames).
-    pub finish: SimTime,
-    /// Waiting frames observed at this frame's arrival (pre-admission).
-    pub depth_at_arrival: usize,
-    /// The outcome.
-    pub fate: FrameFate,
 }
 
 /// The outcome of [`serve_stream`].
@@ -126,13 +89,20 @@ pub struct ServeReport {
     pub queue_peak: usize,
     /// Arrival→finish latencies of executed frames, sorted ascending.
     pub latencies: Vec<SimSpan>,
-    /// Counters and gauges (`frames.*`, `queue.*`, `serve.*`).
+    /// Number of network links in the spec (0 on a single SoC).
+    pub links: usize,
+    /// Per frame, in arrival order: how many links were down at its
+    /// arrival.
+    pub down_links_at_arrival: Vec<usize>,
+    /// Frames that arrived while at least one link was down.
+    pub frames_during_partition: u64,
+    /// Frames executed on a degraded rung (rung > 0) while at least one
+    /// link was down.
+    pub partition_degraded: u64,
+    /// Counters and gauges (`frames.*`, `queue.*`, `serve.*`, and on a
+    /// spec with links `mesh.*`).
     pub metrics: MetricsRegistry,
 }
-
-/// Nearest-rank percentile (shared rollup logic lives in
-/// [`simcore::stats`]; re-exported here for the existing callers).
-pub use simcore::stats::nearest_rank;
 
 impl ServeReport {
     /// Nearest-rank percentile of executed-frame latency (`q` in 0..=1);
@@ -142,45 +112,26 @@ impl ServeReport {
     }
 
     /// Checks the serving invariants, returning the first violation:
-    ///
-    /// 1. the waiting room never exceeded its bound;
-    /// 2. offered frames partition exactly into completed/degraded/shed
-    ///    (nothing lost, nothing double-counted);
-    /// 3. per-rung counts sum to the executed total, and the latency
-    ///    list covers exactly the executed frames;
-    /// 4. per-frame times are causal (`arrival <= start <= finish`).
+    /// the frame-partition audit every serving report shares (queue
+    /// bound, exact completed / degraded / shed partition, per-rung
+    /// counts and latency samples covering exactly the executed
+    /// frames), causal per-frame times (`arrival <= start <= finish`),
+    /// and the partition bookkeeping — a down-link record per offered
+    /// frame, partition-degraded frames a subset of both the degraded
+    /// and the during-partition populations.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.queue_peak > self.queue_capacity {
-            return Err(format!(
-                "queue depth {} exceeded its bound {}",
-                self.queue_peak, self.queue_capacity
-            ));
-        }
-        if self.completed + self.degraded + self.shed != self.offered {
-            return Err(format!(
-                "frame accounting leaks: completed {} + degraded {} + shed {} != offered {}",
-                self.completed, self.degraded, self.shed, self.offered
-            ));
-        }
-        if self.rejected > self.shed {
-            return Err(format!(
-                "rejected {} exceeds shed {}",
-                self.rejected, self.shed
-            ));
-        }
-        let executed: u64 = self.rung_counts.iter().sum();
-        if executed != self.completed + self.degraded {
-            return Err(format!(
-                "rung counts sum to {executed}, but {} frames executed",
-                self.completed + self.degraded
-            ));
-        }
-        if self.latencies.len() as u64 != executed {
-            return Err(format!(
-                "{} latencies recorded for {executed} executed frames",
-                self.latencies.len()
-            ));
-        }
+        audit_partition(
+            "",
+            [
+                self.offered,
+                self.completed,
+                self.degraded,
+                self.shed,
+                self.rejected,
+            ],
+            (self.queue_peak, self.queue_capacity),
+            Some((self.rung_counts.iter().sum(), self.latencies.len())),
+        )?;
         for r in &self.frames {
             if r.start < r.arrival || r.finish < r.start {
                 return Err(format!(
@@ -188,6 +139,25 @@ impl ServeReport {
                     r.frame, r.arrival, r.start, r.finish
                 ));
             }
+        }
+        if self.down_links_at_arrival.len() as u64 != self.offered {
+            return Err(format!(
+                "down-link records cover {} frames of {} offered",
+                self.down_links_at_arrival.len(),
+                self.offered
+            ));
+        }
+        if self.partition_degraded > self.frames_during_partition {
+            return Err(format!(
+                "partition-degraded {} exceeds frames during partition {}",
+                self.partition_degraded, self.frames_during_partition
+            ));
+        }
+        if self.partition_degraded > self.degraded {
+            return Err(format!(
+                "partition-degraded {} exceeds degraded {}",
+                self.partition_degraded, self.degraded
+            ));
         }
         Ok(())
     }
@@ -254,172 +224,161 @@ impl ServeReport {
     }
 }
 
-/// Serves `arrivals` through the degradation `ladder` on `spec`.
+/// The stream policy: rung eligibility and service stretch from link
+/// state at the frame's arrival; a dispatch costs what was estimated;
+/// planning is charged by the caller's planner session, not here.
+struct LinkPolicy<'a> {
+    spec: &'a SocSpec,
+    faults: &'a FaultPlan,
+    host: DeviceId,
+    /// Links down at the arrival last sampled.
+    down: Vec<usize>,
+    energy_j: f64,
+}
+
+impl LinkPolicy<'_> {
+    fn link(&self, j: usize) -> ResourceId {
+        ResourceId(self.spec.devices.len() + j)
+    }
+
+    /// Reads which links are down for a frame arriving at `arrival`.
+    fn sample_links(&mut self, arrival: SimTime) {
+        self.down = (0..self.spec.links.len())
+            .filter(|&j| self.faults.is_down_at(self.link(j), arrival))
+            .collect();
+    }
+}
+
+impl ServePolicy for LinkPolicy<'_> {
+    #[inline]
+    fn planning(&mut self) -> SimSpan {
+        SimSpan::ZERO
+    }
+
+    /// Every device the rung touches must be reachable over the
+    /// surviving links, and the rung pays the worst throttle on its
+    /// routes.
+    #[inline]
+    fn estimate(&mut self, rung: &RealizedRung, arrival: SimTime) -> Option<SimSpan> {
+        let mut factor = 1.0f64;
+        for &d in &rung.devices {
+            let route = self
+                .spec
+                .route_avoiding(self.host, DeviceId(d), &self.down)?;
+            for j in route {
+                factor = factor.min(self.faults.speed_factor_at(self.link(j), arrival));
+            }
+        }
+        Some(rung.latency * (1.0 / factor.max(1e-3)))
+    }
+
+    #[inline]
+    fn realize(
+        &mut self,
+        rungs: &[RealizedRung],
+        r: usize,
+        start: SimTime,
+        estimate: SimSpan,
+        device_free: &mut [SimTime],
+    ) -> Realized {
+        let finish = start + estimate;
+        for &d in &rungs[r].devices {
+            device_free[d] = finish;
+        }
+        self.energy_j += rungs[r].energy_j;
+        Realized::Served { rung: r, finish }
+    }
+}
+
+/// Serves `arrivals` through the degradation `ladder` on `spec` under
+/// the link faults of `faults` ([`FaultPlan::none`] for a single SoC or
+/// a healthy mesh).
 ///
-/// The model is FIFO with per-device channels: each rung's service time
-/// and device footprint come from executing its plan once (the engine is
-/// deterministic); a frame dispatches no earlier than its arrival, the
-/// previous frame's dispatch (FIFO), and the availability of every
-/// device its chosen rung touches. Rung choice is first-fit by fidelity:
-/// the first rung whose projected completion meets `arrival + deadline`.
-/// Frames meeting no rung are shed; frames arriving at a full waiting
-/// room are rejected. Because cheaper rungs touch fewer devices, a
-/// backlogged cooperative stream degrades into frames running
-/// *concurrently* on disjoint processors, which is what drains the queue.
+/// Each rung's fault-free service time and device footprint come from
+/// executing its plan once; every frame then takes the shared serving
+/// step ([`Server::offer`]) with link state as its policy (module
+/// docs). Frames meeting no reachable rung are shed; frames arriving at
+/// a full waiting room are rejected.
 ///
-/// Errors if the ladder is empty, the arrivals are not sorted, or any
-/// rung's plan fails to execute.
+/// Errors if the ladder is empty, the queue capacity is zero, the
+/// arrivals are not sorted, or any rung's plan fails to execute.
 pub fn serve_stream(
     spec: &SocSpec,
     graph: &Graph,
     ladder: &[LadderRung],
     arrivals: &[SimTime],
     cfg: &ServeConfig,
+    faults: &FaultPlan,
 ) -> Result<ServeReport, RunError> {
+    let malformed = |what: &str| Err(RunError::MalformedPlan(format!("serve: {what}")));
     if ladder.is_empty() {
-        return Err(RunError::MalformedPlan(
-            "serve: degradation ladder is empty".into(),
-        ));
+        return malformed("degradation ladder is empty");
     }
     if cfg.queue_capacity == 0 {
-        return Err(RunError::MalformedPlan(
-            "serve: queue capacity must be >= 1".into(),
-        ));
+        return malformed("queue capacity must be >= 1");
     }
     if arrivals.windows(2).any(|w| w[1] < w[0]) {
-        return Err(RunError::MalformedPlan(
-            "serve: arrivals must be sorted".into(),
-        ));
+        return malformed("arrivals must be sorted");
     }
 
-    // Execute each rung once: realized service latency + device footprint.
-    let mut rung_latency = Vec::with_capacity(ladder.len());
-    let mut rung_devices: Vec<BTreeSet<usize>> = Vec::with_capacity(ladder.len());
-    let mut rung_energy_j = Vec::with_capacity(ladder.len());
-    for rung in ladder {
-        let result: RunResult = execute_plan(spec, graph, &rung.plan)?;
-        rung_latency.push(result.latency);
-        rung_energy_j.push(result.energy.total_j());
-        rung_devices.push(
-            rung.plan
-                .placements
-                .iter()
-                .flat_map(|p| p.devices())
-                .map(|d| d.0)
-                .collect(),
-        );
-    }
-
-    let ndev = spec.devices.len();
-    let mut device_free = vec![SimTime::ZERO; ndev];
-    let mut prev_dispatch = SimTime::ZERO; // FIFO: no frame starts before its predecessor.
-    let mut frames: Vec<FrameRecord> = Vec::with_capacity(arrivals.len());
-    let mut rung_counts = vec![0u64; ladder.len()];
-    let mut queue_peak = 0usize;
-    let mut rejected = 0u64;
-    let mut dropped = 0u64;
-    let mut latencies: Vec<SimSpan> = Vec::new();
-    let mut energy_j = 0.0f64;
-
+    let rungs = realize_ladder(spec, graph, ladder)?;
+    let mut policy = LinkPolicy {
+        spec,
+        faults,
+        host: spec.cpu(),
+        down: Vec::new(),
+        energy_j: 0.0,
+    };
+    let mut server = Server::new(spec.devices.len(), rungs.len());
+    let mut frames = Vec::with_capacity(arrivals.len());
+    let mut down_links_at_arrival = Vec::with_capacity(arrivals.len());
+    let mut frames_during_partition = 0u64;
+    let mut partition_degraded = 0u64;
     for (k, &arrival) in arrivals.iter().enumerate() {
-        // Waiting room: admitted frames that have not yet dispatched.
-        let depth = frames
-            .iter()
-            .filter(|r| r.fate != FrameFate::Rejected && r.start > arrival)
-            .count();
-        if depth >= cfg.queue_capacity {
-            rejected += 1;
-            frames.push(FrameRecord {
-                frame: k,
-                arrival,
-                start: arrival,
-                finish: arrival,
-                depth_at_arrival: depth,
-                fate: FrameFate::Rejected,
-            });
-            continue;
+        policy.sample_links(arrival);
+        let partitioned = !policy.down.is_empty();
+        down_links_at_arrival.push(policy.down.len());
+        frames_during_partition += u64::from(partitioned);
+        let record = server.offer(
+            k,
+            arrival,
+            cfg.queue_capacity,
+            cfg.deadline,
+            &rungs,
+            &mut policy,
+        );
+        if partitioned && matches!(record.fate, FrameFate::Executed { rung } if rung > 0) {
+            partition_degraded += 1;
         }
-
-        let ready = arrival.max(prev_dispatch);
-        let deadline_at = arrival + cfg.deadline;
-        let mut chosen: Option<(usize, SimTime)> = None;
-        for (r, _) in ladder.iter().enumerate() {
-            let start = rung_devices[r]
-                .iter()
-                .fold(ready, |acc, &d| acc.max(device_free[d]));
-            if start + rung_latency[r] <= deadline_at {
-                chosen = Some((r, start));
-                break;
-            }
-        }
-        match chosen {
-            Some((r, start)) => {
-                let finish = start + rung_latency[r];
-                for &d in &rung_devices[r] {
-                    device_free[d] = finish;
-                }
-                prev_dispatch = start;
-                rung_counts[r] += 1;
-                latencies.push(finish.since(arrival));
-                energy_j += rung_energy_j[r];
-                // This frame occupied the waiting room from arrival to
-                // start; it was present at its own arrival if it waited.
-                let waited = usize::from(start > arrival);
-                queue_peak = queue_peak.max(depth + waited);
-                frames.push(FrameRecord {
-                    frame: k,
-                    arrival,
-                    start,
-                    finish,
-                    depth_at_arrival: depth,
-                    fate: FrameFate::Executed { rung: r },
-                });
-            }
-            None => {
-                // No rung can meet the deadline: drop now (zero service
-                // time), releasing the waiting room immediately.
-                dropped += 1;
-                prev_dispatch = ready;
-                let waited = usize::from(ready > arrival);
-                queue_peak = queue_peak.max(depth + waited);
-                frames.push(FrameRecord {
-                    frame: k,
-                    arrival,
-                    start: ready,
-                    finish: ready,
-                    depth_at_arrival: depth,
-                    fate: FrameFate::Shed,
-                });
-            }
-        }
+        frames.push(record);
     }
 
-    latencies.sort();
-    let offered = frames.len() as u64;
-    let completed = rung_counts.first().copied().unwrap_or(0);
-    let degraded: u64 = rung_counts.iter().skip(1).sum();
-    let shed = rejected + dropped;
-
+    let mut tally = server.tally;
+    tally.latencies.sort();
     let mut report = ServeReport {
         frames,
-        rung_labels: ladder.iter().map(|r| r.label.clone()).collect(),
-        rung_latency,
-        rung_counts,
-        offered,
-        completed,
-        degraded,
-        shed,
-        rejected,
+        rung_labels: rungs.iter().map(|r| r.label.clone()).collect(),
+        rung_latency: rungs.iter().map(|r| r.latency).collect(),
+        rung_counts: tally.rung_counts,
+        offered: tally.offered,
+        completed: tally.completed,
+        degraded: tally.degraded,
+        shed: tally.shed,
+        rejected: tally.rejected,
         queue_capacity: cfg.queue_capacity,
-        queue_peak,
-        latencies,
+        queue_peak: tally.queue_peak,
+        latencies: tally.latencies,
+        links: spec.links.len(),
+        down_links_at_arrival,
+        frames_during_partition,
+        partition_degraded,
         metrics: MetricsRegistry::new(),
     };
-    fill_serve_metrics(&mut report, ladder, energy_j);
+    report.metrics = serve_metrics(&report, policy.energy_j);
     Ok(report)
 }
 
-pub(crate) fn fill_serve_metrics(report: &mut ServeReport, ladder: &[LadderRung], energy_j: f64) {
+fn serve_metrics(report: &ServeReport, energy_j: f64) -> MetricsRegistry {
     let mut m = MetricsRegistry::new();
     m.inc("frames.offered", report.offered);
     m.inc("frames.completed", report.completed);
@@ -428,8 +387,8 @@ pub(crate) fn fill_serve_metrics(report: &mut ServeReport, ladder: &[LadderRung]
     m.inc("queue.rejected", report.rejected);
     m.counter_max("queue.peak_depth", report.queue_peak as u64);
     m.counter_max("queue.capacity", report.queue_capacity as u64);
-    for (rung, count) in ladder.iter().zip(&report.rung_counts) {
-        m.inc(&format!("serve.rung.{}", rung.label), *count);
+    for (label, count) in report.rung_labels.iter().zip(&report.rung_counts) {
+        m.inc(&format!("serve.rung.{label}"), *count);
     }
     // Latency gauges are only meaningful when something completed; an
     // all-shed stream deliberately leaves them unset rather than
@@ -449,27 +408,14 @@ pub(crate) fn fill_serve_metrics(report: &mut ServeReport, ladder: &[LadderRung]
             );
         }
     }
-    report.metrics = m;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serve_percentiles_delegate_to_the_shared_rollup() {
-        // The quantile math itself is tested in `simcore::stats`; this
-        // pins the delegation (and the all-shed `None` contract).
-        let latencies: Vec<SimSpan> = [1u64, 2, 3, 5, 8]
-            .iter()
-            .map(|&v| SimSpan::from_millis(v))
-            .collect();
-        for (_, q) in simcore::stats::SLO_QUANTILES {
-            assert_eq!(
-                nearest_rank(&latencies, q),
-                simcore::stats::nearest_rank(&latencies, q)
-            );
-        }
-        assert_eq!(nearest_rank(&[], 0.5), None);
+    // A single SoC has no partition to report.
+    if report.links > 0 {
+        m.inc("mesh.links", report.links as u64);
+        m.inc(
+            "mesh.frames_during_partition",
+            report.frames_during_partition,
+        );
+        m.inc("mesh.partition_degraded", report.partition_degraded);
     }
+    m
 }

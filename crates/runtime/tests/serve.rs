@@ -2,7 +2,7 @@
 //! overload, deadline-driven degradation with recovery, exact frame
 //! accounting, shed paths, determinism, and the trace/metrics surface.
 
-use simcore::{validate_chrome_trace, ArrivalKind, ArrivalProcess, SimSpan, SimTime};
+use simcore::{validate_chrome_trace, ArrivalKind, ArrivalProcess, FaultPlan, SimSpan, SimTime};
 use unn::{Graph, ModelId};
 use uruntime::{
     execute_plan, serve_stream, single_processor_plan, ExecutionPlan, FrameFate, LadderRung,
@@ -89,7 +89,8 @@ fn underload_stays_on_the_full_rung() {
         queue_capacity: 4,
         deadline: full * 2u64,
     };
-    let report = serve_stream(&spec, &g, &ladder, &arrivals, &cfg).expect("serve");
+    let report =
+        serve_stream(&spec, &g, &ladder, &arrivals, &cfg, &FaultPlan::none()).expect("serve");
     report.check_invariants().expect("invariants");
     assert_eq!(report.offered, 24);
     assert_eq!(report.completed, 24, "{:?}", report.rung_counts);
@@ -116,7 +117,8 @@ fn sustained_overload_bounds_the_queue_and_accounts_every_frame() {
         queue_capacity: 4,
         deadline: full * 3u64,
     };
-    let report = serve_stream(&spec, &g, &ladder, &arrivals, &cfg).expect("serve");
+    let report =
+        serve_stream(&spec, &g, &ladder, &arrivals, &cfg, &FaultPlan::none()).expect("serve");
     report.check_invariants().expect("invariants");
     assert_eq!(report.offered, 200);
     assert!(
@@ -166,7 +168,8 @@ fn burst_degrades_then_recovers_to_full_fidelity() {
         queue_capacity: 6,
         deadline: full * 2u64,
     };
-    let report = serve_stream(&spec, &g, &ladder, &arrivals, &cfg).expect("serve");
+    let report =
+        serve_stream(&spec, &g, &ladder, &arrivals, &cfg, &FaultPlan::none()).expect("serve");
     report.check_invariants().expect("invariants");
     // The burst forces degradation (or shedding)...
     assert!(
@@ -195,7 +198,8 @@ fn impossible_deadline_sheds_every_admitted_frame() {
         queue_capacity: 8,
         deadline: SimSpan::from_nanos(1),
     };
-    let report = serve_stream(&spec, &g, &ladder, &arrivals, &cfg).expect("serve");
+    let report =
+        serve_stream(&spec, &g, &ladder, &arrivals, &cfg, &FaultPlan::none()).expect("serve");
     report.check_invariants().expect("invariants");
     assert_eq!(report.completed + report.degraded, 0);
     assert_eq!(report.shed, 16);
@@ -225,7 +229,7 @@ fn malformed_inputs_are_rejected() {
     };
     let arrivals = fixed_arrivals(4, SimSpan::from_millis(1));
 
-    let err = serve_stream(&spec, &g, &[], &arrivals, &cfg).unwrap_err();
+    let err = serve_stream(&spec, &g, &[], &arrivals, &cfg, &FaultPlan::none()).unwrap_err();
     assert!(
         matches!(err, RunError::MalformedPlan(ref m) if m.contains("ladder")),
         "{err:?}"
@@ -235,14 +239,14 @@ fn malformed_inputs_are_rejected() {
         queue_capacity: 0,
         ..cfg
     };
-    let err = serve_stream(&spec, &g, &ladder, &arrivals, &zero_q).unwrap_err();
+    let err = serve_stream(&spec, &g, &ladder, &arrivals, &zero_q, &FaultPlan::none()).unwrap_err();
     assert!(
         matches!(err, RunError::MalformedPlan(ref m) if m.contains("capacity")),
         "{err:?}"
     );
 
     let unsorted = vec![SimTime::from_nanos(10), SimTime::from_nanos(5)];
-    let err = serve_stream(&spec, &g, &ladder, &unsorted, &cfg).unwrap_err();
+    let err = serve_stream(&spec, &g, &ladder, &unsorted, &cfg, &FaultPlan::none()).unwrap_err();
     assert!(
         matches!(err, RunError::MalformedPlan(ref m) if m.contains("sorted")),
         "{err:?}"
@@ -261,8 +265,8 @@ fn serving_is_deterministic_per_arrival_schedule() {
         queue_capacity: 5,
         deadline: full * 3u64,
     };
-    let a = serve_stream(&spec, &g, &ladder, &arrivals, &cfg).expect("serve");
-    let b = serve_stream(&spec, &g, &ladder, &arrivals, &cfg).expect("serve");
+    let a = serve_stream(&spec, &g, &ladder, &arrivals, &cfg, &FaultPlan::none()).expect("serve");
+    let b = serve_stream(&spec, &g, &ladder, &arrivals, &cfg, &FaultPlan::none()).expect("serve");
     assert_eq!(a.rung_counts, b.rung_counts);
     assert_eq!(a.queue_peak, b.queue_peak);
     assert_eq!(a.latencies, b.latencies);
@@ -288,7 +292,8 @@ fn seeded_bursty_overload_is_fully_accounted() {
         queue_capacity: 6,
         deadline: full * 2u64,
     };
-    let report = serve_stream(&spec, &g, &ladder, &arrivals, &cfg).expect("serve");
+    let report =
+        serve_stream(&spec, &g, &ladder, &arrivals, &cfg, &FaultPlan::none()).expect("serve");
     report.check_invariants().expect("invariants");
     assert_eq!(report.offered, 128);
     assert_eq!(
@@ -324,7 +329,8 @@ fn chrome_trace_overlay_is_valid_and_carries_serve_tracks() {
         queue_capacity: 3,
         deadline: full * 2u64,
     };
-    let report = serve_stream(&spec, &g, &ladder, &arrivals, &cfg).expect("serve");
+    let report =
+        serve_stream(&spec, &g, &ladder, &arrivals, &cfg, &FaultPlan::none()).expect("serve");
     let json = report.chrome_trace_json();
     let summary = validate_chrome_trace(&json).expect("valid chrome trace");
     assert!(summary.complete_events > 0);
@@ -337,4 +343,30 @@ fn chrome_trace_overlay_is_valid_and_carries_serve_tracks() {
     if report.shed > report.rejected {
         assert!(json.contains("serve:shed"));
     }
+}
+
+#[test]
+fn a_single_soc_reports_no_partition_and_no_mesh_counters() {
+    // A spec without links is the mesh with nothing to cut: the stream
+    // entry reports zero partition statistics and keeps the `mesh.*`
+    // counters out of the registry.
+    let spec = SocSpec::exynos_7420();
+    let g = net();
+    let ladder = ladder(&spec, &g);
+    let full = full_latency(&spec, &g, &ladder);
+    let arrivals = fixed_arrivals(32, SimSpan::from_nanos((full.as_nanos() / 3).max(1)));
+    let cfg = ServeConfig {
+        queue_capacity: 3,
+        deadline: full * 2u64,
+    };
+    let report =
+        serve_stream(&spec, &g, &ladder, &arrivals, &cfg, &FaultPlan::none()).expect("serve");
+    report.check_invariants().expect("invariants");
+    assert!(report.degraded > 0, "the overload should degrade frames");
+    assert_eq!(report.links, 0);
+    assert_eq!(report.down_links_at_arrival, vec![0; 32]);
+    assert_eq!(report.frames_during_partition, 0);
+    assert_eq!(report.partition_degraded, 0);
+    let rendered = report.metrics.render();
+    assert!(!rendered.contains("mesh."), "{rendered}");
 }

@@ -23,9 +23,9 @@ use simcore::{
 use testkit::rng::fnv1a;
 use unn::{Graph, ModelId, Weights};
 use uruntime::{
-    execute_plan, run_fleet, run_fleet_with_faults, serve_mesh, serve_stream,
-    single_processor_plan, ExecutionPlan, FleetCohort, FleetConfig, FleetNetwork, FleetReport,
-    FrameFate, InstanceAdapter, LadderRung, NodePlacement, ServeConfig, ServeReport, UnitAdapter,
+    execute_plan, run_fleet, run_fleet_with_faults, serve_stream, single_processor_plan,
+    ExecutionPlan, FleetCohort, FleetConfig, FleetNetwork, FleetReport, FrameFate, InstanceAdapter,
+    LadderRung, NodePlacement, ServeConfig, ServeReport, UnitAdapter,
 };
 use usoc::{DeviceId, DtypePlan, SocSpec};
 use utensor::DType;
@@ -45,7 +45,13 @@ fn stream(
     arrivals: &[SimTime],
     cfg: &ServeConfig,
 ) -> ServeReport {
-    serve_stream(spec, g, ladder, arrivals, cfg).expect("serve")
+    let r = serve_stream(spec, g, ladder, arrivals, cfg, &FaultPlan::none()).expect("serve");
+    // A single SoC has no links: no partition bookkeeping to pin.
+    assert_eq!(
+        (r.links, r.frames_during_partition, r.partition_degraded),
+        (0, 0, 0)
+    );
+    r
 }
 
 fn mesh_stream(
@@ -56,7 +62,7 @@ fn mesh_stream(
     cfg: &ServeConfig,
     faults: &FaultPlan,
 ) -> (ServeReport, MeshStats) {
-    let r = serve_mesh(spec, g, ladder, arrivals, cfg, faults).expect("mesh");
+    let r = serve_stream(spec, g, ladder, arrivals, cfg, faults).expect("mesh");
     r.check_invariants().expect("mesh invariants");
     let stats = (
         r.links,
@@ -64,7 +70,7 @@ fn mesh_stream(
         r.frames_during_partition,
         r.partition_degraded,
     );
-    (r.serve, stats)
+    (r, stats)
 }
 
 // ---------------------------------------------------------------------

@@ -531,7 +531,9 @@ impl SocSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the SoC has no GPU (specs always include one).
+    /// Panics if the SoC has no GPU. The evaluated SoCs all have one;
+    /// [`SocSpec::mcu_mesh`] does not, so code that can be handed an
+    /// arbitrary spec asks [`SocSpec::find`] instead.
     pub fn gpu(&self) -> DeviceId {
         self.find(DeviceKind::Gpu).expect("SoC has a GPU")
     }

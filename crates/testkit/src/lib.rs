@@ -5,9 +5,9 @@
 //! (PAPER §3.2), mixed QUInt8/F16 execution must stay inside the linear
 //! quantization error envelope (§4) — so the test suite must run
 //! *everywhere*, including offline and sandboxed environments with no
-//! cargo registry. This crate replaces the only three external
-//! dependencies the workspace ever had (`rand`, `proptest`, `criterion`)
-//! with small, documented, in-repo equivalents:
+//! cargo registry. This crate replaces the external dependencies the
+//! workspace's tests ever had (`rand`, `proptest`) with small,
+//! documented, in-repo equivalents:
 //!
 //! - [`rng`] — seedable [`SplitMix64`] and [`Xoshiro256StarStar`] PRNGs
 //!   with the `gen_range`/fill/shuffle surface the library crates need
@@ -22,8 +22,6 @@
 //!   max-error reports shared by the equivalence suites.
 //! - [`golden`] — load/store/check for committed golden vectors
 //!   (`TESTKIT_BLESS=1` regenerates them).
-//! - [`bench`] — a criterion-shaped micro-benchmark harness for the
-//!   `--features bench-deps` benches.
 //!
 //! # Environment variables
 //!
@@ -38,7 +36,6 @@
 //! to reproduce it.
 
 pub mod assert;
-pub mod bench;
 pub mod golden;
 pub mod prop;
 pub mod rng;
