@@ -8,8 +8,33 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every smoke below writes into one scratch directory, removed on exit.
+smoke="$(mktemp -d -t ulayer-smoke.XXXXXX)"
+trap 'rm -rf "$smoke"' EXIT
+smoke_trace="$smoke/trace.json"
+smoke_quick="$smoke/quick.txt"
+smoke_measure="$smoke/measure.json"
+smoke_fleet="$smoke/fleet.json"
+smoke_mesh="$smoke/mesh.json"
+smoke_plan="$smoke/plan.json"
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> sibling budget (wrapper-suffixed pub fns under crates/*/src)"
+# Features used to arrive as `_with_faults` / `_over` / `_detailed`
+# siblings of the function they extend instead of as its arguments. The
+# four that remain each have callers needing both forms (`plan_with_drift`,
+# `execute_plan_with_faults`, `run_fleet_with_faults`,
+# `evaluate_plan_with_recovery`). Like a panic budget, this number only
+# goes down: a new special case becomes an argument of the one real path.
+sibling_budget=4
+siblings="$(grep -rhoE 'pub fn [a-z0-9_]+' crates/*/src | sort -u | grep -cE \
+  '_(with_(faults|stats|drift|tables|passes|recovery)|over|over_detailed|detailed_over|inner)$' || true)"
+if [ "$siblings" -gt "$sibling_budget" ]; then
+  echo "ci.sh: $siblings wrapper-suffixed pub fns exceed the budget of $sibling_budget" >&2
+  exit 1
+fi
 
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -23,8 +48,6 @@ echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
 echo "==> repro trace smoke (exports + validates a Chrome trace)"
-smoke_trace="$(mktemp -t ulayer-smoke-trace.XXXXXX.json)"
-trap 'rm -f "$smoke_trace"' EXIT
 # The trace subcommand re-reads the file it wrote and runs the in-repo
 # Chrome trace-event validator, exiting non-zero on any violation.
 cargo run --release --offline -p ubench --bin repro -- \
@@ -100,8 +123,6 @@ echo "==> benchmark quick smoke (one second of each workload, every op output-ch
 # refactor that moves simulated behaviour fails here. A change that
 # means to move one of them regenerates the record with the same filter
 # and says so.
-smoke_quick="$(mktemp -t ulayer-smoke-quick.XXXXXX.txt)"
-trap 'rm -f "$smoke_trace" "$smoke_quick"' EXIT
 benchmark/check.sh --quick >"$smoke_quick"
 awk '/^== / || / simulated *$/ || (/^   ulayer\./ && / - *$/) || /^   sim_digest/' \
   "$smoke_quick" | sed 's/ *$//' | diff -u ci/bench_exact.expected - || {
@@ -113,8 +134,6 @@ echo "==> repro measure smoke (worker pools + predictor calibration)"
 # Real-thread execution of the miniature net on two workers per pool;
 # writes a measurement document. Wall-clock values vary by host, so the
 # timings are not gated (host time is the benchmark crate's job).
-smoke_measure="$(mktemp -t ulayer-smoke-measure.XXXXXX.json)"
-trap 'rm -f "$smoke_trace" "$smoke_quick" "$smoke_measure"' EXIT
 cargo run --release --offline -p ubench --bin repro -- \
   measure squeezenet --miniature --threads=2 --repeat=1 --kernel-path=auto \
   "--out=$smoke_measure" >/dev/null
@@ -126,8 +145,6 @@ echo "==> repro fleet smoke (64-device GPU-loss storm + order-fuzz gate)"
 # (exact offered = completed + degraded + shed, one shared weight
 # allocation, occupancy == executed) or if any shuffled same-timestamp
 # event order produces a report that differs from FIFO.
-smoke_fleet="$(mktemp -t ulayer-smoke-fleet.XXXXXX.json)"
-trap 'rm -f "$smoke_trace" "$smoke_quick" "$smoke_measure" "$smoke_fleet"' EXIT
 cargo run --release --offline -p ubench --bin repro -- \
   fleet squeezenet --miniature --devices=64 --frames=16 --storm=gpu-loss \
   --seed=42 --fuzz-orders=2 "--out=$smoke_fleet" >/dev/null
@@ -139,8 +156,6 @@ echo "==> repro mesh smoke (4-node partition storm + surviving-subset degradatio
 # offered = completed + degraded + shed), if any rung's output diverges
 # from the single-device QUInt8 reference, or if the partition
 # bookkeeping is inconsistent.
-smoke_mesh="$(mktemp -t ulayer-smoke-mesh.XXXXXX.json)"
-trap 'rm -f "$smoke_trace" "$smoke_quick" "$smoke_measure" "$smoke_fleet" "$smoke_mesh"' EXIT
 cargo run --release --offline -p ubench --bin repro -- \
   mesh --nodes=4 --frames=24 --link-fault=partition --seed=42 \
   "--out=$smoke_mesh" >/dev/null
@@ -157,8 +172,6 @@ echo "==> repro plan smoke (drift-keyed cache hit rate + equivalence)"
 # Seeded calm stream over both SoCs. The subcommand exits non-zero if
 # any frame's incremental replan diverges from the scratch planner or
 # the cache hit rate falls below the gate.
-smoke_plan="$(mktemp -t ulayer-smoke-plan.XXXXXX.json)"
-trap 'rm -f "$smoke_trace" "$smoke_quick" "$smoke_measure" "$smoke_fleet" "$smoke_mesh" "$smoke_plan"' EXIT
 cargo run --release --offline -p ubench --bin repro -- \
   plan squeezenet --miniature --frames=64 --seed=42 --drift=calm \
   --min-hit-rate=0.9 "--out=$smoke_plan" >/dev/null

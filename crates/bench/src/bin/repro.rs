@@ -388,7 +388,7 @@ fn trace(args: &[String]) {
         model.name(),
         if passes { "" } else { ", passes off" }
     ));
-    let reports = figures::overhead_attribution_with_passes(model, miniature, passes);
+    let reports = figures::overhead_attribution(model, miniature, passes);
     for rep in &reports {
         println!("\n--- {} ---", rep.soc);
         if !rep.graph_passes.is_empty() {
@@ -406,11 +406,11 @@ fn trace(args: &[String]) {
     }
 
     if check_merge {
-        let baseline = figures::overhead_attribution_with_passes(model, miniature, false);
+        let baseline = figures::overhead_attribution(model, miniature, false);
         let optimized = if passes {
             reports.clone()
         } else {
-            figures::overhead_attribution_with_passes(model, miniature, true)
+            figures::overhead_attribution(model, miniature, true)
         };
         let mut ok = true;
         println!();
@@ -442,7 +442,7 @@ fn trace(args: &[String]) {
 
     // Export the high-end SoC's schedule and prove it round-trips.
     let rep = &reports[0];
-    let json = uruntime::chrome_trace_json(&rep.result.trace, &rep.result.resource_names);
+    let json = uruntime::chrome_trace_json(&rep.result.trace, &rep.result.resource_names, None);
     let path = out_path.unwrap_or_else(|| {
         format!(
             "trace-{}.json",

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use ulayer::{ULayer, ULayerConfig};
 use unn::{Graph, ModelId};
-use uruntime::{run_layer_to_processor, run_single_processor};
+use uruntime::{execute_plan, run_layer_to_processor, run_single_processor};
 use usoc::{profile_graph, DtypePlan, SocSpec};
 use utensor::DType;
 
@@ -402,18 +402,12 @@ pub struct AttributionReport {
 
 /// Runs the μLayer plan for `model` on both evaluated SoCs and returns
 /// the schedule's overhead attribution (the §6 management costs made
-/// visible). Runs the graph-pass pipeline first (PR 7); use
-/// [`overhead_attribution_with_passes`] to opt out. `miniature` swaps in
-/// the small functional-test variant so smoke runs stay fast.
-pub fn overhead_attribution(model: ModelId, miniature: bool) -> Vec<AttributionReport> {
-    overhead_attribution_with_passes(model, miniature, true)
-}
-
-/// [`overhead_attribution`] with the graph-pass pipeline explicit:
-/// `passes = false` schedules the unoptimized graph (the `--no-passes`
-/// escape hatch, and the baseline the merge-shrink check compares
-/// against).
-pub fn overhead_attribution_with_passes(
+/// visible). `miniature` swaps in the small functional-test variant so
+/// smoke runs stay fast. With `passes` the graph-pass pipeline (PR 7)
+/// runs first; `passes = false` schedules the unoptimized graph (the
+/// `--no-passes` escape hatch, and the baseline the merge-shrink check
+/// compares against).
+pub fn overhead_attribution(
     model: ModelId,
     miniature: bool,
     passes: bool,
@@ -428,7 +422,8 @@ pub fn overhead_attribution_with_passes(
             };
             let rt = ULayer::new(spec.clone()).expect("ulayer");
             let (result, graph_passes, elided_concats) = if passes {
-                let (result, opt) = rt.run_optimized(&g).expect("ulayer run");
+                let opt = rt.plan_optimized(&g, None).expect("ulayer plan");
+                let result = execute_plan(&spec, &opt.graph, &opt.report.plan).expect("ulayer run");
                 (
                     result,
                     opt.graph_passes,
@@ -492,7 +487,8 @@ pub fn pass_pipeline(model: ModelId, miniature: bool) -> Vec<PassPipelineReport>
             };
             let rt = ULayer::new(spec.clone()).expect("ulayer");
             let base = rt.run(&g).expect("unoptimized run");
-            let (optd, opt) = rt.run_optimized(&g).expect("optimized run");
+            let opt = rt.plan_optimized(&g, None).expect("optimized plan");
+            let optd = execute_plan(&spec, &opt.graph, &opt.report.plan).expect("optimized run");
             let classes = |r: &uruntime::RunResult| {
                 (
                     r.attribution.class_span(OverheadClass::Merge),

@@ -19,9 +19,9 @@ pub use export::export_all;
 pub use extra::{overhead_sensitivity, p_granularity, OverheadRow, PGranularityRow};
 pub use figures::{
     evaluation, fig12, fig17, fig5, fig6, fig8, fleet_storm, inception_3a_graph, mesh_scenario,
-    mesh_workload_graph, npu_extension, overhead_attribution, overhead_attribution_with_passes,
-    pass_pipeline, run_all_mechanisms, table1, AttributionReport, Evaluation, Fig12, Fig17, Fig5,
-    Fig6, Fig8, FleetStormReport, MechanismResult, MeshScenarioReport, NpuRow, PassPipelineReport,
+    mesh_workload_graph, npu_extension, overhead_attribution, pass_pipeline, run_all_mechanisms,
+    table1, AttributionReport, Evaluation, Fig12, Fig17, Fig5, Fig6, Fig8, FleetStormReport,
+    MechanismResult, MeshScenarioReport, NpuRow, PassPipelineReport,
 };
 pub use json::Json;
 pub use report::{geomean, ms, pct, ratio, Table};

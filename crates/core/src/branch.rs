@@ -266,7 +266,7 @@ impl PlanPass for BranchDistributionPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partitioner::partition;
+    use crate::partitioner::tests::partitioned;
     use crate::predictor::LatencyPredictor;
 
     fn setup() -> (SocSpec, LatencyPredictor, ULayerConfig) {
@@ -279,7 +279,7 @@ mod tests {
     fn googlenet_gets_branch_mappings() {
         let (spec, pred, cfg) = setup();
         let g = unn::ModelId::GoogLeNet.build();
-        let (mut placements, costs) = partition(&spec, &pred, &cfg, &g).unwrap();
+        let (mut placements, costs) = partitioned(&spec, &pred, &cfg, &g, &spec.device_ids());
         let coster = LayerCoster {
             spec: &spec,
             predictor: &pred,
@@ -307,7 +307,7 @@ mod tests {
     fn mapped_nodes_become_singles() {
         let (spec, pred, cfg) = setup();
         let g = unn::ModelId::SqueezeNet.build();
-        let (mut placements, costs) = partition(&spec, &pred, &cfg, &g).unwrap();
+        let (mut placements, costs) = partitioned(&spec, &pred, &cfg, &g, &spec.device_ids());
         let coster = LayerCoster {
             spec: &spec,
             predictor: &pred,
@@ -367,7 +367,7 @@ mod tests {
     fn linear_networks_are_untouched() {
         let (spec, pred, cfg) = setup();
         let g = unn::ModelId::Vgg16.build();
-        let (mut placements, costs) = partition(&spec, &pred, &cfg, &g).unwrap();
+        let (mut placements, costs) = partitioned(&spec, &pred, &cfg, &g, &spec.device_ids());
         let before = placements.clone();
         let coster = LayerCoster {
             spec: &spec,

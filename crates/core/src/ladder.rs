@@ -18,8 +18,8 @@
 //! 3. **`single-<dev>`** — one single-processor plan per device, in
 //!    QUInt8, ordered fastest-predicted first.
 //!
-//! Every rung's `predicted` latency runs through the same
-//! [`LayerCoster`] the partitioner uses, including the PR 3
+//! Every rung's `predicted` latency is the partitioner's own per-layer
+//! cost sum (see [`crate::partitioner`]), including the PR 3
 //! [`DriftAdapter`] correction — so a throttled GPU inflates the
 //! predicted latency of every rung that touches the GPU, the serving
 //! loop sees less slack for those rungs, and degradation kicks in
@@ -27,17 +27,15 @@
 //! bottom of the ladder (and its predicted latency beyond any
 //! plausible deadline).
 
-use simcore::SimSpan;
-use unn::{Graph, NodeId};
-use uruntime::{single_processor_plan, ExecutionPlan, LadderRung};
+use unn::Graph;
+use uruntime::{ExecutionPlan, LadderRung};
 use usoc::DeviceId;
 use utensor::DType;
 
 use crate::adapt::DriftAdapter;
 use crate::config::ULayerConfig;
 use crate::error::ULayerError;
-use crate::partitioner::{partition_over, LayerCoster, PartitionPass};
-use crate::planning::{PlanContext, PlanPassRunner};
+use crate::planning::PlanDraft;
 use crate::runtime::ULayer;
 
 /// True when `subset` is connected in the subgraph induced by the
@@ -68,22 +66,31 @@ impl ULayer {
     /// first, cheapest resource footprint last. `drift` (the PR 3
     /// adapter) corrects every rung's predicted latency, which is what
     /// the serving loop's slack estimate consumes.
+    ///
+    /// Every rung is the same planning pipeline ([`ULayer::draft`]) under
+    /// a different `(configuration, device set)`.
     pub fn degradation_ladder(
         &self,
         graph: &Graph,
         drift: Option<&DriftAdapter>,
     ) -> Result<Vec<LadderRung>, ULayerError> {
         let spec = self.spec();
-        let mut ladder = Vec::new();
+        let ids = spec.device_ids();
+        let draft = |config: &ULayerConfig, devices: &[DeviceId]| {
+            self.draft(graph, drift, config, devices).map(|(d, _)| d)
+        };
+        let rung = |label: String, plan_label: &str, draft: PlanDraft| {
+            Ok::<_, ULayerError>(LadderRung {
+                label,
+                predicted: draft.costs.iter().copied().sum(),
+                plan: ExecutionPlan::new(graph, spec, draft.placements, plan_label)?,
+            })
+        };
 
         // Rung 0: the full cooperative plan.
-        let full = self.plan_with_drift(graph, drift)?;
-        let full_placements = full.plan.placements.clone();
-        ladder.push(LadderRung {
-            label: "full".into(),
-            plan: full.plan,
-            predicted: full.predicted_serial_latency,
-        });
+        let full = draft(self.config(), &ids)?;
+        let full_placements = full.placements.clone();
+        let mut ladder = vec![rung("full".into(), &self.config().label(), full)?];
 
         // Rung 1: coarse cooperative plan — single p = 0.5 candidate, no
         // branch distribution. Cheaper to realize (fewer candidate
@@ -94,22 +101,9 @@ impl ULayer {
                 p_candidates: vec![0.5],
                 ..self.config().clone()
             };
-            let cx = PlanContext {
-                spec,
-                predictor: self.predictor(),
-                config: &coarse_cfg,
-                graph,
-                drift,
-            };
-            let (draft, _) = PlanPassRunner::new(vec![Box::new(PartitionPass)]).run(&cx)?;
-            if draft.placements != full_placements {
-                let predicted: SimSpan = draft.costs.iter().copied().sum();
-                let plan = ExecutionPlan::new(graph, spec, draft.placements, "ulayer-coarse")?;
-                ladder.push(LadderRung {
-                    label: "coarse".into(),
-                    plan,
-                    predicted,
-                });
+            let coarse = draft(&coarse_cfg, &ids)?;
+            if coarse.placements != full_placements {
+                ladder.push(rung("coarse".into(), "ulayer-coarse", coarse)?);
             }
         }
 
@@ -119,16 +113,15 @@ impl ULayer {
         // the serving loop degrades to the rung whose footprint is the
         // surviving component instead of shedding the frame. Subsets
         // with no feasible plan (a layer that fits nowhere) are skipped.
+        let uniform_cfg = ULayerConfig {
+            proc_friendly_quant: false,
+            branch_distribution: false,
+            ..self.config().clone()
+        };
         let networked = spec.has_network_links();
         if networked && spec.devices.len() <= 16 {
-            let ids = spec.device_ids();
             let host = spec.cpu();
             let full_mask: u32 = ((1u64 << ids.len()) - 1) as u32;
-            let uniform_cfg = ULayerConfig {
-                proc_friendly_quant: false,
-                branch_distribution: false,
-                ..self.config().clone()
-            };
             let mut subsets = Vec::new();
             for mask in 1u32..=full_mask {
                 if mask == full_mask || mask.count_ones() < 2 || mask & (1 << host.0) == 0 {
@@ -142,12 +135,9 @@ impl ULayer {
                 if !subset_is_connected(spec, &subset) {
                     continue;
                 }
-                let Ok((placements, costs)) =
-                    partition_over(spec, self.predictor(), &uniform_cfg, graph, &subset, drift)
-                else {
+                let Ok(planned) = draft(&uniform_cfg, &subset) else {
                     continue;
                 };
-                let predicted: SimSpan = costs.iter().copied().sum();
                 let label = format!(
                     "subset-{}",
                     subset
@@ -156,24 +146,24 @@ impl ULayer {
                         .collect::<Vec<_>>()
                         .join("+")
                 );
-                let plan = ExecutionPlan::new(graph, spec, placements, &label)?;
-                subsets.push(LadderRung {
-                    label,
-                    plan,
-                    predicted,
-                });
+                subsets.push(rung(label.clone(), &label, planned)?);
             }
             subsets.sort_by_key(|r| r.predicted);
             ladder.extend(subsets);
         }
 
         // Single-processor rungs: one per device, fastest predicted
-        // first. Uniform QUInt8 keeps every rung's storage dtype
-        // compatible with the quantized network regardless of the
-        // active quantization config.
+        // first — the partitioner over a one-device set, which can only
+        // place every layer whole on that device. Uniform QUInt8 keeps
+        // every rung's storage dtype compatible with the quantized
+        // network regardless of the active quantization config.
+        let single_cfg = ULayerConfig {
+            channel_distribution: false,
+            ..uniform_cfg
+        };
         let mut singles = Vec::new();
-        for device in spec.device_ids() {
-            let predicted = match self.predict_single_processor(graph, device, drift) {
+        for device in ids.iter().copied() {
+            let planned = match draft(&single_cfg, &[device]) {
                 Ok(p) => p,
                 // On a networked mesh a device whose RAM cannot hold
                 // some layer simply has no single-processor rung; on
@@ -181,16 +171,12 @@ impl ULayer {
                 Err(_) if networked => continue,
                 Err(e) => return Err(e),
             };
-            let plan = single_processor_plan(graph, spec, device, DType::QUInt8)?;
-            let label = format!(
-                "single-{}",
-                spec.devices[device.0].kind.name().to_ascii_lowercase()
-            );
-            singles.push(LadderRung {
-                label,
-                plan,
-                predicted,
-            });
+            let kind = spec.devices[device.0].kind.name();
+            singles.push(rung(
+                format!("single-{}", kind.to_ascii_lowercase()),
+                &format!("single-{kind}-{}", DType::QUInt8),
+                planned,
+            )?);
         }
         singles.sort_by_key(|r| r.predicted);
         // Duplicate kinds (two CPU clusters, say) get their ladder
@@ -208,48 +194,12 @@ impl ULayer {
         ladder.extend(singles);
         Ok(ladder)
     }
-
-    /// Drift-corrected predicted serial latency of running the whole
-    /// network on one device in uniform QUInt8 — the single-processor
-    /// rungs' slack estimate.
-    fn predict_single_processor(
-        &self,
-        graph: &Graph,
-        device: DeviceId,
-        drift: Option<&DriftAdapter>,
-    ) -> Result<SimSpan, ULayerError> {
-        let uniform_cfg = ULayerConfig {
-            channel_distribution: false,
-            proc_friendly_quant: false,
-            branch_distribution: false,
-            ..self.config().clone()
-        };
-        let coster = LayerCoster {
-            spec: self.spec(),
-            predictor: self.predictor(),
-            cfg: &uniform_cfg,
-            drift,
-        };
-        let shapes = graph.infer_shapes()?;
-        let mut total = SimSpan::ZERO;
-        for (i, node) in graph.nodes().iter().enumerate() {
-            let in_shape = graph.node_input_shape(NodeId(i), &shapes);
-            let cost = coster
-                .single_cost(device, &node.kind, in_shape, &shapes[i])
-                .ok_or_else(|| {
-                    ULayerError::Plan(format!(
-                        "no single-device cost for node {i} on device {device}"
-                    ))
-                })?;
-            total += cost;
-        }
-        Ok(total)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimSpan;
     use usoc::SocSpec;
 
     #[test]

@@ -188,41 +188,20 @@ impl<'a> LayerCoster<'a> {
         Some(issue_total + slowest + merge)
     }
 
-    /// The best placement for one layer, with its predicted cost.
-    pub fn best_placement(
-        &self,
-        kind: &LayerKind,
-        in_shape: &Shape,
-        out_shape: &Shape,
-    ) -> Result<(NodePlacement, SimSpan), ULayerError> {
-        self.best_placement_over(&self.spec.device_ids(), kind, in_shape, out_shape)
-    }
-
-    /// [`Self::best_placement`] restricted to a device subset: the
-    /// split host is the subset's first CPU cluster (its first device
-    /// when it has none) and every other subset member is a split
-    /// partner. With the full device set this enumerates exactly the
-    /// legacy CPU+accelerator candidates in the same order. All ids in
-    /// `devices` must exist in the spec.
-    pub fn best_placement_over(
-        &self,
-        devices: &[DeviceId],
-        kind: &LayerKind,
-        in_shape: &Shape,
-        out_shape: &Shape,
-    ) -> Result<(NodePlacement, SimSpan), ULayerError> {
-        self.best_placement_detailed_over(devices, kind, in_shape, out_shape, None)
-            .map(|c| (c.placement, c.cost))
-    }
-
-    /// [`Self::best_placement_over`] that additionally records the
-    /// decision margin (runner-up cost) the incremental replanner
-    /// needs. `singles`, when provided, is a hoisted
-    /// [`SingleCostEntry`] row indexed like `devices` (see
+    /// The best placement for one layer over `devices`, with its
+    /// predicted cost and the decision margin (runner-up cost) the
+    /// incremental replanner needs.
+    ///
+    /// The split host is the subset's first CPU cluster (its first
+    /// device when it has none) and every other member is a split
+    /// partner; with the full device set this enumerates exactly the
+    /// paper's CPU+accelerator candidates in the same order. All ids in
+    /// `devices` must exist in the spec. `singles`, when provided, is a
+    /// hoisted [`SingleCostEntry`] row indexed like `devices` (see
     /// [`CostTables`]); it must have been built for the same
     /// `(graph, spec, config, devices)` — entries are drift-independent
     /// so any drift state is fine.
-    pub fn best_placement_detailed_over(
+    pub fn best_placement(
         &self,
         devices: &[DeviceId],
         kind: &LayerKind,
@@ -467,82 +446,44 @@ impl CostTables {
     }
 }
 
-/// Plans every layer independently (channel distribution + quantization;
-/// branch distribution is applied on top by [`crate::branch`]).
-pub fn partition(
-    spec: &SocSpec,
-    predictor: &LatencyPredictor,
-    cfg: &ULayerConfig,
-    graph: &Graph,
-) -> Result<(Vec<NodePlacement>, Vec<SimSpan>), ULayerError> {
-    partition_with_drift(spec, predictor, cfg, graph, None)
-}
-
-/// [`partition`] with an optional drift adapter correcting the
-/// predictor's kernel estimates (online fault adaptation).
-pub fn partition_with_drift(
-    spec: &SocSpec,
-    predictor: &LatencyPredictor,
-    cfg: &ULayerConfig,
-    graph: &Graph,
-    drift: Option<&DriftAdapter>,
-) -> Result<(Vec<NodePlacement>, Vec<SimSpan>), ULayerError> {
-    partition_over(spec, predictor, cfg, graph, &spec.device_ids(), drift)
-}
-
-/// [`partition`] restricted to a device subset — every layer is placed
-/// on (or split across) members of `devices` only. The degradation
-/// ladder uses this to build rungs for each surviving connected subset
-/// of a networked mesh.
-pub fn partition_over(
-    spec: &SocSpec,
-    predictor: &LatencyPredictor,
-    cfg: &ULayerConfig,
-    graph: &Graph,
-    devices: &[DeviceId],
-    drift: Option<&DriftAdapter>,
-) -> Result<(Vec<NodePlacement>, Vec<SimSpan>), ULayerError> {
-    let choices = partition_over_detailed(spec, predictor, cfg, graph, devices, drift, None)?;
-    Ok(choices.into_iter().map(|c| (c.placement, c.cost)).unzip())
-}
-
-/// [`partition_over`] returning full [`PlacementChoice`]s (decision
-/// margins included) and optionally reusing hoisted [`CostTables`].
+/// Plans every layer independently over `cx.devices` (channel
+/// distribution + quantization; branch distribution is applied on top by
+/// [`crate::branch`]), correcting the predictor's kernel estimates by
+/// `cx.drift`. Every layer is placed on — or split across — members of
+/// `cx.devices` only: the full device set for the cooperative plan, a
+/// surviving connected subset or a single processor for the degradation
+/// ladder's lower rungs.
+///
 /// When `tables` is given it must have been built for the same
 /// `(graph, spec, config, devices)`; the output is bit-identical with
 /// and without tables.
-pub fn partition_over_detailed(
-    spec: &SocSpec,
-    predictor: &LatencyPredictor,
-    cfg: &ULayerConfig,
-    graph: &Graph,
-    devices: &[DeviceId],
-    drift: Option<&DriftAdapter>,
+pub fn partition(
+    cx: &PlanContext<'_>,
     tables: Option<&CostTables>,
 ) -> Result<Vec<PlacementChoice>, ULayerError> {
     debug_assert!(
-        tables.is_none_or(|t| t.devices == devices),
+        tables.is_none_or(|t| t.devices == cx.devices),
         "cost tables were built for a different device subset"
     );
     let owned_shapes;
     let shapes = match tables {
         Some(t) => &t.shapes,
         None => {
-            owned_shapes = graph.infer_shapes()?;
+            owned_shapes = cx.graph.infer_shapes()?;
             &owned_shapes
         }
     };
     let coster = LayerCoster {
-        spec,
-        predictor,
-        cfg,
-        drift,
+        spec: cx.spec,
+        predictor: cx.predictor,
+        cfg: cx.config,
+        drift: cx.drift,
     };
-    let mut choices = Vec::with_capacity(graph.len());
-    for (i, node) in graph.nodes().iter().enumerate() {
-        let in_shape = graph.node_input_shape(NodeId(i), shapes);
-        choices.push(coster.best_placement_detailed_over(
-            devices,
+    let mut choices = Vec::with_capacity(cx.graph.len());
+    for (i, node) in cx.graph.nodes().iter().enumerate() {
+        let in_shape = cx.graph.node_input_shape(NodeId(i), shapes);
+        choices.push(coster.best_placement(
+            cx.devices,
             &node.kind,
             in_shape,
             &shapes[i],
@@ -567,8 +508,10 @@ impl PlanPass for PartitionPass {
         cx: &PlanContext<'_>,
         draft: &mut PlanDraft,
     ) -> Result<PlanPassReport, ULayerError> {
-        let (placements, costs) =
-            partition_with_drift(cx.spec, cx.predictor, cx.config, cx.graph, cx.drift)?;
+        let (placements, costs): (Vec<_>, Vec<_>) = partition(cx, None)?
+            .into_iter()
+            .map(|c| (c.placement, c.cost))
+            .unzip();
         let splits = placements
             .iter()
             .filter(|p| matches!(p, NodePlacement::Split { .. }))
@@ -586,13 +529,34 @@ impl PlanPass for PartitionPass {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn setup() -> (SocSpec, LatencyPredictor) {
         let spec = SocSpec::exynos_7420();
         let pred = LatencyPredictor::train(&spec).unwrap();
         (spec, pred)
+    }
+
+    /// The partitioner's placements and per-layer costs of `graph` over
+    /// `devices`.
+    pub(crate) fn partitioned(
+        spec: &SocSpec,
+        predictor: &LatencyPredictor,
+        config: &ULayerConfig,
+        graph: &Graph,
+        devices: &[DeviceId],
+    ) -> (Vec<NodePlacement>, Vec<SimSpan>) {
+        let cx = PlanContext {
+            spec,
+            predictor,
+            config,
+            graph,
+            drift: None,
+            devices,
+        };
+        let choices = partition(&cx, None).unwrap();
+        choices.into_iter().map(|c| (c.placement, c.cost)).unzip()
     }
 
     #[test]
@@ -614,7 +578,10 @@ mod tests {
         };
         let in_shape = Shape::nchw(1, 256, 28, 28);
         let out_shape = Shape::nchw(1, 256, 28, 28);
-        let (placement, _) = coster.best_placement(&kind, &in_shape, &out_shape).unwrap();
+        let placement = coster
+            .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
+            .unwrap()
+            .placement;
         assert!(
             matches!(placement, NodePlacement::Split { .. }),
             "expected split, got {placement:?}"
@@ -642,7 +609,10 @@ mod tests {
         };
         let in_shape = Shape::nchw(1, 16, 7, 7);
         let out_shape = Shape::nchw(1, 16, 7, 7);
-        let (placement, _) = coster.best_placement(&kind, &in_shape, &out_shape).unwrap();
+        let placement = coster
+            .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
+            .unwrap()
+            .placement;
         assert!(
             matches!(placement, NodePlacement::Single { .. }),
             "expected single, got {placement:?}"
@@ -691,7 +661,7 @@ mod tests {
         let mut cfg = ULayerConfig::full();
         cfg.channel_distribution = false;
         let g = unn::ModelId::SqueezeNet.build();
-        let (placements, _) = partition(&spec, &pred, &cfg, &g).unwrap();
+        let (placements, _) = partitioned(&spec, &pred, &cfg, &g, &spec.device_ids());
         assert!(placements
             .iter()
             .all(|p| matches!(p, NodePlacement::Single { .. })));
@@ -702,7 +672,7 @@ mod tests {
         let (spec, pred) = setup();
         let cfg = ULayerConfig::full();
         let g = unn::ModelId::Vgg16.build();
-        let (placements, _) = partition(&spec, &pred, &cfg, &g).unwrap();
+        let (placements, _) = partitioned(&spec, &pred, &cfg, &g, &spec.device_ids());
         let mut saw_gpu_f16 = false;
         for p in &placements {
             if let NodePlacement::Split { parts } = p {
@@ -723,7 +693,7 @@ mod tests {
         let (spec, pred) = setup();
         let cfg = ULayerConfig::channel_distribution_only();
         let g = unn::ModelId::AlexNet.build();
-        let (placements, _) = partition(&spec, &pred, &cfg, &g).unwrap();
+        let (placements, _) = partitioned(&spec, &pred, &cfg, &g, &spec.device_ids());
         for p in &placements {
             match p {
                 NodePlacement::Single { dtypes, .. } => {
@@ -745,7 +715,7 @@ mod tests {
         let cfg = ULayerConfig::full();
         let g = unn::ModelId::SqueezeNet.build_miniature();
         let subset = [spec.cpu(), spec.find(DeviceKind::Npu).unwrap()];
-        let (placements, _) = partition_over(&spec, &pred, &cfg, &g, &subset, None).unwrap();
+        let (placements, _) = partitioned(&spec, &pred, &cfg, &g, &subset);
         for p in &placements {
             match p {
                 NodePlacement::Single { device, .. } => assert!(subset.contains(device)),
@@ -756,20 +726,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn full_subset_matches_legacy_partition() {
-        // The generalized search over the full device set must reproduce
-        // the legacy two-device partitioner decision by decision.
-        let (spec, pred) = setup();
-        let cfg = ULayerConfig::full();
-        let g = unn::ModelId::SqueezeNet.build();
-        let (legacy, legacy_costs) = partition(&spec, &pred, &cfg, &g).unwrap();
-        let (general, general_costs) =
-            partition_over(&spec, &pred, &cfg, &g, &spec.device_ids(), None).unwrap();
-        assert_eq!(legacy, general);
-        assert_eq!(legacy_costs, general_costs);
     }
 
     #[test]
@@ -800,7 +756,10 @@ mod tests {
                 .is_none(),
             "the full layer should overflow one node's RAM"
         );
-        let (placement, _) = coster.best_placement(&kind, &in_shape, &out_shape).unwrap();
+        let placement = coster
+            .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
+            .unwrap()
+            .placement;
         assert!(
             matches!(placement, NodePlacement::Split { .. }),
             "expected a RAM-forced split, got {placement:?}"
@@ -827,7 +786,10 @@ mod tests {
         };
         let in_shape = Shape::nchw(1, 512, 56, 56);
         let out_shape = Shape::nchw(1, 512, 56, 56);
-        let (placement, _) = coster.best_placement(&kind, &in_shape, &out_shape).unwrap();
+        let placement = coster
+            .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
+            .unwrap()
+            .placement;
         if let NodePlacement::Split { parts } = &placement {
             assert_eq!(parts.len(), 3, "expected a 3-way split, got {placement:?}");
         } else {

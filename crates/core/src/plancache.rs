@@ -71,9 +71,7 @@ use usoc::{DeviceId, WorkClass};
 use crate::adapt::DriftAdapter;
 use crate::branch::BranchDistributionPass;
 use crate::error::ULayerError;
-use crate::partitioner::{
-    device_dtypes, partition_over_detailed, CostTables, LayerCoster, PlacementChoice,
-};
+use crate::partitioner::{device_dtypes, partition, CostTables, LayerCoster, PlacementChoice};
 use crate::planning::{PlanContext, PlanDraft, PlanPass, PlanPassReport};
 use crate::runtime::{PlanReport, ULayer};
 
@@ -557,30 +555,24 @@ impl<'a> PlannerSession<'a> {
         }
         let state = self.graphs.get_mut(&gd).expect("state just inserted");
 
+        let cx = PlanContext {
+            spec: self.rt.spec(),
+            predictor: self.rt.predictor(),
+            config: self.rt.config(),
+            graph,
+            drift,
+            devices: &self.devices,
+        };
         let (choices, source) = match state.base.take() {
             Some((base_snapshot, base_choices)) => replan_incremental(
-                self.rt,
-                graph,
-                drift,
-                &self.devices,
+                &cx,
                 &state.tables,
                 &state.classes,
                 &base_snapshot,
                 &base_choices,
                 &snapshot,
             )?,
-            None => {
-                let choices = partition_over_detailed(
-                    self.rt.spec(),
-                    self.rt.predictor(),
-                    self.rt.config(),
-                    graph,
-                    &self.devices,
-                    drift,
-                    Some(&state.tables),
-                )?;
-                (choices, PlanSource::Scratch)
-            }
+            None => (partition(&cx, Some(&state.tables))?, PlanSource::Scratch),
         };
         match source {
             PlanSource::Incremental {
@@ -594,7 +586,7 @@ impl<'a> PlannerSession<'a> {
             _ => self.stats.scratch_plans += 1,
         }
 
-        let report = Arc::new(assemble_report(self.rt, graph, drift, &choices, source)?);
+        let report = Arc::new(assemble_report(&cx, &choices, source)?);
         let choices = Arc::new(choices);
         state.base = Some((snapshot.clone(), Arc::clone(&choices)));
         self.stats.evictions += self.cache.insert(
@@ -671,18 +663,15 @@ impl<'a> PlannerSession<'a> {
 /// Replans one frame from a base plan, re-enumerating only layers whose
 /// decision could have flipped under the factor changes between
 /// `base_snapshot` and `snapshot`.
-#[allow(clippy::too_many_arguments)]
 fn replan_incremental(
-    rt: &ULayer,
-    graph: &Graph,
-    drift: Option<&DriftAdapter>,
-    devices: &[DeviceId],
+    cx: &PlanContext<'_>,
     tables: &CostTables,
     classes: &[WorkClass],
     base_snapshot: &DriftSnapshot,
     base_choices: &[PlacementChoice],
     snapshot: &DriftSnapshot,
 ) -> Result<(Vec<PlacementChoice>, PlanSource), ULayerError> {
+    let (graph, devices) = (cx.graph, cx.devices);
     debug_assert_eq!(base_snapshot.factors.len(), snapshot.factors.len());
     debug_assert_eq!(base_choices.len(), graph.len());
 
@@ -701,10 +690,10 @@ fn replan_incremental(
     }
 
     let coster = LayerCoster {
-        spec: rt.spec(),
-        predictor: rt.predictor(),
-        cfg: rt.config(),
-        drift,
+        spec: cx.spec,
+        predictor: cx.predictor,
+        cfg: cx.config,
+        drift: cx.drift,
     };
     let mut choices = Vec::with_capacity(graph.len());
     let mut reenumerated = 0usize;
@@ -779,7 +768,7 @@ fn replan_incremental(
                 copied += 1;
             }
             None => {
-                choices.push(coster.best_placement_detailed_over(
+                choices.push(coster.best_placement(
                     devices,
                     &node.kind,
                     in_shape,
@@ -805,19 +794,10 @@ fn replan_incremental(
 /// materialized. Identical partition output therefore yields an
 /// identical report (modulo the pass-log prose).
 fn assemble_report(
-    rt: &ULayer,
-    graph: &Graph,
-    drift: Option<&DriftAdapter>,
+    cx: &PlanContext<'_>,
     choices: &[PlacementChoice],
     source: PlanSource,
 ) -> Result<PlanReport, ULayerError> {
-    let cx = PlanContext {
-        spec: rt.spec(),
-        predictor: rt.predictor(),
-        config: rt.config(),
-        graph,
-        drift,
-    };
     let mut draft = PlanDraft {
         placements: choices.iter().map(|c| c.placement.clone()).collect(),
         costs: choices.iter().map(|c| c.cost).collect(),
@@ -843,10 +823,10 @@ fn assemble_report(
         rewrites: draft.placements.len(),
         detail,
     }];
-    pass_log.push(BranchDistributionPass.run(&cx, &mut draft)?);
+    pass_log.push(BranchDistributionPass.run(cx, &mut draft)?);
     let predicted_serial_latency = draft.costs.iter().copied().sum();
     let plan =
-        uruntime::ExecutionPlan::new(graph, rt.spec(), draft.placements, rt.config().label())?;
+        uruntime::ExecutionPlan::new(cx.graph, cx.spec, draft.placements, cx.config.label())?;
     Ok(PlanReport {
         plan,
         branch_mappings: draft.branch_mappings,

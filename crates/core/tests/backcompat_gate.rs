@@ -17,7 +17,7 @@
 
 use simcore::SimSpan;
 use ulayer::partitioner::{partition, LayerCoster};
-use ulayer::{LatencyPredictor, ULayerConfig};
+use ulayer::{LatencyPredictor, PlanContext, ULayerConfig};
 use unn::{Graph, ModelId, NodeId, Weights};
 use uruntime::{evaluate_plan, ExecutionPlan, NodePlacement};
 use usoc::{DeviceId, DeviceKind, DtypePlan, SocSpec};
@@ -167,6 +167,25 @@ fn legacy_partition(
     (placements, costs)
 }
 
+/// Plans `graph` with the production partitioner over every device.
+fn partitioned(
+    spec: &SocSpec,
+    predictor: &LatencyPredictor,
+    config: &ULayerConfig,
+    graph: &Graph,
+) -> (Vec<NodePlacement>, Vec<SimSpan>) {
+    let cx = PlanContext {
+        spec,
+        predictor,
+        config,
+        graph,
+        drift: None,
+        devices: &spec.device_ids(),
+    };
+    let choices = partition(&cx, None).unwrap();
+    choices.into_iter().map(|c| (c.placement, c.cost)).unzip()
+}
+
 #[test]
 fn generalized_partitioner_reproduces_legacy_plans_across_the_zoo() {
     for spec in SocSpec::evaluated() {
@@ -175,7 +194,7 @@ fn generalized_partitioner_reproduces_legacy_plans_across_the_zoo() {
         for id in ZOO {
             let g = id.build_miniature();
             let (legacy_placements, legacy_costs) = legacy_partition(&spec, &predictor, &cfg, &g);
-            let (placements, costs) = partition(&spec, &predictor, &cfg, &g).unwrap();
+            let (placements, costs) = partitioned(&spec, &predictor, &cfg, &g);
             assert_eq!(
                 placements, legacy_placements,
                 "{}/{:?}: generalized plan diverged from the legacy enumeration",
@@ -199,7 +218,7 @@ fn generalized_partitioner_reproduces_legacy_plans_with_npu() {
     for id in [ModelId::SqueezeNet, ModelId::MobileNet, ModelId::LeNet] {
         let g = id.build_miniature();
         let (legacy_placements, legacy_costs) = legacy_partition(&spec, &predictor, &cfg, &g);
-        let (placements, costs) = partition(&spec, &predictor, &cfg, &g).unwrap();
+        let (placements, costs) = partitioned(&spec, &predictor, &cfg, &g);
         assert_eq!(placements, legacy_placements, "{:?} (npu)", id);
         assert_eq!(costs, legacy_costs, "{:?} (npu)", id);
     }
@@ -228,7 +247,7 @@ fn generalized_plans_keep_quint8_outputs_bit_identical() {
             let reference = unn::forward(&g, &w, &calib, &input, DType::QUInt8).unwrap();
             let logits = g.len() - 2;
 
-            let (placements, _) = partition(&spec, &predictor, &cfg, &g).unwrap();
+            let (placements, _) = partitioned(&spec, &predictor, &cfg, &g);
             let plan = ExecutionPlan::new(&g, &spec, placements, "backcompat").unwrap();
             let outputs = evaluate_plan(&g, &plan, &w, &calib, &input).unwrap();
             assert!(

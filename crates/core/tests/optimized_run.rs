@@ -14,7 +14,8 @@ fn concat_elision_shrinks_merge_on_googlenet() {
     let g = ModelId::GoogLeNet.build_miniature();
 
     let base = rt.run(&g).unwrap();
-    let (optimized, opt) = rt.run_optimized(&g).unwrap();
+    let opt = rt.plan_optimized(&g, None).unwrap();
+    let optimized = uruntime::execute_plan(rt.spec(), &opt.graph, &opt.report.plan).unwrap();
 
     assert!(
         !opt.report.plan.elided_concats.is_empty(),
@@ -48,7 +49,7 @@ fn concat_elision_shrinks_merge_on_googlenet() {
 fn optimized_plan_reports_both_pass_logs() {
     let rt = ULayer::new(SocSpec::exynos_7880()).unwrap();
     let g = ModelId::SqueezeNet.build_miniature();
-    let opt = rt.plan_optimized(&g).unwrap();
+    let opt = rt.plan_optimized(&g, None).unwrap();
     let graph_names: Vec<&str> = opt.graph_passes.iter().map(|p| p.pass).collect();
     assert_eq!(
         graph_names,
@@ -73,8 +74,8 @@ fn run_functional_is_unaffected_by_elision_annotations() {
     // functional evaluator computes the identical join either way.
     let rt = ULayer::new(SocSpec::exynos_7420()).unwrap();
     let g = ModelId::SqueezeNet.build_miniature();
-    let opt = rt.plan_optimized_with_tables(&g, &unn::Weights::random(&g, 3).unwrap(), &{
-        let w = unn::Weights::random(&g, 3).unwrap();
+    let weights = unn::Weights::random(&g, 3).unwrap();
+    let calib = {
         let input = utensor::Tensor::from_f32(
             g.input_shape().clone(),
             (0..g.input_shape().numel())
@@ -82,9 +83,9 @@ fn run_functional_is_unaffected_by_elision_annotations() {
                 .collect(),
         )
         .unwrap();
-        unn::calibrate(&g, &w, std::slice::from_ref(&input)).unwrap()
-    });
-    let opt = opt.unwrap();
+        unn::calibrate(&g, &weights, std::slice::from_ref(&input)).unwrap()
+    };
+    let opt = rt.plan_optimized(&g, Some((&weights, &calib))).unwrap();
     let w = opt.weights.as_ref().unwrap();
     let c = opt.calib.as_ref().unwrap();
     let input = utensor::Tensor::from_f32(

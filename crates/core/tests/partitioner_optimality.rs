@@ -171,7 +171,10 @@ fn best_placement_is_argmin_over_candidates() {
     };
     for (kind, in_shape) in all_layer_kinds() {
         let out_shape = out_shape_of(&kind, &in_shape);
-        let (placement, cost) = coster.best_placement(&kind, &in_shape, &out_shape).unwrap();
+        let choice = coster
+            .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
+            .unwrap();
+        let (placement, cost) = (choice.placement, choice.cost);
         let candidates = enumerate_costs(&coster, &kind, &in_shape, &out_shape, &P_VALUES);
         assert!(!candidates.is_empty(), "{}: no candidates", kind.op_name());
         let (min_name, min_cost) = candidates
@@ -214,7 +217,10 @@ fn best_placement_is_argmin_at_each_single_p() {
         };
         for (kind, in_shape) in all_layer_kinds() {
             let out_shape = out_shape_of(&kind, &in_shape);
-            let (placement, cost) = coster.best_placement(&kind, &in_shape, &out_shape).unwrap();
+            let choice = coster
+                .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
+                .unwrap();
+            let (placement, cost) = (choice.placement, choice.cost);
             let candidates = enumerate_costs(&coster, &kind, &in_shape, &out_shape, &[p]);
             let min_cost = candidates.iter().map(|(_, c)| *c).min().unwrap();
             assert_eq!(
@@ -251,7 +257,10 @@ fn non_distributable_kinds_never_split() {
             continue;
         }
         let out_shape = out_shape_of(&kind, &in_shape);
-        let (placement, _) = coster.best_placement(&kind, &in_shape, &out_shape).unwrap();
+        let placement = coster
+            .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
+            .unwrap()
+            .placement;
         assert!(
             matches!(placement, uruntime::NodePlacement::Single { .. }),
             "{}: non-distributable layer got {placement:?}",

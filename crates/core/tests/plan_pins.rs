@@ -37,6 +37,7 @@ fn draft(rt: &ULayer, g: &Graph, drift: Option<&DriftAdapter>) -> Option<PlanDra
         config: rt.config(),
         graph: g,
         drift,
+        devices: &rt.spec().device_ids(),
     };
     PlanPassRunner::default_pipeline()
         .run(&cx)

@@ -20,7 +20,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use uruntime::{eval_part_task, split_axis, ExecBackend, PartTask, SplitAxis};
+use uruntime::{eval_part_task, ExecBackend, PartTask};
 use usoc::{DeviceId, SocSpec};
 use utensor::{Tensor, TensorError};
 
@@ -123,20 +123,8 @@ impl ParallelBackend {
     /// Non-splittable kinds and single-worker pools get the task back
     /// unchanged.
     fn plan_chunks<'a>(&self, task: &PartTask<'a>, workers: usize) -> Vec<PartTask<'a>> {
-        let Some(axis) = split_axis(task.kind) else {
+        let Some((axis, lo, hi)) = task.channel_range() else {
             return vec![task.clone()];
-        };
-        let (lo, hi) = match task.split {
-            Some((_, lo, hi)) => (lo, hi),
-            None => {
-                let x = task.inputs[0];
-                let channels =
-                    usoc::split_channel_count(task.kind, x.shape()).unwrap_or_else(|| match axis {
-                        SplitAxis::Filters => task.master_filter().map_or(0, |f| f.shape().dim(0)),
-                        SplitAxis::InputChannels => x.shape().c(),
-                    });
-                (0, channels)
-            }
         };
         let n = hi - lo;
         let chunks = workers.min(n);

@@ -9,8 +9,8 @@
 //! Two implementations exist:
 //!
 //! - [`SimulatedBackend`] (here) — runs tasks sequentially on the calling
-//!   thread with the naive reference kernels; identical numerics to
-//!   [`crate::evaluate_plan`].
+//!   thread with the naive reference kernels; it is what
+//!   [`crate::evaluate_plan`] evaluates with.
 //! - `uexec::ParallelBackend` (crates/exec) — dispatches tasks to real
 //!   worker pools and blocked kernels, recording wall-clock timings.
 
@@ -45,62 +45,5 @@ impl ExecBackend for SimulatedBackend {
 
     fn run_node(&self, tasks: &[PartTask<'_>]) -> Result<Vec<Tensor>, TensorError> {
         tasks.iter().map(eval_part_task).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::functional::{evaluate_plan, evaluate_plan_with_backend};
-    use crate::plan::{ExecutionPlan, NodePlacement};
-    use unn::ModelId;
-    use usoc::{DtypePlan, SocSpec};
-    use utensor::DType;
-
-    #[test]
-    fn simulated_backend_matches_sequential_evaluator_bitwise() {
-        // The backend seam must be a pure refactor: routing every part
-        // through SimulatedBackend::run_node yields the same bits as the
-        // in-line evaluator, for a plan mixing singles and splits.
-        let g = ModelId::SqueezeNet.build_miniature();
-        let w = unn::Weights::random(&g, 5).unwrap();
-        let shape = g.input_shape().clone();
-        let x = Tensor::from_f32(
-            shape.clone(),
-            (0..shape.numel())
-                .map(|i| (((i * 31) % 200) as f32) / 100.0 - 1.0)
-                .collect(),
-        )
-        .unwrap();
-        let calib = unn::calibrate(&g, &w, std::slice::from_ref(&x)).unwrap();
-        let spec = SocSpec::exynos_7420();
-        let plan = ExecutionPlan::new(
-            &g,
-            &spec,
-            g.nodes()
-                .iter()
-                .map(|n| {
-                    if n.kind.is_distributable() {
-                        NodePlacement::Split {
-                            parts: vec![
-                                (spec.cpu(), DtypePlan::proc_friendly_cpu(), 0.5),
-                                (spec.gpu(), DtypePlan::proc_friendly_gpu(), 0.5),
-                            ],
-                        }
-                    } else {
-                        NodePlacement::single(spec.cpu(), DType::QUInt8)
-                    }
-                })
-                .collect(),
-            "seam-test",
-        )
-        .unwrap();
-        let want = evaluate_plan(&g, &plan, &w, &calib, &x).unwrap();
-        let got = evaluate_plan_with_backend(&g, &plan, &w, &calib, &x, &SimulatedBackend).unwrap();
-        assert_eq!(want.len(), got.len());
-        for (a, b) in want.iter().zip(&got) {
-            assert!(a.bit_equal(b));
-        }
-        assert_eq!(SimulatedBackend.name(), "simulated");
     }
 }

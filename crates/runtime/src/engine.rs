@@ -214,8 +214,18 @@ pub(crate) struct InstanceTasks {
     pub node_first_task: Vec<TaskId>,
     /// The task after which the inference's output is CPU-visible.
     pub completion: TaskId,
-    /// Registered recovery actions (empty unless scheduled resiliently).
+}
+
+/// The schedule under construction: what [`realize`] hands its caller to
+/// build the run's instances into.
+pub(crate) struct Schedule {
+    pub tg: TaskGraph<TaskMeta>,
+    pub memory: SharedMemory,
+    /// Recovery actions registered so far (none unless scheduled
+    /// resiliently).
     pub fallbacks: Vec<FallbackPart>,
+    /// The stream's virtual arrival source, when the run has one.
+    pub source: Option<simcore::ResourceId>,
 }
 
 /// Allocates the long-lived weight buffers of a plan (uploaded once at
@@ -254,66 +264,6 @@ pub(crate) fn alloc_weight_buffers(
             }
         }
     }
-}
-
-/// Checks a plan's structural consistency against the spec and graph
-/// before any task is scheduled, so a corrupted or hand-mutated plan
-/// surfaces as [`RunError::MalformedPlan`] instead of a panic: every
-/// placement must reference a known device that is reachable from the
-/// host over the spec's links, and split shares must be sane.
-pub(crate) fn validate_plan(
-    spec: &SocSpec,
-    graph: &Graph,
-    plan: &ExecutionPlan,
-) -> Result<(), RunError> {
-    if plan.placements.len() != graph.len() {
-        return Err(RunError::MalformedPlan(format!(
-            "plan has {} placements for a {}-node graph",
-            plan.placements.len(),
-            graph.len()
-        )));
-    }
-    let ndev = spec.devices.len();
-    let host = spec.cpu();
-    for (i, p) in plan.placements.iter().enumerate() {
-        for d in p.devices() {
-            if d.0 >= ndev {
-                return Err(RunError::MalformedPlan(format!(
-                    "node {i} placed on unknown device dev#{}",
-                    d.0
-                )));
-            }
-            if spec.route(host, d).is_none() {
-                return Err(RunError::MalformedPlan(format!(
-                    "node {i} placed on dev#{} with no route from the host",
-                    d.0
-                )));
-            }
-        }
-        if let NodePlacement::Split { parts } = p {
-            if parts.is_empty() {
-                return Err(RunError::MalformedPlan(format!(
-                    "node {i} has a split placement with no parts"
-                )));
-            }
-            for &(_, _, f) in parts {
-                if !f.is_finite() || !(0.0..=1.0).contains(&f) {
-                    return Err(RunError::MalformedPlan(format!(
-                        "node {i} has a split share of {f}"
-                    )));
-                }
-            }
-        }
-    }
-    for &c in &plan.elided_concats {
-        if c >= graph.len() {
-            return Err(RunError::MalformedPlan(format!(
-                "elided concat index {c} out of range for a {}-node graph",
-                graph.len()
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Schedules the store-and-forward hop tasks moving `bytes` from `from`
@@ -367,7 +317,7 @@ fn transfer_chain(
     Ok(prev)
 }
 
-/// Builds the task DAG of one inference instance of `plan` into `tg`.
+/// Builds the task DAG of one inference instance of `plan` into `sched`.
 ///
 /// `prefix` namespaces task labels (used by the pipeline executor);
 /// `arrival` — when given — gates the source layers (the input is not
@@ -378,8 +328,7 @@ fn transfer_chain(
 /// fallbacks are skipped for free when the primary succeeds.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn schedule_instance(
-    tg: &mut TaskGraph<TaskMeta>,
-    memory: &mut SharedMemory,
+    sched: &mut Schedule,
     spec: &SocSpec,
     graph: &Graph,
     shapes: &[utensor::Shape],
@@ -389,9 +338,14 @@ pub(crate) fn schedule_instance(
     instance: usize,
     resilient: bool,
 ) -> Result<InstanceTasks, RunError> {
+    let Schedule {
+        tg,
+        memory,
+        fallbacks,
+        ..
+    } = sched;
     let cpu = spec.cpu();
     let networked = spec.has_network_links();
-    let mut fallbacks: Vec<FallbackPart> = Vec::new();
     // Transfer chains already scheduled for this instance, keyed by
     // (producer node — usize::MAX for the input frame — and destination
     // device), so two consumers on one device share the same transfer.
@@ -603,6 +557,88 @@ pub(crate) fn schedule_instance(
             OverheadClass::Compute
         };
 
+        let is_cpu = |d: DeviceId| spec.devices[d.0].kind == DeviceKind::CpuCluster;
+        // Schedules one kernel of this node — the whole layer, or one
+        // part of a split (`suffix` tags the part's label) — on `device`
+        // and returns `(first task, kernel task)`. A CPU kernel bundles
+        // its dispatch and is its own first task; an accelerator kernel
+        // is preceded by its asynchronous host-side issue and, when
+        // scheduling resiliently, watched by a CPU fallback re-executing
+        // `scope`.
+        let mut schedule_kernel =
+            |tg: &mut TaskGraph<TaskMeta>,
+             xfers: &mut std::collections::BTreeMap<(usize, usize), TaskId>,
+             device: DeviceId,
+             work: KernelWork,
+             suffix: &str,
+             scope: FallbackScope|
+             -> Result<(TaskId, TaskId), RunError> {
+                let span = spec.kernel_latency(device, &work)?;
+                // `{name}@{KIND}{suffix}`, joined by hand: it is the one
+                // string built per kernel of every run, and `format!` with
+                // three arguments costs twice the join.
+                let kind = spec.devices[device.0].kind.name();
+                let label = || [name.as_str(), "@", kind, suffix].concat();
+                let meta = |device: DeviceId, class: OverheadClass| TaskMeta {
+                    device,
+                    work,
+                    node: Some(id),
+                    class,
+                    map: SimSpan::ZERO,
+                    instance,
+                };
+                if is_cpu(device) {
+                    let deps = deps_for(tg, xfers, device)?;
+                    let k = tg.add(
+                        label(),
+                        res(device),
+                        span + spec.cpu_dispatch_span(),
+                        &deps,
+                        meta(device, kernel_class),
+                    );
+                    return Ok((k, k));
+                }
+                let issue = tg.add_with_priority(
+                    format!("{name}::issue"),
+                    res(cpu),
+                    spec.gpu_issue_span(),
+                    &issue_gate,
+                    -1,
+                    meta_overhead(cpu, Some(id), OverheadClass::Issue, SimSpan::ZERO),
+                );
+                let mut deps = deps_for(tg, xfers, device)?;
+                deps.push(issue);
+                let k = tg.add(
+                    label(),
+                    res(device),
+                    span,
+                    &deps,
+                    meta(device, kernel_class),
+                );
+                if resilient {
+                    let fb_span = spec.kernel_latency(cpu, &work)?
+                        + spec.gpu_wait_span()
+                        + spec.map_span()
+                        + spec.cpu_dispatch_span();
+                    let fb = tg.add_fallback(
+                        format!("{name}::fallback@CPU{suffix}"),
+                        res(cpu),
+                        fb_span,
+                        k,
+                        meta(cpu, OverheadClass::Fallback),
+                    );
+                    fallbacks.push(FallbackPart {
+                        node: id,
+                        scope,
+                        from: device,
+                        to: cpu,
+                        primary: k,
+                        fallback: fb,
+                    });
+                }
+                Ok((issue, k))
+            };
+
         let placement = &plan.placements[i];
         let (final_task, residency, first_task, loc) = if plan.elided_concats.contains(&i) {
             // Elided concat: the branches already wrote their channel
@@ -624,84 +660,22 @@ pub(crate) fn schedule_instance(
             match placement {
                 NodePlacement::Single { device, dtypes } => {
                     let work = layer_work(&node.kind, &in_shape, &out_shape, *dtypes, 1.0);
-                    let span = spec.kernel_latency(*device, &work)?;
-                    match spec.devices[device.0].kind {
-                        DeviceKind::CpuCluster => {
-                            let deps = deps_for(tg, &mut xfers, *device)?;
-                            memory.map(out_buf, MapMode::WriteInvalidate)?;
-                            let k = tg.add(
-                                format!("{name}@CPU"),
-                                res(*device),
-                                span + spec.cpu_dispatch_span(),
-                                &deps,
-                                TaskMeta {
-                                    device: *device,
-                                    work,
-                                    node: Some(id),
-                                    class: kernel_class,
-                                    map: SimSpan::ZERO,
-                                    instance,
-                                },
-                            );
-                            memory.unmap(out_buf)?;
-                            (k, Residency::Cpu, k, *device)
-                        }
-                        DeviceKind::Gpu | DeviceKind::Npu => {
-                            let issue = tg.add_with_priority(
-                                format!("{name}::issue"),
-                                res(cpu),
-                                spec.gpu_issue_span(),
-                                &issue_gate,
-                                -1,
-                                meta_overhead(cpu, Some(id), OverheadClass::Issue, SimSpan::ZERO),
-                            );
-                            let mut deps = deps_for(tg, &mut xfers, *device)?;
-                            deps.push(issue);
-                            let k = tg.add(
-                                format!("{name}@{}", spec.devices[device.0].kind),
-                                res(*device),
-                                span,
-                                &deps,
-                                TaskMeta {
-                                    device: *device,
-                                    work,
-                                    node: Some(id),
-                                    class: kernel_class,
-                                    map: SimSpan::ZERO,
-                                    instance,
-                                },
-                            );
-                            if resilient {
-                                let fb_span = spec.kernel_latency(cpu, &work)?
-                                    + spec.gpu_wait_span()
-                                    + spec.map_span()
-                                    + spec.cpu_dispatch_span();
-                                let fb = tg.add_fallback(
-                                    format!("{name}::fallback@CPU"),
-                                    res(cpu),
-                                    fb_span,
-                                    k,
-                                    TaskMeta {
-                                        device: cpu,
-                                        work,
-                                        node: Some(id),
-                                        class: OverheadClass::Fallback,
-                                        map: SimSpan::ZERO,
-                                        instance,
-                                    },
-                                );
-                                fallbacks.push(FallbackPart {
-                                    node: id,
-                                    scope: FallbackScope::WholeNode,
-                                    from: *device,
-                                    to: cpu,
-                                    primary: k,
-                                    fallback: fb,
-                                });
-                            }
-                            (k, Residency::Accel(*device), issue, *device)
-                        }
-                    }
+                    let (first, k) = schedule_kernel(
+                        tg,
+                        &mut xfers,
+                        *device,
+                        work,
+                        "",
+                        FallbackScope::WholeNode,
+                    )?;
+                    let residency = if is_cpu(*device) {
+                        memory.map(out_buf, MapMode::WriteInvalidate)?;
+                        memory.unmap(out_buf)?;
+                        Residency::Cpu
+                    } else {
+                        Residency::Accel(*device)
+                    };
+                    (k, residency, first, *device)
                 }
                 NodePlacement::Split { parts: nominal } => {
                     // Cost what each processor *actually* executes: the
@@ -730,16 +704,12 @@ pub(crate) fn schedule_instance(
                     // (and any unmap they need) *before* starting the CPU-side
                     // work, so the accelerator parts overlap the CPU part
                     // instead of queuing behind it on the host timeline.
-                    let ordered: Vec<(usize, &(DeviceId, usoc::DtypePlan, f64))> =
-                        parts
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, p)| spec.devices[p.0 .0].kind != DeviceKind::CpuCluster)
-                            .chain(parts.iter().enumerate().filter(|(_, p)| {
-                                spec.devices[p.0 .0].kind == DeviceKind::CpuCluster
-                            }))
-                            .collect();
-                    for &(pi, &(device, dtypes, frac)) in &ordered {
+                    let ordered = parts
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, p)| !is_cpu(p.0))
+                        .chain(parts.iter().enumerate().filter(|(_, p)| is_cpu(p.0)));
+                    for (pi, &(device, dtypes, frac)) in ordered {
                         if frac == 0.0 {
                             // Zero realized channels: the part executes no
                             // kernel, so it must not pay issue/merge-wait
@@ -747,111 +717,38 @@ pub(crate) fn schedule_instance(
                             continue;
                         }
                         let work = layer_work(&node.kind, &in_shape, &out_shape, dtypes, frac);
-                        let span = spec.kernel_latency(device, &work)?;
-                        match spec.devices[device.0].kind {
-                            DeviceKind::CpuCluster => {
-                                let deps = deps_for(tg, &mut xfers, device)?;
-                                let k = tg.add(
-                                    format!("{name}@CPU[{frac:.2}]"),
-                                    res(device),
-                                    span + spec.cpu_dispatch_span(),
-                                    &deps,
-                                    TaskMeta {
-                                        device,
-                                        work,
-                                        node: Some(id),
-                                        class: OverheadClass::Compute,
-                                        map: SimSpan::ZERO,
-                                        instance,
-                                    },
-                                );
-                                first.get_or_insert(k);
-                                // A remote part's partial output must cross
-                                // back to the host before the merge.
-                                if networked && device != cpu {
-                                    let t = transfer_chain(
-                                        tg,
-                                        spec,
-                                        device,
-                                        cpu,
-                                        work.bytes_out,
-                                        Some(k),
-                                        &format!("{name}[{frac:.2}]"),
-                                        Some(id),
-                                        instance,
-                                    )?;
-                                    part_tasks.push(t.unwrap_or(k));
-                                } else {
-                                    part_tasks.push(k);
-                                }
-                            }
-                            DeviceKind::Gpu | DeviceKind::Npu => {
-                                any_accel = true;
-                                let issue = tg.add_with_priority(
-                                    format!("{name}::issue"),
-                                    res(cpu),
-                                    spec.gpu_issue_span(),
-                                    &issue_gate,
-                                    -1,
-                                    meta_overhead(
-                                        cpu,
-                                        Some(id),
-                                        OverheadClass::Issue,
-                                        SimSpan::ZERO,
-                                    ),
-                                );
-                                let mut deps = deps_for(tg, &mut xfers, device)?;
-                                deps.push(issue);
-                                let k = tg.add(
-                                    format!("{name}@{}[{frac:.2}]", spec.devices[device.0].kind),
-                                    res(device),
-                                    span,
-                                    &deps,
-                                    TaskMeta {
-                                        device,
-                                        work,
-                                        node: Some(id),
-                                        class: OverheadClass::Compute,
-                                        map: SimSpan::ZERO,
-                                        instance,
-                                    },
-                                );
-                                first.get_or_insert(issue);
-                                part_tasks.push(k);
-                                if resilient {
-                                    let fb_span = spec.kernel_latency(cpu, &work)?
-                                        + spec.gpu_wait_span()
-                                        + spec.map_span()
-                                        + spec.cpu_dispatch_span();
-                                    let fb = tg.add_fallback(
-                                        format!("{name}::fallback@CPU[{frac:.2}]"),
-                                        res(cpu),
-                                        fb_span,
-                                        k,
-                                        TaskMeta {
-                                            device: cpu,
-                                            work,
-                                            node: Some(id),
-                                            class: OverheadClass::Fallback,
-                                            map: SimSpan::ZERO,
-                                            instance,
-                                        },
-                                    );
-                                    let (lo, hi) = if pi + 1 < cuts.len() {
-                                        (cuts[pi], cuts[pi + 1])
-                                    } else {
-                                        (0, 0)
-                                    };
-                                    fallbacks.push(FallbackPart {
-                                        node: id,
-                                        scope: FallbackScope::Channels { index: pi, lo, hi },
-                                        from: device,
-                                        to: cpu,
-                                        primary: k,
-                                        fallback: fb,
-                                    });
-                                }
-                            }
+                        let (lo, hi) = if pi + 1 < cuts.len() {
+                            (cuts[pi], cuts[pi + 1])
+                        } else {
+                            (0, 0)
+                        };
+                        let (first_task, k) = schedule_kernel(
+                            tg,
+                            &mut xfers,
+                            device,
+                            work,
+                            &format!("[{frac:.2}]"),
+                            FallbackScope::Channels { index: pi, lo, hi },
+                        )?;
+                        first.get_or_insert(first_task);
+                        any_accel |= !is_cpu(device);
+                        // A remote part's partial output must cross
+                        // back to the host before the merge.
+                        if networked && is_cpu(device) && device != cpu {
+                            let t = transfer_chain(
+                                tg,
+                                spec,
+                                device,
+                                cpu,
+                                work.bytes_out,
+                                Some(k),
+                                &format!("{name}[{frac:.2}]"),
+                                Some(id),
+                                instance,
+                            )?;
+                            part_tasks.push(t.unwrap_or(k));
+                        } else {
+                            part_tasks.push(k);
                         }
                     }
                     // Merge: the host waits for the accelerator parts and maps
@@ -924,11 +821,11 @@ pub(crate) fn schedule_instance(
         producers,
         node_first_task,
         completion,
-        fallbacks,
     })
 }
 
-/// Executes `plan` over `graph` on `spec`, returning timing and energy.
+/// Executes `plan` over `graph` on `spec`, returning timing and energy:
+/// [`execute_plan_with_faults`] under the empty fault plan.
 ///
 /// This is the *timing* half of the co-simulation; numeric evaluation of
 /// the same plan lives in [`crate::functional`] and shares the plan
@@ -948,8 +845,8 @@ pub fn execute_plan(
     .map(|(result, _)| result)
 }
 
-/// Like [`execute_plan`], but realizes the perturbations of `faults` with
-/// watchdog/retry/fallback recovery:
+/// Executes one inference of `plan`, realizing the perturbations of
+/// `faults` with watchdog/retry/fallback recovery:
 ///
 /// - transient task failures are retried with bounded exponential backoff
 ///   (`policy`), each failed attempt costing its full predicted span (the
@@ -961,9 +858,8 @@ pub fn execute_plan(
 /// - an unrecoverable failure (a CPU task failing with no fallback)
 ///   surfaces as [`RunError::Unrecoverable`].
 ///
-/// With an empty `faults` this is exactly [`execute_plan`]: no fallback
-/// tasks are registered and the schedule is byte-identical to the
-/// fault-free one.
+/// With an empty `faults` no fallback tasks are registered and nothing is
+/// perturbed: that schedule is what [`execute_plan`] returns.
 pub fn execute_plan_with_faults(
     spec: &SocSpec,
     graph: &Graph,
@@ -971,111 +867,145 @@ pub fn execute_plan_with_faults(
     faults: &FaultPlan,
     policy: &RetryPolicy,
 ) -> Result<(RunResult, FaultReport), RunError> {
-    validate_plan(spec, graph, plan)?;
+    plan.validate_for(graph, spec)
+        .map_err(RunError::MalformedPlan)?;
     let shapes = graph.infer_shapes()?;
-    let resilient = !faults.is_empty();
-
-    let mut pool = ResourcePool::new();
-    for dev in &spec.devices {
-        pool.add(dev.name.clone());
-    }
-    // Networked specs schedule transfer tasks on per-link timelines at
-    // `ResourceId(ndev + link_index)`.
-    if spec.has_network_links() {
-        for l in &spec.links {
-            pool.add(l.resource_name());
-        }
-    }
-
-    let mut tg: TaskGraph<TaskMeta> = TaskGraph::new();
-    let mut memory = SharedMemory::new();
-    alloc_weight_buffers(&mut memory, graph, &shapes, plan);
-
-    let inst = schedule_instance(
-        &mut tg,
-        &mut memory,
-        spec,
-        graph,
-        &shapes,
-        plan,
-        "",
-        None,
-        0,
-        resilient,
-    )?;
-
-    let (trace, sched, log) = tg.run_with_faults(&mut pool, faults, policy)?;
-    check_recovered(&trace, &log)?;
-    let report = fault_report(&log, &inst.fallbacks);
-
-    let mut energy = EnergyAccumulator::new(spec);
-    for rec in trace.records() {
-        // Link time is not processor time: transfers burn no device
-        // energy (there is no link power model yet).
-        if rec.payload.class == OverheadClass::Transfer {
-            continue;
-        }
-        energy.add_task(
-            rec.payload.device,
-            rec.span(),
-            rec.payload.work.total_bytes(),
-        )?;
-    }
-    // Failed-then-retried attempts occupied real device time the trace
-    // does not show; they burn energy all the same.
-    for attempt in &log.wasted {
-        let meta = &trace.records()[attempt.task.0].payload;
-        if meta.class == OverheadClass::Transfer {
-            continue;
-        }
-        energy.add_task(
-            meta.device,
-            attempt.end - attempt.start,
-            meta.work.total_bytes(),
-        )?;
-    }
-    let energy = energy.finish(trace.makespan());
-
+    let (inst, run) = realize(spec, false, faults, policy, |sched| {
+        alloc_weight_buffers(&mut sched.memory, graph, &shapes, plan);
+        let resilient = !faults.is_empty();
+        schedule_instance(sched, spec, graph, &shapes, plan, "", None, 0, resilient)
+    })?;
     let node_spans: Vec<(SimTime, SimTime)> = (0..graph.len())
         .map(|i| {
             (
-                trace.start_of(inst.node_first_task[i]),
-                trace.end_of(inst.producers[i].0),
+                run.trace.start_of(inst.node_first_task[i]),
+                run.trace.end_of(inst.producers[i].0),
             )
         })
         .collect();
+    Ok((
+        RunResult {
+            label: plan.label.clone(),
+            latency: run.trace.makespan(),
+            energy: run.energy,
+            trace: run.trace,
+            resource_names: run.resource_names,
+            node_spans,
+            memory: run.memory,
+            metrics: run.metrics,
+            attribution: run.attribution,
+        },
+        run.report,
+    ))
+}
 
+/// Everything one realized schedule yields, whichever projection
+/// ([`RunResult`] or [`crate::PipelineResult`]) it is reported through.
+pub(crate) struct RealizedRun {
+    pub trace: Trace<TaskMeta>,
+    pub energy: EnergyBreakdown,
+    pub resource_names: Vec<String>,
+    pub memory: MemoryStats,
+    pub metrics: MetricsRegistry,
+    pub attribution: Attribution,
+    pub report: FaultReport,
+}
+
+/// The one run body: registers the spec's resources, lets `schedule`
+/// build the task graph, runs it under `faults`, checks that every
+/// failure was recovered, and accounts energy, attribution and metrics.
+///
+/// Resources are the devices, then — on networked specs — the links at
+/// `ResourceId(ndev + link_index)`, then, with `source` set, a virtual
+/// arrival source (the camera / microphone delivering a stream's inputs;
+/// it is not a processor and consumes no energy). `schedule` builds the
+/// instances into the [`Schedule`] and returns whatever its projection
+/// needs from them.
+pub(crate) fn realize<T>(
+    spec: &SocSpec,
+    source: bool,
+    faults: &FaultPlan,
+    policy: &RetryPolicy,
+    schedule: impl FnOnce(&mut Schedule) -> Result<T, RunError>,
+) -> Result<(T, RealizedRun), RunError> {
     let mut resource_names: Vec<String> = spec.devices.iter().map(|d| d.name.clone()).collect();
     if spec.has_network_links() {
         resource_names.extend(spec.links.iter().map(|l| l.resource_name()));
     }
+    if source {
+        resource_names.push("source".to_string());
+    }
+    let mut pool = ResourcePool::new();
+    for name in &resource_names {
+        pool.add(name.clone());
+    }
+    let mut sched = Schedule {
+        tg: TaskGraph::new(),
+        memory: SharedMemory::new(),
+        fallbacks: Vec::new(),
+        source: source.then(|| simcore::ResourceId(resource_names.len() - 1)),
+    };
+    let state = schedule(&mut sched)?;
+    let Schedule {
+        tg,
+        memory,
+        fallbacks,
+        source,
+    } = sched;
+
+    let (trace, sched, log) = tg.run(&mut pool, faults, policy)?;
+    check_recovered(&trace, &log)?;
+    let report = fault_report(&log, &fallbacks);
+
+    // Link time is not processor time: transfers burn no device energy
+    // (there is no link power model yet), and neither do arrivals.
+    // Failed-then-retried attempts occupied real device time the trace
+    // does not show; they burn energy all the same.
+    let mut energy = EnergyAccumulator::new(spec);
+    let attempts = trace
+        .records()
+        .iter()
+        .filter(|rec| Some(rec.resource) != source)
+        .map(|rec| (&rec.payload, rec.span()))
+        .chain(log.wasted.iter().map(|attempt| {
+            (
+                &trace.records()[attempt.task.0].payload,
+                attempt.end - attempt.start,
+            )
+        }));
+    for (meta, span) in attempts {
+        if meta.class != OverheadClass::Transfer {
+            energy.add_task(meta.device, span, meta.work.total_bytes())?;
+        }
+    }
+    let energy = energy.finish(trace.makespan());
+
     let attribution = attribute(&trace, &resource_names, spec);
     let stats = memory.stats();
     let mut metrics = MetricsRegistry::new();
     fill_run_metrics(&mut metrics, &trace, &sched, &stats, &energy);
-    if resilient {
-        fill_fault_metrics(&mut metrics, &report);
+    if !faults.is_empty() {
+        metrics.inc("fault.injected", report.injected);
+        metrics.inc("task.retries", report.retries);
+        metrics.inc("fallback.parts", report.fallbacks.len() as u64);
     }
-
     Ok((
-        RunResult {
-            label: plan.label.clone(),
-            latency: trace.makespan(),
-            energy,
+        state,
+        RealizedRun {
             trace,
+            energy,
             resource_names,
-            node_spans,
             memory: stats,
             metrics,
             attribution,
+            report,
         },
-        report,
     ))
 }
 
 /// Maps permanently-failed tasks without a successful fallback to
 /// [`RunError::Unrecoverable`].
-pub(crate) fn check_recovered(trace: &Trace<TaskMeta>, log: &FaultLog) -> Result<(), RunError> {
+fn check_recovered(trace: &Trace<TaskMeta>, log: &FaultLog) -> Result<(), RunError> {
     if log.unrecovered.is_empty() {
         return Ok(());
     }
@@ -1093,7 +1023,7 @@ pub(crate) fn check_recovered(trace: &Trace<TaskMeta>, log: &FaultLog) -> Result
 
 /// Builds the run's [`FaultReport`]: scheduler fault counters plus the
 /// fallbacks that actually executed, in completion order.
-pub(crate) fn fault_report(log: &FaultLog, registered: &[FallbackPart]) -> FaultReport {
+fn fault_report(log: &FaultLog, registered: &[FallbackPart]) -> FaultReport {
     let fallbacks = log
         .recovered
         .iter()
@@ -1108,16 +1038,9 @@ pub(crate) fn fault_report(log: &FaultLog, registered: &[FallbackPart]) -> Fault
     }
 }
 
-/// Fault-path counters (only reported by the resilient executors).
-pub(crate) fn fill_fault_metrics(metrics: &mut MetricsRegistry, report: &FaultReport) {
-    metrics.inc("fault.injected", report.injected);
-    metrics.inc("task.retries", report.retries);
-    metrics.inc("fallback.parts", report.fallbacks.len() as u64);
-}
-
 /// Fills the counters every executor reports: scheduler statistics,
 /// per-class task counts, memory high-water marks, and energy.
-pub(crate) fn fill_run_metrics(
+fn fill_run_metrics(
     metrics: &mut MetricsRegistry,
     trace: &Trace<TaskMeta>,
     sched: &simcore::SchedStats,

@@ -11,13 +11,13 @@
 //! output.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 
 use usoc::DtypePlan;
 use utensor::{DType, QuantParams, Tensor, TensorError};
 
 use unn::{Calibration, Graph, LayerKind, NodeId, Weights};
 
+use crate::backend::{ExecBackend, SimulatedBackend};
 use crate::engine::{FallbackPart, FallbackScope};
 use crate::plan::{ExecutionPlan, NodePlacement};
 
@@ -114,6 +114,24 @@ impl<'a> PartTask<'a> {
     pub fn master_filter(&self) -> Option<&'a Tensor> {
         self.weights.of(self.node).filter.as_ref()
     }
+
+    /// The channels this task owns along its split axis: its part's cut,
+    /// or — for a whole-layer task — every channel the layer distributes.
+    /// `None` for kinds that cannot be channel-split. A backend
+    /// subdividing a task cuts this range, exactly as the plan's own
+    /// split cuts the whole layer's.
+    pub fn channel_range(&self) -> Option<(SplitAxis, usize, usize)> {
+        self.split
+            .or_else(|| whole_range(self.kind, self.inputs[0]))
+    }
+}
+
+/// The channel range a whole execution of `kind` over input `x`
+/// distributes, from the same count as the timing engine
+/// (`usoc::split_channel_count`).
+fn whole_range(kind: &LayerKind, x: &Tensor) -> Option<(SplitAxis, usize, usize)> {
+    let channels = usoc::split_channel_count(kind, x.shape())?;
+    Some((split_axis(kind)?, 0, channels))
 }
 
 /// Executes one [`PartTask`], returning the raw output in the part's
@@ -214,18 +232,9 @@ fn node_tasks<'a>(
             split: None,
         }]),
         NodePlacement::Split { parts } => {
-            let axis = split_axis(kind).ok_or_else(|| {
+            let (axis, _, channels) = whole_range(kind, inputs[0]).ok_or_else(|| {
                 TensorError::BadConcat(format!("{} cannot be channel-split", kind.op_name()))
             })?;
-            let x = inputs[0];
-            let channels =
-                usoc::split_channel_count(kind, x.shape()).unwrap_or_else(|| match axis {
-                    SplitAxis::Filters => {
-                        let filter = weights.of(id).filter.as_ref();
-                        filter.map(|f| f.shape().dim(0)).unwrap_or(0)
-                    }
-                    SplitAxis::InputChannels => x.shape().c(),
-                });
             let fracs: Vec<f64> = parts.iter().map(|p| p.2).collect();
             let cuts = usoc::split_cuts(channels, &fracs);
             let mut tasks = Vec::with_capacity(parts.len());
@@ -253,8 +262,9 @@ fn node_tasks<'a>(
     }
 }
 
-/// Evaluates the plan numerically, returning every node's output in the
-/// plan's storage dtype (the final softmax is always f32).
+/// Evaluates the plan numerically on the calling thread with the
+/// reference kernels, returning every node's output in the plan's
+/// storage dtype (the final softmax is always f32).
 pub fn evaluate_plan(
     graph: &Graph,
     plan: &ExecutionPlan,
@@ -262,7 +272,7 @@ pub fn evaluate_plan(
     calib: &Calibration,
     input: &Tensor,
 ) -> Result<Vec<Tensor>, TensorError> {
-    evaluate_plan_with_recovery(graph, plan, weights, calib, input, &[])
+    evaluate_plan_with_backend(graph, plan, weights, calib, input, &SimulatedBackend)
 }
 
 /// [`evaluate_plan`] through the engine's recovery path: for every part
@@ -281,43 +291,60 @@ pub fn evaluate_plan_with_recovery(
     input: &Tensor,
     recovered: &[FallbackPart],
 ) -> Result<Vec<Tensor>, TensorError> {
-    // node index -> the recovered parts of that node.
-    let mut redo: BTreeMap<usize, Vec<&FallbackPart>> = BTreeMap::new();
-    for f in recovered {
-        redo.entry(f.node.0).or_default().push(f);
-    }
-    evaluate_plan_inner(graph, plan, weights, calib, input, &|task| {
-        let mut raw = eval_part_task(task)?;
-        let hit = redo.get(&task.node.0).is_some_and(|fs| {
-            fs.iter().any(|f| match (f.scope, task.split) {
-                (FallbackScope::WholeNode, None) => true,
-                (FallbackScope::Channels { index, .. }, Some(_)) => index == task.part_index,
-                _ => false,
-            })
-        });
-        if hit {
-            // This task's kernel failed on its device: discard the
-            // attempt and re-execute the same channel range (the
-            // fallback). Same cuts, same dtypes — exact.
-            raw = eval_part_task(task)?;
-        }
-        Ok(raw)
-    })
+    evaluate_plan_with_backend(graph, plan, weights, calib, input, &Recovering(recovered))
 }
 
-/// [`evaluate_plan`] with part execution delegated to an
-/// [`crate::backend::ExecBackend`]: each node's tasks are handed to the
-/// backend as one batch (the layer barrier), raw outputs come back in
-/// task order, and the evaluator converts and merges them exactly as the
-/// sequential path does.
+/// The sequential backend of [`evaluate_plan_with_recovery`]: a task
+/// named in the fallback list runs twice.
+struct Recovering<'a>(&'a [FallbackPart]);
+
+impl ExecBackend for Recovering<'_> {
+    fn name(&self) -> &str {
+        "simulated-recovery"
+    }
+
+    fn run_node(&self, tasks: &[PartTask<'_>]) -> Result<Vec<Tensor>, TensorError> {
+        tasks
+            .iter()
+            .map(|task| {
+                let mut raw = eval_part_task(task)?;
+                let hit = self.0.iter().any(|f| {
+                    f.node == task.node
+                        && match (f.scope, task.split) {
+                            (FallbackScope::WholeNode, None) => true,
+                            (FallbackScope::Channels { index, .. }, Some(_)) => {
+                                index == task.part_index
+                            }
+                            _ => false,
+                        }
+                });
+                if hit {
+                    // This task's kernel failed on its device: discard the
+                    // attempt and re-execute the same channel range (the
+                    // fallback). Same cuts, same dtypes — exact.
+                    raw = eval_part_task(task)?;
+                }
+                Ok(raw)
+            })
+            .collect()
+    }
+}
+
+/// The evaluator loop, with part execution delegated to an
+/// [`ExecBackend`]: each node's tasks are handed to the backend as one
+/// batch (the layer barrier), raw outputs come back in task order, and
+/// the evaluator converts them to storage and merges them. The plan is
+/// checked against the graph first ([`ExecutionPlan::validate`]), so a
+/// plan mutated after construction is a typed error, not a panic.
 pub fn evaluate_plan_with_backend(
     graph: &Graph,
     plan: &ExecutionPlan,
     weights: &Weights,
     calib: &Calibration,
     input: &Tensor,
-    backend: &dyn crate::backend::ExecBackend,
+    backend: &dyn ExecBackend,
 ) -> Result<Vec<Tensor>, TensorError> {
+    plan.validate(graph).map_err(TensorError::BadGraph)?;
     let storage = plan.storage_dtype();
     let x0 = input.cast(storage, Some(calib.input_params))?;
 
@@ -343,45 +370,6 @@ pub fn evaluate_plan_with_backend(
         )?;
         let raws = backend.run_node(&tasks)?;
         debug_assert_eq!(raws.len(), tasks.len());
-        outputs.push(merge_node(&node.kind, storage, store_params, raws)?);
-    }
-    Ok(outputs)
-}
-
-/// The shared evaluator loop: builds each node's tasks, executes them
-/// through `run_task`, converts to storage, and merges.
-fn evaluate_plan_inner(
-    graph: &Graph,
-    plan: &ExecutionPlan,
-    weights: &Weights,
-    calib: &Calibration,
-    input: &Tensor,
-    run_task: &dyn Fn(&PartTask<'_>) -> Result<Tensor, TensorError>,
-) -> Result<Vec<Tensor>, TensorError> {
-    let storage = plan.storage_dtype();
-    let x0 = input.cast(storage, Some(calib.input_params))?;
-
-    let mut outputs: Vec<Tensor> = Vec::with_capacity(graph.len());
-    for (i, node) in graph.nodes().iter().enumerate() {
-        let id = NodeId(i);
-        let act = calib.act_params[i];
-        let inputs: Vec<&Tensor> = if node.inputs.is_empty() {
-            vec![&x0]
-        } else {
-            node.inputs.iter().map(|d| &outputs[d.0]).collect()
-        };
-        let store_params = store_params_of(&node.kind, &inputs, act);
-        let tasks = node_tasks(
-            id,
-            &node.kind,
-            &node.name,
-            &plan.placements[i],
-            inputs,
-            weights,
-            calib.weight_params[i],
-            act,
-        )?;
-        let raws: Vec<Tensor> = tasks.iter().map(run_task).collect::<Result<Vec<_>, _>>()?;
         outputs.push(merge_node(&node.kind, storage, store_params, raws)?);
     }
     Ok(outputs)

@@ -7,12 +7,14 @@
 //!   split) shared by the baselines and μLayer.
 //! - [`engine`] — the timing half of the co-simulation: builds the task
 //!   DAG (kernels, async GPU issues, syncs, zero-copy map/unmaps,
-//!   cooperative merges), schedules it, and integrates energy.
+//!   cooperative merges), schedules it under a fault plan, and
+//!   integrates energy — one run body, projected as a single run here.
 //! - [`functional`] — the numeric half: evaluates the same plan on real
-//!   tensors, slicing filters/channels exactly as §3.2 describes.
-//! - [`pipeline`] — streaming execution: many inputs through one plan
-//!   with paced arrivals, reporting sustained throughput and per-input
-//!   latency.
+//!   tensors, slicing filters/channels exactly as §3.2 describes — one
+//!   evaluator loop over an [`ExecBackend`].
+//! - [`pipeline`] — streaming execution, the run body's other
+//!   projection: many inputs through one plan with paced arrivals,
+//!   reporting sustained throughput and per-input latency.
 //! - [`baselines`] — the §2.2 mechanisms μLayer is compared against:
 //!   single-processor, layer-to-processor, network-to-processor.
 //! - [`observe`] — schedule observability: overhead attribution (every
@@ -75,11 +77,8 @@ pub use functional::{
     split_axis, PartTask, SplitAxis,
 };
 pub use metrics::{MetricsRegistry, SharedMetrics};
-pub use observe::{
-    attribute, chrome_trace_json, chrome_trace_json_with_faults, Attribution, OverheadClass,
-    ResourceAttribution,
-};
-pub use pipeline::{execute_pipeline, execute_pipeline_with_faults, PipelineResult};
+pub use observe::{attribute, chrome_trace_json, Attribution, OverheadClass, ResourceAttribution};
+pub use pipeline::{execute_pipeline, PipelineResult, RunOptions};
 pub use plan::{ExecutionPlan, NodePlacement};
 pub use serve::{serve_stream, ServeConfig, ServeReport};
 pub use serving::{FrameFate, FrameRecord, LadderRung, RealizedRung};

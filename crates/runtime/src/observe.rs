@@ -313,97 +313,71 @@ pub fn attribute(
 /// complete (`"X"`) event per task with its class as the category and
 /// `class`/`instance`/`macs`/`bytes` (plus `node` where known) as event
 /// arguments. The result loads in `chrome://tracing` and Perfetto.
-pub fn chrome_trace_json(trace: &Trace<TaskMeta>, resource_names: &[String]) -> String {
-    let tracks: Vec<(ResourceId, String)> = resource_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (ResourceId(i), n.clone()))
-        .collect();
-    simcore::chrome::export(
-        trace,
-        &tracks,
-        |rec| rec.payload.class.name().to_string(),
-        |rec| {
-            let meta = &rec.payload;
-            let mut args = vec![
-                ("class".to_string(), TraceArg::Str(meta.class.name().into())),
-                ("instance".to_string(), TraceArg::Num(meta.instance as f64)),
-                ("macs".to_string(), TraceArg::Num(meta.work.macs as f64)),
-                (
-                    "bytes".to_string(),
-                    TraceArg::Num(meta.work.total_bytes() as f64),
-                ),
-            ];
-            if let Some(node) = meta.node {
-                args.push(("node".to_string(), TraceArg::Num(node.0 as f64)));
-            }
-            args
-        },
-    )
-}
-
-/// Like [`chrome_trace_json`], but additionally renders the fault plan —
-/// throttle windows, device losses, and wasted (retried/failed) attempts —
-/// as dedicated overlay tracks above the resource tracks, one
-/// `faults:<resource>` track per affected resource.
-pub fn chrome_trace_json_with_faults(
+///
+/// `faults` — the plan a resilient run was perturbed with and the
+/// wasted attempts its report lists — is rendered as overlay tracks
+/// above the resource tracks, one `faults:<resource>` track per affected
+/// resource: throttle windows, device losses, and retried/failed
+/// attempts.
+pub fn chrome_trace_json(
     trace: &Trace<TaskMeta>,
     resource_names: &[String],
-    faults: &simcore::FaultPlan,
-    wasted: &[simcore::AttemptRecord],
+    faults: Option<(&simcore::FaultPlan, &[simcore::AttemptRecord])>,
 ) -> String {
     let tracks: Vec<(ResourceId, String)> = resource_names
         .iter()
         .enumerate()
         .map(|(i, n)| (ResourceId(i), n.clone()))
         .collect();
-    let name_of = |r: ResourceId| -> &str {
-        resource_names
-            .get(r.0)
-            .map(String::as_str)
-            .unwrap_or("resource")
+    let overlay = |resource: ResourceId, name: String, start, dur, args| {
+        let track = resource_names.get(resource.0).map(String::as_str);
+        simcore::OverlayEvent {
+            track: format!("faults:{}", track.unwrap_or("resource")),
+            name,
+            cat: "fault".to_string(),
+            start,
+            dur,
+            args,
+        }
     };
     let horizon = simcore::SimTime::ZERO + trace.makespan();
     let mut overlays = Vec::new();
-    for w in &faults.throttles {
-        overlays.push(simcore::OverlayEvent {
-            track: format!("faults:{}", name_of(w.resource)),
-            name: format!("throttle x{:.2}", w.factor),
-            cat: "fault".to_string(),
-            start: w.from,
-            dur: w.until.since(w.from),
-            args: vec![("factor".to_string(), TraceArg::Num(w.factor))],
-        });
+    if let Some((plan, wasted)) = faults {
+        for w in &plan.throttles {
+            overlays.push(overlay(
+                w.resource,
+                format!("throttle x{:.2}", w.factor),
+                w.from,
+                w.until.since(w.from),
+                vec![("factor".to_string(), TraceArg::Num(w.factor))],
+            ));
+        }
+        for l in &plan.losses {
+            let dur = if horizon > l.at {
+                horizon.since(l.at)
+            } else {
+                SimSpan::ZERO
+            };
+            overlays.push(overlay(
+                l.resource,
+                "device lost".to_string(),
+                l.at,
+                dur,
+                Vec::new(),
+            ));
+        }
+        for a in wasted {
+            let task = TraceArg::Str(trace.records()[a.task.0].label.clone());
+            overlays.push(overlay(
+                a.resource,
+                "failed attempt".to_string(),
+                a.start,
+                a.end.since(a.start),
+                vec![("task".to_string(), task)],
+            ));
+        }
     }
-    for l in &faults.losses {
-        let dur = if horizon > l.at {
-            horizon.since(l.at)
-        } else {
-            SimSpan::ZERO
-        };
-        overlays.push(simcore::OverlayEvent {
-            track: format!("faults:{}", name_of(l.resource)),
-            name: "device lost".to_string(),
-            cat: "fault".to_string(),
-            start: l.at,
-            dur,
-            args: Vec::new(),
-        });
-    }
-    for a in wasted {
-        overlays.push(simcore::OverlayEvent {
-            track: format!("faults:{}", name_of(a.resource)),
-            name: "failed attempt".to_string(),
-            cat: "fault".to_string(),
-            start: a.start,
-            dur: a.end.since(a.start),
-            args: vec![(
-                "task".to_string(),
-                TraceArg::Str(trace.records()[a.task.0].label.clone()),
-            )],
-        });
-    }
-    simcore::chrome::export_with_overlays(
+    simcore::chrome::export(
         trace,
         &tracks,
         |rec| rec.payload.class.name().to_string(),
@@ -472,7 +446,7 @@ mod tests {
     #[test]
     fn chrome_export_validates() {
         let r = run();
-        let json = chrome_trace_json(&r.trace, &r.resource_names);
+        let json = chrome_trace_json(&r.trace, &r.resource_names, None);
         let summary = simcore::validate_chrome_trace(&json).expect("valid trace");
         assert_eq!(summary.complete_events, r.trace.records().len());
     }

@@ -10,17 +10,16 @@
 //! per-input latency distribution, the two metrics the
 //! network-to-processor comparison (§2.2) distinguishes.
 
-use simcore::{FaultPlan, ResourcePool, RetryPolicy, SimSpan, TaskGraph, TaskId, Trace};
-use usoc::{EnergyAccumulator, EnergyBreakdown, KernelWork, SharedMemory, SocSpec};
+use simcore::{FaultPlan, RetryPolicy, SimSpan, TaskId, Trace};
+use usoc::{EnergyBreakdown, KernelWork, SocSpec};
 
 use unn::Graph;
 
 use crate::engine::{
-    check_recovered, fault_report, fill_fault_metrics, fill_run_metrics, schedule_instance,
-    FallbackPart, FaultReport, RunError, TaskMeta,
+    alloc_weight_buffers, realize, schedule_instance, FaultReport, RealizedRun, RunError, TaskMeta,
 };
 use crate::metrics::MetricsRegistry;
-use crate::observe::{attribute, Attribution, OverheadClass};
+use crate::observe::{Attribution, OverheadClass};
 use crate::plan::ExecutionPlan;
 
 /// The outcome of a pipelined run.
@@ -72,77 +71,56 @@ impl PipelineResult {
     }
 }
 
+/// What a stream runs under beyond its plan and arrival pattern.
+/// `RunOptions::default()` is a fault-free stream with no degraded plan
+/// and no deadline.
+#[derive(Clone, Debug, Default)]
+pub struct RunOptions<'a> {
+    /// Perturbations to realize (empty = fault-free).
+    pub faults: FaultPlan,
+    /// Watchdog retry policy for transiently failed tasks.
+    pub policy: RetryPolicy,
+    /// The plan frames switch to once a (non-CPU) device is lost.
+    pub degraded: Option<&'a ExecutionPlan>,
+    /// When given, frames slower than this count under `deadline.missed`.
+    pub deadline: Option<SimSpan>,
+}
+
 /// Streams `inputs` inferences of `plan` with one arrival every
-/// `interval` (use `SimSpan::ZERO` for back-to-back arrivals).
+/// `interval` (use `SimSpan::ZERO` for back-to-back arrivals), under the
+/// faults, degraded plan and deadline of `options`.
+///
+/// Frames whose arrival falls at or after a (non-CPU) device loss are
+/// scheduled with the degraded plan when one is given — the stream
+/// keeps flowing on the surviving processor instead of stalling on
+/// per-part fallbacks frame after frame. Frames before the loss run the
+/// primary plan resiliently (retry + CPU fallback for accelerator
+/// parts). When a deadline is given, the number of frames whose latency
+/// exceeds it is reported under the `deadline.missed` counter; degraded
+/// frames are counted under `frames.degraded`.
+///
+/// The second element of the returned pair is the fault report
+/// (injection/retry/fallback counts and wasted attempts), all zero for
+/// an empty fault plan.
 pub fn execute_pipeline(
     spec: &SocSpec,
     graph: &Graph,
     plan: &ExecutionPlan,
     inputs: usize,
     interval: SimSpan,
-) -> Result<PipelineResult, RunError> {
-    let (result, _) = execute_pipeline_with_faults(
-        spec,
-        graph,
-        plan,
-        inputs,
-        interval,
-        &FaultPlan::none(),
-        &RetryPolicy::default(),
-        None,
-        None,
-    )?;
-    Ok(result)
-}
-
-/// [`execute_pipeline`] under an injected [`FaultPlan`].
-///
-/// Frames whose arrival falls at or after a (non-CPU) device loss are
-/// scheduled with the `degraded` plan when one is given — the stream
-/// keeps flowing on the surviving processor instead of stalling on
-/// per-part fallbacks frame after frame. Frames before the loss run the
-/// primary plan resiliently (retry + CPU fallback for accelerator
-/// parts). When `deadline` is given, the number of frames whose latency
-/// exceeds it is reported under the `deadline.missed` counter; degraded
-/// frames are counted under `frames.degraded`.
-///
-/// With an empty fault plan this is exactly [`execute_pipeline`]. The
-/// second element of the returned pair is the fault report
-/// (injection/retry/fallback counts and wasted attempts).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_pipeline_with_faults(
-    spec: &SocSpec,
-    graph: &Graph,
-    plan: &ExecutionPlan,
-    inputs: usize,
-    interval: SimSpan,
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-    degraded: Option<&ExecutionPlan>,
-    deadline: Option<SimSpan>,
+    options: &RunOptions<'_>,
 ) -> Result<(PipelineResult, FaultReport), RunError> {
-    super::engine::validate_plan(spec, graph, plan)?;
-    if let Some(d) = degraded {
-        super::engine::validate_plan(spec, graph, d)?;
+    let RunOptions {
+        faults,
+        policy,
+        degraded,
+        deadline,
+    } = options;
+    for p in std::iter::once(plan).chain(*degraded) {
+        p.validate_for(graph, spec)
+            .map_err(RunError::MalformedPlan)?;
     }
     let shapes = graph.infer_shapes()?;
-    let resilient = !faults.is_empty();
-
-    let mut pool = ResourcePool::new();
-    for dev in &spec.devices {
-        pool.add(dev.name.clone());
-    }
-    // Networked specs schedule transfer tasks on per-link timelines at
-    // `ResourceId(ndev + link_index)` — registered before the source so
-    // the engine's link-resource convention holds.
-    if spec.has_network_links() {
-        for l in &spec.links {
-            pool.add(l.resource_name());
-        }
-    }
-    // A virtual source (the camera / microphone) delivering one input per
-    // interval; it is not a processor and consumes no energy.
-    let source = pool.add("source");
 
     // The earliest loss of a non-CPU device: frames arriving at or after
     // it degrade to the single-processor plan (when one is provided).
@@ -154,96 +132,75 @@ pub fn execute_pipeline_with_faults(
         .map(|l| l.at)
         .min();
 
-    let mut tg: TaskGraph<TaskMeta> = TaskGraph::new();
-    let mut memory = SharedMemory::new();
-    super::engine::alloc_weight_buffers(&mut memory, graph, &shapes, plan);
-    let mut degraded_weights_allocated = false;
+    let ((arrivals, completions, frames_degraded), run) =
+        realize(spec, true, faults, policy, |sched| {
+            let source = sched.source.expect("a stream has an arrival source");
+            alloc_weight_buffers(&mut sched.memory, graph, &shapes, plan);
+            let mut degraded_weights_allocated = false;
 
-    let mut arrivals: Vec<TaskId> = Vec::with_capacity(inputs);
-    let mut completions: Vec<TaskId> = Vec::with_capacity(inputs);
-    let mut fallbacks: Vec<FallbackPart> = Vec::new();
-    let mut frames_degraded: u64 = 0;
-    let mut prev_arrival: Option<TaskId> = None;
-    for k in 0..inputs {
-        // Arrival k completes at k * interval (the first frame is ready
-        // immediately).
-        let span = if k == 0 { SimSpan::ZERO } else { interval };
-        let deps: Vec<TaskId> = prev_arrival.into_iter().collect();
-        let arrival = tg.add(
-            format!("in{k}::arrival"),
-            source,
-            span,
-            &deps,
-            TaskMeta {
-                device: spec.cpu(), // never scheduled on a real device resource
-                work: KernelWork::nop(),
-                node: None,
-                class: OverheadClass::Arrival,
-                map: SimSpan::ZERO,
-                instance: k,
-            },
-        );
-        prev_arrival = Some(arrival);
-        arrivals.push(arrival);
+            let mut arrivals: Vec<TaskId> = Vec::with_capacity(inputs);
+            let mut completions: Vec<TaskId> = Vec::with_capacity(inputs);
+            let mut frames_degraded: u64 = 0;
+            let mut prev_arrival: Option<TaskId> = None;
+            for k in 0..inputs {
+                // Arrival k completes at k * interval (the first frame is
+                // ready immediately).
+                let span = if k == 0 { SimSpan::ZERO } else { interval };
+                let deps: Vec<TaskId> = prev_arrival.into_iter().collect();
+                let arrival = sched.tg.add(
+                    format!("in{k}::arrival"),
+                    source,
+                    span,
+                    &deps,
+                    TaskMeta {
+                        device: spec.cpu(), // never scheduled on a real device resource
+                        work: KernelWork::nop(),
+                        node: None,
+                        class: OverheadClass::Arrival,
+                        map: SimSpan::ZERO,
+                        instance: k,
+                    },
+                );
+                prev_arrival = Some(arrival);
+                arrivals.push(arrival);
 
-        let arrives_at = interval * k as u64;
-        let frame_plan = match (degraded, loss_at) {
-            (Some(d), Some(at)) if simcore::SimTime::ZERO + arrives_at >= at => {
-                frames_degraded += 1;
-                if !degraded_weights_allocated {
-                    super::engine::alloc_weight_buffers(&mut memory, graph, &shapes, d);
-                    degraded_weights_allocated = true;
-                }
-                d
+                let arrives_at = interval * k as u64;
+                let frame_plan = match (*degraded, loss_at) {
+                    (Some(d), Some(at)) if simcore::SimTime::ZERO + arrives_at >= at => {
+                        frames_degraded += 1;
+                        if !degraded_weights_allocated {
+                            alloc_weight_buffers(&mut sched.memory, graph, &shapes, d);
+                            degraded_weights_allocated = true;
+                        }
+                        d
+                    }
+                    _ => plan,
+                };
+
+                let inst = schedule_instance(
+                    sched,
+                    spec,
+                    graph,
+                    &shapes,
+                    frame_plan,
+                    &format!("in{k}/"),
+                    Some(arrival),
+                    k,
+                    !faults.is_empty(),
+                )?;
+                completions.push(inst.completion);
             }
-            _ => plan,
-        };
-
-        let inst = schedule_instance(
-            &mut tg,
-            &mut memory,
-            spec,
-            graph,
-            &shapes,
-            frame_plan,
-            &format!("in{k}/"),
-            Some(arrival),
-            k,
-            resilient,
-        )?;
-        completions.push(inst.completion);
-        fallbacks.extend(inst.fallbacks);
-    }
-
-    let (trace, sched, log) = tg.run_with_faults(&mut pool, faults, policy)?;
-    check_recovered(&trace, &log)?;
-
-    let mut energy = EnergyAccumulator::new(spec);
-    for rec in trace.records() {
-        if rec.resource != simcore::ResourceId(source.0)
-            && rec.payload.class != OverheadClass::Transfer
-        {
-            energy.add_task(
-                rec.payload.device,
-                rec.span(),
-                rec.payload.work.total_bytes(),
-            )?;
-        }
-    }
-    // Retried / permanently failed attempts burned real processor time
-    // before being thrown away; charge them to the device they ran on.
-    for attempt in &log.wasted {
-        let meta = &trace.records()[attempt.task.0].payload;
-        if meta.class == OverheadClass::Transfer {
-            continue;
-        }
-        energy.add_task(
-            meta.device,
-            attempt.end - attempt.start,
-            meta.work.total_bytes(),
-        )?;
-    }
-    let energy = energy.finish(trace.makespan());
+            Ok((arrivals, completions, frames_degraded))
+        })?;
+    let RealizedRun {
+        trace,
+        energy,
+        resource_names,
+        mut metrics,
+        attribution,
+        report,
+        ..
+    } = run;
 
     let latencies: Vec<SimSpan> = arrivals
         .iter()
@@ -270,15 +227,6 @@ pub fn execute_pipeline_with_faults(
         .max()
         .unwrap_or(0);
 
-    let mut resource_names: Vec<String> = spec.devices.iter().map(|d| d.name.clone()).collect();
-    if spec.has_network_links() {
-        resource_names.extend(spec.links.iter().map(|l| l.resource_name()));
-    }
-    resource_names.push("source".to_string());
-    let attribution = attribute(&trace, &resource_names, spec);
-    let stats = memory.stats();
-    let mut metrics = MetricsRegistry::new();
-    fill_run_metrics(&mut metrics, &trace, &sched, &stats, &energy);
     metrics.inc("pipeline.inputs", inputs as u64);
     metrics.counter_max("pipeline.backlog_peak", backlog_peak as u64);
     metrics.gauge("pipeline.throughput_ips", throughput_ips);
@@ -287,16 +235,13 @@ pub fn execute_pipeline_with_faults(
         let mean = latencies.iter().copied().sum::<SimSpan>() / latencies.len() as u64;
         metrics.gauge("pipeline.latency_mean_ms", mean.as_millis_f64());
     }
-
-    let report = fault_report(&log, &fallbacks);
-    if resilient {
-        fill_fault_metrics(&mut metrics, &report);
+    if !faults.is_empty() {
         metrics.inc("frames.degraded", frames_degraded);
     }
     // A deadline can be missed with no fault at all (an overloaded
     // stream), so the counter does not depend on the fault plan.
     if let Some(dl) = deadline {
-        let missed = latencies.iter().filter(|&&l| l > dl).count();
+        let missed = latencies.iter().filter(|&&l| l > *dl).count();
         metrics.inc("deadline.missed", missed as u64);
     }
 
@@ -325,6 +270,19 @@ mod tests {
     use unn::ModelId;
     use utensor::DType;
 
+    /// A fault-free stream with no degraded plan and no deadline.
+    fn stream(
+        spec: &SocSpec,
+        g: &Graph,
+        plan: &ExecutionPlan,
+        inputs: usize,
+        interval: SimSpan,
+    ) -> PipelineResult {
+        let (pipe, _) = execute_pipeline(spec, g, plan, inputs, interval, &RunOptions::default())
+            .expect("pipe");
+        pipe
+    }
+
     fn setup() -> (SocSpec, Graph, ExecutionPlan) {
         let spec = SocSpec::exynos_7420();
         let g = ModelId::SqueezeNet.build_miniature();
@@ -336,9 +294,12 @@ mod tests {
     fn one_input_matches_single_run() {
         let (spec, g, plan) = setup();
         let single = execute_plan(&spec, &g, &plan).expect("single");
-        let pipe = execute_pipeline(&spec, &g, &plan, 1, SimSpan::from_millis(10)).expect("pipe");
+        let pipe = stream(&spec, &g, &plan, 1, SimSpan::from_millis(10));
+        // A pipeline of one adds the arrival task and the source track
+        // to the single run's trace, but costs exactly the same.
         assert_eq!(pipe.latencies.len(), 1);
         assert_eq!(pipe.latencies[0], single.latency);
+        assert_eq!(pipe.energy, single.energy);
     }
 
     #[test]
@@ -348,7 +309,7 @@ mod tests {
         let (spec, g, plan) = setup();
         let single = execute_plan(&spec, &g, &plan).expect("single");
         let n = 8;
-        let pipe = execute_pipeline(&spec, &g, &plan, n, SimSpan::ZERO).expect("pipe");
+        let pipe = stream(&spec, &g, &plan, n, SimSpan::ZERO);
         assert!(
             pipe.makespan.as_secs_f64() <= single.latency.as_secs_f64() * n as f64 * 1.001,
             "makespan {} vs serial {}",
@@ -366,7 +327,7 @@ mod tests {
         let (spec, g, plan) = setup();
         let single = execute_plan(&spec, &g, &plan).expect("single");
         let interval = single.latency + SimSpan::from_millis(1);
-        let pipe = execute_pipeline(&spec, &g, &plan, 5, interval).expect("pipe");
+        let pipe = stream(&spec, &g, &plan, 5, interval);
         for (k, l) in pipe.latencies.iter().enumerate() {
             assert_eq!(*l, pipe.latencies[0], "input {k}");
         }
@@ -379,7 +340,7 @@ mod tests {
         let (spec, g, plan) = setup();
         let single = execute_plan(&spec, &g, &plan).expect("single");
         let interval = single.latency / 4;
-        let pipe = execute_pipeline(&spec, &g, &plan, 6, interval).expect("pipe");
+        let pipe = stream(&spec, &g, &plan, 6, interval);
         assert!(
             pipe.latencies.last().expect("nonempty") > &pipe.latencies[0],
             "no backlog: {:?}",
@@ -393,25 +354,19 @@ mod tests {
         // The counter is reported for every call that gives a deadline,
         // whether or not the fault plan is empty.
         let (spec, g, plan) = setup();
-        let (pipe, report) = execute_pipeline_with_faults(
-            &spec,
-            &g,
-            &plan,
-            6,
-            SimSpan::ZERO,
-            &FaultPlan::none(),
-            &RetryPolicy::default(),
-            None,
-            Some(SimSpan::from_nanos(1)),
-        )
-        .expect("pipe");
+        let options = RunOptions {
+            deadline: Some(SimSpan::from_nanos(1)),
+            ..RunOptions::default()
+        };
+        let (pipe, report) =
+            execute_pipeline(&spec, &g, &plan, 6, SimSpan::ZERO, &options).expect("pipe");
         assert_eq!(pipe.metrics.counter("deadline.missed"), 6);
         assert_eq!(pipe.missed(SimSpan::from_nanos(1)), 6);
         // Fault-only counters stay fault-only.
         assert_eq!(pipe.metrics.counter("frames.degraded"), 0);
         assert_eq!(report.injected, 0);
-        // Without a deadline the empty plan is still `execute_pipeline`.
-        let plain = execute_pipeline(&spec, &g, &plan, 6, SimSpan::ZERO).expect("plain");
+        // Without a deadline the counter is absent.
+        let plain = stream(&spec, &g, &plan, 6, SimSpan::ZERO);
         assert_eq!(plain.latencies, pipe.latencies);
         assert_eq!(plain.metrics.counter("deadline.missed"), 0);
     }
@@ -419,8 +374,8 @@ mod tests {
     #[test]
     fn energy_scales_with_stream_length() {
         let (spec, g, plan) = setup();
-        let p2 = execute_pipeline(&spec, &g, &plan, 2, SimSpan::ZERO).expect("pipe");
-        let p8 = execute_pipeline(&spec, &g, &plan, 8, SimSpan::ZERO).expect("pipe");
+        let p2 = stream(&spec, &g, &plan, 2, SimSpan::ZERO);
+        let p8 = stream(&spec, &g, &plan, 8, SimSpan::ZERO);
         assert!(p8.energy.total_j() > p2.energy.total_j() * 3.0);
     }
 }

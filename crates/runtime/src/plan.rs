@@ -110,71 +110,116 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Builds a plan, validating it against the graph and SoC:
-    ///
-    /// - one placement per node;
-    /// - every referenced device exists;
-    /// - split fractions are positive and sum to ~1;
-    /// - splits only on distributable layers (§3.2);
-    /// - every placement stores activations in the same dtype (consumers
-    ///   must be able to read producers' outputs without extra
-    ///   conversions).
+    /// Builds a plan, validating it against the graph and SoC: the
+    /// structural checks of [`ExecutionPlan::validate`], every referenced
+    /// device exists, and — what the planner owes on top of what the
+    /// executors need — split fractions are positive and sum to ~1.
     pub fn new(
         graph: &Graph,
         spec: &SocSpec,
         placements: Vec<NodePlacement>,
         label: impl Into<String>,
     ) -> Result<ExecutionPlan, TensorError> {
-        if placements.len() != graph.len() {
-            return Err(TensorError::BadConcat(format!(
-                "plan has {} placements for {} nodes",
-                placements.len(),
-                graph.len()
-            )));
-        }
-        let storage = placements
-            .first()
-            .map(NodePlacement::storage_dtype)
-            .unwrap_or(DType::F32);
-        for (i, p) in placements.iter().enumerate() {
+        let plan = ExecutionPlan {
+            placements,
+            label: label.into(),
+            elided_concats: BTreeSet::new(),
+        };
+        plan.validate(graph).map_err(TensorError::BadGraph)?;
+        for (i, p) in plan.placements.iter().enumerate() {
             for dev in p.devices() {
                 if spec.device(dev).is_err() {
-                    return Err(TensorError::BadConcat(format!(
+                    return Err(TensorError::BadGraph(format!(
                         "placement {i} references unknown device {dev}"
                     )));
                 }
             }
-            if p.storage_dtype() != storage {
-                return Err(TensorError::BadConcat(format!(
-                    "placement {i} stores {} but the plan stores {storage}",
-                    p.storage_dtype()
-                )));
-            }
             if let NodePlacement::Split { parts } = p {
-                if parts.len() < 2 {
-                    return Err(TensorError::BadConcat(format!(
-                        "placement {i}: split needs >= 2 parts"
-                    )));
-                }
                 let sum: f64 = parts.iter().map(|p| p.2).sum();
                 if parts.iter().any(|p| p.2 <= 0.0) || (sum - 1.0).abs() > 1e-6 {
-                    return Err(TensorError::BadConcat(format!(
+                    return Err(TensorError::BadGraph(format!(
                         "placement {i}: split fractions must be positive and sum to 1 (sum = {sum})"
-                    )));
-                }
-                if !graph.nodes()[i].kind.is_distributable() {
-                    return Err(TensorError::BadConcat(format!(
-                        "placement {i}: {} is not channel-distributable",
-                        graph.nodes()[i].kind.op_name()
                     )));
                 }
             }
         }
-        Ok(ExecutionPlan {
-            placements,
-            label: label.into(),
-            elided_concats: BTreeSet::new(),
-        })
+        Ok(plan)
+    }
+
+    /// The structural checks every consumer of a plan relies on. The
+    /// fields are public, so a plan can be mutated after construction;
+    /// the timing engine and the functional evaluator both call this
+    /// before indexing anything, and a failure names the first problem:
+    ///
+    /// - one placement per node;
+    /// - every placement stores activations in the same dtype (consumers
+    ///   must be able to read producers' outputs without extra
+    ///   conversions);
+    /// - a split has at least two parts, finite shares in `[0, 1]`, and
+    ///   sits on a distributable layer (§3.2);
+    /// - elided-concat indices are in range.
+    pub fn validate(&self, graph: &Graph) -> Result<(), String> {
+        if self.placements.len() != graph.len() {
+            return Err(format!(
+                "plan has {} placements for {} nodes",
+                self.placements.len(),
+                graph.len()
+            ));
+        }
+        let storage = self.storage_dtype();
+        for (i, p) in self.placements.iter().enumerate() {
+            if p.storage_dtype() != storage {
+                return Err(format!(
+                    "placement {i} stores {} but the plan stores {storage}",
+                    p.storage_dtype()
+                ));
+            }
+            if let NodePlacement::Split { parts } = p {
+                if parts.len() < 2 {
+                    return Err(format!("placement {i}: split needs >= 2 parts"));
+                }
+                if let Some(&(_, _, f)) = parts
+                    .iter()
+                    .find(|p| !p.2.is_finite() || !(0.0..=1.0).contains(&p.2))
+                {
+                    return Err(format!("placement {i} has a split share of {f}"));
+                }
+                if !graph.nodes()[i].kind.is_distributable() {
+                    return Err(format!(
+                        "placement {i}: {} is not channel-distributable",
+                        graph.nodes()[i].kind.op_name()
+                    ));
+                }
+            }
+        }
+        match self.elided_concats.iter().find(|&&c| c >= graph.len()) {
+            Some(c) => Err(format!(
+                "elided concat index {c} out of range for a {}-node graph",
+                graph.len()
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// [`ExecutionPlan::validate`] plus the spec half an executor needs:
+    /// every placement is on a device the spec has and the host can
+    /// reach over its links.
+    pub fn validate_for(&self, graph: &Graph, spec: &SocSpec) -> Result<(), String> {
+        self.validate(graph)?;
+        let host = spec.cpu();
+        for (i, p) in self.placements.iter().enumerate() {
+            // There is no route to a device the spec does not have, either.
+            if let Some(d) = p
+                .devices()
+                .into_iter()
+                .find(|&d| spec.route(host, d).is_none())
+            {
+                return Err(format!(
+                    "placement {i} is on {d}, which the spec lacks or the host cannot reach"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Attaches a concat-elision set (from the `elide-concats` pass),

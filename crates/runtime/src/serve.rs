@@ -39,7 +39,7 @@
 //! retried by the same watchdog and [`simcore::RetryPolicy`] as kernel
 //! tasks, so link drops and device hiccups share one backoff bound.
 
-use simcore::chrome::export_with_overlays;
+use simcore::chrome::export;
 use simcore::stats::nearest_rank;
 use simcore::{FaultPlan, OverlayEvent, ResourceId, SimSpan, SimTime, Trace, TraceArg};
 use unn::Graph;
@@ -220,7 +220,7 @@ impl ServeReport {
             }
         }
         let empty: Trace<TaskMeta> = Trace::new(Vec::new());
-        export_with_overlays(&empty, &[], |_| String::new(), |_| Vec::new(), &overlays)
+        export(&empty, &[], |_| String::new(), |_| Vec::new(), &overlays)
     }
 }
 

@@ -7,7 +7,7 @@ use simcore::{FaultPlan, ResourceId, RetryPolicy, Scenario, ScheduleError, SimSp
 use unn::{Graph, ModelId};
 use uruntime::{execute_plan, execute_plan_with_faults, ExecutionPlan, NodePlacement, RunError};
 use usoc::{DtypePlan, SocError, SocSpec};
-use utensor::{DType, Shape, TensorError};
+use utensor::{DType, Shape, Tensor, TensorError};
 
 #[test]
 fn run_error_display_names_every_arm() {
@@ -124,11 +124,14 @@ testkit::props! {
 
     /// Mutated N-device mesh plans never panic: a plan corrupted
     /// *after* construction (unknown device, device cut off from the
-    /// host, non-finite or out-of-range split fractions, out-of-range
-    /// concat elisions) is rejected by the engine with
-    /// `RunError::MalformedPlan` — on both specs, never a panic.
+    /// host, non-finite or out-of-range split fractions, an empty split,
+    /// out-of-range concat elisions, a missing placement, a split on a
+    /// layer that cannot be distributed, mixed storage dtypes) is
+    /// rejected by the engine with `RunError::MalformedPlan` and — for
+    /// the mutations that need no spec to detect — by the functional
+    /// evaluator with a typed `TensorError`. Never a panic, never `Ok`.
     fn mesh_plan_mutations_are_typed_errors_not_panics(
-        mutation in testkit::select(vec![0usize, 1, 2, 3, 4]),
+        mutation in testkit::select(vec![0usize, 1, 2, 3, 4, 5, 6, 7]),
         node in 0usize..64,
         bad_dev in 4usize..32,
         frac in testkit::select(vec![-0.5f64, 1.5, f64::NAN, f64::INFINITY]),
@@ -139,6 +142,13 @@ testkit::props! {
             uruntime::baselines::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8)
                 .expect("base mesh plan");
         let i = node % plan.placements.len();
+        let cpu = spec.cpu();
+        let split = move |first: f64| NodePlacement::Split {
+            parts: vec![
+                (cpu, DtypePlan::uniform(DType::QUInt8), first),
+                (usoc::DeviceId(1), DtypePlan::uniform(DType::QUInt8), 1.0 - first),
+            ],
+        };
         match mutation {
             0 => {
                 // Unknown device: index past the spec's device table.
@@ -152,20 +162,32 @@ testkit::props! {
             }
             2 => {
                 // A split fraction that is non-finite or outside [0, 1].
-                plan.placements[i] = NodePlacement::Split {
-                    parts: vec![
-                        (spec.cpu(), DtypePlan::uniform(DType::QUInt8), frac),
-                        (usoc::DeviceId(1), DtypePlan::uniform(DType::QUInt8), 1.0 - frac),
-                    ],
-                };
+                plan.placements[i] = split(frac);
             }
             3 => {
                 // A split with no parts at all.
                 plan.placements[i] = NodePlacement::Split { parts: vec![] };
             }
-            _ => {
+            4 => {
                 // Concat elision pointing past the graph.
                 plan.elided_concats.insert(g.len() + bad_dev);
+            }
+            5 => {
+                // One placement short of the graph.
+                plan.placements.pop();
+            }
+            6 => {
+                // A sane split, on the softmax head.
+                let softmax = g
+                    .nodes()
+                    .iter()
+                    .position(|n| !n.kind.is_distributable())
+                    .expect("the net has a non-distributable layer");
+                plan.placements[softmax] = split(0.5);
+            }
+            _ => {
+                // One layer storing f32 in a QUInt8 plan.
+                plan.placements[i.max(1)] = NodePlacement::single(cpu, DType::F32);
             }
         }
         let err = execute_plan(&spec, &g, &plan)
@@ -174,12 +196,18 @@ testkit::props! {
             matches!(err, RunError::MalformedPlan(_)),
             "expected MalformedPlan, got: {err}"
         );
-        // The resilient entry point rejects it identically.
-        let err2 = execute_plan_with_faults(
-            &spec, &g, &plan, &FaultPlan::none(), &RetryPolicy::default(),
-        )
-        .expect_err("a corrupted plan must not execute under faults either");
-        testkit::prop_assert!(matches!(err2, RunError::MalformedPlan(_)));
+        // The two spec-level mutations are invisible without a spec.
+        if mutation >= 2 {
+            let w = unn::Weights::random(&g, 3).expect("weights");
+            let x = Tensor::zeros(g.input_shape().clone(), DType::F32, None);
+            let calib = unn::calibrate(&g, &w, std::slice::from_ref(&x)).expect("calibration");
+            let evaluated = uruntime::evaluate_plan(&g, &plan, &w, &calib, &x);
+            testkit::prop_assert!(
+                matches!(evaluated, Err(TensorError::BadGraph(_))),
+                "expected a typed plan error, got: {:?}",
+                evaluated.map(|outputs| outputs.len())
+            );
+        }
     }
 
     /// The engine never panics on a perturbed-but-valid plan: it either

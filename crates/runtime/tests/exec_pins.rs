@@ -20,9 +20,8 @@ use simcore::{FaultPlan, ResourceId, RetryPolicy, Scenario, SimSpan};
 use testkit::rng::fnv1a;
 use unn::{Graph, ModelId};
 use uruntime::{
-    execute_pipeline_with_faults, execute_plan_with_faults, layer_to_processor_plan,
-    single_processor_plan, ExecutionPlan, FaultReport, NodePlacement, PipelineResult, RunError,
-    RunResult,
+    execute_pipeline, execute_plan_with_faults, layer_to_processor_plan, single_processor_plan,
+    ExecutionPlan, FaultReport, NodePlacement, PipelineResult, RunError, RunOptions, RunResult,
 };
 use usoc::{DeviceId, DeviceKind, DtypePlan, SocSpec};
 use utensor::DType;
@@ -51,17 +50,13 @@ fn stream(
     degraded: Option<&ExecutionPlan>,
     deadline: SimSpan,
 ) -> Result<(PipelineResult, FaultReport), RunError> {
-    execute_pipeline_with_faults(
-        spec,
-        g,
-        plan,
-        inputs,
-        interval,
-        faults,
-        &RetryPolicy::default(),
+    let options = RunOptions {
+        faults: faults.clone(),
+        policy: RetryPolicy::default(),
         degraded,
-        Some(deadline),
-    )
+        deadline: Some(deadline),
+    };
+    execute_pipeline(spec, g, plan, inputs, interval, &options)
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ use simcore::{FaultPlan, ResourceId, RetryPolicy, Scenario, SimSpan};
 use unn::{Graph, ModelId, Weights};
 use uruntime::{
     attribute, evaluate_plan, evaluate_plan_with_recovery, execute_plan, execute_plan_with_faults,
-    ExecutionPlan, NodePlacement, OverheadClass,
+    ExecutionPlan, NodePlacement, OverheadClass, RunOptions,
 };
 use usoc::{DtypePlan, SocSpec};
 use utensor::{DType, Tensor};
@@ -251,11 +251,10 @@ fn fault_trace_exports_overlay_tracks() {
     let faults = gpu_scenario(&spec, &g, &plan, Scenario::Throttle, 11);
     let (result, report) =
         execute_plan_with_faults(&spec, &g, &plan, &faults, &RetryPolicy::default()).expect("run");
-    let json = uruntime::chrome_trace_json_with_faults(
+    let json = uruntime::chrome_trace_json(
         &result.trace,
         &result.resource_names,
-        &faults,
-        &report.wasted,
+        Some((&faults, &report.wasted)),
     );
     let summary = simcore::validate_chrome_trace(&json).expect("valid trace");
     assert!(
@@ -282,18 +281,14 @@ fn pipeline_degrades_frames_after_gpu_loss_and_counts_deadline_misses() {
         at: simcore::SimTime::ZERO + interval * 2.5,
     });
     let deadline = single.latency * 3.0;
-    let (result, report) = uruntime::execute_pipeline_with_faults(
-        &spec,
-        &g,
-        &plan,
-        6,
-        interval,
-        &faults,
-        &RetryPolicy::default(),
-        Some(&degraded),
-        Some(deadline),
-    )
-    .expect("pipeline");
+    let options = RunOptions {
+        faults,
+        degraded: Some(&degraded),
+        deadline: Some(deadline),
+        ..RunOptions::default()
+    };
+    let (result, report) =
+        uruntime::execute_pipeline(&spec, &g, &plan, 6, interval, &options).expect("pipeline");
     assert_eq!(result.inputs, 6);
     assert!(
         !report.fallbacks.is_empty(),
@@ -317,21 +312,22 @@ fn fault_free_pipeline_is_unchanged_by_the_resilient_path() {
     let g = ModelId::SqueezeNet.build_miniature();
     let plan = split_plan(&spec, &g);
     let interval = SimSpan::from_micros(500);
-    let base = uruntime::execute_pipeline(&spec, &g, &plan, 4, interval).expect("base");
-    let (faulted, report) = uruntime::execute_pipeline_with_faults(
-        &spec,
-        &g,
-        &plan,
-        4,
-        interval,
-        &FaultPlan::none(),
-        &RetryPolicy::default(),
-        None,
-        None,
-    )
-    .expect("faulted");
+    // With nothing injected the resilient machinery is inert: no fallback
+    // is registered, and a degraded plan that is on offer is never used.
+    let degraded = uruntime::baselines::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8)
+        .expect("degraded plan");
+    let (base, _) =
+        uruntime::execute_pipeline(&spec, &g, &plan, 4, interval, &RunOptions::default())
+            .expect("base");
+    let options = RunOptions {
+        degraded: Some(&degraded),
+        ..RunOptions::default()
+    };
+    let (faulted, report) =
+        uruntime::execute_pipeline(&spec, &g, &plan, 4, interval, &options).expect("faulted");
     assert_eq!(base.makespan, faulted.makespan);
     assert_eq!(base.latencies, faulted.latencies);
+    assert_eq!(base.trace.records().len(), faulted.trace.records().len());
     assert_eq!(report.injected, 0);
     assert!(report.fallbacks.is_empty());
 }

@@ -15,7 +15,7 @@
 use simcore::{JsonValue, SimSpan, SimTime};
 use uruntime::{
     chrome_trace_json, execute_pipeline, execute_plan, single_processor_plan, ExecutionPlan,
-    NodePlacement, OverheadClass, RunResult,
+    NodePlacement, OverheadClass, RunOptions, RunResult,
 };
 use usoc::{DtypePlan, SocSpec};
 use utensor::{DType, Shape};
@@ -97,12 +97,13 @@ fn attribution_tiles_makespan_single_split_and_pipelined() {
     let split = execute_plan(&spec, &g, &split_plan(&g, &spec, 0.5)).expect("split run");
     assert_tiles_makespan(&split.attribution, "split");
 
-    let pipe = execute_pipeline(
+    let (pipe, _) = execute_pipeline(
         &spec,
         &g,
         &split_plan(&g, &spec, 0.5),
         4,
         SimSpan::from_millis(1),
+        &RunOptions::default(),
     )
     .expect("pipelined run");
     assert_tiles_makespan(&pipe.attribution, "pipelined");
@@ -128,7 +129,7 @@ fn chrome_round_trip_is_valid_and_ordered() {
     let spec = SocSpec::exynos_7420();
     let g = two_conv_graph();
     let r = execute_plan(&spec, &g, &split_plan(&g, &spec, 0.5)).expect("run");
-    let json = chrome_trace_json(&r.trace, &r.resource_names);
+    let json = chrome_trace_json(&r.trace, &r.resource_names, None);
 
     // The shared validator accepts it and counts one complete event per
     // trace record.
@@ -254,7 +255,8 @@ fn pipelined_instances_never_start_before_their_arrival() {
     let plan = single_processor_plan(&g, &spec, spec.gpu(), DType::F16).expect("plan");
     let interval = SimSpan::from_millis(2);
     let n = 5;
-    let pipe = execute_pipeline(&spec, &g, &plan, n, interval).expect("pipe");
+    let (pipe, _) =
+        execute_pipeline(&spec, &g, &plan, n, interval, &RunOptions::default()).expect("pipe");
     for rec in pipe.trace.records() {
         if rec.payload.class == OverheadClass::Arrival {
             continue;

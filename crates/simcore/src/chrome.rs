@@ -64,21 +64,11 @@ pub struct OverlayEvent {
 /// (exported as `thread_name` metadata); resources not listed fall back
 /// to `res#N`. `args_of` supplies the per-event `args` object — return an
 /// empty vector for no arguments. `cat_of` supplies the event category
-/// (shown as a filterable facet in the viewers).
+/// (shown as a filterable facet in the viewers). `overlays` (possibly
+/// empty) are rendered on their own named tracks: one `tid` per distinct
+/// track name, numbered above all resource tracks, sorted by start time
+/// per track so the exported document stays loadable.
 pub fn export<T>(
-    trace: &Trace<T>,
-    track_names: &[(ResourceId, String)],
-    cat_of: impl FnMut(&TaskRecord<T>) -> String,
-    args_of: impl FnMut(&TaskRecord<T>) -> Vec<(String, TraceArg)>,
-) -> String {
-    export_with_overlays(trace, track_names, cat_of, args_of, &[])
-}
-
-/// Like [`export`], additionally rendering `overlays` on their own named
-/// tracks (one `tid` per distinct track name, numbered above all resource
-/// tracks). Overlay events are sorted by start time per track so the
-/// exported document stays loadable.
-pub fn export_with_overlays<T>(
     trace: &Trace<T>,
     track_names: &[(ResourceId, String)],
     mut cat_of: impl FnMut(&TaskRecord<T>) -> String,
@@ -698,6 +688,7 @@ mod tests {
             &names,
             |_| "task".into(),
             |r| vec![("payload".into(), TraceArg::Num(r.payload as f64))],
+            &[],
         );
         let summary = validate_chrome_trace(&json).unwrap();
         assert_eq!(summary.complete_events, 3);
@@ -718,7 +709,7 @@ mod tests {
     #[test]
     fn export_preserves_sub_microsecond_times() {
         let t = Trace::new(vec![rec(0, 0, 1_500, 2_250)]);
-        let json = export(&t, &[], |_| "t".into(), |_| Vec::new());
+        let json = export(&t, &[], |_| "t".into(), |_| Vec::new(), &[]);
         let doc = JsonValue::parse(&json).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let ev = events
@@ -777,7 +768,7 @@ mod tests {
                 args: Vec::new(),
             },
         ];
-        let json = export_with_overlays(&t, &[], |_| "t".into(), |_| Vec::new(), &overlays);
+        let json = export(&t, &[], |_| "t".into(), |_| Vec::new(), &overlays);
         let summary = validate_chrome_trace(&json).unwrap();
         assert_eq!(summary.complete_events, 5);
         // 2 resource tracks + 2 overlay tracks.

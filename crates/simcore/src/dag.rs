@@ -111,7 +111,7 @@ pub struct SchedStats {
 /// # Examples
 ///
 /// ```
-/// use simcore::{ResourcePool, SimSpan, TaskGraph};
+/// use simcore::{FaultPlan, ResourcePool, RetryPolicy, SimSpan, TaskGraph};
 ///
 /// let mut pool = ResourcePool::new();
 /// let cpu = pool.add("cpu");
@@ -123,7 +123,9 @@ pub struct SchedStats {
 /// let cpu_work = g.add("cpu-work", cpu, SimSpan::from_micros(80), &[issue], ());
 /// let merge = g.add("merge", cpu, SimSpan::from_micros(5), &[kernel, cpu_work], ());
 ///
-/// let trace = g.run(&mut pool).unwrap();
+/// let (trace, _, _) = g
+///     .run(&mut pool, &FaultPlan::none(), &RetryPolicy::default())
+///     .unwrap();
 /// // The GPU kernel and CPU work overlap; the merge waits for both.
 /// assert_eq!(trace.end_of(merge).as_nanos(), (10 + 100 + 5) * 1_000);
 /// ```
@@ -223,29 +225,16 @@ impl<T> TaskGraph<T> {
         id
     }
 
-    /// Schedules the graph over `pool`, consuming the graph.
+    /// Schedules the graph over `pool`, consuming the graph, while
+    /// realizing the perturbations of `faults`.
     ///
     /// Tasks start as soon as all dependencies are complete and their
     /// resource is free. The pool's timelines accumulate the busy
     /// intervals, so a fresh (or freshly `reset`) pool should be supplied
-    /// for each independent run.
-    pub fn run(self, pool: &mut ResourcePool) -> Result<Trace<T>, ScheduleError> {
-        self.run_with_stats(pool).map(|(trace, _)| trace)
-    }
-
-    /// Like [`TaskGraph::run`], additionally returning scheduler-pressure
-    /// counters for the observability layer.
-    pub fn run_with_stats(
-        self,
-        pool: &mut ResourcePool,
-    ) -> Result<(Trace<T>, SchedStats), ScheduleError> {
-        self.run_with_faults(pool, &FaultPlan::none(), &RetryPolicy::default())
-            .map(|(trace, stats, _)| (trace, stats))
-    }
-
-    /// Schedules the graph while realizing the perturbations of `faults`.
+    /// for each independent run. Beside the trace the run returns its
+    /// scheduler-pressure counters and the per-attempt fault log.
     ///
-    /// Semantics:
+    /// Fault semantics:
     ///
     /// - A reservation starting inside a throttle window is stretched by
     ///   the window's speed factor.
@@ -264,10 +253,10 @@ impl<T> TaskGraph<T> {
     /// The trace records each task's *final* attempt (or the skip instant
     /// for skipped fallbacks, as a zero-span record); earlier failed
     /// attempts are reported in `FaultLog::wasted` since they occupy
-    /// resource time that energy accounting must still see. With an empty
-    /// plan this is exactly [`TaskGraph::run_with_stats`]: the fault-free
-    /// schedule is byte-identical.
-    pub fn run_with_faults(
+    /// resource time that energy accounting must still see. An empty
+    /// plan ([`FaultPlan::none`]) perturbs nothing: every duration keeps
+    /// its exact nanosecond value and the log stays empty.
+    pub fn run(
         self,
         pool: &mut ResourcePool,
         faults: &FaultPlan,
@@ -500,6 +489,12 @@ mod tests {
         SimSpan::from_micros(us)
     }
 
+    /// The fault-free schedule of `g`.
+    fn run<T>(g: TaskGraph<T>, pool: &mut ResourcePool) -> Result<Trace<T>, ScheduleError> {
+        g.run(pool, &FaultPlan::none(), &RetryPolicy::default())
+            .map(|(trace, _, _)| trace)
+    }
+
     #[test]
     fn independent_tasks_on_one_resource_serialize() {
         let mut pool = ResourcePool::new();
@@ -507,7 +502,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add("a", cpu, span(10), &[], ());
         g.add("b", cpu, span(10), &[], ());
-        let trace = g.run(&mut pool).unwrap();
+        let trace = run(g, &mut pool).unwrap();
         assert_eq!(trace.makespan(), span(20));
     }
 
@@ -519,7 +514,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add("a", cpu, span(10), &[], ());
         g.add("b", gpu, span(10), &[], ());
-        let trace = g.run(&mut pool).unwrap();
+        let trace = run(g, &mut pool).unwrap();
         assert_eq!(trace.makespan(), span(10));
     }
 
@@ -532,7 +527,7 @@ mod tests {
         let a = g.add("a", cpu, span(10), &[], ());
         let b = g.add("b", gpu, span(20), &[a], ());
         let c = g.add("c", cpu, span(5), &[b], ());
-        let trace = g.run(&mut pool).unwrap();
+        let trace = run(g, &mut pool).unwrap();
         assert_eq!(trace.start_of(b), SimTime::from_nanos(10_000));
         assert_eq!(trace.start_of(c), SimTime::from_nanos(30_000));
         assert_eq!(trace.makespan(), span(35));
@@ -550,7 +545,7 @@ mod tests {
         // Inserted before `early`, but only ready at t=100.
         let late = g.add("late", cpu, span(10), &[slow_dep], ());
         let early = g.add("early", cpu, span(10), &[], ());
-        let trace = g.run(&mut pool).unwrap();
+        let trace = run(g, &mut pool).unwrap();
         assert_eq!(trace.start_of(early), SimTime::ZERO);
         assert_eq!(trace.start_of(late), SimTime::from_nanos(100_000));
     }
@@ -563,7 +558,7 @@ mod tests {
         // Forward-reference a task to build a 2-cycle.
         let a = g.add("a", cpu, span(1), &[TaskId(1)], ());
         let _b = g.add("b", cpu, span(1), &[a], ());
-        let err = g.run(&mut pool).unwrap_err();
+        let err = run(g, &mut pool).unwrap_err();
         assert_eq!(err, ScheduleError::Cycle { unscheduled: 2 });
     }
 
@@ -573,7 +568,7 @@ mod tests {
         let cpu = pool.add("cpu");
         let mut g: TaskGraph<()> = TaskGraph::new();
         g.add("a", cpu, span(1), &[TaskId(7)], ());
-        let err = g.run(&mut pool).unwrap_err();
+        let err = run(g, &mut pool).unwrap_err();
         assert!(matches!(err, ScheduleError::UnknownDependency { .. }));
     }
 
@@ -583,7 +578,7 @@ mod tests {
         pool.add("cpu");
         let mut g: TaskGraph<()> = TaskGraph::new();
         g.add("a", ResourceId(5), span(1), &[], ());
-        let err = g.run(&mut pool).unwrap_err();
+        let err = run(g, &mut pool).unwrap_err();
         assert!(matches!(err, ScheduleError::UnknownResource { .. }));
     }
 
@@ -598,7 +593,7 @@ mod tests {
         let k = g.add("kernel", gpu, span(100), &[issue], ());
         let w = g.add("cpu-work", cpu, span(80), &[issue], ());
         let m = g.add("merge", cpu, span(5), &[k, w], ());
-        let trace = g.run(&mut pool).unwrap();
+        let trace = run(g, &mut pool).unwrap();
         assert_eq!(trace.end_of(m).as_nanos(), 115_000);
         // CPU busy: issue + work + merge.
         assert_eq!(pool.get(cpu).busy_time(), span(95));
@@ -620,7 +615,7 @@ mod tests {
         let b = g.add("b", r0, span(30), &[a], ());
         let c = g.add("c", r1, span(50), &[a], ());
         let d = g.add("d", r0, span(5), &[b, c], ());
-        let t = g.run(&mut pool).unwrap();
+        let t = run(g, &mut pool).unwrap();
         // d starts when the slower arm (c, ends at 60) completes.
         assert_eq!(t.start_of(d), SimTime::from_nanos(60_000));
         assert_eq!(t.makespan(), span(65));
@@ -633,7 +628,7 @@ mod tests {
         let mut g = TaskGraph::new();
         let a = g.add("a", r, SimSpan::ZERO, &[], ());
         let b = g.add("b", r, span(10), &[a], ());
-        let t = g.run(&mut pool).unwrap();
+        let t = run(g, &mut pool).unwrap();
         assert_eq!(t.start_of(b), SimTime::ZERO);
         assert_eq!(t.records()[a.0].span(), SimSpan::ZERO);
     }
@@ -648,7 +643,7 @@ mod tests {
         let gate = g.add("gate", cpu, span(10), &[], ());
         let slow = g.add("slow", cpu, span(100), &[gate], ());
         let urgent = g.add_with_priority("urgent", cpu, span(5), &[gate], -1, ());
-        let t = g.run(&mut pool).unwrap();
+        let t = run(g, &mut pool).unwrap();
         assert_eq!(t.start_of(urgent), SimTime::from_nanos(10_000));
         assert_eq!(t.start_of(slow), SimTime::from_nanos(15_000));
     }
@@ -666,7 +661,7 @@ mod tests {
         let g2 = g.add("gate2", aux, span(10), &[], ());
         let slow = g.add("slow", cpu, span(100), &[g1], ());
         let urgent = g.add_with_priority("urgent", cpu, span(5), &[g2], -1, ());
-        let t = g.run(&mut pool).unwrap();
+        let t = run(g, &mut pool).unwrap();
         assert!(t.start_of(urgent) < t.start_of(slow));
     }
 
@@ -678,7 +673,9 @@ mod tests {
         for _ in 0..4 {
             g.add("t", cpu, span(10), &[], ());
         }
-        let (trace, stats) = g.run_with_stats(&mut pool).unwrap();
+        let (trace, stats, _) = g
+            .run(&mut pool, &FaultPlan::none(), &RetryPolicy::default())
+            .unwrap();
         assert_eq!(stats.tasks, 4);
         // All four Ready events are enqueued up front.
         assert!(stats.peak_queue_depth >= 4);
@@ -687,32 +684,28 @@ mod tests {
 
     #[test]
     fn fault_free_faulted_run_matches_plain_run() {
-        let build = || {
-            let mut pool = ResourcePool::new();
-            let cpu = pool.add("cpu");
-            let gpu = pool.add("gpu");
-            let mut g = TaskGraph::new();
-            let issue = g.add("issue", cpu, span(10), &[], ());
-            let k = g.add("kernel", gpu, span(100), &[issue], ());
-            let w = g.add("cpu-work", cpu, span(80), &[issue], ());
-            g.add("merge", cpu, span(5), &[k, w], ());
-            (pool, g)
-        };
-        let (mut pool, g) = build();
-        let (plain, _) = g.run_with_stats(&mut pool).unwrap();
-        let (mut pool, g) = build();
-        let (faulted, _, log) = g
-            .run_with_faults(&mut pool, &FaultPlan::none(), &RetryPolicy::default())
+        // An empty fault plan perturbs nothing: the fork-join schedule is
+        // the hand-computed one and the log stays empty.
+        let mut pool = ResourcePool::new();
+        let cpu = pool.add("cpu");
+        let gpu = pool.add("gpu");
+        let mut g = TaskGraph::new();
+        let issue = g.add("issue", cpu, span(10), &[], ());
+        let k = g.add("kernel", gpu, span(100), &[issue], ());
+        let w = g.add("cpu-work", cpu, span(80), &[issue], ());
+        g.add("merge", cpu, span(5), &[k, w], ());
+        let (trace, _, log) = g
+            .run(&mut pool, &FaultPlan::none(), &RetryPolicy::default())
             .unwrap();
-        let times = |t: &Trace<()>| {
-            t.records()
-                .iter()
-                .map(|r| (r.start, r.end))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(times(&plain), times(&faulted));
+        let times: Vec<(u64, u64)> = trace
+            .records()
+            .iter()
+            .map(|r| (r.start.as_nanos() / 1_000, r.end.as_nanos() / 1_000))
+            .collect();
+        assert_eq!(times, vec![(0, 10), (10, 110), (10, 90), (110, 115)]);
         assert_eq!(log.injected, 0);
         assert_eq!(log.retries, 0);
+        assert!(log.wasted.is_empty() && log.skipped.is_empty());
         assert!(log.failed.is_empty() && log.unrecovered.is_empty());
     }
 
@@ -732,7 +725,7 @@ mod tests {
             backoff: span(10),
             ..RetryPolicy::default()
         };
-        let (trace, _, log) = g.run_with_faults(&mut pool, &faults, &policy).unwrap();
+        let (trace, _, log) = g.run(&mut pool, &faults, &policy).unwrap();
         // Attempt 1 occupies [0, 100us) and fails; the retry starts after
         // the base backoff and succeeds.
         assert_eq!(trace.start_of(k), SimTime::from_nanos(110_000));
@@ -765,7 +758,7 @@ mod tests {
             backoff: span(10),
             ..RetryPolicy::default()
         };
-        let (trace, _, log) = g.run_with_faults(&mut pool, &faults, &policy).unwrap();
+        let (trace, _, log) = g.run(&mut pool, &faults, &policy).unwrap();
         // Attempts: [0,100), retry +10 -> [110,210), retry +20 -> [230,330).
         assert_eq!(trace.end_of(k), SimTime::from_nanos(330_000));
         assert_eq!(trace.start_of(fb), SimTime::from_nanos(330_000));
@@ -792,7 +785,7 @@ mod tests {
                 g.add_fallback("kernel::fallback", cpu, span(50), k, ());
             }
             let (trace, _, log) = g
-                .run_with_faults(&mut pool, &FaultPlan::none(), &RetryPolicy::default())
+                .run(&mut pool, &FaultPlan::none(), &RetryPolicy::default())
                 .unwrap();
             (trace.end_of(merge), trace, log)
         };
@@ -818,9 +811,7 @@ mod tests {
             resource: gpu,
             at: SimTime::from_nanos(50_000),
         });
-        let (trace, _, log) = g
-            .run_with_faults(&mut pool, &faults, &RetryPolicy::default())
-            .unwrap();
+        let (trace, _, log) = g.run(&mut pool, &faults, &RetryPolicy::default()).unwrap();
         // The watchdog times the attempt out after the predicted span;
         // no retry is attempted against a dead device.
         assert_eq!(trace.end_of(k), SimTime::from_nanos(100_000));
@@ -844,9 +835,7 @@ mod tests {
             from: SimTime::ZERO,
             until: SimTime::from_nanos(150_000),
         });
-        let (trace, _, log) = g
-            .run_with_faults(&mut pool, &faults, &RetryPolicy::default())
-            .unwrap();
+        let (trace, _, log) = g.run(&mut pool, &faults, &RetryPolicy::default()).unwrap();
         // a runs at half speed: [0, 200us); b starts outside the window
         // and runs at full speed.
         assert_eq!(trace.end_of(a), SimTime::from_nanos(200_000));
@@ -871,7 +860,7 @@ mod tests {
                 }
                 prev.push(id);
             }
-            let t = g.run(&mut pool).unwrap();
+            let t = run(g, &mut pool).unwrap();
             t.records()
                 .iter()
                 .map(|r| (r.start, r.end))

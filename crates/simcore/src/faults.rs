@@ -182,7 +182,7 @@ impl FaultPlan {
 }
 
 /// How failed attempts are retried — shared by the task watchdog
-/// ([`crate::dag::TaskGraph::run_with_faults`]) and link-transfer
+/// ([`crate::dag::TaskGraph::run`]) and link-transfer
 /// retries, so one policy object bounds every retry loop in a run.
 ///
 /// The delay the policy can add to one task is provably bounded:

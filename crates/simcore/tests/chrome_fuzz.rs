@@ -11,7 +11,7 @@
 //!
 //! Deterministic in `TESTKIT_SEED`, case count via `TESTKIT_CASES`.
 
-use simcore::chrome::export_with_overlays;
+use simcore::chrome::export;
 use simcore::{
     validate_chrome_trace, JsonValue, OverlayEvent, ResourceId, SimSpan, SimTime, TaskId,
     TaskRecord, Trace, TraceArg,
@@ -45,7 +45,7 @@ fn valid_trace_json(seed: u64) -> String {
         dur: SimSpan::ZERO,
         args: vec![("depth".into(), TraceArg::Num(rng.gen_range(0.0..9.0)))],
     }];
-    export_with_overlays(
+    export(
         &Trace::new(records),
         &[(ResourceId(0), "cpu".into()), (ResourceId(1), "gpu".into())],
         |_| "t".into(),

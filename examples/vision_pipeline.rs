@@ -85,7 +85,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nstreaming a {frames}-frame clip through the uLayer plan (pipelined):");
     let report = runtime.plan(&net)?;
     let interval = simcore::SimSpan::from_secs_f64(FRAME_BUDGET_MS / 1e3);
-    let stream = uruntime::execute_pipeline(&spec, &net, &report.plan, frames, interval)?;
+    // Fault-free, with the frame budget as the deadline the run counts
+    // misses against.
+    let options = uruntime::RunOptions {
+        deadline: Some(interval),
+        ..uruntime::RunOptions::default()
+    };
+    let (stream, _) =
+        uruntime::execute_pipeline(&spec, &net, &report.plan, frames, interval, &options)?;
     println!(
         "  {:.2} s total, {:.1} fps sustained, {:.1} mJ total",
         stream.makespan.as_secs_f64(),
@@ -96,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  per-frame latency: mean {:.2} ms, worst {:.2} ms; frames over budget: {}/{frames}",
         stream.mean_latency().as_millis_f64(),
         stream.max_latency().as_millis_f64(),
-        stream.missed(interval)
+        stream.metrics.counter("deadline.missed")
     );
     Ok(())
 }

@@ -10,15 +10,24 @@
 //! - [`kernels`] — functional NN compute kernels for F32/F16/QUInt8.
 //! - [`nn`] — layer IR, graph, shape/FLOP inference, model zoo.
 //! - [`soc`] — simulated mobile SoC: devices, timing, memory, energy.
-//! - [`runtime`] — baseline execution mechanisms (single-processor,
-//!   layer-to-processor, network-to-processor).
+//! - [`runtime`] — execution plans, the timing engine and the functional
+//!   evaluator that co-simulate any plan, the baseline mechanisms
+//!   (single-processor, layer-to-processor, network-to-processor), and
+//!   the serving core behind streams and fleets.
+//! - [`exec`] — the real-thread backend: worker pools running a plan's
+//!   parts on the host, with wall-clock measurement.
 //! - [`ulayer`] — the paper's contribution: cooperative single-layer
 //!   acceleration, processor-friendly quantization, branch distribution.
 //! - [`quantlab`] — quantization accuracy experiments (Figure 10).
+//! - [`bench`] — the `repro` binary's figures and scenarios.
+//!
+//! `testkit` (seedable PRNG, property runner, golden vectors) is a
+//! dev-dependency of the tests, not part of this namespace.
 
 pub use quantlab;
 pub use simcore;
 pub use ubench as bench;
+pub use uexec as exec;
 pub use ukernels as kernels;
 pub use ulayer;
 pub use unn as nn;

@@ -31,7 +31,8 @@ fn cooperative_quint8_is_bit_identical_to_cpu_only_quint8() {
     let spec = SocSpec::exynos_7420();
     let runtime =
         ULayer::with_config(spec, ULayerConfig::channel_distribution_only()).expect("ulayer");
-    let (_, outputs) = runtime.run_functional(&g, &w, &calib, &input).expect("run");
+    let plan = runtime.plan(&g).expect("plan").plan;
+    let outputs = evaluate_plan(&g, &plan, &w, &calib, &input).expect("run");
     let reference = forward(&g, &w, &calib, &input, DType::QUInt8).expect("reference");
     // Every node except the f32 softmax head must match exactly.
     for (i, (a, b)) in outputs.iter().zip(&reference).enumerate().take(g.len() - 1) {
@@ -46,7 +47,8 @@ fn processor_friendly_execution_tracks_the_float_reference() {
     let (g, w, calib, input) = lenet_setup();
     let spec = SocSpec::exynos_7420();
     let runtime = ULayer::new(spec).expect("ulayer");
-    let (_, outputs) = runtime.run_functional(&g, &w, &calib, &input).expect("run");
+    let plan = runtime.plan(&g).expect("plan").plan;
+    let outputs = evaluate_plan(&g, &plan, &w, &calib, &input).expect("run");
     let reference = forward(&g, &w, &calib, &input, DType::F32).expect("reference");
     let probs = outputs.last().expect("probs");
     let ref_probs = reference.last().expect("ref probs");
@@ -72,7 +74,8 @@ fn every_p_ratio_yields_identical_quint8_results() {
             ..ULayerConfig::channel_distribution_only()
         };
         let runtime = ULayer::with_config(spec.clone(), cfg).expect("ulayer");
-        let (_, outputs) = runtime.run_functional(&g, &w, &calib, &input).expect("run");
+        let plan = runtime.plan(&g).expect("plan").plan;
+        let outputs = evaluate_plan(&g, &plan, &w, &calib, &input).expect("run");
         if let Some(prev) = &last {
             for (a, b) in outputs.iter().zip(prev).take(g.len() - 1) {
                 assert!(a.bit_equal(b), "p = {p} changed results");
@@ -134,11 +137,13 @@ fn plan_evaluation_agrees_with_reference_on_branchy_graph() {
 
 #[test]
 fn functional_and_timing_halves_agree_on_the_plan() {
-    // run_functional must execute exactly the plan that run() times.
+    // The plan `run()` times is the plan `plan()` hands the evaluator.
     let (g, w, calib, input) = lenet_setup();
     let runtime = ULayer::new(SocSpec::exynos_7880()).expect("ulayer");
     let timing_only = runtime.run(&g).expect("run");
-    let (timed, outputs) = runtime.run_functional(&g, &w, &calib, &input).expect("run");
+    let plan = runtime.plan(&g).expect("plan").plan;
+    let timed = uruntime::execute_plan(runtime.spec(), &g, &plan).expect("run");
+    let outputs = evaluate_plan(&g, &plan, &w, &calib, &input).expect("evaluate");
     assert_eq!(timing_only.latency, timed.latency);
     assert_eq!(outputs.len(), g.len());
 }
