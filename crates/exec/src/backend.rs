@@ -6,8 +6,11 @@
 //! Within a part, the backend subdivides the channel range into
 //! per-worker chunks — the same Filters/InputChannels slicing the plan
 //! itself uses, one level finer — so a four-worker pool computes four
-//! disjoint row blocks of the same GEMM. Chunk outputs are concatenated
-//! in channel order.
+//! disjoint row blocks of the same GEMM. Every chunk comes back *stored*
+//! (`eval_part_task` converts to the plan's storage dtype on the worker
+//! that computed it — a GPU part's F16 → QUInt8 store runs on the GPU
+//! pool, concurrently with the CPU part), so chunk outputs are
+//! concatenated in channel order as they are.
 //!
 //! Chunking preserves the numerics exactly: every output channel is
 //! computed by the same arithmetic regardless of which chunk owns it
@@ -46,7 +49,8 @@ pub struct PartTiming {
     /// The processor the plan assigned the part to.
     pub device: DeviceId,
     /// Wall span from the part's first chunk starting to its last chunk
-    /// finishing, in seconds.
+    /// finishing, in seconds: load conversion + compute + store
+    /// conversion, everything the part's device does for the layer.
     pub seconds: f64,
     /// Number of per-worker chunks the part was subdivided into.
     pub chunks: usize,

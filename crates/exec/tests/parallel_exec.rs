@@ -337,3 +337,81 @@ fn measure_scalar_path_reproduces_baseline_config() {
     // Samples come from every repetition of both plans.
     assert!(report.samples.len() >= 2 * g.len());
 }
+
+/// Forwards to an inner backend and checks, batch by batch, that every
+/// output `run_node` hands back is already stored: in the task's storage
+/// dtype and — for QUInt8 — on the node's store grid (the softmax head,
+/// which stays f32, excepted).
+struct StoredOutputs<'a> {
+    inner: &'a dyn uruntime::ExecBackend,
+    mixed_splits: std::sync::atomic::AtomicUsize,
+}
+
+impl uruntime::ExecBackend for StoredOutputs<'_> {
+    fn name(&self) -> &str {
+        "stored-outputs-check"
+    }
+
+    fn run_node(
+        &self,
+        tasks: &[uruntime::PartTask<'_>],
+    ) -> Result<Vec<Tensor>, utensor::TensorError> {
+        let outs = self.inner.run_node(tasks)?;
+        assert_eq!(outs.len(), tasks.len());
+        for (task, out) in tasks.iter().zip(&outs) {
+            if matches!(task.kind, unn::LayerKind::Softmax) {
+                assert_eq!(out.dtype(), DType::F32, "{}", task.name);
+                continue;
+            }
+            assert_eq!(
+                out.dtype(),
+                task.storage,
+                "{} part {}",
+                task.name,
+                task.part_index
+            );
+            if task.storage == DType::QUInt8 {
+                assert_eq!(out.quant_params(), Some(task.store_params), "{}", task.name);
+            }
+        }
+        let computes: Vec<DType> = tasks.iter().map(|t| t.dtypes.compute).collect();
+        if computes.contains(&DType::QUInt8) && computes.contains(&DType::F16) {
+            self.mixed_splits
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        Ok(outs)
+    }
+}
+
+#[test]
+fn run_node_returns_stored_outputs_for_mixed_splits() {
+    // The store belongs to the part (§4.2: the GPU requantizes its own
+    // outputs): an F16-computed part of a QUInt8-stored layer comes back
+    // from the backend as QUInt8 codes on the layer's grid, from the
+    // sequential backend and from the worker pools (where chunks are
+    // stored one by one and concatenated as bytes) alike.
+    let (g, w, calib, x) = setup();
+    let spec = SocSpec::exynos_7420();
+    let plan = split_plan(
+        &g,
+        &spec,
+        DtypePlan::proc_friendly_cpu(),
+        DtypePlan::proc_friendly_gpu(),
+        "ulayer-split",
+    );
+    let pools = ParallelBackend::new(&spec, &ExecConfig::with_threads(2), PoolMode::Cooperative);
+    let inners: [&dyn uruntime::ExecBackend; 2] = [&uruntime::SimulatedBackend, &pools];
+    for inner in inners {
+        let checked = StoredOutputs {
+            inner,
+            mixed_splits: Default::default(),
+        };
+        let outs = evaluate_plan_with_backend(&g, &plan, &w, &calib, &x, &checked).unwrap();
+        assert_eq!(outs.len(), g.len());
+        assert_eq!(
+            checked.mixed_splits.into_inner(),
+            plan.split_count(),
+            "every split node ran a QUInt8 and an F16 part"
+        );
+    }
+}

@@ -152,6 +152,8 @@ pub fn registered_fast_paths() -> Vec<&'static str> {
         "pointwise/f32/direct",
         "pointwise/f16/direct",
         "pointwise/quint8/direct",
+        "pool/quint8/rowwise",
+        "convert/quint8/table",
     ];
     if simd::simd_available() {
         paths.push("gemm/f32/blocked-simd");
@@ -162,6 +164,10 @@ pub fn registered_fast_paths() -> Vec<&'static str> {
     }
     if utensor::quant::requantize_simd_available() {
         paths.push("requantize/quint8/simd");
+    }
+    if utensor::convert::simd_available() {
+        paths.push("convert/to-quint8/simd");
+        paths.push("convert/f16/simd");
     }
     paths
 }

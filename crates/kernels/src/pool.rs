@@ -10,6 +10,15 @@
 //! (exclude-pad, the Caffe/ACL default). Quantized max pooling operates
 //! directly on the u8 codes (the affine map is monotonic); quantized
 //! average pooling accumulates codes in `i32` and rounds the division.
+//!
+//! Every path walks output rows with the window clipped to the plane
+//! beforehand, so no tap tests a bound. The float paths fold each
+//! window's taps in row-major order (`max` on ±0 / NaN and the sum's
+//! association depend on it). The integer paths may reorder — `u8` max
+//! and `i32` sums are exact in any order — and reduce the window's rows
+//! into one row buffer first, then take the horizontal taps from it.
+
+use std::ops::Range;
 
 use utensor::{Shape, Tensor, TensorData, TensorError, F16};
 
@@ -37,6 +46,245 @@ pub struct PoolParams {
     pub pad: usize,
 }
 
+/// A `kh × kw` window sliding over one `h × w` plane into `oh × ow`
+/// outputs: square for [`pool2d`], the whole plane for
+/// [`global_avg_pool`].
+#[derive(Clone, Copy)]
+struct Window {
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    pad: usize,
+}
+
+/// The part of a `k`-wide window starting at padded coordinate `start`
+/// that lies inside `0..len` (empty when it lies in the padding).
+fn clip(start: usize, k: usize, pad: usize, len: usize) -> Range<usize> {
+    let hi = (start + k).saturating_sub(pad).min(len);
+    start.saturating_sub(pad).min(hi)..hi
+}
+
+impl Window {
+    /// The valid input rows of output row `oy`.
+    fn rows(&self, oy: usize) -> Range<usize> {
+        clip(oy * self.stride, self.kh, self.pad, self.h)
+    }
+
+    /// The valid input columns of output column `ox`.
+    fn cols(&self, ox: usize) -> Range<usize> {
+        clip(ox * self.stride, self.kw, self.pad, self.w)
+    }
+
+    /// The output columns whose window needs no clipping; the columns
+    /// left of it hang over the left border, those right of it over the
+    /// right one.
+    fn interior(&self) -> Range<usize> {
+        if self.kw == 0 || self.w + self.pad < self.kw {
+            return 0..0;
+        }
+        let hi = ((self.w + self.pad - self.kw) / self.stride + 1).min(self.ow);
+        self.pad.div_ceil(self.stride).min(hi)..hi
+    }
+}
+
+/// One plane, each window folded over its valid taps in row-major order
+/// from `init`; `finish` receives the fold and the tap count.
+fn pool_plane_ordered<T: Copy, A: Copy>(
+    plane: &[T],
+    out: &mut [T],
+    g: &Window,
+    init: A,
+    f: impl Fn(A, T) -> A,
+    finish: impl Fn(A, usize) -> T,
+) {
+    for (oy, out_row) in out.chunks_exact_mut(g.ow).enumerate() {
+        let rows = g.rows(oy);
+        for (ox, o) in out_row.iter_mut().enumerate() {
+            let cols = g.cols(ox);
+            let mut acc = init;
+            for iy in rows.clone() {
+                for &v in &plane[iy * g.w + cols.start..iy * g.w + cols.end] {
+                    acc = f(acc, v);
+                }
+            }
+            *o = finish(acc, rows.len() * cols.len());
+        }
+    }
+}
+
+/// One plane of codes, reduced in any order: the window's valid rows are
+/// joined vertically into `rowbuf` (one pass per input row, which the
+/// compiler vectorises), then each output joins its horizontal taps —
+/// the unclipped interior specialised for 2- and 3-wide windows — and
+/// `finish` receives the join and the tap count. A window with no valid
+/// tap yields `empty`.
+#[allow(clippy::too_many_arguments)]
+fn pool_plane_rowwise<A: Copy>(
+    plane: &[u8],
+    out: &mut [u8],
+    g: &Window,
+    rowbuf: &mut Vec<A>,
+    empty: u8,
+    widen: impl Fn(u8) -> A,
+    join: impl Fn(A, A) -> A,
+    finish: impl Fn(A, usize) -> u8,
+) {
+    let interior = g.interior();
+    for (oy, out_row) in out.chunks_exact_mut(g.ow).enumerate() {
+        let rows = g.rows(oy);
+        if rows.is_empty() {
+            out_row.fill(empty);
+            continue;
+        }
+        rowbuf.clear();
+        rowbuf.extend(plane[rows.start * g.w..][..g.w].iter().map(|&v| widen(v)));
+        for iy in rows.start + 1..rows.end {
+            for (b, &v) in rowbuf.iter_mut().zip(&plane[iy * g.w..][..g.w]) {
+                *b = join(*b, widen(v));
+            }
+        }
+
+        let (left, rest) = out_row.split_at_mut(interior.start);
+        let (middle, right) = rest.split_at_mut(interior.len());
+        let clipped = |ox: usize| {
+            let cols = g.cols(ox);
+            match rowbuf[cols.clone()].split_first() {
+                None => empty,
+                Some((&first, taps)) => finish(
+                    taps.iter().fold(first, |a, &b| join(a, b)),
+                    rows.len() * cols.len(),
+                ),
+            }
+        };
+        for (ox, o) in left.iter_mut().enumerate() {
+            *o = clipped(ox);
+        }
+        for (ox, o) in right.iter_mut().enumerate() {
+            *o = clipped(interior.end + ox);
+        }
+
+        if middle.is_empty() {
+            continue;
+        }
+        let count = rows.len() * g.kw;
+        // The interior's windows: `kw` taps every `stride` columns.
+        let taps = &rowbuf[interior.start * g.stride - g.pad..];
+        match g.kw {
+            2 => {
+                for (o, t) in middle.iter_mut().zip(taps.windows(2).step_by(g.stride)) {
+                    *o = finish(join(t[0], t[1]), count);
+                }
+            }
+            3 => {
+                for (o, t) in middle.iter_mut().zip(taps.windows(3).step_by(g.stride)) {
+                    *o = finish(join(join(t[0], t[1]), t[2]), count);
+                }
+            }
+            kw => {
+                for (o, t) in middle.iter_mut().zip(taps.windows(kw).step_by(g.stride)) {
+                    *o = finish(t[1..].iter().fold(t[0], |a, &b| join(a, b)), count);
+                }
+            }
+        }
+    }
+}
+
+/// Pools every plane of an NCHW tensor under `g`.
+fn pool_planes(input: &Tensor, kind: PoolKind, g: &Window) -> Result<Tensor, TensorError> {
+    let (n, c) = (input.shape().n(), input.shape().c());
+    let out_shape = Shape::nchw(n, c, g.oh, g.ow);
+    let (planes, plane_len, out_len) = (n * c, g.h * g.w, g.oh * g.ow);
+    let plane_of = |pl: usize| pl * plane_len..(pl + 1) * plane_len;
+    match input.data() {
+        TensorData::F32(x) => {
+            let mut out = vec![0.0f32; planes * out_len];
+            for (pl, o) in out.chunks_mut(out_len).enumerate() {
+                let plane = &x[plane_of(pl)];
+                match kind {
+                    PoolKind::Max => {
+                        pool_plane_ordered(plane, o, g, f32::NEG_INFINITY, f32::max, |a, _| a)
+                    }
+                    PoolKind::Avg => pool_plane_ordered(
+                        plane,
+                        o,
+                        g,
+                        0.0f32,
+                        |a, v| a + v,
+                        |a, count| if count == 0 { 0.0 } else { a / count as f32 },
+                    ),
+                }
+            }
+            Tensor::from_f32(out_shape, out)
+        }
+        TensorData::F16(x) => {
+            let mut out = vec![F16::ZERO; planes * out_len];
+            for (pl, o) in out.chunks_mut(out_len).enumerate() {
+                let plane = &x[plane_of(pl)];
+                match kind {
+                    PoolKind::Max => {
+                        pool_plane_ordered(plane, o, g, F16::NEG_INFINITY, F16::max, |a, _| a)
+                    }
+                    PoolKind::Avg => pool_plane_ordered(
+                        plane,
+                        o,
+                        g,
+                        F16::ZERO,
+                        |a, v| a + v,
+                        |a, count| {
+                            if count == 0 {
+                                F16::ZERO
+                            } else {
+                                a / F16::from_f32(count as f32)
+                            }
+                        },
+                    ),
+                }
+            }
+            Tensor::new(out_shape, TensorData::F16(out))
+        }
+        TensorData::QUInt8 {
+            data: x,
+            params: qp,
+        } => {
+            let mut out = vec![0u8; planes * out_len];
+            let (mut maxes, mut sums) = (Vec::new(), Vec::new());
+            for (pl, o) in out.chunks_mut(out_len).enumerate() {
+                let plane = &x[plane_of(pl)];
+                match kind {
+                    // Monotonic affine map: max of codes = code of max.
+                    PoolKind::Max => pool_plane_rowwise(
+                        plane,
+                        o,
+                        g,
+                        &mut maxes,
+                        qp.zero_point,
+                        |v| v,
+                        u8::max,
+                        |a, _| a,
+                    ),
+                    // Rounded integer mean of the codes equals the
+                    // quantized mean (same affine map).
+                    PoolKind::Avg => pool_plane_rowwise(
+                        plane,
+                        o,
+                        g,
+                        &mut sums,
+                        qp.zero_point,
+                        |v| v as i32,
+                        |a, b| a + b,
+                        |a, count| ((a + count as i32 / 2) / count as i32).clamp(0, 255) as u8,
+                    ),
+                }
+            }
+            Tensor::from_quantized(out_shape, out, *qp)
+        }
+    }
+}
+
 /// Applies 2-D pooling to an NCHW tensor.
 pub fn pool2d(input: &Tensor, params: &PoolParams) -> Result<Tensor, TensorError> {
     let s = input.shape();
@@ -45,7 +293,7 @@ pub fn pool2d(input: &Tensor, params: &PoolParams) -> Result<Tensor, TensorError
             "pool2d expects a rank-4 input, got {s}"
         )));
     }
-    let (n, c, h, w) = (s.n(), s.c(), s.h(), s.w());
+    let (h, w) = (s.h(), s.w());
     let oh = out_dim(h, params.k, params.stride, params.pad);
     let ow = out_dim(w, params.k, params.stride, params.pad);
     let (oh, ow) = match (oh, ow) {
@@ -57,172 +305,21 @@ pub fn pool2d(input: &Tensor, params: &PoolParams) -> Result<Tensor, TensorError
             )))
         }
     };
-    let out_shape = Shape::nchw(n, c, oh, ow);
-
-    /// Visits the valid positions of each window, folding with `f`.
-    #[allow(clippy::too_many_arguments)]
-    fn pool_plane<T: Copy, A>(
-        plane: &[T],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        p: &PoolParams,
-        init: A,
-        mut f: impl FnMut(A, T) -> A,
-        mut finish: impl FnMut(A, usize) -> T,
-        out: &mut Vec<T>,
-    ) where
-        A: Copy,
-    {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = init;
-                let mut count = 0usize;
-                for ky in 0..p.k {
-                    let iy = (oy * p.stride + ky) as isize - p.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..p.k {
-                        let ix = (ox * p.stride + kx) as isize - p.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        acc = f(acc, plane[iy as usize * w + ix as usize]);
-                        count += 1;
-                    }
-                }
-                out.push(finish(acc, count));
-            }
-        }
-    }
-
-    let planes = n * c;
-    let plane_len = h * w;
-    match input.data() {
-        TensorData::F32(x) => {
-            let mut out = Vec::with_capacity(out_shape.numel());
-            for pl in 0..planes {
-                let plane = &x[pl * plane_len..(pl + 1) * plane_len];
-                match params.kind {
-                    PoolKind::Max => pool_plane(
-                        plane,
-                        h,
-                        w,
-                        oh,
-                        ow,
-                        params,
-                        f32::NEG_INFINITY,
-                        f32::max,
-                        |a, _| a,
-                        &mut out,
-                    ),
-                    PoolKind::Avg => pool_plane(
-                        plane,
-                        h,
-                        w,
-                        oh,
-                        ow,
-                        params,
-                        0.0f32,
-                        |a, v| a + v,
-                        |a, count| if count == 0 { 0.0 } else { a / count as f32 },
-                        &mut out,
-                    ),
-                }
-            }
-            Tensor::from_f32(out_shape, out)
-        }
-        TensorData::F16(x) => {
-            let mut out: Vec<F16> = Vec::with_capacity(out_shape.numel());
-            for pl in 0..planes {
-                let plane = &x[pl * plane_len..(pl + 1) * plane_len];
-                match params.kind {
-                    PoolKind::Max => pool_plane(
-                        plane,
-                        h,
-                        w,
-                        oh,
-                        ow,
-                        params,
-                        F16::NEG_INFINITY,
-                        |a, v| a.max(v),
-                        |a, _| a,
-                        &mut out,
-                    ),
-                    PoolKind::Avg => pool_plane(
-                        plane,
-                        h,
-                        w,
-                        oh,
-                        ow,
-                        params,
-                        F16::ZERO,
-                        |a, v| a + v,
-                        |a, count| {
-                            if count == 0 {
-                                F16::ZERO
-                            } else {
-                                a / F16::from_f32(count as f32)
-                            }
-                        },
-                        &mut out,
-                    ),
-                }
-            }
-            Tensor::new(out_shape, TensorData::F16(out))
-        }
-        TensorData::QUInt8 {
-            data: x,
-            params: qp,
-        } => {
-            let qp = *qp;
-            let mut out: Vec<u8> = Vec::with_capacity(out_shape.numel());
-            for pl in 0..planes {
-                let plane = &x[pl * plane_len..(pl + 1) * plane_len];
-                match params.kind {
-                    PoolKind::Max => pool_plane(
-                        plane,
-                        h,
-                        w,
-                        oh,
-                        ow,
-                        params,
-                        u8::MIN,
-                        // Monotonic affine map: max of codes = code of max.
-                        |a: u8, v: u8| a.max(v),
-                        |a, count| if count == 0 { qp.zero_point } else { a },
-                        &mut out,
-                    ),
-                    PoolKind::Avg => pool_plane(
-                        plane,
-                        h,
-                        w,
-                        oh,
-                        ow,
-                        params,
-                        0i32,
-                        |a, v| a + v as i32,
-                        |a, count| {
-                            if count == 0 {
-                                qp.zero_point
-                            } else {
-                                // Rounded integer mean of the codes equals
-                                // the quantized mean (same affine map).
-                                ((a + count as i32 / 2) / count as i32).clamp(0, 255) as u8
-                            }
-                        },
-                        &mut out,
-                    ),
-                }
-            }
-            Tensor::from_quantized(out_shape, out, qp)
-        }
-    }
+    let window = Window {
+        h,
+        w,
+        oh,
+        ow,
+        kh: params.k,
+        kw: params.k,
+        stride: params.stride,
+        pad: params.pad,
+    };
+    pool_planes(input, params.kind, &window)
 }
 
-/// Global average pooling: NCHW → `[n, c, 1, 1]`.
+/// Global average pooling: NCHW → `[n, c, 1, 1]`, the mean over each
+/// `h × w` plane (square or not).
 pub fn global_avg_pool(input: &Tensor) -> Result<Tensor, TensorError> {
     let s = input.shape();
     if s.rank() != 4 {
@@ -230,15 +327,17 @@ pub fn global_avg_pool(input: &Tensor) -> Result<Tensor, TensorError> {
             "global_avg_pool expects rank-4 input, got {s}"
         )));
     }
-    pool2d(
-        input,
-        &PoolParams {
-            kind: PoolKind::Avg,
-            k: s.h().max(s.w()),
-            stride: 1,
-            pad: 0,
-        },
-    )
+    let window = Window {
+        h: s.h(),
+        w: s.w(),
+        oh: 1,
+        ow: 1,
+        kh: s.h(),
+        kw: s.w(),
+        stride: 1,
+        pad: 0,
+    };
+    pool_planes(input, PoolKind::Avg, &window)
 }
 
 #[cfg(test)]

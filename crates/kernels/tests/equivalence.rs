@@ -20,7 +20,13 @@
 //!   order by construction), tolerance-bounded beyond (panel sums
 //!   re-associate);
 //! - conv fast paths (direct depthwise / pointwise): bit-identical to
-//!   the im2col reference for all three dtypes.
+//!   the im2col reference for all three dtypes;
+//! - row-wise QUInt8 pooling: bit-identical to the windowed loop
+//!   (`common::pool2d_windowed`);
+//! - the slice converters of `utensor::convert` (tables from QUInt8, the
+//!   vector quantizers, the F16C widening / narrowing): bit-identical to
+//!   the scalar definitions. No kernel path governs them, so their cells
+//!   run once per thread count.
 //!
 //! Seeded shape ladders cover the historical trouble spots: odd
 //! channels, stride 2, padding, 1×1 kernels, single-channel layers, and
@@ -30,15 +36,19 @@
 //! narrower than the window, single rows and single columns. The
 //! randomized section at the bottom adds shrinking on top.
 
+mod common;
+
 use std::thread;
 
 use testkit::{bools, prop_assert, prop_assume, props};
 use ukernels::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
 use ukernels::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use ukernels::{
-    conv2d, depthwise_conv2d, out_dim, registered_fast_paths, set_blocked_kernels, set_direct_conv,
-    set_kernel_path, simd_available, simd_f16_available, Conv2dParams, PathChoice, ScratchArena,
+    conv2d, depthwise_conv2d, out_dim, pool2d, registered_fast_paths, set_blocked_kernels,
+    set_direct_conv, set_kernel_path, simd_available, simd_f16_available, Conv2dParams, PathChoice,
+    PoolKind, PoolParams, ScratchArena,
 };
+use utensor::convert;
 use utensor::quant::{requantize, requantize_into};
 use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, F16};
 
@@ -60,6 +70,10 @@ const COVERED: &[&str] = &[
     "pointwise/f16/direct",
     "pointwise/quint8/direct",
     "requantize/quint8/simd",
+    "pool/quint8/rowwise",
+    "convert/quint8/table",
+    "convert/to-quint8/simd",
+    "convert/f16/simd",
 ];
 
 fn pseudo_f32(n: usize, seed: usize) -> Vec<f32> {
@@ -376,6 +390,210 @@ fn requantize_cell(tc: usize) {
     }
 }
 
+/// Row-wise QUInt8 pooling (rows reduced before columns, the interior
+/// specialised for 2- and 3-wide windows) against the windowed loop it
+/// replaced, on SqueezeNet's pool geometry and the awkward ones: planes
+/// narrower than the window, single rows and columns, strides above the
+/// window side, windows wholly inside the padding.
+fn pool_cell(tc: usize) {
+    let cases = [
+        (13usize, 13usize, 3usize, 2usize, 0usize),
+        (27, 27, 3, 2, 0),
+        (33, 31, 3, 2, 1),
+        (8, 9, 2, 2, 0),
+        (5, 1, 3, 1, 1),
+        (1, 6, 2, 3, 2),
+        (2, 2, 5, 1, 2),
+        (9, 7, 1, 3, 2),
+        (12, 17, 4, 3, 1),
+    ];
+    for got_all in on_threads(tc, PathChoice::Auto, false, || {
+        let mut outs = Vec::new();
+        for (case, &(h, w, k, stride, pad)) in cases.iter().enumerate() {
+            let input = common::pool_input(Shape::nchw(2, 3, h, w), DType::QUInt8, case);
+            for kind in [PoolKind::Max, PoolKind::Avg] {
+                let p = PoolParams {
+                    kind,
+                    k,
+                    stride,
+                    pad,
+                };
+                let same = pool2d(&input, &p)
+                    .unwrap()
+                    .bit_equal(&common::pool2d_windowed(&input, &p));
+                outs.push((same, h, w, p));
+            }
+        }
+        outs
+    }) {
+        for (same, h, w, p) in got_all {
+            assert!(same, "pool tc={tc} {h}x{w} {p:?}");
+        }
+    }
+}
+
+/// A parameter ladder for the converter cells: calibrated ranges, the
+/// zero-point rails, a tiny and a huge scale.
+fn convert_params() -> Vec<QuantParams> {
+    let mut ladder = vec![
+        QuantParams::default(),
+        QuantParams::from_range(-3.0, 9.0).unwrap(),
+        QuantParams::from_range(-60_000.0, 60_000.0).unwrap(),
+    ];
+    for scale in [4e-6f32, 0.05, 1e3] {
+        for zero_point in [0u8, 128, 255] {
+            ladder.push(QuantParams { scale, zero_point });
+        }
+    }
+    ladder
+}
+
+/// Runs `check` (a list of (passed, label) results) on `tc` workers.
+fn convert_cell(tc: usize, check: impl Fn() -> Vec<(bool, String)> + Sync) {
+    for results in on_threads(tc, PathChoice::Auto, false, &check) {
+        for (same, what) in results {
+            assert!(same, "convert tc={tc}: {what}");
+        }
+    }
+}
+
+/// The table converters from QUInt8 (every code, both above and below
+/// the table threshold) against the scalar definitions.
+fn convert_table_cell(tc: usize) {
+    let codes: Vec<u8> = (0..600).map(|i| (i % 256) as u8).collect();
+    convert_cell(tc, || {
+        let mut results = Vec::new();
+        for len in [0usize, 9, 255, 256, 600] {
+            let src = &codes[..len];
+            for from in convert_params() {
+                let mut f = vec![0.0f32; len];
+                convert::quint8_to_f32(&mut f, src, from);
+                let same = f
+                    .iter()
+                    .zip(src)
+                    .all(|(g, &q)| g.to_bits() == from.dequantize(q).to_bits());
+                results.push((same, format!("quint8 -> f32 {from:?} len {len}")));
+                let mut h = vec![F16::ZERO; len];
+                convert::quint8_to_f16(&mut h, src, from);
+                let same = h
+                    .iter()
+                    .zip(src)
+                    .all(|(g, &q)| g.to_bits() == F16::from_f32(from.dequantize(q)).to_bits());
+                results.push((same, format!("quint8 -> f16 {from:?} len {len}")));
+                for to in convert_params() {
+                    let mut q8 = vec![0u8; len];
+                    convert::quint8_to_quint8(&mut q8, src, from, to);
+                    let same = q8.iter().zip(src).all(|(&g, &q)| {
+                        g == if from == to {
+                            q
+                        } else {
+                            to.quantize(from.dequantize(q))
+                        }
+                    });
+                    results.push((same, format!("quint8 {from:?} -> {to:?} len {len}")));
+                }
+            }
+        }
+        results
+    });
+}
+
+/// Every binary16 pattern.
+fn all_f16() -> Vec<F16> {
+    (0..=u16::MAX).map(F16::from_bits).collect()
+}
+
+/// f32 values around the quantizer's decisions: ties on both sides of
+/// zero and their neighbours, the rails, non-finite values.
+fn quantizer_f32(params: QuantParams) -> Vec<f32> {
+    let mut v: Vec<f32> = (-600..=600)
+        .flat_map(|i| {
+            let x = i as f32 * 0.5 * params.scale;
+            [
+                x,
+                f32::from_bits(x.to_bits() + 1),
+                f32::from_bits(x.to_bits().wrapping_sub(1)),
+            ]
+        })
+        .collect();
+    v.extend([
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MAX,
+        f32::MIN,
+        -0.0,
+        1e-40,
+        (1u32 << 24) as f32 * params.scale,
+    ]);
+    v.extend(pseudo_f32(257, 3).iter().map(|x| x * 300.0 * params.scale));
+    v
+}
+
+/// The vector quantizers (f32 and F16 sources) against
+/// `QuantParams::quantize`, tails included.
+fn convert_to_quint8_cell(tc: usize) {
+    let halves = all_f16();
+    convert_cell(tc, || {
+        let mut results = Vec::new();
+        for params in convert_params() {
+            let reals = quantizer_f32(params);
+            for cut in [0usize, 1, 7] {
+                let src = &reals[cut..];
+                let mut got = vec![0u8; src.len()];
+                convert::f32_to_quint8(&mut got, src, params);
+                let same = got.iter().zip(src).all(|(&g, &x)| g == params.quantize(x));
+                results.push((same, format!("f32 -> quint8 {params:?} from {cut}")));
+                let src = &halves[cut..];
+                let mut got = vec![0u8; src.len()];
+                convert::f16_to_quint8(&mut got, src, params);
+                let same = got
+                    .iter()
+                    .zip(src)
+                    .all(|(&g, h)| g == params.quantize(h.to_f32()));
+                results.push((same, format!("f16 -> quint8 {params:?} from {cut}")));
+            }
+        }
+        results
+    });
+}
+
+/// The F16C widening and narrowing against the software conversions,
+/// NaN bits included.
+fn convert_f16_cell(tc: usize) {
+    let halves = all_f16();
+    convert_cell(tc, || {
+        let mut results = Vec::new();
+        for cut in [0usize, 3, 8] {
+            let src = &halves[cut..];
+            let mut wide = vec![0.0f32; src.len()];
+            convert::f16_to_f32(&mut wide, src);
+            let same = wide
+                .iter()
+                .zip(src)
+                .all(|(g, h)| g.to_bits() == h.to_f32().to_bits());
+            results.push((same, format!("f16 -> f32 from {cut}")));
+            // Every binary16 value, the midpoints between neighbours and
+            // their neighbours, then NaNs with payloads.
+            let reals: Vec<f32> = wide
+                .iter()
+                .flat_map(|x| {
+                    [0u32, 0x0FFF, 0x1000, 0x1001].map(|d| f32::from_bits(x.to_bits() + d))
+                })
+                .chain([0x7FC0_0001, 0x7F80_0001, 0xFFFF_FFFF].map(f32::from_bits))
+                .collect();
+            let mut narrow = vec![F16::ZERO; reals.len()];
+            convert::f32_to_f16(&mut narrow, &reals);
+            let same = narrow
+                .iter()
+                .zip(&reals)
+                .all(|(g, &x)| g.to_bits() == F16::from_f32(x).to_bits());
+            results.push((same, format!("f32 -> f16 from {cut}")));
+        }
+        results
+    });
+}
+
 /// Runs the cell that pins `key`; panics on an unknown key so a typo in
 /// [`COVERED`] cannot silently cover nothing.
 fn run_cell(key: &str, tc: usize) {
@@ -393,6 +611,10 @@ fn run_cell(key: &str, tc: usize) {
         "pointwise/f16/direct" => pointwise_cell(DType::F16, tc),
         "pointwise/quint8/direct" => pointwise_cell(DType::QUInt8, tc),
         "requantize/quint8/simd" => requantize_cell(tc),
+        "pool/quint8/rowwise" => pool_cell(tc),
+        "convert/quint8/table" => convert_table_cell(tc),
+        "convert/to-quint8/simd" => convert_to_quint8_cell(tc),
+        "convert/f16/simd" => convert_f16_cell(tc),
         other => panic!("no equivalence cell for fast path {other}"),
     }
 }

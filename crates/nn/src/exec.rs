@@ -131,18 +131,13 @@ pub fn run_layer(
                 return Err(TensorError::BadConcat("concat got no inputs".into()));
             }
             if inputs[0].dtype() == DType::QUInt8 {
-                // Branch outputs carry different ranges; requantize all of
-                // them to the concat's own output range first (the TFLite
-                // approach), then merge codes directly.
+                // Branch outputs carry different ranges; each is brought
+                // onto the concat's own output range (the TFLite approach)
+                // as its codes are copied into place.
                 let target = out_params.ok_or_else(|| {
                     TensorError::BadQuantParams("QUInt8 concat needs output params".into())
                 })?;
-                let requantized: Vec<Tensor> = inputs
-                    .iter()
-                    .map(|t| t.cast(DType::QUInt8, Some(target)))
-                    .collect::<Result<_, _>>()?;
-                let refs: Vec<&Tensor> = requantized.iter().collect();
-                Tensor::concat_axis(1, &refs)
+                Tensor::concat_axis_quantized(1, inputs, target)
             } else {
                 Tensor::concat_axis(1, inputs)
             }
@@ -381,6 +376,52 @@ mod tests {
         assert!((vals[1] - 3.0).abs() < target.scale);
         // Without out_params it must fail.
         assert!(run_layer(&LayerKind::Concat, &[&a, &b], None, None, None).is_err());
+    }
+
+    #[test]
+    fn global_avg_pool_after_a_non_square_conv_evaluates() {
+        // `infer_shapes` types a GAP over any plane as [n, c, 1, 1]; the
+        // kernel used to reject every plane that is not square.
+        let mut g = Graph::new("wide", Shape::nchw(1, 3, 6, 10));
+        let conv = g.add_input_layer(
+            "conv",
+            LayerKind::Conv {
+                oc: 4,
+                k: 3,
+                stride: 1,
+                pad: 0,
+                relu: true,
+            },
+        );
+        g.add("gap", LayerKind::GlobalAvgPool, conv);
+        let shapes = g.infer_shapes().unwrap();
+        assert_eq!(shapes[0].dims(), &[1, 4, 4, 8]);
+        let w = Weights::random(&g, 7).unwrap();
+        let x = Tensor::from_f32(
+            Shape::nchw(1, 3, 6, 10),
+            (0..180)
+                .map(|i| ((i * 37) % 100) as f32 / 100.0 - 0.5)
+                .collect(),
+        )
+        .unwrap();
+        let calib = calibrate(&g, &w, std::slice::from_ref(&x)).unwrap();
+        for dtype in [DType::F32, DType::F16, DType::QUInt8] {
+            let outs = forward(&g, &w, &calib, &x, dtype).unwrap();
+            assert_eq!(outs[1].shape(), &shapes[1], "{dtype}");
+            // The mean of each conv plane, within the dtype's resolution.
+            let conv_out = outs[0].to_f32_vec();
+            let want: Vec<f32> = conv_out
+                .chunks(32)
+                .map(|p| p.iter().sum::<f32>() / 32.0)
+                .collect();
+            let got = outs[1].to_f32_vec();
+            for (g, w) in got.iter().zip(&want) {
+                assert!(
+                    (g - w).abs() <= 0.01 + calib.act_params[0].scale,
+                    "{dtype}: {g} vs {w}"
+                );
+            }
+        }
     }
 
     #[test]

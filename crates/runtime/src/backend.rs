@@ -20,16 +20,17 @@ use crate::functional::{eval_part_task, PartTask};
 
 /// Executes the parts of one node, one node at a time.
 ///
-/// Contract: `run_node` returns one raw output (in the part's compute
-/// dtype) per task, **in task order**, and does not return until every
-/// task of the batch has completed — the caller merges immediately, so a
-/// straggler part must block the layer, exactly like a kernel still in
-/// flight at a §6 sync point.
+/// Contract: `run_node` returns one **stored** output per task — the
+/// task's channels in the plan's storage dtype, as [`eval_part_task`]
+/// produces them — **in task order**, and does not return until every
+/// task of the batch has completed — the caller concatenates immediately,
+/// so a straggler part must block the layer, exactly like a kernel still
+/// in flight at a §6 sync point.
 pub trait ExecBackend: Sync {
     /// A short human-readable backend name for reports.
     fn name(&self) -> &str;
 
-    /// Runs all `tasks` of one node, returning raw outputs in task order.
+    /// Runs all `tasks` of one node, returning stored outputs in task order.
     fn run_node(&self, tasks: &[PartTask<'_>]) -> Result<Vec<Tensor>, TensorError>;
 }
 

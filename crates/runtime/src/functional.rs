@@ -3,8 +3,9 @@
 //! The timing engine and this evaluator share the plan semantics: a
 //! `Split` placement slices filters along output channels (conv/FC),
 //! slices input channels (pooling, depthwise), computes each part in the
-//! part's dtypes — including the GPU's dequantize-to-F16 path — and
-//! merges the partial outputs by channel concatenation. Running both
+//! part's dtypes — the GPU's dequantizing load and requantizing store
+//! (§4.2) included, both inside the part — and merges the stored partial
+//! outputs by channel concatenation. Running both
 //! halves of the co-simulation over one plan yields the latency *and* the
 //! actual output tensor, so tests can assert the μLayer correctness
 //! invariant: a split layer's merged output equals the whole-layer
@@ -24,8 +25,7 @@ use crate::plan::{ExecutionPlan, NodePlacement};
 /// Computes one layer in a part's dtypes.
 ///
 /// `input` is in the plan's storage dtype; the result is returned in the
-/// *compute* dtype of the part (the caller converts to storage and
-/// merges).
+/// *compute* dtype of the part ([`eval_part_task`] stores it).
 fn compute_part(
     kind: &LayerKind,
     input: &Tensor,
@@ -72,11 +72,12 @@ pub fn split_axis(kind: &LayerKind) -> Option<SplitAxis> {
 /// One schedulable unit of plan execution: a whole single-placement
 /// layer, or one channel-range part of a split layer.
 ///
-/// A task is self-contained — everything needed to compute its raw
-/// output (in the part's *compute* dtype) is borrowed here, and the
-/// borrowed data is all `Sync` — so an [`crate::backend::ExecBackend`]
-/// may run tasks of one node on any threads, in any order, as long as it
-/// returns the outputs in task order. A part's arithmetic depends only
+/// A task is self-contained — everything needed to compute its output
+/// and store it (the plan's storage dtype, the node's store parameters)
+/// is borrowed or carried here, and the borrowed data is all `Sync` — so
+/// an [`crate::backend::ExecBackend`] may run tasks of one node on any
+/// threads, in any order, as long as it returns the outputs in task
+/// order. A part's arithmetic depends only
 /// on its dtypes and channel range, never on the executing thread, which
 /// is what makes parallel execution bit-reproducible.
 ///
@@ -107,6 +108,11 @@ pub struct PartTask<'a> {
     /// `Some((axis, lo, hi))` for a split part owning channels
     /// `lo..hi`; `None` for a whole-layer task.
     pub split: Option<(SplitAxis, usize, usize)>,
+    /// The plan-wide activation storage dtype the output is returned in.
+    pub storage: DType,
+    /// The parameters the node's output is stored with when `storage`
+    /// is QUInt8 — the same for every part, so the parts concatenate.
+    pub store_params: QuantParams,
 }
 
 impl<'a> PartTask<'a> {
@@ -134,9 +140,23 @@ fn whole_range(kind: &LayerKind, x: &Tensor) -> Option<(SplitAxis, usize, usize)
     Some((split_axis(kind)?, 0, channels))
 }
 
-/// Executes one [`PartTask`], returning the raw output in the part's
-/// compute dtype (the caller applies [`finish`] and merges).
+/// Executes one [`PartTask`], returning the channels it owns **stored**:
+/// computed in the part's compute dtype, then converted to the plan's
+/// storage dtype under the node's store parameters (the requantization
+/// at the store, §4.2 — the GPU requantizes its own outputs). The
+/// conversion is elementwise under parameters every part shares, so it
+/// commutes with the channel concatenation that merges the parts. The
+/// softmax head stays f32.
 pub fn eval_part_task(t: &PartTask<'_>) -> Result<Tensor, TensorError> {
+    let raw = compute_task(t)?;
+    if matches!(t.kind, LayerKind::Softmax) || raw.dtype() == t.storage {
+        return Ok(raw);
+    }
+    raw.cast(t.storage, Some(t.store_params))
+}
+
+/// The task's output in its compute dtype.
+fn compute_task(t: &PartTask<'_>) -> Result<Tensor, TensorError> {
     if matches!(
         t.kind,
         LayerKind::Concat | LayerKind::Add { .. } | LayerKind::Quantize { .. }
@@ -201,63 +221,35 @@ fn part_filter<'a>(
     }
 }
 
-/// Builds the [`PartTask`]s of one node under its placement. Empty
+/// Builds the [`PartTask`]s of one node under its placement: `task`
+/// makes the task of (part index, device, dtypes, channel range). Empty
 /// shares (zero channels after rounding) are skipped; the channel cuts
 /// come from the same shared helpers as the timing engine
 /// (`usoc::split_cuts`), so the two co-simulation halves cannot disagree
 /// about which channels each part owns.
-#[allow(clippy::too_many_arguments)]
 fn node_tasks<'a>(
-    id: NodeId,
-    kind: &'a LayerKind,
-    name: &'a str,
+    kind: &LayerKind,
     placement: &NodePlacement,
-    inputs: Vec<&'a Tensor>,
-    weights: &'a Weights,
-    weight_params: Option<QuantParams>,
-    act: QuantParams,
+    x: &Tensor,
+    task: impl Fn(usize, usoc::DeviceId, DtypePlan, Option<(SplitAxis, usize, usize)>) -> PartTask<'a>,
 ) -> Result<Vec<PartTask<'a>>, TensorError> {
     match placement {
-        NodePlacement::Single { device, dtypes } => Ok(vec![PartTask {
-            node: id,
-            part_index: 0,
-            device: *device,
-            kind,
-            name,
-            inputs,
-            weights,
-            weight_params,
-            act,
-            dtypes: *dtypes,
-            split: None,
-        }]),
+        NodePlacement::Single { device, dtypes } => Ok(vec![task(0, *device, *dtypes, None)]),
         NodePlacement::Split { parts } => {
-            let (axis, _, channels) = whole_range(kind, inputs[0]).ok_or_else(|| {
+            let (axis, _, channels) = whole_range(kind, x).ok_or_else(|| {
                 TensorError::BadConcat(format!("{} cannot be channel-split", kind.op_name()))
             })?;
             let fracs: Vec<f64> = parts.iter().map(|p| p.2).collect();
             let cuts = usoc::split_cuts(channels, &fracs);
-            let mut tasks = Vec::with_capacity(parts.len());
-            for (p, (device, dtypes, _)) in parts.iter().enumerate() {
-                let (lo, hi) = (cuts[p], cuts[p + 1]);
-                if lo == hi {
-                    continue; // empty share (rounding on tiny layers)
-                }
-                tasks.push(PartTask {
-                    node: id,
-                    part_index: p,
-                    device: *device,
-                    kind,
-                    name,
-                    inputs: inputs.clone(),
-                    weights,
-                    weight_params,
-                    act,
-                    dtypes: *dtypes,
-                    split: Some((axis, lo, hi)),
-                });
-            }
-            Ok(tasks)
+            Ok(parts
+                .iter()
+                .enumerate()
+                // An empty share (rounding on tiny layers) runs nothing.
+                .filter(|(p, _)| cuts[*p] < cuts[p + 1])
+                .map(|(p, (device, dtypes, _))| {
+                    task(p, *device, *dtypes, Some((axis, cuts[p], cuts[p + 1])))
+                })
+                .collect())
         }
     }
 }
@@ -307,7 +299,7 @@ impl ExecBackend for Recovering<'_> {
         tasks
             .iter()
             .map(|task| {
-                let mut raw = eval_part_task(task)?;
+                let mut out = eval_part_task(task)?;
                 let hit = self.0.iter().any(|f| {
                     f.node == task.node
                         && match (f.scope, task.split) {
@@ -322,9 +314,9 @@ impl ExecBackend for Recovering<'_> {
                     // This task's kernel failed on its device: discard the
                     // attempt and re-execute the same channel range (the
                     // fallback). Same cuts, same dtypes — exact.
-                    raw = eval_part_task(task)?;
+                    out = eval_part_task(task)?;
                 }
-                Ok(raw)
+                Ok(out)
             })
             .collect()
     }
@@ -332,10 +324,10 @@ impl ExecBackend for Recovering<'_> {
 
 /// The evaluator loop, with part execution delegated to an
 /// [`ExecBackend`]: each node's tasks are handed to the backend as one
-/// batch (the layer barrier), raw outputs come back in task order, and
-/// the evaluator converts them to storage and merges them. The plan is
-/// checked against the graph first ([`ExecutionPlan::validate`]), so a
-/// plan mutated after construction is a typed error, not a panic.
+/// batch (the layer barrier), stored outputs come back in task order,
+/// and the evaluator concatenates them along the channel axis. The plan
+/// is checked against the graph first ([`ExecutionPlan::validate`]), so
+/// a plan mutated after construction is a typed error, not a panic.
 pub fn evaluate_plan_with_backend(
     graph: &Graph,
     plan: &ExecutionPlan,
@@ -350,7 +342,6 @@ pub fn evaluate_plan_with_backend(
 
     let mut outputs: Vec<Tensor> = Vec::with_capacity(graph.len());
     for (i, node) in graph.nodes().iter().enumerate() {
-        let id = NodeId(i);
         let act = calib.act_params[i];
         let inputs: Vec<&Tensor> = if node.inputs.is_empty() {
             vec![&x0]
@@ -359,18 +350,33 @@ pub fn evaluate_plan_with_backend(
         };
         let store_params = store_params_of(&node.kind, &inputs, act);
         let tasks = node_tasks(
-            id,
             &node.kind,
-            &node.name,
             &plan.placements[i],
-            inputs,
-            weights,
-            calib.weight_params[i],
-            act,
+            inputs[0],
+            |part_index, device, dtypes, split| PartTask {
+                node: NodeId(i),
+                part_index,
+                device,
+                kind: &node.kind,
+                name: &node.name,
+                inputs: inputs.clone(),
+                weights,
+                weight_params: calib.weight_params[i],
+                act,
+                dtypes,
+                split,
+                storage,
+                store_params,
+            },
         )?;
-        let raws = backend.run_node(&tasks)?;
-        debug_assert_eq!(raws.len(), tasks.len());
-        outputs.push(merge_node(&node.kind, storage, store_params, raws)?);
+        let mut parts = backend.run_node(&tasks)?;
+        debug_assert_eq!(parts.len(), tasks.len());
+        // The merge is a pure channel copy: every part came back stored.
+        outputs.push(if parts.len() == 1 {
+            parts.pop().expect("len checked")
+        } else {
+            Tensor::concat_axis(1, &parts.iter().collect::<Vec<_>>())?
+        });
     }
     Ok(outputs)
 }
@@ -392,39 +398,6 @@ fn store_params_of(kind: &LayerKind, inputs: &[&Tensor], act: QuantParams) -> Qu
         LayerKind::Quantize { params } => *params,
         _ => act,
     }
-}
-
-/// Converts raw part outputs to storage and concatenates them along the
-/// channel axis (a single whole-layer output passes through unchanged).
-fn merge_node(
-    kind: &LayerKind,
-    storage: DType,
-    store_params: QuantParams,
-    raws: Vec<Tensor>,
-) -> Result<Tensor, TensorError> {
-    let mut parts = Vec::with_capacity(raws.len());
-    for raw in raws {
-        parts.push(finish(raw, kind, storage, store_params)?);
-    }
-    if parts.len() == 1 {
-        return Ok(parts.pop().expect("len checked"));
-    }
-    let refs: Vec<&Tensor> = parts.iter().collect();
-    Tensor::concat_axis(1, &refs)
-}
-
-/// Converts a computed part/layer output to the plan's storage dtype
-/// (requantization at the store, §4.2). The softmax head stays f32.
-fn finish(
-    raw: Tensor,
-    kind: &LayerKind,
-    storage: DType,
-    target: QuantParams,
-) -> Result<Tensor, TensorError> {
-    if matches!(kind, LayerKind::Softmax) || raw.dtype() == storage {
-        return Ok(raw);
-    }
-    raw.cast(storage, Some(target))
 }
 
 #[cfg(test)]

@@ -18,7 +18,11 @@
 //! - [`Tensor`] — an NCHW dense tensor over any of the three types, with
 //!   the axis slicing/concatenation the channel-wise workload distribution
 //!   (§3.2) needs.
+//! - [`convert`] — the exact slice converters between the three types
+//!   (tables for 8-bit sources, AVX2 / F16C bodies for the rest) that
+//!   every cast, concat and GEMM pack goes through.
 
+pub mod convert;
 pub mod dtype;
 pub mod error;
 pub mod f16;

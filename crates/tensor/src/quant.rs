@@ -17,6 +17,7 @@
 //! right shift ([`FixedPointMultiplier`]), bit-for-bit matching gemmlowp's
 //! `SaturatingRoundingDoublingHighMul` + `RoundingDivideByPOT` pipeline.
 
+use crate::convert;
 use crate::error::TensorError;
 
 /// Affine quantization parameters: `real = scale * (q - zero_point)`.
@@ -138,14 +139,16 @@ impl QuantParams {
         }
     }
 
-    /// Quantizes a slice.
+    /// Quantizes a slice ([`convert::f32_to_quint8`]).
     pub fn quantize_slice(&self, real: &[f32]) -> Vec<u8> {
-        real.iter().map(|&v| self.quantize(v)).collect()
+        convert::filled(real.len(), 0, |out| {
+            convert::f32_to_quint8(out, real, *self)
+        })
     }
 
-    /// Dequantizes a slice.
+    /// Dequantizes a slice ([`convert::quint8_to_f32`]).
     pub fn dequantize_slice(&self, q: &[u8]) -> Vec<f32> {
-        q.iter().map(|&v| self.dequantize(v)).collect()
+        convert::filled(q.len(), 0.0, |out| convert::quint8_to_f32(out, q, *self))
     }
 
     /// The largest representable real value.

@@ -6,6 +6,9 @@
 //! axis slicing and concatenation (for the channel-wise workload
 //! distribution), and elementwise comparison helpers for the test suites.
 
+use std::ops::Range;
+
+use crate::convert::{self, filled};
 use crate::dtype::DType;
 use crate::error::TensorError;
 use crate::f16::F16;
@@ -88,10 +91,8 @@ impl Tensor {
 
     /// Creates an `F16` tensor by narrowing a flat `f32` vector.
     pub fn from_f32_as_f16(shape: Shape, data: &[f32]) -> Result<Tensor, TensorError> {
-        Tensor::new(
-            shape,
-            TensorData::F16(data.iter().map(|&v| F16::from_f32(v)).collect()),
-        )
+        let half = filled(data.len(), F16::ZERO, |out| convert::f32_to_f16(out, data));
+        Tensor::new(shape, TensorData::F16(half))
     }
 
     /// Creates a `QUInt8` tensor by quantizing a flat `f32` vector with the
@@ -208,39 +209,54 @@ impl Tensor {
     pub fn to_f32_vec(&self) -> Vec<f32> {
         match &self.data {
             TensorData::F32(v) => v.clone(),
-            TensorData::F16(v) => v.iter().map(|h| h.to_f32()).collect(),
+            TensorData::F16(v) => filled(v.len(), 0.0, |out| convert::f16_to_f32(out, v)),
             TensorData::QUInt8 { data, params } => params.dequantize_slice(data),
         }
     }
 
-    /// Converts to another dtype.
+    /// Converts to another dtype, one pass from the stored elements into
+    /// the new buffer through the exact [`convert`] functions.
     ///
     /// Converting *to* `QUInt8` requires `params` (the pre-trained
     /// quantization information of §4.2); converting to a float type
-    /// ignores it.
+    /// ignores it. A `QUInt8` tensor given other parameters than its own
+    /// is requantized through real space; without parameters an `f32` or
+    /// `F16` tensor is quantized over its own range.
     pub fn cast(&self, dtype: DType, params: Option<QuantParams>) -> Result<Tensor, TensorError> {
-        if dtype == self.dtype() {
-            if let (DType::QUInt8, Some(p)) = (dtype, params) {
-                if Some(p) != self.quant_params() {
-                    // Requantize to new params through real space.
-                    let real = self.to_f32_vec();
-                    return Tensor::from_f32_quantized(self.shape.clone(), &real, p);
+        let n = self.numel();
+        let data = match dtype {
+            DType::F32 => TensorData::F32(self.to_f32_vec()),
+            DType::F16 => TensorData::F16(match &self.data {
+                TensorData::F32(v) => filled(n, F16::ZERO, |out| convert::f32_to_f16(out, v)),
+                TensorData::F16(v) => v.clone(),
+                TensorData::QUInt8 { data, params } => filled(n, F16::ZERO, |out| {
+                    convert::quint8_to_f16(out, data, *params)
+                }),
+            }),
+            DType::QUInt8 => {
+                let to = match (params, &self.data) {
+                    (Some(p), _) => p,
+                    (None, TensorData::QUInt8 { params, .. }) => *params,
+                    (None, TensorData::F32(v)) => QuantParams::from_data(v)?,
+                    (None, TensorData::F16(_)) => QuantParams::from_data(&self.to_f32_vec())?,
+                };
+                let codes = filled(n, 0, |out| match &self.data {
+                    TensorData::F32(v) => convert::f32_to_quint8(out, v, to),
+                    TensorData::F16(v) => convert::f16_to_quint8(out, v, to),
+                    TensorData::QUInt8 { data, params } => {
+                        convert::quint8_to_quint8(out, data, *params, to)
+                    }
+                });
+                TensorData::QUInt8 {
+                    data: codes,
+                    params: to,
                 }
             }
-            return Ok(self.clone());
-        }
-        let real = self.to_f32_vec();
-        match dtype {
-            DType::F32 => Tensor::from_f32(self.shape.clone(), real),
-            DType::F16 => Tensor::from_f32_as_f16(self.shape.clone(), &real),
-            DType::QUInt8 => {
-                let params = match params {
-                    Some(p) => p,
-                    None => QuantParams::from_data(&real)?,
-                };
-                Tensor::from_f32_quantized(self.shape.clone(), &real, params)
-            }
-        }
+        };
+        Ok(Tensor {
+            shape: self.shape.clone(),
+            data,
+        })
     }
 
     /// Extracts the sub-tensor `[start, end)` along `axis`.
@@ -296,10 +312,32 @@ impl Tensor {
     /// Concatenates tensors along `axis`.
     ///
     /// All parts must share dtype, rank, every non-`axis` dimension, and —
-    /// for `QUInt8` — identical quantization parameters (the executor
-    /// requantizes all partial outputs to the layer's output parameters
-    /// before merging, so this always holds in practice).
+    /// for `QUInt8` — identical quantization parameters (parts of one
+    /// layer are stored with the layer's output parameters, so this
+    /// always holds in practice).
     pub fn concat_axis(axis: usize, parts: &[&Tensor]) -> Result<Tensor, TensorError> {
+        Tensor::concat(axis, parts, None)
+    }
+
+    /// Concatenates `QUInt8` tensors along `axis` onto the grid `params`,
+    /// requantizing each part while it is copied (a plain copy for a part
+    /// already on that grid). Equal, element for element, to casting every
+    /// part to `params` and concatenating the casts.
+    pub fn concat_axis_quantized(
+        axis: usize,
+        parts: &[&Tensor],
+        params: QuantParams,
+    ) -> Result<Tensor, TensorError> {
+        Tensor::concat(axis, parts, Some(params))
+    }
+
+    /// The one concatenation: `target` is the grid `QUInt8` parts are
+    /// brought onto, `None` demanding that they already share one.
+    fn concat(
+        axis: usize,
+        parts: &[&Tensor],
+        target: Option<QuantParams>,
+    ) -> Result<Tensor, TensorError> {
         let first = parts
             .first()
             .ok_or_else(|| TensorError::BadConcat("no inputs".into()))?;
@@ -307,11 +345,15 @@ impl Tensor {
         if axis >= rank {
             return Err(TensorError::BadAxis { axis, rank });
         }
+        let dtype = match target {
+            Some(_) => DType::QUInt8,
+            None => first.dtype(),
+        };
         let mut axis_total = 0usize;
         for p in parts {
-            if p.dtype() != first.dtype() {
+            if p.dtype() != dtype {
                 return Err(TensorError::DTypeMismatch {
-                    expected: first.dtype(),
+                    expected: dtype,
                     found: p.dtype(),
                 });
             }
@@ -329,12 +371,10 @@ impl Tensor {
                     )));
                 }
             }
-            if let (Some(a), Some(b)) = (p.quant_params(), first.quant_params()) {
-                if a != b {
-                    return Err(TensorError::BadConcat(
-                        "QUInt8 parts have different quantization parameters".into(),
-                    ));
-                }
+            if target.is_none() && p.quant_params() != first.quant_params() {
+                return Err(TensorError::BadConcat(
+                    "QUInt8 parts have different quantization parameters".into(),
+                ));
             }
             axis_total += p.shape.dim(axis);
         }
@@ -344,53 +384,41 @@ impl Tensor {
         let outer: usize = dims[..axis].iter().product();
         let inner: usize = dims[axis + 1..].iter().product();
 
-        fn scatter<T: Copy, F: Fn(&Tensor) -> &[T]>(
+        /// Lays the parts' blocks side by side: `copy(dst, part, range)`
+        /// fills `dst` from elements `range` of `part`.
+        fn scatter<T: Clone>(
             parts: &[&Tensor],
-            get: F,
-            outer: usize,
-            inner: usize,
-            axis: usize,
-            total: usize,
+            (outer, inner, axis, total): (usize, usize, usize, usize),
+            zero: T,
+            copy: impl Fn(&mut [T], &Tensor, Range<usize>),
         ) -> Vec<T> {
-            let mut out: Vec<T> = Vec::with_capacity(outer * total * inner);
+            let mut out = vec![zero; outer * total * inner];
+            let mut at = 0;
             for o in 0..outer {
                 for p in parts {
-                    let alen = p.shape.dim(axis);
-                    let src = get(p);
-                    out.extend_from_slice(&src[o * alen * inner..(o + 1) * alen * inner]);
+                    let len = p.shape.dim(axis) * inner;
+                    copy(&mut out[at..at + len], p, o * len..(o + 1) * len);
+                    at += len;
                 }
             }
             out
         }
 
-        let data = match first.dtype() {
-            DType::F32 => TensorData::F32(scatter(
-                parts,
-                |t| t.as_f32().expect("checked dtype"),
-                outer,
-                inner,
-                axis,
-                axis_total,
-            )),
-            DType::F16 => TensorData::F16(scatter(
-                parts,
-                |t| t.as_f16().expect("checked dtype"),
-                outer,
-                inner,
-                axis,
-                axis_total,
-            )),
+        let geometry = (outer, inner, axis, axis_total);
+        let data = match dtype {
+            DType::F32 => TensorData::F32(scatter(parts, geometry, 0.0, |dst, t, range| {
+                dst.copy_from_slice(&t.as_f32().expect("checked dtype")[range])
+            })),
+            DType::F16 => TensorData::F16(scatter(parts, geometry, F16::ZERO, |dst, t, range| {
+                dst.copy_from_slice(&t.as_f16().expect("checked dtype")[range])
+            })),
             DType::QUInt8 => {
-                let params = first.quant_params().expect("QUInt8 has params");
+                let params = target.or(first.quant_params()).expect("QUInt8 has params");
                 TensorData::QUInt8 {
-                    data: scatter(
-                        parts,
-                        |t| t.as_quint8().expect("checked dtype").0,
-                        outer,
-                        inner,
-                        axis,
-                        axis_total,
-                    ),
+                    data: scatter(parts, geometry, 0, |dst, t, range| {
+                        let (src, from) = t.as_quint8().expect("checked dtype");
+                        convert::quint8_to_quint8(dst, &src[range], from, params)
+                    }),
                     params,
                 }
             }
