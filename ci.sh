@@ -95,24 +95,29 @@ echo "==> kernels and tensor crates: warnings-as-errors build + clippy"
 # The SIMD module of crates/kernels and the requantizer and slice
 # converters of crates/tensor carry unsafe target_feature code; hold both
 # crates to the strictest static bar on their own, independent of
-# workspace flags.
+# workspace flags: every `unsafe` block states why it is sound.
 RUSTFLAGS="-D warnings" cargo build -q --offline -p ukernels -p utensor
-cargo clippy -q --offline -p ukernels --all-targets -- -D warnings
-cargo clippy -q --offline -p utensor --all-targets -- -D warnings
+cargo clippy -q --offline -p ukernels --all-targets -- -D warnings \
+  -D clippy::undocumented_unsafe_blocks
+cargo clippy -q --offline -p utensor --all-targets -- -D warnings \
+  -D clippy::undocumented_unsafe_blocks
 
 echo "==> kernel-path equivalence table, pass 1: forced scalar tiles"
 # The full differential table (gemm/depthwise/pointwise x dtype x thread
 # count, row-wise pooling, the slice converters) with every worker forced
 # onto the scalar register tiles, plus the pooling property against the
-# windowed oracle.
+# windowed oracle and the whole-plane depthwise property against im2col.
 UKERNELS_KERNEL_PATH=scalar cargo test -q --offline -p ukernels \
-  --test equivalence --test direct_conv_props --test pool_props >/dev/null
+  --test equivalence --test direct_conv_props --test pool_props \
+  --test depthwise_props >/dev/null
 
 echo "==> kernel-path equivalence table, pass 2: auto (SIMD where detected)"
-# Same table under runtime feature detection; on AVX2/NEON hosts this
-# pins the SIMD tiles against the identical golden scalar references.
+# Same table under runtime feature detection; on AVX2 / AVX-512 hosts
+# this pins the widest tier's tiles against the identical golden scalar
+# references.
 UKERNELS_KERNEL_PATH=auto cargo test -q --offline -p ukernels \
-  --test equivalence --test direct_conv_props --test pool_props >/dev/null
+  --test equivalence --test direct_conv_props --test pool_props \
+  --test depthwise_props >/dev/null
 
 echo "==> benchmark quick smoke (one second of each workload, every op output-checked) + exact record"
 # The standalone benchmark crate (own manifest and lock file, path

@@ -39,7 +39,8 @@ pub struct ScratchArena {
     pub patches_f32: Vec<f32>,
     /// im2col patch matrix, F16 path.
     pub patches_f16: Vec<F16>,
-    /// im2col patch matrix, QUInt8 path.
+    /// im2col patch matrix, QUInt8 path; the direct depthwise's
+    /// zero-point-padded plane.
     pub patches_u8: Vec<u8>,
     /// Packed `A` panel (f32 blocked GEMM; also the F16 GEMM's, which
     /// widens `A` to f32 at pack time).
@@ -53,7 +54,7 @@ pub struct ScratchArena {
     /// Packed zero-point-subtracted `B` panel (QUInt8 blocked GEMM).
     pub pack_b_i16: Vec<i16>,
     /// `i32` accumulators (QUInt8 GEMM row / blocked `m × n` sums /
-    /// direct depthwise output row).
+    /// direct depthwise plane).
     pub acc_i32: Vec<i32>,
 }
 

@@ -20,19 +20,20 @@
 //!
 //! ## Tile geometry
 //!
-//! The panel layout is a property of the register tile that reads it.
-//! The scalar tiles (and NEON) use the plain `MR × NR = 4 × 8` layout:
-//! `pa[p·MR + r]`, `pb[p·NR + x]`. The AVX2 QUInt8 tile is `4 × 16` over
-//! **K-pair** panels — two consecutive `k` per 32-bit lane: `B`
-//! interleaved, `pb[(g·16 + x)·2 + s]` for `k = 2g + s`, `A` with each
-//! row contiguous, `pa[r·kc_pad + k]`, an odd `kc` zero-padded — so one
-//! `vpmaddwd` multiplies sixteen operand pairs and pair-sums them into
-//! eight `i32` lanes. Operands are zero-point-subtracted, so a padded
-//! lane is a true zero and the pad is exact. The AVX2 F16 tile is
-//! `4 × 16` in the plain layout. Both F16 tiles read an `A` panel widened
-//! to f32 at pack time (exact), which takes the software `F16 → f32`
-//! conversion out of the MAC loop. Geometry constants live in
-//! [`crate::simd`]; the walk below is generic over them.
+//! The panel layout is a property of the register tile that reads it,
+//! and the tile follows the thread's SIMD tier ([`crate::simd`]). The
+//! scalar tiles use the plain `MR × NR = 4 × 8` layout: `pa[p·MR + r]`,
+//! `pb[p·NR + x]`. The SIMD QUInt8 tiles — `4 × 16` (AVX2) and `4 × 32`
+//! (AVX-512) — read **K-pair** panels, two consecutive `k` per 32-bit
+//! lane: `B` interleaved, `pb[(g·w + x)·2 + s]` for `k = 2g + s`, `A`
+//! with each row contiguous, `pa[r·kc_pad + k]`, an odd `kc`
+//! zero-padded — so one `vpmaddwd` / `vpdpwssd` multiplies operand pairs
+//! and pair-sums them into `i32` lanes. Operands are zero-point-
+//! subtracted, so a padded lane is a true zero and the pad is exact. The
+//! SIMD F16 tiles (`4 × 16`, `4 × 32`) use the plain layout. Every F16
+//! tile reads an `A` panel widened to f32 at pack time (exact), which
+//! takes the `F16 → f32` conversion out of the MAC loop. Each GEMM
+//! matches on the tier and instantiates the one walk below per geometry.
 //!
 //! ## Determinism and equivalence
 //!
@@ -71,15 +72,15 @@ use utensor::quant::requantize_into;
 use utensor::{FixedPointMultiplier, QuantParams, TensorError, F16};
 
 use crate::arena::ScratchArena;
-use crate::dispatch::{active_kernel_path, KernelPath};
-use crate::simd;
+use crate::dispatch::active_tier;
+use crate::simd::{self, SimdTier};
 
 /// `K`-panel size: accumulation association is fixed by this constant.
 pub const KC: usize = 256;
 /// Register-tile rows (output channels per micro-kernel).
 pub const MR: usize = 4;
 /// Register-tile columns (output positions per micro-kernel) of the
-/// scalar and NEON tiles. The AVX2 QUInt8 and F16 tiles are wider
+/// scalar tiles. The SIMD QUInt8 and F16 tiles are wider
 /// ([`crate::simd`]).
 pub const NR: usize = 8;
 /// Columns of `B` packed per pass (a multiple of every tile width): one
@@ -274,7 +275,7 @@ pub fn gemm_f32_blocked(
         assert_eq!(bias.len(), m, "gemm_f32_blocked: bias length");
     }
     c.iter_mut().for_each(|v| *v = 0.0);
-    let simd = active_kernel_path() == KernelPath::Simd;
+    let simd = active_tier() > SimdTier::None;
     for_each_tile::<_, _, _, _, 1>(
         (m, k, n),
         a,
@@ -339,14 +340,15 @@ pub fn gemm_f16_blocked(
         assert_eq!(bias.len(), m, "gemm_f16_blocked: bias length");
     }
     c.iter_mut().for_each(|v| *v = F16::ZERO);
-    let simd = active_kernel_path() == KernelPath::Simd && simd::simd_f16_available();
-    if simd {
-        f16_panels::<{ simd::NR_F16 }>(c, (m, k, n), a, b, arena, simd, |acc, pa, pb, kc| {
-            let handled = simd::tile_f16(acc, pa, pb, kc);
-            assert!(handled, "simd_f16_available() promised an F16 tile");
-        });
-    } else {
-        f16_panels::<NR>(c, (m, k, n), a, b, arena, simd, |acc, pa, pb, kc| {
+    let tier = active_tier();
+    let simd = tier > SimdTier::None;
+    let dims = (m, k, n);
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => f16_panels(c, dims, a, b, arena, simd, simd::tile_f16_avx512),
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => f16_panels(c, dims, a, b, arena, simd, simd::tile_f16_avx2),
+        _ => f16_panels::<NR>(c, dims, a, b, arena, simd, |acc, pa, pb, kc| {
             for p in 0..kc {
                 let avals = &pa[p * MR..(p + 1) * MR];
                 let bvals = &pb[p * NR..(p + 1) * NR];
@@ -357,7 +359,7 @@ pub fn gemm_f16_blocked(
                     }
                 }
             }
-        });
+        }),
     }
     for (i, row) in c.chunks_exact_mut(n.max(1)).enumerate() {
         let hb = bias.map(|b| F16::from_f32(b[i]));
@@ -438,23 +440,17 @@ pub fn gemm_quint8_blocked(
 
     arena.acc_i32.clear();
     arena.acc_i32.resize(m * n, 0);
-    if active_kernel_path() == KernelPath::Simd {
-        quint8_panels::<{ simd::NR_I16 }, { simd::KSTEP_I16 }>(
-            (m, k, n),
-            a,
-            b,
-            zps,
-            arena,
-            |tile, pa, pb, kc| {
-                let handled = simd::tile_i16(tile, pa, pb, kc);
-                assert!(
-                    handled,
-                    "the path resolves to Simd only where the tile exists"
-                );
-            },
-        );
-    } else {
-        quint8_panels::<NR, 1>((m, k, n), a, b, zps, arena, |tile, pa, pb, kc| {
+    let dims = (m, k, n);
+    match active_tier() {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => {
+            quint8_panels::<_, { simd::KSTEP_I16 }>(dims, a, b, zps, arena, simd::tile_i16_vnni)
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => {
+            quint8_panels::<_, { simd::KSTEP_I16 }>(dims, a, b, zps, arena, simd::tile_i16_avx2)
+        }
+        _ => quint8_panels::<NR, 1>(dims, a, b, zps, arena, |tile, pa, pb, kc| {
             for p in 0..kc {
                 let avals = &pa[p * MR..(p + 1) * MR];
                 let bvals = &pb[p * NR..(p + 1) * NR];
@@ -468,7 +464,7 @@ pub fn gemm_quint8_blocked(
                     }
                 }
             }
-        });
+        }),
     }
     for i in 0..m {
         let qb = bias.map_or(0, |b| (b[i] as f64 / acc_scale).round() as i32);

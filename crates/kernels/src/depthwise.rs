@@ -20,14 +20,14 @@
 //! (Skipping a padded tap there could flip a `-0.0`, so the float planes
 //! keep the per-pixel form.)
 //!
-//! - **QUInt8** walks one *output row* at a time: an `i32` row
-//!   accumulator takes, for every in-bounds `ky` and nonzero tap `kx`,
-//!   `w′·(x − zp)` over the output-column range that tap can reach —
-//!   clipped once per `kx`, not tested once per MAC — and the row is
+//! - **QUInt8** works a whole *plane* at a time: the plane is copied
+//!   once into scratch padded with the input zero point at pitch
+//!   `w + 2·pad`, an `i32` accumulator per padded-pitch output position
+//!   takes one `w′·(x − zp)` pass per nonzero tap, reading
+//!   `stride·i + ky·pitch + kx`, and the live columns are compacted and
 //!   requantized in one vector pass. Padded patch entries equal the input
-//!   zero point, so the taps the clipping skips contribute exactly zero,
-//!   and `i32` sums are order-free: the result is the per-pixel sum, bit
-//!   for bit.
+//!   zero point, so padded taps contribute exactly zero, and `i32` sums
+//!   are order-free: the result is the per-pixel sum, bit for bit.
 //!
 //! The result is **bit-identical** to the im2col path for every dtype
 //! (for floats: identical to the naive-GEMM dispatch; the blocked
@@ -37,6 +37,7 @@
 use utensor::quant::requantize_into;
 use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, TensorError, F16};
 
+use crate::arena::ScratchArena;
 use crate::conv::Conv2dParams;
 use crate::out_dim;
 
@@ -94,17 +95,6 @@ impl PlaneGeom {
     fn ix(&self, ox: usize, kx: usize) -> Option<usize> {
         let ix = (ox * self.stride + kx) as isize - self.pad as isize;
         (0..self.w as isize).contains(&ix).then_some(ix as usize)
-    }
-
-    /// The output columns `lo..hi` whose tap `kx` lands inside the input
-    /// row (`0 <= ox·stride + kx − pad < w`); empty when none does.
-    fn col_span(&self, kx: usize) -> (usize, usize) {
-        let lo = self.pad.saturating_sub(kx).div_ceil(self.stride);
-        let hi = match (self.w + self.pad).checked_sub(kx + 1) {
-            Some(last) => self.ow.min(last / self.stride + 1),
-            None => 0,
-        };
-        (lo, hi.max(lo))
     }
 }
 
@@ -181,19 +171,24 @@ fn dw_plane_f16(
 
 /// What every plane of one quantized depthwise call shares.
 struct QuantCall<'a> {
-    /// [`PlaneGeom::col_span`] of each `kx`.
-    spans: &'a [(usize, usize)],
     /// Whether this thread's kernel path is SIMD.
     simd: bool,
     f_zp: i32,
-    x_zp: i32,
+    x_zp: u8,
     multiplier: &'a FixedPointMultiplier,
     out_zp: u8,
     relu: bool,
 }
 
-/// One QUInt8 plane, an output row at a time. `row_acc` is scratch of
-/// any length.
+/// One QUInt8 plane, whole, in the arena's `patches_u8` (the padded
+/// plane) and `acc_i32` (the accumulators).
+///
+/// Accumulator `i = oy·pitch + ox` sums the window whose top-left padded
+/// input is `stride·i`, so tap `(ky, kx)` is one strided pass from
+/// `ky·pitch + kx`; columns `ox >= ow` are junk and never read back. The
+/// last row stops at `ow`, which keeps the farthest read,
+/// `((oh−1)·s + kh − 1)·pitch + (ow−1)·s + kw − 1`, inside the padded
+/// plane's `(h + 2·pad)·pitch` bytes.
 fn dw_plane_quint8(
     out: &mut [u8],
     x: &[u8],
@@ -201,34 +196,30 @@ fn dw_plane_quint8(
     g: &PlaneGeom,
     q: &QuantCall<'_>,
     qbias: i32,
-    row_acc: &mut Vec<i32>,
+    arena: &mut ScratchArena,
 ) {
-    for (oy, out_row) in out.chunks_exact_mut(g.ow).enumerate() {
-        row_acc.clear();
-        row_acc.resize(g.ow, 0);
-        for ky in 0..g.kh {
-            let Some(iy) = g.iy(oy, ky) else { continue };
-            let x_row = &x[iy * g.w..(iy + 1) * g.w];
-            for (kx, &(lo, hi)) in q.spans.iter().enumerate() {
-                let wv = f[ky * g.kw + kx] as i32 - q.f_zp;
-                if wv == 0 || lo == hi {
-                    continue;
-                }
-                // First input column the tap reads; `col_span` keeps the
-                // last one, `ix0 + (hi - lo - 1) * stride`, below `w`.
-                let ix0 = lo * g.stride + kx - g.pad;
-                crate::simd::mac_row_u8(
-                    q.simd,
-                    &mut row_acc[lo..hi],
-                    &x_row[ix0..],
-                    g.stride,
-                    wv,
-                    q.x_zp,
-                );
-            }
-        }
-        requantize_into(out_row, row_acc, qbias, q.multiplier, q.out_zp, q.relu);
+    let (padded, acc) = (&mut arena.patches_u8, &mut arena.acc_i32);
+    let pitch = g.w + 2 * g.pad;
+    padded.clear();
+    padded.resize((g.h + 2 * g.pad) * pitch, q.x_zp);
+    let rows = padded[g.pad * pitch..].chunks_exact_mut(pitch);
+    for (row, src) in rows.zip(x.chunks_exact(g.w)) {
+        row[g.pad..g.pad + g.w].copy_from_slice(src);
     }
+    acc.clear();
+    acc.resize((g.oh - 1) * pitch + g.ow, 0);
+    for (tap, &wq) in f.iter().enumerate() {
+        let wv = wq as i32 - q.f_zp;
+        if wv != 0 {
+            let start = tap / g.kw * pitch + tap % g.kw;
+            crate::simd::mac_row_u8(q.simd, acc, &padded[start..], g.stride, wv, q.x_zp as i32);
+        }
+    }
+    for oy in 1..g.oh {
+        acc.copy_within(oy * pitch..oy * pitch + g.ow, oy * g.ow);
+    }
+    let live = &acc[..g.oh * g.ow];
+    requantize_into(out, live, qbias, q.multiplier, q.out_zp, q.relu);
 }
 
 /// Direct depthwise 2-D convolution: same contract as
@@ -328,12 +319,10 @@ pub fn depthwise_conv2d_direct(
             }
             let multiplier = FixedPointMultiplier::from_real(acc_scale / out_params.scale as f64)?;
             let mut out = vec![0u8; out_shape.numel()];
-            let spans: Vec<(usize, usize)> = (0..kw).map(|kx| g.col_span(kx)).collect();
             let q = QuantCall {
-                spans: &spans,
                 simd: crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd,
                 f_zp: f_p.zero_point as i32,
-                x_zp: x_p.zero_point as i32,
+                x_zp: x_p.zero_point,
                 multiplier: &multiplier,
                 out_zp: out_params.zero_point,
                 relu: params.relu,
@@ -345,7 +334,7 @@ pub fn depthwise_conv2d_direct(
                     let op = &mut out[(b * c + ci) * out_plane..(b * c + ci + 1) * out_plane];
                     let fp = &f[ci * taps..(ci + 1) * taps];
                     let qb = bias.map_or(0, |b| (b[ci] as f64 / acc_scale).round() as i32);
-                    dw_plane_quint8(op, xp, fp, &g, &q, qb, &mut arena.acc_i32);
+                    dw_plane_quint8(op, xp, fp, &g, &q, qb, &mut arena);
                 }
             }
             Tensor::from_quantized(out_shape, out, out_params)

@@ -11,7 +11,7 @@
 //! 1. [`set_blocked_kernels`](crate::blocked::set_blocked_kernels) —
 //!    naive loops vs blocked packed GEMM (PR 5);
 //! 2. [`set_kernel_path`] — within the blocked GEMM, scalar register
-//!    tiles vs arch-gated SIMD tiles ([`crate::simd`]);
+//!    tiles vs the SIMD tiles of the host's widest tier ([`crate::simd`]);
 //! 3. [`set_direct_conv`] — im2col+GEMM convolution vs the direct
 //!    depthwise/pointwise kernels.
 //!
@@ -23,14 +23,15 @@
 
 use std::cell::Cell;
 
-use crate::simd;
+use crate::simd::{self, SimdTier};
 
 /// The resolved inner-kernel implementation a thread is running.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPath {
     /// Portable scalar register tiles (the PR 5 blocked kernels).
     Scalar,
-    /// Arch-gated SIMD register tiles (AVX2 / NEON).
+    /// The register tiles of the widest SIMD tier the host has
+    /// ([`crate::simd_tier`]: AVX-512, else AVX2).
     Simd,
 }
 
@@ -47,12 +48,13 @@ impl KernelPath {
 /// A *requested* kernel path, before runtime feature detection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PathChoice {
-    /// Use SIMD when the host supports it, scalar otherwise.
+    /// The host's widest SIMD tier when it has one, scalar otherwise.
     #[default]
     Auto,
     /// Always the scalar tiles, even on SIMD-capable hosts.
     Scalar,
-    /// Request SIMD; degrades to scalar when unsupported.
+    /// Request the widest SIMD tier; degrades to scalar when the host
+    /// has none.
     Simd,
 }
 
@@ -124,6 +126,15 @@ pub fn active_kernel_path() -> KernelPath {
     kernel_path_choice().resolve()
 }
 
+/// The SIMD tier this thread's kernels run: the host's widest on the
+/// SIMD path, [`SimdTier::None`] on the scalar one.
+pub(crate) fn active_tier() -> SimdTier {
+    match active_kernel_path() {
+        KernelPath::Simd => simd::simd_tier(),
+        KernelPath::Scalar => SimdTier::None,
+    }
+}
+
 /// Routes this thread's depthwise and 1×1 convolutions through the
 /// direct (im2col-free) kernels. Returns the previous setting.
 pub fn set_direct_conv(on: bool) -> bool {
@@ -148,20 +159,28 @@ pub fn registered_fast_paths() -> Vec<&'static str> {
         "gemm/quint8/blocked-scalar",
         "depthwise/f32/direct",
         "depthwise/f16/direct",
-        "depthwise/quint8/direct",
+        "depthwise/quint8/plane",
         "pointwise/f32/direct",
         "pointwise/f16/direct",
         "pointwise/quint8/direct",
         "pool/quint8/rowwise",
         "convert/quint8/table",
     ];
-    if simd::simd_available() {
-        paths.push("gemm/f32/blocked-simd");
-        paths.push("gemm/quint8/blocked-simd");
-    }
-    if simd::simd_f16_available() {
-        paths.push("gemm/f16/blocked-simd");
-    }
+    // The GEMM keys name the tiles a GEMM on this host actually runs;
+    // both tiers share the AVX2 f32 tile.
+    paths.extend(match simd::simd_tier() {
+        SimdTier::Avx512 => &[
+            "gemm/f32/blocked-simd",
+            "gemm/f16/avx512",
+            "gemm/quint8/avx512-vnni",
+        ][..],
+        SimdTier::Avx2 => &[
+            "gemm/f32/blocked-simd",
+            "gemm/f16/blocked-simd",
+            "gemm/quint8/blocked-simd",
+        ],
+        SimdTier::None => &[],
+    });
     if utensor::quant::requantize_simd_available() {
         paths.push("requantize/quint8/simd");
     }
@@ -225,7 +244,7 @@ mod tests {
         for key in [
             "gemm/f32/blocked-scalar",
             "gemm/quint8/blocked-scalar",
-            "depthwise/quint8/direct",
+            "depthwise/quint8/plane",
             "pointwise/f16/direct",
         ] {
             assert!(paths.contains(&key), "missing {key}");

@@ -56,7 +56,7 @@ pub use fc::fully_connected;
 pub use norm::{lrn, LrnParams};
 pub use pointwise::{is_pointwise, pointwise_conv2d};
 pub use pool::{global_avg_pool, pool2d, PoolKind, PoolParams};
-pub use simd::{cpu_features, simd_available, simd_f16_available};
+pub use simd::{cpu_features, simd_available, simd_tier, SimdTier};
 
 /// Computes the output spatial dimension of a sliding-window op.
 ///

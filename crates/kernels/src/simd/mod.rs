@@ -8,20 +8,22 @@
 //! at small `k` (the F16 panel join and bias/ReLU epilogue) and the
 //! direct depthwise row update — so the blocking and epilogue logic (and
 //! therefore the accumulation *order*) stays in one canonical scalar
-//! place. The panel layout a tile reads is part of the tile
-//! (the `geometry` constants below); the packing code follows it.
+//! place. The panel layout a tile reads is part of the tile (its width
+//! below); the packing code follows it.
 //!
-//! ## Paths
+//! ## Tiers
 //!
-//! - **x86_64 / AVX2+FMA+F16C** — selected at runtime via
-//!   `is_x86_feature_detected!`; a binary built on any x86_64 machine
-//!   runs everywhere and only takes the SIMD path when the host CPU
-//!   reports the features.
-//! - **aarch64 / NEON** — Advanced SIMD is architecturally mandatory on
-//!   AArch64, so the path is compile-time gated only. The F16 tile has no
-//!   NEON implementation (see below) and reports "unhandled".
-//! - **everything else** — every tile function returns `false` and the
-//!   caller runs its scalar loop.
+//! Detection resolves once, per process, to the widest [`SimdTier`] the
+//! host has, and the SIMD kernel path runs that tier:
+//!
+//! - **AVX-512** — `avx512f + avx512bw + avx512vnni` on top of the AVX2
+//!   tier's features: `4 × 32` F16 tiles on zmm and `4 × 32` QUInt8
+//!   tiles on `vpdpwssd`.
+//! - **AVX2** — `avx2 + fma + f16c`: `4 × 16` F16 and QUInt8 tiles. Both
+//!   tiers share the AVX2 f32 tile, F16 row helpers and depthwise row
+//!   update.
+//! - **None** — every other host, aarch64 included: every caller runs its
+//!   scalar loop.
 //!
 //! ## Equivalence contract
 //!
@@ -32,7 +34,7 @@
 //!   IEEE operations per element in the same order as `acc += a * b`.
 //! - `F16` matches [`utensor::F16::mul_add`] — one f32 FMA followed by a
 //!   round-to-nearest-even narrowing to binary16 — per MAC, in ascending
-//!   `k`, using the hardware f32 FMA plus F16C `vcvtps2ph` rounding.
+//!   `k`, using the hardware f32 FMA plus `vcvtps2ph` rounding.
 //!   Identical for all finite values and infinities; NaN *payloads* may
 //!   differ from the software path (both are quiet NaNs), which no
 //!   kernel contract observes.
@@ -41,102 +43,98 @@
 //!
 //! The differential harness in `tests/equivalence.rs` enforces this
 //! contract for every registered path; `ci.sh` runs it twice (forced
-//! scalar and auto-detected SIMD).
+//! scalar and auto-detected SIMD). The unit tests below hold every
+//! compiled tile body the host can run to the scalar tile directly, so
+//! the AVX2 bodies stay verified on AVX-512 hosts, where no GEMM reaches
+//! them.
+
+use std::sync::OnceLock;
 
 use crate::blocked::{MR, NR};
 use utensor::F16;
 
-#[cfg(target_arch = "aarch64")]
-mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-/// Panel geometry of this architecture's SIMD tiles, which the packing
-/// code in [`crate::blocked`] follows: register-tile columns of the
-/// QUInt8 and F16 tiles, and how many consecutive `k` the QUInt8 panels
-/// interleave per lane. AVX2 runs `4 × 16` tiles, QUInt8 over K-pair
-/// panels (`vpmaddwd`). NEON keeps the plain `4 × 8` layout the scalar
-/// tiles read: `smlal` already multiplies and widens in one instruction,
-/// and aarch64 cannot be compile-tested here, so its tile is not
-/// restructured blind.
-#[cfg(target_arch = "x86_64")]
-mod geometry {
-    pub(crate) const NR_I16: usize = 16;
-    pub(crate) const KSTEP_I16: usize = 2;
-    pub(crate) const NR_F16: usize = 16;
-}
-#[cfg(not(target_arch = "x86_64"))]
-mod geometry {
-    pub(crate) const NR_I16: usize = super::NR;
-    pub(crate) const KSTEP_I16: usize = 1;
-    pub(crate) const NR_F16: usize = super::NR;
-}
-pub(crate) use geometry::{KSTEP_I16, NR_F16, NR_I16};
+/// Register-tile columns of the AVX2 QUInt8 and F16 tiles.
+pub(crate) const NR_AVX2: usize = 16;
+/// Register-tile columns of the AVX-512 QUInt8 and F16 tiles.
+pub(crate) const NR_AVX512: usize = 32;
+/// Consecutive `k` per 32-bit lane of the SIMD QUInt8 panels (K pairs).
+pub(crate) const KSTEP_I16: usize = 2;
 
-/// Whether this host has a SIMD implementation of the GEMM register
-/// tiles (AVX2+FMA+F16C on x86_64, NEON on aarch64). Detection runs
-/// once; the result is cached for the life of the process.
-pub fn simd_available() -> bool {
-    use std::sync::OnceLock;
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            is_x86_feature_detected!("avx2")
-                && is_x86_feature_detected!("fma")
-                && is_x86_feature_detected!("f16c")
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            true
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        {
-            false
-        }
-    })
+/// The SIMD tiers, narrowest first. A host runs the widest it has
+/// ([`simd_tier`]); each tier's features include the narrower tier's.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SimdTier {
+    /// No SIMD tiles: the scalar loops everywhere.
+    None,
+    /// AVX2 + FMA + F16C: `4 × 16` QUInt8 and F16 tiles.
+    Avx2,
+    /// AVX-512 F/BW/VNNI on top of AVX2: `4 × 32` QUInt8 and F16 tiles.
+    Avx512,
 }
 
-/// Whether the F16 GEMM tile has a SIMD path on this host. On aarch64
-/// this is `false`: matching the software `mul_add` contract (f32 FMA +
-/// per-MAC RN-even narrowing) would need FEAT_FP16 conversion sequences
-/// we cannot compile-test here, so the F16 tile stays scalar.
-pub fn simd_f16_available() -> bool {
+impl SimdTier {
+    /// The CPU features this tier requires, in `cpu_features` spelling.
+    pub(crate) fn features(self) -> &'static [&'static str] {
+        const ALL: [&str; 6] = ["avx2", "fma", "f16c", "avx512f", "avx512bw", "avx512vnni"];
+        match self {
+            SimdTier::None => &[],
+            SimdTier::Avx2 => &ALL[..3],
+            SimdTier::Avx512 => &ALL,
+        }
+    }
+}
+
+/// Whether this host reports `feature`, one of [`SimdTier::features`].
+fn detected(feature: &str) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        simd_available()
+        match feature {
+            "avx2" => is_x86_feature_detected!("avx2"),
+            "fma" => is_x86_feature_detected!("fma"),
+            "f16c" => is_x86_feature_detected!("f16c"),
+            "avx512f" => is_x86_feature_detected!("avx512f"),
+            "avx512bw" => is_x86_feature_detected!("avx512bw"),
+            "avx512vnni" => is_x86_feature_detected!("avx512vnni"),
+            _ => false,
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
+        let _ = feature;
         false
     }
 }
 
-/// Comma-separated list of the CPU features the SIMD paths gate on that
-/// this host actually reports (empty on unsupported architectures).
+/// The widest SIMD tier this host has. Detection runs once; the result
+/// is cached for the life of the process.
+pub fn simd_tier() -> SimdTier {
+    static TIER: OnceLock<SimdTier> = OnceLock::new();
+    *TIER.get_or_init(|| {
+        [SimdTier::Avx512, SimdTier::Avx2]
+            .into_iter()
+            .find(|tier| tier.features().iter().all(|f| detected(f)))
+            .unwrap_or(SimdTier::None)
+    })
+}
+
+/// Whether this host has any SIMD tier.
+pub fn simd_available() -> bool {
+    simd_tier() > SimdTier::None
+}
+
+/// Comma-separated list of the CPU features any tier gates on that this
+/// host actually reports (empty off x86_64).
 pub fn cpu_features() -> String {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let mut features = Vec::new();
-        for (name, detected) in [
-            ("avx2", is_x86_feature_detected!("avx2")),
-            ("fma", is_x86_feature_detected!("fma")),
-            ("f16c", is_x86_feature_detected!("f16c")),
-        ] {
-            if detected {
-                features.push(name);
-            }
-        }
-        features.join(",")
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        "neon".to_string()
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        String::new()
-    }
+    let reported: Vec<&str> = SimdTier::Avx512
+        .features()
+        .iter()
+        .copied()
+        .filter(|f| detected(f))
+        .collect();
+    reported.join(",")
 }
 
 /// Runs one f32 register tile (`acc[r][x] += pa[p*MR+r] * pb[p*NR+x]`
@@ -150,39 +148,9 @@ pub(crate) fn tile_f32(acc: &mut [[f32; NR]; MR], pa: &[f32], pb: &[f32], kc: us
     }
     #[cfg(target_arch = "x86_64")]
     {
-        // Safety: `simd_available()` verified avx2 above; panel lengths
+        // SAFETY: `simd_available()` verified avx2 above; panel lengths
         // verified by the assert.
         unsafe { x86::tile_f32(acc, pa, pb, kc) };
-        true
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // Safety: NEON is mandatory on aarch64; lengths checked above.
-        unsafe { neon::tile_f32(acc, pa, pb, kc) };
-        true
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        let _ = (acc, pa, pb, kc);
-        false
-    }
-}
-
-/// Runs one F16 register tile (per-MAC `F16::mul_add` semantics, `A`
-/// panel pre-widened to f32: `acc[r][x] = f16(fma(pa[p*MR+r],
-/// pb[p*NR_F16+x], acc[r][x]))` for `p` in `0..kc`) through the SIMD
-/// path. Returns `false` when unhandled (non-x86_64 hosts).
-#[inline]
-pub(crate) fn tile_f16(acc: &mut [[F16; NR_F16]; MR], pa: &[f32], pb: &[F16], kc: usize) -> bool {
-    assert!(pa.len() >= kc * MR && pb.len() >= kc * NR_F16);
-    if !simd_f16_available() {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: `simd_f16_available()` verified avx2+fma+f16c above;
-        // panel lengths verified by the assert.
-        unsafe { x86::tile_f16(acc, pa, pb, kc) };
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -192,35 +160,52 @@ pub(crate) fn tile_f16(acc: &mut [[F16; NR_F16]; MR], pa: &[f32], pb: &[F16], kc
     }
 }
 
-/// Runs one QUInt8 register tile (exact `i16 × i16 → i32` accumulation
-/// over `kc` panel rows, `kc` a multiple of [`KSTEP_I16`], in this
-/// architecture's geometry) through the SIMD path. Returns `false`
-/// when no SIMD path exists.
-#[inline]
-pub(crate) fn tile_i16(acc: &mut [[i32; NR_I16]; MR], pa: &[i16], pb: &[i16], kc: usize) -> bool {
+/// What every tier tile below promises its body: the host runs `tier`,
+/// and the panels hold `kc` rows of an `MR × nr` tile.
+#[cfg(target_arch = "x86_64")]
+fn check_tile(tier: SimdTier, (pa, pb): (usize, usize), kc: usize, nr: usize) {
+    assert!(simd_tier() >= tier, "no {tier:?} tier on this host");
+    assert!(pa >= kc * MR && pb >= kc * nr, "panels short of kc = {kc}");
+}
+
+/// One F16 register tile of the AVX2 tier (per-MAC `F16::mul_add`
+/// semantics, `A` panel pre-widened to f32: `acc[r][x] =
+/// f16(fma(pa[p*MR+r], pb[p*16+x], acc[r][x]))` for `p` in `0..kc`).
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn tile_f16_avx2(acc: &mut [[F16; NR_AVX2]; MR], pa: &[f32], pb: &[F16], kc: usize) {
+    check_tile(SimdTier::Avx2, (pa.len(), pb.len()), kc, NR_AVX2);
+    // SAFETY: `check_tile` verified the tier's features and the panel lengths.
+    unsafe { x86::tile_f16_avx2(acc, pa, pb, kc) }
+}
+
+/// [`tile_f16_avx2`] at the AVX-512 tier's width.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn tile_f16_avx512(acc: &mut [[F16; NR_AVX512]; MR], pa: &[f32], pb: &[F16], kc: usize) {
+    check_tile(SimdTier::Avx512, (pa.len(), pb.len()), kc, NR_AVX512);
+    // SAFETY: `check_tile` verified the tier's features and the panel lengths.
+    unsafe { x86::tile_f16_avx512(acc, pa, pb, kc) }
+}
+
+/// One QUInt8 register tile of the AVX2 tier: exact `i16 × i16 → i32`
+/// accumulation over `kc` K-pair panel rows, `kc` a multiple of
+/// [`KSTEP_I16`].
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn tile_i16_avx2(acc: &mut [[i32; NR_AVX2]; MR], pa: &[i16], pb: &[i16], kc: usize) {
     assert_eq!(kc % KSTEP_I16, 0, "panel depth not padded to the K step");
-    assert!(pa.len() >= kc * MR && pb.len() >= kc * NR_I16);
-    if !simd_available() {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Safety: `simd_available()` verified avx2 above; panel lengths
-        // and the even depth verified by the assert.
-        unsafe { x86::tile_i16(acc, pa, pb, kc) };
-        true
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // Safety: NEON is mandatory on aarch64; lengths checked above.
-        unsafe { neon::tile_i16(acc, pa, pb, kc) };
-        true
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        let _ = (acc, pa, pb, kc);
-        false
-    }
+    check_tile(SimdTier::Avx2, (pa.len(), pb.len()), kc, NR_AVX2);
+    // SAFETY: `check_tile` verified the tier's features and the panel
+    // lengths; the even depth is asserted above.
+    unsafe { x86::tile_i16_avx2(acc, pa, pb, kc) }
+}
+
+/// [`tile_i16_avx2`] at the AVX-512 tier's width, on `vpdpwssd`.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn tile_i16_vnni(acc: &mut [[i32; NR_AVX512]; MR], pa: &[i16], pb: &[i16], kc: usize) {
+    assert_eq!(kc % KSTEP_I16, 0, "panel depth not padded to the K step");
+    check_tile(SimdTier::Avx512, (pa.len(), pb.len()), kc, NR_AVX512);
+    // SAFETY: `check_tile` verified the tier's features and the panel
+    // lengths; the even depth is asserted above.
+    unsafe { x86::tile_i16_vnni(acc, pa, pb, kc) }
 }
 
 /// `c[i] += t[i]` in binary16 ([`F16`]'s `+`): how a tile's sums join the
@@ -234,9 +219,9 @@ pub(crate) fn tile_i16(acc: &mut [[i32; NR_I16]; MR], pa: &[i16], pb: &[i16], kc
 #[inline]
 pub(crate) fn f16_add_assign(simd: bool, c: &mut [F16], t: &[F16]) {
     assert_eq!(c.len(), t.len());
-    let done = if simd && simd_f16_available() {
+    let done = if simd && simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: `simd_f16_available()` verified avx2+f16c just above.
+        // SAFETY: `simd_available()` verified avx2+f16c just above.
         unsafe {
             x86::f16_add_assign(c, t)
         }
@@ -254,9 +239,9 @@ pub(crate) fn f16_add_assign(simd: bool, c: &mut [F16], t: &[F16]) {
 /// ReLU. Same SIMD-prefix / scalar-rest split as [`f16_add_assign`].
 #[inline]
 pub(crate) fn f16_bias_relu(simd: bool, row: &mut [F16], bias: Option<F16>, relu: bool) {
-    let done = if simd && simd_f16_available() {
+    let done = if simd && simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: `simd_f16_available()` verified avx2+f16c just above.
+        // SAFETY: `simd_available()` verified avx2+f16c just above.
         unsafe {
             x86::f16_bias_relu(row, bias, relu)
         }
@@ -287,7 +272,7 @@ pub(crate) fn f16_bias_relu(simd: bool, row: &mut [F16], bias: Option<F16>, relu
 pub(crate) fn mac_row_u8(simd: bool, acc: &mut [i32], x: &[u8], stride: usize, w: i32, zp: i32) {
     #[cfg(target_arch = "x86_64")]
     if simd && simd_available() {
-        // Safety: `simd_available()` verified avx2 just above; the body
+        // SAFETY: `simd_available()` verified avx2 just above; the body
         // is safe code.
         return unsafe { x86::mac_row_u8(acc, x, stride, w, zp) };
     }
@@ -330,6 +315,12 @@ fn mac_row_u8_body(acc: &mut [i32], x: &[u8], stride: usize, w: i32, zp: i32) {
 mod tests {
     use super::*;
 
+    /// Panel depths: unit, the smallest K pair, odd ones, a full panel.
+    const KCS: [usize; 6] = [1, 2, 3, 7, 255, 256];
+
+    /// A tile body: `MR × W` accumulators of `T`, panels of `A` and `B`.
+    type Tile<T, A, B, const W: usize> = fn(&mut [[T; W]; MR], &[A], &[B], usize);
+
     fn pseudo(i: usize) -> f32 {
         (((i * 2654435761) % 1999) as f32 - 999.0) / 999.0
     }
@@ -346,7 +337,7 @@ mod tests {
 
     #[test]
     fn f32_tile_bit_identical_to_scalar() {
-        for kc in [1usize, 2, 7, 64, 256] {
+        for kc in KCS {
             let pa: Vec<f32> = (0..kc * MR).map(pseudo).collect();
             let pb: Vec<f32> = (0..kc * NR).map(|i| pseudo(i + 97)).collect();
             let mut want = [[0.0f32; NR]; MR];
@@ -360,92 +351,119 @@ mod tests {
         }
     }
 
-    #[test]
-    fn f16_tile_bit_identical_to_scalar_mul_add() {
-        for kc in [1usize, 3, 32, 200] {
-            let a: Vec<F16> = (0..kc * MR).map(|i| F16::from_f32(pseudo(i))).collect();
+    /// F16 tile operands: ordinary values, subnormals, the pair 2⁻¹¹ and
+    /// 1 + 2⁻¹⁰ whose sums land on narrowing ties and, with `huge`, the
+    /// values whose products overflow to ∞.
+    fn f16_operands(n: usize, seed: usize, huge: bool) -> Vec<F16> {
+        let edge = [
+            0x0001u16, 0x8001, 0x03ff, 0x0400, 0x1000, 0x3c00, 0x3c01, 0xbc00,
+        ];
+        let big = [0x7bffu16, 0xfbff, 0x7800];
+        (0..n)
+            .map(|i| match (i * 7 + seed) % 5 {
+                0 => F16::from_bits(edge[(i + seed) % edge.len()]),
+                1 if huge => F16::from_bits(big[(i + seed) % big.len()]),
+                _ => F16::from_f32(pseudo(i + seed) * 2.0),
+            })
+            .collect()
+    }
+
+    /// `tile`, an `MR × W` F16 tile body, against per-MAC `F16::mul_add`
+    /// from a seeded accumulator. NaNs (inf − inf after an overflow)
+    /// compare as NaNs: their payloads may differ.
+    fn check_f16_tile<const W: usize>(tile: Tile<F16, f32, F16, W>) {
+        for (kc, huge) in KCS.into_iter().flat_map(|kc| [(kc, false), (kc, true)]) {
+            let a = f16_operands(kc * MR, 1, huge);
             let pa: Vec<f32> = a.iter().map(|h| h.to_f32()).collect();
-            let pb: Vec<F16> = (0..kc * NR_F16)
-                .map(|i| F16::from_f32(pseudo(i + 13)))
-                .collect();
-            let mut want = [[F16::ZERO; NR_F16]; MR];
+            let pb = f16_operands(kc * W, 5, huge);
+            let start = f16_operands(MR * W, 9, false);
+            let mut want = [[F16::ZERO; W]; MR];
+            for (cell, &s) in want.iter_mut().flatten().zip(&start) {
+                *cell = s;
+            }
+            let mut got = want;
             for p in 0..kc {
                 for (r, row) in want.iter_mut().enumerate() {
                     for (x, cell) in row.iter_mut().enumerate() {
-                        *cell = a[p * MR + r].mul_add(pb[p * NR_F16 + x], *cell);
+                        *cell = a[p * MR + r].mul_add(pb[p * W + x], *cell);
                     }
                 }
             }
-            let mut got = [[F16::ZERO; NR_F16]; MR];
-            if tile_f16(&mut got, &pa, &pb, kc) {
-                for r in 0..MR {
-                    for x in 0..NR_F16 {
-                        assert_eq!(
-                            got[r][x].to_bits(),
-                            want[r][x].to_bits(),
-                            "kc={kc} r={r} x={x}"
-                        );
-                    }
-                }
-            } else {
-                assert!(!simd_f16_available());
+            tile(&mut got, &pa, &pb, kc);
+            for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
+                let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+                assert!(same, "W={W} kc={kc} huge={huge}: {g:?} vs {w:?}");
             }
         }
     }
 
     #[test]
-    fn i16_tile_exactly_matches_scalar() {
-        // Logical operands `a[k][r]`, `b[k][x]`, packed the way this
-        // architecture's tile reads them (an odd depth zero-padded), at
-        // the ±255 operand extremes the overflow bound is stated for.
-        for kc in [1usize, 2, 5, 100, 255, 256] {
+    fn f16_tile_bit_identical_to_scalar_mul_add() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if simd_tier() >= SimdTier::Avx2 {
+                check_f16_tile(tile_f16_avx2);
+            }
+            if simd_tier() >= SimdTier::Avx512 {
+                check_f16_tile(tile_f16_avx512);
+            }
+        }
+    }
+
+    /// `tile`, an `MR × W` QUInt8 tile body over K-pair panels, against
+    /// exact `i32` sums of the logical operands at the ±255 extremes the
+    /// overflow bound is stated for, then with every operand at a rail
+    /// over a whole `KC` panel: the largest sums a panel can hold.
+    fn check_i16_tile<const W: usize>(tile: Tile<i32, i16, i16, W>) {
+        for kc in KCS {
             let a: Vec<i16> = (0..kc * MR)
                 .map(|i| ((i * 48271) % 511) as i16 - 255)
                 .collect();
-            let b: Vec<i16> = (0..kc * NR_I16)
+            let b: Vec<i16> = (0..kc * W)
                 .map(|i| ((i * 16807) % 511) as i16 - 255)
                 .collect();
             let kc_pad = kc.next_multiple_of(KSTEP_I16);
-            let mut pa = vec![0i16; kc_pad * MR];
-            let mut pb = vec![0i16; kc_pad * NR_I16];
-            let mut want = [[0i32; NR_I16]; MR];
+            let (mut pa, mut pb) = (vec![0i16; kc_pad * MR], vec![0i16; kc_pad * W]);
+            let mut want = [[0i32; W]; MR];
             for k in 0..kc {
                 let (g, s) = (k / KSTEP_I16, k % KSTEP_I16);
                 for r in 0..MR {
-                    // Plain panels interleave the rows; K-pair panels
-                    // keep each row contiguous.
-                    let at = if KSTEP_I16 == 1 {
-                        k * MR + r
-                    } else {
-                        r * kc_pad + k
-                    };
-                    pa[at] = a[k * MR + r];
+                    pa[r * kc_pad + k] = a[k * MR + r];
                 }
-                for x in 0..NR_I16 {
-                    pb[(g * NR_I16 + x) * KSTEP_I16 + s] = b[k * NR_I16 + x];
+                for x in 0..W {
+                    pb[(g * W + x) * KSTEP_I16 + s] = b[k * W + x];
                 }
                 for (r, row) in want.iter_mut().enumerate() {
                     for (x, cell) in row.iter_mut().enumerate() {
-                        *cell += a[k * MR + r] as i32 * b[k * NR_I16 + x] as i32;
+                        *cell += a[k * MR + r] as i32 * b[k * W + x] as i32;
                     }
                 }
             }
-            let mut got = [[0i32; NR_I16]; MR];
-            if tile_i16(&mut got, &pa, &pb, kc_pad) {
-                assert_eq!(got, want, "kc={kc}");
-            } else {
-                assert!(!simd_available());
-            }
+            let mut got = [[0i32; W]; MR];
+            tile(&mut got, &pa, &pb, kc_pad);
+            assert_eq!(got, want, "W={W} kc={kc}");
         }
-        // Every operand at the rail: the largest sums a KC panel can hold.
         let kc = crate::blocked::KC;
         for (av, bv) in [(255i16, 255i16), (-255, 255), (-255, -255)] {
-            let pa = vec![av; kc * MR];
-            let pb = vec![bv; kc * NR_I16];
-            let mut got = [[0i32; NR_I16]; MR];
-            if tile_i16(&mut got, &pa, &pb, kc) {
-                let want = kc as i32 * av as i32 * bv as i32;
-                assert!(got.iter().flatten().all(|&v| v == want), "{av} x {bv}");
+            let mut got = [[0i32; W]; MR];
+            tile(&mut got, &vec![av; kc * MR], &vec![bv; kc * W], kc);
+            let want = kc as i32 * av as i32 * bv as i32;
+            assert!(
+                got.iter().flatten().all(|&v| v == want),
+                "W={W} {av} x {bv}"
+            );
+        }
+    }
+
+    #[test]
+    fn i16_tile_exactly_matches_scalar() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if simd_tier() >= SimdTier::Avx2 {
+                check_i16_tile(tile_i16_avx2);
+            }
+            if simd_tier() >= SimdTier::Avx512 {
+                check_i16_tile(tile_i16_vnni);
             }
         }
     }
@@ -508,14 +526,19 @@ mod tests {
         }
     }
 
+    /// The features the resolved tier requires are a subset of the ones
+    /// `cpu_features` reports, so a recorded run names what produced it.
     #[test]
     fn feature_report_is_consistent() {
         let features = cpu_features();
-        if simd_available() {
-            assert!(!features.is_empty());
+        let reported: Vec<&str> = features.split(',').filter(|f| !f.is_empty()).collect();
+        for f in simd_tier().features() {
+            assert!(
+                reported.contains(f),
+                "{:?} needs {f}, reported {features}",
+                simd_tier()
+            );
         }
-        if simd_f16_available() {
-            assert!(simd_available());
-        }
+        assert_eq!(simd_available(), simd_tier() != SimdTier::None);
     }
 }

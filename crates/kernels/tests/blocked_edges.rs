@@ -158,7 +158,7 @@ fn f16_edge_tiles_match_naive() {
 /// Golden bytes captured from the pre-SIMD scalar blocked kernel
 /// (m=5: MR tile + 1-row edge; n=11: NR tile + 3-column edge;
 /// k=KC+3: full panel + 3-column remainder panel). Any future kernel —
-/// scalar, AVX2, NEON — must reproduce them exactly.
+/// scalar, AVX2, AVX-512 — must reproduce them exactly.
 #[test]
 fn quint8_golden_vector_edge_case() {
     let (m, k, n) = (5usize, KC + 3, 11usize);

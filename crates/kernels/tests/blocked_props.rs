@@ -13,8 +13,8 @@ use testkit::{bools, prop_assert, prop_assume, props};
 use ukernels::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
 use ukernels::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use ukernels::{
-    conv2d, fully_connected, pointwise_conv2d, set_blocked_kernels, thread_arena_capacity_bytes,
-    Conv2dParams, ScratchArena,
+    conv2d, depthwise_conv2d, fully_connected, pointwise_conv2d, set_blocked_kernels,
+    set_direct_conv, thread_arena_capacity_bytes, Conv2dParams, ScratchArena,
 };
 use utensor::{DType, QuantParams, Shape, Tensor, F16};
 
@@ -142,9 +142,12 @@ props! {
 }
 
 /// Satellite: repeated layer executions reuse arena capacity — the
-/// footprint ratchets to a high-water mark and then stays flat.
+/// footprint ratchets to a high-water mark and then stays flat. Each run
+/// also takes a QUInt8 depthwise layer, which on the direct path holds
+/// its zero-point-padded plane in the arena.
 #[test]
 fn repeated_conv_does_not_grow_the_arena() {
+    let qp = QuantParams::from_range(-1.0, 1.0).unwrap();
     let run = |seed: usize| {
         let input =
             Tensor::from_f32(Shape::nchw(1, 8, 14, 14), pseudo_f32(8 * 14 * 14, seed)).unwrap();
@@ -156,6 +159,10 @@ fn repeated_conv_does_not_grow_the_arena() {
             relu: true,
         };
         conv2d(&input, &filters, None, &p, None).unwrap();
+        let q = |t: Tensor| t.cast(DType::QUInt8, Some(qp)).unwrap();
+        let dw_in = Tensor::from_f32(Shape::nchw(1, 8, 14, 14), pseudo_f32(1568, seed + 2));
+        let dw_f = Tensor::from_f32(Shape::oihw(8, 1, 3, 3), pseudo_f32(72, seed + 3));
+        depthwise_conv2d(&q(dw_in.unwrap()), &q(dw_f.unwrap()), None, &p, Some(qp)).unwrap();
     };
     // Warm-up: the first call grows the arena to this workload's needs.
     run(0);
@@ -169,15 +176,17 @@ fn repeated_conv_does_not_grow_the_arena() {
             "arena grew on iteration {i}"
         );
     }
-    // Same for the blocked path: pack buffers also reach a fixed point.
-    let prev = set_blocked_kernels(true);
+    // Same for the blocked and direct paths: pack buffers and the padded
+    // depthwise plane also reach a fixed point.
+    let prev = (set_blocked_kernels(true), set_direct_conv(true));
     run(0);
     let warm_blocked = thread_arena_capacity_bytes();
     for i in 1..12 {
         run(i);
         assert_eq!(thread_arena_capacity_bytes(), warm_blocked);
     }
-    set_blocked_kernels(prev);
+    set_direct_conv(prev.1);
+    set_blocked_kernels(prev.0);
 }
 
 /// A kernel call that fails after taking the thread arena (a QUInt8 call

@@ -31,10 +31,12 @@
 //! Seeded shape ladders cover the historical trouble spots: odd
 //! channels, stride 2, padding, 1×1 kernels, single-channel layers, and
 //! `K % KC != 0` remainder panels — and the remainders of the wide SIMD
-//! tiles: odd panel depths (the K-pair zero pad), `k = 1`, `k % KC` of 1
-//! and `KC − 1`, `n % 16` of 1 and 15, `m % MR != 0`; depthwise planes
-//! narrower than the window, single rows and single columns. The
-//! randomized section at the bottom adds shrinking on top.
+//! tiles of both tiers: odd panel depths (the K-pair zero pad), `k = 1`,
+//! `k % KC` of 1 and `KC − 1`, `n % w` of 1 and `w − 1` for `w` 16 and
+//! 32, `m % MR != 0`; depthwise planes narrower than the window, single
+//! rows and single columns. The randomized section at the bottom adds
+//! shrinking on top. The tile bodies a host's tier does not run are
+//! held to the scalar tile by the `simd` unit tests.
 
 mod common;
 
@@ -45,8 +47,8 @@ use ukernels::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked,
 use ukernels::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use ukernels::{
     conv2d, depthwise_conv2d, out_dim, pool2d, registered_fast_paths, set_blocked_kernels,
-    set_direct_conv, set_kernel_path, simd_available, simd_f16_available, Conv2dParams, PathChoice,
-    PoolKind, PoolParams, ScratchArena,
+    set_direct_conv, set_kernel_path, simd_available, simd_tier, Conv2dParams, PathChoice,
+    PoolKind, PoolParams, ScratchArena, SimdTier,
 };
 use utensor::convert;
 use utensor::quant::{requantize, requantize_into};
@@ -61,11 +63,13 @@ const COVERED: &[&str] = &[
     "gemm/f32/blocked-simd",
     "gemm/f16/blocked-scalar",
     "gemm/f16/blocked-simd",
+    "gemm/f16/avx512",
     "gemm/quint8/blocked-scalar",
     "gemm/quint8/blocked-simd",
+    "gemm/quint8/avx512-vnni",
     "depthwise/f32/direct",
     "depthwise/f16/direct",
-    "depthwise/quint8/direct",
+    "depthwise/quint8/plane",
     "pointwise/f32/direct",
     "pointwise/f16/direct",
     "pointwise/quint8/direct",
@@ -122,8 +126,9 @@ fn conv_paths() -> Vec<PathChoice> {
 /// GEMM shape ladder: in-panel shapes (bit-equal contract) plus
 /// multi-panel `K % KC != 0` shapes (tolerance contract for floats).
 /// Between them: odd and unit `k`, `k % KC` of 1 and `KC − 1`, `n % 16`
-/// of 1 and 15, and `m % MR != 0` — every remainder of the 4 × 16 tiles.
-const GEMM_SHAPES: [(usize, usize, usize); 9] = [
+/// and `n % 32` of 1 and `w − 1`, and `m % MR != 0` — every remainder of
+/// the 4 × 16 and 4 × 32 tiles.
+const GEMM_SHAPES: [(usize, usize, usize); 11] = [
     (1, 1, 1),
     (3, 7, 5),
     (4, 8, 8),
@@ -133,6 +138,8 @@ const GEMM_SHAPES: [(usize, usize, usize); 9] = [
     (9, 3, 15),
     (6, KC + 1, 17),
     (7, 2 * KC - 1, 31),
+    (5, 3, 63),
+    (6, KC - 1, 65),
 ];
 
 fn gemm_cell_f32(path: PathChoice, tc: usize) {
@@ -250,9 +257,10 @@ const DW_SHAPES: [(usize, usize, usize, usize, usize, usize); 5] = [
 ];
 
 /// [`DW_SHAPES`] plus the full window ladder `k ∈ {1,3,5}` × stride
-/// `∈ {1,2,3}` × pad `∈ {0,1,2}` over planes that stress the row form's
-/// column clipping: a plain one, a single row, a single column, and one
-/// narrower than the window (kept wherever the padded window fits).
+/// `∈ {1,2,3}` × pad `∈ {0,1,2}` over planes that stress the QUInt8
+/// plane form's padding and pitch: a plain one, a single row, a single
+/// column, and one narrower than the window (kept wherever the padded
+/// window fits).
 fn dw_shapes() -> Vec<(usize, usize, usize, usize, usize, usize)> {
     let mut shapes = DW_SHAPES.to_vec();
     for k in [1, 3, 5] {
@@ -601,12 +609,14 @@ fn run_cell(key: &str, tc: usize) {
         "gemm/f32/blocked-scalar" => gemm_cell_f32(PathChoice::Scalar, tc),
         "gemm/f32/blocked-simd" => gemm_cell_f32(PathChoice::Simd, tc),
         "gemm/f16/blocked-scalar" => gemm_cell_f16(PathChoice::Scalar, tc),
-        "gemm/f16/blocked-simd" => gemm_cell_f16(PathChoice::Simd, tc),
+        "gemm/f16/blocked-simd" | "gemm/f16/avx512" => gemm_cell_f16(PathChoice::Simd, tc),
         "gemm/quint8/blocked-scalar" => gemm_cell_quint8(PathChoice::Scalar, tc),
-        "gemm/quint8/blocked-simd" => gemm_cell_quint8(PathChoice::Simd, tc),
+        "gemm/quint8/blocked-simd" | "gemm/quint8/avx512-vnni" => {
+            gemm_cell_quint8(PathChoice::Simd, tc)
+        }
         "depthwise/f32/direct" => depthwise_cell(DType::F32, tc),
         "depthwise/f16/direct" => depthwise_cell(DType::F16, tc),
-        "depthwise/quint8/direct" => depthwise_cell(DType::QUInt8, tc),
+        "depthwise/quint8/plane" => depthwise_cell(DType::QUInt8, tc),
         "pointwise/f32/direct" => pointwise_cell(DType::F32, tc),
         "pointwise/f16/direct" => pointwise_cell(DType::F16, tc),
         "pointwise/quint8/direct" => pointwise_cell(DType::QUInt8, tc),
@@ -644,16 +654,20 @@ fn equivalence_table_all_cells_all_thread_counts() {
     }
 }
 
-/// The f16 SIMD tile needs F16C on top of AVX2; when it is registered,
-/// the detection helpers must agree.
+/// The GEMM keys name the tiles of the detected tier — a `gemm/*`
+/// SIMD cell above pins exactly the tile a GEMM on this host runs.
 #[test]
-fn f16_simd_registration_matches_detection() {
+fn tier_registration_matches_detection() {
     let paths = registered_fast_paths();
-    assert_eq!(
-        paths.contains(&"gemm/f16/blocked-simd"),
-        simd_f16_available()
-    );
+    let tier = simd_tier();
     assert_eq!(paths.contains(&"gemm/f32/blocked-simd"), simd_available());
+    for key in ["gemm/f16/blocked-simd", "gemm/quint8/blocked-simd"] {
+        assert_eq!(paths.contains(&key), tier == SimdTier::Avx2, "{key}");
+    }
+    for key in ["gemm/f16/avx512", "gemm/quint8/avx512-vnni"] {
+        assert_eq!(paths.contains(&key), tier == SimdTier::Avx512, "{key}");
+    }
+    assert!(paths.contains(&"depthwise/quint8/plane"));
 }
 
 props! {

@@ -577,9 +577,10 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
+                    // Consume one UTF-8 scalar.
                     let rest = &self.bytes[self.pos..];
+                    // SAFETY: the input is a &str and `pos` only ever
+                    // advances past whole scalars, so `rest` is UTF-8.
                     let s = unsafe { std::str::from_utf8_unchecked(rest) };
                     let c = s.chars().next().ok_or("unterminated string")?;
                     out.push(c);
