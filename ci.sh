@@ -85,10 +85,10 @@ echo "==> repro serve smoke (bursty overload, bounded queue, exact accounting)"
 cargo run --release --offline -p ubench --bin repro -- \
   serve squeezenet --arrivals=bursty --seed=42 --frames=64 --miniature >/dev/null
 
-echo "==> blocked-GEMM equivalence properties (blocked == naive, bit-exact QUInt8)"
-# Seeded property tests: blocked f32/F16 kernels match the naive
-# reference within ULP bounds, blocked QUInt8 is bit-identical, and
-# repeated convolutions never grow the per-thread scratch arena.
+echo "==> blocked-GEMM equivalence properties (blocked == naive, bit-exact f32/F16/QUInt8)"
+# Seeded property tests: the blocked f32, F16 and QUInt8 kernels are
+# bit-identical to the naive oracle loops at every K depth, and repeated
+# convolutions never grow the per-thread scratch arena.
 cargo test -q --offline -p ukernels --test blocked_props >/dev/null
 
 echo "==> kernels and tensor crates: warnings-as-errors build + clippy"
@@ -103,18 +103,24 @@ cargo clippy -q --offline -p utensor --all-targets -- -D warnings \
   -D clippy::undocumented_unsafe_blocks
 
 echo "==> kernel-path equivalence table, pass 1: forced scalar tiles"
-# The full differential table (gemm/depthwise/pointwise x dtype x thread
-# count, row-wise pooling, the slice converters) with every worker forced
-# onto the scalar register tiles, plus the pooling property against the
-# windowed oracle and the whole-plane depthwise property against im2col.
+# Every thread — test threads, the sequential evaluator, pool workers —
+# forced onto the scalar register tiles: the full differential table
+# (gemm/depthwise/pointwise x dtype x thread count, row-wise pooling, the
+# slice converters) against the oracles of tests/common, the pooling
+# property against the windowed loop, the whole-plane depthwise property
+# against im2col, and the whole-network hashes of the cooperative frames,
+# which must hold on the scalar tiles too. The equivalence target also
+# fails if UKERNELS_KERNEL_PATH is not a valid choice, so a misspelled
+# pass cannot quietly run SIMD.
 UKERNELS_KERNEL_PATH=scalar cargo test -q --offline -p ukernels \
   --test equivalence --test direct_conv_props --test pool_props \
   --test depthwise_props >/dev/null
+UKERNELS_KERNEL_PATH=scalar cargo test -q --offline -p uexec --test store_pins >/dev/null
 
 echo "==> kernel-path equivalence table, pass 2: auto (SIMD where detected)"
 # Same table under runtime feature detection; on AVX2 / AVX-512 hosts
-# this pins the widest tier's tiles against the identical golden scalar
-# references.
+# this pins the widest tier's tiles against the same oracles. (The
+# workspace test run above already checked the network hashes on them.)
 UKERNELS_KERNEL_PATH=auto cargo test -q --offline -p ukernels \
   --test equivalence --test direct_conv_props --test pool_props \
   --test depthwise_props >/dev/null

@@ -846,7 +846,6 @@ fn measure_json(
         ),
         ("kernel_path", Json::s(report.kernel_path.clone())),
         ("cpu_features", Json::s(report.cpu_features.clone())),
-        ("direct_conv", Json::Bool(report.direct_conv)),
         (
             "coop",
             Json::obj(vec![
@@ -910,7 +909,7 @@ fn measure_json(
 }
 
 /// Schema tag of the measurement document.
-const MEASURE_SCHEMA: &str = "ulayer-exec-measure/v2";
+const MEASURE_SCHEMA: &str = "ulayer-exec-measure/v3";
 
 /// `repro fleet [net] [--devices=N] [--frames=N] [--seed=N]
 /// [--storm=none|throttle-wave|gpu-loss|flaky-epidemic] [--arrivals=NAME]

@@ -14,11 +14,11 @@
 //!
 //! Chunking preserves the numerics exactly: every output channel is
 //! computed by the same arithmetic regardless of which chunk owns it
-//! (channel-wise kernels are row-independent, and the blocked GEMMs'
-//! accumulation order depends only on the K-panel size, never on the
-//! row range). QUInt8 results are bit-identical to the sequential
-//! evaluator at any thread count; float results are bit-identical
-//! across thread counts. The integration tests pin both properties.
+//! (channel-wise kernels are row-independent, and each element of a
+//! GEMM output is one ascending accumulation chain whatever the row
+//! range). The workers run the same kernels as the calling thread, so
+//! results in every dtype are bit-identical to the sequential evaluator
+//! at any thread count. The integration tests pin it.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -76,17 +76,14 @@ pub struct ParallelBackend {
 }
 
 impl ParallelBackend {
-    /// Builds the backend for `spec`'s CPU/GPU pair. Workers switch to
-    /// the cache-blocked kernels once at spawn and take the config's
-    /// kernel path (scalar or SIMD register tiles) and direct-conv
-    /// routing; all three knobs are thread-local, so nothing outside the
-    /// pools changes.
+    /// Builds the backend for `spec`'s CPU/GPU pair. Workers take the
+    /// config's kernel path (scalar or SIMD register tiles) once at
+    /// spawn; the choice is thread-local, so nothing outside the pools
+    /// changes.
     pub fn new(spec: &SocSpec, cfg: &ExecConfig, mode: PoolMode) -> ParallelBackend {
-        let (path, direct) = (cfg.kernel_path, cfg.direct_conv());
+        let path = cfg.kernel_path;
         let engine = Engine::new(cfg, move || {
-            ukernels::set_blocked_kernels(true);
             ukernels::set_kernel_path(path);
-            ukernels::set_direct_conv(direct);
         });
         ParallelBackend {
             engine,

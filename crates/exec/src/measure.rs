@@ -36,9 +36,8 @@ pub struct MeasureConfig {
     pub threads: usize,
     /// Repetitions per plan (best-of). Clamped to at least 1.
     pub repeat: usize,
-    /// Requested kernel path for the worker pools (`--kernel-path`).
-    /// `Scalar` also disables the direct conv kernels, reproducing the
-    /// PR 5 measurement path exactly.
+    /// Requested kernel path for the worker pools (`--kernel-path`):
+    /// which register tiles the kernels run.
     pub kernel_path: PathChoice,
 }
 
@@ -145,9 +144,6 @@ pub struct MeasureReport {
     pub kernel_path: String,
     /// Detected CPU features relevant to the SIMD tiles (diagnostics).
     pub cpu_features: String,
-    /// Whether the direct (im2col-free) depthwise/pointwise kernels were
-    /// routed to.
-    pub direct_conv: bool,
     /// Labels of the two plans.
     pub coop_label: String,
     /// Label of the single-processor plan.
@@ -277,7 +273,6 @@ pub fn measure(
 ) -> Result<MeasureReport, MeasureError> {
     let shapes = graph.infer_shapes()?;
     let exec_cfg = ExecConfig::with_threads(cfg.threads).with_kernel_path(cfg.kernel_path);
-    let direct_conv = exec_cfg.direct_conv();
     let coop = ParallelBackend::new(spec, &exec_cfg, PoolMode::Cooperative);
     let single = ParallelBackend::new(spec, &exec_cfg, PoolMode::SinglePool);
 
@@ -354,7 +349,6 @@ pub fn measure(
         kernel_path_requested: cfg.kernel_path.as_str().to_string(),
         kernel_path: cfg.kernel_path.resolve().as_str().to_string(),
         cpu_features: ukernels::cpu_features(),
-        direct_conv,
         coop_label: coop_plan.label.clone(),
         single_label: single_plan.label.clone(),
         coop_total_s,

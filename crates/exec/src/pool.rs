@@ -64,14 +64,6 @@ impl ExecConfig {
         self
     }
 
-    /// Whether workers route depthwise and 1×1 convolutions through the
-    /// direct (im2col-free) kernels: on for `auto`/`simd`, off for
-    /// `scalar` — so `--kernel-path=scalar` reproduces the PR 5
-    /// blocked-scalar baseline exactly.
-    pub fn direct_conv(&self) -> bool {
-        self.kernel_path != PathChoice::Scalar
-    }
-
     /// Reads `UEXEC_THREADS`, falling back to
     /// `min(available_parallelism, 4)`.
     pub fn from_env() -> ExecConfig {

@@ -26,7 +26,7 @@ fn setup() -> (Graph, Weights, Calibration, Tensor) {
 }
 
 /// A cooperative split plan: every distributable layer shared between
-/// CPU and GPU in the given dtype plans.
+/// CPU and GPU in the given dtype plans, the rest on the CPU in its plan.
 fn split_plan(
     g: &Graph,
     spec: &SocSpec,
@@ -45,7 +45,10 @@ fn split_plan(
                         parts: vec![(spec.cpu(), cpu_dt, 0.5), (spec.gpu(), gpu_dt, 0.5)],
                     }
                 } else {
-                    NodePlacement::single(spec.cpu(), DType::QUInt8)
+                    NodePlacement::Single {
+                        device: spec.cpu(),
+                        dtypes: cpu_dt,
+                    }
                 }
             })
             .collect(),
@@ -82,6 +85,73 @@ fn parallel_quint8_bit_identical_to_sequential_at_any_thread_count() {
                 a.bit_equal(b),
                 "threads={threads}: node {node} diverged from sequential reference"
             );
+        }
+    }
+}
+
+/// The split plans of every dtype configuration: uniform F32, uniform
+/// F16, and processor-friendly quantization (QUInt8 CPU + F16 GPU).
+fn dtype_plans(g: &Graph, spec: &SocSpec) -> Vec<ExecutionPlan> {
+    let uniform = |dt, label| {
+        split_plan(
+            g,
+            spec,
+            DtypePlan::uniform(dt),
+            DtypePlan::uniform(dt),
+            label,
+        )
+    };
+    vec![
+        uniform(DType::F32, "f32-split"),
+        uniform(DType::F16, "f16-split"),
+        split_plan(
+            g,
+            spec,
+            DtypePlan::proc_friendly_cpu(),
+            DtypePlan::proc_friendly_gpu(),
+            "ulayer-split",
+        ),
+    ]
+}
+
+#[test]
+fn parallel_bit_identical_to_sequential_for_every_dtype() {
+    // The calling thread and the pool workers run the same kernels, and
+    // every GEMM element is one ascending chain whatever rows a chunk
+    // holds, so floats reproduce the sequential evaluator bit for bit
+    // too.
+    let (g, w, calib, x) = setup();
+    let spec = SocSpec::exynos_7420();
+    for plan in dtype_plans(&g, &spec) {
+        let want = evaluate_plan(&g, &plan, &w, &calib, &x).unwrap();
+        for threads in [1, 2, 4] {
+            let backend = ParallelBackend::new(
+                &spec,
+                &ExecConfig::with_threads(threads),
+                PoolMode::Cooperative,
+            );
+            let got = evaluate_plan_with_backend(&g, &plan, &w, &calib, &x, &backend).unwrap();
+            let what = format!("{} threads={threads}", plan.label);
+            assert_frames_equal(&got, &want, &what);
+        }
+    }
+}
+
+#[test]
+fn sequential_frames_stop_growing_the_thread_arena() {
+    // The sequential evaluator runs the blocked GEMMs on the calling
+    // thread, out of that thread's scratch arena: the first frame of a
+    // plan sizes it, later frames only reuse it.
+    let (g, w, calib, x) = setup();
+    let spec = SocSpec::exynos_7420();
+    for plan in dtype_plans(&g, &spec) {
+        evaluate_plan(&g, &plan, &w, &calib, &x).unwrap();
+        let warm = ukernels::thread_arena_capacity_bytes();
+        assert!(warm > 0, "a frame leaves capacity in the arena");
+        for frame in 2..=4 {
+            evaluate_plan(&g, &plan, &w, &calib, &x).unwrap();
+            let now = ukernels::thread_arena_capacity_bytes();
+            assert_eq!(now, warm, "frame {frame} grew the arena");
         }
     }
 }
@@ -299,7 +369,6 @@ fn measure_reports_speedups_and_samples() {
     };
     assert_eq!(report.kernel_path, expect);
     assert!(!report.cpu_features.is_empty());
-    assert!(report.direct_conv);
 }
 
 #[test]
@@ -330,10 +399,9 @@ fn measure_scalar_path_reproduces_baseline_config() {
     )
     .unwrap();
     assert_eq!(report.kernel_path_requested, "scalar");
+    // Forcing scalar selects the scalar register tiles and nothing else,
+    // and resolves to them on every host.
     assert_eq!(report.kernel_path, "scalar");
-    // Forcing scalar also turns the direct conv kernels off — the exact
-    // measurement configuration of the pre-SIMD baseline.
-    assert!(!report.direct_conv);
     // Samples come from every repetition of both plans.
     assert!(report.samples.len() >= 2 * g.len());
 }

@@ -1,9 +1,11 @@
-//! 2-D convolution (standard and depthwise) over [`Tensor`]s.
+//! 2-D convolution over [`Tensor`]s.
 //!
-//! The deployment path lowers convolution to im2col + GEMM per batch
-//! element, matching how ACL/gemmlowp execute it on the paper's SoCs. A
-//! naive direct convolution ([`conv2d_naive_f32`]) serves as the
-//! independent oracle for the test suites.
+//! Convolution lowers to im2col + the blocked GEMMs of [`crate::blocked`]
+//! per batch element, matching how ACL/gemmlowp execute it on the paper's
+//! SoCs; 1×1 stride-1 unpadded layers skip the im2col copy
+//! ([`crate::pointwise`]) and depthwise layers have their own direct
+//! kernel ([`crate::depthwise`]). The test suites hold all of them to the
+//! naive loops kept in `tests/common`.
 //!
 //! Channel-wise workload distribution (§3.2) does not need special kernel
 //! support: the executor slices the *filter* tensor along output channels
@@ -11,7 +13,7 @@
 
 use utensor::{DType, QuantParams, Shape, Tensor, TensorError, F16};
 
-use crate::gemm::{gemm_f16_into, gemm_f32_into, gemm_quint8_into};
+use crate::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked};
 use crate::im2col::im2col_into;
 use crate::out_dim;
 
@@ -83,12 +85,9 @@ pub fn conv2d(
             found: filters.dtype(),
         });
     }
-    // 1×1 stride-1 unpadded convolutions skip the im2col copy on threads
-    // that opted into the direct paths; bit-identical (same GEMM, same
-    // bytes), so the routing never changes results.
-    if crate::dispatch::direct_conv_enabled()
-        && crate::pointwise::is_pointwise(filters.shape(), params)
-    {
+    // 1×1 stride-1 unpadded convolutions skip the im2col copy: the same
+    // GEMM on the same bytes.
+    if crate::pointwise::is_pointwise(filters.shape(), params) {
         return crate::pointwise::pointwise_conv2d(input, filters, bias, params, out_params);
     }
     let out_shape = conv_output_shape(input.shape(), filters.shape(), params)?;
@@ -131,8 +130,8 @@ pub fn conv2d(
             let x = input.as_f32()?;
             let f = filters.as_f32()?;
             let mut out = vec![0.0f32; out_shape.numel()];
-            // Move the patch buffer out so the blocked kernel can borrow
-            // the arena's pack buffers mutably alongside it.
+            // Move the patch buffer out so the GEMM can borrow the arena's
+            // pack buffers mutably alongside it.
             let mut patches = std::mem::take(&mut arena.patches_f32);
             for b in 0..n {
                 im2col_into(
@@ -148,21 +147,7 @@ pub fn conv2d(
                     0.0f32,
                 );
                 let c = &mut out[b * oc * cols..(b + 1) * oc * cols];
-                if crate::blocked::blocked_kernels_enabled() {
-                    crate::blocked::gemm_f32_blocked(
-                        c,
-                        oc,
-                        k,
-                        cols,
-                        f,
-                        &patches,
-                        bias,
-                        params.relu,
-                        &mut arena,
-                    );
-                } else {
-                    gemm_f32_into(c, oc, k, cols, f, &patches, bias, params.relu);
-                }
+                gemm_f32_blocked(c, oc, k, cols, f, &patches, bias, params.relu, &mut arena);
             }
             arena.patches_f32 = patches;
             Tensor::from_f32(out_shape, out)
@@ -191,21 +176,7 @@ pub fn conv2d(
                     F16::ZERO,
                 );
                 let c = &mut out[b * oc * cols..(b + 1) * oc * cols];
-                if crate::blocked::blocked_kernels_enabled() {
-                    crate::blocked::gemm_f16_blocked(
-                        c,
-                        oc,
-                        k,
-                        cols,
-                        f,
-                        &patches,
-                        bias,
-                        params.relu,
-                        &mut arena,
-                    );
-                } else {
-                    gemm_f16_into(c, oc, k, cols, f, &patches, bias, params.relu);
-                }
+                gemm_f16_blocked(c, oc, k, cols, f, &patches, bias, params.relu, &mut arena);
             }
             arena.patches_f16 = patches;
             Tensor::new(out_shape, utensor::TensorData::F16(out))
@@ -233,37 +204,20 @@ pub fn conv2d(
                     x_p.zero_point,
                 );
                 let c = &mut out[b * oc * cols..(b + 1) * oc * cols];
-                let r = if crate::blocked::blocked_kernels_enabled() {
-                    crate::blocked::gemm_quint8_blocked(
-                        c,
-                        oc,
-                        k,
-                        cols,
-                        f,
-                        f_p,
-                        &patches,
-                        x_p,
-                        bias,
-                        out_params,
-                        params.relu,
-                        &mut arena,
-                    )
-                } else {
-                    gemm_quint8_into(
-                        c,
-                        oc,
-                        k,
-                        cols,
-                        f,
-                        f_p,
-                        &patches,
-                        x_p,
-                        bias,
-                        out_params,
-                        params.relu,
-                        &mut arena.acc_i32,
-                    )
-                };
+                let r = gemm_quint8_blocked(
+                    c,
+                    oc,
+                    k,
+                    cols,
+                    f,
+                    f_p,
+                    &patches,
+                    x_p,
+                    bias,
+                    out_params,
+                    params.relu,
+                    &mut arena,
+                );
                 if let Err(e) = r {
                     res = Err(e);
                     break;
@@ -275,128 +229,11 @@ pub fn conv2d(
     }
 }
 
-/// Naive direct f32 convolution: the independent test oracle.
-///
-/// Deliberately written as the textbook seven-deep loop with no lowering
-/// so that bugs in `im2col`/GEMM cannot hide.
-pub fn conv2d_naive_f32(
-    input: &Tensor,
-    filters: &Tensor,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-) -> Result<Tensor, TensorError> {
-    let out_shape = conv_output_shape(input.shape(), filters.shape(), params)?;
-    let x = input.as_f32()?;
-    let f = filters.as_f32()?;
-    let (n, ic, h, w) = (
-        input.shape().n(),
-        input.shape().c(),
-        input.shape().h(),
-        input.shape().w(),
-    );
-    let (oc, kh, kw) = (
-        filters.shape().dim(0),
-        filters.shape().dim(2),
-        filters.shape().dim(3),
-    );
-    let (oh, ow) = (out_shape.h(), out_shape.w());
-
-    let mut out = vec![0.0f32; out_shape.numel()];
-    for b in 0..n {
-        for o in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ci in 0..ic {
-                        for ky in 0..kh {
-                            let iy = (oy * params.stride + ky) as isize - params.pad as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..kw {
-                                let ix = (ox * params.stride + kx) as isize - params.pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let xi = ((b * ic + ci) * h + iy as usize) * w + ix as usize;
-                                let fi = ((o * ic + ci) * kh + ky) * kw + kx;
-                                acc += x[xi] * f[fi];
-                            }
-                        }
-                    }
-                    if let Some(bias) = bias {
-                        acc += bias[o];
-                    }
-                    if params.relu && acc < 0.0 {
-                        acc = 0.0;
-                    }
-                    out[((b * oc + o) * oh + oy) * ow + ox] = acc;
-                }
-            }
-        }
-    }
-    Tensor::from_f32(out_shape, out)
-}
-
-/// Depthwise 2-D convolution: `input` NCHW × `filters` `[c,1,kh,kw]` →
-/// NCHW with the same channel count (MobileNet v1's dw layers).
-///
-/// For channel-wise distribution the executor slices *both* the input
-/// channels and the filters, since each output channel depends only on
-/// its own input channel.
-pub fn depthwise_conv2d(
-    input: &Tensor,
-    filters: &Tensor,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    out_params: Option<QuantParams>,
-) -> Result<Tensor, TensorError> {
-    if filters.dtype() != input.dtype() {
-        return Err(TensorError::DTypeMismatch {
-            expected: input.dtype(),
-            found: filters.dtype(),
-        });
-    }
-    let fs = filters.shape();
-    if fs.rank() != 4 || fs.dim(1) != 1 || fs.dim(0) != input.shape().c() {
-        return Err(TensorError::BadConcat(format!(
-            "depthwise filters must be [c,1,kh,kw] with c = input channels; got {fs} for input {}",
-            input.shape()
-        )));
-    }
-    let c = input.shape().c();
-    if let Some(bias) = bias {
-        if bias.len() != c {
-            return Err(TensorError::LengthMismatch {
-                shape: Shape::new(vec![c]),
-                len: bias.len(),
-            });
-        }
-    }
-
-    // Threads that opted in take the one-pass direct kernel; it is
-    // bit-identical to the per-channel im2col path below.
-    if crate::dispatch::direct_conv_enabled() {
-        return crate::depthwise::depthwise_conv2d_direct(input, filters, bias, params, out_params);
-    }
-
-    // Implemented by running a 1-input-channel standard convolution per
-    // channel and concatenating: correctness-first, and it reuses the
-    // already-tested conv2d path for every dtype.
-    let mut parts: Vec<Tensor> = Vec::with_capacity(c);
-    for ci in 0..c {
-        let xin = input.slice_axis(1, ci, ci + 1)?;
-        let fil = filters.slice_axis(0, ci, ci + 1)?;
-        let b = bias.map(|b| &b[ci..ci + 1]);
-        parts.push(conv2d(&xin, &fil, b, params, out_params)?);
-    }
-    let refs: Vec<&Tensor> = parts.iter().collect();
-    Tensor::concat_axis(1, &refs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::depthwise_conv2d;
+    use crate::oracle::conv::conv2d_im2col;
 
     fn tensor_from(shape: Shape, f: impl Fn(usize) -> f32) -> Tensor {
         let n = shape.numel();
@@ -424,11 +261,11 @@ mod tests {
                 pad,
                 relu: false,
             };
+            // The blocked GEMM keeps the naive GEMM's accumulation chains.
             let fast = conv2d(&input, &filters, Some(&bias), &p, None).unwrap();
-            let slow = conv2d_naive_f32(&input, &filters, Some(&bias), &p).unwrap();
-            assert_eq!(fast.shape(), slow.shape());
+            let slow = conv2d_im2col(&input, &filters, Some(&bias), &p, None);
             assert!(
-                fast.max_abs_diff(&slow) < 1e-4,
+                fast.bit_equal(&slow),
                 "mismatch for ic={ic} oc={oc} k={kh} s={stride} p={pad}"
             );
         }
@@ -444,8 +281,8 @@ mod tests {
             relu: true,
         };
         let fast = conv2d(&input, &filters, None, &p, None).unwrap();
-        let slow = conv2d_naive_f32(&input, &filters, None, &p).unwrap();
-        assert!(fast.max_abs_diff(&slow) < 1e-4);
+        let slow = conv2d_im2col(&input, &filters, None, &p, None);
+        assert!(fast.bit_equal(&slow));
         assert!(fast.as_f32().unwrap().iter().all(|&v| v >= 0.0));
     }
 
@@ -612,9 +449,9 @@ mod tests {
         for ci in 0..c {
             let xin = input.slice_axis(1, ci, ci + 1).unwrap();
             let fil = filters.slice_axis(0, ci, ci + 1).unwrap();
-            let want = conv2d_naive_f32(&xin, &fil, Some(&bias[ci..ci + 1]), &p).unwrap();
+            let want = conv2d_im2col(&xin, &fil, Some(&bias[ci..ci + 1]), &p, None);
             let got = out.slice_axis(1, ci, ci + 1).unwrap();
-            assert!(got.max_abs_diff(&want) < 1e-5);
+            assert!(got.bit_equal(&want), "channel {ci}");
         }
     }
 

@@ -1,21 +1,20 @@
 //! Direct (im2col-free) depthwise convolution.
 //!
-//! The generic [`crate::depthwise_conv2d`] runs a 1-input-channel
-//! standard convolution per channel: one arena round-trip, one im2col,
-//! one GEMM, and one output tensor *per channel*, plus a final concat.
-//! Correct, but catastrophically slow for MobileNet's dw layers, whose
-//! per-channel GEMM is a degenerate `1 × (kh·kw) × (oh·ow)`.
+//! Lowered like a standard convolution, a depthwise layer is one
+//! single-channel convolution per channel: one im2col, one degenerate
+//! `1 × (kh·kw) × (oh·ow)` GEMM and one output tensor *per channel*,
+//! plus a final concat — catastrophically slow for MobileNet's dw layers.
 //!
 //! This module computes the whole depthwise output in one pass over the
 //! input, with zero intermediate allocation. The float planes accumulate
 //! each output pixel's `kh·kw` taps in exactly the order — and with
-//! exactly the zero-weight short-circuits — of the corresponding naive
-//! GEMM over im2col patches:
+//! exactly the zero-weight short-circuits — of the naive GEMM over the
+//! im2col patches of that channel:
 //!
 //! - **f32**: taps in `(ky, kx)` row-major order, skipping zero weights;
 //!   padded taps contribute `w * 0.0`, like a zero patch entry.
 //! - **F16**: one [`F16::mul_add`] per tap, no skips, padded taps use
-//!   [`F16::ZERO`] — the same MAC sequence as [`crate::gemm::gemm_f16_into`].
+//!   [`F16::ZERO`] — the same MAC sequence as the F16 GEMM.
 //!
 //! (Skipping a padded tap there could flip a `-0.0`, so the float planes
 //! keep the per-pixel form.)
@@ -29,10 +28,9 @@
 //!   zero point, so padded taps contribute exactly zero, and `i32` sums
 //!   are order-free: the result is the per-pixel sum, bit for bit.
 //!
-//! The result is **bit-identical** to the im2col path for every dtype
-//! (for floats: identical to the naive-GEMM dispatch; the blocked
-//! dispatch is itself bit-identical to naive at depthwise sizes, where
-//! `kh·kw ≤ KC` always holds). The equivalence harness enforces this.
+//! The result is **bit-identical** to the per-channel im2col + GEMM
+//! lowering for every dtype; the equivalence harness holds it to that
+//! lowering over the naive GEMMs (`tests/common/conv.rs`).
 
 use utensor::quant::requantize_into;
 use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, TensorError, F16};
@@ -222,9 +220,15 @@ fn dw_plane_quint8(
     requantize_into(out, live, qbias, q.multiplier, q.out_zp, q.relu);
 }
 
-/// Direct depthwise 2-D convolution: same contract as
-/// [`crate::depthwise_conv2d`], computed in one im2col-free pass.
-pub fn depthwise_conv2d_direct(
+/// Depthwise 2-D convolution: `input` NCHW × `filters` `[c,1,kh,kw]` →
+/// NCHW with the same channel count (MobileNet v1's dw layers), computed
+/// in one im2col-free pass. Dtype and quantization rules match
+/// [`crate::conv2d`].
+///
+/// For channel-wise distribution the executor slices *both* the input
+/// channels and the filters, since each output channel depends only on
+/// its own input channel.
+pub fn depthwise_conv2d(
     input: &Tensor,
     filters: &Tensor,
     bias: Option<&[f32]>,
@@ -345,6 +349,7 @@ pub fn depthwise_conv2d_direct(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::conv::depthwise_im2col;
 
     fn tensor_from(shape: Shape, f: impl Fn(usize) -> f32) -> Tensor {
         let n = shape.numel();
@@ -371,8 +376,8 @@ mod tests {
                 pad,
                 relu: true,
             };
-            let want = crate::depthwise_conv2d(&input, &filters, Some(&bias), &p, None).unwrap();
-            let got = depthwise_conv2d_direct(&input, &filters, Some(&bias), &p, None).unwrap();
+            let want = depthwise_im2col(&input, &filters, Some(&bias), &p, None);
+            let got = depthwise_conv2d(&input, &filters, Some(&bias), &p, None).unwrap();
             assert!(got.bit_equal(&want), "c={c} k={kk} s={stride} p={pad}");
         }
     }
@@ -399,8 +404,8 @@ mod tests {
             pad: 1,
             relu: true,
         };
-        let want = crate::depthwise_conv2d(&input, &filters, Some(&bias), &p, Some(out_p)).unwrap();
-        let got = depthwise_conv2d_direct(&input, &filters, Some(&bias), &p, Some(out_p)).unwrap();
+        let want = depthwise_im2col(&input, &filters, Some(&bias), &p, Some(out_p));
+        let got = depthwise_conv2d(&input, &filters, Some(&bias), &p, Some(out_p)).unwrap();
         assert!(got.bit_equal(&want));
     }
 
@@ -418,8 +423,8 @@ mod tests {
             pad: 1,
             relu: false,
         };
-        let want = crate::depthwise_conv2d(&input, &filters, None, &p, None).unwrap();
-        let got = depthwise_conv2d_direct(&input, &filters, None, &p, None).unwrap();
+        let want = depthwise_im2col(&input, &filters, None, &p, None);
+        let got = depthwise_conv2d(&input, &filters, None, &p, None).unwrap();
         assert!(got.bit_equal(&want));
     }
 
@@ -428,19 +433,18 @@ mod tests {
         let input = tensor_from(Shape::nchw(1, 4, 6, 6), pseudo);
         let not_depthwise = tensor_from(Shape::new(vec![4, 2, 3, 3]), pseudo);
         let p = Conv2dParams::unit();
-        assert!(depthwise_conv2d_direct(&input, &not_depthwise, None, &p, None).is_err());
+        assert!(depthwise_conv2d(&input, &not_depthwise, None, &p, None).is_err());
         let wrong_c = tensor_from(Shape::new(vec![3, 1, 3, 3]), pseudo);
-        assert!(depthwise_conv2d_direct(&input, &wrong_c, None, &p, None).is_err());
+        assert!(depthwise_conv2d(&input, &wrong_c, None, &p, None).is_err());
         let filters = tensor_from(Shape::new(vec![4, 1, 3, 3]), pseudo);
-        assert!(depthwise_conv2d_direct(&input, &filters, Some(&[0.0; 2]), &p, None).is_err());
+        assert!(depthwise_conv2d(&input, &filters, Some(&[0.0; 2]), &p, None).is_err());
         // QUInt8 without out_params.
         let q_in = input.cast(DType::QUInt8, None).unwrap();
         let q_fil = filters.cast(DType::QUInt8, None).unwrap();
-        assert!(depthwise_conv2d_direct(&q_in, &q_fil, None, &p, None).is_err());
+        assert!(depthwise_conv2d(&q_in, &q_fil, None, &p, None).is_err());
         // Float with out_params.
         assert!(
-            depthwise_conv2d_direct(&input, &filters, None, &p, Some(QuantParams::default()))
-                .is_err()
+            depthwise_conv2d(&input, &filters, None, &p, Some(QuantParams::default())).is_err()
         );
     }
 }

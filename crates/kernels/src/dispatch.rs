@@ -1,19 +1,16 @@
 //! Per-thread kernel-path dispatch.
 //!
-//! Like [`crate::blocked::set_blocked_kernels`], every knob here is
-//! **thread-local**: the `uexec` worker pools configure each worker once
-//! at spawn, and nothing a pool selects can change the numerics of any
-//! other thread (in particular the golden-vector / simulation paths,
-//! which always run naive scalar kernels).
+//! Every layer has one route through the library: blocked GEMMs for
+//! convolutions and FC layers, the direct kernels for depthwise and 1×1
+//! convolutions. The one choice left is which register tiles those
+//! kernels run ([`set_kernel_path`]): the portable scalar tiles, or the
+//! SIMD tiles of the host's widest tier ([`crate::simd`]). Both are
+//! bit-identical, so the choice changes speed, never results.
 //!
-//! Three layers stack:
-//!
-//! 1. [`set_blocked_kernels`](crate::blocked::set_blocked_kernels) —
-//!    naive loops vs blocked packed GEMM (PR 5);
-//! 2. [`set_kernel_path`] — within the blocked GEMM, scalar register
-//!    tiles vs the SIMD tiles of the host's widest tier ([`crate::simd`]);
-//! 3. [`set_direct_conv`] — im2col+GEMM convolution vs the direct
-//!    depthwise/pointwise kernels.
+//! The choice is **thread-local**, defaulted from `UKERNELS_KERNEL_PATH`:
+//! the `uexec` worker pools configure each worker once at spawn, and
+//! `ci.sh` forces every thread of a test run onto the scalar tiles in
+//! its first kernel-path pass.
 //!
 //! The resolved path ([`active_kernel_path`]) never yields
 //! [`KernelPath::Simd`] on a host without the required CPU features:
@@ -107,7 +104,6 @@ impl PathChoice {
 
 thread_local! {
     static PATH: Cell<PathChoice> = Cell::new(PathChoice::from_env());
-    static DIRECT_CONV: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Sets this thread's kernel-path choice; returns the previous one.
@@ -133,18 +129,6 @@ pub(crate) fn active_tier() -> SimdTier {
         KernelPath::Simd => simd::simd_tier(),
         KernelPath::Scalar => SimdTier::None,
     }
-}
-
-/// Routes this thread's depthwise and 1×1 convolutions through the
-/// direct (im2col-free) kernels. Returns the previous setting.
-pub fn set_direct_conv(on: bool) -> bool {
-    DIRECT_CONV.with(|c| c.replace(on))
-}
-
-/// Whether this thread routes eligible convolutions through the direct
-/// kernels (default `false`: the im2col+GEMM deployment path).
-pub fn direct_conv_enabled() -> bool {
-    DIRECT_CONV.with(|c| c.get())
 }
 
 /// Every fast path registered on this host, as `op/dtype/impl` keys.
@@ -225,16 +209,13 @@ mod tests {
     #[test]
     fn flags_are_thread_local() {
         let prev_path = set_kernel_path(PathChoice::Scalar);
-        let prev_direct = set_direct_conv(true);
         std::thread::spawn(|| {
-            assert!(!direct_conv_enabled());
             // Fresh threads re-read the environment default.
             assert_eq!(kernel_path_choice(), PathChoice::from_env());
         })
         .join()
         .unwrap();
-        assert!(direct_conv_enabled());
-        set_direct_conv(prev_direct);
+        assert_eq!(kernel_path_choice(), PathChoice::Scalar);
         set_kernel_path(prev_path);
     }
 

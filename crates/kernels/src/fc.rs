@@ -10,7 +10,7 @@
 
 use utensor::{DType, QuantParams, Shape, Tensor, TensorError};
 
-use crate::gemm::{gemm_f16_into, gemm_f32_into, gemm_quint8_into};
+use crate::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked};
 
 /// Fully-connected layer: `input` (any shape with `n` as dim 0) ×
 /// `weights [out_features, in_features]` → `[n, out_features, 1, 1]`.
@@ -59,8 +59,8 @@ pub fn fully_connected(
     }
     let out_shape = Shape::nchw(n, out_f, 1, 1);
 
-    // GEMM scratch (the blocked path's pack buffers, the quantized
-    // accumulator) comes from the per-thread arena.
+    // GEMM scratch (pack buffers, the quantized accumulator) comes from
+    // the per-thread arena.
     let mut arena = crate::arena::ThreadArenaGuard::take();
     match input.dtype() {
         DType::F32 => {
@@ -75,13 +75,7 @@ pub fn fully_connected(
             for b in 0..n {
                 let c = &mut out[b * out_f..(b + 1) * out_f];
                 let xb = &x[b * in_f..(b + 1) * in_f];
-                if crate::blocked::blocked_kernels_enabled() {
-                    crate::blocked::gemm_f32_blocked(
-                        c, out_f, in_f, 1, w, xb, bias, relu, &mut arena,
-                    );
-                } else {
-                    gemm_f32_into(c, out_f, in_f, 1, w, xb, bias, relu);
-                }
+                gemm_f32_blocked(c, out_f, in_f, 1, w, xb, bias, relu, &mut arena);
             }
             Tensor::from_f32(out_shape, out)
         }
@@ -97,13 +91,7 @@ pub fn fully_connected(
             for b in 0..n {
                 let c = &mut out[b * out_f..(b + 1) * out_f];
                 let xb = &x[b * in_f..(b + 1) * in_f];
-                if crate::blocked::blocked_kernels_enabled() {
-                    crate::blocked::gemm_f16_blocked(
-                        c, out_f, in_f, 1, w, xb, bias, relu, &mut arena,
-                    );
-                } else {
-                    gemm_f16_into(c, out_f, in_f, 1, w, xb, bias, relu);
-                }
+                gemm_f16_blocked(c, out_f, in_f, 1, w, xb, bias, relu, &mut arena);
             }
             Tensor::new(out_shape, utensor::TensorData::F16(out))
         }
@@ -118,26 +106,9 @@ pub fn fully_connected(
             for b in 0..n {
                 let c = &mut out[b * out_f..(b + 1) * out_f];
                 let xb = &x[b * in_f..(b + 1) * in_f];
-                let r = if crate::blocked::blocked_kernels_enabled() {
-                    crate::blocked::gemm_quint8_blocked(
-                        c, out_f, in_f, 1, w, w_p, xb, x_p, bias, out_params, relu, &mut arena,
-                    )
-                } else {
-                    gemm_quint8_into(
-                        c,
-                        out_f,
-                        in_f,
-                        1,
-                        w,
-                        w_p,
-                        xb,
-                        x_p,
-                        bias,
-                        out_params,
-                        relu,
-                        &mut arena.acc_i32,
-                    )
-                };
+                let r = gemm_quint8_blocked(
+                    c, out_f, in_f, 1, w, w_p, xb, x_p, bias, out_params, relu, &mut arena,
+                );
                 if let Err(e) = r {
                     res = Err(e);
                     break;

@@ -1,274 +1,13 @@
-//! General matrix multiplication in the three μLayer data types.
+//! Unit tests of the naive GEMM loops in `tests/common/gemm.rs`.
 //!
-//! Convolutional and fully-connected layers lower to GEMM (§6: the paper
-//! uses ACL's GEMM for floats and gemmlowp for QUInt8). All GEMMs compute
-//! `C = A × B (+ bias, + ReLU)` where `A` is `m×k` (filters), `B` is `k×n`
-//! (im2col patches), `C` is `m×n` (output channels × spatial positions),
-//! and the optional bias has one entry per row of `C`.
-//!
-//! The QUInt8 GEMM follows gemmlowp exactly: subtract zero points, multiply
-//! into an `i32` accumulator, add an `i32` bias (the f32 bias pre-scaled by
-//! `1 / (scale_a * scale_b)`), then requantize with a fixed-point
-//! multiplier `M = scale_a * scale_b / scale_out` and the output zero
-//! point. This is the requantization step of §4.1.
-
-use utensor::quant::requantize;
-use utensor::{FixedPointMultiplier, QuantParams, TensorError, F16};
-
-/// `C[m×n] = A[m×k] × B[k×n] (+ bias[m]) (then ReLU)`, in f32.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the dimensions (programmer
-/// error, not data error).
-pub fn gemm_f32(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: Option<&[f32]>,
-    relu: bool,
-) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    gemm_f32_into(&mut c, m, k, n, a, b, bias, relu);
-    c
-}
-
-/// [`gemm_f32`] writing into a caller-provided `m*n` buffer (overwritten,
-/// not accumulated into).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_f32_into(
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: Option<&[f32]>,
-    relu: bool,
-) {
-    assert_eq!(a.len(), m * k, "gemm_f32: A length");
-    assert_eq!(b.len(), k * n, "gemm_f32: B length");
-    assert_eq!(c.len(), m * n, "gemm_f32: C length");
-    if let Some(bias) = bias {
-        assert_eq!(bias.len(), m, "gemm_f32: bias length");
-    }
-    c.iter_mut().for_each(|v| *v = 0.0);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (p, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += av * bv;
-            }
-        }
-        if let Some(bias) = bias {
-            for cv in c_row.iter_mut() {
-                *cv += bias[i];
-            }
-        }
-        if relu {
-            for cv in c_row.iter_mut() {
-                if *cv < 0.0 {
-                    *cv = 0.0;
-                }
-            }
-        }
-    }
-}
-
-/// `C = A × B (+ bias) (then ReLU)` with every operation rounded to
-/// binary16, modeling a GPU computing in OpenCL `half`.
-///
-/// The bias is given in f32 and narrowed once before accumulation.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the dimensions.
-pub fn gemm_f16(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[F16],
-    b: &[F16],
-    bias: Option<&[f32]>,
-    relu: bool,
-) -> Vec<F16> {
-    let mut c = vec![F16::ZERO; m * n];
-    gemm_f16_into(&mut c, m, k, n, a, b, bias, relu);
-    c
-}
-
-/// [`gemm_f16`] writing into a caller-provided `m*n` buffer (overwritten,
-/// not accumulated into).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_f16_into(
-    c: &mut [F16],
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[F16],
-    b: &[F16],
-    bias: Option<&[f32]>,
-    relu: bool,
-) {
-    assert_eq!(a.len(), m * k, "gemm_f16: A length");
-    assert_eq!(b.len(), k * n, "gemm_f16: B length");
-    assert_eq!(c.len(), m * n, "gemm_f16: C length");
-    if let Some(bias) = bias {
-        assert_eq!(bias.len(), m, "gemm_f16: bias length");
-    }
-    c.iter_mut().for_each(|v| *v = F16::ZERO);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (p, &av) in a_row.iter().enumerate() {
-            let b_row = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                // One FMA per MAC: product and accumulate round once,
-                // like a hardware half FMA.
-                *cv = av.mul_add(bv, *cv);
-            }
-        }
-        if let Some(bias) = bias {
-            let hb = F16::from_f32(bias[i]);
-            for cv in c_row.iter_mut() {
-                *cv += hb;
-            }
-        }
-        if relu {
-            for cv in c_row.iter_mut() {
-                if *cv < F16::ZERO {
-                    *cv = F16::ZERO;
-                }
-            }
-        }
-    }
-}
-
-/// Quantized `C = A × B` with gemmlowp semantics.
-///
-/// `a` is quantized with `a_params`, `b` with `b_params`; the f32 `bias`
-/// is scaled into the `i32` accumulator domain; the result is requantized
-/// to `out_params`. With `relu`, outputs clamp at the output zero point
-/// (quantized ReLU).
-///
-/// Returns an error if the requantization multiplier cannot be built from
-/// the given scales.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_quint8(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[u8],
-    a_params: QuantParams,
-    b: &[u8],
-    b_params: QuantParams,
-    bias: Option<&[f32]>,
-    out_params: QuantParams,
-    relu: bool,
-) -> Result<Vec<u8>, TensorError> {
-    let mut c = vec![0u8; m * n];
-    // Accumulator row from the per-thread arena: repeated calls (one per
-    // layer per frame on the exec backend) stop allocating once warm.
-    let mut arena = crate::arena::ThreadArenaGuard::take();
-    gemm_quint8_into(
-        &mut c,
-        m,
-        k,
-        n,
-        a,
-        a_params,
-        b,
-        b_params,
-        bias,
-        out_params,
-        relu,
-        &mut arena.acc_i32,
-    )?;
-    Ok(c)
-}
-
-/// [`gemm_quint8`] writing into a caller-provided `m*n` buffer, with the
-/// `i32` accumulator row borrowed from the caller (typically a
-/// [`crate::arena::ScratchArena`] slot).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_quint8_into(
-    c: &mut [u8],
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[u8],
-    a_params: QuantParams,
-    b: &[u8],
-    b_params: QuantParams,
-    bias: Option<&[f32]>,
-    out_params: QuantParams,
-    relu: bool,
-    acc: &mut Vec<i32>,
-) -> Result<(), TensorError> {
-    assert_eq!(a.len(), m * k, "gemm_quint8: A length");
-    assert_eq!(b.len(), k * n, "gemm_quint8: B length");
-    assert_eq!(c.len(), m * n, "gemm_quint8: C length");
-    if let Some(bias) = bias {
-        assert_eq!(bias.len(), m, "gemm_quint8: bias length");
-    }
-    let acc_scale = a_params.scale as f64 * b_params.scale as f64;
-    if acc_scale <= 0.0 || !acc_scale.is_finite() {
-        return Err(TensorError::BadQuantParams(format!(
-            "accumulator scale {acc_scale} invalid"
-        )));
-    }
-    let multiplier = FixedPointMultiplier::from_real(acc_scale / out_params.scale as f64)?;
-    let a_zp = a_params.zero_point as i32;
-    let b_zp = b_params.zero_point as i32;
-    let out_zp = out_params.zero_point;
-
-    acc.clear();
-    acc.resize(n, 0);
-    for i in 0..m {
-        acc.iter_mut().for_each(|v| *v = 0);
-        let a_row = &a[i * k..(i + 1) * k];
-        for (p, &av) in a_row.iter().enumerate() {
-            let a_val = av as i32 - a_zp;
-            if a_val == 0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (accv, &bv) in acc.iter_mut().zip(b_row) {
-                *accv += a_val * (bv as i32 - b_zp);
-            }
-        }
-        if let Some(bias) = bias {
-            let qb = (bias[i] as f64 / acc_scale).round() as i32;
-            for accv in acc.iter_mut() {
-                *accv += qb;
-            }
-        }
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (cv, &accv) in c_row.iter_mut().zip(acc.iter()) {
-            let mut q = requantize(accv, &multiplier, out_zp);
-            if relu && q < out_zp {
-                q = out_zp;
-            }
-            *cv = q;
-        }
-    }
-    Ok(())
-}
+//! Those loops are the oracle the blocked kernels ([`crate::blocked`])
+//! are held to bit for bit; here they are held to an f64 reference, to
+//! binary16 rounding and to gemmlowp's zero-point, bias and rail rules.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::oracle::gemm::{gemm_f16, gemm_f32, gemm_quint8};
+    use utensor::{QuantParams, F16};
 
     /// f64 oracle for all GEMM variants.
     fn gemm_ref(

@@ -16,10 +16,14 @@
 //! composed by the executor from these primitives: a QUInt8→F16 cast, the
 //! F16 kernel, and an F16→QUInt8 cast.
 //!
-//! Convolution is implemented as im2col + GEMM (the deployment path) with
-//! an independent naive direct convolution used as the test oracle.
-//! Kernels are correctness-first: the simulated SoC provides timing, so
-//! the host-side speed of these loops never affects reported results.
+//! Every layer has one route on every thread: convolutions and FC layers
+//! run the cache-blocked GEMMs of [`blocked`] (im2col first, except for
+//! 1×1 stride-1 unpadded layers, which feed the input plane straight in),
+//! depthwise layers their direct kernel. The only per-thread choice is
+//! the register tiles ([`dispatch`]: scalar, or the host's SIMD tier),
+//! and those are bit-identical. The test suites hold every kernel to the
+//! naive loops kept as oracles in `tests/common` — bit for bit in all
+//! three dtypes.
 
 pub mod activation;
 pub mod arena;
@@ -29,7 +33,6 @@ pub mod depthwise;
 pub mod dispatch;
 pub mod eltwise;
 pub mod fc;
-pub mod gemm;
 pub mod im2col;
 pub mod norm;
 pub mod pointwise;
@@ -41,15 +44,12 @@ pub use arena::{
     restore_thread_arena, take_thread_arena, thread_arena_capacity_bytes, ScratchArena,
     ThreadArenaGuard,
 };
-pub use blocked::{
-    blocked_kernels_enabled, gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked,
-    set_blocked_kernels,
-};
-pub use conv::{conv2d, conv2d_naive_f32, depthwise_conv2d, Conv2dParams};
-pub use depthwise::depthwise_conv2d_direct;
+pub use blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked};
+pub use conv::{conv2d, Conv2dParams};
+pub use depthwise::depthwise_conv2d;
 pub use dispatch::{
-    active_kernel_path, direct_conv_enabled, kernel_path_choice, registered_fast_paths,
-    set_direct_conv, set_kernel_path, KernelPath, PathChoice,
+    active_kernel_path, kernel_path_choice, registered_fast_paths, set_kernel_path, KernelPath,
+    PathChoice,
 };
 pub use eltwise::{add, add_fused};
 pub use fc::fully_connected;
@@ -57,6 +57,16 @@ pub use norm::{lrn, LrnParams};
 pub use pointwise::{is_pointwise, pointwise_conv2d};
 pub use pool::{global_avg_pool, pool2d, PoolKind, PoolParams};
 pub use simd::{cpu_features, simd_available, simd_tier, SimdTier};
+
+// The unit tests mount the oracles of `tests/common`, which name this
+// crate the way the integration tests do.
+#[cfg(test)]
+extern crate self as ukernels;
+#[cfg(test)]
+mod gemm;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod oracle;
 
 /// Computes the output spatial dimension of a sliding-window op.
 ///

@@ -6,15 +6,15 @@
 //! exactly these layers, so the copy is pure overhead — this module
 //! feeds the input plane to the GEMM directly.
 //!
-//! Because the *same* GEMM kernel (naive or blocked, per the
-//! [`crate::blocked::set_blocked_kernels`] thread flag) runs on the
-//! *same* operand bytes, the result is unconditionally **bit-identical**
-//! to [`crate::conv2d`] in every dtype and on every kernel path.
+//! [`crate::conv2d`] sends every eligible layer here. The blocked GEMM
+//! runs on the same operand bytes the identity im2col would have built,
+//! so the result is unconditionally **bit-identical** to the im2col
+//! lowering in every dtype and on every kernel path.
 
 use utensor::{DType, QuantParams, Shape, Tensor, TensorError, F16};
 
+use crate::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked};
 use crate::conv::{conv_output_shape, Conv2dParams};
-use crate::gemm::{gemm_f16_into, gemm_f32_into, gemm_quint8_into};
 
 /// Whether a convolution is eligible for the direct pointwise path.
 pub fn is_pointwise(filters: &Shape, params: &Conv2dParams) -> bool {
@@ -76,21 +76,7 @@ pub fn pointwise_conv2d(
             for b in 0..n {
                 let xb = &x[b * plane..(b + 1) * plane];
                 let c = &mut out[b * oc * cols..(b + 1) * oc * cols];
-                if crate::blocked::blocked_kernels_enabled() {
-                    crate::blocked::gemm_f32_blocked(
-                        c,
-                        oc,
-                        ic,
-                        cols,
-                        f,
-                        xb,
-                        bias,
-                        params.relu,
-                        &mut arena,
-                    );
-                } else {
-                    gemm_f32_into(c, oc, ic, cols, f, xb, bias, params.relu);
-                }
+                gemm_f32_blocked(c, oc, ic, cols, f, xb, bias, params.relu, &mut arena);
             }
             Tensor::from_f32(out_shape, out)
         }
@@ -106,21 +92,7 @@ pub fn pointwise_conv2d(
             for b in 0..n {
                 let xb = &x[b * plane..(b + 1) * plane];
                 let c = &mut out[b * oc * cols..(b + 1) * oc * cols];
-                if crate::blocked::blocked_kernels_enabled() {
-                    crate::blocked::gemm_f16_blocked(
-                        c,
-                        oc,
-                        ic,
-                        cols,
-                        f,
-                        xb,
-                        bias,
-                        params.relu,
-                        &mut arena,
-                    );
-                } else {
-                    gemm_f16_into(c, oc, ic, cols, f, xb, bias, params.relu);
-                }
+                gemm_f16_blocked(c, oc, ic, cols, f, xb, bias, params.relu, &mut arena);
             }
             Tensor::new(out_shape, utensor::TensorData::F16(out))
         }
@@ -135,37 +107,20 @@ pub fn pointwise_conv2d(
             for b in 0..n {
                 let xb = &x[b * plane..(b + 1) * plane];
                 let c = &mut out[b * oc * cols..(b + 1) * oc * cols];
-                let r = if crate::blocked::blocked_kernels_enabled() {
-                    crate::blocked::gemm_quint8_blocked(
-                        c,
-                        oc,
-                        ic,
-                        cols,
-                        f,
-                        f_p,
-                        xb,
-                        x_p,
-                        bias,
-                        out_params,
-                        params.relu,
-                        &mut arena,
-                    )
-                } else {
-                    gemm_quint8_into(
-                        c,
-                        oc,
-                        ic,
-                        cols,
-                        f,
-                        f_p,
-                        xb,
-                        x_p,
-                        bias,
-                        out_params,
-                        params.relu,
-                        &mut arena.acc_i32,
-                    )
-                };
+                let r = gemm_quint8_blocked(
+                    c,
+                    oc,
+                    ic,
+                    cols,
+                    f,
+                    f_p,
+                    xb,
+                    x_p,
+                    bias,
+                    out_params,
+                    params.relu,
+                    &mut arena,
+                );
                 if let Err(e) = r {
                     res = Err(e);
                     break;
@@ -179,6 +134,8 @@ pub fn pointwise_conv2d(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::conv::conv2d_im2col;
+    use crate::{set_kernel_path, PathChoice};
 
     fn tensor_from(shape: Shape, f: impl Fn(usize) -> f32) -> Tensor {
         let n = shape.numel();
@@ -219,13 +176,13 @@ mod tests {
             relu: true,
         };
         // f32
-        let want = crate::conv2d(&input, &filters, Some(&bias), &p, None).unwrap();
+        let want = conv2d_im2col(&input, &filters, Some(&bias), &p, None);
         let got = pointwise_conv2d(&input, &filters, Some(&bias), &p, None).unwrap();
         assert!(got.bit_equal(&want));
         // F16
         let h_in = input.cast(DType::F16, None).unwrap();
         let h_fil = filters.cast(DType::F16, None).unwrap();
-        let want = crate::conv2d(&h_in, &h_fil, Some(&bias), &p, None).unwrap();
+        let want = conv2d_im2col(&h_in, &h_fil, Some(&bias), &p, None);
         let got = pointwise_conv2d(&h_in, &h_fil, Some(&bias), &p, None).unwrap();
         assert!(got.bit_equal(&want));
         // QUInt8
@@ -233,21 +190,32 @@ mod tests {
         let q_in = input.cast(DType::QUInt8, Some(qp)).unwrap();
         let q_fil = filters.cast(DType::QUInt8, Some(qp)).unwrap();
         let out_p = QuantParams::from_range(-8.0, 8.0).unwrap();
-        let want = crate::conv2d(&q_in, &q_fil, Some(&bias), &p, Some(out_p)).unwrap();
+        let want = conv2d_im2col(&q_in, &q_fil, Some(&bias), &p, Some(out_p));
         let got = pointwise_conv2d(&q_in, &q_fil, Some(&bias), &p, Some(out_p)).unwrap();
         assert!(got.bit_equal(&want));
     }
 
     #[test]
     fn bit_identical_on_blocked_path_too() {
-        let input = tensor_from(Shape::nchw(1, 8, 9, 9), pseudo);
-        let filters = tensor_from(Shape::oihw(6, 8, 1, 1), |i| pseudo(i + 11));
+        // More input channels than one K panel holds, on both kernel
+        // paths: the GEMM carries every sum across panels.
+        let ic = crate::blocked::KC + 9;
+        let input = tensor_from(Shape::nchw(1, ic, 5, 5), pseudo);
+        let filters = tensor_from(Shape::oihw(6, ic, 1, 1), |i| pseudo(i + 11));
         let p = Conv2dParams::unit();
-        let prev = crate::blocked::set_blocked_kernels(true);
-        let want = crate::conv2d(&input, &filters, None, &p, None).unwrap();
-        let got = pointwise_conv2d(&input, &filters, None, &p, None).unwrap();
-        crate::blocked::set_blocked_kernels(prev);
-        assert!(got.bit_equal(&want));
+        for dtype in [DType::F32, DType::F16] {
+            let (x, f) = (
+                input.cast(dtype, None).unwrap(),
+                filters.cast(dtype, None).unwrap(),
+            );
+            let want = conv2d_im2col(&x, &f, None, &p, None);
+            for path in [PathChoice::Scalar, PathChoice::Auto] {
+                let prev = set_kernel_path(path);
+                let got = pointwise_conv2d(&x, &f, None, &p, None).unwrap();
+                set_kernel_path(prev);
+                assert!(got.bit_equal(&want), "{dtype:?} {path:?}");
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! The blocked kernels in [`crate::blocked`] spend essentially all of
 //! their time in one place: the register-tile accumulation over a
 //! `KC`-panel. This module provides vectorized implementations of that
-//! tile loop — plus the few row helpers that would otherwise dominate it
-//! at small `k` (the F16 panel join and bias/ReLU epilogue) and the
-//! direct depthwise row update — so the blocking and epilogue logic (and
-//! therefore the accumulation *order*) stays in one canonical scalar
-//! place. The panel layout a tile reads is part of the tile (its width
+//! tile loop — plus the F16 bias/ReLU row epilogue, which would otherwise
+//! dominate it at small `k`, and the direct depthwise row update — so the
+//! blocking and epilogue logic (and therefore the accumulation *order*)
+//! stays in one canonical scalar place. The panel layout a tile reads is part of the tile (its width
 //! below); the packing code follows it.
 //!
 //! ## Tiers
@@ -20,7 +19,7 @@
 //!   tier's features: `4 × 32` F16 tiles on zmm and `4 × 32` QUInt8
 //!   tiles on `vpdpwssd`.
 //! - **AVX2** — `avx2 + fma + f16c`: `4 × 16` F16 and QUInt8 tiles. Both
-//!   tiers share the AVX2 f32 tile, F16 row helpers and depthwise row
+//!   tiers share the AVX2 f32 tile, F16 row epilogue and depthwise row
 //!   update.
 //! - **None** — every other host, aarch64 included: every caller runs its
 //!   scalar loop.
@@ -208,35 +207,10 @@ pub(crate) fn tile_i16_vnni(acc: &mut [[i32; NR_AVX512]; MR], pa: &[i16], pb: &[
     unsafe { x86::tile_i16_vnni(acc, pa, pb, kc) }
 }
 
-/// `c[i] += t[i]` in binary16 ([`F16`]'s `+`): how a tile's sums join the
-/// F16 GEMM output. With `simd` on an F16C host the bulk runs eight
-/// lanes at a time, bit-identical to the scalar loop that finishes (or,
-/// elsewhere, does) the job.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub(crate) fn f16_add_assign(simd: bool, c: &mut [F16], t: &[F16]) {
-    assert_eq!(c.len(), t.len());
-    let done = if simd && simd_available() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `simd_available()` verified avx2+f16c just above.
-        unsafe {
-            x86::f16_add_assign(c, t)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        0
-    } else {
-        0
-    };
-    for (cv, &tv) in c[done..].iter_mut().zip(&t[done..]) {
-        *cv += tv;
-    }
-}
-
 /// The F16 GEMM row epilogue: add the (already narrowed) bias, then
-/// ReLU. Same SIMD-prefix / scalar-rest split as [`f16_add_assign`].
+/// ReLU. With `simd` on an F16C host the bulk runs eight lanes at a
+/// time, bit-identical to the scalar loop that finishes (or, elsewhere,
+/// does) the job.
 #[inline]
 pub(crate) fn f16_bias_relu(simd: bool, row: &mut [F16], bias: Option<F16>, relu: bool) {
     let done = if simd && simd_available() {
@@ -337,14 +311,22 @@ mod tests {
 
     #[test]
     fn f32_tile_bit_identical_to_scalar() {
-        for kc in KCS {
+        // Tiles continue the running sums of `C`, so each depth starts
+        // from zero and from a seeded accumulator.
+        for (kc, seeded) in KCS.into_iter().flat_map(|kc| [(kc, false), (kc, true)]) {
             let pa: Vec<f32> = (0..kc * MR).map(pseudo).collect();
             let pb: Vec<f32> = (0..kc * NR).map(|i| pseudo(i + 97)).collect();
             let mut want = [[0.0f32; NR]; MR];
+            if seeded {
+                for (i, cell) in want.iter_mut().flatten().enumerate() {
+                    *cell = pseudo(i + 41) * 300.0;
+                }
+            }
+            let mut got = want;
             scalar_f32(&mut want, &pa, &pb, kc);
-            let mut got = [[0.0f32; NR]; MR];
             if tile_f32(&mut got, &pa, &pb, kc) {
-                assert_eq!(got, want, "kc={kc}");
+                let bits = |t: &[[f32; NR]; MR]| t.map(|row| row.map(f32::to_bits));
+                assert_eq!(bits(&got), bits(&want), "kc={kc} seeded={seeded}");
             } else {
                 assert!(!simd_available());
             }
@@ -368,31 +350,44 @@ mod tests {
             .collect()
     }
 
+    /// Accumulator starts for the F16 tiles, which continue the running
+    /// sums of `C`: zero, ordinary values and subnormals, then the
+    /// largest finite values and the infinities.
+    fn f16_starts<const W: usize>() -> [[[F16; W]; MR]; 3] {
+        let edge = [0x0001u16, 0x83ff, 0x7bff, 0xfbff, 0x7c00, 0xfc00];
+        let ordinary = f16_operands(MR * W, 9, false);
+        let (mut seeded, mut rails) = ([[F16::ZERO; W]; MR], [[F16::ZERO; W]; MR]);
+        for (i, cell) in seeded.iter_mut().flatten().enumerate() {
+            *cell = ordinary[i];
+        }
+        for (i, cell) in rails.iter_mut().flatten().enumerate() {
+            *cell = F16::from_bits(edge[i % edge.len()]);
+        }
+        [[[F16::ZERO; W]; MR], seeded, rails]
+    }
+
     /// `tile`, an `MR × W` F16 tile body, against per-MAC `F16::mul_add`
-    /// from a seeded accumulator. NaNs (inf − inf after an overflow)
+    /// from each of [`f16_starts`]. NaNs (inf − inf after an overflow)
     /// compare as NaNs: their payloads may differ.
     fn check_f16_tile<const W: usize>(tile: Tile<F16, f32, F16, W>) {
         for (kc, huge) in KCS.into_iter().flat_map(|kc| [(kc, false), (kc, true)]) {
             let a = f16_operands(kc * MR, 1, huge);
             let pa: Vec<f32> = a.iter().map(|h| h.to_f32()).collect();
             let pb = f16_operands(kc * W, 5, huge);
-            let start = f16_operands(MR * W, 9, false);
-            let mut want = [[F16::ZERO; W]; MR];
-            for (cell, &s) in want.iter_mut().flatten().zip(&start) {
-                *cell = s;
-            }
-            let mut got = want;
-            for p in 0..kc {
-                for (r, row) in want.iter_mut().enumerate() {
-                    for (x, cell) in row.iter_mut().enumerate() {
-                        *cell = a[p * MR + r].mul_add(pb[p * W + x], *cell);
+            for (s, start) in f16_starts::<W>().into_iter().enumerate() {
+                let (mut want, mut got) = (start, start);
+                for p in 0..kc {
+                    for (r, row) in want.iter_mut().enumerate() {
+                        for (x, cell) in row.iter_mut().enumerate() {
+                            *cell = a[p * MR + r].mul_add(pb[p * W + x], *cell);
+                        }
                     }
                 }
-            }
-            tile(&mut got, &pa, &pb, kc);
-            for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
-                let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
-                assert!(same, "W={W} kc={kc} huge={huge}: {g:?} vs {w:?}");
+                tile(&mut got, &pa, &pb, kc);
+                for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
+                    let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+                    assert!(same, "W={W} kc={kc} huge={huge} start={s}: {g:?} vs {w:?}");
+                }
             }
         }
     }
@@ -415,7 +410,16 @@ mod tests {
     /// overflow bound is stated for, then with every operand at a rail
     /// over a whole `KC` panel: the largest sums a panel can hold.
     fn check_i16_tile<const W: usize>(tile: Tile<i32, i16, i16, W>) {
-        for kc in KCS {
+        // A seeded start stands for the sums of earlier panels, which a
+        // tile continues: up to ±2²⁸, as deep layers carry them.
+        let mut seeded = [[0i32; W]; MR];
+        for (i, cell) in seeded.iter_mut().flatten().enumerate() {
+            *cell = ((i * 2654435761) % (1 << 29)) as i32 - (1 << 28);
+        }
+        for (kc, start) in KCS
+            .into_iter()
+            .flat_map(|kc| [(kc, [[0i32; W]; MR]), (kc, seeded)])
+        {
             let a: Vec<i16> = (0..kc * MR)
                 .map(|i| ((i * 48271) % 511) as i16 - 255)
                 .collect();
@@ -424,7 +428,7 @@ mod tests {
                 .collect();
             let kc_pad = kc.next_multiple_of(KSTEP_I16);
             let (mut pa, mut pb) = (vec![0i16; kc_pad * MR], vec![0i16; kc_pad * W]);
-            let mut want = [[0i32; W]; MR];
+            let (mut want, mut got) = (start, start);
             for k in 0..kc {
                 let (g, s) = (k / KSTEP_I16, k % KSTEP_I16);
                 for r in 0..MR {
@@ -439,9 +443,8 @@ mod tests {
                     }
                 }
             }
-            let mut got = [[0i32; W]; MR];
             tile(&mut got, &pa, &pb, kc_pad);
-            assert_eq!(got, want, "W={W} kc={kc}");
+            assert_eq!(got, want, "W={W} kc={kc} start={}", start[0][0]);
         }
         let kc = crate::blocked::KC;
         for (av, bv) in [(255i16, 255i16), (-255, 255), (-255, -255)] {
@@ -468,7 +471,7 @@ mod tests {
         }
     }
 
-    /// Binary16 values that stress the row helpers: both zeros, the
+    /// Binary16 values that stress the row epilogue: both zeros, the
     /// subnormal range, the largest finite value, infinities, ties.
     fn f16_specials(n: usize, seed: usize) -> Vec<F16> {
         let edge = [
@@ -490,12 +493,7 @@ mod tests {
     fn f16_row_helpers_bit_identical_to_scalar() {
         for n in [0usize, 1, 7, 8, 9, 16, 37] {
             let c0 = f16_specials(n, 1);
-            let t = f16_specials(n, 5);
-            let (mut want, mut got) = (c0.clone(), c0.clone());
-            f16_add_assign(false, &mut want, &t);
-            f16_add_assign(true, &mut got, &t);
             let bits = |v: &[F16]| v.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "add n={n}");
             for bias in [
                 None,
                 Some(F16::from_f32(0.37)),

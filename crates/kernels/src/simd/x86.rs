@@ -247,30 +247,6 @@ pub(super) unsafe fn tile_i16_vnni(
     }
 }
 
-/// `c[i] += t[i]` with [`F16`]'s `+` (widen both, one f32 add, round to
-/// nearest even back to binary16) over the longest prefix that is a
-/// multiple of eight lanes; returns that prefix's length.
-///
-/// # Safety
-/// Requires AVX2+F16C.
-#[target_feature(enable = "avx2", enable = "f16c")]
-pub(super) unsafe fn f16_add_assign(c: &mut [F16], t: &[F16]) -> usize {
-    let blocks = c.len().min(t.len()) / 8;
-    for i in 0..blocks {
-        debug_assert!(i * 8 + 8 <= c.len() && i * 8 + 8 <= t.len());
-        // SAFETY: `i * 8 + 8 <= blocks * 8 <= min(c.len(), t.len())`, so
-        // each 16-byte access stays inside its slice (F16 is
-        // #[repr(transparent)] over u16).
-        let pc = c.as_mut_ptr().add(i * 8) as *mut __m128i;
-        let sum = _mm256_add_ps(
-            _mm256_cvtph_ps(_mm_loadu_si128(pc)),
-            _mm256_cvtph_ps(_mm_loadu_si128(t.as_ptr().add(i * 8) as *const __m128i)),
-        );
-        _mm_storeu_si128(pc, _mm256_cvtps_ph::<RN>(sum));
-    }
-    blocks * 8
-}
-
 /// The F16 GEMM row epilogue, `v += bias` (rounded to binary16) then
 /// `if v < 0 { v = 0 }`, over the longest prefix that is a multiple of
 /// eight lanes; returns that prefix's length. Like the scalar compare,

@@ -7,14 +7,17 @@
 //!
 //! - an exhaustive shape sweep over the remainder-critical cases — `K`
 //!   not divisible by [`KC`], `M`/`N` not divisible by the `MR = 4` /
-//!   `NR = 8` register tile — against the naive kernels;
+//!   `NR = 8` register tile — against the naive kernels of
+//!   `tests/common`, bit for bit in every dtype;
 //! - golden QUInt8 output vectors captured from the pre-SIMD scalar
 //!   kernels. Integer arithmetic is exact, so these bytes are
 //!   platform-independent and must never change, on any architecture or
 //!   kernel path.
 
+mod common;
+
+use common::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use ukernels::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC, MR, NR};
-use ukernels::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use ukernels::ScratchArena;
 use utensor::{QuantParams, F16};
 
@@ -98,17 +101,12 @@ fn f32_edge_tiles_match_naive() {
                 let want = gemm_f32(m, k, n, &a, &b, None, false);
                 let mut got = vec![0.0f32; m * n];
                 gemm_f32_blocked(&mut got, m, k, n, &a, &b, None, false, &mut arena);
-                if k <= KC {
-                    // One K-panel: identical accumulation order.
-                    assert_eq!(got, want, "f32 edge shape {m}x{k}x{n}");
-                } else {
-                    for (g, w) in got.iter().zip(&want) {
-                        assert!(
-                            (g - w).abs() <= 1e-4 * (1.0 + w.abs()),
-                            "f32 edge shape {m}x{k}x{n}: got {g}, want {w}"
-                        );
-                    }
-                }
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "f32 edge shape {m}x{k}x{n}"
+                );
             }
         }
     }
@@ -134,22 +132,12 @@ fn f16_edge_tiles_match_naive() {
                 let want = gemm_f16(m, k, n, &a, &b, None, false);
                 let mut got = vec![F16::ZERO; m * n];
                 gemm_f16_blocked(&mut got, m, k, n, &a, &b, None, false, &mut arena);
-                if k <= KC {
-                    assert!(
-                        got.iter()
-                            .zip(&want)
-                            .all(|(g, w)| g.to_bits() == w.to_bits()),
-                        "f16 edge shape {m}x{k}x{n}"
-                    );
-                } else {
-                    for (g, w) in got.iter().zip(&want) {
-                        let (g, w) = (g.to_f32(), w.to_f32());
-                        assert!(
-                            (g - w).abs() <= 0.05 * (1.0 + w.abs()),
-                            "f16 edge shape {m}x{k}x{n}: got {g}, want {w}"
-                        );
-                    }
-                }
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "f16 edge shape {m}x{k}x{n}"
+                );
             }
         }
     }

@@ -1,20 +1,23 @@
-//! Property tests: blocked packed GEMM kernels vs the naive references.
+//! Property tests: blocked packed GEMM kernels vs the naive references
+//! of `tests/common`.
 //!
-//! The equivalence contract (ISSUE 5):
-//! - **QUInt8**: bit-identical for every shape (i32 accumulation is
-//!   associative, so blocking cannot change a single bit);
-//! - **f32/F16**: ULP-bounded (identical while `k <= KC`, re-associated
-//!   panel sums beyond);
+//! The equivalence contract: **bit-identical for every shape and dtype**.
+//! Each tile continues `C`'s running sums across `K` panels, so every
+//! element keeps the naive loop's single ascending accumulation chain —
+//! f32 and F16 included, at any depth;
 //!
 //! and the scratch-arena contract: repeated layer executions reuse
 //! capacity instead of growing monotonically.
 
+mod common;
+
+use common::conv::conv2d_im2col;
+use common::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use testkit::{bools, prop_assert, prop_assume, props};
 use ukernels::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
-use ukernels::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use ukernels::{
-    conv2d, depthwise_conv2d, fully_connected, pointwise_conv2d, set_blocked_kernels,
-    set_direct_conv, thread_arena_capacity_bytes, Conv2dParams, ScratchArena,
+    conv2d, depthwise_conv2d, fully_connected, pointwise_conv2d, thread_arena_capacity_bytes,
+    Conv2dParams, ScratchArena,
 };
 use utensor::{DType, QuantParams, Shape, Tensor, F16};
 
@@ -31,17 +34,17 @@ fn pseudo_u8(n: usize, seed: usize) -> Vec<u8> {
 props! {
     #![cases(40)]
 
-    /// f32 blocked GEMM matches the naive loop within a tight relative
-    /// bound across random shapes, including multi-panel `k > KC`.
+    /// f32 blocked GEMM is bit-equal to the naive loop across random
+    /// shapes, one to three `K` panels deep.
     fn f32_blocked_equals_naive(
         m in 1usize..24,
         k_small in 1usize..64,
-        multi_panel in bools(),
+        panels in 0usize..3,
         n in 1usize..24,
         relu in bools(),
         seed in 0usize..1000,
     ) {
-        let k = if multi_panel { KC + k_small } else { k_small };
+        let k = panels * KC + k_small;
         let a = pseudo_f32(m * k, seed);
         let b = pseudo_f32(k * n, seed + 7);
         let bias = pseudo_f32(m, seed + 13);
@@ -49,41 +52,28 @@ props! {
         let mut got = vec![0.0f32; m * n];
         let mut arena = ScratchArena::new();
         gemm_f32_blocked(&mut got, m, k, n, &a, &b, Some(&bias), relu, &mut arena);
-        if !multi_panel {
-            // One panel: identical accumulation order, bit-equal.
-            prop_assert!(got == want);
-        } else {
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert!((g - w).abs() <= 1e-4 * (1.0 + w.abs()));
-            }
-        }
+        prop_assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
     }
 
-    /// F16 blocked GEMM is bit-equal to the naive loop for `k <= KC` and
-    /// tolerance-bounded beyond (binary16 panel sums re-associate).
+    /// F16 blocked GEMM is bit-equal to the naive loop — the same
+    /// per-MAC binary16 rounding — one to three `K` panels deep.
     fn f16_blocked_equals_naive(
         m in 1usize..16,
         k_small in 1usize..48,
-        multi_panel in bools(),
+        panels in 0usize..3,
         n in 1usize..16,
+        relu in bools(),
         seed in 0usize..1000,
     ) {
-        let k = if multi_panel { KC + k_small } else { k_small };
+        let k = panels * KC + k_small;
         let a: Vec<F16> = pseudo_f32(m * k, seed).iter().map(|&v| F16::from_f32(v)).collect();
         let b: Vec<F16> = pseudo_f32(k * n, seed + 3).iter().map(|&v| F16::from_f32(v)).collect();
-        let want = gemm_f16(m, k, n, &a, &b, None, false);
+        let bias = pseudo_f32(m, seed + 13);
+        let want = gemm_f16(m, k, n, &a, &b, Some(&bias), relu);
         let mut got = vec![F16::ZERO; m * n];
         let mut arena = ScratchArena::new();
-        gemm_f16_blocked(&mut got, m, k, n, &a, &b, None, false, &mut arena);
-        if !multi_panel {
-            prop_assert!(got == want);
-        } else {
-            for (g, w) in got.iter().zip(&want) {
-                let (g, w) = (g.to_f32(), w.to_f32());
-                // Values are O(sqrt(k)); binary16 has ~3 decimal digits.
-                prop_assert!((g - w).abs() <= 0.05 * (1.0 + w.abs()));
-            }
-        }
+        gemm_f16_blocked(&mut got, m, k, n, &a, &b, Some(&bias), relu, &mut arena);
+        prop_assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
     }
 
     /// QUInt8 blocked GEMM is bit-identical to gemmlowp-style naive for
@@ -114,9 +104,9 @@ props! {
         prop_assert!(got == want);
     }
 
-    /// The thread-local dispatch flag routes `conv2d` through the blocked
-    /// kernels without changing QUInt8 results by a single bit.
-    fn conv2d_blocked_flag_quint8_bit_identical(
+    /// `conv2d` (im2col or the direct 1×1 path, then the blocked GEMM)
+    /// equals im2col + the naive QUInt8 GEMM bit for bit.
+    fn conv2d_quint8_bit_identical_to_naive(
         ic in 1usize..4,
         oc in 1usize..6,
         hw in 3usize..8,
@@ -133,18 +123,15 @@ props! {
             Shape::oihw(oc, ic, k, k), pseudo_f32(oc * ic * k * k, seed + 5),
         ).unwrap().cast(utensor::DType::QUInt8, Some(qp)).unwrap();
         let p = Conv2dParams { stride: 1, pad: 0, relu: false };
-        let naive = conv2d(&input, &filters, None, &p, Some(out_qp)).unwrap();
-        let prev = set_blocked_kernels(true);
-        let blocked = conv2d(&input, &filters, None, &p, Some(out_qp));
-        set_blocked_kernels(prev);
-        prop_assert!(blocked.unwrap().bit_equal(&naive));
+        let naive = conv2d_im2col(&input, &filters, None, &p, Some(out_qp));
+        let got = conv2d(&input, &filters, None, &p, Some(out_qp)).unwrap();
+        prop_assert!(got.bit_equal(&naive));
     }
 }
 
-/// Satellite: repeated layer executions reuse arena capacity — the
-/// footprint ratchets to a high-water mark and then stays flat. Each run
-/// also takes a QUInt8 depthwise layer, which on the direct path holds
-/// its zero-point-padded plane in the arena.
+/// Repeated layer executions reuse arena capacity — the footprint
+/// ratchets to a high-water mark and then stays flat: patch matrices,
+/// pack buffers and the QUInt8 depthwise layer's zero-point-padded plane.
 #[test]
 fn repeated_conv_does_not_grow_the_arena() {
     let qp = QuantParams::from_range(-1.0, 1.0).unwrap();
@@ -176,17 +163,6 @@ fn repeated_conv_does_not_grow_the_arena() {
             "arena grew on iteration {i}"
         );
     }
-    // Same for the blocked and direct paths: pack buffers and the padded
-    // depthwise plane also reach a fixed point.
-    let prev = (set_blocked_kernels(true), set_direct_conv(true));
-    run(0);
-    let warm_blocked = thread_arena_capacity_bytes();
-    for i in 1..12 {
-        run(i);
-        assert_eq!(thread_arena_capacity_bytes(), warm_blocked);
-    }
-    set_direct_conv(prev.1);
-    set_blocked_kernels(prev.0);
 }
 
 /// A kernel call that fails after taking the thread arena (a QUInt8 call
@@ -202,7 +178,6 @@ fn error_paths_keep_the_warmed_arena() {
     let q = |t: &Tensor| t.cast(DType::QUInt8, Some(qp)).unwrap();
     let p = Conv2dParams::unit();
 
-    set_blocked_kernels(true);
     conv2d(&input, &conv_f, None, &p, None).unwrap();
     conv2d(&q(&input), &q(&conv_f), None, &p, Some(qp)).unwrap();
     let warm = thread_arena_capacity_bytes();

@@ -1,11 +1,25 @@
-//! The windowed pooling loop, kept as the test oracle.
+//! The test oracles: the naive loops the library's kernels replaced,
+//! kept so every differential test takes its `want` from code the fast
+//! paths do not share.
 //!
-//! This is the library's former `pool2d` body: every output visits its
-//! `k × k` window tap by tap, tests each tap against the plane's bounds,
-//! and folds the valid ones in row-major order. `ukernels::pool2d` walks
-//! output rows with the window clipped beforehand (and, for QUInt8,
-//! reduces rows before columns); the pooling property and the
-//! `pool/quint8/rowwise` equivalence cell hold it to this loop bit for bit.
+//! - [`gemm`]: the naive GEMMs, one ascending chain per output element;
+//! - [`conv`]: the seven-deep f32 convolution, im2col + naive GEMM in
+//!   every dtype, and the per-channel depthwise body;
+//! - [`pool2d_windowed`] below: the library's former `pool2d` body. Every
+//!   output visits its `k × k` window tap by tap, tests each tap against
+//!   the plane's bounds, and folds the valid ones in row-major order.
+//!   `ukernels::pool2d` walks output rows with the window clipped
+//!   beforehand (and, for QUInt8, reduces rows before columns); the
+//!   pooling property and the `pool/quint8/rowwise` equivalence cell hold
+//!   it to this loop bit for bit.
+//!
+//! The library's unit tests mount this directory too, so the oracles
+//! name the library as `ukernels`. Each test binary uses a different
+//! subset of them.
+#![allow(dead_code)]
+
+pub mod conv;
+pub mod gemm;
 
 use ukernels::{out_dim, PoolKind, PoolParams};
 use utensor::{DType, QuantParams, Shape, Tensor, TensorData, F16};

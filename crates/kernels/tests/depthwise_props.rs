@@ -14,8 +14,11 @@
 //! `direct_conv_props` and `pool_props`, so the plain and the
 //! AVX2-compiled row update are both held to the reference.
 
+mod common;
+
+use common::conv::depthwise_im2col;
 use testkit::{prop_assert, prop_assume, props, select};
-use ukernels::{depthwise_conv2d, out_dim, set_blocked_kernels, set_direct_conv, Conv2dParams};
+use ukernels::{depthwise_conv2d, out_dim, Conv2dParams};
 use utensor::{QuantParams, Shape, Tensor};
 
 /// One depthwise case: `c` channels of `h × w`, batch 2, a `k × k`
@@ -78,21 +81,12 @@ fn layer(case: &Case, relu: bool) -> (Conv2dParams, QuantParams) {
     (p, QuantParams::from_range(-3.0, 3.0).unwrap())
 }
 
-/// Runs `f` routed through the direct kernels, as a pool worker is.
-fn with_direct<T>(f: impl FnOnce() -> T) -> T {
-    let prev = (set_blocked_kernels(true), set_direct_conv(true));
-    let out = f();
-    set_direct_conv(prev.1);
-    set_blocked_kernels(prev.0);
-    out
-}
-
 /// Plane kernel == im2col reference for one case.
 fn plane_equals_im2col(case: &Case, relu: bool) -> bool {
     let (x, f, bias) = case.inputs();
     let (p, out_p) = layer(case, relu);
-    let want = depthwise_conv2d(&x, &f, Some(&bias), &p, Some(out_p)).unwrap();
-    let got = with_direct(|| depthwise_conv2d(&x, &f, Some(&bias), &p, Some(out_p)).unwrap());
+    let want = depthwise_im2col(&x, &f, Some(&bias), &p, Some(out_p));
+    let got = depthwise_conv2d(&x, &f, Some(&bias), &p, Some(out_p)).unwrap();
     got.bit_equal(&want)
 }
 
@@ -166,19 +160,16 @@ props! {
         prop_assume!(case.fits());
         let (x, f, bias) = case.inputs();
         let (p, out_p) = layer(&case, true);
-        let (whole, parts) = with_direct(|| {
-            let whole = depthwise_conv2d(&x, &f, Some(&bias), &p, Some(out_p)).unwrap();
-            let parts: Vec<Tensor> = [(0, c / 3), (c / 3, c)]
-                .into_iter()
-                .filter(|(lo, hi)| lo < hi)
-                .map(|(lo, hi)| {
-                    let xs = x.slice_axis(1, lo, hi).unwrap();
-                    let fs = f.slice_axis(0, lo, hi).unwrap();
-                    depthwise_conv2d(&xs, &fs, Some(&bias[lo..hi]), &p, Some(out_p)).unwrap()
-                })
-                .collect();
-            (whole, parts)
-        });
+        let whole = depthwise_conv2d(&x, &f, Some(&bias), &p, Some(out_p)).unwrap();
+        let parts: Vec<Tensor> = [(0, c / 3), (c / 3, c)]
+            .into_iter()
+            .filter(|(lo, hi)| lo < hi)
+            .map(|(lo, hi)| {
+                let xs = x.slice_axis(1, lo, hi).unwrap();
+                let fs = f.slice_axis(0, lo, hi).unwrap();
+                depthwise_conv2d(&xs, &fs, Some(&bias[lo..hi]), &p, Some(out_p)).unwrap()
+            })
+            .collect();
         let merged = Tensor::concat_axis(1, &parts.iter().collect::<Vec<_>>()).unwrap();
         prop_assert!(merged.bit_equal(&whole));
     }

@@ -1,5 +1,6 @@
-//! Property tests: direct depthwise/pointwise kernels vs im2col+GEMM on
-//! randomized MobileNet-style shapes (ISSUE 6, satellite 2).
+//! Property tests: direct depthwise/pointwise kernels vs im2col + the
+//! naive GEMM (`tests/common/conv.rs`) on randomized MobileNet-style
+//! shapes.
 //!
 //! MobileNet v1 alternates 3×3 depthwise (stride 1 or 2, pad 1) with 1×1
 //! pointwise convolutions; these properties randomize over exactly that
@@ -11,8 +12,11 @@
 //! whole-layer reference, so per-part execution under a split plan is
 //! covered too.
 
+mod common;
+
+use common::conv::{conv2d_im2col, depthwise_im2col};
 use testkit::{bools, prop_assert, props};
-use ukernels::{conv2d, depthwise_conv2d, set_blocked_kernels, set_direct_conv, Conv2dParams};
+use ukernels::{conv2d, depthwise_conv2d, Conv2dParams};
 use utensor::{DType, QuantParams, Shape, Tensor};
 
 fn pseudo_f32(n: usize, seed: usize) -> Vec<f32> {
@@ -39,17 +43,6 @@ fn cast_pair(input: Tensor, filters: Tensor, dtype: DType) -> (Tensor, Tensor) {
         input.cast(dtype, q).unwrap(),
         filters.cast(dtype, q).unwrap(),
     )
-}
-
-/// Runs `f` with this thread routed through the direct conv kernels
-/// (blocked GEMM on, as in the worker pools), restoring state after.
-fn with_direct<T>(f: impl FnOnce() -> T) -> T {
-    let prev_blocked = set_blocked_kernels(true);
-    let prev_direct = set_direct_conv(true);
-    let out = f();
-    set_direct_conv(prev_direct);
-    set_blocked_kernels(prev_blocked);
-    out
 }
 
 props! {
@@ -79,8 +72,8 @@ props! {
         let p = Conv2dParams { stride: if stride2 { 2 } else { 1 }, pad: 1, relu };
         let out_p = (dtype == DType::QUInt8)
             .then(|| QuantParams::from_range(-5.0, 5.0).unwrap());
-        let want = depthwise_conv2d(&input, &filters, bias, &p, out_p).unwrap();
-        let got = with_direct(|| depthwise_conv2d(&input, &filters, bias, &p, out_p).unwrap());
+        let want = depthwise_im2col(&input, &filters, bias, &p, out_p);
+        let got = depthwise_conv2d(&input, &filters, bias, &p, out_p).unwrap();
         prop_assert!(got.bit_equal(&want));
     }
 
@@ -108,8 +101,8 @@ props! {
         let p = Conv2dParams { stride: 1, pad: 0, relu };
         let out_p = (dtype == DType::QUInt8)
             .then(|| QuantParams::from_range(-8.0, 8.0).unwrap());
-        let want = conv2d(&input, &filters, bias, &p, out_p).unwrap();
-        let got = with_direct(|| conv2d(&input, &filters, bias, &p, out_p).unwrap());
+        let want = conv2d_im2col(&input, &filters, bias, &p, out_p);
+        let got = conv2d(&input, &filters, bias, &p, out_p).unwrap();
         prop_assert!(got.bit_equal(&want));
     }
 
@@ -137,20 +130,19 @@ props! {
         let p = Conv2dParams { stride: if stride2 { 2 } else { 1 }, pad: 1, relu: false };
         let out_p = (dtype == DType::QUInt8)
             .then(|| QuantParams::from_range(-5.0, 5.0).unwrap());
-        let want = depthwise_conv2d(&input, &filters, Some(&bias), &p, out_p).unwrap();
+        let want = depthwise_im2col(&input, &filters, Some(&bias), &p, out_p);
 
         let f = frac_pct as f64 / 100.0;
         let cuts = usoc::split_cuts(c, &[f, 1.0 - f]);
-        let parts: Vec<Tensor> = with_direct(|| {
-            cuts.windows(2)
-                .filter(|w| w[0] < w[1])
-                .map(|w| {
-                    let xin = input.slice_axis(1, w[0], w[1]).unwrap();
-                    let fil = filters.slice_axis(0, w[0], w[1]).unwrap();
-                    depthwise_conv2d(&xin, &fil, Some(&bias[w[0]..w[1]]), &p, out_p).unwrap()
-                })
-                .collect()
-        });
+        let parts: Vec<Tensor> = cuts
+            .windows(2)
+            .filter(|w| w[0] < w[1])
+            .map(|w| {
+                let xin = input.slice_axis(1, w[0], w[1]).unwrap();
+                let fil = filters.slice_axis(0, w[0], w[1]).unwrap();
+                depthwise_conv2d(&xin, &fil, Some(&bias[w[0]..w[1]]), &p, out_p).unwrap()
+            })
+            .collect();
         let refs: Vec<&Tensor> = parts.iter().collect();
         let got = Tensor::concat_axis(1, &refs).unwrap();
         prop_assert!(got.bit_equal(&want));
@@ -180,19 +172,18 @@ props! {
         let p = Conv2dParams { stride: 1, pad: 0, relu: true };
         let out_p = (dtype == DType::QUInt8)
             .then(|| QuantParams::from_range(-8.0, 8.0).unwrap());
-        let want = conv2d(&input, &filters, Some(&bias), &p, out_p).unwrap();
+        let want = conv2d_im2col(&input, &filters, Some(&bias), &p, out_p);
 
         let f = frac_pct as f64 / 100.0;
         let cuts = usoc::split_cuts(oc, &[f, 1.0 - f]);
-        let parts: Vec<Tensor> = with_direct(|| {
-            cuts.windows(2)
-                .filter(|w| w[0] < w[1])
-                .map(|w| {
-                    let fil = filters.slice_axis(0, w[0], w[1]).unwrap();
-                    conv2d(&input, &fil, Some(&bias[w[0]..w[1]]), &p, out_p).unwrap()
-                })
-                .collect()
-        });
+        let parts: Vec<Tensor> = cuts
+            .windows(2)
+            .filter(|w| w[0] < w[1])
+            .map(|w| {
+                let fil = filters.slice_axis(0, w[0], w[1]).unwrap();
+                conv2d(&input, &fil, Some(&bias[w[0]..w[1]]), &p, out_p).unwrap()
+            })
+            .collect();
         let refs: Vec<&Tensor> = parts.iter().collect();
         let got = Tensor::concat_axis(1, &refs).unwrap();
         prop_assert!(got.bit_equal(&want));

@@ -1,12 +1,12 @@
-//! Kernel-equivalence differential harness (ISSUE 6, satellite 1).
+//! Kernel-equivalence differential harness.
 //!
 //! Every *registered fast path* — each `op/dtype/impl` key that
 //! [`ukernels::registered_fast_paths`] reports for this host — must have
-//! a differential cell here that pins it to the golden scalar reference
-//! (the naive GEMM loops and the per-channel im2col convolution path).
-//! The completeness test at the bottom fails the suite if a new fast
-//! path registers itself without a cell, so a kernel cannot land
-//! unpinned.
+//! a differential cell here that pins it to an oracle in `tests/common`
+//! (the naive GEMM loops, the per-channel im2col depthwise body, the
+//! im2col + naive GEMM convolution, the windowed pooling loop). The
+//! completeness test at the bottom fails the suite if a new fast path
+//! registers itself without a cell, so a kernel cannot land unpinned.
 //!
 //! The table is three-dimensional: every cell runs under thread counts
 //! {1, 2, 4} (the kernels are dispatched per-thread; concurrent workers
@@ -14,41 +14,43 @@
 //! both the scalar and — when the host has the features — the SIMD
 //! register tiles.
 //!
-//! Equivalence contract:
-//! - **QUInt8**: bit-identical, always (integer accumulation);
-//! - **f32 / F16**: bit-identical while `k <= KC` (identical operation
-//!   order by construction), tolerance-bounded beyond (panel sums
-//!   re-associate);
-//! - conv fast paths (direct depthwise / pointwise): bit-identical to
-//!   the im2col reference for all three dtypes;
-//! - row-wise QUInt8 pooling: bit-identical to the windowed loop
+//! Equivalence contract: **bit-identical, always.**
+//! - GEMMs, all three dtypes, at every depth: a tile continues `C`'s
+//!   running sums across `K` panels, so each element keeps the naive
+//!   loop's single ascending chain (f32 `acc += a * b`, F16 per-MAC
+//!   rounding, QUInt8 `i32`);
+//! - conv fast paths (direct depthwise / pointwise): equal to the im2col
+//!   reference for all three dtypes;
+//! - row-wise QUInt8 pooling: equal to the windowed loop
 //!   (`common::pool2d_windowed`);
 //! - the slice converters of `utensor::convert` (tables from QUInt8, the
-//!   vector quantizers, the F16C widening / narrowing): bit-identical to
-//!   the scalar definitions. No kernel path governs them, so their cells
-//!   run once per thread count.
+//!   vector quantizers, the F16C widening / narrowing): equal to the
+//!   scalar definitions. No kernel path governs them, so their cells run
+//!   once per thread count.
 //!
 //! Seeded shape ladders cover the historical trouble spots: odd
 //! channels, stride 2, padding, 1×1 kernels, single-channel layers, and
-//! `K % KC != 0` remainder panels — and the remainders of the wide SIMD
-//! tiles of both tiers: odd panel depths (the K-pair zero pad), `k = 1`,
-//! `k % KC` of 1 and `KC − 1`, `n % w` of 1 and `w − 1` for `w` 16 and
-//! 32, `m % MR != 0`; depthwise planes narrower than the window, single
-//! rows and single columns. The randomized section at the bottom adds
-//! shrinking on top. The tile bodies a host's tier does not run are
-//! held to the scalar tile by the `simd` unit tests.
+//! `K % KC != 0` remainder panels up to 18 panels deep — and the
+//! remainders of the wide SIMD tiles of both tiers: odd panel depths
+//! (the K-pair zero pad), `k = 1`, `k % KC` of 1 and `KC − 1`, `n % w`
+//! of 1 and `w − 1` for `w` 16 and 32, `m % MR != 0`; depthwise planes
+//! narrower than the window, single rows and single columns. The
+//! randomized section at the bottom adds shrinking on top. The tile
+//! bodies a host's tier does not run are held to the scalar tile by the
+//! `simd` unit tests.
 
 mod common;
 
 use std::thread;
 
+use common::conv::{conv2d_im2col, depthwise_im2col};
+use common::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use testkit::{bools, prop_assert, prop_assume, props};
 use ukernels::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
-use ukernels::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use ukernels::{
-    conv2d, depthwise_conv2d, out_dim, pool2d, registered_fast_paths, set_blocked_kernels,
-    set_direct_conv, set_kernel_path, simd_available, simd_tier, Conv2dParams, PathChoice,
-    PoolKind, PoolParams, ScratchArena, SimdTier,
+    conv2d, depthwise_conv2d, out_dim, pool2d, registered_fast_paths, set_kernel_path,
+    simd_available, simd_tier, Conv2dParams, PathChoice, PoolKind, PoolParams, ScratchArena,
+    SimdTier,
 };
 use utensor::convert;
 use utensor::quant::{requantize, requantize_into};
@@ -90,22 +92,15 @@ fn pseudo_u8(n: usize, seed: usize) -> Vec<u8> {
     (0..n).map(|i| (((i + seed) * 48271) % 256) as u8).collect()
 }
 
-/// Runs `f` on `tc` fresh threads, each configured for (`path`,
-/// `direct`) with the blocked kernels on — exactly how a `uexec` worker
-/// pool configures its workers — and returns every thread's result.
-fn on_threads<T: Send>(
-    tc: usize,
-    path: PathChoice,
-    direct: bool,
-    f: impl Fn() -> T + Sync,
-) -> Vec<T> {
+/// Runs `f` on `tc` fresh threads, each configured for `path` — exactly
+/// how a `uexec` worker pool configures its workers — and returns every
+/// thread's result.
+fn on_threads<T: Send>(tc: usize, path: PathChoice, f: impl Fn() -> T + Sync) -> Vec<T> {
     thread::scope(|s| {
         let handles: Vec<_> = (0..tc)
             .map(|_| {
                 s.spawn(|| {
-                    set_blocked_kernels(true);
                     set_kernel_path(path);
-                    set_direct_conv(direct);
                     f()
                 })
             })
@@ -123,12 +118,12 @@ fn conv_paths() -> Vec<PathChoice> {
     paths
 }
 
-/// GEMM shape ladder: in-panel shapes (bit-equal contract) plus
-/// multi-panel `K % KC != 0` shapes (tolerance contract for floats).
-/// Between them: odd and unit `k`, `k % KC` of 1 and `KC − 1`, `n % 16`
-/// and `n % 32` of 1 and `w − 1`, and `m % MR != 0` — every remainder of
-/// the 4 × 16 and 4 × 32 tiles.
-const GEMM_SHAPES: [(usize, usize, usize); 11] = [
+/// GEMM shape ladder: in-panel shapes plus multi-panel ones, from
+/// `KC + 1` to 18 panels deep (`k = 4608`, a 3 × 3 × 512 layer). Between
+/// them: odd and unit `k`, `k % KC` of 0, 1 and `KC − 1`, `n % 16` and
+/// `n % 32` of 1 and `w − 1`, and `m % MR != 0` — every remainder of the
+/// 4 × 16 and 4 × 32 tiles.
+const GEMM_SHAPES: [(usize, usize, usize); 14] = [
     (1, 1, 1),
     (3, 7, 5),
     (4, 8, 8),
@@ -140,6 +135,9 @@ const GEMM_SHAPES: [(usize, usize, usize); 11] = [
     (7, 2 * KC - 1, 31),
     (5, 3, 63),
     (6, KC - 1, 65),
+    (3, 3 * KC, 7),
+    (5, 1000, 17),
+    (2, 4608, 9),
 ];
 
 fn gemm_cell_f32(path: PathChoice, tc: usize) {
@@ -149,26 +147,17 @@ fn gemm_cell_f32(path: PathChoice, tc: usize) {
         let b = pseudo_f32(k * n, case + 7);
         let bias = pseudo_f32(m, case + 13);
         let want = gemm_f32(m, k, n, &a, &b, Some(&bias), relu);
-        for got in on_threads(tc, path, false, || {
+        for got in on_threads(tc, path, || {
             let mut got = vec![0.0f32; m * n];
             let mut arena = ScratchArena::new();
             gemm_f32_blocked(&mut got, m, k, n, &a, &b, Some(&bias), relu, &mut arena);
             got
         }) {
-            if k <= KC {
-                let same = got
-                    .iter()
-                    .zip(&want)
-                    .all(|(g, w)| g.to_bits() == w.to_bits());
-                assert!(same, "f32 {path:?} tc={tc} m={m} k={k} n={n} not bit-equal");
-            } else {
-                for (g, w) in got.iter().zip(&want) {
-                    assert!(
-                        (g - w).abs() <= 1e-4 * (1.0 + w.abs()),
-                        "f32 {path:?} tc={tc} m={m} k={k} n={n}: {g} vs {w}"
-                    );
-                }
-            }
+            let same = got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "f32 {path:?} tc={tc} m={m} k={k} n={n} not bit-equal");
         }
     }
 }
@@ -186,26 +175,17 @@ fn gemm_cell_f16(path: PathChoice, tc: usize) {
         let relu = case % 2 == 1;
         let bias = pseudo_f32(m, case + 5);
         let want = gemm_f16(m, k, n, &a, &b, Some(&bias), relu);
-        for got in on_threads(tc, path, false, || {
+        for got in on_threads(tc, path, || {
             let mut got = vec![F16::ZERO; m * n];
             let mut arena = ScratchArena::new();
             gemm_f16_blocked(&mut got, m, k, n, &a, &b, Some(&bias), relu, &mut arena);
             got
         }) {
-            if k <= KC {
-                assert!(
-                    got == want,
-                    "f16 {path:?} tc={tc} m={m} k={k} n={n} not bit-equal"
-                );
-            } else {
-                for (g, w) in got.iter().zip(&want) {
-                    let (g, w) = (g.to_f32(), w.to_f32());
-                    assert!(
-                        (g - w).abs() <= 0.05 * (1.0 + w.abs()),
-                        "f16 {path:?} tc={tc} m={m} k={k} n={n}: {g} vs {w}"
-                    );
-                }
-            }
+            let same = got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "f16 {path:?} tc={tc} m={m} k={k} n={n} not bit-equal");
         }
     }
 }
@@ -220,7 +200,7 @@ fn gemm_cell_quint8(path: PathChoice, tc: usize) {
         let out_p = QuantParams::from_range(-60.0, 60.0).unwrap();
         let bias = pseudo_f32(m, case + 17);
         let want = gemm_quint8(m, k, n, &a, a_p, &b, b_p, Some(&bias), out_p, relu).unwrap();
-        for got in on_threads(tc, path, false, || {
+        for got in on_threads(tc, path, || {
             let mut got = vec![0u8; m * n];
             let mut arena = ScratchArena::new();
             gemm_quint8_blocked(
@@ -298,11 +278,9 @@ fn depthwise_cell(dtype: DType, tc: usize) {
         let bias = pseudo_f32(c, case + 9);
         let p = Conv2dParams { stride, pad, relu };
         let out_p = (dtype == DType::QUInt8).then_some(out_qp);
-        // Golden: the per-channel im2col path with naive scalar GEMM
-        // (this thread's defaults: blocked off, direct off).
-        let want = depthwise_conv2d(&input, &filters, Some(&bias), &p, out_p).unwrap();
+        let want = depthwise_im2col(&input, &filters, Some(&bias), &p, out_p);
         for path in conv_paths() {
-            for got in on_threads(tc, path, true, || {
+            for got in on_threads(tc, path, || {
                 depthwise_conv2d(&input, &filters, Some(&bias), &p, out_p).unwrap()
             }) {
                 assert!(
@@ -343,9 +321,9 @@ fn pointwise_cell(dtype: DType, tc: usize) {
             relu,
         };
         let out_p = (dtype == DType::QUInt8).then_some(out_qp);
-        let want = conv2d(&input, &filters, Some(&bias), &p, out_p).unwrap();
+        let want = conv2d_im2col(&input, &filters, Some(&bias), &p, out_p);
         for path in conv_paths() {
-            for got in on_threads(tc, path, true, || {
+            for got in on_threads(tc, path, || {
                 conv2d(&input, &filters, Some(&bias), &p, out_p).unwrap()
             }) {
                 assert!(
@@ -370,7 +348,7 @@ fn requantize_cell(tc: usize) {
         })
         .chain([i32::MIN, i32::MAX, 0, -1, 1])
         .collect();
-    for got_all in on_threads(tc, PathChoice::Auto, false, || {
+    for got_all in on_threads(tc, PathChoice::Auto, || {
         let mut outs = Vec::new();
         for real in [1e-7, 0.003, 0.25, 0.499, 0.73, 0.999_999, 1.0, 2.5] {
             let m = FixedPointMultiplier::from_real(real).unwrap();
@@ -415,7 +393,7 @@ fn pool_cell(tc: usize) {
         (9, 7, 1, 3, 2),
         (12, 17, 4, 3, 1),
     ];
-    for got_all in on_threads(tc, PathChoice::Auto, false, || {
+    for got_all in on_threads(tc, PathChoice::Auto, || {
         let mut outs = Vec::new();
         for (case, &(h, w, k, stride, pad)) in cases.iter().enumerate() {
             let input = common::pool_input(Shape::nchw(2, 3, h, w), DType::QUInt8, case);
@@ -458,7 +436,7 @@ fn convert_params() -> Vec<QuantParams> {
 
 /// Runs `check` (a list of (passed, label) results) on `tc` workers.
 fn convert_cell(tc: usize, check: impl Fn() -> Vec<(bool, String)> + Sync) {
-    for results in on_threads(tc, PathChoice::Auto, false, &check) {
+    for results in on_threads(tc, PathChoice::Auto, &check) {
         for (same, what) in results {
             assert!(same, "convert tc={tc}: {what}");
         }
@@ -654,6 +632,20 @@ fn equivalence_table_all_cells_all_thread_counts() {
     }
 }
 
+/// `UKERNELS_KERNEL_PATH` is how ci.sh forces its first pass onto the
+/// scalar tiles, and `PathChoice::from_env` reads anything it cannot
+/// parse as `auto`: a misspelled pass would quietly run SIMD. ci.sh runs
+/// this target in both kernel-path passes.
+#[test]
+fn kernel_path_env_names_a_valid_choice() {
+    if let Ok(value) = std::env::var("UKERNELS_KERNEL_PATH") {
+        assert!(
+            PathChoice::parse(&value).is_some(),
+            "UKERNELS_KERNEL_PATH={value:?} is not one of auto, scalar, simd"
+        );
+    }
+}
+
 /// The GEMM keys name the tiles of the detected tier — a `gemm/*`
 /// SIMD cell above pins exactly the tile a GEMM on this host runs.
 #[test]
@@ -675,20 +667,22 @@ props! {
 
     /// Randomized (shrinking) differential: the blocked GEMM under a
     /// random kernel path and two concurrent workers stays bit-equal to
-    /// the naive reference for in-panel shapes.
+    /// the naive reference, in one panel and across several.
     fn random_gemm_shapes_agree_across_paths(
         m in 1usize..16,
-        k in 1usize..64,
+        k_small in 1usize..64,
+        panels in 0usize..3,
         n in 1usize..16,
         force_simd in bools(),
         relu in bools(),
         seed in 0usize..1000,
     ) {
+        let k = panels * KC + k_small;
         let path = if force_simd { PathChoice::Simd } else { PathChoice::Scalar };
         let a = pseudo_f32(m * k, seed);
         let b = pseudo_f32(k * n, seed + 7);
         let want = gemm_f32(m, k, n, &a, &b, None, relu);
-        for got in on_threads(2, path, false, || {
+        for got in on_threads(2, path, || {
             let mut got = vec![0.0f32; m * n];
             let mut arena = ScratchArena::new();
             gemm_f32_blocked(&mut got, m, k, n, &a, &b, None, relu, &mut arena);
@@ -717,7 +711,7 @@ props! {
         let b_p = QuantParams::from_range(-2.0, 2.0).unwrap();
         let out_p = QuantParams::from_range(-70.0, 70.0).unwrap();
         let want = gemm_quint8(m, k, n, &a, a_p, &b, b_p, None, out_p, false).unwrap();
-        for got in on_threads(2, path, false, || {
+        for got in on_threads(2, path, || {
             let mut got = vec![0u8; m * n];
             let mut arena = ScratchArena::new();
             gemm_quint8_blocked(&mut got, m, k, n, &a, a_p, &b, b_p, None, out_p, false, &mut arena)

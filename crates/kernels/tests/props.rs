@@ -3,8 +3,11 @@
 //! Runs on the in-repo `testkit` property runner: deterministic in
 //! `TESTKIT_SEED`, case count overridable via `TESTKIT_CASES`.
 
+mod common;
+
+use common::conv::conv2d_naive_f32;
 use testkit::{bools, prop_assert, prop_assume, props};
-use ukernels::{conv2d, conv2d_naive_f32, pool2d, Conv2dParams, PoolKind, PoolParams};
+use ukernels::{conv2d, pool2d, Conv2dParams, PoolKind, PoolParams};
 use utensor::{DType, QuantParams, Shape, Tensor};
 
 fn pseudo_tensor(shape: Shape, seed: usize) -> Tensor {
@@ -36,7 +39,7 @@ props! {
         let bias: Vec<f32> = (0..oc).map(|i| (i as f32 - 1.0) / 4.0).collect();
         let p = Conv2dParams { stride, pad, relu };
         let fast = conv2d(&input, &filters, Some(&bias), &p, None).unwrap();
-        let slow = conv2d_naive_f32(&input, &filters, Some(&bias), &p).unwrap();
+        let slow = conv2d_naive_f32(&input, &filters, Some(&bias), &p);
         prop_assert!(fast.max_abs_diff(&slow) < 1e-4);
     }
 

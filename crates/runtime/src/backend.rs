@@ -9,10 +9,12 @@
 //! Two implementations exist:
 //!
 //! - [`SimulatedBackend`] (here) — runs tasks sequentially on the calling
-//!   thread with the naive reference kernels; it is what
-//!   [`crate::evaluate_plan`] evaluates with.
+//!   thread; it is what [`crate::evaluate_plan`] evaluates with.
 //! - `uexec::ParallelBackend` (crates/exec) — dispatches tasks to real
-//!   worker pools and blocked kernels, recording wall-clock timings.
+//!   worker pools, recording wall-clock timings.
+//!
+//! Both run the same `ukernels` kernels, so their outputs are
+//! bit-identical.
 
 use utensor::{Tensor, TensorError};
 

@@ -254,9 +254,9 @@ fn node_tasks<'a>(
     }
 }
 
-/// Evaluates the plan numerically on the calling thread with the
-/// reference kernels, returning every node's output in the plan's
-/// storage dtype (the final softmax is always f32).
+/// Evaluates the plan numerically on the calling thread, returning
+/// every node's output in the plan's storage dtype (the final softmax is
+/// always f32).
 pub fn evaluate_plan(
     graph: &Graph,
     plan: &ExecutionPlan,
