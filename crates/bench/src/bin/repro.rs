@@ -700,6 +700,10 @@ fn measure_cmd(args: &[String]) {
     {
         println!("WARN: SIMD requested but this host lacks the CPU features; running scalar");
     }
+    let fp16 = ukernels::simd_tier() >= ukernels::SimdTier::Avx512Fp16;
+    if kernel_path.resolve() == ukernels::KernelPath::Simd && !fp16 {
+        println!("WARN: no avx512fp16 on this host; the GPU pool runs the scalar F16::mul_add");
+    }
 
     let g = if miniature {
         model.build_miniature()

@@ -35,18 +35,22 @@ use utensor::F16;
 /// need (`patches` is read while `pack_a`/`pack_b` are written).
 #[derive(Default, Debug)]
 pub struct ScratchArena {
-    /// im2col patch matrix, f32 path.
+    /// im2col patch matrix, f32 path; the direct depthwise's padded
+    /// plane.
     pub patches_f32: Vec<f32>,
-    /// im2col patch matrix, F16 path.
+    /// im2col patch matrix, F16 path; the direct depthwise's padded
+    /// plane.
     pub patches_f16: Vec<F16>,
     /// im2col patch matrix, QUInt8 path; the direct depthwise's
     /// zero-point-padded plane.
     pub patches_u8: Vec<u8>,
-    /// Packed `A` panel (f32 blocked GEMM; also the F16 GEMM's, which
-    /// widens `A` to f32 at pack time).
+    /// Packed `A` panel (f32 blocked GEMM).
     pub pack_a_f32: Vec<f32>,
     /// Packed `B` panel (f32 blocked GEMM).
     pub pack_b_f32: Vec<f32>,
+    /// Packed `A` panel (F16 blocked GEMM): binary16, as the tiles read
+    /// it.
+    pub pack_a_f16: Vec<F16>,
     /// Packed `B` panel (F16 blocked GEMM).
     pub pack_b_f16: Vec<F16>,
     /// Packed zero-point-subtracted `A` panel (QUInt8 blocked GEMM).
@@ -56,6 +60,10 @@ pub struct ScratchArena {
     /// `i32` accumulators (QUInt8 GEMM row / blocked `m × n` sums /
     /// direct depthwise plane).
     pub acc_i32: Vec<i32>,
+    /// Accumulators of the direct f32 depthwise plane.
+    pub acc_f32: Vec<f32>,
+    /// Accumulators of the direct F16 depthwise plane.
+    pub acc_f16: Vec<F16>,
 }
 
 impl ScratchArena {
@@ -73,10 +81,13 @@ impl ScratchArena {
             + self.patches_u8.capacity()
             + self.pack_a_f32.capacity() * 4
             + self.pack_b_f32.capacity() * 4
+            + self.pack_a_f16.capacity() * 2
             + self.pack_b_f16.capacity() * 2
             + self.pack_a_i16.capacity() * 2
             + self.pack_b_i16.capacity() * 2
             + self.acc_i32.capacity() * 4
+            + self.acc_f32.capacity() * 4
+            + self.acc_f16.capacity() * 2
     }
 }
 

@@ -31,9 +31,9 @@
 //! zero-padded — so one `vpmaddwd` / `vpdpwssd` multiplies operand pairs
 //! and pair-sums them into `i32` lanes. Operands are zero-point-
 //! subtracted, so a padded lane is a true zero and the pad is exact. The
-//! SIMD F16 tiles (`4 × 16`, `4 × 32`) use the plain layout. Every F16
-//! tile reads an `A` panel widened to f32 at pack time (exact), which
-//! takes the `F16 → f32` conversion out of the MAC loop. Each GEMM
+//! F16 tiles — scalar, and `4 × 64` on AVX512-FP16 — read the plain
+//! layout with both panels packed as binary16: the pack is a copy, and
+//! the FP16 tile broadcasts each `A` element's 16 bits. Each GEMM
 //! matches on the tier and instantiates the one walk below per geometry.
 //!
 //! ## Determinism and equivalence
@@ -44,8 +44,9 @@
 //! its `K` products in one ascending chain across all panels — exactly
 //! the chain of the naive one-row-at-a-time loop (`tests/common/gemm.rs`)
 //! — and the result is **bit-identical** to it for every shape and
-//! dtype: the same `acc += a * b` sequence for f32, the same per-MAC
-//! binary16 rounding for F16, the same single `i32` accumulation chain
+//! dtype: the same `acc += a * b` sequence for f32, the same chain of
+//! binary16 FMAs, each rounded once, for F16, the same single `i32`
+//! accumulation chain
 //! for QUInt8 (Jacob et al.'s integer-only inference). Blocking,
 //! packing, the tile width, the SIMD tier and how many worker threads
 //! split the output rows cannot perturb a single bit.
@@ -290,8 +291,8 @@ pub fn gemm_f32_blocked(
 }
 
 /// Blocked F16 GEMM writing into a caller-provided `m*n` buffer. Every
-/// MAC rounds to binary16 via a fused multiply-add ([`F16::mul_add`]);
-/// the f32 bias is narrowed once.
+/// MAC is one binary16 fused multiply-add ([`F16::mul_add`], rounded
+/// once); the f32 bias is narrowed once.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_f16_blocked(
     c: &mut [F16],
@@ -315,17 +316,14 @@ pub fn gemm_f16_blocked(
     let dims = (m, k, n);
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => f16_panels(c, dims, a, b, arena, simd::tile_f16_avx512),
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => f16_panels(c, dims, a, b, arena, simd::tile_f16_avx2),
+        SimdTier::Avx512Fp16 => f16_panels(c, dims, a, b, arena, simd::tile_f16_fp16),
         _ => f16_panels::<NR>(c, dims, a, b, arena, |acc, pa, pb, kc| {
             for p in 0..kc {
                 let avals = &pa[p * MR..(p + 1) * MR];
                 let bvals = &pb[p * NR..(p + 1) * NR];
                 for (r, &ar) in avals.iter().enumerate() {
                     for (x, &bv) in bvals.iter().enumerate() {
-                        // `F16::mul_add` with the A operand already wide.
-                        acc[r][x] = F16::from_f32(ar.mul_add(bv.to_f32(), acc[r][x].to_f32()));
+                        acc[r][x] = ar.mul_add(bv, acc[r][x]);
                     }
                 }
             }
@@ -338,26 +336,24 @@ pub fn gemm_f16_blocked(
     }
 }
 
-/// The F16 panel walk for an `MR × NRT` tile: `A` widened to f32 at pack
-/// time (exact, a row segment at a time through
-/// [`utensor::convert::f16_to_f32`], once per panel instead of once per
-/// MAC), `B` kept as binary16.
+/// The F16 panel walk for an `MR × NRT` tile: both panels packed as
+/// binary16, the plain layout.
 fn f16_panels<const NRT: usize>(
     c: &mut [F16],
     dims: (usize, usize, usize),
     a: &[F16],
     b: &[F16],
     arena: &mut ScratchArena,
-    tile: impl Fn(&mut [[F16; NRT]; MR], &[f32], &[F16], usize),
+    tile: impl Fn(&mut [[F16; NRT]; MR], &[F16], &[F16], usize),
 ) {
     for_each_tile::<_, _, _, _, _, NRT, 1>(
         c,
         dims,
         a,
         b,
-        (&mut arena.pack_a_f32, &mut arena.pack_b_f16),
-        (0.0f32, F16::ZERO, F16::ZERO),
-        utensor::convert::f16_to_f32,
+        (&mut arena.pack_a_f16, &mut arena.pack_b_f16),
+        (F16::ZERO, F16::ZERO, F16::ZERO),
+        |dst, row| dst.copy_from_slice(row),
         |v| v,
         tile,
     );
@@ -407,7 +403,7 @@ pub fn gemm_quint8_blocked(
     let dims = (m, k, n);
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => {
+        SimdTier::Avx512 | SimdTier::Avx512Fp16 => {
             quint8_panels::<_, { simd::KSTEP_I16 }>(dims, a, b, zps, arena, simd::tile_i16_vnni)
         }
         #[cfg(target_arch = "x86_64")]

@@ -122,11 +122,7 @@ pub fn conv2d(
     let mut arena = crate::arena::ThreadArenaGuard::take();
     match input.dtype() {
         DType::F32 => {
-            if out_params.is_some() {
-                return Err(TensorError::BadQuantParams(
-                    "out_params given for a float convolution".into(),
-                ));
-            }
+            crate::float_out(out_params, "convolution")?;
             let x = input.as_f32()?;
             let f = filters.as_f32()?;
             let mut out = vec![0.0f32; out_shape.numel()];
@@ -153,11 +149,7 @@ pub fn conv2d(
             Tensor::from_f32(out_shape, out)
         }
         DType::F16 => {
-            if out_params.is_some() {
-                return Err(TensorError::BadQuantParams(
-                    "out_params given for a float convolution".into(),
-                ));
-            }
+            crate::float_out(out_params, "convolution")?;
             let x = input.as_f16()?;
             let f = filters.as_f16()?;
             let mut out: Vec<F16> = vec![F16::ZERO; out_shape.numel()];

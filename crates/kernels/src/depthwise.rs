@@ -6,27 +6,24 @@
 //! plus a final concat — catastrophically slow for MobileNet's dw layers.
 //!
 //! This module computes the whole depthwise output in one pass over the
-//! input, with zero intermediate allocation. The float planes accumulate
-//! each output pixel's `kh·kw` taps in exactly the order — and with
-//! exactly the zero-weight short-circuits — of the naive GEMM over the
-//! im2col patches of that channel:
+//! input, with zero intermediate allocation, a whole *plane* at a time in
+//! every dtype: the plane is copied once into scratch, padded at pitch
+//! `w + 2·pad` with what a padded patch entry holds (`0.0`, `+0`, the
+//! input zero point), and an accumulator per padded-pitch output
+//! position takes one strided pass per tap, reading `stride·i +
+//! ky·pitch + kx`. The live columns are then compacted and run through
+//! the epilogue in one row pass. Each output pixel takes its `kh·kw`
+//! taps in `(ky, kx)` row-major order — the order, and the zero-weight
+//! short-circuits, of the naive GEMM over the im2col patches of that
+//! channel:
 //!
-//! - **f32**: taps in `(ky, kx)` row-major order, skipping zero weights;
-//!   padded taps contribute `w * 0.0`, like a zero patch entry.
-//! - **F16**: one [`F16::mul_add`] per tap, no skips, padded taps use
-//!   [`F16::ZERO`] — the same MAC sequence as the F16 GEMM.
-//!
-//! (Skipping a padded tap there could flip a `-0.0`, so the float planes
-//! keep the per-pixel form.)
-//!
-//! - **QUInt8** works a whole *plane* at a time: the plane is copied
-//!   once into scratch padded with the input zero point at pitch
-//!   `w + 2·pad`, an `i32` accumulator per padded-pitch output position
-//!   takes one `w′·(x − zp)` pass per nonzero tap, reading
-//!   `stride·i + ky·pitch + kx`, and the live columns are compacted and
-//!   requantized in one vector pass. Padded patch entries equal the input
-//!   zero point, so padded taps contribute exactly zero, and `i32` sums
-//!   are order-free: the result is the per-pixel sum, bit for bit.
+//! - **f32**: `acc += w * x`, skipping zero weights; padded taps add
+//!   `w * 0.0`, like a zero patch entry.
+//! - **F16**: one [`F16::mul_add`] per tap, no skips — the same MAC
+//!   sequence as the F16 GEMM; on an AVX512-FP16 host a stride-1 or
+//!   stride-2 pass is `vfmadd231ph`, 32 lanes at a time.
+//! - **QUInt8**: one `w′·(x − zp)` pass per nonzero tap. Padded taps
+//!   contribute exactly zero, and `i32` sums are order-free.
 //!
 //! The result is **bit-identical** to the per-channel im2col + GEMM
 //! lowering for every dtype; the equivalence harness holds it to that
@@ -35,7 +32,6 @@
 use utensor::quant::requantize_into;
 use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, TensorError, F16};
 
-use crate::arena::ScratchArena;
 use crate::conv::Conv2dParams;
 use crate::out_dim;
 
@@ -80,144 +76,52 @@ struct PlaneGeom {
     pad: usize,
 }
 
-impl PlaneGeom {
-    /// Input row for output row `oy`, tap `ky`; `None` when padded.
-    #[inline]
-    fn iy(&self, oy: usize, ky: usize) -> Option<usize> {
-        let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-        (0..self.h as isize).contains(&iy).then_some(iy as usize)
-    }
-
-    /// Input column for output column `ox`, tap `kx`; `None` when padded.
-    #[inline]
-    fn ix(&self, ox: usize, kx: usize) -> Option<usize> {
-        let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-        (0..self.w as isize).contains(&ix).then_some(ix as usize)
-    }
-}
-
-fn dw_plane_f32(
-    out: &mut [f32],
-    x: &[f32],
-    f: &[f32],
-    g: &PlaneGeom,
-    bias: Option<f32>,
-    relu: bool,
-) {
-    for oy in 0..g.oh {
-        for ox in 0..g.ow {
-            let mut acc = 0.0f32;
-            for ky in 0..g.kh {
-                let iy = g.iy(oy, ky);
-                for kx in 0..g.kw {
-                    let wv = f[ky * g.kw + kx];
-                    if wv == 0.0 {
-                        continue;
-                    }
-                    let xv = match (iy, g.ix(ox, kx)) {
-                        (Some(iy), Some(ix)) => x[iy * g.w + ix],
-                        _ => 0.0,
-                    };
-                    acc += wv * xv;
-                }
-            }
-            // Guarded like the GEMM epilogue: an unconditional `+ 0.0`
-            // would flip a `-0.0` result.
-            if let Some(bv) = bias {
-                acc += bv;
-            }
-            if relu && acc < 0.0 {
-                acc = 0.0;
-            }
-            out[oy * g.ow + ox] = acc;
-        }
-    }
-}
-
-fn dw_plane_f16(
-    out: &mut [F16],
-    x: &[F16],
-    f: &[F16],
-    g: &PlaneGeom,
-    bias: Option<F16>,
-    relu: bool,
-) {
-    for oy in 0..g.oh {
-        for ox in 0..g.ow {
-            let mut acc = F16::ZERO;
-            for ky in 0..g.kh {
-                let iy = g.iy(oy, ky);
-                for kx in 0..g.kw {
-                    let wv = f[ky * g.kw + kx];
-                    let xv = match (iy, g.ix(ox, kx)) {
-                        (Some(iy), Some(ix)) => x[iy * g.w + ix],
-                        _ => F16::ZERO,
-                    };
-                    acc = wv.mul_add(xv, acc);
-                }
-            }
-            if let Some(bv) = bias {
-                acc += bv;
-            }
-            if relu && acc < F16::ZERO {
-                acc = F16::ZERO;
-            }
-            out[oy * g.ow + ox] = acc;
-        }
-    }
-}
-
-/// What every plane of one quantized depthwise call shares.
-struct QuantCall<'a> {
-    /// Whether this thread's kernel path is SIMD.
-    simd: bool,
-    f_zp: i32,
-    x_zp: u8,
-    multiplier: &'a FixedPointMultiplier,
-    out_zp: u8,
-    relu: bool,
-}
-
-/// One QUInt8 plane, whole, in the arena's `patches_u8` (the padded
-/// plane) and `acc_i32` (the accumulators).
+/// Runs every (batch, channel) plane of the NCHW input `x` through its
+/// channel's taps in `f` (`kh·kw` weights per channel), a whole plane at
+/// a time, and hands the live accumulators, in output order, to
+/// `store(out_plane, live, channel)`. Each plane is copied once into
+/// `padded`, surrounded by `pad` rows and columns of `fill`, at pitch
+/// `w + 2·pad`; `acc` holds one accumulator per padded-pitch output
+/// position, starting at `zero`.
 ///
 /// Accumulator `i = oy·pitch + ox` sums the window whose top-left padded
-/// input is `stride·i`, so tap `(ky, kx)` is one strided pass from
-/// `ky·pitch + kx`; columns `ox >= ow` are junk and never read back. The
-/// last row stops at `ow`, which keeps the farthest read,
-/// `((oh−1)·s + kh − 1)·pitch + (ow−1)·s + kw − 1`, inside the padded
-/// plane's `(h + 2·pad)·pitch` bytes.
-fn dw_plane_quint8(
-    out: &mut [u8],
-    x: &[u8],
-    f: &[u8],
+/// input is `stride·i`, so `pass(weight, acc, row)` updates every
+/// accumulator with tap `(ky, kx)` in one strided pass over `row`, the
+/// padded plane from `ky·pitch + kx`. Each output takes its taps in
+/// `(ky, kx)` row-major order. Columns `ox >= ow` are junk, compacted
+/// away before `store`. The last row stops at `ow`, which keeps the
+/// farthest read, `((oh−1)·s + kh − 1)·pitch + (ow−1)·s + kw − 1`, inside
+/// the padded plane's `(h + 2·pad)·pitch` elements.
+fn plane_taps<X: Copy, A: Copy, O>(
+    (x, f, out): (&[X], &[X], &mut [O]),
     g: &PlaneGeom,
-    q: &QuantCall<'_>,
-    qbias: i32,
-    arena: &mut ScratchArena,
+    (padded, acc): (&mut Vec<X>, &mut Vec<A>),
+    (fill, zero): (X, A),
+    mut pass: impl FnMut(X, &mut [A], &[X]),
+    mut store: impl FnMut(&mut [O], &[A], usize),
 ) {
-    let (padded, acc) = (&mut arena.patches_u8, &mut arena.acc_i32);
-    let pitch = g.w + 2 * g.pad;
-    padded.clear();
-    padded.resize((g.h + 2 * g.pad) * pitch, q.x_zp);
-    let rows = padded[g.pad * pitch..].chunks_exact_mut(pitch);
-    for (row, src) in rows.zip(x.chunks_exact(g.w)) {
-        row[g.pad..g.pad + g.w].copy_from_slice(src);
-    }
-    acc.clear();
-    acc.resize((g.oh - 1) * pitch + g.ow, 0);
-    for (tap, &wq) in f.iter().enumerate() {
-        let wv = wq as i32 - q.f_zp;
-        if wv != 0 {
-            let start = tap / g.kw * pitch + tap % g.kw;
-            crate::simd::mac_row_u8(q.simd, acc, &padded[start..], g.stride, wv, q.x_zp as i32);
+    let (pitch, taps) = (g.w + 2 * g.pad, g.kh * g.kw);
+    let planes = x
+        .chunks_exact(g.h * g.w)
+        .zip(out.chunks_exact_mut(g.oh * g.ow));
+    for (i, (xp, op)) in planes.enumerate() {
+        padded.clear();
+        padded.resize((g.h + 2 * g.pad) * pitch, fill);
+        let rows = padded[g.pad * pitch..].chunks_exact_mut(pitch);
+        for (row, src) in rows.zip(xp.chunks_exact(g.w)) {
+            row[g.pad..g.pad + g.w].copy_from_slice(src);
         }
+        acc.clear();
+        acc.resize((g.oh - 1) * pitch + g.ow, zero);
+        let ci = i % (f.len() / taps);
+        for (tap, &w) in f[ci * taps..(ci + 1) * taps].iter().enumerate() {
+            pass(w, acc, &padded[tap / g.kw * pitch + tap % g.kw..]);
+        }
+        for oy in 1..g.oh {
+            acc.copy_within(oy * pitch..oy * pitch + g.ow, oy * g.ow);
+        }
+        store(op, &acc[..g.oh * g.ow], ci);
     }
-    for oy in 1..g.oh {
-        acc.copy_within(oy * pitch..oy * pitch + g.ow, oy * g.ow);
-    }
-    let live = &acc[..g.oh * g.ow];
-    requantize_into(out, live, qbias, q.multiplier, q.out_zp, q.relu);
 }
 
 /// Depthwise 2-D convolution: `input` NCHW × `filters` `[c,1,kh,kw]` →
@@ -251,62 +155,68 @@ pub fn depthwise_conv2d(
             });
         }
     }
-    let (n, h, w) = (input.shape().n(), input.shape().h(), input.shape().w());
-    let (kh, kw) = (filters.shape().dim(2), filters.shape().dim(3));
-    let (oh, ow) = (out_shape.h(), out_shape.w());
     let g = PlaneGeom {
-        h,
-        w,
-        oh,
-        ow,
-        kh,
-        kw,
+        h: input.shape().h(),
+        w: input.shape().w(),
+        oh: out_shape.h(),
+        ow: out_shape.w(),
+        kh: filters.shape().dim(2),
+        kw: filters.shape().dim(3),
         stride: params.stride,
         pad: params.pad,
     };
-    let in_plane = h * w;
-    let out_plane = oh * ow;
-    let taps = kh * kw;
+    let simd = crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd;
+    let mut arena = crate::arena::ThreadArenaGuard::take();
+    let arena = &mut *arena;
 
     match input.dtype() {
         DType::F32 => {
-            if out_params.is_some() {
-                return Err(TensorError::BadQuantParams(
-                    "out_params given for a float convolution".into(),
-                ));
-            }
-            let x = input.as_f32()?;
-            let f = filters.as_f32()?;
+            crate::float_out(out_params, "convolution")?;
+            let (x, f) = (input.as_f32()?, filters.as_f32()?);
             let mut out = vec![0.0f32; out_shape.numel()];
-            for b in 0..n {
-                for ci in 0..c {
-                    let xp = &x[(b * c + ci) * in_plane..(b * c + ci + 1) * in_plane];
-                    let op = &mut out[(b * c + ci) * out_plane..(b * c + ci + 1) * out_plane];
-                    let fp = &f[ci * taps..(ci + 1) * taps];
-                    let bv = bias.map(|b| b[ci]);
-                    dw_plane_f32(op, xp, fp, &g, bv, params.relu);
-                }
-            }
+            plane_taps(
+                (x, f, &mut out),
+                &g,
+                (&mut arena.patches_f32, &mut arena.acc_f32),
+                (0.0, 0.0),
+                // `acc += w * x` per tap, zero weights skipped; a padded
+                // tap adds `w * 0.0`, like a zero patch entry.
+                |wv, acc, row| {
+                    if wv != 0.0 {
+                        for (a, &v) in acc.iter_mut().zip(row.iter().step_by(g.stride)) {
+                            *a += wv * v;
+                        }
+                    }
+                },
+                |op, live, ci| {
+                    for (o, &v) in op.iter_mut().zip(live) {
+                        // Guarded like the GEMM epilogue: an unconditional
+                        // `+ 0.0` would flip a `-0.0` result.
+                        *o = bias.map_or(v, |b| v + b[ci]);
+                        if params.relu && *o < 0.0 {
+                            *o = 0.0;
+                        }
+                    }
+                },
+            );
             Tensor::from_f32(out_shape, out)
         }
         DType::F16 => {
-            if out_params.is_some() {
-                return Err(TensorError::BadQuantParams(
-                    "out_params given for a float convolution".into(),
-                ));
-            }
-            let x = input.as_f16()?;
-            let f = filters.as_f16()?;
+            crate::float_out(out_params, "convolution")?;
+            let (x, f) = (input.as_f16()?, filters.as_f16()?);
             let mut out = vec![F16::ZERO; out_shape.numel()];
-            for b in 0..n {
-                for ci in 0..c {
-                    let xp = &x[(b * c + ci) * in_plane..(b * c + ci + 1) * in_plane];
-                    let op = &mut out[(b * c + ci) * out_plane..(b * c + ci + 1) * out_plane];
-                    let fp = &f[ci * taps..(ci + 1) * taps];
-                    let bv = bias.map(|b| F16::from_f32(b[ci]));
-                    dw_plane_f16(op, xp, fp, &g, bv, params.relu);
-                }
-            }
+            plane_taps(
+                (x, f, &mut out),
+                &g,
+                (&mut arena.patches_f16, &mut arena.acc_f16),
+                (F16::ZERO, F16::ZERO),
+                |wv, acc, row| crate::simd::mac_row_f16(simd, acc, row, g.stride, wv),
+                |op, live, ci| {
+                    op.copy_from_slice(live);
+                    let hb = bias.map(|b| F16::from_f32(b[ci]));
+                    crate::simd::f16_bias_relu(simd, op, hb, params.relu);
+                },
+            );
             Tensor::new(out_shape, utensor::TensorData::F16(out))
         }
         DType::QUInt8 => {
@@ -322,25 +232,25 @@ pub fn depthwise_conv2d(
                 )));
             }
             let multiplier = FixedPointMultiplier::from_real(acc_scale / out_params.scale as f64)?;
+            let (f_zp, x_zp) = (f_p.zero_point as i32, x_p.zero_point);
             let mut out = vec![0u8; out_shape.numel()];
-            let q = QuantCall {
-                simd: crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd,
-                f_zp: f_p.zero_point as i32,
-                x_zp: x_p.zero_point,
-                multiplier: &multiplier,
-                out_zp: out_params.zero_point,
-                relu: params.relu,
-            };
-            let mut arena = crate::arena::ThreadArenaGuard::take();
-            for b in 0..n {
-                for ci in 0..c {
-                    let xp = &x[(b * c + ci) * in_plane..(b * c + ci + 1) * in_plane];
-                    let op = &mut out[(b * c + ci) * out_plane..(b * c + ci + 1) * out_plane];
-                    let fp = &f[ci * taps..(ci + 1) * taps];
+            plane_taps(
+                (x, f, &mut out),
+                &g,
+                (&mut arena.patches_u8, &mut arena.acc_i32),
+                (x_zp, 0),
+                |wq, acc, row| {
+                    let wv = wq as i32 - f_zp;
+                    if wv != 0 {
+                        crate::simd::mac_row_u8(simd, acc, row, g.stride, wv, x_zp as i32);
+                    }
+                },
+                |op, live, ci| {
                     let qb = bias.map_or(0, |b| (b[ci] as f64 / acc_scale).round() as i32);
-                    dw_plane_quint8(op, xp, fp, &g, &q, qb, &mut arena);
-                }
-            }
+                    let zp = out_params.zero_point;
+                    requantize_into(op, live, qb, &multiplier, zp, params.relu);
+                },
+            );
             Tensor::from_quantized(out_shape, out, out_params)
         }
     }

@@ -28,7 +28,7 @@ pub enum KernelPath {
     /// Portable scalar register tiles (the PR 5 blocked kernels).
     Scalar,
     /// The register tiles of the widest SIMD tier the host has
-    /// ([`crate::simd_tier`]: AVX-512, else AVX2).
+    /// ([`crate::simd_tier`]: AVX512-FP16, else AVX-512, else AVX2).
     Simd,
 }
 
@@ -151,18 +151,17 @@ pub fn registered_fast_paths() -> Vec<&'static str> {
         "convert/quint8/table",
     ];
     // The GEMM keys name the tiles a GEMM on this host actually runs;
-    // both tiers share the AVX2 f32 tile.
+    // every tier shares the AVX2 f32 tile, and below the FP16 tier the
+    // F16 GEMM runs the scalar tile.
     paths.extend(match simd::simd_tier() {
-        SimdTier::Avx512 => &[
+        SimdTier::Avx512Fp16 => &[
             "gemm/f32/blocked-simd",
-            "gemm/f16/avx512",
+            "gemm/f16/avx512fp16",
             "gemm/quint8/avx512-vnni",
+            "depthwise/f16/avx512fp16",
         ][..],
-        SimdTier::Avx2 => &[
-            "gemm/f32/blocked-simd",
-            "gemm/f16/blocked-simd",
-            "gemm/quint8/blocked-simd",
-        ],
+        SimdTier::Avx512 => &["gemm/f32/blocked-simd", "gemm/quint8/avx512-vnni"],
+        SimdTier::Avx2 => &["gemm/f32/blocked-simd", "gemm/quint8/blocked-simd"],
         SimdTier::None => &[],
     });
     if utensor::quant::requantize_simd_available() {

@@ -45,11 +45,7 @@ pub fn add_fused(
     }
     match (a.data(), b.data()) {
         (TensorData::F32(x), TensorData::F32(y)) => {
-            if out_params.is_some() {
-                return Err(TensorError::BadQuantParams(
-                    "out_params given for a float add".into(),
-                ));
-            }
+            crate::float_out(out_params, "add")?;
             let out = x
                 .iter()
                 .zip(y)
@@ -65,11 +61,7 @@ pub fn add_fused(
             Tensor::from_f32(a.shape().clone(), out)
         }
         (TensorData::F16(x), TensorData::F16(y)) => {
-            if out_params.is_some() {
-                return Err(TensorError::BadQuantParams(
-                    "out_params given for a float add".into(),
-                ));
-            }
+            crate::float_out(out_params, "add")?;
             let out: Vec<utensor::F16> = x
                 .iter()
                 .zip(y)

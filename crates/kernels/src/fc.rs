@@ -64,11 +64,7 @@ pub fn fully_connected(
     let mut arena = crate::arena::ThreadArenaGuard::take();
     match input.dtype() {
         DType::F32 => {
-            if out_params.is_some() {
-                return Err(TensorError::BadQuantParams(
-                    "out_params given for a float FC".into(),
-                ));
-            }
+            crate::float_out(out_params, "FC")?;
             let w = weights.as_f32()?;
             let x = input.as_f32()?;
             let mut out = vec![0.0f32; n * out_f];
@@ -80,11 +76,7 @@ pub fn fully_connected(
             Tensor::from_f32(out_shape, out)
         }
         DType::F16 => {
-            if out_params.is_some() {
-                return Err(TensorError::BadQuantParams(
-                    "out_params given for a float FC".into(),
-                ));
-            }
+            crate::float_out(out_params, "FC")?;
             let w = weights.as_f16()?;
             let x = input.as_f16()?;
             let mut out = vec![utensor::F16::ZERO; n * out_f];

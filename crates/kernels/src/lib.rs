@@ -39,6 +39,8 @@ pub mod pointwise;
 pub mod pool;
 pub mod simd;
 
+use utensor::TensorError;
+
 pub use activation::{fake_quant, relu, softmax_f32};
 pub use arena::{
     restore_thread_arena, take_thread_arena, thread_arena_capacity_bytes, ScratchArena,
@@ -67,6 +69,17 @@ mod gemm;
 #[cfg(test)]
 #[path = "../tests/common/mod.rs"]
 mod oracle;
+
+/// Float kernels take no output quantization: an error naming `op` if
+/// `out_params` is given.
+fn float_out(out_params: Option<utensor::QuantParams>, op: &str) -> Result<(), TensorError> {
+    match out_params {
+        Some(_) => Err(TensorError::BadQuantParams(format!(
+            "out_params given for a float {op}"
+        ))),
+        None => Ok(()),
+    }
+}
 
 /// Computes the output spatial dimension of a sliding-window op.
 ///

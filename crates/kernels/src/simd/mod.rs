@@ -5,7 +5,7 @@
 //! their time in one place: the register-tile accumulation over a
 //! `KC`-panel. This module provides vectorized implementations of that
 //! tile loop — plus the F16 bias/ReLU row epilogue, which would otherwise
-//! dominate it at small `k`, and the direct depthwise row update — so the
+//! dominate it at small `k`, and the direct depthwise row updates — so the
 //! blocking and epilogue logic (and therefore the accumulation *order*)
 //! stays in one canonical scalar place. The panel layout a tile reads is part of the tile (its width
 //! below); the packing code follows it.
@@ -15,14 +15,18 @@
 //! Detection resolves once, per process, to the widest [`SimdTier`] the
 //! host has, and the SIMD kernel path runs that tier:
 //!
+//! - **AVX512-FP16** — `avx512fp16` on top of the AVX-512 tier: a
+//!   `4 × 64` F16 tile and the F16 depthwise row on native binary16
+//!   (`vfmadd231ph`), plus everything the AVX-512 tier runs.
 //! - **AVX-512** — `avx512f + avx512bw + avx512vnni` on top of the AVX2
-//!   tier's features: `4 × 32` F16 tiles on zmm and `4 × 32` QUInt8
-//!   tiles on `vpdpwssd`.
-//! - **AVX2** — `avx2 + fma + f16c`: `4 × 16` F16 and QUInt8 tiles. Both
-//!   tiers share the AVX2 f32 tile, F16 row epilogue and depthwise row
+//!   tier's features: a `4 × 32` QUInt8 tile on `vpdpwssd`.
+//! - **AVX2** — `avx2 + fma + f16c`: a `4 × 16` QUInt8 tile. Every tier
+//!   shares the AVX2 f32 tile, F16 row epilogue and QUInt8 depthwise row
 //!   update.
 //! - **None** — every other host, aarch64 included: every caller runs its
 //!   scalar loop.
+//!
+//! Below the FP16 tier the F16 kernels run [`utensor::F16::mul_add`].
 //!
 //! ## Equivalence contract
 //!
@@ -31,9 +35,9 @@
 //!
 //! - `f32` uses separate multiply-then-add (never FMA), the same two
 //!   IEEE operations per element in the same order as `acc += a * b`.
-//! - `F16` matches [`utensor::F16::mul_add`] — one f32 FMA followed by a
-//!   round-to-nearest-even narrowing to binary16 — per MAC, in ascending
-//!   `k`, using the hardware f32 FMA plus `vcvtps2ph` rounding.
+//! - `F16` matches [`utensor::F16::mul_add`] — `a·b + c` rounded once,
+//!   to nearest even, straight to binary16 — per MAC, in ascending `k`:
+//!   `vfmadd231ph` is that operation. `A` is packed as binary16.
 //!   Identical for all finite values and infinities; NaN *payloads* may
 //!   differ from the software path (both are quiet NaNs), which no
 //!   kernel contract observes.
@@ -44,8 +48,8 @@
 //! contract for every registered path; `ci.sh` runs it twice (forced
 //! scalar and auto-detected SIMD). The unit tests below hold every
 //! compiled tile body the host can run to the scalar tile directly, so
-//! the AVX2 bodies stay verified on AVX-512 hosts, where no GEMM reaches
-//! them.
+//! the AVX2 QUInt8 body stays verified on AVX-512 hosts, where no GEMM
+//! reaches it; `tests/f16_fma.rs` adds near-tie and random triples.
 
 use std::sync::OnceLock;
 
@@ -55,10 +59,12 @@ use utensor::F16;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-/// Register-tile columns of the AVX2 QUInt8 and F16 tiles.
+/// Register-tile columns of the AVX2 QUInt8 tile.
 pub(crate) const NR_AVX2: usize = 16;
-/// Register-tile columns of the AVX-512 QUInt8 and F16 tiles.
+/// Register-tile columns of the AVX-512 (VNNI) QUInt8 tile.
 pub(crate) const NR_AVX512: usize = 32;
+/// Register-tile columns of the AVX512-FP16 F16 tile.
+pub(crate) const NR_FP16: usize = 64;
 /// Consecutive `k` per 32-bit lane of the SIMD QUInt8 panels (K pairs).
 pub(crate) const KSTEP_I16: usize = 2;
 
@@ -68,20 +74,31 @@ pub(crate) const KSTEP_I16: usize = 2;
 pub enum SimdTier {
     /// No SIMD tiles: the scalar loops everywhere.
     None,
-    /// AVX2 + FMA + F16C: `4 × 16` QUInt8 and F16 tiles.
+    /// AVX2 + FMA + F16C: a `4 × 16` QUInt8 tile.
     Avx2,
-    /// AVX-512 F/BW/VNNI on top of AVX2: `4 × 32` QUInt8 and F16 tiles.
+    /// AVX-512 F/BW/VNNI on top of AVX2: a `4 × 32` QUInt8 tile.
     Avx512,
+    /// AVX512-FP16 on top of AVX-512: a `4 × 64` native binary16 F16 tile.
+    Avx512Fp16,
 }
 
 impl SimdTier {
     /// The CPU features this tier requires, in `cpu_features` spelling.
     pub(crate) fn features(self) -> &'static [&'static str] {
-        const ALL: [&str; 6] = ["avx2", "fma", "f16c", "avx512f", "avx512bw", "avx512vnni"];
+        let all = &[
+            "avx2",
+            "fma",
+            "f16c",
+            "avx512f",
+            "avx512bw",
+            "avx512vnni",
+            "avx512fp16",
+        ];
         match self {
             SimdTier::None => &[],
-            SimdTier::Avx2 => &ALL[..3],
-            SimdTier::Avx512 => &ALL,
+            SimdTier::Avx2 => &all[..3],
+            SimdTier::Avx512 => &all[..6],
+            SimdTier::Avx512Fp16 => all,
         }
     }
 }
@@ -97,6 +114,7 @@ fn detected(feature: &str) -> bool {
             "avx512f" => is_x86_feature_detected!("avx512f"),
             "avx512bw" => is_x86_feature_detected!("avx512bw"),
             "avx512vnni" => is_x86_feature_detected!("avx512vnni"),
+            "avx512fp16" => is_x86_feature_detected!("avx512fp16"),
             _ => false,
         }
     }
@@ -112,7 +130,7 @@ fn detected(feature: &str) -> bool {
 pub fn simd_tier() -> SimdTier {
     static TIER: OnceLock<SimdTier> = OnceLock::new();
     *TIER.get_or_init(|| {
-        [SimdTier::Avx512, SimdTier::Avx2]
+        [SimdTier::Avx512Fp16, SimdTier::Avx512, SimdTier::Avx2]
             .into_iter()
             .find(|tier| tier.features().iter().all(|f| detected(f)))
             .unwrap_or(SimdTier::None)
@@ -127,7 +145,7 @@ pub fn simd_available() -> bool {
 /// Comma-separated list of the CPU features any tier gates on that this
 /// host actually reports (empty off x86_64).
 pub fn cpu_features() -> String {
-    let reported: Vec<&str> = SimdTier::Avx512
+    let reported: Vec<&str> = SimdTier::Avx512Fp16
         .features()
         .iter()
         .copied()
@@ -167,22 +185,15 @@ fn check_tile(tier: SimdTier, (pa, pb): (usize, usize), kc: usize, nr: usize) {
     assert!(pa >= kc * MR && pb >= kc * nr, "panels short of kc = {kc}");
 }
 
-/// One F16 register tile of the AVX2 tier (per-MAC `F16::mul_add`
-/// semantics, `A` panel pre-widened to f32: `acc[r][x] =
-/// f16(fma(pa[p*MR+r], pb[p*16+x], acc[r][x]))` for `p` in `0..kc`).
+/// One F16 register tile of the AVX512-FP16 tier: `acc[r][x] =
+/// pa[p*MR+r].mul_add(pb[p*64+x], acc[r][x])` for `p` in `0..kc`, on
+/// `vfmadd231ph`.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn tile_f16_avx2(acc: &mut [[F16; NR_AVX2]; MR], pa: &[f32], pb: &[F16], kc: usize) {
-    check_tile(SimdTier::Avx2, (pa.len(), pb.len()), kc, NR_AVX2);
-    // SAFETY: `check_tile` verified the tier's features and the panel lengths.
-    unsafe { x86::tile_f16_avx2(acc, pa, pb, kc) }
-}
-
-/// [`tile_f16_avx2`] at the AVX-512 tier's width.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn tile_f16_avx512(acc: &mut [[F16; NR_AVX512]; MR], pa: &[f32], pb: &[F16], kc: usize) {
-    check_tile(SimdTier::Avx512, (pa.len(), pb.len()), kc, NR_AVX512);
-    // SAFETY: `check_tile` verified the tier's features and the panel lengths.
-    unsafe { x86::tile_f16_avx512(acc, pa, pb, kc) }
+pub(crate) fn tile_f16_fp16(acc: &mut [[F16; NR_FP16]; MR], pa: &[F16], pb: &[F16], kc: usize) {
+    check_tile(SimdTier::Avx512Fp16, (pa.len(), pb.len()), kc, NR_FP16);
+    // SAFETY: `check_tile` verified the tier's features; the body is
+    // safe code.
+    unsafe { x86::tile_f16_fp16(acc, pa, pb, kc) }
 }
 
 /// One QUInt8 register tile of the AVX2 tier: exact `i16 × i16 → i32`
@@ -253,6 +264,34 @@ pub(crate) fn mac_row_u8(simd: bool, acc: &mut [i32], x: &[u8], stride: usize, w
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
     mac_row_u8_body(acc, x, stride, w, zp);
+}
+
+/// The direct F16 depthwise row update, `acc[i] = w.mul_add(x[i *
+/// stride], acc[i])` for every `i` in `0..acc.len()`: one
+/// [`F16::mul_add`] per element, bit-identical either way. With `simd`
+/// on an AVX512-FP16 host, strides 1 and 2 run on `vfmadd231ph`, 32
+/// lanes per step.
+///
+/// # Panics
+///
+/// Panics if `x` is shorter than `(acc.len() - 1) * stride + 1`.
+#[inline]
+pub(crate) fn mac_row_f16(simd: bool, acc: &mut [F16], x: &[F16], stride: usize, w: F16) {
+    if acc.is_empty() {
+        return;
+    }
+    let x = &x[..(acc.len() - 1) * stride + 1];
+    #[cfg(target_arch = "x86_64")]
+    if simd && stride <= 2 && simd_tier() >= SimdTier::Avx512Fp16 {
+        // SAFETY: the tier check verified avx512f/bw/fp16; the body is
+        // safe code.
+        return unsafe { x86::mac_row_f16(acc, x, stride, w) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd;
+    for (a, &v) in acc.iter_mut().zip(x.iter().step_by(stride)) {
+        *a = w.mul_add(v, *a);
+    }
 }
 
 /// Body of [`mac_row_u8`], inlined into each instruction-set wrapper.
@@ -369,17 +408,16 @@ mod tests {
     /// `tile`, an `MR × W` F16 tile body, against per-MAC `F16::mul_add`
     /// from each of [`f16_starts`]. NaNs (inf − inf after an overflow)
     /// compare as NaNs: their payloads may differ.
-    fn check_f16_tile<const W: usize>(tile: Tile<F16, f32, F16, W>) {
+    fn check_f16_tile<const W: usize>(tile: Tile<F16, F16, F16, W>) {
         for (kc, huge) in KCS.into_iter().flat_map(|kc| [(kc, false), (kc, true)]) {
-            let a = f16_operands(kc * MR, 1, huge);
-            let pa: Vec<f32> = a.iter().map(|h| h.to_f32()).collect();
+            let pa = f16_operands(kc * MR, 1, huge);
             let pb = f16_operands(kc * W, 5, huge);
             for (s, start) in f16_starts::<W>().into_iter().enumerate() {
                 let (mut want, mut got) = (start, start);
                 for p in 0..kc {
                     for (r, row) in want.iter_mut().enumerate() {
                         for (x, cell) in row.iter_mut().enumerate() {
-                            *cell = a[p * MR + r].mul_add(pb[p * W + x], *cell);
+                            *cell = pa[p * MR + r].mul_add(pb[p * W + x], *cell);
                         }
                     }
                 }
@@ -392,16 +430,33 @@ mod tests {
         }
     }
 
+    /// One MAC per cell on near ties: `a = 1 + 2⁻⁸` times `b = 1.125 ·
+    /// 2^j` lies exactly on a binary16 tie, and a start of `±2⁻²⁴`
+    /// decides it. An FMA that rounds to f32 first loses the `±2⁻²⁴`.
+    fn check_f16_tile_near_ties<const W: usize>(tile: Tile<F16, F16, F16, W>) {
+        let (h, a) = (F16::from_bits, F16::from_bits(0x3c04));
+        let b: [F16; W] = std::array::from_fn(|x| h(0x3c80 + 0x100 * (x % 16) as u16));
+        let mut got = [std::array::from_fn(|x| h([0x0001, 0x8001][x % 2])); MR];
+        let c = got[0];
+        tile(&mut got, &[a; MR], &b, 1);
+        for (x, &g) in got.iter().flatten().enumerate() {
+            let (b, c) = (b[x % W], c[x % W]);
+            let twice = F16::from_f32(a.to_f32().mul_add(b.to_f32(), c.to_f32()));
+            assert_ne!(
+                twice.to_bits(),
+                a.mul_add(b, c).to_bits(),
+                "{b:?} is no near tie"
+            );
+            assert_eq!(g.to_bits(), a.mul_add(b, c).to_bits(), "W={W} x={x}");
+        }
+    }
+
     #[test]
     fn f16_tile_bit_identical_to_scalar_mul_add() {
         #[cfg(target_arch = "x86_64")]
-        {
-            if simd_tier() >= SimdTier::Avx2 {
-                check_f16_tile(tile_f16_avx2);
-            }
-            if simd_tier() >= SimdTier::Avx512 {
-                check_f16_tile(tile_f16_avx512);
-            }
+        if simd_tier() >= SimdTier::Avx512Fp16 {
+            check_f16_tile(tile_f16_fp16);
+            check_f16_tile_near_ties(tile_f16_fp16);
         }
     }
 
@@ -538,5 +593,9 @@ mod tests {
             );
         }
         assert_eq!(simd_available(), simd_tier() != SimdTier::None);
+        // The FP16 rung's feature is reported exactly when the host has it.
+        assert!(SimdTier::Avx512Fp16.features().contains(&"avx512fp16"));
+        assert!(!SimdTier::Avx512.features().contains(&"avx512fp16"));
+        assert_eq!(reported.contains(&"avx512fp16"), detected("avx512fp16"));
     }
 }

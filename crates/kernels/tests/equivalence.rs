@@ -31,10 +31,11 @@
 //! Seeded shape ladders cover the historical trouble spots: odd
 //! channels, stride 2, padding, 1×1 kernels, single-channel layers, and
 //! `K % KC != 0` remainder panels up to 18 panels deep — and the
-//! remainders of the wide SIMD tiles of both tiers: odd panel depths
+//! remainders of the wide SIMD tiles of every tier: odd panel depths
 //! (the K-pair zero pad), `k = 1`, `k % KC` of 1 and `KC − 1`, `n % w`
-//! of 1 and `w − 1` for `w` 16 and 32, `m % MR != 0`; depthwise planes
-//! narrower than the window, single rows and single columns. The
+//! of 1 and `w − 1` for `w` 16, 32 and 64, `m % MR != 0`; depthwise
+//! planes narrower than the window, single rows and single columns, and
+//! rows longer than one 32-lane F16 step. The
 //! randomized section at the bottom adds shrinking on top. The tile
 //! bodies a host's tier does not run are held to the scalar tile by the
 //! `simd` unit tests.
@@ -64,13 +65,13 @@ const COVERED: &[&str] = &[
     "gemm/f32/blocked-scalar",
     "gemm/f32/blocked-simd",
     "gemm/f16/blocked-scalar",
-    "gemm/f16/blocked-simd",
-    "gemm/f16/avx512",
+    "gemm/f16/avx512fp16",
     "gemm/quint8/blocked-scalar",
     "gemm/quint8/blocked-simd",
     "gemm/quint8/avx512-vnni",
     "depthwise/f32/direct",
     "depthwise/f16/direct",
+    "depthwise/f16/avx512fp16",
     "depthwise/quint8/plane",
     "pointwise/f32/direct",
     "pointwise/f16/direct",
@@ -120,9 +121,9 @@ fn conv_paths() -> Vec<PathChoice> {
 
 /// GEMM shape ladder: in-panel shapes plus multi-panel ones, from
 /// `KC + 1` to 18 panels deep (`k = 4608`, a 3 × 3 × 512 layer). Between
-/// them: odd and unit `k`, `k % KC` of 0, 1 and `KC − 1`, `n % 16` and
-/// `n % 32` of 1 and `w − 1`, and `m % MR != 0` — every remainder of the
-/// 4 × 16 and 4 × 32 tiles.
+/// them: odd and unit `k`, `k % KC` of 0, 1 and `KC − 1`, `n % w` of 1
+/// and `w − 1` for `w` 16, 32 and 64, and `m % MR != 0` — every remainder
+/// of the 4 × 16, 4 × 32 and 4 × 64 tiles.
 const GEMM_SHAPES: [(usize, usize, usize); 14] = [
     (1, 1, 1),
     (3, 7, 5),
@@ -238,15 +239,15 @@ const DW_SHAPES: [(usize, usize, usize, usize, usize, usize); 5] = [
 
 /// [`DW_SHAPES`] plus the full window ladder `k ∈ {1,3,5}` × stride
 /// `∈ {1,2,3}` × pad `∈ {0,1,2}` over planes that stress the QUInt8
-/// plane form's padding and pitch: a plain one, a single row, a single
-/// column, and one narrower than the window (kept wherever the padded
-/// window fits).
+/// plane forms' padding and pitch: a plain one, a single row, a single
+/// column, one narrower than the window (kept wherever the padded window
+/// fits), and one whose rows span several 32-lane F16 steps.
 fn dw_shapes() -> Vec<(usize, usize, usize, usize, usize, usize)> {
     let mut shapes = DW_SHAPES.to_vec();
     for k in [1, 3, 5] {
         for stride in [1, 2, 3] {
             for pad in [0, 1, 2] {
-                for (h, w) in [(6, 7), (1, 9), (9, 1), (2, 2)] {
+                for (h, w) in [(6, 7), (1, 9), (9, 1), (2, 2), (3, 70)] {
                     if out_dim(h, k, stride, pad).is_some() && out_dim(w, k, stride, pad).is_some()
                     {
                         shapes.push((2, h, w, k, stride, pad));
@@ -587,13 +588,13 @@ fn run_cell(key: &str, tc: usize) {
         "gemm/f32/blocked-scalar" => gemm_cell_f32(PathChoice::Scalar, tc),
         "gemm/f32/blocked-simd" => gemm_cell_f32(PathChoice::Simd, tc),
         "gemm/f16/blocked-scalar" => gemm_cell_f16(PathChoice::Scalar, tc),
-        "gemm/f16/blocked-simd" | "gemm/f16/avx512" => gemm_cell_f16(PathChoice::Simd, tc),
+        "gemm/f16/avx512fp16" => gemm_cell_f16(PathChoice::Simd, tc),
         "gemm/quint8/blocked-scalar" => gemm_cell_quint8(PathChoice::Scalar, tc),
         "gemm/quint8/blocked-simd" | "gemm/quint8/avx512-vnni" => {
             gemm_cell_quint8(PathChoice::Simd, tc)
         }
         "depthwise/f32/direct" => depthwise_cell(DType::F32, tc),
-        "depthwise/f16/direct" => depthwise_cell(DType::F16, tc),
+        "depthwise/f16/direct" | "depthwise/f16/avx512fp16" => depthwise_cell(DType::F16, tc),
         "depthwise/quint8/plane" => depthwise_cell(DType::QUInt8, tc),
         "pointwise/f32/direct" => pointwise_cell(DType::F32, tc),
         "pointwise/f16/direct" => pointwise_cell(DType::F16, tc),
@@ -653,11 +654,16 @@ fn tier_registration_matches_detection() {
     let paths = registered_fast_paths();
     let tier = simd_tier();
     assert_eq!(paths.contains(&"gemm/f32/blocked-simd"), simd_available());
-    for key in ["gemm/f16/blocked-simd", "gemm/quint8/blocked-simd"] {
-        assert_eq!(paths.contains(&key), tier == SimdTier::Avx2, "{key}");
-    }
-    for key in ["gemm/f16/avx512", "gemm/quint8/avx512-vnni"] {
-        assert_eq!(paths.contains(&key), tier == SimdTier::Avx512, "{key}");
+    assert_eq!(
+        paths.contains(&"gemm/quint8/blocked-simd"),
+        tier == SimdTier::Avx2
+    );
+    assert_eq!(
+        paths.contains(&"gemm/quint8/avx512-vnni"),
+        tier >= SimdTier::Avx512
+    );
+    for key in ["gemm/f16/avx512fp16", "depthwise/f16/avx512fp16"] {
+        assert_eq!(paths.contains(&key), tier == SimdTier::Avx512Fp16, "{key}");
     }
     assert!(paths.contains(&"depthwise/quint8/plane"));
 }

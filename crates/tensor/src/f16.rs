@@ -9,7 +9,9 @@
 //! - exact `f16 → f32` widening;
 //! - arithmetic by widening to `f32`, operating, and rounding the result
 //!   back — which is precisely the per-operation rounding a hardware FP16
-//!   ALU performs for individually-rounded operations.
+//!   ALU performs for individually-rounded operations;
+//! - a fused multiply-add that rounds once, computed in `f64` and rounded
+//!   straight to binary16 ([`F16::mul_add`]).
 //!
 //! The representation is the raw bit pattern, so tensors of [`F16`] occupy
 //! 2 bytes per element and the memory-traffic accounting is exact.
@@ -41,17 +43,14 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 #[repr(transparent)]
 pub struct F16(u16);
 
-/// Shifts `v` right by `shift` bits with round-to-nearest-even.
-fn round_shift_rne(v: u32, shift: u32) -> u32 {
-    if shift == 0 {
-        return v;
-    }
-    if shift >= 32 {
+/// Shifts `v` right by `shift >= 1` bits with round-to-nearest-even.
+fn round_shift_rne(v: u64, shift: u32) -> u64 {
+    if shift >= 64 {
         return 0;
     }
     let kept = v >> shift;
-    let rest = v & ((1u32 << shift) - 1);
-    let half = 1u32 << (shift - 1);
+    let rest = v & ((1u64 << shift) - 1);
+    let half = 1u64 << (shift - 1);
     if rest > half || (rest == half && (kept & 1) == 1) {
         kept + 1
     } else {
@@ -59,45 +58,49 @@ fn round_shift_rne(v: u32, shift: u32) -> u32 {
     }
 }
 
-/// Converts an `f32` to binary16 bits with round-to-nearest-even.
+/// Converts an `f32` to binary16 bits with round-to-nearest-even. The
+/// widening to `f64` is exact, so this is the one rounding of
+/// [`f64_to_f16_bits`].
 pub fn f32_to_f16_bits(value: f32) -> u16 {
-    let x = value.to_bits();
-    let sign = ((x >> 16) & 0x8000) as u16;
-    let abs = x & 0x7FFF_FFFF;
+    f64_to_f16_bits(value as f64)
+}
 
-    if abs >= 0x7F80_0000 {
+/// Converts an `f64` to binary16 bits with one round-to-nearest-even.
+fn f64_to_f16_bits(value: f64) -> u16 {
+    let x = value.to_bits();
+    let sign = ((x >> 48) & 0x8000) as u16;
+    let abs = x & 0x7FFF_FFFF_FFFF_FFFF;
+
+    if abs >= 0x7FF0_0000_0000_0000 {
         // Inf or NaN; NaNs collapse to the canonical quiet NaN.
-        return if abs > 0x7F80_0000 {
+        return if abs > 0x7FF0_0000_0000_0000 {
             sign | 0x7E00
         } else {
             sign | 0x7C00
         };
     }
 
-    let e = (abs >> 23) as i32; // biased f32 exponent, 0..=254
-    let man = abs & 0x7F_FFFF;
+    let e = (abs >> 52) as i32; // biased f64 exponent, 0..=2046
+    let man = abs & 0xF_FFFF_FFFF_FFFF;
 
-    if e >= 143 {
+    if e >= 1039 {
         // Half exponent would be >= 31: overflow to infinity.
         return sign | 0x7C00;
     }
-    if e >= 113 {
+    if e >= 1009 {
         // Normal half range; a rounding carry may propagate into the
         // exponent and even produce the exact infinity pattern (65520.0
         // upward), which is the correct IEEE behaviour.
-        let half_man = round_shift_rne(man, 13);
-        let h = (((e - 112) as u32) << 10) + half_man;
+        let h = (((e - 1008) as u64) << 10) + round_shift_rne(man, 42);
         return sign | (h as u16);
     }
     if e == 0 {
-        // f32 subnormals are < 2^-126, far below half's subnormal range.
+        // f64 subnormals are < 2^-1022, far below half's subnormal range.
         return sign;
     }
     // Subnormal half (or underflow to zero). value = (man|implicit) *
-    // 2^(e-150); the 10-bit subnormal significand is that value * 2^24.
-    let full = man | 0x80_0000;
-    let shift = (126 - e) as u32; // >= 14
-    let s = round_shift_rne(full, shift);
+    // 2^(e-1075); the 10-bit subnormal significand is that value * 2^24.
+    let s = round_shift_rne(man | (1 << 52), (1051 - e) as u32); // shift >= 43
     sign | (s as u16)
 }
 
@@ -193,10 +196,32 @@ impl F16 {
         F16(self.0 & 0x7FFF)
     }
 
-    /// Fused multiply-add: `self * a + b`, with a single rounding at the
-    /// end (models a hardware FP16 FMA with a wide internal accumulator).
+    /// Fused multiply-add: `self * a + b` with a single rounding at the
+    /// end, as IEEE 754 `fusedMultiplyAdd`, OpenCL `fma` on `half` and
+    /// the x86 `vfmadd231ph` instruction compute it.
+    ///
+    /// Computed in `f64` and rounded once, straight to binary16. The
+    /// product is exact there: it has at most 22 significant bits. The
+    /// `f64` add cannot make a spurious binary16 tie either. Every
+    /// binary16 value and every midpoint between two of them is an `f64`,
+    /// and both roundings are monotone, so rounding the `f64` sum gives
+    /// the binary16 rounding of the exact sum unless the `f64` add is
+    /// inexact *and* lands on a midpoint. The add is inexact only when
+    /// the sum spans more than 53 bits. The product's lowest bit is at
+    /// least 2⁻⁴⁸ and `b`'s at least 2⁻²⁴, so that takes one of:
+    ///
+    /// - `|self · a| ≥ 2²⁸`: the sum is then beyond 65 520, and it and its
+    ///   `f64` rounding both overflow to ±∞;
+    /// - `|b| ≥ 2⁵` and `|self · a| < 2^(e−30)`, `e` the exponent of `b`:
+    ///   the exact sum and its `f64` rounding then both lie within
+    ///   2^(e−30) of `b`, while the nearest binary16 midpoints lie at
+    ///   least 2^(e−12) from `b`, so both round to `b`.
+    ///
+    /// Signed zeros follow the `f64` add (`+0 + −0 = +0`), and a result
+    /// that underflows keeps the sign of the exact sum.
     pub fn mul_add(self, a: F16, b: F16) -> F16 {
-        F16::from_f32(self.to_f32().mul_add(a.to_f32(), b.to_f32()))
+        let wide = |h: F16| h.to_f32() as f64;
+        F16(f64_to_f16_bits(wide(self) * wide(a) + wide(b)))
     }
 
     /// The larger of two values; NaN loses against any number.
@@ -430,15 +455,36 @@ mod tests {
         assert_eq!(a.min(b), a);
     }
 
+    /// `a.mul_add(b, c)` on raw binary16 bits.
+    fn fma_bits(a: u16, b: u16, c: u16) -> u16 {
+        F16(a).mul_add(F16(b), F16(c)).to_bits()
+    }
+
     #[test]
     fn mul_add_single_rounding() {
-        // fma(a, b, c) can differ from a*b + c under double rounding.
+        // 1.00390625 · 1.875 = 1.88232421875 lies exactly on the tie
+        // between 0x3f87 and 0x3f88; −2⁻²⁴ puts the exact sum just below
+        // it. Rounding to f32 first loses the 2⁻²⁴ (half an f32 ulp, tie
+        // to even) and then ties to 0x3f88 = 1.8828125.
+        assert_eq!(fma_bits(0x3c04, 0x3f80, 0x8001), 0x3f87);
+        assert_eq!(F16(0x3f87).to_f32(), 1.881_835_9);
+        // Tie-adjacent triples on both sides, at several binades: the
+        // product is a tie, `c` a subnormal that decides it.
+        for (a, b, c, want) in [
+            (0x3c04u16, 0x3c80u16, 0x0001u16, 0x3c85u16),
+            (0x3c04, 0x3d80, 0x8001, 0x3d85),
+            (0x3c04, 0x4580, 0x8003, 0x4585),
+            (0x3c04, 0x4a80, 0x0003, 0x4a87),
+            // No `c`: the tie itself rounds to even, both ways.
+            (0x3c04, 0x3f80, 0x0000, 0x3f88),
+            (0x3c04, 0x3c80, 0x0000, 0x3c84),
+        ] {
+            assert_eq!(fma_bits(a, b, c), want, "{a:#06x} * {b:#06x} + {c:#06x}");
+        }
+        // And the single rounding keeps what a separate multiply drops:
+        // a² = 1 + 3·2⁻⁹ + 9·2⁻²⁰.
         let a = F16::from_f32(1.0 + 3.0 * 2.0f32.powi(-10));
-        let r_fma = a.mul_add(a, F16::from_f32(-1.0));
-        let r_sep = a * a - F16::ONE;
-        // a^2 = 1 + 3*2^-9 + 9*2^-20; the separate multiply rounds the
-        // 9*2^-20 term away before the subtract, the FMA keeps it.
-        assert!(r_fma.to_f32() > r_sep.to_f32());
+        assert!(a.mul_add(a, F16::NEG_ONE).to_f32() > (a * a - F16::ONE).to_f32());
     }
 
     #[test]
