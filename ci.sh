@@ -36,6 +36,23 @@ if [ "$siblings" -gt "$sibling_budget" ]; then
   exit 1
 fi
 
+echo "==> surface budget (pub fn and pub mod lines under crates/*/src)"
+# Each crate's public surface is its root `pub use` list: modules are
+# private, `#![warn(unreachable_pub)]` in every lib.rs narrows what no
+# root re-export or public signature reaches, and rustc's dead_code lint
+# then sees everything else. Like the sibling budget, these numbers only
+# go down: a new public function replaces one, or something no other
+# crate names drops to `pub(crate)`.
+pub_fn_budget=445
+pub_mod_budget=0
+pub_fns="$(grep -rhE '^\s*pub fn ' crates/*/src | wc -l || true)"
+pub_mods="$(grep -rhE '^\s*pub mod ' crates/*/src | wc -l || true)"
+if [ "$pub_fns" -gt "$pub_fn_budget" ] || [ "$pub_mods" -gt "$pub_mod_budget" ]; then
+  echo "ci.sh: $pub_fns pub fns / $pub_mods pub mods exceed the budgets of" \
+    "$pub_fn_budget / $pub_mod_budget" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -44,33 +44,33 @@
 //! `measure`, `fleet`, `mesh` and `plan` write a machine-readable JSON
 //! document to `--out=FILE`; without the flag nothing is written.
 //!
-//! Argument parsing is table-driven ([`ubench::cli`]): unknown flags and
-//! malformed `--key=value` pairs are typed errors with exit code 2.
+//! Argument parsing is table-driven ([`ubench::parse_flags`]): unknown
+//! flags and malformed `--key=value` pairs are typed errors with exit
+//! code 2.
 
-use ubench::cli;
-use ubench::figures;
-use ubench::report::{geomean, ms, opt_ms, pct, ratio, Table};
+use simcore::JsonValue;
+use ubench::{geomean, ms, opt_ms, pct, ratio, Table};
 
-fn fail(e: cli::CliError) -> ! {
+fn fail(e: ubench::CliError) -> ! {
     eprintln!("repro: {e}");
     std::process::exit(2);
 }
 
 /// Parses a subcommand's arguments against its flag table, exiting
 /// with a typed error on anything the table does not declare.
-fn parse_or_exit(sub: &'static str, args: &[String]) -> cli::Parsed {
-    let specs = cli::subcommand_flags(sub).expect("registered subcommand");
-    cli::parse_flags(sub, args, specs).unwrap_or_else(|e| fail(e))
+fn parse_or_exit(sub: &'static str, args: &[String]) -> ubench::Parsed {
+    let specs = ubench::subcommand_flags(sub).expect("registered subcommand");
+    ubench::parse_flags(sub, args, specs).unwrap_or_else(|e| fail(e))
 }
 
 /// Resolves the positional network argument (last one wins), exiting
 /// with a typed error on a token that names no network.
-fn model_arg(sub: &'static str, p: &cli::Parsed, default: unn::ModelId) -> unn::ModelId {
+fn model_arg(sub: &'static str, p: &ubench::Parsed, default: unn::ModelId) -> unn::ModelId {
     let mut model = default;
     for a in &p.positional {
         match parse_model(a) {
             Some(m) => model = m,
-            None => fail(cli::CliError::BadPositional {
+            None => fail(ubench::CliError::BadPositional {
                 subcommand: sub,
                 given: a.clone(),
             }),
@@ -92,7 +92,7 @@ fn exit_on_violations(label: &str, violations: &[String]) {
 
 /// Builds and writes a subcommand's machine-readable document when
 /// `--out=FILE` was given; without the flag nothing is written.
-fn write_out(path: Option<&str>, document: impl FnOnce() -> ubench::Json) {
+fn write_out(path: Option<&str>, document: impl FnOnce() -> JsonValue) {
     let Some(path) = path else { return };
     if let Err(e) = std::fs::write(path, document().render()) {
         eprintln!("failed to write {path}: {e}");
@@ -155,7 +155,7 @@ impl<'a> From<&'a uruntime::ServeReport> for Slo<'a> {
                 .zip(r.rung_counts.iter().copied())
                 .collect(),
             latencies: &r.latencies,
-            quantiles: &simcore::stats::SLO_QUANTILES[..3],
+            quantiles: &simcore::SLO_QUANTILES[..3],
         }
     }
 }
@@ -171,7 +171,7 @@ impl<'a> From<&'a uruntime::FleetReport> for Slo<'a> {
                 .map(|(label, n)| (label.as_str(), *n))
                 .collect(),
             latencies: &r.latencies,
-            quantiles: &simcore::stats::SLO_QUANTILES,
+            quantiles: &simcore::SLO_QUANTILES,
         }
     }
 }
@@ -191,7 +191,7 @@ impl Slo<'_> {
         row.push(format!("{}/{}", self.queue.0, self.queue.1));
         for &(name, q) in self.quantiles {
             header.push(if name == "p999" { "p99.9" } else { name });
-            row.push(opt_ms(simcore::stats::nearest_rank(self.latencies, q)));
+            row.push(opt_ms(simcore::nearest_rank(self.latencies, q)));
         }
         let mut t = Table::new(&header);
         t.row(row);
@@ -208,44 +208,43 @@ impl Slo<'_> {
 
     /// The `totals` pairs every document starts with; the caller
     /// appends its own.
-    fn totals_json(&self) -> Vec<(&'static str, ubench::Json)> {
+    fn totals_json(&self) -> Vec<(&'static str, JsonValue)> {
         ["offered", "completed", "degraded", "shed", "rejected"]
             .into_iter()
             .zip(self.counts)
-            .map(|(k, n)| (k, ubench::Json::n(n as f64)))
+            .map(|(k, n)| (k, JsonValue::n(n as f64)))
             .collect()
     }
 
-    fn occupancy_json(&self) -> ubench::Json {
-        ubench::Json::Obj(
+    fn occupancy_json(&self) -> JsonValue {
+        JsonValue::Obj(
             self.occupancy
                 .iter()
-                .map(|(k, v)| (k.to_string(), ubench::Json::n(*v as f64)))
+                .map(|(k, v)| (k.to_string(), JsonValue::n(*v as f64)))
                 .collect(),
         )
     }
 
-    fn latency_json(&self) -> ubench::Json {
-        use ubench::Json;
-        let mut pairs: Vec<(String, Json)> = self
+    fn latency_json(&self) -> JsonValue {
+        let mut pairs: Vec<(String, JsonValue)> = self
             .quantiles
             .iter()
             .map(|&(name, q)| {
-                let v = simcore::stats::nearest_rank(self.latencies, q);
+                let v = simcore::nearest_rank(self.latencies, q);
                 (
                     format!("{name}_ms"),
-                    v.map_or(Json::Null, |s| Json::n(s.as_millis_f64())),
+                    v.map_or(JsonValue::Null, |s| JsonValue::n(s.as_millis_f64())),
                 )
             })
             .collect();
-        pairs.push(("samples".into(), Json::n(self.latencies.len() as f64)));
-        Json::Obj(pairs)
+        pairs.push(("samples".into(), JsonValue::n(self.latencies.len() as f64)));
+        JsonValue::Obj(pairs)
     }
 }
 
 /// `"ok"`, or the first invariant violation, for a document.
-fn invariants_json(check: Result<(), String>) -> ubench::Json {
-    ubench::Json::s(check.err().unwrap_or_else(|| "ok".to_string()))
+fn invariants_json(check: Result<(), String>) -> JsonValue {
+    JsonValue::s(check.err().unwrap_or_else(|| "ok".to_string()))
 }
 
 fn main() {
@@ -255,7 +254,7 @@ fn main() {
         let dir = args.get(1).map(String::as_str).unwrap_or("repro-json");
         for a in args.iter().skip(2) {
             if a != "--with-fig10" {
-                fail(cli::CliError::UnknownFlag {
+                fail(ubench::CliError::UnknownFlag {
                     subcommand: "--json",
                     flag: a.clone(),
                 });
@@ -307,13 +306,13 @@ fn main() {
     if !known.contains(&what) {
         eprintln!(
             "repro: {}\nusage: repro [{}|trace|passes|faults|serve|measure|fleet|mesh|plan] | repro --json <dir> [--with-fig10]",
-            cli::CliError::UnknownSubcommand { given: what.into() },
+            ubench::CliError::UnknownSubcommand { given: what.into() },
             known.join("|")
         );
         std::process::exit(2);
     }
     if let Some(a) = args.get(1) {
-        fail(cli::CliError::UnknownFlag {
+        fail(ubench::CliError::UnknownFlag {
             subcommand: "figures",
             flag: a.clone(),
         });
@@ -388,7 +387,7 @@ fn trace(args: &[String]) {
         model.name(),
         if passes { "" } else { ", passes off" }
     ));
-    let reports = figures::overhead_attribution(model, miniature, passes);
+    let reports = ubench::overhead_attribution(model, miniature, passes);
     for rep in &reports {
         println!("\n--- {} ---", rep.soc);
         if !rep.graph_passes.is_empty() {
@@ -406,11 +405,11 @@ fn trace(args: &[String]) {
     }
 
     if check_merge {
-        let baseline = figures::overhead_attribution(model, miniature, false);
+        let baseline = ubench::overhead_attribution(model, miniature, false);
         let optimized = if passes {
             reports.clone()
         } else {
-            figures::overhead_attribution(model, miniature, true)
+            ubench::overhead_attribution(model, miniature, true)
         };
         let mut ok = true;
         println!();
@@ -478,7 +477,7 @@ fn passes_cmd(args: &[String]) {
         "Graph pass pipeline: {} (fusion, quant-pair elision, concat elision, DCE)",
         model.name()
     ));
-    for rep in figures::pass_pipeline(model, miniature) {
+    for rep in ubench::pass_pipeline(model, miniature) {
         println!("\n--- {} ---", rep.soc);
         println!(
             "nodes: {} -> {} ({} concats elided)",
@@ -542,7 +541,7 @@ fn faults(args: &[String]) {
     ));
     let mut violations = Vec::new();
     for &scenario in &scenarios {
-        let reports = figures::fault_scenarios(model, scenario, miniature, seed);
+        let reports = ubench::fault_scenarios(model, scenario, miniature, seed);
         println!("\n--- scenario: {} ---", scenario.name());
         let mut t = Table::new(&[
             "SoC",
@@ -615,7 +614,7 @@ fn serve(args: &[String]) {
         model.name(),
         arrivals,
     ));
-    let reports = figures::serve_overload(
+    let reports = ubench::serve_overload(
         model,
         arrivals,
         miniature,
@@ -830,60 +829,62 @@ fn measure_json(
     spec: &usoc::SocSpec,
     report: &uexec::MeasureReport,
     fit: &ulayer::FitReport,
-) -> ubench::Json {
-    use ubench::Json;
+) -> JsonValue {
     let dev_name = |id: usoc::DeviceId| {
         spec.device(id)
             .map(|d| d.name.clone())
             .unwrap_or_else(|_| format!("{id}"))
     };
-    Json::obj(vec![
-        ("schema", Json::s(MEASURE_SCHEMA)),
-        ("model", Json::s(report.model.clone())),
-        ("soc", Json::s(spec.name.clone())),
-        ("threads", Json::n(report.threads as f64)),
-        ("repeat", Json::n(report.repeat as f64)),
-        ("host_parallelism", Json::n(report.host_parallelism as f64)),
+    JsonValue::obj(vec![
+        ("schema", JsonValue::s(MEASURE_SCHEMA)),
+        ("model", JsonValue::s(report.model.clone())),
+        ("soc", JsonValue::s(spec.name.clone())),
+        ("threads", JsonValue::n(report.threads as f64)),
+        ("repeat", JsonValue::n(report.repeat as f64)),
+        (
+            "host_parallelism",
+            JsonValue::n(report.host_parallelism as f64),
+        ),
         (
             "kernel_path_requested",
-            Json::s(report.kernel_path_requested.clone()),
+            JsonValue::s(report.kernel_path_requested.clone()),
         ),
-        ("kernel_path", Json::s(report.kernel_path.clone())),
-        ("cpu_features", Json::s(report.cpu_features.clone())),
+        ("kernel_path", JsonValue::s(report.kernel_path.clone())),
+        ("cpu_features", JsonValue::s(report.cpu_features.clone())),
         (
             "coop",
-            Json::obj(vec![
-                ("label", Json::s(report.coop_label.clone())),
-                ("total_s", Json::n(report.coop_total_s)),
+            JsonValue::obj(vec![
+                ("label", JsonValue::s(report.coop_label.clone())),
+                ("total_s", JsonValue::n(report.coop_total_s)),
             ]),
         ),
         (
             "single",
-            Json::obj(vec![
-                ("label", Json::s(report.single_label.clone())),
-                ("total_s", Json::n(report.single_total_s)),
+            JsonValue::obj(vec![
+                ("label", JsonValue::s(report.single_label.clone())),
+                ("total_s", JsonValue::n(report.single_total_s)),
             ]),
         ),
-        ("measured_speedup", Json::n(report.measured_speedup)),
-        ("modeled_speedup", Json::n(report.modeled_speedup)),
+        ("measured_speedup", JsonValue::n(report.measured_speedup)),
+        ("modeled_speedup", JsonValue::n(report.modeled_speedup)),
         (
             "fit",
-            Json::obj(vec![
-                ("samples_used", Json::n(fit.samples_used as f64)),
-                ("samples_skipped", Json::n(fit.samples_skipped as f64)),
-                ("mean_rel_err", Json::n(fit.mean_rel_err())),
+            JsonValue::obj(vec![
+                ("samples_used", JsonValue::n(fit.samples_used as f64)),
+                ("samples_skipped", JsonValue::n(fit.samples_skipped as f64)),
+                ("mean_rel_err", JsonValue::n(fit.mean_rel_err())),
                 (
                     "groups",
-                    Json::Arr(
+                    JsonValue::Arr(
                         fit.groups
                             .iter()
                             .map(|gf| {
-                                Json::obj(vec![
-                                    ("device", Json::s(dev_name(gf.device))),
-                                    ("class", Json::s(format!("{:?}", gf.class))),
-                                    ("dtype", Json::s(format!("{}", gf.compute_dtype))),
-                                    ("samples", Json::n(gf.samples as f64)),
-                                    ("mean_rel_err", Json::n(gf.mean_rel_err)),
+                                JsonValue::obj(vec![
+                                    ("device", JsonValue::s(dev_name(gf.device))),
+                                    ("class", JsonValue::s(format!("{:?}", gf.class))),
+                                    ("dtype", JsonValue::s(format!("{}", gf.compute_dtype))),
+                                    ("samples", JsonValue::n(gf.samples as f64)),
+                                    ("mean_rel_err", JsonValue::n(gf.mean_rel_err)),
                                 ])
                             })
                             .collect(),
@@ -893,17 +894,17 @@ fn measure_json(
         ),
         (
             "layers",
-            Json::Arr(
+            JsonValue::Arr(
                 report
                     .layers
                     .iter()
                     .map(|l| {
-                        Json::obj(vec![
-                            ("node", Json::n(l.node as f64)),
-                            ("name", Json::s(l.name.clone())),
-                            ("kind", Json::s(l.kind.clone())),
-                            ("coop_s", Json::n(l.coop_s)),
-                            ("single_s", Json::n(l.single_s)),
+                        JsonValue::obj(vec![
+                            ("node", JsonValue::n(l.node as f64)),
+                            ("name", JsonValue::s(l.name.clone())),
+                            ("kind", JsonValue::s(l.kind.clone())),
+                            ("coop_s", JsonValue::n(l.coop_s)),
+                            ("single_s", JsonValue::n(l.single_s)),
                         ])
                     })
                     .collect(),
@@ -953,7 +954,7 @@ fn fleet_cmd(args: &[String]) {
         "Fleet chaos serving: {devices} devices x {} under storm `{storm_name}` (seed {seed}, {frames} frames/device)",
         model.name(),
     ));
-    let rep = figures::fleet_storm(
+    let rep = ubench::fleet_storm(
         model,
         storm,
         miniature,
@@ -1047,7 +1048,7 @@ fn mesh_cmd(args: &[String]) {
     if let Some(a) = p.positional.first() {
         // The mesh network is fixed (the RAM-limited mesh CNN);
         // a positional is always a mistake.
-        fail(cli::CliError::BadPositional {
+        fail(ubench::CliError::BadPositional {
             subcommand: "mesh",
             given: a.clone(),
         });
@@ -1072,7 +1073,7 @@ fn mesh_cmd(args: &[String]) {
     heading(&format!(
         "Mesh serving: {nodes}-node MCU mesh under link fault `{fault_name}` (seed {seed}, {frames} frames)",
     ));
-    let rep = figures::mesh_scenario(
+    let rep = ubench::mesh_scenario(
         nodes,
         link_fault,
         frames,
@@ -1128,46 +1129,48 @@ fn mesh_cmd(args: &[String]) {
 const MESH_SCHEMA: &str = "ulayer-mesh/v1";
 
 /// The machine-readable mesh document.
-fn mesh_json(rep: &figures::MeshScenarioReport, fault: &str) -> ubench::Json {
-    use ubench::Json;
+fn mesh_json(rep: &ubench::MeshScenarioReport, fault: &str) -> JsonValue {
     let r = &rep.report;
     let slo = Slo::from(r);
     let mut totals = slo.totals_json();
     totals.extend([
-        ("queue_peak", Json::n(r.queue_peak as f64)),
+        ("queue_peak", JsonValue::n(r.queue_peak as f64)),
         (
             "frames_during_partition",
-            Json::n(r.frames_during_partition as f64),
+            JsonValue::n(r.frames_during_partition as f64),
         ),
-        ("partition_degraded", Json::n(r.partition_degraded as f64)),
+        (
+            "partition_degraded",
+            JsonValue::n(r.partition_degraded as f64),
+        ),
     ]);
-    Json::obj(vec![
-        ("schema", Json::s(MESH_SCHEMA)),
-        ("net", Json::s("mesh-cnn")),
-        ("scenario", Json::s(fault)),
+    JsonValue::obj(vec![
+        ("schema", JsonValue::s(MESH_SCHEMA)),
+        ("net", JsonValue::s("mesh-cnn")),
+        ("scenario", JsonValue::s(fault)),
         (
             "mesh",
-            Json::obj(vec![
-                ("nodes", Json::n(rep.nodes as f64)),
-                ("links", Json::n(r.links as f64)),
-                ("seed", Json::n(rep.seed as f64)),
-                ("queue_capacity", Json::n(r.queue_capacity as f64)),
-                ("mean_interval_ms", Json::n(rep.mean_interval_ms)),
-                ("deadline_ms", Json::n(rep.deadline_ms)),
+            JsonValue::obj(vec![
+                ("nodes", JsonValue::n(rep.nodes as f64)),
+                ("links", JsonValue::n(r.links as f64)),
+                ("seed", JsonValue::n(rep.seed as f64)),
+                ("queue_capacity", JsonValue::n(r.queue_capacity as f64)),
+                ("mean_interval_ms", JsonValue::n(rep.mean_interval_ms)),
+                ("deadline_ms", JsonValue::n(rep.deadline_ms)),
             ]),
         ),
-        ("totals", Json::obj(totals)),
+        ("totals", JsonValue::obj(totals)),
         ("rung_occupancy", slo.occupancy_json()),
         ("latency", slo.latency_json()),
-        ("bit_identical", Json::Bool(rep.bit_identical)),
+        ("bit_identical", JsonValue::Bool(rep.bit_identical)),
         (
             "planner",
-            Json::obj(vec![
-                ("probes", Json::n(rep.planner.frames as f64)),
-                ("hits", Json::n(rep.planner.cache_hits as f64)),
-                ("misses", Json::n(rep.planner.cache_misses as f64)),
-                ("hit_rate", Json::n(rep.planner.hit_rate())),
-                ("wall_ms", Json::n(rep.planner.wall_ns as f64 / 1e6)),
+            JsonValue::obj(vec![
+                ("probes", JsonValue::n(rep.planner.frames as f64)),
+                ("hits", JsonValue::n(rep.planner.cache_hits as f64)),
+                ("misses", JsonValue::n(rep.planner.cache_misses as f64)),
+                ("hit_rate", JsonValue::n(rep.planner.hit_rate())),
+                ("wall_ms", JsonValue::n(rep.planner.wall_ns as f64 / 1e6)),
             ]),
         ),
         ("invariants", invariants_json(r.check_invariants())),
@@ -1178,45 +1181,47 @@ fn mesh_json(rep: &figures::MeshScenarioReport, fault: &str) -> ubench::Json {
 const FLEET_SCHEMA: &str = "ulayer-fleet/v1";
 
 /// The machine-readable fleet document.
-fn fleet_json(rep: &figures::FleetStormReport, storm: &str) -> ubench::Json {
-    use ubench::Json;
+fn fleet_json(rep: &ubench::FleetStormReport, storm: &str) -> JsonValue {
     let r = &rep.report;
     let slo = Slo::from(r);
     let mut totals = slo.totals_json();
     totals.extend([
-        ("retries", Json::n(r.retries as f64)),
-        ("fallbacks", Json::n(r.fallbacks as f64)),
-        ("throttled", Json::n(r.throttled as f64)),
-        ("missed", Json::n(r.missed as f64)),
-        ("gpu_lost_devices", Json::n(r.gpu_lost_devices as f64)),
-        ("queue_peak", Json::n(r.queue_peak as f64)),
+        ("retries", JsonValue::n(r.retries as f64)),
+        ("fallbacks", JsonValue::n(r.fallbacks as f64)),
+        ("throttled", JsonValue::n(r.throttled as f64)),
+        ("missed", JsonValue::n(r.missed as f64)),
+        ("gpu_lost_devices", JsonValue::n(r.gpu_lost_devices as f64)),
+        ("queue_peak", JsonValue::n(r.queue_peak as f64)),
     ]);
-    Json::obj(vec![
-        ("schema", Json::s(FLEET_SCHEMA)),
-        ("net", Json::s(r.net.clone())),
-        ("scenario", Json::s(storm)),
+    JsonValue::obj(vec![
+        ("schema", JsonValue::s(FLEET_SCHEMA)),
+        ("net", JsonValue::s(r.net.clone())),
+        ("scenario", JsonValue::s(storm)),
         (
             "fleet",
-            Json::obj(vec![
-                ("devices", Json::n(r.fleet_size as f64)),
-                ("frames_per_device", Json::n(r.frames_per_device as f64)),
-                ("seed", Json::n(r.seed as f64)),
-                ("queue_capacity", Json::n(r.queue_capacity as f64)),
+            JsonValue::obj(vec![
+                ("devices", JsonValue::n(r.fleet_size as f64)),
+                (
+                    "frames_per_device",
+                    JsonValue::n(r.frames_per_device as f64),
+                ),
+                ("seed", JsonValue::n(r.seed as f64)),
+                ("queue_capacity", JsonValue::n(r.queue_capacity as f64)),
                 (
                     "mean_interval_ms",
-                    Json::n(r.mean_interval.as_secs_f64() * 1e3),
+                    JsonValue::n(r.mean_interval.as_secs_f64() * 1e3),
                 ),
-                ("deadline_ms", Json::n(r.deadline.as_secs_f64() * 1e3)),
+                ("deadline_ms", JsonValue::n(r.deadline.as_secs_f64() * 1e3)),
                 (
                     "cohorts",
-                    Json::Arr(
+                    JsonValue::Arr(
                         r.cohort_socs
                             .iter()
                             .zip(&r.cohort_instances)
                             .map(|(soc, n)| {
-                                Json::obj(vec![
-                                    ("soc", Json::s(soc.clone())),
-                                    ("instances", Json::n(*n as f64)),
+                                JsonValue::obj(vec![
+                                    ("soc", JsonValue::s(soc.clone())),
+                                    ("instances", JsonValue::n(*n as f64)),
                                 ])
                             })
                             .collect(),
@@ -1224,41 +1229,41 @@ fn fleet_json(rep: &figures::FleetStormReport, storm: &str) -> ubench::Json {
                 ),
             ]),
         ),
-        ("totals", Json::obj(totals)),
+        ("totals", JsonValue::obj(totals)),
         ("rung_occupancy", slo.occupancy_json()),
         ("latency", slo.latency_json()),
-        ("energy_j", Json::n(r.energy_j)),
+        ("energy_j", JsonValue::n(r.energy_j)),
         (
             "planner",
-            Json::obj(vec![
+            JsonValue::obj(vec![
                 (
                     "cache",
-                    Json::s(if r.plan_cache_enabled { "on" } else { "off" }),
+                    JsonValue::s(if r.plan_cache_enabled { "on" } else { "off" }),
                 ),
-                ("hits", Json::n(r.plan_hits as f64)),
-                ("misses", Json::n(r.plan_misses as f64)),
-                ("hit_rate", Json::n(r.plan_hit_rate())),
-                ("planning_ms", Json::n(r.planning.as_millis_f64())),
+                ("hits", JsonValue::n(r.plan_hits as f64)),
+                ("misses", JsonValue::n(r.plan_misses as f64)),
+                ("hit_rate", JsonValue::n(r.plan_hit_rate())),
+                ("planning_ms", JsonValue::n(r.planning.as_millis_f64())),
             ]),
         ),
         (
             "weights",
-            Json::obj(vec![
-                ("bytes", Json::n(r.weight_bytes as f64)),
-                ("copies", Json::n(r.weight_copies as f64)),
-                ("naive_bytes", Json::n(r.naive_weight_bytes as f64)),
+            JsonValue::obj(vec![
+                ("bytes", JsonValue::n(r.weight_bytes as f64)),
+                ("copies", JsonValue::n(r.weight_copies as f64)),
+                ("naive_bytes", JsonValue::n(r.naive_weight_bytes as f64)),
             ]),
         ),
         (
             "fuzz",
-            Json::obj(vec![
-                ("orders", Json::n(rep.fuzz_orders as f64)),
+            JsonValue::obj(vec![
+                ("orders", JsonValue::n(rep.fuzz_orders as f64)),
                 (
                     "mismatched_seeds",
-                    Json::Arr(
+                    JsonValue::Arr(
                         rep.fuzz_mismatches
                             .iter()
-                            .map(|s| Json::n(*s as f64))
+                            .map(|s| JsonValue::n(*s as f64))
                             .collect(),
                     ),
                 ),
@@ -1288,7 +1293,7 @@ fn plan_cmd(args: &[String]) {
         "Planner cache: uLayer {} over {frames} frames of `{drift}` drift (seed {seed})",
         model.name(),
     ));
-    let reports = figures::plan_experiment(model, &drift, miniature, frames, seed);
+    let reports = ubench::plan_experiment(model, &drift, miniature, frames, seed);
     let mut violations = Vec::new();
     let mut t = Table::new(&[
         "SoC",
@@ -1342,45 +1347,47 @@ fn plan_cmd(args: &[String]) {
 const PLAN_SCHEMA: &str = "ulayer-plan/v1";
 
 /// The machine-readable planner document.
-fn plan_json(reports: &[figures::PlanExperimentReport], drift: &str, seed: u64) -> ubench::Json {
-    use ubench::Json;
-    Json::obj(vec![
-        ("schema", Json::s(PLAN_SCHEMA)),
+fn plan_json(reports: &[ubench::PlanExperimentReport], drift: &str, seed: u64) -> JsonValue {
+    JsonValue::obj(vec![
+        ("schema", JsonValue::s(PLAN_SCHEMA)),
         (
             "net",
-            Json::s(
+            JsonValue::s(
                 reports
                     .first()
                     .map(|r| r.network.clone())
                     .unwrap_or_default(),
             ),
         ),
-        ("drift", Json::s(drift)),
-        ("seed", Json::n(seed as f64)),
+        ("drift", JsonValue::s(drift)),
+        ("seed", JsonValue::n(seed as f64)),
         (
             "socs",
-            Json::Arr(
+            JsonValue::Arr(
                 reports
                     .iter()
                     .map(|rep| {
                         let s = &rep.stats;
-                        Json::obj(vec![
-                            ("soc", Json::s(rep.soc.clone())),
-                            ("frames", Json::n(s.frames as f64)),
-                            ("hits", Json::n(s.cache_hits as f64)),
-                            ("misses", Json::n(s.cache_misses as f64)),
-                            ("hit_rate", Json::n(s.hit_rate())),
-                            ("incremental", Json::n(s.incremental_replans as f64)),
-                            ("scratch", Json::n(s.scratch_plans as f64)),
-                            ("layers_reenumerated", Json::n(s.layers_reenumerated as f64)),
-                            ("layers_copied", Json::n(s.layers_copied as f64)),
-                            ("evictions", Json::n(s.evictions as f64)),
-                            ("planner_wall_ms", Json::n(s.wall_ns as f64 / 1e6)),
-                            ("planning_modeled_ms", Json::n(rep.planning_modeled_ms)),
-                            ("scratch_wall_ms", Json::n(rep.scratch_wall_ms)),
+                        JsonValue::obj(vec![
+                            ("soc", JsonValue::s(rep.soc.clone())),
+                            ("frames", JsonValue::n(s.frames as f64)),
+                            ("hits", JsonValue::n(s.cache_hits as f64)),
+                            ("misses", JsonValue::n(s.cache_misses as f64)),
+                            ("hit_rate", JsonValue::n(s.hit_rate())),
+                            ("incremental", JsonValue::n(s.incremental_replans as f64)),
+                            ("scratch", JsonValue::n(s.scratch_plans as f64)),
+                            (
+                                "layers_reenumerated",
+                                JsonValue::n(s.layers_reenumerated as f64),
+                            ),
+                            ("layers_copied", JsonValue::n(s.layers_copied as f64)),
+                            ("evictions", JsonValue::n(s.evictions as f64)),
+                            ("planner_wall_ms", JsonValue::n(s.wall_ns as f64 / 1e6)),
+                            ("planning_modeled_ms", JsonValue::n(rep.planning_modeled_ms)),
+                            ("scratch_wall_ms", JsonValue::n(rep.scratch_wall_ms)),
                             (
                                 "equivalent",
-                                Json::Bool(rep.equivalence_failures.is_empty()),
+                                JsonValue::Bool(rep.equivalence_failures.is_empty()),
                             ),
                         ])
                     })
@@ -1405,7 +1412,7 @@ fn table1() {
         "Br. Dist. (5)",
     ]);
     let tick = |b: bool| if b { "yes" } else { "-" }.to_string();
-    for (net, app) in figures::table1() {
+    for (net, app) in ubench::table1() {
         t.row(vec![
             net,
             tick(app.channel_distribution),
@@ -1418,7 +1425,7 @@ fn table1() {
 
 fn fig5() {
     heading("Figure 5: Per-layer VGG-16 latency, CPU vs GPU (F32)");
-    for soc in figures::fig5() {
+    for soc in ubench::fig5() {
         println!("\n--- {} ---", soc.soc);
         let mut t = Table::new(&["Layer", "CPU (ms)", "GPU (ms)", "GPU speedup"]);
         for (name, cpu, gpu) in soc
@@ -1438,7 +1445,7 @@ fn fig5() {
 
 fn fig6() {
     heading("Figure 6: NN execution latency, CPU vs GPU (F32)");
-    for soc in figures::fig6() {
+    for soc in ubench::fig6() {
         println!("\n--- {} ---", soc.soc);
         let mut t = Table::new(&["Network", "CPU (ms)", "GPU (ms)"]);
         for (net, cpu, gpu) in &soc.rows {
@@ -1450,7 +1457,7 @@ fn fig6() {
 
 fn fig8() {
     heading("Figure 8: Quantization impact on latency (normalized to CPU F32)");
-    for soc in figures::fig8() {
+    for soc in ubench::fig8() {
         println!("\n--- {} ---", soc.soc);
         let keys: Vec<String> = soc.rows[0].1.keys().cloned().collect();
         let mut header: Vec<&str> = vec!["Network"];
@@ -1487,7 +1494,7 @@ fn fig10() {
 
 fn fig12() {
     heading("Figure 12: Branch distribution case study (Inception 3a, high-end SoC)");
-    let d = figures::fig12();
+    let d = ubench::fig12();
     let mut t = Table::new(&["Mechanism", "Latency (ms)", "Improvement vs CPU-only"]);
     t.row(vec![
         "CPU-Only (QUInt8)".into(),
@@ -1508,8 +1515,8 @@ fn fig12() {
     println!("(paper: 52.1% and 63.4% over CPU-only)");
 }
 
-fn print_evaluation(metric: &str, get: impl Fn(&figures::MechanismResult) -> f64) {
-    for eval in figures::evaluation() {
+fn print_evaluation(metric: &str, get: impl Fn(&ubench::MechanismResult) -> f64) {
+    for eval in ubench::evaluation() {
         println!("\n--- {} ---", eval.soc);
         let labels: Vec<String> = eval.rows[0].1.iter().map(|m| m.label.clone()).collect();
         let mut header: Vec<&str> = vec!["Network"];
@@ -1563,7 +1570,7 @@ fn fig16() {
 
 fn fig17() {
     heading("Figure 17: Contribution of the three optimizations (ablation)");
-    for soc in figures::fig17() {
+    for soc in ubench::fig17() {
         println!("\n--- {} ---", soc.soc);
         let mut t = Table::new(&[
             "Network",
@@ -1601,7 +1608,7 @@ fn predictor() {
             .iter()
             .map(|id| id.build())
             .collect();
-        let report = ulayer::evaluate_predictor(&spec, &pred, &graphs).expect("evaluate");
+        let report = ubench::evaluate_predictor(&spec, &pred, &graphs).expect("evaluate");
         println!("\n--- {} ---", spec.name);
         let mut t = Table::new(&["Device", "Samples", "Mean rel. err", "Max rel. err"]);
         for d in &report.devices {
@@ -1642,7 +1649,7 @@ fn sweeps() {
 fn npu() {
     heading("Section 8.3 extension: channel-wise distribution across CPU+GPU+NPU");
     let mut t = Table::new(&["Network", "uLayer (ms)", "uLayer+NPU (ms)", "Speedup"]);
-    for r in figures::npu_extension() {
+    for r in ubench::npu_extension() {
         t.row(vec![
             r.network.clone(),
             ms(r.base_ms),

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Network names every model-taking subcommand accepts positionally.
-pub const MODELS: &[&str] = &[
+pub(crate) const MODELS: &[&str] = &[
     "vgg16",
     "vgg",
     "alexnet",
@@ -48,12 +48,12 @@ pub const LINK_FAULTS: &[&str] = &["none", "drop", "delay", "jitter", "flap", "p
 pub const KERNEL_PATHS: &[&str] = &["auto", "scalar", "simd"];
 
 /// On/off toggles (`--plan-cache=`).
-pub const ONOFF: &[&str] = &["on", "off"];
+pub(crate) const ONOFF: &[&str] = &["on", "off"];
 
 /// Drift scenarios of the `plan` subcommand (`--drift=`): how the
 /// per-frame `DriftAdapter` state evolves while the planner session
 /// replans the stream.
-pub const DRIFTS: &[&str] = &["calm", "throttle", "loss", "oscillate"];
+pub(crate) const DRIFTS: &[&str] = &["calm", "throttle", "loss", "oscillate"];
 
 /// What a flag's value must look like.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,7 +99,7 @@ const fn flag(name: &'static str, kind: FlagKind) -> FlagSpec {
 }
 
 /// `repro trace` flags.
-pub const TRACE_FLAGS: &[FlagSpec] = &[
+pub(crate) const TRACE_FLAGS: &[FlagSpec] = &[
     flag("--miniature", FlagKind::Switch),
     flag("--no-passes", FlagKind::Switch),
     flag("--check-merge", FlagKind::Switch),
@@ -107,10 +107,10 @@ pub const TRACE_FLAGS: &[FlagSpec] = &[
 ];
 
 /// `repro passes` flags.
-pub const PASSES_FLAGS: &[FlagSpec] = &[flag("--miniature", FlagKind::Switch)];
+pub(crate) const PASSES_FLAGS: &[FlagSpec] = &[flag("--miniature", FlagKind::Switch)];
 
 /// `repro faults` flags.
-pub const FAULTS_FLAGS: &[FlagSpec] = &[
+pub(crate) const FAULTS_FLAGS: &[FlagSpec] = &[
     flag("--miniature", FlagKind::Switch),
     flag("--scenario", FlagKind::OneOf(SCENARIOS)),
     flag("--seed", FlagKind::U64),
@@ -129,7 +129,7 @@ pub const SERVE_FLAGS: &[FlagSpec] = &[
 ];
 
 /// `repro measure` flags.
-pub const MEASURE_FLAGS: &[FlagSpec] = &[
+pub(crate) const MEASURE_FLAGS: &[FlagSpec] = &[
     flag("--miniature", FlagKind::Switch),
     flag("--threads", FlagKind::UsizeMin(1)),
     flag("--repeat", FlagKind::UsizeMin(1)),
@@ -155,7 +155,7 @@ pub const FLEET_FLAGS: &[FlagSpec] = &[
 ];
 
 /// `repro plan` flags.
-pub const PLAN_FLAGS: &[FlagSpec] = &[
+pub(crate) const PLAN_FLAGS: &[FlagSpec] = &[
     flag("--miniature", FlagKind::Switch),
     flag("--frames", FlagKind::UsizeMin(1)),
     flag("--seed", FlagKind::U64),
@@ -165,7 +165,7 @@ pub const PLAN_FLAGS: &[FlagSpec] = &[
 ];
 
 /// `repro mesh` flags.
-pub const MESH_FLAGS: &[FlagSpec] = &[
+pub(crate) const MESH_FLAGS: &[FlagSpec] = &[
     flag("--nodes", FlagKind::UsizeMin(2)),
     flag("--frames", FlagKind::UsizeMin(1)),
     flag("--seed", FlagKind::U64),
@@ -274,7 +274,7 @@ impl std::error::Error for CliError {}
 
 /// A validated command line: switches, typed `--key=value` pairs, and
 /// the remaining positional arguments (validated by the caller, e.g.
-/// against [`MODELS`]).
+/// against `MODELS`).
 #[derive(Clone, Debug, Default)]
 pub struct Parsed {
     switches: BTreeSet<&'static str>,

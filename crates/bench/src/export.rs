@@ -8,35 +8,39 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::figures;
-use crate::json::Json;
+use simcore::JsonValue;
 
-fn eval_to_json(evals: &[figures::Evaluation], metric: &str) -> Json {
-    Json::Arr(
+use crate::figures;
+
+fn eval_to_json(evals: &[figures::Evaluation], metric: &str) -> JsonValue {
+    JsonValue::Arr(
         evals
             .iter()
             .map(|e| {
-                Json::obj(vec![
-                    ("soc", Json::s(e.soc.clone())),
+                JsonValue::obj(vec![
+                    ("soc", JsonValue::s(e.soc.clone())),
                     (
                         "networks",
-                        Json::Arr(
+                        JsonValue::Arr(
                             e.rows
                                 .iter()
                                 .map(|(net, mechs)| {
-                                    Json::obj(vec![
-                                        ("network", Json::s(net.clone())),
+                                    JsonValue::obj(vec![
+                                        ("network", JsonValue::s(net.clone())),
                                         (
                                             "mechanisms",
-                                            Json::Arr(
+                                            JsonValue::Arr(
                                                 mechs
                                                     .iter()
                                                     .map(|m| {
-                                                        Json::obj(vec![
-                                                            ("label", Json::s(m.label.clone())),
+                                                        JsonValue::obj(vec![
+                                                            (
+                                                                "label",
+                                                                JsonValue::s(m.label.clone()),
+                                                            ),
                                                             (
                                                                 metric,
-                                                                Json::n(
+                                                                JsonValue::n(
                                                                     if metric == "latency_ms" {
                                                                         m.latency_ms
                                                                     } else {
@@ -67,7 +71,7 @@ fn eval_to_json(evals: &[figures::Evaluation], metric: &str) -> Json {
 pub fn export_all(dir: &Path, include_fig10: bool) -> io::Result<Vec<String>> {
     fs::create_dir_all(dir)?;
     let mut written = Vec::new();
-    let mut write = |name: &str, value: Json| -> io::Result<()> {
+    let mut write = |name: &str, value: JsonValue| -> io::Result<()> {
         let path = dir.join(name);
         fs::write(&path, value.render() + "\n")?;
         written.push(name.to_string());
@@ -75,18 +79,24 @@ pub fn export_all(dir: &Path, include_fig10: bool) -> io::Result<Vec<String>> {
     };
 
     // Table 1.
-    let table1 = Json::Arr(
+    let table1 = JsonValue::Arr(
         figures::table1()
             .into_iter()
             .map(|(net, app)| {
-                Json::obj(vec![
-                    ("network", Json::s(net)),
-                    ("channel_distribution", Json::Bool(app.channel_distribution)),
+                JsonValue::obj(vec![
+                    ("network", JsonValue::s(net)),
+                    (
+                        "channel_distribution",
+                        JsonValue::Bool(app.channel_distribution),
+                    ),
                     (
                         "processor_quantization",
-                        Json::Bool(app.processor_quantization),
+                        JsonValue::Bool(app.processor_quantization),
                     ),
-                    ("branch_distribution", Json::Bool(app.branch_distribution)),
+                    (
+                        "branch_distribution",
+                        JsonValue::Bool(app.branch_distribution),
+                    ),
                 ])
             })
             .collect(),
@@ -94,23 +104,23 @@ pub fn export_all(dir: &Path, include_fig10: bool) -> io::Result<Vec<String>> {
     write("table1.json", table1)?;
 
     // Figure 5.
-    let fig5 = Json::Arr(
+    let fig5 = JsonValue::Arr(
         figures::fig5()
             .into_iter()
             .map(|soc| {
-                Json::obj(vec![
-                    ("soc", Json::s(soc.soc)),
-                    ("mean_gpu_speedup", Json::n(soc.mean_gpu_speedup)),
+                JsonValue::obj(vec![
+                    ("soc", JsonValue::s(soc.soc)),
+                    ("mean_gpu_speedup", JsonValue::n(soc.mean_gpu_speedup)),
                     (
                         "layers",
-                        Json::Arr(
+                        JsonValue::Arr(
                             soc.layers
                                 .into_iter()
                                 .map(|(name, cpu, gpu)| {
-                                    Json::obj(vec![
-                                        ("layer", Json::s(name)),
-                                        ("cpu_ms", Json::n(cpu)),
-                                        ("gpu_ms", Json::n(gpu)),
+                                    JsonValue::obj(vec![
+                                        ("layer", JsonValue::s(name)),
+                                        ("cpu_ms", JsonValue::n(cpu)),
+                                        ("gpu_ms", JsonValue::n(gpu)),
                                     ])
                                 })
                                 .collect(),
@@ -123,22 +133,22 @@ pub fn export_all(dir: &Path, include_fig10: bool) -> io::Result<Vec<String>> {
     write("fig5.json", fig5)?;
 
     // Figure 6.
-    let fig6 = Json::Arr(
+    let fig6 = JsonValue::Arr(
         figures::fig6()
             .into_iter()
             .map(|soc| {
-                Json::obj(vec![
-                    ("soc", Json::s(soc.soc)),
+                JsonValue::obj(vec![
+                    ("soc", JsonValue::s(soc.soc)),
                     (
                         "networks",
-                        Json::Arr(
+                        JsonValue::Arr(
                             soc.rows
                                 .into_iter()
                                 .map(|(net, cpu, gpu)| {
-                                    Json::obj(vec![
-                                        ("network", Json::s(net)),
-                                        ("cpu_ms", Json::n(cpu)),
-                                        ("gpu_ms", Json::n(gpu)),
+                                    JsonValue::obj(vec![
+                                        ("network", JsonValue::s(net)),
+                                        ("cpu_ms", JsonValue::n(cpu)),
+                                        ("gpu_ms", JsonValue::n(gpu)),
                                     ])
                                 })
                                 .collect(),
@@ -151,23 +161,23 @@ pub fn export_all(dir: &Path, include_fig10: bool) -> io::Result<Vec<String>> {
     write("fig6.json", fig6)?;
 
     // Figure 8.
-    let fig8 = Json::Arr(
+    let fig8 = JsonValue::Arr(
         figures::fig8()
             .into_iter()
             .map(|soc| {
-                Json::obj(vec![
-                    ("soc", Json::s(soc.soc)),
+                JsonValue::obj(vec![
+                    ("soc", JsonValue::s(soc.soc)),
                     (
                         "networks",
-                        Json::Arr(
+                        JsonValue::Arr(
                             soc.rows
                                 .into_iter()
                                 .map(|(net, m)| {
-                                    let mut pairs = vec![("network", Json::s(net))];
-                                    let entries: Vec<(String, Json)> =
-                                        m.into_iter().map(|(k, v)| (k, Json::n(v))).collect();
-                                    pairs.push(("normalized_latency", Json::Obj(entries)));
-                                    Json::obj(pairs)
+                                    let mut pairs = vec![("network", JsonValue::s(net))];
+                                    let entries: Vec<(String, JsonValue)> =
+                                        m.into_iter().map(|(k, v)| (k, JsonValue::n(v))).collect();
+                                    pairs.push(("normalized_latency", JsonValue::Obj(entries)));
+                                    JsonValue::obj(pairs)
                                 })
                                 .collect(),
                         ),
@@ -179,21 +189,21 @@ pub fn export_all(dir: &Path, include_fig10: bool) -> io::Result<Vec<String>> {
     write("fig8.json", fig8)?;
 
     if include_fig10 {
-        let fig10 = Json::Arr(
+        let fig10 = JsonValue::Arr(
             quantlab::run_figure10()
                 .into_iter()
                 .map(|(net, rows)| {
-                    Json::obj(vec![
-                        ("network", Json::s(net)),
+                    JsonValue::obj(vec![
+                        ("network", JsonValue::s(net)),
                         (
                             "variants",
-                            Json::Arr(
+                            JsonValue::Arr(
                                 rows.into_iter()
                                     .map(|r| {
-                                        Json::obj(vec![
-                                            ("variant", Json::s(r.variant)),
-                                            ("accuracy", Json::n(r.accuracy)),
-                                            ("drop_pp", Json::n(r.drop_pp)),
+                                        JsonValue::obj(vec![
+                                            ("variant", JsonValue::s(r.variant)),
+                                            ("accuracy", JsonValue::n(r.accuracy)),
+                                            ("drop_pp", JsonValue::n(r.drop_pp)),
                                         ])
                                     })
                                     .collect(),
@@ -210,10 +220,10 @@ pub fn export_all(dir: &Path, include_fig10: bool) -> io::Result<Vec<String>> {
     let d = figures::fig12();
     write(
         "fig12.json",
-        Json::obj(vec![
-            ("cpu_only_ms", Json::n(d.cpu_only_ms)),
-            ("cooperative_ms", Json::n(d.cooperative_ms)),
-            ("optimal_ms", Json::n(d.optimal_ms)),
+        JsonValue::obj(vec![
+            ("cpu_only_ms", JsonValue::n(d.cpu_only_ms)),
+            ("cooperative_ms", JsonValue::n(d.cooperative_ms)),
+            ("optimal_ms", JsonValue::n(d.optimal_ms)),
         ]),
     )?;
 
@@ -223,24 +233,24 @@ pub fn export_all(dir: &Path, include_fig10: bool) -> io::Result<Vec<String>> {
     write("fig18.json", eval_to_json(&evals, "energy_mj"))?;
 
     // Figure 17.
-    let fig17 = Json::Arr(
+    let fig17 = JsonValue::Arr(
         figures::fig17()
             .into_iter()
             .map(|soc| {
-                Json::obj(vec![
-                    ("soc", Json::s(soc.soc)),
+                JsonValue::obj(vec![
+                    ("soc", JsonValue::s(soc.soc)),
                     (
                         "networks",
-                        Json::Arr(
+                        JsonValue::Arr(
                             soc.rows
                                 .into_iter()
                                 .map(|(net, steps)| {
-                                    Json::obj(vec![
-                                        ("network", Json::s(net)),
-                                        ("layer_to_proc_ms", Json::n(steps[0])),
-                                        ("ch_dist_ms", Json::n(steps[1])),
-                                        ("proc_quant_ms", Json::n(steps[2])),
-                                        ("br_dist_ms", Json::n(steps[3])),
+                                    JsonValue::obj(vec![
+                                        ("network", JsonValue::s(net)),
+                                        ("layer_to_proc_ms", JsonValue::n(steps[0])),
+                                        ("ch_dist_ms", JsonValue::n(steps[1])),
+                                        ("proc_quant_ms", JsonValue::n(steps[2])),
+                                        ("br_dist_ms", JsonValue::n(steps[3])),
                                     ])
                                 })
                                 .collect(),
@@ -253,14 +263,14 @@ pub fn export_all(dir: &Path, include_fig10: bool) -> io::Result<Vec<String>> {
     write("fig17.json", fig17)?;
 
     // NPU extension.
-    let npu = Json::Arr(
+    let npu = JsonValue::Arr(
         figures::npu_extension()
             .into_iter()
             .map(|r| {
-                Json::obj(vec![
-                    ("network", Json::s(r.network)),
-                    ("base_ms", Json::n(r.base_ms)),
-                    ("npu_ms", Json::n(r.npu_ms)),
+                JsonValue::obj(vec![
+                    ("network", JsonValue::s(r.network)),
+                    ("base_ms", JsonValue::n(r.base_ms)),
+                    ("npu_ms", JsonValue::n(r.npu_ms)),
                 ])
             })
             .collect(),

@@ -153,12 +153,12 @@ pub struct Fig12 {
 }
 
 /// Builds a standalone Inception-3a module graph fed by the graph input.
-pub fn inception_3a_graph() -> Graph {
+pub(crate) fn inception_3a_graph() -> Graph {
     let mut g = Graph::new("inception-3a", utensor::Shape::nchw(1, 192, 28, 28));
     // A pass-through stem gives the module a fork node, like in the full
     // network where the preceding pool output forks into the branches.
     let stem = g.add_input_layer("stem", unn::LayerKind::Relu);
-    unn::models::googlenet::inception(&mut g, "inception_3a", stem, (64, 96, 128, 16, 32, 32));
+    unn::inception(&mut g, "inception_3a", stem, (64, 96, 128, 16, 32, 32));
     g
 }
 
@@ -200,7 +200,7 @@ pub struct MechanismResult {
 /// Runs every compared mechanism on one network/SoC: the six
 /// single-processor bars, the layer-to-processor baseline (QUInt8), and
 /// μLayer.
-pub fn run_all_mechanisms(spec: &SocSpec, graph: &Graph) -> Vec<MechanismResult> {
+pub(crate) fn run_all_mechanisms(spec: &SocSpec, graph: &Graph) -> Vec<MechanismResult> {
     let mut out = Vec::new();
     for (dev, dev_name) in [(spec.cpu(), "CPU"), (spec.gpu(), "GPU")] {
         for dtype in DType::ALL {
@@ -913,7 +913,7 @@ pub struct MeshScenarioReport {
 /// across nodes — the split is forced by memory, not won on latency.
 /// The MAC count stays small enough for the functional bit-identity
 /// gate to run in milliseconds.
-pub fn mesh_workload_graph() -> Graph {
+pub(crate) fn mesh_workload_graph() -> Graph {
     let mut g = Graph::new("mesh-cnn", utensor::Shape::nchw(1, 64, 40, 40));
     let conv = |oc| unn::LayerKind::Conv {
         oc,
@@ -952,7 +952,7 @@ pub fn mesh_workload_graph() -> Graph {
 /// ladder on an MCU-style mesh of `nodes` devices, under an optional
 /// seeded link-fault scenario targeting the middle link.
 ///
-/// The network is [`mesh_workload_graph`] — sized so a single MCU
+/// The network is `mesh_workload_graph` — sized so a single MCU
 /// node's RAM cannot hold the hot layers, forcing genuinely multi-node
 /// splits.
 /// `rate_fps == 0` sizes the offered load at the full rung's service
@@ -1094,7 +1094,7 @@ pub struct PlanExperimentReport {
     /// incremental replans, layer re-enumeration counts, wall time.
     pub stats: ulayer::PlannerStats,
     /// Total modeled planning time of the cache-on arm (deterministic
-    /// [`ulayer::planning_span`] charges), milliseconds.
+    /// `ulayer::planning_span` charges), milliseconds.
     pub planning_modeled_ms: f64,
     /// Wall-clock of planning every frame from scratch (the
     /// `--plan-cache=off` ablation), milliseconds.

@@ -6,12 +6,9 @@
 //! appear in the synthetic training ladder — and reports relative error
 //! per device. `repro` prints the report; tests bound the error.
 
-use usoc::{layer_work, DeviceId, DtypePlan, SocSpec};
-
+use ulayer::{LatencyPredictor, ULayerError};
 use unn::{Graph, NodeId};
-
-use crate::error::ULayerError;
-use crate::predictor::LatencyPredictor;
+use usoc::{layer_work, DeviceId, DtypePlan, SocSpec};
 
 /// Prediction error statistics for one device.
 #[derive(Clone, Debug)]
@@ -37,7 +34,8 @@ pub struct PredictorReport {
 
 impl PredictorReport {
     /// The worst mean relative error across devices.
-    pub fn worst_mean_rel_err(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn worst_mean_rel_err(&self) -> f64 {
         self.devices
             .iter()
             .map(|d| d.mean_rel_err)

@@ -3,7 +3,7 @@
 //! a typed error, accepts its documented forms, and the enumerated
 //! value lists stay in sync with the enums they name.
 
-use ubench::cli::{self, parse_flags, CliError, FlagKind};
+use ubench::{parse_flags, CliError, FlagKind};
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -13,7 +13,7 @@ fn args(list: &[&str]) -> Vec<String> {
 /// token preserved in the error.
 #[test]
 fn every_subcommand_rejects_unknown_flags() {
-    for &(sub, specs) in cli::SUBCOMMANDS {
+    for &(sub, specs) in ubench::SUBCOMMANDS {
         for bad in ["--definitely-not-a-flag", "--definitely-not-a-flag=1"] {
             let e = parse_flags(sub, &args(&[bad]), specs).unwrap_err();
             assert_eq!(
@@ -33,7 +33,7 @@ fn every_subcommand_rejects_unknown_flags() {
 /// each kind gets the inputs that must fail it.
 #[test]
 fn every_value_flag_rejects_malformed_values() {
-    for &(sub, specs) in cli::SUBCOMMANDS {
+    for &(sub, specs) in ubench::SUBCOMMANDS {
         for spec in specs {
             let bad_values: &[&str] = match spec.kind {
                 // A switch must reject any value at all.
@@ -80,7 +80,7 @@ fn every_value_flag_rejects_malformed_values() {
 /// through the typed accessors.
 #[test]
 fn every_flag_accepts_its_documented_form() {
-    for &(sub, specs) in cli::SUBCOMMANDS {
+    for &(sub, specs) in ubench::SUBCOMMANDS {
         for spec in specs {
             let good: String = match spec.kind {
                 FlagKind::Switch => spec.name.to_string(),
@@ -112,7 +112,7 @@ fn positionals_pass_through() {
     let p = parse_flags(
         "fleet",
         &args(&["squeezenet", "--devices=64", "--storm=gpu-loss"]),
-        cli::FLEET_FLAGS,
+        ubench::FLEET_FLAGS,
     )
     .expect("parse");
     assert_eq!(p.positional, vec!["squeezenet".to_string()]);
@@ -125,13 +125,13 @@ fn positionals_pass_through() {
 #[test]
 fn enumerated_lists_match_their_enums() {
     let arrivals: Vec<&str> = simcore::ArrivalKind::ALL.iter().map(|k| k.name()).collect();
-    assert_eq!(cli::ARRIVALS, arrivals.as_slice());
+    assert_eq!(ubench::ARRIVALS, arrivals.as_slice());
     let scenarios: Vec<&str> = simcore::Scenario::ALL.iter().map(|s| s.name()).collect();
-    assert_eq!(cli::SCENARIOS, scenarios.as_slice());
+    assert_eq!(ubench::SCENARIOS, scenarios.as_slice());
     let mut storms = vec!["none"];
     storms.extend(simcore::FleetScenario::ALL.iter().map(|s| s.name()));
-    assert_eq!(cli::STORMS, storms.as_slice());
-    for name in cli::STORMS.iter().filter(|n| **n != "none") {
+    assert_eq!(ubench::STORMS, storms.as_slice());
+    for name in ubench::STORMS.iter().filter(|n| **n != "none") {
         assert!(
             simcore::FleetScenario::from_name(name).is_some(),
             "storm {name} does not round-trip"
@@ -139,14 +139,14 @@ fn enumerated_lists_match_their_enums() {
     }
     let mut link_faults = vec!["none"];
     link_faults.extend(simcore::LinkFaultScenario::ALL.iter().map(|s| s.name()));
-    assert_eq!(cli::LINK_FAULTS, link_faults.as_slice());
-    for name in cli::LINK_FAULTS.iter().filter(|n| **n != "none") {
+    assert_eq!(ubench::LINK_FAULTS, link_faults.as_slice());
+    for name in ubench::LINK_FAULTS.iter().filter(|n| **n != "none") {
         assert!(
             simcore::LinkFaultScenario::from_name(name).is_some(),
             "link fault {name} does not round-trip"
         );
     }
-    for name in cli::KERNEL_PATHS {
+    for name in ubench::KERNEL_PATHS {
         assert!(
             ukernels::PathChoice::parse(name).is_some(),
             "kernel path {name} does not round-trip"
@@ -158,7 +158,7 @@ fn enumerated_lists_match_their_enums() {
 /// expected — what a user needs to fix the invocation.
 #[test]
 fn error_rendering_names_the_problem() {
-    let e = parse_flags("serve", &args(&["--queue=zero"]), cli::SERVE_FLAGS).unwrap_err();
+    let e = parse_flags("serve", &args(&["--queue=zero"]), ubench::SERVE_FLAGS).unwrap_err();
     let msg = e.to_string();
     assert!(msg.contains("serve"), "{msg}");
     assert!(msg.contains("--queue"), "{msg}");

@@ -71,7 +71,7 @@ impl DriftAdapter {
 
     /// An adapter with explicit smoothing (`alpha`) and re-promotion
     /// (`relax`) rates, both clamped to `[0, 1]`.
-    pub fn with_rates(alpha: f64, relax: f64) -> DriftAdapter {
+    pub(crate) fn with_rates(alpha: f64, relax: f64) -> DriftAdapter {
         DriftAdapter {
             alpha: alpha.clamp(0.0, 1.0),
             relax: relax.clamp(0.0, 1.0),
@@ -96,7 +96,7 @@ impl DriftAdapter {
     /// clamped to `[MIN_CORRECTION, MAX_CORRECTION]` so one degenerate
     /// sample (near-zero prediction, watchdog-length observation) cannot
     /// push the correction unboundedly far. Observations for a device
-    /// already marked lost are ignored — [`LOST_FACTOR`] stays pinned.
+    /// already marked lost are ignored — `LOST_FACTOR` stays pinned.
     pub fn observe(
         &mut self,
         device: DeviceId,
@@ -130,7 +130,7 @@ impl DriftAdapter {
     }
 
     /// Marks a device permanently failed: its factor pins at
-    /// [`LOST_FACTOR`] and never relaxes.
+    /// `LOST_FACTOR` and never relaxes.
     pub fn mark_lost(&mut self, device: DeviceId) {
         self.lost.insert(device.0);
     }
@@ -141,7 +141,7 @@ impl DriftAdapter {
     }
 
     /// The largest factor currently held for `device` (1.0 if none).
-    pub fn worst_factor(&self, device: DeviceId) -> f64 {
+    pub(crate) fn worst_factor(&self, device: DeviceId) -> f64 {
         if self.lost.contains(&device.0) {
             return LOST_FACTOR;
         }
@@ -159,7 +159,7 @@ impl DriftAdapter {
     /// [`DriftAdapter::factor`] — so two adapters with equal snapshots
     /// steer the partitioner identically, which is what the plan cache
     /// keys and the incremental replanner's change detection rely on.
-    pub fn factor_snapshot(&self, devices: &[DeviceId]) -> Vec<((usize, WorkClass), f64)> {
+    pub(crate) fn factor_snapshot(&self, devices: &[DeviceId]) -> Vec<((usize, WorkClass), f64)> {
         let mut out = Vec::with_capacity(devices.len() * WorkClass::ALL.len());
         for &d in devices {
             for &class in &WorkClass::ALL {
@@ -170,7 +170,7 @@ impl DriftAdapter {
     }
 
     /// The lost-device set, ascending.
-    pub fn lost_snapshot(&self) -> Vec<usize> {
+    pub(crate) fn lost_snapshot(&self) -> Vec<usize> {
         let mut lost: Vec<usize> = self.lost.iter().copied().collect();
         lost.sort_unstable();
         lost
@@ -183,7 +183,7 @@ impl DriftAdapter {
 /// Fleet dispatches are whole-rung service spans, not per-kernel
 /// traces, so observations land on the device's [`WorkClass::Gemm`]
 /// key (the class that dominates every supported network) and the
-/// fleet-facing correction is [`DriftAdapter::worst_factor`] — the
+/// fleet-facing correction is `DriftAdapter::worst_factor` — the
 /// most pessimistic view of the device, which is what admission
 /// control should reason with.
 impl uruntime::InstanceAdapter for DriftAdapter {

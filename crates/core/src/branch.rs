@@ -89,7 +89,7 @@ fn branch_cost(
 ///
 /// `layer_costs` are the partitioner's predicted per-node costs for the
 /// current placements.
-pub fn apply_branch_distribution(
+pub(crate) fn apply_branch_distribution(
     spec: &SocSpec,
     coster: &LayerCoster<'_>,
     cfg: &ULayerConfig,
@@ -185,7 +185,7 @@ pub fn apply_branch_distribution(
 ///
 /// `mask` bit `i` set assigns branch `i` to the GPU. Costs are the
 /// `(device_time, host_time)` pairs from the per-branch estimator.
-pub fn mapping_cost(
+pub(crate) fn mapping_cost(
     spec: &SocSpec,
     cpu_costs: &[(SimSpan, SimSpan)],
     gpu_costs: &[(SimSpan, SimSpan)],
@@ -212,7 +212,7 @@ pub fn mapping_cost(
 /// groups branch-per-processor where the mapping beats the per-layer
 /// plan. Reports a no-op when the configuration disables the mechanism;
 /// errors if it runs before a partitioning pass populated the draft.
-pub struct BranchDistributionPass;
+pub(crate) struct BranchDistributionPass;
 
 impl PlanPass for BranchDistributionPass {
     fn name(&self) -> &'static str {

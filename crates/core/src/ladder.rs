@@ -1,7 +1,7 @@
 //! Degradation-ladder emission: an ordered set of plans trading
 //! fidelity and latency for resource footprint.
 //!
-//! The serving frontend ([`uruntime::serve`]) needs more than one plan
+//! The serving frontend ([`uruntime::serve_stream`]) needs more than one plan
 //! per network: under overload the full cooperative plan — which
 //! occupies *every* processor for each frame — cannot drain a backlog,
 //! but cheaper plans that pin a frame to a single processor let
@@ -67,7 +67,7 @@ impl ULayer {
     /// adapter) corrects every rung's predicted latency, which is what
     /// the serving loop's slack estimate consumes.
     ///
-    /// Every rung is the same planning pipeline ([`ULayer::draft`]) under
+    /// Every rung is the same planning pipeline (`ULayer::draft`) under
     /// a different `(configuration, device set)`.
     pub fn degradation_ladder(
         &self,

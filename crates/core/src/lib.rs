@@ -17,10 +17,13 @@
 //!    Fire) are assigned branch-per-processor via exhaustive mapping
 //!    search when that beats per-layer splitting.
 //!
-//! Components (Figure 13): the [`predictor`] (Neurosurgeon-style fitted
-//! latency models), the [`partitioner`] (chooses `p` per layer), the
-//! [`branch`] distributor, and the [`runtime::ULayer`] facade that plans
-//! and executes.
+//! Components (Figure 13), as the crate's surface names them: the
+//! [`LatencyPredictor`] (Neurosurgeon-style fitted latency models), the
+//! partitioner ([`partition`], [`LayerCoster`]: chooses `p` per layer),
+//! the branch distributor (a stage of [`PlanPassRunner`]), and the
+//! [`ULayer`] facade that plans and executes. Around them: the
+//! drift-keyed plan cache ([`PlannerSession`]) and drift adaptation over
+//! a stream ([`run_adaptive_stream`], [`DriftAdapter`]).
 //!
 //! # Examples
 //!
@@ -34,30 +37,25 @@
 //! println!("SqueezeNet v1.1: {:.2} ms", result.latency_ms());
 //! ```
 
-pub mod adapt;
-pub mod branch;
-pub mod config;
-pub mod error;
-pub mod ladder;
-pub mod partitioner;
-pub mod plancache;
-pub mod planning;
-pub mod predictor;
-pub mod predictor_eval;
-pub mod runtime;
+#![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
 
-pub use adapt::{
-    accel_share, run_adaptive_stream, AdaptiveStreamReport, DriftAdapter, FrameOutcome,
-};
-pub use branch::{BranchDistributionPass, BranchMapping};
+mod adapt;
+mod branch;
+mod config;
+mod error;
+mod ladder;
+mod partitioner;
+mod plancache;
+mod planning;
+mod predictor;
+mod runtime;
+
+pub use adapt::{accel_share, run_adaptive_stream, DriftAdapter};
 pub use config::ULayerConfig;
 pub use error::ULayerError;
-pub use partitioner::{CostTables, PartitionPass, PlacementChoice, SingleCostEntry};
-pub use plancache::{
-    graph_digest, planning_span, ArtifactKind, DriftSnapshot, PlanCache, PlanKey, PlanSource,
-    PlannedFrame, PlannerSession, PlannerStats, ReusePolicy,
-};
-pub use planning::{PlanContext, PlanDraft, PlanPass, PlanPassReport, PlanPassRunner};
-pub use predictor::{FitReport, FittedModel, GroupFit, LatencyPredictor, MeasuredSample};
-pub use predictor_eval::{evaluate_predictor, DeviceAccuracy, PredictorReport};
-pub use runtime::{OptimizedPlan, PlanReport, ULayer};
+pub use partitioner::{partition, LayerCoster};
+pub use plancache::{PlanSource, PlannerSession, PlannerStats, ReusePolicy};
+pub use planning::{PlanContext, PlanDraft, PlanPassReport, PlanPassRunner};
+pub use predictor::{FitReport, LatencyPredictor, MeasuredSample};
+pub use runtime::{PlanReport, ULayer};

@@ -90,7 +90,7 @@ impl<'a> LayerCoster<'a> {
     /// means infeasible — and feasibility never depends on drift, so an
     /// entry built once stays valid for every drift state. This is the
     /// table [`CostTables`] hoists behind the graph/topology digest.
-    pub fn single_cost_entry(
+    pub(crate) fn single_cost_entry(
         &self,
         device: DeviceId,
         kind: &LayerKind,
@@ -197,8 +197,8 @@ impl<'a> LayerCoster<'a> {
     /// partner; with the full device set this enumerates exactly the
     /// paper's CPU+accelerator candidates in the same order. All ids in
     /// `devices` must exist in the spec. `singles`, when provided, is a
-    /// hoisted [`SingleCostEntry`] row indexed like `devices` (see
-    /// [`CostTables`]); it must have been built for the same
+    /// hoisted `SingleCostEntry` row indexed like `devices` (see
+    /// `CostTables`); it must have been built for the same
     /// `(graph, spec, config, devices)` — entries are drift-independent
     /// so any drift state is fine.
     pub fn best_placement(
@@ -441,14 +441,14 @@ impl CostTables {
     }
 
     /// The hoisted single-cost row for `node`.
-    pub fn singles_row(&self, node: usize) -> &[Option<SingleCostEntry>] {
+    pub(crate) fn singles_row(&self, node: usize) -> &[Option<SingleCostEntry>] {
         &self.singles[node]
     }
 }
 
 /// Plans every layer independently over `cx.devices` (channel
 /// distribution + quantization; branch distribution is applied on top by
-/// [`crate::branch`]), correcting the predictor's kernel estimates by
+/// `crate::branch`), correcting the predictor's kernel estimates by
 /// `cx.drift`. Every layer is placed on — or split across — members of
 /// `cx.devices` only: the full device set for the cooperative plan, a
 /// surviving connected subset or a single processor for the degradation
@@ -496,7 +496,7 @@ pub fn partition(
 /// The channel-distribution stage of the planning pipeline: places every
 /// layer independently (the §3.2 partitioner) and fills the draft's
 /// placement and cost vectors.
-pub struct PartitionPass;
+pub(crate) struct PartitionPass;
 
 impl PlanPass for PartitionPass {
     fn name(&self) -> &'static str {

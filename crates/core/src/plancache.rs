@@ -18,7 +18,8 @@
 //!    correction through a [`simcore::DriftKeyQuantizer`] — log-scale
 //!    buckets with hysteresis — so factors oscillating inside one band
 //!    map to one stable key and calm frames hit the cache. The cache is
-//!    a bounded LRU with `plan.cache.{hit,miss,evict}` counters.
+//!    a bounded LRU whose hits, misses and evictions [`PlannerStats`]
+//!    counts.
 //!
 //! 2. **Incremental replanner** — on a miss with a prior base plan,
 //!    only layers whose decision could actually have flipped are
@@ -65,7 +66,7 @@ use std::time::Instant;
 
 use simcore::{DriftKeyQuantizer, SimSpan};
 use unn::Graph;
-use uruntime::{LadderRung, MetricsRegistry, NodePlacement};
+use uruntime::{LadderRung, NodePlacement};
 use usoc::{DeviceId, WorkClass};
 
 use crate::adapt::DriftAdapter;
@@ -92,8 +93,8 @@ const MARGIN_RELATIVE_SLACK: f64 = 1e-9;
 /// deliberately *deterministic* — a pure function of how much
 /// enumeration ran — so simulated makespans (and the fleet digest
 /// gates) never depend on host wall-clock. The hit and scratch spans
-/// are `uruntime`'s ([`uruntime::serving::PLAN_HIT_SPAN`],
-/// [`uruntime::serving::plan_scratch_span`]), which the fleet's plan
+/// are `uruntime`'s ([`uruntime::PLAN_HIT_SPAN`],
+/// [`uruntime::plan_scratch_span`]), which the fleet's plan
 /// cache model charges too; the incremental ones exist only here.
 const PLAN_INCREMENTAL_BASE_NS: u64 = 3_000;
 const PLAN_REENUM_LAYER_NS: u64 = 4_000;
@@ -113,7 +114,7 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// Digest of everything about a [`Graph`] the planner consults: node
 /// kinds, wiring, and the output node. Names are deliberately excluded
 /// — renaming a layer never invalidates a cached plan.
-pub fn graph_digest(graph: &Graph) -> u64 {
+pub(crate) fn graph_digest(graph: &Graph) -> u64 {
     use std::fmt::Write as _;
     let mut s = String::with_capacity(graph.len() * 48);
     let _ = write!(s, "nodes {};", graph.len());
@@ -127,7 +128,7 @@ pub fn graph_digest(graph: &Graph) -> u64 {
 /// What kind of artifact a cache entry holds. Part of the key: a plan
 /// and a ladder for the same `(graph, drift)` coexist.
 #[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
-pub enum ArtifactKind {
+pub(crate) enum ArtifactKind {
     /// A full [`PlanReport`].
     Plan,
     /// A degradation-ladder rung set.
@@ -137,7 +138,7 @@ pub enum ArtifactKind {
 /// The drift-keyed cache key. Two frames with equal keys are — under
 /// [`ReusePolicy::Bucketed`] — planned identically.
 #[derive(Clone, Debug, Hash, PartialEq, Eq)]
-pub struct PlanKey {
+pub(crate) struct PlanKey {
     /// [`graph_digest`] of the network.
     pub graph: u64,
     /// [`usoc::SocSpec::topology_digest`] of the SoC / mesh.
@@ -158,7 +159,7 @@ pub struct PlanKey {
 /// device-major, [`WorkClass::ALL`]-minor order plus the lost set.
 /// Equal snapshots steer the partitioner identically.
 #[derive(Clone, Debug, PartialEq)]
-pub struct DriftSnapshot {
+pub(crate) struct DriftSnapshot {
     /// `((device index, class), factor)` in canonical order.
     pub factors: Vec<((usize, WorkClass), f64)>,
     /// Lost devices, ascending.
@@ -169,7 +170,7 @@ impl DriftSnapshot {
     /// Captures the state `drift` exposes over `devices` (all-1.0 and
     /// no losses when there is no adapter — exactly what the
     /// partitioner sees in that case).
-    pub fn capture(drift: Option<&DriftAdapter>, devices: &[DeviceId]) -> DriftSnapshot {
+    pub(crate) fn capture(drift: Option<&DriftAdapter>, devices: &[DeviceId]) -> DriftSnapshot {
         match drift {
             Some(d) => DriftSnapshot {
                 factors: d.factor_snapshot(devices),
@@ -186,22 +187,11 @@ impl DriftSnapshot {
     }
 }
 
-/// A cached plan: the finished report plus the partition-stage
-/// decisions (margins included) the incremental replanner rebuilds
-/// from, and the exact snapshot it was planned under.
-#[derive(Clone)]
-pub struct CachedPlan {
-    /// The finished report, shared.
-    pub report: Arc<PlanReport>,
-    /// Partition-stage choices (pre branch-distribution).
-    pub choices: Arc<Vec<PlacementChoice>>,
-}
-
 /// What a cache slot holds.
 #[derive(Clone)]
-pub enum Artifact {
-    /// A full plan with its incremental-replan base material.
-    Plan(CachedPlan),
+pub(crate) enum Artifact {
+    /// A finished plan, shared.
+    Plan(Arc<PlanReport>),
     /// A degradation-ladder rung set.
     Ladder(Arc<Vec<LadderRung>>),
 }
@@ -209,7 +199,7 @@ pub enum Artifact {
 /// One cache entry: the artifact plus the exact drift snapshot it was
 /// produced under (consulted by [`ReusePolicy::Exact`]).
 #[derive(Clone)]
-pub struct CacheEntry {
+pub(crate) struct CacheEntry {
     /// Snapshot at production time.
     pub snapshot: DriftSnapshot,
     /// The cached artifact.
@@ -219,7 +209,7 @@ pub struct CacheEntry {
 /// Bounded LRU over [`PlanKey`]s. Eviction order is a deterministic
 /// monotonic stamp (no wall-clock), so cache behavior is reproducible
 /// run to run.
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     map: HashMap<PlanKey, (u64, CacheEntry)>,
     stamp: u64,
     cap: usize,
@@ -227,7 +217,7 @@ pub struct PlanCache {
 
 impl PlanCache {
     /// A cache holding at most `cap` artifacts (minimum 1).
-    pub fn new(cap: usize) -> PlanCache {
+    pub(crate) fn new(cap: usize) -> PlanCache {
         PlanCache {
             map: HashMap::new(),
             stamp: 0,
@@ -238,7 +228,7 @@ impl PlanCache {
     /// Looks `key` up, refreshing its LRU stamp on a hit. Does not
     /// count hits/misses — the session decides what a hit *means*
     /// under its reuse policy.
-    pub fn get(&mut self, key: &PlanKey) -> Option<&CacheEntry> {
+    pub(crate) fn get(&mut self, key: &PlanKey) -> Option<&CacheEntry> {
         self.stamp += 1;
         let stamp = self.stamp;
         match self.map.get_mut(key) {
@@ -252,7 +242,7 @@ impl PlanCache {
 
     /// Inserts (or replaces) `key`, evicting the least-recently-used
     /// entry when full. Returns the number of evictions (0 or 1).
-    pub fn insert(&mut self, key: PlanKey, entry: CacheEntry) -> u64 {
+    pub(crate) fn insert(&mut self, key: PlanKey, entry: CacheEntry) -> u64 {
         self.stamp += 1;
         let mut evicted = 0;
         if !self.map.contains_key(&key) && self.map.len() >= self.cap {
@@ -272,13 +262,8 @@ impl PlanCache {
     }
 
     /// Number of live entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -329,10 +314,10 @@ pub struct PlannedFrame {
 
 /// The deterministic modeled planning span for a frame — a pure
 /// function of how much enumeration ran, never of wall-clock.
-pub fn planning_span(source: PlanSource, layers: usize) -> SimSpan {
+pub(crate) fn planning_span(source: PlanSource, layers: usize) -> SimSpan {
     match source {
-        PlanSource::CacheHit => uruntime::serving::PLAN_HIT_SPAN,
-        PlanSource::Scratch => uruntime::serving::plan_scratch_span(layers),
+        PlanSource::CacheHit => uruntime::PLAN_HIT_SPAN,
+        PlanSource::Scratch => uruntime::plan_scratch_span(layers),
         PlanSource::Incremental {
             reenumerated,
             copied,
@@ -377,21 +362,6 @@ impl PlannerStats {
             self.cache_hits as f64 / self.frames as f64
         }
     }
-
-    /// Emits the session's counters and gauges: the
-    /// `plan.cache.{hit,miss,evict}` contract plus planner totals.
-    pub fn fill_metrics(&self, m: &mut MetricsRegistry) {
-        m.inc("plan.cache.hit", self.cache_hits);
-        m.inc("plan.cache.miss", self.cache_misses);
-        m.inc("plan.cache.evict", self.evictions);
-        m.inc("plan.frames", self.frames);
-        m.inc("plan.incremental", self.incremental_replans);
-        m.inc("plan.scratch", self.scratch_plans);
-        m.inc("plan.layers.reenumerated", self.layers_reenumerated);
-        m.inc("plan.layers.copied", self.layers_copied);
-        m.gauge("plan.wall_ms", self.wall_ns as f64 / 1e6);
-        m.gauge("plan.cache.hit_rate", self.hit_rate());
-    }
 }
 
 /// Per-graph session state: hoisted cost tables (built once behind the
@@ -400,7 +370,7 @@ impl PlannerStats {
 struct GraphState {
     tables: CostTables,
     classes: Vec<WorkClass>,
-    base: Option<(DriftSnapshot, Arc<Vec<PlacementChoice>>)>,
+    base: Option<(DriftSnapshot, Vec<PlacementChoice>)>,
 }
 
 impl GraphState {
@@ -456,7 +426,7 @@ impl<'a> PlannerSession<'a> {
     }
 
     /// A session with an explicit cache capacity.
-    pub fn with_capacity(
+    pub(crate) fn with_capacity(
         rt: &'a ULayer,
         policy: ReusePolicy,
         capacity: usize,
@@ -472,11 +442,6 @@ impl<'a> PlannerSession<'a> {
             graphs: HashMap::new(),
             stats: PlannerStats::default(),
         }
-    }
-
-    /// The runtime this session plans with.
-    pub fn runtime(&self) -> &'a ULayer {
-        self.rt
     }
 
     /// Cumulative planner accounting.
@@ -535,9 +500,9 @@ impl<'a> PlannerSession<'a> {
                 ReusePolicy::Exact => entry.snapshot == snapshot,
             };
             if usable {
-                if let Artifact::Plan(cached) = &entry.artifact {
+                if let Artifact::Plan(report) = &entry.artifact {
                     let frame = PlannedFrame {
-                        report: Arc::clone(&cached.report),
+                        report: Arc::clone(report),
                         planning: planning_span(PlanSource::CacheHit, graph.len()),
                         source: PlanSource::CacheHit,
                     };
@@ -587,16 +552,12 @@ impl<'a> PlannerSession<'a> {
         }
 
         let report = Arc::new(assemble_report(&cx, &choices, source)?);
-        let choices = Arc::new(choices);
-        state.base = Some((snapshot.clone(), Arc::clone(&choices)));
+        state.base = Some((snapshot.clone(), choices));
         self.stats.evictions += self.cache.insert(
             key,
             CacheEntry {
                 snapshot,
-                artifact: Artifact::Plan(CachedPlan {
-                    report: Arc::clone(&report),
-                    choices,
-                }),
+                artifact: Artifact::Plan(Arc::clone(&report)),
             },
         );
         let frame = PlannedFrame {
@@ -609,7 +570,7 @@ impl<'a> PlannerSession<'a> {
     }
 
     /// The degradation ladder for `graph` under `drift`, cached under
-    /// the same drift key as plans ([`ArtifactKind::Ladder`]).
+    /// the same drift key as plans (`ArtifactKind::Ladder`).
     pub fn ladder(
         &mut self,
         graph: &Graph,
@@ -652,11 +613,6 @@ impl<'a> PlannerSession<'a> {
         );
         self.stats.wall_ns += t0.elapsed().as_nanos() as u64;
         Ok(rungs)
-    }
-
-    /// Emits the session's metrics (see [`PlannerStats::fill_metrics`]).
-    pub fn fill_metrics(&self, m: &mut MetricsRegistry) {
-        self.stats.fill_metrics(m);
     }
 }
 
@@ -1128,22 +1084,6 @@ mod tests {
         assert!(inc < scratch, "{inc:?} !< {scratch:?}");
         // Pure function: same inputs, same span.
         assert_eq!(scratch, planning_span(PlanSource::Scratch, 30));
-    }
-
-    #[test]
-    fn metrics_carry_the_cache_contract_names() {
-        let rt = rt();
-        let g = unn::ModelId::SqueezeNet.build_miniature();
-        let mut session = PlannerSession::new(&rt, ReusePolicy::Bucketed);
-        session.plan_frame(&g, None).unwrap();
-        session.plan_frame(&g, None).unwrap();
-        let mut m = MetricsRegistry::new();
-        session.fill_metrics(&mut m);
-        assert_eq!(m.counter("plan.cache.hit"), 1);
-        assert_eq!(m.counter("plan.cache.miss"), 1);
-        assert_eq!(m.counter("plan.cache.evict"), 0);
-        assert!(m.gauge_of("plan.cache.hit_rate").unwrap() > 0.4);
-        assert!(m.gauge_of("plan.wall_ms").is_some());
     }
 
     #[test]

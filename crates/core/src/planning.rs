@@ -2,7 +2,7 @@
 //!
 //! PR 7 turns the planner's hard-wired sequence (partition, then maybe
 //! branch-distribute) into the same shape as the graph-level pipeline in
-//! [`unn::passes`]: each stage is a [`PlanPass`] over a mutable
+//! [`unn::optimize`]: each stage is a [`PlanPass`] over a mutable
 //! [`PlanDraft`], run in order by a [`PlanPassRunner`] that records a
 //! per-pass change report. Channel splits (§3.2) and branch
 //! distribution (§5) now *compose* — a new planning stage (say, a
@@ -50,7 +50,7 @@ pub struct PlanContext<'a> {
 
 /// The mutable plan under construction.
 ///
-/// Starts empty; [`PartitionPass`] fills both vectors to `graph.len()`,
+/// Starts empty; `PartitionPass` fills both vectors to `graph.len()`,
 /// later passes rewrite placements in place (costs stay the
 /// partitioner's per-layer estimates, which is what the serial-latency
 /// prediction and the degradation ladder consume).
@@ -67,7 +67,7 @@ pub struct PlanDraft {
 /// What one planning pass did — mirrors [`unn::PassReport`].
 #[derive(Clone, Debug)]
 pub struct PlanPassReport {
-    /// [`PlanPass::name`] of the pass that produced this report.
+    /// `PlanPass::name` of the pass that produced this report.
     pub pass: &'static str,
     /// Number of placements this pass wrote or rewrote.
     pub rewrites: usize,
@@ -109,7 +109,7 @@ impl PlanPassRunner {
     }
 
     /// Names of the passes in run order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
+    pub(crate) fn pass_names(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.name()).collect()
     }
 

@@ -43,7 +43,7 @@ pub enum FittedModel {
 
 impl FittedModel {
     /// Predicted latency in seconds (clamped at zero).
-    pub fn predict_secs(&self, macs: f64, bytes: f64) -> f64 {
+    pub(crate) fn predict_secs(&self, macs: f64, bytes: f64) -> f64 {
         let v = match self {
             FittedModel::Linear { a, b, c } => a * macs + b * bytes + c,
             FittedModel::LogLinear { a, b } => a * macs * (1.0 + macs).log2() + b,
@@ -403,7 +403,8 @@ impl LatencyPredictor {
     }
 
     /// Number of fitted models (diagnostics).
-    pub fn model_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn model_count(&self) -> usize {
         self.models.len()
     }
 }

@@ -34,7 +34,7 @@ pub struct PlanReport {
 }
 
 /// A graph-optimized μLayer plan: the rewritten graph produced by the
-/// [`unn::passes`] default pipeline, the plan generated over it (with
+/// [`unn::optimize`] default pipeline, the plan generated over it (with
 /// concat elision attached), remapped side tables when the caller
 /// provided them, and both pass logs.
 #[derive(Clone, Debug)]
@@ -139,7 +139,7 @@ impl ULayer {
         PlanPassRunner::default_pipeline().run(&cx)
     }
 
-    /// Runs the [`unn::passes`] default pipeline over `graph`, plans the
+    /// Runs the [`unn::optimize`] default pipeline over `graph`, plans the
     /// optimized graph, and attaches the pipeline's concat elisions to
     /// the plan so the engine schedules in-place joins. With `tables`,
     /// the weights and calibration are remapped through every rewrite so

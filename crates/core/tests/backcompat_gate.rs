@@ -16,7 +16,7 @@
 //! re-ranking tie-broken candidates.
 
 use simcore::SimSpan;
-use ulayer::partitioner::{partition, LayerCoster};
+use ulayer::{partition, LayerCoster};
 use ulayer::{LatencyPredictor, PlanContext, ULayerConfig};
 use unn::{Graph, ModelId, NodeId, Weights};
 use uruntime::{evaluate_plan, ExecutionPlan, NodePlacement};

@@ -1,5 +1,5 @@
 //! Partitioner optimality: the placement chosen by
-//! [`ulayer::partitioner::LayerCoster::best_placement`] must be the
+//! [`ulayer::LayerCoster::best_placement`] must be the
 //! cheapest over the full candidate set it enumerates — single-device
 //! placements plus CPU+accelerator channel splits at every configured
 //! `p` — for every layer kind, and its reported cost must agree with
@@ -11,7 +11,7 @@
 //! `split_cost` stays individually correct.
 
 use simcore::SimSpan;
-use ulayer::partitioner::LayerCoster;
+use ulayer::LayerCoster;
 use ulayer::{LatencyPredictor, ULayerConfig};
 use unn::{LayerKind, PoolFunc};
 use usoc::{DeviceId, DeviceKind, SocSpec};

@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 
 use simcore::SimSpan;
-use testkit::rng::fnv1a;
+use testkit::fnv1a;
 use ulayer::{DriftAdapter, PlanContext, PlanDraft, PlanPassRunner, ULayer, ULayerConfig};
 use unn::{Graph, ModelId};
 use usoc::{DeviceId, DeviceKind, SocSpec, WorkClass};

@@ -6,7 +6,7 @@
 //! unified. A serving refactor leaves the constants alone.
 
 use simcore::{ArrivalKind, FleetScenario, SimSpan};
-use testkit::rng::fnv1a;
+use testkit::fnv1a;
 use ulayer::{DriftAdapter, ULayer};
 use unn::{ModelId, Weights};
 use uruntime::{run_fleet, FleetCohort, FleetConfig, FleetNetwork, InstanceAdapter};

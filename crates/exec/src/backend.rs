@@ -93,11 +93,6 @@ impl ParallelBackend {
         }
     }
 
-    /// Pool mode of this backend.
-    pub fn mode(&self) -> PoolMode {
-        self.mode
-    }
-
     /// Drains the per-node timings recorded since the last call (in
     /// execution order). The measurement harness calls this after each
     /// forward pass.

@@ -2,23 +2,26 @@
 //! measurement.
 //!
 //! Everything else in the repo *simulates* the SoC; this crate runs the
-//! same plans on actual host threads:
+//! same plans on actual host threads. Its surface:
 //!
-//! - [`pool`] — scoped worker pools for the two compute clusters, with
-//!   join-based layer barriers ([`Engine::run_pair`]).
-//! - [`backend`] — the [`ParallelBackend`] implementing
-//!   `uruntime::ExecBackend`: parts routed to their cluster's pool,
-//!   channel ranges subdivided per worker, outputs merged bit-exactly.
+//! - [`ParallelBackend`] implementing `uruntime::ExecBackend`: parts
+//!   routed to their cluster's pool of persistent workers (sized by
+//!   [`ExecConfig`], shared or split per [`PoolMode`]), channel ranges
+//!   subdivided per worker, a join-based barrier per layer, outputs
+//!   merged bit-exactly.
 //! - [`measure`] — best-of-N wall-clock measurement of cooperative vs
-//!   single-processor plans, producing per-part samples that calibrate
-//!   the latency predictor (`repro measure`).
+//!   single-processor plans ([`MeasureConfig`] → [`MeasureReport`]),
+//!   producing per-part samples that calibrate the latency predictor
+//!   (`repro measure`).
 //!
 //! The crate is std-only, like the rest of the workspace.
 
-pub mod backend;
-pub mod measure;
-pub mod pool;
+#![warn(unreachable_pub)]
 
-pub use backend::{NodeTiming, ParallelBackend, PartTiming, PoolMode};
-pub use measure::{measure, LayerRow, MeasureConfig, MeasureError, MeasureReport, PartSample};
-pub use pool::{Engine, ExecConfig, ScopedTask, WorkerPool};
+mod backend;
+mod measure;
+mod pool;
+
+pub use backend::{ParallelBackend, PoolMode};
+pub use measure::{measure, MeasureConfig, MeasureReport};
+pub use pool::ExecConfig;

@@ -25,7 +25,7 @@ use ukernels::PathChoice;
 
 /// A borrowed task: valid for `'s`, run to completion before the
 /// submitting call returns.
-pub type ScopedTask<'s> = Box<dyn FnOnce() + Send + 's>;
+pub(crate) type ScopedTask<'s> = Box<dyn FnOnce() + Send + 's>;
 
 type StaticTask = Box<dyn FnOnce() + Send + 'static>;
 
@@ -140,8 +140,7 @@ struct PoolShared {
 }
 
 /// A named pool of persistent worker threads with one run queue.
-pub struct WorkerPool {
-    name: String,
+pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -154,7 +153,11 @@ impl WorkerPool {
     /// Returns only after every worker has run `init`, so a first batch
     /// is never timed against thread start-up. A panic in `init` is
     /// re-raised here.
-    pub fn new(name: &str, threads: usize, init: impl Fn() + Send + Sync + 'static) -> WorkerPool {
+    pub(crate) fn new(
+        name: &str,
+        threads: usize,
+        init: impl Fn() + Send + Sync + 'static,
+    ) -> WorkerPool {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
@@ -187,29 +190,21 @@ impl WorkerPool {
             .collect();
         // Built before the wait so a re-raised `init` panic still joins
         // the surviving workers through `Drop`.
-        let pool = WorkerPool {
-            name: name.to_string(),
-            shared,
-            workers,
-        };
+        let pool = WorkerPool { shared, workers };
         started.wait();
         started.propagate();
         pool
     }
 
-    /// The pool's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The number of worker threads.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.workers.len()
     }
 
     /// Runs a batch of borrowed tasks to completion (the single-pool
     /// layer barrier). Panics from workers are re-raised here.
-    pub fn run<'s>(&self, tasks: Vec<ScopedTask<'s>>) {
+    #[cfg(test)]
+    pub(crate) fn run<'s>(&self, tasks: Vec<ScopedTask<'s>>) {
         let batch = Batch::new(tasks.len());
         self.submit(tasks, &batch);
         batch.wait();
@@ -268,7 +263,7 @@ fn worker_loop(shared: &PoolShared) {
 }
 
 /// The two-cluster execution engine: a CPU pool and a GPU pool.
-pub struct Engine {
+pub(crate) struct Engine {
     cpu: WorkerPool,
     gpu: WorkerPool,
 }
@@ -276,7 +271,7 @@ pub struct Engine {
 impl Engine {
     /// Builds the two pools. `init` runs once on every worker of both
     /// pools.
-    pub fn new(cfg: &ExecConfig, init: impl Fn() + Send + Sync + Clone + 'static) -> Engine {
+    pub(crate) fn new(cfg: &ExecConfig, init: impl Fn() + Send + Sync + Clone + 'static) -> Engine {
         Engine {
             cpu: WorkerPool::new("cpu", cfg.cpu_threads, init.clone()),
             gpu: WorkerPool::new("gpu", cfg.gpu_threads, init),
@@ -284,19 +279,23 @@ impl Engine {
     }
 
     /// The CPU (big-core cluster) pool.
-    pub fn cpu(&self) -> &WorkerPool {
+    pub(crate) fn cpu(&self) -> &WorkerPool {
         &self.cpu
     }
 
     /// The GPU-emulating pool.
-    pub fn gpu(&self) -> &WorkerPool {
+    pub(crate) fn gpu(&self) -> &WorkerPool {
         &self.gpu
     }
 
     /// Runs a CPU batch and a GPU batch *concurrently* and blocks until
     /// both drained — one cooperative layer execution ending at its
     /// barrier. Panics from either pool are re-raised here.
-    pub fn run_pair<'s>(&self, cpu_tasks: Vec<ScopedTask<'s>>, gpu_tasks: Vec<ScopedTask<'s>>) {
+    pub(crate) fn run_pair<'s>(
+        &self,
+        cpu_tasks: Vec<ScopedTask<'s>>,
+        gpu_tasks: Vec<ScopedTask<'s>>,
+    ) {
         let cpu_batch = Batch::new(cpu_tasks.len());
         let gpu_batch = Batch::new(gpu_tasks.len());
         self.cpu.submit(cpu_tasks, &cpu_batch);
@@ -335,7 +334,6 @@ mod tests {
         // `run` returned, so every borrow of `hits` is finished.
         assert_eq!(hits.load(Ordering::SeqCst), 16);
         assert_eq!(pool.threads(), 2);
-        assert_eq!(pool.name(), "t");
     }
 
     #[test]

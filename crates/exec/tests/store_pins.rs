@@ -18,7 +18,7 @@
 //! path and at every thread count: the SIMD tiles are bit-identical to
 //! the scalar ones, and chunking never changes a channel's arithmetic.
 
-use testkit::rng::fnv1a;
+use testkit::fnv1a;
 use uexec::{ExecConfig, ParallelBackend, PoolMode};
 use ukernels::PathChoice;
 use unn::{Graph, ModelId};

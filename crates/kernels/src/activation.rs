@@ -92,7 +92,8 @@ pub fn argmax(values: &[f32]) -> Option<usize> {
 }
 
 /// Indices of the `k` largest elements, in descending value order.
-pub fn top_k(values: &[f32], k: usize) -> Vec<usize> {
+#[cfg(test)]
+pub(crate) fn top_k(values: &[f32], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..values.len()).collect();
     idx.sort_by(|&a, &b| {
         values[b]

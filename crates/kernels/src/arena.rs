@@ -75,7 +75,7 @@ impl ScratchArena {
     /// Total capacity currently held, in bytes. This is the arena's
     /// high-water footprint: it grows until the largest layer has been
     /// seen and then stays flat (the no-monotonic-growth invariant).
-    pub fn capacity_bytes(&self) -> usize {
+    pub(crate) fn capacity_bytes(&self) -> usize {
         self.patches_f32.capacity() * 4
             + self.patches_f16.capacity() * 2
             + self.patches_u8.capacity()
@@ -102,7 +102,7 @@ thread_local! {
 /// the fresh placeholder) without `RefCell` double-borrow panics — at
 /// worst a nested call allocates once into the placeholder and the
 /// capacities merge back on restore.
-pub fn take_thread_arena() -> ScratchArena {
+pub(crate) fn take_thread_arena() -> ScratchArena {
     THREAD_ARENA.with(|a| std::mem::take(&mut *a.borrow_mut()))
 }
 
@@ -110,7 +110,7 @@ pub fn take_thread_arena() -> ScratchArena {
 /// the returned arena and the placeholder a nested call may have grown
 /// holds more capacity is kept *whole* (buffers are not merged one by
 /// one), so the footprint ratchets up to the high-water mark.
-pub fn restore_thread_arena(arena: ScratchArena) {
+pub(crate) fn restore_thread_arena(arena: ScratchArena) {
     THREAD_ARENA.with(|slot| {
         let mut cur = slot.borrow_mut();
         if cur.capacity_bytes() <= arena.capacity_bytes() {
@@ -123,11 +123,11 @@ pub fn restore_thread_arena(arena: ScratchArena) {
 /// on construction, [`restore_thread_arena`] on drop. Kernels hold the
 /// arena through this guard so an early `return Err` / `?` cannot drop
 /// the warmed buffers.
-pub struct ThreadArenaGuard(ScratchArena);
+pub(crate) struct ThreadArenaGuard(ScratchArena);
 
 impl ThreadArenaGuard {
     /// Takes the calling thread's arena until the guard drops.
-    pub fn take() -> ThreadArenaGuard {
+    pub(crate) fn take() -> ThreadArenaGuard {
         ThreadArenaGuard(take_thread_arena())
     }
 }

@@ -56,7 +56,7 @@
 //! the SIMD tiles of [`crate::simd`], which perform the same operations
 //! in the same order; the path choice changes speed, never results.
 
-use utensor::quant::requantize_into;
+use utensor::requantize_into;
 use utensor::{FixedPointMultiplier, QuantParams, TensorError, F16};
 
 use crate::arena::ScratchArena;
@@ -69,12 +69,12 @@ pub const KC: usize = 256;
 pub const MR: usize = 4;
 /// Register-tile columns (output positions per micro-kernel) of the
 /// scalar tiles. The SIMD QUInt8 and F16 tiles are wider
-/// ([`crate::simd`]).
+/// (`crate::simd`).
 pub const NR: usize = 8;
 /// Columns of `B` packed per pass (a multiple of every tile width): one
 /// packed block is `KC × NC` elements, small enough to stay in L2 while
 /// every row tile of `A` runs against it.
-pub const NC: usize = 256;
+pub(crate) const NC: usize = 256;
 
 /// Packs columns `j0..j1` of the `B` panel rows `p0..p0+kc` into
 /// `nr`-column micro-panels, `KS` consecutive `k` interleaved per lane

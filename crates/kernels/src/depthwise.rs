@@ -29,7 +29,7 @@
 //! lowering for every dtype; the equivalence harness holds it to that
 //! lowering over the naive GEMMs (`tests/common/conv.rs`).
 
-use utensor::quant::requantize_into;
+use utensor::requantize_into;
 use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, TensorError, F16};
 
 use crate::conv::Conv2dParams;

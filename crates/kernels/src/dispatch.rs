@@ -113,12 +113,12 @@ pub fn set_kernel_path(choice: PathChoice) -> PathChoice {
 
 /// This thread's requested kernel path (default: `UKERNELS_KERNEL_PATH`
 /// env, else `Auto`).
-pub fn kernel_path_choice() -> PathChoice {
+pub(crate) fn kernel_path_choice() -> PathChoice {
     PATH.with(|c| c.get())
 }
 
 /// Resolves this thread's choice against runtime CPU detection.
-pub fn active_kernel_path() -> KernelPath {
+pub(crate) fn active_kernel_path() -> KernelPath {
     kernel_path_choice().resolve()
 }
 
@@ -164,10 +164,10 @@ pub fn registered_fast_paths() -> Vec<&'static str> {
         SimdTier::Avx2 => &["gemm/f32/blocked-simd", "gemm/quint8/blocked-simd"],
         SimdTier::None => &[],
     });
-    if utensor::quant::requantize_simd_available() {
+    if utensor::requantize_simd_available() {
         paths.push("requantize/quint8/simd");
     }
-    if utensor::convert::simd_available() {
+    if utensor::convert_simd_available() {
         paths.push("convert/to-quint8/simd");
         paths.push("convert/f16/simd");
     }

@@ -6,7 +6,7 @@
 //! scale with a fixed-point multiplier before the add — the same
 //! machinery TFLite's quantized `ADD` uses.
 
-use utensor::quant::saturating_rounding_doubling_high_mul;
+use utensor::saturating_rounding_doubling_high_mul;
 use utensor::{FixedPointMultiplier, QuantParams, Tensor, TensorData, TensorError};
 
 /// Elementwise `a + b`.

@@ -44,7 +44,7 @@ pub fn im2col<T: Copy>(
 ///
 /// Same contract as [`im2col`].
 #[allow(clippy::too_many_arguments)]
-pub fn im2col_into<T: Copy>(
+pub(crate) fn im2col_into<T: Copy>(
     out: &mut Vec<T>,
     input: &[T],
     c: usize,

@@ -16,47 +16,46 @@
 //! composed by the executor from these primitives: a QUInt8→F16 cast, the
 //! F16 kernel, and an F16→QUInt8 cast.
 //!
-//! Every layer has one route on every thread: convolutions and FC layers
-//! run the cache-blocked GEMMs of [`blocked`] (im2col first, except for
-//! 1×1 stride-1 unpadded layers, which feed the input plane straight in),
-//! depthwise layers their direct kernel. The only per-thread choice is
-//! the register tiles ([`dispatch`]: scalar, or the host's SIMD tier),
-//! and those are bit-identical. The test suites hold every kernel to the
-//! naive loops kept as oracles in `tests/common` — bit for bit in all
-//! three dtypes.
+//! Every layer has one route on every thread: convolutions ([`conv2d`],
+//! [`pointwise_conv2d`]) and FC layers ([`fully_connected`]) run the
+//! cache-blocked GEMMs ([`gemm_f32_blocked`], [`gemm_f16_blocked`],
+//! [`gemm_quint8_blocked`]; [`im2col`] first, except for 1×1 stride-1
+//! unpadded layers, which feed the input plane straight in), depthwise
+//! layers their direct kernel ([`depthwise_conv2d`]). The only
+//! per-thread choice is the register tiles ([`set_kernel_path`]: scalar,
+//! or the host's [`SimdTier`]), and those are bit-identical. The test
+//! suites hold every kernel to the naive loops kept as oracles in
+//! `tests/common` — bit for bit in all three dtypes.
 
-pub mod activation;
-pub mod arena;
-pub mod blocked;
-pub mod conv;
-pub mod depthwise;
-pub mod dispatch;
-pub mod eltwise;
-pub mod fc;
-pub mod im2col;
-pub mod norm;
-pub mod pointwise;
-pub mod pool;
-pub mod simd;
+#![warn(unreachable_pub)]
+
+mod activation;
+mod arena;
+mod blocked;
+mod conv;
+mod depthwise;
+mod dispatch;
+mod eltwise;
+mod fc;
+mod im2col;
+mod norm;
+mod pointwise;
+mod pool;
+mod simd;
 
 use utensor::TensorError;
 
-pub use activation::{fake_quant, relu, softmax_f32};
-pub use arena::{
-    restore_thread_arena, take_thread_arena, thread_arena_capacity_bytes, ScratchArena,
-    ThreadArenaGuard,
-};
-pub use blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked};
+pub use activation::{argmax, fake_quant, relu, softmax_f32};
+pub use arena::{thread_arena_capacity_bytes, ScratchArena};
+pub use blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC, MR, NR};
 pub use conv::{conv2d, Conv2dParams};
 pub use depthwise::depthwise_conv2d;
-pub use dispatch::{
-    active_kernel_path, kernel_path_choice, registered_fast_paths, set_kernel_path, KernelPath,
-    PathChoice,
-};
+pub use dispatch::{registered_fast_paths, set_kernel_path, KernelPath, PathChoice};
 pub use eltwise::{add, add_fused};
 pub use fc::fully_connected;
+pub use im2col::im2col;
 pub use norm::{lrn, LrnParams};
-pub use pointwise::{is_pointwise, pointwise_conv2d};
+pub use pointwise::pointwise_conv2d;
 pub use pool::{global_avg_pool, pool2d, PoolKind, PoolParams};
 pub use simd::{cpu_features, simd_available, simd_tier, SimdTier};
 

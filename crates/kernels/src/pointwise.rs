@@ -17,7 +17,7 @@ use crate::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked};
 use crate::conv::{conv_output_shape, Conv2dParams};
 
 /// Whether a convolution is eligible for the direct pointwise path.
-pub fn is_pointwise(filters: &Shape, params: &Conv2dParams) -> bool {
+pub(crate) fn is_pointwise(filters: &Shape, params: &Conv2dParams) -> bool {
     filters.rank() == 4
         && filters.dim(2) == 1
         && filters.dim(3) == 1

@@ -1,7 +1,7 @@
 //! Regression pins for the blocked GEMM edge tiles (ISSUE 6).
 //!
 //! The SIMD rewrite replaces the scalar inner loops of
-//! [`ukernels::blocked`]; these tests pin the *current* packing behavior
+//! `ukernels::blocked`; these tests pin the *current* packing behavior
 //! first, so a packing bug introduced by the rewrite cannot hide behind
 //! the rewrite's own reference:
 //!
@@ -17,8 +17,8 @@
 mod common;
 
 use common::gemm::{gemm_f16, gemm_f32, gemm_quint8};
-use ukernels::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC, MR, NR};
 use ukernels::ScratchArena;
+use ukernels::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC, MR, NR};
 use utensor::{QuantParams, F16};
 
 fn pseudo_f32(n: usize, seed: usize) -> Vec<f32> {

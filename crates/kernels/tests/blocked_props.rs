@@ -14,11 +14,11 @@ mod common;
 use common::conv::conv2d_im2col;
 use common::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use testkit::{bools, prop_assert, prop_assume, props};
-use ukernels::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
 use ukernels::{
     conv2d, depthwise_conv2d, fully_connected, pointwise_conv2d, thread_arena_capacity_bytes,
     Conv2dParams, ScratchArena,
 };
+use ukernels::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
 use utensor::{DType, QuantParams, Shape, Tensor, F16};
 
 fn pseudo_f32(n: usize, seed: usize) -> Vec<f32> {

@@ -12,7 +12,7 @@
 //!
 //! All three panic where the library returns an error.
 
-use ukernels::im2col::im2col;
+use ukernels::im2col;
 use ukernels::{out_dim, Conv2dParams};
 use utensor::{QuantParams, Shape, Tensor, TensorData, F16};
 
@@ -26,7 +26,7 @@ fn output_shape(input: &Shape, filters: &Shape, p: &Conv2dParams) -> Shape {
 }
 
 /// Naive direct f32 convolution: `input` NCHW × `filters` OIHW → NCHW.
-pub fn conv2d_naive_f32(
+pub(crate) fn conv2d_naive_f32(
     input: &Tensor,
     filters: &Tensor,
     bias: Option<&[f32]>,
@@ -99,7 +99,7 @@ fn patches<T: Copy>(x: &[T], input: &Shape, filters: &Shape, p: &Conv2dParams, p
 
 /// im2col + naive GEMM per batch element: `ukernels::conv2d`'s contract,
 /// `out_params` required for QUInt8 and absent for floats.
-pub fn conv2d_im2col(
+pub(crate) fn conv2d_im2col(
     input: &Tensor,
     filters: &Tensor,
     bias: Option<&[f32]>,
@@ -156,7 +156,7 @@ pub fn conv2d_im2col(
 
 /// Depthwise convolution (`filters` `[c,1,kh,kw]`) as one
 /// single-channel [`conv2d_im2col`] per channel, concatenated.
-pub fn depthwise_im2col(
+pub(crate) fn depthwise_im2col(
     input: &Tensor,
     filters: &Tensor,
     bias: Option<&[f32]>,

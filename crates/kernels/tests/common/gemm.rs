@@ -13,7 +13,7 @@
 //! multiplier `M = scale_a * scale_b / scale_out` and the output zero
 //! point (§4.1).
 
-use utensor::quant::requantize;
+use utensor::requantize;
 use utensor::{FixedPointMultiplier, QuantParams, TensorError, F16};
 
 fn check_lengths(what: &str, (m, k, n): (usize, usize, usize), a: usize, b: usize) {
@@ -23,7 +23,7 @@ fn check_lengths(what: &str, (m, k, n): (usize, usize, usize), a: usize, b: usiz
 
 /// `C[m×n] = A[m×k] × B[k×n] (+ bias[m]) (then ReLU)`, in f32. Zero
 /// weights are skipped (they add a signed zero at most).
-pub fn gemm_f32(
+pub(crate) fn gemm_f32(
     m: usize,
     k: usize,
     n: usize,
@@ -58,7 +58,7 @@ pub fn gemm_f32(
 /// `C = A × B (+ bias) (then ReLU)` with every operation rounded to
 /// binary16 — one [`F16::mul_add`] per MAC, like a GPU computing in
 /// OpenCL `half`. The f32 bias is narrowed once.
-pub fn gemm_f16(
+pub(crate) fn gemm_f16(
     m: usize,
     k: usize,
     n: usize,
@@ -93,7 +93,7 @@ pub fn gemm_f16(
 /// accumulator domain, the result requantized to `out_params`. With
 /// `relu`, outputs clamp at the output zero point.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_quint8(
+pub(crate) fn gemm_quint8(
     m: usize,
     k: usize,
     n: usize,

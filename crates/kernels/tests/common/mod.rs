@@ -18,8 +18,8 @@
 //! subset of them.
 #![allow(dead_code)]
 
-pub mod conv;
-pub mod gemm;
+pub(crate) mod conv;
+pub(crate) mod gemm;
 
 use ukernels::{out_dim, PoolKind, PoolParams};
 use utensor::{DType, QuantParams, Shape, Tensor, TensorData, F16};
@@ -60,7 +60,7 @@ fn pool_plane<T: Copy, A: Copy>(
 }
 
 /// `ukernels::pool2d` by the windowed loop. Panics where `pool2d` errors.
-pub fn pool2d_windowed(input: &Tensor, params: &PoolParams) -> Tensor {
+pub(crate) fn pool2d_windowed(input: &Tensor, params: &PoolParams) -> Tensor {
     let s = input.shape();
     let (n, c, h, w) = (s.n(), s.c(), s.h(), s.w());
     let oh = out_dim(h, params.k, params.stride, params.pad).expect("window fits");
@@ -178,7 +178,7 @@ pub fn pool2d_windowed(input: &Tensor, params: &PoolParams) -> Tensor {
 /// A deterministic NCHW tensor of `dtype` whose values stress pooling:
 /// QUInt8 codes over the whole range; floats with both zeros, ties,
 /// infinities and — one element in 23 — a NaN.
-pub fn pool_input(shape: Shape, dtype: DType, seed: usize) -> Tensor {
+pub(crate) fn pool_input(shape: Shape, dtype: DType, seed: usize) -> Tensor {
     let mix = |i: usize| (i + seed).wrapping_mul(2654435761) >> 7;
     let n = shape.numel();
     match dtype {

@@ -47,14 +47,13 @@ use std::thread;
 use common::conv::{conv2d_im2col, depthwise_im2col};
 use common::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use testkit::{bools, prop_assert, prop_assume, props};
-use ukernels::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
 use ukernels::{
     conv2d, depthwise_conv2d, out_dim, pool2d, registered_fast_paths, set_kernel_path,
     simd_available, simd_tier, Conv2dParams, PathChoice, PoolKind, PoolParams, ScratchArena,
     SimdTier,
 };
-use utensor::convert;
-use utensor::quant::{requantize, requantize_into};
+use ukernels::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
+use utensor::{requantize, requantize_into};
 use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, F16};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -454,14 +453,14 @@ fn convert_table_cell(tc: usize) {
             let src = &codes[..len];
             for from in convert_params() {
                 let mut f = vec![0.0f32; len];
-                convert::quint8_to_f32(&mut f, src, from);
+                utensor::quint8_to_f32(&mut f, src, from);
                 let same = f
                     .iter()
                     .zip(src)
                     .all(|(g, &q)| g.to_bits() == from.dequantize(q).to_bits());
                 results.push((same, format!("quint8 -> f32 {from:?} len {len}")));
                 let mut h = vec![F16::ZERO; len];
-                convert::quint8_to_f16(&mut h, src, from);
+                utensor::quint8_to_f16(&mut h, src, from);
                 let same = h
                     .iter()
                     .zip(src)
@@ -469,7 +468,7 @@ fn convert_table_cell(tc: usize) {
                 results.push((same, format!("quint8 -> f16 {from:?} len {len}")));
                 for to in convert_params() {
                     let mut q8 = vec![0u8; len];
-                    convert::quint8_to_quint8(&mut q8, src, from, to);
+                    utensor::quint8_to_quint8(&mut q8, src, from, to);
                     let same = q8.iter().zip(src).all(|(&g, &q)| {
                         g == if from == to {
                             q
@@ -528,12 +527,12 @@ fn convert_to_quint8_cell(tc: usize) {
             for cut in [0usize, 1, 7] {
                 let src = &reals[cut..];
                 let mut got = vec![0u8; src.len()];
-                convert::f32_to_quint8(&mut got, src, params);
+                utensor::f32_to_quint8(&mut got, src, params);
                 let same = got.iter().zip(src).all(|(&g, &x)| g == params.quantize(x));
                 results.push((same, format!("f32 -> quint8 {params:?} from {cut}")));
                 let src = &halves[cut..];
                 let mut got = vec![0u8; src.len()];
-                convert::f16_to_quint8(&mut got, src, params);
+                utensor::f16_to_quint8(&mut got, src, params);
                 let same = got
                     .iter()
                     .zip(src)
@@ -554,7 +553,7 @@ fn convert_f16_cell(tc: usize) {
         for cut in [0usize, 3, 8] {
             let src = &halves[cut..];
             let mut wide = vec![0.0f32; src.len()];
-            convert::f16_to_f32(&mut wide, src);
+            utensor::f16_to_f32(&mut wide, src);
             let same = wide
                 .iter()
                 .zip(src)
@@ -570,7 +569,7 @@ fn convert_f16_cell(tc: usize) {
                 .chain([0x7FC0_0001, 0x7F80_0001, 0xFFFF_FFFF].map(f32::from_bits))
                 .collect();
             let mut narrow = vec![F16::ZERO; reals.len()];
-            convert::f32_to_f16(&mut narrow, &reals);
+            utensor::f32_to_f16(&mut narrow, &reals);
             let same = narrow
                 .iter()
                 .zip(&reals)

@@ -10,7 +10,7 @@
 //! both kernel paths. NaNs compare as NaNs: payloads may differ.
 
 use testkit::Rng;
-use ukernels::blocked::gemm_f16_blocked;
+use ukernels::gemm_f16_blocked;
 use ukernels::{set_kernel_path, PathChoice, ScratchArena};
 use utensor::F16;
 

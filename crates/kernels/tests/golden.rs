@@ -17,8 +17,8 @@
 //!
 //! then review and commit the diff under `tests/golden/`.
 
-use testkit::golden::{check_f32, GoldenMode};
 use testkit::Rng;
+use testkit::{check_f32, GoldenMode};
 use ukernels::{
     conv2d, depthwise_conv2d, fully_connected, pool2d, Conv2dParams, PoolKind, PoolParams,
 };

@@ -6,8 +6,6 @@
 //! or more disjoint layer chains that reconverge at a single concat
 //! (GoogLeNet's Inception modules, SqueezeNet's Fire modules).
 
-use std::collections::BTreeMap;
-
 use crate::graph::{Graph, NodeId};
 use crate::layer::LayerKind;
 
@@ -26,7 +24,8 @@ pub struct BranchGroup {
 
 impl BranchGroup {
     /// Total number of nodes across all branches.
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         self.branches.iter().map(Vec::len).sum()
     }
 }
@@ -128,8 +127,9 @@ pub fn applicability(graph: &Graph) -> Applicability {
 }
 
 /// Per-operator MAC totals, for workload characterization reports.
-pub fn macs_by_op(graph: &Graph) -> BTreeMap<&'static str, u64> {
-    let mut m = BTreeMap::new();
+#[cfg(test)]
+pub(crate) fn macs_by_op(graph: &Graph) -> std::collections::BTreeMap<&'static str, u64> {
+    let mut m = std::collections::BTreeMap::new();
     if let Ok(macs) = graph.macs() {
         for (node, &cost) in graph.nodes().iter().zip(macs.iter()) {
             *m.entry(node.kind.op_name()).or_insert(0) += cost;

@@ -174,7 +174,7 @@ pub fn run_layer(
 ///
 /// Mirrors §6: the f32 master is narrowed to F16 for GPU upload or
 /// quantized with the calibrated weight range for the CPU.
-pub fn filter_for_dtype(
+pub(crate) fn filter_for_dtype(
     weights: &Weights,
     calib: &Calibration,
     id: NodeId,

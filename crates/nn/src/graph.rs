@@ -147,7 +147,7 @@ impl Graph {
     }
 
     /// The designated output node (by default the last node added; see
-    /// [`Graph::set_output`]).
+    /// `Graph::set_output`).
     ///
     /// # Panics
     ///
@@ -165,7 +165,8 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn set_output(&mut self, id: NodeId) {
+    #[cfg(test)]
+    pub(crate) fn set_output(&mut self, id: NodeId) {
         assert!(id.0 < self.nodes.len(), "output {id} out of range");
         self.output = Some(id);
     }
@@ -176,14 +177,14 @@ impl Graph {
     /// # Panics
     ///
     /// Panics on an empty graph.
-    pub fn into_parts(self) -> (String, Shape, Vec<Node>, NodeId) {
+    pub(crate) fn into_parts(self) -> (String, Shape, Vec<Node>, NodeId) {
         let output = self.output.expect("empty graph has no output");
         (self.name, self.input_shape, self.nodes, output)
     }
 
     /// Reassembles a graph from rewritten parts, revalidating the
     /// topological-order invariant and the output designation.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         name: impl Into<String>,
         input_shape: Shape,
         nodes: Vec<Node>,
@@ -293,7 +294,7 @@ impl Graph {
     /// the graph input shape for source nodes). Geometry of single-input
     /// operators (conv window arithmetic, weight shapes) keys off this;
     /// cost accounting for multi-input nodes must use
-    /// [`Graph::node_input_shapes`] instead.
+    /// `Graph::node_input_shapes` instead.
     pub fn node_input_shape<'a>(&'a self, id: NodeId, shapes: &'a [Shape]) -> &'a Shape {
         self.nodes[id.0]
             .inputs
@@ -304,7 +305,11 @@ impl Graph {
 
     /// Every input shape a node consumes, in input order (the graph input
     /// shape for source nodes).
-    pub fn node_input_shapes<'a>(&'a self, id: NodeId, shapes: &'a [Shape]) -> Vec<&'a Shape> {
+    pub(crate) fn node_input_shapes<'a>(
+        &'a self,
+        id: NodeId,
+        shapes: &'a [Shape],
+    ) -> Vec<&'a Shape> {
         let node = &self.nodes[id.0];
         if node.inputs.is_empty() {
             vec![&self.input_shape]

@@ -123,7 +123,8 @@ impl LayerKind {
     }
 
     /// True for layers that hold trainable weights (filters + bias).
-    pub fn has_weights(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_weights(&self) -> bool {
         matches!(
             self,
             LayerKind::Conv { .. }
@@ -275,7 +276,7 @@ impl LayerKind {
     /// [`LayerKind::macs`] generalized over a node's full input set:
     /// multi-input nodes (concat, add) are costed over *all* input
     /// shapes instead of the first input alone.
-    pub fn macs_multi(&self, inputs: &[&Shape], output: &Shape) -> u64 {
+    pub(crate) fn macs_multi(&self, inputs: &[&Shape], output: &Shape) -> u64 {
         match self {
             LayerKind::Concat => inputs.iter().map(|s| s.numel() as u64).sum(),
             LayerKind::Add { .. } => output.numel() as u64,
@@ -304,7 +305,7 @@ impl LayerKind {
     }
 
     /// The shape of the layer's filter tensor, if it has one.
-    pub fn weight_shape(&self, input: &Shape) -> Option<Shape> {
+    pub(crate) fn weight_shape(&self, input: &Shape) -> Option<Shape> {
         match self {
             LayerKind::Conv { oc, k, .. } => Some(Shape::oihw(*oc, input.c(), *k, *k)),
             LayerKind::DepthwiseConv { k, .. } => Some(Shape::new(vec![input.c(), 1, *k, *k])),

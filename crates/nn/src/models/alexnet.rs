@@ -10,7 +10,7 @@ use crate::models::{conv, maxpool};
 ///
 /// The Caffe single-column variant: grouped convolutions are widened to
 /// full connections (the modern deployment form), LRN after conv1/conv2.
-pub fn alexnet() -> Graph {
+pub(super) fn alexnet() -> Graph {
     let mut g = Graph::new("AlexNet", Shape::nchw(1, 3, 227, 227));
     let lrn = LayerKind::Lrn {
         n: 5,

@@ -12,10 +12,10 @@ use crate::models::{conv, maxpool};
 
 /// Output-channel configuration of one Inception module:
 /// `(1x1, 3x3 reduce, 3x3, 5x5 reduce, 5x5, pool proj)`.
-pub type InceptionCfg = (usize, usize, usize, usize, usize, usize);
+pub(super) type InceptionCfg = (usize, usize, usize, usize, usize, usize);
 
 /// The canonical configurations of the nine modules, 3a through 5b.
-pub const INCEPTION_CFGS: [(&str, InceptionCfg); 9] = [
+pub(super) const INCEPTION_CFGS: [(&str, InceptionCfg); 9] = [
     ("3a", (64, 96, 128, 16, 32, 32)),
     ("3b", (128, 128, 192, 32, 96, 64)),
     ("4a", (192, 96, 208, 16, 48, 64)),
@@ -58,7 +58,7 @@ pub fn inception(g: &mut Graph, name: &str, input: NodeId, cfg: InceptionCfg) ->
 }
 
 /// Builds GoogLeNet for 224×224 RGB ImageNet classification.
-pub fn googlenet() -> Graph {
+pub(super) fn googlenet() -> Graph {
     let mut g = Graph::new("GoogLeNet", Shape::nchw(1, 3, 224, 224));
     let c1 = conv(&mut g, "conv1/7x7_s2", None, 64, 7, 2, 3); // 64 x 112
     let p1 = maxpool(&mut g, "pool1/3x3_s2", c1, 3, 2, 1); // 64 x 56

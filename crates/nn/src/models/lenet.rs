@@ -7,7 +7,7 @@ use crate::layer::{LayerKind, PoolFunc};
 use crate::models::conv;
 
 /// Builds LeNet-5 for 32×32 grayscale digit recognition.
-pub fn lenet5() -> Graph {
+pub(super) fn lenet5() -> Graph {
     let mut g = Graph::new("LeNet-5", Shape::nchw(1, 1, 32, 32));
     let c1 = conv(&mut g, "conv1", None, 6, 5, 1, 0); // 6 x 28x28
     let p1 = g.add(

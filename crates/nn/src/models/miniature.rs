@@ -23,7 +23,7 @@ use crate::models::{conv, maxpool, ModelId};
 /// Miniatures keep every operator kind and the exact module topology of
 /// the original; channel counts are divided by ~8 and the input is
 /// 32×32 (AlexNet/LeNet keep their native aspect treatment).
-pub fn miniature(id: ModelId) -> Graph {
+pub(super) fn miniature(id: ModelId) -> Graph {
     match id {
         ModelId::GoogLeNet => mini_googlenet(),
         ModelId::SqueezeNet => mini_squeezenet(),

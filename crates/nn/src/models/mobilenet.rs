@@ -25,7 +25,7 @@ fn ds_block(g: &mut Graph, idx: usize, input: NodeId, out_ch: usize, stride: usi
 }
 
 /// Builds MobileNet v1 (1.0, 224) for RGB ImageNet classification.
-pub fn mobilenet_v1() -> Graph {
+pub(super) fn mobilenet_v1() -> Graph {
     let mut g = Graph::new("MobileNet v1", Shape::nchw(1, 3, 224, 224));
     let mut cur = conv(&mut g, "conv1", None, 32, 3, 2, 1); // 32 x 112
                                                             // (output channels, stride) per depthwise-separable block.

@@ -13,23 +13,25 @@
 //! [`crate::weights`]). Pooling uses floor arithmetic with explicit
 //! padding chosen to preserve the canonical feature-map sizes.
 
-pub mod alexnet;
-pub mod googlenet;
-pub mod lenet;
-pub mod miniature;
-pub mod mobilenet;
-pub mod resnet;
-pub mod squeezenet;
-pub mod vgg;
+mod alexnet;
+mod googlenet;
+mod lenet;
+mod miniature;
+mod mobilenet;
+mod resnet;
+mod squeezenet;
+mod vgg;
 
-pub use alexnet::alexnet;
-pub use googlenet::googlenet;
-pub use lenet::lenet5;
-pub use miniature::miniature;
-pub use mobilenet::mobilenet_v1;
-pub use resnet::resnet18;
-pub use squeezenet::squeezenet_v1_1;
-pub use vgg::vgg16;
+use alexnet::alexnet;
+use googlenet::googlenet;
+pub use googlenet::inception;
+use lenet::lenet5;
+use miniature::miniature;
+use mobilenet::mobilenet_v1;
+use resnet::resnet18;
+pub use squeezenet::fire;
+use squeezenet::squeezenet_v1_1;
+use vgg::vgg16;
 
 use crate::graph::{Graph, NodeId};
 use crate::layer::{LayerKind, PoolFunc};

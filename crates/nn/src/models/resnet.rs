@@ -15,7 +15,7 @@ use crate::models::{conv, maxpool};
 ///
 /// When `stride != 1` or the channel count changes, the skip goes
 /// through a 1×1 projection convolution, as in the original.
-pub fn basic_block(
+pub(super) fn basic_block(
     g: &mut Graph,
     name: &str,
     input: NodeId,
@@ -68,7 +68,7 @@ pub fn basic_block(
 }
 
 /// Builds ResNet-18 for 224×224 RGB ImageNet classification.
-pub fn resnet18() -> Graph {
+pub(super) fn resnet18() -> Graph {
     let mut g = Graph::new("ResNet-18", Shape::nchw(1, 3, 224, 224));
     let c1 = conv(&mut g, "conv1", None, 64, 7, 2, 3); // 64 x 112
     let mut cur = maxpool(&mut g, "pool1", c1, 3, 2, 1); // 64 x 56
@@ -102,7 +102,7 @@ pub fn resnet18() -> Graph {
 }
 
 /// A miniature ResNet with two residual blocks for functional tests.
-pub fn mini_resnet() -> Graph {
+pub(super) fn mini_resnet() -> Graph {
     let mut g = Graph::new("ResNet-mini", Shape::nchw(1, 3, 32, 32));
     let c1 = conv(&mut g, "conv1", None, 8, 3, 2, 1); // 8 x 16
     let b1 = basic_block(&mut g, "layer1.0", c1, 8, 8, 1);

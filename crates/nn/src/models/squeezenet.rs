@@ -25,7 +25,7 @@ pub fn fire(g: &mut Graph, name: &str, input: NodeId, s: usize, e1: usize, e3: u
 }
 
 /// Builds SqueezeNet v1.1 for 227×227 RGB ImageNet classification.
-pub fn squeezenet_v1_1() -> Graph {
+pub(super) fn squeezenet_v1_1() -> Graph {
     let mut g = Graph::new("SqueezeNet v1.1", Shape::nchw(1, 3, 227, 227));
     let c1 = conv(&mut g, "conv1", None, 64, 3, 2, 0); // 64 x 113
     let p1 = maxpool(&mut g, "pool1", c1, 3, 2, 0); // 64 x 56

@@ -7,7 +7,7 @@ use crate::layer::LayerKind;
 use crate::models::{conv, maxpool};
 
 /// Builds VGG-16 for 224×224 RGB ImageNet classification.
-pub fn vgg16() -> Graph {
+pub(super) fn vgg16() -> Graph {
     let mut g = Graph::new("VGG-16", Shape::nchw(1, 3, 224, 224));
     let blocks: [(usize, usize); 5] = [(64, 2), (128, 2), (256, 3), (512, 3), (512, 3)];
     let mut prev = None;

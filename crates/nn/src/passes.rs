@@ -102,7 +102,7 @@ impl Module {
 
     /// The current id of an original-graph node (`None` once dead-code
     /// eliminated; nodes absorbed by fusion map to their absorber).
-    pub fn current_id(&self, original: NodeId) -> Option<NodeId> {
+    pub(crate) fn current_id(&self, original: NodeId) -> Option<NodeId> {
         self.node_map.get(original.0).copied().flatten()
     }
 

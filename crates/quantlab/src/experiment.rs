@@ -43,7 +43,7 @@ pub fn accuracy(
     for (image, label) in samples {
         let outs = unn::forward(graph, weights, calib, image, dtype).expect("forward");
         let probs = outs.last().expect("output").to_f32_vec();
-        if ukernels::activation::argmax(&probs) == Some(*label) {
+        if ukernels::argmax(&probs) == Some(*label) {
             correct += 1;
         }
     }
@@ -52,7 +52,11 @@ pub fn accuracy(
 
 /// Builds the *naive* calibration: one global activation range shared by
 /// every node (and the input).
-pub fn naive_calibration(graph: &Graph, weights: &Weights, samples: &[Tensor]) -> Calibration {
+pub(crate) fn naive_calibration(
+    graph: &Graph,
+    weights: &Weights,
+    samples: &[Tensor],
+) -> Calibration {
     // Observe the true per-node ranges first...
     let proper = unn::calibrate(graph, weights, samples).expect("calibrate");
     // ...then collapse them into a single global range.
@@ -67,7 +71,7 @@ pub fn naive_calibration(graph: &Graph, weights: &Weights, samples: &[Tensor]) -
 }
 
 /// Runs the full Figure 10 variant sweep on a trained model.
-pub fn run_variants(model: &TrainedModel) -> Vec<AccuracyRow> {
+pub(crate) fn run_variants(model: &TrainedModel) -> Vec<AccuracyRow> {
     let test: Vec<(Tensor, usize)> = model
         .dataset
         .test

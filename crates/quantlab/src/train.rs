@@ -56,7 +56,7 @@ impl Default for TrainConfig {
 impl TrainConfig {
     /// The deeper head variant (compounds quantization error across more
     /// requantization steps).
-    pub fn deep() -> TrainConfig {
+    pub(crate) fn deep() -> TrainConfig {
         TrainConfig {
             hidden: vec![96, 64],
             epochs: 300,
@@ -66,7 +66,7 @@ impl TrainConfig {
 }
 
 /// Builds the classifier graph for a dataset geometry.
-pub fn classifier_graph(size: usize, classes: usize, hidden: &[usize]) -> Graph {
+pub(crate) fn classifier_graph(size: usize, classes: usize, hidden: &[usize]) -> Graph {
     let mut g = Graph::new("quantlab-cnn", Shape::nchw(1, 1, size, size));
     let mut cur = g.add_input_layer(
         "features",
@@ -224,7 +224,7 @@ pub fn train(dataset: Dataset, cfg: &TrainConfig) -> TrainedModel {
             }
             let logits = acts.last().expect("logits");
             let p = ukernels::softmax_f32(logits);
-            if ukernels::activation::argmax(&p) == Some(*label) {
+            if ukernels::argmax(&p) == Some(*label) {
                 correct += 1;
             }
             // Backward: softmax cross-entropy gradient, then each layer.

@@ -828,7 +828,7 @@ pub(crate) fn schedule_instance(
 /// [`execute_plan_with_faults`] under the empty fault plan.
 ///
 /// This is the *timing* half of the co-simulation; numeric evaluation of
-/// the same plan lives in [`crate::functional`] and shares the plan
+/// the same plan lives in `crate::functional` and shares the plan
 /// semantics.
 pub fn execute_plan(
     spec: &SocSpec,

@@ -58,13 +58,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use simcore::stats::nearest_rank;
 use simcore::{
-    ArrivalKind, ArrivalProcess, DriftKeyQuantizer, EventQueue, FaultPlan, FleetScenario,
-    ResourceId, RetryPolicy, SimSpan, SimTime, TieOrder,
+    nearest_rank, ArrivalKind, ArrivalProcess, DriftKeyQuantizer, EventQueue, FaultPlan,
+    FleetScenario, ResourceId, RetryPolicy, SimSpan, SimTime, TieOrder,
 };
-use testkit::rng::fnv1a;
-use testkit::Rng;
+use testkit::{fnv1a, Rng};
 use unn::{Graph, Weights};
 use usoc::{DeviceId, DeviceKind, SocSpec};
 
@@ -568,7 +566,7 @@ impl FleetReport {
         for (label, count) in &self.rung_occupancy {
             let _ = writeln!(out, "rung {label}={count}");
         }
-        for (name, q) in simcore::stats::SLO_QUANTILES {
+        for (name, q) in simcore::SLO_QUANTILES {
             match self.latency_percentile(q) {
                 Some(p) => {
                     let _ = writeln!(out, "{name}={}ns", p.as_nanos());

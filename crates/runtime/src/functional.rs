@@ -59,7 +59,7 @@ pub enum SplitAxis {
 
 /// The split axis of a layer kind, or `None` for kinds that cannot be
 /// channel-split.
-pub fn split_axis(kind: &LayerKind) -> Option<SplitAxis> {
+pub(crate) fn split_axis(kind: &LayerKind) -> Option<SplitAxis> {
     match kind {
         LayerKind::Conv { .. } | LayerKind::FullyConnected { .. } => Some(SplitAxis::Filters),
         LayerKind::DepthwiseConv { .. } | LayerKind::Pool { .. } | LayerKind::GlobalAvgPool => {
@@ -117,7 +117,7 @@ pub struct PartTask<'a> {
 
 impl<'a> PartTask<'a> {
     /// The node's full (unsliced, uncast) master filter, if any.
-    pub fn master_filter(&self) -> Option<&'a Tensor> {
+    pub(crate) fn master_filter(&self) -> Option<&'a Tensor> {
         self.weights.of(self.node).filter.as_ref()
     }
 

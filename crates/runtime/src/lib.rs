@@ -1,37 +1,41 @@
 //! Execution mechanisms and the plan-execution engine.
 //!
 //! This crate turns an NN graph plus an [`ExecutionPlan`] into a
-//! scheduled, timed, energy-accounted run on a simulated SoC:
+//! scheduled, timed, energy-accounted run on a simulated SoC. Its surface:
 //!
-//! - [`plan`] — the placement language (single-processor vs channel-wise
-//!   split) shared by the baselines and μLayer.
-//! - [`engine`] — the timing half of the co-simulation: builds the task
-//!   DAG (kernels, async GPU issues, syncs, zero-copy map/unmaps,
-//!   cooperative merges), schedules it under a fault plan, and
-//!   integrates energy — one run body, projected as a single run here.
-//! - [`functional`] — the numeric half: evaluates the same plan on real
+//! - [`ExecutionPlan`] / [`NodePlacement`] — the placement language
+//!   (single-processor vs channel-wise split) shared by the baselines and
+//!   μLayer.
+//! - [`execute_plan`] — the timing half of the co-simulation: builds the
+//!   task DAG (kernels, async GPU issues, syncs, zero-copy map/unmaps,
+//!   cooperative merges), schedules it under a fault plan, and integrates
+//!   energy — one run body, projected as a single run here.
+//! - [`evaluate_plan`] — the numeric half: evaluates the same plan on real
 //!   tensors, slicing filters/channels exactly as §3.2 describes — one
 //!   evaluator loop over an [`ExecBackend`].
-//! - [`pipeline`] — streaming execution, the run body's other
+//! - [`execute_pipeline`] — streaming execution, the run body's other
 //!   projection: many inputs through one plan with paced arrivals,
 //!   reporting sustained throughput and per-input latency.
-//! - [`baselines`] — the §2.2 mechanisms μLayer is compared against:
-//!   single-processor, layer-to-processor, network-to-processor.
-//! - [`observe`] — schedule observability: overhead attribution (every
-//!   nanosecond of every resource classified as compute, issue, sync,
-//!   map, unmap, merge, arrival, fallback, or idle) and Chrome
-//!   trace-event export, with fault windows as overlay tracks.
-//! - [`serving`] — the serving core: the one per-instance step (bounded
-//!   admission with explicit backpressure, FIFO dispatch, first-fit rung
-//!   of a deadline-aware degradation ladder, exact frame accounting)
-//!   that a stream, a mesh and every fleet instance run, each with its
-//!   own statically dispatched policy.
-//! - [`serve`] — one arrival stream on one SoC or one networked mesh:
-//!   rung eligibility gated on link reachability, service times
+//! - [`run_single_processor`], [`run_layer_to_processor`],
+//!   [`run_network_to_processor`] — the §2.2 mechanisms μLayer is compared
+//!   against.
+//! - [`attribute`] / [`chrome_trace_json`] — schedule observability:
+//!   overhead attribution (every nanosecond of every resource classified
+//!   as compute, issue, sync, map, unmap, merge, arrival, fallback, or
+//!   idle) and Chrome trace-event export, with fault windows as overlay
+//!   tracks.
+//! - [`Server`] / [`ServePolicy`] — the serving core: the one per-instance
+//!   step (bounded admission with explicit backpressure, FIFO dispatch,
+//!   first-fit rung of a deadline-aware degradation ladder, exact frame
+//!   accounting) that a stream, a mesh and every fleet instance run, each
+//!   with its own statically dispatched policy.
+//! - [`serve_stream`] — one arrival stream on one SoC or one networked
+//!   mesh: rung eligibility gated on link reachability, service times
 //!   stretched by link throttles, partition bookkeeping.
-//! - [`fleet`] — thousands of perturbed, fault-stormed instances behind
+//! - [`run_fleet`] — thousands of perturbed, fault-stormed instances behind
 //!   one discrete-event core, with a modelled plan cache per instance.
-//! - [`metrics`] — the counters/gauges registry every executor fills.
+//! - [`MetricsRegistry`] — the counters/gauges registry every executor
+//!   fills.
 //!
 //! # Examples
 //!
@@ -47,38 +51,43 @@
 //! assert!(l2p.latency <= cpu.latency.max(l2p.latency));
 //! ```
 
-pub mod backend;
-pub mod baselines;
-pub mod engine;
-pub mod fleet;
-pub mod functional;
-pub mod metrics;
-pub mod observe;
-pub mod pipeline;
-pub mod plan;
-pub mod serve;
-pub mod serving;
+#![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
+
+mod backend;
+mod baselines;
+mod engine;
+mod fleet;
+mod functional;
+mod metrics;
+mod observe;
+mod pipeline;
+mod plan;
+mod serve;
+mod serving;
 
 pub use backend::{ExecBackend, SimulatedBackend};
 pub use baselines::{
     layer_to_processor_plan, run_layer_to_processor, run_network_to_processor,
-    run_single_processor, single_processor_plan, ThroughputResult,
+    run_single_processor, single_processor_plan,
 };
 pub use engine::{
-    execute_plan, execute_plan_with_faults, FallbackPart, FallbackScope, FaultReport, RunError,
-    RunResult, TaskMeta,
+    execute_plan, execute_plan_with_faults, FallbackScope, FaultReport, RunError, RunResult,
 };
 pub use fleet::{
-    run_fleet, run_fleet_with_faults, FleetCohort, FleetConfig, FleetInstanceInfo, FleetNetwork,
-    FleetReport, InstanceAdapter, InstanceSummary, UnitAdapter,
+    run_fleet, run_fleet_with_faults, FleetCohort, FleetConfig, FleetNetwork, FleetReport,
+    InstanceAdapter, UnitAdapter,
 };
 pub use functional::{
     eval_part_task, evaluate_plan, evaluate_plan_with_backend, evaluate_plan_with_recovery,
-    split_axis, PartTask, SplitAxis,
+    PartTask,
 };
-pub use metrics::{MetricsRegistry, SharedMetrics};
-pub use observe::{attribute, chrome_trace_json, Attribution, OverheadClass, ResourceAttribution};
+pub use metrics::MetricsRegistry;
+pub use observe::{attribute, chrome_trace_json, Attribution, OverheadClass};
 pub use pipeline::{execute_pipeline, PipelineResult, RunOptions};
 pub use plan::{ExecutionPlan, NodePlacement};
 pub use serve::{serve_stream, ServeConfig, ServeReport};
-pub use serving::{FrameFate, FrameRecord, LadderRung, RealizedRung};
+pub use serving::{
+    plan_scratch_span, FrameFate, FrameRecord, LadderRung, Realized, RealizedRung, ServePolicy,
+    Server, Tally, PLAN_HIT_SPAN,
+};

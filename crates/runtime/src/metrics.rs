@@ -9,7 +9,6 @@
 //! breaking consumers.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// Named monotonic counters (`u64`) and gauges (`f64`).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -25,19 +24,19 @@ impl MetricsRegistry {
     }
 
     /// Adds `by` to counter `name` (creating it at zero).
-    pub fn inc(&mut self, name: &str, by: u64) {
+    pub(crate) fn inc(&mut self, name: &str, by: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += by;
     }
 
     /// Raises counter `name` to `value` if it is below it (high-water
     /// marks).
-    pub fn counter_max(&mut self, name: &str, value: u64) {
+    pub(crate) fn counter_max(&mut self, name: &str, value: u64) {
         let c = self.counters.entry(name.to_string()).or_insert(0);
         *c = (*c).max(value);
     }
 
     /// Sets gauge `name`.
-    pub fn gauge(&mut self, name: &str, value: f64) {
+    pub(crate) fn gauge(&mut self, name: &str, value: f64) {
         self.gauges.insert(name.to_string(), value);
     }
 
@@ -49,16 +48,6 @@ impl MetricsRegistry {
     /// Gauge value, if set.
     pub fn gauge_of(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// All gauges, sorted by name.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// Renders `name value` lines, counters first.
@@ -78,61 +67,6 @@ impl MetricsRegistry {
             out.push_str(&format!("{k:<width$}  {v:.3}\n"));
         }
         out
-    }
-}
-
-/// A [`MetricsRegistry`] shareable across worker threads.
-///
-/// The real-execution backend (`crates/exec`) updates metrics from pool
-/// workers, so the registry needs `Send + Sync`. Counters here are
-/// mutex-guarded rather than per-counter atomics: updates are per-layer,
-/// not per-element, so contention is negligible and the registry keeps
-/// its open string-keyed shape.
-#[derive(Clone, Debug, Default)]
-pub struct SharedMetrics {
-    inner: Arc<Mutex<MetricsRegistry>>,
-}
-
-impl SharedMetrics {
-    /// An empty shared registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `by` to counter `name` (creating it at zero).
-    pub fn inc(&self, name: &str, by: u64) {
-        self.lock().inc(name, by);
-    }
-
-    /// Raises counter `name` to `value` if it is below it.
-    pub fn counter_max(&self, name: &str, value: u64) {
-        self.lock().counter_max(name, value);
-    }
-
-    /// Sets gauge `name`.
-    pub fn gauge(&self, name: &str, value: f64) {
-        self.lock().gauge(name, value);
-    }
-
-    /// Counter value (zero when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counter(name)
-    }
-
-    /// Gauge value, if set.
-    pub fn gauge_of(&self, name: &str) -> Option<f64> {
-        self.lock().gauge_of(name)
-    }
-
-    /// A point-in-time copy of the underlying registry.
-    pub fn snapshot(&self) -> MetricsRegistry {
-        self.lock().clone()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsRegistry> {
-        // A panicked updater cannot leave a counter half-written (updates
-        // are single map operations), so poisoning is safe to clear.
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -165,33 +99,6 @@ mod tests {
         m.gauge("lat", 1.5);
         m.gauge("lat", 2.5);
         assert_eq!(m.gauge_of("lat"), Some(2.5));
-    }
-
-    #[test]
-    fn shared_metrics_is_safe_under_concurrent_updates() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SharedMetrics>();
-
-        let m = SharedMetrics::new();
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let m = m.clone();
-                std::thread::spawn(move || {
-                    for i in 0..1000 {
-                        m.inc("parts.executed", 1);
-                        m.counter_max("queue.depth", (t * 1000 + i) as u64);
-                        m.gauge("last.latency_s", i as f64);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let snap = m.snapshot();
-        assert_eq!(snap.counter("parts.executed"), 8_000);
-        assert_eq!(snap.counter("queue.depth"), 7_999);
-        assert_eq!(snap.gauge_of("last.latency_s"), Some(999.0));
     }
 
     #[test]

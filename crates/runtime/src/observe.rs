@@ -162,7 +162,7 @@ pub struct Attribution {
 
 impl Attribution {
     /// Class totals summed over every resource.
-    pub fn per_class(&self) -> [SimSpan; OverheadClass::COUNT] {
+    pub(crate) fn per_class(&self) -> [SimSpan; OverheadClass::COUNT] {
         let mut totals = [SimSpan::ZERO; OverheadClass::COUNT];
         for ra in &self.per_resource {
             for (t, v) in totals.iter_mut().zip(ra.by_class.iter()) {
@@ -178,7 +178,7 @@ impl Attribution {
     }
 
     /// The fraction of total busy time spent on non-compute overhead.
-    pub fn overhead_fraction(&self) -> f64 {
+    pub(crate) fn overhead_fraction(&self) -> f64 {
         let busy: SimSpan = self
             .per_resource
             .iter()
@@ -238,7 +238,7 @@ impl Attribution {
 ///
 /// `resource_names` gives one name per resource in resource order (extra
 /// trace resources fall back to `res#N`). Tasks that bundle a map with a
-/// wait carry the map portion in [`TaskMeta::map`]; that portion is
+/// wait carry the map portion in `TaskMeta::map`; that portion is
 /// attributed to [`OverheadClass::Map`] and the remainder to the task's
 /// own class, so the per-resource totals tile the makespan exactly.
 pub fn attribute(
@@ -377,7 +377,7 @@ pub fn chrome_trace_json(
             ));
         }
     }
-    simcore::chrome::export(
+    simcore::export_chrome_trace(
         trace,
         &tracks,
         |rec| rec.payload.class.name().to_string(),

@@ -50,7 +50,7 @@ impl NodePlacement {
     }
 
     /// The storage dtype of the produced tensor.
-    pub fn storage_dtype(&self) -> DType {
+    pub(crate) fn storage_dtype(&self) -> DType {
         match self {
             NodePlacement::Single { dtypes, .. } => dtypes.storage,
             NodePlacement::Split { parts } => {
@@ -69,7 +69,7 @@ impl NodePlacement {
     /// co-simulation halves derive their cuts from
     /// [`usoc::split_cuts`], so this realization cannot drift from the
     /// functional evaluator's.
-    pub fn realized_parts(
+    pub(crate) fn realized_parts(
         &self,
         kind: &LayerKind,
         in_shape: &Shape,
@@ -158,7 +158,7 @@ impl ExecutionPlan {
     /// - a split has at least two parts, finite shares in `[0, 1]`, and
     ///   sits on a distributable layer (§3.2);
     /// - elided-concat indices are in range.
-    pub fn validate(&self, graph: &Graph) -> Result<(), String> {
+    pub(crate) fn validate(&self, graph: &Graph) -> Result<(), String> {
         if self.placements.len() != graph.len() {
             return Err(format!(
                 "plan has {} placements for {} nodes",
@@ -204,7 +204,7 @@ impl ExecutionPlan {
     /// [`ExecutionPlan::validate`] plus the spec half an executor needs:
     /// every placement is on a device the spec has and the host can
     /// reach over its links.
-    pub fn validate_for(&self, graph: &Graph, spec: &SocSpec) -> Result<(), String> {
+    pub(crate) fn validate_for(&self, graph: &Graph, spec: &SocSpec) -> Result<(), String> {
         self.validate(graph)?;
         let host = spec.cpu();
         for (i, p) in self.placements.iter().enumerate() {
@@ -274,7 +274,7 @@ impl ExecutionPlan {
     }
 
     /// The plan-wide activation storage dtype.
-    pub fn storage_dtype(&self) -> DType {
+    pub(crate) fn storage_dtype(&self) -> DType {
         self.placements
             .first()
             .map(NodePlacement::storage_dtype)

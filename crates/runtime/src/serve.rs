@@ -39,9 +39,10 @@
 //! retried by the same watchdog and [`simcore::RetryPolicy`] as kernel
 //! tasks, so link drops and device hiccups share one backoff bound.
 
-use simcore::chrome::export;
-use simcore::stats::nearest_rank;
-use simcore::{FaultPlan, OverlayEvent, ResourceId, SimSpan, SimTime, Trace, TraceArg};
+use simcore::{
+    export_chrome_trace, nearest_rank, FaultPlan, OverlayEvent, ResourceId, SimSpan, SimTime,
+    Trace, TraceArg,
+};
 use unn::Graph;
 use usoc::{DeviceId, SocSpec};
 
@@ -220,7 +221,7 @@ impl ServeReport {
             }
         }
         let empty: Trace<TaskMeta> = Trace::new(Vec::new());
-        export(&empty, &[], |_| String::new(), |_| Vec::new(), &overlays)
+        export_chrome_trace(&empty, &[], |_| String::new(), |_| Vec::new(), &overlays)
     }
 }
 
@@ -393,7 +394,7 @@ fn serve_metrics(report: &ServeReport, energy_j: f64) -> MetricsRegistry {
     // Latency gauges are only meaningful when something completed; an
     // all-shed stream deliberately leaves them unset rather than
     // reporting a healthy-looking 0 ms tail.
-    for (name, p) in simcore::stats::LatencyRollup::of(&report.latencies).entries() {
+    for (name, p) in simcore::LatencyRollup::of(&report.latencies).entries() {
         if let Some(p) = p {
             m.gauge(&format!("serve.latency_{name}_ms"), p.as_millis_f64());
         }

@@ -75,7 +75,7 @@ pub struct RealizedRung {
 
 /// Executes each rung's plan once on `spec` for its nominal service
 /// latency, energy and device footprint.
-pub fn realize_ladder(
+pub(crate) fn realize_ladder(
     spec: &SocSpec,
     graph: &Graph,
     ladder: &[LadderRung],
@@ -214,7 +214,7 @@ pub struct Tally {
 }
 
 impl Tally {
-    /// The frame-partition audit ([`audit_partition`]) of this tally.
+    /// The frame-partition audit (`audit_partition`) of this tally.
     pub fn audit(&self, queue_capacity: usize) -> Result<(), String> {
         audit_partition(
             "",

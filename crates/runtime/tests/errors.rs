@@ -73,8 +73,7 @@ fn unrecoverable_runs_report_not_panic() {
     // the run must surface `RunError::Unrecoverable`.
     let spec = SocSpec::exynos_7420();
     let g = ModelId::SqueezeNet.build_miniature();
-    let plan = uruntime::baselines::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8)
-        .expect("plan");
+    let plan = uruntime::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8).expect("plan");
     let faults = FaultPlan::none().with_loss(simcore::DeviceLoss {
         resource: ResourceId(spec.cpu().0),
         at: simcore::SimTime::ZERO,
@@ -139,7 +138,7 @@ testkit::props! {
         let mut spec = SocSpec::mcu_mesh(4);
         let g = ModelId::LeNet.build_miniature();
         let mut plan =
-            uruntime::baselines::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8)
+            uruntime::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8)
                 .expect("base mesh plan");
         let i = node % plan.placements.len();
         let cpu = spec.cpu();

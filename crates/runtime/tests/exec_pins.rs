@@ -17,7 +17,7 @@
 //! test run on two checkouts shows which group moved.
 
 use simcore::{FaultPlan, ResourceId, RetryPolicy, Scenario, SimSpan};
-use testkit::rng::fnv1a;
+use testkit::fnv1a;
 use unn::{Graph, ModelId};
 use uruntime::{
     execute_pipeline, execute_plan_with_faults, layer_to_processor_plan, single_processor_plan,

@@ -193,8 +193,7 @@ fn whole_node_fallback_recovers_gpu_single_plan() {
     // A GPU-single plan exercises the WholeNode fallback scope.
     let spec = SocSpec::exynos_7420();
     let g = ModelId::SqueezeNet.build_miniature();
-    let plan = uruntime::baselines::single_processor_plan(&g, &spec, spec.gpu(), DType::F16)
-        .expect("plan");
+    let plan = uruntime::single_processor_plan(&g, &spec, spec.gpu(), DType::F16).expect("plan");
     let faults = gpu_scenario(&spec, &g, &plan, Scenario::GpuLoss, 3);
     let (result, report) =
         execute_plan_with_faults(&spec, &g, &plan, &faults, &RetryPolicy::default()).expect("run");
@@ -270,7 +269,7 @@ fn pipeline_degrades_frames_after_gpu_loss_and_counts_deadline_misses() {
     let g = ModelId::SqueezeNet.build_miniature();
     let plan = split_plan(&spec, &g);
     let single = execute_plan(&spec, &g, &plan).expect("single");
-    let degraded = uruntime::baselines::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8)
+    let degraded = uruntime::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8)
         .expect("degraded plan");
 
     // Lose the GPU midway through a 6-frame stream: frames arriving after
@@ -314,7 +313,7 @@ fn fault_free_pipeline_is_unchanged_by_the_resilient_path() {
     let interval = SimSpan::from_micros(500);
     // With nothing injected the resilient machinery is inert: no fallback
     // is registered, and a degraded plan that is on offer is never used.
-    let degraded = uruntime::baselines::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8)
+    let degraded = uruntime::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8)
         .expect("degraded plan");
     let (base, _) =
         uruntime::execute_pipeline(&spec, &g, &plan, 4, interval, &RunOptions::default())

@@ -47,7 +47,7 @@ fn ulp32(a: f32, b: f32) -> u64 {
 
 fn ulp16(a: F16, b: F16) -> u64 {
     let key = |x: F16| -> i64 {
-        let bits = utensor::f16::f32_to_f16_bits(x.to_f32());
+        let bits = utensor::f32_to_f16_bits(x.to_f32());
         if bits & 0x8000 != 0 {
             -((bits & 0x7FFF) as i64)
         } else {

@@ -9,8 +9,8 @@
 
 use simcore::{SimSpan, SimTime};
 use testkit::{prop_assert, prop_assert_eq, props, Rng};
-use uruntime::serving::{Realized, RealizedRung, ServePolicy, Server, Tally};
 use uruntime::{FrameFate, FrameRecord};
+use uruntime::{Realized, RealizedRung, ServePolicy, Server, Tally};
 
 /// Answers every question of the step from its own random stream and
 /// logs what it was asked.

@@ -20,7 +20,7 @@ use simcore::{
     ArrivalKind, ArrivalProcess, DeviceLoss, FaultPlan, FleetScenario, LinkFaultScenario,
     ResourceId, RetryPolicy, SimSpan, SimTime, ThrottleWindow, TransientFault,
 };
-use testkit::rng::fnv1a;
+use testkit::fnv1a;
 use unn::{Graph, ModelId, Weights};
 use uruntime::{
     execute_plan, run_fleet, run_fleet_with_faults, serve_stream, single_processor_plan,

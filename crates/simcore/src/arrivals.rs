@@ -17,8 +17,7 @@
 //! - **poisson** — memoryless gaps drawn by inverse-CDF from the
 //!   exponential distribution (open-world request traffic).
 
-use testkit::rng::fnv1a;
-use testkit::Rng;
+use testkit::{fnv1a, Rng};
 
 use crate::time::{SimSpan, SimTime};
 

@@ -1,20 +1,21 @@
 //! Chrome trace-event JSON export and validation.
 //!
-//! [`export`] renders any [`Trace`] as a Chrome trace-event JSON document
-//! (the `chrome://tracing` / Perfetto "JSON Array with metadata" flavor):
-//! one complete (`"ph": "X"`) event per task record on a per-resource
-//! track, plus `thread_name` metadata events naming each track. Timestamps
-//! are microseconds (the trace-event wire unit) with sub-microsecond
-//! precision preserved as fractions.
+//! [`export_chrome_trace`] renders any [`Trace`] as a Chrome trace-event
+//! JSON document (the `chrome://tracing` / Perfetto "JSON Array with
+//! metadata" flavor): one complete (`"ph": "X"`) event per task record
+//! on a per-resource track, plus `thread_name` metadata events naming
+//! each track. Timestamps are microseconds (the trace-event wire unit)
+//! with sub-microsecond precision preserved as fractions.
 //!
-//! Because the workspace's dependency policy forbids external crates, this
-//! module also carries a minimal recursive-descent JSON parser
-//! ([`JsonValue::parse`]) and a structural validator
-//! ([`validate_chrome_trace`]) so tests and the CI smoke run can prove an
-//! exported document round-trips without serde.
+//! Because the workspace's dependency policy forbids external crates, the
+//! document is built and re-read with the crate's own JSON tree
+//! ([`JsonValue`], a minimal recursive-descent parser), and
+//! [`validate_chrome_trace`] checks its structure, so tests and the CI
+//! smoke run can prove an exported document round-trips without serde.
 
 use std::collections::BTreeMap;
 
+use crate::json::JsonValue;
 use crate::resource::ResourceId;
 use crate::trace::{TaskRecord, Trace};
 
@@ -68,7 +69,7 @@ pub struct OverlayEvent {
 /// empty) are rendered on their own named tracks: one `tid` per distinct
 /// track name, numbered above all resource tracks, sorted by start time
 /// per track so the exported document stays loadable.
-pub fn export<T>(
+pub fn export_chrome_trace<T>(
     trace: &Trace<T>,
     track_names: &[(ResourceId, String)],
     mut cat_of: impl FnMut(&TaskRecord<T>) -> String,
@@ -90,15 +91,12 @@ pub fn export<T>(
             .get(rid)
             .map(|s| s.to_string())
             .unwrap_or_else(|| format!("res#{}", rid.0));
-        events.push(JsonValue::Obj(vec![
-            ("name".into(), JsonValue::Str("thread_name".into())),
-            ("ph".into(), JsonValue::Str("M".into())),
-            ("pid".into(), JsonValue::Num(0.0)),
-            ("tid".into(), JsonValue::Num(rid.0 as f64)),
-            (
-                "args".into(),
-                JsonValue::Obj(vec![("name".into(), JsonValue::Str(name))]),
-            ),
+        events.push(JsonValue::obj(vec![
+            ("name", JsonValue::s("thread_name")),
+            ("ph", JsonValue::s("M")),
+            ("pid", JsonValue::n(0.0)),
+            ("tid", JsonValue::n(rid.0 as f64)),
+            ("args", JsonValue::obj(vec![("name", JsonValue::s(name))])),
         ]));
     }
 
@@ -112,21 +110,15 @@ pub fn export<T>(
             .into_iter()
             .map(|(k, v)| (k, v.to_json()))
             .collect();
-        events.push(JsonValue::Obj(vec![
-            ("name".into(), JsonValue::Str(rec.label.clone())),
-            ("cat".into(), JsonValue::Str(cat_of(rec))),
-            ("ph".into(), JsonValue::Str("X".into())),
-            (
-                "ts".into(),
-                JsonValue::Num(rec.start.as_nanos() as f64 / 1e3),
-            ),
-            (
-                "dur".into(),
-                JsonValue::Num(rec.span().as_nanos() as f64 / 1e3),
-            ),
-            ("pid".into(), JsonValue::Num(0.0)),
-            ("tid".into(), JsonValue::Num(rec.resource.0 as f64)),
-            ("args".into(), JsonValue::Obj(args)),
+        events.push(JsonValue::obj(vec![
+            ("name", JsonValue::s(rec.label.clone())),
+            ("cat", JsonValue::s(cat_of(rec))),
+            ("ph", JsonValue::s("X")),
+            ("ts", JsonValue::n(rec.start.as_nanos() as f64 / 1e3)),
+            ("dur", JsonValue::n(rec.span().as_nanos() as f64 / 1e3)),
+            ("pid", JsonValue::n(0.0)),
+            ("tid", JsonValue::n(rec.resource.0 as f64)),
+            ("args", JsonValue::Obj(args)),
         ]));
     }
 
@@ -141,15 +133,12 @@ pub fn export<T>(
             }
         }
         for (k, name) in overlay_tracks.iter().enumerate() {
-            events.push(JsonValue::Obj(vec![
-                ("name".into(), JsonValue::Str("thread_name".into())),
-                ("ph".into(), JsonValue::Str("M".into())),
-                ("pid".into(), JsonValue::Num(0.0)),
-                ("tid".into(), JsonValue::Num((base + k) as f64)),
-                (
-                    "args".into(),
-                    JsonValue::Obj(vec![("name".into(), JsonValue::Str(name.to_string()))]),
-                ),
+            events.push(JsonValue::obj(vec![
+                ("name", JsonValue::s("thread_name")),
+                ("ph", JsonValue::s("M")),
+                ("pid", JsonValue::n(0.0)),
+                ("tid", JsonValue::n((base + k) as f64)),
+                ("args", JsonValue::obj(vec![("name", JsonValue::s(*name))])),
             ]));
         }
         let mut ordered: Vec<&OverlayEvent> = overlays.iter().collect();
@@ -173,25 +162,22 @@ pub fn export<T>(
                 .iter()
                 .map(|(k, v)| (k.clone(), v.to_json()))
                 .collect();
-            events.push(JsonValue::Obj(vec![
-                ("name".into(), JsonValue::Str(ov.name.clone())),
-                ("cat".into(), JsonValue::Str(ov.cat.clone())),
-                ("ph".into(), JsonValue::Str("X".into())),
-                (
-                    "ts".into(),
-                    JsonValue::Num(ov.start.as_nanos() as f64 / 1e3),
-                ),
-                ("dur".into(), JsonValue::Num(ov.dur.as_nanos() as f64 / 1e3)),
-                ("pid".into(), JsonValue::Num(0.0)),
-                ("tid".into(), JsonValue::Num(tid as f64)),
-                ("args".into(), JsonValue::Obj(args)),
+            events.push(JsonValue::obj(vec![
+                ("name", JsonValue::s(ov.name.clone())),
+                ("cat", JsonValue::s(ov.cat.clone())),
+                ("ph", JsonValue::s("X")),
+                ("ts", JsonValue::n(ov.start.as_nanos() as f64 / 1e3)),
+                ("dur", JsonValue::n(ov.dur.as_nanos() as f64 / 1e3)),
+                ("pid", JsonValue::n(0.0)),
+                ("tid", JsonValue::n(tid as f64)),
+                ("args", JsonValue::Obj(args)),
             ]));
         }
     }
 
-    JsonValue::Obj(vec![
-        ("displayTimeUnit".into(), JsonValue::Str("ms".into())),
-        ("traceEvents".into(), JsonValue::Arr(events)),
+    JsonValue::obj(vec![
+        ("displayTimeUnit", JsonValue::s("ms")),
+        ("traceEvents", JsonValue::Arr(events)),
     ])
     .render()
 }
@@ -271,347 +257,11 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceSummary, String> {
     Ok(summary)
 }
 
-/// A parsed JSON value (minimal, std-only).
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object (insertion-ordered pairs; duplicate keys kept as-is).
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Looks up a key in an object value.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as an array, if it is one.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Parses a complete JSON document (rejects trailing garbage).
-    pub fn parse(input: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Renders the value as compact JSON.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(v) => {
-                if !v.is_finite() {
-                    out.push_str("null");
-                } else if v.fract() == 0.0 && v.abs() < 1e15 {
-                    let _ = write!(out, "{}", *v as i64);
-                } else {
-                    let _ = write!(out, "{v}");
-                }
-            }
-            JsonValue::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            JsonValue::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    JsonValue::Str(k.clone()).write(out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-/// Containers deeper than this are rejected rather than recursed into:
-/// `value`/`array`/`object` are mutually recursive, so without a bound a
-/// short input like `"[".repeat(100_000)` would overflow the stack. Real
-/// trace documents nest 4 levels.
-const MAX_DEPTH: usize = 128;
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.nested(Parser::array),
-            Some(b'{') => self.nested(Parser::object),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn nested(
-        &mut self,
-        parse: impl FnOnce(&mut Self) -> Result<JsonValue, String>,
-    ) -> Result<JsonValue, String> {
-        if self.depth >= MAX_DEPTH {
-            return Err(format!(
-                "nesting deeper than {MAX_DEPTH} at byte {}",
-                self.pos
-            ));
-        }
-        self.depth += 1;
-        let v = parse(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs are not needed for the BMP
-                            // labels this codebase emits; map lone
-                            // surrogates to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    // SAFETY: the input is a &str and `pos` only ever
-                    // advances past whole scalars, so `rest` is UTF-8.
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad number")?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dag::TaskId;
+    use crate::json::MAX_DEPTH;
     use crate::time::SimTime;
 
     fn rec(id: usize, res: usize, start: u64, end: u64) -> TaskRecord<u32> {
@@ -669,8 +319,16 @@ mod tests {
     fn parser_handles_escapes_and_unicode() {
         let v = JsonValue::parse(r#""μLayer \"quoted\" \\ \t""#).unwrap();
         assert_eq!(v.as_str(), Some("\u{3bc}Layer \"quoted\" \\ \t"));
-        let v = JsonValue::parse("\"μLayer\"").unwrap();
-        assert_eq!(v.as_str(), Some("μLayer"));
+        // One scalar of each UTF-8 width, and multi-byte scalars
+        // directly followed by an escape.
+        for s in ["μLayer", "€ 5", "𝄞 clef", "μ€𝄞"] {
+            let v = JsonValue::parse(&format!("\"{s}\"")).unwrap();
+            assert_eq!(v.as_str(), Some(s));
+        }
+        let v = JsonValue::parse(r#""€\n𝄞\"μ\\""#).unwrap();
+        assert_eq!(v.as_str(), Some("€\n𝄞\"μ\\"));
+        let v = JsonValue::parse(r#""𝄞\u20ac""#).unwrap();
+        assert_eq!(v.as_str(), Some("𝄞€"));
     }
 
     #[test]
@@ -684,7 +342,7 @@ mod tests {
             (ResourceId(0), "cpu".to_string()),
             (ResourceId(1), "gpu".to_string()),
         ];
-        let json = export(
+        let json = export_chrome_trace(
             &t,
             &names,
             |_| "task".into(),
@@ -710,7 +368,7 @@ mod tests {
     #[test]
     fn export_preserves_sub_microsecond_times() {
         let t = Trace::new(vec![rec(0, 0, 1_500, 2_250)]);
-        let json = export(&t, &[], |_| "t".into(), |_| Vec::new(), &[]);
+        let json = export_chrome_trace(&t, &[], |_| "t".into(), |_| Vec::new(), &[]);
         let doc = JsonValue::parse(&json).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let ev = events
@@ -769,7 +427,7 @@ mod tests {
                 args: Vec::new(),
             },
         ];
-        let json = export(&t, &[], |_| "t".into(), |_| Vec::new(), &overlays);
+        let json = export_chrome_trace(&t, &[], |_| "t".into(), |_| Vec::new(), &overlays);
         let summary = validate_chrome_trace(&json).unwrap();
         assert_eq!(summary.complete_events, 5);
         // 2 resource tracks + 2 overlay tracks.

@@ -60,7 +60,7 @@ impl DriftKeyQuantizer {
     /// Quantizes one slot's factor, applying hysteresis against the
     /// slot's previous bucket, and records the result. Returns the
     /// bucket.
-    pub fn update(&mut self, slot: u64, factor: f64) -> i32 {
+    pub(crate) fn update(&mut self, slot: u64, factor: f64) -> i32 {
         let ln = factor.max(1e-12).ln();
         let target = (ln / self.width).round() as i32;
         let bucket = match self.buckets.get(&slot) {
@@ -95,7 +95,8 @@ impl DriftKeyQuantizer {
     }
 
     /// Forgets all hysteresis state (e.g. when the topology changes).
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.buckets.clear();
     }
 }

@@ -161,7 +161,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn push_with_priority(&mut self, at: SimTime, prio: i8, event: E) {
+    pub(crate) fn push_with_priority(&mut self, at: SimTime, prio: i8, event: E) {
         assert!(
             at >= self.now,
             "event scheduled in the past: at={at:?}, now={:?}",
@@ -192,12 +192,14 @@ impl<E> EventQueue<E> {
     }
 
     /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    #[cfg(test)]
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
 
     /// The current simulated instant (the time of the last popped event).
-    pub fn now(&self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 

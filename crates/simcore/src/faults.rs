@@ -131,7 +131,7 @@ impl FaultPlan {
     }
 
     /// The earliest loss instant of `resource`, if it is lost at all.
-    pub fn loss_at(&self, resource: ResourceId) -> Option<SimTime> {
+    pub(crate) fn loss_at(&self, resource: ResourceId) -> Option<SimTime> {
         self.losses
             .iter()
             .filter(|l| l.resource == resource)
@@ -189,8 +189,8 @@ impl FaultPlan {
 /// per-attempt backoff doubles from `backoff` (capped at 64×), optional
 /// seeded jitter adds at most `jitter` per wait, and the *cumulative*
 /// backoff across all attempts is clamped to `max_total_backoff` — see
-/// [`RetryPolicy::total_backoff_bound`] and
-/// [`RetryPolicy::worst_case_delay`].
+/// `RetryPolicy::total_backoff_bound` and
+/// `RetryPolicy::worst_case_delay`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum attempts per task (first try included). At least 1.
@@ -246,7 +246,7 @@ impl RetryPolicy {
         let mut buf = [0u8; 16];
         buf[..8].copy_from_slice(&self.seed.to_le_bytes());
         buf[8..].copy_from_slice(&(next_attempt as u64).to_le_bytes());
-        let h = testkit::rng::fnv1a(&buf);
+        let h = testkit::fnv1a(&buf);
         SimSpan::from_nanos(h % (self.jitter.as_nanos() + 1))
     }
 
@@ -271,7 +271,8 @@ impl RetryPolicy {
     /// task's full attempt budget: the sum of every
     /// [`RetryPolicy::backoff_before`], which by construction is
     /// `<= max_total_backoff`.
-    pub fn total_backoff_bound(&self) -> SimSpan {
+    #[cfg(test)]
+    pub(crate) fn total_backoff_bound(&self) -> SimSpan {
         (2..=self.max_attempts)
             .map(|a| self.backoff_before(a))
             .sum()
@@ -280,7 +281,8 @@ impl RetryPolicy {
     /// The provable worst-case delay of one task whose every attempt
     /// takes `attempt_span`: all `max_attempts` attempts run to their
     /// watchdog timeout, plus the full (capped) backoff budget.
-    pub fn worst_case_delay(&self, attempt_span: SimSpan) -> SimSpan {
+    #[cfg(test)]
+    pub(crate) fn worst_case_delay(&self, attempt_span: SimSpan) -> SimSpan {
         attempt_span * (self.max_attempts.max(1) as u64) + self.total_backoff_bound()
     }
 }
@@ -386,7 +388,7 @@ impl Scenario {
         seed: u64,
     ) -> FaultPlan {
         let mut rng = testkit::Rng::seed_from_u64(
-            seed ^ testkit::rng::fnv1a(self.name().as_bytes()).rotate_left(17),
+            seed ^ testkit::fnv1a(self.name().as_bytes()).rotate_left(17),
         );
         let at = |frac: f64| SimTime::ZERO + horizon * frac;
         match self {
@@ -517,7 +519,7 @@ impl LinkFaultScenario {
         seed: u64,
     ) -> FaultPlan {
         let mut rng = testkit::Rng::seed_from_u64(
-            seed ^ testkit::rng::fnv1a(self.name().as_bytes()).rotate_left(11),
+            seed ^ testkit::fnv1a(self.name().as_bytes()).rotate_left(11),
         );
         let at = |frac: f64| SimTime::ZERO + horizon * frac.clamp(0.0, 1.0);
         match self {
@@ -675,8 +677,8 @@ impl FleetScenario {
         seed: u64,
     ) -> FaultPlan {
         let mut rng = testkit::Rng::seed_from_u64(
-            seed ^ testkit::rng::fnv1a(self.name().as_bytes()).rotate_left(29)
-                ^ testkit::rng::fnv1a(&(instance as u64).to_le_bytes()).rotate_left(7),
+            seed ^ testkit::fnv1a(self.name().as_bytes()).rotate_left(29)
+                ^ testkit::fnv1a(&(instance as u64).to_le_bytes()).rotate_left(7),
         );
         // The instance's position in the wave front, in [0, 1).
         let wave = instance as f64 / fleet_size.max(1) as f64;

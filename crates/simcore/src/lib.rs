@@ -7,37 +7,50 @@
 //! - [`SimTime`] / [`SimSpan`] — nanosecond-resolution instants and spans.
 //! - [`EventQueue`] — a deterministic time-ordered event queue with stable
 //!   FIFO ordering for simultaneous events.
-//! - [`Timeline`] — a serially-reusable resource (a CPU cluster, a GPU, a
-//!   command queue) that tracks when it is busy and collects utilization.
+//! - [`ResourcePool`] — serially-reusable resources (a CPU cluster, a GPU,
+//!   a command queue) that track when they are busy and collect
+//!   utilization.
 //! - [`TaskGraph`] / [`Trace`] — a dependency-aware task scheduler that
-//!   executes a DAG of timed tasks over a set of timelines and produces a
-//!   trace with per-task start/end times, suitable for latency and energy
-//!   accounting as well as ASCII Gantt rendering.
+//!   executes a DAG of timed tasks over the pool's resources and produces
+//!   a trace with per-task start/end times, suitable for latency and
+//!   energy accounting as well as ASCII Gantt rendering.
+//! - [`FaultPlan`] / [`Scenario`] / [`FleetScenario`] — seeded fault
+//!   injection; [`ArrivalProcess`] — seeded frame arrivals;
+//!   [`DriftKeyQuantizer`] — the plan cache's drift key.
+//! - [`export_chrome_trace`] / [`validate_chrome_trace`] over one JSON tree,
+//!   [`JsonValue`], which also renders every `repro` document.
+//! - [`nearest_rank`] / [`LatencyRollup`] — the latency percentiles every
+//!   report uses.
 //!
 //! The engine is deterministic: scheduling the same graph twice yields the
 //! same trace, which the test suites rely on.
 
-pub mod arrivals;
-pub mod chrome;
-pub mod dag;
-pub mod driftkey;
-pub mod event;
-pub mod faults;
-pub mod resource;
-pub mod stats;
-pub mod time;
-pub mod trace;
+#![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
+
+mod arrivals;
+mod chrome;
+mod dag;
+mod driftkey;
+mod event;
+mod faults;
+mod json;
+mod resource;
+mod stats;
+mod time;
+mod trace;
 
 pub use arrivals::{ArrivalKind, ArrivalProcess};
-pub use chrome::{validate_chrome_trace, ChromeTraceSummary, JsonValue, OverlayEvent, TraceArg};
-pub use dag::{SchedStats, ScheduleError, TaskGraph, TaskId, TaskSpec};
+pub use chrome::{export_chrome_trace, validate_chrome_trace, OverlayEvent, TraceArg};
+pub use dag::{SchedStats, ScheduleError, TaskGraph, TaskId};
 pub use driftkey::DriftKeyQuantizer;
 pub use event::{EventQueue, TieOrder};
 pub use faults::{
-    AttemptOutcome, AttemptRecord, DeviceLoss, FaultLog, FaultPlan, FleetScenario,
-    LinkFaultScenario, RetryPolicy, Scenario, ThrottleWindow, TransientFault,
+    AttemptRecord, DeviceLoss, FaultLog, FaultPlan, FleetScenario, LinkFaultScenario, RetryPolicy,
+    Scenario, ThrottleWindow, TransientFault,
 };
-pub use resource::{BusyInterval, ResourceId, ResourcePool, Timeline};
+pub use json::JsonValue;
+pub use resource::{ResourceId, ResourcePool};
 pub use stats::{nearest_rank, LatencyRollup, SLO_QUANTILES};
 pub use time::{SimSpan, SimTime};
 pub use trace::{GanttOptions, TaskRecord, Trace};

@@ -21,7 +21,7 @@ impl fmt::Display for ResourceId {
 
 /// A half-open busy interval `[start, end)` on a timeline.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct BusyInterval {
+pub(crate) struct BusyInterval {
     /// When the reservation starts.
     pub start: SimTime,
     /// When the reservation ends.
@@ -30,7 +30,8 @@ pub struct BusyInterval {
 
 impl BusyInterval {
     /// Length of the interval.
-    pub fn span(&self) -> SimSpan {
+    #[cfg(test)]
+    pub(crate) fn span(&self) -> SimSpan {
         self.end - self.start
     }
 }
@@ -48,7 +49,7 @@ pub struct Timeline {
 
 impl Timeline {
     /// Creates an idle timeline.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         Timeline {
             name: name.into(),
             intervals: Vec::new(),
@@ -62,14 +63,14 @@ impl Timeline {
     }
 
     /// The earliest instant a new reservation may start.
-    pub fn available_at(&self) -> SimTime {
+    pub(crate) fn available_at(&self) -> SimTime {
         self.available_at
     }
 
     /// Reserves the resource for `span`, starting no earlier than
     /// `earliest` and no earlier than the end of the last reservation.
     /// Returns the actual busy interval.
-    pub fn reserve(&mut self, earliest: SimTime, span: SimSpan) -> BusyInterval {
+    pub(crate) fn reserve(&mut self, earliest: SimTime, span: SimSpan) -> BusyInterval {
         let start = earliest.max(self.available_at);
         let end = start + span;
         self.available_at = end;
@@ -81,19 +82,22 @@ impl Timeline {
     }
 
     /// All busy intervals reserved so far, in start order.
-    pub fn busy_intervals(&self) -> &[BusyInterval] {
+    #[cfg(test)]
+    pub(crate) fn busy_intervals(&self) -> &[BusyInterval] {
         &self.intervals
     }
 
     /// Total busy time.
-    pub fn busy_time(&self) -> SimSpan {
+    #[cfg(test)]
+    pub(crate) fn busy_time(&self) -> SimSpan {
         self.intervals.iter().map(BusyInterval::span).sum()
     }
 
     /// Busy time within `[0, horizon)` divided by `horizon`.
     ///
     /// Returns 0.0 for a zero horizon.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn utilization(&self, horizon: SimTime) -> f64 {
         if horizon == SimTime::ZERO {
             return 0.0;
         }
@@ -110,7 +114,8 @@ impl Timeline {
     /// that falls inside it. Reservations past the horizon contribute
     /// nothing. A zero or degenerate horizon (shorter than the clipped
     /// busy time) yields zero rather than underflowing.
-    pub fn idle_time(&self, horizon: SimTime) -> SimSpan {
+    #[cfg(test)]
+    pub(crate) fn idle_time(&self, horizon: SimTime) -> SimSpan {
         if horizon == SimTime::ZERO {
             return SimSpan::ZERO;
         }
@@ -128,7 +133,8 @@ impl Timeline {
     }
 
     /// Clears all reservations, returning the timeline to idle.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.intervals.clear();
         self.available_at = SimTime::ZERO;
     }
@@ -190,7 +196,8 @@ impl ResourcePool {
     }
 
     /// Resets every timeline to idle.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         for t in &mut self.timelines {
             t.reset();
         }

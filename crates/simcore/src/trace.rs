@@ -116,7 +116,8 @@ impl<T> Trace<T> {
     /// makespan minus the resource's busy time. Tasks on one resource
     /// never overlap (timelines are serially reusable), so the difference
     /// is exactly the sum of its gaps.
-    pub fn idle_of(&self, resource: ResourceId) -> SimSpan {
+    #[cfg(test)]
+    pub(crate) fn idle_of(&self, resource: ResourceId) -> SimSpan {
         let busy: SimSpan = self
             .records
             .iter()
@@ -127,7 +128,8 @@ impl<T> Trace<T> {
     }
 
     /// Maps each record's payload, keeping the timing information.
-    pub fn map_payload<U>(self, mut f: impl FnMut(T) -> U) -> Trace<U> {
+    #[cfg(test)]
+    pub(crate) fn map_payload<U>(self, mut f: impl FnMut(T) -> U) -> Trace<U> {
         let records = self
             .records
             .into_iter()

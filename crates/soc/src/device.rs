@@ -68,7 +68,7 @@ pub struct Throughput {
 
 impl Throughput {
     /// The rate for a compute dtype.
-    pub fn for_dtype(&self, dtype: DType) -> f64 {
+    pub(crate) fn for_dtype(&self, dtype: DType) -> f64 {
         match dtype {
             DType::F32 => self.f32_gmacs,
             DType::F16 => self.f16_gmacs,
@@ -113,7 +113,8 @@ impl DeviceSpec {
 
     /// The dtype this processor prefers under processor-friendly
     /// quantization (§4.2): QUInt8 for CPUs and NPUs, F16 for GPUs.
-    pub fn preferred_dtype(&self) -> DType {
+    #[cfg(test)]
+    pub(crate) fn preferred_dtype(&self) -> DType {
         match self.kind {
             DeviceKind::CpuCluster | DeviceKind::Npu => DType::QUInt8,
             DeviceKind::Gpu => DType::F16,

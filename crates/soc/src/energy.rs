@@ -83,7 +83,8 @@ impl<'a> EnergyAccumulator<'a> {
 
 /// Convenience: computes energy straight from a simcore trace whose
 /// payloads expose `(device, bytes)`.
-pub fn energy_of_tasks(
+#[cfg(test)]
+pub(crate) fn energy_of_tasks(
     spec: &SocSpec,
     tasks: impl IntoIterator<Item = (DeviceId, SimSpan, u64)>,
     makespan: SimSpan,
@@ -97,7 +98,8 @@ pub fn energy_of_tasks(
 
 /// Converts a makespan into the average power the Monsoon meter would
 /// display.
-pub fn average_power_w(breakdown: &EnergyBreakdown, makespan: SimSpan) -> f64 {
+#[cfg(test)]
+pub(crate) fn average_power_w(breakdown: &EnergyBreakdown, makespan: SimSpan) -> f64 {
     if makespan.is_zero() {
         return 0.0;
     }

@@ -24,7 +24,7 @@ use crate::device::DeviceId;
 
 /// Per-packet framing overhead of a network link, bytes (headers,
 /// checksums — kept fixed so transfer spans are deterministic).
-pub const PACKET_HEADER_BYTES: u64 = 48;
+pub(crate) const PACKET_HEADER_BYTES: u64 = 48;
 
 /// How two devices of a spec exchange tensor data.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -48,7 +48,7 @@ pub enum Link {
 impl Link {
     /// True for a `Network` link (a potential fault domain with a
     /// non-zero transfer cost).
-    pub fn is_network(&self) -> bool {
+    pub(crate) fn is_network(&self) -> bool {
         matches!(self, Link::Network { .. })
     }
 
@@ -105,7 +105,8 @@ pub struct LinkSpec {
 
 impl LinkSpec {
     /// True when this link joins `x` and `y` (either direction).
-    pub fn joins(&self, x: DeviceId, y: DeviceId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn joins(&self, x: DeviceId, y: DeviceId) -> bool {
         (self.a == x && self.b == y) || (self.a == y && self.b == x)
     }
 

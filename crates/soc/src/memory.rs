@@ -124,12 +124,14 @@ impl SharedMemory {
     }
 
     /// Size of a live buffer.
-    pub fn size_of(&self, id: BufferId) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn size_of(&self, id: BufferId) -> Option<usize> {
         self.buffers.get(&id).map(|b| b.size)
     }
 
     /// Whether a buffer is currently mapped.
-    pub fn is_mapped(&self, id: BufferId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_mapped(&self, id: BufferId) -> bool {
         self.buffers
             .get(&id)
             .map(|b| b.mapped.is_some())

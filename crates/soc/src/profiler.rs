@@ -70,7 +70,7 @@ impl From<SocError> for ProfileError {
 
 /// The kernel/host cost breakdown of one synchronous single-layer run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LayerCost {
+pub(crate) struct LayerCost {
     /// Pure kernel execution time on the device.
     pub kernel: SimSpan,
     /// Host-side overhead (GPU: command issue + completion wait; CPU:
@@ -80,7 +80,7 @@ pub struct LayerCost {
 
 impl LayerCost {
     /// End-to-end latency: kernel plus host overhead.
-    pub fn total(&self) -> SimSpan {
+    pub(crate) fn total(&self) -> SimSpan {
         self.kernel + self.host
     }
 }
@@ -88,7 +88,7 @@ impl LayerCost {
 /// The cost of running one whole layer on one device, broken into the
 /// kernel time and the host-side overhead a synchronous single-layer
 /// execution pays.
-pub fn single_layer_cost(
+pub(crate) fn single_layer_cost(
     spec: &SocSpec,
     device: DeviceId,
     kind: &LayerKind,

@@ -81,7 +81,7 @@ pub struct SocSpec {
     /// and all devices are mutually reachable (every pre-link preset
     /// keeps byte-identical behavior). A non-empty table makes
     /// connectivity explicit: only listed pairs are joined, and
-    /// transfers route hop-by-hop over the listed [`Link`]s.
+    /// transfers route hop-by-hop over the listed `Link`s.
     pub links: Vec<LinkSpec>,
     /// Shared memory system.
     pub memory: MemorySpec,
@@ -243,7 +243,8 @@ impl SocSpec {
     /// third schedulable device sharing zero-copy memory with the big
     /// cluster and the GPU, so the partitioner can enlist it in n-way
     /// splits.
-    pub fn big_little() -> SocSpec {
+    #[cfg(test)]
+    pub(crate) fn big_little() -> SocSpec {
         let mut spec = SocSpec::exynos_7420();
         spec.devices.insert(
             1,
@@ -334,7 +335,8 @@ impl SocSpec {
     /// compute-bound kernel's latency scales by exactly `1/factor`.
     /// Missing factors (fewer than `devices.len()`) leave their device
     /// untouched.
-    pub fn with_device_speeds(&self, factors: &[f64]) -> SocSpec {
+    #[cfg(test)]
+    pub(crate) fn with_device_speeds(&self, factors: &[f64]) -> SocSpec {
         let mut spec = self.clone();
         for (dev, &f) in spec.devices.iter_mut().zip(factors) {
             let f = f.max(0.05);
@@ -374,7 +376,7 @@ impl SocSpec {
     /// and the management overheads. Two specs with equal digests
     /// produce identical plans for identical inputs, so the plan cache
     /// keys on this instead of the marketing name (which
-    /// [`SocSpec::with_device_speeds`] deliberately preserves while
+    /// `SocSpec::with_device_speeds` deliberately preserves while
     /// changing behavior).
     pub fn topology_digest(&self) -> u64 {
         use std::fmt::Write as _;
@@ -417,7 +419,8 @@ impl SocSpec {
     /// The link joining `a` and `b` directly, if any. With an empty
     /// link table every device pair (and every device with itself)
     /// shares memory.
-    pub fn link_between(&self, a: DeviceId, b: DeviceId) -> Option<Link> {
+    #[cfg(test)]
+    pub(crate) fn link_between(&self, a: DeviceId, b: DeviceId) -> Option<Link> {
         if a == b {
             return Some(Link::SharedMemory);
         }
@@ -428,12 +431,6 @@ impl SocSpec {
             return None;
         }
         self.links.iter().find(|l| l.joins(a, b)).map(|l| l.link)
-    }
-
-    /// The index (into [`SocSpec::links`]) of the link joining `a` and
-    /// `b`, if the table lists one.
-    pub fn link_index(&self, a: DeviceId, b: DeviceId) -> Option<usize> {
-        self.links.iter().position(|l| l.joins(a, b))
     }
 
     /// The shortest route from `from` to `to` as link indices, skipping
@@ -493,7 +490,8 @@ impl SocSpec {
     /// Every device reachable from `root` with the links in `down` cut,
     /// in id order (`root` included). The surviving connected subset a
     /// partitioned mesh degrades to.
-    pub fn reachable_from(&self, root: DeviceId, down: &[usize]) -> Vec<DeviceId> {
+    #[cfg(test)]
+    pub(crate) fn reachable_from(&self, root: DeviceId, down: &[usize]) -> Vec<DeviceId> {
         self.device_ids()
             .into_iter()
             .filter(|&d| self.route_avoiding(root, d, down).is_some())

@@ -57,7 +57,7 @@ impl WorkClass {
 
     /// Fraction of the device's effective GEMM throughput this class
     /// achieves (GEMM is the calibration anchor).
-    pub fn efficiency(self) -> f64 {
+    pub(crate) fn efficiency(self) -> f64 {
         match self {
             WorkClass::Gemm => 1.0,
             WorkClass::Pointwise => 0.9,

@@ -25,7 +25,7 @@ use crate::quant::QuantParams;
 
 /// Whether the vector bodies of this module run on this host (x86_64 with
 /// AVX2 and F16C). The table converters need nothing and always run.
-pub fn simd_available() -> bool {
+pub fn convert_simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c")
@@ -99,7 +99,7 @@ pub fn quint8_to_quint8(out: &mut [u8], src: &[u8], from: QuantParams, to: Quant
 macro_rules! simd_prefix {
     ($body:expr) => {{
         #[cfg(target_arch = "x86_64")]
-        let done = if simd_available() {
+        let done = if convert_simd_available() {
             // SAFETY: AVX2 and F16C were detected just above; the callers
             // checked that the slices are equally long.
             unsafe { $body }

@@ -33,7 +33,8 @@ impl DType {
     pub const ALL: [DType; 3] = [DType::F32, DType::F16, DType::QUInt8];
 
     /// True for the floating-point types.
-    pub const fn is_float(self) -> bool {
+    #[cfg(test)]
+    pub(crate) const fn is_float(self) -> bool {
         matches!(self, DType::F32 | DType::F16)
     }
 }

@@ -60,7 +60,7 @@ fn round_shift_rne(v: u64, shift: u32) -> u64 {
 
 /// Converts an `f32` to binary16 bits with round-to-nearest-even. The
 /// widening to `f64` is exact, so this is the one rounding of
-/// [`f64_to_f16_bits`].
+/// `f64_to_f16_bits`.
 pub fn f32_to_f16_bits(value: f32) -> u16 {
     f64_to_f16_bits(value as f64)
 }
@@ -177,7 +177,8 @@ impl F16 {
     }
 
     /// True if the value is +∞ or -∞.
-    pub fn is_infinite(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_infinite(self) -> bool {
         (self.0 & 0x7FFF) == 0x7C00
     }
 

@@ -234,7 +234,8 @@ impl FixedPointMultiplier {
     }
 
     /// The real multiplier this fixed-point value approximates.
-    pub fn to_real(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn to_real(self) -> f64 {
         self.multiplier as f64 * 2f64.powi(-31 - self.right_shift)
     }
 }
@@ -258,7 +259,7 @@ pub fn saturating_rounding_doubling_high_mul(a: i32, b: i32) -> i32 {
 /// # Panics
 ///
 /// Panics if `exponent` is outside `[0, 31]`.
-pub fn rounding_divide_by_pot(x: i32, exponent: i32) -> i32 {
+pub(crate) fn rounding_divide_by_pot(x: i32, exponent: i32) -> i32 {
     assert!(
         (0..=31).contains(&exponent),
         "rounding_divide_by_pot exponent out of range: {exponent}"

@@ -104,7 +104,8 @@ impl Shape {
     }
 
     /// Row-major strides (elements, not bytes).
-    pub fn strides(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.0.len()];
         for i in (0..self.0.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.0[i + 1];

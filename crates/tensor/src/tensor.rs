@@ -215,7 +215,7 @@ impl Tensor {
     }
 
     /// Converts to another dtype, one pass from the stored elements into
-    /// the new buffer through the exact [`convert`] functions.
+    /// the new buffer through the exact `convert` functions.
     ///
     /// Converting *to* `QUInt8` requires `params` (the pre-trained
     /// quantization information of §4.2); converting to a float type

@@ -13,7 +13,6 @@
 //! kernel-path pass of their own.
 
 use testkit::{prop_assert_eq, props, vec_of};
-use utensor::convert;
 use utensor::{DType, QuantParams, Shape, Tensor, F16};
 
 /// Zero points 0 / 255 / mid against scales from 1e-6 to 1e3, the
@@ -124,14 +123,14 @@ fn quint8_sources_equal_the_scalar_definitions_on_every_code() {
         pin(
             &format!("quint8 -> f32 {from:?}"),
             &codes,
-            |out, src| convert::quint8_to_f32(out, src, from),
+            |out, src| utensor::quint8_to_f32(out, src, from),
             |q| from.dequantize(q),
             f32::to_bits,
         );
         pin(
             &format!("quint8 -> f16 {from:?}"),
             &codes,
-            |out, src| convert::quint8_to_f16(out, src, from),
+            |out, src| utensor::quint8_to_f16(out, src, from),
             |q| F16::from_f32(from.dequantize(q)),
             F16::to_bits,
         );
@@ -141,7 +140,7 @@ fn quint8_sources_equal_the_scalar_definitions_on_every_code() {
             pin(
                 &format!("quint8 {from:?} -> quint8 {to:?}"),
                 &codes,
-                |out, src| convert::quint8_to_quint8(out, src, from, to),
+                |out, src| utensor::quint8_to_quint8(out, src, from, to),
                 |q| {
                     if from == to {
                         q
@@ -161,7 +160,7 @@ fn f16_sources_equal_the_scalar_definitions_on_every_bit_pattern() {
     pin(
         "f16 -> f32",
         &halves,
-        convert::f16_to_f32,
+        utensor::f16_to_f32,
         F16::to_f32,
         f32::to_bits,
     );
@@ -169,7 +168,7 @@ fn f16_sources_equal_the_scalar_definitions_on_every_bit_pattern() {
         pin(
             &format!("f16 -> quint8 {params:?}"),
             &halves,
-            |out, src| convert::f16_to_quint8(out, src, params),
+            |out, src| utensor::f16_to_quint8(out, src, params),
             |h| params.quantize(h.to_f32()),
             |q| q,
         );
@@ -187,7 +186,7 @@ fn f16_sources_equal_the_scalar_definitions_on_every_bit_pattern() {
     pin(
         "f16 -> f32, scattered NaNs",
         &mixed,
-        convert::f16_to_f32,
+        utensor::f16_to_f32,
         F16::to_f32,
         f32::to_bits,
     );
@@ -199,7 +198,7 @@ fn f32_sources_equal_the_scalar_definitions_on_the_structured_set() {
     pin(
         "f32 -> f16",
         &values,
-        convert::f32_to_f16,
+        utensor::f32_to_f16,
         F16::from_f32,
         F16::to_bits,
     );
@@ -218,7 +217,7 @@ fn f32_sources_equal_the_scalar_definitions_on_the_structured_set() {
     pin(
         "f32 -> f16, rounding boundaries",
         &boundaries,
-        convert::f32_to_f16,
+        utensor::f32_to_f16,
         F16::from_f32,
         F16::to_bits,
     );
@@ -230,7 +229,7 @@ fn f32_sources_equal_the_scalar_definitions_on_the_structured_set() {
             pin(
                 &format!("f32 -> quint8 {params:?} ({what})"),
                 &set,
-                |out, src| convert::f32_to_quint8(out, src, params),
+                |out, src| utensor::f32_to_quint8(out, src, params),
                 |x| params.quantize(x),
                 |q| q,
             );
@@ -385,7 +384,7 @@ props! {
         let params = QuantParams { scale: f32::from_bits(scale_bits), zero_point };
         let src: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
         let mut got = vec![0u8; src.len()];
-        convert::f32_to_quint8(&mut got, &src, params);
+        utensor::f32_to_quint8(&mut got, &src, params);
         let want: Vec<u8> = src.iter().map(|&x| params.quantize(x)).collect();
         prop_assert_eq!(got, want);
     }
@@ -408,7 +407,7 @@ props! {
             })
             .collect();
         let mut got = vec![0u8; src.len()];
-        convert::f32_to_quint8(&mut got, &src, params);
+        utensor::f32_to_quint8(&mut got, &src, params);
         let want: Vec<u8> = src.iter().map(|&x| params.quantize(x)).collect();
         prop_assert_eq!(got, want);
     }
@@ -420,7 +419,7 @@ props! {
     ) {
         let src: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
         let mut got = vec![F16::ZERO; src.len()];
-        convert::f32_to_f16(&mut got, &src);
+        utensor::f32_to_f16(&mut got, &src);
         let got: Vec<u16> = got.iter().map(|h| h.to_bits()).collect();
         let want: Vec<u16> = src.iter().map(|&x| F16::from_f32(x).to_bits()).collect();
         prop_assert_eq!(got, want);

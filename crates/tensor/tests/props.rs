@@ -4,8 +4,8 @@
 //! `TESTKIT_SEED`, case count overridable via `TESTKIT_CASES`.
 
 use testkit::{bools, prop_assert, prop_assert_eq, prop_assume, props, Rng};
-use utensor::f16::{f16_bits_to_f32, f32_to_f16_bits};
-use utensor::quant::{requantize, requantize_into};
+use utensor::{f16_bits_to_f32, f32_to_f16_bits};
+use utensor::{requantize, requantize_into};
 use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, F16};
 
 /// The scalar definition [`requantize_into`] is held to, one element.

@@ -12,7 +12,7 @@
 /// Implemented via the standard monotone mapping from IEEE-754 bit
 /// patterns to a signed number line, so the distance is well defined
 /// across zero. NaNs are infinitely far from everything.
-pub fn ulp_diff(a: f32, b: f32) -> u64 {
+pub(crate) fn ulp_diff(a: f32, b: f32) -> u64 {
     if a.is_nan() || b.is_nan() {
         return u64::MAX;
     }
@@ -29,7 +29,7 @@ pub fn ulp_diff(a: f32, b: f32) -> u64 {
 
 /// Summary of the element-wise difference between two slices.
 #[derive(Clone, Debug)]
-pub struct ErrorReport {
+pub(crate) struct ErrorReport {
     /// Largest absolute difference.
     pub max_abs: f32,
     /// Index of the largest absolute difference.
@@ -49,7 +49,7 @@ impl ErrorReport {
     ///
     /// Panics if the lengths differ — that is a shape bug, not a
     /// numeric one, and should fail loudly.
-    pub fn compare(a: &[f32], b: &[f32]) -> ErrorReport {
+    pub(crate) fn compare(a: &[f32], b: &[f32]) -> ErrorReport {
         assert_eq!(
             a.len(),
             b.len(),
@@ -97,7 +97,8 @@ impl std::fmt::Display for ErrorReport {
 /// Panics with the full [`ErrorReport`] when the tolerance is exceeded
 /// (or lengths differ).
 #[track_caller]
-pub fn assert_slice_close(a: &[f32], b: &[f32], tol: f32) {
+#[cfg(test)]
+pub(crate) fn assert_slice_close(a: &[f32], b: &[f32], tol: f32) {
     let report = ErrorReport::compare(a, b);
     assert!(
         report.max_abs <= tol && !report.max_abs.is_nan(),
@@ -111,7 +112,8 @@ pub fn assert_slice_close(a: &[f32], b: &[f32], tol: f32) {
 ///
 /// Panics when the ULP distance exceeds `max_ulp`.
 #[track_caller]
-pub fn assert_ulp_close(a: f32, b: f32, max_ulp: u64) {
+#[cfg(test)]
+pub(crate) fn assert_ulp_close(a: f32, b: f32, max_ulp: u64) {
     let d = ulp_diff(a, b);
     assert!(
         d <= max_ulp,

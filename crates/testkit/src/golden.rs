@@ -86,7 +86,7 @@ pub fn check_f32(path: &str, actual: &[f32], mode: GoldenMode) {
 /// # Panics
 ///
 /// Panics on a malformed file.
-pub fn load_f32(path: &str) -> Option<Vec<f32>> {
+pub(crate) fn load_f32(path: &str) -> Option<Vec<f32>> {
     let text = std::fs::read_to_string(path).ok()?;
     let mut out = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -112,7 +112,7 @@ pub fn load_f32(path: &str) -> Option<Vec<f32>> {
 ///
 /// Panics on IO errors — golden paths live inside the repo, so any
 /// failure is a test-environment bug worth surfacing.
-pub fn store_f32(path: &str, values: &[f32]) {
+pub(crate) fn store_f32(path: &str, values: &[f32]) {
     let mut text = String::new();
     let _ = writeln!(
         text,

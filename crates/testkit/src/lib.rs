@@ -9,19 +9,21 @@
 //! workspace's tests ever had (`rand`, `proptest`) with small,
 //! documented, in-repo equivalents:
 //!
-//! - [`rng`] — seedable [`SplitMix64`] and [`Xoshiro256StarStar`] PRNGs
+//! - [`Rng`] — a seedable xoshiro256** PRNG (seeded through SplitMix64)
 //!   with the `gen_range`/fill/shuffle surface the library crates need
-//!   for synthetic weights and datasets. Deterministic in the seed,
-//!   stable across platforms and Rust versions (unlike `StdRng`, whose
-//!   algorithm is explicitly unspecified).
-//! - [`prop`] — a minimal property-testing runner: range/choice/vector
-//!   strategies, deterministic case generation, counterexample
-//!   shrinking, and `TESTKIT_SEED`/`TESTKIT_CASES` environment
-//!   overrides.
-//! - [`assert`] — ULP and absolute-tolerance comparison plus per-tensor
-//!   max-error reports shared by the equivalence suites.
-//! - [`golden`] — load/store/check for committed golden vectors
-//!   (`TESTKIT_BLESS=1` regenerates them).
+//!   for synthetic weights and datasets, plus the [`fnv1a`] hash the pin
+//!   tests fold outputs with. Deterministic in the seed, stable across
+//!   platforms and Rust versions (unlike `StdRng`, whose algorithm is
+//!   explicitly unspecified).
+//! - [`props!`] — a minimal property-testing runner: range/choice/vector
+//!   strategies ([`bools`], [`select`], [`vec_of`]), deterministic case
+//!   generation, counterexample shrinking, and
+//!   `TESTKIT_SEED`/`TESTKIT_CASES` environment overrides. [`run`],
+//!   [`PropConfig`], [`CaseError`] and [`TestCaseResult`] are public for
+//!   the macros' expansion.
+//! - [`check_f32`] — load/store/check for committed golden vectors
+//!   (`TESTKIT_BLESS=1` regenerates them), reporting the worst element
+//!   and its ULP distance on a mismatch.
 //!
 //! # Environment variables
 //!
@@ -35,11 +37,14 @@
 //! failing property prints the seed and the shrunk counterexample needed
 //! to reproduce it.
 
-pub mod assert;
-pub mod golden;
-pub mod prop;
-pub mod rng;
+#![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
 
-pub use assert::{assert_slice_close, assert_ulp_close, ulp_diff, ErrorReport};
-pub use prop::{bools, select, vec_of, PropConfig, TestCaseResult};
-pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
+mod assert;
+mod golden;
+mod prop;
+mod rng;
+
+pub use golden::{check_f32, GoldenMode};
+pub use prop::{bools, run, select, vec_of, CaseError, PropConfig, TestCaseResult};
+pub use rng::{fnv1a, Rng};

@@ -77,7 +77,7 @@ pub struct PropConfig {
 
 /// The default base seed. Every run is deterministic; override with
 /// `TESTKIT_SEED` to explore a different stream.
-pub const DEFAULT_SEED: u64 = 0x5EED_0000_0000_5EED;
+pub(crate) const DEFAULT_SEED: u64 = 0x5EED_0000_0000_5EED;
 
 impl Default for PropConfig {
     fn default() -> Self {
@@ -235,7 +235,7 @@ fn shrink_float<T: num_shrink::Float>(v: T, lo: T, hi: T) -> Vec<T> {
 
 /// Numeric helpers for shrinking, kept private to this module.
 mod num_shrink {
-    pub trait Int: Copy + PartialOrd + PartialEq {
+    pub(super) trait Int: Copy + PartialOrd + PartialEq {
         const ZERO: Self;
         /// Halfway between `self` (the origin) and `v`, rounding toward
         /// the origin.
@@ -265,7 +265,7 @@ mod num_shrink {
     }
     impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-    pub trait Float: Copy + PartialOrd {
+    pub(super) trait Float: Copy + PartialOrd {
         const ZERO: Self;
         fn average(self, v: Self) -> Self;
         fn distinct_from(self, other: Self) -> bool;
@@ -379,36 +379,6 @@ impl<S: Strategy> Strategy for VecOf<S> {
             }
         }
         out
-    }
-}
-
-/// A derived strategy mapping generated values through a function.
-/// Mapped values do not shrink (the mapping is not invertible).
-#[derive(Clone)]
-pub struct Map<S, F> {
-    inner: S,
-    f: F,
-}
-
-/// Strategy applying `f` to values from `inner`.
-pub fn map<S, F, U>(inner: S, f: F) -> Map<S, F>
-where
-    S: Strategy,
-    F: Fn(S::Value) -> U,
-    U: Clone + std::fmt::Debug,
-{
-    Map { inner, f }
-}
-
-impl<S, F, U> Strategy for Map<S, F>
-where
-    S: Strategy,
-    F: Fn(S::Value) -> U,
-    U: Clone + std::fmt::Debug,
-{
-    type Value = U;
-    fn generate(&self, rng: &mut Rng) -> U {
-        (self.f)(self.inner.generate(rng))
     }
 }
 
@@ -561,7 +531,7 @@ where
     (value, msg, steps)
 }
 
-/// Defines property tests. See the [module docs](crate::prop) for an
+/// Defines property tests. See the `prop` module docs for an
 /// example. Each `fn` becomes a `#[test]`; arguments take the form
 /// `name in strategy`, where ranges (`0usize..10`, `-1.0f32..=1.0`),
 /// [`bools()`], [`select()`] and [`vec_of()`] are strategies. An
@@ -576,12 +546,12 @@ macro_rules! props {
         $(#[$meta])*
         #[test]
         fn $name() {
-            let cfg = $crate::prop::PropConfig::resolve($cases);
-            $crate::prop::run(
+            let cfg = $crate::PropConfig::resolve($cases);
+            $crate::run(
                 stringify!($name),
                 &cfg,
                 ($($strat,)+),
-                |($($arg,)+)| -> $crate::prop::TestCaseResult {
+                |($($arg,)+)| -> $crate::TestCaseResult {
                     { $body }
                     Ok(())
                 },
@@ -602,7 +572,7 @@ macro_rules! props {
 macro_rules! prop_assert {
     ($cond:expr $(,)?) => {
         if !$cond {
-            return Err($crate::prop::CaseError::fail(concat!(
+            return Err($crate::CaseError::fail(concat!(
                 "assertion failed: ",
                 stringify!($cond)
             )));
@@ -610,7 +580,7 @@ macro_rules! prop_assert {
     };
     ($cond:expr, $($fmt:tt)+) => {
         if !$cond {
-            return Err($crate::prop::CaseError::fail(format!($($fmt)+)));
+            return Err($crate::CaseError::fail(format!($($fmt)+)));
         }
     };
 }
@@ -621,7 +591,7 @@ macro_rules! prop_assert_eq {
     ($a:expr, $b:expr $(,)?) => {{
         let (a, b) = (&$a, &$b);
         if a != b {
-            return Err($crate::prop::CaseError::fail(format!(
+            return Err($crate::CaseError::fail(format!(
                 "assertion failed: `{} == {}`\n  left: {:?}\n right: {:?}",
                 stringify!($a),
                 stringify!($b),
@@ -637,7 +607,7 @@ macro_rules! prop_assert_eq {
 macro_rules! prop_assume {
     ($cond:expr $(,)?) => {
         if !$cond {
-            return Err($crate::prop::CaseError::reject(stringify!($cond)));
+            return Err($crate::CaseError::reject(stringify!($cond)));
         }
     };
 }

@@ -19,18 +19,18 @@
 /// state, mix test-name hashes into base seeds, and fork independent
 /// streams.
 #[derive(Clone, Debug)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// A generator starting from `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
+    pub(crate) fn new(seed: u64) -> SplitMix64 {
         SplitMix64 { state: seed }
     }
 
     /// The next 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -44,13 +44,13 @@ impl SplitMix64 {
 /// 256 bits of state, period `2^256 - 1`. Seeded from a single `u64`
 /// through [`SplitMix64`], per the authors' recommendation.
 #[derive(Clone, Debug)]
-pub struct Xoshiro256StarStar {
+pub(crate) struct Xoshiro256StarStar {
     s: [u64; 4],
 }
 
 impl Xoshiro256StarStar {
     /// Expands `seed` into a full 256-bit state.
-    pub fn seed_from_u64(seed: u64) -> Xoshiro256StarStar {
+    pub(crate) fn seed_from_u64(seed: u64) -> Xoshiro256StarStar {
         let mut mix = SplitMix64::new(seed);
         let mut s = [0u64; 4];
         for v in &mut s {
@@ -66,7 +66,7 @@ impl Xoshiro256StarStar {
     }
 
     /// The next 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -79,7 +79,7 @@ impl Xoshiro256StarStar {
     }
 }
 
-/// The toolkit's standard RNG: [`Xoshiro256StarStar`] plus the sampling
+/// The toolkit's standard RNG: `Xoshiro256StarStar` plus the sampling
 /// surface the workspace needs (`gen_range`, fills, shuffling, forks).
 ///
 /// ```
@@ -114,7 +114,7 @@ impl Rng {
     }
 
     /// Uniform in `[0, 1]` (both endpoints reachable).
-    pub fn unit_f64_inclusive(&mut self) -> f64 {
+    pub(crate) fn unit_f64_inclusive(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / ((1u64 << 53) - 1) as f64
     }
 

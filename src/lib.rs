@@ -24,6 +24,9 @@
 //! `testkit` (seedable PRNG, property runner, golden vectors) is a
 //! dev-dependency of the tests, not part of this namespace.
 
+#![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
+
 pub use quantlab;
 pub use simcore;
 pub use ubench as bench;

@@ -55,8 +55,8 @@ fn processor_friendly_execution_tracks_the_float_reference() {
     let diff = probs.max_abs_diff(ref_probs);
     assert!(diff < 0.08, "probability divergence {diff}");
     // And the predicted class is the same.
-    let a = ukernels::activation::argmax(&probs.to_f32_vec());
-    let b = ukernels::activation::argmax(&ref_probs.to_f32_vec());
+    let a = ukernels::argmax(&probs.to_f32_vec());
+    let b = ukernels::argmax(&ref_probs.to_f32_vec());
     assert_eq!(a, b);
 }
 
@@ -101,8 +101,8 @@ fn plan_evaluation_agrees_with_reference_on_branchy_graph() {
             relu: true,
         },
     );
-    let f2 = unn::models::squeezenet::fire(&mut g, "fire2", c1, 4, 8, 8);
-    let f3 = unn::models::squeezenet::fire(&mut g, "fire3", f2, 4, 8, 8);
+    let f2 = unn::fire(&mut g, "fire2", c1, 4, 8, 8);
+    let f3 = unn::fire(&mut g, "fire3", f2, 4, 8, 8);
     let gap = g.add("gap", unn::LayerKind::GlobalAvgPool, f3);
     let fc = g.add(
         "fc",

@@ -6,12 +6,11 @@
 //! factors, and where crossovers fall. EXPERIMENTS.md records the
 //! paper-vs-measured values.
 
-use ubench::figures;
-use ubench::report::geomean;
+use ubench::geomean;
 
 #[test]
 fn section_3_1_processor_balance() {
-    let data = figures::fig5();
+    let data = ubench::fig5();
     // High-end: GPU wins F32 by ~1.4x on compute layers.
     assert!((1.2..1.55).contains(&data[0].mean_gpu_speedup));
     // Mid-range: the crossover — the CPU wins.
@@ -20,7 +19,7 @@ fn section_3_1_processor_balance() {
 
 #[test]
 fn figure_6_network_level_balance() {
-    let data = figures::fig6();
+    let data = ubench::fig6();
     // High-end: GPU faster for every network at F32.
     for (net, cpu, gpu) in &data[0].rows {
         assert!(gpu < cpu, "{net} on high-end");
@@ -33,7 +32,7 @@ fn figure_6_network_level_balance() {
 
 #[test]
 fn figure_8_dtype_preferences() {
-    for soc in figures::fig8() {
+    for soc in ubench::fig8() {
         for (net, m) in &soc.rows {
             // CPU: QUInt8 is the best CPU option; F16 gives no gain.
             assert!(m["CPU QUInt8"] < m["CPU F32"], "{net} on {}", soc.soc);
@@ -47,14 +46,14 @@ fn figure_8_dtype_preferences() {
 
 #[test]
 fn figure_12_branch_distribution_case_study() {
-    let d = figures::fig12();
+    let d = ubench::fig12();
     assert!(d.cooperative_ms < d.cpu_only_ms);
     assert!(d.optimal_ms < d.cooperative_ms);
 }
 
 #[test]
 fn figure_16_and_18_headline_numbers() {
-    let evals = figures::evaluation();
+    let evals = ubench::evaluation();
     // Latency: positive improvement everywhere; geomeans in band.
     let geo: Vec<f64> = evals
         .iter()
@@ -98,7 +97,7 @@ fn figure_16_and_18_headline_numbers() {
 
 #[test]
 fn figure_17_ablation_attribution() {
-    let data = figures::fig17();
+    let data = ubench::fig17();
     for soc in &data {
         for (net, steps) in &soc.rows {
             // Monotone: each step never hurts (small tolerance for
@@ -127,7 +126,7 @@ fn figure_17_ablation_attribution() {
 
 #[test]
 fn table_1_applicability() {
-    let rows = figures::table1();
+    let rows = ubench::table1();
     assert_eq!(rows.len(), 5);
     for (net, app) in &rows {
         assert!(app.channel_distribution, "{net}");
