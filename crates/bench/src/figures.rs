@@ -621,15 +621,12 @@ pub fn fault_scenarios(
             .expect("input");
             let calib = unn::calibrate(&g, &w, std::slice::from_ref(&input)).expect("calib");
             let clean = uruntime::evaluate_plan(&g, &plan, &w, &calib, &input).expect("clean");
-            let recovered = uruntime::evaluate_plan_with_recovery(
-                &g,
-                &plan,
-                &w,
-                &calib,
-                &input,
-                &report.fallbacks,
-            )
-            .expect("recovered");
+            let recovering = uruntime::SimulatedBackend {
+                fallbacks: &report.fallbacks,
+            };
+            let recovered =
+                uruntime::evaluate_plan_with_backend(&g, &plan, &w, &calib, &input, &recovering)
+                    .expect("recovered");
             let bit_identical = clean.iter().zip(&recovered).all(|(a, b)| a.bit_equal(b));
 
             // fold, not sum: an empty f64 Sum is -0.0, which renders as

@@ -4,13 +4,15 @@
 //! pools: CPU-placed parts on the CPU pool, GPU-placed parts on the
 //! GPU-emulating pool, concurrently (the §3.2 cooperative execution).
 //! Within a part, the backend subdivides the channel range into
-//! per-worker chunks — the same Filters/InputChannels slicing the plan
+//! per-worker chunks — the same Filters/InputChannels narrowing the plan
 //! itself uses, one level finer — so a four-worker pool computes four
-//! disjoint row blocks of the same GEMM. Every chunk comes back *stored*
-//! (`eval_part_task` converts to the plan's storage dtype on the worker
-//! that computed it — a GPU part's F16 → QUInt8 store runs on the GPU
-//! pool, concurrently with the CPU part), so chunk outputs are
-//! concatenated in channel order as they are.
+//! disjoint row blocks of the same GEMM. The node's output view is split
+//! once into every chunk's disjoint channel range, and each chunk writes
+//! its range *stored* (`eval_part_task` converts to the plan's storage
+//! dtype on the worker that computed it — a GPU part's F16 → QUInt8
+//! store runs on the GPU pool, concurrently with the CPU part), so when
+//! the barrier returns the node's output is complete: nothing is merged
+//! or copied afterwards.
 //!
 //! Chunking preserves the numerics exactly: every output channel is
 //! computed by the same arithmetic regardless of which chunk owns it
@@ -23,9 +25,9 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use uruntime::{eval_part_task, ExecBackend, PartTask};
+use uruntime::{eval_part_task, task_outputs, ExecBackend, PartTask};
 use usoc::{DeviceId, SocSpec};
-use utensor::{Tensor, TensorError};
+use utensor::{TensorError, TensorViewMut};
 
 use crate::pool::{Engine, ExecConfig, ScopedTask};
 
@@ -119,7 +121,7 @@ impl ParallelBackend {
     /// Non-splittable kinds and single-worker pools get the task back
     /// unchanged.
     fn plan_chunks<'a>(&self, task: &PartTask<'a>, workers: usize) -> Vec<PartTask<'a>> {
-        let Some((axis, lo, hi)) = task.channel_range() else {
+        let Some((axis, lo, hi)) = task.split else {
             return vec![task.clone()];
         };
         let n = hi - lo;
@@ -148,46 +150,47 @@ impl ExecBackend for ParallelBackend {
         }
     }
 
-    fn run_node(&self, tasks: &[PartTask<'_>]) -> Result<Vec<Tensor>, TensorError> {
+    fn run_node(
+        &self,
+        tasks: &[PartTask<'_>],
+        out: &mut TensorViewMut<'_>,
+    ) -> Result<(), TensorError> {
         if tasks.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let t0 = Instant::now();
 
-        // Plan chunks for every part, flattened part-major so slot index
-        // order matches (part, chunk) order.
+        // Plan chunks for every part, flattened part-major, so chunk order
+        // is channel order; each chunk gets its own range of `out`.
         let mut chunk_counts = Vec::with_capacity(tasks.len());
-        let mut flat: Vec<(usize, PartTask<'_>)> = Vec::new();
-        for (pi, task) in tasks.iter().enumerate() {
+        let mut flat: Vec<PartTask<'_>> = Vec::new();
+        for task in tasks {
             let chunks = self.plan_chunks(task, self.workers_for(task.device));
             chunk_counts.push(chunks.len());
-            flat.extend(chunks.into_iter().map(|c| (pi, c)));
+            flat.extend(chunks);
         }
+        let parts = chunk_counts
+            .iter()
+            .enumerate()
+            .flat_map(|(pi, &n)| std::iter::repeat_n(pi, n));
+        let views = task_outputs(&flat, out)?;
 
-        let slots: Vec<Mutex<Option<Tensor>>> = (0..flat.len()).map(|_| Mutex::new(None)).collect();
         let first_err: Mutex<Option<TensorError>> = Mutex::new(None);
         // (part index, start, end) offsets from t0, per chunk.
         let spans: Mutex<Vec<(usize, f64, f64)>> = Mutex::new(Vec::new());
 
         let mut cpu_jobs: Vec<ScopedTask<'_>> = Vec::new();
         let mut gpu_jobs: Vec<ScopedTask<'_>> = Vec::new();
-        for (si, (pi, sub)) in flat.iter().enumerate() {
-            let slots = &slots;
+        for ((pi, sub), mut view) in parts.zip(&flat).zip(views) {
             let first_err = &first_err;
             let spans = &spans;
             let job: ScopedTask<'_> = Box::new(move || {
                 let start = t0.elapsed().as_secs_f64();
-                match eval_part_task(sub) {
-                    Ok(t) => *slots[si].lock().unwrap() = Some(t),
-                    Err(e) => {
-                        let mut g = first_err.lock().unwrap();
-                        if g.is_none() {
-                            *g = Some(e);
-                        }
-                    }
+                if let Err(e) = eval_part_task(sub, &mut view) {
+                    first_err.lock().unwrap().get_or_insert(e);
                 }
                 let end = t0.elapsed().as_secs_f64();
-                spans.lock().unwrap().push((*pi, start, end));
+                spans.lock().unwrap().push((pi, start, end));
             });
             if self.on_gpu(sub.device) {
                 gpu_jobs.push(job);
@@ -196,7 +199,7 @@ impl ExecBackend for ParallelBackend {
             }
         }
 
-        // The layer barrier: both pools drained before merging.
+        // The layer barrier: both pools drained, every range written.
         self.engine.run_pair(cpu_jobs, gpu_jobs);
 
         if let Some(e) = first_err.into_inner().unwrap() {
@@ -204,47 +207,32 @@ impl ExecBackend for ParallelBackend {
         }
         let spans = spans.into_inner().unwrap();
 
-        let mut outs = Vec::with_capacity(tasks.len());
-        let mut part_timings = Vec::with_capacity(tasks.len());
-        let mut base = 0;
-        for (pi, task) in tasks.iter().enumerate() {
-            let n = chunk_counts[pi];
-            let mut chunks: Vec<Tensor> = Vec::with_capacity(n);
-            for slot in &slots[base..base + n] {
-                chunks.push(
-                    slot.lock()
-                        .unwrap()
-                        .take()
-                        .expect("no error reported, so every chunk produced a tensor"),
-                );
-            }
-            base += n;
-            outs.push(if chunks.len() == 1 {
-                chunks.pop().expect("len checked")
-            } else {
-                let refs: Vec<&Tensor> = chunks.iter().collect();
-                Tensor::concat_axis(1, &refs)?
-            });
-            let (mut start, mut end) = (f64::INFINITY, 0.0f64);
-            for &(p, s, e) in &spans {
-                if p == pi {
-                    start = start.min(s);
-                    end = end.max(e);
+        let part_timings = tasks
+            .iter()
+            .zip(&chunk_counts)
+            .enumerate()
+            .map(|(pi, (task, &chunks))| {
+                let (mut start, mut end) = (f64::INFINITY, 0.0f64);
+                for &(p, s, e) in &spans {
+                    if p == pi {
+                        start = start.min(s);
+                        end = end.max(e);
+                    }
                 }
-            }
-            part_timings.push(PartTiming {
-                part_index: task.part_index,
-                device: task.device,
-                seconds: (end - start).max(0.0),
-                chunks: n,
-            });
-        }
+                PartTiming {
+                    part_index: task.part_index,
+                    device: task.device,
+                    seconds: (end - start).max(0.0),
+                    chunks,
+                }
+            })
+            .collect();
 
         self.timings.lock().unwrap().push(NodeTiming {
             node: tasks[0].node.0,
             wall_s: t0.elapsed().as_secs_f64(),
             parts: part_timings,
         });
-        Ok(outs)
+        Ok(())
     }
 }

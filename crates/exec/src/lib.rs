@@ -7,8 +7,8 @@
 //! - [`ParallelBackend`] implementing `uruntime::ExecBackend`: parts
 //!   routed to their cluster's pool of persistent workers (sized by
 //!   [`ExecConfig`], shared or split per [`PoolMode`]), channel ranges
-//!   subdivided per worker, a join-based barrier per layer, outputs
-//!   merged bit-exactly.
+//!   subdivided per worker, each chunk writing its own range of the
+//!   layer's output, a join-based barrier per layer.
 //! - [`measure`] — best-of-N wall-clock measurement of cooperative vs
 //!   single-processor plans ([`MeasureConfig`] → [`MeasureReport`]),
 //!   producing per-part samples that calibrate the latency predictor

@@ -6,9 +6,10 @@ use uexec::{measure, ExecConfig, MeasureConfig, ParallelBackend, PoolMode};
 use unn::{Calibration, Graph, ModelId, Weights};
 use uruntime::{
     evaluate_plan, evaluate_plan_with_backend, single_processor_plan, ExecutionPlan, NodePlacement,
+    SimulatedBackend,
 };
 use usoc::{DtypePlan, SocSpec};
-use utensor::{DType, Tensor};
+use utensor::{DType, Shape, Tensor, TensorData, TensorError, TensorViewMut, ViewDataMut, F16};
 
 fn setup() -> (Graph, Weights, Calibration, Tensor) {
     let g = ModelId::SqueezeNet.build_miniature();
@@ -406,12 +407,40 @@ fn measure_scalar_path_reproduces_baseline_config() {
     assert!(report.samples.len() >= 2 * g.len());
 }
 
-/// Forwards to an inner backend and checks, batch by batch, that every
-/// output `run_node` hands back is already stored: in the task's storage
-/// dtype and — for QUInt8 — on the node's store grid (the softmax head,
-/// which stays f32, excepted).
+/// An owned copy of a view's elements.
+fn owned(v: &TensorViewMut<'_>) -> Tensor {
+    let data = match &v.data {
+        ViewDataMut::F32(s) => TensorData::F32(s.to_vec()),
+        ViewDataMut::F16(s) => TensorData::F16(s.to_vec()),
+        ViewDataMut::QUInt8(s, params) => TensorData::QUInt8 {
+            data: s.to_vec(),
+            params: *params,
+        },
+    };
+    Tensor::new(v.shape.clone(), data).unwrap()
+}
+
+/// Sets every byte of the view's elements to `byte`.
+fn fill(v: &mut TensorViewMut<'_>, byte: u8) {
+    match &mut v.data {
+        ViewDataMut::F32(s) => s.fill(f32::from_bits(u32::from_ne_bytes([byte; 4]))),
+        ViewDataMut::F16(s) => s.fill(F16::from_bits(u16::from_ne_bytes([byte; 2]))),
+        ViewDataMut::QUInt8(s, _) => s.fill(byte),
+    }
+}
+
+/// Forwards to an inner backend and checks, batch by batch, that the
+/// node's output `run_node` writes is stored and complete:
+///
+/// - the output the evaluator hands over is in the plan's storage dtype
+///   (the softmax head, which stays f32, excepted);
+/// - a task reaching past the output is a typed error, not a panic;
+/// - every channel is written: runs over two different sentinels agree;
+/// - each task's channels are exactly the whole layer computed in that
+///   task's dtypes.
 struct StoredOutputs<'a> {
     inner: &'a dyn uruntime::ExecBackend,
+    storage: DType,
     mixed_splits: std::sync::atomic::AtomicUsize,
 }
 
@@ -423,63 +452,175 @@ impl uruntime::ExecBackend for StoredOutputs<'_> {
     fn run_node(
         &self,
         tasks: &[uruntime::PartTask<'_>],
-    ) -> Result<Vec<Tensor>, utensor::TensorError> {
-        let outs = self.inner.run_node(tasks)?;
-        assert_eq!(outs.len(), tasks.len());
-        for (task, out) in tasks.iter().zip(&outs) {
-            if matches!(task.kind, unn::LayerKind::Softmax) {
-                assert_eq!(out.dtype(), DType::F32, "{}", task.name);
-                continue;
-            }
-            assert_eq!(
-                out.dtype(),
-                task.storage,
-                "{} part {}",
-                task.name,
+        out: &mut TensorViewMut<'_>,
+    ) -> Result<(), TensorError> {
+        let name = tasks[0].name;
+        let softmax = matches!(tasks[0].kind, unn::LayerKind::Softmax);
+        let storage = if softmax { DType::F32 } else { self.storage };
+        assert_eq!(out.dtype(), storage, "{name}");
+        let channels = out.shape.dim(1);
+        if let Some(task) = tasks.iter().find(|t| t.split.is_some()) {
+            let mut past = task.clone();
+            let (axis, lo, _) = task.split.unwrap();
+            past.split = Some((axis, lo, channels + 1));
+            let err = self.inner.run_node(&[past], out).unwrap_err();
+            assert!(matches!(err, TensorError::BadRange { .. }), "{name}: {err}");
+        }
+
+        let mut runs = Vec::new();
+        for sentinel in [0x00, 0xFF] {
+            fill(out, sentinel);
+            self.inner.run_node(tasks, out)?;
+            runs.push(owned(out));
+        }
+        assert!(
+            runs[0].bit_equal(&runs[1]),
+            "{name}: a channel kept its sentinel"
+        );
+        for task in tasks {
+            let mut whole_task = task.clone();
+            whole_task.split = task.split.map(|(axis, _, _)| (axis, 0, channels));
+            let params = runs[0].quant_params();
+            let mut whole = Tensor::zeros(out.shape.clone(), out.dtype(), params);
+            uruntime::eval_part_task(&whole_task, &mut whole.view_mut())?;
+            let (lo, hi) = task.split.map_or((0, channels), |(_, lo, hi)| (lo, hi));
+            let got = runs[0].slice_axis(1, lo, hi)?;
+            assert!(
+                got.bit_equal(&whole.slice_axis(1, lo, hi)?),
+                "{name} part {}: channels {lo}..{hi} differ from the whole layer",
                 task.part_index
             );
-            if task.storage == DType::QUInt8 {
-                assert_eq!(out.quant_params(), Some(task.store_params), "{}", task.name);
-            }
         }
+
         let computes: Vec<DType> = tasks.iter().map(|t| t.dtypes.compute).collect();
         if computes.contains(&DType::QUInt8) && computes.contains(&DType::F16) {
             self.mixed_splits
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
-        Ok(outs)
+        Ok(())
     }
+}
+
+/// A small net with odd channel counts, for channel cuts that do not
+/// divide evenly.
+fn odd_setup() -> (Graph, Weights, Calibration, Tensor) {
+    let conv = |oc, k, pad, relu| unn::LayerKind::Conv {
+        oc,
+        k,
+        stride: 1,
+        pad,
+        relu,
+    };
+    let mut g = Graph::new("odd", Shape::nchw(1, 5, 9, 9));
+    let c1 = g.add_input_layer("conv1", conv(7, 3, 1, true));
+    let pool = unn::LayerKind::Pool {
+        func: unn::PoolFunc::Max,
+        k: 3,
+        stride: 2,
+        pad: 0,
+    };
+    let p1 = g.add("pool1", pool, c1);
+    let dw = unn::LayerKind::DepthwiseConv {
+        k: 3,
+        stride: 1,
+        pad: 1,
+        relu: true,
+    };
+    let d1 = g.add("dw1", dw, p1);
+    let c2 = g.add("conv2", conv(5, 1, 0, false), d1);
+    let gap = g.add("gap", unn::LayerKind::GlobalAvgPool, c2);
+    let fc = unn::LayerKind::FullyConnected {
+        out: 3,
+        relu: false,
+    };
+    let f1 = g.add("fc", fc, gap);
+    g.add("softmax", unn::LayerKind::Softmax, f1);
+    let w = Weights::random(&g, 9).unwrap();
+    let shape = g.input_shape().clone();
+    let x = Tensor::from_f32(
+        shape.clone(),
+        (0..shape.numel())
+            .map(|i| (((i * 17) % 101) as f32) / 50.0 - 1.0)
+            .collect(),
+    )
+    .unwrap();
+    let calib = unn::calibrate(&g, &w, std::slice::from_ref(&x)).unwrap();
+    (g, w, calib, x)
 }
 
 #[test]
 fn run_node_returns_stored_outputs_for_mixed_splits() {
     // The store belongs to the part (§4.2: the GPU requantizes its own
-    // outputs): an F16-computed part of a QUInt8-stored layer comes back
-    // from the backend as QUInt8 codes on the layer's grid, from the
-    // sequential backend and from the worker pools (where chunks are
-    // stored one by one and concatenated as bytes) alike.
+    // outputs): an F16-computed part of a QUInt8-stored layer writes
+    // QUInt8 codes on the layer's grid into its channel range of the
+    // node's output, from the sequential backend and from the worker
+    // pools (where each chunk stores its own range) alike.
     let (g, w, calib, x) = setup();
     let spec = SocSpec::exynos_7420();
-    let plan = split_plan(
-        &g,
-        &spec,
+    let (cpu_dt, gpu_dt) = (
         DtypePlan::proc_friendly_cpu(),
         DtypePlan::proc_friendly_gpu(),
-        "ulayer-split",
     );
-    let pools = ParallelBackend::new(&spec, &ExecConfig::with_threads(2), PoolMode::Cooperative);
-    let inners: [&dyn uruntime::ExecBackend; 2] = [&uruntime::SimulatedBackend, &pools];
-    for inner in inners {
-        let checked = StoredOutputs {
-            inner,
-            mixed_splits: Default::default(),
-        };
-        let outs = evaluate_plan_with_backend(&g, &plan, &w, &calib, &x, &checked).unwrap();
-        assert_eq!(outs.len(), g.len());
-        assert_eq!(
-            checked.mixed_splits.into_inner(),
-            plan.split_count(),
-            "every split node ran a QUInt8 and an F16 part"
+    let plan = split_plan(&g, &spec, cpu_dt, gpu_dt, "ulayer-split");
+    // Odd channel counts under uneven cuts, some rounding a share to
+    // nothing (0.97 : 0.03 of 7 channels, 0.03 : 0.97 of 5).
+    let (og, ow, ocalib, ox) = odd_setup();
+    let fracs = [0.5, 0.97, 0.03, 0.37];
+    let odd_plan = ExecutionPlan::new(
+        &og,
+        &spec,
+        og.nodes()
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                let f = fracs[i % fracs.len()];
+                if n.kind.is_distributable() {
+                    NodePlacement::Split {
+                        parts: vec![(spec.cpu(), cpu_dt, f), (spec.gpu(), gpu_dt, 1.0 - f)],
+                    }
+                } else {
+                    NodePlacement::Single {
+                        device: spec.cpu(),
+                        dtypes: cpu_dt,
+                    }
+                }
+            })
+            .collect(),
+        "odd-split",
+    )
+    .unwrap();
+    let odd_want = evaluate_plan(&og, &odd_plan, &ow, &ocalib, &ox).unwrap();
+    let sequential = SimulatedBackend::default();
+    for threads in [1, 2, 3] {
+        let pools = ParallelBackend::new(
+            &spec,
+            &ExecConfig::with_threads(threads),
+            PoolMode::Cooperative,
         );
+        let inners: [&dyn uruntime::ExecBackend; 2] = [&sequential, &pools];
+        for inner in inners {
+            let checked = StoredOutputs {
+                inner,
+                storage: cpu_dt.storage,
+                mixed_splits: Default::default(),
+            };
+            let outs = evaluate_plan_with_backend(&g, &plan, &w, &calib, &x, &checked).unwrap();
+            assert_eq!(outs.len(), g.len());
+            assert_eq!(
+                checked.mixed_splits.into_inner(),
+                plan.split_count(),
+                "every split node ran a QUInt8 and an F16 part"
+            );
+            let checked = StoredOutputs {
+                inner,
+                storage: cpu_dt.storage,
+                mixed_splits: Default::default(),
+            };
+            let outs =
+                evaluate_plan_with_backend(&og, &odd_plan, &ow, &ocalib, &ox, &checked).unwrap();
+            for (i, (a, b)) in outs.iter().zip(&odd_want).enumerate() {
+                assert!(a.bit_equal(b), "{threads} threads, node {i}");
+            }
+        }
     }
 }

@@ -24,7 +24,7 @@ use ukernels::PathChoice;
 use unn::{Graph, ModelId};
 use uruntime::{evaluate_plan_with_backend, ExecutionPlan, NodePlacement};
 use usoc::{DtypePlan, SocSpec};
-use utensor::{DType, Tensor, TensorData};
+use utensor::{DType, Tensor, ViewData};
 
 /// One hash over every stored bit of every node output.
 fn frame_hash(outputs: &[Tensor]) -> u64 {
@@ -36,16 +36,16 @@ fn frame_hash(outputs: &[Tensor]) -> u64 {
                 .iter()
                 .flat_map(|&d| (d as u32).to_le_bytes()),
         );
-        match t.data() {
-            TensorData::F32(v) => {
+        match t.view().data {
+            ViewData::F32(v) => {
                 bytes.push(0);
                 bytes.extend(v.iter().flat_map(|x| x.to_bits().to_le_bytes()));
             }
-            TensorData::F16(v) => {
+            ViewData::F16(v) => {
                 bytes.push(1);
                 bytes.extend(v.iter().flat_map(|x| x.to_bits().to_le_bytes()));
             }
-            TensorData::QUInt8 { data, params } => {
+            ViewData::QUInt8(data, params) => {
                 bytes.push(2);
                 bytes.extend(params.scale.to_bits().to_le_bytes());
                 bytes.push(params.zero_point);

@@ -5,76 +5,84 @@
 //! separate layers and for tests. [`softmax_f32`] is used by the accuracy
 //! experiments and the example classifiers.
 
-use utensor::{DType, QuantParams, Tensor, TensorData, TensorError, F16};
+use utensor::{QuantParams, TensorError, TensorView, TensorViewMut, ViewData, ViewDataMut, F16};
 
-/// Elementwise ReLU.
+/// Elementwise ReLU of `input` into `out` (same shape and dtype).
 ///
 /// For `QUInt8` tensors, clamps codes at the zero point (the quantized
-/// image of real zero), matching the fused path in the GEMM kernels.
-pub fn relu(input: &Tensor) -> Result<Tensor, TensorError> {
-    let data = match input.data() {
-        TensorData::F32(v) => TensorData::F32(v.iter().map(|&x| x.max(0.0)).collect()),
-        TensorData::F16(v) => TensorData::F16(
-            v.iter()
-                .map(|&x| if x < F16::ZERO { F16::ZERO } else { x })
-                .collect(),
-        ),
-        TensorData::QUInt8 { data, params } => TensorData::QUInt8 {
-            data: data.iter().map(|&q| q.max(params.zero_point)).collect(),
-            params: *params,
-        },
-    };
-    Tensor::new(input.shape().clone(), data)
+/// image of real zero), matching the fused path in the GEMM kernels; the
+/// codes keep the input's grid, which `out` must carry.
+pub fn relu(input: &TensorView<'_>, out: &mut TensorViewMut<'_>) -> Result<(), TensorError> {
+    crate::expect_out(out, &input.shape)?;
+    match (input.data, &mut out.data) {
+        (ViewData::F32(x), ViewDataMut::F32(o)) => {
+            for (o, &v) in o.iter_mut().zip(x) {
+                *o = v.max(0.0);
+            }
+        }
+        (ViewData::F16(x), ViewDataMut::F16(o)) => {
+            for (o, &v) in o.iter_mut().zip(x) {
+                *o = if v < F16::ZERO { F16::ZERO } else { v };
+            }
+        }
+        (ViewData::QUInt8(x, p), ViewDataMut::QUInt8(o, out_p)) if p == *out_p => {
+            for (o, &q) in o.iter_mut().zip(x) {
+                *o = q.max(p.zero_point);
+            }
+        }
+        _ => return Err(crate::mismatch(&[input.dtype(), out.dtype()])),
+    }
+    Ok(())
 }
 
-/// Fake-quantization through an 8-bit affine grid: snaps every value to
-/// the nearest representable point of `params` (quantize→dequantize)
-/// while keeping the tensor's dtype — the kernel of the `Quantize`
-/// boundary layer.
+/// Fake-quantization through an 8-bit affine grid: snaps every value of
+/// `input` to the nearest representable point of `params`
+/// (quantize→dequantize), written into `out` in the input's dtype — the
+/// kernel of the `Quantize` boundary layer. A `QUInt8` input is
+/// requantized onto `params`, which `out` must carry.
 ///
 /// The snap is idempotent: a tensor already on the `params` grid passes
 /// through bit-identically (a `QUInt8` tensor carrying the same params
-/// is returned code-for-code). That idempotence is what lets the
+/// is copied code-for-code). That idempotence is what lets the
 /// quant-pair elision pass drop the second of an adjacent same-params
 /// pair without changing any output bit.
-pub fn fake_quant(input: &Tensor, params: QuantParams) -> Result<Tensor, TensorError> {
-    match input.data() {
-        TensorData::F32(v) => Tensor::from_f32(
-            input.shape().clone(),
-            v.iter()
-                .map(|&x| params.dequantize(params.quantize(x)))
-                .collect(),
-        ),
-        TensorData::F16(v) => Tensor::new(
-            input.shape().clone(),
-            TensorData::F16(
-                v.iter()
-                    .map(|&x| F16::from_f32(params.dequantize(params.quantize(x.to_f32()))))
-                    .collect(),
-            ),
-        ),
-        TensorData::QUInt8 { params: p, .. } => {
-            if *p == params {
-                Ok(input.clone())
-            } else {
-                input.cast(DType::QUInt8, Some(params))
+pub fn fake_quant(
+    input: &TensorView<'_>,
+    params: QuantParams,
+    out: &mut TensorViewMut<'_>,
+) -> Result<(), TensorError> {
+    crate::expect_out(out, &input.shape)?;
+    let snap = |x: f32| params.dequantize(params.quantize(x));
+    match (input.data, &mut out.data) {
+        (ViewData::F32(x), ViewDataMut::F32(o)) => {
+            for (o, &v) in o.iter_mut().zip(x) {
+                *o = snap(v);
             }
         }
+        (ViewData::F16(x), ViewDataMut::F16(o)) => {
+            for (o, &v) in o.iter_mut().zip(x) {
+                *o = F16::from_f32(snap(v.to_f32()));
+            }
+        }
+        (ViewData::QUInt8(..), ViewDataMut::QUInt8(_, out_p)) if *out_p == params => {
+            return out.convert_from(input)
+        }
+        _ => return Err(crate::mismatch(&[input.dtype(), out.dtype()])),
     }
+    Ok(())
 }
 
-/// Numerically-stable softmax over the last axis of a flattened f32
-/// tensor (a `[n, classes]`-style logits tensor).
-///
-/// Returns a probability vector per batch row.
-pub fn softmax_f32(logits: &[f32]) -> Vec<f32> {
-    if logits.is_empty() {
-        return Vec::new();
+/// Numerically-stable softmax of one row of logits, in place: the row
+/// becomes its probability vector.
+pub fn softmax_f32(values: &mut [f32]) {
+    let max = values.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    for v in values.iter_mut() {
+        *v = (*v - max).exp();
     }
-    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&v| (v - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|v| v / sum).collect()
+    let sum: f32 = values.iter().sum();
+    for v in values.iter_mut() {
+        *v /= sum;
+    }
 }
 
 /// Index of the maximum element (the predicted class).
@@ -107,6 +115,8 @@ pub(crate) fn top_k(values: &[f32], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::alloc::{fake_quant, relu, softmax_f32};
+    use utensor::Tensor;
     use utensor::{DType, QuantParams, Shape};
 
     #[test]

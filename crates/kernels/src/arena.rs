@@ -67,11 +67,6 @@ pub struct ScratchArena {
 }
 
 impl ScratchArena {
-    /// A fresh, empty arena.
-    pub fn new() -> ScratchArena {
-        ScratchArena::default()
-    }
-
     /// Total capacity currently held, in bytes. This is the arena's
     /// high-water footprint: it grows until the largest layer has been
     /// seen and then stays flat (the no-monotonic-growth invariant).
@@ -92,7 +87,7 @@ impl ScratchArena {
 }
 
 thread_local! {
-    static THREAD_ARENA: RefCell<ScratchArena> = RefCell::new(ScratchArena::new());
+    static THREAD_ARENA: RefCell<ScratchArena> = RefCell::new(ScratchArena::default());
 }
 
 /// Takes the calling thread's arena, leaving an empty one in its place.
@@ -166,7 +161,7 @@ mod tests {
 
     #[test]
     fn capacity_counts_all_buffers() {
-        let mut a = ScratchArena::new();
+        let mut a = ScratchArena::default();
         assert_eq!(a.capacity_bytes(), 0);
         a.patches_f32.reserve_exact(10);
         a.acc_i32.reserve_exact(3);
@@ -186,7 +181,7 @@ mod tests {
         restore_thread_arena(a);
         assert_eq!(thread_arena_capacity_bytes(), warmed);
         // A smaller arena restored on top does not clobber the warm one.
-        restore_thread_arena(ScratchArena::new());
+        restore_thread_arena(ScratchArena::default());
         assert_eq!(thread_arena_capacity_bytes(), warmed);
     }
 

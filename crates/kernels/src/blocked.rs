@@ -487,7 +487,7 @@ mod tests {
             let bias: Vec<f32> = (0..m).map(|i| pseudo(i + 77)).collect();
             let want = gemm_f32(m, k, n, &a, &b, Some(&bias), true);
             let mut got = vec![0.0f32; m * n];
-            let mut arena = ScratchArena::new();
+            let mut arena = ScratchArena::default();
             gemm_f32_blocked(&mut got, m, k, n, &a, &b, Some(&bias), true, &mut arena);
             assert_eq!(got, want, "shape {m}x{k}x{n}");
         }
@@ -502,7 +502,7 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|i| pseudo(i + 13)).collect();
         let want = gemm_f32(m, k, n, &a, &b, None, false);
         let mut got = vec![0.0f32; m * n];
-        let mut arena = ScratchArena::new();
+        let mut arena = ScratchArena::default();
         gemm_f32_blocked(&mut got, m, k, n, &a, &b, None, false, &mut arena);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
@@ -518,7 +518,7 @@ mod tests {
             let bias: Vec<f32> = (0..m).map(|i| pseudo(i + 50)).collect();
             let want = gemm_f16(m, k, n, &a, &b, Some(&bias), true);
             let mut got = vec![F16::ZERO; m * n];
-            let mut arena = ScratchArena::new();
+            let mut arena = ScratchArena::default();
             gemm_f16_blocked(&mut got, m, k, n, &a, &b, Some(&bias), true, &mut arena);
             let bits = |v: &[F16]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "shape {m}x{k}x{n}");
@@ -533,7 +533,7 @@ mod tests {
         let bias: Vec<f32> = (0..m).map(|i| pseudo(i + 50)).collect();
         let want = gemm_f16(m, k, n, &a, &b, Some(&bias), false);
         let mut got = vec![F16::ZERO; m * n];
-        let mut arena = ScratchArena::new();
+        let mut arena = ScratchArena::default();
         gemm_f16_blocked(&mut got, m, k, n, &a, &b, Some(&bias), false, &mut arena);
         assert_eq!(got, want);
     }
@@ -549,7 +549,7 @@ mod tests {
         let bias: Vec<f32> = (0..m).map(|i| pseudo(i + 9)).collect();
         let want = gemm_quint8(m, k, n, &a, a_p, &b, b_p, Some(&bias), out_p, true).unwrap();
         let mut got = vec![0u8; m * n];
-        let mut arena = ScratchArena::new();
+        let mut arena = ScratchArena::default();
         gemm_quint8_blocked(
             &mut got,
             m,

@@ -1,4 +1,4 @@
-//! 2-D convolution over [`Tensor`]s.
+//! 2-D convolution and the GEMM-layer body it shares with FC layers.
 //!
 //! Convolution lowers to im2col + the blocked GEMMs of [`crate::blocked`]
 //! per batch element, matching how ACL/gemmlowp execute it on the paper's
@@ -8,14 +8,16 @@
 //! naive loops kept in `tests/common`.
 //!
 //! Channel-wise workload distribution (§3.2) does not need special kernel
-//! support: the executor slices the *filter* tensor along output channels
-//! (axis 0) and calls the same [`conv2d`] on each part.
+//! support: the executor narrows the filter view to a part's output
+//! channels (axis 0) and calls the same [`conv2d`] with that part's
+//! channel range of the layer's output as `out`.
 
-use utensor::{DType, QuantParams, Shape, Tensor, TensorError, F16};
+use utensor::{Shape, TensorError, TensorView, TensorViewMut, ViewData, ViewDataMut, F16};
 
 use crate::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked};
 use crate::im2col::im2col_into;
 use crate::out_dim;
+use crate::pointwise::is_pointwise;
 
 /// Geometry and fusion options of a convolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,166 +68,149 @@ pub(crate) fn conv_output_shape(
     }
 }
 
-/// 2-D convolution: `input` NCHW × `filters` OIHW → NCHW.
+/// 2-D convolution: `input` NCHW × `filters` OIHW, written into `out`
+/// (NCHW, `[n, filters.dim(0), oh, ow]`).
 ///
-/// `input` and `filters` must share a dtype. For `QUInt8`, `out_params`
-/// (the pre-trained output quantization range, §4.2) is required; for the
-/// float types it must be `None`. The f32 `bias` has one entry per output
-/// channel.
+/// `input`, `filters` and `out` share a dtype; a `QUInt8` output is
+/// requantized onto `out`'s grid (the pre-trained output range, §4.2).
+/// The f32 `bias` has one entry per output channel.
 pub fn conv2d(
-    input: &Tensor,
-    filters: &Tensor,
+    input: &TensorView<'_>,
+    filters: &TensorView<'_>,
     bias: Option<&[f32]>,
     params: &Conv2dParams,
-    out_params: Option<QuantParams>,
-) -> Result<Tensor, TensorError> {
-    if filters.dtype() != input.dtype() {
-        return Err(TensorError::DTypeMismatch {
-            expected: input.dtype(),
-            found: filters.dtype(),
-        });
-    }
+    out: &mut TensorViewMut<'_>,
+) -> Result<(), TensorError> {
+    let out_shape = conv_output_shape(&input.shape, &filters.shape, params)?;
+    crate::check_bias(bias, out_shape.c())?;
+    crate::expect_out(out, &out_shape)?;
+    let (ic, kh, kw) = (input.shape.c(), filters.shape.dim(2), filters.shape.dim(3));
     // 1×1 stride-1 unpadded convolutions skip the im2col copy: the same
     // GEMM on the same bytes.
-    if crate::pointwise::is_pointwise(filters.shape(), params) {
-        return crate::pointwise::pointwise_conv2d(input, filters, bias, params, out_params);
-    }
-    let out_shape = conv_output_shape(input.shape(), filters.shape(), params)?;
-    if let Some(bias) = bias {
-        if bias.len() != out_shape.c() {
-            return Err(TensorError::LengthMismatch {
-                shape: Shape::new(vec![out_shape.c()]),
-                len: bias.len(),
-            });
+    let lower = (!is_pointwise(&filters.shape, params)).then_some(Im2col {
+        c: ic,
+        h: input.shape.h(),
+        w: input.shape.w(),
+        kh,
+        kw,
+        stride: params.stride,
+        pad: params.pad,
+    });
+    let dims = GemmDims {
+        batches: input.shape.n(),
+        m: filters.shape.dim(0),
+        k: ic * kh * kw,
+        cols: out_shape.h() * out_shape.w(),
+    };
+    gemm_layer((input, filters, bias), dims, lower, params.relu, out)
+}
+
+/// The im2col lowering of one batch element of a convolution.
+#[derive(Clone, Copy)]
+pub(crate) struct Im2col {
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    pad: usize,
+}
+
+/// Batch element `xb` as the GEMM's `B` operand: its im2col patches,
+/// built in `patches`, or — for the direct 1×1 path and FC layers — the
+/// plane itself.
+fn operand<'p, T: Copy>(
+    xb: &'p [T],
+    lower: Option<Im2col>,
+    patches: &'p mut Vec<T>,
+    pad_value: T,
+) -> &'p [T] {
+    match lower {
+        None => xb,
+        Some(g) => {
+            im2col_into(
+                patches, xb, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, pad_value,
+            );
+            patches
         }
     }
+}
 
-    let (n, ic, h, w) = (
-        input.shape().n(),
-        input.shape().c(),
-        input.shape().h(),
-        input.shape().w(),
-    );
-    let (oc, kh, kw) = (
-        filters.shape().dim(0),
-        filters.shape().dim(2),
-        filters.shape().dim(3),
-    );
-    let (oh, ow) = (out_shape.h(), out_shape.w());
-    let k = ic * kh * kw;
-    let cols = oh * ow;
-    let plane = ic * h * w;
+/// The GEMM sizes of a GEMM layer: per batch element,
+/// `out [m × cols] = W [m × k] × B [k × cols]`.
+#[derive(Clone, Copy)]
+pub(crate) struct GemmDims {
+    pub(crate) batches: usize,
+    pub(crate) m: usize,
+    pub(crate) k: usize,
+    pub(crate) cols: usize,
+}
 
-    // Patch matrices and the quantized accumulator row come from the
-    // per-thread scratch arena: repeated convolutions (one per layer per
-    // frame) reuse capacity instead of allocating in the hot loop.
+/// The body of every GEMM layer ([`conv2d`], its direct 1×1 path, and
+/// [`crate::fully_connected`]): one blocked GEMM per batch element, the
+/// weights `w` as `A`, the batch element's plane (or its im2col patches,
+/// `lower`) as `B`, written into that element's block of `out`. The
+/// caller has checked the shapes; the one dtype match is here.
+pub(crate) fn gemm_layer(
+    (x, w, bias): (&TensorView<'_>, &TensorView<'_>, Option<&[f32]>),
+    d: GemmDims,
+    lower: Option<Im2col>,
+    relu: bool,
+    out: &mut TensorViewMut<'_>,
+) -> Result<(), TensorError> {
+    let dtypes = [x.dtype(), w.dtype(), out.dtype()];
+    let plane = x.shape.numel() / d.batches.max(1);
+    let (xs, os) = (
+        |b: usize| b * plane..(b + 1) * plane,
+        |b: usize| b * d.m * d.cols..(b + 1) * d.m * d.cols,
+    );
+    // Patch matrices, pack buffers and the quantized accumulators come
+    // from the per-thread scratch arena: repeated layers (one per layer
+    // per frame) reuse capacity instead of allocating in the hot loop.
+    // The patch buffer is moved out so the GEMM can borrow the arena's
+    // pack buffers mutably alongside it.
     let mut arena = crate::arena::ThreadArenaGuard::take();
-    match input.dtype() {
-        DType::F32 => {
-            crate::float_out(out_params, "convolution")?;
-            let x = input.as_f32()?;
-            let f = filters.as_f32()?;
-            let mut out = vec![0.0f32; out_shape.numel()];
-            // Move the patch buffer out so the GEMM can borrow the arena's
-            // pack buffers mutably alongside it.
+    let arena = &mut *arena;
+    match (x.data, w.data, &mut out.data) {
+        (ViewData::F32(x), ViewData::F32(w), ViewDataMut::F32(o)) => {
             let mut patches = std::mem::take(&mut arena.patches_f32);
-            for b in 0..n {
-                im2col_into(
-                    &mut patches,
-                    &x[b * plane..(b + 1) * plane],
-                    ic,
-                    h,
-                    w,
-                    kh,
-                    kw,
-                    params.stride,
-                    params.pad,
-                    0.0f32,
-                );
-                let c = &mut out[b * oc * cols..(b + 1) * oc * cols];
-                gemm_f32_blocked(c, oc, k, cols, f, &patches, bias, params.relu, &mut arena);
+            for b in 0..d.batches {
+                let xb = operand(&x[xs(b)], lower, &mut patches, 0.0);
+                gemm_f32_blocked(&mut o[os(b)], d.m, d.k, d.cols, w, xb, bias, relu, arena);
             }
             arena.patches_f32 = patches;
-            Tensor::from_f32(out_shape, out)
         }
-        DType::F16 => {
-            crate::float_out(out_params, "convolution")?;
-            let x = input.as_f16()?;
-            let f = filters.as_f16()?;
-            let mut out: Vec<F16> = vec![F16::ZERO; out_shape.numel()];
+        (ViewData::F16(x), ViewData::F16(w), ViewDataMut::F16(o)) => {
             let mut patches = std::mem::take(&mut arena.patches_f16);
-            for b in 0..n {
-                im2col_into(
-                    &mut patches,
-                    &x[b * plane..(b + 1) * plane],
-                    ic,
-                    h,
-                    w,
-                    kh,
-                    kw,
-                    params.stride,
-                    params.pad,
-                    F16::ZERO,
-                );
-                let c = &mut out[b * oc * cols..(b + 1) * oc * cols];
-                gemm_f16_blocked(c, oc, k, cols, f, &patches, bias, params.relu, &mut arena);
+            for b in 0..d.batches {
+                let xb = operand(&x[xs(b)], lower, &mut patches, F16::ZERO);
+                gemm_f16_blocked(&mut o[os(b)], d.m, d.k, d.cols, w, xb, bias, relu, arena);
             }
             arena.patches_f16 = patches;
-            Tensor::new(out_shape, utensor::TensorData::F16(out))
         }
-        DType::QUInt8 => {
-            let out_params = out_params.ok_or_else(|| {
-                TensorError::BadQuantParams("QUInt8 conv needs output quantization params".into())
-            })?;
-            let (x, x_p) = input.as_quint8()?;
-            let (f, f_p) = filters.as_quint8()?;
-            let mut out: Vec<u8> = vec![0u8; out_shape.numel()];
+        (ViewData::QUInt8(x, x_p), ViewData::QUInt8(w, w_p), ViewDataMut::QUInt8(o, o_p)) => {
             let mut patches = std::mem::take(&mut arena.patches_u8);
-            let mut res: Result<(), TensorError> = Ok(());
-            for b in 0..n {
-                im2col_into(
-                    &mut patches,
-                    &x[b * plane..(b + 1) * plane],
-                    ic,
-                    h,
-                    w,
-                    kh,
-                    kw,
-                    params.stride,
-                    params.pad,
-                    x_p.zero_point,
-                );
-                let c = &mut out[b * oc * cols..(b + 1) * oc * cols];
-                let r = gemm_quint8_blocked(
-                    c,
-                    oc,
-                    k,
-                    cols,
-                    f,
-                    f_p,
-                    &patches,
-                    x_p,
-                    bias,
-                    out_params,
-                    params.relu,
-                    &mut arena,
-                );
-                if let Err(e) = r {
-                    res = Err(e);
-                    break;
-                }
-            }
+            let res = (0..d.batches).try_for_each(|b| {
+                let xb = operand(&x[xs(b)], lower, &mut patches, x_p.zero_point);
+                let (m, k, cols) = (d.m, d.k, d.cols);
+                let c = &mut o[os(b)];
+                gemm_quint8_blocked(c, m, k, cols, w, w_p, xb, x_p, bias, *o_p, relu, arena)
+            });
             arena.patches_u8 = patches;
-            res.and_then(|()| Tensor::from_quantized(out_shape, out, out_params))
+            res?;
         }
+        _ => return Err(crate::mismatch(&dtypes)),
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::depthwise_conv2d;
+    use crate::oracle::alloc::{conv2d, depthwise_conv2d};
     use crate::oracle::conv::conv2d_im2col;
+    use utensor::{DType, QuantParams, Tensor};
 
     fn tensor_from(shape: Shape, f: impl Fn(usize) -> f32) -> Tensor {
         let n = shape.numel();

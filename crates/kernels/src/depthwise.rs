@@ -30,10 +30,11 @@
 //! lowering over the naive GEMMs (`tests/common/conv.rs`).
 
 use utensor::requantize_into;
-use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, TensorError, F16};
+use utensor::{
+    FixedPointMultiplier, Shape, TensorError, TensorView, TensorViewMut, ViewData, ViewDataMut, F16,
+};
 
-use crate::conv::Conv2dParams;
-use crate::out_dim;
+use crate::conv::{conv_output_shape, Conv2dParams};
 
 /// Validates shapes and computes the output shape of a depthwise conv
 /// (`input` NCHW × `filters` `[c,1,kh,kw]`).
@@ -42,25 +43,13 @@ fn depthwise_output_shape(
     filters: &Shape,
     p: &Conv2dParams,
 ) -> Result<Shape, TensorError> {
-    if input.rank() != 4 || filters.rank() != 4 || filters.dim(1) != 1 {
+    if input.rank() != 4 || filters.rank() != 4 || filters.dim(0) != input.c() {
         return Err(TensorError::BadConcat(format!(
             "depthwise expects NCHW input and [c,1,kh,kw] filters, got {input} and {filters}"
         )));
     }
-    if filters.dim(0) != input.c() {
-        return Err(TensorError::BadConcat(format!(
-            "depthwise filters {filters} do not match input channels of {input}"
-        )));
-    }
-    let oh = out_dim(input.h(), filters.dim(2), p.stride, p.pad);
-    let ow = out_dim(input.w(), filters.dim(3), p.stride, p.pad);
-    match (oh, ow) {
-        (Some(oh), Some(ow)) => Ok(Shape::nchw(input.n(), input.c(), oh, ow)),
-        _ => Err(TensorError::BadConcat(format!(
-            "depthwise window {filters} does not fit input {input} with stride {} pad {}",
-            p.stride, p.pad
-        ))),
-    }
+    // One single-channel convolution per channel.
+    conv_output_shape(&input.with_dim(1, 1), filters, p)
 }
 
 /// Geometry of one channel plane, shared by the per-dtype loops.
@@ -124,118 +113,88 @@ fn plane_taps<X: Copy, A: Copy, O>(
     }
 }
 
-/// Depthwise 2-D convolution: `input` NCHW × `filters` `[c,1,kh,kw]` →
-/// NCHW with the same channel count (MobileNet v1's dw layers), computed
-/// in one im2col-free pass. Dtype and quantization rules match
-/// [`crate::conv2d`].
+/// Depthwise 2-D convolution: `input` NCHW × `filters` `[c,1,kh,kw]`,
+/// written into `out` (NCHW with the same channel count; MobileNet v1's
+/// dw layers), computed in one im2col-free pass. Dtype and quantization
+/// rules match [`crate::conv2d`].
 ///
-/// For channel-wise distribution the executor slices *both* the input
+/// For channel-wise distribution the executor narrows *both* the input
 /// channels and the filters, since each output channel depends only on
 /// its own input channel.
 pub fn depthwise_conv2d(
-    input: &Tensor,
-    filters: &Tensor,
+    input: &TensorView<'_>,
+    filters: &TensorView<'_>,
     bias: Option<&[f32]>,
     params: &Conv2dParams,
-    out_params: Option<QuantParams>,
-) -> Result<Tensor, TensorError> {
-    if filters.dtype() != input.dtype() {
-        return Err(TensorError::DTypeMismatch {
-            expected: input.dtype(),
-            found: filters.dtype(),
-        });
-    }
-    let out_shape = depthwise_output_shape(input.shape(), filters.shape(), params)?;
-    let c = input.shape().c();
-    if let Some(bias) = bias {
-        if bias.len() != c {
-            return Err(TensorError::LengthMismatch {
-                shape: Shape::new(vec![c]),
-                len: bias.len(),
-            });
-        }
-    }
+    out: &mut TensorViewMut<'_>,
+) -> Result<(), TensorError> {
+    let out_shape = depthwise_output_shape(&input.shape, &filters.shape, params)?;
+    crate::check_bias(bias, input.shape.c())?;
+    crate::expect_out(out, &out_shape)?;
     let g = PlaneGeom {
-        h: input.shape().h(),
-        w: input.shape().w(),
+        h: input.shape.h(),
+        w: input.shape.w(),
         oh: out_shape.h(),
         ow: out_shape.w(),
-        kh: filters.shape().dim(2),
-        kw: filters.shape().dim(3),
+        kh: filters.shape.dim(2),
+        kw: filters.shape.dim(3),
         stride: params.stride,
         pad: params.pad,
     };
+    let dtypes = [input.dtype(), filters.dtype(), out.dtype()];
     let simd = crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd;
     let mut arena = crate::arena::ThreadArenaGuard::take();
     let arena = &mut *arena;
 
-    match input.dtype() {
-        DType::F32 => {
-            crate::float_out(out_params, "convolution")?;
-            let (x, f) = (input.as_f32()?, filters.as_f32()?);
-            let mut out = vec![0.0f32; out_shape.numel()];
-            plane_taps(
-                (x, f, &mut out),
-                &g,
-                (&mut arena.patches_f32, &mut arena.acc_f32),
-                (0.0, 0.0),
-                // `acc += w * x` per tap, zero weights skipped; a padded
-                // tap adds `w * 0.0`, like a zero patch entry.
-                |wv, acc, row| {
-                    if wv != 0.0 {
-                        for (a, &v) in acc.iter_mut().zip(row.iter().step_by(g.stride)) {
-                            *a += wv * v;
-                        }
+    match (input.data, filters.data, &mut out.data) {
+        (ViewData::F32(x), ViewData::F32(f), ViewDataMut::F32(out)) => plane_taps(
+            (x, f, out),
+            &g,
+            (&mut arena.patches_f32, &mut arena.acc_f32),
+            (0.0, 0.0),
+            // `acc += w * x` per tap, zero weights skipped; a padded
+            // tap adds `w * 0.0`, like a zero patch entry.
+            |wv, acc, row| {
+                if wv != 0.0 {
+                    for (a, &v) in acc.iter_mut().zip(row.iter().step_by(g.stride)) {
+                        *a += wv * v;
                     }
-                },
-                |op, live, ci| {
-                    for (o, &v) in op.iter_mut().zip(live) {
-                        // Guarded like the GEMM epilogue: an unconditional
-                        // `+ 0.0` would flip a `-0.0` result.
-                        *o = bias.map_or(v, |b| v + b[ci]);
-                        if params.relu && *o < 0.0 {
-                            *o = 0.0;
-                        }
+                }
+            },
+            |op, live, ci| {
+                for (o, &v) in op.iter_mut().zip(live) {
+                    // Guarded like the GEMM epilogue: an unconditional
+                    // `+ 0.0` would flip a `-0.0` result.
+                    *o = bias.map_or(v, |b| v + b[ci]);
+                    if params.relu && *o < 0.0 {
+                        *o = 0.0;
                     }
-                },
-            );
-            Tensor::from_f32(out_shape, out)
-        }
-        DType::F16 => {
-            crate::float_out(out_params, "convolution")?;
-            let (x, f) = (input.as_f16()?, filters.as_f16()?);
-            let mut out = vec![F16::ZERO; out_shape.numel()];
-            plane_taps(
-                (x, f, &mut out),
-                &g,
-                (&mut arena.patches_f16, &mut arena.acc_f16),
-                (F16::ZERO, F16::ZERO),
-                |wv, acc, row| crate::simd::mac_row_f16(simd, acc, row, g.stride, wv),
-                |op, live, ci| {
-                    op.copy_from_slice(live);
-                    let hb = bias.map(|b| F16::from_f32(b[ci]));
-                    crate::simd::f16_bias_relu(simd, op, hb, params.relu);
-                },
-            );
-            Tensor::new(out_shape, utensor::TensorData::F16(out))
-        }
-        DType::QUInt8 => {
-            let out_params = out_params.ok_or_else(|| {
-                TensorError::BadQuantParams("QUInt8 conv needs output quantization params".into())
-            })?;
-            let (x, x_p) = input.as_quint8()?;
-            let (f, f_p) = filters.as_quint8()?;
+                }
+            },
+        ),
+        (ViewData::F16(x), ViewData::F16(f), ViewDataMut::F16(out)) => plane_taps(
+            (x, f, out),
+            &g,
+            (&mut arena.patches_f16, &mut arena.acc_f16),
+            (F16::ZERO, F16::ZERO),
+            |wv, acc, row| crate::simd::mac_row_f16(simd, acc, row, g.stride, wv),
+            |op, live, ci| {
+                op.copy_from_slice(live);
+                let hb = bias.map(|b| F16::from_f32(b[ci]));
+                crate::simd::f16_bias_relu(simd, op, hb, params.relu);
+            },
+        ),
+        (ViewData::QUInt8(x, x_p), ViewData::QUInt8(f, f_p), ViewDataMut::QUInt8(out, out_p)) => {
             let acc_scale = f_p.scale as f64 * x_p.scale as f64;
             if acc_scale <= 0.0 || !acc_scale.is_finite() {
                 return Err(TensorError::BadQuantParams(format!(
                     "accumulator scale {acc_scale} invalid"
                 )));
             }
-            let multiplier = FixedPointMultiplier::from_real(acc_scale / out_params.scale as f64)?;
-            let (f_zp, x_zp) = (f_p.zero_point as i32, x_p.zero_point);
-            let mut out = vec![0u8; out_shape.numel()];
+            let multiplier = FixedPointMultiplier::from_real(acc_scale / out_p.scale as f64)?;
+            let (f_zp, x_zp, out_zp) = (f_p.zero_point as i32, x_p.zero_point, out_p.zero_point);
             plane_taps(
-                (x, f, &mut out),
+                (x, f, out),
                 &g,
                 (&mut arena.patches_u8, &mut arena.acc_i32),
                 (x_zp, 0),
@@ -247,19 +206,21 @@ pub fn depthwise_conv2d(
                 },
                 |op, live, ci| {
                     let qb = bias.map_or(0, |b| (b[ci] as f64 / acc_scale).round() as i32);
-                    let zp = out_params.zero_point;
-                    requantize_into(op, live, qb, &multiplier, zp, params.relu);
+                    requantize_into(op, live, qb, &multiplier, out_zp, params.relu);
                 },
             );
-            Tensor::from_quantized(out_shape, out, out_params)
         }
+        _ => return Err(crate::mismatch(&dtypes)),
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::alloc::depthwise_conv2d;
     use crate::oracle::conv::depthwise_im2col;
+    use utensor::{DType, QuantParams, Tensor};
 
     fn tensor_from(shape: Shape, f: impl Fn(usize) -> f32) -> Tensor {
         let n = shape.numel();

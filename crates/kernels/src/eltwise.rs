@@ -7,88 +7,48 @@
 //! machinery TFLite's quantized `ADD` uses.
 
 use utensor::saturating_rounding_doubling_high_mul;
-use utensor::{FixedPointMultiplier, QuantParams, Tensor, TensorData, TensorError};
+use utensor::{FixedPointMultiplier, QuantParams, TensorError, TensorView, TensorViewMut};
+use utensor::{ViewData, ViewDataMut, F16};
 
-/// Elementwise `a + b`.
+/// Elementwise `a + b` into `out`, with an optional fused ReLU — the
+/// kernel of the `Add { relu }` layer (the fusion pass produces the
+/// `relu` form).
 ///
-/// Inputs must share shape and dtype. For `QUInt8`, `out_params` (the
-/// calibrated output range) is required; for float types it must be
-/// `None`.
-pub fn add(a: &Tensor, b: &Tensor, out_params: Option<QuantParams>) -> Result<Tensor, TensorError> {
-    add_fused(a, b, out_params, false)
-}
-
-/// Elementwise `a + b` with an optional fused ReLU — the kernel of the
-/// `Add { relu }` layer the fusion pass produces.
-///
-/// The activation is applied exactly as the standalone [`crate::relu`]
-/// would apply it to the add's output (`max(x, 0)` on floats, clamping
-/// codes at the zero point on `QUInt8`), so fusing a following ReLU into
-/// the add is bit-identical in every dtype.
+/// Inputs and `out` share shape and dtype; a `QUInt8` sum is rescaled
+/// onto `out`'s grid (the calibrated output range). The activation is
+/// applied exactly as the standalone [`crate::relu`] would apply it to
+/// the add's output (`max(x, 0)` on floats, clamping codes at the zero
+/// point on `QUInt8`), so fusing a following ReLU into the add is
+/// bit-identical in every dtype.
 pub fn add_fused(
-    a: &Tensor,
-    b: &Tensor,
-    out_params: Option<QuantParams>,
+    a: &TensorView<'_>,
+    b: &TensorView<'_>,
     relu: bool,
-) -> Result<Tensor, TensorError> {
-    if a.shape() != b.shape() {
+    out: &mut TensorViewMut<'_>,
+) -> Result<(), TensorError> {
+    if a.shape != b.shape {
         return Err(TensorError::ShapeMismatch {
-            expected: a.shape().clone(),
-            found: b.shape().clone(),
+            expected: a.shape.clone(),
+            found: b.shape.clone(),
         });
     }
-    if a.dtype() != b.dtype() {
-        return Err(TensorError::DTypeMismatch {
-            expected: a.dtype(),
-            found: b.dtype(),
-        });
-    }
-    match (a.data(), b.data()) {
-        (TensorData::F32(x), TensorData::F32(y)) => {
-            crate::float_out(out_params, "add")?;
-            let out = x
-                .iter()
-                .zip(y)
-                .map(|(u, v)| {
-                    let s = u + v;
-                    if relu {
-                        s.max(0.0)
-                    } else {
-                        s
-                    }
-                })
-                .collect();
-            Tensor::from_f32(a.shape().clone(), out)
+    crate::expect_out(out, &a.shape)?;
+    let dtypes = [a.dtype(), b.dtype(), out.dtype()];
+    match (a.data, b.data, &mut out.data) {
+        (ViewData::F32(x), ViewData::F32(y), ViewDataMut::F32(out)) => {
+            for ((o, u), v) in out.iter_mut().zip(x).zip(y) {
+                let s = u + v;
+                *o = if relu { s.max(0.0) } else { s };
+            }
         }
-        (TensorData::F16(x), TensorData::F16(y)) => {
-            crate::float_out(out_params, "add")?;
-            let out: Vec<utensor::F16> = x
-                .iter()
-                .zip(y)
-                .map(|(&u, &v)| {
-                    let s = u + v;
-                    if relu && s < utensor::F16::ZERO {
-                        utensor::F16::ZERO
-                    } else {
-                        s
-                    }
-                })
-                .collect();
-            Tensor::new(a.shape().clone(), TensorData::F16(out))
+        (ViewData::F16(x), ViewData::F16(y), ViewDataMut::F16(out)) => {
+            for ((o, &u), &v) in out.iter_mut().zip(x).zip(y) {
+                let s = u + v;
+                *o = if relu && s < F16::ZERO { F16::ZERO } else { s };
+            }
         }
-        (
-            TensorData::QUInt8 {
-                data: x,
-                params: pa,
-            },
-            TensorData::QUInt8 {
-                data: y,
-                params: pb,
-            },
-        ) => {
-            let out_p = out_params.ok_or_else(|| {
-                TensorError::BadQuantParams("QUInt8 add needs output params".into())
-            })?;
+        (ViewData::QUInt8(x, pa), ViewData::QUInt8(y, pb), ViewDataMut::QUInt8(out, out_p)) => {
+            let out_p = *out_p;
             // Rescale both inputs into a shared high-precision domain
             // (TFLite's quantized ADD): values are left-shifted to gain
             // headroom, each input is scaled by s_in / (s_out * 2^shift),
@@ -99,39 +59,31 @@ pub fn add_fused(
                     p.scale as f64 / out_p.scale as f64 * (1i64 << LEFT_SHIFT) as f64,
                 )
             };
-            let ma = shifted(pa)?;
-            let mb = shifted(pb)?;
+            let ma = shifted(&pa)?;
+            let mb = shifted(&pb)?;
             let zp_a = pa.zero_point as i32;
             let zp_b = pb.zero_point as i32;
-            let out: Vec<u8> = x
-                .iter()
-                .zip(y)
-                .map(|(&u, &v)| {
-                    let ua = ma.apply(u as i32 - zp_a);
-                    let vb = mb.apply(v as i32 - zp_b);
-                    let sum = ua.saturating_add(vb);
-                    // Scale back down by 2^LEFT_SHIFT with rounding: use
-                    // the rounding-doubling high-mul against 2^(31-shift).
-                    let scaled =
-                        saturating_rounding_doubling_high_mul(sum, 1i32 << (31 - LEFT_SHIFT));
-                    let q = (scaled + out_p.zero_point as i32).clamp(0, 255) as u8;
-                    if relu {
-                        q.max(out_p.zero_point)
-                    } else {
-                        q
-                    }
-                })
-                .collect();
-            Tensor::from_quantized(a.shape().clone(), out, out_p)
+            for ((o, &u), &v) in out.iter_mut().zip(x).zip(y) {
+                let ua = ma.apply(u as i32 - zp_a);
+                let vb = mb.apply(v as i32 - zp_b);
+                let sum = ua.saturating_add(vb);
+                // Scale back down by 2^LEFT_SHIFT with rounding: use
+                // the rounding-doubling high-mul against 2^(31-shift).
+                let scaled = saturating_rounding_doubling_high_mul(sum, 1i32 << (31 - LEFT_SHIFT));
+                let q = (scaled + out_p.zero_point as i32).clamp(0, 255) as u8;
+                *o = if relu { q.max(out_p.zero_point) } else { q };
+            }
         }
-        _ => unreachable!("dtype equality checked above"),
+        _ => return Err(crate::mismatch(&dtypes)),
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use utensor::{DType, Shape};
+    use crate::oracle::alloc::{add, add_fused, relu};
+    use utensor::{DType, Shape, Tensor};
 
     fn t(v: Vec<f32>) -> Tensor {
         Tensor::from_f32(Shape::new(vec![v.len()]), v).unwrap()
@@ -201,7 +153,6 @@ mod tests {
 
     #[test]
     fn fused_relu_matches_standalone_in_every_dtype() {
-        use crate::activation::relu;
         let a = t(vec![-3.0, 1.0, -0.5, 2.0]);
         let b = t(vec![1.0, -2.0, 0.25, 3.0]);
 

@@ -5,115 +5,58 @@
 //! of output neurons. The implementation flattens the input and runs the
 //! GEMM directly: `weights [out × in] × input [in × n_batch]`.
 //!
-//! Channel-wise distribution slices the weight rows (output neurons),
+//! Channel-wise distribution narrows the weight rows (output neurons),
 //! exactly like convolution filters.
 
-use utensor::{DType, QuantParams, Shape, Tensor, TensorError};
+use utensor::{Shape, TensorError, TensorView, TensorViewMut};
 
-use crate::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked};
+use crate::conv::{gemm_layer, GemmDims};
 
 /// Fully-connected layer: `input` (any shape with `n` as dim 0) ×
-/// `weights [out_features, in_features]` → `[n, out_features, 1, 1]`.
+/// `weights [out_features, in_features]`, written into `out`
+/// (`[n, out_features, 1, 1]`).
 ///
 /// `in_features` must equal the input's per-batch element count. Dtype and
-/// quantization rules match [`crate::conv2d`].
+/// quantization rules match [`crate::conv2d`], whose GEMM-layer body this
+/// runs with the flattened input as `B`.
 pub fn fully_connected(
-    input: &Tensor,
-    weights: &Tensor,
+    input: &TensorView<'_>,
+    weights: &TensorView<'_>,
     bias: Option<&[f32]>,
     relu: bool,
-    out_params: Option<QuantParams>,
-) -> Result<Tensor, TensorError> {
-    if weights.dtype() != input.dtype() {
-        return Err(TensorError::DTypeMismatch {
-            expected: input.dtype(),
-            found: weights.dtype(),
-        });
-    }
-    let ws = weights.shape();
+    out: &mut TensorViewMut<'_>,
+) -> Result<(), TensorError> {
+    let ws = &weights.shape;
     if ws.rank() != 2 {
         return Err(TensorError::BadConcat(format!(
             "fc weights must be rank-2 [out, in], got {ws}"
         )));
     }
     let (out_f, in_f) = (ws.dim(0), ws.dim(1));
-    let n = if input.shape().rank() >= 1 {
-        input.shape().dim(0)
-    } else {
-        1
-    };
-    let per_batch = input.numel() / n.max(1);
-    if per_batch != in_f || input.numel() != n * in_f {
+    let xs = &input.shape;
+    let n = if xs.rank() >= 1 { xs.dim(0) } else { 1 };
+    if xs.numel() / n.max(1) != in_f || xs.numel() != n * in_f {
         return Err(TensorError::ShapeMismatch {
             expected: Shape::new(vec![n, in_f]),
-            found: input.shape().clone(),
+            found: xs.clone(),
         });
     }
-    if let Some(bias) = bias {
-        if bias.len() != out_f {
-            return Err(TensorError::LengthMismatch {
-                shape: Shape::new(vec![out_f]),
-                len: bias.len(),
-            });
-        }
-    }
-    let out_shape = Shape::nchw(n, out_f, 1, 1);
-
-    // GEMM scratch (pack buffers, the quantized accumulator) comes from
-    // the per-thread arena.
-    let mut arena = crate::arena::ThreadArenaGuard::take();
-    match input.dtype() {
-        DType::F32 => {
-            crate::float_out(out_params, "FC")?;
-            let w = weights.as_f32()?;
-            let x = input.as_f32()?;
-            let mut out = vec![0.0f32; n * out_f];
-            for b in 0..n {
-                let c = &mut out[b * out_f..(b + 1) * out_f];
-                let xb = &x[b * in_f..(b + 1) * in_f];
-                gemm_f32_blocked(c, out_f, in_f, 1, w, xb, bias, relu, &mut arena);
-            }
-            Tensor::from_f32(out_shape, out)
-        }
-        DType::F16 => {
-            crate::float_out(out_params, "FC")?;
-            let w = weights.as_f16()?;
-            let x = input.as_f16()?;
-            let mut out = vec![utensor::F16::ZERO; n * out_f];
-            for b in 0..n {
-                let c = &mut out[b * out_f..(b + 1) * out_f];
-                let xb = &x[b * in_f..(b + 1) * in_f];
-                gemm_f16_blocked(c, out_f, in_f, 1, w, xb, bias, relu, &mut arena);
-            }
-            Tensor::new(out_shape, utensor::TensorData::F16(out))
-        }
-        DType::QUInt8 => {
-            let out_params = out_params.ok_or_else(|| {
-                TensorError::BadQuantParams("QUInt8 FC needs output quantization params".into())
-            })?;
-            let (w, w_p) = weights.as_quint8()?;
-            let (x, x_p) = input.as_quint8()?;
-            let mut out = vec![0u8; n * out_f];
-            let mut res: Result<(), TensorError> = Ok(());
-            for b in 0..n {
-                let c = &mut out[b * out_f..(b + 1) * out_f];
-                let xb = &x[b * in_f..(b + 1) * in_f];
-                let r = gemm_quint8_blocked(
-                    c, out_f, in_f, 1, w, w_p, xb, x_p, bias, out_params, relu, &mut arena,
-                );
-                if let Err(e) = r {
-                    res = Err(e);
-                    break;
-                }
-            }
-            res.and_then(|()| Tensor::from_quantized(out_shape, out, out_params))
-        }
-    }
+    crate::check_bias(bias, out_f)?;
+    crate::expect_out(out, &Shape::nchw(n, out_f, 1, 1))?;
+    let dims = GemmDims {
+        batches: n,
+        m: out_f,
+        k: in_f,
+        cols: 1,
+    };
+    gemm_layer((input, weights, bias), dims, None, relu, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::alloc::fully_connected;
+    use utensor::{DType, QuantParams, Tensor};
 
     fn pseudo(i: usize) -> f32 {
         (((i * 2654435761) % 997) as f32 - 498.0) / 498.0

@@ -8,41 +8,17 @@
 //! [`utensor::QuantParams::from_range`] guarantees real zero is exactly
 //! representable.
 
-/// Extracts convolution patches from a CHW image.
+/// Extracts convolution patches from a CHW image into `out`, as a
+/// `[(c*kh*kw) × (oh*ow)]` row-major matrix.
 ///
-/// Returns a `[(c*kh*kw) × (oh*ow)]` row-major matrix.
+/// `out` is cleared and resized; its existing capacity is reused, so a
+/// buffer borrowed from a [`crate::arena::ScratchArena`] makes repeated
+/// convolutions allocation-free once warm.
 ///
 /// # Panics
 ///
 /// Panics if `input.len() != c*h*w` or if the output dimensions are zero
 /// (callers validate window geometry with [`crate::out_dim`] first).
-#[allow(clippy::too_many_arguments)]
-pub fn im2col<T: Copy>(
-    input: &[T],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    pad_value: T,
-) -> Vec<T> {
-    let mut out = Vec::new();
-    im2col_into(&mut out, input, c, h, w, kh, kw, stride, pad, pad_value);
-    out
-}
-
-/// [`im2col`] writing into a caller-provided buffer.
-///
-/// `out` is cleared and resized to `(c*kh*kw) × (oh*ow)`; its existing
-/// capacity is reused, so a buffer borrowed from a
-/// [`crate::arena::ScratchArena`] makes repeated convolutions
-/// allocation-free once warm.
-///
-/// # Panics
-///
-/// Same contract as [`im2col`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn im2col_into<T: Copy>(
     out: &mut Vec<T>,
@@ -91,6 +67,24 @@ pub(crate) fn im2col_into<T: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The patch matrix in a fresh buffer.
+    #[allow(clippy::too_many_arguments)]
+    fn im2col<T: Copy>(
+        input: &[T],
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+        pad_value: T,
+    ) -> Vec<T> {
+        let mut out = Vec::new();
+        im2col_into(&mut out, input, c, h, w, kh, kw, stride, pad, pad_value);
+        out
+    }
 
     #[test]
     fn identity_1x1() {

@@ -13,13 +13,20 @@
 //!
 //! The GPU path of processor-friendly quantization (load QUInt8,
 //! dequantize on the fly, compute in F16, requantize the output) is
-//! composed by the executor from these primitives: a QUInt8→F16 cast, the
-//! F16 kernel, and an F16→QUInt8 cast.
+//! composed by the executor from these primitives: a QUInt8→F16 load, the
+//! F16 kernel, and an F16→QUInt8 store into the part's output range.
 //!
-//! Every layer has one route on every thread: convolutions ([`conv2d`],
-//! [`pointwise_conv2d`]) and FC layers ([`fully_connected`]) run the
+//! Every layer kernel reads [`utensor::TensorView`]s and writes into the
+//! caller's [`utensor::TensorViewMut`], whose shape, dtype and — for
+//! `QUInt8` — quantization grid are the output's: the caller owns every
+//! buffer, so a split part writes its channel range of the layer's
+//! output in place. Kernels check the output view and return a typed
+//! error; none allocates its output.
+//!
+//! Every layer has one route on every thread: convolutions ([`conv2d`])
+//! and FC layers ([`fully_connected`]) share one GEMM-layer body over the
 //! cache-blocked GEMMs ([`gemm_f32_blocked`], [`gemm_f16_blocked`],
-//! [`gemm_quint8_blocked`]; [`im2col`] first, except for 1×1 stride-1
+//! [`gemm_quint8_blocked`]; an im2col copy first, except for 1×1 stride-1
 //! unpadded layers, which feed the input plane straight in), depthwise
 //! layers their direct kernel ([`depthwise_conv2d`]). The only
 //! per-thread choice is the register tiles ([`set_kernel_path`]: scalar,
@@ -43,7 +50,7 @@ mod pointwise;
 mod pool;
 mod simd;
 
-use utensor::TensorError;
+use utensor::{DType, Shape, TensorError, TensorViewMut};
 
 pub use activation::{argmax, fake_quant, relu, softmax_f32};
 pub use arena::{thread_arena_capacity_bytes, ScratchArena};
@@ -51,11 +58,9 @@ pub use blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC, M
 pub use conv::{conv2d, Conv2dParams};
 pub use depthwise::depthwise_conv2d;
 pub use dispatch::{registered_fast_paths, set_kernel_path, KernelPath, PathChoice};
-pub use eltwise::{add, add_fused};
+pub use eltwise::add_fused;
 pub use fc::fully_connected;
-pub use im2col::im2col;
 pub use norm::{lrn, LrnParams};
-pub use pointwise::pointwise_conv2d;
 pub use pool::{global_avg_pool, pool2d, PoolKind, PoolParams};
 pub use simd::{cpu_features, simd_available, simd_tier, SimdTier};
 
@@ -69,14 +74,38 @@ mod gemm;
 #[path = "../tests/common/mod.rs"]
 mod oracle;
 
-/// Float kernels take no output quantization: an error naming `op` if
-/// `out_params` is given.
-fn float_out(out_params: Option<utensor::QuantParams>, op: &str) -> Result<(), TensorError> {
-    match out_params {
-        Some(_) => Err(TensorError::BadQuantParams(format!(
-            "out_params given for a float {op}"
-        ))),
-        None => Ok(()),
+/// Checks that a kernel's output view has the shape it computes.
+fn expect_out(out: &TensorViewMut<'_>, shape: &Shape) -> Result<(), TensorError> {
+    if out.shape != *shape {
+        return Err(TensorError::ShapeMismatch {
+            expected: shape.clone(),
+            found: out.shape.clone(),
+        });
+    }
+    Ok(())
+}
+
+/// The error for operands and an output a kernel cannot combine: the
+/// first dtype of `dtypes` that differs from the first one — or, all of
+/// them alike, a `QUInt8` output off the grid the kernel writes.
+fn mismatch(dtypes: &[DType]) -> TensorError {
+    match dtypes.iter().find(|&&d| d != dtypes[0]) {
+        Some(&found) => TensorError::DTypeMismatch {
+            expected: dtypes[0],
+            found,
+        },
+        None => TensorError::BadQuantParams("QUInt8 output off the kernel's grid".into()),
+    }
+}
+
+/// Checks a per-channel bias against the channel count.
+fn check_bias(bias: Option<&[f32]>, channels: usize) -> Result<(), TensorError> {
+    match bias {
+        Some(b) if b.len() != channels => Err(TensorError::LengthMismatch {
+            shape: Shape::new(vec![channels]),
+            len: b.len(),
+        }),
+        _ => Ok(()),
     }
 }
 

@@ -8,7 +8,7 @@
 //! QUInt8 inputs are dequantized, normalized, and requantized — the same
 //! approach TensorFlow Lite takes for ops without integer kernels.
 
-use utensor::{DType, Tensor, TensorError};
+use utensor::{TensorError, TensorView, TensorViewMut, ViewData, ViewDataMut};
 
 /// Parameters of an LRN layer (defaults match AlexNet).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -34,9 +34,16 @@ impl Default for LrnParams {
     }
 }
 
-/// Applies across-channel LRN to an NCHW tensor, preserving its dtype.
-pub fn lrn(input: &Tensor, params: &LrnParams) -> Result<Tensor, TensorError> {
-    let s = input.shape();
+/// Applies across-channel LRN to an NCHW tensor, written into `out`
+/// (same shape): the normalization runs in f32 on the widened input, and
+/// the result is converted to `out`'s dtype (onto its grid, for
+/// `QUInt8`). Both f32 planes are scratch buffers of the thread's arena.
+pub fn lrn(
+    input: &TensorView<'_>,
+    params: &LrnParams,
+    out: &mut TensorViewMut<'_>,
+) -> Result<(), TensorError> {
+    let s = &input.shape;
     if s.rank() != 4 {
         return Err(TensorError::BadConcat(format!(
             "lrn expects a rank-4 input, got {s}"
@@ -45,9 +52,20 @@ pub fn lrn(input: &Tensor, params: &LrnParams) -> Result<Tensor, TensorError> {
     if params.n == 0 {
         return Err(TensorError::BadConcat("lrn window must be nonzero".into()));
     }
+    crate::expect_out(out, s)?;
     let (n, c, h, w) = (s.n(), s.c(), s.h(), s.w());
-    let x = input.to_f32_vec();
-    let mut out = vec![0.0f32; x.len()];
+    let mut arena = crate::arena::ThreadArenaGuard::take();
+    let arena = &mut *arena;
+    let (x, y) = (&mut arena.patches_f32, &mut arena.acc_f32);
+    for buf in [&mut *x, &mut *y] {
+        buf.clear();
+        buf.resize(s.numel(), 0.0);
+    }
+    TensorViewMut {
+        shape: s.clone(),
+        data: ViewDataMut::F32(x),
+    }
+    .convert_from(input)?;
     let half = params.n / 2;
     let hw = h * w;
     for b in 0..n {
@@ -62,22 +80,21 @@ pub fn lrn(input: &Tensor, params: &LrnParams) -> Result<Tensor, TensorError> {
                 }
                 let denom = (params.k + params.alpha / params.n as f32 * sum_sq).powf(params.beta);
                 let i = (b * c + ci) * hw + pos;
-                out[i] = x[i] / denom;
+                y[i] = x[i] / denom;
             }
         }
     }
-    let f32_out = Tensor::from_f32(s.clone(), out)?;
-    match input.dtype() {
-        DType::F32 => Ok(f32_out),
-        DType::F16 => f32_out.cast(DType::F16, None),
-        DType::QUInt8 => f32_out.cast(DType::QUInt8, input.quant_params()),
-    }
+    out.convert_from(&TensorView {
+        shape: s.clone(),
+        data: ViewData::F32(y),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use utensor::Shape;
+    use crate::oracle::alloc::lrn;
+    use utensor::{DType, Shape, Tensor};
 
     #[test]
     fn uniform_input_scales_uniformly() {

@@ -2,14 +2,17 @@
 //!
 //! Pooling applies a spatial window function per channel (§2.1), so the
 //! channel-wise workload distribution splits pooling layers by *input*
-//! channels (§3.2, Figure 7b) — the executor slices the input along axis 1
-//! and calls the same [`pool2d`] on each part.
+//! channels (§3.2, Figure 7b) — the executor narrows the input along
+//! axis 1 and calls the same [`pool2d`] on each part, with the part's
+//! channel range of the layer's output as `out`.
 //!
 //! Semantics: max pooling ignores padding positions entirely; average
 //! pooling divides by the number of *valid* (non-padding) positions
 //! (exclude-pad, the Caffe/ACL default). Quantized max pooling operates
 //! directly on the u8 codes (the affine map is monotonic); quantized
 //! average pooling accumulates codes in `i32` and rounds the division.
+//! Either way the codes stay on the input's grid, so a `QUInt8` output
+//! must carry the input's parameters.
 //!
 //! Every path walks output rows with the window clipped to the plane
 //! beforehand, so no tap tests a bound. The float paths fold each
@@ -20,7 +23,7 @@
 
 use std::ops::Range;
 
-use utensor::{Shape, Tensor, TensorData, TensorError, F16};
+use utensor::{Shape, TensorError, TensorView, TensorViewMut, ViewData, ViewDataMut, F16};
 
 use crate::out_dim;
 
@@ -193,67 +196,69 @@ fn pool_plane_rowwise<A: Copy>(
     }
 }
 
-/// Pools every plane of an NCHW tensor under `g`.
-fn pool_planes(input: &Tensor, kind: PoolKind, g: &Window) -> Result<Tensor, TensorError> {
-    let (n, c) = (input.shape().n(), input.shape().c());
-    let out_shape = Shape::nchw(n, c, g.oh, g.ow);
-    let (planes, plane_len, out_len) = (n * c, g.h * g.w, g.oh * g.ow);
-    let plane_of = |pl: usize| pl * plane_len..(pl + 1) * plane_len;
-    match input.data() {
-        TensorData::F32(x) => {
-            let mut out = vec![0.0f32; planes * out_len];
-            for (pl, o) in out.chunks_mut(out_len).enumerate() {
-                let plane = &x[plane_of(pl)];
-                match kind {
-                    PoolKind::Max => {
-                        pool_plane_ordered(plane, o, g, f32::NEG_INFINITY, f32::max, |a, _| a)
-                    }
-                    PoolKind::Avg => pool_plane_ordered(
-                        plane,
-                        o,
-                        g,
-                        0.0f32,
-                        |a, v| a + v,
-                        |a, count| if count == 0 { 0.0 } else { a / count as f32 },
-                    ),
+/// Every plane of a float tensor, each window folded over its valid
+/// taps in row-major order: their `max` from `neg_inf`, or their sum
+/// from `zero` `div`ided by the tap count (`zero` for a window with
+/// none).
+fn float_planes<T: Copy>(
+    (x, out): (&[T], &mut [T]),
+    kind: PoolKind,
+    g: &Window,
+    (neg_inf, zero): (T, T),
+    max: impl Fn(T, T) -> T,
+    add: impl Fn(T, T) -> T,
+    div: impl Fn(T, usize) -> T,
+) {
+    let plane_len = g.h * g.w;
+    for (pl, o) in out.chunks_mut(g.oh * g.ow).enumerate() {
+        let plane = &x[pl * plane_len..(pl + 1) * plane_len];
+        match kind {
+            PoolKind::Max => pool_plane_ordered(plane, o, g, neg_inf, &max, |a, _| a),
+            PoolKind::Avg => pool_plane_ordered(plane, o, g, zero, &add, |a, count| {
+                if count == 0 {
+                    zero
+                } else {
+                    div(a, count)
                 }
-            }
-            Tensor::from_f32(out_shape, out)
+            }),
         }
-        TensorData::F16(x) => {
-            let mut out = vec![F16::ZERO; planes * out_len];
-            for (pl, o) in out.chunks_mut(out_len).enumerate() {
-                let plane = &x[plane_of(pl)];
-                match kind {
-                    PoolKind::Max => {
-                        pool_plane_ordered(plane, o, g, F16::NEG_INFINITY, F16::max, |a, _| a)
-                    }
-                    PoolKind::Avg => pool_plane_ordered(
-                        plane,
-                        o,
-                        g,
-                        F16::ZERO,
-                        |a, v| a + v,
-                        |a, count| {
-                            if count == 0 {
-                                F16::ZERO
-                            } else {
-                                a / F16::from_f32(count as f32)
-                            }
-                        },
-                    ),
-                }
-            }
-            Tensor::new(out_shape, TensorData::F16(out))
+    }
+}
+
+/// Pools every plane of an NCHW tensor into `out` under the window
+/// `window(h, w)` builds for its `h × w` planes.
+fn pool_planes(
+    input: &TensorView<'_>,
+    kind: PoolKind,
+    window: impl FnOnce(usize, usize) -> Result<Window, TensorError>,
+    out: &mut TensorViewMut<'_>,
+) -> Result<(), TensorError> {
+    let s = &input.shape;
+    if s.rank() != 4 {
+        return Err(TensorError::BadConcat(format!(
+            "pooling expects a rank-4 input, got {s}"
+        )));
+    }
+    let g = &window(s.h(), s.w())?;
+    crate::expect_out(out, &Shape::nchw(s.n(), s.c(), g.oh, g.ow))?;
+    let dtypes = [input.dtype(), out.dtype()];
+    match (input.data, &mut out.data) {
+        (ViewData::F32(x), ViewDataMut::F32(out)) => {
+            let div = |a: f32, count: usize| a / count as f32;
+            let limits = (f32::NEG_INFINITY, 0.0);
+            float_planes((x, out), kind, g, limits, f32::max, |a, v| a + v, div);
         }
-        TensorData::QUInt8 {
-            data: x,
-            params: qp,
-        } => {
-            let mut out = vec![0u8; planes * out_len];
+        (ViewData::F16(x), ViewDataMut::F16(out)) => {
+            let div = |a: F16, count: usize| a / F16::from_f32(count as f32);
+            let limits = (F16::NEG_INFINITY, F16::ZERO);
+            float_planes((x, out), kind, g, limits, F16::max, |a, v| a + v, div);
+        }
+        // The codes stay on the input's grid.
+        (ViewData::QUInt8(x, qp), ViewDataMut::QUInt8(out, out_p)) if *out_p == qp => {
+            let plane_len = g.h * g.w;
             let (mut maxes, mut sums) = (Vec::new(), Vec::new());
-            for (pl, o) in out.chunks_mut(out_len).enumerate() {
-                let plane = &x[plane_of(pl)];
+            for (pl, o) in out.chunks_mut(g.oh * g.ow).enumerate() {
+                let plane = &x[pl * plane_len..(pl + 1) * plane_len];
                 match kind {
                     // Monotonic affine map: max of codes = code of max.
                     PoolKind::Max => pool_plane_rowwise(
@@ -280,70 +285,65 @@ fn pool_planes(input: &Tensor, kind: PoolKind, g: &Window) -> Result<Tensor, Ten
                     ),
                 }
             }
-            Tensor::from_quantized(out_shape, out, *qp)
         }
+        _ => return Err(crate::mismatch(&dtypes)),
     }
+    Ok(())
 }
 
-/// Applies 2-D pooling to an NCHW tensor.
-pub fn pool2d(input: &Tensor, params: &PoolParams) -> Result<Tensor, TensorError> {
-    let s = input.shape();
-    if s.rank() != 4 {
-        return Err(TensorError::BadConcat(format!(
-            "pool2d expects a rank-4 input, got {s}"
-        )));
-    }
-    let (h, w) = (s.h(), s.w());
-    let oh = out_dim(h, params.k, params.stride, params.pad);
-    let ow = out_dim(w, params.k, params.stride, params.pad);
-    let (oh, ow) = match (oh, ow) {
-        (Some(a), Some(b)) => (a, b),
-        _ => {
-            return Err(TensorError::BadConcat(format!(
-                "pool window {}x{} stride {} pad {} does not fit {s}",
-                params.k, params.k, params.stride, params.pad
-            )))
-        }
+/// 2-D pooling of an NCHW tensor into `out` (`[n, c, oh, ow]`, the
+/// input's dtype).
+pub fn pool2d(
+    input: &TensorView<'_>,
+    params: &PoolParams,
+    out: &mut TensorViewMut<'_>,
+) -> Result<(), TensorError> {
+    let (k, stride, pad) = (params.k, params.stride, params.pad);
+    let window = |h, w| match (out_dim(h, k, stride, pad), out_dim(w, k, stride, pad)) {
+        (Some(oh), Some(ow)) => Ok(Window {
+            h,
+            w,
+            oh,
+            ow,
+            kh: k,
+            kw: k,
+            stride,
+            pad,
+        }),
+        _ => Err(TensorError::BadConcat(format!(
+            "pool window {k}x{k} stride {stride} pad {pad} does not fit {}",
+            input.shape
+        ))),
     };
-    let window = Window {
-        h,
-        w,
-        oh,
-        ow,
-        kh: params.k,
-        kw: params.k,
-        stride: params.stride,
-        pad: params.pad,
-    };
-    pool_planes(input, params.kind, &window)
+    pool_planes(input, params.kind, window, out)
 }
 
-/// Global average pooling: NCHW → `[n, c, 1, 1]`, the mean over each
-/// `h × w` plane (square or not).
-pub fn global_avg_pool(input: &Tensor) -> Result<Tensor, TensorError> {
-    let s = input.shape();
-    if s.rank() != 4 {
-        return Err(TensorError::BadConcat(format!(
-            "global_avg_pool expects rank-4 input, got {s}"
-        )));
-    }
-    let window = Window {
-        h: s.h(),
-        w: s.w(),
-        oh: 1,
-        ow: 1,
-        kh: s.h(),
-        kw: s.w(),
-        stride: 1,
-        pad: 0,
+/// Global average pooling: NCHW → `[n, c, 1, 1]` in `out`, the mean
+/// over each `h × w` plane (square or not).
+pub fn global_avg_pool(
+    input: &TensorView<'_>,
+    out: &mut TensorViewMut<'_>,
+) -> Result<(), TensorError> {
+    let window = |h, w| {
+        Ok(Window {
+            h,
+            w,
+            oh: 1,
+            ow: 1,
+            kh: h,
+            kw: w,
+            stride: 1,
+            pad: 0,
+        })
     };
-    pool_planes(input, PoolKind::Avg, &window)
+    pool_planes(input, PoolKind::Avg, window, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use utensor::{DType, QuantParams};
+    use crate::oracle::alloc::{global_avg_pool, pool2d};
+    use utensor::{DType, QuantParams, Tensor};
 
     fn t(shape: Shape, v: Vec<f32>) -> Tensor {
         Tensor::from_f32(shape, v).unwrap()

@@ -59,7 +59,7 @@ fn quint8_edge_tiles_bit_identical_to_naive() {
     let a_p = QuantParams::from_range(-1.0, 1.0).unwrap();
     let b_p = QuantParams::from_range(-2.0, 3.0).unwrap();
     let out_p = QuantParams::from_range(-50.0, 50.0).unwrap();
-    let mut arena = ScratchArena::new();
+    let mut arena = ScratchArena::default();
     for &m in &edge_ms() {
         for &n in &edge_ns() {
             for &k in &edge_ks() {
@@ -92,7 +92,7 @@ fn quint8_edge_tiles_bit_identical_to_naive() {
 
 #[test]
 fn f32_edge_tiles_match_naive() {
-    let mut arena = ScratchArena::new();
+    let mut arena = ScratchArena::default();
     for &m in &edge_ms() {
         for &n in &edge_ns() {
             for &k in &edge_ks() {
@@ -114,7 +114,7 @@ fn f32_edge_tiles_match_naive() {
 
 #[test]
 fn f16_edge_tiles_match_naive() {
-    let mut arena = ScratchArena::new();
+    let mut arena = ScratchArena::default();
     for &m in &edge_ms() {
         for &n in &edge_ns() {
             // Full K ladder is slow in f16 software emulation; the K
@@ -157,7 +157,7 @@ fn quint8_golden_vector_edge_case() {
     let b_p = QuantParams::from_range(-2.0, 3.0).unwrap();
     let out_p = QuantParams::from_range(-50.0, 50.0).unwrap();
     let mut got = vec![0u8; m * n];
-    let mut arena = ScratchArena::new();
+    let mut arena = ScratchArena::default();
     gemm_quint8_blocked(
         &mut got,
         m,
@@ -193,7 +193,7 @@ fn quint8_golden_checksum_multi_panel() {
     let b_p = QuantParams::from_range(-2.0, 3.0).unwrap();
     let out_p = QuantParams::from_range(-50.0, 50.0).unwrap();
     let mut got = vec![0u8; m * n];
-    let mut arena = ScratchArena::new();
+    let mut arena = ScratchArena::default();
     gemm_quint8_blocked(
         &mut got, m, k, n, &a, a_p, &b, b_p, None, out_p, false, &mut arena,
     )

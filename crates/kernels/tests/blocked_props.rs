@@ -11,14 +11,12 @@
 
 mod common;
 
+use common::alloc::{conv2d, depthwise_conv2d, fully_connected};
 use common::conv::conv2d_im2col;
 use common::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use testkit::{bools, prop_assert, prop_assume, props};
-use ukernels::{
-    conv2d, depthwise_conv2d, fully_connected, pointwise_conv2d, thread_arena_capacity_bytes,
-    Conv2dParams, ScratchArena,
-};
 use ukernels::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
+use ukernels::{thread_arena_capacity_bytes, Conv2dParams, ScratchArena};
 use utensor::{DType, QuantParams, Shape, Tensor, F16};
 
 fn pseudo_f32(n: usize, seed: usize) -> Vec<f32> {
@@ -50,7 +48,7 @@ props! {
         let bias = pseudo_f32(m, seed + 13);
         let want = gemm_f32(m, k, n, &a, &b, Some(&bias), relu);
         let mut got = vec![0.0f32; m * n];
-        let mut arena = ScratchArena::new();
+        let mut arena = ScratchArena::default();
         gemm_f32_blocked(&mut got, m, k, n, &a, &b, Some(&bias), relu, &mut arena);
         prop_assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
     }
@@ -71,7 +69,7 @@ props! {
         let bias = pseudo_f32(m, seed + 13);
         let want = gemm_f16(m, k, n, &a, &b, Some(&bias), relu);
         let mut got = vec![F16::ZERO; m * n];
-        let mut arena = ScratchArena::new();
+        let mut arena = ScratchArena::default();
         gemm_f16_blocked(&mut got, m, k, n, &a, &b, Some(&bias), relu, &mut arena);
         prop_assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
     }
@@ -97,7 +95,7 @@ props! {
         let bias = with_bias.then_some(&bias[..]);
         let want = gemm_quint8(m, k, n, &a, a_p, &b, b_p, bias, out_p, relu).unwrap();
         let mut got = vec![0u8; m * n];
-        let mut arena = ScratchArena::new();
+        let mut arena = ScratchArena::default();
         gemm_quint8_blocked(
             &mut got, m, k, n, &a, a_p, &b, b_p, bias, out_p, relu, &mut arena,
         ).unwrap();
@@ -165,9 +163,9 @@ fn repeated_conv_does_not_grow_the_arena() {
     }
 }
 
-/// A kernel call that fails after taking the thread arena (a QUInt8 call
-/// without `out_params`, a float call with them) must hand the warmed
-/// arena back, not the empty placeholder.
+/// A kernel call that fails after taking the thread arena (QUInt8
+/// operands into a float output, float operands into a QUInt8 one) must
+/// hand the warmed arena back, not the empty placeholder.
 #[test]
 fn error_paths_keep_the_warmed_arena() {
     let qp = QuantParams::from_range(-1.0, 1.0).unwrap();
@@ -187,9 +185,9 @@ fn error_paths_keep_the_warmed_arena() {
     assert_eq!(thread_arena_capacity_bytes(), warm, "conv2d QUInt8");
     assert!(conv2d(&input, &conv_f, None, &p, Some(qp)).is_err());
     assert_eq!(thread_arena_capacity_bytes(), warm, "conv2d f32");
-    assert!(pointwise_conv2d(&q(&input), &q(&pw_f), None, &p, None).is_err());
+    assert!(conv2d(&q(&input), &q(&pw_f), None, &p, None).is_err());
     assert_eq!(thread_arena_capacity_bytes(), warm, "pointwise QUInt8");
-    assert!(pointwise_conv2d(&input, &pw_f, None, &p, Some(qp)).is_err());
+    assert!(conv2d(&input, &pw_f, None, &p, Some(qp)).is_err());
     assert_eq!(thread_arena_capacity_bytes(), warm, "pointwise f32");
     assert!(fully_connected(&q(&input), &q(&fc_w), None, false, None).is_err());
     assert_eq!(thread_arena_capacity_bytes(), warm, "fc QUInt8");

@@ -12,9 +12,8 @@
 //!
 //! All three panic where the library returns an error.
 
-use ukernels::im2col;
 use ukernels::{out_dim, Conv2dParams};
-use utensor::{QuantParams, Shape, Tensor, TensorData, F16};
+use utensor::{QuantParams, Shape, Tensor, TensorData, ViewData, F16};
 
 use super::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 
@@ -81,20 +80,32 @@ pub(crate) fn conv2d_naive_f32(
     Tensor::from_f32(out_shape, out).unwrap()
 }
 
-/// The im2col patch matrix of one batch element `x` of `input`.
+/// The im2col patch matrix of one batch element `x` of `input`, built
+/// here rather than by the library's packer: row `(ci, ky, kx)`, column
+/// `(oy, ox)`, `pad` where the window hangs over the plane.
 fn patches<T: Copy>(x: &[T], input: &Shape, filters: &Shape, p: &Conv2dParams, pad: T) -> Vec<T> {
+    let (c, h, w) = (input.c(), input.h(), input.w());
     let (kh, kw) = (filters.dim(2), filters.dim(3));
-    im2col(
-        x,
-        input.c(),
-        input.h(),
-        input.w(),
-        kh,
-        kw,
-        p.stride,
-        p.pad,
-        pad,
-    )
+    let oh = out_dim(h, kh, p.stride, p.pad).expect("window fits");
+    let ow = out_dim(w, kw, p.stride, p.pad).expect("window fits");
+    let mut out = Vec::with_capacity(c * kh * kw * oh * ow);
+    for ci in 0..c {
+        for ky in 0..kh {
+            for kx in 0..kw {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * p.stride + ky).checked_sub(p.pad).filter(|&i| i < h);
+                        let ix = (ox * p.stride + kx).checked_sub(p.pad).filter(|&i| i < w);
+                        out.push(match (iy, ix) {
+                            (Some(iy), Some(ix)) => x[(ci * h + iy) * w + ix],
+                            _ => pad,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    out
 }
 
 /// im2col + naive GEMM per batch element: `ukernels::conv2d`'s contract,
@@ -116,8 +127,8 @@ pub(crate) fn conv2d_im2col(
     let plane = s.c() * s.h() * s.w();
     let batches = (0..s.n()).map(|b| b * plane..(b + 1) * plane);
     let relu = params.relu;
-    match input.data() {
-        TensorData::F32(x) => {
+    match input.view().data {
+        ViewData::F32(x) => {
             let f = filters.as_f32().unwrap();
             let out = batches
                 .flat_map(|r| {
@@ -127,7 +138,7 @@ pub(crate) fn conv2d_im2col(
                 .collect();
             Tensor::from_f32(out_shape, out).unwrap()
         }
-        TensorData::F16(x) => {
+        ViewData::F16(x) => {
             let f = filters.as_f16().unwrap();
             let out = batches
                 .flat_map(|r| {
@@ -137,16 +148,13 @@ pub(crate) fn conv2d_im2col(
                 .collect();
             Tensor::new(out_shape, TensorData::F16(out)).unwrap()
         }
-        TensorData::QUInt8 {
-            data: x,
-            params: x_p,
-        } => {
+        ViewData::QUInt8(x, x_p) => {
             let (f, f_p) = filters.as_quint8().unwrap();
             let out_p = out_params.expect("QUInt8 needs out_params");
             let out = batches
                 .flat_map(|r| {
                     let b = patches(&x[r], s, fs, params, x_p.zero_point);
-                    gemm_quint8(oc, k, cols, f, f_p, &b, *x_p, bias, out_p, relu).unwrap()
+                    gemm_quint8(oc, k, cols, f, f_p, &b, x_p, bias, out_p, relu).unwrap()
                 })
                 .collect();
             Tensor::from_quantized(out_shape, out, out_p).unwrap()

@@ -5,6 +5,8 @@
 //! - [`gemm`]: the naive GEMMs, one ascending chain per output element;
 //! - [`conv`]: the seven-deep f32 convolution, im2col + naive GEMM in
 //!   every dtype, and the per-channel depthwise body;
+//! - [`alloc`]: allocating forms of the layer kernels (which write into
+//!   a caller's view), so tests compare owned tensors;
 //! - [`pool2d_windowed`] below: the library's former `pool2d` body. Every
 //!   output visits its `k × k` window tap by tap, tests each tap against
 //!   the plane's bounds, and folds the valid ones in row-major order.
@@ -18,11 +20,12 @@
 //! subset of them.
 #![allow(dead_code)]
 
+pub(crate) mod alloc;
 pub(crate) mod conv;
 pub(crate) mod gemm;
 
 use ukernels::{out_dim, PoolKind, PoolParams};
-use utensor::{DType, QuantParams, Shape, Tensor, TensorData, F16};
+use utensor::{DType, QuantParams, Shape, Tensor, TensorData, ViewData, F16};
 
 /// Visits the valid positions of each window, folding with `f`.
 #[allow(clippy::too_many_arguments)]
@@ -68,8 +71,8 @@ pub(crate) fn pool2d_windowed(input: &Tensor, params: &PoolParams) -> Tensor {
     let out_shape = Shape::nchw(n, c, oh, ow);
     let (dims, out_dims) = ((h, w), (oh, ow));
     let planes = |len: usize| (0..n * c).map(move |pl| pl * len..(pl + 1) * len);
-    match input.data() {
-        TensorData::F32(x) => {
+    match input.view().data {
+        ViewData::F32(x) => {
             let mut out = Vec::new();
             for plane in planes(h * w) {
                 let plane = &x[plane];
@@ -98,7 +101,7 @@ pub(crate) fn pool2d_windowed(input: &Tensor, params: &PoolParams) -> Tensor {
             }
             Tensor::from_f32(out_shape, out).unwrap()
         }
-        TensorData::F16(x) => {
+        ViewData::F16(x) => {
             let mut out: Vec<F16> = Vec::new();
             for plane in planes(h * w) {
                 let plane = &x[plane];
@@ -133,11 +136,7 @@ pub(crate) fn pool2d_windowed(input: &Tensor, params: &PoolParams) -> Tensor {
             }
             Tensor::new(out_shape, TensorData::F16(out)).unwrap()
         }
-        TensorData::QUInt8 {
-            data: x,
-            params: qp,
-        } => {
-            let qp = *qp;
+        ViewData::QUInt8(x, qp) => {
             let mut out: Vec<u8> = Vec::new();
             for plane in planes(h * w) {
                 let plane = &x[plane];

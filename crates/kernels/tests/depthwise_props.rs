@@ -24,9 +24,10 @@
 
 mod common;
 
+use common::alloc::depthwise_conv2d;
 use common::conv::depthwise_im2col;
 use testkit::{prop_assert, prop_assume, props, select};
-use ukernels::{depthwise_conv2d, out_dim, Conv2dParams};
+use ukernels::{out_dim, Conv2dParams};
 use utensor::{DType, QuantParams, Shape, Tensor, TensorData, F16};
 
 /// One depthwise case: `c` channels of `h × w`, batch 2, a `k × k`

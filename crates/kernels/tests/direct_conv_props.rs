@@ -14,9 +14,10 @@
 
 mod common;
 
+use common::alloc::{conv2d, depthwise_conv2d};
 use common::conv::{conv2d_im2col, depthwise_im2col};
 use testkit::{bools, prop_assert, props};
-use ukernels::{conv2d, depthwise_conv2d, Conv2dParams};
+use ukernels::Conv2dParams;
 use utensor::{DType, QuantParams, Shape, Tensor};
 
 fn pseudo_f32(n: usize, seed: usize) -> Vec<f32> {

@@ -44,15 +44,15 @@ mod common;
 
 use std::thread;
 
+use common::alloc::{conv2d, depthwise_conv2d, pool2d};
 use common::conv::{conv2d_im2col, depthwise_im2col};
 use common::gemm::{gemm_f16, gemm_f32, gemm_quint8};
 use testkit::{bools, prop_assert, prop_assume, props};
-use ukernels::{
-    conv2d, depthwise_conv2d, out_dim, pool2d, registered_fast_paths, set_kernel_path,
-    simd_available, simd_tier, Conv2dParams, PathChoice, PoolKind, PoolParams, ScratchArena,
-    SimdTier,
-};
 use ukernels::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
+use ukernels::{
+    out_dim, registered_fast_paths, set_kernel_path, simd_available, simd_tier, Conv2dParams,
+    PathChoice, PoolKind, PoolParams, ScratchArena, SimdTier,
+};
 use utensor::{requantize, requantize_into};
 use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, F16};
 
@@ -149,7 +149,7 @@ fn gemm_cell_f32(path: PathChoice, tc: usize) {
         let want = gemm_f32(m, k, n, &a, &b, Some(&bias), relu);
         for got in on_threads(tc, path, || {
             let mut got = vec![0.0f32; m * n];
-            let mut arena = ScratchArena::new();
+            let mut arena = ScratchArena::default();
             gemm_f32_blocked(&mut got, m, k, n, &a, &b, Some(&bias), relu, &mut arena);
             got
         }) {
@@ -177,7 +177,7 @@ fn gemm_cell_f16(path: PathChoice, tc: usize) {
         let want = gemm_f16(m, k, n, &a, &b, Some(&bias), relu);
         for got in on_threads(tc, path, || {
             let mut got = vec![F16::ZERO; m * n];
-            let mut arena = ScratchArena::new();
+            let mut arena = ScratchArena::default();
             gemm_f16_blocked(&mut got, m, k, n, &a, &b, Some(&bias), relu, &mut arena);
             got
         }) {
@@ -202,7 +202,7 @@ fn gemm_cell_quint8(path: PathChoice, tc: usize) {
         let want = gemm_quint8(m, k, n, &a, a_p, &b, b_p, Some(&bias), out_p, relu).unwrap();
         for got in on_threads(tc, path, || {
             let mut got = vec![0u8; m * n];
-            let mut arena = ScratchArena::new();
+            let mut arena = ScratchArena::default();
             gemm_quint8_blocked(
                 &mut got,
                 m,
@@ -689,7 +689,7 @@ props! {
         let want = gemm_f32(m, k, n, &a, &b, None, relu);
         for got in on_threads(2, path, || {
             let mut got = vec![0.0f32; m * n];
-            let mut arena = ScratchArena::new();
+            let mut arena = ScratchArena::default();
             gemm_f32_blocked(&mut got, m, k, n, &a, &b, None, relu, &mut arena);
             got
         }) {
@@ -718,7 +718,7 @@ props! {
         let want = gemm_quint8(m, k, n, &a, a_p, &b, b_p, None, out_p, false).unwrap();
         for got in on_threads(2, path, || {
             let mut got = vec![0u8; m * n];
-            let mut arena = ScratchArena::new();
+            let mut arena = ScratchArena::default();
             gemm_quint8_blocked(&mut got, m, k, n, &a, a_p, &b, b_p, None, out_p, false, &mut arena)
                 .unwrap();
             got

@@ -49,7 +49,7 @@ fn check_macs(path: PathChoice, a: &[F16], b: &[F16], c: &[F16]) {
         &rhs,
         None,
         false,
-        &mut ScratchArena::new(),
+        &mut ScratchArena::default(),
     );
     for (r, row) in got.chunks_exact(n).enumerate() {
         for (x, &g) in row.iter().enumerate() {

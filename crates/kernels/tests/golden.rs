@@ -17,11 +17,12 @@
 //!
 //! then review and commit the diff under `tests/golden/`.
 
+mod common;
+
+use common::alloc::{conv2d, depthwise_conv2d, fully_connected, pool2d};
 use testkit::Rng;
 use testkit::{check_f32, GoldenMode};
-use ukernels::{
-    conv2d, depthwise_conv2d, fully_connected, pool2d, Conv2dParams, PoolKind, PoolParams,
-};
+use ukernels::{Conv2dParams, PoolKind, PoolParams};
 use utensor::{DType, QuantParams, Shape, Tensor, TensorData, F16};
 
 /// Absolute path of a committed golden vector.

@@ -14,9 +14,10 @@
 
 mod common;
 
+use common::alloc::{global_avg_pool, pool2d};
 use common::{pool2d_windowed, pool_input};
 use testkit::{bools, prop_assert, prop_assume, props, select};
-use ukernels::{global_avg_pool, out_dim, pool2d, PoolKind, PoolParams};
+use ukernels::{out_dim, PoolKind, PoolParams};
 use utensor::{DType, QuantParams, Shape, Tensor, F16};
 
 const DTYPES: [DType; 3] = [DType::F32, DType::F16, DType::QUInt8];

@@ -5,9 +5,10 @@
 
 mod common;
 
+use common::alloc::{conv2d, pool2d};
 use common::conv::conv2d_naive_f32;
 use testkit::{bools, prop_assert, prop_assume, props};
-use ukernels::{conv2d, pool2d, Conv2dParams, PoolKind, PoolParams};
+use ukernels::{Conv2dParams, PoolKind, PoolParams};
 use utensor::{DType, QuantParams, Shape, Tensor};
 
 fn pseudo_tensor(shape: Shape, seed: usize) -> Tensor {

@@ -1,22 +1,32 @@
 //! Reference (single-host) graph execution and range calibration.
 //!
-//! [`run_layer`] is the single entry point that maps a [`LayerKind`] onto
-//! the compute kernels; both this module's whole-graph [`forward`] and the
-//! device executors in the runtime crates go through it, so the numerics
-//! of every execution mechanism are identical by construction.
+//! [`run_layer_into`] is the single entry point that maps a
+//! [`LayerKind`] onto the compute kernels, writing into the caller's
+//! output view; both this module's whole-graph [`forward`] (through
+//! [`run_layer`], the one allocating form) and the device executors in
+//! the runtime crates (writing each part into its channel range of the
+//! layer's output) go through it, so the numerics of every execution
+//! mechanism are identical by construction.
 
-use utensor::{DType, QuantParams, Tensor, TensorError};
+use utensor::ViewDataMut;
+use utensor::{DType, QuantParams, Shape, Tensor, TensorError, TensorView, TensorViewMut};
 
 use crate::graph::{Graph, NodeId};
 use crate::layer::{LayerKind, PoolFunc};
 use crate::weights::{Calibration, Weights};
 
-/// Executes one layer on already-prepared inputs and weights.
+/// Executes one layer on already-prepared inputs and weights into a
+/// freshly allocated output — the one allocating form of
+/// [`run_layer_into`]: it infers the output's shape from the operands
+/// (a row-sliced filter gives fewer output channels) and its type from
+/// the layer, allocates it, and runs the layer into it.
 ///
 /// `filter`/`bias` must be present exactly when the layer has weights,
 /// and `filter` must already be in the input's dtype. `out_params` is
-/// required for QUInt8 execution of conv / FC / concat (the §4.2
-/// pre-trained output range) and ignored otherwise.
+/// required for QUInt8 execution of conv / FC / add / concat (the §4.2
+/// pre-trained output range) and ignored otherwise: pooling, ReLU and
+/// LRN keep their input's grid, a quantize layer stores on its own, and
+/// softmax always produces f32 probabilities.
 pub fn run_layer(
     kind: &LayerKind,
     inputs: &[&Tensor],
@@ -24,27 +34,67 @@ pub fn run_layer(
     bias: Option<&[f32]>,
     out_params: Option<QuantParams>,
 ) -> Result<Tensor, TensorError> {
-    let single = || -> Result<&Tensor, TensorError> {
-        inputs
-            .first()
-            .copied()
-            .ok_or_else(|| TensorError::BadConcat(format!("{} got no inputs", kind.op_name())))
+    let x = inputs
+        .first()
+        .ok_or_else(|| TensorError::BadConcat(format!("{} got no inputs", kind.op_name())))?;
+    let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
+    let mut shape = kind.infer_shape(&shapes)?;
+    if let (LayerKind::Conv { .. } | LayerKind::FullyConnected { .. }, Some(f)) = (kind, filter) {
+        shape = shape.with_dim(1, f.shape().dims().first().copied().unwrap_or(0));
+    }
+    let (dtype, params) = match kind {
+        LayerKind::Softmax => (DType::F32, None),
+        LayerKind::Pool { .. }
+        | LayerKind::GlobalAvgPool
+        | LayerKind::Relu
+        | LayerKind::Lrn { .. } => (x.dtype(), x.quant_params()),
+        LayerKind::Quantize { params } => (x.dtype(), Some(*params)),
+        _ if x.dtype() == DType::QUInt8 => (
+            DType::QUInt8,
+            Some(out_params.ok_or_else(|| {
+                TensorError::BadQuantParams(format!(
+                    "QUInt8 {} needs output quantization params",
+                    kind.op_name()
+                ))
+            })?),
+        ),
+        _ => (x.dtype(), None),
     };
-    let need_filter = || -> Result<&Tensor, TensorError> {
+    let mut out = Tensor::zeros(shape, dtype, params);
+    let views: Vec<TensorView<'_>> = inputs.iter().map(|t| t.view()).collect();
+    let filter = filter.map(Tensor::view);
+    run_layer_into(kind, &views, filter.as_ref(), bias, &mut out.view_mut())?;
+    Ok(out)
+}
+
+/// Executes one layer into `out`, whose shape, dtype and — for QUInt8 —
+/// grid are the output's: a whole layer's output, or one part's channel
+/// range of it with the part's filter rows (and, for layers split by
+/// input channels, its input channels) already narrowed.
+///
+/// `filter`/`bias` must be present exactly when the layer has weights,
+/// and `filter` must already be in the input's dtype.
+pub fn run_layer_into(
+    kind: &LayerKind,
+    inputs: &[TensorView<'_>],
+    filter: Option<&TensorView<'_>>,
+    bias: Option<&[f32]>,
+    out: &mut TensorViewMut<'_>,
+) -> Result<(), TensorError> {
+    let x = inputs
+        .first()
+        .ok_or_else(|| TensorError::BadConcat(format!("{} got no inputs", kind.op_name())))?;
+    let need_filter = || -> Result<&TensorView<'_>, TensorError> {
         let f = filter.ok_or_else(|| {
             TensorError::BadConcat(format!("{} is missing its filter tensor", kind.op_name()))
         })?;
         // The filter must match the layer's declared geometry — weights
         // from a different model must not silently change the layer.
-        let x = inputs
-            .first()
-            .copied()
-            .ok_or_else(|| TensorError::BadConcat(format!("{} got no inputs", kind.op_name())))?;
-        if let Some(expected) = kind.weight_shape(x.shape()) {
+        if let Some(expected) = kind.weight_shape(&x.shape) {
             // Channel-split parts carry a row-sliced filter: dim 0 may be
             // any value up to the declared output-channel count, but all
             // inner dimensions must match exactly.
-            let fs = f.shape();
+            let fs = &f.shape;
             let rank_ok = fs.rank() == expected.rank();
             let inner_ok = rank_ok
                 && (1..expected.rank()).all(|d| fs.dim(d) == expected.dim(d))
@@ -58,114 +108,94 @@ pub fn run_layer(
         }
         Ok(f)
     };
+    let conv = |stride: usize, pad: usize, relu: bool| ukernels::Conv2dParams { stride, pad, relu };
     match kind {
         LayerKind::Conv {
             stride, pad, relu, ..
-        } => {
-            let x = single()?;
-            let quant = (x.dtype() == DType::QUInt8).then_some(out_params).flatten();
-            ukernels::conv2d(
-                x,
-                need_filter()?,
-                bias,
-                &ukernels::Conv2dParams {
-                    stride: *stride,
-                    pad: *pad,
-                    relu: *relu,
-                },
-                quant,
-            )
-        }
+        } => ukernels::conv2d(x, need_filter()?, bias, &conv(*stride, *pad, *relu), out),
         LayerKind::DepthwiseConv {
             stride, pad, relu, ..
         } => {
-            let x = single()?;
-            let quant = (x.dtype() == DType::QUInt8).then_some(out_params).flatten();
-            ukernels::depthwise_conv2d(
-                x,
-                need_filter()?,
-                bias,
-                &ukernels::Conv2dParams {
-                    stride: *stride,
-                    pad: *pad,
-                    relu: *relu,
-                },
-                quant,
-            )
+            let p = conv(*stride, *pad, *relu);
+            ukernels::depthwise_conv2d(x, need_filter()?, bias, &p, out)
         }
         LayerKind::FullyConnected { relu, .. } => {
-            let x = single()?;
-            let quant = (x.dtype() == DType::QUInt8).then_some(out_params).flatten();
-            ukernels::fully_connected(x, need_filter()?, bias, *relu, quant)
+            ukernels::fully_connected(x, need_filter()?, bias, *relu, out)
         }
         LayerKind::Pool {
             func,
             k,
             stride,
             pad,
-        } => ukernels::pool2d(
-            single()?,
-            &ukernels::PoolParams {
-                kind: match func {
-                    PoolFunc::Max => ukernels::PoolKind::Max,
-                    PoolFunc::Avg => ukernels::PoolKind::Avg,
+        } => {
+            let kind = match func {
+                PoolFunc::Max => ukernels::PoolKind::Max,
+                PoolFunc::Avg => ukernels::PoolKind::Avg,
+            };
+            let (k, stride, pad) = (*k, *stride, *pad);
+            ukernels::pool2d(
+                x,
+                &ukernels::PoolParams {
+                    kind,
+                    k,
+                    stride,
+                    pad,
                 },
-                k: *k,
-                stride: *stride,
-                pad: *pad,
-            },
-        ),
-        LayerKind::GlobalAvgPool => ukernels::global_avg_pool(single()?),
-        LayerKind::Lrn { n, alpha, beta, k } => ukernels::lrn(
-            single()?,
-            &ukernels::LrnParams {
-                n: *n,
-                alpha: *alpha,
-                beta: *beta,
-                k: *k,
-            },
-        ),
-        LayerKind::Relu => ukernels::relu(single()?),
-        LayerKind::Concat => {
-            if inputs.is_empty() {
-                return Err(TensorError::BadConcat("concat got no inputs".into()));
-            }
-            if inputs[0].dtype() == DType::QUInt8 {
-                // Branch outputs carry different ranges; each is brought
-                // onto the concat's own output range (the TFLite approach)
-                // as its codes are copied into place.
-                let target = out_params.ok_or_else(|| {
-                    TensorError::BadQuantParams("QUInt8 concat needs output params".into())
-                })?;
-                Tensor::concat_axis_quantized(1, inputs, target)
-            } else {
-                Tensor::concat_axis(1, inputs)
-            }
+                out,
+            )
         }
-        LayerKind::Add { relu } => {
-            if inputs.len() != 2 {
+        LayerKind::GlobalAvgPool => ukernels::global_avg_pool(x, out),
+        LayerKind::Lrn { n, alpha, beta, k } => {
+            let (n, alpha, beta, k) = (*n, *alpha, *beta, *k);
+            ukernels::lrn(x, &ukernels::LrnParams { n, alpha, beta, k }, out)
+        }
+        LayerKind::Relu => ukernels::relu(x, out),
+        LayerKind::Concat => {
+            // Each branch lands in its channel range of the output. QUInt8
+            // branches carry different ranges; each is brought onto the
+            // concat's own output range (the TFLite approach) as its codes
+            // are copied into place.
+            let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(inputs.len());
+            for t in inputs {
+                let at = ranges.last().map_or(0, |r| r.end);
+                ranges.push(at..at + t.shape.dims().get(1).copied().unwrap_or(0));
+            }
+            if ranges.last().map(|r| r.end) != out.shape.dims().get(1).copied() {
                 return Err(TensorError::BadConcat(format!(
-                    "add expects 2 inputs, got {}",
-                    inputs.len()
+                    "concat inputs do not fill the {} output",
+                    out.shape
                 )));
             }
-            let quant = (inputs[0].dtype() == DType::QUInt8)
-                .then_some(out_params)
-                .flatten();
-            ukernels::add_fused(inputs[0], inputs[1], quant, *relu)
-        }
-        LayerKind::Quantize { params } => ukernels::fake_quant(single()?, *params),
-        LayerKind::Softmax => {
-            // Classifier head: always produces f32 probabilities.
-            let x = single()?;
-            let logits = x.to_f32_vec();
-            let n = x.shape().dim(0).max(1);
-            let per = logits.len() / n;
-            let mut out = Vec::with_capacity(logits.len());
-            for b in 0..n {
-                out.extend(ukernels::softmax_f32(&logits[b * per..(b + 1) * per]));
+            for (t, mut piece) in inputs.iter().zip(out.split_ranges(1, &ranges)?) {
+                if t.dtype() != piece.dtype() {
+                    let (expected, found) = (piece.dtype(), t.dtype());
+                    return Err(TensorError::DTypeMismatch { expected, found });
+                }
+                piece.convert_from(t)?;
             }
-            Tensor::from_f32(x.shape().clone(), out)
+            Ok(())
+        }
+        LayerKind::Add { relu } => match inputs {
+            [a, b] => ukernels::add_fused(a, b, *relu, out),
+            _ => Err(TensorError::BadConcat(format!(
+                "add expects 2 inputs, got {}",
+                inputs.len()
+            ))),
+        },
+        LayerKind::Quantize { params } => ukernels::fake_quant(x, *params, out),
+        LayerKind::Softmax => {
+            // Classifier head: always f32 probabilities, one softmax per
+            // batch row of the widened logits.
+            out.convert_from(x)?;
+            let rows = out.shape.dims().first().map_or(1, |&n| n.max(1));
+            let found = out.dtype();
+            let ViewDataMut::F32(probs) = &mut out.data else {
+                let expected = DType::F32;
+                return Err(TensorError::DTypeMismatch { expected, found });
+            };
+            let per = (probs.len() / rows).max(1);
+            probs.chunks_mut(per).for_each(ukernels::softmax_f32);
+            Ok(())
         }
     }
 }

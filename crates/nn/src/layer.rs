@@ -163,11 +163,18 @@ impl LayerKind {
                 )))
             }
         };
+        // Spatial layers read `h` and `w`: a rank-4 input or a typed error.
+        let four = || match one()? {
+            s if s.rank() == 4 => Ok(s),
+            s => Err(TensorError::BadConcat(format!(
+                "{self:?} needs a rank-4 input, got {s}"
+            ))),
+        };
         match self {
             LayerKind::Conv {
                 oc, k, stride, pad, ..
             } => {
-                let s = one()?;
+                let s = four()?;
                 let oh = ukernels::out_dim(s.h(), *k, *stride, *pad);
                 let ow = ukernels::out_dim(s.w(), *k, *stride, *pad);
                 match (oh, ow) {
@@ -178,7 +185,7 @@ impl LayerKind {
                 }
             }
             LayerKind::DepthwiseConv { k, stride, pad, .. } => {
-                let s = one()?;
+                let s = four()?;
                 let oh = ukernels::out_dim(s.h(), *k, *stride, *pad);
                 let ow = ukernels::out_dim(s.w(), *k, *stride, *pad);
                 match (oh, ow) {
@@ -189,11 +196,11 @@ impl LayerKind {
                 }
             }
             LayerKind::FullyConnected { out, .. } => {
-                let s = one()?;
-                Ok(Shape::nchw(s.dim(0), *out, 1, 1))
+                let n = one()?.dims().first().copied().unwrap_or(1);
+                Ok(Shape::nchw(n, *out, 1, 1))
             }
             LayerKind::Pool { k, stride, pad, .. } => {
-                let s = one()?;
+                let s = four()?;
                 let oh = ukernels::out_dim(s.h(), *k, *stride, *pad);
                 let ow = ukernels::out_dim(s.w(), *k, *stride, *pad);
                 match (oh, ow) {
@@ -204,7 +211,7 @@ impl LayerKind {
                 }
             }
             LayerKind::GlobalAvgPool => {
-                let s = one()?;
+                let s = four()?;
                 Ok(Shape::nchw(s.n(), s.c(), 1, 1))
             }
             LayerKind::Lrn { .. }

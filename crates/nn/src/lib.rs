@@ -13,8 +13,10 @@
 //!   quantization calibration (the §4.2 "pre-trained quantization
 //!   information").
 //! - [`forward`] / [`run_layer`] — single-host reference execution in
-//!   any dtype; every device executor routes through the same
-//!   [`run_layer`], so all mechanisms share numerics by construction.
+//!   any dtype; [`run_layer`] allocates and calls [`run_layer_into`],
+//!   which every device executor calls with a part's channel range of
+//!   the layer's output, so all mechanisms share numerics by
+//!   construction.
 //! - [`optimize`] / [`PassRunner`] — the graph pass pipeline.
 //! - [`find_branch_groups`] / [`applicability`] — divergent-branch
 //!   detection (§5) and the Table 1 applicability matrix.
@@ -31,7 +33,7 @@ mod passes;
 mod weights;
 
 pub use analysis::{applicability, find_branch_groups, Applicability};
-pub use exec::{calibrate, forward, run_layer};
+pub use exec::{calibrate, forward, run_layer, run_layer_into};
 pub use graph::{Graph, NodeId};
 pub use layer::{LayerKind, PoolFunc};
 pub use models::{fire, inception, ModelId};

@@ -223,7 +223,8 @@ pub fn train(dataset: Dataset, cfg: &TrainConfig) -> TrainedModel {
                 acts.push(next);
             }
             let logits = acts.last().expect("logits");
-            let p = ukernels::softmax_f32(logits);
+            let mut p = logits.clone();
+            ukernels::softmax_f32(&mut p);
             if ukernels::argmax(&p) == Some(*label) {
                 correct += 1;
             }

@@ -164,7 +164,7 @@ pub enum FallbackScope {
 /// surviving processor re-executes `scope` of `node`. Channel-disjoint
 /// splits make the recomputation exact, so the functional evaluator
 /// reproduces bit-identical outputs (see
-/// [`crate::functional::evaluate_plan_with_recovery`]).
+/// [`crate::SimulatedBackend::fallbacks`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FallbackPart {
     /// The graph node being recovered.

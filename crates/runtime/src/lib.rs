@@ -79,8 +79,7 @@ pub use fleet::{
     InstanceAdapter, UnitAdapter,
 };
 pub use functional::{
-    eval_part_task, evaluate_plan, evaluate_plan_with_backend, evaluate_plan_with_recovery,
-    PartTask,
+    eval_part_task, evaluate_plan, evaluate_plan_with_backend, task_outputs, PartTask,
 };
 pub use metrics::MetricsRegistry;
 pub use observe::{attribute, chrome_trace_json, Attribution, OverheadClass};

@@ -5,8 +5,8 @@
 use simcore::{FaultPlan, ResourceId, RetryPolicy, Scenario, SimSpan};
 use unn::{Graph, ModelId, Weights};
 use uruntime::{
-    attribute, evaluate_plan, evaluate_plan_with_recovery, execute_plan, execute_plan_with_faults,
-    ExecutionPlan, NodePlacement, OverheadClass, RunOptions,
+    attribute, evaluate_plan, evaluate_plan_with_backend, execute_plan, execute_plan_with_faults,
+    ExecutionPlan, NodePlacement, OverheadClass, RunOptions, SimulatedBackend,
 };
 use usoc::{DtypePlan, SocSpec};
 use utensor::{DType, Tensor};
@@ -153,8 +153,17 @@ fn flaky_gpu_retries_falls_back_and_recovers_bit_identical() {
     // the CPU yields the same bits as the fault-free evaluation.
     let (w, calib, x) = functional_setup(&g);
     let clean = evaluate_plan(&g, &plan, &w, &calib, &x).expect("clean");
-    let recovered =
-        evaluate_plan_with_recovery(&g, &plan, &w, &calib, &x, &report.fallbacks).expect("rec");
+    let recovered = evaluate_plan_with_backend(
+        &g,
+        &plan,
+        &w,
+        &calib,
+        &x,
+        &SimulatedBackend {
+            fallbacks: &report.fallbacks,
+        },
+    )
+    .expect("rec");
     for (i, (a, b)) in clean.iter().zip(&recovered).enumerate() {
         assert!(a.bit_equal(b), "node {i} diverged under recovery");
     }
@@ -181,8 +190,17 @@ fn gpu_loss_falls_back_to_cpu_bit_identical() {
 
     let (w, calib, x) = functional_setup(&g);
     let clean = evaluate_plan(&g, &plan, &w, &calib, &x).expect("clean");
-    let recovered =
-        evaluate_plan_with_recovery(&g, &plan, &w, &calib, &x, &report.fallbacks).expect("rec");
+    let recovered = evaluate_plan_with_backend(
+        &g,
+        &plan,
+        &w,
+        &calib,
+        &x,
+        &SimulatedBackend {
+            fallbacks: &report.fallbacks,
+        },
+    )
+    .expect("rec");
     for (i, (a, b)) in clean.iter().zip(&recovered).enumerate() {
         assert!(a.bit_equal(b), "node {i} diverged under recovery");
     }

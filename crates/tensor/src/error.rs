@@ -45,6 +45,15 @@ pub enum TensorError {
         /// Axis length.
         len: usize,
     },
+    /// A view cut along `axis` would need strides: a dimension before
+    /// `axis` is not 1 (a batch larger than one) and the cut is not the
+    /// whole axis.
+    Strided {
+        /// The viewed shape.
+        shape: Shape,
+        /// The axis cut.
+        axis: usize,
+    },
     /// Concatenation received no inputs or inputs with incompatible shapes.
     BadConcat(String),
     /// Quantization parameters are invalid (non-finite or non-positive
@@ -76,6 +85,9 @@ impl fmt::Display for TensorError {
             }
             TensorError::BadRange { start, end, len } => {
                 write!(f, "range {start}..{end} invalid for axis of length {len}")
+            }
+            TensorError::Strided { shape, axis } => {
+                write!(f, "cutting axis {axis} of {shape} needs strides")
             }
             TensorError::BadConcat(msg) => write!(f, "bad concat: {msg}"),
             TensorError::BadQuantParams(msg) => write!(f, "bad quantization params: {msg}"),

@@ -15,9 +15,11 @@
 //!   fixed-point **requantization** pipeline (§4.1) that converts i32
 //!   accumulators back to 8-bit outputs using an integer multiplier and a
 //!   rounding right shift.
-//! - [`Tensor`] — an NCHW dense tensor over any of the three types, with
-//!   the axis slicing/concatenation the channel-wise workload distribution
-//!   (§3.2) needs.
+//! - [`Tensor`] — an NCHW dense tensor over any of the three types —
+//!   and its borrowed [`TensorView`] / [`TensorViewMut`], which every
+//!   layer kernel reads and writes: channel narrowing and the split of
+//!   one output into the disjoint channel ranges the channel-wise
+//!   workload distribution (§3.2) writes in place.
 //! - [`f32_to_f16`], [`quint8_to_f32`], … — the exact slice converters
 //!   between the three types (tables for 8-bit sources, AVX2 / F16C
 //!   bodies for the rest) that every cast, concat and GEMM pack goes
@@ -32,6 +34,7 @@ mod f16;
 mod quant;
 mod shape;
 mod tensor;
+mod view;
 
 pub use convert::{
     convert_simd_available, f16_to_f32, f16_to_quint8, f32_to_f16, f32_to_quint8, quint8_to_f16,
@@ -46,6 +49,7 @@ pub use quant::{
 };
 pub use shape::Shape;
 pub use tensor::{Tensor, TensorData};
+pub use view::{TensorView, TensorViewMut, ViewData, ViewDataMut};
 
 /// Convenience alias for fallible tensor operations.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -1,19 +1,21 @@
 //! Dense tensors over the three μLayer data types.
 //!
 //! A [`Tensor`] owns a row-major buffer of `f32`, [`F16`], or quantized
-//! `u8` elements plus its [`Shape`]. The operations the runtime needs are
-//! deliberately small: dtype conversion (quantize / dequantize / narrow),
-//! axis slicing and concatenation (for the channel-wise workload
-//! distribution), and elementwise comparison helpers for the test suites.
+//! `u8` elements plus its [`Shape`]. The operations are deliberately
+//! small: borrowed views for the kernels ([`Tensor::view`],
+//! [`Tensor::view_mut`]), dtype conversion (quantize / dequantize /
+//! narrow), axis slicing and concatenation, and elementwise comparison
+//! helpers for the test suites.
 
 use std::ops::Range;
 
-use crate::convert::{self, filled};
+use crate::convert;
 use crate::dtype::DType;
 use crate::error::TensorError;
 use crate::f16::F16;
 use crate::quant::QuantParams;
 use crate::shape::Shape;
+use crate::view::{TensorView, TensorViewMut, ViewData, ViewDataMut};
 
 /// The storage of a [`Tensor`].
 #[derive(Clone, Debug, PartialEq)]
@@ -89,12 +91,6 @@ impl Tensor {
         Tensor::new(shape, TensorData::F32(data))
     }
 
-    /// Creates an `F16` tensor by narrowing a flat `f32` vector.
-    pub fn from_f32_as_f16(shape: Shape, data: &[f32]) -> Result<Tensor, TensorError> {
-        let half = filled(data.len(), F16::ZERO, |out| convert::f32_to_f16(out, data));
-        Tensor::new(shape, TensorData::F16(half))
-    }
-
     /// Creates a `QUInt8` tensor by quantizing a flat `f32` vector with the
     /// given parameters.
     pub fn from_f32_quantized(
@@ -148,9 +144,28 @@ impl Tensor {
         self.data.dtype()
     }
 
-    /// The tensor's storage.
-    pub fn data(&self) -> &TensorData {
-        &self.data
+    /// Borrows the whole tensor as a kernel operand.
+    pub fn view(&self) -> TensorView<'_> {
+        TensorView {
+            shape: self.shape.clone(),
+            data: match &self.data {
+                TensorData::F32(v) => ViewData::F32(v),
+                TensorData::F16(v) => ViewData::F16(v),
+                TensorData::QUInt8 { data, params } => ViewData::QUInt8(data, *params),
+            },
+        }
+    }
+
+    /// Borrows the whole tensor as a kernel output.
+    pub fn view_mut(&mut self) -> TensorViewMut<'_> {
+        TensorViewMut {
+            shape: self.shape.clone(),
+            data: match &mut self.data {
+                TensorData::F32(v) => ViewDataMut::F32(v),
+                TensorData::F16(v) => ViewDataMut::F16(v),
+                TensorData::QUInt8 { data, params } => ViewDataMut::QUInt8(data, *params),
+            },
+        }
     }
 
     /// Number of elements.
@@ -209,7 +224,7 @@ impl Tensor {
     pub fn to_f32_vec(&self) -> Vec<f32> {
         match &self.data {
             TensorData::F32(v) => v.clone(),
-            TensorData::F16(v) => filled(v.len(), 0.0, |out| convert::f16_to_f32(out, v)),
+            TensorData::F16(v) => convert::filled(v.len(), 0.0, |out| convert::f16_to_f32(out, v)),
             TensorData::QUInt8 { data, params } => params.dequantize_slice(data),
         }
     }
@@ -223,40 +238,18 @@ impl Tensor {
     /// is requantized through real space; without parameters an `f32` or
     /// `F16` tensor is quantized over its own range.
     pub fn cast(&self, dtype: DType, params: Option<QuantParams>) -> Result<Tensor, TensorError> {
-        let n = self.numel();
-        let data = match dtype {
-            DType::F32 => TensorData::F32(self.to_f32_vec()),
-            DType::F16 => TensorData::F16(match &self.data {
-                TensorData::F32(v) => filled(n, F16::ZERO, |out| convert::f32_to_f16(out, v)),
-                TensorData::F16(v) => v.clone(),
-                TensorData::QUInt8 { data, params } => filled(n, F16::ZERO, |out| {
-                    convert::quint8_to_f16(out, data, *params)
-                }),
-            }),
-            DType::QUInt8 => {
-                let to = match (params, &self.data) {
-                    (Some(p), _) => p,
-                    (None, TensorData::QUInt8 { params, .. }) => *params,
-                    (None, TensorData::F32(v)) => QuantParams::from_data(v)?,
-                    (None, TensorData::F16(_)) => QuantParams::from_data(&self.to_f32_vec())?,
-                };
-                let codes = filled(n, 0, |out| match &self.data {
-                    TensorData::F32(v) => convert::f32_to_quint8(out, v, to),
-                    TensorData::F16(v) => convert::f16_to_quint8(out, v, to),
-                    TensorData::QUInt8 { data, params } => {
-                        convert::quint8_to_quint8(out, data, *params, to)
-                    }
-                });
-                TensorData::QUInt8 {
-                    data: codes,
-                    params: to,
-                }
+        let to = match (dtype, params, &self.data) {
+            (DType::QUInt8, Some(p), _) => Some(p),
+            (DType::QUInt8, None, TensorData::QUInt8 { params, .. }) => Some(*params),
+            (DType::QUInt8, None, TensorData::F32(v)) => Some(QuantParams::from_data(v)?),
+            (DType::QUInt8, None, TensorData::F16(_)) => {
+                Some(QuantParams::from_data(&self.to_f32_vec())?)
             }
+            _ => None,
         };
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            data,
-        })
+        let mut out = Tensor::zeros(self.shape.clone(), dtype, to);
+        out.view_mut().convert_from(&self.view())?;
+        Ok(out)
     }
 
     /// Extracts the sub-tensor `[start, end)` along `axis`.
@@ -316,28 +309,6 @@ impl Tensor {
     /// layer are stored with the layer's output parameters, so this
     /// always holds in practice).
     pub fn concat_axis(axis: usize, parts: &[&Tensor]) -> Result<Tensor, TensorError> {
-        Tensor::concat(axis, parts, None)
-    }
-
-    /// Concatenates `QUInt8` tensors along `axis` onto the grid `params`,
-    /// requantizing each part while it is copied (a plain copy for a part
-    /// already on that grid). Equal, element for element, to casting every
-    /// part to `params` and concatenating the casts.
-    pub fn concat_axis_quantized(
-        axis: usize,
-        parts: &[&Tensor],
-        params: QuantParams,
-    ) -> Result<Tensor, TensorError> {
-        Tensor::concat(axis, parts, Some(params))
-    }
-
-    /// The one concatenation: `target` is the grid `QUInt8` parts are
-    /// brought onto, `None` demanding that they already share one.
-    fn concat(
-        axis: usize,
-        parts: &[&Tensor],
-        target: Option<QuantParams>,
-    ) -> Result<Tensor, TensorError> {
         let first = parts
             .first()
             .ok_or_else(|| TensorError::BadConcat("no inputs".into()))?;
@@ -345,10 +316,7 @@ impl Tensor {
         if axis >= rank {
             return Err(TensorError::BadAxis { axis, rank });
         }
-        let dtype = match target {
-            Some(_) => DType::QUInt8,
-            None => first.dtype(),
-        };
+        let dtype = first.dtype();
         let mut axis_total = 0usize;
         for p in parts {
             if p.dtype() != dtype {
@@ -371,7 +339,7 @@ impl Tensor {
                     )));
                 }
             }
-            if target.is_none() && p.quant_params() != first.quant_params() {
+            if p.quant_params() != first.quant_params() {
                 return Err(TensorError::BadConcat(
                     "QUInt8 parts have different quantization parameters".into(),
                 ));
@@ -412,16 +380,12 @@ impl Tensor {
             DType::F16 => TensorData::F16(scatter(parts, geometry, F16::ZERO, |dst, t, range| {
                 dst.copy_from_slice(&t.as_f16().expect("checked dtype")[range])
             })),
-            DType::QUInt8 => {
-                let params = target.or(first.quant_params()).expect("QUInt8 has params");
-                TensorData::QUInt8 {
-                    data: scatter(parts, geometry, 0, |dst, t, range| {
-                        let (src, from) = t.as_quint8().expect("checked dtype");
-                        convert::quint8_to_quint8(dst, &src[range], from, params)
-                    }),
-                    params,
-                }
-            }
+            DType::QUInt8 => TensorData::QUInt8 {
+                data: scatter(parts, geometry, 0, |dst, t, range| {
+                    dst.copy_from_slice(&t.as_quint8().expect("checked dtype").0[range])
+                }),
+                params: first.quant_params().expect("QUInt8 has params"),
+            },
         };
         Tensor::new(out_shape, data)
     }
@@ -449,27 +413,33 @@ impl Tensor {
 
     /// True when the stored bits are identical (shape, dtype, raw values).
     pub fn bit_equal(&self, other: &Tensor) -> bool {
-        if self.shape != other.shape {
-            return false;
+        fn same_bits<T, B: PartialEq>(a: &[T], b: &[T], bits: impl Fn(&T) -> B) -> bool {
+            a.iter().map(&bits).eq(b.iter().map(&bits))
         }
-        match (&self.data, &other.data) {
-            (TensorData::F32(a), TensorData::F32(b)) => {
-                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        self.shape == other.shape
+            && match (self.view().data, other.view().data) {
+                (ViewData::F32(a), ViewData::F32(b)) => same_bits(a, b, |x| x.to_bits()),
+                (ViewData::F16(a), ViewData::F16(b)) => same_bits(a, b, |x| x.to_bits()),
+                (ViewData::QUInt8(a, pa), ViewData::QUInt8(b, pb)) => pa == pb && a == b,
+                _ => false,
             }
-            (TensorData::F16(a), TensorData::F16(b)) => {
-                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-            }
-            (
-                TensorData::QUInt8 {
-                    data: a,
-                    params: pa,
-                },
-                TensorData::QUInt8 {
-                    data: b,
-                    params: pb,
-                },
-            ) => pa == pb && a == b,
-            _ => false,
+    }
+}
+
+/// An owned copy of a view's elements (a narrowed view's rows, say).
+impl From<TensorView<'_>> for Tensor {
+    fn from(v: TensorView<'_>) -> Tensor {
+        let data = match v.data {
+            ViewData::F32(s) => TensorData::F32(s.to_vec()),
+            ViewData::F16(s) => TensorData::F16(s.to_vec()),
+            ViewData::QUInt8(s, params) => TensorData::QUInt8 {
+                data: s.to_vec(),
+                params,
+            },
+        };
+        Tensor {
+            shape: v.shape,
+            data,
         }
     }
 }

@@ -247,7 +247,7 @@ fn cast_and_constructors_are_the_converters() {
     let p = QuantParams::from_range(-20.0, 30.0).unwrap();
     let p2 = QuantParams::from_range(-5.0, 40.0).unwrap();
     let f = Tensor::from_f32(shape.clone(), real.clone()).unwrap();
-    let h = Tensor::from_f32_as_f16(shape.clone(), &real).unwrap();
+    let h = f.cast(DType::F16, None).unwrap();
     let q = Tensor::from_f32_quantized(shape.clone(), &real, p).unwrap();
 
     let half: Vec<F16> = real.iter().map(|&v| F16::from_f32(v)).collect();
@@ -334,8 +334,9 @@ fn cast_and_constructors_are_the_converters() {
 
 #[test]
 fn quantized_concat_equals_cast_then_concat() {
-    // Requantizing while copying is casting every part and concatenating
-    // the casts, on every axis and with a batch dimension outside it.
+    // A quantized concat writes each branch into its channel range of
+    // the output, requantizing while it copies: that is casting every
+    // part and concatenating the casts.
     let grids = [
         QuantParams::from_range(-1.0, 1.0).unwrap(),
         QuantParams::from_range(0.0, 6.0).unwrap(),
@@ -346,27 +347,27 @@ fn quantized_concat_equals_cast_then_concat() {
         .iter()
         .enumerate()
         .map(|(i, &p)| {
-            let shape = Shape::nchw(2, 3, 5, 20);
+            let shape = Shape::nchw(1, 2 + i, 5, 20);
             let codes = (0..shape.numel())
                 .map(|j| ((j * 37 + i * 101) % 256) as u8)
                 .collect();
             Tensor::from_quantized(shape, codes, p).unwrap()
         })
         .collect();
-    let refs: Vec<&Tensor> = parts.iter().collect();
-    for axis in 0..4 {
-        let got = Tensor::concat_axis_quantized(axis, &refs, target).unwrap();
-        let casts: Vec<Tensor> = parts
-            .iter()
-            .map(|t| t.cast(DType::QUInt8, Some(target)).unwrap())
-            .collect();
-        let want = Tensor::concat_axis(axis, &casts.iter().collect::<Vec<_>>()).unwrap();
-        assert!(got.bit_equal(&want), "axis {axis}");
+    let mut got = Tensor::zeros(Shape::nchw(1, 9, 5, 20), DType::QUInt8, Some(target));
+    let mut out = got.view_mut();
+    let ranges = [0..2, 2..5, 5..9];
+    for (part, mut range) in parts.iter().zip(out.split_ranges(1, &ranges).unwrap()) {
+        range.convert_from(&part.view()).unwrap();
     }
-    // Float parts have no grid to be brought onto.
-    let f = Tensor::zeros(Shape::nchw(1, 1, 1, 1), DType::F32, None);
-    assert!(Tensor::concat_axis_quantized(1, &[&f], target).is_err());
+    let casts: Vec<Tensor> = parts
+        .iter()
+        .map(|t| t.cast(DType::QUInt8, Some(target)).unwrap())
+        .collect();
+    let want = Tensor::concat_axis(1, &casts.iter().collect::<Vec<_>>()).unwrap();
+    assert!(got.bit_equal(&want));
     // The strict form still refuses parts on different grids.
+    let refs: Vec<&Tensor> = parts.iter().collect();
     assert!(Tensor::concat_axis(1, &refs).is_err());
 }
 
