@@ -116,29 +116,23 @@ impl ParallelBackend {
         }
     }
 
-    /// Subdivides one part's channel range into up to `workers` chunks
-    /// (each chunk a narrower [`PartTask`] over the same borrows).
-    /// Non-splittable kinds and single-worker pools get the task back
-    /// unchanged.
-    fn plan_chunks<'a>(&self, task: &PartTask<'a>, workers: usize) -> Vec<PartTask<'a>> {
-        let Some((axis, lo, hi)) = task.split else {
-            return vec![task.clone()];
-        };
-        let n = hi - lo;
-        let chunks = workers.min(n);
-        if chunks <= 1 {
-            return vec![task.clone()];
+    /// Subdivides one part's channel range into up to one chunk per
+    /// worker of its pool (each chunk a narrower [`PartTask`] over the
+    /// same borrows) and appends them to `chunks`. Non-splittable kinds
+    /// and single-worker pools append the task unchanged.
+    fn plan_chunks<'a>(&self, task: &PartTask<'a>, chunks: &mut Vec<PartTask<'a>>) {
+        let workers = self.workers_for(task.device);
+        match task.split {
+            Some((axis, lo, hi)) if workers.min(hi - lo) > 1 => {
+                let count = workers.min(hi - lo);
+                let cuts = usoc::split_cuts(hi - lo, &vec![1.0 / count as f64; count]);
+                chunks.extend(cuts.windows(2).filter(|c| c[0] < c[1]).map(|c| PartTask {
+                    split: Some((axis, lo + c[0], lo + c[1])),
+                    ..task.clone()
+                }));
+            }
+            _ => chunks.push(task.clone()),
         }
-        let fracs = vec![1.0 / chunks as f64; chunks];
-        let cuts = usoc::split_cuts(n, &fracs);
-        (0..chunks)
-            .filter(|&c| cuts[c] < cuts[c + 1])
-            .map(|c| {
-                let mut sub = task.clone();
-                sub.split = Some((axis, lo + cuts[c], lo + cuts[c + 1]));
-                sub
-            })
-            .collect()
     }
 }
 
@@ -162,26 +156,20 @@ impl ExecBackend for ParallelBackend {
 
         // Plan chunks for every part, flattened part-major, so chunk order
         // is channel order; each chunk gets its own range of `out`.
-        let mut chunk_counts = Vec::with_capacity(tasks.len());
         let mut flat: Vec<PartTask<'_>> = Vec::new();
         for task in tasks {
-            let chunks = self.plan_chunks(task, self.workers_for(task.device));
-            chunk_counts.push(chunks.len());
-            flat.extend(chunks);
+            self.plan_chunks(task, &mut flat);
         }
-        let parts = chunk_counts
-            .iter()
-            .enumerate()
-            .flat_map(|(pi, &n)| std::iter::repeat_n(pi, n));
         let views = task_outputs(&flat, out)?;
 
         let first_err: Mutex<Option<TensorError>> = Mutex::new(None);
-        // (part index, start, end) offsets from t0, per chunk.
+        // (part index, start, end) offsets from t0, per chunk; a node's
+        // tasks have distinct part indices.
         let spans: Mutex<Vec<(usize, f64, f64)>> = Mutex::new(Vec::new());
 
         let mut cpu_jobs: Vec<ScopedTask<'_>> = Vec::new();
         let mut gpu_jobs: Vec<ScopedTask<'_>> = Vec::new();
-        for ((pi, sub), mut view) in parts.zip(&flat).zip(views) {
+        for (sub, mut view) in flat.iter().zip(views) {
             let first_err = &first_err;
             let spans = &spans;
             let job: ScopedTask<'_> = Box::new(move || {
@@ -190,7 +178,7 @@ impl ExecBackend for ParallelBackend {
                     first_err.lock().unwrap().get_or_insert(e);
                 }
                 let end = t0.elapsed().as_secs_f64();
-                spans.lock().unwrap().push((pi, start, end));
+                spans.lock().unwrap().push((sub.part_index, start, end));
             });
             if self.on_gpu(sub.device) {
                 gpu_jobs.push(job);
@@ -209,12 +197,10 @@ impl ExecBackend for ParallelBackend {
 
         let part_timings = tasks
             .iter()
-            .zip(&chunk_counts)
-            .enumerate()
-            .map(|(pi, (task, &chunks))| {
+            .map(|task| {
                 let (mut start, mut end) = (f64::INFINITY, 0.0f64);
                 for &(p, s, e) in &spans {
-                    if p == pi {
+                    if p == task.part_index {
                         start = start.min(s);
                         end = end.max(e);
                     }
@@ -223,7 +209,10 @@ impl ExecBackend for ParallelBackend {
                     part_index: task.part_index,
                     device: task.device,
                     seconds: (end - start).max(0.0),
-                    chunks,
+                    chunks: flat
+                        .iter()
+                        .filter(|c| c.part_index == task.part_index)
+                        .count(),
                 }
             })
             .collect();

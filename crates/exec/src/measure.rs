@@ -3,11 +3,12 @@
 //! The simulator half of the repo *models* latency; this harness
 //! *measures* it: it runs a cooperative plan and a single-processor
 //! plan through the [`ParallelBackend`] on real threads, times every
-//! layer barrier, and pairs each part's wall time with its analytic
-//! work summary (`usoc::layer_work`). The paired samples feed
-//! `LatencyPredictor::fit_from_measurements`, closing the loop the
-//! paper closes on real hardware: the predictor is calibrated from the
-//! same timer the runtime schedules by.
+//! layer barrier, and pairs each part's wall time with the analytic work
+//! summary (`usoc::layer_work`) of the share the part ran: the realized
+//! whole-channel share of the plan's layout, not its nominal fraction.
+//! The paired samples feed `LatencyPredictor::fit_from_measurements`,
+//! closing the loop the paper closes on real hardware: the predictor is
+//! calibrated from the same timer the runtime schedules by.
 //!
 //! Each plan runs `repeat` times and the fastest repetition is kept
 //! (standard practice for wall-clock microbenchmarks — the minimum is
@@ -20,8 +21,8 @@
 //! small (device, class, dtype) groups constrain a slope.
 
 use unn::{Calibration, Graph, Weights};
-use uruntime::{evaluate_plan_with_backend, execute_plan, ExecutionPlan, RunError};
-use usoc::{DeviceId, DtypePlan, SocSpec, WorkClass};
+use uruntime::{evaluate_plan_with_backend, execute_plan, ExecutionPlan, PlanLayout, RunError};
+use usoc::{DeviceId, SocSpec, WorkClass};
 use utensor::{DType, Tensor, TensorError};
 
 use ukernels::PathChoice;
@@ -212,25 +213,21 @@ fn min_timings(reps: &[Vec<NodeTiming>]) -> Vec<NodeTiming> {
     out
 }
 
-/// Pairs every part span in `reps` with its analytic work summary and
+/// Pairs every part span in `reps` with the analytic work summary of
+/// what the part ran — its realized share in the plan's `layout` — and
 /// appends the samples to `out`.
 fn collect_samples(
     graph: &Graph,
-    shapes: &[utensor::Shape],
-    plan: &ExecutionPlan,
+    layout: &PlanLayout,
     reps: &[Vec<NodeTiming>],
     out: &mut Vec<PartSample>,
 ) {
     for timing in reps.iter().flatten() {
         let node = &graph.nodes()[timing.node];
-        let in_shape = node
-            .inputs
-            .first()
-            .map_or(graph.input_shape(), |d| &shapes[d.0]);
-        let out_shape = &shapes[timing.node];
+        let nl = &layout.nodes[timing.node];
         for part in &timing.parts {
-            let (dtypes, frac) = part_config(plan, timing.node, part.part_index);
-            let work = usoc::layer_work(&node.kind, in_shape, out_shape, dtypes, frac);
+            let p = &nl.parts[part.part_index];
+            let work = usoc::layer_work(&node.kind, &nl.input, &nl.output, p.dtypes, p.share);
             out.push(PartSample {
                 node: timing.node,
                 name: node.name.clone(),
@@ -242,17 +239,6 @@ fn collect_samples(
                 bytes: work.total_bytes(),
                 seconds: part.seconds,
             });
-        }
-    }
-}
-
-/// The `(dtypes, frac)` of one part of a node placement.
-fn part_config(plan: &ExecutionPlan, node: usize, part_index: usize) -> (DtypePlan, f64) {
-    match &plan.placements[node] {
-        uruntime::NodePlacement::Single { dtypes, .. } => (*dtypes, 1.0),
-        uruntime::NodePlacement::Split { parts } => {
-            let (_, dtypes, frac) = parts[part_index];
-            (dtypes, frac)
         }
     }
 }
@@ -271,7 +257,8 @@ pub fn measure(
     single_plan: &ExecutionPlan,
     cfg: &MeasureConfig,
 ) -> Result<MeasureReport, MeasureError> {
-    let shapes = graph.infer_shapes()?;
+    let coop_layout = coop_plan.layout(graph)?;
+    let single_layout = single_plan.layout(graph)?;
     let exec_cfg = ExecConfig::with_threads(cfg.threads).with_kernel_path(cfg.kernel_path);
     let coop = ParallelBackend::new(spec, &exec_cfg, PoolMode::Cooperative);
     let single = ParallelBackend::new(spec, &exec_cfg, PoolMode::SinglePool);
@@ -319,15 +306,13 @@ pub fn measure(
     let mut samples = Vec::new();
     collect_samples(
         graph,
-        &shapes,
-        coop_plan,
+        &coop_layout,
         &[min_timings(&coop_reps)],
         &mut samples,
     );
     collect_samples(
         graph,
-        &shapes,
-        single_plan,
+        &single_layout,
         &[min_timings(&single_reps)],
         &mut samples,
     );

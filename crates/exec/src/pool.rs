@@ -148,7 +148,7 @@ pub(crate) struct WorkerPool {
 impl WorkerPool {
     /// Spawns `threads` workers (at least one). `init` runs once on each
     /// worker before it starts pulling tasks — the exec backend uses it
-    /// to switch the worker's kernels to the blocked implementations.
+    /// to set the worker's kernel path (which register tiles it runs).
     ///
     /// Returns only after every worker has run `init`, so a first batch
     /// is never timed against thread start-up. A panic in `init` is

@@ -407,6 +407,73 @@ fn measure_scalar_path_reproduces_baseline_config() {
     assert!(report.samples.len() >= 2 * g.len());
 }
 
+#[test]
+fn measure_fits_each_sample_to_the_share_its_part_ran() {
+    // 0.37 of conv1's 16 filters realizes 6 of them, a 0.375 share: the
+    // predictor must be fit on the work the part ran, not on the nominal
+    // fraction the planner chose.
+    let conv = unn::LayerKind::Conv {
+        oc: 16,
+        k: 3,
+        stride: 1,
+        pad: 1,
+        relu: true,
+    };
+    let mut g = Graph::new("uneven", Shape::nchw(1, 3, 8, 8));
+    let c1 = g.add_input_layer("conv1", conv.clone());
+    let gap = g.add("gap", unn::LayerKind::GlobalAvgPool, c1);
+    let fc = unn::LayerKind::FullyConnected {
+        out: 3,
+        relu: false,
+    };
+    g.add("fc", fc, gap);
+    let w = Weights::random(&g, 4).unwrap();
+    let shape = g.input_shape().clone();
+    let x = Tensor::from_f32(
+        shape.clone(),
+        (0..shape.numel())
+            .map(|i| (((i * 13) % 29) as f32) / 14.0 - 1.0)
+            .collect(),
+    )
+    .unwrap();
+    let calib = unn::calibrate(&g, &w, std::slice::from_ref(&x)).unwrap();
+    let spec = SocSpec::exynos_7420();
+    let fracs = [0.37, 0.63];
+    let dtypes = [
+        DtypePlan::proc_friendly_cpu(),
+        DtypePlan::proc_friendly_gpu(),
+    ];
+    let single = single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8).unwrap();
+    let mut placements = single.placements.clone();
+    placements[c1.0] = NodePlacement::Split {
+        parts: vec![
+            (spec.cpu(), dtypes[0], fracs[0]),
+            (spec.gpu(), dtypes[1], fracs[1]),
+        ],
+    };
+    let coop = ExecutionPlan::new(&g, &spec, placements, "uneven").unwrap();
+    let cfg = MeasureConfig {
+        threads: 1,
+        repeat: 1,
+        kernel_path: ukernels::PathChoice::Auto,
+    };
+    let report = measure(&spec, &g, &w, &calib, &x, &coop, &single, &cfg).unwrap();
+
+    let cuts = usoc::split_cuts(16, &fracs);
+    assert_eq!(cuts, [0, 6, 16]);
+    let out_shape = &g.infer_shapes().unwrap()[c1.0];
+    // The cooperative plan's samples come first, its parts in plan order.
+    let conv_samples: Vec<_> = report.samples.iter().filter(|s| s.node == c1.0).collect();
+    assert_eq!(conv_samples.len(), 3, "two cooperative parts, one whole");
+    for (p, sample) in conv_samples[..2].iter().enumerate() {
+        let share = (cuts[p + 1] - cuts[p]) as f64 / 16.0;
+        let work = |frac| usoc::layer_work(&conv, &shape, out_shape, dtypes[p], frac);
+        assert_ne!(work(share).macs, work(fracs[p]).macs, "part {p}");
+        assert_eq!(sample.macs, work(share).macs, "part {p}");
+        assert_eq!(sample.bytes, work(share).total_bytes(), "part {p}");
+    }
+}
+
 /// An owned copy of a view's elements.
 fn owned(v: &TensorViewMut<'_>) -> Tensor {
     let data = match &v.data {

@@ -1,9 +1,11 @@
 //! The execution-backend seam.
 //!
-//! [`crate::functional::evaluate_plan_with_backend`] allocates every
-//! node's output once, then walks the graph, builds each node's
-//! [`PartTask`]s, and hands them to an [`ExecBackend`] as one batch per
-//! node together with that output — the layer barrier of §6: parts of
+//! [`crate::functional::evaluate_plan_with_backend`] lowers the plan
+//! ([`crate::ExecutionPlan::layout`]), allocates every node's output
+//! once, then walks the graph, builds each node's [`PartTask`]s from the
+//! layout's running parts, and hands them to an [`ExecBackend`] as one
+//! batch per node together with that output — the layer barrier of §6:
+//! parts of
 //! one layer may run concurrently, each writing its own channel range of
 //! the output, but the next layer does not start until all of them
 //! returned (the map/unmap sync points of the real runtime).
@@ -48,10 +50,11 @@ pub trait ExecBackend: Sync {
 /// twice, the second run overwriting the first attempt's output
 /// channels, exactly as the fallback task does after a device failure. A
 /// part's arithmetic depends only on its dtypes and channel range —
-/// never on the processor hosting it — and the channel cuts are shared
-/// with the timing engine (`usoc::split_cuts`), so the recovered outputs
-/// are bit-identical to the fault-free ones. The fault-injection tests
-/// assert this.
+/// never on the processor hosting it — and the timing engine registers
+/// each fallback over the channel range of the same
+/// [`crate::PlanLayout`] part the task computes, so the recovered
+/// outputs are bit-identical to the fault-free ones. The fault-injection
+/// tests assert this.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimulatedBackend<'a> {
     /// Parts to re-run (empty by default).

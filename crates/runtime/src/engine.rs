@@ -1,5 +1,9 @@
 //! The scheduling engine: executes an [`ExecutionPlan`] on a simulated
 //! SoC, producing latency, a task trace, energy, and memory statistics.
+//! It schedules from the plan's lowering, a [`PlanLayout`]: the realized
+//! share each part is costed at, the channel range each fallback
+//! recomputes and the buffer each node writes are the layout's, the same
+//! the functional evaluator computes.
 //!
 //! The engine realizes the §6 runtime behaviours for *any* mechanism:
 //!
@@ -18,17 +22,17 @@ use simcore::{
     TaskId, Trace,
 };
 use usoc::{
-    layer_work, split_channel_count, split_cuts, split_weight_elems, DeviceId, DeviceKind,
-    EnergyAccumulator, EnergyBreakdown, KernelWork, MapMode, MemoryStats, SharedMemory, SocError,
-    SocSpec,
+    layer_work, BufferId, DeviceId, DeviceKind, EnergyAccumulator, EnergyBreakdown, KernelWork,
+    MapMode, MemoryStats, SharedMemory, SocError, SocSpec,
 };
 use utensor::TensorError;
 
 use unn::{Graph, LayerKind, NodeId};
 
+use crate::layout::{PartLayout, PlanLayout};
 use crate::metrics::MetricsRegistry;
 use crate::observe::{attribute, Attribution, OverheadClass};
-use crate::plan::{ExecutionPlan, NodePlacement};
+use crate::plan::ExecutionPlan;
 
 /// Payload attached to every scheduled task.
 #[derive(Clone, Debug)]
@@ -61,8 +65,9 @@ pub enum RunError {
     Soc(SocError),
     /// Scheduling failure (should not happen for valid plans).
     Schedule(simcore::ScheduleError),
-    /// The plan is structurally inconsistent with the graph (e.g. a split
-    /// placement whose channel shares cannot be realized).
+    /// The plan is inconsistent with the graph or the spec (e.g. a split
+    /// on a layer that cannot be distributed, or a device the host cannot
+    /// reach).
     MalformedPlan(String),
     /// A task failed permanently under fault injection and no fallback
     /// could recover it — the run's outputs are not trustworthy.
@@ -228,43 +233,36 @@ pub(crate) struct Schedule {
     pub source: Option<simcore::ResourceId>,
 }
 
-/// Allocates the long-lived weight buffers of a plan (uploaded once at
-/// plan load, outside the inference-latency window, per §6).
-///
-/// Split placements distribute the weight elements over the *realized*
-/// channel cuts ([`split_cuts`]), so the per-part byte counts sum exactly
-/// to the whole layer's — truncating each part independently would lose
-/// up to one element per part.
-pub(crate) fn alloc_weight_buffers(
-    memory: &mut SharedMemory,
+/// Lowers `plan` over `graph` and checks it against `spec`; a plan
+/// failing either is [`RunError::MalformedPlan`] with the plan's message.
+pub(crate) fn lower(
+    spec: &SocSpec,
     graph: &Graph,
-    shapes: &[utensor::Shape],
     plan: &ExecutionPlan,
-) {
-    for (i, node) in graph.nodes().iter().enumerate() {
-        let in_shape = graph.node_input_shape(NodeId(i), shapes);
-        let weight_elems = node.kind.weight_count(in_shape) + node.kind.bias_count(in_shape);
-        if weight_elems > 0 {
-            match &plan.placements[i] {
-                NodePlacement::Single { dtypes, .. } => {
-                    memory.alloc(weight_elems * dtypes.weights.size_bytes());
-                }
-                NodePlacement::Split { parts } => {
-                    let fracs: Vec<f64> = parts.iter().map(|p| p.2).collect();
-                    let channels = split_channel_count(&node.kind, in_shape).unwrap_or(0);
-                    let cuts = split_cuts(channels, &fracs);
-                    for ((_, dtypes, _), elems) in
-                        parts
-                            .iter()
-                            .zip(split_weight_elems(weight_elems, &cuts, channels))
-                    {
-                        memory.alloc(elems * dtypes.weights.size_bytes());
-                    }
-                }
+) -> Result<PlanLayout, RunError> {
+    let layout = plan.layout(graph).map_err(|e| match e {
+        TensorError::BadGraph(msg) => RunError::MalformedPlan(msg),
+        e => RunError::Tensor(e),
+    })?;
+    plan.validate_for(spec).map_err(RunError::MalformedPlan)?;
+    Ok(layout)
+}
+
+/// Allocates the long-lived weight buffers of a lowered plan (uploaded
+/// once at plan load, outside the inference-latency window, per §6): one
+/// per part of every layer with weights, an empty part's of zero bytes.
+pub(crate) fn alloc_weight_buffers(memory: &mut SharedMemory, layout: &PlanLayout) {
+    for node in &layout.nodes {
+        if node.parts.iter().any(|p| p.weight_elems > 0) {
+            for p in &node.parts {
+                memory.alloc(p.weight_elems * p.dtypes.weights.size_bytes());
             }
         }
     }
 }
+
+/// Transfer chains of one instance by (data, destination device).
+type Xfers = std::collections::BTreeMap<(usize, usize), TaskId>;
 
 /// Schedules the store-and-forward hop tasks moving `bytes` from `from`
 /// to `to` over the spec's network links, returning the task the
@@ -317,7 +315,8 @@ fn transfer_chain(
     Ok(prev)
 }
 
-/// Builds the task DAG of one inference instance of `plan` into `sched`.
+/// Builds the task DAG of one inference instance of the lowered plan
+/// `layout` into `sched`.
 ///
 /// `prefix` namespaces task labels (used by the pipeline executor);
 /// `arrival` — when given — gates the source layers (the input is not
@@ -331,8 +330,7 @@ pub(crate) fn schedule_instance(
     sched: &mut Schedule,
     spec: &SocSpec,
     graph: &Graph,
-    shapes: &[utensor::Shape],
-    plan: &ExecutionPlan,
+    layout: &PlanLayout,
     prefix: &str,
     arrival: Option<TaskId>,
     instance: usize,
@@ -346,11 +344,11 @@ pub(crate) fn schedule_instance(
     } = sched;
     let cpu = spec.cpu();
     let networked = spec.has_network_links();
+    let elem_bytes = layout.storage.size_bytes();
     // Transfer chains already scheduled for this instance, keyed by
     // (producer node — usize::MAX for the input frame — and destination
     // device), so two consumers on one device share the same transfer.
-    let mut xfers: std::collections::BTreeMap<(usize, usize), TaskId> =
-        std::collections::BTreeMap::new();
+    let mut xfers = Xfers::new();
     let res = |d: DeviceId| simcore::ResourceId(d.0);
     let meta_overhead =
         |device: DeviceId, node: Option<NodeId>, class: OverheadClass, map: SimSpan| TaskMeta {
@@ -375,24 +373,13 @@ pub(crate) fn schedule_instance(
     // specs; a split's merged output lives on the host).
     let mut producer_locs: Vec<DeviceId> = Vec::with_capacity(graph.len());
 
-    // Branches of an elided concat write their channel range directly
-    // into the join buffer: `inplace_target` maps each such producer to
-    // its concat, and `join_bufs` holds the shared buffer, allocated
-    // lazily by the first producer that needs it.
-    let mut inplace_target: std::collections::BTreeMap<usize, usize> =
-        std::collections::BTreeMap::new();
-    for &c in &plan.elided_concats {
-        for d in &graph.nodes()[c].inputs {
-            inplace_target.insert(d.0, c);
-        }
-    }
-    let mut join_bufs: std::collections::BTreeMap<usize, usoc::BufferId> =
-        std::collections::BTreeMap::new();
+    // Output buffers by owning node: a branch of an elided concat writes
+    // its channel range directly into the join's buffer, which the first
+    // branch allocates and the elided concat itself reuses.
+    let mut buffers: Vec<Option<BufferId>> = vec![None; graph.len()];
 
-    for (i, node) in graph.nodes().iter().enumerate() {
+    for (i, (node, nl)) in graph.nodes().iter().zip(&layout.nodes).enumerate() {
         let id = NodeId(i);
-        let in_shape = graph.node_input_shape(id, shapes).clone();
-        let out_shape = shapes[i].clone();
         let name = format!("{prefix}{}", node.name);
 
         // Dependencies of this node's compute: the producers of each
@@ -404,62 +391,55 @@ pub(crate) fn schedule_instance(
             .map(|d| (d.0, producers[d.0].0, producers[d.0].1))
             .collect();
 
-        // Output buffer for this node (zero-copy shared memory). A
-        // branch of an elided concat owns no buffer of its own — it
-        // writes into the join's; the elided concat itself reuses the
-        // buffer its first branch allocated.
-        let out_buf = if let Some(&c) = inplace_target.get(&i) {
-            *join_bufs.entry(c).or_insert_with(|| {
-                memory.alloc(shapes[c].numel() * plan.placements[c].storage_dtype().size_bytes())
-            })
-        } else if plan.elided_concats.contains(&i) {
-            *join_bufs
-                .get(&i)
-                .expect("an elided concat's branches precede it and allocate its buffer")
-        } else {
-            memory.alloc(out_shape.numel() * plan.placements[i].storage_dtype().size_bytes())
-        };
+        // Output buffer for this node (zero-copy shared memory).
+        let out_buf = *buffers[nl.buffer.0].get_or_insert_with(|| memory.alloc(nl.buffer_bytes));
 
         // Builds the dependency list for a consumer on `consumer_dev`,
         // inserting host-side sync/map tasks — and, on networked specs,
         // store-and-forward link transfers — as required.
         let deps_for = |tg: &mut TaskGraph<TaskMeta>,
-                        xfers: &mut std::collections::BTreeMap<(usize, usize), TaskId>,
+                        xfers: &mut Xfers,
                         consumer_dev: DeviceId|
          -> Result<Vec<TaskId>, RunError> {
             let consumer_kind = spec.devices[consumer_dev.0].kind;
             let mut deps = Vec::with_capacity(input_producers.len() + 1);
+            // The transfer chain moving `bytes` of `data` (a producer
+            // node, or usize::MAX for the input frame) from `from` to the
+            // consumer's device, scheduled once per instance and shared.
+            let mut shared_xfer = |tg: &mut TaskGraph<TaskMeta>,
+                                   data: usize,
+                                   from: DeviceId,
+                                   bytes: usize,
+                                   src: Option<TaskId>,
+                                   label: &dyn Fn() -> String|
+             -> Result<Option<TaskId>, RunError> {
+                let key = (data, consumer_dev.0);
+                if let Some(&t) = xfers.get(&key) {
+                    return Ok(Some(t));
+                }
+                let t = transfer_chain(
+                    tg,
+                    spec,
+                    from,
+                    consumer_dev,
+                    bytes as u64,
+                    src,
+                    &label(),
+                    Some(id),
+                    instance,
+                )?;
+                if let Some(t) = t {
+                    xfers.insert(key, t);
+                }
+                Ok(t)
+            };
             if node.inputs.is_empty() {
                 // The input frame arrives at the host; a remote source
                 // layer waits for the frame to cross the mesh instead.
                 if networked && consumer_dev != cpu {
-                    let key = (usize::MAX, consumer_dev.0);
-                    let cached = match xfers.get(&key).copied() {
-                        Some(t) => Some(t),
-                        None => {
-                            let bytes = (in_shape.numel()
-                                * plan.placements[i].storage_dtype().size_bytes())
-                                as u64;
-                            let t = transfer_chain(
-                                tg,
-                                spec,
-                                cpu,
-                                consumer_dev,
-                                bytes,
-                                arrival,
-                                &format!("{prefix}input"),
-                                Some(id),
-                                instance,
-                            )?;
-                            if let Some(t) = t {
-                                xfers.insert(key, t);
-                            }
-                            t
-                        }
-                    };
-                    if let Some(t) = cached {
-                        deps.push(t);
-                    }
+                    let bytes = nl.input.numel() * elem_bytes;
+                    let label = || format!("{prefix}input");
+                    deps.extend(shared_xfer(tg, usize::MAX, cpu, bytes, arrival, &label)?);
                 } else if let Some(a) = arrival {
                     deps.push(a);
                 }
@@ -507,41 +487,18 @@ pub(crate) fn schedule_instance(
                         );
                         deps.push(sync);
                     }
-                    // Same residency: direct dependency — or, when the
-                    // producer's output lives on another mesh device, a
-                    // dependency on the (shared) transfer chain moving
-                    // the whole output to the consumer's device.
-                    _ => {
-                        if networked && producer_locs[pnode] != consumer_dev {
-                            let key = (pnode, consumer_dev.0);
-                            let cached = match xfers.get(&key).copied() {
-                                Some(t) => Some(t),
-                                None => {
-                                    let bytes = (shapes[pnode].numel()
-                                        * plan.placements[pnode].storage_dtype().size_bytes())
-                                        as u64;
-                                    let t = transfer_chain(
-                                        tg,
-                                        spec,
-                                        producer_locs[pnode],
-                                        consumer_dev,
-                                        bytes,
-                                        Some(ptask),
-                                        &format!("{prefix}{}", graph.nodes()[pnode].name),
-                                        Some(id),
-                                        instance,
-                                    )?;
-                                    if let Some(t) = t {
-                                        xfers.insert(key, t);
-                                    }
-                                    t
-                                }
-                            };
-                            deps.push(cached.unwrap_or(ptask));
-                        } else {
-                            deps.push(ptask);
-                        }
+                    // Same residency, but the producer's output lives on
+                    // another mesh device: depend on the (shared) transfer
+                    // chain moving the whole output to the consumer's.
+                    _ if networked && producer_locs[pnode] != consumer_dev => {
+                        let bytes = layout.nodes[pnode].output.numel() * elem_bytes;
+                        let label = || format!("{prefix}{}", graph.nodes()[pnode].name);
+                        let from = producer_locs[pnode];
+                        let t = shared_xfer(tg, pnode, from, bytes, Some(ptask), &label)?;
+                        deps.push(t.unwrap_or(ptask));
                     }
+                    // Same residency: direct dependency.
+                    _ => deps.push(ptask),
                 }
             }
             Ok(deps)
@@ -558,89 +515,99 @@ pub(crate) fn schedule_instance(
         };
 
         let is_cpu = |d: DeviceId| spec.devices[d.0].kind == DeviceKind::CpuCluster;
-        // Schedules one kernel of this node — the whole layer, or one
-        // part of a split (`suffix` tags the part's label) — on `device`
-        // and returns `(first task, kernel task)`. A CPU kernel bundles
-        // its dispatch and is its own first task; an accelerator kernel
-        // is preceded by its asynchronous host-side issue and, when
-        // scheduling resiliently, watched by a CPU fallback re-executing
-        // `scope`.
-        let mut schedule_kernel =
-            |tg: &mut TaskGraph<TaskMeta>,
-             xfers: &mut std::collections::BTreeMap<(usize, usize), TaskId>,
-             device: DeviceId,
-             work: KernelWork,
-             suffix: &str,
-             scope: FallbackScope|
-             -> Result<(TaskId, TaskId), RunError> {
-                let span = spec.kernel_latency(device, &work)?;
-                // `{name}@{KIND}{suffix}`, joined by hand: it is the one
-                // string built per kernel of every run, and `format!` with
-                // three arguments costs twice the join.
-                let kind = spec.devices[device.0].kind.name();
-                let label = || [name.as_str(), "@", kind, suffix].concat();
-                let meta = |device: DeviceId, class: OverheadClass| TaskMeta {
-                    device,
-                    work,
-                    node: Some(id),
-                    class,
-                    map: SimSpan::ZERO,
-                    instance,
-                };
-                if is_cpu(device) {
-                    let deps = deps_for(tg, xfers, device)?;
-                    let k = tg.add(
-                        label(),
-                        res(device),
-                        span + spec.cpu_dispatch_span(),
-                        &deps,
-                        meta(device, kernel_class),
-                    );
-                    return Ok((k, k));
-                }
-                let issue = tg.add_with_priority(
-                    format!("{name}::issue"),
-                    res(cpu),
-                    spec.gpu_issue_span(),
-                    &issue_gate,
-                    -1,
-                    meta_overhead(cpu, Some(id), OverheadClass::Issue, SimSpan::ZERO),
-                );
-                let mut deps = deps_for(tg, xfers, device)?;
-                deps.push(issue);
+        // Schedules the kernel of one part of this node — the whole
+        // layer, or one part of a split, costed at the part's realized
+        // share and labelled `[share]` — and returns `(first task, kernel
+        // task, work)`. A CPU kernel bundles its dispatch and is its own
+        // first task; an accelerator kernel is preceded by its
+        // asynchronous host-side issue and, when scheduling resiliently,
+        // watched by a CPU fallback re-executing the part's channels (a
+        // single placement's: the whole node).
+        let mut schedule_kernel = |tg: &mut TaskGraph<TaskMeta>,
+                                   xfers: &mut Xfers,
+                                   part: &PartLayout|
+         -> Result<(TaskId, TaskId, KernelWork), RunError> {
+            let device = part.device;
+            let work = layer_work(&node.kind, &nl.input, &nl.output, part.dtypes, part.share);
+            let (suffix, scope) = match &part.range {
+                Some((_, r)) if nl.split => (
+                    format!("[{:.2}]", part.share),
+                    FallbackScope::Channels {
+                        index: part.index,
+                        lo: r.start,
+                        hi: r.end,
+                    },
+                ),
+                _ => (String::new(), FallbackScope::WholeNode),
+            };
+            let suffix = suffix.as_str();
+            let span = spec.kernel_latency(device, &work)?;
+            // `{name}@{KIND}{suffix}`, joined by hand: it is the one
+            // string built per kernel of every run, and `format!` with
+            // three arguments costs twice the join.
+            let kind = spec.devices[device.0].kind.name();
+            let label = || [name.as_str(), "@", kind, suffix].concat();
+            let meta = |device: DeviceId, class: OverheadClass| TaskMeta {
+                device,
+                work,
+                node: Some(id),
+                class,
+                map: SimSpan::ZERO,
+                instance,
+            };
+            if is_cpu(device) {
+                let deps = deps_for(tg, xfers, device)?;
                 let k = tg.add(
                     label(),
                     res(device),
-                    span,
+                    span + spec.cpu_dispatch_span(),
                     &deps,
                     meta(device, kernel_class),
                 );
-                if resilient {
-                    let fb_span = spec.kernel_latency(cpu, &work)?
-                        + spec.gpu_wait_span()
-                        + spec.map_span()
-                        + spec.cpu_dispatch_span();
-                    let fb = tg.add_fallback(
-                        format!("{name}::fallback@CPU{suffix}"),
-                        res(cpu),
-                        fb_span,
-                        k,
-                        meta(cpu, OverheadClass::Fallback),
-                    );
-                    fallbacks.push(FallbackPart {
-                        node: id,
-                        scope,
-                        from: device,
-                        to: cpu,
-                        primary: k,
-                        fallback: fb,
-                    });
-                }
-                Ok((issue, k))
-            };
+                return Ok((k, k, work));
+            }
+            let issue = tg.add_with_priority(
+                format!("{name}::issue"),
+                res(cpu),
+                spec.gpu_issue_span(),
+                &issue_gate,
+                -1,
+                meta_overhead(cpu, Some(id), OverheadClass::Issue, SimSpan::ZERO),
+            );
+            let mut deps = deps_for(tg, xfers, device)?;
+            deps.push(issue);
+            let k = tg.add(
+                label(),
+                res(device),
+                span,
+                &deps,
+                meta(device, kernel_class),
+            );
+            if resilient {
+                let fb_span = spec.kernel_latency(cpu, &work)?
+                    + spec.gpu_wait_span()
+                    + spec.map_span()
+                    + spec.cpu_dispatch_span();
+                let fb = tg.add_fallback(
+                    format!("{name}::fallback@CPU{suffix}"),
+                    res(cpu),
+                    fb_span,
+                    k,
+                    meta(cpu, OverheadClass::Fallback),
+                );
+                fallbacks.push(FallbackPart {
+                    node: id,
+                    scope,
+                    from: device,
+                    to: cpu,
+                    primary: k,
+                    fallback: fb,
+                });
+            }
+            Ok((issue, k, work))
+        };
 
-        let placement = &plan.placements[i];
-        let (final_task, residency, first_task, loc) = if plan.elided_concats.contains(&i) {
+        let (final_task, residency, first_task, loc) = if nl.elided {
             // Elided concat: the branches already wrote their channel
             // ranges into the join buffer, so the merge is a zero-span
             // synchronization point. Residency crossings of the branch
@@ -656,121 +623,74 @@ pub(crate) fn schedule_instance(
                 meta_overhead(cpu, Some(id), OverheadClass::Merge, SimSpan::ZERO),
             );
             (t, Residency::Cpu, t, cpu)
+        } else if !nl.split {
+            let part = &nl.parts[0];
+            let (first, k, _) = schedule_kernel(tg, &mut xfers, part)?;
+            let residency = if is_cpu(part.device) {
+                memory.map(out_buf, MapMode::WriteInvalidate)?;
+                memory.unmap(out_buf)?;
+                Residency::Cpu
+            } else {
+                Residency::Accel(part.device)
+            };
+            (k, residency, first, part.device)
         } else {
-            match placement {
-                NodePlacement::Single { device, dtypes } => {
-                    let work = layer_work(&node.kind, &in_shape, &out_shape, *dtypes, 1.0);
-                    let (first, k) = schedule_kernel(
+            // Cost what each processor *actually* executes — the
+            // layout's realized whole-channel shares — and register each
+            // fallback over the channels the evaluator computes for it.
+            let mut part_tasks = Vec::with_capacity(nl.parts.len());
+            let mut any_accel = false;
+            let mut first: Option<TaskId> = None;
+            // §6 ordering: issue the asynchronous accelerator commands
+            // (and any unmap they need) *before* starting the CPU-side
+            // work, so the accelerator parts overlap the CPU part instead
+            // of queuing behind it on the host timeline.
+            let ordered = nl
+                .running()
+                .filter(|p| !is_cpu(p.device))
+                .chain(nl.running().filter(|p| is_cpu(p.device)));
+            for part in ordered {
+                let device = part.device;
+                let (first_task, k, work) = schedule_kernel(tg, &mut xfers, part)?;
+                first.get_or_insert(first_task);
+                any_accel |= !is_cpu(device);
+                // A remote part's partial output must cross back to the
+                // host before the merge.
+                if networked && is_cpu(device) && device != cpu {
+                    let t = transfer_chain(
                         tg,
-                        &mut xfers,
-                        *device,
-                        work,
-                        "",
-                        FallbackScope::WholeNode,
+                        spec,
+                        device,
+                        cpu,
+                        work.bytes_out,
+                        Some(k),
+                        &format!("{name}[{:.2}]", part.share),
+                        Some(id),
+                        instance,
                     )?;
-                    let residency = if is_cpu(*device) {
-                        memory.map(out_buf, MapMode::WriteInvalidate)?;
-                        memory.unmap(out_buf)?;
-                        Residency::Cpu
-                    } else {
-                        Residency::Accel(*device)
-                    };
-                    (k, residency, first, *device)
-                }
-                NodePlacement::Split { parts: nominal } => {
-                    // Cost what each processor *actually* executes: the
-                    // realized whole-channel shares, not the nominal
-                    // fractions the functional evaluator would round anyway.
-                    let parts =
-                        placement
-                            .realized_parts(&node.kind, &in_shape)
-                            .ok_or_else(|| {
-                                RunError::MalformedPlan(format!(
-                                    "split placement of {} cannot be realized for input shape {:?}",
-                                    node.name, in_shape
-                                ))
-                            })?;
-                    // Channel ranges of each part, from the *nominal*
-                    // fractions — exactly the cuts the functional evaluator
-                    // uses, so a fallback re-executes precisely the channels
-                    // the failed part owned.
-                    let channels = split_channel_count(&node.kind, &in_shape).unwrap_or(0);
-                    let nominal_fracs: Vec<f64> = nominal.iter().map(|p| p.2).collect();
-                    let cuts = split_cuts(channels, &nominal_fracs);
-                    let mut part_tasks = Vec::with_capacity(parts.len());
-                    let mut any_accel = false;
-                    let mut first: Option<TaskId> = None;
-                    // §6 ordering: issue the asynchronous accelerator commands
-                    // (and any unmap they need) *before* starting the CPU-side
-                    // work, so the accelerator parts overlap the CPU part
-                    // instead of queuing behind it on the host timeline.
-                    let ordered = parts
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| !is_cpu(p.0))
-                        .chain(parts.iter().enumerate().filter(|(_, p)| is_cpu(p.0)));
-                    for (pi, &(device, dtypes, frac)) in ordered {
-                        if frac == 0.0 {
-                            // Zero realized channels: the part executes no
-                            // kernel, so it must not pay issue/merge-wait
-                            // overheads either.
-                            continue;
-                        }
-                        let work = layer_work(&node.kind, &in_shape, &out_shape, dtypes, frac);
-                        let (lo, hi) = if pi + 1 < cuts.len() {
-                            (cuts[pi], cuts[pi + 1])
-                        } else {
-                            (0, 0)
-                        };
-                        let (first_task, k) = schedule_kernel(
-                            tg,
-                            &mut xfers,
-                            device,
-                            work,
-                            &format!("[{frac:.2}]"),
-                            FallbackScope::Channels { index: pi, lo, hi },
-                        )?;
-                        first.get_or_insert(first_task);
-                        any_accel |= !is_cpu(device);
-                        // A remote part's partial output must cross
-                        // back to the host before the merge.
-                        if networked && is_cpu(device) && device != cpu {
-                            let t = transfer_chain(
-                                tg,
-                                spec,
-                                device,
-                                cpu,
-                                work.bytes_out,
-                                Some(k),
-                                &format!("{name}[{frac:.2}]"),
-                                Some(id),
-                                instance,
-                            )?;
-                            part_tasks.push(t.unwrap_or(k));
-                        } else {
-                            part_tasks.push(k);
-                        }
-                    }
-                    // Merge: the host waits for the accelerator parts and maps
-                    // the (already channel-interleaved, zero-copy) output.
-                    let (merge_span, merge_map) = if any_accel {
-                        (spec.gpu_wait_span() + spec.map_span(), spec.map_span())
-                    } else {
-                        (spec.cpu_dispatch_span(), SimSpan::ZERO)
-                    };
-                    memory.map(out_buf, MapMode::Read)?;
-                    memory.unmap(out_buf)?;
-                    let merge = tg.add_with_priority(
-                        format!("{name}::merge"),
-                        res(cpu),
-                        merge_span,
-                        &part_tasks,
-                        -1,
-                        meta_overhead(cpu, Some(id), OverheadClass::Merge, merge_map),
-                    );
-                    (merge, Residency::Cpu, first.unwrap_or(merge), cpu)
+                    part_tasks.push(t.unwrap_or(k));
+                } else {
+                    part_tasks.push(k);
                 }
             }
+            // Merge: the host waits for the accelerator parts and maps the
+            // (already channel-interleaved, zero-copy) output.
+            let (merge_span, merge_map) = if any_accel {
+                (spec.gpu_wait_span() + spec.map_span(), spec.map_span())
+            } else {
+                (spec.cpu_dispatch_span(), SimSpan::ZERO)
+            };
+            memory.map(out_buf, MapMode::Read)?;
+            memory.unmap(out_buf)?;
+            let merge = tg.add_with_priority(
+                format!("{name}::merge"),
+                res(cpu),
+                merge_span,
+                &part_tasks,
+                -1,
+                meta_overhead(cpu, Some(id), OverheadClass::Merge, merge_map),
+            );
+            (merge, Residency::Cpu, first.unwrap_or(merge), cpu)
         };
         producers.push((final_task, residency));
         node_first_task.push(first_task);
@@ -799,8 +719,7 @@ pub(crate) fn schedule_instance(
     // counts as complete.
     let out = graph.output().0;
     let completion = if networked && producer_locs[out] != cpu {
-        let bytes =
-            (shapes[out].numel() * plan.placements[out].storage_dtype().size_bytes()) as u64;
+        let bytes = (layout.nodes[out].output.numel() * elem_bytes) as u64;
         transfer_chain(
             tg,
             spec,
@@ -828,8 +747,8 @@ pub(crate) fn schedule_instance(
 /// [`execute_plan_with_faults`] under the empty fault plan.
 ///
 /// This is the *timing* half of the co-simulation; numeric evaluation of
-/// the same plan lives in `crate::functional` and shares the plan
-/// semantics.
+/// the same plan lives in `crate::functional` and reads the same
+/// [`PlanLayout`].
 pub fn execute_plan(
     spec: &SocSpec,
     graph: &Graph,
@@ -867,13 +786,11 @@ pub fn execute_plan_with_faults(
     faults: &FaultPlan,
     policy: &RetryPolicy,
 ) -> Result<(RunResult, FaultReport), RunError> {
-    plan.validate_for(graph, spec)
-        .map_err(RunError::MalformedPlan)?;
-    let shapes = graph.infer_shapes()?;
+    let layout = lower(spec, graph, plan)?;
     let (inst, run) = realize(spec, false, faults, policy, |sched| {
-        alloc_weight_buffers(&mut sched.memory, graph, &shapes, plan);
+        alloc_weight_buffers(&mut sched.memory, &layout);
         let resilient = !faults.is_empty();
-        schedule_instance(sched, spec, graph, &shapes, plan, "", None, 0, resilient)
+        schedule_instance(sched, spec, graph, &layout, "", None, 0, resilient)
     })?;
     let node_spans: Vec<(SimTime, SimTime)> = (0..graph.len())
         .map(|i| {

@@ -1,15 +1,16 @@
 //! Functional (numeric) evaluation of an execution plan.
 //!
-//! The timing engine and this evaluator share the plan semantics: a
-//! `Split` placement narrows filters along output channels (conv/FC) or
-//! input channels (pooling, depthwise), and each part computes its
-//! channels in the part's dtypes — the GPU's dequantizing load and
-//! requantizing store (§4.2) included, both inside the part — straight
-//! into its channel range of the node's output, which the evaluator
-//! allocates once (the zero-copy shared buffer of §6). Running both
-//! halves of the co-simulation over one plan yields the latency *and* the
-//! actual output tensor, so tests can assert the μLayer correctness
-//! invariant: a split layer's output equals the whole-layer output.
+//! The evaluator reads the same lowered [`crate::PlanLayout`] as the
+//! timing engine: a `Split` placement narrows filters along output
+//! channels (conv/FC) or input channels (pooling, depthwise) over the
+//! layout's channel ranges, and each part computes its channels in the
+//! part's dtypes — the GPU's dequantizing load and requantizing store
+//! (§4.2) included, both inside the part — straight into its channel
+//! range of the node's output, which the evaluator allocates once (the
+//! zero-copy shared buffer of §6). Running both halves of the
+//! co-simulation over one plan yields the latency *and* the actual output
+//! tensor, so tests can assert the μLayer correctness invariant: a split
+//! layer's output equals the whole-layer output.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -20,29 +21,8 @@ use utensor::{DType, QuantParams, Shape, Tensor, TensorError, TensorView, Tensor
 use unn::{Calibration, Graph, LayerKind, NodeId, Weights};
 
 use crate::backend::{ExecBackend, SimulatedBackend};
-use crate::plan::{ExecutionPlan, NodePlacement};
-
-/// How a layer kind is split channel-wise (§3.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SplitAxis {
-    /// Filters sliced along output channels; input shared (Figure 7a).
-    Filters,
-    /// Input sliced along channels (Figure 7b); filters sliced alongside
-    /// for depthwise convolutions.
-    InputChannels,
-}
-
-/// The split axis of a layer kind, or `None` for kinds that cannot be
-/// channel-split.
-pub(crate) fn split_axis(kind: &LayerKind) -> Option<SplitAxis> {
-    match kind {
-        LayerKind::Conv { .. } | LayerKind::FullyConnected { .. } => Some(SplitAxis::Filters),
-        LayerKind::DepthwiseConv { .. } | LayerKind::Pool { .. } | LayerKind::GlobalAvgPool => {
-            Some(SplitAxis::InputChannels)
-        }
-        _ => None,
-    }
-}
+use crate::layout::SplitAxis;
+use crate::plan::ExecutionPlan;
 
 /// One schedulable unit of plan execution: a whole single-placement
 /// layer, or one channel-range part of a split layer.
@@ -57,8 +37,8 @@ pub(crate) fn split_axis(kind: &LayerKind) -> Option<SplitAxis> {
 /// depends only on its dtypes and channel range, never on the executing
 /// thread, which is what makes parallel execution bit-reproducible.
 ///
-/// Tasks are `Clone` so a backend may subdivide one part's channel
-/// range into finer chunks (same borrows, narrower `split`).
+/// Tasks are `Clone` without allocating, so a backend may subdivide one
+/// part's channel range into finer chunks (same borrows, narrower `split`).
 #[derive(Clone)]
 pub struct PartTask<'a> {
     /// The graph node this task belongs to.
@@ -71,8 +51,9 @@ pub struct PartTask<'a> {
     pub kind: &'a LayerKind,
     /// The node's name (diagnostics).
     pub name: &'a str,
-    /// Stored inputs, in the plan's storage dtype.
-    pub inputs: Vec<&'a Tensor>,
+    /// Stored inputs, in the plan's storage dtype: one slice per node,
+    /// shared by all of its tasks.
+    pub inputs: &'a [&'a Tensor],
     /// The graph's weights; this task reads `weights.of(node)`.
     pub weights: &'a Weights,
     /// Quantization parameters for casting the filter.
@@ -93,14 +74,6 @@ impl<'a> PartTask<'a> {
     pub(crate) fn master_filter(&self) -> Option<&'a Tensor> {
         self.weights.of(self.node).filter.as_ref()
     }
-}
-
-/// The channel range a whole execution of `kind` over input `x`
-/// distributes, from the same count as the timing engine
-/// (`usoc::split_channel_count`).
-fn whole_range(kind: &LayerKind, x: &Tensor) -> Option<(SplitAxis, usize, usize)> {
-    let channels = usoc::split_channel_count(kind, x.shape())?;
-    Some((split_axis(kind)?, 0, channels))
 }
 
 /// Splits a node's output into the channel ranges (axis 1) `tasks`
@@ -223,43 +196,6 @@ fn part_filter<'a>(
     Ok(whole.map(|f| (f, rows)))
 }
 
-/// Builds the [`PartTask`]s of one node under its placement: `task`
-/// makes the task of (part index, device, dtypes, channel range); a
-/// single placement's task owns every channel the layer distributes, so
-/// a backend may cut it exactly as the plan cuts a split layer. Empty
-/// shares (zero channels after rounding) are skipped; the channel cuts
-/// come from the same shared helpers as the timing engine
-/// (`usoc::split_cuts`), so the two co-simulation halves cannot disagree
-/// about which channels each part owns.
-fn node_tasks<'a>(
-    kind: &LayerKind,
-    placement: &NodePlacement,
-    x: &Tensor,
-    task: impl Fn(usize, usoc::DeviceId, DtypePlan, Option<(SplitAxis, usize, usize)>) -> PartTask<'a>,
-) -> Result<Vec<PartTask<'a>>, TensorError> {
-    match placement {
-        NodePlacement::Single { device, dtypes } => {
-            Ok(vec![task(0, *device, *dtypes, whole_range(kind, x))])
-        }
-        NodePlacement::Split { parts } => {
-            let (axis, _, channels) = whole_range(kind, x).ok_or_else(|| {
-                TensorError::BadConcat(format!("{} cannot be channel-split", kind.op_name()))
-            })?;
-            let fracs: Vec<f64> = parts.iter().map(|p| p.2).collect();
-            let cuts = usoc::split_cuts(channels, &fracs);
-            Ok(parts
-                .iter()
-                .enumerate()
-                // An empty share (rounding on tiny layers) runs nothing.
-                .filter(|(p, _)| cuts[*p] < cuts[p + 1])
-                .map(|(p, (device, dtypes, _))| {
-                    task(p, *device, *dtypes, Some((axis, cuts[p], cuts[p + 1])))
-                })
-                .collect())
-        }
-    }
-}
-
 /// Evaluates the plan numerically on the calling thread, returning
 /// every node's output in the plan's storage dtype (the final softmax is
 /// always f32).
@@ -275,13 +211,13 @@ pub fn evaluate_plan(
 }
 
 /// The evaluator loop, with part execution delegated to an
-/// [`ExecBackend`]: every node's output is allocated once, up front, in
-/// the plan's storage dtype on the node's store grid (f32 for the
-/// softmax head), and each node's tasks are handed to the backend as one
-/// batch (the layer barrier) together with that output, each task
-/// writing its own channel range. The plan is checked against the graph
-/// first ([`ExecutionPlan::validate`]), so a plan mutated after
-/// construction is a typed error, not a panic.
+/// [`ExecBackend`]. The plan is lowered once ([`ExecutionPlan::layout`]):
+/// a mutated plan is a typed error, and so, before any node runs, is an
+/// input that is not the graph's input shape. Every node's output is
+/// allocated up front at the layout's shape, in the plan's storage dtype
+/// on the node's store grid (f32 for the softmax head); each node's
+/// running parts then go to the backend as one batch (the layer barrier)
+/// with that output, each task writing its part's channel range.
 pub fn evaluate_plan_with_backend(
     graph: &Graph,
     plan: &ExecutionPlan,
@@ -290,20 +226,25 @@ pub fn evaluate_plan_with_backend(
     input: &Tensor,
     backend: &dyn ExecBackend,
 ) -> Result<Vec<Tensor>, TensorError> {
-    plan.validate(graph).map_err(TensorError::BadGraph)?;
-    let storage = plan.storage_dtype();
+    let layout = plan.layout(graph)?;
+    if input.shape() != graph.input_shape() {
+        return Err(TensorError::ShapeMismatch {
+            expected: graph.input_shape().clone(),
+            found: input.shape().clone(),
+        });
+    }
+    let storage = layout.storage;
     let x0 = input.cast(storage, Some(calib.input_params))?;
 
     // Every node's output is allocated before the first node runs, and
-    // carries its shape and store grid to its consumers. The tasks
-    // overwrite every element; filling each buffer just before the
-    // workers write it left its cache lines with this thread (2 ms of a
-    // 17 ms cooperative SqueezeNet frame on a 2-vCPU x86-64 host).
+    // carries its store grid to its consumers. The tasks overwrite every
+    // element; filling each buffer just before the workers write it left
+    // its cache lines with this thread (2 ms of a 17 ms cooperative
+    // SqueezeNet frame on a 2-vCPU x86-64 host).
     let mut outputs: Vec<Tensor> = Vec::with_capacity(graph.len());
-    for (i, node) in graph.nodes().iter().enumerate() {
-        let inputs = node_inputs(&node.inputs, &x0, &outputs);
-        let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
+    for (i, (node, nl)) in graph.nodes().iter().zip(&layout.nodes).enumerate() {
         let act = calib.act_params[i];
+        let first = node.inputs.first().map_or(&x0, |d| &outputs[d.0]);
         // Quantization-preserving layers (pooling, ReLU, LRN) keep their
         // input's grid on the integer path, so every part of a split —
         // F16-computed GPU parts included — requantizes to it, not to the
@@ -313,53 +254,44 @@ pub fn evaluate_plan_with_backend(
             LayerKind::Pool { .. }
             | LayerKind::GlobalAvgPool
             | LayerKind::Relu
-            | LayerKind::Lrn { .. } => (storage, inputs[0].quant_params().unwrap_or(act)),
+            | LayerKind::Lrn { .. } => (storage, first.quant_params().unwrap_or(act)),
             LayerKind::Quantize { params } => (storage, *params),
             _ => (storage, act),
         };
-        let shape = node.kind.infer_shape(&shapes)?;
-        outputs.push(Tensor::zeros(shape, dtype, Some(grid)));
+        outputs.push(Tensor::zeros(nl.output.clone(), dtype, Some(grid)));
     }
-    for (i, node) in graph.nodes().iter().enumerate() {
+    for (i, (node, nl)) in graph.nodes().iter().zip(&layout.nodes).enumerate() {
         let (done, rest) = outputs.split_at_mut(i);
-        let inputs = node_inputs(&node.inputs, &x0, done);
-        let tasks = node_tasks(
-            &node.kind,
-            &plan.placements[i],
-            inputs[0],
-            |part_index, device, dtypes, split| PartTask {
+        let inputs: Vec<&Tensor> = match node.inputs.as_slice() {
+            [] => vec![&x0],
+            producers => producers.iter().map(|d| &done[d.0]).collect(),
+        };
+        let tasks: Vec<PartTask<'_>> = nl
+            .running()
+            .map(|part| PartTask {
                 node: NodeId(i),
-                part_index,
-                device,
+                part_index: part.index,
+                device: part.device,
                 kind: &node.kind,
                 name: &node.name,
-                inputs: inputs.clone(),
+                inputs: &inputs,
                 weights,
                 weight_params: calib.weight_params[i],
                 act: calib.act_params[i],
-                dtypes,
-                split,
-            },
-        )?;
+                dtypes: part.dtypes,
+                split: part.range.as_ref().map(|(axis, r)| (*axis, r.start, r.end)),
+            })
+            .collect();
         backend.run_node(&tasks, &mut rest[0].view_mut())?;
     }
     Ok(outputs)
 }
 
-/// A node's stored inputs: its producers' outputs, or the graph input.
-fn node_inputs<'a>(producers: &[NodeId], x0: &'a Tensor, outputs: &'a [Tensor]) -> Vec<&'a Tensor> {
-    if producers.is_empty() {
-        vec![x0]
-    } else {
-        producers.iter().map(|d| &outputs[d.0]).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::NodePlacement;
     use usoc::SocSpec;
-    use utensor::Shape;
 
     fn graph() -> Graph {
         let mut g = Graph::new("g", Shape::nchw(1, 4, 10, 10));
@@ -555,13 +487,14 @@ mod tests {
         let layer = w.of(conv);
         let master = layer.filter.as_ref().unwrap();
         let x0 = x.cast(DType::QUInt8, Some(calib.input_params)).unwrap();
-        let cuts = usoc::split_cuts(master.shape().dim(0), &fracs);
-        let parts: Vec<Tensor> = cuts
-            .windows(2)
-            .map(|c| {
-                let rows = master.slice_axis(0, c[0], c[1]).unwrap();
+        let parts: Vec<Tensor> = plan.layout(&g).unwrap().nodes[conv.0]
+            .parts
+            .iter()
+            .map(|part| {
+                let (_, c) = part.range.clone().unwrap();
+                let rows = master.slice_axis(0, c.start, c.end).unwrap();
                 let f = rows.cast(DType::QUInt8, None).unwrap();
-                let bias = &layer.bias.as_ref().unwrap()[c[0]..c[1]];
+                let bias = &layer.bias.as_ref().unwrap()[c];
                 let act = Some(calib.act_params[conv.0]);
                 unn::run_layer(&g.nodes()[conv.0].kind, &[&x0], Some(&f), Some(bias), act).unwrap()
             })

@@ -6,6 +6,8 @@
 //! - [`ExecutionPlan`] / [`NodePlacement`] — the placement language
 //!   (single-processor vs channel-wise split) shared by the baselines and
 //!   μLayer.
+//! - [`ExecutionPlan::layout`] → [`PlanLayout`] — the one lowering every
+//!   executor reads: shapes, output buffers, realized channel cuts.
 //! - [`execute_plan`] — the timing half of the co-simulation: builds the
 //!   task DAG (kernels, async GPU issues, syncs, zero-copy map/unmaps,
 //!   cooperative merges), schedules it under a fault plan, and integrates
@@ -59,6 +61,7 @@ mod baselines;
 mod engine;
 mod fleet;
 mod functional;
+mod layout;
 mod metrics;
 mod observe;
 mod pipeline;
@@ -81,6 +84,7 @@ pub use fleet::{
 pub use functional::{
     eval_part_task, evaluate_plan, evaluate_plan_with_backend, task_outputs, PartTask,
 };
+pub use layout::{NodeLayout, PartLayout, PlanLayout, SplitAxis};
 pub use metrics::MetricsRegistry;
 pub use observe::{attribute, chrome_trace_json, Attribution, OverheadClass};
 pub use pipeline::{execute_pipeline, PipelineResult, RunOptions};

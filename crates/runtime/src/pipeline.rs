@@ -16,7 +16,8 @@ use usoc::{EnergyBreakdown, KernelWork, SocSpec};
 use unn::Graph;
 
 use crate::engine::{
-    alloc_weight_buffers, realize, schedule_instance, FaultReport, RealizedRun, RunError, TaskMeta,
+    alloc_weight_buffers, lower, realize, schedule_instance, FaultReport, RealizedRun, RunError,
+    TaskMeta,
 };
 use crate::metrics::MetricsRegistry;
 use crate::observe::{Attribution, OverheadClass};
@@ -116,11 +117,10 @@ pub fn execute_pipeline(
         degraded,
         deadline,
     } = options;
-    for p in std::iter::once(plan).chain(*degraded) {
-        p.validate_for(graph, spec)
-            .map_err(RunError::MalformedPlan)?;
-    }
-    let shapes = graph.infer_shapes()?;
+    // Each plan is lowered once for the whole stream; every frame
+    // schedules from its layout.
+    let primary = lower(spec, graph, plan)?;
+    let degraded = degraded.map(|d| lower(spec, graph, d)).transpose()?;
 
     // The earliest loss of a non-CPU device: frames arriving at or after
     // it degrade to the single-processor plan (when one is provided).
@@ -135,8 +135,7 @@ pub fn execute_pipeline(
     let ((arrivals, completions, frames_degraded), run) =
         realize(spec, true, faults, policy, |sched| {
             let source = sched.source.expect("a stream has an arrival source");
-            alloc_weight_buffers(&mut sched.memory, graph, &shapes, plan);
-            let mut degraded_weights_allocated = false;
+            alloc_weight_buffers(&mut sched.memory, &primary);
 
             let mut arrivals: Vec<TaskId> = Vec::with_capacity(inputs);
             let mut completions: Vec<TaskId> = Vec::with_capacity(inputs);
@@ -165,24 +164,22 @@ pub fn execute_pipeline(
                 arrivals.push(arrival);
 
                 let arrives_at = interval * k as u64;
-                let frame_plan = match (*degraded, loss_at) {
+                let frame_layout = match (&degraded, loss_at) {
                     (Some(d), Some(at)) if simcore::SimTime::ZERO + arrives_at >= at => {
-                        frames_degraded += 1;
-                        if !degraded_weights_allocated {
-                            alloc_weight_buffers(&mut sched.memory, graph, &shapes, d);
-                            degraded_weights_allocated = true;
+                        if frames_degraded == 0 {
+                            alloc_weight_buffers(&mut sched.memory, d);
                         }
+                        frames_degraded += 1;
                         d
                     }
-                    _ => plan,
+                    _ => &primary,
                 };
 
                 let inst = schedule_instance(
                     sched,
                     spec,
                     graph,
-                    &shapes,
-                    frame_plan,
+                    frame_layout,
                     &format!("in{k}/"),
                     Some(arrival),
                     k,

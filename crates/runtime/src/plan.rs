@@ -3,14 +3,16 @@
 //! A plan assigns every graph node a [`NodePlacement`]: either a single
 //! processor or a channel-wise split across several processors (§3.2).
 //! Baseline mechanisms produce all-`Single` plans; μLayer's partitioner
-//! and branch distributor produce mixed plans. The engine executes any
-//! valid plan, so every mechanism shares scheduling, timing, energy, and
-//! numeric machinery.
+//! and branch distributor produce mixed plans. Every executor runs a plan
+//! through its one lowering, [`ExecutionPlan::layout`] (`crate::layout`),
+//! which validates it and realizes its nominal fractions as whole-channel
+//! cuts, so every mechanism shares scheduling, timing, energy, and numeric
+//! machinery.
 
 use std::collections::BTreeSet;
 
-use usoc::{realized_fractions, split_channel_count, DeviceId, DtypePlan, SocSpec};
-use utensor::{DType, Shape, TensorError};
+use usoc::{DeviceId, DtypePlan, SocSpec};
+use utensor::{DType, TensorError};
 
 use unn::{Graph, LayerKind, NodeId};
 
@@ -55,40 +57,6 @@ impl NodePlacement {
             NodePlacement::Single { dtypes, .. } => dtypes.storage,
             NodePlacement::Split { parts } => {
                 parts.first().map(|p| p.1.storage).unwrap_or(DType::F32)
-            }
-        }
-    }
-
-    /// The split parts with their fractions replaced by the *realized*
-    /// fractions over the layer's channel axis (`None` for `Single`).
-    ///
-    /// Nominal fractions are what the partitioner chose; the channel-wise
-    /// split can only hand out whole channels, so the timing engine must
-    /// cost what each processor actually executes — a 0.03 share of a
-    /// 6-channel layer realizes zero channels and costs nothing. Both
-    /// co-simulation halves derive their cuts from
-    /// [`usoc::split_cuts`], so this realization cannot drift from the
-    /// functional evaluator's.
-    pub(crate) fn realized_parts(
-        &self,
-        kind: &LayerKind,
-        in_shape: &Shape,
-    ) -> Option<Vec<(DeviceId, DtypePlan, f64)>> {
-        match self {
-            NodePlacement::Single { .. } => None,
-            NodePlacement::Split { parts } => {
-                let fracs: Vec<f64> = parts.iter().map(|p| p.2).collect();
-                let realized = match split_channel_count(kind, in_shape) {
-                    Some(c) if c > 0 => realized_fractions(c, &fracs),
-                    _ => fracs,
-                };
-                Some(
-                    parts
-                        .iter()
-                        .zip(realized)
-                        .map(|(&(d, dt, _), f)| (d, dt, f))
-                        .collect(),
-                )
             }
         }
     }
@@ -148,8 +116,8 @@ impl ExecutionPlan {
 
     /// The structural checks every consumer of a plan relies on. The
     /// fields are public, so a plan can be mutated after construction;
-    /// the timing engine and the functional evaluator both call this
-    /// before indexing anything, and a failure names the first problem:
+    /// [`ExecutionPlan::layout`] runs this before indexing anything, and
+    /// a failure names the first problem:
     ///
     /// - one placement per node;
     /// - every placement stores activations in the same dtype (consumers
@@ -201,11 +169,10 @@ impl ExecutionPlan {
         }
     }
 
-    /// [`ExecutionPlan::validate`] plus the spec half an executor needs:
-    /// every placement is on a device the spec has and the host can
-    /// reach over its links.
-    pub(crate) fn validate_for(&self, graph: &Graph, spec: &SocSpec) -> Result<(), String> {
-        self.validate(graph)?;
+    /// The spec half of validation, which the timing engine adds to
+    /// [`ExecutionPlan::layout`]: every placement is on a device the spec
+    /// has and the host can reach over its links.
+    pub(crate) fn validate_for(&self, spec: &SocSpec) -> Result<(), String> {
         let host = spec.cpu();
         for (i, p) in self.placements.iter().enumerate() {
             // There is no route to a device the spec does not have, either.

@@ -64,6 +64,38 @@ fn soc_error_display_round_trips_through_run_error() {
 }
 
 #[test]
+fn an_input_of_the_wrong_shape_is_rejected_before_any_node_runs() {
+    // The evaluator takes its shapes from the graph the engine costs, so
+    // an input of any other shape is a typed error up front, not a run
+    // over shapes the plan was never lowered for.
+    struct NoNode;
+    impl uruntime::ExecBackend for NoNode {
+        fn name(&self) -> &str {
+            "no-node"
+        }
+        fn run_node(
+            &self,
+            _: &[uruntime::PartTask<'_>],
+            _: &mut utensor::TensorViewMut<'_>,
+        ) -> Result<(), TensorError> {
+            panic!("a node ran on a mis-shaped input")
+        }
+    }
+    let spec = SocSpec::exynos_7420();
+    let g = ModelId::SqueezeNet.build_miniature();
+    let plan = uruntime::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8).expect("plan");
+    let w = unn::Weights::random(&g, 3).expect("weights");
+    let expected = g.input_shape().clone();
+    let x = Tensor::zeros(expected.clone(), DType::F32, None);
+    let calib = unn::calibrate(&g, &w, std::slice::from_ref(&x)).expect("calibration");
+    let found = Shape::nchw(1, expected.c(), expected.h() + 2, expected.w() + 2);
+    let wrong = Tensor::zeros(found.clone(), DType::F32, None);
+    let err = uruntime::evaluate_plan_with_backend(&g, &plan, &w, &calib, &wrong, &NoNode)
+        .expect_err("a mis-shaped input must not evaluate");
+    assert_eq!(err, TensorError::ShapeMismatch { expected, found });
+}
+
+#[test]
 fn unrecoverable_runs_report_not_panic() {
     // A GPU-single plan with the GPU lost at t=0 and no fallback path is
     // unrecoverable by construction when resilience is off... but the

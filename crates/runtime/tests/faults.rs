@@ -2,14 +2,17 @@
 //! re-execution, attribution tiling under faults, reproducibility, and
 //! the bit-identical recovery guarantee.
 
-use simcore::{FaultPlan, ResourceId, RetryPolicy, Scenario, SimSpan};
+use std::sync::Mutex;
+
+use simcore::{DeviceLoss, FaultPlan, ResourceId, RetryPolicy, Scenario, SimSpan, SimTime};
 use unn::{Graph, ModelId, Weights};
 use uruntime::{
     attribute, evaluate_plan, evaluate_plan_with_backend, execute_plan, execute_plan_with_faults,
-    ExecutionPlan, NodePlacement, OverheadClass, RunOptions, SimulatedBackend,
+    ExecBackend, ExecutionPlan, FallbackScope, NodePlacement, OverheadClass, PartTask, RunOptions,
+    SimulatedBackend,
 };
 use usoc::{DtypePlan, SocSpec};
-use utensor::{DType, Tensor};
+use utensor::{DType, Tensor, TensorError, TensorViewMut};
 
 /// A cooperative CPU+GPU split plan over the miniature SqueezeNet: every
 /// distributable layer is split 0.5/0.5 with processor-friendly dtypes,
@@ -201,6 +204,114 @@ fn gpu_loss_falls_back_to_cpu_bit_identical() {
         },
     )
     .expect("rec");
+    for (i, (a, b)) in clean.iter().zip(&recovered).enumerate() {
+        assert!(a.bit_equal(b), "node {i} diverged under recovery");
+    }
+}
+
+/// `(node, part index, channel range)` of one evaluator task.
+type TaskRange = (usize, usize, Option<(usize, usize)>);
+
+/// Forwards to an inner backend, recording the [`TaskRange`] of every
+/// task the evaluator hands it.
+struct TaskRanges<'a> {
+    inner: SimulatedBackend<'a>,
+    ranges: Mutex<Vec<TaskRange>>,
+}
+
+impl ExecBackend for TaskRanges<'_> {
+    fn name(&self) -> &str {
+        "task-ranges"
+    }
+
+    fn run_node(
+        &self,
+        tasks: &[PartTask<'_>],
+        out: &mut TensorViewMut<'_>,
+    ) -> Result<(), TensorError> {
+        let ranges = tasks
+            .iter()
+            .map(|t| (t.node.0, t.part_index, t.split.map(|(_, lo, hi)| (lo, hi))));
+        self.ranges.lock().unwrap().extend(ranges);
+        self.inner.run_node(tasks, out)
+    }
+}
+
+#[test]
+fn fallback_ranges_are_the_channels_the_evaluator_writes() {
+    // Distributable layers alternate between a 0.37 CPU share, which
+    // divides none of the miniature's channel counts, and 0.97, whose
+    // 0.03 GPU share rounds to no channel of a layer narrower than 17.
+    // With the GPU lost from the start every GPU part falls back, and
+    // each fallback must recompute exactly the channels the evaluator
+    // gives that part; an empty share neither runs nor falls back.
+    let spec = SocSpec::exynos_7420();
+    let g = ModelId::SqueezeNet.build_miniature();
+    let mut splits = 0;
+    let placements = g
+        .nodes()
+        .iter()
+        .map(|n| {
+            if !n.kind.is_distributable() {
+                return NodePlacement::single(spec.cpu(), DType::QUInt8);
+            }
+            splits += 1;
+            let cpu_share = if splits % 2 == 0 { 0.97 } else { 0.37 };
+            NodePlacement::Split {
+                parts: vec![
+                    (spec.cpu(), DtypePlan::proc_friendly_cpu(), cpu_share),
+                    (spec.gpu(), DtypePlan::proc_friendly_gpu(), 1.0 - cpu_share),
+                ],
+            }
+        })
+        .collect();
+    let plan = ExecutionPlan::new(&g, &spec, placements, "uneven").expect("plan");
+    let faults = FaultPlan::none().with_loss(DeviceLoss {
+        resource: ResourceId(spec.gpu().0),
+        at: SimTime::ZERO,
+    });
+    let (_, report) =
+        execute_plan_with_faults(&spec, &g, &plan, &faults, &RetryPolicy::default()).expect("run");
+    assert!(!report.fallbacks.is_empty());
+
+    let (w, calib, x) = functional_setup(&g);
+    let recorder = TaskRanges {
+        inner: SimulatedBackend {
+            fallbacks: &report.fallbacks,
+        },
+        ranges: Mutex::new(Vec::new()),
+    };
+    let recovered = evaluate_plan_with_backend(&g, &plan, &w, &calib, &x, &recorder).expect("rec");
+    let ranges = recorder.ranges.into_inner().unwrap();
+    let mut uneven = 0;
+    for f in &report.fallbacks {
+        let FallbackScope::Channels { index, lo, hi } = f.scope else {
+            panic!("GPU work of this plan is split work: {f:?}");
+        };
+        let written: Vec<_> = ranges
+            .iter()
+            .filter(|r| r.0 == f.node.0 && r.1 == index)
+            .collect();
+        assert_eq!(written, [&(f.node.0, index, Some((lo, hi)))], "{f:?}");
+        let NodePlacement::Split { parts } = &plan.placements[f.node.0] else {
+            panic!("a fallback by channels is of a split node: {f:?}");
+        };
+        let channels = recovered[f.node.0].shape().c() as f64;
+        if (hi - lo) as f64 / channels != parts[index].2 {
+            uneven += 1;
+        }
+    }
+    assert!(uneven > 0, "no fallback of a share that does not divide");
+    // Some split ran its CPU part alone: its GPU share rounded to empty.
+    let empty: Vec<usize> = (0..g.len())
+        .filter(|&i| {
+            plan.placements[i].devices().len() == 2 && !ranges.iter().any(|r| r.0 == i && r.1 == 1)
+        })
+        .collect();
+    assert!(!empty.is_empty(), "no share rounded to empty");
+    assert!(report.fallbacks.iter().all(|f| !empty.contains(&f.node.0)));
+
+    let clean = evaluate_plan(&g, &plan, &w, &calib, &x).expect("clean");
     for (i, (a, b)) in clean.iter().zip(&recovered).enumerate() {
         assert!(a.bit_equal(b), "node {i} diverged under recovery");
     }

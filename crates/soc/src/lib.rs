@@ -38,7 +38,4 @@ pub use error::SocError;
 pub use memory::{BufferId, MapMode, MemoryStats, SharedMemory};
 pub use profiler::{profile_graph, single_layer_latency, total_latency};
 pub use spec::SocSpec;
-pub use work::{
-    layer_work, realized_fractions, split_channel_count, split_cuts, split_weight_elems, DtypePlan,
-    KernelWork, WorkClass,
-};
+pub use work::{layer_work, split_cuts, DtypePlan, KernelWork, WorkClass};

@@ -145,25 +145,6 @@ impl DtypePlan {
     }
 }
 
-/// The number of channels a layer's channel-wise split distributes
-/// (§3.2): output channels for filter-sliced layers (conv, FC), input
-/// channels for input-sliced layers (depthwise conv, pooling). `None`
-/// for layers that cannot be channel-split.
-///
-/// Both halves of the co-simulation — the timing engine and the
-/// functional evaluator — derive their split realization from this one
-/// definition so their channel accounting cannot drift.
-pub fn split_channel_count(kind: &LayerKind, in_shape: &Shape) -> Option<usize> {
-    match kind {
-        LayerKind::Conv { oc, .. } => Some(*oc),
-        LayerKind::FullyConnected { out, .. } => Some(*out),
-        LayerKind::DepthwiseConv { .. } | LayerKind::Pool { .. } | LayerKind::GlobalAvgPool => {
-            Some(in_shape.c())
-        }
-        _ => None,
-    }
-}
-
 /// Realizes split fractions as cut points over `channels` channels.
 ///
 /// Returns `parts.len() + 1` cumulative cut points starting at 0 and
@@ -181,36 +162,6 @@ pub fn split_cuts(channels: usize, fracs: &[f64]) -> Vec<usize> {
     }
     *cuts.last_mut().expect("nonempty") = channels;
     cuts
-}
-
-/// The fraction of the layer each realized part actually executes:
-/// `(cuts[p+1] - cuts[p]) / channels`. Zero-channel parts yield 0.0 —
-/// the scheduler skips them entirely. Returns the nominal fractions
-/// unchanged when `channels` is 0 (degenerate layers).
-pub fn realized_fractions(channels: usize, fracs: &[f64]) -> Vec<f64> {
-    if channels == 0 {
-        return fracs.to_vec();
-    }
-    let cuts = split_cuts(channels, fracs);
-    cuts.windows(2)
-        .map(|w| (w[1] - w[0]) as f64 / channels as f64)
-        .collect()
-}
-
-/// Splits `weight_elems` weight/bias elements across the realized parts
-/// of `cuts` such that the per-part counts sum exactly to `weight_elems`.
-///
-/// Uses cumulative integer division (part `p` gets
-/// `⌊E·cuts[p+1]/C⌋ − ⌊E·cuts[p]/C⌋`), which telescopes to `E` for any
-/// cut sequence — the property that makes split weight-buffer byte
-/// accounting agree with the single-placement total.
-pub fn split_weight_elems(weight_elems: usize, cuts: &[usize], channels: usize) -> Vec<usize> {
-    if channels == 0 {
-        return vec![0; cuts.len().saturating_sub(1)];
-    }
-    cuts.windows(2)
-        .map(|w| weight_elems * w[1] / channels - weight_elems * w[0] / channels)
-        .collect()
 }
 
 /// Describes the work of executing `frac` of a layer's output channels
@@ -534,9 +485,6 @@ mod tests {
                 assert_eq!(cuts[0], 0);
                 assert_eq!(*cuts.last().unwrap(), channels);
                 assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "{cuts:?}");
-                let realized = realized_fractions(channels, &fracs);
-                let sum: f64 = realized.iter().sum();
-                assert!((sum - 1.0).abs() < 1e-12, "realized {realized:?}");
             }
         }
     }
@@ -544,52 +492,8 @@ mod tests {
     #[test]
     fn tiny_layer_rounds_a_share_to_zero() {
         // The 0.97/0.03 split of a 6-channel layer: the small share
-        // realizes zero channels and must be reported as frac 0.0.
-        let realized = realized_fractions(6, &[0.97, 0.03]);
-        assert_eq!(realized, vec![1.0, 0.0]);
+        // realizes zero channels.
         assert_eq!(split_cuts(6, &[0.97, 0.03]), vec![0, 6, 6]);
-    }
-
-    #[test]
-    fn split_weight_elems_sum_exactly() {
-        for (elems, channels) in [(577usize, 7usize), (64 * 32 * 9 + 64, 64), (10, 3), (0, 4)] {
-            for fracs in [vec![0.5, 0.5], vec![0.97, 0.03], vec![0.2, 0.3, 0.5]] {
-                let cuts = split_cuts(channels, &fracs);
-                let parts = split_weight_elems(elems, &cuts, channels);
-                assert_eq!(parts.iter().sum::<usize>(), elems, "{cuts:?}");
-            }
-        }
-        // Degenerate zero-channel layer: nothing to distribute.
-        assert_eq!(split_weight_elems(10, &[0, 0, 0], 0), vec![0, 0]);
-    }
-
-    #[test]
-    fn split_channel_count_follows_the_split_axis() {
-        let in_shape = Shape::nchw(1, 32, 28, 28);
-        assert_eq!(split_channel_count(&conv_kind(), &in_shape), Some(64));
-        assert_eq!(
-            split_channel_count(
-                &LayerKind::FullyConnected {
-                    out: 10,
-                    relu: false
-                },
-                &in_shape
-            ),
-            Some(10)
-        );
-        let pool = LayerKind::Pool {
-            func: unn::PoolFunc::Max,
-            k: 2,
-            stride: 2,
-            pad: 0,
-        };
-        assert_eq!(split_channel_count(&pool, &in_shape), Some(32));
-        assert_eq!(
-            split_channel_count(&LayerKind::GlobalAvgPool, &in_shape),
-            Some(32)
-        );
-        assert_eq!(split_channel_count(&LayerKind::Softmax, &in_shape), None);
-        assert_eq!(split_channel_count(&LayerKind::Concat, &in_shape), None);
     }
 
     #[test]
