@@ -157,6 +157,47 @@ fn sequential_frames_stop_growing_the_thread_arena() {
     }
 }
 
+/// The most scratch-arena capacity one full SqueezeNet μLayer frame may
+/// leave on the thread that ran it. The blocked GEMMs gather their `B`
+/// panels from each layer's input plane one `KC × NC` block at a time,
+/// so the arena holds blocks, panels and the QUInt8 accumulators:
+/// 2 662 528 bytes. A `K × N` im2col patch matrix on top fails the bound
+/// — the first convolution's QUInt8 one alone is 27 × 12 321 bytes —
+/// and when every convolution built one, the frame left 4 509 922
+/// bytes.
+const SQUEEZENET_ARENA_BYTES: usize = 2_750_000;
+
+#[test]
+fn a_squeezenet_frame_builds_no_patch_matrix() {
+    let spec = SocSpec::exynos_7420();
+    let g = ModelId::SqueezeNet.build();
+    let w = Weights::random(&g, 5).unwrap();
+    let shape = g.input_shape().clone();
+    let x = Tensor::from_f32(
+        shape.clone(),
+        (0..shape.numel())
+            .map(|i| (((i * 31) % 200) as f32) / 100.0 - 1.0)
+            .collect(),
+    )
+    .unwrap();
+    let calib = unn::calibrate(&g, &w, std::slice::from_ref(&x)).unwrap();
+    let plan = ulayer::ULayer::new(spec).unwrap().plan(&g).unwrap().plan;
+    // A fresh thread starts from an empty arena.
+    let bytes = std::thread::scope(|s| {
+        s.spawn(|| {
+            evaluate_plan(&g, &plan, &w, &calib, &x).unwrap();
+            ukernels::thread_arena_capacity_bytes()
+        })
+        .join()
+        .unwrap()
+    });
+    println!("squeezenet frame: {bytes} arena bytes");
+    assert!(
+        bytes <= SQUEEZENET_ARENA_BYTES,
+        "{bytes} arena bytes exceed {SQUEEZENET_ARENA_BYTES}"
+    );
+}
+
 #[test]
 fn parallel_execution_deterministic_across_thread_counts() {
     // Mixed-precision (CPU QUInt8 + GPU F16) outputs must not depend on

@@ -1,9 +1,12 @@
 //! Reusable scratch buffers for the lowered kernel paths.
 //!
-//! Convolution via im2col + GEMM is allocation-hungry when written
-//! naively: every call materializes a patch matrix, the quantized GEMM
-//! needs an `i32` accumulator row, and the blocked kernels pack panels of
-//! `A` and `B` into contiguous tiles. On the real-execution backend
+//! The lowered kernels need working memory on every call: the blocked
+//! GEMMs pack panels of `A` and `B` into contiguous tiles, the quantized
+//! GEMM sums into an `i32` accumulator matrix, and the direct depthwise
+//! and LRN kernels keep a padded plane and its accumulators. (No
+//! convolution builds its `K × N` im2col patch matrix: the `B` pack
+//! gathers one `KC × NC` block of patches at a time from the input
+//! plane.) On the real-execution backend
 //! (`crates/exec`) those allocations would land in every worker's inner
 //! loop, so all of them are routed through a [`ScratchArena`]: a bag of
 //! typed buffers that grow to the high-water mark of the layers they have
@@ -28,21 +31,22 @@ use std::ops::{Deref, DerefMut};
 
 use utensor::F16;
 
-/// Typed scratch buffers shared by the im2col/GEMM kernel paths.
+/// Typed scratch buffers shared by the GEMM, depthwise and LRN kernels.
 ///
 /// Fields are public on purpose: the borrow checker can split borrows of
-/// distinct fields, which is exactly what `im2col` output + pack buffers
-/// need (`patches` is read while `pack_a`/`pack_b` are written).
+/// distinct fields, so a kernel can fill one buffer while it reads
+/// another (the depthwise kernel's padded plane and its accumulators,
+/// the GEMM's patch block and its `B` panel).
 #[derive(Default, Debug)]
 pub struct ScratchArena {
-    /// im2col patch matrix, f32 path; the direct depthwise's padded
-    /// plane.
+    /// One `KC × NC` block of im2col patches (f32 GEMM); the direct f32
+    /// depthwise's padded plane; the LRN's input, widened to f32.
     pub patches_f32: Vec<f32>,
-    /// im2col patch matrix, F16 path; the direct depthwise's padded
-    /// plane.
+    /// One `KC × NC` block of im2col patches (F16 GEMM); the direct F16
+    /// depthwise's padded plane.
     pub patches_f16: Vec<F16>,
-    /// im2col patch matrix, QUInt8 path; the direct depthwise's
-    /// zero-point-padded plane.
+    /// One `KC × NC` block of im2col patches (QUInt8 GEMM); the direct
+    /// QUInt8 depthwise's zero-point-padded plane.
     pub patches_u8: Vec<u8>,
     /// Packed `A` panel (f32 blocked GEMM).
     pub pack_a_f32: Vec<f32>,
@@ -57,10 +61,11 @@ pub struct ScratchArena {
     pub pack_a_i16: Vec<i16>,
     /// Packed zero-point-subtracted `B` panel (QUInt8 blocked GEMM).
     pub pack_b_i16: Vec<i16>,
-    /// `i32` accumulators (QUInt8 GEMM row / blocked `m × n` sums /
-    /// direct depthwise plane).
+    /// `i32` accumulators (the QUInt8 GEMM's `m × n` sums / the direct
+    /// depthwise plane).
     pub acc_i32: Vec<i32>,
-    /// Accumulators of the direct f32 depthwise plane.
+    /// Accumulators of the direct f32 depthwise plane; the LRN's f32
+    /// output.
     pub acc_f32: Vec<f32>,
     /// Accumulators of the direct F16 depthwise plane.
     pub acc_f16: Vec<F16>,

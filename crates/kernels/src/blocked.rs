@@ -19,6 +19,19 @@
 //! Pack buffers come from a [`ScratchArena`], so steady-state execution
 //! does not allocate.
 //!
+//! ## Where `B` comes from
+//!
+//! The `B`-panel pack is the only step between a GEMM layer's input and
+//! the register tile. It reads [`GemmB`]: either a plain `k × n` matrix
+//! (1×1 convolutions, FC layers, the public GEMMs), whose rows it reads
+//! in place, or a convolution's input plane with its im2col geometry
+//! ([`Im2col`]). From a plane it gathers the `KC × NC` block of patches
+//! the panel needs, row by row: per (patch row, output row) one copy — a
+//! strided gather at stride > 1 — over the output columns whose tap
+//! lies inside the plane, computed once per patch row, and the pad
+//! value around them. The block stays in L2 and is packed at once; no
+//! `K × N` patch matrix is ever built.
+//!
 //! ## Tile geometry
 //!
 //! The panel layout is a property of the register tile that reads it,
@@ -56,6 +69,8 @@
 //! the SIMD tiles of [`crate::simd`], which perform the same operations
 //! in the same order; the path choice changes speed, never results.
 
+use std::ops::Range;
+
 use utensor::requantize_into;
 use utensor::{FixedPointMultiplier, QuantParams, TensorError, F16};
 
@@ -76,32 +91,162 @@ pub const NR: usize = 8;
 /// every row tile of `A` runs against it.
 pub(crate) const NC: usize = 256;
 
-/// Packs columns `j0..j1` of the `B` panel rows `p0..p0+kc` into
-/// `nr`-column micro-panels, `KS` consecutive `k` interleaved per lane
-/// (`pb[(g·nr + x)·KS + s]` for `k = g·KS + s`). The right edge and an
-/// odd `kc` are padded with `zero`.
+/// The geometry of a convolution's im2col lowering over one CHW plane:
+/// `B` row `(ci·kh + ky)·kw + kx`, column `oy·ow + ox` is the input at
+/// row `oy·stride + ky − pad`, column `ox·stride + kx − pad` of channel
+/// `ci`, or the pad value where that lies outside the plane.
+#[derive(Clone, Copy)]
+pub(crate) struct Im2col {
+    pub(crate) c: usize,
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) kh: usize,
+    pub(crate) kw: usize,
+    pub(crate) stride: usize,
+    pub(crate) pad: usize,
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
+}
+
+impl Im2col {
+    /// Writes columns `cols` of `B` row `p` into `dst`: `pad`, then per
+    /// output row the columns whose tap lies inside the plane in one
+    /// copy (a strided gather at stride > 1).
+    fn gather<T: Copy>(&self, plane: &[T], p: usize, cols: Range<usize>, pad: T, dst: &mut [T]) {
+        let (rest, kx) = (p / self.kw, p % self.kw);
+        let (ci, ky) = (rest / self.kh, rest % self.kh);
+        let s = self.stride;
+        let over = |v: usize| if s == 1 { v } else { v.div_ceil(s) };
+        // The output columns whose tap `ox·s + kx − pad` lies in `0..w`.
+        let x_lo = over(self.pad.saturating_sub(kx)).min(self.ow);
+        let x_hi = over((self.w + self.pad).saturating_sub(kx)).clamp(x_lo, self.ow);
+        let channel = &plane[ci * self.h * self.w..][..self.h * self.w];
+        let (mut oy, mut ox0) = (cols.start / self.ow, cols.start % self.ow);
+        let mut dst = &mut dst[..cols.len()];
+        // One fill for the whole row, then only the live columns: cheaper
+        // than filling the few pad columns of every output row.
+        dst.fill(pad);
+        while !dst.is_empty() {
+            let ox1 = self.ow.min(ox0 + dst.len());
+            let (seg, rest) = std::mem::take(&mut dst).split_at_mut(ox1 - ox0);
+            dst = rest;
+            // Above the plane wraps to a huge row, so one test covers both
+            // borders.
+            let iy = (oy * s + ky).wrapping_sub(self.pad);
+            let (a, b) = (x_lo.clamp(ox0, ox1) - ox0, x_hi.clamp(ox0, ox1) - ox0);
+            if iy < self.h && a < b {
+                let x = (ox0 + a) * s + kx - self.pad;
+                let src = &channel[iy * self.w + x..][..(b - a - 1) * s + 1];
+                let live = &mut seg[a..b];
+                match s {
+                    1 => live.copy_from_slice(src),
+                    // `chunks_exact(2)` rather than `step_by(2)`: the
+                    // fixed-width form is the one the compiler turns into
+                    // a wide load plus a shuffle.
+                    2 => {
+                        let (last, body) = live.split_last_mut().expect("a < b");
+                        for (d, pair) in body.iter_mut().zip(src.chunks_exact(2)) {
+                            *d = pair[0];
+                        }
+                        *last = src[src.len() - 1];
+                    }
+                    _ => {
+                        for (d, &v) in live.iter_mut().zip(src.iter().step_by(s)) {
+                            *d = v;
+                        }
+                    }
+                }
+            }
+            oy += 1;
+            ox0 = 0;
+        }
+    }
+}
+
+/// The `B` operand of a blocked GEMM, as [`pack_b`] reads it.
+#[derive(Clone, Copy)]
+pub(crate) enum GemmB<'a, T> {
+    /// A row-major `k × n` matrix (1×1 convolutions, FC layers).
+    Matrix(&'a [T]),
+    /// The im2col patches of a CHW plane, padded with the given value,
+    /// gathered one panel block at a time.
+    Patches(&'a [T], Im2col, T),
+}
+
+impl<'a, T: Copy> GemmB<'a, T> {
+    /// Batch element `x` of a GEMM layer: its im2col patches under
+    /// `lower`, or the plane itself as the matrix.
+    pub(crate) fn of(x: &'a [T], lower: Option<Im2col>, pad: T) -> GemmB<'a, T> {
+        match lower {
+            None => GemmB::Matrix(x),
+            Some(g) => GemmB::Patches(x, g, pad),
+        }
+    }
+
+    /// Panics unless the operand is `k × n`.
+    fn check(&self, k: usize, n: usize, what: &str) {
+        match self {
+            GemmB::Matrix(b) => assert_eq!(b.len(), k * n, "{what}: B length"),
+            GemmB::Patches(x, g, _) => {
+                assert_eq!(x.len(), g.c * g.h * g.w, "{what}: input plane length");
+                assert_eq!((k, n), (g.c * g.kh * g.kw, g.oh * g.ow), "{what}: B shape");
+            }
+        }
+    }
+}
+
+/// Packs columns `j0..j1` (at most [`NC`]) of the `B` rows `p0..p0+kc`
+/// into `NRT`-column micro-panels, `KS` consecutive `k` interleaved per
+/// lane (`pb[(g·NRT + x)·KS + s]` for `k = g·KS + s`), converting with
+/// `conv`. A matrix's rows are read in place; a plane's patches are
+/// gathered into `block` first, one `kc × (j1 − j0)` block that stays
+/// in L2. Each micro-panel is then written front to back, reading its
+/// columns from `kc` rows (the K-pair layout zips two rows lane pair by
+/// lane pair, a loop the compiler vectorises): measured faster than
+/// filling every micro-panel one row at a time, whose stores go to
+/// panels `kc·NRT` elements apart. The right edge and an odd `kc` are
+/// padded with `zero`.
 #[allow(clippy::too_many_arguments)]
-fn pack_b<S: Copy, T: Copy, const KS: usize>(
-    pb: &mut Vec<T>,
-    b: &[S],
+fn pack_b<S: Copy, T: Copy, const NRT: usize, const KS: usize>(
+    (pb, block): (&mut Vec<T>, &mut Vec<S>),
+    b: &GemmB<'_, S>,
     n: usize,
     (j0, j1): (usize, usize),
     (p0, kc): (usize, usize),
-    nr: usize,
     zero: T,
     conv: impl Fn(S) -> T,
 ) {
-    let panel_len = kc.next_multiple_of(KS) * nr;
-    pb.clear();
-    pb.resize((j1 - j0).div_ceil(nr) * panel_len, zero);
-    for (jt, panel) in pb.chunks_exact_mut(panel_len).enumerate() {
-        let c0 = j0 + jt * nr;
-        let jw = nr.min(j1 - c0);
-        for (g, lanes) in panel.chunks_exact_mut(nr * KS).enumerate() {
-            for s in 0..KS.min(kc - g * KS) {
-                let row = (p0 + g * KS + s) * n + c0;
-                for (dst, &v) in lanes[s..].iter_mut().step_by(KS).zip(&b[row..row + jw]) {
-                    *dst = conv(v);
+    let width = j1 - j0;
+    // The panel's rows: row `r` at `rows[r·pitch + c0..]`.
+    let (rows, pitch, c0) = match *b {
+        GemmB::Matrix(m) => (&m[p0 * n..], n, j0),
+        GemmB::Patches(x, g, pad) => {
+            block.resize(kc * width, pad);
+            for (r, dst) in block.chunks_exact_mut(width).enumerate() {
+                g.gather(x, p0 + r, j0..j1, pad, dst);
+            }
+            (&block[..], width, 0)
+        }
+    };
+    let panel_len = kc.next_multiple_of(KS) * NRT;
+    pb.resize(width.div_ceil(NRT) * panel_len, zero);
+    for (panel, x0) in pb.chunks_exact_mut(panel_len).zip((c0..).step_by(NRT)) {
+        let jw = NRT.min(c0 + width - x0);
+        for (g, lanes) in panel.chunks_exact_mut(NRT * KS).enumerate() {
+            let (live, edge) = lanes.as_chunks_mut::<KS>().0.split_at_mut(jw);
+            edge.fill([zero; KS]);
+            let r = g * KS;
+            let r0 = &rows[r * pitch + x0..][..jw];
+            if KS == 2 && r + 1 < kc {
+                let r1 = &rows[(r + 1) * pitch + x0..][..jw];
+                for (d, (&v0, &v1)) in live.iter_mut().zip(r0.iter().zip(r1)) {
+                    d[0] = conv(v0);
+                    d[1] = conv(v1);
+                }
+            } else {
+                for (d, &v) in live.iter_mut().zip(r0) {
+                    d[0] = conv(v);
+                    d[1..].fill(zero);
                 }
             }
         }
@@ -187,8 +332,8 @@ fn for_each_tile<
     c: &mut [TC],
     (m, k, n): (usize, usize, usize),
     a: &[SA],
-    b: &[SB],
-    (pa, pb): (&mut Vec<TA>, &mut Vec<TB>),
+    b: GemmB<'_, SB>,
+    (pa, pb, block): (&mut Vec<TA>, &mut Vec<TB>, &mut Vec<SB>),
     (zero_a, zero_b, zero_c): (TA, TB, TC),
     conv_a: impl Fn(&mut [TA], &[SA]),
     conv_b: impl Fn(SB) -> TB,
@@ -202,7 +347,8 @@ fn for_each_tile<
         pack_a::<_, _, KS>(pa, a, (m, k), (p0, kc), zero_a, &conv_a);
         for jb in (0..n).step_by(NC) {
             let jb_end = n.min(jb + NC);
-            pack_b::<_, _, KS>(pb, b, n, (jb, jb_end), (p0, kc), NRT, zero_b, &conv_b);
+            let bufs = (&mut *pb, &mut *block);
+            pack_b::<_, _, NRT, KS>(bufs, &b, n, (jb, jb_end), (p0, kc), zero_b, &conv_b);
             for (jt, pb_panel) in pb.chunks_exact(kc_pad * NRT).enumerate() {
                 let j0 = jb + jt * NRT;
                 for (it, pa_panel) in pa.chunks_exact(kc_pad * MR).enumerate() {
@@ -241,8 +387,21 @@ pub fn gemm_f32_blocked(
     relu: bool,
     arena: &mut ScratchArena,
 ) {
+    gemm_f32(c, (m, k, n), a, GemmB::Matrix(b), bias, relu, arena);
+}
+
+/// [`gemm_f32_blocked`] over any `B` operand.
+pub(crate) fn gemm_f32(
+    c: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+    a: &[f32],
+    b: GemmB<'_, f32>,
+    bias: Option<&[f32]>,
+    relu: bool,
+    arena: &mut ScratchArena,
+) {
     assert_eq!(a.len(), m * k, "gemm_f32_blocked: A length");
-    assert_eq!(b.len(), k * n, "gemm_f32_blocked: B length");
+    b.check(k, n, "gemm_f32_blocked");
     assert_eq!(c.len(), m * n, "gemm_f32_blocked: C length");
     if let Some(bias) = bias {
         assert_eq!(bias.len(), m, "gemm_f32_blocked: bias length");
@@ -254,7 +413,11 @@ pub fn gemm_f32_blocked(
         (m, k, n),
         a,
         b,
-        (&mut arena.pack_a_f32, &mut arena.pack_b_f32),
+        (
+            &mut arena.pack_a_f32,
+            &mut arena.pack_b_f32,
+            &mut arena.patches_f32,
+        ),
         (0.0f32, 0.0f32, 0.0f32),
         |dst, row| dst.copy_from_slice(row),
         |v| v,
@@ -305,8 +468,21 @@ pub fn gemm_f16_blocked(
     relu: bool,
     arena: &mut ScratchArena,
 ) {
+    gemm_f16(c, (m, k, n), a, GemmB::Matrix(b), bias, relu, arena);
+}
+
+/// [`gemm_f16_blocked`] over any `B` operand.
+pub(crate) fn gemm_f16(
+    c: &mut [F16],
+    (m, k, n): (usize, usize, usize),
+    a: &[F16],
+    b: GemmB<'_, F16>,
+    bias: Option<&[f32]>,
+    relu: bool,
+    arena: &mut ScratchArena,
+) {
     assert_eq!(a.len(), m * k, "gemm_f16_blocked: A length");
-    assert_eq!(b.len(), k * n, "gemm_f16_blocked: B length");
+    b.check(k, n, "gemm_f16_blocked");
     assert_eq!(c.len(), m * n, "gemm_f16_blocked: C length");
     if let Some(bias) = bias {
         assert_eq!(bias.len(), m, "gemm_f16_blocked: bias length");
@@ -342,7 +518,7 @@ fn f16_panels<const NRT: usize>(
     c: &mut [F16],
     dims: (usize, usize, usize),
     a: &[F16],
-    b: &[F16],
+    b: GemmB<'_, F16>,
     arena: &mut ScratchArena,
     tile: impl Fn(&mut [[F16; NRT]; MR], &[F16], &[F16], usize),
 ) {
@@ -351,7 +527,11 @@ fn f16_panels<const NRT: usize>(
         dims,
         a,
         b,
-        (&mut arena.pack_a_f16, &mut arena.pack_b_f16),
+        (
+            &mut arena.pack_a_f16,
+            &mut arena.pack_b_f16,
+            &mut arena.patches_f16,
+        ),
         (F16::ZERO, F16::ZERO, F16::ZERO),
         |dst, row| dst.copy_from_slice(row),
         |v| v,
@@ -383,8 +563,24 @@ pub fn gemm_quint8_blocked(
     relu: bool,
     arena: &mut ScratchArena,
 ) -> Result<(), TensorError> {
+    let (a, b) = ((a, a_params), (GemmB::Matrix(b), b_params));
+    gemm_quint8(c, (m, k, n), a, b, bias, out_params, relu, arena)
+}
+
+/// [`gemm_quint8_blocked`] over any `B` operand.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_quint8(
+    c: &mut [u8],
+    (m, k, n): (usize, usize, usize),
+    (a, a_params): (&[u8], QuantParams),
+    (b, b_params): (GemmB<'_, u8>, QuantParams),
+    bias: Option<&[f32]>,
+    out_params: QuantParams,
+    relu: bool,
+    arena: &mut ScratchArena,
+) -> Result<(), TensorError> {
     assert_eq!(a.len(), m * k, "gemm_quint8_blocked: A length");
-    assert_eq!(b.len(), k * n, "gemm_quint8_blocked: B length");
+    b.check(k, n, "gemm_quint8_blocked");
     assert_eq!(c.len(), m * n, "gemm_quint8_blocked: C length");
     if let Some(bias) = bias {
         assert_eq!(bias.len(), m, "gemm_quint8_blocked: bias length");
@@ -447,7 +643,7 @@ pub fn gemm_quint8_blocked(
 fn quint8_panels<const NRT: usize, const KS: usize>(
     dims: (usize, usize, usize),
     a: &[u8],
-    b: &[u8],
+    b: GemmB<'_, u8>,
     (a_zp, b_zp): (i16, i16),
     arena: &mut ScratchArena,
     tile: impl Fn(&mut [[i32; NRT]; MR], &[i16], &[i16], usize),
@@ -457,7 +653,11 @@ fn quint8_panels<const NRT: usize, const KS: usize>(
         dims,
         a,
         b,
-        (&mut arena.pack_a_i16, &mut arena.pack_b_i16),
+        (
+            &mut arena.pack_a_i16,
+            &mut arena.pack_b_i16,
+            &mut arena.patches_u8,
+        ),
         (0i16, 0i16, 0i32),
         |dst, row| {
             for (d, &v) in dst.iter_mut().zip(row) {

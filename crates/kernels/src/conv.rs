@@ -1,11 +1,13 @@
 //! 2-D convolution and the GEMM-layer body it shares with FC layers.
 //!
-//! Convolution lowers to im2col + the blocked GEMMs of [`crate::blocked`]
-//! per batch element, matching how ACL/gemmlowp execute it on the paper's
-//! SoCs; 1×1 stride-1 unpadded layers skip the im2col copy
-//! ([`crate::pointwise`]) and depthwise layers have their own direct
-//! kernel ([`crate::depthwise`]). The test suites hold all of them to the
-//! naive loops kept in `tests/common`.
+//! Convolution is one blocked GEMM of [`crate::blocked`] per batch
+//! element over the layer's im2col patches, as ACL/gemmlowp execute it
+//! on the paper's SoCs — but the `K × N` patch matrix is never built:
+//! the GEMM's `B`-panel pack gathers each panel's block of patches from
+//! the input plane. 1×1 stride-1 unpadded layers hand the plane over as
+//! the matrix itself ([`crate::pointwise`]); depthwise layers have their
+//! own direct kernel ([`crate::depthwise`]). The test suites hold all of
+//! them to the naive loops kept in `tests/common`.
 //!
 //! Channel-wise workload distribution (§3.2) does not need special kernel
 //! support: the executor narrows the filter view to a part's output
@@ -14,8 +16,7 @@
 
 use utensor::{Shape, TensorError, TensorView, TensorViewMut, ViewData, ViewDataMut, F16};
 
-use crate::blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked};
-use crate::im2col::im2col_into;
+use crate::blocked::{gemm_f16, gemm_f32, gemm_quint8, GemmB, Im2col};
 use crate::out_dim;
 use crate::pointwise::is_pointwise;
 
@@ -84,121 +85,73 @@ pub fn conv2d(
     let out_shape = conv_output_shape(&input.shape, &filters.shape, params)?;
     crate::check_bias(bias, out_shape.c())?;
     crate::expect_out(out, &out_shape)?;
-    let (ic, kh, kw) = (input.shape.c(), filters.shape.dim(2), filters.shape.dim(3));
-    // 1×1 stride-1 unpadded convolutions skip the im2col copy: the same
-    // GEMM on the same bytes.
+    // 1×1 stride-1 unpadded convolutions need no lowering: their
+    // patches are the input plane.
     let lower = (!is_pointwise(&filters.shape, params)).then_some(Im2col {
-        c: ic,
+        c: input.shape.c(),
         h: input.shape.h(),
         w: input.shape.w(),
-        kh,
-        kw,
+        kh: filters.shape.dim(2),
+        kw: filters.shape.dim(3),
         stride: params.stride,
         pad: params.pad,
+        oh: out_shape.h(),
+        ow: out_shape.w(),
     });
-    let dims = GemmDims {
-        batches: input.shape.n(),
-        m: filters.shape.dim(0),
-        k: ic * kh * kw,
-        cols: out_shape.h() * out_shape.w(),
-    };
-    gemm_layer((input, filters, bias), dims, lower, params.relu, out)
-}
-
-/// The im2col lowering of one batch element of a convolution.
-#[derive(Clone, Copy)]
-pub(crate) struct Im2col {
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-}
-
-/// Batch element `xb` as the GEMM's `B` operand: its im2col patches,
-/// built in `patches`, or — for the direct 1×1 path and FC layers — the
-/// plane itself.
-fn operand<'p, T: Copy>(
-    xb: &'p [T],
-    lower: Option<Im2col>,
-    patches: &'p mut Vec<T>,
-    pad_value: T,
-) -> &'p [T] {
-    match lower {
-        None => xb,
-        Some(g) => {
-            im2col_into(
-                patches, xb, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, pad_value,
-            );
-            patches
-        }
-    }
-}
-
-/// The GEMM sizes of a GEMM layer: per batch element,
-/// `out [m × cols] = W [m × k] × B [k × cols]`.
-#[derive(Clone, Copy)]
-pub(crate) struct GemmDims {
-    pub(crate) batches: usize,
-    pub(crate) m: usize,
-    pub(crate) k: usize,
-    pub(crate) cols: usize,
+    gemm_layer((input, filters, bias), lower, params.relu, out)
 }
 
 /// The body of every GEMM layer ([`conv2d`], its direct 1×1 path, and
-/// [`crate::fully_connected`]): one blocked GEMM per batch element, the
-/// weights `w` as `A`, the batch element's plane (or its im2col patches,
-/// `lower`) as `B`, written into that element's block of `out`. The
-/// caller has checked the shapes; the one dtype match is here.
+/// [`crate::fully_connected`]): one blocked GEMM per batch element,
+/// `out [m × cols] = w [m × k] × B [k × cols]`, the batch element's
+/// plane (or its im2col patches, `lower`, read in place) as `B`, written
+/// into that element's block of `out`. The sizes come from the views:
+/// `m` and `k` from `w` (`[m, …]`, `k` the product of the rest), `cols`
+/// from `out` (`[n, m, …]`). The caller has checked the shapes; the one
+/// dtype match is here.
 pub(crate) fn gemm_layer(
     (x, w, bias): (&TensorView<'_>, &TensorView<'_>, Option<&[f32]>),
-    d: GemmDims,
     lower: Option<Im2col>,
     relu: bool,
     out: &mut TensorViewMut<'_>,
 ) -> Result<(), TensorError> {
     let dtypes = [x.dtype(), w.dtype(), out.dtype()];
-    let plane = x.shape.numel() / d.batches.max(1);
+    let batches = x.shape.dims().first().copied().unwrap_or(1);
+    let m = w.shape.dim(0);
+    let (k, cols) = (
+        w.shape.dims()[1..].iter().product(),
+        out.shape.dims()[2..].iter().product(),
+    );
+    let plane = x.shape.numel() / batches.max(1);
     let (xs, os) = (
         |b: usize| b * plane..(b + 1) * plane,
-        |b: usize| b * d.m * d.cols..(b + 1) * d.m * d.cols,
+        |b: usize| b * m * cols..(b + 1) * m * cols,
     );
-    // Patch matrices, pack buffers and the quantized accumulators come
-    // from the per-thread scratch arena: repeated layers (one per layer
-    // per frame) reuse capacity instead of allocating in the hot loop.
-    // The patch buffer is moved out so the GEMM can borrow the arena's
-    // pack buffers mutably alongside it.
+    let dims = (m, k, cols);
+    // Pack buffers and the quantized accumulators come from the
+    // per-thread scratch arena: repeated layers (one per layer per
+    // frame) reuse capacity instead of allocating in the hot loop.
     let mut arena = crate::arena::ThreadArenaGuard::take();
     let arena = &mut *arena;
     match (x.data, w.data, &mut out.data) {
         (ViewData::F32(x), ViewData::F32(w), ViewDataMut::F32(o)) => {
-            let mut patches = std::mem::take(&mut arena.patches_f32);
-            for b in 0..d.batches {
-                let xb = operand(&x[xs(b)], lower, &mut patches, 0.0);
-                gemm_f32_blocked(&mut o[os(b)], d.m, d.k, d.cols, w, xb, bias, relu, arena);
+            for b in 0..batches {
+                let xb = GemmB::of(&x[xs(b)], lower, 0.0);
+                gemm_f32(&mut o[os(b)], dims, w, xb, bias, relu, arena);
             }
-            arena.patches_f32 = patches;
         }
         (ViewData::F16(x), ViewData::F16(w), ViewDataMut::F16(o)) => {
-            let mut patches = std::mem::take(&mut arena.patches_f16);
-            for b in 0..d.batches {
-                let xb = operand(&x[xs(b)], lower, &mut patches, F16::ZERO);
-                gemm_f16_blocked(&mut o[os(b)], d.m, d.k, d.cols, w, xb, bias, relu, arena);
+            for b in 0..batches {
+                let xb = GemmB::of(&x[xs(b)], lower, F16::ZERO);
+                gemm_f16(&mut o[os(b)], dims, w, xb, bias, relu, arena);
             }
-            arena.patches_f16 = patches;
         }
         (ViewData::QUInt8(x, x_p), ViewData::QUInt8(w, w_p), ViewDataMut::QUInt8(o, o_p)) => {
-            let mut patches = std::mem::take(&mut arena.patches_u8);
-            let res = (0..d.batches).try_for_each(|b| {
-                let xb = operand(&x[xs(b)], lower, &mut patches, x_p.zero_point);
-                let (m, k, cols) = (d.m, d.k, d.cols);
+            for b in 0..batches {
+                let xb = (GemmB::of(&x[xs(b)], lower, x_p.zero_point), x_p);
                 let c = &mut o[os(b)];
-                gemm_quint8_blocked(c, m, k, cols, w, w_p, xb, x_p, bias, *o_p, relu, arena)
-            });
-            arena.patches_u8 = patches;
-            res?;
+                gemm_quint8(c, dims, (w, w_p), xb, bias, *o_p, relu, arena)?;
+            }
         }
         _ => return Err(crate::mismatch(&dtypes)),
     }

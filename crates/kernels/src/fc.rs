@@ -10,7 +10,7 @@
 
 use utensor::{Shape, TensorError, TensorView, TensorViewMut};
 
-use crate::conv::{gemm_layer, GemmDims};
+use crate::conv::gemm_layer;
 
 /// Fully-connected layer: `input` (any shape with `n` as dim 0) ×
 /// `weights [out_features, in_features]`, written into `out`
@@ -43,13 +43,7 @@ pub fn fully_connected(
     }
     crate::check_bias(bias, out_f)?;
     crate::expect_out(out, &Shape::nchw(n, out_f, 1, 1))?;
-    let dims = GemmDims {
-        batches: n,
-        m: out_f,
-        k: in_f,
-        cols: 1,
-    };
-    gemm_layer((input, weights, bias), dims, None, relu, out)
+    gemm_layer((input, weights, bias), None, relu, out)
 }
 
 #[cfg(test)]

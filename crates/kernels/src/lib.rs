@@ -26,9 +26,12 @@
 //! Every layer has one route on every thread: convolutions ([`conv2d`])
 //! and FC layers ([`fully_connected`]) share one GEMM-layer body over the
 //! cache-blocked GEMMs ([`gemm_f32_blocked`], [`gemm_f16_blocked`],
-//! [`gemm_quint8_blocked`]; an im2col copy first, except for 1×1 stride-1
-//! unpadded layers, which feed the input plane straight in), depthwise
-//! layers their direct kernel ([`depthwise_conv2d`]). The only
+//! [`gemm_quint8_blocked`]), whose `B`-panel pack gathers a
+//! convolution's im2col patches from the input plane one `KC × NC` block
+//! at a time — no `K × N` patch matrix is built — and reads a 1×1
+//! stride-1 unpadded layer's plane, or an FC layer's input, as the
+//! matrix itself; depthwise layers run their direct kernel
+//! ([`depthwise_conv2d`]). The only
 //! per-thread choice is the register tiles ([`set_kernel_path`]: scalar,
 //! or the host's [`SimdTier`]), and those are bit-identical. The test
 //! suites hold every kernel to the naive loops kept as oracles in
@@ -44,7 +47,6 @@ mod depthwise;
 mod dispatch;
 mod eltwise;
 mod fc;
-mod im2col;
 mod norm;
 mod pointwise;
 mod pool;

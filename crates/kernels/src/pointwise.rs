@@ -1,16 +1,13 @@
 //! Direct pointwise (1×1) convolution.
 //!
-//! For a 1×1 kernel with stride 1 and no padding, the im2col patch
-//! matrix *is* the input plane: `im2col` degenerates to an identity
-//! copy of `ic × (h·w)` elements. MobileNet spends most of its MACs in
-//! exactly these layers, so the copy is pure overhead — this module
-//! feeds the input plane to the GEMM directly.
-//!
-//! [`crate::conv2d`] hands every eligible layer's input plane to the
-//! GEMM-layer body as `B` directly. The blocked GEMM runs on the same
-//! operand bytes the identity im2col would have built, so the result is
-//! unconditionally **bit-identical** to the im2col lowering in every
-//! dtype and on every kernel path.
+//! For a 1×1 kernel with stride 1 and no padding, the im2col patches
+//! *are* the input plane, an `ic × (h·w)` matrix. MobileNet spends most
+//! of its MACs in exactly these layers, so [`crate::conv2d`] hands every
+//! eligible layer's input plane to the GEMM-layer body as the `B`
+//! matrix, whose rows the `B`-panel pack borrows as they are — no
+//! window arithmetic at all. The operand bytes are those of the im2col
+//! lowering, so the result is **bit-identical** to it in every dtype
+//! and on every kernel path.
 
 use utensor::Shape;
 

@@ -182,6 +182,20 @@ fn pool_plane_rowwise<A: Copy>(
                     *o = finish(join(t[0], t[1]), count);
                 }
             }
+            // Stride 2 in the fixed-width form (`chunks_exact(2)`, not
+            // `step_by(2)`), which the compiler turns into wide loads and
+            // shuffles: window `i` is pair `i` plus the first tap of pair
+            // `i + 1`. Below 16 outputs (one vector of codes) the vector
+            // loop never runs and the `windows` form below is faster.
+            3 if g.stride == 2 && middle.len() >= 16 => {
+                let (last, body) = middle.split_last_mut().expect("non-empty");
+                let pairs = taps.chunks_exact(2).zip(taps[2..].chunks_exact(2));
+                for (o, (t, next)) in body.iter_mut().zip(pairs) {
+                    *o = finish(join(join(t[0], t[1]), next[0]), count);
+                }
+                let t = &taps[2 * body.len()..][..3];
+                *last = finish(join(join(t[0], t[1]), t[2]), count);
+            }
             3 => {
                 for (o, t) in middle.iter_mut().zip(taps.windows(3).step_by(g.stride)) {
                     *o = finish(join(join(t[0], t[1]), t[2]), count);
