@@ -44,7 +44,7 @@ echo "==> surface budget (pub fn and pub mod lines under crates/*/src)"
 # then sees everything else. Like the sibling budget, these numbers only
 # go down: a new public function replaces one, or something no other
 # crate names drops to `pub(crate)`.
-pub_fn_budget=443
+pub_fn_budget=441
 pub_mod_budget=0
 pub_fns="$(grep -rhE '^\s*pub fn ' crates/*/src | wc -l || true)"
 pub_mods="$(grep -rhE '^\s*pub mod ' crates/*/src | wc -l || true)"

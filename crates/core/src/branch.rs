@@ -18,10 +18,7 @@ use utensor::Shape;
 use unn::{Graph, NodeId};
 use uruntime::NodePlacement;
 
-use crate::config::ULayerConfig;
-use crate::error::ULayerError;
 use crate::partitioner::{device_dtypes, LayerCoster};
-use crate::planning::{PlanContext, PlanDraft, PlanPass, PlanPassReport};
 
 /// A branch mapping replaces the per-layer plan only when its predicted
 /// latency beats the per-layer estimate by this factor. The margin
@@ -31,7 +28,7 @@ use crate::planning::{PlanContext, PlanDraft, PlanPass, PlanPassReport};
 const APPLY_MARGIN: f64 = 0.97;
 
 /// The outcome of optimizing one branch group.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BranchMapping {
     /// The group's join node (identifies the group).
     pub join: NodeId,
@@ -87,25 +84,29 @@ fn branch_cost(
 /// Optimizes every branch group of `graph`, rewriting `placements` in
 /// place where a branch mapping beats the per-layer plan.
 ///
-/// `layer_costs` are the partitioner's predicted per-node costs for the
-/// current placements.
+/// `shapes` are the graph's inferred output shapes and `layer_costs` the
+/// partitioner's predicted per-node costs for the current placements.
 pub(crate) fn apply_branch_distribution(
-    spec: &SocSpec,
     coster: &LayerCoster<'_>,
-    cfg: &ULayerConfig,
+    devices: &[DeviceId],
     graph: &Graph,
+    shapes: &[Shape],
     placements: &mut [NodePlacement],
     layer_costs: &[SimSpan],
-) -> Result<Vec<BranchMapping>, ULayerError> {
-    let shapes = graph.infer_shapes()?;
-    let groups = unn::find_branch_groups(graph);
+) -> Vec<BranchMapping> {
+    let spec = coster.spec;
     let cpu = spec.cpu();
     // Branch distribution maps whole branches onto the CPU/GPU pair
-    // (§3.3); a spec without a GPU (an MCU mesh, say) has nothing to
-    // map onto and keeps its per-layer placements.
-    let Some(gpu) = spec.find(DeviceKind::Gpu) else {
-        return Ok(Vec::new());
+    // (§3.3); a spec without a GPU (an MCU mesh, say), or a device set
+    // without both, has nothing to map onto and keeps its per-layer
+    // placements.
+    let Some(gpu) = spec
+        .find(DeviceKind::Gpu)
+        .filter(|gpu| devices.contains(gpu) && devices.contains(&cpu))
+    else {
+        return Vec::new();
     };
+    let groups = unn::find_branch_groups(graph);
     let mut applied = Vec::new();
 
     for group in &groups {
@@ -119,8 +120,8 @@ pub(crate) fn apply_branch_distribution(
         let mut feasible = true;
         for branch in &group.branches {
             match (
-                branch_cost(coster, graph, &shapes, branch, cpu),
-                branch_cost(coster, graph, &shapes, branch, gpu),
+                branch_cost(coster, graph, shapes, branch, cpu),
+                branch_cost(coster, graph, shapes, branch, gpu),
             ) {
                 (Some(c), Some(g)) => {
                     cpu_costs.push(c);
@@ -163,7 +164,7 @@ pub(crate) fn apply_branch_distribution(
                 for &id in branch {
                     placements[id.0] = NodePlacement::Single {
                         device,
-                        dtypes: device_dtypes(spec, device, cfg),
+                        dtypes: device_dtypes(spec, device, coster.cfg),
                     };
                 }
             }
@@ -175,7 +176,7 @@ pub(crate) fn apply_branch_distribution(
             });
         }
     }
-    Ok(applied)
+    applied
 }
 
 /// The estimated latency of one branch-to-processor mapping: the host
@@ -208,64 +209,10 @@ pub(crate) fn mapping_cost(
     total
 }
 
-/// The §5 stage of the planning pipeline: rewrites divergent branch
-/// groups branch-per-processor where the mapping beats the per-layer
-/// plan. Reports a no-op when the configuration disables the mechanism;
-/// errors if it runs before a partitioning pass populated the draft.
-pub(crate) struct BranchDistributionPass;
-
-impl PlanPass for BranchDistributionPass {
-    fn name(&self) -> &'static str {
-        "branch-distribution"
-    }
-
-    fn run(
-        &self,
-        cx: &PlanContext<'_>,
-        draft: &mut PlanDraft,
-    ) -> Result<PlanPassReport, ULayerError> {
-        if !cx.config.branch_distribution {
-            return Ok(PlanPassReport {
-                pass: self.name(),
-                rewrites: 0,
-                detail: "disabled by configuration".into(),
-            });
-        }
-        if draft.placements.len() != cx.graph.len() {
-            return Err(ULayerError::Plan(
-                "branch distribution requires a fully partitioned draft \
-                 (order a partition pass before it)"
-                    .into(),
-            ));
-        }
-        let coster = LayerCoster {
-            spec: cx.spec,
-            predictor: cx.predictor,
-            cfg: cx.config,
-            drift: cx.drift,
-        };
-        let mappings = apply_branch_distribution(
-            cx.spec,
-            &coster,
-            cx.config,
-            cx.graph,
-            &mut draft.placements,
-            &draft.costs,
-        )?;
-        let rewrites: usize = mappings.iter().map(|m| m.assignment.len()).sum();
-        let detail = format!("{} branch groups remapped", mappings.len());
-        draft.branch_mappings.extend(mappings);
-        Ok(PlanPassReport {
-            pass: self.name(),
-            rewrites,
-            detail,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ULayerConfig;
     use crate::partitioner::tests::partitioned;
     use crate::predictor::LatencyPredictor;
 
@@ -286,8 +233,15 @@ mod tests {
             cfg: &cfg,
             drift: None,
         };
-        let applied =
-            apply_branch_distribution(&spec, &coster, &cfg, &g, &mut placements, &costs).unwrap();
+        let shapes = g.infer_shapes().unwrap();
+        let applied = apply_branch_distribution(
+            &coster,
+            &spec.device_ids(),
+            &g,
+            &shapes,
+            &mut placements,
+            &costs,
+        );
         // The Inception modules' small layers make branch mapping a win
         // for at least some modules.
         assert!(
@@ -314,8 +268,15 @@ mod tests {
             cfg: &cfg,
             drift: None,
         };
-        let applied =
-            apply_branch_distribution(&spec, &coster, &cfg, &g, &mut placements, &costs).unwrap();
+        let shapes = g.infer_shapes().unwrap();
+        let applied = apply_branch_distribution(
+            &coster,
+            &spec.device_ids(),
+            &g,
+            &shapes,
+            &mut placements,
+            &costs,
+        );
         for m in &applied {
             let groups = unn::find_branch_groups(&g);
             let group = groups.iter().find(|grp| grp.join == m.join).unwrap();
@@ -375,8 +336,15 @@ mod tests {
             cfg: &cfg,
             drift: None,
         };
-        let applied =
-            apply_branch_distribution(&spec, &coster, &cfg, &g, &mut placements, &costs).unwrap();
+        let shapes = g.infer_shapes().unwrap();
+        let applied = apply_branch_distribution(
+            &coster,
+            &spec.device_ids(),
+            &g,
+            &shapes,
+            &mut placements,
+            &costs,
+        );
         assert!(applied.is_empty());
         assert_eq!(before.len(), placements.len());
         for (a, b) in before.iter().zip(&placements) {

@@ -35,7 +35,8 @@ use utensor::DType;
 use crate::adapt::DriftAdapter;
 use crate::config::ULayerConfig;
 use crate::error::ULayerError;
-use crate::planning::PlanDraft;
+use crate::partitioner::CostTables;
+use crate::planning::{draft, PlanContext, PlanDraft};
 use crate::runtime::ULayer;
 
 /// True when `subset` is connected in the subgraph induced by the
@@ -67,7 +68,7 @@ impl ULayer {
     /// adapter) corrects every rung's predicted latency, which is what
     /// the serving loop's slack estimate consumes.
     ///
-    /// Every rung is the same planning pipeline (`ULayer::draft`) under
+    /// Every rung is the one planning function ([`crate::draft`]) under
     /// a different `(configuration, device set)`.
     pub fn degradation_ladder(
         &self,
@@ -77,7 +78,15 @@ impl ULayer {
         let spec = self.spec();
         let ids = spec.device_ids();
         let draft = |config: &ULayerConfig, devices: &[DeviceId]| {
-            self.draft(graph, drift, config, devices).map(|(d, _)| d)
+            let cx = PlanContext {
+                spec,
+                predictor: self.predictor(),
+                config,
+                graph,
+                drift,
+                devices,
+            };
+            draft(&cx, &CostTables::build(&cx)?, None).map(|(d, _)| d)
         };
         let rung = |label: String, plan_label: &str, draft: PlanDraft| {
             Ok::<_, ULayerError>(LadderRung {

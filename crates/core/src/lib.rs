@@ -20,10 +20,13 @@
 //! Components (Figure 13), as the crate's surface names them: the
 //! [`LatencyPredictor`] (Neurosurgeon-style fitted latency models), the
 //! partitioner ([`partition`], [`LayerCoster`]: chooses `p` per layer),
-//! the branch distributor (a stage of [`PlanPassRunner`]), and the
-//! [`ULayer`] facade that plans and executes. Around them: the
-//! drift-keyed plan cache ([`PlannerSession`]) and drift adaptation over
-//! a stream ([`run_adaptive_stream`], [`DriftAdapter`]).
+//! the branch distributor, and the [`ULayer`] facade that plans and
+//! executes. The partitioner and the branch distributor run in that
+//! order inside [`draft`], the one planning function; branch
+//! distribution runs only when the CPU and the GPU are both in
+//! [`PlanContext::devices`]. Around them: the drift-keyed plan cache
+//! ([`PlannerSession`]) and drift adaptation over a stream
+//! ([`run_adaptive_stream`], [`DriftAdapter`]).
 //!
 //! # Examples
 //!
@@ -54,8 +57,8 @@ mod runtime;
 pub use adapt::{accel_share, run_adaptive_stream, DriftAdapter};
 pub use config::ULayerConfig;
 pub use error::ULayerError;
-pub use partitioner::{partition, LayerCoster};
+pub use partitioner::{partition, CostTables, LayerCoster, SingleCostEntry};
 pub use plancache::{PlanSource, PlannerSession, PlannerStats, ReusePolicy};
-pub use planning::{PlanContext, PlanDraft, PlanPassReport, PlanPassRunner};
+pub use planning::{draft, PlanContext, PlanDraft, PlanPassReport};
 pub use predictor::{FitReport, LatencyPredictor, MeasuredSample};
 pub use runtime::{PlanReport, ULayer};

@@ -7,18 +7,26 @@
 //! cheapest. With more than two processors (the §8.3 NPU extension) it
 //! additionally considers n-way splits with throughput-proportional
 //! shares.
+//!
+//! [`partition`] is the planner's one per-layer loop. Every layer's
+//! candidates are costed from [`CostTables`], built once per `(graph,
+//! config, device set)`; given a base draft, a layer whose decision the
+//! plan cache's margin test proves unchanged is copied from the base
+//! instead of re-enumerated. [`crate::draft`] runs branch distribution
+//! on its result.
 
-use usoc::{DeviceId, DeviceKind, DtypePlan, SocSpec};
+use usoc::{DeviceId, DeviceKind, DtypePlan, SocSpec, WorkClass};
 use utensor::{DType, Shape};
 
 use simcore::SimSpan;
-use unn::{Graph, LayerKind, NodeId};
+use unn::{LayerKind, NodeId};
 use uruntime::NodePlacement;
 
 use crate::adapt::DriftAdapter;
 use crate::config::ULayerConfig;
 use crate::error::ULayerError;
-use crate::planning::{PlanContext, PlanDraft, PlanPass, PlanPassReport};
+use crate::plancache::{contraction, reuse, DriftSnapshot, PlanSource};
+use crate::planning::{PlanContext, PlanDraft};
 use crate::predictor::LatencyPredictor;
 
 /// The dtype plan a device uses under the active configuration.
@@ -88,9 +96,8 @@ impl<'a> LayerCoster<'a> {
     /// The drift-independent part of [`Self::single_cost`]: feasibility
     /// plus the raw kernel and fixed (host + transfer) spans. `None`
     /// means infeasible — and feasibility never depends on drift, so an
-    /// entry built once stays valid for every drift state. This is the
-    /// table [`CostTables`] hoists behind the graph/topology digest.
-    pub(crate) fn single_cost_entry(
+    /// entry built once stays valid for every drift state.
+    fn single_cost_entry(
         &self,
         device: DeviceId,
         kind: &LayerKind,
@@ -123,6 +130,22 @@ impl<'a> LayerCoster<'a> {
         })
     }
 
+    /// The single-device entries of one layer over `devices`, in
+    /// order: the `singles` row [`Self::best_placement`] takes and
+    /// [`CostTables`] holds per node. Drift never participates.
+    pub fn singles(
+        &self,
+        devices: &[DeviceId],
+        kind: &LayerKind,
+        in_shape: &Shape,
+        out_shape: &Shape,
+    ) -> Vec<Option<SingleCostEntry>> {
+        devices
+            .iter()
+            .map(|&d| self.single_cost_entry(d, kind, in_shape, out_shape))
+            .collect()
+    }
+
     /// Applies the current drift state to a hoisted entry. Bit-exact
     /// with [`Self::single_cost`]: span addition is integer-nanosecond
     /// and associative, and the correction multiplies only the kernel
@@ -134,6 +157,30 @@ impl<'a> LayerCoster<'a> {
     ) -> Option<SimSpan> {
         let e = entry?;
         Some(self.corrected(device, e.class, e.kernel) + e.fixed)
+    }
+
+    /// The cost of `placement` of one layer under the coster's drift
+    /// state, through the same code path [`Self::best_placement`] costs
+    /// it with; `singles` is the layer's row over `devices`.
+    pub(crate) fn placement_cost(
+        &self,
+        devices: &[DeviceId],
+        singles: &[Option<SingleCostEntry>],
+        placement: &NodePlacement,
+        kind: &LayerKind,
+        in_shape: &Shape,
+        out_shape: &Shape,
+    ) -> Option<SimSpan> {
+        match placement {
+            NodePlacement::Single { device, .. } => devices
+                .iter()
+                .position(|d| d == device)
+                .and_then(|j| self.single_cost_from(*device, singles[j])),
+            NodePlacement::Split { parts } => {
+                let flat: Vec<(DeviceId, f64)> = parts.iter().map(|&(d, _, f)| (d, f)).collect();
+                self.split_cost(&flat, kind, in_shape, out_shape)
+            }
+        }
     }
 
     /// Predicted latency of a channel-wise split across `parts`
@@ -196,29 +243,20 @@ impl<'a> LayerCoster<'a> {
     /// device when it has none) and every other member is a split
     /// partner; with the full device set this enumerates exactly the
     /// paper's CPU+accelerator candidates in the same order. All ids in
-    /// `devices` must exist in the spec. `singles`, when provided, is a
-    /// hoisted `SingleCostEntry` row indexed like `devices` (see
-    /// `CostTables`); it must have been built for the same
-    /// `(graph, spec, config, devices)` — entries are drift-independent
-    /// so any drift state is fine.
+    /// `devices` must exist in the spec. `singles` is the layer's
+    /// [`Self::singles`] row over the same `devices` under the same
+    /// config; its entries are drift-independent, so any drift state is
+    /// fine.
     pub fn best_placement(
         &self,
         devices: &[DeviceId],
         kind: &LayerKind,
         in_shape: &Shape,
         out_shape: &Shape,
-        singles: Option<&[Option<SingleCostEntry>]>,
+        singles: &[Option<SingleCostEntry>],
     ) -> Result<PlacementChoice, ULayerError> {
-        debug_assert!(
-            singles.is_none_or(|s| s.len() == devices.len()),
-            "singles row shape mismatch"
-        );
-        let single_at = |i: usize, device: DeviceId| -> Option<SimSpan> {
-            match singles {
-                Some(rows) => self.single_cost_from(device, rows[i]),
-                None => self.single_cost(device, kind, in_shape, out_shape),
-            }
-        };
+        debug_assert_eq!(singles.len(), devices.len(), "singles row shape mismatch");
+        let single_at = |i: usize, device: DeviceId| self.single_cost_from(device, singles[i]);
         // Selection keeps the strict first-wins order of the legacy
         // enumeration AND tracks the best non-chosen cost: whenever the
         // leader changes, the dethroned leader's cost is the new
@@ -391,146 +429,146 @@ pub struct SingleCostEntry {
 
 /// Hoisted per-layer cost tables for one `(graph, spec, config,
 /// device-subset)` tuple. Everything in here is drift-independent —
-/// shapes from `infer_shapes` and the [`SingleCostEntry`] grid — so a
-/// planner session builds the tables once behind the same digests the
-/// plan cache keys on and reuses them for every replan, instead of
-/// re-deriving them per frame (the cost-table rebuild fix).
+/// shapes from `infer_shapes`, each layer's work class and the
+/// [`SingleCostEntry`] grid — so a planner session builds the tables
+/// once per graph and reuses them for every replan, and one plan reads
+/// its shapes from here in both the partitioner and branch
+/// distribution.
 #[derive(Clone, Debug)]
 pub struct CostTables {
     /// The device subset the tables were built over, in subset order.
     pub devices: Vec<DeviceId>,
     /// Inferred output shape per node.
     pub shapes: Vec<Shape>,
+    /// Work class per node (selects the drift factors it consults).
+    pub(crate) classes: Vec<WorkClass>,
     /// `singles[node][i]` is the entry for `devices[i]`, `None` when
     /// the single placement is infeasible there.
     singles: Vec<Vec<Option<SingleCostEntry>>>,
 }
 
 impl CostTables {
-    /// Builds the tables. Drift never participates, so the result is
-    /// valid for every drift state over the same inputs.
-    pub fn build(
-        spec: &SocSpec,
-        predictor: &LatencyPredictor,
-        cfg: &ULayerConfig,
-        graph: &Graph,
-        devices: &[DeviceId],
-    ) -> Result<CostTables, ULayerError> {
+    /// Builds the tables for `cx`'s graph, config and devices. Drift
+    /// never participates, so the result is valid for every drift
+    /// state over the same inputs.
+    pub fn build(cx: &PlanContext<'_>) -> Result<CostTables, ULayerError> {
+        let graph = cx.graph;
         let shapes = graph.infer_shapes()?;
         let coster = LayerCoster {
-            spec,
-            predictor,
-            cfg,
             drift: None,
+            ..cx.coster()
         };
+        let mut classes = Vec::with_capacity(graph.len());
         let mut singles = Vec::with_capacity(graph.len());
         for (i, node) in graph.nodes().iter().enumerate() {
             let in_shape = graph.node_input_shape(NodeId(i), &shapes);
-            singles.push(
-                devices
-                    .iter()
-                    .map(|&d| coster.single_cost_entry(d, &node.kind, in_shape, &shapes[i]))
-                    .collect(),
+            let row = coster.singles(cx.devices, &node.kind, in_shape, &shapes[i]);
+            // With every single placement infeasible (a mesh-RAM layer)
+            // the class comes from the layer kind, which alone decides it.
+            classes.push(
+                row.iter()
+                    .find_map(|e| e.map(|e| e.class))
+                    .unwrap_or_else(|| {
+                        let dtypes = DtypePlan::uniform(DType::QUInt8);
+                        usoc::layer_work(&node.kind, in_shape, &shapes[i], dtypes, 1.0).class
+                    }),
             );
+            singles.push(row);
         }
         Ok(CostTables {
-            devices: devices.to_vec(),
+            devices: cx.devices.to_vec(),
             shapes,
+            classes,
             singles,
         })
-    }
-
-    /// The hoisted single-cost row for `node`.
-    pub(crate) fn singles_row(&self, node: usize) -> &[Option<SingleCostEntry>] {
-        &self.singles[node]
     }
 }
 
 /// Plans every layer independently over `cx.devices` (channel
-/// distribution + quantization; branch distribution is applied on top by
-/// `crate::branch`), correcting the predictor's kernel estimates by
+/// distribution + quantization; [`crate::draft`] applies branch
+/// distribution on top), correcting the predictor's kernel estimates by
 /// `cx.drift`. Every layer is placed on — or split across — members of
 /// `cx.devices` only: the full device set for the cooperative plan, a
 /// surviving connected subset or a single processor for the degradation
 /// ladder's lower rungs.
 ///
-/// When `tables` is given it must have been built for the same
-/// `(graph, spec, config, devices)`; the output is bit-identical with
-/// and without tables.
+/// `tables` must have been built for `cx`. With a `base` draft planned
+/// earlier over the same graph, config and devices, a layer whose
+/// decision the margin test (see the plan cache) proves unchanged under
+/// the drift moved since the base is copied rather than re-enumerated;
+/// the result is byte-identical to planning without a base. The
+/// returned draft has no branch mappings yet.
 pub fn partition(
     cx: &PlanContext<'_>,
-    tables: Option<&CostTables>,
-) -> Result<Vec<PlacementChoice>, ULayerError> {
+    tables: &CostTables,
+    base: Option<&PlanDraft>,
+) -> Result<PlanDraft, ULayerError> {
     debug_assert!(
-        tables.is_none_or(|t| t.devices == cx.devices),
+        tables.devices == cx.devices,
         "cost tables were built for a different device subset"
     );
-    let owned_shapes;
-    let shapes = match tables {
-        Some(t) => &t.shapes,
-        None => {
-            owned_shapes = cx.graph.infer_shapes()?;
-            &owned_shapes
-        }
-    };
-    let coster = LayerCoster {
-        spec: cx.spec,
-        predictor: cx.predictor,
-        cfg: cx.config,
-        drift: cx.drift,
-    };
+    let coster = cx.coster();
+    let drift = DriftSnapshot::capture(cx.drift, cx.devices);
+    let base = base.map(|b| {
+        debug_assert_eq!(b.choices.len(), cx.graph.len());
+        (&b.choices, contraction(&b.drift, &drift))
+    });
     let mut choices = Vec::with_capacity(cx.graph.len());
+    let mut copied = 0usize;
     for (i, node) in cx.graph.nodes().iter().enumerate() {
-        let in_shape = cx.graph.node_input_shape(NodeId(i), shapes);
-        choices.push(coster.best_placement(
-            cx.devices,
-            &node.kind,
-            in_shape,
-            &shapes[i],
-            tables.map(|t| t.singles_row(i)),
-        )?);
+        let in_shape = cx.graph.node_input_shape(NodeId(i), &tables.shapes);
+        let out_shape = &tables.shapes[i];
+        let row = &tables.singles[i];
+        let reused = base.as_ref().and_then(|(choices, moved)| {
+            let base = &choices[i];
+            match moved[tables.classes[i].index()] {
+                // No factor this layer's costs consult moved: every
+                // candidate cost — chosen and not — is unchanged.
+                None => Some(base.clone()),
+                // The n-way proportional candidate's fractions move with
+                // the drift state: the candidate set itself changed.
+                Some(_) if base.drift_shaped => None,
+                Some(rho) => coster
+                    .placement_cost(
+                        cx.devices,
+                        row,
+                        &base.placement,
+                        &node.kind,
+                        in_shape,
+                        out_shape,
+                    )
+                    .and_then(|cost| reuse(base, cost, rho)),
+            }
+        });
+        choices.push(match reused {
+            Some(choice) => {
+                copied += 1;
+                choice
+            }
+            None => coster.best_placement(cx.devices, &node.kind, in_shape, out_shape, row)?,
+        });
     }
-    Ok(choices)
-}
-
-/// The channel-distribution stage of the planning pipeline: places every
-/// layer independently (the §3.2 partitioner) and fills the draft's
-/// placement and cost vectors.
-pub(crate) struct PartitionPass;
-
-impl PlanPass for PartitionPass {
-    fn name(&self) -> &'static str {
-        "partition"
-    }
-
-    fn run(
-        &self,
-        cx: &PlanContext<'_>,
-        draft: &mut PlanDraft,
-    ) -> Result<PlanPassReport, ULayerError> {
-        let (placements, costs): (Vec<_>, Vec<_>) = partition(cx, None)?
-            .into_iter()
-            .map(|c| (c.placement, c.cost))
-            .unzip();
-        let splits = placements
-            .iter()
-            .filter(|p| matches!(p, NodePlacement::Split { .. }))
-            .count();
-        let rewrites = placements.len();
-        let detail = format!("{rewrites} layers placed, {splits} channel-split");
-        draft.placements = placements;
-        draft.costs = costs;
-        Ok(PlanPassReport {
-            pass: self.name(),
-            rewrites,
-            detail,
-        })
-    }
+    let source = match base {
+        Some(_) => PlanSource::Incremental {
+            reenumerated: choices.len() - copied,
+            copied,
+        },
+        None => PlanSource::Scratch,
+    };
+    Ok(PlanDraft {
+        placements: choices.iter().map(|c| c.placement.clone()).collect(),
+        costs: choices.iter().map(|c| c.cost).collect(),
+        branch_mappings: Vec::new(),
+        choices,
+        drift,
+        source,
+    })
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use unn::Graph;
 
     fn setup() -> (SocSpec, LatencyPredictor) {
         let spec = SocSpec::exynos_7420();
@@ -555,8 +593,23 @@ pub(crate) mod tests {
             drift: None,
             devices,
         };
-        let choices = partition(&cx, None).unwrap();
-        choices.into_iter().map(|c| (c.placement, c.cost)).unzip()
+        let draft = partition(&cx, &CostTables::build(&cx).unwrap(), None).unwrap();
+        (draft.placements, draft.costs)
+    }
+
+    /// The partitioner's placement of one layer over every device.
+    fn best(
+        coster: &LayerCoster,
+        kind: &LayerKind,
+        in_shape: &Shape,
+        out_shape: &Shape,
+    ) -> NodePlacement {
+        let ids = coster.spec.device_ids();
+        let singles = coster.singles(&ids, kind, in_shape, out_shape);
+        coster
+            .best_placement(&ids, kind, in_shape, out_shape, &singles)
+            .unwrap()
+            .placement
     }
 
     #[test]
@@ -578,10 +631,7 @@ pub(crate) mod tests {
         };
         let in_shape = Shape::nchw(1, 256, 28, 28);
         let out_shape = Shape::nchw(1, 256, 28, 28);
-        let placement = coster
-            .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
-            .unwrap()
-            .placement;
+        let placement = best(&coster, &kind, &in_shape, &out_shape);
         assert!(
             matches!(placement, NodePlacement::Split { .. }),
             "expected split, got {placement:?}"
@@ -609,10 +659,7 @@ pub(crate) mod tests {
         };
         let in_shape = Shape::nchw(1, 16, 7, 7);
         let out_shape = Shape::nchw(1, 16, 7, 7);
-        let placement = coster
-            .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
-            .unwrap()
-            .placement;
+        let placement = best(&coster, &kind, &in_shape, &out_shape);
         assert!(
             matches!(placement, NodePlacement::Single { .. }),
             "expected single, got {placement:?}"
@@ -713,18 +760,32 @@ pub(crate) mod tests {
         let spec = SocSpec::exynos_7420().with_npu();
         let pred = LatencyPredictor::train(&spec).unwrap();
         let cfg = ULayerConfig::full();
-        let g = unn::ModelId::SqueezeNet.build_miniature();
-        let subset = [spec.cpu(), spec.find(DeviceKind::Npu).unwrap()];
-        let (placements, _) = partitioned(&spec, &pred, &cfg, &g, &subset);
-        for p in &placements {
-            match p {
-                NodePlacement::Single { device, .. } => assert!(subset.contains(device)),
-                NodePlacement::Split { parts } => {
-                    for (d, _, _) in parts {
-                        assert!(subset.contains(d), "split uses {d} outside the subset");
-                    }
+        let within = |placements: &[NodePlacement], subset: &[DeviceId]| {
+            for p in placements {
+                for d in p.devices() {
+                    assert!(subset.contains(&d), "{p:?} uses {d} outside {subset:?}");
                 }
             }
+        };
+        let npu = spec.find(DeviceKind::Npu).unwrap();
+        let g = unn::ModelId::SqueezeNet.build_miniature();
+        let (placements, _) = partitioned(&spec, &pred, &cfg, &g, &[spec.cpu(), npu]);
+        within(&placements, &[spec.cpu(), npu]);
+        // The whole planning function, branch distribution enabled, on a
+        // net whose branch groups map onto the GPU over the full set.
+        let g = unn::ModelId::GoogLeNet.build();
+        for subset in [vec![spec.cpu()], vec![spec.cpu(), npu]] {
+            let cx = PlanContext {
+                spec: &spec,
+                predictor: &pred,
+                config: &cfg,
+                graph: &g,
+                drift: None,
+                devices: &subset,
+            };
+            let (draft, _) = crate::draft(&cx, &CostTables::build(&cx).unwrap(), None).unwrap();
+            within(&draft.placements, &subset);
+            assert!(draft.branch_mappings.is_empty());
         }
     }
 
@@ -756,10 +817,7 @@ pub(crate) mod tests {
                 .is_none(),
             "the full layer should overflow one node's RAM"
         );
-        let placement = coster
-            .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
-            .unwrap()
-            .placement;
+        let placement = best(&coster, &kind, &in_shape, &out_shape);
         assert!(
             matches!(placement, NodePlacement::Split { .. }),
             "expected a RAM-forced split, got {placement:?}"
@@ -786,10 +844,7 @@ pub(crate) mod tests {
         };
         let in_shape = Shape::nchw(1, 512, 56, 56);
         let out_shape = Shape::nchw(1, 512, 56, 56);
-        let placement = coster
-            .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
-            .unwrap()
-            .placement;
+        let placement = best(&coster, &kind, &in_shape, &out_shape);
         if let NodePlacement::Split { parts } = &placement {
             assert_eq!(parts.len(), 3, "expected a 3-way split, got {placement:?}");
         } else {

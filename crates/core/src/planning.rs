@@ -1,18 +1,16 @@
-//! Planning as an ordered pass pipeline.
+//! The one planning path (Figure 13, §5–§6).
 //!
-//! PR 7 turns the planner's hard-wired sequence (partition, then maybe
-//! branch-distribute) into the same shape as the graph-level pipeline in
-//! [`unn::optimize`]: each stage is a [`PlanPass`] over a mutable
-//! [`PlanDraft`], run in order by a [`PlanPassRunner`] that records a
-//! per-pass change report. Channel splits (§3.2) and branch
-//! distribution (§5) now *compose* — a new planning stage (say, a
-//! memory-pressure rebalancer) slots into the list instead of growing
-//! `ULayer::plan` another special case — and the report log surfaces in
-//! [`crate::PlanReport::pass_log`] for `repro passes`.
-//!
-//! The concrete passes live next to the logic they wrap:
-//! [`crate::partitioner::PartitionPass`] and
-//! [`crate::branch::BranchDistributionPass`].
+//! [`draft`] is how this crate turns a graph into placements: the NN
+//! partitioner ([`crate::partition`]) asks the latency predictor for
+//! each layer's best placement over [`PlanContext::devices`] — or copies
+//! a base draft's decision where the margin test proves it unchanged —
+//! and §5 branch distribution then rewrites the divergent groups where a
+//! whole-branch mapping wins, over the same [`CostTables`] shapes.
+//! [`crate::ULayer::plan_with_drift`], every degradation-ladder rung and
+//! both kinds of plan-cache miss call it, and each plan logs the same two
+//! entries in [`crate::PlanReport::pass_log`] for `repro passes`.
+
+use std::fmt::Write as _;
 
 use simcore::SimSpan;
 use unn::Graph;
@@ -20,13 +18,14 @@ use uruntime::NodePlacement;
 use usoc::{DeviceId, SocSpec};
 
 use crate::adapt::DriftAdapter;
-use crate::branch::{BranchDistributionPass, BranchMapping};
+use crate::branch::{apply_branch_distribution, BranchMapping};
 use crate::config::ULayerConfig;
 use crate::error::ULayerError;
-use crate::partitioner::PartitionPass;
+use crate::partitioner::{partition, CostTables, LayerCoster, PlacementChoice};
+use crate::plancache::{DriftSnapshot, PlanSource};
 use crate::predictor::LatencyPredictor;
 
-/// Everything a planning pass may consult; immutable for the whole run.
+/// Everything planning consults; immutable for the whole run.
 pub struct PlanContext<'a> {
     /// The SoC being planned for.
     pub spec: &'a SocSpec,
@@ -37,156 +36,119 @@ pub struct PlanContext<'a> {
     /// The network (already graph-optimized if the caller ran
     /// [`unn::optimize`]).
     pub graph: &'a Graph,
-    /// Optional online drift correction (PR 3).
+    /// Optional online drift correction.
     pub drift: Option<&'a DriftAdapter>,
-    /// The devices the partition stage may place layers on or split
-    /// them across: the spec's full set for the cooperative plan, a
+    /// The devices the partitioner may place layers on or split them
+    /// across: the spec's full set for the cooperative plan, a
     /// surviving subset or a single processor for the degradation
-    /// ladder's lower rungs. Branch distribution maps onto the spec's
-    /// CPU/GPU pair, so a configuration planning over a subset turns it
-    /// off (as the ladder's do).
+    /// ladder's lower rungs. Branch distribution maps whole branches
+    /// onto the spec's CPU and GPU, so it runs only when both are
+    /// members.
     pub devices: &'a [DeviceId],
 }
 
-/// The mutable plan under construction.
-///
-/// Starts empty; `PartitionPass` fills both vectors to `graph.len()`,
-/// later passes rewrite placements in place (costs stay the
-/// partitioner's per-layer estimates, which is what the serial-latency
-/// prediction and the degradation ladder consume).
-#[derive(Clone, Debug, Default)]
-pub struct PlanDraft {
-    /// Per-node placements, parallel to `graph.nodes()` once populated.
-    pub placements: Vec<NodePlacement>,
-    /// Per-node predicted costs, parallel to `placements`.
-    pub costs: Vec<SimSpan>,
-    /// Branch mappings applied so far (§5).
-    pub branch_mappings: Vec<BranchMapping>,
+impl PlanContext<'_> {
+    /// The layer coster over this context's spec, config and drift.
+    pub(crate) fn coster(&self) -> LayerCoster<'_> {
+        LayerCoster {
+            spec: self.spec,
+            predictor: self.predictor,
+            cfg: self.config,
+            drift: self.drift,
+        }
+    }
 }
 
-/// What one planning pass did — mirrors [`unn::PassReport`].
+/// A plan before it becomes an [`uruntime::ExecutionPlan`].
 #[derive(Clone, Debug)]
+pub struct PlanDraft {
+    /// Per-node placements, parallel to `graph.nodes()`.
+    pub placements: Vec<NodePlacement>,
+    /// Per-node predicted costs: the partitioner's per-layer estimates,
+    /// which branch distribution leaves alone (the serial-latency
+    /// prediction and the degradation ladder consume them).
+    pub costs: Vec<SimSpan>,
+    /// Branch mappings applied (§5).
+    pub branch_mappings: Vec<BranchMapping>,
+    /// The partitioner's decisions with their margins, before branch
+    /// distribution: what a draft planned from this one as its base
+    /// reuses.
+    pub(crate) choices: Vec<PlacementChoice>,
+    /// The drift state `choices` were made under.
+    pub(crate) drift: DriftSnapshot,
+    /// Whether the partitioner enumerated every layer or started from
+    /// a base draft.
+    pub(crate) source: PlanSource,
+}
+
+/// What one planning stage did — mirrors [`unn::PassReport`].
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlanPassReport {
-    /// `PlanPass::name` of the pass that produced this report.
+    /// The stage: `partition` or `branch-distribution`.
     pub pass: &'static str,
-    /// Number of placements this pass wrote or rewrote.
+    /// Number of placements this stage wrote or rewrote.
     pub rewrites: usize,
     /// Human-readable summary for `repro passes`.
     pub detail: String,
 }
 
-/// One stage of the planning pipeline.
-pub trait PlanPass {
-    /// Stable name used in reports and logs.
-    fn name(&self) -> &'static str;
-
-    /// Runs the pass, mutating `draft` and reporting what changed.
-    fn run(
-        &self,
-        cx: &PlanContext<'_>,
-        draft: &mut PlanDraft,
-    ) -> Result<PlanPassReport, ULayerError>;
-}
-
-/// Runs an ordered list of planning passes and validates the result.
-pub struct PlanPassRunner {
-    passes: Vec<Box<dyn PlanPass>>,
-}
-
-impl PlanPassRunner {
-    /// A runner over an explicit pass list.
-    pub fn new(passes: Vec<Box<dyn PlanPass>>) -> PlanPassRunner {
-        PlanPassRunner { passes }
+/// Plans `cx`: partitions every layer (from `base` where its decisions
+/// still hold, see [`crate::partition`]), then applies branch
+/// distribution when the configuration enables it. `tables` must have
+/// been built for `cx`. Returns the draft and one log entry per stage.
+pub fn draft(
+    cx: &PlanContext<'_>,
+    tables: &CostTables,
+    base: Option<&PlanDraft>,
+) -> Result<(PlanDraft, Vec<PlanPassReport>), ULayerError> {
+    let mut draft = partition(cx, tables, base)?;
+    let placed = draft.placements.len();
+    let splits = draft
+        .placements
+        .iter()
+        .filter(|p| matches!(p, NodePlacement::Split { .. }))
+        .count();
+    let mut detail = format!("{placed} layers placed, {splits} channel-split");
+    if let PlanSource::Incremental {
+        reenumerated,
+        copied,
+    } = draft.source
+    {
+        let _ = write!(
+            detail,
+            " (incremental: {reenumerated} re-enumerated, {copied} copied)"
+        );
     }
+    let partitioned = PlanPassReport {
+        pass: "partition",
+        rewrites: placed,
+        detail,
+    };
 
-    /// The standard μLayer pipeline: partition every layer, then let
-    /// branch distribution rewrite divergent regions where it wins.
-    pub fn default_pipeline() -> PlanPassRunner {
-        PlanPassRunner::new(vec![
-            Box::new(PartitionPass),
-            Box::new(BranchDistributionPass),
-        ])
-    }
-
-    /// Names of the passes in run order.
-    pub(crate) fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Runs every pass in order. After each pass the draft must remain
-    /// coherent: placement and cost vectors either still empty (pass
-    /// ran before partitioning) or exactly graph-sized. The finished
-    /// draft must cover every node.
-    pub fn run(
-        &self,
-        cx: &PlanContext<'_>,
-    ) -> Result<(PlanDraft, Vec<PlanPassReport>), ULayerError> {
-        let mut draft = PlanDraft::default();
-        let mut log = Vec::with_capacity(self.passes.len());
-        for pass in &self.passes {
-            log.push(pass.run(cx, &mut draft)?);
-            let n = draft.placements.len();
-            if (n != 0 && n != cx.graph.len()) || draft.costs.len() != n {
-                return Err(ULayerError::Plan(format!(
-                    "pass '{}' left a malformed draft: {} placements / {} costs for {} nodes",
-                    pass.name(),
-                    n,
-                    draft.costs.len(),
-                    cx.graph.len()
-                )));
-            }
-        }
-        if draft.placements.len() != cx.graph.len() {
-            return Err(ULayerError::Plan(format!(
-                "planning pipeline [{}] produced no complete placement set",
-                self.pass_names().join(", ")
-            )));
-        }
-        Ok((draft, log))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::runtime::ULayer;
-    use unn::ModelId;
-
-    #[test]
-    fn branch_pass_before_partition_is_rejected() {
-        // Ordering is a contract: branch distribution rewrites an
-        // existing placement set and must refuse an empty draft.
-        let rt = ULayer::new(SocSpec::exynos_7420()).unwrap();
-        let g = ModelId::GoogLeNet.build_miniature();
-        let cx = PlanContext {
-            spec: rt.spec(),
-            predictor: rt.predictor(),
-            config: rt.config(),
-            graph: &g,
-            drift: None,
-            devices: &rt.spec().device_ids(),
-        };
-        let runner = PlanPassRunner::new(vec![Box::new(BranchDistributionPass)]);
-        assert!(runner.run(&cx).is_err());
-    }
-
-    #[test]
-    fn partition_only_pipeline_covers_every_node() {
-        let rt = ULayer::new(SocSpec::exynos_7880()).unwrap();
-        let g = ModelId::SqueezeNet.build_miniature();
-        let cx = PlanContext {
-            spec: rt.spec(),
-            predictor: rt.predictor(),
-            config: rt.config(),
-            graph: &g,
-            drift: None,
-            devices: &rt.spec().device_ids(),
-        };
-        let runner = PlanPassRunner::new(vec![Box::new(PartitionPass)]);
-        let (draft, log) = runner.run(&cx).unwrap();
-        assert_eq!(draft.placements.len(), g.len());
-        assert_eq!(draft.costs.len(), g.len());
-        assert!(draft.branch_mappings.is_empty());
-        assert_eq!(log.len(), 1);
-    }
+    let (rewrites, detail) = if cx.config.branch_distribution {
+        draft.branch_mappings = apply_branch_distribution(
+            &cx.coster(),
+            cx.devices,
+            cx.graph,
+            &tables.shapes,
+            &mut draft.placements,
+            &draft.costs,
+        );
+        (
+            draft
+                .branch_mappings
+                .iter()
+                .map(|m| m.assignment.len())
+                .sum(),
+            format!("{} branch groups remapped", draft.branch_mappings.len()),
+        )
+    } else {
+        (0, "disabled by configuration".into())
+    };
+    let branched = PlanPassReport {
+        pass: "branch-distribution",
+        rewrites,
+        detail,
+    };
+    Ok((draft, vec![partitioned, branched]))
 }

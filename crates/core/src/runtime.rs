@@ -2,11 +2,12 @@
 //!
 //! [`ULayer`] packages the paper's pipeline (Figure 13): the NN
 //! partitioner consults the latency predictor to pick per-layer split
-//! ratios, branch distribution rewrites divergent regions, and the NN
-//! executor (the shared engine in `uruntime`) runs the plan with
-//! asynchronous GPU command issue and zero-copy shared memory.
+//! ratios, branch distribution rewrites divergent regions (both in
+//! [`crate::draft`]), and the NN executor (the shared engine in
+//! `uruntime`) runs the plan with asynchronous GPU command issue and
+//! zero-copy shared memory.
 
-use usoc::{DeviceId, SocSpec};
+use usoc::SocSpec;
 
 use simcore::SimSpan;
 use unn::{Calibration, Graph, Weights};
@@ -16,7 +17,8 @@ use crate::adapt::DriftAdapter;
 use crate::branch::BranchMapping;
 use crate::config::ULayerConfig;
 use crate::error::ULayerError;
-use crate::planning::{PlanContext, PlanDraft, PlanPassReport, PlanPassRunner};
+use crate::partitioner::CostTables;
+use crate::planning::{draft, PlanContext, PlanDraft, PlanPassReport};
 use crate::predictor::LatencyPredictor;
 
 /// A generated μLayer plan plus its planning diagnostics.
@@ -31,6 +33,28 @@ pub struct PlanReport {
     pub predicted_serial_latency: SimSpan,
     /// What each planning pass did, in run order.
     pub pass_log: Vec<PlanPassReport>,
+}
+
+impl PlanReport {
+    /// The report of `draft`, planned under `cx` and logged by
+    /// `pass_log`.
+    pub(crate) fn new(
+        cx: &PlanContext<'_>,
+        draft: &PlanDraft,
+        pass_log: Vec<PlanPassReport>,
+    ) -> Result<PlanReport, ULayerError> {
+        Ok(PlanReport {
+            plan: ExecutionPlan::new(
+                cx.graph,
+                cx.spec,
+                draft.placements.clone(),
+                cx.config.label(),
+            )?,
+            branch_mappings: draft.branch_mappings.clone(),
+            predicted_serial_latency: draft.costs.iter().copied().sum(),
+            pass_log,
+        })
+    }
 }
 
 /// A graph-optimized μLayer plan: the rewritten graph produced by the
@@ -105,38 +129,16 @@ impl ULayer {
         graph: &Graph,
         drift: Option<&DriftAdapter>,
     ) -> Result<PlanReport, ULayerError> {
-        let devices = self.spec.device_ids();
-        let (draft, pass_log) = self.draft(graph, drift, &self.config, &devices)?;
-        let predicted_serial_latency = draft.costs.iter().copied().sum();
-        let plan = ExecutionPlan::new(graph, &self.spec, draft.placements, self.config.label())?;
-        Ok(PlanReport {
-            plan,
-            branch_mappings: draft.branch_mappings,
-            predicted_serial_latency,
-            pass_log,
-        })
-    }
-
-    /// The planning pipeline over `devices` under `config`: the one way
-    /// this crate turns a graph into placements. [`ULayer::plan_with_drift`]
-    /// runs it with the runtime's own configuration over every device;
-    /// the degradation ladder varies both per rung.
-    pub(crate) fn draft(
-        &self,
-        graph: &Graph,
-        drift: Option<&DriftAdapter>,
-        config: &ULayerConfig,
-        devices: &[DeviceId],
-    ) -> Result<(PlanDraft, Vec<PlanPassReport>), ULayerError> {
         let cx = PlanContext {
             spec: &self.spec,
             predictor: &self.predictor,
-            config,
+            config: &self.config,
             graph,
             drift,
-            devices,
+            devices: &self.spec.device_ids(),
         };
-        PlanPassRunner::default_pipeline().run(&cx)
+        let (draft, pass_log) = draft(&cx, &CostTables::build(&cx)?, None)?;
+        PlanReport::new(&cx, &draft, pass_log)
     }
 
     /// Runs the [`unn::optimize`] default pipeline over `graph`, plans the

@@ -16,7 +16,7 @@
 //! re-ranking tie-broken candidates.
 
 use simcore::SimSpan;
-use ulayer::{partition, LayerCoster};
+use ulayer::{partition, CostTables, LayerCoster};
 use ulayer::{LatencyPredictor, PlanContext, ULayerConfig};
 use unn::{Graph, ModelId, NodeId, Weights};
 use uruntime::{evaluate_plan, ExecutionPlan, NodePlacement};
@@ -182,8 +182,8 @@ fn partitioned(
         drift: None,
         devices: &spec.device_ids(),
     };
-    let choices = partition(&cx, None).unwrap();
-    choices.into_iter().map(|c| (c.placement, c.cost)).unzip()
+    let draft = partition(&cx, &CostTables::build(&cx).unwrap(), None).unwrap();
+    (draft.placements, draft.costs)
 }
 
 #[test]

@@ -172,7 +172,13 @@ fn best_placement_is_argmin_over_candidates() {
     for (kind, in_shape) in all_layer_kinds() {
         let out_shape = out_shape_of(&kind, &in_shape);
         let choice = coster
-            .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
+            .best_placement(
+                &spec.device_ids(),
+                &kind,
+                &in_shape,
+                &out_shape,
+                &coster.singles(&spec.device_ids(), &kind, &in_shape, &out_shape),
+            )
             .unwrap();
         let (placement, cost) = (choice.placement, choice.cost);
         let candidates = enumerate_costs(&coster, &kind, &in_shape, &out_shape, &P_VALUES);
@@ -218,7 +224,13 @@ fn best_placement_is_argmin_at_each_single_p() {
         for (kind, in_shape) in all_layer_kinds() {
             let out_shape = out_shape_of(&kind, &in_shape);
             let choice = coster
-                .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
+                .best_placement(
+                    &spec.device_ids(),
+                    &kind,
+                    &in_shape,
+                    &out_shape,
+                    &coster.singles(&spec.device_ids(), &kind, &in_shape, &out_shape),
+                )
                 .unwrap();
             let (placement, cost) = (choice.placement, choice.cost);
             let candidates = enumerate_costs(&coster, &kind, &in_shape, &out_shape, &[p]);
@@ -258,7 +270,13 @@ fn non_distributable_kinds_never_split() {
         }
         let out_shape = out_shape_of(&kind, &in_shape);
         let placement = coster
-            .best_placement(&spec.device_ids(), &kind, &in_shape, &out_shape, None)
+            .best_placement(
+                &spec.device_ids(),
+                &kind,
+                &in_shape,
+                &out_shape,
+                &coster.singles(&spec.device_ids(), &kind, &in_shape, &out_shape),
+            )
             .unwrap()
             .placement;
         assert!(

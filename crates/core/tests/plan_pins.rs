@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 
 use simcore::SimSpan;
 use testkit::fnv1a;
-use ulayer::{DriftAdapter, PlanContext, PlanDraft, PlanPassRunner, ULayer, ULayerConfig};
+use ulayer::{CostTables, DriftAdapter, PlanContext, PlanDraft, ULayer, ULayerConfig};
 use unn::{Graph, ModelId};
 use usoc::{DeviceId, DeviceKind, SocSpec, WorkClass};
 
@@ -28,8 +28,7 @@ use usoc::{DeviceId, DeviceKind, SocSpec, WorkClass};
 // Entry-point shim: the only lines that follow the public API.
 // ---------------------------------------------------------------------
 
-/// The default pipeline's draft — the per-layer costs `PlanReport` sums
-/// away.
+/// The planner's draft — the per-layer costs `PlanReport` sums away.
 fn draft(rt: &ULayer, g: &Graph, drift: Option<&DriftAdapter>) -> Option<PlanDraft> {
     let cx = PlanContext {
         spec: rt.spec(),
@@ -39,10 +38,8 @@ fn draft(rt: &ULayer, g: &Graph, drift: Option<&DriftAdapter>) -> Option<PlanDra
         drift,
         devices: &rt.spec().device_ids(),
     };
-    PlanPassRunner::default_pipeline()
-        .run(&cx)
-        .ok()
-        .map(|(d, _)| d)
+    let tables = CostTables::build(&cx).ok()?;
+    ulayer::draft(&cx, &tables, None).ok().map(|(d, _)| d)
 }
 
 // ---------------------------------------------------------------------

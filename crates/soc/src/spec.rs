@@ -371,51 +371,6 @@ impl SocSpec {
         self.links.iter().any(|l| l.link.is_network())
     }
 
-    /// A digest of everything about this spec that planning depends
-    /// on: device capabilities, the link topology, the memory system,
-    /// and the management overheads. Two specs with equal digests
-    /// produce identical plans for identical inputs, so the plan cache
-    /// keys on this instead of the marketing name (which
-    /// `SocSpec::with_device_speeds` deliberately preserves while
-    /// changing behavior).
-    pub fn topology_digest(&self) -> u64 {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        // f64 fields are serialized as exact bit patterns: any change
-        // the cost model can see changes the digest.
-        let b = |v: f64| v.to_bits();
-        for d in &self.devices {
-            let _ = write!(
-                s,
-                "dev {:?} c{} t{:016x}/{:016x}/{:016x} p{:016x} k{:016x} ram{:?} sup{:?};",
-                d.kind,
-                d.cores,
-                b(d.throughput.f32_gmacs),
-                b(d.throughput.f16_gmacs),
-                b(d.throughput.quint8_gmacs),
-                b(d.active_power_w),
-                b(d.kernel_overhead_us),
-                d.ram_bytes,
-                d.supported
-            );
-        }
-        for l in &self.links {
-            let _ = write!(s, "link {}-{} {:?};", l.a.0, l.b.0, l.link);
-        }
-        let _ = write!(
-            s,
-            "mem {:016x}/{:016x} ovh {:016x}/{:016x}/{:016x}/{:016x} static {:016x}",
-            b(self.memory.bandwidth_gbps),
-            b(self.memory.dram_pj_per_byte),
-            b(self.overheads.gpu_issue_us),
-            b(self.overheads.gpu_wait_us),
-            b(self.overheads.map_us),
-            b(self.overheads.cpu_dispatch_us),
-            b(self.static_power_w)
-        );
-        fnv1a_64(s.as_bytes())
-    }
-
     /// The link joining `a` and `b` directly, if any. With an empty
     /// link table every device pair (and every device with itself)
     /// shares memory.
@@ -588,16 +543,6 @@ impl SocSpec {
     pub fn cpu_dispatch_span(&self) -> SimSpan {
         SimSpan::from_secs_f64(self.overheads.cpu_dispatch_us * 1e-6)
     }
-}
-
-/// FNV-1a over `bytes` (local copy: this crate sits below `testkit`).
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -797,39 +742,5 @@ mod tests {
             soc.kernel_latency(DeviceId(9), &gemm_work(1, DType::F32)),
             Err(SocError::UnknownDevice(_))
         ));
-    }
-
-    #[test]
-    fn topology_digest_tracks_planning_relevant_state_only() {
-        let base = SocSpec::exynos_7420();
-        // Stable across clones and repeated calls.
-        assert_eq!(base.topology_digest(), base.clone().topology_digest());
-        // Distinguishes every preset pair.
-        let specs = [
-            SocSpec::exynos_7420(),
-            SocSpec::exynos_7880(),
-            SocSpec::exynos_7420().with_npu(),
-            SocSpec::big_little(),
-            SocSpec::mcu_mesh(4),
-            SocSpec::mcu_mesh(5),
-        ];
-        for (i, a) in specs.iter().enumerate() {
-            for b in specs.iter().skip(i + 1) {
-                assert_ne!(
-                    a.topology_digest(),
-                    b.topology_digest(),
-                    "{} vs {}",
-                    a.name,
-                    b.name
-                );
-            }
-        }
-        // Behavioral perturbation changes the digest...
-        let perturbed = base.with_device_speeds(&[1.0, 0.9]);
-        assert_ne!(base.topology_digest(), perturbed.topology_digest());
-        // ...and a pure rename does NOT change it.
-        let mut renamed = base.clone();
-        renamed.name = "something else".into();
-        assert_eq!(base.topology_digest(), renamed.topology_digest());
     }
 }
