@@ -1,35 +1,35 @@
 //! The parallel [`ExecBackend`]: real threads behind the plan evaluator.
 //!
-//! Each node's [`PartTask`] batch is executed on the engine's worker
-//! pools: CPU-placed parts on the CPU pool, GPU-placed parts on the
-//! GPU-emulating pool, concurrently (the §3.2 cooperative execution).
-//! Within a part, the backend subdivides the channel range into
-//! per-worker chunks — the same Filters/InputChannels narrowing the plan
-//! itself uses, one level finer — so a four-worker pool computes four
-//! disjoint row blocks of the same GEMM. The node's output view is split
-//! once into every chunk's disjoint channel range, and each chunk writes
-//! its range *stored* (`eval_part_task` converts to the plan's storage
-//! dtype on the worker that computed it — a GPU part's F16 → QUInt8
-//! store runs on the GPU pool, concurrently with the CPU part), so when
-//! the barrier returns the node's output is complete: nothing is merged
-//! or copied afterwards.
+//! Each node's [`PartTask`] batch runs on the engine's pools: CPU-placed
+//! parts on the CPU pool, whose first worker is the calling thread (it
+//! runs under the backend's kernel path and gets its own path back),
+//! GPU-placed parts on the GPU-emulating pool, concurrently (the §3.2
+//! cooperative execution). Within a part, the backend cuts the channel
+//! range into per-worker chunks — the plan's Filters/InputChannels
+//! narrowing, one level finer — and splits the node's output view once
+//! into every chunk's range. Each chunk writes its range *stored*
+//! (`eval_part_task` converts to the plan's storage dtype on the thread
+//! that computed it), so when the barrier returns the node's output is
+//! complete: nothing is merged or copied. The chunk, range and
+//! job-index buffers keep their capacity from node to node; besides the
+//! split views, a node allocates only its timing record.
 //!
-//! Chunking preserves the numerics exactly: every output channel is
-//! computed by the same arithmetic regardless of which chunk owns it
-//! (channel-wise kernels are row-independent, and each element of a
-//! GEMM output is one ascending accumulation chain whatever the row
-//! range). The workers run the same kernels as the calling thread, so
-//! results in every dtype are bit-identical to the sequential evaluator
-//! at any thread count. The integration tests pin it.
+//! Chunking preserves the numerics exactly: channel-wise kernels are
+//! row-independent, and each element of a GEMM output is one ascending
+//! accumulation chain whatever the row range. Every thread runs the same
+//! kernels, so results in every dtype are bit-identical to the
+//! sequential evaluator at any thread count. The integration tests pin
+//! it.
 
-use std::sync::Mutex;
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use uruntime::{eval_part_task, task_outputs, ExecBackend, PartTask};
+use uruntime::{eval_part_task, ExecBackend, PartTask};
 use usoc::{DeviceId, SocSpec};
 use utensor::{TensorError, TensorViewMut};
 
-use crate::pool::{Engine, ExecConfig, ScopedTask};
+use crate::pool::{Engine, ExecConfig};
 
 /// How the engine's pools are used for a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub enum PoolMode {
     /// concurrently (μLayer's cooperative single-layer acceleration).
     Cooperative,
     /// Everything on the CPU pool (the single-processor baseline the
-    /// measured speedup is reported against).
+    /// measured speedup is reported against); no GPU pool is spawned.
     SinglePool,
 }
 
@@ -69,29 +69,56 @@ pub struct NodeTiming {
     pub parts: Vec<PartTiming>,
 }
 
+/// One worker chunk of a node: its narrowed task, its range of the
+/// node's output, its start and end offsets from submit, and its result.
+struct Chunk<'a, 'o> {
+    task: PartTask<'a>,
+    out: TensorViewMut<'o>,
+    span: (f64, f64),
+    result: Result<(), TensorError>,
+}
+
+/// Buffers every node reuses. Their elements borrow one node's tasks and
+/// output, so between nodes they are held empty as `'static`.
+#[derive(Default)]
+struct Scratch {
+    ranges: Vec<Range<usize>>,
+    cpu: Vec<usize>,
+    gpu: Vec<usize>,
+    chunks: Vec<Mutex<Chunk<'static, 'static>>>,
+}
+
+/// Empties `v` and returns its allocation as a `Vec<U>` for a `U` that
+/// differs from `T` only in lifetimes (std collects a mapped
+/// `vec::IntoIter` in place when the layouts agree).
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("empty")).collect()
+}
+
 /// An [`ExecBackend`] that runs parts on real worker threads.
 pub struct ParallelBackend {
     engine: Engine,
+    cfg: ExecConfig,
     mode: PoolMode,
     gpu_id: DeviceId,
     timings: Mutex<Vec<NodeTiming>>,
+    scratch: Mutex<Scratch>,
 }
 
 impl ParallelBackend {
     /// Builds the backend for `spec`'s CPU/GPU pair. Workers take the
     /// config's kernel path (scalar or SIMD register tiles) once at
-    /// spawn; the choice is thread-local, so nothing outside the pools
-    /// changes.
+    /// spawn, the calling thread while it runs a node's CPU chunks; the
+    /// choice is thread-local, so nothing outside the pools changes.
     pub fn new(spec: &SocSpec, cfg: &ExecConfig, mode: PoolMode) -> ParallelBackend {
-        let path = cfg.kernel_path;
-        let engine = Engine::new(cfg, move || {
-            ukernels::set_kernel_path(path);
-        });
         ParallelBackend {
-            engine,
+            engine: Engine::new(cfg, mode == PoolMode::Cooperative),
+            cfg: *cfg,
             mode,
             gpu_id: spec.gpu(),
             timings: Mutex::new(Vec::new()),
+            scratch: Mutex::new(Scratch::default()),
         }
     }
 
@@ -107,32 +134,28 @@ impl ParallelBackend {
         self.mode == PoolMode::Cooperative && device == self.gpu_id
     }
 
-    /// Workers available to the pool `device` routes to.
-    fn workers_for(&self, device: DeviceId) -> usize {
-        if self.on_gpu(device) {
-            self.engine.gpu().threads()
-        } else {
-            self.engine.cpu().threads()
-        }
-    }
-
-    /// Subdivides one part's channel range into up to one chunk per
-    /// worker of its pool (each chunk a narrower [`PartTask`] over the
-    /// same borrows) and appends them to `chunks`. Non-splittable kinds
-    /// and single-worker pools append the task unchanged.
-    fn plan_chunks<'a>(&self, task: &PartTask<'a>, chunks: &mut Vec<PartTask<'a>>) {
-        let workers = self.workers_for(task.device);
-        match task.split {
-            Some((axis, lo, hi)) if workers.min(hi - lo) > 1 => {
-                let count = workers.min(hi - lo);
-                let cuts = usoc::split_cuts(hi - lo, &vec![1.0 / count as f64; count]);
-                chunks.extend(cuts.windows(2).filter(|c| c[0] < c[1]).map(|c| PartTask {
-                    split: Some((axis, lo + c[0], lo + c[1])),
-                    ..task.clone()
-                }));
-            }
-            _ => chunks.push(task.clone()),
-        }
+    /// Every part's worker chunks, part-major so chunk order is channel
+    /// order: a splittable part cut evenly into one narrower
+    /// [`PartTask`] over the same borrows per worker of its pool (at most
+    /// one per channel), any other part whole.
+    fn chunk_tasks<'t, 'a>(
+        &'t self,
+        tasks: &'t [PartTask<'a>],
+    ) -> impl Iterator<Item = PartTask<'a>> + 't {
+        tasks.iter().flat_map(move |task| {
+            let (gpu, cpu) = (self.cfg.gpu_threads, self.cfg.cpu_threads);
+            let workers = if self.on_gpu(task.device) { gpu } else { cpu };
+            let count = task
+                .split
+                .map_or(1, |(_, lo, hi)| workers.min(hi - lo).max(1));
+            let at = move |lo: usize, hi: usize, c: usize| lo + (hi - lo) * c / count;
+            (0..count).map(move |c| PartTask {
+                split: task
+                    .split
+                    .map(|(axis, lo, hi)| (axis, at(lo, hi, c), at(lo, hi, c + 1))),
+                ..task.clone()
+            })
+        })
     }
 }
 
@@ -153,75 +176,80 @@ impl ExecBackend for ParallelBackend {
             return Ok(());
         }
         let t0 = Instant::now();
-
-        // Plan chunks for every part, flattened part-major, so chunk order
-        // is channel order; each chunk gets its own range of `out`.
-        let mut flat: Vec<PartTask<'_>> = Vec::new();
-        for task in tasks {
-            self.plan_chunks(task, &mut flat);
-        }
-        let views = task_outputs(&flat, out)?;
-
-        let first_err: Mutex<Option<TensorError>> = Mutex::new(None);
-        // (part index, start, end) offsets from t0, per chunk; a node's
-        // tasks have distinct part indices.
-        let spans: Mutex<Vec<(usize, f64, f64)>> = Mutex::new(Vec::new());
-
-        let mut cpu_jobs: Vec<ScopedTask<'_>> = Vec::new();
-        let mut gpu_jobs: Vec<ScopedTask<'_>> = Vec::new();
-        for (sub, mut view) in flat.iter().zip(views) {
-            let first_err = &first_err;
-            let spans = &spans;
-            let job: ScopedTask<'_> = Box::new(move || {
-                let start = t0.elapsed().as_secs_f64();
-                if let Err(e) = eval_part_task(sub, &mut view) {
-                    first_err.lock().unwrap().get_or_insert(e);
-                }
-                let end = t0.elapsed().as_secs_f64();
-                spans.lock().unwrap().push((sub.part_index, start, end));
-            });
-            if self.on_gpu(sub.device) {
-                gpu_jobs.push(job);
+        // Only the buffers' capacity outlives a node, so a poisoned lock
+        // holds nothing stale.
+        let mut scratch = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
+        let s = &mut *scratch;
+        // Each chunk writes its own channel range of `out`, on the pool
+        // its device routes to.
+        let channels = out.shape.dims().get(1).copied().unwrap_or(0);
+        s.ranges.clear();
+        s.cpu.clear();
+        s.gpu.clear();
+        for (i, chunk) in self.chunk_tasks(tasks).enumerate() {
+            s.ranges
+                .push(chunk.split.map_or(0..channels, |(_, lo, hi)| lo..hi));
+            let pool = if self.on_gpu(chunk.device) {
+                &mut s.gpu
             } else {
-                cpu_jobs.push(job);
-            }
+                &mut s.cpu
+            };
+            pool.push(i);
         }
+        let views = out.split_ranges(1, &s.ranges)?;
+        let mut slots: Vec<Mutex<Chunk<'_, '_>>> = recycle(std::mem::take(&mut s.chunks));
+        slots.extend(self.chunk_tasks(tasks).zip(views).map(|(task, out)| {
+            Mutex::new(Chunk {
+                task,
+                out,
+                span: (0.0, 0.0),
+                result: Ok(()),
+            })
+        }));
 
         // The layer barrier: both pools drained, every range written.
-        self.engine.run_pair(cpu_jobs, gpu_jobs);
+        let job = |i: usize| {
+            let mut chunk = slots[i].lock().expect("each chunk runs once");
+            let start = t0.elapsed().as_secs_f64();
+            let Chunk { task, out, .. } = &mut *chunk;
+            chunk.result = eval_part_task(task, out);
+            chunk.span = (start, t0.elapsed().as_secs_f64());
+        };
+        self.engine.run_pair(&job, &s.cpu, &s.gpu);
 
-        if let Some(e) = first_err.into_inner().unwrap() {
-            return Err(e);
-        }
-        let spans = spans.into_inner().unwrap();
-
-        let part_timings = tasks
-            .iter()
-            .map(|task| {
-                let (mut start, mut end) = (f64::INFINITY, 0.0f64);
-                for &(p, s, e) in &spans {
-                    if p == task.part_index {
-                        start = start.min(s);
-                        end = end.max(e);
+        // A panicking job was re-raised at the barrier: no slot is
+        // poisoned. The first error in channel order wins.
+        let mut done = slots
+            .iter_mut()
+            .map(|slot| slot.get_mut().expect("no chunk panicked"));
+        let result = done.try_for_each(|c| std::mem::replace(&mut c.result, Ok(())));
+        if result.is_ok() {
+            let parts: Vec<PartTiming> = tasks
+                .iter()
+                .map(|task| {
+                    let (mut start, mut end, mut chunks) = (f64::INFINITY, 0.0f64, 0);
+                    for slot in &mut slots {
+                        let chunk = slot.get_mut().expect("no chunk panicked");
+                        if chunk.task.part_index == task.part_index {
+                            (start, end) = (start.min(chunk.span.0), end.max(chunk.span.1));
+                            chunks += 1;
+                        }
                     }
-                }
-                PartTiming {
-                    part_index: task.part_index,
-                    device: task.device,
-                    seconds: (end - start).max(0.0),
-                    chunks: flat
-                        .iter()
-                        .filter(|c| c.part_index == task.part_index)
-                        .count(),
-                }
-            })
-            .collect();
-
-        self.timings.lock().unwrap().push(NodeTiming {
-            node: tasks[0].node.0,
-            wall_s: t0.elapsed().as_secs_f64(),
-            parts: part_timings,
-        });
-        Ok(())
+                    PartTiming {
+                        part_index: task.part_index,
+                        device: task.device,
+                        seconds: (end - start).max(0.0),
+                        chunks,
+                    }
+                })
+                .collect();
+            self.timings.lock().unwrap().push(NodeTiming {
+                node: tasks[0].node.0,
+                wall_s: t0.elapsed().as_secs_f64(),
+                parts,
+            });
+        }
+        s.chunks = recycle(slots);
+        result
     }
 }

@@ -6,9 +6,11 @@
 //!
 //! - [`ParallelBackend`] implementing `uruntime::ExecBackend`: parts
 //!   routed to their cluster's pool of persistent workers (sized by
-//!   [`ExecConfig`], shared or split per [`PoolMode`]), channel ranges
-//!   subdivided per worker, each chunk writing its own range of the
-//!   layer's output, a join-based barrier per layer.
+//!   [`ExecConfig`], shared or split per [`PoolMode`]; the calling thread
+//!   is the CPU pool's first worker), channel ranges subdivided per
+//!   worker, each chunk writing its own range of the layer's output, and
+//!   a barrier per layer that spins before it parks and allocates
+//!   nothing.
 //! - [`measure`] — best-of-N wall-clock measurement of cooperative vs
 //!   single-processor plans ([`MeasureConfig`] → [`MeasureReport`]),
 //!   producing per-part samples that calibrate the latency predictor

@@ -1,33 +1,42 @@
-//! Scoped worker pools emulating the SoC's two compute clusters.
+//! Worker pools emulating the SoC's two compute clusters, and the layer
+//! barrier that joins them.
 //!
 //! μLayer executes one layer's parts *simultaneously* on the big-core CPU
 //! cluster and the GPU (§3.2, §6). On the host, each cluster becomes a
-//! [`WorkerPool`] of persistent threads with its own run queue; the
-//! [`Engine`] owns one pool per cluster and offers [`Engine::run_pair`],
-//! which submits a CPU batch and a GPU batch together and blocks until
-//! *both* drained — the join is the layer barrier, mirroring the map/unmap
-//! sync points that end every cooperative layer in the real runtime.
+//! [`WorkerPool`] of persistent threads with its own run queue, and
+//! [`Engine::run_pair`] hands a layer's CPU and GPU jobs to the two pools
+//! and returns when *both* drained: the layer barrier, mirroring the
+//! map/unmap sync points that end every cooperative layer in §6. The
+//! barrier usually wakes nobody and never allocates:
 //!
-//! The pools run borrowed (scoped) closures: `run`/`run_pair` block until
-//! every submitted task has finished, which is what makes handing a
-//! non-`'static` closure to a persistent thread sound. Worker panics are
-//! caught per-task and re-raised on the submitting thread after the
-//! batch drains, so a crashing kernel cannot poison the pool or deadlock
-//! the barrier.
+//! - The calling thread is the CPU pool's first worker (the pool spawns
+//!   one thread fewer): it runs the first CPU job, then any CPU job no
+//!   worker has started.
+//! - A waiting thread (an idle worker, the caller at the join) spins on
+//!   one atomic counter for [`SPIN`], then parks without losing a
+//!   wake-up. A job handed over within the budget costs no system call.
+//! - A batch lives on the caller's stack; a queue entry is a reference
+//!   to it plus a job index, and the queues keep their capacity.
+//!
+//! Handing borrowed jobs to persistent threads is sound because
+//! `run_pair` neither returns nor unwinds before every job of its batch
+//! has finished. A job's panic is caught and re-raised on the caller
+//! after that join, so a crashing kernel cannot poison a pool.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 use ukernels::PathChoice;
 
-/// A borrowed task: valid for `'s`, run to completion before the
-/// submitting call returns.
-pub(crate) type ScopedTask<'s> = Box<dyn FnOnce() + Send + 's>;
-
-type StaticTask = Box<dyn FnOnce() + Send + 'static>;
+/// How long a waiting thread spins before it parks: about the gap
+/// between two layers, and short enough not to starve other work on
+/// shared cores (parallel test binaries).
+const SPIN: Duration = Duration::from_micros(100);
 
 /// Pool sizes for the two clusters.
 ///
@@ -37,12 +46,14 @@ type StaticTask = Box<dyn FnOnce() + Send + 'static>;
 /// cluster size of both evaluated SoCs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Workers in the CPU (big-core cluster) pool.
+    /// Workers in the CPU (big-core cluster) pool. The thread that runs
+    /// a frame counts as one of them, so the pool spawns one fewer.
     pub cpu_threads: usize,
     /// Workers in the GPU-emulating pool.
     pub gpu_threads: usize,
-    /// Requested inner-kernel path for every worker of both pools
-    /// (resolved against runtime CPU detection at the register tile).
+    /// Requested inner-kernel path for every worker of both pools, the
+    /// calling thread included while it runs CPU jobs (resolved against
+    /// runtime CPU detection at the register tile).
     pub kernel_path: PathChoice,
 }
 
@@ -86,57 +97,142 @@ impl Default for ExecConfig {
     }
 }
 
-/// One batch in flight: tasks remaining and any panic payloads.
-struct Batch {
-    remaining: Mutex<usize>,
-    drained: Condvar,
-    panics: Mutex<Vec<Box<dyn std::any::Any + Send>>>,
+/// Spins until `ready` holds or [`SPIN`] has passed; returns `ready`'s
+/// last answer.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    let deadline = Instant::now() + SPIN;
+    while !ready() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::hint::spin_loop();
+    }
+    true
 }
 
-impl Batch {
-    fn new(n: usize) -> Arc<Batch> {
-        Arc::new(Batch {
-            remaining: Mutex::new(n),
-            drained: Condvar::new(),
-            panics: Mutex::new(Vec::new()),
-        })
-    }
+/// One batch of jobs in flight on both pools, on the caller's stack.
+struct Batch<'s> {
+    job: &'s (dyn Fn(usize) + Sync),
+    /// Jobs queued or running; a job's decrement is its last access to
+    /// the batch.
+    remaining: AtomicUsize,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    caller: Thread,
+}
 
-    fn task_done(&self) {
-        let mut r = self.remaining.lock().unwrap();
-        *r -= 1;
-        if *r == 0 {
-            self.drained.notify_all();
+impl Batch<'_> {
+    /// Runs job `index`, keeping its panic for the caller.
+    fn run(&self, index: usize) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.job)(index))) {
+            let mut first = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
+            first.get_or_insert(payload);
+        }
+        let caller = self.caller.clone();
+        // Release pairs with `join`'s Acquire: the caller sees the job's
+        // writes.
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            caller.unpark();
         }
     }
 
-    fn wait(&self) {
-        let mut r = self.remaining.lock().unwrap();
-        while *r > 0 {
-            r = self.drained.wait(r).unwrap();
-        }
-    }
-
-    /// Re-raises the first captured worker panic, if any.
-    fn propagate(&self) {
-        let first = {
-            let mut panics = self.panics.lock().unwrap();
-            if panics.is_empty() {
-                None
-            } else {
-                Some(panics.remove(0))
-            }
-        };
-        if let Some(payload) = first {
-            resume_unwind(payload);
+    /// Blocks the caller until every job has run: spins, then parks. A
+    /// job finishing between the check and `park` leaves an unpark
+    /// token, so `park` returns at once.
+    fn join(&self) {
+        let done = || self.remaining.load(Ordering::Acquire) == 0;
+        while !spin_until(done) {
+            std::thread::park();
         }
     }
 }
 
+/// A batch outlives its jobs however `run_pair` leaves, unwinding
+/// included.
+impl Drop for Batch<'_> {
+    fn drop(&mut self) {
+        self.join();
+    }
+}
+
+/// A queued job: its batch, lifetime erased by `run_pair`, and index.
+type Job = (&'static Batch<'static>, usize);
+
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Workers waiting on the condvar.
+    parked: usize,
+}
+
+#[derive(Default)]
 struct PoolShared {
-    queue: Mutex<VecDeque<StaticTask>>,
-    available: Condvar,
+    queue: Mutex<Queue>,
+    wake: Condvar,
+    /// `jobs.len()`, stored under the lock for spinning threads to read
+    /// without it; it publishes nothing, jobs are taken under the lock.
+    queued: AtomicUsize,
     shutdown: AtomicBool,
+}
+
+impl PoolShared {
+    /// Every update leaves the queue whole, so a poisoned lock is still
+    /// a valid queue.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Counts jobs `indices` into `batch`, queues them and wakes as many
+    /// parked workers.
+    fn push(&self, batch: &'static Batch<'static>, indices: &[usize]) {
+        if indices.is_empty() {
+            return;
+        }
+        batch.remaining.fetch_add(indices.len(), Ordering::AcqRel);
+        let mut queue = self.lock();
+        queue.jobs.extend(indices.iter().map(|&i| (batch, i)));
+        self.queued.store(queue.jobs.len(), Ordering::Relaxed);
+        let parked = queue.parked.min(indices.len());
+        drop(queue);
+        (0..parked).for_each(|_| self.wake.notify_one());
+    }
+
+    /// Takes a queued job without waiting.
+    fn pop(&self) -> Option<Job> {
+        if self.queued.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let mut queue = self.lock();
+        let job = queue.jobs.pop_front();
+        self.queued.store(queue.jobs.len(), Ordering::Relaxed);
+        job
+    }
+
+    /// The next job, spinning then parking while there is none; `None`
+    /// once the pool shuts down.
+    fn next(&self) -> Option<Job> {
+        let stop = || self.shutdown.load(Ordering::SeqCst);
+        loop {
+            if let Some(job) = self.pop() {
+                return Some(job);
+            } else if stop() {
+                return None;
+            } else if spin_until(|| self.queued.load(Ordering::Relaxed) > 0 || stop()) {
+                continue;
+            }
+            // `push` reads `parked` under the lock after queueing and
+            // `Drop` takes the lock after raising `shutdown`, so neither
+            // wake-up falls between this check and the wait.
+            let mut queue = self.lock();
+            queue.parked += 1;
+            while queue.jobs.is_empty() && !stop() {
+                queue = self
+                    .wake
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            queue.parked -= 1;
+        }
+    }
 }
 
 /// A named pool of persistent worker threads with one run queue.
@@ -146,171 +242,151 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `threads` workers (at least one). `init` runs once on each
-    /// worker before it starts pulling tasks — the exec backend uses it
-    /// to set the worker's kernel path (which register tiles it runs).
+    /// Spawns `threads` workers (none is allowed: the caller then runs
+    /// every job). `init` runs once on each worker before it starts
+    /// pulling jobs — the exec backend sets the worker's kernel path.
     ///
     /// Returns only after every worker has run `init`, so a first batch
     /// is never timed against thread start-up. A panic in `init` is
     /// re-raised here.
-    pub(crate) fn new(
-        name: &str,
-        threads: usize,
-        init: impl Fn() + Send + Sync + 'static,
-    ) -> WorkerPool {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let threads = threads.max(1);
-        let init = Arc::new(init);
-        // The start-up latch: one "task" per worker, done when its
-        // `init` has returned (or panicked).
-        let started = Batch::new(threads);
-        let workers = (0..threads)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                let init = Arc::clone(&init);
-                let started = Arc::clone(&started);
-                std::thread::Builder::new()
-                    .name(format!("uexec-{name}-{w}"))
-                    .spawn(move || match catch_unwind(AssertUnwindSafe(|| init())) {
-                        Ok(()) => {
-                            started.task_done();
-                            worker_loop(&shared);
-                        }
-                        Err(payload) => {
-                            started.panics.lock().unwrap().push(payload);
-                            started.task_done();
-                        }
-                    })
-                    .expect("spawn pool worker")
-            })
-            .collect();
+    pub(crate) fn new(name: &str, threads: usize, init: impl Fn() + Send + Sync + 'static) -> Self {
+        let shared = Arc::new(PoolShared::default());
+        let (init, (started, up)) = (Arc::new(init), mpsc::channel());
+        let spawn = |w| {
+            let (shared, init, started) = (shared.clone(), init.clone(), started.clone());
+            let worker = move || {
+                let ok = catch_unwind(AssertUnwindSafe(|| init()));
+                let ready = ok.is_ok();
+                // The constructor waits for one message per worker.
+                let _ = started.send(ok);
+                if ready {
+                    while let Some((batch, index)) = shared.next() {
+                        batch.run(index);
+                    }
+                }
+            };
+            let builder = std::thread::Builder::new().name(format!("uexec-{name}-{w}"));
+            builder.spawn(worker).expect("spawn pool worker")
+        };
+        let workers = (0..threads).map(spawn).collect();
         // Built before the wait so a re-raised `init` panic still joins
         // the surviving workers through `Drop`.
         let pool = WorkerPool { shared, workers };
-        started.wait();
-        started.propagate();
-        pool
-    }
-
-    /// The number of worker threads.
-    pub(crate) fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Runs a batch of borrowed tasks to completion (the single-pool
-    /// layer barrier). Panics from workers are re-raised here.
-    #[cfg(test)]
-    pub(crate) fn run<'s>(&self, tasks: Vec<ScopedTask<'s>>) {
-        let batch = Batch::new(tasks.len());
-        self.submit(tasks, &batch);
-        batch.wait();
-        batch.propagate();
-    }
-
-    /// Enqueues a batch without waiting. Callers must `wait` on the batch
-    /// before the tasks' borrows end — `run`/`run_pair` do exactly that.
-    fn submit<'s>(&self, tasks: Vec<ScopedTask<'s>>, batch: &Arc<Batch>) {
-        let mut queue = self.shared.queue.lock().unwrap();
-        for task in tasks {
-            // SAFETY: every path that submits also blocks on
-            // `batch.wait()` before returning (see `run` / `run_pair`),
-            // so the task cannot be referenced after `'s` ends.
-            let task: StaticTask =
-                unsafe { std::mem::transmute::<ScopedTask<'s>, StaticTask>(task) };
-            let b = Arc::clone(batch);
-            queue.push_back(Box::new(move || {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                    b.panics.lock().unwrap().push(payload);
-                }
-                b.task_done();
-            }));
+        if let Some(Err(payload)) = up.iter().take(threads).find(Result::is_err) {
+            resume_unwind(payload);
         }
-        drop(queue);
-        self.shared.available.notify_all();
+        pool
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.available.notify_all();
+        drop(self.shared.lock());
+        self.shared.wake.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
 }
 
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let task = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(task) = queue.pop_front() {
-                    break task;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = shared.available.wait(queue).unwrap();
-            }
-        };
-        task();
-    }
-}
-
-/// The two-cluster execution engine: a CPU pool and a GPU pool.
+/// The two-cluster execution engine: a CPU pool whose first worker is
+/// the calling thread, and a GPU pool.
 pub(crate) struct Engine {
     cpu: WorkerPool,
-    gpu: WorkerPool,
+    /// `None` when every job runs on the CPU pool.
+    gpu: Option<WorkerPool>,
+    kernel_path: PathChoice,
 }
 
 impl Engine {
-    /// Builds the two pools. `init` runs once on every worker of both
-    /// pools.
-    pub(crate) fn new(cfg: &ExecConfig, init: impl Fn() + Send + Sync + Clone + 'static) -> Engine {
+    /// Spawns `cfg.cpu_threads − 1` CPU workers and, when `gpu_pool`,
+    /// `cfg.gpu_threads` GPU workers, each set to `cfg.kernel_path` (the
+    /// choice is thread-local: it picks the register tiles the worker
+    /// runs).
+    pub(crate) fn new(cfg: &ExecConfig, gpu_pool: bool) -> Engine {
+        let kernel_path = cfg.kernel_path;
+        let init = move || _ = ukernels::set_kernel_path(kernel_path);
+        let cpu = WorkerPool::new("cpu", cfg.cpu_threads.saturating_sub(1), init);
+        let gpu = gpu_pool.then(|| WorkerPool::new("gpu", cfg.gpu_threads.max(1), init));
         Engine {
-            cpu: WorkerPool::new("cpu", cfg.cpu_threads, init.clone()),
-            gpu: WorkerPool::new("gpu", cfg.gpu_threads, init),
+            cpu,
+            gpu,
+            kernel_path,
         }
     }
 
-    /// The CPU (big-core cluster) pool.
-    pub(crate) fn cpu(&self) -> &WorkerPool {
-        &self.cpu
-    }
-
-    /// The GPU-emulating pool.
-    pub(crate) fn gpu(&self) -> &WorkerPool {
-        &self.gpu
-    }
-
-    /// Runs a CPU batch and a GPU batch *concurrently* and blocks until
-    /// both drained — one cooperative layer execution ending at its
-    /// barrier. Panics from either pool are re-raised here.
-    pub(crate) fn run_pair<'s>(
-        &self,
-        cpu_tasks: Vec<ScopedTask<'s>>,
-        gpu_tasks: Vec<ScopedTask<'s>>,
-    ) {
-        let cpu_batch = Batch::new(cpu_tasks.len());
-        let gpu_batch = Batch::new(gpu_tasks.len());
-        self.cpu.submit(cpu_tasks, &cpu_batch);
-        self.gpu.submit(gpu_tasks, &gpu_batch);
-        cpu_batch.wait();
-        gpu_batch.wait();
-        cpu_batch.propagate();
-        gpu_batch.propagate();
+    /// Runs `job(i)` for every `i` of `cpu` on the CPU pool — the first
+    /// on the calling thread, under the engine's kernel path, which the
+    /// caller gets back before the join — and of `gpu` on the GPU pool
+    /// (the CPU pool without one), concurrently, and returns when all
+    /// have finished: one layer ending at its barrier. The first panic
+    /// of any job is re-raised here, after that join.
+    pub(crate) fn run_pair(&self, job: &(dyn Fn(usize) + Sync), cpu: &[usize], gpu: &[usize]) {
+        let (remaining, panic) = (AtomicUsize::new(0), Mutex::new(None));
+        let caller = std::thread::current();
+        let batch = Batch {
+            job,
+            remaining,
+            panic,
+            caller,
+        };
+        // SAFETY: the erased reference goes only into the pools' queues.
+        // Each job holding it is counted into `remaining` before it is
+        // queued and decrements it as its last access to the batch
+        // (`Batch::run`). `batch` waits for zero before it goes out of
+        // scope, on unwinding too (`Drop`), and so before the `job` it
+        // borrows can. No queued reference outlives what it points to.
+        let erased: &'static Batch<'static> =
+            unsafe { std::mem::transmute::<&Batch<'_>, &'static Batch<'static>>(&batch) };
+        let gpu_pool = self.gpu.as_ref().unwrap_or(&self.cpu);
+        gpu_pool.shared.push(erased, gpu);
+        if let Some((&first, rest)) = cpu.split_first() {
+            self.cpu.shared.push(erased, rest);
+            batch.remaining.fetch_add(1, Ordering::AcqRel);
+            // `Batch::run` catches panics, so the caller's path is
+            // always restored.
+            let own = ukernels::set_kernel_path(self.kernel_path);
+            batch.run(first);
+            while let Some((queued, index)) = self.cpu.shared.pop() {
+                queued.run(index);
+            }
+            ukernels::set_kernel_path(own);
+        }
+        batch.join();
+        let panic = batch
+            .panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+
+    /// An engine with `cpu` CPU workers (caller included) and `gpu` GPU
+    /// workers.
+    fn engine(cpu: usize, gpu: usize) -> Engine {
+        let mut cfg = ExecConfig::with_threads(cpu);
+        cfg.gpu_threads = gpu;
+        Engine::new(&cfg, gpu > 0)
+    }
+
+    /// Runs jobs `[0, 1]` on the CPU pool and `[2]` on the GPU pool;
+    /// returns how many ran.
+    fn three_jobs(engine: &Engine) -> usize {
+        let ran = AtomicUsize::new(0);
+        engine.run_pair(&|_| _ = ran.fetch_add(1, Ordering::SeqCst), &[0, 1], &[2]);
+        ran.into_inner()
+    }
+
+    /// Longer than the spin budget, so waiting threads park.
+    const PAST_SPIN: Duration = Duration::from_millis(5);
 
     #[test]
     fn config_clamps_and_reads_threads() {
@@ -321,88 +397,91 @@ mod tests {
 
     #[test]
     fn pool_runs_borrowed_tasks_to_completion() {
-        let pool = WorkerPool::new("t", 2, || {});
-        let hits = AtomicUsize::new(0);
-        let tasks: Vec<ScopedTask<'_>> = (0..16)
-            .map(|_| {
-                Box::new(|| {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                }) as ScopedTask<'_>
-            })
-            .collect();
-        pool.run(tasks);
-        // `run` returned, so every borrow of `hits` is finished.
-        assert_eq!(hits.load(Ordering::SeqCst), 16);
-        assert_eq!(pool.threads(), 2);
+        let hits: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
+        let all: Vec<usize> = (0..16).collect();
+        engine(3, 0).run_pair(&|i| _ = hits[i].fetch_add(1, Ordering::SeqCst), &all, &[]);
+        // `run_pair` returned, so every job ran once and every borrow of
+        // `hits` is finished.
+        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
     }
 
     #[test]
     fn pool_reuses_persistent_workers_across_batches() {
-        let pool = WorkerPool::new("t", 1, || {});
-        let count = AtomicUsize::new(0);
-        for _ in 0..10 {
-            pool.run(vec![Box::new(|| {
-                count.fetch_add(1, Ordering::SeqCst);
-            })]);
+        let engine = engine(2, 1);
+        for pause in [Duration::ZERO, PAST_SPIN, Duration::ZERO, PAST_SPIN] {
+            // After a pause past the spin budget both workers have
+            // parked; only a wake-up lets the GPU job run, as no other
+            // thread takes GPU jobs.
+            std::thread::sleep(pause);
+            assert_eq!(three_jobs(&engine), 3);
         }
-        assert_eq!(count.load(Ordering::SeqCst), 10);
     }
 
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
-        let pool = WorkerPool::new("t", 2, || {});
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(vec![Box::new(|| panic!("kernel exploded"))]);
-        }));
-        assert!(caught.is_err(), "panic must reach the submitter");
-        // The pool still works afterwards.
-        let ok = AtomicUsize::new(0);
-        pool.run(vec![Box::new(|| {
-            ok.fetch_add(1, Ordering::SeqCst);
-        })]);
-        assert_eq!(ok.load(Ordering::SeqCst), 1);
+        let engine = engine(2, 1);
+        // Job 0 runs on the caller, 1 on the CPU worker or the caller, 2
+        // on the GPU worker. One panics at once; another sleeps past the
+        // spin budget, then writes a borrow the panic must not outrun.
+        for (panicking, slow) in [(0, 2), (2, 1), (1, 2)] {
+            let written = AtomicUsize::new(0);
+            let job = |i: usize| {
+                assert_ne!(i, panicking, "job {i} exploded");
+                if i == slow {
+                    std::thread::sleep(PAST_SPIN);
+                    written.store(1, Ordering::SeqCst);
+                }
+            };
+            let caught = catch_unwind(AssertUnwindSafe(|| engine.run_pair(&job, &[0, 1], &[2])));
+            assert!(
+                caught.is_err(),
+                "job {panicking}'s panic reaches the caller"
+            );
+            assert_eq!(written.into_inner(), 1, "the panic beat job {slow}");
+            // Both pools serve the next batch.
+            assert_eq!(three_jobs(&engine), 3);
+        }
     }
 
     #[test]
     fn run_pair_joins_both_pools() {
-        let engine = Engine::new(&ExecConfig::with_threads(2), || {});
-        let cpu_done = AtomicUsize::new(0);
-        let gpu_done = AtomicUsize::new(0);
-        let cpu: Vec<ScopedTask<'_>> = (0..8)
-            .map(|_| {
-                Box::new(|| {
-                    cpu_done.fetch_add(1, Ordering::SeqCst);
-                }) as ScopedTask<'_>
-            })
-            .collect();
-        let gpu: Vec<ScopedTask<'_>> = (0..8)
-            .map(|_| {
-                Box::new(|| {
-                    gpu_done.fetch_add(1, Ordering::SeqCst);
-                }) as ScopedTask<'_>
-            })
-            .collect();
-        engine.run_pair(cpu, gpu);
-        assert_eq!(cpu_done.load(Ordering::SeqCst), 8);
-        assert_eq!(gpu_done.load(Ordering::SeqCst), 8);
+        let done: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
+        let (cpu, gpu): (Vec<usize>, Vec<usize>) = (0..16).partition(|&i| i < 8);
+        let job = |i: usize| {
+            // A GPU job runs on a GPU worker, never on the CPU side.
+            let name = std::thread::current().name().unwrap_or("").to_string();
+            assert_eq!(i >= 8, name.starts_with("uexec-gpu"), "job {i} on {name}");
+            done[i].fetch_add(1, Ordering::SeqCst);
+        };
+        engine(2, 2).run_pair(&job, &cpu, &gpu);
+        assert!(done.iter().all(|d| d.load(Ordering::SeqCst) == 1));
     }
 
     #[test]
     fn init_runs_on_every_worker() {
         let inits = Arc::new(AtomicUsize::new(0));
         let i2 = Arc::clone(&inits);
-        let pool = WorkerPool::new("t", 3, move || {
-            i2.fetch_add(1, Ordering::SeqCst);
-        });
+        let _pool = WorkerPool::new("t", 3, move || _ = i2.fetch_add(1, Ordering::SeqCst));
         // `new` is a start-up latch: no batch needed to know all three
         // workers are up.
         assert_eq!(inits.load(Ordering::SeqCst), 3);
-        assert_eq!(pool.threads(), 3);
     }
 
     #[test]
     fn init_panic_reaches_the_constructor() {
         let caught = catch_unwind(|| WorkerPool::new("t", 2, || panic!("init exploded")));
         assert!(caught.is_err(), "an init panic must not leave a dead pool");
+    }
+
+    #[test]
+    fn dropping_an_engine_joins_spinning_and_parked_workers() {
+        for idle in [Duration::ZERO, PAST_SPIN] {
+            let engine = engine(2, 1);
+            three_jobs(&engine);
+            std::thread::sleep(idle);
+            let t0 = Instant::now();
+            drop(engine);
+            assert!(t0.elapsed() < Duration::from_secs(2), "{idle:?} idle");
+        }
     }
 }

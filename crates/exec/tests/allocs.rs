@@ -4,9 +4,13 @@
 //! Every part, and every worker chunk of a part, writes its channel range
 //! of the node's output in place, so a frame on the pools allocates no
 //! more bytes than the sequential evaluator's frame of the same plan,
-//! plus [`ALLOWANCE_BYTES`] for the pools' per-node bookkeeping (chunk
-//! task lists, boxed jobs, split views, timings). The file holds a single
-//! test so nothing else allocates while it counts.
+//! plus [`ALLOWANCE_BYTES`] for the pools' per-node bookkeeping (split
+//! views, timings). A layer barrier allocates nothing — its batch lives
+//! on the caller's stack, its jobs are borrowed, and the queue, chunk and
+//! index buffers keep their capacity — so a frame makes at most one
+//! allocation per node more than the sequential evaluator (the node's
+//! timing record), plus [`TIMING_ALLOCS`]. The file holds a single test
+//! so nothing else allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,10 +64,13 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// What the pools may allocate per frame beyond the sequential
-/// evaluator: per node a few small vectors (chunk tasks, split views,
-/// spans, timings) and one boxed job per chunk — about 60 KB for
-/// MobileNet's 2-worker frame.
+/// evaluator: per node the split views and the timing record.
 const ALLOWANCE_BYTES: usize = 256 << 10;
+
+/// Allocations a frame's timing records may make beyond one per node:
+/// `take_timings` hands the record vector out, so each frame regrows it
+/// from empty, one reallocation per doubling (six for 64 nodes).
+const TIMING_ALLOCS: usize = 8;
 
 /// `(allocations, bytes)` of the least of four frames after two warm-up
 /// frames, which build the filter casts and grow the scratch arenas. A
@@ -139,6 +146,18 @@ fn frames(
     [sequential, pooled]
 }
 
+/// Fails unless the pools' frame stays within one allocation per node
+/// (plus [`TIMING_ALLOCS`]) of the sequential evaluator's.
+fn assert_count_bound(label: &str, n: &Net, [(sequential, _), (pooled, _)]: [(usize, usize); 2]) {
+    let bound = sequential + n.graph.len() + TIMING_ALLOCS;
+    assert!(
+        pooled <= bound,
+        "{label}: the pools make {pooled} allocations per frame, the sequential evaluator \
+         {sequential}; the bound for {} nodes is {bound}",
+        n.graph.len()
+    );
+}
+
 #[test]
 fn pools_allocate_no_more_per_frame_than_the_sequential_evaluator() {
     let spec = SocSpec::exynos_7420();
@@ -148,14 +167,16 @@ fn pools_allocate_no_more_per_frame_than_the_sequential_evaluator() {
     let mobilenet = net(ModelId::MobileNet);
     let plan = single_processor_plan(&mobilenet.graph, &spec, spec.cpu(), DType::QUInt8).unwrap();
     let pools = ParallelBackend::new(&spec, &auto(2), PoolMode::SinglePool);
-    let [(_, sequential), (_, pooled)] = frames("mobilenet q8", &mobilenet, &plan, &pools);
+    let counts = frames("mobilenet q8", &mobilenet, &plan, &pools);
+    assert_count_bound("mobilenet q8", &mobilenet, counts);
+    let [(_, sequential), (_, pooled)] = counts;
     assert!(
         pooled <= sequential + ALLOWANCE_BYTES,
         "the pools allocate {pooled} bytes per frame, the sequential evaluator {sequential}"
     );
 
     // `coop_squeezenet`: the μLayer plan on cooperative pools, one
-    // worker each. Printed for the record.
+    // worker each.
     let squeezenet = net(ModelId::SqueezeNet);
     let plan = ulayer::ULayer::new(spec.clone())
         .unwrap()
@@ -163,5 +184,6 @@ fn pools_allocate_no_more_per_frame_than_the_sequential_evaluator() {
         .unwrap()
         .plan;
     let pools = ParallelBackend::new(&spec, &auto(1), PoolMode::Cooperative);
-    frames("squeezenet coop", &squeezenet, &plan, &pools);
+    let counts = frames("squeezenet coop", &squeezenet, &plan, &pools);
+    assert_count_bound("squeezenet coop", &squeezenet, counts);
 }

@@ -3,6 +3,7 @@
 //! measurement harness end to end.
 
 use uexec::{measure, ExecConfig, MeasureConfig, ParallelBackend, PoolMode};
+use ukernels::PathChoice;
 use unn::{Calibration, Graph, ModelId, Weights};
 use uruntime::{
     evaluate_plan, evaluate_plan_with_backend, single_processor_plan, ExecutionPlan, NodePlacement,
@@ -136,6 +137,36 @@ fn parallel_bit_identical_to_sequential_for_every_dtype() {
             assert_frames_equal(&got, &want, &what);
         }
     }
+}
+
+#[test]
+fn the_caller_runs_its_chunks_on_the_backend_path_and_keeps_its_own() {
+    // The calling thread is the CPU pool's first worker: it runs CPU
+    // chunks under the backend's kernel path, then restores its own.
+    let (g, w, calib, x) = setup();
+    let spec = SocSpec::exynos_7420();
+    let plan = &dtype_plans(&g, &spec)[2];
+    let scalar = ExecConfig::with_threads(2).with_kernel_path(PathChoice::Scalar);
+    std::thread::scope(|s| {
+        let want = s.spawn(|| {
+            ukernels::set_kernel_path(PathChoice::Scalar);
+            evaluate_plan(&g, plan, &w, &calib, &x).unwrap()
+        });
+        let got = s.spawn(|| {
+            ukernels::set_kernel_path(PathChoice::Auto);
+            let backend = ParallelBackend::new(&spec, &scalar, PoolMode::Cooperative);
+            let frame = evaluate_plan_with_backend(&g, plan, &w, &calib, &x, &backend).unwrap();
+            let own = ukernels::set_kernel_path(PathChoice::Auto);
+            assert_eq!(
+                own,
+                PathChoice::Auto,
+                "the frame changed the caller's kernel path"
+            );
+            frame
+        });
+        let (want, got) = (want.join().unwrap(), got.join().unwrap());
+        assert_frames_equal(&got, &want, "scalar backend called from an auto thread");
+    });
 }
 
 #[test]

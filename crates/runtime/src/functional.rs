@@ -80,7 +80,7 @@ impl<'a> PartTask<'a> {
 /// write — a task's split range, or every channel — one view
 /// per task in task order; a range outside the output, or out of order,
 /// is a typed error.
-pub fn task_outputs<'o>(
+pub(crate) fn task_outputs<'o>(
     tasks: &[PartTask<'_>],
     out: &'o mut TensorViewMut<'_>,
 ) -> Result<Vec<TensorViewMut<'o>>, TensorError> {

@@ -81,9 +81,7 @@ pub use fleet::{
     run_fleet, run_fleet_with_faults, FleetCohort, FleetConfig, FleetNetwork, FleetReport,
     InstanceAdapter, UnitAdapter,
 };
-pub use functional::{
-    eval_part_task, evaluate_plan, evaluate_plan_with_backend, task_outputs, PartTask,
-};
+pub use functional::{eval_part_task, evaluate_plan, evaluate_plan_with_backend, PartTask};
 pub use layout::{NodeLayout, PartLayout, PlanLayout, SplitAxis};
 pub use metrics::MetricsRegistry;
 pub use observe::{attribute, chrome_trace_json, Attribution, OverheadClass};

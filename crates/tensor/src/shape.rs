@@ -9,38 +9,56 @@ use std::fmt;
 /// Output-channel slicing — the core of the channel-wise workload
 /// distribution — is therefore axis 1 for activations and axis 0 for
 /// filters.
+///
+/// The dimensions are stored inline, so making, cloning and narrowing a
+/// shape never allocates: every view of a layer's tensors carries one.
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Shape(Vec<usize>);
+pub struct Shape {
+    /// `dims[..rank]` are the dimensions; the rest stay 0, so the
+    /// derived comparisons and hash see only the dimensions.
+    dims: [usize; MAX_RANK],
+    rank: usize,
+}
+
+/// The most dimensions a shape has (NCHW activations, OIHW filters).
+const MAX_RANK: usize = 4;
 
 impl Shape {
     /// Creates a shape from dimensions.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than four dimensions.
     pub fn new(dims: impl Into<Vec<usize>>) -> Shape {
-        Shape(dims.into())
+        Shape::from(dims.into().as_slice())
     }
 
     /// A 4-D NCHW activation shape.
     pub fn nchw(n: usize, c: usize, h: usize, w: usize) -> Shape {
-        Shape(vec![n, c, h, w])
+        Shape {
+            dims: [n, c, h, w],
+            rank: 4,
+        }
     }
 
     /// A 4-D OIHW filter shape.
     pub fn oihw(o: usize, i: usize, h: usize, w: usize) -> Shape {
-        Shape(vec![o, i, h, w])
+        Shape::nchw(o, i, h, w)
     }
 
     /// The dimensions.
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        &self.dims[..self.rank]
     }
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.0.len()
+        self.rank
     }
 
     /// Total element count (1 for rank 0).
     pub fn numel(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Dimension `i`.
@@ -49,7 +67,7 @@ impl Shape {
     ///
     /// Panics if `i >= rank`.
     pub fn dim(&self, i: usize) -> usize {
-        self.0[i]
+        self.dims()[i]
     }
 
     /// Batch size (dim 0 of a rank-4 shape).
@@ -59,7 +77,7 @@ impl Shape {
     /// Panics unless the shape has rank 4.
     pub fn n(&self) -> usize {
         self.expect_rank4();
-        self.0[0]
+        self.dims[0]
     }
 
     /// Channels (dim 1 of a rank-4 shape).
@@ -69,7 +87,7 @@ impl Shape {
     /// Panics unless the shape has rank 4.
     pub fn c(&self) -> usize {
         self.expect_rank4();
-        self.0[1]
+        self.dims[1]
     }
 
     /// Height (dim 2 of a rank-4 shape).
@@ -79,7 +97,7 @@ impl Shape {
     /// Panics unless the shape has rank 4.
     pub fn h(&self) -> usize {
         self.expect_rank4();
-        self.0[2]
+        self.dims[2]
     }
 
     /// Width (dim 3 of a rank-4 shape).
@@ -89,7 +107,7 @@ impl Shape {
     /// Panics unless the shape has rank 4.
     pub fn w(&self) -> usize {
         self.expect_rank4();
-        self.0[3]
+        self.dims[3]
     }
 
     /// Returns a copy with dimension `axis` replaced by `len`.
@@ -98,17 +116,22 @@ impl Shape {
     ///
     /// Panics if `axis >= rank`.
     pub fn with_dim(&self, axis: usize, len: usize) -> Shape {
-        let mut dims = self.0.clone();
-        dims[axis] = len;
-        Shape(dims)
+        assert!(
+            axis < self.rank,
+            "axis {axis} of a rank-{} shape",
+            self.rank
+        );
+        let mut shape = self.clone();
+        shape.dims[axis] = len;
+        shape
     }
 
     /// Row-major strides (elements, not bytes).
     #[cfg(test)]
     pub(crate) fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
+        let mut strides = vec![1usize; self.rank];
+        for i in (0..self.rank.saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * self.dims[i + 1];
         }
         strides
     }
@@ -125,14 +148,14 @@ impl Shape {
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Shape{:?}", self.0)
+        write!(f, "Shape{:?}", self.dims())
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, d) in self.0.iter().enumerate() {
+        for (i, d) in self.dims().iter().enumerate() {
             if i > 0 {
                 write!(f, "x")?;
             }
@@ -144,13 +167,25 @@ impl fmt::Display for Shape {
 
 impl From<Vec<usize>> for Shape {
     fn from(v: Vec<usize>) -> Shape {
-        Shape(v)
+        Shape::from(v.as_slice())
     }
 }
 
 impl From<&[usize]> for Shape {
+    /// # Panics
+    ///
+    /// Panics on more than four dimensions.
     fn from(v: &[usize]) -> Shape {
-        Shape(v.to_vec())
+        assert!(
+            v.len() <= MAX_RANK,
+            "a shape has at most {MAX_RANK} dimensions, not {v:?}"
+        );
+        let mut dims = [0; MAX_RANK];
+        dims[..v.len()].copy_from_slice(v);
+        Shape {
+            dims,
+            rank: v.len(),
+        }
     }
 }
 
