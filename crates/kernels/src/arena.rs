@@ -2,8 +2,9 @@
 //!
 //! The lowered kernels need working memory on every call: the blocked
 //! GEMMs pack panels of `A` and `B` into contiguous tiles, the quantized
-//! GEMM sums into an `i32` accumulator matrix, and the direct depthwise
-//! and LRN kernels keep a padded plane and its accumulators. (No
+//! GEMM sums into an `i32` accumulator matrix (and, on the VNNI tier,
+//! the column sums of `B`), the direct depthwise kernel keeps a padded
+//! plane and the LRN its f32 input and output. (No
 //! convolution builds its `K × N` im2col patch matrix: the `B` pack
 //! gathers one `KC × NC` block of patches at a time from the input
 //! plane.) On the real-execution backend
@@ -35,8 +36,8 @@ use utensor::F16;
 ///
 /// Fields are public on purpose: the borrow checker can split borrows of
 /// distinct fields, so a kernel can fill one buffer while it reads
-/// another (the depthwise kernel's padded plane and its accumulators,
-/// the GEMM's patch block and its `B` panel).
+/// another (the LRN's input and output planes, the GEMM's patch block
+/// and its `B` panel).
 #[derive(Default, Debug)]
 pub struct ScratchArena {
     /// One `KC × NC` block of im2col patches (f32 GEMM); the direct f32
@@ -57,18 +58,26 @@ pub struct ScratchArena {
     pub pack_a_f16: Vec<F16>,
     /// Packed `B` panel (F16 blocked GEMM).
     pub pack_b_f16: Vec<F16>,
-    /// Packed zero-point-subtracted `A` panel (QUInt8 blocked GEMM).
+    /// Packed `A` panel of the VNNI QUInt8 GEMM: `a − 128` as `i8`.
+    pub pack_a_i8: Vec<i8>,
+    /// Packed `B` panel of the VNNI QUInt8 GEMM: the raw `u8`.
+    pub pack_b_u8: Vec<u8>,
+    /// The VNNI QUInt8 GEMM's column sums of `B`, then its column
+    /// terms.
+    pub col_sums: Vec<i32>,
+    /// Packed zero-point-subtracted `A` panel of the AVX2 and scalar
+    /// QUInt8 GEMMs.
     pub pack_a_i16: Vec<i16>,
-    /// Packed zero-point-subtracted `B` panel (QUInt8 blocked GEMM).
+    /// Packed zero-point-subtracted `B` panel of the AVX2 and scalar
+    /// QUInt8 GEMMs.
     pub pack_b_i16: Vec<i16>,
-    /// `i32` accumulators (the QUInt8 GEMM's `m × n` sums / the direct
-    /// depthwise plane).
+    /// The QUInt8 GEMM's `m × n` `i32` running sums between `K` panels
+    /// (only when `k > KC`).
     pub acc_i32: Vec<i32>,
-    /// Accumulators of the direct f32 depthwise plane; the LRN's f32
-    /// output.
+    /// The QUInt8 GEMM's per-row bias in the accumulator domain.
+    pub row_bias: Vec<i32>,
+    /// The LRN's f32 output.
     pub acc_f32: Vec<f32>,
-    /// Accumulators of the direct F16 depthwise plane.
-    pub acc_f16: Vec<F16>,
 }
 
 impl ScratchArena {
@@ -83,11 +92,14 @@ impl ScratchArena {
             + self.pack_b_f32.capacity() * 4
             + self.pack_a_f16.capacity() * 2
             + self.pack_b_f16.capacity() * 2
+            + self.pack_a_i8.capacity()
+            + self.pack_b_u8.capacity()
+            + self.col_sums.capacity() * 4
             + self.pack_a_i16.capacity() * 2
             + self.pack_b_i16.capacity() * 2
             + self.acc_i32.capacity() * 4
+            + self.row_bias.capacity() * 4
             + self.acc_f32.capacity() * 4
-            + self.acc_f16.capacity() * 2
     }
 }
 

@@ -6,35 +6,44 @@
 //! plus a final concat — catastrophically slow for MobileNet's dw layers.
 //!
 //! This module computes the whole depthwise output in one pass over the
-//! input, with zero intermediate allocation, a whole *plane* at a time in
-//! every dtype: the plane is copied once into scratch, padded at pitch
-//! `w + 2·pad` with what a padded patch entry holds (`0.0`, `+0`, the
-//! input zero point), and an accumulator per padded-pitch output
-//! position takes one strided pass per tap, reading `stride·i +
-//! ky·pitch + kx`. The live columns are then compacted and run through
-//! the epilogue in one row pass. Each output pixel takes its `kh·kw`
-//! taps in `(ky, kx)` row-major order — the order, and the zero-weight
-//! short-circuits, of the naive GEMM over the im2col patches of that
-//! channel:
+//! input, with zero intermediate allocation, a *strip* of outputs at a
+//! time in every dtype. Each plane is copied once into scratch, padded
+//! with what a padded patch entry holds (`0.0`, `+0`, the input zero
+//! point) and split by the stride `s` into `s²` phase planes — phase
+//! `(py, px)` holds the padded rows `≡ py` and columns `≡ px` (mod `s`)
+//! — so output `(oy, ox)`'s tap `(ky, kx)` is element `(oy + ky/s, ox +
+//! kx/s)` of phase `(ky mod s, kx mod s)`. In a phase plane's pitch,
+//! consecutive outputs read consecutive inputs at any stride: a
+//! [`Strip`] of up to [`STRIP_RUNS`] vectors of consecutive positions
+//! (from one output row or several, so small planes still fill the
+//! registers) takes all `kh·kw` taps in `(ky, kx)` row-major order with
+//! its lanes in registers, then goes straight to its epilogue, and its
+//! live lanes are copied out. No accumulator plane is written or read
+//! back. Each output pixel takes its taps in the order, and with the
+//! zero-weight short-circuits, of the naive GEMM over the im2col patches
+//! of that channel:
 //!
 //! - **f32**: `acc += w * x`, skipping zero weights; padded taps add
 //!   `w * 0.0`, like a zero patch entry.
 //! - **F16**: one [`F16::mul_add`] per tap, no skips — the same MAC
-//!   sequence as the F16 GEMM; on an AVX512-FP16 host a stride-1 or
-//!   stride-2 pass is `vfmadd231ph`, 32 lanes at a time.
-//! - **QUInt8**: one `w′·(x − zp)` pass per nonzero tap. Padded taps
-//!   contribute exactly zero, and `i32` sums are order-free.
+//!   sequence as the F16 GEMM; on an AVX512-FP16 host one `vfmadd231ph`
+//!   per vector and tap.
+//! - **QUInt8**: the strip sums `w′·x` with `w′ = w − w_zp`, one
+//!   `vpdpwssd` per vector and tap on an AVX-512 host, and the epilogue
+//!   folds the input zero point out with the bias:
+//!   `Σ w′·(x − zp) = Σ w′·x − zp·Σ w′`, padded taps (`x = zp`)
+//!   included. `i32` sums are exact modulo 2³² and order-free.
 //!
 //! The result is **bit-identical** to the per-channel im2col + GEMM
 //! lowering for every dtype; the equivalence harness holds it to that
 //! lowering over the naive GEMMs (`tests/common/conv.rs`).
 
-use utensor::requantize_into;
 use utensor::{
     FixedPointMultiplier, Shape, TensorError, TensorView, TensorViewMut, ViewData, ViewDataMut, F16,
 };
 
 use crate::conv::{conv_output_shape, Conv2dParams};
+use crate::simd::{self, STRIP_LANES_F16, STRIP_LANES_I32, STRIP_RUNS, STRIP_SLACK};
 
 /// Validates shapes and computes the output shape of a depthwise conv
 /// (`input` NCHW × `filters` `[c,1,kh,kw]`).
@@ -52,7 +61,9 @@ fn depthwise_output_shape(
     conv_output_shape(&input.with_dim(1, 1), filters, p)
 }
 
-/// Geometry of one channel plane, shared by the per-dtype loops.
+/// Geometry of one channel plane, shared by the per-dtype loops, and
+/// of its phase planes: `pitch` and `phase_len` are a phase plane's
+/// width and size, the padded plane's over the stride.
 #[derive(Clone, Copy)]
 struct PlaneGeom {
     h: usize,
@@ -63,53 +74,206 @@ struct PlaneGeom {
     kw: usize,
     stride: usize,
     pad: usize,
+    pitch: usize,
+    phase_len: usize,
+}
+
+/// Consecutive output positions of one channel plane: position `q =
+/// oy·pitch + ox` in the phase planes' pitch, `lanes` of them from
+/// `start`. Tap `(ky, kx)` of the channel's `kh·kw` weights, in `(ky,
+/// kx)` row-major order, reads lane `i` at `plane[offset + start + i]`,
+/// `offset` that of [`each_tap`](Strip::each_tap).
+pub(crate) struct Strip<'a, X> {
+    plane: &'a [X],
+    start: usize,
+    pub(crate) lanes: usize,
+    weights: &'a [X],
+    geom: &'a PlaneGeom,
+}
+
+impl<'a, X: Copy> Strip<'a, X> {
+    /// Calls `f(w, offset)` for each tap in order: its weight and the
+    /// offset of its input from position `q`, in phase `(ky mod s, kx
+    /// mod s)`, `ky/s` rows and `kx/s` columns on.
+    #[inline(always)]
+    fn each_tap(&self, mut f: impl FnMut(X, usize)) {
+        let g = self.geom;
+        let (mut py, mut row) = (0, 0);
+        for ws in self.weights.chunks_exact(g.kw) {
+            let (mut px, mut col) = (0, 0);
+            for &w in ws {
+                f(w, (py * g.stride + px) * g.phase_len + row + col);
+                px += 1;
+                if px == g.stride {
+                    (px, col) = (0, col + 1);
+                }
+            }
+            py += 1;
+            if py == g.stride {
+                (py, row) = (0, row + g.pitch);
+            }
+        }
+    }
+
+    /// The vector walk of a SIMD strip: for each tap in order, `step(acc,
+    /// inputs, w)` on each of the `V` vectors' accumulators, `w =
+    /// weight(tap)` and `inputs` the `N` inputs of the vector's lanes.
+    /// The accumulators stay in registers; the reads past the strip's
+    /// last lane stay inside the planes' [`STRIP_SLACK`].
+    #[inline(always)]
+    pub(crate) fn sweep<A, W, const N: usize, const V: usize>(
+        &self,
+        acc: &mut [A; V],
+        weight: impl Fn(X) -> W,
+        step: impl Fn(&mut A, &[X; N], &W),
+    ) {
+        self.each_tap(|w, off| {
+            let w = weight(w);
+            let inputs = self.plane[self.start + off..].as_chunks::<N>().0;
+            let inputs = inputs
+                .first_chunk::<V>()
+                .expect("the planes' slack covers a strip");
+            for (a, x) in acc.iter_mut().zip(inputs) {
+                step(a, x, &w);
+            }
+        });
+    }
+
+    /// Panics unless the strip fits [`STRIP_RUNS`] vectors of `width`
+    /// lanes and `out` holds all of them.
+    pub(crate) fn check(&self, out: usize, width: usize) {
+        assert!(
+            self.lanes <= STRIP_RUNS * width,
+            "strip wider than its vectors"
+        );
+        assert!(out >= STRIP_RUNS * width, "strip lanes");
+    }
+
+    /// The scalar strip: `out[..lanes]` starts at `zero` and takes `acc
+    /// = mac(acc, w, x)` per tap in order, lane by lane.
+    #[inline(always)]
+    pub(crate) fn fold<A: Copy>(&self, out: &mut [A], zero: A, mac: impl Fn(A, X, X) -> A) {
+        let out = &mut out[..self.lanes];
+        out.fill(zero);
+        self.each_tap(|w, off| {
+            let x = &self.plane[self.start + off..][..self.lanes];
+            for (a, &v) in out.iter_mut().zip(x) {
+                *a = mac(*a, w, v);
+            }
+        });
+    }
 }
 
 /// Runs every (batch, channel) plane of the NCHW input `x` through its
-/// channel's taps in `f` (`kh·kw` weights per channel), a whole plane at
-/// a time, and hands the live accumulators, in output order, to
-/// `store(out_plane, live, channel)`. Each plane is copied once into
-/// `padded`, surrounded by `pad` rows and columns of `fill`, at pitch
-/// `w + 2·pad`; `acc` holds one accumulator per padded-pitch output
-/// position, starting at `zero`.
-///
-/// Accumulator `i = oy·pitch + ox` sums the window whose top-left padded
-/// input is `stride·i`, so `pass(weight, acc, row)` updates every
-/// accumulator with tap `(ky, kx)` in one strided pass over `row`, the
-/// padded plane from `ky·pitch + kx`. Each output takes its taps in
-/// `(ky, kx)` row-major order. Columns `ox >= ow` are junk, compacted
-/// away before `store`. The last row stops at `ow`, which keeps the
-/// farthest read, `((oh−1)·s + kh − 1)·pitch + (ow−1)·s + kw − 1`, inside
-/// the padded plane's `(h + 2·pad)·pitch` elements.
-fn plane_taps<X: Copy, A: Copy, O>(
+/// channel's taps in `f` (`kh·kw` weights per channel), a [`Strip`] at a
+/// time. `planes` holds the `s²` phase planes of one padded plane, laid
+/// once per call with `fill` (border included) and [`STRIP_SLACK`] more
+/// after them; each plane then rewrites their interior. Output `(oy,
+/// ox)` is position `oy·pitch + ox` of the phase pitch; the positions
+/// `0..(oh−1)·pitch + ow` are cut into strips of up to `STRIP_RUNS ×
+/// LANES` lanes, and `strip(strip, buf, channel)` leaves each lane's
+/// output in `buf`, whose live lanes (`ox < ow`) are then copied out.
+/// Every tap of a live lane reads inside its phase plane (the window
+/// fits the padded plane), and a vector from any lane's input stays
+/// inside the slack.
+fn plane_strips<X: Copy, O: Copy + Default, const LANES: usize>(
     (x, f, out): (&[X], &[X], &mut [O]),
     g: &PlaneGeom,
-    (padded, acc): (&mut Vec<X>, &mut Vec<A>),
-    (fill, zero): (X, A),
-    mut pass: impl FnMut(X, &mut [A], &[X]),
-    mut store: impl FnMut(&mut [O], &[A], usize),
+    planes: &mut Vec<X>,
+    fill: X,
+    mut strip: impl FnMut(&Strip<'_, X>, &mut [O], usize),
 ) {
-    let (pitch, taps) = (g.w + 2 * g.pad, g.kh * g.kw);
-    let planes = x
+    let (stride, taps) = (g.stride, g.kh * g.kw);
+    let (pitch, phase_len) = (g.pitch, g.phase_len);
+    let positions = (g.oh - 1) * pitch + g.ow;
+    let mut buf = [O::default(); STRIP_RUNS * STRIP_LANES_F16];
+    let buf = &mut buf[..STRIP_RUNS * LANES];
+    planes.clear();
+    planes.resize(stride * stride * phase_len + STRIP_SLACK, fill);
+    let channels = x
         .chunks_exact(g.h * g.w)
         .zip(out.chunks_exact_mut(g.oh * g.ow));
-    for (i, (xp, op)) in planes.enumerate() {
-        padded.clear();
-        padded.resize((g.h + 2 * g.pad) * pitch, fill);
-        let rows = padded[g.pad * pitch..].chunks_exact_mut(pitch);
-        for (row, src) in rows.zip(xp.chunks_exact(g.w)) {
-            row[g.pad..g.pad + g.w].copy_from_slice(src);
+    for (i, (xp, op)) in channels.enumerate() {
+        // Input `(y, x)` is padded `(y + pad, x + pad)`: phase `((y +
+        // pad) mod s, (x + pad) mod s)`, element `((y + pad)/s, (x +
+        // pad)/s)`.
+        for (y, src) in (g.pad..).zip(xp.chunks_exact(g.w)) {
+            let row = y % stride * stride * phase_len + y / stride * pitch;
+            // Where input column `x` lands: its phase plane's row, from
+            // the column.
+            let at = |x: usize| row + (x + g.pad) % stride * phase_len + (x + g.pad) / stride;
+            match stride {
+                1 => planes[at(0)..][..g.w].copy_from_slice(src),
+                // One pass splits the row into its two column phases.
+                2 => {
+                    let (pairs, last) = src.as_chunks::<2>();
+                    let half = pairs.len();
+                    let (even, odd) =
+                        match planes.get_disjoint_mut([at(0)..at(0) + half, at(1)..at(1) + half]) {
+                            Ok([even, odd]) => (even, odd),
+                            Err(_) => unreachable!("two phase planes"),
+                        };
+                    for (pair, (e, o)) in pairs.iter().zip(even.iter_mut().zip(odd)) {
+                        (*e, *o) = (pair[0], pair[1]);
+                    }
+                    if let Some(&v) = last.first() {
+                        planes[at(g.w - 1)] = v;
+                    }
+                }
+                _ => {
+                    for (x, &v) in src.iter().enumerate() {
+                        planes[at(x)] = v;
+                    }
+                }
+            }
         }
-        acc.clear();
-        acc.resize((g.oh - 1) * pitch + g.ow, zero);
         let ci = i % (f.len() / taps);
-        for (tap, &w) in f[ci * taps..(ci + 1) * taps].iter().enumerate() {
-            pass(w, acc, &padded[tap / g.kw * pitch + tap % g.kw..]);
+        let weights = &f[ci * taps..(ci + 1) * taps];
+        let mut oy = 0;
+        for q0 in (0..positions).step_by(buf.len()) {
+            let lanes = buf.len().min(positions - q0);
+            let s = Strip {
+                plane: planes,
+                start: q0,
+                lanes,
+                weights,
+                geom: g,
+            };
+            strip(&s, buf, ci);
+            // The live lanes, output row by output row: row `oy`'s
+            // positions `oy·pitch..oy·pitch + ow` within the strip.
+            while oy * pitch < q0 + lanes {
+                let row = oy * pitch;
+                let (a, b) = (row.max(q0), (row + g.ow).min(q0 + lanes));
+                if a < b {
+                    copy_live(&mut op[oy * g.ow + a - row..], &buf[a - q0..], b - a);
+                }
+                if row + g.ow > q0 + lanes {
+                    break;
+                }
+                oy += 1;
+            }
         }
-        for oy in 1..g.oh {
-            acc.copy_within(oy * pitch..oy * pitch + g.ow, oy * g.ow);
+    }
+}
+
+/// Copies `len` live lanes from `src` to `dst`, sixteen at a time where
+/// both have room for sixteen: a copy past the run writes outputs a
+/// later run of the plane rewrites, since runs are copied in output
+/// order, and never writes past `dst`.
+fn copy_live<O: Copy>(dst: &mut [O], src: &[O], len: usize) {
+    const CHUNK: usize = 16;
+    for at in (0..len).step_by(CHUNK) {
+        let chunks = (
+            dst[at..].first_chunk_mut::<CHUNK>(),
+            src[at..].first_chunk::<CHUNK>(),
+        );
+        if let (Some(d), Some(s)) = chunks {
+            *d = *s;
+        } else {
+            dst[at..len].copy_from_slice(&src[at..len]);
+            return;
         }
-        store(op, &acc[..g.oh * g.ow], ci);
     }
 }
 
@@ -131,15 +295,19 @@ pub fn depthwise_conv2d(
     let out_shape = depthwise_output_shape(&input.shape, &filters.shape, params)?;
     crate::check_bias(bias, input.shape.c())?;
     crate::expect_out(out, &out_shape)?;
+    let (h, w, stride, pad) = (input.shape.h(), input.shape.w(), params.stride, params.pad);
+    let pitch = (w + 2 * pad).div_ceil(stride);
     let g = PlaneGeom {
-        h: input.shape.h(),
-        w: input.shape.w(),
+        h,
+        w,
         oh: out_shape.h(),
         ow: out_shape.w(),
         kh: filters.shape.dim(2),
         kw: filters.shape.dim(3),
-        stride: params.stride,
-        pad: params.pad,
+        stride,
+        pad,
+        pitch,
+        phase_len: (h + 2 * pad).div_ceil(stride) * pitch,
     };
     let dtypes = [input.dtype(), filters.dtype(), out.dtype()];
     let simd = crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd;
@@ -147,43 +315,48 @@ pub fn depthwise_conv2d(
     let arena = &mut *arena;
 
     match (input.data, filters.data, &mut out.data) {
-        (ViewData::F32(x), ViewData::F32(f), ViewDataMut::F32(out)) => plane_taps(
-            (x, f, out),
-            &g,
-            (&mut arena.patches_f32, &mut arena.acc_f32),
-            (0.0, 0.0),
-            // `acc += w * x` per tap, zero weights skipped; a padded
-            // tap adds `w * 0.0`, like a zero patch entry.
-            |wv, acc, row| {
-                if wv != 0.0 {
-                    for (a, &v) in acc.iter_mut().zip(row.iter().step_by(g.stride)) {
-                        *a += wv * v;
+        (ViewData::F32(x), ViewData::F32(f), ViewDataMut::F32(out)) => {
+            plane_strips::<_, _, STRIP_LANES_I32>(
+                (x, f, out),
+                &g,
+                &mut arena.patches_f32,
+                0.0,
+                |s, buf, ci| {
+                    // `acc += w * x` per tap, zero weights skipped; a
+                    // padded tap adds `w * 0.0`, like a zero patch entry.
+                    s.fold(
+                        buf,
+                        0.0,
+                        |acc, w, x| if w != 0.0 { acc + w * x } else { acc },
+                    );
+                    for o in &mut buf[..s.lanes] {
+                        // Guarded like the GEMM epilogue: an unconditional
+                        // `+ 0.0` would flip a `-0.0` result.
+                        if let Some(b) = bias {
+                            *o += b[ci];
+                        }
+                        if params.relu && *o < 0.0 {
+                            *o = 0.0;
+                        }
                     }
-                }
-            },
-            |op, live, ci| {
-                for (o, &v) in op.iter_mut().zip(live) {
-                    // Guarded like the GEMM epilogue: an unconditional
-                    // `+ 0.0` would flip a `-0.0` result.
-                    *o = bias.map_or(v, |b| v + b[ci]);
-                    if params.relu && *o < 0.0 {
-                        *o = 0.0;
-                    }
-                }
-            },
-        ),
-        (ViewData::F16(x), ViewData::F16(f), ViewDataMut::F16(out)) => plane_taps(
-            (x, f, out),
-            &g,
-            (&mut arena.patches_f16, &mut arena.acc_f16),
-            (F16::ZERO, F16::ZERO),
-            |wv, acc, row| crate::simd::mac_row_f16(simd, acc, row, g.stride, wv),
-            |op, live, ci| {
-                op.copy_from_slice(live);
-                let hb = bias.map(|b| F16::from_f32(b[ci]));
-                crate::simd::f16_bias_relu(simd, op, hb, params.relu);
-            },
-        ),
+                },
+            )
+        }
+        (ViewData::F16(x), ViewData::F16(f), ViewDataMut::F16(out)) => {
+            plane_strips::<_, _, STRIP_LANES_F16>(
+                (x, f, out),
+                &g,
+                &mut arena.patches_f16,
+                F16::ZERO,
+                |s, buf, ci| {
+                    simd::strip_f16(simd, s, buf);
+                    let hb = bias.map(|b| F16::from_f32(b[ci]));
+                    // Whole vectors; the lanes past the strip's are junk.
+                    let n = s.lanes.next_multiple_of(STRIP_LANES_F16);
+                    simd::f16_bias_relu(simd, &mut buf[..n], hb, params.relu);
+                },
+            )
+        }
         (ViewData::QUInt8(x, x_p), ViewData::QUInt8(f, f_p), ViewDataMut::QUInt8(out, out_p)) => {
             let acc_scale = f_p.scale as f64 * x_p.scale as f64;
             if acc_scale <= 0.0 || !acc_scale.is_finite() {
@@ -193,20 +366,27 @@ pub fn depthwise_conv2d(
             }
             let multiplier = FixedPointMultiplier::from_real(acc_scale / out_p.scale as f64)?;
             let (f_zp, x_zp, out_zp) = (f_p.zero_point as i32, x_p.zero_point, out_p.zero_point);
-            plane_taps(
+            let mut sums = [0i32; STRIP_RUNS * STRIP_LANES_I32];
+            // The channel whose bias `qb` holds.
+            let (mut channel, mut qb) = (usize::MAX, 0);
+            plane_strips::<_, _, STRIP_LANES_I32>(
                 (x, f, out),
                 &g,
-                (&mut arena.patches_u8, &mut arena.acc_i32),
-                (x_zp, 0),
-                |wq, acc, row| {
-                    let wv = wq as i32 - f_zp;
-                    if wv != 0 {
-                        crate::simd::mac_row_u8(simd, acc, row, g.stride, wv, x_zp as i32);
+                &mut arena.patches_u8,
+                x_zp,
+                |s, buf, ci| {
+                    simd::strip_u8(simd, s, f_zp, &mut sums);
+                    if ci != channel {
+                        // The input zero point, folded out of the sums
+                        // with the bias: Σ w′·(x − zp) = Σ w′·x − zp·Σ w′.
+                        let w_sum: i32 = s.weights.iter().map(|&w| w as i32 - f_zp).sum();
+                        let b = bias.map_or(0, |b| (b[ci] as f64 / acc_scale).round() as i32);
+                        (channel, qb) = (ci, b.wrapping_sub((x_zp as i32).wrapping_mul(w_sum)));
                     }
-                },
-                |op, live, ci| {
-                    let qb = bias.map_or(0, |b| (b[ci] as f64 / acc_scale).round() as i32);
-                    requantize_into(op, live, qb, &multiplier, out_zp, params.relu);
+                    // Whole vectors; the lanes past the strip's are junk.
+                    let n = s.lanes.next_multiple_of(STRIP_LANES_I32);
+                    let (out, sums) = (&mut buf[..n], &sums[..n]);
+                    simd::requantize_into(simd, out, sums, qb, &multiplier, out_zp, params.relu);
                 },
             );
         }

@@ -5,9 +5,10 @@
 //! their time in one place: the register-tile accumulation over a
 //! `KC`-panel. This module provides vectorized implementations of that
 //! tile loop — plus the F16 bias/ReLU row epilogue, which would otherwise
-//! dominate it at small `k`, and the direct depthwise row updates — so the
-//! blocking and epilogue logic (and therefore the accumulation *order*)
-//! stays in one canonical scalar place. The panel layout a tile reads is part of the tile (its width
+//! dominate it at small `k`, the QUInt8 requantizer, the K-quad `B` pack
+//! and the depthwise strips — so the blocking and epilogue logic (and
+//! therefore the accumulation *order*) stays in one canonical scalar
+//! place. The panel layout a tile reads is part of the tile (its width
 //! below); the packing code follows it.
 //!
 //! ## Tiers
@@ -16,13 +17,15 @@
 //! host has, and the SIMD kernel path runs that tier:
 //!
 //! - **AVX512-FP16** — `avx512fp16` on top of the AVX-512 tier: a
-//!   `4 × 64` F16 tile and the F16 depthwise row on native binary16
+//!   `4 × 64` F16 tile and the F16 depthwise strip on native binary16
 //!   (`vfmadd231ph`), plus everything the AVX-512 tier runs.
 //! - **AVX-512** — `avx512f + avx512bw + avx512vnni` on top of the AVX2
-//!   tier's features: a `4 × 32` QUInt8 tile on `vpdpwssd`.
-//! - **AVX2** — `avx2 + fma + f16c`: a `4 × 16` QUInt8 tile. Every tier
-//!   shares the AVX2 f32 tile, F16 row epilogue and QUInt8 depthwise row
-//!   update.
+//!   tier's features: an `8 × 32` QUInt8 tile on `vpdpbusd` over `u8 ×
+//!   s8` K-quad panels, the QUInt8 depthwise strip on `vpdpwssd` and a
+//!   sixteen-lane requantizer.
+//! - **AVX2** — `avx2 + fma + f16c`: a `4 × 16` QUInt8 tile on `i16`
+//!   K-pair panels and the QUInt8 depthwise strip compiled for AVX2.
+//!   Every tier shares the AVX2 f32 tile and F16 row epilogue.
 //! - **None** — every other host, aarch64 included: every caller runs its
 //!   scalar loop.
 //!
@@ -41,8 +44,13 @@
 //!   Identical for all finite values and infinities; NaN *payloads* may
 //!   differ from the software path (both are quiet NaNs), which no
 //!   kernel contract observes.
-//! - QUInt8 accumulates `i16 × i16` products exactly in `i32` lanes;
-//!   integer arithmetic has no rounding, so equality is unconditional.
+//! - QUInt8 sums integers in wrapping `i32` lanes: `i16 × i16` products
+//!   of zero-point-subtracted operands (AVX2), or `u8 × s8` products of
+//!   the raw activations and the weights minus 128 plus the zero-point
+//!   terms [`crate::blocked`] adds (AVX-512). Integer arithmetic has no
+//!   rounding and every sum fits `i32` exactly as the scalar one does,
+//!   so equality is unconditional; the requantizer is the fixed-point
+//!   pipeline of [`utensor::requantize_into`], operation for operation.
 //!
 //! The differential harness in `tests/equivalence.rs` enforces this
 //! contract for every registered path; `ci.sh` runs it twice (forced
@@ -54,19 +62,35 @@
 use std::sync::OnceLock;
 
 use crate::blocked::{MR, NR};
-use utensor::F16;
+use crate::depthwise::Strip;
+use utensor::{FixedPointMultiplier, F16};
 
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
 /// Register-tile columns of the AVX2 QUInt8 tile.
 pub(crate) const NR_AVX2: usize = 16;
+/// Register-tile rows of the AVX-512 (VNNI) QUInt8 tile.
+pub(crate) const MR_VNNI: usize = 8;
 /// Register-tile columns of the AVX-512 (VNNI) QUInt8 tile.
-pub(crate) const NR_AVX512: usize = 32;
+pub(crate) const NR_VNNI: usize = 32;
 /// Register-tile columns of the AVX512-FP16 F16 tile.
 pub(crate) const NR_FP16: usize = 64;
-/// Consecutive `k` per 32-bit lane of the SIMD QUInt8 panels (K pairs).
+/// Consecutive `k` per 32-bit lane of the AVX2 QUInt8 panels (K pairs).
 pub(crate) const KSTEP_I16: usize = 2;
+/// Consecutive `k` per 32-bit lane of the VNNI QUInt8 panels (K quads).
+pub(crate) const KSTEP_U8: usize = 4;
+/// Vectors of output lanes per depthwise strip.
+pub(crate) const STRIP_RUNS: usize = 8;
+/// Elements past a depthwise plane's last window that a strip's vectors
+/// may read (a whole strip of F16 vectors).
+pub(crate) const STRIP_SLACK: usize = STRIP_RUNS * STRIP_LANES_F16;
+/// Output lanes per vector of a QUInt8 or f32 depthwise strip (one zmm
+/// of `i32`).
+pub(crate) const STRIP_LANES_I32: usize = 16;
+/// Output lanes per vector of an F16 depthwise strip (one zmm of
+/// binary16).
+pub(crate) const STRIP_LANES_F16: usize = 32;
 
 /// The SIMD tiers, narrowest first. A host runs the widest it has
 /// ([`simd_tier`]); each tier's features include the narrower tier's.
@@ -178,11 +202,11 @@ pub(crate) fn tile_f32(acc: &mut [[f32; NR]; MR], pa: &[f32], pb: &[f32], kc: us
 }
 
 /// What every tier tile below promises its body: the host runs `tier`,
-/// and the panels hold `kc` rows of an `MR × nr` tile.
+/// and the panels hold `kc` rows of an `mr × nr` tile.
 #[cfg(target_arch = "x86_64")]
-fn check_tile(tier: SimdTier, (pa, pb): (usize, usize), kc: usize, nr: usize) {
+fn check_tile(tier: SimdTier, (pa, pb): (usize, usize), kc: usize, (mr, nr): (usize, usize)) {
     assert!(simd_tier() >= tier, "no {tier:?} tier on this host");
-    assert!(pa >= kc * MR && pb >= kc * nr, "panels short of kc = {kc}");
+    assert!(pa >= kc * mr && pb >= kc * nr, "panels short of kc = {kc}");
 }
 
 /// One F16 register tile of the AVX512-FP16 tier: `acc[r][x] =
@@ -190,7 +214,12 @@ fn check_tile(tier: SimdTier, (pa, pb): (usize, usize), kc: usize, nr: usize) {
 /// `vfmadd231ph`.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn tile_f16_fp16(acc: &mut [[F16; NR_FP16]; MR], pa: &[F16], pb: &[F16], kc: usize) {
-    check_tile(SimdTier::Avx512Fp16, (pa.len(), pb.len()), kc, NR_FP16);
+    check_tile(
+        SimdTier::Avx512Fp16,
+        (pa.len(), pb.len()),
+        kc,
+        (MR, NR_FP16),
+    );
     // SAFETY: `check_tile` verified the tier's features; the body is
     // safe code.
     unsafe { x86::tile_f16_fp16(acc, pa, pb, kc) }
@@ -202,20 +231,84 @@ pub(crate) fn tile_f16_fp16(acc: &mut [[F16; NR_FP16]; MR], pa: &[F16], pb: &[F1
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn tile_i16_avx2(acc: &mut [[i32; NR_AVX2]; MR], pa: &[i16], pb: &[i16], kc: usize) {
     assert_eq!(kc % KSTEP_I16, 0, "panel depth not padded to the K step");
-    check_tile(SimdTier::Avx2, (pa.len(), pb.len()), kc, NR_AVX2);
+    check_tile(SimdTier::Avx2, (pa.len(), pb.len()), kc, (MR, NR_AVX2));
     // SAFETY: `check_tile` verified the tier's features and the panel
     // lengths; the even depth is asserted above.
     unsafe { x86::tile_i16_avx2(acc, pa, pb, kc) }
 }
 
-/// [`tile_i16_avx2`] at the AVX-512 tier's width, on `vpdpwssd`.
+/// One QUInt8 register tile of the AVX-512 tier over `kc` K-quad panel
+/// rows, `kc` a multiple of [`KSTEP_U8`]: `acc[r][x] += Σ_k b(k,x)·a′(r,k)`
+/// with `pb` the raw `u8` activations and `pa` the weights minus 128 as
+/// `i8`, both with K quads interleaved, on `vpdpbusd`, wrapping in `i32`.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn tile_i16_vnni(acc: &mut [[i32; NR_AVX512]; MR], pa: &[i16], pb: &[i16], kc: usize) {
-    assert_eq!(kc % KSTEP_I16, 0, "panel depth not padded to the K step");
-    check_tile(SimdTier::Avx512, (pa.len(), pb.len()), kc, NR_AVX512);
-    // SAFETY: `check_tile` verified the tier's features and the panel
-    // lengths; the even depth is asserted above.
-    unsafe { x86::tile_i16_vnni(acc, pa, pb, kc) }
+pub(crate) fn tile_u8_vnni(acc: &mut [[i32; NR_VNNI]; MR_VNNI], pa: &[i8], pb: &[u8], kc: usize) {
+    assert_eq!(kc % KSTEP_U8, 0, "panel depth not padded to the K step");
+    check_tile(
+        SimdTier::Avx512,
+        (pa.len(), pb.len()),
+        kc,
+        (MR_VNNI, NR_VNNI),
+    );
+    // SAFETY: `check_tile` verified the tier's features; the body is
+    // safe code.
+    unsafe { x86::tile_u8_vnni(acc, pa, pb, kc) }
+}
+
+/// One K-quad group of the VNNI tier's `B` panel: `dst[x] = [r0[x],
+/// r1[x], r2[x], r3[x]]` for the rows `[r0, r1, r2, r3]`, and `sums[x]`
+/// gains their sum (wrapping), sixteen columns per step.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn pack_quads(
+    dst: &mut [[u8; KSTEP_U8]; NR_VNNI],
+    rows: [&[u8; NR_VNNI]; KSTEP_U8],
+    sums: &mut [i32; NR_VNNI],
+) {
+    assert!(
+        simd_tier() >= SimdTier::Avx512,
+        "no Avx512 tier on this host"
+    );
+    // SAFETY: the assert verified avx512f/bw; the body is safe code.
+    unsafe { x86::pack_quads(dst, rows, sums) }
+}
+
+/// [`utensor::requantize_into`], bit for bit: each output is
+/// `requantize(acc[i] + bias)`, floored at the zero point with `relu`.
+/// With `simd` on an AVX-512 host the bulk runs sixteen lanes at a time
+/// (for the right shifts and mantissas of utensor's vector body); the
+/// rest, and every other case, is utensor's.
+///
+/// # Panics
+///
+/// Panics if `out` and `acc` differ in length.
+#[inline]
+pub(crate) fn requantize_into(
+    simd: bool,
+    out: &mut [u8],
+    acc: &[i32],
+    bias: i32,
+    multiplier: &FixedPointMultiplier,
+    zero_point: u8,
+    relu: bool,
+) {
+    assert_eq!(out.len(), acc.len(), "requantize_into: length mismatch");
+    let vector = (0..=31).contains(&multiplier.right_shift) && multiplier.multiplier >= 0;
+    let done = if simd && vector && simd_tier() >= SimdTier::Avx512 {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the tier check verified avx512f/bw; the body is safe
+        // code.
+        unsafe {
+            x86::requantize(out, acc, bias, multiplier, zero_point, relu)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        0
+    } else {
+        0
+    };
+    if done < out.len() {
+        let (out, acc) = (&mut out[done..], &acc[done..]);
+        utensor::requantize_into(out, acc, bias, multiplier, zero_point, relu);
+    }
 }
 
 /// The F16 GEMM row epilogue: add the (already narrowed) bias, then
@@ -245,83 +338,67 @@ pub(crate) fn f16_bias_relu(simd: bool, row: &mut [F16], bias: Option<F16>, relu
     }
 }
 
-/// The direct depthwise row update, `acc[i] += w * (x[i * stride] - zp)`
-/// for every `i` in `0..acc.len()`. Exact `i32` arithmetic either way;
-/// with `simd` on an AVX2 host the same loop runs compiled for AVX2
-/// (eight lanes per step for `stride == 1`).
+/// The QUInt8 depthwise strip: `out[..lanes]` receives `Σ (w − w_zp)·x`
+/// over the taps in order, in wrapping `i32` (the caller folds the
+/// input zero point out); lanes past them may be overwritten. With
+/// `simd`, an AVX-512 host runs it on `vpdpwssd`, an AVX2 host the same
+/// loop compiled for AVX2.
 ///
 /// # Panics
 ///
-/// Panics if `x` is shorter than `(acc.len() - 1) * stride + 1`.
+/// Panics unless the strip fits [`STRIP_RUNS`] vectors of
+/// [`STRIP_LANES_I32`] lanes and `out` holds all of them.
 #[inline]
-pub(crate) fn mac_row_u8(simd: bool, acc: &mut [i32], x: &[u8], stride: usize, w: i32, zp: i32) {
+pub(crate) fn strip_u8(simd: bool, s: &Strip<'_, u8>, w_zp: i32, out: &mut [i32]) {
+    s.check(out.len(), STRIP_LANES_I32);
     #[cfg(target_arch = "x86_64")]
-    if simd && simd_available() {
-        // SAFETY: `simd_available()` verified avx2 just above; the body
-        // is safe code.
-        return unsafe { x86::mac_row_u8(acc, x, stride, w, zp) };
+    if simd {
+        let tier = simd_tier();
+        if tier >= SimdTier::Avx512 {
+            // SAFETY: the tier check verified avx512f/bw/vnni; the body
+            // is safe code.
+            return unsafe { x86::strip_u8_vnni(s, w_zp, out) };
+        }
+        if tier >= SimdTier::Avx2 {
+            // SAFETY: the tier check verified avx2; the body is safe code.
+            return unsafe { x86::strip_u8_avx2(s, w_zp, out) };
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
-    mac_row_u8_body(acc, x, stride, w, zp);
+    strip_u8_body(s, w_zp, out);
 }
 
-/// The direct F16 depthwise row update, `acc[i] = w.mul_add(x[i *
-/// stride], acc[i])` for every `i` in `0..acc.len()`: one
-/// [`F16::mul_add`] per element, bit-identical either way. With `simd`
-/// on an AVX512-FP16 host, strides 1 and 2 run on `vfmadd231ph`, 32
-/// lanes per step.
+/// Body of [`strip_u8`], inlined into each instruction-set wrapper.
+#[inline(always)]
+fn strip_u8_body(s: &Strip<'_, u8>, w_zp: i32, out: &mut [i32]) {
+    s.fold(out, 0, |acc, w, x| {
+        acc.wrapping_add((w as i32 - w_zp) * x as i32)
+    });
+}
+
+/// The F16 depthwise strip: `out[..lanes]` receives the chain `acc =
+/// w.mul_add(x, acc)` from `+0` over the taps in order, one
+/// [`F16::mul_add`] per tap, bit-identical either way; lanes past them
+/// may be overwritten. With `simd` on an AVX512-FP16 host it runs on
+/// `vfmadd231ph`, one instruction per vector and tap.
 ///
 /// # Panics
 ///
-/// Panics if `x` is shorter than `(acc.len() - 1) * stride + 1`.
+/// Panics unless the strip fits [`STRIP_RUNS`] vectors of
+/// [`STRIP_LANES_F16`] lanes and `out` holds all of them.
 #[inline]
-pub(crate) fn mac_row_f16(simd: bool, acc: &mut [F16], x: &[F16], stride: usize, w: F16) {
-    if acc.is_empty() {
-        return;
-    }
-    let x = &x[..(acc.len() - 1) * stride + 1];
+pub(crate) fn strip_f16(simd: bool, s: &Strip<'_, F16>, out: &mut [F16]) {
+    s.check(out.len(), STRIP_LANES_F16);
     #[cfg(target_arch = "x86_64")]
-    if simd && stride <= 2 && simd_tier() >= SimdTier::Avx512Fp16 {
+    if simd && simd_tier() >= SimdTier::Avx512Fp16 {
         // SAFETY: the tier check verified avx512f/bw/fp16; the body is
         // safe code.
-        return unsafe { x86::mac_row_f16(acc, x, stride, w) };
+        return unsafe { x86::strip_f16(s, out) };
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
-    for (a, &v) in acc.iter_mut().zip(x.iter().step_by(stride)) {
-        *a = w.mul_add(v, *a);
-    }
-}
-
-/// Body of [`mac_row_u8`], inlined into each instruction-set wrapper.
-#[inline(always)]
-fn mac_row_u8_body(acc: &mut [i32], x: &[u8], stride: usize, w: i32, zp: i32) {
-    if acc.is_empty() {
-        return;
-    }
-    let x = &x[..(acc.len() - 1) * stride + 1];
-    match stride {
-        1 => {
-            for (a, &v) in acc.iter_mut().zip(x) {
-                *a += w * (v as i32 - zp);
-            }
-        }
-        // `chunks(2)` rather than `step_by(2)`: the fixed-width form is
-        // the one the compiler turns into a wide load plus a shuffle.
-        2 => {
-            let (last, body) = acc.split_last_mut().expect("non-empty");
-            for (a, pair) in body.iter_mut().zip(x.chunks_exact(2)) {
-                *a += w * (pair[0] as i32 - zp);
-            }
-            *last += w * (x[x.len() - 1] as i32 - zp);
-        }
-        _ => {
-            for (a, &v) in acc.iter_mut().zip(x.iter().step_by(stride)) {
-                *a += w * (v as i32 - zp);
-            }
-        }
-    }
+    s.fold(out, F16::ZERO, |acc, w, x| w.mul_add(x, acc));
 }
 
 #[cfg(test)]
@@ -513,6 +590,62 @@ mod tests {
         }
     }
 
+    /// The VNNI tile against wrapping `i32` sums of its logical operands
+    /// — `b` raw `u8`, `a′ = a − 128` as `i8` — over K-quad panels whose
+    /// depth `kc` is padded to [`KSTEP_U8`] with zero `b` and junk `a′`
+    /// (the pad must not count). Random operands from zero, seeded and
+    /// near-rail starts (the instruction must wrap, not saturate), then
+    /// every operand at an extreme over a whole `KC` panel.
+    #[cfg(target_arch = "x86_64")]
+    fn check_u8_tile() {
+        const R: usize = MR_VNNI;
+        const W: usize = NR_VNNI;
+        let mut seeded = [[0i32; W]; R];
+        for (i, cell) in seeded.iter_mut().flatten().enumerate() {
+            *cell = ((i * 2654435761) % (1 << 29)) as i32 - (1 << 28);
+        }
+        let mut rails = [[i32::MAX - 1000; W]; R];
+        for row in rails.iter_mut().skip(1).step_by(2) {
+            *row = [i32::MIN + 1000; W];
+        }
+        let starts = [[[0i32; W]; R], seeded, rails];
+        for (kc, start) in KCS.into_iter().flat_map(|kc| starts.map(|s| (kc, s))) {
+            let a: Vec<i8> = (0..kc * R)
+                .map(|i| ((i * 48271) % 256) as u8 as i8)
+                .collect();
+            let b: Vec<u8> = (0..kc * W).map(|i| ((i * 16807) % 256) as u8).collect();
+            let kc_pad = kc.next_multiple_of(KSTEP_U8);
+            let (mut pa, mut pb) = (vec![-77i8; kc_pad * R], vec![0u8; kc_pad * W]);
+            let (mut want, mut got) = (start, start);
+            for k in 0..kc {
+                let (g, s) = (k / KSTEP_U8, k % KSTEP_U8);
+                for r in 0..R {
+                    pa[(g * R + r) * KSTEP_U8 + s] = a[k * R + r];
+                }
+                for x in 0..W {
+                    pb[(g * W + x) * KSTEP_U8 + s] = b[k * W + x];
+                }
+                for (r, row) in want.iter_mut().enumerate() {
+                    for (x, cell) in row.iter_mut().enumerate() {
+                        *cell = cell.wrapping_add(a[k * R + r] as i32 * b[k * W + x] as i32);
+                    }
+                }
+            }
+            tile_u8_vnni(&mut got, &pa, &pb, kc_pad);
+            assert_eq!(got, want, "kc={kc} start={}", start[0][0]);
+        }
+        let kc = crate::blocked::KC;
+        for (av, bv) in [(-128i8, 255u8), (127, 255), (-128, 0), (127, 1)] {
+            for start in [0, i32::MAX, i32::MIN] {
+                let mut got = [[start; W]; R];
+                tile_u8_vnni(&mut got, &vec![av; kc * R], &vec![bv; kc * W], kc);
+                let want = start.wrapping_add(kc as i32 * av as i32 * bv as i32);
+                let all = got.iter().flatten().all(|&v| v == want);
+                assert!(all, "{av} x {bv} from {start}");
+            }
+        }
+    }
+
     #[test]
     fn i16_tile_exactly_matches_scalar() {
         #[cfg(target_arch = "x86_64")]
@@ -521,7 +654,63 @@ mod tests {
                 check_i16_tile(tile_i16_avx2);
             }
             if simd_tier() >= SimdTier::Avx512 {
-                check_i16_tile(tile_i16_vnni);
+                check_u8_tile();
+            }
+        }
+    }
+
+    /// Accumulators for the requantizer: the rails, zero, values around
+    /// powers of two (rounding ties after the shift), then a spread.
+    fn accumulators(n: usize, seed: usize) -> Vec<i32> {
+        let edge = [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX];
+        (0..n)
+            .map(|i| match (i * 7 + seed) % 4 {
+                0 => edge[(i + seed) % edge.len()],
+                1 => {
+                    let p = 1i32 << ((i + seed) % 31);
+                    [p - 1, p, p + 1, -p, -p - 1][(i / 3 + seed) % 5]
+                }
+                _ => ((i + seed) as u32).wrapping_mul(2654435761) as i32 >> ((i + seed) % 24),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn requantize_matches_the_scalar_definition() {
+        let mut multipliers: Vec<FixedPointMultiplier> = (0..32)
+            .flat_map(|shift| {
+                [0, 1, 1 << 30, (1 << 30) + 12345, i32::MAX].map(|multiplier| {
+                    FixedPointMultiplier {
+                        multiplier,
+                        right_shift: shift,
+                    }
+                })
+            })
+            .collect();
+        for real in [1e-9, 3.7e-5, 0.0123, 0.5, 0.999, 1.0, 3.5] {
+            multipliers.push(FixedPointMultiplier::from_real(real).unwrap());
+        }
+        for (mi, m) in multipliers.iter().enumerate() {
+            for (len, bias) in [
+                (0, 0),
+                (15, 7),
+                (16, i32::MAX),
+                (37, -99_999),
+                (64, i32::MIN),
+            ] {
+                let acc = accumulators(len, mi);
+                for (zp, relu) in [(0u8, false), (3, true), (128, false), (255, true)] {
+                    let mut got = vec![0u8; len];
+                    requantize_into(true, &mut got, &acc, bias, m, zp, relu);
+                    let floor = if relu { zp } else { 0 };
+                    for (i, (&g, &a)) in got.iter().zip(&acc).enumerate() {
+                        let want = utensor::requantize(a.wrapping_add(bias), m, zp).max(floor);
+                        assert_eq!(
+                            g, want,
+                            "{m:?} acc {a} bias {bias} zp {zp} relu {relu} at {i}"
+                        );
+                    }
+                }
             }
         }
     }

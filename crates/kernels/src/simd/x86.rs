@@ -1,25 +1,27 @@
 //! AVX2/FMA/F16C, AVX-512 and AVX512-FP16 register-tile kernels (x86_64).
 //!
 //! The f32 tile is `MR × 8`: one tile row is exactly one 256-bit vector.
-//! The QUInt8 tiles are `MR × 16` (AVX2) and `MR × 32` (VNNI), the F16
-//! tile `MR × 64` (FP16) — two vectors per row, eight accumulators — so
-//! the eight independent dependency chains hide the multiply latency.
-//! Every function here is compiled with `#[target_feature]`, so callers
-//! in [`super`] check the detected tier first (see `simd_tier`). The
-//! FP16 bodies are safe code over their slices; their memory accesses
-//! go through four one-line helpers.
+//! The QUInt8 tiles are `MR × 16` (AVX2) and `8 × 32` (VNNI), the F16
+//! tile `MR × 64` (FP16) — two vectors per row, eight or sixteen
+//! accumulators — so the independent dependency chains hide the
+//! multiply latency. The depthwise strips keep up to [`STRIP_RUNS`]
+//! vectors of output lanes. Every function here is
+//! compiled with `#[target_feature]`, so callers in [`super`] check the
+//! detected tier first (see `simd_tier`). The AVX-512 bodies are safe
+//! code over their slices; their memory accesses go through two
+//! one-line helpers.
 
 use core::arch::x86_64::*;
 
-use utensor::F16;
+use utensor::{FixedPointMultiplier, F16};
 
-use super::{NR_AVX2, NR_AVX512, NR_FP16};
+use super::{KSTEP_U8, MR_VNNI, NR_AVX2, NR_FP16, NR_VNNI};
+use super::{STRIP_LANES_F16, STRIP_LANES_I32, STRIP_RUNS};
 use crate::blocked::{MR, NR};
+use crate::depthwise::Strip;
 
 /// Round to nearest even: the `vcvtps2ph` mode of the F16 row epilogue.
 const RN: i32 = _MM_FROUND_TO_NEAREST_INT;
-/// Sixteen-lane vectors per row of the VNNI tile.
-const V512: usize = NR_AVX512 / 16;
 
 /// f32 tile: `acc[r] += a[p*MR+r] * b[p*NR..]` for `p` in `0..kc`.
 ///
@@ -59,8 +61,8 @@ pub(super) unsafe fn tile_f32(acc: &mut [[f32; NR]; MR], pa: &[f32], pb: &[f32],
 #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512fp16")]
 pub(super) fn tile_f16_fp16(acc: &mut [[F16; NR_FP16]; MR], pa: &[F16], pb: &[F16], kc: usize) {
     let halves = |row: &[F16; NR_FP16]| -> [__m512h; 2] {
-        let (lo, hi) = (row.first_chunk().unwrap(), row.last_chunk().unwrap());
-        [load_ph(lo), load_ph(hi)]
+        let h = row.as_chunks::<32>().0;
+        [&h[0], &h[1]].map(|half| _mm512_castsi512_ph(load(half)))
     };
     let mut v = acc.each_ref().map(halves);
     let steps = pa.chunks_exact(MR).zip(pb.chunks_exact(NR_FP16)).take(kc);
@@ -75,45 +77,41 @@ pub(super) fn tile_f16_fp16(acc: &mut [[F16; NR_FP16]; MR], pa: &[F16], pb: &[F1
     }
     for (row, vr) in acc.iter_mut().zip(&v) {
         for (dst, &vj) in row.as_chunks_mut::<32>().0.iter_mut().zip(vr) {
-            store_ph(dst, vj);
+            store(dst, _mm512_castph_si512(vj));
         }
     }
 }
 
-/// 32 binary16 values as one zmm.
-#[target_feature(enable = "avx512f", enable = "avx512fp16")]
-fn load_ph(src: &[F16; 32]) -> __m512h {
-    // SAFETY: `src` is 64 readable bytes; `loadu` needs no alignment.
-    _mm512_castsi512_ph(unsafe { _mm512_loadu_si512(src.as_ptr().cast()) })
+/// The vectors [`load`] and [`store`] move: every bit pattern is a
+/// value.
+trait Vector: Copy {}
+impl Vector for __m128i {}
+impl Vector for __m256i {}
+impl Vector for __m512i {}
+
+/// The elements they move vectors from and to: every bit pattern is a
+/// value.
+trait Plain: Copy {}
+impl Plain for u8 {}
+impl Plain for i32 {}
+impl Plain for F16 {}
+
+/// The bytes of `src` as one vector of exactly their size.
+#[target_feature(enable = "avx512f")]
+fn load<V: Vector, T: Plain, const N: usize>(src: &[T; N]) -> V {
+    const { assert!(size_of::<V>() == N * size_of::<T>()) };
+    // SAFETY: `src` is `size_of::<V>()` readable bytes, any bytes are a
+    // `V`, and the read needs no alignment.
+    unsafe { src.as_ptr().cast::<V>().read_unaligned() }
 }
 
-/// One zmm into 32 binary16 values.
-#[target_feature(enable = "avx512f", enable = "avx512fp16")]
-fn store_ph(dst: &mut [F16; 32], v: __m512h) {
-    // SAFETY: `dst` is 64 writable bytes; `storeu` needs no alignment.
-    unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), _mm512_castph_si512(v)) }
-}
-
-/// The lanes `0..min(len, 32)` of a masked access to a slice of `len`.
-fn lanes(len: usize) -> __mmask32 {
-    u32::MAX.checked_shr(32 - len.min(32) as u32).unwrap_or(0)
-}
-
-/// The first `min(src.len(), 32)` values of `src`, zero above.
-#[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512fp16")]
-fn load_ph_masked(src: &[F16]) -> __m512h {
-    // SAFETY: the mask limits the load to `src`'s elements (none for an
-    // empty slice; masked-off lanes do not fault).
-    let v = unsafe { _mm512_maskz_loadu_epi16(lanes(src.len()), src.as_ptr().cast()) };
-    _mm512_castsi512_ph(v)
-}
-
-/// The low `min(dst.len(), 32)` lanes of `v` into `dst`.
-#[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512fp16")]
-fn store_ph_masked(dst: &mut [F16], v: __m512h) {
-    let k = lanes(dst.len());
-    // SAFETY: the mask limits the store to `dst`'s elements.
-    unsafe { _mm512_mask_storeu_epi16(dst.as_mut_ptr().cast(), k, _mm512_castph_si512(v)) }
+/// A vector into the bytes of `dst`, exactly its size.
+#[target_feature(enable = "avx512f")]
+fn store<V: Vector, T: Plain, const N: usize>(dst: &mut [T; N], v: V) {
+    const { assert!(size_of::<V>() == N * size_of::<T>()) };
+    // SAFETY: `dst` is `size_of::<V>()` writable bytes, any bytes are
+    // `T`s, and the write needs no alignment.
+    unsafe { dst.as_mut_ptr().cast::<V>().write_unaligned(v) }
 }
 
 /// QUInt8 `MR × 16` tile over K-pair panels: `pa[r*kc + k]` (each row
@@ -167,54 +165,113 @@ pub(super) unsafe fn tile_i16_avx2(
     }
 }
 
-/// QUInt8 `MR × 32` tile over the same K-pair panels as
-/// [`tile_i16_avx2`], on `vpdpwssd`: one instruction multiplies the
-/// broadcast pair against sixteen `[b(k,x), b(k+1,x)]` pairs and adds
-/// both products into the `i32` lane — 32 exact MACs. It does not
-/// saturate, and the ±255 operand bound keeps a `KC`-panel below 2²⁴ per
-/// lane exactly as there, so the sums are exact.
-///
-/// # Safety
-/// Requires AVX-512F/BW/VNNI; `kc` even, `pa.len() >= kc * MR`,
-/// `pb.len() >= kc * 32`.
+/// QUInt8 `8 × 32` tile over K-quad panels on `vpdpbusd`: `pa[(g*8 +
+/// r)*4 + s]` holds the weight `a(r,k) − 128` as `i8` and `pb[(g*32 +
+/// x)*4 + s]` the raw activation `b(k,x)`, for `k = 4g + s`. One
+/// instruction multiplies sixteen `[b(k..k+4, x)]` quads, unsigned, by
+/// the broadcast signed quad `[a(r,k..k+4)] − 128` and adds the four
+/// products into the `i32` lane: 64 MACs. A product is within ±32 640
+/// and the instruction does not saturate, so every lane holds `Σ_k
+/// b(k,x)·(a(r,k) − 128)` modulo 2³², exactly; [`crate::blocked`] adds
+/// the zero-point terms. Two zmm per row make sixteen independent
+/// chains. Safe code: each K step reads one `A` and one `B` run, zipped,
+/// and the accumulators go through the load and store helpers.
 #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
-pub(super) unsafe fn tile_i16_vnni(
-    acc: &mut [[i32; NR_AVX512]; MR],
-    pa: &[i16],
-    pb: &[i16],
-    kc: usize,
-) {
-    debug_assert_eq!(kc % 2, 0);
-    debug_assert!(pa.len() >= kc * MR && pb.len() >= kc * NR_AVX512);
-    // SAFETY (every access below): a tile row is `V512` runs of sixteen
-    // `i32`; group `g` reads `pb[g * 64 ..][..64]` and, in row `r`,
-    // `pa[r * kc + 2 * g ..][..2]`, inside the lengths asserted above for
-    // every `2 * g + 2 <= kc`.
-    let mut v = [[_mm512_setzero_si512(); V512]; MR];
-    for (vr, row) in v.iter_mut().zip(acc.iter()) {
-        for (j, vj) in vr.iter_mut().enumerate() {
-            *vj = _mm512_loadu_si512(row.as_ptr().add(16 * j) as *const _);
-        }
-    }
-    for g in 0..kc / 2 {
-        let b = pb.as_ptr().add(g * 2 * NR_AVX512);
-        let mut vb = [_mm512_setzero_si512(); V512];
-        for (j, vj) in vb.iter_mut().enumerate() {
-            *vj = _mm512_loadu_si512(b.add(32 * j) as *const _);
-        }
-        for (r, vr) in v.iter_mut().enumerate() {
-            let pair = pa.as_ptr().add(r * kc + 2 * g) as *const i32;
-            let va = _mm512_set1_epi32(pair.read_unaligned());
+pub(super) fn tile_u8_vnni(acc: &mut [[i32; NR_VNNI]; MR_VNNI], pa: &[i8], pb: &[u8], kc: usize) {
+    let a_steps = pa.as_chunks::<{ MR_VNNI * KSTEP_U8 }>().0;
+    let b_steps = pb.as_chunks::<{ NR_VNNI * KSTEP_U8 }>().0;
+    let halves = |row: &[i32; NR_VNNI]| {
+        let h = row.as_chunks::<16>().0;
+        [load(&h[0]), load(&h[1])]
+    };
+    let mut v = acc.each_ref().map(halves);
+    for (a, b) in a_steps.iter().zip(b_steps).take(kc / KSTEP_U8) {
+        let h = b.as_chunks::<64>().0;
+        let vb: [__m512i; 2] = [load(&h[0]), load(&h[1])];
+        for (vr, quad) in v.iter_mut().zip(a.as_chunks::<KSTEP_U8>().0) {
+            let va = _mm512_set1_epi32(i32::from_le_bytes(quad.map(|a| a as u8)));
             for (acc, &vb) in vr.iter_mut().zip(&vb) {
-                *acc = _mm512_dpwssd_epi32(*acc, va, vb);
+                *acc = _mm512_dpbusd_epi32(*acc, vb, va);
             }
         }
     }
-    for (row, vr) in acc.iter_mut().zip(v.iter()) {
-        for (j, &vj) in vr.iter().enumerate() {
-            _mm512_storeu_si512(row.as_mut_ptr().add(16 * j) as *mut _, vj);
+    for (row, vr) in acc.iter_mut().zip(&v) {
+        for (dst, &vj) in row.as_chunks_mut::<16>().0.iter_mut().zip(vr) {
+            store(dst, vj);
         }
     }
+}
+
+/// [`super::pack_quads`]: each half of the group widens the rows' bytes
+/// to `u32` lanes and stores `r0 | r1 << 8 | r2 << 16 | r3 << 24` (one
+/// K quad per lane, in column order) and adds `r0 + r1 + r2 + r3` into
+/// the sums.
+#[target_feature(enable = "avx512f", enable = "avx512bw")]
+pub(super) fn pack_quads(
+    dst: &mut [[u8; KSTEP_U8]; NR_VNNI],
+    rows: [&[u8; NR_VNNI]; KSTEP_U8],
+    sums: &mut [i32; NR_VNNI],
+) {
+    let dst = dst.as_flattened_mut().as_chunks_mut::<64>().0;
+    let sums = sums.as_chunks_mut::<16>().0;
+    for (h, (dst, sums)) in dst.iter_mut().zip(sums).enumerate() {
+        let [r0, r1, r2, r3] = rows.map(|r| _mm512_cvtepu8_epi32(load(&r.as_chunks::<16>().0[h])));
+        let hi = _mm512_or_si512(_mm512_slli_epi32::<16>(r2), _mm512_slli_epi32::<24>(r3));
+        store(
+            dst,
+            _mm512_or_si512(_mm512_or_si512(r0, _mm512_slli_epi32::<8>(r1)), hi),
+        );
+        let total = _mm512_add_epi32(_mm512_add_epi32(r0, r1), _mm512_add_epi32(r2, r3));
+        store(sums, _mm512_add_epi32(load(sums), total));
+    }
+}
+
+/// [`super::requantize_into`] sixteen lanes at a time, for `0 <=
+/// right_shift <= 31` and a non-negative mantissa: operation for
+/// operation the eight-lane body of [`utensor::requantize_into`], whose
+/// comments carry the exactness argument, with mask registers for its
+/// compares and `vpmovdb` for its byte pack. Returns the length of the
+/// prefix done, a multiple of sixteen.
+#[target_feature(enable = "avx512f", enable = "avx512bw")]
+pub(super) fn requantize(
+    out: &mut [u8],
+    acc: &[i32],
+    bias: i32,
+    multiplier: &FixedPointMultiplier,
+    zero_point: u8,
+    relu: bool,
+) -> usize {
+    let zp = zero_point as i32;
+    let pot_mask = ((1i64 << multiplier.right_shift) - 1) as i32;
+    let vbias = _mm512_set1_epi32(bias);
+    let vmul = _mm512_set1_epi32(multiplier.multiplier);
+    let vround = _mm512_set1_epi64(1 << 30);
+    let vshift = _mm_cvtsi32_si128(multiplier.right_shift);
+    let (vmask, vhalf) = (
+        _mm512_set1_epi32(pot_mask),
+        _mm512_set1_epi32(pot_mask >> 1),
+    );
+    let vlo = _mm512_set1_epi32(if relu { 0 } else { -zp });
+    let (vhi, vzp) = (_mm512_set1_epi32(255 - zp), _mm512_set1_epi32(zp));
+    let (zero, one) = (_mm512_setzero_si512(), _mm512_set1_epi32(1));
+    let (outs, accs) = (out.as_chunks_mut::<16>().0, acc.as_chunks::<16>().0);
+    let blocks = outs.len().min(accs.len());
+    for (o, raw) in outs.iter_mut().zip(accs) {
+        let a = _mm512_add_epi32(load(raw), vbias);
+        let even = _mm512_srli_epi64::<31>(_mm512_add_epi64(_mm512_mul_epi32(a, vmul), vround));
+        let odd = _mm512_mul_epi32(_mm512_srli_epi64::<32>(a), vmul);
+        let odd = _mm512_srli_epi64::<31>(_mm512_add_epi64(odd, vround));
+        let high = _mm512_mask_blend_epi32(0xaaaa, even, _mm512_slli_epi64::<32>(odd));
+        let remainder = _mm512_and_si512(high, vmask);
+        let negative = _mm512_cmplt_epi32_mask(high, zero);
+        let threshold = _mm512_mask_add_epi32(vhalf, negative, vhalf, one);
+        let shifted = _mm512_sra_epi32(high, vshift);
+        let round_up = _mm512_cmpgt_epi32_mask(remainder, threshold);
+        let scaled = _mm512_mask_add_epi32(shifted, round_up, shifted, one);
+        let q = _mm512_add_epi32(_mm512_min_epi32(_mm512_max_epi32(scaled, vlo), vhi), vzp);
+        store(o, _mm512_cvtepi32_epi8(q));
+    }
+    blocks * 16
 }
 
 /// The F16 GEMM row epilogue, `v += bias` (rounded to binary16) then
@@ -245,36 +302,74 @@ pub(super) unsafe fn f16_bias_relu(row: &mut [F16], bias: Option<F16>, relu: boo
     blocks * 8
 }
 
-/// [`super::mac_row_u8`] compiled for AVX2: plain safe code, which the
+/// [`super::strip_u8`] compiled for AVX2: plain safe code, which the
 /// compiler vectorizes eight `i32` lanes wide under this target feature.
-///
-/// # Safety
-/// Requires AVX2.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn mac_row_u8(acc: &mut [i32], x: &[u8], stride: usize, w: i32, zp: i32) {
-    super::mac_row_u8_body(acc, x, stride, w, zp);
+pub(super) fn strip_u8_avx2(s: &Strip<'_, u8>, w_zp: i32, out: &mut [i32]) {
+    super::strip_u8_body(s, w_zp, out);
 }
 
-/// [`super::mac_row_f16`] on native binary16 for `stride` 1 or 2:
-/// `acc[i] = fma(w, x[i * stride], acc[i])`, 32 lanes per `vfmadd231ph`,
-/// rounding once per tap like [`F16::mul_add`]. A stride-2 step loads 64
-/// inputs and keeps the even ones (the low half of each 32-bit lane,
-/// `vpmovdw`). Safe code: every access is a masked load or store within
-/// its slice. `acc` is not empty and `x` holds exactly
-/// `(acc.len() - 1) * stride + 1` elements, as the wrapper slices it, so
-/// both split into the same number of chunks.
+/// Calls `$body::<V>(args)` with `V` the strip's vector count `$n`,
+/// `1..=STRIP_RUNS`, so the accumulators are an array of fixed length.
+macro_rules! by_vectors {
+    ($n:expr, $body:ident($($arg:expr),*)) => {
+        match $n {
+            1 => $body::<1>($($arg),*),
+            2 => $body::<2>($($arg),*),
+            3 => $body::<3>($($arg),*),
+            4 => $body::<4>($($arg),*),
+            5 => $body::<5>($($arg),*),
+            6 => $body::<6>($($arg),*),
+            7 => $body::<7>($($arg),*),
+            _ => $body::<STRIP_RUNS>($($arg),*),
+        }
+    };
+}
+
+/// [`super::strip_u8`] on `vpdpwssd`: per tap, one instruction per
+/// vector adds `w′·x` to sixteen `i32` lanes. The inputs are
+/// zero-extended `u8`, each lane the `i16` pair `(x, 0)`, and the
+/// weight `w′ = w − w_zp` (within ±255) is broadcast as the pair `(w′,
+/// 0)`, so the pair sum is `w′·x`. Integer sums, so exact. The strip
+/// runs as the fewest vectors that hold its lanes, each in a register.
+/// Safe code: the inputs are whole vectors of the planes (their slack
+/// covers the last), the lanes whole vectors of `out`.
+#[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
+pub(super) fn strip_u8_vnni(s: &Strip<'_, u8>, w_zp: i32, out: &mut [i32]) {
+    by_vectors!(s.lanes.div_ceil(STRIP_LANES_I32), u8_vectors(s, w_zp, out))
+}
+
+/// [`strip_u8_vnni`] on `V` vectors.
+#[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
+fn u8_vectors<const V: usize>(s: &Strip<'_, u8>, w_zp: i32, out: &mut [i32]) {
+    let mut v = [_mm512_setzero_si512(); V];
+    let weight = |w: u8| _mm512_set1_epi32((w as i32 - w_zp) & 0xffff);
+    s.sweep::<_, _, STRIP_LANES_I32, V>(&mut v, weight, |acc, x, &vw| {
+        *acc = _mm512_dpwssd_epi32(*acc, _mm512_cvtepu8_epi32(load(x)), vw);
+    });
+    for (dst, &acc) in out.as_chunks_mut::<STRIP_LANES_I32>().0.iter_mut().zip(&v) {
+        store(dst, acc);
+    }
+}
+
+/// [`super::strip_f16`] on native binary16: per tap, one `vfmadd231ph`
+/// per vector of 32 lanes, `acc = fma(w, x, acc)` from `+0`, rounding
+/// once per tap like [`F16::mul_add`]. Vectors and safety as in
+/// [`strip_u8_vnni`].
 #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512fp16")]
-pub(super) fn mac_row_f16(acc: &mut [F16], x: &[F16], stride: usize, w: F16) {
-    debug_assert!((stride == 1 || stride == 2) && x.len() == (acc.len() - 1) * stride + 1);
-    let vw = _mm512_castsi512_ph(_mm512_set1_epi16(w.to_bits() as i16));
-    for (out, x) in acc.chunks_mut(32).zip(x.chunks(32 * stride)) {
-        let xv = if stride == 1 {
-            load_ph_masked(x)
-        } else {
-            let even = |x: &[F16]| _mm512_cvtepi32_epi16(_mm512_castph_si512(load_ph_masked(x)));
-            let (lo, hi) = (even(x), even(x.get(32..).unwrap_or_default()));
-            _mm512_castsi512_ph(_mm512_inserti64x4::<1>(_mm512_castsi256_si512(lo), hi))
-        };
-        store_ph_masked(out, _mm512_fmadd_ph(vw, xv, load_ph_masked(out)));
+pub(super) fn strip_f16(s: &Strip<'_, F16>, out: &mut [F16]) {
+    by_vectors!(s.lanes.div_ceil(STRIP_LANES_F16), f16_vectors(s, out))
+}
+
+/// [`strip_f16`] on `V` vectors.
+#[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512fp16")]
+fn f16_vectors<const V: usize>(s: &Strip<'_, F16>, out: &mut [F16]) {
+    let mut v = [_mm512_setzero_ph(); V];
+    let weight = |w: F16| _mm512_castsi512_ph(_mm512_set1_epi16(w.to_bits() as i16));
+    s.sweep::<_, _, STRIP_LANES_F16, V>(&mut v, weight, |acc, x, &vw| {
+        *acc = _mm512_fmadd_ph(vw, _mm512_castsi512_ph(load(x)), *acc);
+    });
+    for (dst, &acc) in out.as_chunks_mut::<STRIP_LANES_F16>().0.iter_mut().zip(&v) {
+        store(dst, _mm512_castph_si512(acc));
     }
 }

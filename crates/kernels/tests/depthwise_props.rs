@@ -2,24 +2,26 @@
 //! path.
 //!
 //! The direct QUInt8 depthwise pads each plane once with the input zero
-//! point, runs one strided pass per nonzero tap over padded-pitch
-//! accumulators and requantizes the compacted plane. It must equal the
-//! per-channel im2col + naive GEMM reference **bit for bit** over
-//! planes from 1 × 1 to 33 × 33 (MobileNet's 7 × 7 and 14 × 14
-//! included), windows 1, 3 and 5, strides 1–3 (above the window side
-//! included), padding 0–2, planes narrower than the window, zero weights
-//! and input zero points at 0, 128 and 255, with batch 2 — and across
-//! the channel split the runtime applies to depthwise layers.
+//! point, splits it by the stride into phase planes, sums each strip of
+//! outputs' taps in registers (`Σ w′·x`, the zero point folded out with
+//! the bias) and requantizes the strip. It must equal the per-channel
+//! im2col + naive GEMM reference **bit for bit** over planes from 1 × 1
+//! to 33 × 33 (MobileNet's 7 × 7 and 14 × 14 included), windows 1, 3 and
+//! 5, strides 1–3 (above the window side included), padding 0–2, planes
+//! narrower than the window, zero weights and input zero points at 0,
+//! 128 and 255, with batch 2 — and across the channel split the runtime
+//! applies to depthwise layers.
 //!
-//! The F16 plane (padded with `+0`, one `F16::mul_add` per tap) is held
-//! to the same reference over the same geometry plus rows of several
-//! 32-lane steps, on values that reach the subnormal range, signed
-//! zeros and products that overflow to ±∞ (and ∞ − ∞ = NaN, compared as
-//! NaN: payloads may differ); the f32 plane on the same values widened.
+//! The F16 strips (the plane padded with `+0`, one `F16::mul_add` per
+//! tap) are held to the same reference over the same geometry plus rows
+//! of several 32-lane vectors, on values that reach the subnormal range,
+//! signed zeros and products that overflow to ±∞ (and ∞ − ∞ = NaN,
+//! compared as NaN: payloads may differ); the f32 strips on the same
+//! values widened.
 //!
 //! ci.sh runs this target in both kernel-path passes next to
-//! `direct_conv_props` and `pool_props`, so the plain row updates and
-//! the AVX2 (QUInt8) and AVX512-FP16 (F16) ones are all held to the
+//! `direct_conv_props` and `pool_props`, so the scalar strips and the
+//! AVX-512 (QUInt8), AVX512-FP16 (F16) and AVX2 ones are all held to the
 //! reference.
 
 mod common;

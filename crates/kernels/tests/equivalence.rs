@@ -31,11 +31,13 @@
 //! Seeded shape ladders cover the historical trouble spots: odd
 //! channels, stride 2, padding, 1×1 kernels, single-channel layers, and
 //! `K % KC != 0` remainder panels up to 18 panels deep — and the
-//! remainders of the wide SIMD tiles of every tier: odd panel depths
-//! (the K-pair zero pad), `k = 1`, `k % KC` of 1 and `KC − 1`, `n % w`
-//! of 1 and `w − 1` for `w` 16, 32 and 64, `m % MR != 0`; depthwise
-//! planes narrower than the window, single rows and single columns, and
-//! rows longer than one 32-lane F16 step. The
+//! remainders of the wide SIMD tiles of every tier: panel depths off the
+//! K step (the K-pair and K-quad zero pads), `k = 1`, `k % KC` of 1 and
+//! `KC − 1`, `n % w` of 1 and `w − 1` for `w` 16, 32 and 64, `m` off the
+//! 4- and 8-row tiles; depthwise planes narrower than the window, single
+//! rows and single columns, and strips longer than one 32-lane F16
+//! vector. The QUInt8 zero points these tables draw sit near 128;
+//! `tests/quint8_zero_points.rs` sweeps them. The
 //! randomized section at the bottom adds shrinking on top. The tile
 //! bodies a host's tier does not run are held to the scalar tile by the
 //! `simd` unit tests.
@@ -121,8 +123,8 @@ fn conv_paths() -> Vec<PathChoice> {
 /// GEMM shape ladder: in-panel shapes plus multi-panel ones, from
 /// `KC + 1` to 18 panels deep (`k = 4608`, a 3 × 3 × 512 layer). Between
 /// them: odd and unit `k`, `k % KC` of 0, 1 and `KC − 1`, `n % w` of 1
-/// and `w − 1` for `w` 16, 32 and 64, and `m % MR != 0` — every remainder
-/// of the 4 × 16, 4 × 32 and 4 × 64 tiles.
+/// and `w − 1` for `w` 16, 32 and 64, and `m` off 4 and 8 — every
+/// remainder of the 4 × 16, 8 × 32 and 4 × 64 tiles.
 const GEMM_SHAPES: [(usize, usize, usize); 14] = [
     (1, 1, 1),
     (3, 7, 5),
