@@ -131,14 +131,16 @@ echo "==> kernel-path equivalence table, pass 1: forced scalar tiles"
 # slice converters) against the oracles of tests/common, the pooling
 # property against the windowed loop, the whole-plane depthwise property
 # against im2col, the blocked-GEMM, conv-pack and QUInt8 zero-point
-# properties against the naive GEMM, and the whole-network hashes of the
-# cooperative frames, which must hold on the scalar tiles too. The equivalence target also
+# properties against the naive GEMM, the GEMM edge pins (in-place weight
+# tails, junk columns) and the golden vectors, and the whole-network
+# hashes of the cooperative frames, which must hold on the scalar tiles
+# too. The equivalence target also
 # fails if UKERNELS_KERNEL_PATH is not a valid choice, so a misspelled
 # pass cannot quietly run SIMD.
 UKERNELS_KERNEL_PATH=scalar cargo test -q --offline -p ukernels \
   --test equivalence --test direct_conv_props --test pool_props \
   --test depthwise_props --test blocked_props --test conv_pack_props \
-  --test quint8_zero_points >/dev/null
+  --test quint8_zero_points --test blocked_edges --test golden >/dev/null
 UKERNELS_KERNEL_PATH=scalar cargo test -q --offline -p uexec --test store_pins >/dev/null
 
 echo "==> kernel-path equivalence table, pass 2: auto (SIMD where detected)"
@@ -148,7 +150,7 @@ echo "==> kernel-path equivalence table, pass 2: auto (SIMD where detected)"
 UKERNELS_KERNEL_PATH=auto cargo test -q --offline -p ukernels \
   --test equivalence --test direct_conv_props --test pool_props \
   --test depthwise_props --test blocked_props --test conv_pack_props \
-  --test quint8_zero_points >/dev/null
+  --test quint8_zero_points --test blocked_edges --test golden >/dev/null
 
 echo "==> benchmark quick smoke (one second of each workload, every op output-checked) + exact record"
 # The standalone benchmark crate (own manifest and lock file, path

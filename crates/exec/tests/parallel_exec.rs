@@ -189,14 +189,15 @@ fn sequential_frames_stop_growing_the_thread_arena() {
 }
 
 /// The most scratch-arena capacity one full SqueezeNet μLayer frame may
-/// leave on the thread that ran it. The blocked GEMMs gather their `B`
-/// panels from each layer's input plane one `KC × NC` block at a time,
-/// so the arena holds blocks, panels and the QUInt8 accumulators:
-/// 2 662 528 bytes. A `K × N` im2col patch matrix on top fails the bound
-/// — the first convolution's QUInt8 one alone is 27 × 12 321 bytes —
-/// and when every convolution built one, the frame left 4 509 922
-/// bytes.
-const SQUEEZENET_ARENA_BYTES: usize = 2_750_000;
+/// leave on the thread that ran it. The blocked GEMMs read their `B`
+/// operand from each convolution's stride-phase planes (laid out once
+/// per call) and keep one `NC`-column block of `C` at a time, so the
+/// arena holds the planes, the panels and the block sums: 1 386 400
+/// bytes on an AVX-512 host, bound 10% above. A `K × N` im2col patch
+/// matrix on top fails the bound — the first convolution's QUInt8 one
+/// alone is 27 × 12 769 bytes — and when every convolution built one,
+/// the frame left 4 509 922 bytes.
+const SQUEEZENET_ARENA_BYTES: usize = 1_525_040;
 
 #[test]
 fn a_squeezenet_frame_builds_no_patch_matrix() {

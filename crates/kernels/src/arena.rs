@@ -1,13 +1,13 @@
 //! Reusable scratch buffers for the lowered kernel paths.
 //!
-//! The lowered kernels need working memory on every call: the blocked
-//! GEMMs pack panels of `A` and `B` into contiguous tiles, the quantized
-//! GEMM sums into an `i32` accumulator matrix (and, on the VNNI tier,
-//! the column sums of `B`), the direct depthwise kernel keeps a padded
-//! plane and the LRN its f32 input and output. (No
-//! convolution builds its `K × N` im2col patch matrix: the `B` pack
-//! gathers one `KC × NC` block of patches at a time from the input
-//! plane.) On the real-execution backend
+//! The lowered kernels need working memory on every call: a convolution
+//! lays its input out once as padded stride-phase planes (the depthwise
+//! kernel one channel at a time), the blocked GEMMs pack panels of `B`
+//! (and, on the f32 and `i16` tiles, of `A`) and run each `NC`-column
+//! block of `C` in a scratch block (with, on the VNNI tier, the column
+//! sums of `B`), and the LRN keeps its f32 input and output. (No
+//! convolution builds an im2col patch matrix, or a block of one: the
+//! `B` pack reads the phase planes in place.) On the real-execution backend
 //! (`crates/exec`) those allocations would land in every worker's inner
 //! loop, so all of them are routed through a [`ScratchArena`]: a bag of
 //! typed buffers that grow to the high-water mark of the layers they have
@@ -36,34 +36,30 @@ use utensor::F16;
 ///
 /// Fields are public on purpose: the borrow checker can split borrows of
 /// distinct fields, so a kernel can fill one buffer while it reads
-/// another (the LRN's input and output planes, the GEMM's patch block
+/// another (the LRN's input and output planes, the GEMM's phase planes
 /// and its `B` panel).
 #[derive(Default, Debug)]
 pub struct ScratchArena {
-    /// One `KC × NC` block of im2col patches (f32 GEMM); the direct f32
-    /// depthwise's padded plane; the LRN's input, widened to f32.
-    pub patches_f32: Vec<f32>,
-    /// One `KC × NC` block of im2col patches (F16 GEMM); the direct F16
-    /// depthwise's padded plane.
-    pub patches_f16: Vec<F16>,
-    /// One `KC × NC` block of im2col patches (QUInt8 GEMM); the direct
-    /// QUInt8 depthwise's zero-point-padded plane.
-    pub patches_u8: Vec<u8>,
+    /// A convolution's f32 phase planes (all channels); the direct f32
+    /// depthwise's phase planes (one channel); the LRN's input, widened
+    /// to f32.
+    pub planes_f32: Vec<f32>,
+    /// The F16 phase planes of a convolution or of the direct F16
+    /// depthwise.
+    pub planes_f16: Vec<F16>,
+    /// The zero-point-padded QUInt8 phase planes of a convolution or of
+    /// the direct QUInt8 depthwise.
+    pub planes_u8: Vec<u8>,
     /// Packed `A` panel (f32 blocked GEMM).
     pub pack_a_f32: Vec<f32>,
     /// Packed `B` panel (f32 blocked GEMM).
     pub pack_b_f32: Vec<f32>,
-    /// Packed `A` panel (F16 blocked GEMM): binary16, as the tiles read
-    /// it.
-    pub pack_a_f16: Vec<F16>,
     /// Packed `B` panel (F16 blocked GEMM).
     pub pack_b_f16: Vec<F16>,
-    /// Packed `A` panel of the VNNI QUInt8 GEMM: `a − 128` as `i8`.
-    pub pack_a_i8: Vec<i8>,
-    /// Packed `B` panel of the VNNI QUInt8 GEMM: the raw `u8`.
-    pub pack_b_u8: Vec<u8>,
-    /// The VNNI QUInt8 GEMM's column sums of `B`, then its column
-    /// terms.
+    /// Packed `B` panel of the VNNI QUInt8 GEMM: `b − 128` as `i8`.
+    pub pack_b_i8: Vec<i8>,
+    /// The VNNI QUInt8 GEMM's column sums of `B` over one block, then
+    /// its column terms.
     pub col_sums: Vec<i32>,
     /// Packed zero-point-subtracted `A` panel of the AVX2 and scalar
     /// QUInt8 GEMMs.
@@ -71,12 +67,16 @@ pub struct ScratchArena {
     /// Packed zero-point-subtracted `B` panel of the AVX2 and scalar
     /// QUInt8 GEMMs.
     pub pack_b_i16: Vec<i16>,
-    /// The QUInt8 GEMM's `m × n` `i32` running sums between `K` panels
-    /// (only when `k > KC`).
+    /// The QUInt8 GEMM's `i32` sums over one `m × NC` block of `C`.
     pub acc_i32: Vec<i32>,
+    /// The F16 GEMM's running sums over one `m × NC` block of `C`.
+    pub acc_f16: Vec<F16>,
     /// The QUInt8 GEMM's per-row bias in the accumulator domain.
     pub row_bias: Vec<i32>,
-    /// The LRN's f32 output.
+    /// The F16 GEMM's per-row bias, narrowed to binary16 once per call.
+    pub row_bias_f16: Vec<F16>,
+    /// The f32 GEMM's running sums over one `m × NC` block of `C`; the
+    /// LRN's f32 output.
     pub acc_f32: Vec<f32>,
 }
 
@@ -85,20 +85,20 @@ impl ScratchArena {
     /// high-water footprint: it grows until the largest layer has been
     /// seen and then stays flat (the no-monotonic-growth invariant).
     pub(crate) fn capacity_bytes(&self) -> usize {
-        self.patches_f32.capacity() * 4
-            + self.patches_f16.capacity() * 2
-            + self.patches_u8.capacity()
+        self.planes_f32.capacity() * 4
+            + self.planes_f16.capacity() * 2
+            + self.planes_u8.capacity()
             + self.pack_a_f32.capacity() * 4
             + self.pack_b_f32.capacity() * 4
-            + self.pack_a_f16.capacity() * 2
             + self.pack_b_f16.capacity() * 2
-            + self.pack_a_i8.capacity()
-            + self.pack_b_u8.capacity()
+            + self.pack_b_i8.capacity()
             + self.col_sums.capacity() * 4
             + self.pack_a_i16.capacity() * 2
             + self.pack_b_i16.capacity() * 2
             + self.acc_i32.capacity() * 4
+            + self.acc_f16.capacity() * 2
             + self.row_bias.capacity() * 4
+            + self.row_bias_f16.capacity() * 2
             + self.acc_f32.capacity() * 4
     }
 }
@@ -180,12 +180,12 @@ mod tests {
     fn capacity_counts_all_buffers() {
         let mut a = ScratchArena::default();
         assert_eq!(a.capacity_bytes(), 0);
-        a.patches_f32.reserve_exact(10);
+        a.planes_f32.reserve_exact(10);
         a.acc_i32.reserve_exact(3);
         a.pack_a_i16.reserve_exact(5);
         assert_eq!(
             a.capacity_bytes(),
-            a.patches_f32.capacity() * 4 + a.acc_i32.capacity() * 4 + a.pack_a_i16.capacity() * 2
+            a.planes_f32.capacity() * 4 + a.acc_i32.capacity() * 4 + a.pack_a_i16.capacity() * 2
         );
     }
 
@@ -193,7 +193,7 @@ mod tests {
     fn take_restore_keeps_the_larger_arena() {
         // Warm the thread arena, take it, restore: capacity survives.
         let mut a = take_thread_arena();
-        a.patches_f32.reserve_exact(1024);
+        a.planes_f32.reserve_exact(1024);
         let warmed = a.capacity_bytes();
         restore_thread_arena(a);
         assert_eq!(thread_arena_capacity_bytes(), warmed);

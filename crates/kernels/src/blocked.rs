@@ -1,86 +1,99 @@
-//! Cache-blocked, packed GEMM micro-kernels.
+//! Cache-blocked GEMM micro-kernels that read their operands where they
+//! lie.
 //!
 //! A GEMM that walks `C` one row at a time streams the whole `B` matrix
 //! from memory once per row of `A` — fine as a numerics oracle (the test
-//! suites keep one), hostile to real caches. These kernels implement the
-//! standard GotoBLAS/gemmlowp structure the paper's backends (ACL,
-//! gemmlowp) use on device:
+//! suites keep one), hostile to real caches. These kernels follow the
+//! GotoBLAS/gemmlowp structure the paper's backends (ACL, gemmlowp) use
+//! on device:
 //!
-//! - `K` is cut into panels of [`KC`] so one packed `A`-panel and one
-//!   packed `B`-panel fit in cache together;
-//! - within a panel, `A` is packed into `MR`-row interleaved micro-panels
-//!   and `B` into `nr`-column micro-panels, so the inner loop reads both
-//!   operands contiguously. `B` is packed [`NC`] columns at a time and
-//!   every `A` micro-panel runs against a `B` micro-panel while it is
-//!   cache-hot;
+//! - `B` is taken [`NC`] columns at a time, and `K` is cut into panels of
+//!   [`KC`], so one panel of `B`'s block stays in cache while every row
+//!   tile of `A` runs against it;
 //! - an `MR × nr` register-tile accumulator takes one multiply-add per
-//!   operand pair before anything is written back.
+//!   operand pair before anything is written back, into the block's rows
+//!   of `C` where they lie.
 //!
-//! Pack buffers come from a [`ScratchArena`], so steady-state execution
-//! does not allocate.
+//! Buffers come from a [`ScratchArena`], so steady-state execution does
+//! not allocate.
 //!
 //! ## Where `B` comes from
 //!
-//! The `B`-panel pack is the only step between a GEMM layer's input and
-//! the register tile. It reads [`GemmB`]: either a plain `k × n` matrix
-//! (1×1 convolutions, FC layers, the public GEMMs), whose rows it reads
-//! in place, or a convolution's input plane with its im2col geometry
-//! ([`Im2col`]). From a plane it gathers the `KC × NC` block of patches
-//! the panel needs, row by row: per (patch row, output row) one copy — a
-//! strided gather at stride > 1 — over the output columns whose tap
-//! lies inside the plane, computed once per patch row, and the pad
-//! value around them. The block stays in L2 and is packed at once; no
-//! `K × N` patch matrix is ever built.
+//! [`GemmB`] is one operand for every layer: `k` rows at offsets. A
+//! convolution's input is laid out once per call as padded stride-phase
+//! planes ([`PlaneGeom`]); row `p = (ci·kh + ky)·kw + kx` of `B` is then
+//! the run of phase plane `(ky mod s, kx mod s)` of channel `ci` from
+//! `(ky/s)·pitch + kx/s`, and column `j = oy·pitch + ox` is output `(oy,
+//! ox)`. The columns run over the `(oh − 1)·pitch + ow` positions; the
+//! `pitch − ow` junk columns between output rows are computed and
+//! dropped. A 1×1 layer's plane and an FC layer's input are the case
+//! `p·n`, with no junk. No patch matrix, or block of one, is built: the
+//! `B` packs (and the F16 tiles, up to [`IN_PLACE_KC`] deep) read the
+//! rows by offset. Each `NC` block's `finish` writes only the live
+//! columns into the output: requantized for QUInt8, with the bias and
+//! ReLU for f32; the F16 tiles add the bias and apply ReLU in registers
+//! as the last `K` panel finishes. `C` itself is one block of arena
+//! scratch.
 //!
 //! ## Tile geometry
 //!
-//! The panel layout is a property of the register tile that reads it,
-//! and the tile follows the thread's SIMD tier ([`crate::simd`]). The
-//! scalar tiles use the plain `MR × NR = 4 × 8` layout: `pa[p·MR + r]`,
-//! `pb[p·NR + x]`. The AVX2 QUInt8 tile, `4 × 16`, reads **K-pair**
-//! panels of zero-point-subtracted `i16`, two consecutive `k` per 32-bit
-//! lane: `B` interleaved, `pb[(g·16 + x)·2 + s]` for `k = 2g + s`, `A`
-//! with each row contiguous, `pa[r·kc_pad + k]`, an odd `kc`
-//! zero-padded — so one `vpmaddwd` multiplies operand pairs and
-//! pair-sums them into `i32` lanes; a padded lane is a true zero. The
-//! AVX-512 QUInt8 tile, `8 × 32`, reads **K-quad** panels at the
-//! operands' 8-bit width, four consecutive `k` per 32-bit lane: `B` raw
-//! `u8`, `pb[(g·32 + x)·4 + s]` for `k = 4g + s`, and `A` as `a ^ 0x80`
-//! — `a − 128` as `i8` — interleaved by row one quad at a time,
-//! `pa[(g·8 + r)·4 + s]`; `kc` is padded to a multiple of four with zero
-//! `b`, so a padded lane adds nothing. One `vpdpbusd` multiplies sixteen
-//! unsigned `B` quads by a broadcast signed `A` quad and adds the four
-//! products into each `i32` lane: 64 MACs, against 32 for the `i16`
-//! form, from half the panel bytes. The F16 tiles — scalar, and `4 × 64`
-//! on AVX512-FP16 — read the plain layout with both panels packed as
-//! binary16: the pack is a copy, and the FP16 tile broadcasts each `A`
-//! element's 16 bits. Each GEMM matches on the tier and instantiates the
-//! one walk below per geometry.
+//! The layouts are a property of the register tile that reads them, and
+//! the tile follows the thread's SIMD tier ([`crate::simd`]).
+//!
+//! - The scalar tiles are `MR × NR = 4 × 8` over the plain layout,
+//!   `pa[p·MR + r]`, `pb[p·NR + x]` (the f32 and `i16` tiles pack `A`;
+//!   the scalar F16 tile reads it in place).
+//! - The AVX2 QUInt8 tile, `4 × 16`, reads **K-pair** panels of
+//!   zero-point-subtracted `i16`, two consecutive `k` per 32-bit lane:
+//!   `B` interleaved, `pb[(g·16 + x)·2 + s]` for `k = 2g + s`, `A` with
+//!   each row contiguous, `pa[r·kc_pad + k]`, an odd `kc` zero-padded —
+//!   so one `vpmaddwd` multiplies operand pairs and pair-sums them into
+//!   `i32` lanes; a padded lane is a true zero.
+//! - The AVX-512 QUInt8 tile, `8 × 32`, works at the operands' 8-bit
+//!   width, four consecutive `k` per 32-bit lane. `A` is the weight rows
+//!   themselves, raw `u8`: each of the 8 row streams is read in place
+//!   from the panel's first `k`, one `vpbroadcastd` per quad. `B` is
+//!   packed in **K-quads** as `b ^ 0x80` — `b − 128` as `i8` —
+//!   `pb[(g·32 + x)·4 + s]` for `k = 4g + s`, padded to a multiple of
+//!   four with `i8` zero, so the tail quad's bytes past `k` (the next
+//!   row's) add nothing. One `vpdpbusd` multiplies the broadcast unsigned
+//!   `A` quad by sixteen signed `B` quads and adds the four products into
+//!   each `i32` lane: 64 MACs. Rows past `m` read a zero row; only a
+//!   stream that would run past the end of the weights is staged.
+//! - The FP16 tile, `8 × 32` on AVX512-FP16, broadcasts each `A` element
+//!   from its weight row (inside the FMA, `{1to32}`) and reads each
+//!   step's 32 columns of `B` from its row of the planes (or the matrix),
+//!   both in place; deeper panels, and runs past the end of the data, are
+//!   packed as binary16 first.
+//!
+//! Each GEMM matches on the tier and instantiates the one walk below per
+//! geometry.
 //!
 //! ## Determinism and equivalence
 //!
 //! Every tile past the first `K` panel *continues* the running sums of
-//! `C`: it loads the live part of `C` under its span into the register
-//! tile, runs the panel's MACs on top, and stores the tile back (the
-//! first panel's tiles start from zero). So each element of `C` takes
-//! its `K` products in one ascending chain across all panels — exactly
-//! the chain of the naive one-row-at-a-time loop (`tests/common/gemm.rs`)
-//! — and the result is **bit-identical** to it for every shape and
-//! dtype: the same `acc += a * b` sequence for f32, the same chain of
-//! binary16 FMAs, each rounded once, for F16, and the same `i32` sums for
-//! QUInt8 (Jacob et al.'s integer-only inference). Blocking, packing,
-//! the tile width, the SIMD tier and how many worker threads split the
-//! output rows cannot perturb a single bit.
+//! `C`: it runs the panel's MACs on top of its rows of `C` and stores
+//! them back (the first panel's tiles start from zero). So each element
+//! of `C` takes its `K` products in one ascending chain across all
+//! panels — exactly the chain of the naive one-row-at-a-time loop
+//! (`tests/common/gemm.rs`) — and the result is **bit-identical** to it
+//! for every shape and dtype: the same `acc += a * b` sequence for f32,
+//! the same chain of binary16 FMAs, each rounded once, for F16, and the
+//! same `i32` sums for QUInt8 (Jacob et al.'s integer-only inference).
+//! Blocking, packing, the tile width, the SIMD tier and how many worker
+//! threads split the output rows cannot perturb a single bit.
 //!
-//! The K-quad tile computes `D = Σ_k b_kj·(a_ik − 128)`; the sum the
+//! The K-quad tile computes `D = Σ_k a_ik·(b_kj − 128)`; the sum the
 //! oracle forms, `T = Σ_k (a_ik − z_a)·(b_kj − z_b)`, follows from
 //! rank-one terms:
 //!
-//! `T = D + (128 − z_a)·Σ_k b_kj − z_b·Σ_k a_ik + K·z_a·z_b`.
+//! `T = D + (128 − z_b)·Σ_k a_ik − z_a·Σ_k b_kj + K·z_a·z_b`.
 //!
-//! The `B` pack sums each column as it touches each element (once per
-//! GEMM); the per-row terms join the per-row bias `requantize_into`
-//! already adds. Integer addition commutes, so the terms may enter in
+//! The row sums of `A` are one vector pass over the weights per call
+//! (`vpsadbw`); they and `K·z_a·z_b` join the per-row bias
+//! `requantize_into` already adds. The `B` pack sums each column's raw
+//! elements as it touches them, and each column's term is added as its
+//! block finishes. Integer addition commutes, so the terms may enter in
 //! any order, and every step wraps in `i32` (`vpdpbusd` does not
 //! saturate): `T` fits `i32` exactly as the oracle's sum does, so every
 //! output is bit-identical modulo 2³² and therefore equal. Each
@@ -97,8 +110,10 @@ use std::ops::Range;
 use utensor::{FixedPointMultiplier, QuantParams, TensorError, F16};
 
 use crate::arena::ScratchArena;
+use crate::conv::PlaneGeom;
+use crate::depthwise::copy_live;
 use crate::dispatch::active_tier;
-use crate::simd::{self, SimdTier};
+use crate::simd::{self, SimdTier, TileRows};
 
 /// `K`-panel size: accumulation association is fixed by this constant.
 pub const KC: usize = 256;
@@ -113,159 +128,180 @@ pub const NR: usize = 8;
 /// every row tile of `A` runs against it.
 pub(crate) const NC: usize = 256;
 
-/// The geometry of a convolution's im2col lowering over one CHW plane:
-/// `B` row `(ci·kh + ky)·kw + kx`, column `oy·ow + ox` is the input at
-/// row `oy·stride + ky − pad`, column `ox·stride + kx − pad` of channel
-/// `ci`, or the pad value where that lies outside the plane.
-#[derive(Clone, Copy)]
-pub(crate) struct Im2col {
-    pub(crate) c: usize,
-    pub(crate) h: usize,
-    pub(crate) w: usize,
-    pub(crate) kh: usize,
-    pub(crate) kw: usize,
-    pub(crate) stride: usize,
-    pub(crate) pad: usize,
-    pub(crate) oh: usize,
-    pub(crate) ow: usize,
-}
+/// The deepest `K` panel whose `B` runs the F16 tiles read in place. A
+/// tile reads `kc` runs of its width in binary16, straddling cache lines
+/// as they lie; up to this depth they stay in L1 while every row tile
+/// reads them, and reading them in place beat packing them (SqueezeNet's
+/// `K = 27` and `K = 144` layers). A full panel (`KC`) does not for
+/// every layer: packed once per block its micro-panel is contiguous, and
+/// the 500-row `conv10` part read it 6–11% faster so.
+const IN_PLACE_KC: usize = 192;
 
-impl Im2col {
-    /// Writes columns `cols` of `B` row `p` into `dst`: `pad`, then per
-    /// output row the columns whose tap lies inside the plane in one
-    /// copy (a strided gather at stride > 1).
-    fn gather<T: Copy>(&self, plane: &[T], p: usize, cols: Range<usize>, pad: T, dst: &mut [T]) {
-        let (rest, kx) = (p / self.kw, p % self.kw);
-        let (ci, ky) = (rest / self.kh, rest % self.kh);
-        let s = self.stride;
-        let over = |v: usize| if s == 1 { v } else { v.div_ceil(s) };
-        // The output columns whose tap `ox·s + kx − pad` lies in `0..w`.
-        let x_lo = over(self.pad.saturating_sub(kx)).min(self.ow);
-        let x_hi = over((self.w + self.pad).saturating_sub(kx)).clamp(x_lo, self.ow);
-        let channel = &plane[ci * self.h * self.w..][..self.h * self.w];
-        let (mut oy, mut ox0) = (cols.start / self.ow, cols.start % self.ow);
-        let mut dst = &mut dst[..cols.len()];
-        // One fill for the whole row, then only the live columns: cheaper
-        // than filling the few pad columns of every output row.
-        dst.fill(pad);
-        while !dst.is_empty() {
-            let ox1 = self.ow.min(ox0 + dst.len());
-            let (seg, rest) = std::mem::take(&mut dst).split_at_mut(ox1 - ox0);
-            dst = rest;
-            // Above the plane wraps to a huge row, so one test covers both
-            // borders.
-            let iy = (oy * s + ky).wrapping_sub(self.pad);
-            let (a, b) = (x_lo.clamp(ox0, ox1) - ox0, x_hi.clamp(ox0, ox1) - ox0);
-            if iy < self.h && a < b {
-                let x = (ox0 + a) * s + kx - self.pad;
-                let src = &channel[iy * self.w + x..][..(b - a - 1) * s + 1];
-                let live = &mut seg[a..b];
-                match s {
-                    1 => live.copy_from_slice(src),
-                    // `chunks_exact(2)` rather than `step_by(2)`: the
-                    // fixed-width form is the one the compiler turns into
-                    // a wide load plus a shuffle.
-                    2 => {
-                        let (last, body) = live.split_last_mut().expect("a < b");
-                        for (d, pair) in body.iter_mut().zip(src.chunks_exact(2)) {
-                            *d = pair[0];
-                        }
-                        *last = src[src.len() - 1];
-                    }
-                    _ => {
-                        for (d, &v) in live.iter_mut().zip(src.iter().step_by(s)) {
-                            *d = v;
-                        }
-                    }
-                }
-            }
-            oy += 1;
-            ox0 = 0;
-        }
-    }
-}
+/// The rows the tiles read past the last row of `A`: zeros.
+static ZERO_ROW_U8: [u8; KC] = [0; KC];
+/// [`ZERO_ROW_U8`] for the F16 tiles.
+static ZERO_ROW_F16: [F16; KC] = [F16::ZERO; KC];
 
-/// The `B` operand of a blocked GEMM, as [`pack_b`] reads it.
+/// The `B` operand of a blocked GEMM: `k` rows of `n` elements of
+/// `data`, row `p = (ci·kh + ky)·kw + kx` starting at `ci·s²·phase +
+/// (ky mod s · s + kx mod s)·phase + (ky/s)·pitch + kx/s` — the run of
+/// phase plane `(ky mod s, kx mod s)` of channel `ci` that tap `(ky,
+/// kx)` reads ([`PlaneGeom`]). Column `j = oy·pitch + ox` is output
+/// `(oy, ox)`; the columns run over the `(oh − 1)·pitch + ow` positions,
+/// and those with `ox ≥ ow` are junk, computed and dropped. A `k × n`
+/// matrix is the case `kh = kw = s = 1`, `pitch = phase = ow = n`: row
+/// `p` at `p·n`, no junk.
 #[derive(Clone, Copy)]
-pub(crate) enum GemmB<'a, T> {
-    /// A row-major `k × n` matrix (1×1 convolutions, FC layers).
-    Matrix(&'a [T]),
-    /// The im2col patches of a CHW plane, padded with the given value,
-    /// gathered one panel block at a time.
-    Patches(&'a [T], Im2col, T),
+pub(crate) struct GemmB<'a, T> {
+    data: &'a [T],
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    pitch: usize,
+    phase: usize,
+    oh: usize,
+    ow: usize,
 }
 
 impl<'a, T: Copy> GemmB<'a, T> {
-    /// Batch element `x` of a GEMM layer: its im2col patches under
-    /// `lower`, or the plane itself as the matrix.
-    pub(crate) fn of(x: &'a [T], lower: Option<Im2col>, pad: T) -> GemmB<'a, T> {
-        match lower {
-            None => GemmB::Matrix(x),
-            Some(g) => GemmB::Patches(x, g, pad),
+    /// A row-major `k × n` matrix (1×1 convolutions, FC layers).
+    pub(crate) fn matrix(data: &'a [T], n: usize) -> GemmB<'a, T> {
+        GemmB {
+            data,
+            kh: 1,
+            kw: 1,
+            stride: 1,
+            pitch: n,
+            phase: n,
+            oh: 1,
+            ow: n,
         }
     }
 
-    /// Panics unless the operand is `k × n`.
-    fn check(&self, k: usize, n: usize, what: &str) {
-        match self {
-            GemmB::Matrix(b) => assert_eq!(b.len(), k * n, "{what}: B length"),
-            GemmB::Patches(x, g, _) => {
-                assert_eq!(x.len(), g.c * g.h * g.w, "{what}: input plane length");
-                assert_eq!((k, n), (g.c * g.kh * g.kw, g.oh * g.ow), "{what}: B shape");
+    /// A convolution's input as the phase planes `g` lays out.
+    pub(crate) fn planes(data: &'a [T], g: &PlaneGeom) -> GemmB<'a, T> {
+        GemmB {
+            data,
+            kh: g.kh,
+            kw: g.kw,
+            stride: g.stride,
+            pitch: g.pitch,
+            phase: g.phase_len,
+            oh: g.oh,
+            ow: g.ow,
+        }
+    }
+
+    /// The columns: `(oh − 1)·pitch + ow` positions.
+    fn n(&self) -> usize {
+        match self.oh * self.ow {
+            0 => 0,
+            _ => (self.oh - 1) * self.pitch + self.ow,
+        }
+    }
+
+    /// The live columns, `oh·ow`: one row of the output.
+    fn live(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Whether some column is junk (the output is not the columns).
+    fn junk(&self) -> bool {
+        self.pitch != self.ow
+    }
+
+    /// Panics unless all `k` rows lie inside the data.
+    fn check(&self, k: usize, what: &str) {
+        if k > 0 && self.n() > 0 {
+            let mut last = [0];
+            self.row_starts(k - 1, &mut last);
+            assert!(
+                last[0] + self.n() <= self.data.len(),
+                "{what}: B short of {k} rows"
+            );
+        }
+    }
+
+    /// Where rows `p0..p0 + starts.len()` start, walking `(ci, ky, kx)`
+    /// in row-major order: no division per row.
+    fn row_starts(&self, p0: usize, starts: &mut [usize]) {
+        let (s, kw) = (self.stride, self.kw);
+        let chan = s * s * self.phase;
+        let (rest, kx0) = (p0 / kw, p0 % kw);
+        let (ci, ky0) = (rest / self.kh, rest % self.kh);
+        let mut base = ci * chan;
+        let (mut ky, mut py, mut qy) = (ky0, ky0 % s, ky0 / s);
+        let (mut kx, mut px, mut qx) = (kx0, kx0 % s, kx0 / s);
+        for start in starts {
+            *start = base + (py * s + px) * self.phase + qy * self.pitch + qx;
+            (kx, px) = (kx + 1, px + 1);
+            if px == s {
+                (px, qx) = (0, qx + 1);
             }
+            if kx < kw {
+                continue;
+            }
+            (kx, px, qx) = (0, 0, 0);
+            (ky, py) = (ky + 1, py + 1);
+            if py == s {
+                (py, qy) = (0, qy + 1);
+            }
+            if ky == self.kh {
+                (ky, py, qy) = (0, 0, 0);
+                base += chan;
+            }
+        }
+    }
+
+    /// Calls `f(run, at)` for each run of consecutive live columns among
+    /// `cols`, in order: `run` relative to `cols.start`, `at` the output
+    /// index of its first column.
+    fn runs(&self, cols: Range<usize>, mut f: impl FnMut(Range<usize>, usize)) {
+        if !self.junk() {
+            return f(0..cols.len(), cols.start);
+        }
+        let mut oy = cols.start / self.pitch;
+        while oy * self.pitch < cols.end {
+            let row = oy * self.pitch;
+            let (a, b) = (row.max(cols.start), (row + self.ow).min(cols.end));
+            if a < b {
+                f(a - cols.start..b - cols.start, oy * self.ow + a - row);
+            }
+            oy += 1;
         }
     }
 }
 
-/// One `kc × width` block of `B`, as the panel packs read it: row `r`
-/// at `rows[r·pitch..][..width]`, its first column `j0` of `B`.
+/// One `kc × width` block of `B` from column `j0`, as the panel packs
+/// and the F16 tiles read it: row `r` at `data[starts[r] + j0..][..width]`,
+/// `last` the greatest of the starts.
 struct Block<'a, S> {
-    rows: &'a [S],
-    pitch: usize,
+    data: &'a [S],
+    starts: &'a [usize],
+    last: usize,
+    j0: usize,
     kc: usize,
     width: usize,
-    j0: usize,
 }
 
 impl<S> Block<'_, S> {
     /// Columns `x0..x0 + len` of block row `r`.
     fn row(&self, r: usize, x0: usize, len: usize) -> &[S] {
-        &self.rows[r * self.pitch + x0..][..len]
+        &self.data[self.starts[r] + self.j0 + x0..][..len]
     }
-}
 
-/// Columns `j0..j1` (at most [`NC`]) of the `B` rows `p0..p0+kc`. A
-/// matrix's rows are read in place; a plane's patches are gathered into
-/// `block` first, one `kc × (j1 − j0)` block that stays in L2.
-fn b_block<'a, S: Copy>(
-    block: &'a mut Vec<S>,
-    b: &GemmB<'a, S>,
-    n: usize,
-    (j0, j1): (usize, usize),
-    (p0, kc): (usize, usize),
-) -> Block<'a, S> {
-    let width = j1 - j0;
-    match *b {
-        GemmB::Matrix(m) => Block {
-            rows: &m[p0 * n + j0..],
-            pitch: n,
-            kc,
-            width,
-            j0,
-        },
-        GemmB::Patches(x, g, pad) => {
-            block.resize(kc * width, pad);
-            for (r, dst) in block.chunks_exact_mut(width).enumerate() {
-                g.gather(x, p0 + r, j0..j1, pad, dst);
-            }
-            Block {
-                rows: block,
-                pitch: width,
-                kc,
-                width,
-                j0,
-            }
-        }
+    /// Whether a tile reads `len` columns from `x0` of every row in
+    /// place: the panel is at most [`IN_PLACE_KC`] deep, and the columns
+    /// lie inside the data (past the block's width they are other
+    /// columns, or junk).
+    fn in_place(&self, x0: usize, len: usize) -> bool {
+        self.kc <= IN_PLACE_KC && self.last + self.j0 + x0 + len <= self.data.len()
+    }
+
+    /// The `N` columns from `x0` of row `r`, where [`Self::in_place`]
+    /// holds.
+    fn run<const N: usize>(&self, r: usize, x0: usize) -> &[S; N] {
+        self.row(r, x0, N).try_into().expect("N columns")
     }
 }
 
@@ -276,23 +312,31 @@ fn b_block<'a, S: Copy>(
 /// zips two rows lane pair by lane pair, a loop the compiler
 /// vectorises): measured faster than filling every micro-panel one row
 /// at a time, whose stores go to panels `kc·NRT` elements apart. The
-/// right edge and an odd `kc` are padded with `zero`.
+/// right edge and an odd `kc` are padded with `zero`. Only the
+/// micro-panels from the columns `x0` that `which(x0)` keeps are written.
 fn pack_b<S: Copy, T: Copy, const NRT: usize, const KS: usize>(
     pb: &mut Vec<T>,
     blk: &Block<'_, S>,
-    zero: T,
-    conv: impl Fn(S) -> T,
+    (zero, conv): (T, impl Fn(S) -> T),
+    which: impl Fn(usize) -> bool,
 ) {
     let (kc, width) = (blk.kc, blk.width);
     let panel_len = kc.next_multiple_of(KS) * NRT;
     pb.resize(width.div_ceil(NRT) * panel_len, zero);
-    for (panel, x0) in pb.chunks_exact_mut(panel_len).zip((0..).step_by(NRT)) {
+    let panels = pb.chunks_exact_mut(panel_len).zip((0..).step_by(NRT));
+    for (panel, x0) in panels.filter(|&(_, x0)| which(x0)) {
         let jw = NRT.min(width - x0);
         for (g, lanes) in panel.chunks_exact_mut(NRT * KS).enumerate() {
             let (live, edge) = lanes.as_chunks_mut::<KS>().0.split_at_mut(jw);
             edge.fill([zero; KS]);
             let r = g * KS;
             let r0 = blk.row(r, x0, jw);
+            if KS == 1 {
+                for (d, &v) in live.as_flattened_mut().iter_mut().zip(r0) {
+                    *d = conv(v);
+                }
+                continue;
+            }
             if KS == 2 && r + 1 < kc {
                 let r1 = blk.row(r + 1, x0, jw);
                 for (d, (&v0, &v1)) in live.iter_mut().zip(r0.iter().zip(r1)) {
@@ -302,49 +346,45 @@ fn pack_b<S: Copy, T: Copy, const NRT: usize, const KS: usize>(
             } else {
                 for (d, &v) in live.iter_mut().zip(r0) {
                     d[0] = conv(v);
-                    d[1..].fill(zero);
+                    d[1] = zero;
                 }
             }
         }
     }
 }
 
-/// Packs `blk` into the VNNI tile's K-quad micro-panels of raw `u8`,
-/// `pb[(g·NR_VNNI + x)·4 + s]` for `k = 4g + s`, and adds each column's
-/// elements into `col_sums[j0 + x]`, in one pass over the block. Rows
-/// past `kc` and columns past the right edge are zero.
+/// Packs `blk` into the VNNI tile's K-quad micro-panels of `b − 128` as
+/// `i8`, `pb[(g·NR_VNNI + x)·4 + s]` for `k = 4g + s`, and adds each
+/// column's raw elements into `col_sums[x]`, in one pass over the block.
+/// Rows past `kc` are `i8` zero, so they add nothing to the tile.
 #[cfg(target_arch = "x86_64")]
-fn pack_b_quads(pb: &mut Vec<u8>, blk: &Block<'_, u8>, col_sums: &mut [i32]) {
+fn pack_b_quads(pb: &mut Vec<i8>, blk: &Block<'_, u8>, col_sums: &mut [i32]) {
     const NRT: usize = simd::NR_VNNI;
     const KS: usize = simd::KSTEP_U8;
-    const ZEROS: [u8; NRT] = [0; NRT];
     let (kc, width) = (blk.kc, blk.width);
     let panel_len = kc.next_multiple_of(KS) * NRT;
     pb.resize(width.div_ceil(NRT) * panel_len, 0);
-    let col_sums = &mut col_sums[blk.j0..][..width];
     let panels = pb.chunks_exact_mut(panel_len);
+    let col_sums = &mut col_sums[..width];
     for ((panel, sums), x0) in panels.zip(col_sums.chunks_mut(NRT)).zip((0..).step_by(NRT)) {
+        let groups = panel.as_chunks_mut::<KS>().0.as_chunks_mut::<NRT>().0;
+        if let Ok(full) = <&mut [i32; NRT]>::try_from(&mut *sums) {
+            let row = |r| blk.row(r, x0, NRT).try_into().expect("a full micro-panel");
+            simd::pack_quads(groups, kc, row, full);
+            continue;
+        }
         let jw = sums.len();
-        for (g, lanes) in panel
-            .as_chunks_mut::<{ NRT * KS }>()
-            .0
-            .iter_mut()
-            .enumerate()
-        {
-            let lanes = lanes.as_chunks_mut::<KS>().0;
-            let row = |s: usize| match g * KS + s {
-                r if r < kc => blk.row(r, x0, jw),
-                _ => &ZEROS[..jw],
+        for (g, lanes) in groups.iter_mut().enumerate() {
+            let live = KS.min(kc - g * KS);
+            let row = |s: usize| match s < live {
+                true => blk.row(g * KS + s, x0, jw),
+                false => &ZERO_ROW_U8[..jw],
             };
             let rows = [row(0), row(1), row(2), row(3)];
-            if let Ok(full) = <&mut [i32; NRT]>::try_from(&mut *sums) {
-                let rows = rows.map(|r| r.try_into().expect("a full group"));
-                simd::pack_quads(lanes.try_into().expect("NRT lanes"), rows, full);
-                continue;
-            }
             for (x, (d, sum)) in lanes.iter_mut().zip(sums.iter_mut()).enumerate() {
-                *d = rows.map(|r| r[x]);
-                *sum = d.iter().fold(*sum, |s, &v| s.wrapping_add(v as i32));
+                let raw = rows.map(|r| r[x]);
+                *d = std::array::from_fn(|s| if s < live { (raw[s] ^ 0x80) as i8 } else { 0 });
+                *sum = raw.iter().fold(*sum, |s, &v| s.wrapping_add(v as i32));
             }
         }
     }
@@ -353,12 +393,13 @@ fn pack_b_quads(pb: &mut Vec<u8>, blk: &Block<'_, u8>, col_sums: &mut [i32]) {
 /// Packs the `A` panel columns `p0..p0+kc` into `MRT`-row micro-panels,
 /// padded with `zero` on the bottom edge and to the K step; `conv`
 /// converts one row segment (at most [`KC`] elements) slice to slice.
-/// The plain and K-quad layouts (`KS` of 1 or 4) interleave the rows
-/// one K step at a time, `pa[(g·MRT + r)·KS + s]` for `k = g·KS + s`, so
-/// the tile reads one contiguous run of `MRT·KS` elements per step; the
-/// K-pair layout (`KS == 2`) keeps each row contiguous, `pa[r·kc_pad +
-/// p]` with `kc_pad` the depth rounded up to even, and the tile reads
-/// `MRT` row streams.
+/// Only the tiles that read `A` converted need it: the f32 tiles and the
+/// AVX2 and scalar `i16` QUInt8 tiles (the VNNI and F16 tiles read the
+/// weight rows where they lie). The plain layout (`KS == 1`) interleaves
+/// the rows, `pa[p·MRT + r]`, so the tile reads one contiguous run of
+/// `MRT` elements per step; the K-pair layout (`KS == 2`) keeps each row
+/// contiguous, `pa[r·kc_pad + p]` with `kc_pad` the depth rounded up to
+/// even, and the tile reads `MRT` row streams.
 ///
 /// Kept out of line: it runs once per `K` panel, and inlined into
 /// [`for_each_tile`] its row buffer changed the code generated for the
@@ -385,127 +426,148 @@ fn pack_a<S: Copy, T: Copy, const MRT: usize, const KS: usize>(
                 continue;
             }
             conv(&mut converted[..kc], row);
-            converted[kc..kc_pad].fill(zero);
-            let steps = panel
-                .chunks_exact_mut(MRT * KS)
-                .zip(converted[..kc_pad].chunks_exact(KS));
-            for (dst, step) in steps {
-                dst[r * KS..(r + 1) * KS].copy_from_slice(step);
+            for (dst, &v) in panel.chunks_exact_mut(MRT).zip(&converted[..kc]) {
+                dst[r] = v;
             }
         }
     }
 }
 
-/// The rows and columns of the `m × n` matrix `C` one register tile
-/// covers.
-#[derive(Clone, Copy)]
-struct TileSpan {
-    i0: usize,
-    iw: usize,
-    j0: usize,
-    jw: usize,
-    n: usize,
+/// The register tiles of a GEMM and how they read `A`: `pack(pa, (p0,
+/// kc))` lays `A`'s K panel into `pa` before that panel's tiles run (the
+/// tiles that read `A` in place leave it alone), and `tile(acc, pa, i0,
+/// (p0, kc), (pb, blk, j0))` adds the panel's products for rows `i0..i0
+/// + MRT` and the `NRT` columns from `j0` of the block `blk` — read from
+/// the packed `B` micro-panel `pb`, or in place — to the accumulator
+/// rows `acc`, or on the first panel (`p0 == 0`) stores them there,
+/// whatever `acc` held.
+struct Tiles<P, T> {
+    pack: P,
+    tile: T,
 }
 
-impl TileSpan {
-    /// Where the live part of tile row `r` sits in row-major `C`.
-    fn row(&self, r: usize) -> std::ops::Range<usize> {
-        let start = (self.i0 + r) * self.n + self.j0;
-        start..start + self.jw
-    }
-}
-
-/// How a GEMM packs its panels: `a` converts an `A` row segment slice
-/// to slice, `b` packs one block of `B` into the `B` panel buffer.
-struct Packing<CA, CB> {
-    a: CA,
-    b: CB,
-}
-
-/// The blocked loop nest shared by every dtype: for each `K` panel in
-/// ascending order, pack `A`, then for each [`NC`]-column block pack `B`
-/// and run every (`MRT`-row, `NRT`-column) micro-panel pair through
-/// `tile` with the padded panel depth. The first panel's tiles start
-/// from `zero_c`; a later one's from the live part of `c` under its span
-/// (pad lanes zero). Every tile is stored back into `c`, so every
-/// element continues one accumulation chain from panel to panel, and
-/// `c`'s prior contents are overwritten. Once the last panel has
-/// stored a block's tiles, `finish(j0..j1, c, col_sums)` sees the
-/// finished columns while they are still in cache. `col_sums` is the
-/// state the `B` pack leaves for `finish` (the K-quad pack's column
-/// sums; empty elsewhere).
+/// The blocked loop nest shared by every dtype: for each [`NC`]-column
+/// block of `B`, for each `K` panel in ascending order, pack the block of
+/// `B` (and, on the first block or when there are several panels, `A`)
+/// and run every (`MRT`-row, `NRT`-column) tile through `tiles` with the
+/// padded panel depth. `C` is the block's `m × width` scratch in `c`,
+/// and a whole tile reads and writes its rows of `C` where they lie; an
+/// edge tile runs on scratch rows holding the live part of `C` (the
+/// other lanes are never stored). The first panel's tiles start from
+/// zero and a later one's from `C`, so every element continues one
+/// accumulation chain from panel to panel. Once the last panel has
+/// stored a block's tiles, `finish(cols, c, col_sums)` sees the finished
+/// columns `cols` of `B` while they are still in cache, and writes their
+/// live part out. `col_sums` is the state the `B` pack leaves for
+/// `finish` (the K-quad pack's column sums, block-relative).
 #[allow(clippy::too_many_arguments)]
 fn for_each_tile<
-    SA: Copy,
     SB: Copy,
-    TA: Copy,
-    TB: Copy,
+    TA,
+    TB,
     TC: Copy,
     const MRT: usize,
     const NRT: usize,
     const KS: usize,
 >(
-    (c, col_sums): (&mut [TC], &mut [i32]),
-    (m, k, n): (usize, usize, usize),
-    a: &[SA],
-    b: GemmB<'_, SB>,
-    (pa, pb, block): (&mut Vec<TA>, &mut Vec<TB>, &mut Vec<SB>),
-    (zero_a, zero_c): (TA, TC),
-    packing: Packing<impl Fn(&mut [TA], &[SA]), impl Fn(&mut Vec<TB>, &Block<'_, SB>, &mut [i32])>,
-    tile: impl Fn(&mut [[TC; NRT]; MRT], &[TA], &[TB], usize),
+    (c, col_sums): (&mut Vec<TC>, &mut Vec<i32>),
+    (m, k): (usize, usize),
+    b: &GemmB<'_, SB>,
+    (pa, pb): (&mut Vec<TA>, &mut Vec<TB>),
+    zero_c: TC,
+    tiles: Tiles<
+        impl Fn(&mut Vec<TA>, (usize, usize)),
+        impl Fn(&mut TileRows<'_, TC, NRT, MRT>, &[TA], usize, (usize, usize), BPanel<'_, SB, TB>),
+    >,
+    pack_b: impl Fn(&mut Vec<TB>, &Block<'_, SB>, &mut [i32]),
     mut finish: impl FnMut(Range<usize>, &mut [TC], &mut [i32]),
 ) {
     debug_assert_eq!(NC % NRT, 0, "NC must be a multiple of the tile width");
-    if k == 0 {
-        c.fill(zero_c);
-        for jb in (0..n).step_by(NC) {
-            finish(jb..n.min(jb + NC), c, col_sums);
+    let n = b.n();
+    let mut starts = [0usize; KC];
+    let mut edge = [[zero_c; NRT]; MRT];
+    for jb in (0..n).step_by(NC) {
+        let cols = jb..n.min(jb + NC);
+        let width = cols.len();
+        c.resize(m * width, zero_c);
+        col_sums.clear();
+        col_sums.resize(width, 0);
+        if k == 0 {
+            c.fill(zero_c);
         }
-    }
-    let mut p0 = 0;
-    while p0 < k {
-        let kc = KC.min(k - p0);
-        let kc_pad = kc.next_multiple_of(KS);
-        pack_a::<_, _, MRT, KS>(pa, a, (m, k), (p0, kc), zero_a, &packing.a);
-        for jb in (0..n).step_by(NC) {
-            let jb_end = n.min(jb + NC);
-            let blk = b_block(block, &b, n, (jb, jb_end), (p0, kc));
-            (packing.b)(pb, &blk, col_sums);
-            for (jt, pb_panel) in pb.chunks_exact(kc_pad * NRT).enumerate() {
-                let j0 = jb + jt * NRT;
-                for (it, pa_panel) in pa.chunks_exact(kc_pad * MRT).enumerate() {
-                    let span = TileSpan {
-                        i0: it * MRT,
-                        iw: MRT.min(m - it * MRT),
-                        j0,
-                        jw: NRT.min(n - j0),
-                        n,
-                    };
-                    let mut acc = [[zero_c; NRT]; MRT];
-                    // A whole tile row moves as one fixed-size copy, not a
-                    // `memcpy` call.
+        let mut p0 = 0;
+        while p0 < k {
+            let kc = KC.min(k - p0);
+            let kc_pad = kc.next_multiple_of(KS);
+            // Every block reads the same panels of `A`: with one panel
+            // it is laid once.
+            if jb == 0 || k > KC {
+                (tiles.pack)(pa, (p0, kc));
+            }
+            b.row_starts(p0, &mut starts[..kc]);
+            let blk = Block {
+                data: b.data,
+                starts: &starts[..kc],
+                last: starts[..kc].iter().copied().max().unwrap_or(0),
+                j0: jb,
+                kc,
+                width,
+            };
+            pack_b(pb, &blk, col_sums);
+            for (jt, j0) in (0..width).step_by(NRT).enumerate() {
+                let jw = NRT.min(width - j0);
+                let packed = jt * kc_pad * NRT..(jt + 1) * kc_pad * NRT;
+                let pb_panel = (pb.get(packed).unwrap_or_default(), &blk, j0);
+                for i0 in (0..m).step_by(MRT) {
+                    let iw = MRT.min(m - i0);
+                    let panel = (p0, kc);
+                    let mut rows = c[i0 * width..].chunks_exact_mut(width).take(iw);
+                    if iw == MRT && jw == NRT {
+                        let mut acc = std::array::from_fn(|_| {
+                            let row = rows.next().expect("a whole tile's rows");
+                            (&mut row[j0..j0 + NRT])
+                                .try_into()
+                                .expect("a whole tile's columns")
+                        });
+                        (tiles.tile)(&mut acc, pa, i0, panel, pb_panel);
+                        continue;
+                    }
                     if p0 > 0 {
-                        for (r, row) in acc.iter_mut().enumerate().take(span.iw) {
-                            match <&[TC; NRT]>::try_from(&c[span.row(r)]) {
-                                Ok(src) => *row = *src,
-                                Err(_) => row[..span.jw].copy_from_slice(&c[span.row(r)]),
-                            }
+                        for (dst, row) in edge.iter_mut().zip(rows.by_ref()) {
+                            dst[..jw].copy_from_slice(&row[j0..j0 + jw]);
                         }
                     }
-                    tile(&mut acc, pa_panel, pb_panel, kc_pad);
-                    for (r, row) in acc.iter().enumerate().take(span.iw) {
-                        match <&mut [TC; NRT]>::try_from(&mut c[span.row(r)]) {
-                            Ok(dst) => *dst = *row,
-                            Err(_) => c[span.row(r)].copy_from_slice(&row[..span.jw]),
-                        }
+                    (tiles.tile)(&mut edge.each_mut(), pa, i0, panel, pb_panel);
+                    let rows = c[i0 * width..].chunks_exact_mut(width).take(iw);
+                    for (row, src) in rows.zip(&edge) {
+                        row[j0..j0 + jw].copy_from_slice(&src[..jw]);
                     }
                 }
             }
-            if p0 + kc == k {
-                finish(jb..jb_end, c, col_sums);
-            }
+            p0 += kc;
         }
-        p0 += kc;
+        finish(cols, c, col_sums);
+    }
+}
+
+/// What a tile reads of `B`: the packed micro-panel (empty where the
+/// tile reads in place), the block and the micro-panel's first column.
+type BPanel<'p, S, T> = (&'p [T], &'p Block<'p, S>, usize);
+
+/// Panics unless `A` is `m × k`, `B` holds `k` rows, `out` is `m` rows
+/// of `B`'s live columns and the bias has one entry per row.
+fn check_operands<T: Copy>(
+    what: &str,
+    (m, k): (usize, usize),
+    (a, b): (usize, &GemmB<'_, T>),
+    out: usize,
+    bias: Option<&[f32]>,
+) {
+    assert_eq!(a, m * k, "{what}: A length");
+    b.check(k, what);
+    assert_eq!(out, m * b.live(), "{what}: C length");
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), m, "{what}: bias length");
     }
 }
 
@@ -523,74 +585,75 @@ pub fn gemm_f32_blocked(
     relu: bool,
     arena: &mut ScratchArena,
 ) {
-    gemm_f32(c, (m, k, n), a, GemmB::Matrix(b), bias, relu, arena);
+    assert_eq!(b.len(), k * n, "gemm_f32_blocked: B length");
+    gemm_f32(c, (m, k), a, GemmB::matrix(b, n), bias, relu, arena);
 }
 
-/// [`gemm_f32_blocked`] over any `B` operand.
+/// [`gemm_f32_blocked`] over any `B` operand, writing its live columns.
 pub(crate) fn gemm_f32(
-    c: &mut [f32],
-    (m, k, n): (usize, usize, usize),
+    out: &mut [f32],
+    (m, k): (usize, usize),
     a: &[f32],
     b: GemmB<'_, f32>,
     bias: Option<&[f32]>,
     relu: bool,
     arena: &mut ScratchArena,
 ) {
-    assert_eq!(a.len(), m * k, "gemm_f32_blocked: A length");
-    b.check(k, n, "gemm_f32_blocked");
-    assert_eq!(c.len(), m * n, "gemm_f32_blocked: C length");
-    if let Some(bias) = bias {
-        assert_eq!(bias.len(), m, "gemm_f32_blocked: bias length");
-    }
+    let what = "gemm_f32_blocked";
+    check_operands(what, (m, k), (a.len(), &b), out.len(), bias);
     let simd = active_tier() > SimdTier::None;
-    for_each_tile::<_, _, _, _, _, MR, NR, 1>(
-        (c, &mut []),
-        (m, k, n),
-        a,
-        b,
-        (
-            &mut arena.pack_a_f32,
-            &mut arena.pack_b_f32,
-            &mut arena.patches_f32,
-        ),
-        (0.0f32, 0.0f32),
-        Packing {
-            a: |dst: &mut [f32], row: &[f32]| dst.copy_from_slice(row),
-            b: |pb: &mut Vec<f32>, blk: &Block<'_, f32>, _: &mut [i32]| {
-                pack_b::<_, _, NR, 1>(pb, blk, 0.0, |v| v)
+    let live = b.live();
+    for_each_tile::<_, _, _, _, MR, NR, 1>(
+        (&mut arena.acc_f32, &mut arena.col_sums),
+        (m, k),
+        &b,
+        (&mut arena.pack_a_f32, &mut arena.pack_b_f32),
+        0.0f32,
+        Tiles {
+            pack: |pa: &mut Vec<f32>, panel| {
+                pack_a::<_, _, MR, 1>(pa, a, (m, k), panel, 0.0, |d, row| d.copy_from_slice(row))
             },
-        },
-        |acc, pa, pb, kc| {
-            if simd && simd::tile_f32(acc, pa, pb, kc) {
-                return;
-            }
-            for p in 0..kc {
-                let avals = &pa[p * MR..(p + 1) * MR];
-                let bvals = &pb[p * NR..(p + 1) * NR];
-                for (r, &ar) in avals.iter().enumerate() {
-                    for (x, &bv) in bvals.iter().enumerate() {
-                        acc[r][x] += ar * bv;
+            tile: |acc: &mut TileRows<'_, f32, NR, MR>,
+                   pa: &[f32],
+                   i0,
+                   (p0, kc): (usize, usize),
+                   (pb, _, _): BPanel<'_, f32, f32>| {
+                if p0 == 0 {
+                    acc.iter_mut().for_each(|row| **row = [0.0; NR]);
+                }
+                let pa = &pa[i0 / MR * kc * MR..][..kc * MR];
+                if simd && simd::tile_f32(acc, pa, pb, kc) {
+                    return;
+                }
+                for (avals, bvals) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)) {
+                    for (r, &ar) in avals.iter().enumerate() {
+                        for (x, &bv) in bvals.iter().enumerate() {
+                            acc[r][x] += ar * bv;
+                        }
                     }
                 }
+            },
+        },
+        |pb, blk, _| pack_b::<_, _, NR, 1>(pb, blk, (0.0, |v| v), |_| true),
+        |cols, c, _| {
+            let rows = c
+                .chunks_exact_mut(cols.len())
+                .zip(out.chunks_exact_mut(live));
+            for (i, (c_row, o_row)) in rows.enumerate() {
+                for cv in c_row.iter_mut() {
+                    if let Some(bias) = bias {
+                        *cv += bias[i];
+                    }
+                    if relu && *cv < 0.0 {
+                        *cv = 0.0;
+                    }
+                }
+                b.runs(cols.clone(), |run, at| {
+                    copy_live(&mut o_row[at..], &c_row[run.start..], run.len())
+                });
             }
         },
-        |_, _, _| {},
     );
-    for i in 0..m {
-        let row = &mut c[i * n..(i + 1) * n];
-        if let Some(bias) = bias {
-            for cv in row.iter_mut() {
-                *cv += bias[i];
-            }
-        }
-        if relu {
-            for cv in row.iter_mut() {
-                if *cv < 0.0 {
-                    *cv = 0.0;
-                }
-            }
-        }
-    }
 }
 
 /// Blocked F16 GEMM writing into a caller-provided `m*n` buffer. Every
@@ -608,79 +671,177 @@ pub fn gemm_f16_blocked(
     relu: bool,
     arena: &mut ScratchArena,
 ) {
-    gemm_f16(c, (m, k, n), a, GemmB::Matrix(b), bias, relu, arena);
+    assert_eq!(b.len(), k * n, "gemm_f16_blocked: B length");
+    gemm_f16(c, (m, k), a, GemmB::matrix(b, n), bias, relu, arena);
 }
 
-/// [`gemm_f16_blocked`] over any `B` operand.
+/// [`gemm_f16_blocked`] over any `B` operand, writing its live columns:
+/// the bias, narrowed once per call, and ReLU join each tile of the last
+/// `K` panel before it is stored, and each finished block of `C` is then
+/// copied out.
 pub(crate) fn gemm_f16(
-    c: &mut [F16],
-    (m, k, n): (usize, usize, usize),
+    out: &mut [F16],
+    (m, k): (usize, usize),
     a: &[F16],
     b: GemmB<'_, F16>,
     bias: Option<&[f32]>,
     relu: bool,
     arena: &mut ScratchArena,
 ) {
-    assert_eq!(a.len(), m * k, "gemm_f16_blocked: A length");
-    b.check(k, n, "gemm_f16_blocked");
-    assert_eq!(c.len(), m * n, "gemm_f16_blocked: C length");
-    if let Some(bias) = bias {
-        assert_eq!(bias.len(), m, "gemm_f16_blocked: bias length");
-    }
+    let what = "gemm_f16_blocked";
+    check_operands(what, (m, k), (a.len(), &b), out.len(), bias);
     let tier = active_tier();
-    let dims = (m, k, n);
+    let (simd, live) = (tier > SimdTier::None, b.live());
+    let mut hb = std::mem::take(&mut arena.row_bias_f16);
+    hb.clear();
+    hb.extend(bias.unwrap_or_default().iter().map(|&v| F16::from_f32(v)));
+    let epilogue = (bias.is_some().then_some(&hb[..]), relu);
+    // The tiles apply the bias and ReLU as the last `K` panel finishes;
+    // with no panel (`k == 0`) the block of zeros takes them here.
+    let finish = |cols: Range<usize>, c: &mut [F16], _: &mut [i32]| {
+        let rows = c
+            .chunks_exact_mut(cols.len())
+            .zip(out.chunks_exact_mut(live));
+        for (i, (c_row, o_row)) in rows.enumerate() {
+            if k == 0 {
+                simd::f16_bias_relu(simd, c_row, epilogue.0.map(|hb| hb[i]), relu);
+            }
+            b.runs(cols.clone(), |run, at| {
+                copy_live(&mut o_row[at..], &c_row[run.start..], run.len())
+            });
+        }
+    };
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512Fp16 => f16_panels(c, dims, a, b, arena, simd::tile_f16_fp16),
-        _ => f16_panels::<NR>(c, dims, a, b, arena, |acc, pa, pb, kc| {
-            for p in 0..kc {
-                let avals = &pa[p * MR..(p + 1) * MR];
-                let bvals = &pb[p * NR..(p + 1) * NR];
-                for (r, &ar) in avals.iter().enumerate() {
-                    for (x, &bv) in bvals.iter().enumerate() {
-                        acc[r][x] = ar.mul_add(bv, acc[r][x]);
-                    }
+        SimdTier::Avx512Fp16 => f16_tiles::<_, _, Fp16>((m, k), (a, &b), epilogue, arena, finish),
+        _ => f16_tiles::<MR, NR, ScalarF16>((m, k), (a, &b), epilogue, arena, finish),
+    }
+    arena.row_bias_f16 = hb;
+}
+
+/// The F16 epilogue a tile applies as the last `K` panel finishes: each
+/// row's bias (narrowed to binary16; none without one), then ReLU.
+type F16Epilogue<const MRT: usize> = Option<(Option<[F16; MRT]>, bool)>;
+
+/// An F16 register tile of `MRT × NRT` that reads `A` and `B` in place:
+/// `acc[r][x] = rows[r][p].mul_add(b(p)[x], acc[r][x])` in ascending `p`
+/// for `p` in `0..kc`, from zero when `fresh`, then with `epilogue`
+/// `acc[r][x] += bias[r]` (one binary16 add) and `if acc < 0 { 0 }`.
+trait F16Tile<const MRT: usize, const NRT: usize> {
+    fn run<'b>(
+        acc: &mut TileRows<'_, F16, NRT, MRT>,
+        rows: [&[F16]; MRT],
+        b: impl Fn(usize) -> &'b [F16; NRT],
+        kc_fresh: (usize, bool),
+        epilogue: F16Epilogue<MRT>,
+    );
+}
+
+/// The scalar F16 tile, `MR × NR`, [`F16::mul_add`] per MAC.
+struct ScalarF16;
+
+impl F16Tile<MR, NR> for ScalarF16 {
+    fn run<'b>(
+        acc: &mut TileRows<'_, F16, NR, MR>,
+        rows: [&[F16]; MR],
+        b: impl Fn(usize) -> &'b [F16; NR],
+        (kc, fresh): (usize, bool),
+        epilogue: F16Epilogue<MR>,
+    ) {
+        if fresh {
+            acc.iter_mut().for_each(|row| **row = [F16::ZERO; NR]);
+        }
+        for p in 0..kc {
+            let bvals = b(p);
+            for (acc, row) in acc.iter_mut().zip(rows) {
+                let ar = row[p];
+                for (cv, &bv) in acc.iter_mut().zip(bvals) {
+                    *cv = ar.mul_add(bv, *cv);
                 }
             }
-        }),
-    }
-    let simd = tier > SimdTier::None;
-    for (i, row) in c.chunks_exact_mut(n.max(1)).enumerate() {
-        let hb = bias.map(|b| F16::from_f32(b[i]));
-        simd::f16_bias_relu(simd, row, hb, relu);
+        }
+        let Some((bias, relu)) = epilogue else {
+            return;
+        };
+        for (r, acc) in acc.iter_mut().enumerate() {
+            for cv in acc.iter_mut() {
+                if let Some(bias) = bias {
+                    *cv += bias[r];
+                }
+                if relu && *cv < F16::ZERO {
+                    *cv = F16::ZERO;
+                }
+            }
+        }
     }
 }
 
-/// The F16 panel walk for an `MR × NRT` tile: both panels packed as
-/// binary16, the plain layout.
-fn f16_panels<const NRT: usize>(
-    c: &mut [F16],
-    dims: (usize, usize, usize),
-    a: &[F16],
-    b: GemmB<'_, F16>,
+/// The AVX512-FP16 tile ([`simd::tile_f16_fp16`]).
+#[cfg(target_arch = "x86_64")]
+struct Fp16;
+
+#[cfg(target_arch = "x86_64")]
+impl F16Tile<{ simd::MR_FP16 }, { simd::NR_FP16 }> for Fp16 {
+    fn run<'b>(
+        acc: &mut TileRows<'_, F16, { simd::NR_FP16 }, { simd::MR_FP16 }>,
+        rows: [&[F16]; simd::MR_FP16],
+        b: impl Fn(usize) -> &'b [F16; simd::NR_FP16],
+        kc_fresh: (usize, bool),
+        epilogue: F16Epilogue<{ simd::MR_FP16 }>,
+    ) {
+        simd::tile_f16_fp16(acc, rows, b, kc_fresh, epilogue)
+    }
+}
+
+/// The F16 walk for an `MRT × NRT` tile `T`: each tile reads its `MRT`
+/// rows of `A` in place from the panel's first `k` (rows past `m` read
+/// zeros) and its `kc` runs of `NRT` columns of `B` in place too — from
+/// the phase planes, or the matrix — except where a run would pass the
+/// end of the data (the last columns of the last rows) or the panel is
+/// deeper than [`IN_PLACE_KC`], whose micro-panels are packed as
+/// binary16 in the plain layout. The tiles of the last panel apply the
+/// `(bias, relu)` epilogue (`bias` narrowed, one per row of `A`).
+fn f16_tiles<const MRT: usize, const NRT: usize, T: F16Tile<MRT, NRT>>(
+    (m, k): (usize, usize),
+    (a, b): (&[F16], &GemmB<'_, F16>),
+    (bias, relu): (Option<&[F16]>, bool),
     arena: &mut ScratchArena,
-    tile: impl Fn(&mut [[F16; NRT]; MR], &[F16], &[F16], usize),
+    finish: impl FnMut(Range<usize>, &mut [F16], &mut [i32]),
 ) {
-    for_each_tile::<_, _, _, _, _, MR, NRT, 1>(
-        (c, &mut []),
-        dims,
-        a,
+    for_each_tile::<_, _, _, _, MRT, NRT, 1>(
+        (&mut arena.acc_f16, &mut arena.col_sums),
+        (m, k),
         b,
-        (
-            &mut arena.pack_a_f16,
-            &mut arena.pack_b_f16,
-            &mut arena.patches_f16,
-        ),
-        (F16::ZERO, F16::ZERO),
-        Packing {
-            a: |dst: &mut [F16], row: &[F16]| dst.copy_from_slice(row),
-            b: |pb: &mut Vec<F16>, blk: &Block<'_, F16>, _: &mut [i32]| {
-                pack_b::<_, _, NRT, 1>(pb, blk, F16::ZERO, |v| v)
+        (&mut Vec::<F16>::new(), &mut arena.pack_b_f16),
+        F16::ZERO,
+        Tiles {
+            pack: |_: &mut Vec<F16>, _| {},
+            tile: |acc: &mut TileRows<'_, F16, NRT, MRT>,
+                   _: &[F16],
+                   i0: usize,
+                   (p0, kc): (usize, usize),
+                   (pb, blk, j0): BPanel<'_, F16, F16>| {
+                let mut rows = [&ZERO_ROW_F16[..kc]; MRT];
+                for (r, row) in rows.iter_mut().enumerate().take(m - i0) {
+                    *row = &a[(i0 + r) * k + p0..][..kc];
+                }
+                let fresh = (kc, p0 == 0);
+                let row_bias =
+                    |b: &[F16]| std::array::from_fn(|r| b.get(i0 + r).copied().unwrap_or_default());
+                let epilogue = (p0 + kc == k).then(|| (bias.map(row_bias), relu));
+                if blk.in_place(j0, NRT) {
+                    return T::run(acc, rows, |p| blk.run::<NRT>(p, j0), fresh, epilogue);
+                }
+                let step = |p: usize| pb[p * NRT..][..NRT].try_into().expect("a packed step");
+                T::run(acc, rows, step, fresh, epilogue)
             },
         },
-        tile,
-        |_, _, _| {},
-    );
+        |pb, blk, _| {
+            let packed = |x0| !blk.in_place(x0, NRT);
+            pack_b::<_, _, NRT, 1>(pb, blk, (F16::ZERO, |v| v), packed)
+        },
+        finish,
+    )
 }
 
 /// Blocked QUInt8 GEMM with gemmlowp semantics, writing into a
@@ -689,13 +850,14 @@ fn f16_panels<const NRT: usize>(
 /// requantized to `out_params` (clamped at the output zero point with
 /// `relu`).
 ///
-/// On the AVX-512 tier the operands are packed at their 8-bit width —
-/// `B` raw, `A` minus 128 as `i8` — and the zero points enter as
-/// rank-one corrections (module docs, "Determinism"). Elsewhere they
-/// are packed zero-point-subtracted into `i16` (the gemmlowp trick:
-/// `u8 - zero_point` always fits in `i16`, and `i16 × i16` products
-/// accumulate exactly in `i32`). Either way each `NC`-column block is
-/// requantized into `c` as soon as its sums are final.
+/// On the AVX-512 tier the operands stay at their 8-bit width — the
+/// weights read in place as raw `u8`, `B` packed minus 128 as `i8` — and
+/// the zero points enter as rank-one terms (module docs, "Determinism").
+/// Elsewhere they are packed zero-point-subtracted into `i16` (the
+/// gemmlowp trick: `u8 - zero_point` always fits in `i16`, and `i16 ×
+/// i16` products accumulate exactly in `i32`). Either way each
+/// `NC`-column block is requantized into `c` as soon as its sums are
+/// final.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_quint8_blocked(
     c: &mut [u8],
@@ -711,15 +873,17 @@ pub fn gemm_quint8_blocked(
     relu: bool,
     arena: &mut ScratchArena,
 ) -> Result<(), TensorError> {
-    let (a, b) = ((a, a_params), (GemmB::Matrix(b), b_params));
-    gemm_quint8(c, (m, k, n), a, b, bias, out_params, relu, arena)
+    assert_eq!(b.len(), k * n, "gemm_quint8_blocked: B length");
+    let (a, b) = ((a, a_params), (GemmB::matrix(b, n), b_params));
+    gemm_quint8(c, (m, k), a, b, bias, out_params, relu, arena)
 }
 
-/// [`gemm_quint8_blocked`] over any `B` operand.
+/// [`gemm_quint8_blocked`] over any `B` operand, writing its live
+/// columns.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_quint8(
-    c: &mut [u8],
-    (m, k, n): (usize, usize, usize),
+    out: &mut [u8],
+    (m, k): (usize, usize),
     (a, a_params): (&[u8], QuantParams),
     (b, b_params): (GemmB<'_, u8>, QuantParams),
     bias: Option<&[f32]>,
@@ -727,12 +891,8 @@ pub(crate) fn gemm_quint8(
     relu: bool,
     arena: &mut ScratchArena,
 ) -> Result<(), TensorError> {
-    assert_eq!(a.len(), m * k, "gemm_quint8_blocked: A length");
-    b.check(k, n, "gemm_quint8_blocked");
-    assert_eq!(c.len(), m * n, "gemm_quint8_blocked: C length");
-    if let Some(bias) = bias {
-        assert_eq!(bias.len(), m, "gemm_quint8_blocked: bias length");
-    }
+    let what = "gemm_quint8_blocked";
+    check_operands(what, (m, k), (a.len(), &b), out.len(), bias);
     let acc_scale = a_params.scale as f64 * b_params.scale as f64;
     if acc_scale <= 0.0 || !acc_scale.is_finite() {
         return Err(TensorError::BadQuantParams(format!(
@@ -743,95 +903,106 @@ pub(crate) fn gemm_quint8(
     let tier = active_tier();
     let quads = tier >= SimdTier::Avx512;
     // Each row's bias in the accumulator domain; the K-quad tile's sums
-    // also lack the zero-point terms, each row's added here and each
-    // column's as its block finishes.
+    // also lack the zero-point terms, each row's added here — `(128 −
+    // z_b)·Σ_k a + K·z_a·z_b`, the row sums one vector pass over the
+    // weights — and each column's, `−z_a·Σ_k b`, as its block finishes.
     let (za, zb) = (a_params.zero_point as i32, b_params.zero_point as i32);
-    let kz = (k as i32).wrapping_mul(za * zb);
     arena.row_bias.clear();
-    arena.row_bias.extend((0..m).map(|i| {
+    arena.row_bias.resize(m, 0);
+    #[cfg(target_arch = "x86_64")]
+    if quads && k > 0 {
+        simd::row_sums(a, k, &mut arena.row_bias);
+    }
+    let kz = (k as i32).wrapping_mul(za * zb);
+    for (i, row) in arena.row_bias.iter_mut().enumerate() {
         let qb = bias.map_or(0, |b| (b[i] as f64 / acc_scale).round() as i32);
-        if !quads {
-            return qb;
-        }
-        let row_sum = a[i * k..(i + 1) * k]
-            .iter()
-            .fold(0i32, |s, &v| s.wrapping_add(v as i32));
-        qb.wrapping_add(kz.wrapping_sub(zb.wrapping_mul(row_sum)))
-    }));
-    arena.acc_i32.resize(m * n, 0);
-    let zp = out_params.zero_point;
+        *row = match quads {
+            true => qb
+                .wrapping_add(kz)
+                .wrapping_add((128 - zb).wrapping_mul(*row)),
+            false => qb,
+        };
+    }
+    let (zp, live) = (out_params.zero_point, b.live());
     let rows = &arena.row_bias;
-    // Requantizes columns `cols` of every row, adding each column's
-    // zero-point term `(128 − z_a)·Σ_k b_kj` first where the K-quad pack
-    // left the sums (none are left elsewhere).
-    let scale = 128 - za;
+    // Requantizes the block's columns `cols` of every row into their
+    // live outputs, adding each column's zero-point term first where the
+    // K-quad pack left the sums (none are left elsewhere). Each run of
+    // live columns goes straight to its outputs, rounded up to whole
+    // vectors where the block and the row have room: the extra outputs
+    // land on positions a later run rewrites, since runs go in output
+    // order.
     let requantize = |cols: Range<usize>, acc: &mut [i32], col_sums: &mut [i32]| {
-        let terms = col_sums.get_mut(cols.clone()).unwrap_or_default();
+        let acc = &*acc;
+        let width = cols.len();
+        let terms = if quads {
+            &mut col_sums[..width]
+        } else {
+            &mut []
+        };
         for t in terms.iter_mut() {
-            *t = t.wrapping_mul(scale);
+            *t = t.wrapping_mul(-za);
         }
-        let rows = c.chunks_exact_mut(n).zip(acc.chunks_exact_mut(n)).zip(rows);
-        for ((c_row, acc), &bias) in rows {
-            let acc = &mut acc[cols.clone()];
-            for (v, &t) in acc.iter_mut().zip(&*terms) {
-                *v = v.wrapping_add(t);
-            }
-            let c_row = &mut c_row[cols.clone()];
-            simd::requantize_into(quads, c_row, acc, bias, &multiplier, zp, relu);
+        let c_rows = acc.chunks_exact(width).zip(out.chunks_exact_mut(live));
+        for ((acc, o_row), &bias) in c_rows.zip(rows) {
+            b.runs(cols.clone(), |run, at| {
+                let n = run
+                    .len()
+                    .next_multiple_of(16)
+                    .min(width - run.start)
+                    .min(live - at);
+                let cols = run.start..run.start + n;
+                let terms = terms.get(cols.clone()).unwrap_or_default();
+                let sums = (&acc[cols], terms);
+                simd::requantize_into(
+                    quads,
+                    &mut o_row[at..at + n],
+                    sums,
+                    bias,
+                    &multiplier,
+                    zp,
+                    relu,
+                );
+            });
         }
     };
-    let dims = (m, k, n);
-    let acc = &mut arena.acc_i32;
+    let dims = (m, k);
+    let (acc, col_sums) = (&mut arena.acc_i32, &mut arena.col_sums);
     match tier {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx512 | SimdTier::Avx512Fp16 => {
-            arena.col_sums.clear();
-            arena.col_sums.resize(n, 0);
-            for_each_tile::<_, _, _, _, _, { simd::MR_VNNI }, { simd::NR_VNNI }, { simd::KSTEP_U8 }>(
-                (acc, &mut arena.col_sums),
+            for_each_tile::<_, u8, _, _, { simd::MR_VNNI }, { simd::NR_VNNI }, { simd::KSTEP_U8 }>(
+                (acc, col_sums),
                 dims,
-                a,
-                b,
-                (
-                    &mut arena.pack_a_i8,
-                    &mut arena.pack_b_u8,
-                    &mut arena.patches_u8,
-                ),
-                (0i8, 0i32),
-                Packing {
-                    a: |dst: &mut [i8], row: &[u8]| {
-                        for (d, &v) in dst.iter_mut().zip(row) {
-                            *d = (v ^ 0x80) as i8;
-                        }
+                &b,
+                (&mut Vec::new(), &mut arena.pack_b_i8),
+                0i32,
+                Tiles {
+                    pack: |_: &mut Vec<u8>, _| {},
+                    tile: |acc: &mut TileRows<'_, i32, { simd::NR_VNNI }, { simd::MR_VNNI }>,
+                           _: &[u8],
+                           i0,
+                           panel,
+                           (pb, _, _): BPanel<'_, u8, i8>| {
+                        vnni_tile(acc, a, dims, i0, panel, pb)
                     },
-                    b: pack_b_quads,
                 },
-                simd::tile_u8_vnni,
+                pack_b_quads,
                 requantize,
             );
         }
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => {
             let zps = (a_params.zero_point, b_params.zero_point);
-            let bufs = (
-                &mut arena.pack_a_i16,
-                &mut arena.pack_b_i16,
-                &mut arena.patches_u8,
-            );
+            let bufs = (acc, col_sums, &mut arena.pack_a_i16, &mut arena.pack_b_i16);
             let tile = simd::tile_i16_avx2;
-            quint8_panels::<_, { simd::KSTEP_I16 }>(acc, dims, a, b, zps, bufs, tile, requantize);
+            quint8_panels::<_, { simd::KSTEP_I16 }>(bufs, dims, a, &b, zps, tile, requantize);
         }
         _ => {
             let zps = (a_params.zero_point, b_params.zero_point);
-            let bufs = (
-                &mut arena.pack_a_i16,
-                &mut arena.pack_b_i16,
-                &mut arena.patches_u8,
-            );
-            let tile = |tile: &mut [[i32; NR]; MR], pa: &[i16], pb: &[i16], kc: usize| {
-                for p in 0..kc {
-                    let avals = &pa[p * MR..(p + 1) * MR];
-                    let bvals = &pb[p * NR..(p + 1) * NR];
+            let bufs = (acc, col_sums, &mut arena.pack_a_i16, &mut arena.pack_b_i16);
+            let tile = |tile: &mut TileRows<'_, i32, NR, MR>, pa: &[i16], pb: &[i16], kc: usize| {
+                for (avals, bvals) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(kc) {
                     for (r, &ar) in avals.iter().enumerate() {
                         let ar = ar as i32;
                         if ar == 0 {
@@ -843,46 +1014,111 @@ pub(crate) fn gemm_quint8(
                     }
                 }
             };
-            quint8_panels::<NR, 1>(acc, dims, a, b, zps, bufs, tile, requantize);
+            quint8_panels::<NR, 1>(bufs, dims, a, &b, zps, tile, requantize);
         }
     }
     Ok(())
 }
 
-/// The QUInt8 panel walk for an `MR × NRT` tile over `KS`-interleaved
-/// `i16` panels (the AVX2 and scalar tiles). Operands are packed with
-/// the zero point pre-subtracted, so padded lanes (value 0) contribute
-/// nothing to the `i32` accumulators.
-#[allow(clippy::too_many_arguments)]
-fn quint8_panels<const NRT: usize, const KS: usize>(
-    sums: &mut [i32],
-    dims: (usize, usize, usize),
+/// One VNNI tile with the weights read in place: the stream of row `i0
+/// + r` starts at its panel's first `k` and runs the quad-padded depth —
+/// past `k` into the next row, whose bytes meet zero `B` lanes. Rows past
+/// `m` read zeros; a row whose stream would run past the end of the
+/// weights (only in the last rows of the last panel) sends the tile to
+/// [`vnni_tile_staged`].
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn vnni_tile(
+    acc: &mut TileRows<'_, i32, { simd::NR_VNNI }, { simd::MR_VNNI }>,
     a: &[u8],
-    b: GemmB<'_, u8>,
+    (m, k): (usize, usize),
+    i0: usize,
+    (p0, kc): (usize, usize),
+    pb: &[i8],
+) {
+    const R: usize = simd::MR_VNNI;
+    let kc_pad = kc.next_multiple_of(simd::KSTEP_U8);
+    let start = i0 * k + p0;
+    let tile = a.get(start..start + (R - 1) * k + kc_pad);
+    match tile {
+        Some(tile) if i0 + R <= m => {
+            let rows = std::array::from_fn(|r| &tile[r * k..r * k + kc_pad]);
+            simd::tile_u8_vnni(acc, rows, pb, (kc_pad, p0 == 0))
+        }
+        _ => vnni_tile_staged(acc, a, (m, k), i0, (p0, kc), pb),
+    }
+}
+
+/// [`vnni_tile`] for the last row tile: rows past `m` read zeros, and a
+/// row whose stream would run past the end of the weights is staged
+/// through a zero-padded copy of its `kc` weights.
+#[cfg(target_arch = "x86_64")]
+#[cold]
+fn vnni_tile_staged(
+    acc: &mut TileRows<'_, i32, { simd::NR_VNNI }, { simd::MR_VNNI }>,
+    a: &[u8],
+    (m, k): (usize, usize),
+    i0: usize,
+    (p0, kc): (usize, usize),
+    pb: &[i8],
+) {
+    let kc_pad = kc.next_multiple_of(simd::KSTEP_U8);
+    let mut staged = [[0u8; KC]; simd::MR_VNNI];
+    let mut rows = [&ZERO_ROW_U8[..kc_pad]; simd::MR_VNNI];
+    for (r, stage) in staged.iter_mut().enumerate().take(m - i0) {
+        let start = (i0 + r) * k + p0;
+        if let Some(stream) = a.get(start..start + kc_pad) {
+            rows[r] = stream;
+            continue;
+        }
+        stage[..kc].copy_from_slice(&a[start..][..kc]);
+        rows[r] = &stage[..kc_pad];
+    }
+    simd::tile_u8_vnni(acc, rows, pb, (kc_pad, p0 == 0))
+}
+
+/// The QUInt8 walk for an `MR × NRT` tile over `KS`-interleaved `i16`
+/// panels (the AVX2 and scalar tiles). Operands are packed with the zero
+/// point pre-subtracted, so padded lanes (value 0) contribute nothing to
+/// the `i32` accumulators.
+#[allow(clippy::type_complexity)]
+fn quint8_panels<const NRT: usize, const KS: usize>(
+    (sums, col_sums, pa, pb): (&mut Vec<i32>, &mut Vec<i32>, &mut Vec<i16>, &mut Vec<i16>),
+    (m, k): (usize, usize),
+    a: &[u8],
+    b: &GemmB<'_, u8>,
     (a_zp, b_zp): (u8, u8),
-    bufs: (&mut Vec<i16>, &mut Vec<i16>, &mut Vec<u8>),
-    tile: impl Fn(&mut [[i32; NRT]; MR], &[i16], &[i16], usize),
+    tile: impl Fn(&mut TileRows<'_, i32, NRT, MR>, &[i16], &[i16], usize),
     finish: impl FnMut(Range<usize>, &mut [i32], &mut [i32]),
 ) {
     let (a_zp, b_zp) = (a_zp as i16, b_zp as i16);
-    for_each_tile::<_, _, _, _, _, MR, NRT, KS>(
-        (sums, &mut []),
-        dims,
-        a,
+    for_each_tile::<_, _, _, _, MR, NRT, KS>(
+        (sums, col_sums),
+        (m, k),
         b,
-        bufs,
-        (0i16, 0i32),
-        Packing {
-            a: |dst: &mut [i16], row: &[u8]| {
-                for (d, &v) in dst.iter_mut().zip(row) {
-                    *d = v as i16 - a_zp;
-                }
+        (pa, pb),
+        0i32,
+        Tiles {
+            pack: |pa: &mut Vec<i16>, panel| {
+                pack_a::<_, _, MR, KS>(pa, a, (m, k), panel, 0, |dst, row| {
+                    for (d, &v) in dst.iter_mut().zip(row) {
+                        *d = v as i16 - a_zp;
+                    }
+                })
             },
-            b: |pb: &mut Vec<i16>, blk: &Block<'_, u8>, _: &mut [i32]| {
-                pack_b::<_, _, NRT, KS>(pb, blk, 0, |v| v as i16 - b_zp)
+            tile: |acc: &mut TileRows<'_, i32, NRT, MR>,
+                   pa: &[i16],
+                   i0,
+                   (p0, kc): (usize, usize),
+                   (pb, _, _): BPanel<'_, u8, i16>| {
+                if p0 == 0 {
+                    acc.iter_mut().for_each(|row| **row = [0; NRT]);
+                }
+                let kc_pad = kc.next_multiple_of(KS);
+                tile(acc, &pa[i0 / MR * kc_pad * MR..][..kc_pad * MR], pb, kc_pad)
             },
         },
-        tile,
+        |pb, blk, _| pack_b::<_, _, NRT, KS>(pb, blk, (0, |v| v as i16 - b_zp), |_| true),
         finish,
     );
 }

@@ -1,13 +1,21 @@
 //! 2-D convolution and the GEMM-layer body it shares with FC layers.
 //!
 //! Convolution is one blocked GEMM of [`crate::blocked`] per batch
-//! element over the layer's im2col patches, as ACL/gemmlowp execute it
-//! on the paper's SoCs — but the `K × N` patch matrix is never built:
-//! the GEMM's `B`-panel pack gathers each panel's block of patches from
-//! the input plane. 1×1 stride-1 unpadded layers hand the plane over as
-//! the matrix itself ([`crate::pointwise`]); depthwise layers have their
-//! own direct kernel ([`crate::depthwise`]). The test suites hold all of
-//! them to the naive loops kept in `tests/common`.
+//! element, as ACL/gemmlowp execute it on the paper's SoCs — but no
+//! im2col patch matrix, and no block of patches, is ever built: the
+//! GEMM is implicit over the input's **stride-phase planes**. The input
+//! is laid out once per call, padded with what a padded patch entry
+//! holds and split by the stride `s` into `s²` phase planes per channel
+//! ([`PlaneGeom`]); then tap `(ky, kx)` of every output position is one
+//! run of phase plane `(ky mod s, kx mod s)`, so each row of the GEMM's
+//! `B` operand is a run of the planes, read in place by the panel pack
+//! (`blocked::GemmB`). The runs are `(oh − 1)·pitch + ow` long in the
+//! planes' pitch; the `pitch − ow` columns between output rows are
+//! computed and dropped. A stride-1 unpadded input is its own phase
+//! plane; 1×1 stride-1 unpadded layers hand the plane over as the matrix
+//! itself ([`crate::pointwise`]); depthwise layers run their own direct
+//! kernel over the same phase planes ([`crate::depthwise`]). The test
+//! suites hold all of them to the naive loops kept in `tests/common`.
 //!
 //! Channel-wise workload distribution (§3.2) does not need special kernel
 //! support: the executor narrows the filter view to a part's output
@@ -16,9 +24,11 @@
 
 use utensor::{Shape, TensorError, TensorView, TensorViewMut, ViewData, ViewDataMut, F16};
 
-use crate::blocked::{gemm_f16, gemm_f32, gemm_quint8, GemmB, Im2col};
+use crate::blocked::{gemm_f16, gemm_f32, gemm_quint8, GemmB};
+use crate::dispatch::active_tier;
 use crate::out_dim;
 use crate::pointwise::is_pointwise;
+use crate::simd::{self, SimdTier};
 
 /// Geometry and fusion options of a convolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,6 +48,165 @@ impl Conv2dParams {
             stride: 1,
             pad: 0,
             relu: false,
+        }
+    }
+}
+
+/// The stride-phase planes of a convolution's `h × w` input planes. A
+/// plane padded by `pad` on each side and split by the stride `s` gives
+/// `s²` phase planes: phase `(py, px)` holds the padded rows `≡ py` and
+/// columns `≡ px` (mod `s`), each `pitch = ⌈(w + 2·pad)/s⌉` wide and
+/// `phase_len` long. Output `(oy, ox)`'s tap `(ky, kx)` is element
+/// `(oy + ky/s, ox + kx/s)` of phase `(ky mod s, kx mod s)`, so in the
+/// pitch consecutive outputs read consecutive inputs at any stride.
+#[derive(Clone, Copy)]
+pub(crate) struct PlaneGeom {
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
+    pub(crate) kh: usize,
+    pub(crate) kw: usize,
+    pub(crate) stride: usize,
+    pub(crate) pad: usize,
+    pub(crate) pitch: usize,
+    pub(crate) phase_len: usize,
+}
+
+/// The elements a phase plane holds. At stride 2 a `u8` plane at least
+/// [`VECTOR_SPLIT_W`] wide is split into its column phases at vector
+/// width on the AVX-512 tiers; every other plane is laid by the row loop
+/// of [`PlaneGeom::lay`].
+pub(crate) trait PlaneElem: Copy {
+    /// Lays `src` into the phase planes `dst` as [`PlaneGeom::lay`]
+    /// does, at stride 2 with `vector` set and a vector body for the
+    /// element; returns whether it did.
+    fn lay_vector(g: &PlaneGeom, src: &[Self], dst: &mut [Self], vector: bool) -> bool {
+        let _ = (g, src, dst, vector);
+        false
+    }
+}
+
+/// The narrowest `u8` rows split at vector width: a narrower row's two
+/// phases are shorter than a vector, and the row loop laid MobileNet's
+/// 28- and 14-wide stride-2 planes faster (1.3× and 2.2× in isolation),
+/// while the vector split won on its 112- and 56-wide ones.
+const VECTOR_SPLIT_W: usize = 32;
+
+impl PlaneElem for f32 {}
+impl PlaneElem for F16 {}
+impl PlaneElem for u8 {
+    fn lay_vector(g: &PlaneGeom, src: &[u8], dst: &mut [u8], vector: bool) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if vector && g.stride == 2 && g.w >= VECTOR_SPLIT_W {
+            // The even columns, then the odd ones, of every row.
+            for (x, len) in [(0, g.w.div_ceil(2)), (1, g.w / 2)] {
+                let at = |y| g.at(y, x);
+                let out = (&mut *dst, at, false);
+                simd::max_taps_s2(src, (g.w, g.h), |y| y..y + 1, (x, 1, len), out);
+            }
+            return true;
+        }
+        let _ = (g, src, dst, vector);
+        false
+    }
+}
+
+impl PlaneGeom {
+    /// The geometry of a `kh × kw` window at `stride` and `pad` over `h
+    /// × w` planes into `oh × ow` outputs.
+    pub(crate) fn new(
+        (h, w): (usize, usize),
+        (kh, kw): (usize, usize),
+        (stride, pad): (usize, usize),
+        (oh, ow): (usize, usize),
+    ) -> PlaneGeom {
+        let pitch = (w + 2 * pad).div_ceil(stride);
+        PlaneGeom {
+            h,
+            w,
+            oh,
+            ow,
+            kh,
+            kw,
+            stride,
+            pad,
+            pitch,
+            phase_len: (h + 2 * pad).div_ceil(stride) * pitch,
+        }
+    }
+
+    /// Elements of one channel's `s²` phase planes.
+    pub(crate) fn channel_len(&self) -> usize {
+        self.stride * self.stride * self.phase_len
+    }
+
+    /// Whether the input plane is its own (only) phase plane.
+    fn in_place(&self) -> bool {
+        self.stride == 1 && self.pad == 0
+    }
+
+    /// Where input `(y, x)` lands in its channel's phase planes: padded
+    /// `(y + pad, x + pad)`, so phase `((y + pad) mod s, (x + pad) mod
+    /// s)`, element `((y + pad)/s, (x + pad)/s)`.
+    pub(crate) fn at(&self, y: usize, x: usize) -> usize {
+        let (y, x) = (y + self.pad, x + self.pad);
+        // No division at the strides the networks use: this runs per row.
+        let (py, qy, px, qx) = match self.stride {
+            1 => (0, y, 0, x),
+            2 => (y & 1, y >> 1, x & 1, x >> 1),
+            s => (y % s, y / s, x % s, x / s),
+        };
+        (py * self.stride + px) * self.phase_len + qy * self.pitch + qx
+    }
+
+    /// Writes one `h × w` input plane — the first `h·w` elements of `src`
+    /// — into the interior of its channel's phase planes `dst` (the
+    /// border is the caller's), input `(y, x)` to [`at`](Self::at). A row
+    /// is one copy at stride 1 and one split into its two column phases
+    /// at stride 2 (with `vector`, a wide enough `u8` plane is split at
+    /// vector width, whose reads may run on past the plane into the rest
+    /// of `src`, the tensor's next planes, instead of being staged).
+    pub(crate) fn lay<T: PlaneElem>(&self, src: &[T], dst: &mut [T], vector: bool) {
+        if T::lay_vector(self, src, dst, vector) {
+            return;
+        }
+        let w = self.w;
+        for (y, row) in src[..self.h * w].chunks_exact(w).enumerate() {
+            match self.stride {
+                1 => dst[self.at(y, 0)..][..w].copy_from_slice(row),
+                2 => {
+                    let (e, o) = (self.at(y, 0), self.at(y, 1));
+                    let Ok([even, odd]) =
+                        dst.get_disjoint_mut([e..e + w.div_ceil(2), o..o + w / 2])
+                    else {
+                        unreachable!("two phase planes")
+                    };
+                    let (pairs, last) = row.as_chunks::<2>();
+                    for (pair, (e, o)) in pairs.iter().zip(even.iter_mut().zip(odd)) {
+                        (*e, *o) = (pair[0], pair[1]);
+                    }
+                    if let Some(&v) = last.first() {
+                        even[pairs.len()] = v;
+                    }
+                }
+                _ => {
+                    for (x, &v) in row.iter().enumerate() {
+                        dst[self.at(y, x)] = v;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The phase planes of every channel of `x` into `planes`, one
+    /// channel's `s²` planes after another, the border `fill`.
+    fn build<T: PlaneElem>(&self, x: &[T], planes: &mut Vec<T>, fill: T, vector: bool) {
+        let (plane, chan) = (self.h * self.w, self.channel_len());
+        planes.clear();
+        planes.resize(x.len() / plane * chan, fill);
+        for (ci, dst) in planes.chunks_exact_mut(chan).enumerate() {
+            self.lay(&x[ci * plane..], dst, vector);
         }
     }
 }
@@ -87,31 +256,29 @@ pub fn conv2d(
     crate::expect_out(out, &out_shape)?;
     // 1×1 stride-1 unpadded convolutions need no lowering: their
     // patches are the input plane.
-    let lower = (!is_pointwise(&filters.shape, params)).then_some(Im2col {
-        c: input.shape.c(),
-        h: input.shape.h(),
-        w: input.shape.w(),
-        kh: filters.shape.dim(2),
-        kw: filters.shape.dim(3),
-        stride: params.stride,
-        pad: params.pad,
-        oh: out_shape.h(),
-        ow: out_shape.w(),
+    let lower = (!is_pointwise(&filters.shape, params)).then(|| {
+        PlaneGeom::new(
+            (input.shape.h(), input.shape.w()),
+            (filters.shape.dim(2), filters.shape.dim(3)),
+            (params.stride, params.pad),
+            (out_shape.h(), out_shape.w()),
+        )
     });
     gemm_layer((input, filters, bias), lower, params.relu, out)
 }
 
 /// The body of every GEMM layer ([`conv2d`], its direct 1×1 path, and
 /// [`crate::fully_connected`]): one blocked GEMM per batch element,
-/// `out [m × cols] = w [m × k] × B [k × cols]`, the batch element's
-/// plane (or its im2col patches, `lower`, read in place) as `B`, written
-/// into that element's block of `out`. The sizes come from the views:
-/// `m` and `k` from `w` (`[m, …]`, `k` the product of the rest), `cols`
-/// from `out` (`[n, m, …]`). The caller has checked the shapes; the one
-/// dtype match is here.
+/// `out [m × cols] = w [m × k] × B`, written into that element's block
+/// of `out`. `B` is the batch element's plane read as a `k × cols`
+/// matrix or, under `lower`, its phase planes (built into the arena, or
+/// the plane itself at stride 1 unpadded). The sizes come from the
+/// views: `m` and `k` from `w` (`[m, …]`, `k` the product of the rest),
+/// `cols` from `out` (`[n, m, …]`). The caller has checked the shapes;
+/// the one dtype match is here.
 pub(crate) fn gemm_layer(
     (x, w, bias): (&TensorView<'_>, &TensorView<'_>, Option<&[f32]>),
-    lower: Option<Im2col>,
+    lower: Option<PlaneGeom>,
     relu: bool,
     out: &mut TensorViewMut<'_>,
 ) -> Result<(), TensorError> {
@@ -127,35 +294,73 @@ pub(crate) fn gemm_layer(
         |b: usize| b * plane..(b + 1) * plane,
         |b: usize| b * m * cols..(b + 1) * m * cols,
     );
-    let dims = (m, k, cols);
-    // Pack buffers and the quantized accumulators come from the
+    let dims = (m, k);
+    let vector = active_tier() >= SimdTier::Avx512;
+    // Pack buffers, phase planes and the GEMM's `C` come from the
     // per-thread scratch arena: repeated layers (one per layer per
     // frame) reuse capacity instead of allocating in the hot loop.
     let mut arena = crate::arena::ThreadArenaGuard::take();
     let arena = &mut *arena;
     match (x.data, w.data, &mut out.data) {
         (ViewData::F32(x), ViewData::F32(w), ViewDataMut::F32(o)) => {
+            let mut planes = std::mem::take(&mut arena.planes_f32);
             for b in 0..batches {
-                let xb = GemmB::of(&x[xs(b)], lower, 0.0);
+                let xb = operand(
+                    &x[xs(b)],
+                    (lower.as_ref(), cols),
+                    (&mut planes, 0.0),
+                    vector,
+                );
                 gemm_f32(&mut o[os(b)], dims, w, xb, bias, relu, arena);
             }
+            arena.planes_f32 = planes;
         }
         (ViewData::F16(x), ViewData::F16(w), ViewDataMut::F16(o)) => {
+            let mut planes = std::mem::take(&mut arena.planes_f16);
             for b in 0..batches {
-                let xb = GemmB::of(&x[xs(b)], lower, F16::ZERO);
+                let pad = (&mut planes, F16::ZERO);
+                let xb = operand(&x[xs(b)], (lower.as_ref(), cols), pad, vector);
                 gemm_f16(&mut o[os(b)], dims, w, xb, bias, relu, arena);
             }
+            arena.planes_f16 = planes;
         }
         (ViewData::QUInt8(x, x_p), ViewData::QUInt8(w, w_p), ViewDataMut::QUInt8(o, o_p)) => {
-            for b in 0..batches {
-                let xb = (GemmB::of(&x[xs(b)], lower, x_p.zero_point), x_p);
-                let c = &mut o[os(b)];
-                gemm_quint8(c, dims, (w, w_p), xb, bias, *o_p, relu, arena)?;
-            }
+            let mut planes = std::mem::take(&mut arena.planes_u8);
+            let mut run = || {
+                for b in 0..batches {
+                    let pad = (&mut planes, x_p.zero_point);
+                    let xb = operand(&x[xs(b)], (lower.as_ref(), cols), pad, vector);
+                    let c = &mut o[os(b)];
+                    gemm_quint8(c, dims, (w, w_p), (xb, x_p), bias, *o_p, relu, arena)?;
+                }
+                Ok(())
+            };
+            let done = run();
+            arena.planes_u8 = planes;
+            done?;
         }
         _ => return Err(crate::mismatch(&dtypes)),
     }
     Ok(())
+}
+
+/// A batch element `x` as the GEMM's `B`: a `k × cols` matrix, or under
+/// `lower` its phase planes, laid into `planes` with the pad value
+/// unless the plane is its own.
+fn operand<'a, T: PlaneElem>(
+    x: &'a [T],
+    (lower, cols): (Option<&PlaneGeom>, usize),
+    (planes, pad): (&'a mut Vec<T>, T),
+    vector: bool,
+) -> GemmB<'a, T> {
+    match lower {
+        None => GemmB::matrix(x, cols),
+        Some(g) if g.in_place() => GemmB::planes(x, g),
+        Some(g) => {
+            g.build(x, planes, pad, vector);
+            GemmB::planes(planes, g)
+        }
+    }
 }
 
 #[cfg(test)]

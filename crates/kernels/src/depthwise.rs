@@ -7,18 +7,21 @@
 //!
 //! This module computes the whole depthwise output in one pass over the
 //! input, with zero intermediate allocation, a *strip* of outputs at a
-//! time in every dtype. Each plane is copied once into scratch, padded
-//! with what a padded patch entry holds (`0.0`, `+0`, the input zero
-//! point) and split by the stride `s` into `s²` phase planes — phase
-//! `(py, px)` holds the padded rows `≡ py` and columns `≡ px` (mod `s`)
-//! — so output `(oy, ox)`'s tap `(ky, kx)` is element `(oy + ky/s, ox +
-//! kx/s)` of phase `(ky mod s, kx mod s)`. In a phase plane's pitch,
+//! time in every dtype. Each plane is copied once into scratch by the
+//! convolutions' phase-plane builder ([`PlaneGeom::lay`]), padded with
+//! what a padded patch entry holds (`0.0`, `+0`, the input zero point)
+//! and split by the stride `s` into `s²` phase planes — phase `(py, px)`
+//! holds the padded rows `≡ py` and columns `≡ px` (mod `s`), and a
+//! stride-2 `u8` row splits into its two column phases at vector width
+//! on the AVX-512 tiers — so output `(oy, ox)`'s tap `(ky, kx)` is
+//! element `(oy + ky/s, ox + kx/s)` of phase `(ky mod s, kx mod s)`. In a phase plane's pitch,
 //! consecutive outputs read consecutive inputs at any stride: a
 //! [`Strip`] of up to [`STRIP_RUNS`] vectors of consecutive positions
 //! (from one output row or several, so small planes still fill the
 //! registers) takes all `kh·kw` taps in `(ky, kx)` row-major order with
-//! its lanes in registers, then goes straight to its epilogue, and its
-//! live lanes are copied out. No accumulator plane is written or read
+//! its lanes in registers, then goes straight to its epilogue (the F16
+//! strip's bias and ReLU are `simd::f16_bias_relu`), and its live lanes
+//! are copied out. No accumulator plane is written or read
 //! back. Each output pixel takes its taps in the order, and with the
 //! zero-weight short-circuits, of the naive GEMM over the im2col patches
 //! of that channel:
@@ -42,7 +45,7 @@ use utensor::{
     FixedPointMultiplier, Shape, TensorError, TensorView, TensorViewMut, ViewData, ViewDataMut, F16,
 };
 
-use crate::conv::{conv_output_shape, Conv2dParams};
+use crate::conv::{conv_output_shape, Conv2dParams, PlaneElem, PlaneGeom};
 use crate::simd::{self, STRIP_LANES_F16, STRIP_LANES_I32, STRIP_RUNS, STRIP_SLACK};
 
 /// Validates shapes and computes the output shape of a depthwise conv
@@ -59,23 +62,6 @@ fn depthwise_output_shape(
     }
     // One single-channel convolution per channel.
     conv_output_shape(&input.with_dim(1, 1), filters, p)
-}
-
-/// Geometry of one channel plane, shared by the per-dtype loops, and
-/// of its phase planes: `pitch` and `phase_len` are a phase plane's
-/// width and size, the padded plane's over the stride.
-#[derive(Clone, Copy)]
-struct PlaneGeom {
-    h: usize,
-    w: usize,
-    oh: usize,
-    ow: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    pitch: usize,
-    phase_len: usize,
 }
 
 /// Consecutive output positions of one channel plane: position `q =
@@ -168,65 +154,31 @@ impl<'a, X: Copy> Strip<'a, X> {
 /// channel's taps in `f` (`kh·kw` weights per channel), a [`Strip`] at a
 /// time. `planes` holds the `s²` phase planes of one padded plane, laid
 /// once per call with `fill` (border included) and [`STRIP_SLACK`] more
-/// after them; each plane then rewrites their interior. Output `(oy,
-/// ox)` is position `oy·pitch + ox` of the phase pitch; the positions
-/// `0..(oh−1)·pitch + ow` are cut into strips of up to `STRIP_RUNS ×
-/// LANES` lanes, and `strip(strip, buf, channel)` leaves each lane's
-/// output in `buf`, whose live lanes (`ox < ow`) are then copied out.
-/// Every tap of a live lane reads inside its phase plane (the window
-/// fits the padded plane), and a vector from any lane's input stays
-/// inside the slack.
-fn plane_strips<X: Copy, O: Copy + Default, const LANES: usize>(
+/// after them; each plane then rewrites their interior
+/// ([`PlaneGeom::lay`], the convolutions' builder; `vector` as there).
+/// Output `(oy, ox)` is position `oy·pitch + ox` of the phase pitch; the
+/// positions `0..(oh−1)·pitch + ow` are cut into strips of up to
+/// `STRIP_RUNS × LANES` lanes, and `strip(strip, buf, channel)` leaves
+/// each lane's output in `buf`, whose live lanes (`ox < ow`) are then
+/// copied out. Every tap of a live lane reads inside its phase plane
+/// (the window fits the padded plane), and a vector from any lane's
+/// input stays inside the slack.
+fn plane_strips<X: PlaneElem, O: Copy + Default, const LANES: usize>(
     (x, f, out): (&[X], &[X], &mut [O]),
     g: &PlaneGeom,
-    planes: &mut Vec<X>,
-    fill: X,
+    (planes, fill, vector): (&mut Vec<X>, X, bool),
     mut strip: impl FnMut(&Strip<'_, X>, &mut [O], usize),
 ) {
-    let (stride, taps) = (g.stride, g.kh * g.kw);
-    let (pitch, phase_len) = (g.pitch, g.phase_len);
+    let taps = g.kh * g.kw;
+    let pitch = g.pitch;
     let positions = (g.oh - 1) * pitch + g.ow;
     let mut buf = [O::default(); STRIP_RUNS * STRIP_LANES_F16];
     let buf = &mut buf[..STRIP_RUNS * LANES];
     planes.clear();
-    planes.resize(stride * stride * phase_len + STRIP_SLACK, fill);
-    let channels = x
-        .chunks_exact(g.h * g.w)
-        .zip(out.chunks_exact_mut(g.oh * g.ow));
-    for (i, (xp, op)) in channels.enumerate() {
-        // Input `(y, x)` is padded `(y + pad, x + pad)`: phase `((y +
-        // pad) mod s, (x + pad) mod s)`, element `((y + pad)/s, (x +
-        // pad)/s)`.
-        for (y, src) in (g.pad..).zip(xp.chunks_exact(g.w)) {
-            let row = y % stride * stride * phase_len + y / stride * pitch;
-            // Where input column `x` lands: its phase plane's row, from
-            // the column.
-            let at = |x: usize| row + (x + g.pad) % stride * phase_len + (x + g.pad) / stride;
-            match stride {
-                1 => planes[at(0)..][..g.w].copy_from_slice(src),
-                // One pass splits the row into its two column phases.
-                2 => {
-                    let (pairs, last) = src.as_chunks::<2>();
-                    let half = pairs.len();
-                    let (even, odd) =
-                        match planes.get_disjoint_mut([at(0)..at(0) + half, at(1)..at(1) + half]) {
-                            Ok([even, odd]) => (even, odd),
-                            Err(_) => unreachable!("two phase planes"),
-                        };
-                    for (pair, (e, o)) in pairs.iter().zip(even.iter_mut().zip(odd)) {
-                        (*e, *o) = (pair[0], pair[1]);
-                    }
-                    if let Some(&v) = last.first() {
-                        planes[at(g.w - 1)] = v;
-                    }
-                }
-                _ => {
-                    for (x, &v) in src.iter().enumerate() {
-                        planes[at(x)] = v;
-                    }
-                }
-            }
-        }
+    planes.resize(g.channel_len() + STRIP_SLACK, fill);
+    let plane = g.h * g.w;
+    for (i, op) in out.chunks_exact_mut(g.oh * g.ow).enumerate() {
+        g.lay(&x[i * plane..], planes, vector);
         let ci = i % (f.len() / taps);
         let weights = &f[ci * taps..(ci + 1) * taps];
         let mut oy = 0;
@@ -260,8 +212,9 @@ fn plane_strips<X: Copy, O: Copy + Default, const LANES: usize>(
 /// Copies `len` live lanes from `src` to `dst`, sixteen at a time where
 /// both have room for sixteen: a copy past the run writes outputs a
 /// later run of the plane rewrites, since runs are copied in output
-/// order, and never writes past `dst`.
-fn copy_live<O: Copy>(dst: &mut [O], src: &[O], len: usize) {
+/// order, and never writes past `dst`. The GEMMs copy their live
+/// columns out the same way.
+pub(crate) fn copy_live<O: Copy>(dst: &mut [O], src: &[O], len: usize) {
     const CHUNK: usize = 16;
     for at in (0..len).step_by(CHUNK) {
         let chunks = (
@@ -295,22 +248,15 @@ pub fn depthwise_conv2d(
     let out_shape = depthwise_output_shape(&input.shape, &filters.shape, params)?;
     crate::check_bias(bias, input.shape.c())?;
     crate::expect_out(out, &out_shape)?;
-    let (h, w, stride, pad) = (input.shape.h(), input.shape.w(), params.stride, params.pad);
-    let pitch = (w + 2 * pad).div_ceil(stride);
-    let g = PlaneGeom {
-        h,
-        w,
-        oh: out_shape.h(),
-        ow: out_shape.w(),
-        kh: filters.shape.dim(2),
-        kw: filters.shape.dim(3),
-        stride,
-        pad,
-        pitch,
-        phase_len: (h + 2 * pad).div_ceil(stride) * pitch,
-    };
+    let g = PlaneGeom::new(
+        (input.shape.h(), input.shape.w()),
+        (filters.shape.dim(2), filters.shape.dim(3)),
+        (params.stride, params.pad),
+        (out_shape.h(), out_shape.w()),
+    );
     let dtypes = [input.dtype(), filters.dtype(), out.dtype()];
     let simd = crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd;
+    let vector = crate::dispatch::active_tier() >= simd::SimdTier::Avx512;
     let mut arena = crate::arena::ThreadArenaGuard::take();
     let arena = &mut *arena;
 
@@ -319,8 +265,7 @@ pub fn depthwise_conv2d(
             plane_strips::<_, _, STRIP_LANES_I32>(
                 (x, f, out),
                 &g,
-                &mut arena.patches_f32,
-                0.0,
+                (&mut arena.planes_f32, 0.0, vector),
                 |s, buf, ci| {
                     // `acc += w * x` per tap, zero weights skipped; a
                     // padded tap adds `w * 0.0`, like a zero patch entry.
@@ -346,8 +291,7 @@ pub fn depthwise_conv2d(
             plane_strips::<_, _, STRIP_LANES_F16>(
                 (x, f, out),
                 &g,
-                &mut arena.patches_f16,
-                F16::ZERO,
+                (&mut arena.planes_f16, F16::ZERO, vector),
                 |s, buf, ci| {
                     simd::strip_f16(simd, s, buf);
                     let hb = bias.map(|b| F16::from_f32(b[ci]));
@@ -372,8 +316,7 @@ pub fn depthwise_conv2d(
             plane_strips::<_, _, STRIP_LANES_I32>(
                 (x, f, out),
                 &g,
-                &mut arena.patches_u8,
-                x_zp,
+                (&mut arena.planes_u8, x_zp, vector),
                 |s, buf, ci| {
                     simd::strip_u8(simd, s, f_zp, &mut sums);
                     if ci != channel {
@@ -385,7 +328,7 @@ pub fn depthwise_conv2d(
                     }
                     // Whole vectors; the lanes past the strip's are junk.
                     let n = s.lanes.next_multiple_of(STRIP_LANES_I32);
-                    let (out, sums) = (&mut buf[..n], &sums[..n]);
+                    let (out, sums) = (&mut buf[..n], (&sums[..n], &[][..]));
                     simd::requantize_into(simd, out, sums, qb, &multiplier, out_zp, params.relu);
                 },
             );

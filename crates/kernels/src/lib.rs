@@ -26,11 +26,11 @@
 //! Every layer has one route on every thread: convolutions ([`conv2d`])
 //! and FC layers ([`fully_connected`]) share one GEMM-layer body over the
 //! cache-blocked GEMMs ([`gemm_f32_blocked`], [`gemm_f16_blocked`],
-//! [`gemm_quint8_blocked`]), whose `B`-panel pack gathers a
-//! convolution's im2col patches from the input plane one `KC × NC` block
-//! at a time — no `K × N` patch matrix is built — and reads a 1×1
-//! stride-1 unpadded layer's plane, or an FC layer's input, as the
-//! matrix itself; depthwise layers run their direct kernel
+//! [`gemm_quint8_blocked`]), implicit over a convolution's padded
+//! stride-phase planes — laid out once per call, each `B` row a run of
+//! them, no patch matrix built — and reading a 1×1 stride-1 unpadded
+//! layer's plane, or an FC layer's input, as the matrix itself;
+//! depthwise layers run their direct kernel over the same phase planes
 //! ([`depthwise_conv2d`]). The only
 //! per-thread choice is the register tiles ([`set_kernel_path`]: scalar,
 //! or the host's [`SimdTier`]), and those are bit-identical. The test

@@ -56,7 +56,7 @@ pub fn lrn(
     let (n, c, h, w) = (s.n(), s.c(), s.h(), s.w());
     let mut arena = crate::arena::ThreadArenaGuard::take();
     let arena = &mut *arena;
-    let (x, y) = (&mut arena.patches_f32, &mut arena.acc_f32);
+    let (x, y) = (&mut arena.planes_f32, &mut arena.acc_f32);
     for buf in [&mut *x, &mut *y] {
         buf.clear();
         buf.resize(s.numel(), 0.0);

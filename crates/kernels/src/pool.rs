@@ -20,12 +20,25 @@
 //! association depend on it). The integer paths may reorder — `u8` max
 //! and `i32` sums are exact in any order — and reduce the window's rows
 //! into one row buffer first, then take the horizontal taps from it.
+//!
+//! QUInt8 max pooling at stride 2 with windows up to 3 wide has its own
+//! body on the AVX-512 tiers: per output row, the byte max of the
+//! window's valid rows 64 lanes per step, split into the row's two
+//! stride phases (its even and odd columns, with AVX-512BW alone), so
+//! each tap of 64 interior windows is one vector of a phase — window
+//! `i`'s 3-wide taps are even `i`, odd `i` and even `i + 1`. The clipped
+//! border columns fold their valid taps.
+//! Average pooling, the float dtypes, the narrower tiers and the scalar
+//! kernel path (the reference) keep the row-wise and ordered loops;
+//! `u8` max is order-free, so every path's output is bit-identical.
 
 use std::ops::Range;
 
 use utensor::{Shape, TensorError, TensorView, TensorViewMut, ViewData, ViewDataMut, F16};
 
+use crate::dispatch::active_tier;
 use crate::out_dim;
+use crate::simd::SimdTier;
 
 /// The window function of a pooling layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -210,6 +223,41 @@ fn pool_plane_rowwise<A: Copy>(
     }
 }
 
+/// One plane of codes max pooled at stride 2 and vector width (module
+/// docs): the interior outputs of every row by `simd::max_taps_s2`, each
+/// clipped border output the max of its valid taps, and a row whose
+/// window has no valid tap `empty`. `plane` may run on past the plane's
+/// `h × w` codes (into the next planes of the tensor), which spares the
+/// vector reads of the last rows their staging.
+#[cfg(target_arch = "x86_64")]
+fn pool_plane_max_vector(plane: &[u8], out: &mut [u8], g: &Window, empty: u8) {
+    let interior = g.interior();
+    if !interior.is_empty() {
+        let taps = (interior.start * g.stride - g.pad, g.kw, interior.len());
+        // Rows in order, each spilling into outputs a later row or the
+        // border loop below rewrites.
+        let out = (&mut *out, |oy| oy * g.ow + interior.start, true);
+        crate::simd::max_taps_s2(plane, (g.w, g.oh), |oy| g.rows(oy), taps, out);
+    }
+    // Rows of windows wholly in the padding, or clipped border columns.
+    if interior.len() == g.ow && g.pad < g.kh {
+        return;
+    }
+    for (oy, out_row) in out.chunks_exact_mut(g.ow).enumerate() {
+        let rows = g.rows(oy);
+        if rows.is_empty() {
+            out_row.fill(empty);
+            continue;
+        }
+        let clipped = (0..interior.start).chain(interior.end..g.ow);
+        for ox in clipped {
+            let cols = g.cols(ox);
+            let taps = rows.clone().flat_map(|iy| &plane[iy * g.w..][cols.clone()]);
+            out_row[ox] = taps.copied().max().unwrap_or(empty);
+        }
+    }
+}
+
 /// Every plane of a float tensor, each window folded over its valid
 /// taps in row-major order: their `max` from `neg_inf`, or their sum
 /// from `zero` `div`ided by the tap count (`zero` for a window with
@@ -271,9 +319,18 @@ fn pool_planes(
         (ViewData::QUInt8(x, qp), ViewDataMut::QUInt8(out, out_p)) if *out_p == qp => {
             let plane_len = g.h * g.w;
             let (mut maxes, mut sums) = (Vec::new(), Vec::new());
+            #[cfg(target_arch = "x86_64")]
+            let vector = kind == PoolKind::Max
+                && g.stride == 2
+                && g.kw <= 3
+                && active_tier() >= SimdTier::Avx512;
             for (pl, o) in out.chunks_mut(g.oh * g.ow).enumerate() {
                 let plane = &x[pl * plane_len..(pl + 1) * plane_len];
                 match kind {
+                    #[cfg(target_arch = "x86_64")]
+                    PoolKind::Max if vector => {
+                        pool_plane_max_vector(&x[pl * plane_len..], o, g, qp.zero_point)
+                    }
                     // Monotonic affine map: max of codes = code of max.
                     PoolKind::Max => pool_plane_rowwise(
                         plane,

@@ -17,12 +17,15 @@
 //! host has, and the SIMD kernel path runs that tier:
 //!
 //! - **AVX512-FP16** — `avx512fp16` on top of the AVX-512 tier: a
-//!   `4 × 64` F16 tile and the F16 depthwise strip on native binary16
+//!   `8 × 32` F16 tile and the F16 depthwise strip on native binary16
 //!   (`vfmadd231ph`), plus everything the AVX-512 tier runs.
 //! - **AVX-512** — `avx512f + avx512bw + avx512vnni` on top of the AVX2
-//!   tier's features: an `8 × 32` QUInt8 tile on `vpdpbusd` over `u8 ×
-//!   s8` K-quad panels, the QUInt8 depthwise strip on `vpdpwssd` and a
-//!   sixteen-lane requantizer.
+//!   tier's features: an `8 × 32` QUInt8 tile on `vpdpbusd` (the weight
+//!   rows read in place as `u8`, `B` in `s8` K-quad panels), the row sums
+//!   of the weights on `vpsadbw`, the QUInt8 depthwise strip on
+//!   `vpdpwssd`, a sixteen-lane requantizer, and `u8` stride-2 max
+//!   pooling — which also splits a stride-2 convolution's `u8` rows into
+//!   their phase planes — 64 lanes per step.
 //! - **AVX2** — `avx2 + fma + f16c`: a `4 × 16` QUInt8 tile on `i16`
 //!   K-pair panels and the QUInt8 depthwise strip compiled for AVX2.
 //!   Every tier shares the AVX2 f32 tile and F16 row epilogue.
@@ -40,13 +43,13 @@
 //!   IEEE operations per element in the same order as `acc += a * b`.
 //! - `F16` matches [`utensor::F16::mul_add`] — `a·b + c` rounded once,
 //!   to nearest even, straight to binary16 — per MAC, in ascending `k`:
-//!   `vfmadd231ph` is that operation. `A` is packed as binary16.
+//!   `vfmadd231ph` is that operation. `A` is read as binary16 in place.
 //!   Identical for all finite values and infinities; NaN *payloads* may
 //!   differ from the software path (both are quiet NaNs), which no
 //!   kernel contract observes.
 //! - QUInt8 sums integers in wrapping `i32` lanes: `i16 × i16` products
 //!   of zero-point-subtracted operands (AVX2), or `u8 × s8` products of
-//!   the raw activations and the weights minus 128 plus the zero-point
+//!   the raw weights and the activations minus 128 plus the zero-point
 //!   terms [`crate::blocked`] adds (AVX-512). Integer arithmetic has no
 //!   rounding and every sum fits `i32` exactly as the scalar one does,
 //!   so equality is unconditional; the requantizer is the fixed-point
@@ -58,6 +61,8 @@
 //! compiled tile body the host can run to the scalar tile directly, so
 //! the AVX2 QUInt8 body stays verified on AVX-512 hosts, where no GEMM
 //! reaches it; `tests/f16_fma.rs` adds near-tie and random triples.
+//! `u8` max pooling is order-free, so its vector body is bit-identical
+//! too (`tests/pool_props.rs`).
 
 use std::sync::OnceLock;
 
@@ -74,8 +79,10 @@ pub(crate) const NR_AVX2: usize = 16;
 pub(crate) const MR_VNNI: usize = 8;
 /// Register-tile columns of the AVX-512 (VNNI) QUInt8 tile.
 pub(crate) const NR_VNNI: usize = 32;
+/// Register-tile rows of the AVX512-FP16 F16 tile.
+pub(crate) const MR_FP16: usize = 8;
 /// Register-tile columns of the AVX512-FP16 F16 tile.
-pub(crate) const NR_FP16: usize = 64;
+pub(crate) const NR_FP16: usize = 32;
 /// Consecutive `k` per 32-bit lane of the AVX2 QUInt8 panels (K pairs).
 pub(crate) const KSTEP_I16: usize = 2;
 /// Consecutive `k` per 32-bit lane of the VNNI QUInt8 panels (K quads).
@@ -92,6 +99,11 @@ pub(crate) const STRIP_LANES_I32: usize = 16;
 /// binary16).
 pub(crate) const STRIP_LANES_F16: usize = 32;
 
+/// The `R` rows of `W` accumulators a register tile reads and writes
+/// where they lie: rows of the GEMM's `C` block, or an edge tile's
+/// scratch.
+pub(crate) type TileRows<'t, T, const W: usize, const R: usize> = [&'t mut [T; W]; R];
+
 /// The SIMD tiers, narrowest first. A host runs the widest it has
 /// ([`simd_tier`]); each tier's features include the narrower tier's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -102,7 +114,7 @@ pub enum SimdTier {
     Avx2,
     /// AVX-512 F/BW/VNNI on top of AVX2: a `4 × 32` QUInt8 tile.
     Avx512,
-    /// AVX512-FP16 on top of AVX-512: a `4 × 64` native binary16 F16 tile.
+    /// AVX512-FP16 on top of AVX-512: an `8 × 32` native binary16 F16 tile.
     Avx512Fp16,
 }
 
@@ -182,15 +194,20 @@ pub fn cpu_features() -> String {
 /// for `p` in `0..kc`) through the SIMD path. Returns `false` when no
 /// SIMD path exists on this host; the caller then runs its scalar loop.
 #[inline]
-pub(crate) fn tile_f32(acc: &mut [[f32; NR]; MR], pa: &[f32], pb: &[f32], kc: usize) -> bool {
+pub(crate) fn tile_f32(
+    acc: &mut TileRows<'_, f32, NR, MR>,
+    pa: &[f32],
+    pb: &[f32],
+    kc: usize,
+) -> bool {
     assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
     if !simd_available() {
         return false;
     }
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: `simd_available()` verified avx2 above; panel lengths
-        // verified by the assert.
+        // SAFETY: `simd_available()` verified avx2 above; the body is
+        // safe code.
         unsafe { x86::tile_f32(acc, pa, pb, kc) };
         true
     }
@@ -210,104 +227,194 @@ fn check_tile(tier: SimdTier, (pa, pb): (usize, usize), kc: usize, (mr, nr): (us
 }
 
 /// One F16 register tile of the AVX512-FP16 tier: `acc[r][x] =
-/// pa[p*MR+r].mul_add(pb[p*64+x], acc[r][x])` for `p` in `0..kc`, on
-/// `vfmadd231ph`.
+/// rows[r][p].mul_add(b(p)[x], acc[r][x])` for `p` in `0..kc`, on
+/// `vfmadd231ph`, both operands read where they lie; `fresh`, it starts
+/// from zero instead of `acc`. With `epilogue = Some((bias, relu))` the
+/// rows then take `+ bias[r]` (one binary16 add, none without a bias)
+/// and `if acc < 0 { 0 }` in registers, bit for bit the scalar
+/// epilogue's (NaN payloads aside).
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn tile_f16_fp16(acc: &mut [[F16; NR_FP16]; MR], pa: &[F16], pb: &[F16], kc: usize) {
-    check_tile(
-        SimdTier::Avx512Fp16,
-        (pa.len(), pb.len()),
-        kc,
-        (MR, NR_FP16),
+pub(crate) fn tile_f16_fp16<'b>(
+    acc: &mut TileRows<'_, F16, NR_FP16, MR_FP16>,
+    rows: [&[F16]; MR_FP16],
+    b: impl Fn(usize) -> &'b [F16; NR_FP16],
+    (kc, fresh): (usize, bool),
+    epilogue: Option<(Option<[F16; MR_FP16]>, bool)>,
+) {
+    assert!(
+        simd_tier() >= SimdTier::Avx512Fp16,
+        "no Avx512Fp16 tier on this host"
     );
-    // SAFETY: `check_tile` verified the tier's features; the body is
-    // safe code.
-    unsafe { x86::tile_f16_fp16(acc, pa, pb, kc) }
+    // SAFETY: the assert verified the tier's features; the body is safe
+    // code (it checks the rows as it trims them).
+    unsafe { x86::tile_f16_fp16(acc, rows, b, (kc, fresh), epilogue) }
 }
 
 /// One QUInt8 register tile of the AVX2 tier: exact `i16 × i16 → i32`
 /// accumulation over `kc` K-pair panel rows, `kc` a multiple of
 /// [`KSTEP_I16`].
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn tile_i16_avx2(acc: &mut [[i32; NR_AVX2]; MR], pa: &[i16], pb: &[i16], kc: usize) {
+pub(crate) fn tile_i16_avx2(
+    acc: &mut TileRows<'_, i32, NR_AVX2, MR>,
+    pa: &[i16],
+    pb: &[i16],
+    kc: usize,
+) {
     assert_eq!(kc % KSTEP_I16, 0, "panel depth not padded to the K step");
     check_tile(SimdTier::Avx2, (pa.len(), pb.len()), kc, (MR, NR_AVX2));
-    // SAFETY: `check_tile` verified the tier's features and the panel
-    // lengths; the even depth is asserted above.
+    // SAFETY: `check_tile` verified the tier's features; the body is
+    // safe code.
     unsafe { x86::tile_i16_avx2(acc, pa, pb, kc) }
 }
 
-/// One QUInt8 register tile of the AVX-512 tier over `kc` K-quad panel
-/// rows, `kc` a multiple of [`KSTEP_U8`]: `acc[r][x] += Σ_k b(k,x)·a′(r,k)`
-/// with `pb` the raw `u8` activations and `pa` the weights minus 128 as
-/// `i8`, both with K quads interleaved, on `vpdpbusd`, wrapping in `i32`.
+/// One QUInt8 register tile of the AVX-512 tier over `kc` K-quad steps,
+/// `kc` a multiple of [`KSTEP_U8`]: `acc[r][x] += Σ_k a(r,k)·b′(k,x)`
+/// with `rows[r]` the raw `u8` weights of row `r` from the panel's first
+/// `k` (at least `kc` of them) and `pb` the activations minus 128 as
+/// `i8`, K quads interleaved, on `vpdpbusd`, wrapping in `i32`; `fresh`,
+/// it starts from zero instead of `acc`.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn tile_u8_vnni(acc: &mut [[i32; NR_VNNI]; MR_VNNI], pa: &[i8], pb: &[u8], kc: usize) {
+pub(crate) fn tile_u8_vnni(
+    acc: &mut TileRows<'_, i32, NR_VNNI, MR_VNNI>,
+    rows: [&[u8]; MR_VNNI],
+    pb: &[i8],
+    (kc, fresh): (usize, bool),
+) {
     assert_eq!(kc % KSTEP_U8, 0, "panel depth not padded to the K step");
-    check_tile(
-        SimdTier::Avx512,
-        (pa.len(), pb.len()),
-        kc,
-        (MR_VNNI, NR_VNNI),
-    );
+    // The rows are checked as the body trims them.
+    check_tile(SimdTier::Avx512, (kc, pb.len()), kc, (1, NR_VNNI));
     // SAFETY: `check_tile` verified the tier's features; the body is
     // safe code.
-    unsafe { x86::tile_u8_vnni(acc, pa, pb, kc) }
+    unsafe { x86::tile_u8_vnni(acc, rows, pb, (kc, fresh)) }
 }
 
-/// One K-quad group of the VNNI tier's `B` panel: `dst[x] = [r0[x],
-/// r1[x], r2[x], r3[x]]` for the rows `[r0, r1, r2, r3]`, and `sums[x]`
-/// gains their sum (wrapping), sixteen columns per step.
+/// One `NR_VNNI`-column micro-panel of the VNNI tier's `B` panel, K
+/// quad by K quad: group `g` of `dst` gets `dst[g][x] = [r(4g)[x], …,
+/// r(4g + 3)[x]]`, `r = row`, each byte of the first `kc` rows minus 128
+/// as `i8` (the rows past `kc` are padding, zero), and `sums[x]` gains
+/// the rows' raw sum (wrapping), sixteen columns per step.
+///
+/// # Panics
+///
+/// Panics unless `dst` holds the quad-padded depth of `kc` rows.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn pack_quads(
-    dst: &mut [[u8; KSTEP_U8]; NR_VNNI],
-    rows: [&[u8; NR_VNNI]; KSTEP_U8],
+pub(crate) fn pack_quads<'r>(
+    dst: &mut [[[i8; KSTEP_U8]; NR_VNNI]],
+    kc: usize,
+    row: impl Fn(usize) -> &'r [u8; NR_VNNI],
     sums: &mut [i32; NR_VNNI],
 ) {
     assert!(
         simd_tier() >= SimdTier::Avx512,
         "no Avx512 tier on this host"
     );
-    // SAFETY: the assert verified avx512f/bw; the body is safe code.
-    unsafe { x86::pack_quads(dst, rows, sums) }
+    assert_eq!(dst.len(), kc.div_ceil(KSTEP_U8), "pack_quads: K groups");
+    // SAFETY: the asserts verified avx512f/bw; the body is safe code.
+    unsafe { x86::pack_quads(dst, kc, row, sums) }
 }
 
-/// [`utensor::requantize_into`], bit for bit: each output is
-/// `requantize(acc[i] + bias)`, floored at the zero point with `relu`.
-/// With `simd` on an AVX-512 host the bulk runs sixteen lanes at a time
-/// (for the right shifts and mantissas of utensor's vector body); the
-/// rest, and every other case, is utensor's.
+/// The sums of the `k`-byte rows of `a` into `sums` (one per row),
+/// wrapping in `i32`: the weight terms of the AVX-512 QUInt8 GEMM.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn row_sums(a: &[u8], k: usize, sums: &mut [i32]) {
+    assert!(
+        simd_tier() >= SimdTier::Avx512,
+        "no Avx512 tier on this host"
+    );
+    assert!(k > 0 && a.len() == k * sums.len(), "row sums: lengths");
+    // SAFETY: the asserts verified avx512f/bw; the body is safe code.
+    unsafe { x86::row_sums(a, k, sums) }
+}
+
+/// Stride-2 max pooling of `u8` codes at vector width, the AVX-512
+/// tiers only: for each output row `oy` in `0..out_rows` whose window
+/// rows `rows(oy)` of the `w`-byte rows of `plane` are not empty, output
+/// `i` in `0..len` is the byte max over those rows and over the `kw`
+/// taps from column `t0 + 2i`, written to `out[at(oy) + i]`. The rows'
+/// max is taken 64 lanes per step and split into its stride phases with
+/// AVX-512BW alone; tap `kx` of output `i` is element `i + kx/2` of phase
+/// `kx mod 2`. With one row and one tap it is the phase split of a row
+/// (column `t0 + 2i`), which lays a stride-2 convolution's phase planes.
+/// With `spill` the bytes of `out` after a row's outputs may be
+/// overwritten (the caller rewrites them later; pooling writes its rows
+/// in order); without, they keep their values.
 ///
 /// # Panics
 ///
-/// Panics if `out` and `acc` differ in length.
+/// Panics unless `kw` is 1, 2 or 3, every tap lies in its row (`t0 +
+/// 2·(len − 1) + kw ≤ w`) and every output lies in `out`.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn max_taps_s2(
+    plane: &[u8],
+    (w, out_rows): (usize, usize),
+    rows: impl Fn(usize) -> std::ops::Range<usize>,
+    (t0, kw, len): (usize, usize, usize),
+    (out, at, spill): (&mut [u8], impl Fn(usize) -> usize, bool),
+) {
+    assert!(
+        simd_tier() >= SimdTier::Avx512,
+        "no Avx512 tier on this host"
+    );
+    assert!((1..=3).contains(&kw), "max_taps_s2: 1..=3 taps");
+    assert!(
+        len == 0 || t0 + 2 * (len - 1) + kw <= w,
+        "max_taps_s2: taps past the row"
+    );
+    // SAFETY: the asserts verified avx512f/bw; the body is safe code.
+    unsafe { x86::max_taps_s2(plane, (w, out_rows), rows, (t0, kw, len), (out, at, spill)) }
+}
+
+/// [`utensor::requantize_into`], bit for bit: each output is
+/// `requantize(acc[i] + terms[i] + bias)` (`terms` empty: no term),
+/// floored at the zero point with `relu`, every sum wrapping in `i32`.
+/// With `simd` on an AVX-512 host the bulk runs sixteen lanes at a time
+/// (for the right shifts and mantissas of utensor's vector body), the
+/// terms added in its lanes; the rest, and every other case, is
+/// utensor's, sixteen sums at a time where there are terms.
+///
+/// # Panics
+///
+/// Panics if `out`, `acc` and a non-empty `terms` differ in length.
 #[inline]
 pub(crate) fn requantize_into(
     simd: bool,
     out: &mut [u8],
-    acc: &[i32],
+    (acc, terms): (&[i32], &[i32]),
     bias: i32,
     multiplier: &FixedPointMultiplier,
     zero_point: u8,
     relu: bool,
 ) {
     assert_eq!(out.len(), acc.len(), "requantize_into: length mismatch");
+    assert!(
+        terms.is_empty() || terms.len() == acc.len(),
+        "requantize_into: terms length"
+    );
     let vector = (0..=31).contains(&multiplier.right_shift) && multiplier.multiplier >= 0;
     let done = if simd && vector && simd_tier() >= SimdTier::Avx512 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the tier check verified avx512f/bw; the body is safe
         // code.
         unsafe {
-            x86::requantize(out, acc, bias, multiplier, zero_point, relu)
+            x86::requantize(out, (acc, terms), bias, multiplier, zero_point, relu)
         }
         #[cfg(not(target_arch = "x86_64"))]
         0
     } else {
         0
     };
-    if done < out.len() {
-        let (out, acc) = (&mut out[done..], &acc[done..]);
-        utensor::requantize_into(out, acc, bias, multiplier, zero_point, relu);
+    let (out, acc) = (&mut out[done..], &acc[done..]);
+    if terms.is_empty() {
+        return utensor::requantize_into(out, acc, bias, multiplier, zero_point, relu);
+    }
+    let sums = acc.chunks(16).zip(terms[done..].chunks(16));
+    for (out, (acc, terms)) in out.chunks_mut(16).zip(sums) {
+        let mut sum = [0i32; 16];
+        for (s, (&a, &t)) in sum.iter_mut().zip(acc.iter().zip(terms)) {
+            *s = a.wrapping_add(t);
+        }
+        let sum = &sum[..acc.len()];
+        utensor::requantize_into(out, sum, bias, multiplier, zero_point, relu);
     }
 }
 
@@ -319,7 +426,8 @@ pub(crate) fn requantize_into(
 pub(crate) fn f16_bias_relu(simd: bool, row: &mut [F16], bias: Option<F16>, relu: bool) {
     let done = if simd && simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `simd_available()` verified avx2+f16c just above.
+        // SAFETY: `simd_available()` verified avx2+f16c just above; the
+        // body is safe code.
         unsafe {
             x86::f16_bias_relu(row, bias, relu)
         }
@@ -409,7 +517,18 @@ mod tests {
     const KCS: [usize; 6] = [1, 2, 3, 7, 255, 256];
 
     /// A tile body: `MR × W` accumulators of `T`, panels of `A` and `B`.
-    type Tile<T, A, B, const W: usize> = fn(&mut [[T; W]; MR], &[A], &[B], usize);
+    type Tile<T, A, B, const W: usize> = fn(&mut TileRows<'_, T, W, MR>, &[A], &[B], usize);
+
+    /// A tile body that reads `A` in place: `R` row streams.
+    type RowTile<T, B, const W: usize, const R: usize> =
+        fn(&mut TileRows<'_, T, W, R>, [&[T]; R], &[B], (usize, bool));
+
+    /// The `R` rows of the plain panel `pa[p·R + r]`, `kc` deep.
+    fn rows_of<T: Copy, const R: usize>(pa: &[T], kc: usize) -> Vec<Vec<T>> {
+        (0..R)
+            .map(|r| (0..kc).map(|p| pa[p * R + r]).collect())
+            .collect()
+    }
 
     fn pseudo(i: usize) -> f32 {
         (((i * 2654435761) % 1999) as f32 - 999.0) / 999.0
@@ -440,7 +559,7 @@ mod tests {
             }
             let mut got = want;
             scalar_f32(&mut want, &pa, &pb, kc);
-            if tile_f32(&mut got, &pa, &pb, kc) {
+            if tile_f32(&mut got.each_mut(), &pa, &pb, kc) {
                 let bits = |t: &[[f32; NR]; MR]| t.map(|row| row.map(f32::to_bits));
                 assert_eq!(bits(&got), bits(&want), "kc={kc} seeded={seeded}");
             } else {
@@ -469,36 +588,48 @@ mod tests {
     /// Accumulator starts for the F16 tiles, which continue the running
     /// sums of `C`: zero, ordinary values and subnormals, then the
     /// largest finite values and the infinities.
-    fn f16_starts<const W: usize>() -> [[[F16; W]; MR]; 3] {
+    fn f16_starts<const W: usize, const R: usize>() -> [[[F16; W]; R]; 3] {
         let edge = [0x0001u16, 0x83ff, 0x7bff, 0xfbff, 0x7c00, 0xfc00];
-        let ordinary = f16_operands(MR * W, 9, false);
-        let (mut seeded, mut rails) = ([[F16::ZERO; W]; MR], [[F16::ZERO; W]; MR]);
+        let ordinary = f16_operands(R * W, 9, false);
+        let (mut seeded, mut rails) = ([[F16::ZERO; W]; R], [[F16::ZERO; W]; R]);
         for (i, cell) in seeded.iter_mut().flatten().enumerate() {
             *cell = ordinary[i];
         }
         for (i, cell) in rails.iter_mut().flatten().enumerate() {
             *cell = F16::from_bits(edge[i % edge.len()]);
         }
-        [[[F16::ZERO; W]; MR], seeded, rails]
+        [[[F16::ZERO; W]; R], seeded, rails]
     }
 
-    /// `tile`, an `MR × W` F16 tile body, against per-MAC `F16::mul_add`
+    /// `tile`, an `R × W` F16 tile body, against per-MAC `F16::mul_add`
     /// from each of [`f16_starts`]. NaNs (inf − inf after an overflow)
     /// compare as NaNs: their payloads may differ.
-    fn check_f16_tile<const W: usize>(tile: Tile<F16, F16, F16, W>) {
+    fn check_f16_tile<const W: usize, const R: usize>(tile: RowTile<F16, F16, W, R>) {
         for (kc, huge) in KCS.into_iter().flat_map(|kc| [(kc, false), (kc, true)]) {
-            let pa = f16_operands(kc * MR, 1, huge);
+            let pa = f16_operands(kc * R, 1, huge);
             let pb = f16_operands(kc * W, 5, huge);
-            for (s, start) in f16_starts::<W>().into_iter().enumerate() {
+            let rows = rows_of::<_, R>(&pa, kc);
+            for (s, start) in f16_starts::<W, R>().into_iter().enumerate() {
                 let (mut want, mut got) = (start, start);
                 for p in 0..kc {
                     for (r, row) in want.iter_mut().enumerate() {
                         for (x, cell) in row.iter_mut().enumerate() {
-                            *cell = pa[p * MR + r].mul_add(pb[p * W + x], *cell);
+                            *cell = pa[p * R + r].mul_add(pb[p * W + x], *cell);
                         }
                     }
                 }
-                tile(&mut got, &pa, &pb, kc);
+                let rows = std::array::from_fn(|r| &rows[r][..]);
+                tile(&mut got.each_mut(), rows, &pb, (kc, false));
+                let mut fresh = [[F16::from_bits(0x7e00); W]; R];
+                tile(&mut fresh.each_mut(), rows, &pb, (kc, true));
+                let mut from_zero = [[F16::ZERO; W]; R];
+                tile(&mut from_zero.each_mut(), rows, &pb, (kc, false));
+                let bits = |t: &[[F16; W]; R]| t.map(|row| row.map(F16::to_bits));
+                assert_eq!(
+                    bits(&fresh),
+                    bits(&from_zero),
+                    "W={W} kc={kc}: fresh read acc"
+                );
                 for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
                     let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
                     assert!(same, "W={W} kc={kc} huge={huge} start={s}: {g:?} vs {w:?}");
@@ -510,12 +641,12 @@ mod tests {
     /// One MAC per cell on near ties: `a = 1 + 2⁻⁸` times `b = 1.125 ·
     /// 2^j` lies exactly on a binary16 tie, and a start of `±2⁻²⁴`
     /// decides it. An FMA that rounds to f32 first loses the `±2⁻²⁴`.
-    fn check_f16_tile_near_ties<const W: usize>(tile: Tile<F16, F16, F16, W>) {
+    fn check_f16_tile_near_ties<const W: usize, const R: usize>(tile: RowTile<F16, F16, W, R>) {
         let (h, a) = (F16::from_bits, F16::from_bits(0x3c04));
         let b: [F16; W] = std::array::from_fn(|x| h(0x3c80 + 0x100 * (x % 16) as u16));
-        let mut got = [std::array::from_fn(|x| h([0x0001, 0x8001][x % 2])); MR];
+        let mut got = [std::array::from_fn(|x| h([0x0001, 0x8001][x % 2])); R];
         let c = got[0];
-        tile(&mut got, &[a; MR], &b, 1);
+        tile(&mut got.each_mut(), [&[a][..]; R], &b, (1, false));
         for (x, &g) in got.iter().flatten().enumerate() {
             let (b, c) = (b[x % W], c[x % W]);
             let twice = F16::from_f32(a.to_f32().mul_add(b.to_f32(), c.to_f32()));
@@ -532,8 +663,51 @@ mod tests {
     fn f16_tile_bit_identical_to_scalar_mul_add() {
         #[cfg(target_arch = "x86_64")]
         if simd_tier() >= SimdTier::Avx512Fp16 {
-            check_f16_tile(tile_f16_fp16);
-            check_f16_tile_near_ties(tile_f16_fp16);
+            let tile: RowTile<F16, F16, NR_FP16, MR_FP16> = |acc, rows, pb, kc_fresh| {
+                let step = |p: usize| pb[p * NR_FP16..][..NR_FP16].try_into().expect("a step");
+                tile_f16_fp16(acc, rows, step, kc_fresh, None)
+            };
+            check_f16_tile(tile);
+            check_f16_tile_near_ties(tile);
+        }
+    }
+
+    /// The FP16 tile's in-register epilogue against the tile without one
+    /// followed by the scalar row epilogue: biases of both signs and a
+    /// negative zero (whose add must not flip a `-0.0` sum), each row's
+    /// own, and both ReLU settings, over sums that reach the specials.
+    #[test]
+    fn fp16_tile_epilogue_matches_the_row_epilogue() {
+        #[cfg(target_arch = "x86_64")]
+        if simd_tier() >= SimdTier::Avx512Fp16 {
+            const R: usize = MR_FP16;
+            const W: usize = NR_FP16;
+            for kc in [1, 2, 7] {
+                let pa = f16_specials(kc * R, 3);
+                let pb = f16_specials(kc * W, 8);
+                let rows = rows_of::<_, R>(&pa, kc);
+                let rows: [&[F16]; R] = std::array::from_fn(|r| &rows[r][..]);
+                let step = |p: usize| pb[p * W..][..W].try_into().expect("a step");
+                let biases: [F16; R] = f16_specials(R, 5).try_into().expect("R biases");
+                let signed_zero = [F16::from_bits(0x8000); R];
+                for (bias, relu) in [None, Some(biases), Some(signed_zero)]
+                    .into_iter()
+                    .flat_map(|b| [(b, false), (b, true)])
+                {
+                    let mut got = [[F16::ZERO; W]; R];
+                    let epilogue = Some((bias, relu));
+                    tile_f16_fp16(&mut got.each_mut(), rows, step, (kc, true), epilogue);
+                    let mut want = [[F16::ZERO; W]; R];
+                    tile_f16_fp16(&mut want.each_mut(), rows, step, (kc, true), None);
+                    for (r, row) in want.iter_mut().enumerate() {
+                        f16_bias_relu(false, row, bias.map(|b| b[r]), relu);
+                    }
+                    for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
+                        let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+                        assert!(same, "kc={kc} bias={bias:?} relu={relu}: {g:?} vs {w:?}");
+                    }
+                }
+            }
         }
     }
 
@@ -575,13 +749,18 @@ mod tests {
                     }
                 }
             }
-            tile(&mut got, &pa, &pb, kc_pad);
+            tile(&mut got.each_mut(), &pa, &pb, kc_pad);
             assert_eq!(got, want, "W={W} kc={kc} start={}", start[0][0]);
         }
         let kc = crate::blocked::KC;
         for (av, bv) in [(255i16, 255i16), (-255, 255), (-255, -255)] {
             let mut got = [[0i32; W]; MR];
-            tile(&mut got, &vec![av; kc * MR], &vec![bv; kc * W], kc);
+            tile(
+                &mut got.each_mut(),
+                &vec![av; kc * MR],
+                &vec![bv; kc * W],
+                kc,
+            );
             let want = kc as i32 * av as i32 * bv as i32;
             assert!(
                 got.iter().flatten().all(|&v| v == want),
@@ -591,11 +770,12 @@ mod tests {
     }
 
     /// The VNNI tile against wrapping `i32` sums of its logical operands
-    /// — `b` raw `u8`, `a′ = a − 128` as `i8` — over K-quad panels whose
-    /// depth `kc` is padded to [`KSTEP_U8`] with zero `b` and junk `a′`
-    /// (the pad must not count). Random operands from zero, seeded and
-    /// near-rail starts (the instruction must wrap, not saturate), then
-    /// every operand at an extreme over a whole `KC` panel.
+    /// — `a` raw `u8` row streams, `b′ = b − 128` as `i8` — over K-quad
+    /// panels whose depth `kc` is padded to [`KSTEP_U8`] with zero `b′`
+    /// and junk `a` (the pad must not count). Random operands from zero,
+    /// seeded and near-rail starts (the instruction must wrap, not
+    /// saturate), then every operand at an extreme over a whole `KC`
+    /// panel.
     #[cfg(target_arch = "x86_64")]
     fn check_u8_tile() {
         const R: usize = MR_VNNI;
@@ -610,35 +790,50 @@ mod tests {
         }
         let starts = [[[0i32; W]; R], seeded, rails];
         for (kc, start) in KCS.into_iter().flat_map(|kc| starts.map(|s| (kc, s))) {
-            let a: Vec<i8> = (0..kc * R)
-                .map(|i| ((i * 48271) % 256) as u8 as i8)
-                .collect();
-            let b: Vec<u8> = (0..kc * W).map(|i| ((i * 16807) % 256) as u8).collect();
             let kc_pad = kc.next_multiple_of(KSTEP_U8);
-            let (mut pa, mut pb) = (vec![-77i8; kc_pad * R], vec![0u8; kc_pad * W]);
+            let a: Vec<u8> = (0..kc_pad * R)
+                .map(|i| {
+                    if i % kc_pad < kc {
+                        (i * 48271 % 256) as u8
+                    } else {
+                        77
+                    }
+                })
+                .collect();
+            let b: Vec<i8> = (0..kc * W)
+                .map(|i| ((i * 16807) % 256) as u8 as i8)
+                .collect();
+            let mut pb = vec![0i8; kc_pad * W];
             let (mut want, mut got) = (start, start);
             for k in 0..kc {
                 let (g, s) = (k / KSTEP_U8, k % KSTEP_U8);
-                for r in 0..R {
-                    pa[(g * R + r) * KSTEP_U8 + s] = a[k * R + r];
-                }
                 for x in 0..W {
                     pb[(g * W + x) * KSTEP_U8 + s] = b[k * W + x];
                 }
                 for (r, row) in want.iter_mut().enumerate() {
                     for (x, cell) in row.iter_mut().enumerate() {
-                        *cell = cell.wrapping_add(a[k * R + r] as i32 * b[k * W + x] as i32);
+                        let product = a[r * kc_pad + k] as i32 * b[k * W + x] as i32;
+                        *cell = cell.wrapping_add(product);
                     }
                 }
             }
-            tile_u8_vnni(&mut got, &pa, &pb, kc_pad);
+            let rows = std::array::from_fn(|r| &a[r * kc_pad..][..kc_pad]);
+            tile_u8_vnni(&mut got.each_mut(), rows, &pb, (kc_pad, false));
             assert_eq!(got, want, "kc={kc} start={}", start[0][0]);
+            // A fresh tile ignores what `acc` holds.
+            let mut fresh = [[i32::MIN; W]; R];
+            tile_u8_vnni(&mut fresh.each_mut(), rows, &pb, (kc_pad, true));
+            let mut from_zero = [[0; W]; R];
+            tile_u8_vnni(&mut from_zero.each_mut(), rows, &pb, (kc_pad, false));
+            assert_eq!(fresh, from_zero, "kc={kc}: fresh read acc");
         }
         let kc = crate::blocked::KC;
-        for (av, bv) in [(-128i8, 255u8), (127, 255), (-128, 0), (127, 1)] {
+        for (av, bv) in [(255u8, -128i8), (255, 127), (0, -128), (1, 127)] {
             for start in [0, i32::MAX, i32::MIN] {
                 let mut got = [[start; W]; R];
-                tile_u8_vnni(&mut got, &vec![av; kc * R], &vec![bv; kc * W], kc);
+                let row = vec![av; kc];
+                let pb = vec![bv; kc * W];
+                tile_u8_vnni(&mut got.each_mut(), [&row[..]; R], &pb, (kc, false));
                 let want = start.wrapping_add(kc as i32 * av as i32 * bv as i32);
                 let all = got.iter().flatten().all(|&v| v == want);
                 assert!(all, "{av} x {bv} from {start}");
@@ -699,16 +894,22 @@ mod tests {
                 (64, i32::MIN),
             ] {
                 let acc = accumulators(len, mi);
-                for (zp, relu) in [(0u8, false), (3, true), (128, false), (255, true)] {
-                    let mut got = vec![0u8; len];
-                    requantize_into(true, &mut got, &acc, bias, m, zp, relu);
-                    let floor = if relu { zp } else { 0 };
-                    for (i, (&g, &a)) in got.iter().zip(&acc).enumerate() {
-                        let want = utensor::requantize(a.wrapping_add(bias), m, zp).max(floor);
-                        assert_eq!(
-                            g, want,
-                            "{m:?} acc {a} bias {bias} zp {zp} relu {relu} at {i}"
-                        );
+                // Without per-lane terms, and with terms that wrap the sums.
+                let none = vec![0; len];
+                for terms in [&[][..], &accumulators(len, mi + 5)] {
+                    for (zp, relu) in [(0u8, false), (3, true), (128, false), (255, true)] {
+                        let mut got = vec![0u8; len];
+                        requantize_into(true, &mut got, (&acc, terms), bias, m, zp, relu);
+                        let floor = if relu { zp } else { 0 };
+                        let lanes = acc.iter().zip(if terms.is_empty() { &none } else { terms });
+                        for (i, (&g, (&a, &t))) in got.iter().zip(lanes).enumerate() {
+                            let sum = a.wrapping_add(t).wrapping_add(bias);
+                            let want = utensor::requantize(sum, m, zp).max(floor);
+                            assert_eq!(
+                                g, want,
+                                "{m:?} acc {a} + {t} bias {bias} zp {zp} relu {relu} at {i}"
+                            );
+                        }
                     }
                 }
             }
@@ -761,7 +962,7 @@ mod tests {
         let pa: Vec<f32> = (0..kc * MR).map(pseudo).collect();
         let pb: Vec<f32> = (0..kc * NR).map(|i| pseudo(i + 7)).collect();
         let mut got = [[1.5f32; NR]; MR];
-        if tile_f32(&mut got, &pa, &pb, kc) {
+        if tile_f32(&mut got.each_mut(), &pa, &pb, kc) {
             let mut want = [[1.5f32; NR]; MR];
             scalar_f32(&mut want, &pa, &pb, kc);
             assert_eq!(got, want);

@@ -1,10 +1,10 @@
 //! AVX2/FMA/F16C, AVX-512 and AVX512-FP16 register-tile kernels (x86_64).
 //!
 //! The f32 tile is `MR × 8`: one tile row is exactly one 256-bit vector.
-//! The QUInt8 tiles are `MR × 16` (AVX2) and `8 × 32` (VNNI), the F16
-//! tile `MR × 64` (FP16) — two vectors per row, eight or sixteen
-//! accumulators — so the independent dependency chains hide the
-//! multiply latency. The depthwise strips keep up to [`STRIP_RUNS`]
+//! The QUInt8 tiles are `MR × 16` (AVX2) and `8 × 32` (VNNI) — two
+//! vectors per row, eight or sixteen accumulators — and the F16 tile
+//! `8 × 32` (FP16), one vector per row, so the independent dependency
+//! chains hide the multiply latency. The depthwise strips keep up to [`STRIP_RUNS`]
 //! vectors of output lanes. Every function here is
 //! compiled with `#[target_feature]`, so callers in [`super`] check the
 //! detected tier first (see `simd_tier`). The AVX-512 bodies are safe
@@ -12,10 +12,11 @@
 //! one-line helpers.
 
 use core::arch::x86_64::*;
+use std::ops::Range;
 
 use utensor::{FixedPointMultiplier, F16};
 
-use super::{KSTEP_U8, MR_VNNI, NR_AVX2, NR_FP16, NR_VNNI};
+use super::{TileRows, KSTEP_U8, MR_FP16, MR_VNNI, NR_AVX2, NR_FP16, NR_VNNI};
 use super::{STRIP_LANES_F16, STRIP_LANES_I32, STRIP_RUNS};
 use crate::blocked::{MR, NR};
 use crate::depthwise::Strip;
@@ -27,58 +28,81 @@ const RN: i32 = _MM_FROUND_TO_NEAREST_INT;
 ///
 /// Deliberately *not* fused: separate `vmulps` + `vaddps` performs the
 /// same two IEEE roundings per element as the scalar `acc += a * b`,
-/// making every lane bit-identical to the scalar tile.
-///
-/// # Safety
-/// Requires AVX2; `pa.len() >= kc * MR`, `pb.len() >= kc * NR`.
+/// making every lane bit-identical to the scalar tile. Safe code: each
+/// step reads one `A` and one `B` run, zipped.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn tile_f32(acc: &mut [[f32; NR]; MR], pa: &[f32], pb: &[f32], kc: usize) {
+pub(super) fn tile_f32(acc: &mut TileRows<'_, f32, NR, MR>, pa: &[f32], pb: &[f32], kc: usize) {
     let mut v = [_mm256_setzero_ps(); MR];
     for (vr, row) in v.iter_mut().zip(acc.iter()) {
-        *vr = _mm256_loadu_ps(row.as_ptr());
+        *vr = _mm256_castsi256_ps(load(row));
     }
-    for p in 0..kc {
-        let vb = _mm256_loadu_ps(pb.as_ptr().add(p * NR));
-        for (r, vr) in v.iter_mut().enumerate() {
-            let va = _mm256_set1_ps(*pa.get_unchecked(p * MR + r));
-            *vr = _mm256_add_ps(*vr, _mm256_mul_ps(va, vb));
+    let steps = pa.as_chunks::<MR>().0.iter().zip(pb.as_chunks::<NR>().0);
+    for (a, b) in steps.take(kc) {
+        let vb = _mm256_castsi256_ps(load(b));
+        for (vr, &ar) in v.iter_mut().zip(a) {
+            *vr = _mm256_add_ps(*vr, _mm256_mul_ps(_mm256_set1_ps(ar), vb));
         }
     }
-    for (row, vr) in acc.iter_mut().zip(v.iter()) {
-        _mm256_storeu_ps(row.as_mut_ptr(), *vr);
+    for (row, &vr) in acc.iter_mut().zip(&v) {
+        store(row, _mm256_castps_si256(vr));
     }
 }
 
-/// F16 `MR × 64` tile on native binary16: `acc[r][x] =
-/// fma(pa[p*MR+r], pb[p*64+x], acc[r][x])` for `p` in `0..kc`, one
-/// `vfmadd231ph` per 32 MACs. The instruction rounds once per MAC, round
-/// to nearest even, exactly as [`F16::mul_add`] defines it, and the
-/// steps run in ascending `p`, so every element is bit-identical to the
-/// scalar chain (NaN payloads aside; both are quiet NaNs). Two zmm per
-/// row make eight independent chains, enough to hide the FMA latency.
-/// `A` stays binary16 in the plain `pa[p·MR + r]` layout; each element
-/// is broadcast as a 16-bit integer.
+/// F16 `8 × 32` tile on native binary16: `acc[r][x] = fma(rows[r][p],
+/// b(p)[x], acc[r][x])` for `p` in `0..kc`, one `vfmadd231ph` per 32
+/// MACs. The instruction rounds once per MAC, round to nearest even,
+/// exactly as [`F16::mul_add`] defines it, and the steps run in
+/// ascending `p`, so every element is bit-identical to the scalar chain
+/// (NaN payloads aside; both are quiet NaNs). One zmm per row makes
+/// eight independent chains, enough to hide the FMA latency, and each
+/// `A` element is used once per step, so it is broadcast inside the FMA
+/// (`{1to32}`, a load-port operand) instead of by a shuffle. Both
+/// operands are read in place: each `A` row stream is one weight row,
+/// trimmed to `kc` up front so the loop needs no bounds check; `b(p)` is
+/// step `p`'s run of `B`, a row of the phase planes or of the matrix. A
+/// `fresh` tile starts from zero and never reads `acc` (the first `K`
+/// panel). On the last panel the `epilogue` adds each row's bias with
+/// `vaddph` — the binary16 sum correctly rounded, as `F16`'s `+` is
+/// through f32 — and applies ReLU, before the one store.
 #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512fp16")]
-pub(super) fn tile_f16_fp16(acc: &mut [[F16; NR_FP16]; MR], pa: &[F16], pb: &[F16], kc: usize) {
-    let halves = |row: &[F16; NR_FP16]| -> [__m512h; 2] {
-        let h = row.as_chunks::<32>().0;
-        [&h[0], &h[1]].map(|half| _mm512_castsi512_ph(load(half)))
-    };
-    let mut v = acc.each_ref().map(halves);
-    let steps = pa.chunks_exact(MR).zip(pb.chunks_exact(NR_FP16)).take(kc);
-    for (a, b) in steps {
-        let vb = halves(b.try_into().expect("a chunk of NR_FP16"));
-        for (vr, &ar) in v.iter_mut().zip(a) {
-            let va = _mm512_castsi512_ph(_mm512_set1_epi16(ar.to_bits() as i16));
-            for (acc, &vb) in vr.iter_mut().zip(&vb) {
-                *acc = _mm512_fmadd_ph(va, vb, *acc);
+pub(super) fn tile_f16_fp16<'b>(
+    acc: &mut TileRows<'_, F16, NR_FP16, MR_FP16>,
+    rows: [&[F16]; MR_FP16],
+    b: impl Fn(usize) -> &'b [F16; NR_FP16],
+    (kc, fresh): (usize, bool),
+    epilogue: Option<(Option<[F16; MR_FP16]>, bool)>,
+) {
+    let mut streams: [&[F16]; MR_FP16] = [&[]; MR_FP16];
+    for (stream, row) in streams.iter_mut().zip(rows) {
+        *stream = &row[..kc];
+    }
+    let mut v = [_mm512_setzero_ph(); MR_FP16];
+    for (vr, row) in v.iter_mut().zip(acc.iter()).filter(|_| !fresh) {
+        *vr = _mm512_castsi512_ph(load(row));
+    }
+    for p in 0..kc {
+        let vb = _mm512_castsi512_ph(load(b(p)));
+        for (vr, stream) in v.iter_mut().zip(&streams) {
+            let va = _mm512_castsi512_ph(_mm512_set1_epi16(stream[p].to_bits() as i16));
+            *vr = _mm512_fmadd_ph(va, vb, *vr);
+        }
+    }
+    if let Some((bias, relu)) = epilogue {
+        let zero = _mm512_setzero_ph();
+        for (r, vr) in v.iter_mut().enumerate() {
+            if let Some(bias) = bias {
+                let vb = _mm512_castsi512_ph(_mm512_set1_epi16(bias[r].to_bits() as i16));
+                *vr = _mm512_add_ph(*vr, vb);
+            }
+            // `vmaxph` returns its second operand when both are zero or
+            // either is NaN: `-0.0` and NaN stay, like the scalar `<`.
+            if relu {
+                *vr = _mm512_max_ph(zero, *vr);
             }
         }
     }
-    for (row, vr) in acc.iter_mut().zip(&v) {
-        for (dst, &vj) in row.as_chunks_mut::<32>().0.iter_mut().zip(vr) {
-            store(dst, _mm512_castph_si512(vj));
-        }
+    for (row, &vr) in acc.iter_mut().zip(&v) {
+        store(row, _mm512_castph_si512(vr));
     }
 }
 
@@ -93,11 +117,15 @@ impl Vector for __m512i {}
 /// value.
 trait Plain: Copy {}
 impl Plain for u8 {}
+impl Plain for i8 {}
+impl Plain for i16 {}
 impl Plain for i32 {}
+impl Plain for f32 {}
 impl Plain for F16 {}
 
-/// The bytes of `src` as one vector of exactly their size.
-#[target_feature(enable = "avx512f")]
+/// The bytes of `src` as one vector of exactly their size. Gated on the
+/// narrowest tier's feature, so every tier's bodies call it.
+#[target_feature(enable = "avx2")]
 fn load<V: Vector, T: Plain, const N: usize>(src: &[T; N]) -> V {
     const { assert!(size_of::<V>() == N * size_of::<T>()) };
     // SAFETY: `src` is `size_of::<V>()` readable bytes, any bytes are a
@@ -106,7 +134,7 @@ fn load<V: Vector, T: Plain, const N: usize>(src: &[T; N]) -> V {
 }
 
 /// A vector into the bytes of `dst`, exactly its size.
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx2")]
 fn store<V: Vector, T: Plain, const N: usize>(dst: &mut [T; N], v: V) {
     const { assert!(size_of::<V>() == N * size_of::<T>()) };
     // SAFETY: `dst` is `size_of::<V>()` writable bytes, any bytes are
@@ -122,76 +150,85 @@ fn store<V: Vector, T: Plain, const N: usize>(dst: &mut [T; N], v: V) {
 /// are within ±255, so a product is at most 255², a pair sum at most
 /// 130 050, and a `KC`-panel (128 pair sums) stays below 2²⁴: no lane
 /// can overflow, and integer arithmetic makes the result unconditionally
-/// bit-identical to scalar.
-///
-/// # Safety
-/// Requires AVX2; `kc` even, `pa.len() >= kc * MR`, `pb.len() >= kc * 16`.
+/// bit-identical to scalar. Safe code: the row streams are trimmed to
+/// the panel's pair count up front and zipped with the `B` steps.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn tile_i16_avx2(
-    acc: &mut [[i32; NR_AVX2]; MR],
+pub(super) fn tile_i16_avx2(
+    acc: &mut TileRows<'_, i32, NR_AVX2, MR>,
     pa: &[i16],
     pb: &[i16],
     kc: usize,
 ) {
-    debug_assert_eq!(kc % 2, 0);
-    debug_assert!(pa.len() >= kc * MR && pb.len() >= kc * NR_AVX2);
+    let pairs = kc / 2;
     let mut v = [[_mm256_setzero_si256(); 2]; MR];
     for (vr, row) in v.iter_mut().zip(acc.iter()) {
-        vr[0] = _mm256_loadu_si256(row.as_ptr() as *const __m256i);
-        vr[1] = _mm256_loadu_si256(row.as_ptr().add(8) as *const __m256i);
+        for (vj, half) in vr.iter_mut().zip(row.as_chunks::<8>().0) {
+            *vj = load(half);
+        }
     }
-    for g in 0..kc / 2 {
-        // SAFETY: group `g` spans `pb[g * 32 .. g * 32 + 32]` and, in row
-        // `r`, `pa[r * kc + 2 * g ..][..2]`; `2 * g + 2 <= kc` keeps both
-        // inside the lengths asserted above.
-        let b = pb.as_ptr().add(g * 2 * NR_AVX2);
-        let vb = [
-            _mm256_loadu_si256(b as *const __m256i),
-            _mm256_loadu_si256(b.add(16) as *const __m256i),
-        ];
-        for (r, vr) in v.iter_mut().enumerate() {
+    let rows: [&[[i16; 2]]; MR] =
+        std::array::from_fn(|r| &pa[r * kc..][..kc].as_chunks::<2>().0[..pairs]);
+    let steps = &pb.as_chunks::<{ 2 * NR_AVX2 }>().0[..pairs];
+    for g in 0..pairs {
+        let h = steps[g].as_chunks::<16>().0;
+        let vb: [__m256i; 2] = [load(&h[0]), load(&h[1])];
+        for (vr, row) in v.iter_mut().zip(&rows) {
             // The row's two consecutive-k operands, broadcast as one
             // 32-bit lane.
-            let pair = pa.as_ptr().add(r * kc + 2 * g) as *const i32;
-            let va = _mm256_set1_epi32(pair.read_unaligned());
+            let [lo, hi] = row[g];
+            let va = _mm256_set1_epi32((lo as u16 as i32) | ((hi as i32) << 16));
             for (acc, &vb) in vr.iter_mut().zip(&vb) {
                 *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(va, vb));
             }
         }
     }
-    for (row, vr) in acc.iter_mut().zip(v.iter()) {
-        _mm256_storeu_si256(row.as_mut_ptr() as *mut __m256i, vr[0]);
-        _mm256_storeu_si256(row.as_mut_ptr().add(8) as *mut __m256i, vr[1]);
+    for (row, vr) in acc.iter_mut().zip(&v) {
+        for (dst, &vj) in row.as_chunks_mut::<8>().0.iter_mut().zip(vr) {
+            store(dst, vj);
+        }
     }
 }
 
-/// QUInt8 `8 × 32` tile over K-quad panels on `vpdpbusd`: `pa[(g*8 +
-/// r)*4 + s]` holds the weight `a(r,k) − 128` as `i8` and `pb[(g*32 +
-/// x)*4 + s]` the raw activation `b(k,x)`, for `k = 4g + s`. One
-/// instruction multiplies sixteen `[b(k..k+4, x)]` quads, unsigned, by
-/// the broadcast signed quad `[a(r,k..k+4)] − 128` and adds the four
-/// products into the `i32` lane: 64 MACs. A product is within ±32 640
-/// and the instruction does not saturate, so every lane holds `Σ_k
-/// b(k,x)·(a(r,k) − 128)` modulo 2³², exactly; [`crate::blocked`] adds
-/// the zero-point terms. Two zmm per row make sixteen independent
-/// chains. Safe code: each K step reads one `A` and one `B` run, zipped,
-/// and the accumulators go through the load and store helpers.
+/// QUInt8 `8 × 32` tile on `vpdpbusd`, the weights read in place: row
+/// stream `r` is the raw `u8` weights `a(r, k)` from the panel's first
+/// `k`, and `pb[(g*32 + x)*4 + s]` holds the activation `b(k,x) − 128`
+/// as `i8`, for `k = 4g + s`. One instruction multiplies the row's
+/// broadcast quad `[a(r,k..k+4)]`, unsigned, by sixteen signed `[b(k..
+/// k+4, x) − 128]` quads and adds the four products into each `i32`
+/// lane: 64 MACs. A product is within ±32 640 and the instruction does
+/// not saturate, so every lane holds `Σ_k a(r,k)·(b(k,x) − 128)` modulo
+/// 2³², exactly; [`crate::blocked`] adds the zero-point terms. Two zmm
+/// per row make sixteen independent chains. Safe code: each row stream
+/// is trimmed to the panel's quad count up front, so the zipped loop
+/// reads its quads without a bounds check; each quad is one
+/// `vpbroadcastd` from memory. A `fresh` tile starts from zero, as
+/// [`tile_f16_fp16`] does.
 #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
-pub(super) fn tile_u8_vnni(acc: &mut [[i32; NR_VNNI]; MR_VNNI], pa: &[i8], pb: &[u8], kc: usize) {
-    let a_steps = pa.as_chunks::<{ MR_VNNI * KSTEP_U8 }>().0;
-    let b_steps = pb.as_chunks::<{ NR_VNNI * KSTEP_U8 }>().0;
-    let halves = |row: &[i32; NR_VNNI]| {
-        let h = row.as_chunks::<16>().0;
-        [load(&h[0]), load(&h[1])]
-    };
-    let mut v = acc.each_ref().map(halves);
-    for (a, b) in a_steps.iter().zip(b_steps).take(kc / KSTEP_U8) {
-        let h = b.as_chunks::<64>().0;
+pub(super) fn tile_u8_vnni(
+    acc: &mut TileRows<'_, i32, NR_VNNI, MR_VNNI>,
+    rows: [&[u8]; MR_VNNI],
+    pb: &[i8],
+    (kc, fresh): (usize, bool),
+) {
+    let quads = kc / KSTEP_U8;
+    let mut streams: [&[[u8; KSTEP_U8]]; MR_VNNI] = [&[]; MR_VNNI];
+    for (stream, row) in streams.iter_mut().zip(rows) {
+        *stream = &row.as_chunks::<KSTEP_U8>().0[..quads];
+    }
+    let b_steps = &pb.as_chunks::<{ NR_VNNI * KSTEP_U8 }>().0[..quads];
+    let mut v = [[_mm512_setzero_si512(); 2]; MR_VNNI];
+    for (vr, row) in v.iter_mut().zip(acc.iter()).filter(|_| !fresh) {
+        for (vj, half) in vr.iter_mut().zip(row.as_chunks::<16>().0) {
+            *vj = load(half);
+        }
+    }
+    for g in 0..quads {
+        let h = b_steps[g].as_chunks::<64>().0;
         let vb: [__m512i; 2] = [load(&h[0]), load(&h[1])];
-        for (vr, quad) in v.iter_mut().zip(a.as_chunks::<KSTEP_U8>().0) {
-            let va = _mm512_set1_epi32(i32::from_le_bytes(quad.map(|a| a as u8)));
+        for (vr, stream) in v.iter_mut().zip(&streams) {
+            let va = _mm512_set1_epi32(i32::from_le_bytes(stream[g]));
             for (acc, &vb) in vr.iter_mut().zip(&vb) {
-                *acc = _mm512_dpbusd_epi32(*acc, vb, va);
+                *acc = _mm512_dpbusd_epi32(*acc, va, vb);
             }
         }
     }
@@ -202,27 +239,183 @@ pub(super) fn tile_u8_vnni(acc: &mut [[i32; NR_VNNI]; MR_VNNI], pa: &[i8], pb: &
     }
 }
 
-/// [`super::pack_quads`]: each half of the group widens the rows' bytes
-/// to `u32` lanes and stores `r0 | r1 << 8 | r2 << 16 | r3 << 24` (one
-/// K quad per lane, in column order) and adds `r0 + r1 + r2 + r3` into
-/// the sums.
+/// [`super::pack_quads`]: per K-quad group, each half widens the rows'
+/// bytes to `u32` lanes, stores `(r0 | r1 << 8 | r2 << 16 | r3 << 24) ^
+/// flip` (one K quad per lane, in column order; `flip` turns the first
+/// `live` bytes of a lane from `b` into `b − 128` as `i8`, and leaves the
+/// padding rows' zeros) and adds `r0 + r1 + r2 + r3` into the column
+/// sums, which stay in registers for the whole micro-panel.
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
-pub(super) fn pack_quads(
-    dst: &mut [[u8; KSTEP_U8]; NR_VNNI],
-    rows: [&[u8; NR_VNNI]; KSTEP_U8],
+pub(super) fn pack_quads<'r>(
+    dst: &mut [[[i8; KSTEP_U8]; NR_VNNI]],
+    kc: usize,
+    row: impl Fn(usize) -> &'r [u8; NR_VNNI],
     sums: &mut [i32; NR_VNNI],
 ) {
-    let dst = dst.as_flattened_mut().as_chunks_mut::<64>().0;
+    const ZEROS: [u8; NR_VNNI] = [0; NR_VNNI];
     let sums = sums.as_chunks_mut::<16>().0;
-    for (h, (dst, sums)) in dst.iter_mut().zip(sums).enumerate() {
-        let [r0, r1, r2, r3] = rows.map(|r| _mm512_cvtepu8_epi32(load(&r.as_chunks::<16>().0[h])));
-        let hi = _mm512_or_si512(_mm512_slli_epi32::<16>(r2), _mm512_slli_epi32::<24>(r3));
-        store(
-            dst,
-            _mm512_or_si512(_mm512_or_si512(r0, _mm512_slli_epi32::<8>(r1)), hi),
-        );
-        let total = _mm512_add_epi32(_mm512_add_epi32(r0, r1), _mm512_add_epi32(r2, r3));
-        store(sums, _mm512_add_epi32(load(sums), total));
+    let mut totals: [__m512i; 2] = [load(&sums[0]), load(&sums[1])];
+    for (g, group) in dst.iter_mut().enumerate() {
+        let live = KSTEP_U8.min(kc - g * KSTEP_U8);
+        let flip = _mm512_set1_epi32((0x8080_8080u32 >> (8 * (KSTEP_U8 - live))) as i32);
+        let rows: [&[u8; NR_VNNI]; KSTEP_U8] = std::array::from_fn(|s| {
+            if s < live {
+                row(g * KSTEP_U8 + s)
+            } else {
+                &ZEROS
+            }
+        });
+        let halves = group.as_flattened_mut().as_chunks_mut::<64>().0;
+        for (h, (dst, total)) in halves.iter_mut().zip(&mut totals).enumerate() {
+            let [r0, r1, r2, r3] =
+                rows.map(|r| _mm512_cvtepu8_epi32(load(&r.as_chunks::<16>().0[h])));
+            let hi = _mm512_or_si512(_mm512_slli_epi32::<16>(r2), _mm512_slli_epi32::<24>(r3));
+            let quads = _mm512_or_si512(_mm512_or_si512(r0, _mm512_slli_epi32::<8>(r1)), hi);
+            store(dst, _mm512_xor_si512(quads, flip));
+            let sum = _mm512_add_epi32(_mm512_add_epi32(r0, r1), _mm512_add_epi32(r2, r3));
+            *total = _mm512_add_epi32(*total, sum);
+        }
+    }
+    for (dst, &total) in sums.iter_mut().zip(&totals) {
+        store(dst, total);
+    }
+}
+
+/// [`super::row_sums`]: `sums[i]` is the sum of row `i` of `a` (`k`
+/// bytes each), wrapping in `i32`, 64 bytes per `vpsadbw` and the row's
+/// last bytes one at a time.
+#[target_feature(enable = "avx512f", enable = "avx512bw")]
+pub(super) fn row_sums(a: &[u8], k: usize, sums: &mut [i32]) {
+    for (row, sum) in a.chunks_exact(k).zip(sums) {
+        let (chunks, tail) = row.as_chunks::<64>();
+        let mut acc = _mm512_setzero_si512();
+        for c in chunks {
+            acc = _mm512_add_epi64(acc, _mm512_sad_epu8(load(c), _mm512_setzero_si512()));
+        }
+        let body = _mm512_reduce_add_epi64(acc) as i32;
+        *sum = tail.iter().fold(body, |s, &v| s.wrapping_add(v as i32));
+    }
+}
+
+/// 128 bytes split by position: the even-indexed bytes, then the odd
+/// ones, 64 each. `vpackuswb` of the 16-bit lanes' low (masked) or high
+/// (shifted) bytes packs each 128-bit lane's eight from both inputs side
+/// by side; `vpermq` puts the quadwords back in order. AVX-512BW only.
+#[target_feature(enable = "avx512f", enable = "avx512bw")]
+fn split_phases(v: [__m512i; 2]) -> [__m512i; 2] {
+    let low = _mm512_set1_epi16(0xff);
+    let order = _mm512_set_epi64(7, 5, 3, 1, 6, 4, 2, 0);
+    let even = _mm512_packus_epi16(_mm512_and_si512(v[0], low), _mm512_and_si512(v[1], low));
+    let odd = _mm512_packus_epi16(_mm512_srli_epi16::<8>(v[0]), _mm512_srli_epi16::<8>(v[1]));
+    [even, odd].map(|p| _mm512_permutexvar_epi64(order, p))
+}
+
+/// [`super::max_taps_s2`]: per output row and 64 outputs, the byte max
+/// of the window's rows over the 128 columns the outputs' taps start in
+/// (64 lanes per step), split into its even and odd phases; output `i`
+/// is the max of even `i`, odd `i` and — 3 wide — even `i + 1`, the
+/// even phase shifted down one byte with the next step's first even
+/// byte (`valignq` then `vpalignr`). A read past the end of the plane
+/// is staged through a 128-byte row; a store of fewer than 64
+/// outputs spills over the bytes after them (with `spill`) or blends
+/// into them, or near the end of `out` is staged through a 64-byte row.
+#[target_feature(enable = "avx512f", enable = "avx512bw")]
+pub(super) fn max_taps_s2(
+    plane: &[u8],
+    (w, out_rows): (usize, usize),
+    rows: impl Fn(usize) -> Range<usize>,
+    (t0, kw, len): (usize, usize, usize),
+    out: (&mut [u8], impl Fn(usize) -> usize, bool),
+) {
+    let geometry = (plane, (w, out_rows), rows, (t0, len), out);
+    // Taps within the first 64 columns need one vector per row.
+    let narrow = len > 0 && t0 + 2 * (len - 1) + kw <= 64;
+    match (kw, narrow) {
+        (1, false) => taps_s2::<1, 2>(geometry),
+        (2, false) => taps_s2::<2, 2>(geometry),
+        (_, false) => taps_s2::<3, 2>(geometry),
+        (1, true) => taps_s2::<1, 1>(geometry),
+        (2, true) => taps_s2::<2, 1>(geometry),
+        (_, true) => taps_s2::<3, 1>(geometry),
+    }
+}
+
+/// [`max_taps_s2`] for `KW` taps, reading `HALVES` vectors of 64
+/// columns per row and step (one when every tap lies in the first 64).
+#[target_feature(enable = "avx512f", enable = "avx512bw")]
+#[allow(clippy::type_complexity)]
+fn taps_s2<const KW: usize, const HALVES: usize>(
+    (plane, (w, out_rows), rows, (t0, len), (out, at, spill)): (
+        &[u8],
+        (usize, usize),
+        impl Fn(usize) -> Range<usize>,
+        (usize, usize),
+        (&mut [u8], impl Fn(usize) -> usize, bool),
+    ),
+) {
+    // Bytes past the end of the plane are junk columns of every row
+    // (past `w`), so the staging row is zeroed only once.
+    let mut staged = [0u8; 128];
+    let mut phases = |window: &Range<usize>, c0: usize| {
+        let mut v = [_mm512_setzero_si512(); 2];
+        for r in window.clone() {
+            let src = plane.get(r * w + c0..).unwrap_or_default();
+            let bytes = match src.get(..64 * HALVES) {
+                Some(whole) => whole,
+                None => {
+                    staged[..src.len()].copy_from_slice(src);
+                    &staged[..64 * HALVES]
+                }
+            };
+            for (acc, half) in v.iter_mut().zip(bytes.as_chunks::<64>().0) {
+                *acc = _mm512_max_epu8(*acc, load(half));
+            }
+        }
+        split_phases(v)
+    };
+    for oy in 0..out_rows {
+        let window = rows(oy);
+        if window.is_empty() {
+            continue;
+        }
+        let (base, mut carried) = (at(oy), None);
+        for q in 0..len.div_ceil(64) {
+            let live = (len - 64 * q).min(64);
+            let [even, odd] = carried
+                .take()
+                .unwrap_or_else(|| phases(&window, t0 + 128 * q));
+            let mut m = if KW == 1 {
+                even
+            } else {
+                _mm512_max_epu8(even, odd)
+            };
+            if KW == 3 {
+                // Even `i + 1`: the next step's first even byte is needed
+                // only by a full step's last output.
+                let next = match live {
+                    64 => carried.insert(phases(&window, t0 + 128 * (q + 1)))[0],
+                    _ => _mm512_setzero_si512(),
+                };
+                let up = _mm512_alignr_epi64::<2>(next, even);
+                m = _mm512_max_epu8(m, _mm512_alignr_epi8::<1>(up, even));
+            }
+            // Fewer than 64 outputs spill over or blend into the bytes
+            // after them where `out` has 64, and are staged where it does
+            // not.
+            let start = base + 64 * q;
+            match out.get_mut(start..).and_then(|o| o.first_chunk_mut::<64>()) {
+                Some(whole) if spill || live == 64 => store(whole, m),
+                Some(whole) => {
+                    let mask = u64::MAX >> (64 - live);
+                    store(whole, _mm512_mask_blend_epi8(mask, load(whole), m));
+                }
+                None => {
+                    let mut staged = [0u8; 64];
+                    store(&mut staged, m);
+                    out[start..start + live].copy_from_slice(&staged[..live]);
+                }
+            }
+        }
     }
 }
 
@@ -230,12 +423,13 @@ pub(super) fn pack_quads(
 /// right_shift <= 31` and a non-negative mantissa: operation for
 /// operation the eight-lane body of [`utensor::requantize_into`], whose
 /// comments carry the exactness argument, with mask registers for its
-/// compares and `vpmovdb` for its byte pack. Returns the length of the
-/// prefix done, a multiple of sixteen.
+/// compares and `vpmovdb` for its byte pack, each lane's term (when
+/// `terms` is not empty) added to its sum first. Returns the length of
+/// the prefix done, a multiple of sixteen.
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
 pub(super) fn requantize(
     out: &mut [u8],
-    acc: &[i32],
+    (acc, terms): (&[i32], &[i32]),
     bias: i32,
     multiplier: &FixedPointMultiplier,
     zero_point: u8,
@@ -254,10 +448,8 @@ pub(super) fn requantize(
     let vlo = _mm512_set1_epi32(if relu { 0 } else { -zp });
     let (vhi, vzp) = (_mm512_set1_epi32(255 - zp), _mm512_set1_epi32(zp));
     let (zero, one) = (_mm512_setzero_si512(), _mm512_set1_epi32(1));
-    let (outs, accs) = (out.as_chunks_mut::<16>().0, acc.as_chunks::<16>().0);
-    let blocks = outs.len().min(accs.len());
-    for (o, raw) in outs.iter_mut().zip(accs) {
-        let a = _mm512_add_epi32(load(raw), vbias);
+    let lanes = |a: __m512i| {
+        let a = _mm512_add_epi32(a, vbias);
         let even = _mm512_srli_epi64::<31>(_mm512_add_epi64(_mm512_mul_epi32(a, vmul), vround));
         let odd = _mm512_mul_epi32(_mm512_srli_epi64::<32>(a), vmul);
         let odd = _mm512_srli_epi64::<31>(_mm512_add_epi64(odd, vround));
@@ -269,7 +461,20 @@ pub(super) fn requantize(
         let round_up = _mm512_cmpgt_epi32_mask(remainder, threshold);
         let scaled = _mm512_mask_add_epi32(shifted, round_up, shifted, one);
         let q = _mm512_add_epi32(_mm512_min_epi32(_mm512_max_epi32(scaled, vlo), vhi), vzp);
-        store(o, _mm512_cvtepi32_epi8(q));
+        _mm512_cvtepi32_epi8(q)
+    };
+    let (outs, accs) = (out.as_chunks_mut::<16>().0, acc.as_chunks::<16>().0);
+    let blocks = outs.len().min(accs.len());
+    if terms.is_empty() {
+        for (o, raw) in outs.iter_mut().zip(accs) {
+            store(o, lanes(load(raw)));
+        }
+        return blocks * 16;
+    }
+    let terms = terms.as_chunks::<16>().0;
+    let blocks = blocks.min(terms.len());
+    for ((o, raw), t) in outs.iter_mut().zip(accs).zip(terms) {
+        store(o, lanes(_mm512_add_epi32(load(raw), load(t))));
     }
     blocks * 16
 }
@@ -277,29 +482,24 @@ pub(super) fn requantize(
 /// The F16 GEMM row epilogue, `v += bias` (rounded to binary16) then
 /// `if v < 0 { v = 0 }`, over the longest prefix that is a multiple of
 /// eight lanes; returns that prefix's length. Like the scalar compare,
-/// the ReLU leaves `-0.0` and NaN alone.
-///
-/// # Safety
-/// Requires AVX2+F16C.
+/// the ReLU leaves `-0.0` and NaN alone. Safe code over whole vectors of
+/// the row.
 #[target_feature(enable = "avx2", enable = "f16c")]
-pub(super) unsafe fn f16_bias_relu(row: &mut [F16], bias: Option<F16>, relu: bool) -> usize {
+pub(super) fn f16_bias_relu(row: &mut [F16], bias: Option<F16>, relu: bool) -> usize {
     let zero = _mm256_setzero_ps();
     let vbias = bias.map(|b| _mm256_set1_ps(b.to_f32()));
-    let blocks = row.len() / 8;
-    for i in 0..blocks {
-        debug_assert!(i * 8 + 8 <= row.len());
-        // SAFETY: `i * 8 + 8 <= blocks * 8 <= row.len()`.
-        let p = row.as_mut_ptr().add(i * 8) as *mut __m128i;
-        let mut v = _mm256_cvtph_ps(_mm_loadu_si128(p));
+    let blocks = row.as_chunks_mut::<8>().0;
+    for lanes in blocks.iter_mut() {
+        let mut v = _mm256_cvtph_ps(load(lanes));
         if let Some(vb) = vbias {
             v = _mm256_cvtph_ps(_mm256_cvtps_ph::<RN>(_mm256_add_ps(v, vb)));
         }
         if relu {
             v = _mm256_blendv_ps(v, zero, _mm256_cmp_ps::<_CMP_LT_OQ>(v, zero));
         }
-        _mm_storeu_si128(p, _mm256_cvtps_ph::<RN>(v));
+        store(lanes, _mm256_cvtps_ph::<RN>(v));
     }
-    blocks * 8
+    blocks.len() * 8
 }
 
 /// [`super::strip_u8`] compiled for AVX2: plain safe code, which the

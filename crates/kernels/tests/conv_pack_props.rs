@@ -1,10 +1,12 @@
 //! `conv2d` against im2col + the naive GEMM (`tests/common/conv.rs`),
-//! bit for bit, over the edge geometry of the GEMM's `B`-panel pack.
+//! bit for bit, over the edge geometry of the implicit GEMM.
 //!
-//! The blocked GEMM builds its `B` panels straight from the input plane:
-//! per (patch row, output row) segment it computes which output columns
-//! have their tap inside the plane, copies those, and writes the pad
-//! value around them. The cases below stress exactly that arithmetic:
+//! The blocked GEMM reads its `B` operand from the input's padded
+//! stride-phase planes: row `(ci·kh + ky)·kw + kx` is the run of phase
+//! plane `(ky mod s, kx mod s)` from `(ky/s)·pitch + kx/s`, its columns
+//! the output positions `oy·pitch + ox` — the `pitch − ow` columns
+//! between output rows are computed and dropped. The cases below stress
+//! exactly that arithmetic:
 //! non-square planes, non-square kernels of 1–5, strides 1–3 (stride
 //! above the kernel too), padding up to one less than the kernel, an odd
 //! patch depth `K` (the K-pair layout pads it) and `K` above one panel,
@@ -166,5 +168,50 @@ fn pack_edges_are_bit_exact() {
     for c in &cases {
         assert!(c.fits(), "{c:?}");
         assert!(bit_exact(c), "{c:?}");
+    }
+}
+
+/// The junk columns: `pitch − ow` of 0, 1, 2 and 4 between output rows
+/// (stride 3 with pad 2 included), each with `K > KC` and more columns
+/// than one `NC` block, so a block starts in the middle of an output row
+/// and a `K` panel boundary falls inside it. All three dtypes, both
+/// paths.
+#[test]
+fn junk_columns_are_dropped_bit_exactly() {
+    // (channels, plane, kernel, stride, pad, pitch − ow)
+    let cases = [
+        // 1×1: the plane is the matrix, no junk.
+        (300, (17, 19), (1, 1), 1, 0, 0),
+        // Stride 2: the phase planes' pitch is one more than the row.
+        (30, (39, 42), (3, 3), 2, 0, 1),
+        // Stride 3 with pad 2.
+        (29, (50, 52), (3, 3), 3, 2, 1),
+        // Padded 3 × 3, and unpadded (the input is its own plane).
+        (29, (19, 23), (3, 3), 1, 1, 2),
+        (29, (20, 22), (3, 3), 1, 0, 2),
+        (90, (19, 21), (1, 3), 1, 0, 2),
+        // Wide windows: four junk columns per row.
+        (14, (21, 25), (5, 5), 1, 2, 4),
+        (18, (37, 41), (3, 5), 1, 0, 4),
+    ];
+    for (ic, (h, w), (kh, kw), stride, pad, junk) in cases {
+        let c = Case {
+            ic,
+            oc: 7,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad,
+            relu: ic % 2 == 0,
+            seed: ic + w,
+        };
+        let ow = out_dim(w, kw, stride, pad).unwrap();
+        let pitch = (w + 2 * pad).div_ceil(stride);
+        assert_eq!(pitch - ow, junk, "{c:?}");
+        assert!(ic * kh * kw > KC, "{c:?}: K within one panel");
+        assert!(c.cols() > 256, "{c:?}: one NC block");
+        assert!(bit_exact(&c), "{c:?}");
     }
 }

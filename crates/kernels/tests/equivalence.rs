@@ -124,7 +124,7 @@ fn conv_paths() -> Vec<PathChoice> {
 /// `KC + 1` to 18 panels deep (`k = 4608`, a 3 × 3 × 512 layer). Between
 /// them: odd and unit `k`, `k % KC` of 0, 1 and `KC − 1`, `n % w` of 1
 /// and `w − 1` for `w` 16, 32 and 64, and `m` off 4 and 8 — every
-/// remainder of the 4 × 16, 8 × 32 and 4 × 64 tiles.
+/// remainder of the 4 × 16 and 8 × 32 tiles.
 const GEMM_SHAPES: [(usize, usize, usize); 14] = [
     (1, 1, 1),
     (3, 7, 5),

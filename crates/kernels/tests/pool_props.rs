@@ -9,6 +9,11 @@
 //! generated geometry with shrinking, and across the channel split the
 //! runtime applies to pooling layers.
 //!
+//! The QUInt8 max paths have a vector body on the AVX-512 tiers (the
+//! byte max of the window's rows split into stride phases); the plane
+//! widths around its 64-lane vector and 128-byte phase window, and
+//! SqueezeNet's pooled planes, run on both kernel paths below.
+//!
 //! ci.sh runs this target in both kernel-path passes next to
 //! `equivalence` and `direct_conv_props`.
 
@@ -17,7 +22,7 @@ mod common;
 use common::alloc::{global_avg_pool, pool2d};
 use common::{pool2d_windowed, pool_input};
 use testkit::{bools, prop_assert, prop_assume, props, select};
-use ukernels::{out_dim, PoolKind, PoolParams};
+use ukernels::{out_dim, set_kernel_path, PathChoice, PoolKind, PoolParams};
 use utensor::{DType, QuantParams, Shape, Tensor, F16};
 
 const DTYPES: [DType; 3] = [DType::F32, DType::F16, DType::QUInt8];
@@ -65,6 +70,44 @@ fn exhaustive_small_grid_is_bit_equal_to_the_windowed_loop() {
         }
     }
     assert!(cells > 10_000, "the grid shrank to {cells} cells");
+}
+
+/// QUInt8 max pooling over planes whose widths straddle the vector
+/// body's 64 lanes and 128-byte phase window (63, 64, 65, 127, 128, 129)
+/// and SqueezeNet's pooled planes (111, 55, 27), with the 3-wide and
+/// 2-wide stride-2 windows (clipped columns included), on the scalar
+/// kernel path and the host's SIMD path, against the windowed loop.
+#[test]
+fn quint8_max_at_vector_widths_is_bit_equal_on_both_paths() {
+    let mut cells = 0;
+    for (i, &w) in [63usize, 64, 65, 127, 128, 129, 111, 55, 27]
+        .iter()
+        .enumerate()
+    {
+        for (k, pad) in [(3, 0), (3, 1), (2, 0), (2, 1), (1, 0)] {
+            for h in [w, 5] {
+                if out_dim(h, k, 2, pad).is_none() || out_dim(w, k, 2, pad).is_none() {
+                    continue;
+                }
+                let input = pool_input(Shape::nchw(1, 3, h, w), DType::QUInt8, i * 13 + k);
+                let p = PoolParams {
+                    kind: PoolKind::Max,
+                    k,
+                    stride: 2,
+                    pad,
+                };
+                let want = pool2d_windowed(&input, &p);
+                for path in [PathChoice::Scalar, PathChoice::Auto] {
+                    let prev = set_kernel_path(path);
+                    let got = pool2d(&input, &p).unwrap();
+                    set_kernel_path(prev);
+                    assert!(got.bit_equal(&want), "{p:?} on {h}x{w}, {path:?}");
+                    cells += 1;
+                }
+            }
+        }
+    }
+    assert!(cells >= 150, "the width sweep shrank to {cells} cells");
 }
 
 #[test]

@@ -134,6 +134,33 @@ fn gemm_is_bit_exact_at_the_extreme_depth() {
     }
 }
 
+/// Row ranges of a larger weight matrix, as a channel split hands the
+/// GEMM its part: one that ends the weight slice with `k % 4 ≠ 0` (the
+/// last rows' K-quad streams would run past the end of the weights and
+/// are staged) and one that starts at a row that is not a multiple of 8
+/// (the tiles' rows fall across the parent's 8-row tiles). Every pair of
+/// zero points, depths around the K step and the panel, on both paths.
+#[test]
+fn row_ranges_of_the_weights_are_bit_exact() {
+    let (rows, n) = (29usize, 37usize);
+    for (i, &k) in [1usize, 3, 27, 255, 257].iter().enumerate() {
+        let weights = pseudo_u8(rows * k, i * 17);
+        let b = pseudo_u8(k * n, i * 17 + 1);
+        // The last 11 rows: the slice ends where the weights end.
+        // Rows 3..20: a range starting off the 8-row grid.
+        for range in [rows - 11..rows, 3..20] {
+            let a = &weights[range.start * k..range.end * k];
+            let m = range.len();
+            for (&za, &zb) in ZERO_POINTS.iter().zip(ZERO_POINTS.iter().rev()) {
+                assert!(
+                    gemm_exact((m, k, n), (a, za), (&b, zb)),
+                    "rows {range:?}, k {k}, z_a {za}, z_b {zb}"
+                );
+            }
+        }
+    }
+}
+
 props! {
     #![cases(64)]
 
