@@ -8,7 +8,7 @@
 //! repro serve [net] [--arrivals=fixed|bursty|poisson] [--rate=FPS] [--deadline=MS]
 //!             [--queue=N] [--frames=N] [--seed=N] [--miniature] [--trace-out=FILE]
 //! repro measure [net] [--miniature] [--threads=N] [--repeat=N]
-//!               [--kernel-path=auto|scalar|simd] [--out=FILE]
+//!               [--kernel-path=auto|scalar|avx2|avx512|avx512fp16] [--out=FILE]
 //! repro fleet [net] [--devices=N] [--frames=N] [--seed=N] [--miniature]
 //!             [--storm=none|throttle-wave|gpu-loss|flaky-epidemic|link-partition]
 //!             [--arrivals=fixed|bursty|poisson] [--rate=FPS] [--deadline=MS]
@@ -666,7 +666,7 @@ fn serve(args: &[String]) {
 }
 
 /// `repro measure [net] [--miniature] [--threads=N] [--repeat=N]
-/// [--kernel-path={auto|scalar|simd}] [--out=FILE]`:
+/// [--kernel-path={auto|scalar|avx2|avx512|avx512fp16}] [--out=FILE]`:
 /// wall-clock measurement of the μLayer cooperative plan against the
 /// single-processor CPU baseline on real worker threads, plus predictor
 /// calibration from the measured samples. `--out=FILE` writes the
@@ -688,20 +688,25 @@ fn measure_cmd(args: &[String]) {
         "Measured execution: uLayer {} on real worker pools ({threads} threads/pool, best of {repeat})",
         model.name()
     ));
+    let (tier, host) = (kernel_path.resolve(), ukernels::simd_tier());
     println!(
         "kernel path: {} (resolved: {}), cpu features: {}",
         kernel_path.as_str(),
-        kernel_path.resolve().as_str(),
+        tier.as_str(),
         ukernels::cpu_features(),
     );
-    if kernel_path == ukernels::PathChoice::Simd
-        && kernel_path.resolve() == ukernels::KernelPath::Scalar
-    {
-        println!("WARN: SIMD requested but this host lacks the CPU features; running scalar");
+    if matches!(kernel_path, ukernels::PathChoice::Cap(cap) if cap > host) {
+        println!(
+            "WARN: {} requested but this host's widest tier is {}; running that",
+            kernel_path.as_str(),
+            host.as_str(),
+        );
     }
-    let fp16 = ukernels::simd_tier() >= ukernels::SimdTier::Avx512Fp16;
-    if kernel_path.resolve() == ukernels::KernelPath::Simd && !fp16 {
-        println!("WARN: no avx512fp16 on this host; the GPU pool runs the scalar F16::mul_add");
+    if tier > ukernels::SimdTier::None && tier < ukernels::SimdTier::Avx512Fp16 {
+        println!(
+            "WARN: the {} tier has no avx512fp16; the GPU pool runs the scalar F16::mul_add",
+            tier.as_str(),
+        );
     }
 
     let g = if miniature {

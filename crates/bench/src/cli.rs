@@ -44,9 +44,6 @@ pub const STORMS: &[&str] = &[
 /// test.
 pub const LINK_FAULTS: &[&str] = &["none", "drop", "delay", "jitter", "flap", "partition"];
 
-/// Kernel-path choices (`--kernel-path=`).
-pub const KERNEL_PATHS: &[&str] = &["auto", "scalar", "simd"];
-
 /// On/off toggles (`--plan-cache=`).
 pub(crate) const ONOFF: &[&str] = &["on", "off"];
 
@@ -133,7 +130,7 @@ pub(crate) const MEASURE_FLAGS: &[FlagSpec] = &[
     flag("--miniature", FlagKind::Switch),
     flag("--threads", FlagKind::UsizeMin(1)),
     flag("--repeat", FlagKind::UsizeMin(1)),
-    flag("--kernel-path", FlagKind::OneOf(KERNEL_PATHS)),
+    flag("--kernel-path", FlagKind::OneOf(ukernels::KERNEL_PATHS)),
     flag("--out", FlagKind::Str),
 ];
 

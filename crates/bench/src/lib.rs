@@ -27,8 +27,8 @@ mod predictor_eval;
 mod report;
 
 pub use cli::{
-    parse_flags, subcommand_flags, CliError, FlagKind, Parsed, ARRIVALS, FLEET_FLAGS, KERNEL_PATHS,
-    LINK_FAULTS, SCENARIOS, SERVE_FLAGS, STORMS, SUBCOMMANDS,
+    parse_flags, subcommand_flags, CliError, FlagKind, Parsed, ARRIVALS, FLEET_FLAGS, LINK_FAULTS,
+    SCENARIOS, SERVE_FLAGS, STORMS, SUBCOMMANDS,
 };
 pub use export::export_all;
 pub use extra::{overhead_sensitivity, p_granularity};

@@ -146,12 +146,6 @@ fn enumerated_lists_match_their_enums() {
             "link fault {name} does not round-trip"
         );
     }
-    for name in ubench::KERNEL_PATHS {
-        assert!(
-            ukernels::PathChoice::parse(name).is_some(),
-            "kernel path {name} does not round-trip"
-        );
-    }
 }
 
 /// The typed errors render the subcommand, the flag, and what was

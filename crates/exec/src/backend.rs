@@ -108,7 +108,7 @@ pub struct ParallelBackend {
 
 impl ParallelBackend {
     /// Builds the backend for `spec`'s CPU/GPU pair. Workers take the
-    /// config's kernel path (scalar or SIMD register tiles) once at
+    /// config's tier cap (scalar or a SIMD tier's register tiles) once at
     /// spawn, the calling thread while it runs a node's CPU chunks; the
     /// choice is thread-local, so nothing outside the pools changes.
     pub fn new(spec: &SocSpec, cfg: &ExecConfig, mode: PoolMode) -> ParallelBackend {

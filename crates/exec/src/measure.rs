@@ -137,11 +137,11 @@ pub struct MeasureReport {
     /// beat the single pool, so consumers gate the speedup expectation
     /// on this.
     pub host_parallelism: usize,
-    /// Requested kernel path (`auto` / `scalar` / `simd`).
+    /// Requested kernel path (`auto`, `scalar` or a tier name).
     pub kernel_path_requested: String,
-    /// The path the workers actually ran after runtime CPU feature
-    /// detection (`scalar` / `simd`) — a forced `simd` request degrades
-    /// to `scalar` on hosts without the features.
+    /// The tier the workers actually ran after runtime CPU feature
+    /// detection (`scalar`, `avx2`, `avx512` or `avx512fp16`) — a request
+    /// above the host's widest tier runs that tier.
     pub kernel_path: String,
     /// Detected CPU features relevant to the SIMD tiles (diagnostics).
     pub cpu_features: String,

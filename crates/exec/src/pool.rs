@@ -31,7 +31,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use ukernels::PathChoice;
+use ukernels::{PathChoice, SimdTier};
 
 /// How long a waiting thread spins before it parks: about the gap
 /// between two layers, and short enough not to starve other work on
@@ -52,8 +52,8 @@ pub struct ExecConfig {
     /// Workers in the GPU-emulating pool.
     pub gpu_threads: usize,
     /// Requested inner-kernel path for every worker of both pools, the
-    /// calling thread included while it runs CPU jobs (resolved against
-    /// runtime CPU detection at the register tile).
+    /// calling thread included while it runs CPU jobs: a tier cap,
+    /// resolved against runtime CPU detection when the pools start.
     pub kernel_path: PathChoice,
 }
 
@@ -296,28 +296,24 @@ pub(crate) struct Engine {
     cpu: WorkerPool,
     /// `None` when every job runs on the CPU pool.
     gpu: Option<WorkerPool>,
-    kernel_path: PathChoice,
+    tier: SimdTier,
 }
 
 impl Engine {
     /// Spawns `cfg.cpu_threads − 1` CPU workers and, when `gpu_pool`,
-    /// `cfg.gpu_threads` GPU workers, each set to `cfg.kernel_path` (the
-    /// choice is thread-local: it picks the register tiles the worker
-    /// runs).
+    /// `cfg.gpu_threads` GPU workers, each capped at `cfg.kernel_path`'s
+    /// tier (the cap is thread-local: it picks the register tiles the
+    /// worker runs).
     pub(crate) fn new(cfg: &ExecConfig, gpu_pool: bool) -> Engine {
-        let kernel_path = cfg.kernel_path;
-        let init = move || _ = ukernels::set_kernel_path(kernel_path);
+        let tier = cfg.kernel_path.resolve();
+        let init = move || _ = ukernels::set_kernel_path(tier);
         let cpu = WorkerPool::new("cpu", cfg.cpu_threads.saturating_sub(1), init);
         let gpu = gpu_pool.then(|| WorkerPool::new("gpu", cfg.gpu_threads.max(1), init));
-        Engine {
-            cpu,
-            gpu,
-            kernel_path,
-        }
+        Engine { cpu, gpu, tier }
     }
 
     /// Runs `job(i)` for every `i` of `cpu` on the CPU pool — the first
-    /// on the calling thread, under the engine's kernel path, which the
+    /// on the calling thread, under the engine's tier cap, which the
     /// caller gets back before the join — and of `gpu` on the GPU pool
     /// (the CPU pool without one), concurrently, and returns when all
     /// have finished: one layer ending at its barrier. The first panic
@@ -346,7 +342,7 @@ impl Engine {
             batch.remaining.fetch_add(1, Ordering::AcqRel);
             // `Batch::run` catches panics, so the caller's path is
             // always restored.
-            let own = ukernels::set_kernel_path(self.kernel_path);
+            let own = ukernels::set_kernel_path(self.tier);
             batch.run(first);
             while let Some((queued, index)) = self.cpu.shared.pop() {
                 queued.run(index);

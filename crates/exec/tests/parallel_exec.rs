@@ -3,7 +3,7 @@
 //! measurement harness end to end.
 
 use uexec::{measure, ExecConfig, MeasureConfig, ParallelBackend, PoolMode};
-use ukernels::PathChoice;
+use ukernels::{PathChoice, SimdTier};
 use unn::{Calibration, Graph, ModelId, Weights};
 use uruntime::{
     evaluate_plan, evaluate_plan_with_backend, single_processor_plan, ExecutionPlan, NodePlacement,
@@ -146,22 +146,19 @@ fn the_caller_runs_its_chunks_on_the_backend_path_and_keeps_its_own() {
     let (g, w, calib, x) = setup();
     let spec = SocSpec::exynos_7420();
     let plan = &dtype_plans(&g, &spec)[2];
-    let scalar = ExecConfig::with_threads(2).with_kernel_path(PathChoice::Scalar);
+    let scalar = ExecConfig::with_threads(2).with_kernel_path(PathChoice::Cap(SimdTier::None));
+    let host = ukernels::simd_tier();
     std::thread::scope(|s| {
         let want = s.spawn(|| {
-            ukernels::set_kernel_path(PathChoice::Scalar);
+            ukernels::set_kernel_path(SimdTier::None);
             evaluate_plan(&g, plan, &w, &calib, &x).unwrap()
         });
         let got = s.spawn(|| {
-            ukernels::set_kernel_path(PathChoice::Auto);
+            ukernels::set_kernel_path(host);
             let backend = ParallelBackend::new(&spec, &scalar, PoolMode::Cooperative);
             let frame = evaluate_plan_with_backend(&g, plan, &w, &calib, &x, &backend).unwrap();
-            let own = ukernels::set_kernel_path(PathChoice::Auto);
-            assert_eq!(
-                own,
-                PathChoice::Auto,
-                "the frame changed the caller's kernel path"
-            );
+            let own = ukernels::set_kernel_path(host);
+            assert_eq!(own, host, "the frame changed the caller's kernel path");
             frame
         });
         let (want, got) = (want.join().unwrap(), got.join().unwrap());
@@ -414,7 +411,7 @@ fn measure_reports_speedups_and_samples() {
         &MeasureConfig {
             threads: 2,
             repeat: 1,
-            kernel_path: ukernels::PathChoice::Auto,
+            kernel_path: PathChoice::Auto,
         },
     )
     .unwrap();
@@ -433,15 +430,10 @@ fn measure_reports_speedups_and_samples() {
     assert!(report.samples.iter().all(|s| s.seconds >= 0.0));
     assert_eq!(report.threads, 2);
     assert_eq!(report.model, g.name());
-    // The report names the kernel path the workers resolved to and the
+    // The report names the tier the workers resolved to and the
     // features that drove the resolution.
     assert_eq!(report.kernel_path_requested, "auto");
-    let expect = if ukernels::simd_available() {
-        "simd"
-    } else {
-        "scalar"
-    };
-    assert_eq!(report.kernel_path, expect);
+    assert_eq!(report.kernel_path, ukernels::simd_tier().as_str());
     assert!(!report.cpu_features.is_empty());
 }
 
@@ -468,7 +460,7 @@ fn measure_scalar_path_reproduces_baseline_config() {
         &MeasureConfig {
             threads: 1,
             repeat: 1,
-            kernel_path: ukernels::PathChoice::Scalar,
+            kernel_path: PathChoice::Cap(SimdTier::None),
         },
     )
     .unwrap();
@@ -528,7 +520,7 @@ fn measure_fits_each_sample_to_the_share_its_part_ran() {
     let cfg = MeasureConfig {
         threads: 1,
         repeat: 1,
-        kernel_path: ukernels::PathChoice::Auto,
+        kernel_path: PathChoice::Auto,
     };
     let report = measure(&spec, &g, &w, &calib, &x, &coop, &single, &cfg).unwrap();
 

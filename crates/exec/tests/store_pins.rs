@@ -14,13 +14,14 @@
 //! (GoogLeNet's three arms and ResNet-18's all-F16 arm moved; every
 //! QUInt8-only output and the other nets' arms did not).
 //!
-//! The same constant holds under the forced-scalar and the auto kernel
-//! path and at every thread count: the SIMD tiles are bit-identical to
-//! the scalar ones, and chunking never changes a channel's arithmetic.
+//! The same constant holds under every tier the host has, the scalar
+//! tiles included, and at every thread count: the SIMD tiles are
+//! bit-identical to the scalar ones, and chunking never changes a
+//! channel's arithmetic.
 
 use testkit::fnv1a;
 use uexec::{ExecConfig, ParallelBackend, PoolMode};
-use ukernels::PathChoice;
+use ukernels::{simd_tier, PathChoice, SimdTier};
 use unn::{Graph, ModelId};
 use uruntime::{evaluate_plan_with_backend, ExecutionPlan, NodePlacement};
 use usoc::{DtypePlan, SocSpec};
@@ -124,9 +125,9 @@ fn pinned_frames(model: ModelId, expected: [u64; 3]) {
     for (label, dtypes, cpu_frac) in plan_shapes() {
         let plan = split_plan(&g, &spec, dtypes, cpu_frac);
         let mut hashes = Vec::new();
-        for path in [PathChoice::Scalar, PathChoice::Auto] {
+        for tier in SimdTier::ALL.into_iter().filter(|&t| t <= simd_tier()) {
             for threads in [1, 2] {
-                let cfg = ExecConfig::with_threads(threads).with_kernel_path(path);
+                let cfg = ExecConfig::with_threads(threads).with_kernel_path(PathChoice::Cap(tier));
                 let backend = ParallelBackend::new(&spec, &cfg, PoolMode::Cooperative);
                 let outs = evaluate_plan_with_backend(&g, &plan, &w, &calib, &x, &backend).unwrap();
                 assert_eq!(outs.len(), g.len());

@@ -100,10 +100,10 @@
 //! [`NC`]-column block of `C` is requantized as soon as its last panel
 //! is stored, while it is still in cache.
 //!
-//! The register-tile inner loops dispatch per thread
+//! The register-tile inner loops dispatch on the thread's tier cap
 //! ([`crate::dispatch::set_kernel_path`]) to the scalar tiles here or to
-//! the SIMD tiles of [`crate::simd`], which perform the same operations
-//! in the same order; the path choice changes speed, never results.
+//! that tier's tiles in [`crate::simd`], which perform the same
+//! operations in the same order; the cap changes speed, never results.
 
 use std::ops::Range;
 
@@ -601,8 +601,7 @@ pub(crate) fn gemm_f32(
 ) {
     let what = "gemm_f32_blocked";
     check_operands(what, (m, k), (a.len(), &b), out.len(), bias);
-    let simd = active_tier() > SimdTier::None;
-    let live = b.live();
+    let (tier, live) = (active_tier(), b.live());
     for_each_tile::<_, _, _, _, MR, NR, 1>(
         (&mut arena.acc_f32, &mut arena.col_sums),
         (m, k),
@@ -622,7 +621,7 @@ pub(crate) fn gemm_f32(
                     acc.iter_mut().for_each(|row| **row = [0.0; NR]);
                 }
                 let pa = &pa[i0 / MR * kc * MR..][..kc * MR];
-                if simd && simd::tile_f32(acc, pa, pb, kc) {
+                if simd::tile_f32(tier, acc, pa, pb, kc) {
                     return;
                 }
                 for (avals, bvals) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)) {
@@ -690,8 +689,7 @@ pub(crate) fn gemm_f16(
 ) {
     let what = "gemm_f16_blocked";
     check_operands(what, (m, k), (a.len(), &b), out.len(), bias);
-    let tier = active_tier();
-    let (simd, live) = (tier > SimdTier::None, b.live());
+    let (tier, live) = (active_tier(), b.live());
     let mut hb = std::mem::take(&mut arena.row_bias_f16);
     hb.clear();
     hb.extend(bias.unwrap_or_default().iter().map(|&v| F16::from_f32(v)));
@@ -704,7 +702,7 @@ pub(crate) fn gemm_f16(
             .zip(out.chunks_exact_mut(live));
         for (i, (c_row, o_row)) in rows.enumerate() {
             if k == 0 {
-                simd::f16_bias_relu(simd, c_row, epilogue.0.map(|hb| hb[i]), relu);
+                simd::f16_bias_relu(tier, c_row, epilogue.0.map(|hb| hb[i]), relu);
             }
             b.runs(cols.clone(), |run, at| {
                 copy_live(&mut o_row[at..], &c_row[run.start..], run.len())
@@ -955,7 +953,7 @@ pub(crate) fn gemm_quint8(
                 let terms = terms.get(cols.clone()).unwrap_or_default();
                 let sums = (&acc[cols], terms);
                 simd::requantize_into(
-                    quads,
+                    tier,
                     &mut o_row[at..at + n],
                     sums,
                     bias,

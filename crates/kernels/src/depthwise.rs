@@ -29,10 +29,10 @@
 //! - **f32**: `acc += w * x`, skipping zero weights; padded taps add
 //!   `w * 0.0`, like a zero patch entry.
 //! - **F16**: one [`F16::mul_add`] per tap, no skips — the same MAC
-//!   sequence as the F16 GEMM; on an AVX512-FP16 host one `vfmadd231ph`
+//!   sequence as the F16 GEMM; on the AVX512-FP16 tier one `vfmadd231ph`
 //!   per vector and tap.
 //! - **QUInt8**: the strip sums `w′·x` with `w′ = w − w_zp`, one
-//!   `vpdpwssd` per vector and tap on an AVX-512 host, and the epilogue
+//!   `vpdpwssd` per vector and tap on the AVX-512 tiers, and the epilogue
 //!   folds the input zero point out with the bias:
 //!   `Σ w′·(x − zp) = Σ w′·x − zp·Σ w′`, padded taps (`x = zp`)
 //!   included. `i32` sums are exact modulo 2³² and order-free.
@@ -255,8 +255,8 @@ pub fn depthwise_conv2d(
         (out_shape.h(), out_shape.w()),
     );
     let dtypes = [input.dtype(), filters.dtype(), out.dtype()];
-    let simd = crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd;
-    let vector = crate::dispatch::active_tier() >= simd::SimdTier::Avx512;
+    let tier = crate::dispatch::active_tier();
+    let vector = tier >= simd::SimdTier::Avx512;
     let mut arena = crate::arena::ThreadArenaGuard::take();
     let arena = &mut *arena;
 
@@ -293,11 +293,11 @@ pub fn depthwise_conv2d(
                 &g,
                 (&mut arena.planes_f16, F16::ZERO, vector),
                 |s, buf, ci| {
-                    simd::strip_f16(simd, s, buf);
+                    simd::strip_f16(tier, s, buf);
                     let hb = bias.map(|b| F16::from_f32(b[ci]));
                     // Whole vectors; the lanes past the strip's are junk.
                     let n = s.lanes.next_multiple_of(STRIP_LANES_F16);
-                    simd::f16_bias_relu(simd, &mut buf[..n], hb, params.relu);
+                    simd::f16_bias_relu(tier, &mut buf[..n], hb, params.relu);
                 },
             )
         }
@@ -318,7 +318,7 @@ pub fn depthwise_conv2d(
                 &g,
                 (&mut arena.planes_u8, x_zp, vector),
                 |s, buf, ci| {
-                    simd::strip_u8(simd, s, f_zp, &mut sums);
+                    simd::strip_u8(tier, s, f_zp, &mut sums);
                     if ci != channel {
                         // The input zero point, folded out of the sums
                         // with the bias: Σ w′·(x − zp) = Σ w′·x − zp·Σ w′.
@@ -329,7 +329,7 @@ pub fn depthwise_conv2d(
                     // Whole vectors; the lanes past the strip's are junk.
                     let n = s.lanes.next_multiple_of(STRIP_LANES_I32);
                     let (out, sums) = (&mut buf[..n], (&sums[..n], &[][..]));
-                    simd::requantize_into(simd, out, sums, qb, &multiplier, out_zp, params.relu);
+                    simd::requantize_into(tier, out, sums, qb, &multiplier, out_zp, params.relu);
                 },
             );
         }

@@ -3,82 +3,58 @@
 //! Every layer has one route through the library: blocked GEMMs for
 //! convolutions and FC layers, the direct kernels for depthwise and 1×1
 //! convolutions. The one choice left is which register tiles those
-//! kernels run ([`set_kernel_path`]): the portable scalar tiles, or the
-//! SIMD tiles of the host's widest tier ([`crate::simd`]). Both are
-//! bit-identical, so the choice changes speed, never results.
+//! kernels run: the thread's **tier cap** ([`set_kernel_path`]), one
+//! [`SimdTier`] that every kernel decision reads (`active_tier() >= X`).
+//! The scalar tiles run at [`SimdTier::None`]; each SIMD tier runs its
+//! own tiles ([`crate::simd`]). All of them are bit-identical, so the cap
+//! changes speed, never results.
 //!
-//! The choice is **thread-local**, defaulted from `UKERNELS_KERNEL_PATH`:
+//! The cap is **thread-local**, defaulted from `UKERNELS_KERNEL_PATH`:
 //! the `uexec` worker pools configure each worker once at spawn, and
-//! `ci.sh` forces every thread of a test run onto the scalar tiles in
-//! its first kernel-path pass.
+//! `ci.sh` runs the kernel test targets once per tier the host has.
 //!
-//! The resolved path ([`active_kernel_path`]) never yields
-//! [`KernelPath::Simd`] on a host without the required CPU features:
-//! forcing `Simd` there silently degrades to `Scalar` (callers that want
-//! to surface the degradation — e.g. `repro measure` — compare the
-//! resolved path against the request and warn).
+//! A cap never exceeds the host's widest tier ([`crate::simd_tier`]): a
+//! request above it runs the host's tier (callers that want to surface
+//! that — e.g. `repro measure` — compare the request with
+//! [`PathChoice::resolve`] and warn), and each SIMD body checks the
+//! host's features again before it runs.
 
 use std::cell::Cell;
 
-use crate::simd::{self, SimdTier};
+use crate::simd::{simd_tier, SimdTier};
 
-/// The resolved inner-kernel implementation a thread is running.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelPath {
-    /// Portable scalar register tiles (the PR 5 blocked kernels).
-    Scalar,
-    /// The register tiles of the widest SIMD tier the host has
-    /// ([`crate::simd_tier`]: AVX512-FP16, else AVX-512, else AVX2).
-    Simd,
-}
-
-impl KernelPath {
-    /// Stable lowercase name, used in reports and measurement documents.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            KernelPath::Scalar => "scalar",
-            KernelPath::Simd => "simd",
-        }
-    }
-}
+/// Every kernel-path name, the `--kernel-path` / `UKERNELS_KERNEL_PATH`
+/// values: `auto`, then each [`SimdTier`]'s narrowest first (`scalar`
+/// for [`SimdTier::None`]).
+pub const KERNEL_PATHS: &[&str] = &["auto", "scalar", "avx2", "avx512", "avx512fp16"];
 
 /// A *requested* kernel path, before runtime feature detection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PathChoice {
-    /// The host's widest SIMD tier when it has one, scalar otherwise.
+    /// The host's widest SIMD tier.
     #[default]
     Auto,
-    /// Always the scalar tiles, even on SIMD-capable hosts.
-    Scalar,
-    /// Request the widest SIMD tier; degrades to scalar when the host
-    /// has none.
-    Simd,
+    /// At most this tier: the host's widest when it lacks this one.
+    Cap(SimdTier),
 }
 
 impl PathChoice {
-    /// Parses `"auto"` / `"scalar"` / `"simd"` (the `--kernel-path`
-    /// flag values). Returns `None` for anything else.
+    /// Parses one of [`KERNEL_PATHS`]; `None` for anything else.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "auto" => Some(PathChoice::Auto),
-            "scalar" => Some(PathChoice::Scalar),
-            "simd" => Some(PathChoice::Simd),
-            _ => None,
-        }
+        std::iter::once(PathChoice::Auto)
+            .chain(SimdTier::ALL.map(PathChoice::Cap))
+            .find(|c| c.as_str() == s)
     }
 
     /// Stable lowercase name (inverse of [`PathChoice::parse`]).
     pub fn as_str(&self) -> &'static str {
         match self {
-            PathChoice::Auto => "auto",
-            PathChoice::Scalar => "scalar",
-            PathChoice::Simd => "simd",
+            PathChoice::Auto => KERNEL_PATHS[0],
+            PathChoice::Cap(tier) => tier.as_str(),
         }
     }
 
-    /// Reads `UKERNELS_KERNEL_PATH` (`auto` | `scalar` | `simd`);
-    /// `Auto` when unset or invalid. This is how `ci.sh` forces the
-    /// whole test suite through the scalar tiles in its first pass.
+    /// Reads `UKERNELS_KERNEL_PATH`; `Auto` when unset or invalid.
     pub fn from_env() -> Self {
         std::env::var("UKERNELS_KERNEL_PATH")
             .ok()
@@ -86,84 +62,80 @@ impl PathChoice {
             .unwrap_or_default()
     }
 
-    /// Resolves this choice against runtime CPU detection — the path a
-    /// worker thread configured with this choice will actually run.
-    pub fn resolve(self) -> KernelPath {
+    /// The tier a thread capped by this choice runs: min(requested,
+    /// host).
+    pub fn resolve(self) -> SimdTier {
         match self {
-            PathChoice::Scalar => KernelPath::Scalar,
-            PathChoice::Auto | PathChoice::Simd => {
-                if simd::simd_available() {
-                    KernelPath::Simd
-                } else {
-                    KernelPath::Scalar
-                }
-            }
+            PathChoice::Auto => simd_tier(),
+            PathChoice::Cap(tier) => tier.min(simd_tier()),
         }
     }
 }
 
 thread_local! {
-    static PATH: Cell<PathChoice> = Cell::new(PathChoice::from_env());
+    static CAP: Cell<SimdTier> = Cell::new(PathChoice::from_env().resolve());
 }
 
-/// Sets this thread's kernel-path choice; returns the previous one.
-pub fn set_kernel_path(choice: PathChoice) -> PathChoice {
-    PATH.with(|c| c.replace(choice))
+/// Caps this thread's kernels at `tier` (at most the host's); returns
+/// the previous cap.
+pub fn set_kernel_path(tier: SimdTier) -> SimdTier {
+    CAP.with(|c| c.replace(tier.min(simd_tier())))
 }
 
-/// This thread's requested kernel path (default: `UKERNELS_KERNEL_PATH`
-/// env, else `Auto`).
-pub(crate) fn kernel_path_choice() -> PathChoice {
-    PATH.with(|c| c.get())
-}
-
-/// Resolves this thread's choice against runtime CPU detection.
-pub(crate) fn active_kernel_path() -> KernelPath {
-    kernel_path_choice().resolve()
-}
-
-/// The SIMD tier this thread's kernels run: the host's widest on the
-/// SIMD path, [`SimdTier::None`] on the scalar one.
+/// The SIMD tier this thread's kernels run (default: the resolved
+/// `UKERNELS_KERNEL_PATH`, else the host's widest).
 pub(crate) fn active_tier() -> SimdTier {
-    match active_kernel_path() {
-        KernelPath::Simd => simd::simd_tier(),
-        KernelPath::Scalar => SimdTier::None,
-    }
+    CAP.with(|c| c.get())
 }
 
-/// Every fast path registered on this host, as `op/dtype/impl` keys.
+/// Every fast path this host can run, as `op/dtype/path` keys; `path`
+/// is the kernel path ([`KERNEL_PATHS`]) whose cap first runs that body,
+/// or, for the `utensor` converters no cap governs, their own name.
 ///
-/// The equivalence harness (`tests/equivalence.rs`) fails if any key
-/// returned here has no differential test cell, so a new fast path
-/// cannot land without pinning itself to the golden scalar reference.
+/// The equivalence harness (`tests/equivalence.rs`) runs each key under
+/// its own cap and fails if any key returned here has no differential
+/// test cell, so a new fast path cannot land without pinning itself to
+/// the golden scalar reference.
 pub fn registered_fast_paths() -> Vec<&'static str> {
-    let mut paths = vec![
-        "gemm/f32/blocked-scalar",
-        "gemm/f16/blocked-scalar",
-        "gemm/quint8/blocked-scalar",
-        "depthwise/f32/direct",
-        "depthwise/f16/direct",
-        "depthwise/quint8/plane",
-        "pointwise/f32/direct",
-        "pointwise/f16/direct",
-        "pointwise/quint8/direct",
-        "pool/quint8/rowwise",
-        "convert/quint8/table",
-    ];
-    // The GEMM keys name the tiles a GEMM on this host actually runs;
-    // every tier shares the AVX2 f32 tile, and below the FP16 tier the
-    // F16 GEMM runs the scalar tile.
-    paths.extend(match simd::simd_tier() {
-        SimdTier::Avx512Fp16 => &[
-            "gemm/f32/blocked-simd",
-            "gemm/f16/avx512fp16",
-            "gemm/quint8/avx512-vnni",
-            "depthwise/f16/avx512fp16",
-        ][..],
-        SimdTier::Avx512 => &["gemm/f32/blocked-simd", "gemm/quint8/avx512-vnni"],
-        SimdTier::Avx2 => &["gemm/f32/blocked-simd", "gemm/quint8/blocked-simd"],
-        SimdTier::None => &[],
-    });
+    let mut paths = vec!["convert/quint8/table"];
+    for tier in SimdTier::ALL.into_iter().filter(|&t| t <= simd_tier()) {
+        paths.extend(match tier {
+            SimdTier::None => &[
+                "gemm/f32/scalar",
+                "gemm/f16/scalar",
+                "gemm/quint8/scalar",
+                "depthwise/f32/scalar",
+                "depthwise/f16/scalar",
+                "depthwise/quint8/scalar",
+                "pointwise/f32/scalar",
+                "pointwise/f16/scalar",
+                "pointwise/quint8/scalar",
+                "pool/quint8/scalar",
+            ][..],
+            // Every tier above shares the f32 tile and the F16 row
+            // epilogue; below the FP16 tier the F16 GEMM runs the scalar
+            // tile.
+            SimdTier::Avx2 => &[
+                "gemm/f32/avx2",
+                "gemm/quint8/avx2",
+                "depthwise/f16/avx2",
+                "depthwise/quint8/avx2",
+                "pointwise/f32/avx2",
+                "pointwise/quint8/avx2",
+            ],
+            SimdTier::Avx512 => &[
+                "gemm/quint8/avx512",
+                "depthwise/quint8/avx512",
+                "pointwise/quint8/avx512",
+                "pool/quint8/avx512",
+            ],
+            SimdTier::Avx512Fp16 => &[
+                "gemm/f16/avx512fp16",
+                "depthwise/f16/avx512fp16",
+                "pointwise/f16/avx512fp16",
+            ],
+        });
+    }
     if utensor::requantize_simd_available() {
         paths.push("requantize/quint8/simd");
     }
@@ -180,52 +152,65 @@ mod tests {
 
     #[test]
     fn parse_round_trips() {
-        for choice in [PathChoice::Auto, PathChoice::Scalar, PathChoice::Simd] {
-            assert_eq!(PathChoice::parse(choice.as_str()), Some(choice));
+        for &name in KERNEL_PATHS {
+            let choice = PathChoice::parse(name).expect("a listed name parses");
+            assert_eq!(choice.as_str(), name);
         }
-        assert_eq!(PathChoice::parse("avx2"), None);
+        assert_eq!(PathChoice::parse("simd"), None);
+        let names = SimdTier::ALL.map(SimdTier::as_str);
+        assert_eq!(names, ["scalar", "avx2", "avx512", "avx512fp16"]);
     }
 
+    /// `scalar` resolves to no SIMD tier on every host, and a thread
+    /// capped there runs the scalar tiles.
     #[test]
     fn forced_scalar_always_resolves_scalar() {
-        let prev = set_kernel_path(PathChoice::Scalar);
-        assert_eq!(active_kernel_path(), KernelPath::Scalar);
+        let scalar = PathChoice::parse("scalar").expect("scalar parses");
+        assert_eq!(scalar.resolve(), SimdTier::None);
+        let prev = set_kernel_path(scalar.resolve());
+        assert_eq!(active_tier(), SimdTier::None);
         set_kernel_path(prev);
     }
 
+    /// No request runs a tier the host lacks: every choice resolves to
+    /// at most the host's tier, `auto` to exactly it, and a cap above
+    /// the host runs the host's tier.
     #[test]
     fn simd_resolution_follows_detection() {
-        let prev = set_kernel_path(PathChoice::Simd);
-        let resolved = active_kernel_path();
-        if simd::simd_available() {
-            assert_eq!(resolved, KernelPath::Simd);
-        } else {
-            assert_eq!(resolved, KernelPath::Scalar);
+        for &name in KERNEL_PATHS {
+            let choice = PathChoice::parse(name).expect("a listed name parses");
+            assert!(choice.resolve() <= simd_tier(), "{name}");
+            let prev = set_kernel_path(choice.resolve());
+            assert_eq!(active_tier(), choice.resolve(), "{name}");
+            set_kernel_path(prev);
         }
+        assert_eq!(PathChoice::Auto.resolve(), simd_tier());
+        let prev = set_kernel_path(SimdTier::Avx512Fp16);
+        assert_eq!(active_tier(), simd_tier());
         set_kernel_path(prev);
     }
 
     #[test]
     fn flags_are_thread_local() {
-        let prev_path = set_kernel_path(PathChoice::Scalar);
+        let prev = set_kernel_path(SimdTier::None);
         std::thread::spawn(|| {
             // Fresh threads re-read the environment default.
-            assert_eq!(kernel_path_choice(), PathChoice::from_env());
+            assert_eq!(active_tier(), PathChoice::from_env().resolve());
         })
         .join()
         .unwrap();
-        assert_eq!(kernel_path_choice(), PathChoice::Scalar);
-        set_kernel_path(prev_path);
+        assert_eq!(active_tier(), SimdTier::None);
+        set_kernel_path(prev);
     }
 
     #[test]
     fn scalar_gemm_paths_always_registered() {
         let paths = registered_fast_paths();
         for key in [
-            "gemm/f32/blocked-scalar",
-            "gemm/quint8/blocked-scalar",
-            "depthwise/quint8/plane",
-            "pointwise/f16/direct",
+            "gemm/f32/scalar",
+            "gemm/quint8/scalar",
+            "depthwise/quint8/scalar",
+            "pointwise/f16/scalar",
         ] {
             assert!(paths.contains(&key), "missing {key}");
         }

@@ -32,10 +32,13 @@
 //! layer's plane, or an FC layer's input, as the matrix itself;
 //! depthwise layers run their direct kernel over the same phase planes
 //! ([`depthwise_conv2d`]). The only
-//! per-thread choice is the register tiles ([`set_kernel_path`]: scalar,
-//! or the host's [`SimdTier`]), and those are bit-identical. The test
-//! suites hold every kernel to the naive loops kept as oracles in
-//! `tests/common` — bit for bit in all three dtypes.
+//! per-thread choice is the register tiles: the thread's tier cap
+//! ([`set_kernel_path`]), one [`SimdTier`] from the scalar tiles
+//! ([`SimdTier::None`]) up to the host's widest ([`simd_tier`]), which
+//! every kernel decision reads. Every tier is bit-identical, and every
+//! tier the host has runs in the test suites, which hold every kernel to
+//! the naive loops kept as oracles in `tests/common` — bit for bit in
+//! all three dtypes.
 
 #![warn(unreachable_pub)]
 
@@ -59,12 +62,12 @@ pub use arena::{thread_arena_capacity_bytes, ScratchArena};
 pub use blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC, MR, NR};
 pub use conv::{conv2d, Conv2dParams};
 pub use depthwise::depthwise_conv2d;
-pub use dispatch::{registered_fast_paths, set_kernel_path, KernelPath, PathChoice};
+pub use dispatch::{registered_fast_paths, set_kernel_path, PathChoice, KERNEL_PATHS};
 pub use eltwise::add_fused;
 pub use fc::fully_connected;
 pub use norm::{lrn, LrnParams};
 pub use pool::{global_avg_pool, pool2d, PoolKind, PoolParams};
-pub use simd::{cpu_features, simd_available, simd_tier, SimdTier};
+pub use simd::{cpu_features, simd_tier, SimdTier};
 
 // The unit tests mount the oracles of `tests/common`, which name this
 // crate the way the integration tests do.

@@ -27,7 +27,8 @@ mod tests {
     use super::*;
     use crate::oracle::alloc::conv2d;
     use crate::oracle::conv::conv2d_im2col;
-    use crate::{set_kernel_path, PathChoice};
+    use crate::oracle::host_tiers;
+    use crate::set_kernel_path;
     use utensor::{DType, QuantParams, Tensor};
 
     fn tensor_from(shape: Shape, f: impl Fn(usize) -> f32) -> Tensor {
@@ -90,8 +91,8 @@ mod tests {
 
     #[test]
     fn bit_identical_on_blocked_path_too() {
-        // More input channels than one K panel holds, on both kernel
-        // paths: the GEMM carries every sum across panels.
+        // More input channels than one K panel holds, on every tier the
+        // host has: the GEMM carries every sum across panels.
         let ic = crate::blocked::KC + 9;
         let input = tensor_from(Shape::nchw(1, ic, 5, 5), pseudo);
         let filters = tensor_from(Shape::oihw(6, ic, 1, 1), |i| pseudo(i + 11));
@@ -102,11 +103,11 @@ mod tests {
                 filters.cast(dtype, None).unwrap(),
             );
             let want = conv2d_im2col(&x, &f, None, &p, None);
-            for path in [PathChoice::Scalar, PathChoice::Auto] {
-                let prev = set_kernel_path(path);
+            for tier in host_tiers() {
+                let prev = set_kernel_path(tier);
                 let got = conv2d(&x, &f, None, &p, None).unwrap();
                 set_kernel_path(prev);
-                assert!(got.bit_equal(&want), "{dtype:?} {path:?}");
+                assert!(got.bit_equal(&want), "{dtype:?} {tier:?}");
             }
         }
     }

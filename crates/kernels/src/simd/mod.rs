@@ -14,7 +14,8 @@
 //! ## Tiers
 //!
 //! Detection resolves once, per process, to the widest [`SimdTier`] the
-//! host has, and the SIMD kernel path runs that tier:
+//! host has; a thread runs that tier, or the narrower one its kernel
+//! path caps it at ([`crate::set_kernel_path`]):
 //!
 //! - **AVX512-FP16** — `avx512fp16` on top of the AVX-512 tier: a
 //!   `8 × 32` F16 tile and the F16 depthwise strip on native binary16
@@ -56,11 +57,11 @@
 //!   pipeline of [`utensor::requantize_into`], operation for operation.
 //!
 //! The differential harness in `tests/equivalence.rs` enforces this
-//! contract for every registered path; `ci.sh` runs it twice (forced
-//! scalar and auto-detected SIMD). The unit tests below hold every
-//! compiled tile body the host can run to the scalar tile directly, so
-//! the AVX2 QUInt8 body stays verified on AVX-512 hosts, where no GEMM
-//! reaches it; `tests/f16_fma.rs` adds near-tie and random triples.
+//! contract for every registered path, each under its own tier cap, so
+//! an AVX-512 host runs its AVX2 bodies through the kernels too. The
+//! unit tests below hold every compiled tile body the host can run to
+//! the scalar tile directly; `tests/f16_fma.rs` adds near-tie and random
+//! triples.
 //! `u8` max pooling is order-free, so its vector body is bit-identical
 //! too (`tests/pool_props.rs`).
 
@@ -68,6 +69,7 @@ use std::sync::OnceLock;
 
 use crate::blocked::{MR, NR};
 use crate::depthwise::Strip;
+use crate::dispatch::KERNEL_PATHS;
 use utensor::{FixedPointMultiplier, F16};
 
 #[cfg(target_arch = "x86_64")]
@@ -105,7 +107,8 @@ pub(crate) const STRIP_LANES_F16: usize = 32;
 pub(crate) type TileRows<'t, T, const W: usize, const R: usize> = [&'t mut [T; W]; R];
 
 /// The SIMD tiers, narrowest first. A host runs the widest it has
-/// ([`simd_tier`]); each tier's features include the narrower tier's.
+/// ([`simd_tier`]) unless a thread's kernel path caps it lower; each
+/// tier's features include the narrower tier's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
     /// No SIMD tiles: the scalar loops everywhere.
@@ -119,6 +122,20 @@ pub enum SimdTier {
 }
 
 impl SimdTier {
+    /// Every tier, narrowest first.
+    pub const ALL: [SimdTier; 4] = [
+        SimdTier::None,
+        SimdTier::Avx2,
+        SimdTier::Avx512,
+        SimdTier::Avx512Fp16,
+    ];
+
+    /// Stable lowercase name, its kernel path's: `scalar`, `avx2`,
+    /// `avx512` or `avx512fp16`.
+    pub fn as_str(self) -> &'static str {
+        KERNEL_PATHS[self as usize + 1]
+    }
+
     /// The CPU features this tier requires, in `cpu_features` spelling.
     pub(crate) fn features(self) -> &'static [&'static str] {
         let all = &[
@@ -173,11 +190,6 @@ pub fn simd_tier() -> SimdTier {
     })
 }
 
-/// Whether this host has any SIMD tier.
-pub fn simd_available() -> bool {
-    simd_tier() > SimdTier::None
-}
-
 /// Comma-separated list of the CPU features any tier gates on that this
 /// host actually reports (empty off x86_64).
 pub fn cpu_features() -> String {
@@ -191,22 +203,23 @@ pub fn cpu_features() -> String {
 }
 
 /// Runs one f32 register tile (`acc[r][x] += pa[p*MR+r] * pb[p*NR+x]`
-/// for `p` in `0..kc`) through the SIMD path. Returns `false` when no
-/// SIMD path exists on this host; the caller then runs its scalar loop.
+/// for `p` in `0..kc`) on the AVX2 tile when `tier` and the host have
+/// it. Returns `false` otherwise; the caller then runs its scalar loop.
 #[inline]
 pub(crate) fn tile_f32(
+    tier: SimdTier,
     acc: &mut TileRows<'_, f32, NR, MR>,
     pa: &[f32],
     pb: &[f32],
     kc: usize,
 ) -> bool {
     assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
-    if !simd_available() {
+    if tier.min(simd_tier()) < SimdTier::Avx2 {
         return false;
     }
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: `simd_available()` verified avx2 above; the body is
+        // SAFETY: the tier check verified avx2 on this host; the body is
         // safe code.
         unsafe { x86::tile_f32(acc, pa, pb, kc) };
         true
@@ -367,7 +380,7 @@ pub(crate) fn max_taps_s2(
 /// [`utensor::requantize_into`], bit for bit: each output is
 /// `requantize(acc[i] + terms[i] + bias)` (`terms` empty: no term),
 /// floored at the zero point with `relu`, every sum wrapping in `i32`.
-/// With `simd` on an AVX-512 host the bulk runs sixteen lanes at a time
+/// At an AVX-512 `tier` the bulk runs sixteen lanes at a time
 /// (for the right shifts and mantissas of utensor's vector body), the
 /// terms added in its lanes; the rest, and every other case, is
 /// utensor's, sixteen sums at a time where there are terms.
@@ -377,7 +390,7 @@ pub(crate) fn max_taps_s2(
 /// Panics if `out`, `acc` and a non-empty `terms` differ in length.
 #[inline]
 pub(crate) fn requantize_into(
-    simd: bool,
+    tier: SimdTier,
     out: &mut [u8],
     (acc, terms): (&[i32], &[i32]),
     bias: i32,
@@ -391,10 +404,10 @@ pub(crate) fn requantize_into(
         "requantize_into: terms length"
     );
     let vector = (0..=31).contains(&multiplier.right_shift) && multiplier.multiplier >= 0;
-    let done = if simd && vector && simd_tier() >= SimdTier::Avx512 {
+    let done = if vector && tier.min(simd_tier()) >= SimdTier::Avx512 {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the tier check verified avx512f/bw; the body is safe
-        // code.
+        // SAFETY: the tier check verified avx512f/bw on this host; the
+        // body is safe code.
         unsafe {
             x86::requantize(out, (acc, terms), bias, multiplier, zero_point, relu)
         }
@@ -419,14 +432,14 @@ pub(crate) fn requantize_into(
 }
 
 /// The F16 GEMM row epilogue: add the (already narrowed) bias, then
-/// ReLU. With `simd` on an F16C host the bulk runs eight lanes at a
-/// time, bit-identical to the scalar loop that finishes (or, elsewhere,
-/// does) the job.
+/// ReLU. From the AVX2 `tier` up the bulk runs eight lanes at a time,
+/// bit-identical to the scalar loop that finishes (or, elsewhere, does)
+/// the job.
 #[inline]
-pub(crate) fn f16_bias_relu(simd: bool, row: &mut [F16], bias: Option<F16>, relu: bool) {
-    let done = if simd && simd_available() {
+pub(crate) fn f16_bias_relu(tier: SimdTier, row: &mut [F16], bias: Option<F16>, relu: bool) {
+    let done = if tier.min(simd_tier()) >= SimdTier::Avx2 {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `simd_available()` verified avx2+f16c just above; the
+        // SAFETY: the tier check verified avx2+f16c on this host; the
         // body is safe code.
         unsafe {
             x86::f16_bias_relu(row, bias, relu)
@@ -448,32 +461,33 @@ pub(crate) fn f16_bias_relu(simd: bool, row: &mut [F16], bias: Option<F16>, relu
 
 /// The QUInt8 depthwise strip: `out[..lanes]` receives `Σ (w − w_zp)·x`
 /// over the taps in order, in wrapping `i32` (the caller folds the
-/// input zero point out); lanes past them may be overwritten. With
-/// `simd`, an AVX-512 host runs it on `vpdpwssd`, an AVX2 host the same
-/// loop compiled for AVX2.
+/// input zero point out); lanes past them may be overwritten. An
+/// AVX-512 `tier` runs it on `vpdpwssd`, the AVX2 tier the same loop
+/// compiled for AVX2.
 ///
 /// # Panics
 ///
 /// Panics unless the strip fits [`STRIP_RUNS`] vectors of
 /// [`STRIP_LANES_I32`] lanes and `out` holds all of them.
 #[inline]
-pub(crate) fn strip_u8(simd: bool, s: &Strip<'_, u8>, w_zp: i32, out: &mut [i32]) {
+pub(crate) fn strip_u8(tier: SimdTier, s: &Strip<'_, u8>, w_zp: i32, out: &mut [i32]) {
     s.check(out.len(), STRIP_LANES_I32);
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        let tier = simd_tier();
-        if tier >= SimdTier::Avx512 {
-            // SAFETY: the tier check verified avx512f/bw/vnni; the body
-            // is safe code.
+    match tier.min(simd_tier()) {
+        SimdTier::Avx512 | SimdTier::Avx512Fp16 => {
+            // SAFETY: the tier check verified avx512f/bw/vnni on this
+            // host; the body is safe code.
             return unsafe { x86::strip_u8_vnni(s, w_zp, out) };
         }
-        if tier >= SimdTier::Avx2 {
-            // SAFETY: the tier check verified avx2; the body is safe code.
+        SimdTier::Avx2 => {
+            // SAFETY: the tier check verified avx2 on this host; the body
+            // is safe code.
             return unsafe { x86::strip_u8_avx2(s, w_zp, out) };
         }
+        SimdTier::None => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = tier;
     strip_u8_body(s, w_zp, out);
 }
 
@@ -488,7 +502,7 @@ fn strip_u8_body(s: &Strip<'_, u8>, w_zp: i32, out: &mut [i32]) {
 /// The F16 depthwise strip: `out[..lanes]` receives the chain `acc =
 /// w.mul_add(x, acc)` from `+0` over the taps in order, one
 /// [`F16::mul_add`] per tap, bit-identical either way; lanes past them
-/// may be overwritten. With `simd` on an AVX512-FP16 host it runs on
+/// may be overwritten. At the AVX512-FP16 `tier` it runs on
 /// `vfmadd231ph`, one instruction per vector and tap.
 ///
 /// # Panics
@@ -496,16 +510,16 @@ fn strip_u8_body(s: &Strip<'_, u8>, w_zp: i32, out: &mut [i32]) {
 /// Panics unless the strip fits [`STRIP_RUNS`] vectors of
 /// [`STRIP_LANES_F16`] lanes and `out` holds all of them.
 #[inline]
-pub(crate) fn strip_f16(simd: bool, s: &Strip<'_, F16>, out: &mut [F16]) {
+pub(crate) fn strip_f16(tier: SimdTier, s: &Strip<'_, F16>, out: &mut [F16]) {
     s.check(out.len(), STRIP_LANES_F16);
     #[cfg(target_arch = "x86_64")]
-    if simd && simd_tier() >= SimdTier::Avx512Fp16 {
-        // SAFETY: the tier check verified avx512f/bw/fp16; the body is
-        // safe code.
+    if tier.min(simd_tier()) >= SimdTier::Avx512Fp16 {
+        // SAFETY: the tier check verified avx512f/bw/fp16 on this host;
+        // the body is safe code.
         return unsafe { x86::strip_f16(s, out) };
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = tier;
     s.fold(out, F16::ZERO, |acc, w, x| w.mul_add(x, acc));
 }
 
@@ -559,11 +573,11 @@ mod tests {
             }
             let mut got = want;
             scalar_f32(&mut want, &pa, &pb, kc);
-            if tile_f32(&mut got.each_mut(), &pa, &pb, kc) {
+            if tile_f32(simd_tier(), &mut got.each_mut(), &pa, &pb, kc) {
                 let bits = |t: &[[f32; NR]; MR]| t.map(|row| row.map(f32::to_bits));
                 assert_eq!(bits(&got), bits(&want), "kc={kc} seeded={seeded}");
             } else {
-                assert!(!simd_available());
+                assert_eq!(simd_tier(), SimdTier::None);
             }
         }
     }
@@ -700,7 +714,7 @@ mod tests {
                     let mut want = [[F16::ZERO; W]; R];
                     tile_f16_fp16(&mut want.each_mut(), rows, step, (kc, true), None);
                     for (r, row) in want.iter_mut().enumerate() {
-                        f16_bias_relu(false, row, bias.map(|b| b[r]), relu);
+                        f16_bias_relu(SimdTier::None, row, bias.map(|b| b[r]), relu);
                     }
                     for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
                         let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
@@ -899,7 +913,7 @@ mod tests {
                 for terms in [&[][..], &accumulators(len, mi + 5)] {
                     for (zp, relu) in [(0u8, false), (3, true), (128, false), (255, true)] {
                         let mut got = vec![0u8; len];
-                        requantize_into(true, &mut got, (&acc, terms), bias, m, zp, relu);
+                        requantize_into(simd_tier(), &mut got, (&acc, terms), bias, m, zp, relu);
                         let floor = if relu { zp } else { 0 };
                         let lanes = acc.iter().zip(if terms.is_empty() { &none } else { terms });
                         for (i, (&g, (&a, &t))) in got.iter().zip(lanes).enumerate() {
@@ -946,8 +960,8 @@ mod tests {
             ] {
                 for relu in [false, true] {
                     let (mut want, mut got) = (c0.clone(), c0.clone());
-                    f16_bias_relu(false, &mut want, bias, relu);
-                    f16_bias_relu(true, &mut got, bias, relu);
+                    f16_bias_relu(SimdTier::None, &mut want, bias, relu);
+                    f16_bias_relu(simd_tier(), &mut got, bias, relu);
                     assert_eq!(bits(&got), bits(&want), "n={n} bias={bias:?} relu={relu}");
                 }
             }
@@ -962,7 +976,7 @@ mod tests {
         let pa: Vec<f32> = (0..kc * MR).map(pseudo).collect();
         let pb: Vec<f32> = (0..kc * NR).map(|i| pseudo(i + 7)).collect();
         let mut got = [[1.5f32; NR]; MR];
-        if tile_f32(&mut got.each_mut(), &pa, &pb, kc) {
+        if tile_f32(simd_tier(), &mut got.each_mut(), &pa, &pb, kc) {
             let mut want = [[1.5f32; NR]; MR];
             scalar_f32(&mut want, &pa, &pb, kc);
             assert_eq!(got, want);
@@ -982,7 +996,6 @@ mod tests {
                 simd_tier()
             );
         }
-        assert_eq!(simd_available(), simd_tier() != SimdTier::None);
         // The FP16 rung's feature is reported exactly when the host has it.
         assert!(SimdTier::Avx512Fp16.features().contains(&"avx512fp16"));
         assert!(!SimdTier::Avx512.features().contains(&"avx512fp16"));

@@ -12,8 +12,8 @@
 //!   the plane's bounds, and folds the valid ones in row-major order.
 //!   `ukernels::pool2d` walks output rows with the window clipped
 //!   beforehand (and, for QUInt8, reduces rows before columns); the
-//!   pooling property and the `pool/quint8/rowwise` equivalence cell hold
-//!   it to this loop bit for bit.
+//!   pooling property and the `pool/quint8/*` equivalence cells hold it
+//!   to this loop bit for bit.
 //!
 //! The library's unit tests mount this directory too, so the oracles
 //! name the library as `ukernels`. Each test binary uses a different
@@ -24,8 +24,14 @@ pub(crate) mod alloc;
 pub(crate) mod conv;
 pub(crate) mod gemm;
 
-use ukernels::{out_dim, PoolKind, PoolParams};
+use ukernels::{out_dim, simd_tier, PoolKind, PoolParams, SimdTier};
 use utensor::{DType, QuantParams, Shape, Tensor, TensorData, ViewData, F16};
+
+/// The tier caps a kernel test runs under on this host: the scalar
+/// tiles, then every SIMD tier up to the host's widest.
+pub(crate) fn host_tiers() -> impl Iterator<Item = SimdTier> {
+    SimdTier::ALL.into_iter().filter(|&t| t <= simd_tier())
+}
 
 /// Visits the valid positions of each window, folding with `f`.
 #[allow(clippy::too_many_arguments)]

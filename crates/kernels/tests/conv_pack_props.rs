@@ -11,15 +11,15 @@
 //! above the kernel too), padding up to one less than the kernel, an odd
 //! patch depth `K` (the K-pair layout pads it) and `K` above one panel,
 //! and more output columns than one `NC` block, so a block starts in the
-//! middle of an output row. Each case runs F32, F16 and QUInt8 on both
-//! the scalar tiles and the host's SIMD tiles.
+//! middle of an output row. Each case runs F32, F16 and QUInt8 under
+//! every tier the host has, the scalar tiles included.
 
 mod common;
 
 use common::alloc::conv2d;
 use common::conv::conv2d_im2col;
 use testkit::{bools, prop_assert, prop_assume, props};
-use ukernels::{out_dim, set_kernel_path, Conv2dParams, PathChoice, KC};
+use ukernels::{out_dim, set_kernel_path, Conv2dParams, KC};
 use utensor::{DType, QuantParams, Shape, Tensor};
 
 fn pseudo_f32(n: usize, seed: usize) -> Vec<f32> {
@@ -58,7 +58,7 @@ impl Case {
 }
 
 /// Whether `conv2d` equals the oracle bit for bit for `case`, in every
-/// dtype and on both kernel paths.
+/// dtype and under every tier the host has.
 fn bit_exact(case: &Case) -> bool {
     let Case { ic, oc, h, w, .. } = *case;
     let (kh, kw) = (case.kh, case.kw);
@@ -88,14 +88,12 @@ fn bit_exact(case: &Case) -> bool {
         );
         let out_p = (dtype == DType::QUInt8).then_some(out_qp);
         let want = conv2d_im2col(&x, &f, Some(&bias), &p, out_p);
-        [PathChoice::Scalar, PathChoice::Auto]
-            .into_iter()
-            .all(|path| {
-                let prev = set_kernel_path(path);
-                let got = conv2d(&x, &f, Some(&bias), &p, out_p).unwrap();
-                set_kernel_path(prev);
-                got.bit_equal(&want)
-            })
+        common::host_tiers().all(|tier| {
+            let prev = set_kernel_path(tier);
+            let got = conv2d(&x, &f, Some(&bias), &p, out_p).unwrap();
+            set_kernel_path(prev);
+            got.bit_equal(&want)
+        })
     })
 }
 
@@ -174,8 +172,8 @@ fn pack_edges_are_bit_exact() {
 /// The junk columns: `pitch − ow` of 0, 1, 2 and 4 between output rows
 /// (stride 3 with pad 2 included), each with `K > KC` and more columns
 /// than one `NC` block, so a block starts in the middle of an output row
-/// and a `K` panel boundary falls inside it. All three dtypes, both
-/// paths.
+/// and a `K` panel boundary falls inside it. All three dtypes, every
+/// tier.
 #[test]
 fn junk_columns_are_dropped_bit_exactly() {
     // (channels, plane, kernel, stride, pad, pitch − ow)

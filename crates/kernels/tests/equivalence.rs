@@ -1,6 +1,6 @@
 //! Kernel-equivalence differential harness.
 //!
-//! Every *registered fast path* — each `op/dtype/impl` key that
+//! Every *registered fast path* — each `op/dtype/path` key that
 //! [`ukernels::registered_fast_paths`] reports for this host — must have
 //! a differential cell here that pins it to an oracle in `tests/common`
 //! (the naive GEMM loops, the per-channel im2col depthwise body, the
@@ -10,9 +10,9 @@
 //!
 //! The table is three-dimensional: every cell runs under thread counts
 //! {1, 2, 4} (the kernels are dispatched per-thread; concurrent workers
-//! must not perturb each other's numerics) and the conv cells run under
-//! both the scalar and — when the host has the features — the SIMD
-//! register tiles.
+//! must not perturb each other's numerics) and under its key's own tier
+//! cap — the scalar tiles, then every SIMD tier the host has, so an
+//! AVX-512 host runs its AVX2 bodies here too.
 //!
 //! Equivalence contract: **bit-identical, always.**
 //! - GEMMs, all three dtypes, at every depth: a tile continues `C`'s
@@ -49,11 +49,11 @@ use std::thread;
 use common::alloc::{conv2d, depthwise_conv2d, pool2d};
 use common::conv::{conv2d_im2col, depthwise_im2col};
 use common::gemm::{gemm_f16, gemm_f32, gemm_quint8};
-use testkit::{bools, prop_assert, prop_assume, props};
-use ukernels::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC};
+use testkit::{bools, prop_assert, prop_assume, props, select};
+use ukernels::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC, KERNEL_PATHS};
 use ukernels::{
-    out_dim, registered_fast_paths, set_kernel_path, simd_available, simd_tier, Conv2dParams,
-    PathChoice, PoolKind, PoolParams, ScratchArena, SimdTier,
+    out_dim, registered_fast_paths, set_kernel_path, simd_tier, Conv2dParams, PathChoice, PoolKind,
+    PoolParams, ScratchArena, SimdTier,
 };
 use utensor::{requantize, requantize_into};
 use utensor::{DType, FixedPointMultiplier, QuantParams, Shape, Tensor, F16};
@@ -63,22 +63,30 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 /// Every `op/dtype/impl` key this harness pins. The completeness test
 /// requires `registered_fast_paths() ⊆ COVERED`.
 const COVERED: &[&str] = &[
-    "gemm/f32/blocked-scalar",
-    "gemm/f32/blocked-simd",
-    "gemm/f16/blocked-scalar",
+    "gemm/f32/scalar",
+    "gemm/f32/avx2",
+    "gemm/f16/scalar",
     "gemm/f16/avx512fp16",
-    "gemm/quint8/blocked-scalar",
-    "gemm/quint8/blocked-simd",
-    "gemm/quint8/avx512-vnni",
-    "depthwise/f32/direct",
-    "depthwise/f16/direct",
+    "gemm/quint8/scalar",
+    "gemm/quint8/avx2",
+    "gemm/quint8/avx512",
+    "depthwise/f32/scalar",
+    "depthwise/f16/scalar",
+    "depthwise/f16/avx2",
     "depthwise/f16/avx512fp16",
-    "depthwise/quint8/plane",
-    "pointwise/f32/direct",
-    "pointwise/f16/direct",
-    "pointwise/quint8/direct",
+    "depthwise/quint8/scalar",
+    "depthwise/quint8/avx2",
+    "depthwise/quint8/avx512",
+    "pointwise/f32/scalar",
+    "pointwise/f32/avx2",
+    "pointwise/f16/scalar",
+    "pointwise/f16/avx512fp16",
+    "pointwise/quint8/scalar",
+    "pointwise/quint8/avx2",
+    "pointwise/quint8/avx512",
     "requantize/quint8/simd",
-    "pool/quint8/rowwise",
+    "pool/quint8/scalar",
+    "pool/quint8/avx512",
     "convert/quint8/table",
     "convert/to-quint8/simd",
     "convert/f16/simd",
@@ -94,30 +102,21 @@ fn pseudo_u8(n: usize, seed: usize) -> Vec<u8> {
     (0..n).map(|i| (((i + seed) * 48271) % 256) as u8).collect()
 }
 
-/// Runs `f` on `tc` fresh threads, each configured for `path` — exactly
-/// how a `uexec` worker pool configures its workers — and returns every
+/// Runs `f` on `tc` fresh threads, each capped at `tier` — exactly how
+/// a `uexec` worker pool configures its workers — and returns every
 /// thread's result.
-fn on_threads<T: Send>(tc: usize, path: PathChoice, f: impl Fn() -> T + Sync) -> Vec<T> {
+fn on_threads<T: Send>(tc: usize, tier: SimdTier, f: impl Fn() -> T + Sync) -> Vec<T> {
     thread::scope(|s| {
         let handles: Vec<_> = (0..tc)
             .map(|_| {
                 s.spawn(|| {
-                    set_kernel_path(path);
+                    set_kernel_path(tier);
                     f()
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     })
-}
-
-/// The kernel paths a conv fast-path cell exercises on this host.
-fn conv_paths() -> Vec<PathChoice> {
-    let mut paths = vec![PathChoice::Scalar];
-    if simd_available() {
-        paths.push(PathChoice::Simd);
-    }
-    paths
 }
 
 /// GEMM shape ladder: in-panel shapes plus multi-panel ones, from
@@ -142,14 +141,14 @@ const GEMM_SHAPES: [(usize, usize, usize); 14] = [
     (2, 4608, 9),
 ];
 
-fn gemm_cell_f32(path: PathChoice, tc: usize) {
+fn gemm_cell_f32(tier: SimdTier, tc: usize) {
     for (case, &(m, k, n)) in GEMM_SHAPES.iter().enumerate() {
         let relu = case % 2 == 1;
         let a = pseudo_f32(m * k, case);
         let b = pseudo_f32(k * n, case + 7);
         let bias = pseudo_f32(m, case + 13);
         let want = gemm_f32(m, k, n, &a, &b, Some(&bias), relu);
-        for got in on_threads(tc, path, || {
+        for got in on_threads(tc, tier, || {
             let mut got = vec![0.0f32; m * n];
             let mut arena = ScratchArena::default();
             gemm_f32_blocked(&mut got, m, k, n, &a, &b, Some(&bias), relu, &mut arena);
@@ -159,12 +158,12 @@ fn gemm_cell_f32(path: PathChoice, tc: usize) {
                 .iter()
                 .zip(&want)
                 .all(|(g, w)| g.to_bits() == w.to_bits());
-            assert!(same, "f32 {path:?} tc={tc} m={m} k={k} n={n} not bit-equal");
+            assert!(same, "f32 {tier:?} tc={tc} m={m} k={k} n={n} not bit-equal");
         }
     }
 }
 
-fn gemm_cell_f16(path: PathChoice, tc: usize) {
+fn gemm_cell_f16(tier: SimdTier, tc: usize) {
     for (case, &(m, k, n)) in GEMM_SHAPES.iter().enumerate() {
         let a: Vec<F16> = pseudo_f32(m * k, case)
             .iter()
@@ -177,7 +176,7 @@ fn gemm_cell_f16(path: PathChoice, tc: usize) {
         let relu = case % 2 == 1;
         let bias = pseudo_f32(m, case + 5);
         let want = gemm_f16(m, k, n, &a, &b, Some(&bias), relu);
-        for got in on_threads(tc, path, || {
+        for got in on_threads(tc, tier, || {
             let mut got = vec![F16::ZERO; m * n];
             let mut arena = ScratchArena::default();
             gemm_f16_blocked(&mut got, m, k, n, &a, &b, Some(&bias), relu, &mut arena);
@@ -187,12 +186,12 @@ fn gemm_cell_f16(path: PathChoice, tc: usize) {
                 .iter()
                 .zip(&want)
                 .all(|(g, w)| g.to_bits() == w.to_bits());
-            assert!(same, "f16 {path:?} tc={tc} m={m} k={k} n={n} not bit-equal");
+            assert!(same, "f16 {tier:?} tc={tc} m={m} k={k} n={n} not bit-equal");
         }
     }
 }
 
-fn gemm_cell_quint8(path: PathChoice, tc: usize) {
+fn gemm_cell_quint8(tier: SimdTier, tc: usize) {
     for (case, &(m, k, n)) in GEMM_SHAPES.iter().enumerate() {
         let relu = case % 2 == 0;
         let a = pseudo_u8(m * k, case);
@@ -202,7 +201,7 @@ fn gemm_cell_quint8(path: PathChoice, tc: usize) {
         let out_p = QuantParams::from_range(-60.0, 60.0).unwrap();
         let bias = pseudo_f32(m, case + 17);
         let want = gemm_quint8(m, k, n, &a, a_p, &b, b_p, Some(&bias), out_p, relu).unwrap();
-        for got in on_threads(tc, path, || {
+        for got in on_threads(tc, tier, || {
             let mut got = vec![0u8; m * n];
             let mut arena = ScratchArena::default();
             gemm_quint8_blocked(
@@ -223,7 +222,7 @@ fn gemm_cell_quint8(path: PathChoice, tc: usize) {
             got
         }) {
             // QUInt8 is bit-identical for every shape, no exceptions.
-            assert!(got == want, "quint8 {path:?} tc={tc} m={m} k={k} n={n}");
+            assert!(got == want, "quint8 {tier:?} tc={tc} m={m} k={k} n={n}");
         }
     }
 }
@@ -260,7 +259,7 @@ fn dw_shapes() -> Vec<(usize, usize, usize, usize, usize, usize)> {
     shapes
 }
 
-fn depthwise_cell(dtype: DType, tc: usize) {
+fn depthwise_cell(dtype: DType, tier: SimdTier, tc: usize) {
     for (case, &(c, h, w, k, stride, pad)) in dw_shapes().iter().enumerate() {
         let relu = case % 2 == 0;
         let qp = QuantParams::from_range(-1.0, 1.0).unwrap();
@@ -281,15 +280,13 @@ fn depthwise_cell(dtype: DType, tc: usize) {
         let p = Conv2dParams { stride, pad, relu };
         let out_p = (dtype == DType::QUInt8).then_some(out_qp);
         let want = depthwise_im2col(&input, &filters, Some(&bias), &p, out_p);
-        for path in conv_paths() {
-            for got in on_threads(tc, path, || {
-                depthwise_conv2d(&input, &filters, Some(&bias), &p, out_p).unwrap()
-            }) {
-                assert!(
-                    got.bit_equal(&want),
-                    "depthwise {dtype:?} {path:?} tc={tc} c={c} k={k} s={stride} p={pad}"
-                );
-            }
+        for got in on_threads(tc, tier, || {
+            depthwise_conv2d(&input, &filters, Some(&bias), &p, out_p).unwrap()
+        }) {
+            assert!(
+                got.bit_equal(&want),
+                "depthwise {dtype:?} {tier:?} tc={tc} c={c} k={k} s={stride} p={pad}"
+            );
         }
     }
 }
@@ -299,7 +296,7 @@ fn depthwise_cell(dtype: DType, tc: usize) {
 const PW_SHAPES: [(usize, usize, usize, usize); 4] =
     [(3, 5, 6, 6), (1, 1, 4, 7), (8, 3, 5, 5), (5, 11, 3, 3)];
 
-fn pointwise_cell(dtype: DType, tc: usize) {
+fn pointwise_cell(dtype: DType, tier: SimdTier, tc: usize) {
     for (case, &(ic, oc, h, w)) in PW_SHAPES.iter().enumerate() {
         let relu = case % 2 == 1;
         let qp = QuantParams::from_range(-1.0, 1.0).unwrap();
@@ -324,15 +321,13 @@ fn pointwise_cell(dtype: DType, tc: usize) {
         };
         let out_p = (dtype == DType::QUInt8).then_some(out_qp);
         let want = conv2d_im2col(&input, &filters, Some(&bias), &p, out_p);
-        for path in conv_paths() {
-            for got in on_threads(tc, path, || {
-                conv2d(&input, &filters, Some(&bias), &p, out_p).unwrap()
-            }) {
-                assert!(
-                    got.bit_equal(&want),
-                    "pointwise {dtype:?} {path:?} tc={tc} ic={ic} oc={oc}"
-                );
-            }
+        for got in on_threads(tc, tier, || {
+            conv2d(&input, &filters, Some(&bias), &p, out_p).unwrap()
+        }) {
+            assert!(
+                got.bit_equal(&want),
+                "pointwise {dtype:?} {tier:?} tc={tc} ic={ic} oc={oc}"
+            );
         }
     }
 }
@@ -350,7 +345,7 @@ fn requantize_cell(tc: usize) {
         })
         .chain([i32::MIN, i32::MAX, 0, -1, 1])
         .collect();
-    for got_all in on_threads(tc, PathChoice::Auto, || {
+    for got_all in on_threads(tc, simd_tier(), || {
         let mut outs = Vec::new();
         for real in [1e-7, 0.003, 0.25, 0.499, 0.73, 0.999_999, 1.0, 2.5] {
             let m = FixedPointMultiplier::from_real(real).unwrap();
@@ -383,7 +378,7 @@ fn requantize_cell(tc: usize) {
 /// replaced, on SqueezeNet's pool geometry and the awkward ones: planes
 /// narrower than the window, single rows and columns, strides above the
 /// window side, windows wholly inside the padding.
-fn pool_cell(tc: usize) {
+fn pool_cell(tier: SimdTier, tc: usize) {
     let cases = [
         (13usize, 13usize, 3usize, 2usize, 0usize),
         (27, 27, 3, 2, 0),
@@ -395,7 +390,7 @@ fn pool_cell(tc: usize) {
         (9, 7, 1, 3, 2),
         (12, 17, 4, 3, 1),
     ];
-    for got_all in on_threads(tc, PathChoice::Auto, || {
+    for got_all in on_threads(tc, tier, || {
         let mut outs = Vec::new();
         for (case, &(h, w, k, stride, pad)) in cases.iter().enumerate() {
             let input = common::pool_input(Shape::nchw(2, 3, h, w), DType::QUInt8, case);
@@ -415,7 +410,7 @@ fn pool_cell(tc: usize) {
         outs
     }) {
         for (same, h, w, p) in got_all {
-            assert!(same, "pool tc={tc} {h}x{w} {p:?}");
+            assert!(same, "pool {tier:?} tc={tc} {h}x{w} {p:?}");
         }
     }
 }
@@ -438,7 +433,7 @@ fn convert_params() -> Vec<QuantParams> {
 
 /// Runs `check` (a list of (passed, label) results) on `tc` workers.
 fn convert_cell(tc: usize, check: impl Fn() -> Vec<(bool, String)> + Sync) {
-    for results in on_threads(tc, PathChoice::Auto, &check) {
+    for results in on_threads(tc, simd_tier(), &check) {
         for (same, what) in results {
             assert!(same, "convert tc={tc}: {what}");
         }
@@ -582,30 +577,33 @@ fn convert_f16_cell(tc: usize) {
     });
 }
 
-/// Runs the cell that pins `key`; panics on an unknown key so a typo in
-/// [`COVERED`] cannot silently cover nothing.
+/// The tier cap a key's kernel path names.
+fn cap(path: &str) -> SimdTier {
+    match PathChoice::parse(path) {
+        Some(PathChoice::Cap(tier)) => tier,
+        _ => panic!("{path} is not a tier's kernel path"),
+    }
+}
+
+/// Runs the cell that pins `key` under its own tier cap; panics on an
+/// unknown key so a typo in [`COVERED`] cannot silently cover nothing.
 fn run_cell(key: &str, tc: usize) {
-    match key {
-        "gemm/f32/blocked-scalar" => gemm_cell_f32(PathChoice::Scalar, tc),
-        "gemm/f32/blocked-simd" => gemm_cell_f32(PathChoice::Simd, tc),
-        "gemm/f16/blocked-scalar" => gemm_cell_f16(PathChoice::Scalar, tc),
-        "gemm/f16/avx512fp16" => gemm_cell_f16(PathChoice::Simd, tc),
-        "gemm/quint8/blocked-scalar" => gemm_cell_quint8(PathChoice::Scalar, tc),
-        "gemm/quint8/blocked-simd" | "gemm/quint8/avx512-vnni" => {
-            gemm_cell_quint8(PathChoice::Simd, tc)
-        }
-        "depthwise/f32/direct" => depthwise_cell(DType::F32, tc),
-        "depthwise/f16/direct" | "depthwise/f16/avx512fp16" => depthwise_cell(DType::F16, tc),
-        "depthwise/quint8/plane" => depthwise_cell(DType::QUInt8, tc),
-        "pointwise/f32/direct" => pointwise_cell(DType::F32, tc),
-        "pointwise/f16/direct" => pointwise_cell(DType::F16, tc),
-        "pointwise/quint8/direct" => pointwise_cell(DType::QUInt8, tc),
-        "requantize/quint8/simd" => requantize_cell(tc),
-        "pool/quint8/rowwise" => pool_cell(tc),
-        "convert/quint8/table" => convert_table_cell(tc),
-        "convert/to-quint8/simd" => convert_to_quint8_cell(tc),
-        "convert/f16/simd" => convert_f16_cell(tc),
-        other => panic!("no equivalence cell for fast path {other}"),
+    match key.rsplit_once('/').expect("an op/dtype/path key") {
+        ("gemm/f32", path) => gemm_cell_f32(cap(path), tc),
+        ("gemm/f16", path) => gemm_cell_f16(cap(path), tc),
+        ("gemm/quint8", path) => gemm_cell_quint8(cap(path), tc),
+        ("depthwise/f32", path) => depthwise_cell(DType::F32, cap(path), tc),
+        ("depthwise/f16", path) => depthwise_cell(DType::F16, cap(path), tc),
+        ("depthwise/quint8", path) => depthwise_cell(DType::QUInt8, cap(path), tc),
+        ("pointwise/f32", path) => pointwise_cell(DType::F32, cap(path), tc),
+        ("pointwise/f16", path) => pointwise_cell(DType::F16, cap(path), tc),
+        ("pointwise/quint8", path) => pointwise_cell(DType::QUInt8, cap(path), tc),
+        ("pool/quint8", path) => pool_cell(cap(path), tc),
+        ("requantize/quint8", "simd") => requantize_cell(tc),
+        ("convert/quint8", "table") => convert_table_cell(tc),
+        ("convert/to-quint8", "simd") => convert_to_quint8_cell(tc),
+        ("convert/f16", "simd") => convert_f16_cell(tc),
+        _ => panic!("no equivalence cell for fast path {key}"),
     }
 }
 
@@ -621,75 +619,69 @@ fn every_registered_fast_path_has_an_equivalence_cell() {
     }
 }
 
-/// The full table: every covered cell, at every thread count. A
-/// `blocked-simd` cell on a host without the features resolves to the
-/// scalar tiles (the documented degradation), so the cell stays valid —
-/// it just re-pins scalar.
+/// The full table: every path this host registers, under its own tier
+/// cap, at every thread count.
 #[test]
 fn equivalence_table_all_cells_all_thread_counts() {
-    for key in COVERED {
+    for key in registered_fast_paths() {
         for tc in THREAD_COUNTS {
             run_cell(key, tc);
         }
     }
 }
 
-/// `UKERNELS_KERNEL_PATH` is how ci.sh forces its first pass onto the
-/// scalar tiles, and `PathChoice::from_env` reads anything it cannot
-/// parse as `auto`: a misspelled pass would quietly run SIMD. ci.sh runs
-/// this target in both kernel-path passes.
+/// `UKERNELS_KERNEL_PATH` is how ci.sh caps each of its kernel passes at
+/// one tier, and `PathChoice::from_env` reads anything it cannot parse
+/// as `auto`: a misspelled pass would quietly run the widest tier. ci.sh
+/// runs this target in every kernel-path pass.
 #[test]
 fn kernel_path_env_names_a_valid_choice() {
     if let Ok(value) = std::env::var("UKERNELS_KERNEL_PATH") {
         assert!(
             PathChoice::parse(&value).is_some(),
-            "UKERNELS_KERNEL_PATH={value:?} is not one of auto, scalar, simd"
+            "UKERNELS_KERNEL_PATH={value:?} is not one of {}",
+            KERNEL_PATHS.join(", ")
         );
     }
 }
 
-/// The GEMM keys name the tiles of the detected tier — a `gemm/*`
-/// SIMD cell above pins exactly the tile a GEMM on this host runs.
+/// Every tier the host has registers paths, and no other tier does, so
+/// the table runs the host's narrower tiers' bodies too: the AVX2 QUInt8
+/// GEMM tile and depthwise strip on an AVX-512 host.
 #[test]
 fn tier_registration_matches_detection() {
     let paths = registered_fast_paths();
-    let tier = simd_tier();
-    assert_eq!(paths.contains(&"gemm/f32/blocked-simd"), simd_available());
-    assert_eq!(
-        paths.contains(&"gemm/quint8/blocked-simd"),
-        tier == SimdTier::Avx2
-    );
-    assert_eq!(
-        paths.contains(&"gemm/quint8/avx512-vnni"),
-        tier >= SimdTier::Avx512
-    );
-    for key in ["gemm/f16/avx512fp16", "depthwise/f16/avx512fp16"] {
-        assert_eq!(paths.contains(&key), tier == SimdTier::Avx512Fp16, "{key}");
+    for tier in SimdTier::ALL {
+        let suffix = format!("/{}", tier.as_str());
+        let registered = paths.iter().any(|key| key.ends_with(&suffix));
+        assert_eq!(registered, tier <= simd_tier(), "{tier:?}");
     }
-    assert!(paths.contains(&"depthwise/quint8/plane"));
+    for key in ["gemm/quint8/avx2", "depthwise/quint8/avx2"] {
+        assert_eq!(paths.contains(&key), simd_tier() >= SimdTier::Avx2, "{key}");
+    }
+    assert!(paths.contains(&"depthwise/quint8/scalar"));
 }
 
 props! {
     #![cases(24)]
 
     /// Randomized (shrinking) differential: the blocked GEMM under a
-    /// random kernel path and two concurrent workers stays bit-equal to
-    /// the naive reference, in one panel and across several.
+    /// random tier the host has and two concurrent workers stays
+    /// bit-equal to the naive reference, in one panel and across several.
     fn random_gemm_shapes_agree_across_paths(
         m in 1usize..16,
         k_small in 1usize..64,
         panels in 0usize..3,
         n in 1usize..16,
-        force_simd in bools(),
+        tier in select(common::host_tiers().collect()),
         relu in bools(),
         seed in 0usize..1000,
     ) {
         let k = panels * KC + k_small;
-        let path = if force_simd { PathChoice::Simd } else { PathChoice::Scalar };
         let a = pseudo_f32(m * k, seed);
         let b = pseudo_f32(k * n, seed + 7);
         let want = gemm_f32(m, k, n, &a, &b, None, relu);
-        for got in on_threads(2, path, || {
+        for got in on_threads(2, tier, || {
             let mut got = vec![0.0f32; m * n];
             let mut arena = ScratchArena::default();
             gemm_f32_blocked(&mut got, m, k, n, &a, &b, None, relu, &mut arena);
@@ -706,19 +698,18 @@ props! {
         k_small in 1usize..48,
         multi_panel in bools(),
         n in 1usize..12,
-        force_simd in bools(),
+        tier in select(common::host_tiers().collect()),
         seed in 0usize..1000,
     ) {
         prop_assume!(m * n > 0);
         let k = if multi_panel { KC + k_small } else { k_small };
-        let path = if force_simd { PathChoice::Simd } else { PathChoice::Scalar };
         let a = pseudo_u8(m * k, seed);
         let b = pseudo_u8(k * n, seed + 11);
         let a_p = QuantParams::from_range(-1.0, 1.0).unwrap();
         let b_p = QuantParams::from_range(-2.0, 2.0).unwrap();
         let out_p = QuantParams::from_range(-70.0, 70.0).unwrap();
         let want = gemm_quint8(m, k, n, &a, a_p, &b, b_p, None, out_p, false).unwrap();
-        for got in on_threads(2, path, || {
+        for got in on_threads(2, tier, || {
             let mut got = vec![0u8; m * n];
             let mut arena = ScratchArena::default();
             gemm_quint8_blocked(&mut got, m, k, n, &a, a_p, &b, b_p, None, out_p, false, &mut arena)

@@ -3,15 +3,15 @@
 //! A GEMM with rows `[1, a_r]` in `A` and columns `[c_x; b_x]` in `B`
 //! computes `C[r][x] = fma(a_r, b_x, c_x)`: the first MAC leaves exactly
 //! `c_x` in the accumulator (`1 · c + 0`), the second is one binary16
-//! FMA. That holds the blocked F16 GEMM — on the SIMD path of an
-//! AVX512-FP16 host, the `vfmadd231ph` tile — to `F16::mul_add` on
-//! near-tie triples that an FMA rounding first to f32 and then to
-//! binary16 gets wrong, and on 2²⁰ seeded random finite triples, under
-//! both kernel paths. NaNs compare as NaNs: payloads may differ.
+//! FMA. That holds the blocked F16 GEMM — at the AVX512-FP16 tier, the
+//! `vfmadd231ph` tile — to `F16::mul_add` on near-tie triples that an FMA
+//! rounding first to f32 and then to binary16 gets wrong, and on 2²⁰
+//! seeded random finite triples, under every tier the host has. NaNs
+//! compare as NaNs: payloads may differ.
 
 use testkit::Rng;
 use ukernels::gemm_f16_blocked;
-use ukernels::{set_kernel_path, PathChoice, ScratchArena};
+use ukernels::{set_kernel_path, simd_tier, ScratchArena, SimdTier};
 use utensor::F16;
 
 /// Triples `(a, b, c)` that an FMA rounding first to f32, then to
@@ -34,8 +34,8 @@ fn near_tie_triples() -> Vec<(F16, F16, F16)> {
 }
 
 /// `fma(a[r], b[x], c[x])` for every `r`, `x` through the F16 GEMM on
-/// the calling thread's kernel path, against `F16::mul_add`.
-fn check_macs(path: PathChoice, a: &[F16], b: &[F16], c: &[F16]) {
+/// the calling thread's tier, against `F16::mul_add`.
+fn check_macs(tier: SimdTier, a: &[F16], b: &[F16], c: &[F16]) {
     let (m, n) = (a.len(), b.len());
     let lhs: Vec<F16> = a.iter().flat_map(|&ar| [F16::ONE, ar]).collect();
     let rhs: Vec<F16> = c.iter().chain(b).copied().collect();
@@ -58,7 +58,7 @@ fn check_macs(path: PathChoice, a: &[F16], b: &[F16], c: &[F16]) {
             let same = g.to_bits() == want.to_bits() || (g.is_nan() && want.is_nan());
             assert!(
                 same,
-                "{path:?}: {a:?} * {b:?} + {c:?} = {g:?}, want {want:?}"
+                "{tier:?}: {a:?} * {b:?} + {c:?} = {g:?}, want {want:?}"
             );
         }
     }
@@ -81,17 +81,17 @@ fn f16_gemm_rounds_each_mac_once() {
     let random: Vec<[Vec<F16>; 3]> = (0..(1 << 20) / (m * n))
         .map(|_| [m, n, n].map(|len| (0..len).map(|_| finite()).collect()))
         .collect();
-    for path in [PathChoice::Scalar, PathChoice::Simd] {
-        let prev = set_kernel_path(path);
+    for tier in SimdTier::ALL.into_iter().filter(|&t| t <= simd_tier()) {
+        let prev = set_kernel_path(tier);
         // One `a` per GEMM row block: the triples of one `a`, `b` and `c`
         // along the columns.
         for group in triples.chunk_by(|x, y| x.0.to_bits() == y.0.to_bits()) {
             let b: Vec<F16> = group.iter().map(|t| t.1).collect();
             let c: Vec<F16> = group.iter().map(|t| t.2).collect();
-            check_macs(path, &[group[0].0; 4], &b, &c);
+            check_macs(tier, &[group[0].0; 4], &b, &c);
         }
         for [a, b, c] in &random {
-            check_macs(path, a, b, c);
+            check_macs(tier, a, b, c);
         }
         set_kernel_path(prev);
     }

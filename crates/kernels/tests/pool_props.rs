@@ -12,17 +12,17 @@
 //! The QUInt8 max paths have a vector body on the AVX-512 tiers (the
 //! byte max of the window's rows split into stride phases); the plane
 //! widths around its 64-lane vector and 128-byte phase window, and
-//! SqueezeNet's pooled planes, run on both kernel paths below.
+//! SqueezeNet's pooled planes, run under every tier the host has below.
 //!
-//! ci.sh runs this target in both kernel-path passes next to
+//! ci.sh runs this target once per tier the host has, next to
 //! `equivalence` and `direct_conv_props`.
 
 mod common;
 
 use common::alloc::{global_avg_pool, pool2d};
-use common::{pool2d_windowed, pool_input};
+use common::{host_tiers, pool2d_windowed, pool_input};
 use testkit::{bools, prop_assert, prop_assume, props, select};
-use ukernels::{out_dim, set_kernel_path, PathChoice, PoolKind, PoolParams};
+use ukernels::{out_dim, set_kernel_path, PoolKind, PoolParams};
 use utensor::{DType, QuantParams, Shape, Tensor, F16};
 
 const DTYPES: [DType; 3] = [DType::F32, DType::F16, DType::QUInt8];
@@ -75,8 +75,8 @@ fn exhaustive_small_grid_is_bit_equal_to_the_windowed_loop() {
 /// QUInt8 max pooling over planes whose widths straddle the vector
 /// body's 64 lanes and 128-byte phase window (63, 64, 65, 127, 128, 129)
 /// and SqueezeNet's pooled planes (111, 55, 27), with the 3-wide and
-/// 2-wide stride-2 windows (clipped columns included), on the scalar
-/// kernel path and the host's SIMD path, against the windowed loop.
+/// 2-wide stride-2 windows (clipped columns included), under every tier
+/// the host has, against the windowed loop.
 #[test]
 fn quint8_max_at_vector_widths_is_bit_equal_on_both_paths() {
     let mut cells = 0;
@@ -97,11 +97,11 @@ fn quint8_max_at_vector_widths_is_bit_equal_on_both_paths() {
                     pad,
                 };
                 let want = pool2d_windowed(&input, &p);
-                for path in [PathChoice::Scalar, PathChoice::Auto] {
-                    let prev = set_kernel_path(path);
+                for tier in host_tiers() {
+                    let prev = set_kernel_path(tier);
                     let got = pool2d(&input, &p).unwrap();
                     set_kernel_path(prev);
-                    assert!(got.bit_equal(&want), "{p:?} on {h}x{w}, {path:?}");
+                    assert!(got.bit_equal(&want), "{p:?} on {h}x{w}, {tier:?}");
                     cells += 1;
                 }
             }

@@ -13,7 +13,7 @@
 //! ends of their range, where the `i32` sums come within a factor of
 //! 1.3 of the type's range. The output grid is scaled to the depth, so
 //! an error of one `Σ_k b` moves an output by about one step. Every case
-//! runs on the scalar tiles and on the host's SIMD tiles.
+//! runs under every tier the host has, the scalar tiles included.
 
 mod common;
 
@@ -22,12 +22,11 @@ use common::conv::conv2d_im2col;
 use common::gemm::gemm_quint8;
 use testkit::{bools, prop_assert, prop_assume, props};
 use ukernels::ScratchArena;
-use ukernels::{gemm_quint8_blocked, out_dim, set_kernel_path, Conv2dParams, PathChoice};
+use ukernels::{gemm_quint8_blocked, out_dim, set_kernel_path, Conv2dParams};
 use utensor::{QuantParams, Shape, Tensor};
 
 const ZERO_POINTS: [u8; 6] = [0, 1, 127, 128, 129, 255];
 const DEPTHS: [usize; 10] = [1, 2, 3, 4, 5, 27, 255, 256, 257, 1024];
-const PATHS: [PathChoice; 2] = [PathChoice::Scalar, PathChoice::Auto];
 
 /// Scales of `A` (weights) and `B` (activations).
 const A_SCALE: f32 = 0.02;
@@ -57,7 +56,7 @@ fn pseudo_bias(n: usize, seed: usize) -> Vec<f32> {
 }
 
 /// Whether `gemm_quint8_blocked` equals the naive loop on `a` (`m × k`,
-/// zero point `za`) and `b` (`k × n`, zero point `zb`) on both paths.
+/// zero point `za`) and `b` (`k × n`, zero point `zb`) under every tier.
 fn gemm_exact(
     (m, k, n): (usize, usize, usize),
     (a, za): (&[u8], u8),
@@ -66,8 +65,8 @@ fn gemm_exact(
     let (a_p, b_p, out_p) = (grid(A_SCALE, za), grid(B_SCALE, zb), out_grid(k));
     let bias = pseudo_bias(m, k + n);
     let want = gemm_quint8(m, k, n, a, a_p, b, b_p, Some(&bias), out_p, false).unwrap();
-    PATHS.into_iter().all(|path| {
-        let prev = set_kernel_path(path);
+    common::host_tiers().all(|tier| {
+        let prev = set_kernel_path(tier);
         let mut got = vec![0u8; m * n];
         let mut arena = ScratchArena::default();
         gemm_quint8_blocked(
@@ -139,7 +138,7 @@ fn gemm_is_bit_exact_at_the_extreme_depth() {
 /// last rows' K-quad streams would run past the end of the weights and
 /// are staged) and one that starts at a row that is not a multiple of 8
 /// (the tiles' rows fall across the parent's 8-row tiles). Every pair of
-/// zero points, depths around the K step and the panel, on both paths.
+/// zero points, depths around the K step and the panel, every tier.
 #[test]
 fn row_ranges_of_the_weights_are_bit_exact() {
     let (rows, n) = (29usize, 37usize);
@@ -197,11 +196,11 @@ props! {
         let bias = pseudo_bias(oc, seed);
         let p = Conv2dParams { stride, pad, relu };
         let want = conv2d_im2col(&input, &filters, Some(&bias), &p, Some(out_grid(k)));
-        for path in PATHS {
-            let prev = set_kernel_path(path);
+        for tier in common::host_tiers() {
+            let prev = set_kernel_path(tier);
             let got = conv2d(&input, &filters, Some(&bias), &p, Some(out_grid(k))).unwrap();
             set_kernel_path(prev);
-            prop_assert!(got.bit_equal(&want), "z_a {za}, z_b {zb}, {path:?}");
+            prop_assert!(got.bit_equal(&want), "z_a {za}, z_b {zb}, {tier:?}");
         }
     }
 }
