@@ -370,10 +370,11 @@ fn parse_model(name: &str) -> Option<unn::ModelId> {
 
 /// `repro trace [net] [--miniature] [--no-passes] [--check-merge]
 /// [--trace-out=FILE]`: overhead attribution on both SoCs plus a Chrome
-/// trace-event JSON export of the high-end SoC's schedule. The schedule
-/// runs over the pass-optimized graph unless `--no-passes` is given;
-/// `--check-merge` additionally runs the unoptimized baseline and exits
-/// non-zero unless the merge overhead class shrank (or is zero).
+/// trace-event JSON export of the high-end SoC's schedule. The plan
+/// elides every concat it can unless `--no-passes` is given (no concat
+/// elision); `--check-merge` additionally runs the plan without elision
+/// and exits non-zero unless the merge overhead class shrank (or is
+/// zero).
 fn trace(args: &[String]) {
     let p = parse_or_exit("trace", args);
     let model = model_arg("trace", &p, unn::ModelId::Vgg16);
@@ -385,18 +386,12 @@ fn trace(args: &[String]) {
     heading(&format!(
         "Schedule observability: uLayer {} (overhead attribution + trace export{})",
         model.name(),
-        if passes { "" } else { ", passes off" }
+        if passes { "" } else { ", no concat elision" }
     ));
     let reports = ubench::overhead_attribution(model, miniature, passes);
     for rep in &reports {
         println!("\n--- {} ---", rep.soc);
-        if !rep.graph_passes.is_empty() {
-            for p in &rep.graph_passes {
-                println!(
-                    "pass {:<18} {:>3} rewrites  {}",
-                    p.pass, p.rewrites, p.detail
-                );
-            }
+        if passes {
             println!("elided concats: {}", rep.elided_concats);
         }
         print!("{}", rep.result.attribution.render_text());
@@ -434,7 +429,7 @@ fn trace(args: &[String]) {
             ok &= shrank;
         }
         if !ok {
-            eprintln!("merge overhead did not shrink with the pass pipeline");
+            eprintln!("merge overhead did not shrink with concat elision");
             std::process::exit(1);
         }
     }
@@ -465,30 +460,18 @@ fn trace(args: &[String]) {
     }
 }
 
-/// `repro passes [net] [--miniature]`: the graph-pass pipeline report —
-/// per-pass rewrite counts, node counts before/after, elided concats,
-/// and the before/after merge/map overhead attribution on both SoCs.
+/// `repro passes [net] [--miniature]`: the concat-elision report — the
+/// elided-concat count, the planning passes' reports, and the
+/// before/after merge/map overhead attribution on both SoCs.
 fn passes_cmd(args: &[String]) {
     let p = parse_or_exit("passes", args);
     let model = model_arg("passes", &p, unn::ModelId::GoogLeNet);
     let miniature = p.switch("--miniature");
 
-    heading(&format!(
-        "Graph pass pipeline: {} (fusion, quant-pair elision, concat elision, DCE)",
-        model.name()
-    ));
+    heading(&format!("Concat elision: {}", model.name()));
     for rep in ubench::pass_pipeline(model, miniature) {
         println!("\n--- {} ---", rep.soc);
-        println!(
-            "nodes: {} -> {} ({} concats elided)",
-            rep.nodes_before, rep.nodes_after, rep.elided_concats
-        );
-        for p in &rep.graph_passes {
-            println!(
-                "graph pass {:<18} {:>3} rewrites  {}",
-                p.pass, p.rewrites, p.detail
-            );
-        }
+        println!("elided concats: {}", rep.elided_concats);
         for p in &rep.plan_passes {
             println!(
                 "plan pass  {:<18} {:>3} rewrites  {}",

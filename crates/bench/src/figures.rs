@@ -393,9 +393,6 @@ pub struct AttributionReport {
     /// The full run — its `attribution`, `metrics`, and `trace` feed the
     /// report and the Chrome export.
     pub result: uruntime::RunResult,
-    /// What each graph pass did, when the run used the pass-optimized
-    /// graph (empty for an unoptimized run).
-    pub graph_passes: Vec<unn::PassReport>,
     /// Concat nodes the schedule realized as in-place joins.
     pub elided_concats: usize,
 }
@@ -403,10 +400,10 @@ pub struct AttributionReport {
 /// Runs the μLayer plan for `model` on both evaluated SoCs and returns
 /// the schedule's overhead attribution (the §6 management costs made
 /// visible). `miniature` swaps in the small functional-test variant so
-/// smoke runs stay fast. With `passes` the graph-pass pipeline (PR 7)
-/// runs first; `passes = false` schedules the unoptimized graph (the
-/// `--no-passes` escape hatch, and the baseline the merge-shrink check
-/// compares against).
+/// smoke runs stay fast. With `passes` the plan elides every concat it
+/// can ([`uruntime::ExecutionPlan::with_elided_concats`]); `passes =
+/// false` schedules every merge copy (the `--no-passes` escape hatch, and
+/// the baseline the merge-shrink check compares against).
 pub fn overhead_attribution(
     model: ModelId,
     miniature: bool,
@@ -421,58 +418,44 @@ pub fn overhead_attribution(
                 model.build()
             };
             let rt = ULayer::new(spec.clone()).expect("ulayer");
-            let (result, graph_passes, elided_concats) = if passes {
-                let opt = rt.plan_optimized(&g, None).expect("ulayer plan");
-                let result = execute_plan(&spec, &opt.graph, &opt.report.plan).expect("ulayer run");
-                (
-                    result,
-                    opt.graph_passes,
-                    opt.report.plan.elided_concats.len(),
-                )
-            } else {
-                (rt.run(&g).expect("ulayer run"), Vec::new(), 0)
-            };
+            let mut plan = rt.plan(&g).expect("ulayer plan").plan;
+            if passes {
+                plan = plan.with_elided_concats(&g);
+            }
             AttributionReport {
                 soc: spec.name.clone(),
                 network: model.name().to_string(),
-                result,
-                graph_passes,
-                elided_concats,
+                result: execute_plan(&spec, &g, &plan).expect("ulayer run"),
+                elided_concats: plan.elided_concats.len(),
             }
         })
         .collect()
 }
 
-/// Before/after evidence for the graph-pass pipeline on one network and
-/// one SoC: node counts, per-pass reports, and the merge/map overhead
-/// classes of the unoptimized vs optimized schedule.
+/// Before/after evidence for concat elision on one network and one SoC:
+/// the planning passes' reports, the elided-concat count, and the
+/// merge/map overhead classes of the schedule without and with elision.
 #[derive(Clone, Debug)]
 pub struct PassPipelineReport {
     /// SoC name.
     pub soc: String,
     /// Network name.
     pub network: String,
-    /// Nodes before the pipeline ran.
-    pub nodes_before: usize,
-    /// Nodes after fusion/elision/DCE.
-    pub nodes_after: usize,
-    /// What each graph pass did.
-    pub graph_passes: Vec<unn::PassReport>,
     /// What each planning pass did.
     pub plan_passes: Vec<ulayer::PlanPassReport>,
     /// Concat nodes scheduled as in-place joins.
     pub elided_concats: usize,
-    /// `(merge, map)` overhead spans of the unoptimized schedule.
+    /// `(merge, map)` overhead spans of the schedule without elision.
     pub before: (simcore::SimSpan, simcore::SimSpan),
-    /// `(merge, map)` overhead spans of the optimized schedule.
+    /// `(merge, map)` overhead spans of the schedule with elision.
     pub after: (simcore::SimSpan, simcore::SimSpan),
-    /// End-to-end latency of the unoptimized schedule.
+    /// End-to-end latency of the schedule without elision.
     pub latency_before: simcore::SimSpan,
-    /// End-to-end latency of the optimized schedule.
+    /// End-to-end latency of the schedule with elision.
     pub latency_after: simcore::SimSpan,
 }
 
-/// Runs `model` with and without the graph-pass pipeline on both
+/// Runs `model`'s μLayer plan without and with concat elision on both
 /// evaluated SoCs — the data behind `repro passes` and the EXPERIMENTS
 /// before/after table.
 pub fn pass_pipeline(model: ModelId, miniature: bool) -> Vec<PassPipelineReport> {
@@ -486,9 +469,10 @@ pub fn pass_pipeline(model: ModelId, miniature: bool) -> Vec<PassPipelineReport>
                 model.build()
             };
             let rt = ULayer::new(spec.clone()).expect("ulayer");
-            let base = rt.run(&g).expect("unoptimized run");
-            let opt = rt.plan_optimized(&g, None).expect("optimized plan");
-            let optd = execute_plan(&spec, &opt.graph, &opt.report.plan).expect("optimized run");
+            let report = rt.plan(&g).expect("ulayer plan");
+            let base = execute_plan(&spec, &g, &report.plan).expect("run without elision");
+            let elided = report.plan.with_elided_concats(&g);
+            let optd = execute_plan(&spec, &g, &elided).expect("run with elision");
             let classes = |r: &uruntime::RunResult| {
                 (
                     r.attribution.class_span(OverheadClass::Merge),
@@ -498,11 +482,8 @@ pub fn pass_pipeline(model: ModelId, miniature: bool) -> Vec<PassPipelineReport>
             PassPipelineReport {
                 soc: spec.name.clone(),
                 network: model.name().to_string(),
-                nodes_before: g.len(),
-                nodes_after: opt.graph.len(),
-                graph_passes: opt.graph_passes,
-                plan_passes: opt.report.pass_log,
-                elided_concats: opt.report.plan.elided_concats.len(),
+                plan_passes: report.pass_log,
+                elided_concats: elided.elided_concats.len(),
                 before: classes(&base),
                 after: classes(&optd),
                 latency_before: base.latency,

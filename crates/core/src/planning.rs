@@ -33,8 +33,9 @@ pub struct PlanContext<'a> {
     pub predictor: &'a LatencyPredictor,
     /// The active mechanism configuration.
     pub config: &'a ULayerConfig,
-    /// The network (already graph-optimized if the caller ran
-    /// [`unn::optimize`]).
+    /// The network, as built: nothing rewrites it, and concat elision
+    /// is a property of the plan
+    /// ([`uruntime::ExecutionPlan::with_elided_concats`]).
     pub graph: &'a Graph,
     /// Optional online drift correction.
     pub drift: Option<&'a DriftAdapter>,
@@ -81,7 +82,7 @@ pub struct PlanDraft {
     pub(crate) source: PlanSource,
 }
 
-/// What one planning stage did — mirrors [`unn::PassReport`].
+/// What one planning stage did.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlanPassReport {
     /// The stage: `partition` or `branch-distribution`.

@@ -10,7 +10,7 @@
 use usoc::SocSpec;
 
 use simcore::SimSpan;
-use unn::{Calibration, Graph, Weights};
+use unn::Graph;
 use uruntime::{execute_plan, ExecutionPlan, RunResult};
 
 use crate::adapt::DriftAdapter;
@@ -55,25 +55,6 @@ impl PlanReport {
             pass_log,
         })
     }
-}
-
-/// A graph-optimized μLayer plan: the rewritten graph produced by the
-/// [`unn::optimize`] default pipeline, the plan generated over it (with
-/// concat elision attached), remapped side tables when the caller
-/// provided them, and both pass logs.
-#[derive(Clone, Debug)]
-pub struct OptimizedPlan {
-    /// The optimized graph the plan refers to. Node ids differ from the
-    /// input graph wherever fusion, pair elision, or DCE removed nodes.
-    pub graph: Graph,
-    /// Weights remapped onto the optimized graph (if provided).
-    pub weights: Option<Weights>,
-    /// Calibration remapped onto the optimized graph (if provided).
-    pub calib: Option<Calibration>,
-    /// The plan and planning diagnostics over the optimized graph.
-    pub report: PlanReport,
-    /// What each graph pass did, in run order.
-    pub graph_passes: Vec<unn::PassReport>,
 }
 
 /// The μLayer runtime for one SoC.
@@ -141,36 +122,6 @@ impl ULayer {
         PlanReport::new(&cx, &draft, pass_log)
     }
 
-    /// Runs the [`unn::optimize`] default pipeline over `graph`, plans the
-    /// optimized graph, and attaches the pipeline's concat elisions to
-    /// the plan so the engine schedules in-place joins. With `tables`,
-    /// the weights and calibration are remapped through every rewrite so
-    /// the returned side tables align with the optimized graph's nodes.
-    pub fn plan_optimized(
-        &self,
-        graph: &Graph,
-        tables: Option<(&Weights, &Calibration)>,
-    ) -> Result<OptimizedPlan, ULayerError> {
-        let mut module = match tables {
-            Some((weights, calib)) => {
-                unn::Module::with_tables(graph.clone(), weights.clone(), calib.clone())?
-            }
-            None => unn::Module::new(graph.clone()),
-        };
-        let graph_passes = unn::PassRunner::default_pipeline().run(&mut module)?;
-        let mut report = self.plan(&module.graph)?;
-        report.plan = report
-            .plan
-            .with_elided_concats(&module.graph, module.elided_concats.clone())?;
-        Ok(OptimizedPlan {
-            graph: module.graph,
-            weights: module.weights,
-            calib: module.calib,
-            report,
-            graph_passes,
-        })
-    }
-
     /// Plans and executes one inference (timing/energy co-simulation).
     pub fn run(&self, graph: &Graph) -> Result<RunResult, ULayerError> {
         let report = self.plan(graph)?;
@@ -181,7 +132,7 @@ impl ULayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unn::ModelId;
+    use unn::{ModelId, Weights};
     use utensor::{DType, Tensor};
 
     #[test]

@@ -43,9 +43,8 @@ pub fn relu(input: &TensorView<'_>, out: &mut TensorViewMut<'_>) -> Result<(), T
 ///
 /// The snap is idempotent: a tensor already on the `params` grid passes
 /// through bit-identically (a `QUInt8` tensor carrying the same params
-/// is copied code-for-code). That idempotence is what lets the
-/// quant-pair elision pass drop the second of an adjacent same-params
-/// pair without changing any output bit.
+/// is copied code-for-code), so an adjacent same-params pair snaps
+/// once.
 pub fn fake_quant(
     input: &TensorView<'_>,
     params: QuantParams,

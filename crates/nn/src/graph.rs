@@ -58,9 +58,7 @@ pub struct Graph {
     name: String,
     input_shape: Shape,
     nodes: Vec<Node>,
-    /// The designated output node. Defaults to the last node added;
-    /// rewrite passes carry it through explicitly so deleting or
-    /// appending nodes cannot silently change what the graph computes.
+    /// The designated output node. Defaults to the last node added.
     output: Option<NodeId>,
 }
 
@@ -158,9 +156,8 @@ impl Graph {
 
     /// Designates `id` as the graph output.
     ///
-    /// Builders call this when the output is not the last-added node
-    /// (e.g. a graph carrying auxiliary heads); rewrite passes use it to
-    /// preserve the output across node deletions.
+    /// Tests call this when the output is not the last-added node (e.g.
+    /// a graph carrying an auxiliary head).
     ///
     /// # Panics
     ///
@@ -169,49 +166,6 @@ impl Graph {
     pub(crate) fn set_output(&mut self, id: NodeId) {
         assert!(id.0 < self.nodes.len(), "output {id} out of range");
         self.output = Some(id);
-    }
-
-    /// Decomposes the graph into its raw parts
-    /// `(name, input_shape, nodes, output)` for a rewrite pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty graph.
-    pub(crate) fn into_parts(self) -> (String, Shape, Vec<Node>, NodeId) {
-        let output = self.output.expect("empty graph has no output");
-        (self.name, self.input_shape, self.nodes, output)
-    }
-
-    /// Reassembles a graph from rewritten parts, revalidating the
-    /// topological-order invariant and the output designation.
-    pub(crate) fn from_parts(
-        name: impl Into<String>,
-        input_shape: Shape,
-        nodes: Vec<Node>,
-        output: NodeId,
-    ) -> Result<Graph, TensorError> {
-        for (i, node) in nodes.iter().enumerate() {
-            for dep in &node.inputs {
-                if dep.0 >= i {
-                    return Err(TensorError::BadGraph(format!(
-                        "node {i} ({}) references {dep}, violating topological order",
-                        node.name
-                    )));
-                }
-            }
-        }
-        if output.0 >= nodes.len() {
-            return Err(TensorError::BadGraph(format!(
-                "output {output} out of range for {} nodes",
-                nodes.len()
-            )));
-        }
-        Ok(Graph {
-            name: name.into(),
-            input_shape,
-            nodes,
-            output: Some(output),
-        })
     }
 
     /// Consumers of each node's output (and of the graph input at key
@@ -465,24 +419,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn set_output_rejects_dangling() {
         tiny_graph().set_output(NodeId(99));
-    }
-
-    #[test]
-    fn parts_round_trip_and_validate() {
-        let g = tiny_graph();
-        let (name, input_shape, nodes, output) = g.clone().into_parts();
-        let rebuilt = Graph::from_parts(name, input_shape, nodes, output).unwrap();
-        assert_eq!(rebuilt.output(), g.output());
-        assert_eq!(rebuilt.len(), g.len());
-
-        // Non-topological wiring is rejected.
-        let (name, input_shape, mut nodes, output) = g.clone().into_parts();
-        nodes[0].inputs = vec![NodeId(2)];
-        assert!(Graph::from_parts(name, input_shape, nodes, output).is_err());
-
-        // Dangling output is rejected.
-        let (name, input_shape, nodes, _) = g.into_parts();
-        assert!(Graph::from_parts(name, input_shape, nodes, NodeId(9)).is_err());
     }
 
     #[test]

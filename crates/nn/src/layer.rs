@@ -88,7 +88,7 @@ pub enum LayerKind {
     /// (quantize→dequantize against `params`). Boundary lowering inserts
     /// these where a tensor crosses a CPU↔GPU part boundary; adjacent
     /// pairs that agree on `params` are redundant (fake-quant is
-    /// idempotent) and elided by the quant-pair elision pass.
+    /// idempotent).
     Quantize {
         /// The affine grid the tensor is snapped through.
         params: QuantParams,

@@ -17,7 +17,6 @@
 //!   which every device executor calls with a part's channel range of
 //!   the layer's output, so all mechanisms share numerics by
 //!   construction.
-//! - [`optimize`] / [`PassRunner`] — the graph pass pipeline.
 //! - [`find_branch_groups`] / [`applicability`] — divergent-branch
 //!   detection (§5) and the Table 1 applicability matrix.
 
@@ -29,7 +28,6 @@ mod exec;
 mod graph;
 mod layer;
 mod models;
-mod passes;
 mod weights;
 
 pub use analysis::{applicability, find_branch_groups, Applicability};
@@ -37,8 +35,4 @@ pub use exec::{calibrate, forward, run_layer, run_layer_into};
 pub use graph::{Graph, NodeId};
 pub use layer::{LayerKind, PoolFunc};
 pub use models::{fire, inception, ModelId};
-pub use passes::{
-    optimize, ElideConcats, ElideQuantPairs, EliminateDeadNodes, FuseActivations, Module, Pass,
-    PassReport, PassRunner,
-};
 pub use weights::{Calibration, Weights};

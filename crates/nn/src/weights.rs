@@ -172,14 +172,14 @@ impl Weights {
         self.per_node.is_empty()
     }
 
-    /// Assembles weights from per-node entries (rewrite passes and
-    /// tests; entry `i` belongs to node `i`).
+    /// Assembles weights from per-node entries (entry `i` belongs to
+    /// node `i`) with an empty cast memo.
     pub fn from_per_node(per_node: Vec<LayerWeights>) -> Weights {
         let casts = per_node.iter().map(|_| Arc::default()).collect();
         Weights { per_node, casts }
     }
 
-    /// Decomposes into per-node entries for a rewrite pass.
+    /// Decomposes into per-node entries, dropping the cast memo.
     pub fn into_per_node(self) -> Vec<LayerWeights> {
         self.per_node
     }

@@ -9,7 +9,7 @@
 //! cuts, so every mechanism shares scheduling, timing, energy, and numeric
 //! machinery.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use usoc::{DeviceId, DtypePlan, SocSpec};
 use utensor::{DType, TensorError};
@@ -72,8 +72,8 @@ pub struct ExecutionPlan {
     /// Concat nodes whose merge copy the scheduler elides: every branch
     /// writes its channel range directly into the join buffer, so the
     /// engine replaces the concat's copy kernel with a zero-span merge
-    /// point (see [`ExecutionPlan::with_elided_concats`]). Empty unless
-    /// the `elide-concats` pass annotated the graph.
+    /// point. Empty unless [`ExecutionPlan::with_elided_concats`] filled
+    /// it; [`ExecutionPlan::layout`] rejects an entry that breaks its rule.
     pub elided_concats: BTreeSet<usize>,
 }
 
@@ -125,7 +125,8 @@ impl ExecutionPlan {
     ///   conversions);
     /// - a split has at least two parts, finite shares in `[0, 1]`, and
     ///   sits on a distributable layer (§3.2);
-    /// - elided-concat indices are in range.
+    /// - every elided concat can join in place (see
+    ///   [`ExecutionPlan::with_elided_concats`]).
     pub(crate) fn validate(&self, graph: &Graph) -> Result<(), String> {
         if self.placements.len() != graph.len() {
             return Err(format!(
@@ -160,13 +161,13 @@ impl ExecutionPlan {
                 }
             }
         }
-        match self.elided_concats.iter().find(|&&c| c >= graph.len()) {
-            Some(c) => Err(format!(
-                "elided concat index {c} out of range for a {}-node graph",
-                graph.len()
-            )),
-            None => Ok(()),
+        // Every frame lowers its plan: an empty set builds no consumer map.
+        if self.elided_concats.is_empty() {
+            return Ok(());
         }
+        let consumers = graph.consumers();
+        (self.elided_concats.iter())
+            .try_for_each(|&c| joins_in_place(graph, &consumers, &self.elided_concats, c))
     }
 
     /// The spec half of validation, which the timing engine adds to
@@ -189,55 +190,24 @@ impl ExecutionPlan {
         Ok(())
     }
 
-    /// Attaches a concat-elision set (from the `elide-concats` pass),
-    /// revalidating it against the graph: every entry must be a concat
-    /// with at least two inputs, each input consumed *only* by that
-    /// concat, and no elided concat may feed another (the inner buffer
-    /// would have to be a view into the outer one).
+    /// Elides every concat whose merge copy the schedule can skip: one
+    /// with at least two inputs, each consumed *only* by that concat and
+    /// none itself elided (the inner buffer would have to be a view into
+    /// the outer one), taken in node order. Each branch then writes its
+    /// channel range directly into the join buffer and the concat becomes
+    /// a zero-span merge point.
     ///
-    /// The annotation only changes the timing engine's task graph — the
-    /// functional evaluator computes the identical join either way — so
-    /// a plan with a stale or foreign set fails here rather than
-    /// silently under-costing merges.
-    pub fn with_elided_concats(
-        mut self,
-        graph: &Graph,
-        elided: BTreeSet<NodeId>,
-    ) -> Result<ExecutionPlan, TensorError> {
+    /// The set only changes the timing engine's task graph — the
+    /// functional evaluator computes the identical join either way.
+    pub fn with_elided_concats(mut self, graph: &Graph) -> ExecutionPlan {
         let consumers = graph.consumers();
-        for &c in &elided {
-            if c.0 >= graph.len() {
-                return Err(TensorError::BadGraph(format!(
-                    "elided concat {c} out of range for {} nodes",
-                    graph.len()
-                )));
-            }
-            let node = &graph.nodes()[c.0];
-            if !matches!(node.kind, LayerKind::Concat) || node.inputs.len() < 2 {
-                return Err(TensorError::BadGraph(format!(
-                    "elided node {} is not a multi-input concat",
-                    node.name
-                )));
-            }
-            for &b in &node.inputs {
-                if consumers.get(&Some(b)).map(Vec::as_slice) != Some(&[c]) {
-                    return Err(TensorError::BadGraph(format!(
-                        "branch {} of elided concat {} has other consumers",
-                        graph.nodes()[b.0].name,
-                        node.name
-                    )));
-                }
-                if elided.contains(&b) {
-                    return Err(TensorError::BadGraph(format!(
-                        "elided concat {} feeds elided concat {}",
-                        graph.nodes()[b.0].name,
-                        node.name
-                    )));
-                }
+        self.elided_concats.clear();
+        for c in 0..graph.len() {
+            if joins_in_place(graph, &consumers, &self.elided_concats, c).is_ok() {
+                self.elided_concats.insert(c);
             }
         }
-        self.elided_concats = elided.into_iter().map(|id| id.0).collect();
-        Ok(self)
+        self
     }
 
     /// The plan-wide activation storage dtype.
@@ -257,10 +227,49 @@ impl ExecutionPlan {
     }
 }
 
+/// The concat-elision rule: node `c` is a concat of at least two inputs,
+/// each consumed by `c` alone and none in `elided`. The error names the
+/// first condition that fails.
+fn joins_in_place(
+    graph: &Graph,
+    consumers: &BTreeMap<Option<NodeId>, Vec<NodeId>>,
+    elided: &BTreeSet<usize>,
+    c: usize,
+) -> Result<(), String> {
+    let Some(node) = graph.nodes().get(c) else {
+        return Err(format!(
+            "elided concat index {c} out of range for a {}-node graph",
+            graph.len()
+        ));
+    };
+    if !matches!(node.kind, LayerKind::Concat) || node.inputs.len() < 2 {
+        return Err(format!(
+            "elided node {c} ({}) is not a multi-input concat",
+            node.name
+        ));
+    }
+    for &b in &node.inputs {
+        let branch = &graph.node(b).name;
+        if consumers.get(&Some(b)).map(Vec::as_slice) != Some(&[NodeId(c)]) {
+            return Err(format!(
+                "branch {branch} of elided concat {} has other consumers",
+                node.name
+            ));
+        }
+        if elided.contains(&b.0) {
+            return Err(format!(
+                "elided concat {branch} feeds elided concat {}",
+                node.name
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unn::LayerKind;
+    use unn::ModelId;
     use utensor::Shape;
 
     fn graph() -> Graph {
@@ -390,6 +399,94 @@ mod tests {
             "bad"
         )
         .is_err());
+    }
+
+    fn conv(oc: usize) -> LayerKind {
+        LayerKind::Conv {
+            oc,
+            k: 3,
+            stride: 1,
+            pad: 1,
+            relu: true,
+        }
+    }
+
+    /// The concat-elision set of a single-CPU plan over `g`.
+    fn elided(g: &Graph) -> BTreeSet<usize> {
+        let soc = SocSpec::exynos_7420();
+        let plan = crate::single_processor_plan(g, &soc, soc.cpu(), DType::F32).unwrap();
+        let plan = plan.with_elided_concats(g);
+        plan.validate(g).unwrap();
+        plan.elided_concats
+    }
+
+    #[test]
+    fn concat_elision_marks_single_consumer_joins_only() {
+        let mut g = Graph::new("c", Shape::nchw(1, 4, 8, 8));
+        let stem = g.add_input_layer("stem", conv(4));
+        let a = g.add("a", conv(2), stem);
+        let b = g.add("b", conv(3), stem);
+        let j1 = g.add_multi("j1", LayerKind::Concat, &[a, b]);
+        // The second join reads the stem (which has other consumers) and
+        // the first join.
+        let j2 = g.add_multi("j2", LayerKind::Concat, &[j1, stem]);
+        g.add("gap", LayerKind::GlobalAvgPool, j2);
+        // j1 is elidable (a and b each feed only j1). j2 is not: stem
+        // has three consumers, and j1 is already elided.
+        assert_eq!(elided(&g), BTreeSet::from([j1.0]));
+    }
+
+    #[test]
+    fn nested_eligible_concats_elide_outer_only_inner() {
+        // Both joins structurally single-consumer: the inner one wins,
+        // the outer is skipped (no views-of-views).
+        let mut g = Graph::new("n", Shape::nchw(1, 4, 8, 8));
+        let stem = g.add_input_layer("stem", conv(4));
+        let a = g.add("a", conv(2), stem);
+        let b = g.add("b", conv(3), stem);
+        let inner = g.add_multi("inner", LayerKind::Concat, &[a, b]);
+        let c = g.add("c", conv(2), stem);
+        let outer = g.add_multi("outer", LayerKind::Concat, &[inner, c]);
+        g.add("gap", LayerKind::GlobalAvgPool, outer);
+        assert_eq!(elided(&g), BTreeSet::from([inner.0]));
+    }
+
+    #[test]
+    fn googlenet_concats_all_elide() {
+        let g = ModelId::GoogLeNet.build_miniature();
+        let concats: BTreeSet<usize> = (g.nodes().iter().enumerate())
+            .filter(|(_, n)| matches!(n.kind, LayerKind::Concat))
+            .map(|(i, _)| i)
+            .collect();
+        assert!(
+            concats.len() >= 2,
+            "miniature googlenet keeps its inceptions"
+        );
+        assert_eq!(elided(&g), concats);
+    }
+
+    #[test]
+    fn elision_counts_across_the_zoo() {
+        // (net, full-size elisions, miniature elisions): only the fire and
+        // inception joins elide.
+        let counts = [
+            (ModelId::SqueezeNet, 8, 3),
+            (ModelId::GoogLeNet, 9, 2),
+            (ModelId::Vgg16, 0, 0),
+            (ModelId::AlexNet, 0, 0),
+            (ModelId::MobileNet, 0, 0),
+            (ModelId::ResNet18, 0, 0),
+            (ModelId::LeNet, 0, 0),
+        ];
+        for (id, full, mini) in counts {
+            assert_eq!(elided(&id.build()).len(), full, "{}", id.name());
+            assert_eq!(
+                elided(&id.build_miniature()).len(),
+                mini,
+                "{} mini",
+                id.name()
+            );
+        }
     }
 
     #[test]

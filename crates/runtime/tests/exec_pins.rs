@@ -172,21 +172,20 @@ fn split_plan(spec: &SocSpec, g: &Graph, parts: &[(DeviceId, f64)], label: &str)
     ExecutionPlan::new(g, spec, placements, label).expect("split plan")
 }
 
-/// Every plan shape of one `(spec, net)` cell, each with the graph it
-/// runs over (the elided shape runs over the pass-optimized graph).
-fn shapes(spec: &SocSpec, g: &Graph) -> Vec<(&'static str, Graph, ExecutionPlan)> {
+/// Every plan shape of one `(spec, net)` cell.
+fn shapes(spec: &SocSpec, g: &Graph) -> Vec<(&'static str, ExecutionPlan)> {
     let cpu = spec.cpu();
     let other = partner(spec);
     let mut out = Vec::new();
     let cpu_only = single_processor_plan(g, spec, cpu, DType::QUInt8).expect("cpu-only");
-    out.push(("cpu-only", g.clone(), cpu_only));
+    out.push(("cpu-only", cpu_only));
     let accel_dtype = if spec.devices[other.0].kind == DeviceKind::Gpu {
         DType::F16
     } else {
         DType::QUInt8
     };
     let accel_only = single_processor_plan(g, spec, other, accel_dtype).expect("accel-only");
-    out.push(("accel-only", g.clone(), accel_only));
+    out.push(("accel-only", accel_only));
     let l2p = if spec.find(DeviceKind::Gpu).is_some() {
         layer_to_processor_plan(g, spec, DType::QUInt8).expect("layer-to-proc")
     } else {
@@ -202,22 +201,19 @@ fn shapes(spec: &SocSpec, g: &Graph) -> Vec<(&'static str, Graph, ExecutionPlan)
         )
         .expect("round-robin")
     };
-    out.push(("layer-to-proc", g.clone(), l2p));
+    out.push(("layer-to-proc", l2p));
     out.push((
         "split-37",
-        g.clone(),
         split_plan(spec, g, &[(cpu, 0.37), (other, 0.63)], "split-37"),
     ));
     out.push((
         "split-03",
-        g.clone(),
         split_plan(spec, g, &[(cpu, 0.03), (other, 0.97)], "split-03"),
     ));
     if spec.devices.len() > 2 {
         let third = DeviceId(2);
         out.push((
             "three-way",
-            g.clone(),
             split_plan(
                 spec,
                 g,
@@ -226,12 +222,9 @@ fn shapes(spec: &SocSpec, g: &Graph) -> Vec<(&'static str, Graph, ExecutionPlan)
             ),
         ));
     }
-    let (optimized, elided, _) = unn::optimize(g.clone()).expect("graph passes");
-    if !elided.is_empty() {
-        let plan = split_plan(spec, &optimized, &[(cpu, 0.37), (other, 0.63)], "elided")
-            .with_elided_concats(&optimized, elided)
-            .expect("elision set");
-        out.push(("elided", optimized, plan));
+    let plan = split_plan(spec, g, &[(cpu, 0.37), (other, 0.63)], "elided").with_elided_concats(g);
+    if !plan.elided_concats.is_empty() {
+        out.push(("elided", plan));
     }
     out
 }
@@ -310,13 +303,13 @@ fn engine_results_are_pinned() {
         let targets = fault_targets(&spec);
         for net in NETS {
             let g = net.build_miniature();
-            for (shape, graph, plan) in shapes(&spec, &g) {
+            let cpu_only =
+                single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8).expect("degraded plan");
+            for (shape, plan) in shapes(&spec, &g) {
                 let group = format!("{spec_name}/{shape}");
-                let cpu_only = single_processor_plan(&graph, &spec, spec.cpu(), DType::QUInt8)
-                    .expect("degraded plan");
                 // The fault-free run sizes the fault scenarios; a plan the
                 // spec cannot run at all is pinned by its error alone.
-                let base = match single(&spec, &graph, &plan, &FaultPlan::none()) {
+                let base = match single(&spec, &g, &plan, &FaultPlan::none()) {
                     Ok((r, _)) => r,
                     Err(e) => {
                         reached.typed_errors += 1;
@@ -349,7 +342,7 @@ fn engine_results_are_pinned() {
                         &mut reached,
                         &group,
                         &spec,
-                        &graph,
+                        &g,
                         &plan,
                         &cpu_only,
                         base.latency,

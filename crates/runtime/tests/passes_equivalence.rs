@@ -1,18 +1,18 @@
-//! PR 7 equivalence gate: every graph pass — each alone, and the full
-//! default pipeline — preserves the network function across the model
-//! zoo, in every dtype, with and without channel splits.
+//! Concat-elision equivalence gate: a plan that elides every concat it
+//! can ([`ExecutionPlan::with_elided_concats`]) evaluates to the network
+//! function across the model zoo, in every dtype, with and without
+//! channel splits.
 //!
 //! The contract: bit-identical outputs for QUInt8, ULP-bounded (≤ 2)
-//! for F32/F16. Comparisons run under *uniform-dtype* plans (storage ==
-//! compute, identical on every device) because processor-friendly
-//! quantization makes numerics placement-dependent — the CPU computes on
-//! QUInt8, the GPU on F16 — and a rewritten graph has different nodes,
-//! hence different placements, than the original. Uniform plans pin the
-//! numerics to the dtype alone, so optimized and unoptimized graphs are
-//! directly comparable; the mixed-dtype cooperative path is covered by
-//! the functional tests of `ulayer`.
+//! for F32/F16 against the reference `forward`. Comparisons run under
+//! *uniform-dtype* plans (storage == compute, identical on every device)
+//! because processor-friendly quantization makes numerics
+//! placement-dependent — the CPU computes on QUInt8, the GPU on F16 —
+//! while the reference runs one dtype throughout. Uniform plans pin the
+//! numerics to the dtype alone; the mixed-dtype cooperative path is
+//! covered by the functional tests of `ulayer`.
 
-use unn::{forward, Graph, ModelId, Module, PassRunner};
+use unn::{forward, Graph, ModelId};
 use uruntime::{evaluate_plan, ExecutionPlan, NodePlacement};
 use usoc::{DtypePlan, SocSpec};
 use utensor::{DType, Tensor, F16};
@@ -95,29 +95,6 @@ fn assert_equivalent(opt: &Tensor, reference: &Tensor, ctx: &str) {
     }
 }
 
-/// Every pass alone, then the full default pipeline.
-fn variants() -> Vec<(&'static str, PassRunner)> {
-    vec![
-        (
-            "fuse-activations",
-            PassRunner::new(vec![Box::new(unn::FuseActivations)]),
-        ),
-        (
-            "elide-quant-pairs",
-            PassRunner::new(vec![Box::new(unn::ElideQuantPairs)]),
-        ),
-        (
-            "eliminate-dead-nodes",
-            PassRunner::new(vec![Box::new(unn::EliminateDeadNodes)]),
-        ),
-        (
-            "elide-concats",
-            PassRunner::new(vec![Box::new(unn::ElideConcats)]),
-        ),
-        ("default-pipeline", PassRunner::default_pipeline()),
-    ]
-}
-
 fn zoo() -> Vec<ModelId> {
     let mut nets: Vec<ModelId> = ModelId::EVALUATED.to_vec();
     nets.push(ModelId::ResNet18);
@@ -127,49 +104,16 @@ fn zoo() -> Vec<ModelId> {
 
 const DTYPES: [DType; 3] = [DType::F32, DType::F16, DType::QUInt8];
 
-#[test]
-fn every_pass_preserves_outputs_across_the_zoo() {
-    for id in zoo() {
-        let g = id.build_miniature();
-        let w = unn::Weights::random(&g, 7).unwrap();
-        let input = input_for(&g);
-        let calib = unn::calibrate(&g, &w, std::slice::from_ref(&input)).unwrap();
-        for dtype in DTYPES {
-            let reference = forward(&g, &w, &calib, &input, dtype).unwrap();
-            for (name, runner) in variants() {
-                let mut m = Module::with_tables(g.clone(), w.clone(), calib.clone()).unwrap();
-                runner.run(&mut m).unwrap();
-                let out = m.output_now().expect("output survived the pipeline");
-                let opt = forward(
-                    &m.graph,
-                    m.weights.as_ref().unwrap(),
-                    m.calib.as_ref().unwrap(),
-                    &input,
-                    dtype,
-                )
-                .unwrap();
-                assert_equivalent(
-                    &opt[out.0],
-                    &reference[g.output().0],
-                    &format!("{} / {name} / {dtype}", id.name()),
-                );
-            }
-        }
-    }
-}
-
-/// A cooperative plan in one uniform dtype: every distributable layer is
-/// channel-split 0.37 : 0.63 across CPU and GPU, everything else runs on
-/// the CPU. Elided concats from the module are attached, so the plan
-/// validation and the split evaluator both run over rewritten graphs.
-fn uniform_split_plan(m: &Module, spec: &SocSpec, dtype: DType) -> ExecutionPlan {
+/// A plan in one uniform dtype that elides every concat it can. With
+/// `split`, every distributable layer is channel-split 0.37 : 0.63
+/// across CPU and GPU; everything else runs on the CPU.
+fn uniform_plan(g: &Graph, spec: &SocSpec, dtype: DType, split: bool) -> ExecutionPlan {
     let dt = DtypePlan::uniform(dtype);
-    let placements = m
-        .graph
+    let placements = g
         .nodes()
         .iter()
         .map(|n| {
-            if n.kind.is_distributable() {
+            if split && n.kind.is_distributable() {
                 NodePlacement::Split {
                     parts: vec![(spec.cpu(), dt, 0.37), (spec.gpu(), dt, 0.63)],
                 }
@@ -181,41 +125,40 @@ fn uniform_split_plan(m: &Module, spec: &SocSpec, dtype: DType) -> ExecutionPlan
             }
         })
         .collect();
-    ExecutionPlan::new(&m.graph, spec, placements, "equiv-split")
+    ExecutionPlan::new(g, spec, placements, "equiv")
         .unwrap()
-        .with_elided_concats(&m.graph, m.elided_concats.clone())
-        .unwrap()
+        .with_elided_concats(g)
 }
 
-#[test]
-fn passes_preserve_outputs_under_channel_splits() {
+/// Every zoo net in every dtype: the elided plan's output against the
+/// reference forward pass, under weights drawn from `seed`.
+fn check_zoo(split: bool, seed: u64) {
     let spec = SocSpec::exynos_7420();
     for id in zoo() {
         let g = id.build_miniature();
-        let w = unn::Weights::random(&g, 11).unwrap();
+        let w = unn::Weights::random(&g, seed).unwrap();
         let input = input_for(&g);
         let calib = unn::calibrate(&g, &w, std::slice::from_ref(&input)).unwrap();
         for dtype in DTYPES {
             let reference = forward(&g, &w, &calib, &input, dtype).unwrap();
-            for (name, runner) in variants() {
-                let mut m = Module::with_tables(g.clone(), w.clone(), calib.clone()).unwrap();
-                runner.run(&mut m).unwrap();
-                let out = m.output_now().expect("output survived the pipeline");
-                let plan = uniform_split_plan(&m, &spec, dtype);
-                let outputs = evaluate_plan(
-                    &m.graph,
-                    &plan,
-                    m.weights.as_ref().unwrap(),
-                    m.calib.as_ref().unwrap(),
-                    &input,
-                )
-                .unwrap();
-                assert_equivalent(
-                    &outputs[out.0],
-                    &reference[g.output().0],
-                    &format!("{} / {name} / {dtype} / split", id.name()),
-                );
-            }
+            let plan = uniform_plan(&g, &spec, dtype, split);
+            let outputs = evaluate_plan(&g, &plan, &w, &calib, &input).unwrap();
+            let out = g.output().0;
+            assert_equivalent(
+                &outputs[out],
+                &reference[out],
+                &format!("{} / {dtype} / split {split}", id.name()),
+            );
         }
     }
+}
+
+#[test]
+fn every_pass_preserves_outputs_across_the_zoo() {
+    check_zoo(false, 7);
+}
+
+#[test]
+fn passes_preserve_outputs_under_channel_splits() {
+    check_zoo(true, 11);
 }
