@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! repro [fig5|fig6|fig8|fig10|fig12|fig16|fig17|fig18|table1|npu|all]
-//! repro trace [net] [--miniature] [--no-passes] [--check-merge] [--trace-out=FILE]
-//! repro passes [net] [--miniature]
+//! repro trace [net] [--miniature] [--trace-out=FILE]
 //! repro faults [net] [--scenario=throttle|flaky-gpu|gpu-loss] [--seed=N] [--miniature]
 //! repro serve [net] [--arrivals=fixed|bursty|poisson] [--rate=FPS] [--deadline=MS]
 //!             [--queue=N] [--frames=N] [--seed=N] [--miniature] [--trace-out=FILE]
@@ -278,7 +277,6 @@ fn main() {
     }
     match args.first().map(String::as_str) {
         Some("trace") => return trace(&args[1..]),
-        Some("passes") => return passes_cmd(&args[1..]),
         Some("faults") => return faults(&args[1..]),
         Some("serve") => return serve(&args[1..]),
         Some("measure") => return measure_cmd(&args[1..]),
@@ -305,7 +303,7 @@ fn main() {
     ];
     if !known.contains(&what) {
         eprintln!(
-            "repro: {}\nusage: repro [{}|trace|passes|faults|serve|measure|fleet|mesh|plan] | repro --json <dir> [--with-fig10]",
+            "repro: {}\nusage: repro [{}|trace|faults|serve|measure|fleet|mesh|plan] | repro --json <dir> [--with-fig10]",
             ubench::CliError::UnknownSubcommand { given: what.into() },
             known.join("|")
         );
@@ -368,70 +366,26 @@ fn parse_model(name: &str) -> Option<unn::ModelId> {
     }
 }
 
-/// `repro trace [net] [--miniature] [--no-passes] [--check-merge]
-/// [--trace-out=FILE]`: overhead attribution on both SoCs plus a Chrome
-/// trace-event JSON export of the high-end SoC's schedule. The plan
-/// elides every concat it can unless `--no-passes` is given (no concat
-/// elision); `--check-merge` additionally runs the plan without elision
-/// and exits non-zero unless the merge overhead class shrank (or is
-/// zero).
+/// `repro trace [net] [--miniature] [--trace-out=FILE]`: overhead
+/// attribution on both SoCs plus a Chrome trace-event JSON export of the
+/// high-end SoC's schedule.
 fn trace(args: &[String]) {
     let p = parse_or_exit("trace", args);
     let model = model_arg("trace", &p, unn::ModelId::Vgg16);
     let miniature = p.switch("--miniature");
-    let passes = !p.switch("--no-passes");
-    let check_merge = p.switch("--check-merge");
     let out_path: Option<String> = p.str_of("--trace-out").map(str::to_string);
 
     heading(&format!(
-        "Schedule observability: uLayer {} (overhead attribution + trace export{})",
-        model.name(),
-        if passes { "" } else { ", no concat elision" }
+        "Schedule observability: uLayer {} (overhead attribution + trace export)",
+        model.name()
     ));
-    let reports = ubench::overhead_attribution(model, miniature, passes);
+    let reports = ubench::overhead_attribution(model, miniature);
     for rep in &reports {
         println!("\n--- {} ---", rep.soc);
-        if passes {
-            println!("elided concats: {}", rep.elided_concats);
-        }
+        println!("in-place joins: {}", rep.in_place_joins);
         print!("{}", rep.result.attribution.render_text());
         println!("\ncounters:");
         print!("{}", rep.result.metrics.render());
-    }
-
-    if check_merge {
-        let baseline = ubench::overhead_attribution(model, miniature, false);
-        let optimized = if passes {
-            reports.clone()
-        } else {
-            ubench::overhead_attribution(model, miniature, true)
-        };
-        let mut ok = true;
-        println!();
-        for (b, o) in baseline.iter().zip(&optimized) {
-            let before = b
-                .result
-                .attribution
-                .class_span(uruntime::OverheadClass::Merge);
-            let after = o
-                .result
-                .attribution
-                .class_span(uruntime::OverheadClass::Merge);
-            let shrank = after < before || after == simcore::SimSpan::ZERO;
-            println!(
-                "merge check {}: {} -> {} ({} concats elided) {}",
-                b.soc,
-                ms(before.as_millis_f64()),
-                ms(after.as_millis_f64()),
-                o.elided_concats,
-                if shrank { "OK" } else { "FAIL" }
-            );
-            ok &= shrank;
-        }
-        if !ok {
-            eprintln!("merge overhead did not shrink with concat elision");
-            std::process::exit(1);
-        }
     }
 
     // Export the high-end SoC's schedule and prove it round-trips.
@@ -457,44 +411,6 @@ fn trace(args: &[String]) {
             eprintln!("exported trace failed validation: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-/// `repro passes [net] [--miniature]`: the concat-elision report — the
-/// elided-concat count, the planning passes' reports, and the
-/// before/after merge/map overhead attribution on both SoCs.
-fn passes_cmd(args: &[String]) {
-    let p = parse_or_exit("passes", args);
-    let model = model_arg("passes", &p, unn::ModelId::GoogLeNet);
-    let miniature = p.switch("--miniature");
-
-    heading(&format!("Concat elision: {}", model.name()));
-    for rep in ubench::pass_pipeline(model, miniature) {
-        println!("\n--- {} ---", rep.soc);
-        println!("elided concats: {}", rep.elided_concats);
-        for p in &rep.plan_passes {
-            println!(
-                "plan pass  {:<18} {:>3} rewrites  {}",
-                p.pass, p.rewrites, p.detail
-            );
-        }
-        let mut t = Table::new(&["overhead", "before", "after"]);
-        t.row(vec![
-            "merge".into(),
-            ms(rep.before.0.as_millis_f64()),
-            ms(rep.after.0.as_millis_f64()),
-        ]);
-        t.row(vec![
-            "map".into(),
-            ms(rep.before.1.as_millis_f64()),
-            ms(rep.after.1.as_millis_f64()),
-        ]);
-        t.row(vec![
-            "total latency".into(),
-            ms(rep.latency_before.as_millis_f64()),
-            ms(rep.latency_after.as_millis_f64()),
-        ]);
-        print!("{}", t.render());
     }
 }
 

@@ -98,13 +98,8 @@ const fn flag(name: &'static str, kind: FlagKind) -> FlagSpec {
 /// `repro trace` flags.
 pub(crate) const TRACE_FLAGS: &[FlagSpec] = &[
     flag("--miniature", FlagKind::Switch),
-    flag("--no-passes", FlagKind::Switch),
-    flag("--check-merge", FlagKind::Switch),
     flag("--trace-out", FlagKind::Str),
 ];
-
-/// `repro passes` flags.
-pub(crate) const PASSES_FLAGS: &[FlagSpec] = &[flag("--miniature", FlagKind::Switch)];
 
 /// `repro faults` flags.
 pub(crate) const FAULTS_FLAGS: &[FlagSpec] = &[
@@ -178,7 +173,6 @@ pub(crate) const MESH_FLAGS: &[FlagSpec] = &[
 /// and for `main`'s dispatcher.
 pub const SUBCOMMANDS: &[(&str, &[FlagSpec])] = &[
     ("trace", TRACE_FLAGS),
-    ("passes", PASSES_FLAGS),
     ("faults", FAULTS_FLAGS),
     ("serve", SERVE_FLAGS),
     ("measure", MEASURE_FLAGS),

@@ -393,22 +393,15 @@ pub struct AttributionReport {
     /// The full run — its `attribution`, `metrics`, and `trace` feed the
     /// report and the Chrome export.
     pub result: uruntime::RunResult,
-    /// Concat nodes the schedule realized as in-place joins.
-    pub elided_concats: usize,
+    /// Concat nodes the plan joins in place ([`uruntime::NodeLayout::elided`]).
+    pub in_place_joins: usize,
 }
 
 /// Runs the μLayer plan for `model` on both evaluated SoCs and returns
 /// the schedule's overhead attribution (the §6 management costs made
 /// visible). `miniature` swaps in the small functional-test variant so
-/// smoke runs stay fast. With `passes` the plan elides every concat it
-/// can ([`uruntime::ExecutionPlan::with_elided_concats`]); `passes =
-/// false` schedules every merge copy (the `--no-passes` escape hatch, and
-/// the baseline the merge-shrink check compares against).
-pub fn overhead_attribution(
-    model: ModelId,
-    miniature: bool,
-    passes: bool,
-) -> Vec<AttributionReport> {
+/// smoke runs stay fast.
+pub fn overhead_attribution(model: ModelId, miniature: bool) -> Vec<AttributionReport> {
     SocSpec::evaluated()
         .into_iter()
         .map(|spec| {
@@ -418,76 +411,13 @@ pub fn overhead_attribution(
                 model.build()
             };
             let rt = ULayer::new(spec.clone()).expect("ulayer");
-            let mut plan = rt.plan(&g).expect("ulayer plan").plan;
-            if passes {
-                plan = plan.with_elided_concats(&g);
-            }
+            let plan = rt.plan(&g).expect("ulayer plan").plan;
+            let layout = plan.layout(&g).expect("ulayer plan lowers");
             AttributionReport {
                 soc: spec.name.clone(),
                 network: model.name().to_string(),
                 result: execute_plan(&spec, &g, &plan).expect("ulayer run"),
-                elided_concats: plan.elided_concats.len(),
-            }
-        })
-        .collect()
-}
-
-/// Before/after evidence for concat elision on one network and one SoC:
-/// the planning passes' reports, the elided-concat count, and the
-/// merge/map overhead classes of the schedule without and with elision.
-#[derive(Clone, Debug)]
-pub struct PassPipelineReport {
-    /// SoC name.
-    pub soc: String,
-    /// Network name.
-    pub network: String,
-    /// What each planning pass did.
-    pub plan_passes: Vec<ulayer::PlanPassReport>,
-    /// Concat nodes scheduled as in-place joins.
-    pub elided_concats: usize,
-    /// `(merge, map)` overhead spans of the schedule without elision.
-    pub before: (simcore::SimSpan, simcore::SimSpan),
-    /// `(merge, map)` overhead spans of the schedule with elision.
-    pub after: (simcore::SimSpan, simcore::SimSpan),
-    /// End-to-end latency of the schedule without elision.
-    pub latency_before: simcore::SimSpan,
-    /// End-to-end latency of the schedule with elision.
-    pub latency_after: simcore::SimSpan,
-}
-
-/// Runs `model`'s μLayer plan without and with concat elision on both
-/// evaluated SoCs — the data behind `repro passes` and the EXPERIMENTS
-/// before/after table.
-pub fn pass_pipeline(model: ModelId, miniature: bool) -> Vec<PassPipelineReport> {
-    use uruntime::OverheadClass;
-    SocSpec::evaluated()
-        .into_iter()
-        .map(|spec| {
-            let g = if miniature {
-                model.build_miniature()
-            } else {
-                model.build()
-            };
-            let rt = ULayer::new(spec.clone()).expect("ulayer");
-            let report = rt.plan(&g).expect("ulayer plan");
-            let base = execute_plan(&spec, &g, &report.plan).expect("run without elision");
-            let elided = report.plan.with_elided_concats(&g);
-            let optd = execute_plan(&spec, &g, &elided).expect("run with elision");
-            let classes = |r: &uruntime::RunResult| {
-                (
-                    r.attribution.class_span(OverheadClass::Merge),
-                    r.attribution.class_span(OverheadClass::Map),
-                )
-            };
-            PassPipelineReport {
-                soc: spec.name.clone(),
-                network: model.name().to_string(),
-                plan_passes: report.pass_log,
-                elided_concats: elided.elided_concats.len(),
-                before: classes(&base),
-                after: classes(&optd),
-                latency_before: base.latency,
-                latency_after: optd.latency,
+                in_place_joins: layout.nodes.iter().filter(|n| n.elided).count(),
             }
         })
         .collect()

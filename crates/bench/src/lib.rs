@@ -7,7 +7,7 @@
 //!   ([`table1`], [`fig5`] … [`fig17`], [`evaluation`], [`npu_extension`])
 //!   and per scenario ([`fault_scenarios`], [`serve_overload`],
 //!   [`fleet_storm`], [`mesh_scenario`], [`plan_experiment`],
-//!   [`overhead_attribution`], [`pass_pipeline`]);
+//!   [`overhead_attribution`]);
 //! - the design-choice sweeps ([`p_granularity`], [`overhead_sensitivity`])
 //!   and the held-out predictor validation ([`evaluate_predictor`]);
 //! - the table-driven CLI ([`parse_flags`], [`SUBCOMMANDS`], [`CliError`]);
@@ -34,8 +34,8 @@ pub use export::export_all;
 pub use extra::{overhead_sensitivity, p_granularity};
 pub use figures::{
     evaluation, fault_scenarios, fig12, fig17, fig5, fig6, fig8, fleet_storm, mesh_scenario,
-    npu_extension, overhead_attribution, pass_pipeline, plan_experiment, serve_overload, table1,
-    FleetStormReport, MechanismResult, MeshScenarioReport, PlanExperimentReport,
+    npu_extension, overhead_attribution, plan_experiment, serve_overload, table1, FleetStormReport,
+    MechanismResult, MeshScenarioReport, PlanExperimentReport,
 };
 pub use predictor_eval::evaluate_predictor;
 pub use report::{geomean, ms, opt_ms, pct, ratio, Table};

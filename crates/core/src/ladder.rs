@@ -86,7 +86,7 @@ impl ULayer {
                 drift,
                 devices,
             };
-            draft(&cx, &CostTables::build(&cx)?, None).map(|(d, _)| d)
+            draft(&cx, &CostTables::build(&cx)?, None)
         };
         let rung = |label: String, plan_label: &str, draft: PlanDraft| {
             Ok::<_, ULayerError>(LadderRung {

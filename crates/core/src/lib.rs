@@ -59,6 +59,6 @@ pub use config::ULayerConfig;
 pub use error::ULayerError;
 pub use partitioner::{partition, CostTables, LayerCoster, SingleCostEntry};
 pub use plancache::{PlanSource, PlannerSession, PlannerStats, ReusePolicy};
-pub use planning::{draft, PlanContext, PlanDraft, PlanPassReport};
+pub use planning::{draft, PlanContext, PlanDraft};
 pub use predictor::{FitReport, LatencyPredictor, MeasuredSample};
 pub use runtime::{PlanReport, ULayer};

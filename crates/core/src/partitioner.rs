@@ -783,7 +783,7 @@ pub(crate) mod tests {
                 drift: None,
                 devices: &subset,
             };
-            let (draft, _) = crate::draft(&cx, &CostTables::build(&cx).unwrap(), None).unwrap();
+            let draft = crate::draft(&cx, &CostTables::build(&cx).unwrap(), None).unwrap();
             within(&draft.placements, &subset);
             assert!(draft.branch_mappings.is_empty());
         }

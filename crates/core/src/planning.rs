@@ -7,10 +7,7 @@
 //! and §5 branch distribution then rewrites the divergent groups where a
 //! whole-branch mapping wins, over the same [`CostTables`] shapes.
 //! [`crate::ULayer::plan_with_drift`], every degradation-ladder rung and
-//! both kinds of plan-cache miss call it, and each plan logs the same two
-//! entries in [`crate::PlanReport::pass_log`] for `repro passes`.
-
-use std::fmt::Write as _;
+//! both kinds of plan-cache miss call it.
 
 use simcore::SimSpan;
 use unn::Graph;
@@ -34,8 +31,8 @@ pub struct PlanContext<'a> {
     /// The active mechanism configuration.
     pub config: &'a ULayerConfig,
     /// The network, as built: nothing rewrites it, and concat elision
-    /// is a property of the plan
-    /// ([`uruntime::ExecutionPlan::with_elided_concats`]).
+    /// is a property of every plan's lowering
+    /// ([`uruntime::NodeLayout::elided`]).
     pub graph: &'a Graph,
     /// Optional online drift correction.
     pub drift: Option<&'a DriftAdapter>,
@@ -82,51 +79,17 @@ pub struct PlanDraft {
     pub(crate) source: PlanSource,
 }
 
-/// What one planning stage did.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PlanPassReport {
-    /// The stage: `partition` or `branch-distribution`.
-    pub pass: &'static str,
-    /// Number of placements this stage wrote or rewrote.
-    pub rewrites: usize,
-    /// Human-readable summary for `repro passes`.
-    pub detail: String,
-}
-
 /// Plans `cx`: partitions every layer (from `base` where its decisions
 /// still hold, see [`crate::partition`]), then applies branch
 /// distribution when the configuration enables it. `tables` must have
-/// been built for `cx`. Returns the draft and one log entry per stage.
+/// been built for `cx`.
 pub fn draft(
     cx: &PlanContext<'_>,
     tables: &CostTables,
     base: Option<&PlanDraft>,
-) -> Result<(PlanDraft, Vec<PlanPassReport>), ULayerError> {
+) -> Result<PlanDraft, ULayerError> {
     let mut draft = partition(cx, tables, base)?;
-    let placed = draft.placements.len();
-    let splits = draft
-        .placements
-        .iter()
-        .filter(|p| matches!(p, NodePlacement::Split { .. }))
-        .count();
-    let mut detail = format!("{placed} layers placed, {splits} channel-split");
-    if let PlanSource::Incremental {
-        reenumerated,
-        copied,
-    } = draft.source
-    {
-        let _ = write!(
-            detail,
-            " (incremental: {reenumerated} re-enumerated, {copied} copied)"
-        );
-    }
-    let partitioned = PlanPassReport {
-        pass: "partition",
-        rewrites: placed,
-        detail,
-    };
-
-    let (rewrites, detail) = if cx.config.branch_distribution {
+    if cx.config.branch_distribution {
         draft.branch_mappings = apply_branch_distribution(
             &cx.coster(),
             cx.devices,
@@ -135,21 +98,6 @@ pub fn draft(
             &mut draft.placements,
             &draft.costs,
         );
-        (
-            draft
-                .branch_mappings
-                .iter()
-                .map(|m| m.assignment.len())
-                .sum(),
-            format!("{} branch groups remapped", draft.branch_mappings.len()),
-        )
-    } else {
-        (0, "disabled by configuration".into())
-    };
-    let branched = PlanPassReport {
-        pass: "branch-distribution",
-        rewrites,
-        detail,
-    };
-    Ok((draft, vec![partitioned, branched]))
+    }
+    Ok(draft)
 }

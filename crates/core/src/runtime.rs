@@ -18,7 +18,7 @@ use crate::branch::BranchMapping;
 use crate::config::ULayerConfig;
 use crate::error::ULayerError;
 use crate::partitioner::CostTables;
-use crate::planning::{draft, PlanContext, PlanDraft, PlanPassReport};
+use crate::planning::{draft, PlanContext, PlanDraft};
 use crate::predictor::LatencyPredictor;
 
 /// A generated μLayer plan plus its planning diagnostics.
@@ -31,18 +31,11 @@ pub struct PlanReport {
     /// The predictor's estimate of total latency (serial sum of layer
     /// estimates; the executor overlaps more, so reality is faster).
     pub predicted_serial_latency: SimSpan,
-    /// What each planning pass did, in run order.
-    pub pass_log: Vec<PlanPassReport>,
 }
 
 impl PlanReport {
-    /// The report of `draft`, planned under `cx` and logged by
-    /// `pass_log`.
-    pub(crate) fn new(
-        cx: &PlanContext<'_>,
-        draft: &PlanDraft,
-        pass_log: Vec<PlanPassReport>,
-    ) -> Result<PlanReport, ULayerError> {
+    /// The report of `draft`, planned under `cx`.
+    pub(crate) fn new(cx: &PlanContext<'_>, draft: &PlanDraft) -> Result<PlanReport, ULayerError> {
         Ok(PlanReport {
             plan: ExecutionPlan::new(
                 cx.graph,
@@ -52,7 +45,6 @@ impl PlanReport {
             )?,
             branch_mappings: draft.branch_mappings.clone(),
             predicted_serial_latency: draft.costs.iter().copied().sum(),
-            pass_log,
         })
     }
 }
@@ -118,8 +110,8 @@ impl ULayer {
             drift,
             devices: &self.spec.device_ids(),
         };
-        let (draft, pass_log) = draft(&cx, &CostTables::build(&cx)?, None)?;
-        PlanReport::new(&cx, &draft, pass_log)
+        let draft = draft(&cx, &CostTables::build(&cx)?, None)?;
+        PlanReport::new(&cx, &draft)
     }
 
     /// Plans and executes one inference (timing/energy co-simulation).

@@ -58,8 +58,6 @@ pub struct Graph {
     name: String,
     input_shape: Shape,
     nodes: Vec<Node>,
-    /// The designated output node. Defaults to the last node added.
-    output: Option<NodeId>,
 }
 
 impl Graph {
@@ -69,7 +67,6 @@ impl Graph {
             name: name.into(),
             input_shape,
             nodes: Vec::new(),
-            output: None,
         }
     }
 
@@ -116,7 +113,6 @@ impl Graph {
             kind,
             inputs,
         });
-        self.output = Some(id);
         id
     }
 
@@ -144,28 +140,14 @@ impl Graph {
         &self.nodes[id.0]
     }
 
-    /// The designated output node (by default the last node added; see
-    /// `Graph::set_output`).
+    /// The output node: the last node added.
     ///
     /// # Panics
     ///
     /// Panics on an empty graph.
     pub fn output(&self) -> NodeId {
-        self.output.expect("empty graph has no output")
-    }
-
-    /// Designates `id` as the graph output.
-    ///
-    /// Tests call this when the output is not the last-added node (e.g.
-    /// a graph carrying an auxiliary head).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[cfg(test)]
-    pub(crate) fn set_output(&mut self, id: NodeId) {
-        assert!(id.0 < self.nodes.len(), "output {id} out of range");
-        self.output = Some(id);
+        let last = self.nodes.len().checked_sub(1);
+        NodeId(last.expect("empty graph has no output"))
     }
 
     /// Consumers of each node's output (and of the graph input at key
@@ -403,22 +385,6 @@ mod tests {
     fn output_is_last() {
         let g = tiny_graph();
         assert_eq!(g.output(), NodeId(3));
-    }
-
-    #[test]
-    fn output_is_explicit() {
-        let mut g = tiny_graph();
-        g.set_output(NodeId(2));
-        assert_eq!(g.output(), NodeId(2));
-        // Adding a node moves the default output to it again.
-        g.add("relu", LayerKind::Relu, NodeId(2));
-        assert_eq!(g.output(), NodeId(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn set_output_rejects_dangling() {
-        tiny_graph().set_output(NodeId(99));
     }
 
     #[test]

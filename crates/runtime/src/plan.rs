@@ -5,16 +5,14 @@
 //! Baseline mechanisms produce all-`Single` plans; μLayer's partitioner
 //! and branch distributor produce mixed plans. Every executor runs a plan
 //! through its one lowering, [`ExecutionPlan::layout`] (`crate::layout`),
-//! which validates it and realizes its nominal fractions as whole-channel
-//! cuts, so every mechanism shares scheduling, timing, energy, and numeric
-//! machinery.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! which validates it, realizes its nominal fractions as whole-channel
+//! cuts and decides which concats join in place, so every mechanism
+//! shares scheduling, timing, energy, and numeric machinery.
 
 use usoc::{DeviceId, DtypePlan, SocSpec};
 use utensor::{DType, TensorError};
 
-use unn::{Graph, LayerKind, NodeId};
+use unn::Graph;
 
 /// Where (and how) one layer executes.
 #[derive(Clone, Debug, PartialEq)]
@@ -69,12 +67,6 @@ pub struct ExecutionPlan {
     pub placements: Vec<NodePlacement>,
     /// Short mechanism label for reports (e.g. `"layer-to-processor"`).
     pub label: String,
-    /// Concat nodes whose merge copy the scheduler elides: every branch
-    /// writes its channel range directly into the join buffer, so the
-    /// engine replaces the concat's copy kernel with a zero-span merge
-    /// point. Empty unless [`ExecutionPlan::with_elided_concats`] filled
-    /// it; [`ExecutionPlan::layout`] rejects an entry that breaks its rule.
-    pub elided_concats: BTreeSet<usize>,
 }
 
 impl ExecutionPlan {
@@ -91,7 +83,6 @@ impl ExecutionPlan {
         let plan = ExecutionPlan {
             placements,
             label: label.into(),
-            elided_concats: BTreeSet::new(),
         };
         plan.validate(graph).map_err(TensorError::BadGraph)?;
         for (i, p) in plan.placements.iter().enumerate() {
@@ -124,9 +115,7 @@ impl ExecutionPlan {
     ///   must be able to read producers' outputs without extra
     ///   conversions);
     /// - a split has at least two parts, finite shares in `[0, 1]`, and
-    ///   sits on a distributable layer (§3.2);
-    /// - every elided concat can join in place (see
-    ///   [`ExecutionPlan::with_elided_concats`]).
+    ///   sits on a distributable layer (§3.2).
     pub(crate) fn validate(&self, graph: &Graph) -> Result<(), String> {
         if self.placements.len() != graph.len() {
             return Err(format!(
@@ -161,13 +150,7 @@ impl ExecutionPlan {
                 }
             }
         }
-        // Every frame lowers its plan: an empty set builds no consumer map.
-        if self.elided_concats.is_empty() {
-            return Ok(());
-        }
-        let consumers = graph.consumers();
-        (self.elided_concats.iter())
-            .try_for_each(|&c| joins_in_place(graph, &consumers, &self.elided_concats, c))
+        Ok(())
     }
 
     /// The spec half of validation, which the timing engine adds to
@@ -190,26 +173,6 @@ impl ExecutionPlan {
         Ok(())
     }
 
-    /// Elides every concat whose merge copy the schedule can skip: one
-    /// with at least two inputs, each consumed *only* by that concat and
-    /// none itself elided (the inner buffer would have to be a view into
-    /// the outer one), taken in node order. Each branch then writes its
-    /// channel range directly into the join buffer and the concat becomes
-    /// a zero-span merge point.
-    ///
-    /// The set only changes the timing engine's task graph — the
-    /// functional evaluator computes the identical join either way.
-    pub fn with_elided_concats(mut self, graph: &Graph) -> ExecutionPlan {
-        let consumers = graph.consumers();
-        self.elided_concats.clear();
-        for c in 0..graph.len() {
-            if joins_in_place(graph, &consumers, &self.elided_concats, c).is_ok() {
-                self.elided_concats.insert(c);
-            }
-        }
-        self
-    }
-
     /// The plan-wide activation storage dtype.
     pub(crate) fn storage_dtype(&self) -> DType {
         self.placements
@@ -227,49 +190,11 @@ impl ExecutionPlan {
     }
 }
 
-/// The concat-elision rule: node `c` is a concat of at least two inputs,
-/// each consumed by `c` alone and none in `elided`. The error names the
-/// first condition that fails.
-fn joins_in_place(
-    graph: &Graph,
-    consumers: &BTreeMap<Option<NodeId>, Vec<NodeId>>,
-    elided: &BTreeSet<usize>,
-    c: usize,
-) -> Result<(), String> {
-    let Some(node) = graph.nodes().get(c) else {
-        return Err(format!(
-            "elided concat index {c} out of range for a {}-node graph",
-            graph.len()
-        ));
-    };
-    if !matches!(node.kind, LayerKind::Concat) || node.inputs.len() < 2 {
-        return Err(format!(
-            "elided node {c} ({}) is not a multi-input concat",
-            node.name
-        ));
-    }
-    for &b in &node.inputs {
-        let branch = &graph.node(b).name;
-        if consumers.get(&Some(b)).map(Vec::as_slice) != Some(&[NodeId(c)]) {
-            return Err(format!(
-                "branch {branch} of elided concat {} has other consumers",
-                node.name
-            ));
-        }
-        if elided.contains(&b.0) {
-            return Err(format!(
-                "elided concat {branch} feeds elided concat {}",
-                node.name
-            ));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unn::ModelId;
+    use std::collections::BTreeSet;
+    use unn::{LayerKind, ModelId, NodeId};
     use utensor::Shape;
 
     fn graph() -> Graph {
@@ -411,13 +336,22 @@ mod tests {
         }
     }
 
-    /// The concat-elision set of a single-CPU plan over `g`.
+    /// The concats a single-CPU plan over `g` joins in place.
     fn elided(g: &Graph) -> BTreeSet<usize> {
         let soc = SocSpec::exynos_7420();
         let plan = crate::single_processor_plan(g, &soc, soc.cpu(), DType::F32).unwrap();
-        let plan = plan.with_elided_concats(g);
-        plan.validate(g).unwrap();
-        plan.elided_concats
+        let layout = plan.layout(g).unwrap();
+        for (i, node) in layout.nodes.iter().enumerate() {
+            // A branch of an in-place join writes the join's buffer.
+            let join = (g.nodes().iter().enumerate())
+                .find(|(c, n)| layout.nodes[*c].elided && n.inputs.contains(&NodeId(i)));
+            let buffer = join.map_or(i, |(c, _)| c);
+            assert_eq!(node.buffer, NodeId(buffer), "{}", g.nodes()[i].name);
+        }
+        (layout.nodes.iter().enumerate())
+            .filter(|(_, n)| n.elided)
+            .map(|(i, _)| i)
+            .collect()
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! typed errors, faults as recoverable reports.
 
 use simcore::{FaultPlan, ResourceId, RetryPolicy, Scenario, ScheduleError, SimSpan, TaskId};
-use unn::{Graph, LayerKind, ModelId};
+use unn::{Graph, ModelId};
 use uruntime::{execute_plan, execute_plan_with_faults, ExecutionPlan, NodePlacement, RunError};
 use usoc::{DtypePlan, SocError, SocSpec};
 use utensor::{DType, Shape, Tensor, TensorError};
@@ -96,40 +96,6 @@ fn an_input_of_the_wrong_shape_is_rejected_before_any_node_runs() {
 }
 
 #[test]
-fn an_elided_concat_feeding_another_is_rejected() {
-    // Both joins are single-consumer, but the outer one's branch is the
-    // inner elided join: its buffer would have to be a view into the
-    // outer one's. Both executors reject the plan instead of running it.
-    let spec = SocSpec::exynos_7420();
-    let conv = |oc| LayerKind::Conv {
-        oc,
-        k: 3,
-        stride: 1,
-        pad: 1,
-        relu: true,
-    };
-    let mut g = Graph::new("nested", Shape::nchw(1, 4, 8, 8));
-    let stem = g.add_input_layer("stem", conv(4));
-    let a = g.add("a", conv(2), stem);
-    let b = g.add("b", conv(3), stem);
-    let inner = g.add_multi("inner", LayerKind::Concat, &[a, b]);
-    let c = g.add("c", conv(2), stem);
-    let outer = g.add_multi("outer", LayerKind::Concat, &[inner, c]);
-    g.add("gap", LayerKind::GlobalAvgPool, outer);
-    let mut plan = uruntime::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8)
-        .expect("plan")
-        .with_elided_concats(&g);
-    assert!(plan.elided_concats.insert(outer.0), "outer already elided");
-    let err = execute_plan(&spec, &g, &plan).expect_err("an illegal elision must not run");
-    assert!(matches!(err, RunError::MalformedPlan(_)), "{err}");
-    let w = unn::Weights::random(&g, 3).expect("weights");
-    let x = Tensor::zeros(g.input_shape().clone(), DType::F32, None);
-    let calib = unn::calibrate(&g, &w, std::slice::from_ref(&x)).expect("calibration");
-    let evaluated = uruntime::evaluate_plan(&g, &plan, &w, &calib, &x);
-    assert!(matches!(evaluated, Err(TensorError::BadGraph(_))));
-}
-
-#[test]
 fn unrecoverable_runs_report_not_panic() {
     // A GPU-single plan with the GPU lost at t=0 and no fallback path is
     // unrecoverable by construction when resilience is off... but the
@@ -190,14 +156,13 @@ testkit::props! {
     /// Mutated N-device mesh plans never panic: a plan corrupted
     /// *after* construction (unknown device, device cut off from the
     /// host, non-finite or out-of-range split fractions, an empty split,
-    /// concat elisions out of range or on a node that is not a concat, a
-    /// missing placement, a split on a layer that cannot be distributed,
+    /// a missing placement, a split on a layer that cannot be distributed,
     /// mixed storage dtypes) is
     /// rejected by the engine with `RunError::MalformedPlan` and — for
     /// the mutations that need no spec to detect — by the functional
     /// evaluator with a typed `TensorError`. Never a panic, never `Ok`.
     fn mesh_plan_mutations_are_typed_errors_not_panics(
-        mutation in testkit::select(vec![0usize, 1, 2, 3, 4, 5, 6, 7, 8]),
+        mutation in testkit::select(vec![0usize, 1, 2, 3, 4, 5, 6]),
         node in 0usize..64,
         bad_dev in 4usize..32,
         frac in testkit::select(vec![-0.5f64, 1.5, f64::NAN, f64::INFINITY]),
@@ -235,14 +200,10 @@ testkit::props! {
                 plan.placements[i] = NodePlacement::Split { parts: vec![] };
             }
             4 => {
-                // Concat elision pointing past the graph.
-                plan.elided_concats.insert(g.len() + bad_dev);
-            }
-            5 => {
                 // One placement short of the graph.
                 plan.placements.pop();
             }
-            6 => {
+            5 => {
                 // A sane split, on the softmax head.
                 let softmax = g
                     .nodes()
@@ -251,14 +212,9 @@ testkit::props! {
                     .expect("the net has a non-distributable layer");
                 plan.placements[softmax] = split(0.5);
             }
-            7 => {
+            _ => {
                 // One layer storing f32 in a QUInt8 plan.
                 plan.placements[i.max(1)] = NodePlacement::single(cpu, DType::F32);
-            }
-            _ => {
-                // Concat elision of an in-range node: LeNet has no concat,
-                // so the engine would drop that node's work.
-                plan.elided_concats.insert(i);
             }
         }
         let err = execute_plan(&spec, &g, &plan)

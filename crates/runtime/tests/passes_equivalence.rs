@@ -1,7 +1,7 @@
-//! Concat-elision equivalence gate: a plan that elides every concat it
-//! can ([`ExecutionPlan::with_elided_concats`]) evaluates to the network
-//! function across the model zoo, in every dtype, with and without
-//! channel splits.
+//! In-place join equivalence gate: every plan joins in place the concats
+//! whose branches only feed them ([`uruntime::NodeLayout::elided`]), and
+//! such a plan evaluates to the network function across the model zoo,
+//! in every dtype, with and without channel splits.
 //!
 //! The contract: bit-identical outputs for QUInt8, ULP-bounded (≤ 2)
 //! for F32/F16 against the reference `forward`. Comparisons run under
@@ -125,9 +125,7 @@ fn uniform_plan(g: &Graph, spec: &SocSpec, dtype: DType, split: bool) -> Executi
             }
         })
         .collect();
-    ExecutionPlan::new(g, spec, placements, "equiv")
-        .unwrap()
-        .with_elided_concats(g)
+    ExecutionPlan::new(g, spec, placements, "equiv").unwrap()
 }
 
 /// Every zoo net in every dtype: the elided plan's output against the
