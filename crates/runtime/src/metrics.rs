@@ -1,9 +1,10 @@
 //! A small counters/gauges registry threaded through the executors.
 //!
-//! Every run of [`crate::execute_plan`] / [`crate::execute_pipeline`]
-//! fills a [`MetricsRegistry`] with scheduler statistics (task count,
-//! peak event-queue depth), memory high-water marks, energy, and — for
-//! pipelined runs — backlog and per-input latency summaries. The registry
+//! Every run of [`crate::execute_plan`] fills a [`MetricsRegistry`] with
+//! scheduler statistics (task count, peak event-queue depth), memory
+//! high-water marks, energy, and — under faults — injection, retry and
+//! fallback counts; [`crate::serve_stream`] fills one with frame and
+//! queue counters. The registry
 //! is deliberately stringly-keyed: reports and tests read the keys they
 //! care about and ignore the rest, so executors can add counters without
 //! breaking consumers.

@@ -1,10 +1,7 @@
 //! Overload-robust, partition-tolerant serving of one arrival stream:
 //! the [`crate::serving`] step over one SoC or one networked mesh.
 //!
-//! [`crate::execute_pipeline`] models a camera at a fixed interval with
-//! an *unbounded* backlog: past saturation, latency grows without bound
-//! and every frame still runs the full cooperative plan. [`serve_stream`]
-//! is the serving frontend the ROADMAP's "heavy traffic" goal needs — a
+//! [`serve_stream`] is the serving frontend for a stream of frames — a
 //! bounded admission queue, a deadline-aware degradation ladder and
 //! exact frame accounting, all of it the shared serving step — with
 //! *link state* as this entry's policy:

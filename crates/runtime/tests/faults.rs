@@ -8,7 +8,7 @@ use simcore::{DeviceLoss, FaultPlan, ResourceId, RetryPolicy, Scenario, SimSpan,
 use unn::{Graph, ModelId, Weights};
 use uruntime::{
     attribute, evaluate_plan, evaluate_plan_with_backend, execute_plan, execute_plan_with_faults,
-    ExecBackend, ExecutionPlan, FallbackScope, NodePlacement, OverheadClass, PartTask, RunOptions,
+    ExecBackend, ExecutionPlan, FallbackScope, NodePlacement, OverheadClass, PartTask,
     SimulatedBackend,
 };
 use usoc::{DtypePlan, SocSpec};
@@ -390,72 +390,4 @@ fn fault_trace_exports_overlay_tracks() {
         "fault overlays missing from the export"
     );
     assert!(json.contains("throttle"), "throttle window not rendered");
-}
-
-#[test]
-fn pipeline_degrades_frames_after_gpu_loss_and_counts_deadline_misses() {
-    let spec = SocSpec::exynos_7420();
-    let g = ModelId::SqueezeNet.build_miniature();
-    let plan = split_plan(&spec, &g);
-    let single = execute_plan(&spec, &g, &plan).expect("single");
-    let degraded = uruntime::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8)
-        .expect("degraded plan");
-
-    // Lose the GPU midway through a 6-frame stream: frames arriving after
-    // the loss must run the degraded single-CPU plan.
-    let interval = single.latency;
-    let faults = FaultPlan::none().with_loss(simcore::DeviceLoss {
-        resource: ResourceId(spec.gpu().0),
-        at: simcore::SimTime::ZERO + interval * 2.5,
-    });
-    let deadline = single.latency * 3.0;
-    let options = RunOptions {
-        faults,
-        degraded: Some(&degraded),
-        deadline: Some(deadline),
-        ..RunOptions::default()
-    };
-    let (result, report) =
-        uruntime::execute_pipeline(&spec, &g, &plan, 6, interval, &options).expect("pipeline");
-    assert_eq!(result.inputs, 6);
-    assert!(
-        !report.fallbacks.is_empty(),
-        "the in-flight frame at the loss instant must fall back"
-    );
-    let frames_degraded = result.metrics.counter("frames.degraded");
-    assert!(
-        (1..6).contains(&frames_degraded),
-        "expected a strict subset of frames degraded, got {frames_degraded}"
-    );
-    assert_eq!(
-        result.metrics.counter("deadline.missed"),
-        result.latencies.iter().filter(|&&l| l > deadline).count() as u64
-    );
-    assert!(result.metrics.counter("fault.injected") > 0);
-}
-
-#[test]
-fn fault_free_pipeline_is_unchanged_by_the_resilient_path() {
-    let spec = SocSpec::exynos_7420();
-    let g = ModelId::SqueezeNet.build_miniature();
-    let plan = split_plan(&spec, &g);
-    let interval = SimSpan::from_micros(500);
-    // With nothing injected the resilient machinery is inert: no fallback
-    // is registered, and a degraded plan that is on offer is never used.
-    let degraded = uruntime::single_processor_plan(&g, &spec, spec.cpu(), DType::QUInt8)
-        .expect("degraded plan");
-    let (base, _) =
-        uruntime::execute_pipeline(&spec, &g, &plan, 4, interval, &RunOptions::default())
-            .expect("base");
-    let options = RunOptions {
-        degraded: Some(&degraded),
-        ..RunOptions::default()
-    };
-    let (faulted, report) =
-        uruntime::execute_pipeline(&spec, &g, &plan, 4, interval, &options).expect("faulted");
-    assert_eq!(base.makespan, faulted.makespan);
-    assert_eq!(base.latencies, faulted.latencies);
-    assert_eq!(base.trace.records().len(), faulted.trace.records().len());
-    assert_eq!(report.injected, 0);
-    assert!(report.fallbacks.is_empty());
 }

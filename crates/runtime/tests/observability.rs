@@ -2,20 +2,18 @@
 //! split-accounting fixes that ride along with it:
 //!
 //! - attribution invariants: per-resource class totals tile the makespan
-//!   for single-device, split, and pipelined runs;
+//!   for single-device and split runs;
 //! - Chrome trace round-trip: the export is valid JSON with one complete
 //!   event per trace record and monotonically non-decreasing timestamps
 //!   per track;
 //! - split weight accounting: a uniform-dtype split allocates exactly the
 //!   same weight bytes as the single placement (no per-part truncation);
-//! - zero-channel split parts schedule no tasks (no issue, no kernel);
-//! - pipelined instances are gated on their arrival: nothing of input k
-//!   but the arrival itself starts before k * interval.
+//! - zero-channel split parts schedule no tasks (no issue, no kernel).
 
-use simcore::{JsonValue, SimSpan, SimTime};
+use simcore::{JsonValue, SimSpan};
 use uruntime::{
-    chrome_trace_json, execute_pipeline, execute_plan, single_processor_plan, ExecutionPlan,
-    NodePlacement, OverheadClass, RunOptions, RunResult,
+    chrome_trace_json, execute_plan, single_processor_plan, ExecutionPlan, NodePlacement,
+    OverheadClass, RunResult,
 };
 use usoc::{DtypePlan, SocSpec};
 use utensor::{DType, Shape};
@@ -82,7 +80,7 @@ fn assert_tiles_makespan(attribution: &uruntime::Attribution, what: &str) {
 }
 
 #[test]
-fn attribution_tiles_makespan_single_split_and_pipelined() {
+fn attribution_tiles_makespan_single_and_split() {
     let spec = SocSpec::exynos_7420();
     let g = two_conv_graph();
 
@@ -96,17 +94,6 @@ fn attribution_tiles_makespan_single_split_and_pipelined() {
 
     let split = execute_plan(&spec, &g, &split_plan(&g, &spec, 0.5)).expect("split run");
     assert_tiles_makespan(&split.attribution, "split");
-
-    let (pipe, _) = execute_pipeline(
-        &spec,
-        &g,
-        &split_plan(&g, &spec, 0.5),
-        4,
-        SimSpan::from_millis(1),
-        &RunOptions::default(),
-    )
-    .expect("pipelined run");
-    assert_tiles_makespan(&pipe.attribution, "pipelined");
 
     // Per-layer totals cover the same busy time the resources report.
     let busy: SimSpan = split
@@ -242,35 +229,6 @@ fn zero_channel_split_part_schedules_no_tasks() {
     // the run pays no sync either.
     assert_eq!(r.attribution.class_span(OverheadClass::Sync), SimSpan::ZERO);
     assert!(r.attribution.class_span(OverheadClass::Merge) > SimSpan::ZERO);
-}
-
-#[test]
-fn pipelined_instances_never_start_before_their_arrival() {
-    // Every task of input k except the arrival pacing itself is gated
-    // (directly or transitively) on arrival k, which completes at
-    // k * interval — so nothing of instance k may start earlier, even
-    // host-side GPU issue tasks that have no data dependencies.
-    let spec = SocSpec::exynos_7420();
-    let g = two_conv_graph();
-    let plan = single_processor_plan(&g, &spec, spec.gpu(), DType::F16).expect("plan");
-    let interval = SimSpan::from_millis(2);
-    let n = 5;
-    let (pipe, _) =
-        execute_pipeline(&spec, &g, &plan, n, interval, &RunOptions::default()).expect("pipe");
-    for rec in pipe.trace.records() {
-        if rec.payload.class == OverheadClass::Arrival {
-            continue;
-        }
-        let k = rec.payload.instance as u64;
-        let gate = SimTime::ZERO + interval * k;
-        assert!(
-            rec.start >= gate,
-            "instance {k} task {:?} starts at {} before its frame arrives at {}",
-            rec.label,
-            rec.start,
-            gate
-        );
-    }
 }
 
 #[test]

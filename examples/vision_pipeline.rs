@@ -10,11 +10,17 @@
 //! deadline — and at what energy cost per frame. It also contrasts the
 //! *throughput*-oriented network-to-processor mechanism (Figure 4a),
 //! which hits high fps but terrible per-frame latency, with μLayer, which
-//! improves both.
+//! improves both. Finally it serves a 30-frame clip through the serving
+//! core, with μLayer's plan as the top rung of the degradation ladder,
+//! and exits non-zero if the serving invariants fail.
 
+use simcore::{FaultPlan, SimSpan, SimTime};
 use ulayer::ULayer;
 use unn::ModelId;
-use uruntime::{run_layer_to_processor, run_network_to_processor, run_single_processor};
+use uruntime::{
+    run_layer_to_processor, run_network_to_processor, run_single_processor, serve_stream,
+    ServeConfig,
+};
 use usoc::SocSpec;
 use utensor::DType;
 
@@ -80,30 +86,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "-"
     );
 
-    // Sustained pipelined stream over a short clip: frames arrive every
-    // 33.3 ms and successive inferences overlap on the shared processors.
-    println!("\nstreaming a {frames}-frame clip through the uLayer plan (pipelined):");
-    let report = runtime.plan(&net)?;
-    let interval = simcore::SimSpan::from_secs_f64(FRAME_BUDGET_MS / 1e3);
-    // Fault-free, with the frame budget as the deadline the run counts
-    // misses against.
-    let options = uruntime::RunOptions {
-        deadline: Some(interval),
-        ..uruntime::RunOptions::default()
+    // A short clip served through the degradation ladder: a camera frame
+    // every 33.3 ms, each due within the frame budget. A frame the full
+    // plan cannot finish in time runs a cheaper rung or is shed.
+    println!("\nserving a {frames}-frame clip through the uLayer degradation ladder:");
+    let ladder = runtime.degradation_ladder(&net, None)?;
+    let interval = SimSpan::from_secs_f64(FRAME_BUDGET_MS / 1e3);
+    let arrivals: Vec<SimTime> = (0..frames as u64)
+        .map(|k| SimTime::ZERO + interval * k)
+        .collect();
+    let cfg = ServeConfig {
+        queue_capacity: 4,
+        deadline: interval,
     };
-    let (stream, _) =
-        uruntime::execute_pipeline(&spec, &net, &report.plan, frames, interval, &options)?;
+    let report = serve_stream(&spec, &net, &ladder, &arrivals, &cfg, &FaultPlan::none())?;
     println!(
-        "  {:.2} s total, {:.1} fps sustained, {:.1} mJ total",
-        stream.makespan.as_secs_f64(),
-        stream.throughput_ips,
-        stream.energy.total_mj()
+        "  completed {}, degraded {}, shed {} of {} frames",
+        report.completed, report.degraded, report.shed, report.offered
     );
-    println!(
-        "  per-frame latency: mean {:.2} ms, worst {:.2} ms; frames over budget: {}/{frames}",
-        stream.mean_latency().as_millis_f64(),
-        stream.max_latency().as_millis_f64(),
-        stream.metrics.counter("deadline.missed")
-    );
+    let ms = |q: f64| {
+        report
+            .latency_percentile(q)
+            .map_or("-".to_string(), |l| format!("{:.2} ms", l.as_millis_f64()))
+    };
+    println!("  latency p50 {}, p99 {}", ms(0.5), ms(0.99));
+    if let Err(e) = report.check_invariants() {
+        eprintln!("serving invariants violated: {e}");
+        std::process::exit(1);
+    }
     Ok(())
 }
