@@ -5,8 +5,9 @@
 //! inside the makespan. This module makes that time visible:
 //!
 //! - [`attribute`] classifies every nanosecond of every resource into an
-//!   [`OverheadClass`] — compute, issue, sync, map, unmap, merge, arrival
-//!   pacing, or idle — with per-resource, per-class, and per-layer
+//!   [`OverheadClass`] — compute, issue, sync, map, unmap, merge,
+//!   fallback, transfer, planning, or idle — with per-resource,
+//!   per-class, and per-layer
 //!   rollups. The classification is exact: for each resource the class
 //!   totals sum to the trace makespan, a property the test suite asserts.
 //! - [`chrome_trace_json`] exports any engine trace as a Chrome
@@ -44,8 +45,6 @@ pub enum OverheadClass {
     Unmap,
     /// Cooperative merge of a split layer's partial outputs (§3.2).
     Merge,
-    /// Input arrival pacing (the pipeline's virtual source).
-    Arrival,
     /// Recovery work: re-executing a failed task's output channels on the
     /// surviving processor (watchdog/fallback path). Skipped fallbacks
     /// are zero-span and contribute nothing.
@@ -63,7 +62,7 @@ pub enum OverheadClass {
 
 impl OverheadClass {
     /// Number of classes (array dimension for per-class totals).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every class, in display order.
     pub const ALL: [OverheadClass; OverheadClass::COUNT] = [
@@ -73,7 +72,6 @@ impl OverheadClass {
         OverheadClass::Map,
         OverheadClass::Unmap,
         OverheadClass::Merge,
-        OverheadClass::Arrival,
         OverheadClass::Fallback,
         OverheadClass::Transfer,
         OverheadClass::Planning,
@@ -89,7 +87,6 @@ impl OverheadClass {
             OverheadClass::Map => "map",
             OverheadClass::Unmap => "unmap",
             OverheadClass::Merge => "merge",
-            OverheadClass::Arrival => "arrival",
             OverheadClass::Fallback => "fallback",
             OverheadClass::Transfer => "transfer",
             OverheadClass::Planning => "planning",
@@ -152,7 +149,7 @@ pub struct Attribution {
     /// Per-resource class totals, in resource order.
     pub per_resource: Vec<ResourceAttribution>,
     /// Per-layer class totals. The `None` key collects run-level tasks
-    /// that belong to no layer (final sync, arrival pacing).
+    /// that belong to no layer (final sync, final transfer).
     pub per_layer: BTreeMap<Option<NodeId>, [SimSpan; OverheadClass::COUNT]>,
     /// Dynamic (active-power + DRAM) energy per class, in joules. The
     /// static term is horizon-proportional and reported separately by the
@@ -280,9 +277,9 @@ pub fn attribute(
             layer[class.index()] += portion;
             // Dynamic energy: active power over the portion, plus DRAM
             // traffic (carried entirely by the task's own class). The
-            // virtual arrival source and the network links are not
-            // processors and burn nothing (no link power model yet).
-            if !matches!(class, OverheadClass::Arrival | OverheadClass::Transfer) {
+            // network links are not processors and burn nothing (no link
+            // power model yet).
+            if class != OverheadClass::Transfer {
                 if let Ok(dev) = spec.device(meta.device) {
                     let mut j = dev.active_power_w * portion.as_secs_f64();
                     if class == meta.class {
@@ -311,7 +308,7 @@ pub fn attribute(
 ///
 /// One track (`tid`) per resource, named from `resource_names`; one
 /// complete (`"X"`) event per task with its class as the category and
-/// `class`/`instance`/`macs`/`bytes` (plus `node` where known) as event
+/// `class`/`macs`/`bytes` (plus `node` where known) as event
 /// arguments. The result loads in `chrome://tracing` and Perfetto.
 ///
 /// `faults` — the plan a resilient run was perturbed with and the
@@ -385,7 +382,6 @@ pub fn chrome_trace_json(
             let meta = &rec.payload;
             let mut args = vec![
                 ("class".to_string(), TraceArg::Str(meta.class.name().into())),
-                ("instance".to_string(), TraceArg::Num(meta.instance as f64)),
                 ("macs".to_string(), TraceArg::Num(meta.work.macs as f64)),
                 (
                     "bytes".to_string(),
