@@ -90,12 +90,6 @@ fn all_layer_kinds() -> Vec<(LayerKind, Shape)> {
         (LayerKind::Relu, Shape::nchw(1, 128, 14, 14)),
         (LayerKind::Concat, Shape::nchw(1, 128, 14, 14)),
         (LayerKind::Add { relu: false }, Shape::nchw(1, 128, 14, 14)),
-        (
-            LayerKind::Quantize {
-                params: utensor::QuantParams::from_range(-4.0, 4.0).unwrap(),
-            },
-            Shape::nchw(1, 128, 14, 14),
-        ),
         (LayerKind::Softmax, Shape::nchw(1, 1000, 1, 1)),
     ]
 }

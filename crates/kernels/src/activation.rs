@@ -5,7 +5,7 @@
 //! separate layers and for tests. [`softmax_f32`] is used by the accuracy
 //! experiments and the example classifiers.
 
-use utensor::{QuantParams, TensorError, TensorView, TensorViewMut, ViewData, ViewDataMut, F16};
+use utensor::{TensorError, TensorView, TensorViewMut, ViewData, ViewDataMut, F16};
 
 /// Elementwise ReLU of `input` into `out` (same shape and dtype).
 ///
@@ -29,42 +29,6 @@ pub fn relu(input: &TensorView<'_>, out: &mut TensorViewMut<'_>) -> Result<(), T
             for (o, &q) in o.iter_mut().zip(x) {
                 *o = q.max(p.zero_point);
             }
-        }
-        _ => return Err(crate::mismatch(&[input.dtype(), out.dtype()])),
-    }
-    Ok(())
-}
-
-/// Fake-quantization through an 8-bit affine grid: snaps every value of
-/// `input` to the nearest representable point of `params`
-/// (quantize→dequantize), written into `out` in the input's dtype — the
-/// kernel of the `Quantize` boundary layer. A `QUInt8` input is
-/// requantized onto `params`, which `out` must carry.
-///
-/// The snap is idempotent: a tensor already on the `params` grid passes
-/// through bit-identically (a `QUInt8` tensor carrying the same params
-/// is copied code-for-code), so an adjacent same-params pair snaps
-/// once.
-pub fn fake_quant(
-    input: &TensorView<'_>,
-    params: QuantParams,
-    out: &mut TensorViewMut<'_>,
-) -> Result<(), TensorError> {
-    crate::expect_out(out, &input.shape)?;
-    let snap = |x: f32| params.dequantize(params.quantize(x));
-    match (input.data, &mut out.data) {
-        (ViewData::F32(x), ViewDataMut::F32(o)) => {
-            for (o, &v) in o.iter_mut().zip(x) {
-                *o = snap(v);
-            }
-        }
-        (ViewData::F16(x), ViewDataMut::F16(o)) => {
-            for (o, &v) in o.iter_mut().zip(x) {
-                *o = F16::from_f32(snap(v.to_f32()));
-            }
-        }
-        (ViewData::QUInt8(..), ViewDataMut::QUInt8(_, out_p)) if *out_p == params => {
-            return out.convert_from(input)
         }
         _ => return Err(crate::mismatch(&[input.dtype(), out.dtype()])),
     }
@@ -114,7 +78,7 @@ pub(crate) fn top_k(values: &[f32], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::alloc::{fake_quant, relu, softmax_f32};
+    use crate::oracle::alloc::{relu, softmax_f32};
     use utensor::Tensor;
     use utensor::{DType, QuantParams, Shape};
 
@@ -133,39 +97,6 @@ mod tests {
             .unwrap();
         let r = relu(&t).unwrap();
         assert_eq!(r.to_f32_vec(), vec![0.0, 0.5, 3.0]);
-    }
-
-    #[test]
-    fn fake_quant_snaps_and_is_idempotent() {
-        let p = QuantParams::from_range(-2.0, 2.0).unwrap();
-        let x = Tensor::from_f32(
-            utensor::Shape::new(vec![4]),
-            vec![-3.0, -0.013, 0.4999, 1.7],
-        )
-        .unwrap();
-        let once = fake_quant(&x, p).unwrap();
-        // Values land on the grid: each is an exact dequantized code.
-        for &v in once.as_f32().unwrap() {
-            assert_eq!(p.dequantize(p.quantize(v)), v);
-        }
-        // Idempotent in f32.
-        let twice = fake_quant(&once, p).unwrap();
-        assert!(twice.bit_equal(&once));
-
-        // Idempotent in f16.
-        let xh = x.cast(DType::F16, None).unwrap();
-        let once_h = fake_quant(&xh, p).unwrap();
-        let twice_h = fake_quant(&once_h, p).unwrap();
-        assert!(twice_h.bit_equal(&once_h));
-
-        // Same-params QUInt8 passes through code-for-code; changed params
-        // requantize.
-        let q = x.cast(DType::QUInt8, Some(p)).unwrap();
-        assert!(fake_quant(&q, p).unwrap().bit_equal(&q));
-        let p2 = QuantParams::from_range(-4.0, 4.0).unwrap();
-        let rq = fake_quant(&q, p2).unwrap();
-        let (_, got) = rq.as_quint8().unwrap();
-        assert_eq!(got, p2);
     }
 
     #[test]

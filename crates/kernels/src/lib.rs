@@ -57,7 +57,7 @@ mod simd;
 
 use utensor::{DType, Shape, TensorError, TensorViewMut};
 
-pub use activation::{argmax, fake_quant, relu, softmax_f32};
+pub use activation::{argmax, relu, softmax_f32};
 pub use arena::{thread_arena_capacity_bytes, ScratchArena};
 pub use blocked::{gemm_f16_blocked, gemm_f32_blocked, gemm_quint8_blocked, KC, MR, NR};
 pub use conv::{conv2d, Conv2dParams};

@@ -146,13 +146,6 @@ pub(crate) fn relu(input: &Tensor) -> Result<Tensor, TensorError> {
     })
 }
 
-pub(crate) fn fake_quant(input: &Tensor, params: QuantParams) -> Result<Tensor, TensorError> {
-    let grid = (input.dtype() == DType::QUInt8).then_some(params);
-    alloc(Some(input.shape().clone()), (input.dtype(), grid), |out| {
-        ukernels::fake_quant(&input.view(), params, out)
-    })
-}
-
 pub(crate) fn add_fused(
     a: &Tensor,
     b: &Tensor,

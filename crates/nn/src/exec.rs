@@ -48,7 +48,6 @@ pub fn run_layer(
         | LayerKind::GlobalAvgPool
         | LayerKind::Relu
         | LayerKind::Lrn { .. } => (x.dtype(), x.quant_params()),
-        LayerKind::Quantize { params } => (x.dtype(), Some(*params)),
         _ if x.dtype() == DType::QUInt8 => (
             DType::QUInt8,
             Some(out_params.ok_or_else(|| {
@@ -182,7 +181,6 @@ pub fn run_layer_into(
                 inputs.len()
             ))),
         },
-        LayerKind::Quantize { params } => ukernels::fake_quant(x, *params, out),
         LayerKind::Softmax => {
             // Classifier head: always f32 probabilities, one softmax per
             // batch row of the widened logits.

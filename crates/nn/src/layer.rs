@@ -1,6 +1,6 @@
 //! Layer IR: the operator vocabulary of the five evaluated networks.
 
-use utensor::{QuantParams, Shape, TensorError};
+use utensor::{Shape, TensorError};
 
 /// The window function of a pooling layer (mirror of the kernel-side enum,
 /// kept separate so the IR does not depend on kernel implementations).
@@ -84,15 +84,6 @@ pub enum LayerKind {
         /// Fused ReLU applied to the sum.
         relu: bool,
     },
-    /// Fake-quantization through an explicit 8-bit affine grid
-    /// (quantize→dequantize against `params`). Boundary lowering inserts
-    /// these where a tensor crosses a CPU↔GPU part boundary; adjacent
-    /// pairs that agree on `params` are redundant (fake-quant is
-    /// idempotent).
-    Quantize {
-        /// The affine grid the tensor is snapped through.
-        params: QuantParams,
-    },
     /// Softmax over the flattened input (classifier head).
     Softmax,
 }
@@ -117,20 +108,8 @@ impl LayerKind {
             LayerKind::Relu => "relu",
             LayerKind::Concat => "concat",
             LayerKind::Add { .. } => "add",
-            LayerKind::Quantize { .. } => "quantize",
             LayerKind::Softmax => "softmax",
         }
-    }
-
-    /// True for layers that hold trainable weights (filters + bias).
-    #[cfg(test)]
-    pub(crate) fn has_weights(&self) -> bool {
-        matches!(
-            self,
-            LayerKind::Conv { .. }
-                | LayerKind::DepthwiseConv { .. }
-                | LayerKind::FullyConnected { .. }
-        )
     }
 
     /// True for the layer classes the channel-wise workload distribution
@@ -214,10 +193,7 @@ impl LayerKind {
                 let s = four()?;
                 Ok(Shape::nchw(s.n(), s.c(), 1, 1))
             }
-            LayerKind::Lrn { .. }
-            | LayerKind::Relu
-            | LayerKind::Quantize { .. }
-            | LayerKind::Softmax => Ok(one()?.clone()),
+            LayerKind::Lrn { .. } | LayerKind::Relu | LayerKind::Softmax => Ok(one()?.clone()),
             LayerKind::Add { .. } => {
                 if inputs.len() != 2 {
                     return Err(TensorError::BadConcat(format!(
@@ -268,9 +244,7 @@ impl LayerKind {
             LayerKind::Pool { k, .. } => output.numel() as u64 * (k * k) as u64,
             LayerKind::GlobalAvgPool => input.numel() as u64,
             LayerKind::Lrn { n, .. } => input.numel() as u64 * (*n as u64 + 8),
-            LayerKind::Relu | LayerKind::Quantize { .. } | LayerKind::Softmax => {
-                input.numel() as u64
-            }
+            LayerKind::Relu | LayerKind::Softmax => input.numel() as u64,
             LayerKind::Add { .. } => input.numel() as u64,
             // A concat moves every element of every input once; its op
             // count is the total input volume, which tiles the output
@@ -448,27 +422,14 @@ mod tests {
         assert!(!LayerKind::Softmax.is_distributable());
         assert!(!LayerKind::Relu.is_distributable());
         assert!(!LayerKind::Add { relu: false }.is_distributable());
-        assert!(!LayerKind::Quantize {
-            params: QuantParams::default()
-        }
-        .is_distributable());
     }
 
     #[test]
-    fn add_and_quantize_shapes() {
+    fn add_shapes() {
         let a = Shape::nchw(1, 8, 4, 4);
         let add = LayerKind::Add { relu: true };
         assert_eq!(add.infer_shape(&[&a, &a]).unwrap(), a);
         assert!(add.infer_shape(&[&a]).is_err());
         assert_eq!(add.macs_multi(&[&a, &a], &a), a.numel() as u64);
-
-        let q = LayerKind::Quantize {
-            params: QuantParams::default(),
-        };
-        assert_eq!(q.infer_shape(&[&a]).unwrap(), a);
-        assert!(q.infer_shape(&[&a, &a]).is_err());
-        assert!(!q.has_weights());
-        assert_eq!(q.op_name(), "quantize");
-        assert_eq!(q.macs(&a, &a), a.numel() as u64);
     }
 }

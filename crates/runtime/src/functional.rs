@@ -101,13 +101,9 @@ pub(crate) fn task_outputs<'o>(
 /// of the part's channels, which is then converted into `out` on the
 /// same thread. The softmax head is f32 whatever the dtypes.
 pub fn eval_part_task(t: &PartTask<'_>, out: &mut TensorViewMut<'_>) -> Result<(), TensorError> {
-    if matches!(
-        t.kind,
-        LayerKind::Concat | LayerKind::Add { .. } | LayerKind::Quantize { .. }
-    ) {
-        // Multi-input joins and quantization boundaries consume stored
-        // tensors directly (requantizing QUInt8 inputs onto the node's
-        // grid).
+    if matches!(t.kind, LayerKind::Concat | LayerKind::Add { .. }) {
+        // Multi-input joins consume stored tensors directly (requantizing
+        // QUInt8 inputs onto the node's grid).
         let inputs: Vec<TensorView<'_>> = t.inputs.iter().map(|x| x.view()).collect();
         return unn::run_layer_into(t.kind, &inputs, None, None, out);
     }
@@ -248,14 +244,13 @@ pub fn evaluate_plan_with_backend(
         // Quantization-preserving layers (pooling, ReLU, LRN) keep their
         // input's grid on the integer path, so every part of a split —
         // F16-computed GPU parts included — requantizes to it, not to the
-        // calibrated range; a quantize boundary stores on its own grid.
+        // calibrated range.
         let (dtype, grid) = match &node.kind {
             LayerKind::Softmax => (DType::F32, act),
             LayerKind::Pool { .. }
             | LayerKind::GlobalAvgPool
             | LayerKind::Relu
             | LayerKind::Lrn { .. } => (storage, first.quant_params().unwrap_or(act)),
-            LayerKind::Quantize { params } => (storage, *params),
             _ => (storage, act),
         };
         outputs.push(Tensor::zeros(nl.output.clone(), dtype, Some(grid)));

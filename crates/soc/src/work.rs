@@ -211,9 +211,7 @@ pub fn layer_work(
             (WorkClass::Pool, scale(in_bytes))
         }
         LayerKind::Lrn { .. } => (WorkClass::Norm, in_bytes),
-        LayerKind::Relu | LayerKind::Quantize { .. } | LayerKind::Softmax => {
-            (WorkClass::Elementwise, scale(in_bytes))
-        }
+        LayerKind::Relu | LayerKind::Softmax => (WorkClass::Elementwise, scale(in_bytes)),
         // A residual add reads two equally-shaped inputs.
         LayerKind::Add { .. } => (WorkClass::Elementwise, 2 * in_bytes),
         // A concat reads every input branch once; its traffic is the
