@@ -1,24 +1,27 @@
 //! Typed argument parsing for the `repro` binary.
 //!
-//! Every subcommand declares its flags in a table ([`FlagSpec`]) and
+//! Every command declares its flags in a table ([`FlagSpec`]) and
 //! parses through [`parse_flags`], so an unknown flag, a malformed
 //! `--key=value`, or an out-of-range value is a typed [`CliError`]
 //! (rendered with the offending token and what was expected) and a
-//! non-zero exit — never a silently ignored argument. The per-
-//! subcommand tables are public so the CLI contract is testable
+//! non-zero exit — never a silently ignored argument. The tables are
+//! public (through [`crate::COMMANDS`]) so the CLI contract is testable
 //! table-driven, without spawning processes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Network names every model-taking subcommand accepts positionally.
-pub(crate) const MODELS: &[&str] = &[
-    "vgg16",
-    "vgg",
-    "alexnet",
-    "squeezenet",
-    "googlenet",
-    "mobilenet",
+use unn::ModelId;
+
+/// The networks a model-taking command accepts positionally
+/// (case-insensitive).
+pub const NETWORKS: &[(&str, ModelId)] = &[
+    ("vgg16", ModelId::Vgg16),
+    ("vgg", ModelId::Vgg16),
+    ("alexnet", ModelId::AlexNet),
+    ("squeezenet", ModelId::SqueezeNet),
+    ("googlenet", ModelId::GoogLeNet),
+    ("mobilenet", ModelId::MobileNet),
 ];
 
 /// Arrival-process names (`--arrivals=`); kept in sync with
@@ -169,25 +172,8 @@ pub(crate) const MESH_FLAGS: &[FlagSpec] = &[
     flag("--out", FlagKind::Str),
 ];
 
-/// Every flag-taking subcommand and its table, for table-driven tests
-/// and for `main`'s dispatcher.
-pub const SUBCOMMANDS: &[(&str, &[FlagSpec])] = &[
-    ("trace", TRACE_FLAGS),
-    ("faults", FAULTS_FLAGS),
-    ("serve", SERVE_FLAGS),
-    ("measure", MEASURE_FLAGS),
-    ("fleet", FLEET_FLAGS),
-    ("mesh", MESH_FLAGS),
-    ("plan", PLAN_FLAGS),
-];
-
-/// The flag table of a subcommand, if it has one.
-pub fn subcommand_flags(name: &str) -> Option<&'static [FlagSpec]> {
-    SUBCOMMANDS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, specs)| *specs)
-}
+/// `repro --json` flags.
+pub(crate) const JSON_FLAGS: &[FlagSpec] = &[flag("--with-fig10", FlagKind::Switch)];
 
 /// A rejected command line, with enough structure to assert on.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -197,7 +183,8 @@ pub enum CliError {
         /// What was given.
         given: String,
     },
-    /// A `--flag` the subcommand does not declare.
+    /// A `--flag` the command does not declare, or a positional it
+    /// does not take.
     UnknownFlag {
         /// The subcommand.
         subcommand: &'static str,
@@ -251,10 +238,11 @@ impl fmt::Display for CliError {
                 }
             }
             CliError::BadPositional { subcommand, given } => {
+                let names: Vec<&str> = NETWORKS.iter().map(|(n, _)| *n).collect();
                 write!(
                     f,
                     "{subcommand}: `{given}` names no network (expected one of {})",
-                    MODELS.join("|")
+                    names.join("|")
                 )
             }
         }
@@ -265,9 +253,10 @@ impl std::error::Error for CliError {}
 
 /// A validated command line: switches, typed `--key=value` pairs, and
 /// the remaining positional arguments (validated by the caller, e.g.
-/// against `MODELS`).
+/// through [`Parsed::network`]).
 #[derive(Clone, Debug, Default)]
 pub struct Parsed {
+    subcommand: &'static str,
     switches: BTreeSet<&'static str>,
     values: BTreeMap<&'static str, String>,
     /// Non-flag arguments, in order.
@@ -302,6 +291,22 @@ impl Parsed {
         self.str_of(name)
             .map(|s| s.parse().expect("validated at parse"))
     }
+
+    /// The network the positionals name (the last one wins), or
+    /// `default` when there is none; a positional that is not in
+    /// [`NETWORKS`] is an error.
+    pub fn network(&self, default: ModelId) -> Result<ModelId, CliError> {
+        self.positional.iter().try_fold(default, |_, given| {
+            NETWORKS
+                .iter()
+                .find(|(name, _)| given.eq_ignore_ascii_case(name))
+                .map(|&(_, id)| id)
+                .ok_or_else(|| CliError::BadPositional {
+                    subcommand: self.subcommand,
+                    given: given.clone(),
+                })
+        })
+    }
 }
 
 /// Parses `args` against a subcommand's flag table. Flags may appear
@@ -312,7 +317,10 @@ pub fn parse_flags(
     args: &[String],
     specs: &[FlagSpec],
 ) -> Result<Parsed, CliError> {
-    let mut out = Parsed::default();
+    let mut out = Parsed {
+        subcommand,
+        ..Parsed::default()
+    };
     for a in args {
         if !a.starts_with("--") {
             out.positional.push(a.clone());
@@ -420,11 +428,14 @@ mod tests {
 
     #[test]
     fn every_table_is_reachable_by_name() {
-        for &(name, specs) in SUBCOMMANDS {
-            let found = subcommand_flags(name).expect("registered");
+        for cmd in crate::COMMANDS {
+            let found = crate::commands::command(cmd.name).expect("registered");
             let names = |t: &[FlagSpec]| t.iter().map(|s| s.name).collect::<Vec<_>>();
-            assert_eq!(names(found), names(specs), "{name}");
+            assert_eq!(names(found.flags), names(cmd.flags), "{}", cmd.name);
+            let rows = crate::COMMANDS.iter().filter(|c| c.name == cmd.name);
+            assert_eq!(rows.count(), 1, "{} names two rows", cmd.name);
         }
-        assert!(subcommand_flags("fig5").is_none());
+        assert!(crate::commands::command("fig5").is_some_and(|c| c.flags.is_empty()));
+        assert!(crate::commands::command("fig99").is_none());
     }
 }

@@ -1,18 +1,20 @@
 //! The per-figure reproduction experiments.
 //!
-//! One function per table/figure of the paper's evaluation, each
-//! returning structured data (consumed by the `repro` binary and the
-//! integration tests). The index of figures
-//! and the expected shapes are documented in DESIGN.md §4 and
-//! EXPERIMENTS.md.
+//! One function per table/figure of the paper's evaluation, per
+//! design-choice sweep and per scenario, each returning structured data
+//! that a row of the command table (`commands.rs`) renders and the
+//! integration tests assert on. The index of figures and the expected
+//! shapes are documented in DESIGN.md §4 and EXPERIMENTS.md.
 
 use std::collections::BTreeMap;
 
 use ulayer::{ULayer, ULayerConfig};
-use unn::{Graph, ModelId};
+use unn::{Graph, ModelId, NodeId};
 use uruntime::{execute_plan, run_layer_to_processor, run_single_processor};
-use usoc::{profile_graph, DtypePlan, SocSpec};
+use usoc::{single_layer_latency, DtypePlan, SocSpec};
 use utensor::DType;
+
+use crate::report::geomean;
 
 /// Per-layer CPU/GPU latency of VGG-16 (Figure 5).
 #[derive(Clone, Debug)]
@@ -31,27 +33,23 @@ pub fn fig5() -> Vec<Fig5> {
         .into_iter()
         .map(|spec| {
             let g = ModelId::Vgg16.build();
+            let shapes = g.infer_shapes().expect("VGG-16 shapes");
             let plan = DtypePlan::uniform(DType::F32);
-            let cpu = profile_graph(&spec, spec.cpu(), &g, plan).expect("cpu profile");
-            let gpu = profile_graph(&spec, spec.gpu(), &g, plan).expect("gpu profile");
-            let layers: Vec<(String, f64, f64)> = cpu
-                .iter()
-                .zip(&gpu)
-                .map(|(c, gp)| {
-                    (
-                        c.name.clone(),
-                        c.latency.as_millis_f64(),
-                        gp.latency.as_millis_f64(),
-                    )
-                })
-                .collect();
-            // Mean speedup over the compute layers (conv/fc), as in §3.1.
-            let speedups: Vec<f64> = cpu
-                .iter()
-                .zip(&gpu)
-                .filter(|(c, _)| c.op == "conv" || c.op == "fc")
-                .map(|(c, gp)| c.latency.as_secs_f64() / gp.latency.as_secs_f64())
-                .collect();
+            let mut layers = Vec::with_capacity(g.len());
+            let mut speedups = Vec::new();
+            for (i, node) in g.nodes().iter().enumerate() {
+                let in_shape = g.node_input_shape(NodeId(i), &shapes);
+                let lat = |dev| {
+                    single_layer_latency(&spec, dev, &node.kind, in_shape, &shapes[i], plan)
+                        .expect("F32 layer on the CPU or GPU")
+                };
+                let (cpu, gpu) = (lat(spec.cpu()), lat(spec.gpu()));
+                // Mean speedup over the compute layers (conv/fc), as in §3.1.
+                if matches!(node.kind.op_name(), "conv" | "fc") {
+                    speedups.push(cpu.as_secs_f64() / gpu.as_secs_f64());
+                }
+                layers.push((node.name.clone(), cpu.as_millis_f64(), gpu.as_millis_f64()));
+            }
             Fig5 {
                 soc: spec.name.clone(),
                 layers,
@@ -355,17 +353,17 @@ pub fn table1() -> Vec<(String, unn::Applicability)> {
 
 /// The §8.3 NPU extension experiment: μLayer with and without an NPU.
 #[derive(Clone, Debug)]
-pub struct NpuRow {
+pub(crate) struct NpuRow {
     /// Network name.
-    pub network: String,
+    pub(crate) network: String,
     /// μLayer latency on the plain SoC, ms.
-    pub base_ms: f64,
+    pub(crate) base_ms: f64,
     /// μLayer latency with the NPU added, ms.
-    pub npu_ms: f64,
+    pub(crate) npu_ms: f64,
 }
 
 /// Runs the NPU extension on the high-end SoC.
-pub fn npu_extension() -> Vec<NpuRow> {
+pub(crate) fn npu_extension() -> Vec<NpuRow> {
     let base_spec = SocSpec::exynos_7420();
     let npu_spec = SocSpec::exynos_7420().with_npu();
     let base_rt = ULayer::new(base_spec).expect("ulayer");
@@ -383,39 +381,135 @@ pub fn npu_extension() -> Vec<NpuRow> {
         .collect()
 }
 
+/// μLayer's geomean latency improvement over layer-to-processor QUInt8
+/// across the five networks on `spec`.
+fn improvement_over_l2p(spec: &SocSpec, runtime: &ULayer) -> f64 {
+    let ratios: Vec<f64> = ModelId::EVALUATED
+        .iter()
+        .map(|id| {
+            let g = id.build();
+            let u = runtime.run(&g).expect("run").latency.as_secs_f64();
+            let l2p = run_layer_to_processor(spec, &g, DType::QUInt8)
+                .expect("l2p")
+                .latency
+                .as_secs_f64();
+            u / l2p
+        })
+        .collect();
+    1.0 - geomean(&ratios)
+}
+
+/// One row of the split-ratio granularity ablation.
+#[derive(Clone, Debug)]
+pub(crate) struct PGranularityRow {
+    /// Label of the candidate set.
+    pub(crate) label: String,
+    /// The candidate `p` values.
+    pub(crate) candidates: Vec<f64>,
+    /// Geomean latency improvement over layer-to-processor across the
+    /// five networks (high-end SoC).
+    pub(crate) geomean_improvement: f64,
+}
+
+/// §6 fixes `p ∈ {0.25, 0.5, 0.75}`. How much does the granularity
+/// matter? Sweeps coarser and finer candidate sets.
+pub(crate) fn p_granularity() -> Vec<PGranularityRow> {
+    let spec = SocSpec::exynos_7420();
+    let sets: Vec<(&str, Vec<f64>)> = vec![
+        ("single {0.5}", vec![0.5]),
+        ("paper {0.25,0.5,0.75}", vec![0.25, 0.5, 0.75]),
+        (
+            "fine {0.125..0.875}",
+            (1..8).map(|i| i as f64 / 8.0).collect(),
+        ),
+        (
+            "very fine {0.05..0.95}",
+            (1..20).map(|i| i as f64 / 20.0).collect(),
+        ),
+    ];
+    sets.into_iter()
+        .map(|(label, candidates)| {
+            let cfg = ULayerConfig {
+                p_candidates: candidates.clone(),
+                ..ULayerConfig::full()
+            };
+            let runtime = ULayer::with_config(spec.clone(), cfg).expect("runtime");
+            PGranularityRow {
+                label: label.to_string(),
+                candidates,
+                geomean_improvement: improvement_over_l2p(&spec, &runtime),
+            }
+        })
+        .collect()
+}
+
+/// One row of the overhead-sensitivity sweep.
+#[derive(Clone, Debug)]
+pub(crate) struct OverheadRow {
+    /// Multiplier applied to all §6 management overheads.
+    pub(crate) scale: f64,
+    /// Geomean improvement over layer-to-processor (high-end SoC).
+    pub(crate) geomean_improvement: f64,
+}
+
+/// Scales every multi-processor management overhead (issue, wait, map,
+/// dispatch) and reports how μLayer's advantage responds — the paper's
+/// §3.1 argument that overheads would "easily offset" gains if the
+/// processors were unbalanced or synchronization were expensive.
+pub(crate) fn overhead_sensitivity() -> Vec<OverheadRow> {
+    [0.25f64, 0.5, 1.0, 2.0, 4.0, 8.0]
+        .into_iter()
+        .map(|scale| {
+            let mut spec = SocSpec::exynos_7420();
+            spec.overheads.gpu_issue_us *= scale;
+            spec.overheads.gpu_wait_us *= scale;
+            spec.overheads.map_us *= scale;
+            spec.overheads.cpu_dispatch_us *= scale;
+            let runtime = ULayer::new(spec.clone()).expect("runtime");
+            OverheadRow {
+                scale,
+                geomean_improvement: improvement_over_l2p(&spec, &runtime),
+            }
+        })
+        .collect()
+}
+
+/// `model`'s graph, or its small functional-test variant when
+/// `miniature` is set (so smoke runs stay fast).
+pub(crate) fn graph(model: ModelId, miniature: bool) -> Graph {
+    if miniature {
+        model.build_miniature()
+    } else {
+        model.build()
+    }
+}
+
 /// One SoC's overhead attribution of a μLayer schedule.
 #[derive(Clone, Debug)]
-pub struct AttributionReport {
+pub(crate) struct AttributionReport {
     /// SoC name.
-    pub soc: String,
-    /// Network name.
-    pub network: String,
+    pub(crate) soc: String,
     /// The full run — its `attribution`, `metrics`, and `trace` feed the
     /// report and the Chrome export.
-    pub result: uruntime::RunResult,
+    pub(crate) result: uruntime::RunResult,
     /// Concat nodes the plan joins in place ([`uruntime::NodeLayout::elided`]).
-    pub in_place_joins: usize,
+    pub(crate) in_place_joins: usize,
 }
 
 /// Runs the μLayer plan for `model` on both evaluated SoCs and returns
 /// the schedule's overhead attribution (the §6 management costs made
 /// visible). `miniature` swaps in the small functional-test variant so
 /// smoke runs stay fast.
-pub fn overhead_attribution(model: ModelId, miniature: bool) -> Vec<AttributionReport> {
+pub(crate) fn overhead_attribution(model: ModelId, miniature: bool) -> Vec<AttributionReport> {
     SocSpec::evaluated()
         .into_iter()
         .map(|spec| {
-            let g = if miniature {
-                model.build_miniature()
-            } else {
-                model.build()
-            };
+            let g = graph(model, miniature);
             let rt = ULayer::new(spec.clone()).expect("ulayer");
             let plan = rt.plan(&g).expect("ulayer plan").plan;
             let layout = plan.layout(&g).expect("ulayer plan lowers");
             AttributionReport {
                 soc: spec.name.clone(),
-                network: model.name().to_string(),
                 result: execute_plan(&spec, &g, &plan).expect("ulayer run"),
                 in_place_joins: layout.nodes.iter().filter(|n| n.elided).count(),
             }
@@ -426,36 +520,30 @@ pub fn overhead_attribution(model: ModelId, miniature: bool) -> Vec<AttributionR
 /// One fault scenario's outcome on one SoC, against the fault-free
 /// baseline of the same plan.
 #[derive(Clone, Debug)]
-pub struct FaultScenarioReport {
+pub(crate) struct FaultScenarioReport {
     /// SoC name.
-    pub soc: String,
-    /// Network name.
-    pub network: String,
-    /// The injected scenario.
-    pub scenario: simcore::Scenario,
-    /// The seed the scenario plan was generated from.
-    pub seed: u64,
+    pub(crate) soc: String,
     /// Fault-free latency of the μLayer plan.
-    pub baseline_ms: f64,
+    pub(crate) baseline_ms: f64,
     /// Latency under the scenario (resilient execution).
-    pub faulted_ms: f64,
+    pub(crate) faulted_ms: f64,
     /// Perturbations injected.
-    pub injected: u64,
+    pub(crate) injected: u64,
     /// Watchdog retries dispatched.
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Fallback parts re-executed on the surviving processor.
-    pub fallback_parts: usize,
+    pub(crate) fallback_parts: usize,
     /// Resource time burned by failed-then-retried attempts.
-    pub wasted_ms: f64,
+    pub(crate) wasted_ms: f64,
     /// The recovered outputs are bit-identical to the fault-free run.
-    pub bit_identical: bool,
+    pub(crate) bit_identical: bool,
 }
 
 /// Runs `model` under one fault [`simcore::Scenario`] on both evaluated
 /// SoCs: plans with μLayer, injects the scenario against the GPU (sized
 /// from the fault-free baseline), executes resiliently, and checks the
 /// recovered numerics bit-for-bit against the fault-free evaluation.
-pub fn fault_scenarios(
+pub(crate) fn fault_scenarios(
     model: ModelId,
     scenario: simcore::Scenario,
     miniature: bool,
@@ -466,11 +554,7 @@ pub fn fault_scenarios(
     SocSpec::evaluated()
         .into_iter()
         .map(|spec| {
-            let g = if miniature {
-                model.build_miniature()
-            } else {
-                model.build()
-            };
+            let g = graph(model, miniature);
             let rt = ULayer::new(spec.clone()).expect("ulayer");
             let mut plan = rt.plan(&g).expect("plan").plan;
             let mut baseline = uruntime::execute_plan(&spec, &g, &plan).expect("baseline");
@@ -548,9 +632,6 @@ pub fn fault_scenarios(
                 .fold(0.0, |acc, a| acc + a.end.since(a.start).as_secs_f64() * 1e3);
             FaultScenarioReport {
                 soc: spec.name.clone(),
-                network: model.name().to_string(),
-                scenario,
-                seed,
                 baseline_ms: baseline.latency.as_secs_f64() * 1e3,
                 faulted_ms: faulted.latency.as_secs_f64() * 1e3,
                 injected: report.injected,
@@ -566,26 +647,22 @@ pub fn fault_scenarios(
 /// One SoC's serving outcome under a seeded arrival process: the
 /// degradation ladder μLayer emitted plus the full [`uruntime::ServeReport`].
 #[derive(Clone, Debug)]
-pub struct ServeScenarioReport {
+pub(crate) struct ServeScenarioReport {
     /// SoC name.
-    pub soc: String,
+    pub(crate) soc: String,
     /// Network name.
-    pub network: String,
-    /// The arrival process driven against the ladder.
-    pub arrivals: simcore::ArrivalKind,
-    /// Seed of the arrival process.
-    pub seed: u64,
+    pub(crate) network: String,
     /// Mean inter-arrival interval (ms) the process was sized with.
-    pub mean_interval_ms: f64,
+    pub(crate) mean_interval_ms: f64,
     /// Per-frame deadline (ms).
-    pub deadline_ms: f64,
+    pub(crate) deadline_ms: f64,
     /// Ladder rungs: label and realized single-frame latency (ms).
-    pub rungs: Vec<(String, f64)>,
+    pub(crate) rungs: Vec<(String, f64)>,
     /// The serving outcome (frame accounting, percentiles, metrics).
-    pub report: uruntime::ServeReport,
+    pub(crate) report: uruntime::ServeReport,
     /// Planner-session stats: the ladder is planned once and every
     /// subsequent per-frame probe hits the drift-keyed cache.
-    pub planner: ulayer::PlannerStats,
+    pub(crate) planner: ulayer::PlannerStats,
 }
 
 /// Serves `frames` seeded arrivals of `model` through the μLayer-emitted
@@ -596,7 +673,7 @@ pub struct ServeScenarioReport {
 /// defaults to 2x the full rung's latency. `miniature` swaps in the
 /// small functional-test network so smoke runs stay fast.
 #[allow(clippy::too_many_arguments)]
-pub fn serve_overload(
+pub(crate) fn serve_overload(
     model: ModelId,
     arrivals: simcore::ArrivalKind,
     miniature: bool,
@@ -611,11 +688,7 @@ pub fn serve_overload(
     SocSpec::evaluated()
         .into_iter()
         .map(|spec| {
-            let g = if miniature {
-                model.build_miniature()
-            } else {
-                model.build()
-            };
+            let g = graph(model, miniature);
             let rt = ULayer::new(spec.clone()).expect("ulayer");
             let mut planner = ulayer::PlannerSession::new(&rt, ulayer::ReusePolicy::Bucketed);
             let ladder = planner.ladder(&g, None).expect("ladder");
@@ -662,8 +735,6 @@ pub fn serve_overload(
             ServeScenarioReport {
                 soc: spec.name.clone(),
                 network: model.name().to_string(),
-                arrivals,
-                seed,
                 mean_interval_ms: mean.as_secs_f64() * 1e3,
                 deadline_ms: deadline.as_secs_f64() * 1e3,
                 rungs,
@@ -677,16 +748,16 @@ pub fn serve_overload(
 /// The outcome of a [`fleet_storm`] run: the FIFO-order fleet report
 /// plus the schedule-order fuzz gate's verdict.
 #[derive(Clone, Debug)]
-pub struct FleetStormReport {
+pub(crate) struct FleetStormReport {
     /// The fleet report (FIFO event order); it carries the resolved
     /// mean inter-arrival interval and deadline the fleet ran with.
-    pub report: uruntime::FleetReport,
+    pub(crate) report: uruntime::FleetReport,
     /// Per-cohort rungs: label and realized single-frame latency (ms).
-    pub cohort_rungs: Vec<(String, Vec<(String, f64)>)>,
+    pub(crate) cohort_rungs: Vec<(String, Vec<(String, f64)>)>,
     /// How many seeded-shuffled event orders were re-run.
-    pub fuzz_orders: usize,
+    pub(crate) fuzz_orders: usize,
     /// Shuffle seeds whose report diverged from FIFO (empty = gate ok).
-    pub fuzz_mismatches: Vec<u64>,
+    pub(crate) fuzz_mismatches: Vec<u64>,
 }
 
 /// Drives a mixed-SoC fleet of `devices` instances through `frames`
@@ -700,7 +771,7 @@ pub struct FleetStormReport {
 /// latency. Cohort membership and per-instance silicon perturbation
 /// are drawn from `seed`.
 #[allow(clippy::too_many_arguments)]
-pub fn fleet_storm(
+pub(crate) fn fleet_storm(
     model: ModelId,
     storm: Option<simcore::FleetScenario>,
     miniature: bool,
@@ -717,13 +788,9 @@ pub fn fleet_storm(
     use simcore::{SimSpan, TieOrder};
     use uruntime::{FleetCohort, FleetConfig, FleetNetwork, InstanceAdapter};
 
-    let graph = if miniature {
-        model.build_miniature()
-    } else {
-        model.build()
-    };
-    let weights = unn::Weights::random(&graph, seed).map_err(|e| e.to_string())?;
-    let net = FleetNetwork::new(model.name().to_ascii_lowercase(), graph, weights);
+    let g = graph(model, miniature);
+    let weights = unn::Weights::random(&g, seed).map_err(|e| e.to_string())?;
+    let net = FleetNetwork::new(model.name().to_ascii_lowercase(), g, weights);
     let mut cohorts = Vec::new();
     for spec in SocSpec::evaluated() {
         let rt = ULayer::new(spec.clone()).map_err(|e| e.to_string())?;
@@ -792,27 +859,25 @@ pub fn fleet_storm(
 /// The outcome of a [`mesh_scenario`] run: the partition-tolerant
 /// serving report on an MCU-style mesh plus the numerics gate.
 #[derive(Clone, Debug)]
-pub struct MeshScenarioReport {
+pub(crate) struct MeshScenarioReport {
     /// Mesh size (devices).
-    pub nodes: usize,
-    /// Link-fault scenario driven against the mesh (`None` = clean).
-    pub link_fault: Option<simcore::LinkFaultScenario>,
+    pub(crate) nodes: usize,
     /// Seed the arrivals and faults were drawn from.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Mean inter-arrival interval (ms) the stream was sized with.
-    pub mean_interval_ms: f64,
+    pub(crate) mean_interval_ms: f64,
     /// Per-frame deadline (ms).
-    pub deadline_ms: f64,
+    pub(crate) deadline_ms: f64,
     /// Ladder rungs: label and realized single-frame latency (ms).
-    pub rungs: Vec<(String, f64)>,
+    pub(crate) rungs: Vec<(String, f64)>,
     /// The mesh serving outcome (frame + partition accounting).
-    pub report: uruntime::ServeReport,
+    pub(crate) report: uruntime::ServeReport,
     /// Whether every rung's quantized output matched the single-device
     /// QUInt8 reference bit for bit.
-    pub bit_identical: bool,
+    pub(crate) bit_identical: bool,
     /// Planner-session stats (subset-rung ladder planned once, then
     /// served from the drift-keyed cache).
-    pub planner: ulayer::PlannerStats,
+    pub(crate) planner: ulayer::PlannerStats,
 }
 
 /// Builds the mesh workload: a compact CNN whose hot conv layers hold
@@ -869,7 +934,7 @@ pub(crate) fn mesh_workload_graph() -> Graph {
 /// on-chip ones). Every rung is uniform QUInt8, and the report carries
 /// a bit-identity verdict against the single-device reference.
 #[allow(clippy::too_many_arguments)]
-pub fn mesh_scenario(
+pub(crate) fn mesh_scenario(
     nodes: usize,
     link_fault: Option<simcore::LinkFaultScenario>,
     frames: usize,
@@ -976,7 +1041,6 @@ pub fn mesh_scenario(
         .collect();
     Ok(MeshScenarioReport {
         nodes: spec.devices.len(),
-        link_fault,
         seed,
         mean_interval_ms: mean.as_secs_f64() * 1e3,
         deadline_ms: deadline.as_secs_f64() * 1e3,
@@ -989,27 +1053,23 @@ pub fn mesh_scenario(
 
 /// One SoC's planner-cache outcome under a seeded drift scenario.
 #[derive(Clone, Debug)]
-pub struct PlanExperimentReport {
+pub(crate) struct PlanExperimentReport {
     /// SoC name.
-    pub soc: String,
+    pub(crate) soc: String,
     /// Network name.
-    pub network: String,
-    /// Drift scenario name (`calm`, `throttle`, `loss`, `oscillate`).
-    pub drift: String,
-    /// Frames planned through the session.
-    pub frames: usize,
+    pub(crate) network: String,
     /// Cache-on (bucketed-reuse) session stats: hits, misses,
     /// incremental replans, layer re-enumeration counts, wall time.
-    pub stats: ulayer::PlannerStats,
+    pub(crate) stats: ulayer::PlannerStats,
     /// Total modeled planning time of the cache-on arm (deterministic
     /// `ulayer::planning_span` charges), milliseconds.
-    pub planning_modeled_ms: f64,
+    pub(crate) planning_modeled_ms: f64,
     /// Wall-clock of planning every frame from scratch (the
     /// `--plan-cache=off` ablation), milliseconds.
-    pub scratch_wall_ms: f64,
+    pub(crate) scratch_wall_ms: f64,
     /// Frames whose exact-policy session plan diverged from the
     /// from-scratch plan (must stay empty — the equivalence contract).
-    pub equivalence_failures: Vec<usize>,
+    pub(crate) equivalence_failures: Vec<usize>,
 }
 
 /// Evolves `adapter` one frame along the named drift scenario.
@@ -1072,7 +1132,7 @@ fn plan_fingerprint(report: &ulayer::PlanReport) -> String {
 /// byte-identical to `plan_with_drift` under the same adapter state),
 /// and a from-scratch `plan_with_drift` per frame (the
 /// `--plan-cache=off` wall-clock ablation).
-pub fn plan_experiment(
+pub(crate) fn plan_experiment(
     model: ModelId,
     drift: &str,
     miniature: bool,
@@ -1082,11 +1142,7 @@ pub fn plan_experiment(
     SocSpec::evaluated()
         .into_iter()
         .map(|spec| {
-            let g = if miniature {
-                model.build_miniature()
-            } else {
-                model.build()
-            };
+            let g = graph(model, miniature);
             let rt = ULayer::new(spec.clone()).expect("ulayer");
             let mut bucketed = ulayer::PlannerSession::new(&rt, ulayer::ReusePolicy::Bucketed);
             let mut exact = ulayer::PlannerSession::new(&rt, ulayer::ReusePolicy::Exact);
@@ -1113,8 +1169,6 @@ pub fn plan_experiment(
             PlanExperimentReport {
                 soc: spec.name.clone(),
                 network: model.name().to_string(),
-                drift: drift.to_string(),
-                frames,
                 stats: *bucketed.stats(),
                 planning_modeled_ms: planning_modeled.as_secs_f64() * 1e3,
                 scratch_wall_ms: scratch_wall.as_secs_f64() * 1e3,
@@ -1127,7 +1181,6 @@ pub fn plan_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::geomean;
 
     #[test]
     fn fig5_reproduces_section_3_1() {
@@ -1231,5 +1284,48 @@ mod tests {
         // must get faster.
         let improved = rows.iter().filter(|r| r.npu_ms < r.base_ms).count();
         assert!(improved >= 3, "only {improved}/5 networks improved");
+    }
+
+    #[test]
+    fn paper_granularity_is_a_good_tradeoff() {
+        let rows = p_granularity();
+        let by = |label: &str| {
+            rows.iter()
+                .find(|r| r.label.starts_with(label))
+                .expect("row")
+                .geomean_improvement
+        };
+        // More candidates never hurt (the partitioner picks the min).
+        assert!(by("paper") >= by("single") - 1e-9);
+        assert!(by("fine") >= by("paper") - 1e-9);
+        // ...but the paper's 3-candidate set already captures nearly all
+        // of the benefit: the very-fine sweep adds < 3 points.
+        assert!(
+            by("very fine") - by("paper") < 0.03,
+            "paper set leaves too much on the table: {rows:?}"
+        );
+    }
+
+    #[test]
+    fn gains_shrink_as_overheads_grow() {
+        let rows = overhead_sensitivity();
+        // Monotone (within noise): heavier management overheads erode the
+        // cooperative advantage, exactly as §3.1 argues.
+        let first = rows.first().expect("rows").geomean_improvement;
+        let last = rows.last().expect("rows").geomean_improvement;
+        assert!(
+            first > last + 0.03,
+            "overhead scaling had no effect: {rows:?}"
+        );
+        // μLayer never becomes *worse* than the baseline — the partitioner
+        // falls back to single-processor placements.
+        for r in &rows {
+            assert!(
+                r.geomean_improvement > -0.02,
+                "scale {}: regressed {:?}",
+                r.scale,
+                r.geomean_improvement
+            );
+        }
     }
 }

@@ -8,28 +8,26 @@
 
 use ulayer::{LatencyPredictor, ULayerError};
 use unn::{Graph, NodeId};
-use usoc::{layer_work, DeviceId, DtypePlan, SocSpec};
+use usoc::{layer_work, DtypePlan, SocSpec};
 
 /// Prediction error statistics for one device.
 #[derive(Clone, Debug)]
-pub struct DeviceAccuracy {
-    /// The device evaluated.
-    pub device: DeviceId,
+pub(crate) struct DeviceAccuracy {
     /// Device name.
-    pub name: String,
+    pub(crate) name: String,
     /// Number of (layer, dtype-plan) samples evaluated.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Mean relative error `|pred - true| / true`.
-    pub mean_rel_err: f64,
+    pub(crate) mean_rel_err: f64,
     /// Maximum relative error.
-    pub max_rel_err: f64,
+    pub(crate) max_rel_err: f64,
 }
 
 /// A full validation report.
 #[derive(Clone, Debug)]
-pub struct PredictorReport {
+pub(crate) struct PredictorReport {
     /// Per-device accuracy.
-    pub devices: Vec<DeviceAccuracy>,
+    pub(crate) devices: Vec<DeviceAccuracy>,
 }
 
 impl PredictorReport {
@@ -46,7 +44,7 @@ impl PredictorReport {
 /// Evaluates `predictor` against the SoC's ground-truth timing on every
 /// layer of the given graphs, under both the uniform-QUInt8 and the
 /// processor-friendly dtype plans and at full and half split fractions.
-pub fn evaluate_predictor(
+pub(crate) fn evaluate_predictor(
     spec: &SocSpec,
     predictor: &LatencyPredictor,
     graphs: &[Graph],
@@ -88,7 +86,6 @@ pub fn evaluate_predictor(
             }
         }
         devices.push(DeviceAccuracy {
-            device: dev,
             name: spec.devices[dev.0].name.clone(),
             samples: n,
             mean_rel_err: if n == 0 { 0.0 } else { sum / n as f64 },

@@ -4,14 +4,14 @@ use std::fmt::Write as _;
 
 /// A simple aligned-column text table.
 #[derive(Clone, Debug, Default)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Table {
+    pub(crate) fn new(header: &[&str]) -> Table {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -23,23 +23,13 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row length differs from the header length.
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row arity");
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -65,13 +55,13 @@ impl Table {
 }
 
 /// Formats a milliseconds value.
-pub fn ms(v: f64) -> String {
+pub(crate) fn ms(v: f64) -> String {
     format!("{v:.2}")
 }
 
 /// Formats an optional latency span in milliseconds; `-` when there is
 /// no sample (e.g. the percentile of an all-shed stream).
-pub fn opt_ms(v: Option<simcore::SimSpan>) -> String {
+pub(crate) fn opt_ms(v: Option<simcore::SimSpan>) -> String {
     match v {
         Some(s) => ms(s.as_millis_f64()),
         None => "-".to_string(),
@@ -79,12 +69,12 @@ pub fn opt_ms(v: Option<simcore::SimSpan>) -> String {
 }
 
 /// Formats a normalized ratio.
-pub fn ratio(v: f64) -> String {
+pub(crate) fn ratio(v: f64) -> String {
     format!("{v:.3}")
 }
 
 /// Formats a percentage.
-pub fn pct(v: f64) -> String {
+pub(crate) fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 

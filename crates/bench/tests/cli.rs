@@ -1,7 +1,9 @@
-//! The `repro` CLI contract, table-driven: every subcommand's flag
-//! table rejects unknown flags and malformed `--key=value` pairs with
-//! a typed error, accepts its documented forms, and the enumerated
-//! value lists stay in sync with the enums they name.
+//! The `repro` CLI contract, table-driven: every command's flag table
+//! rejects unknown flags and malformed `--key=value` pairs with a typed
+//! error, accepts its documented forms, and the enumerated value lists
+//! stay in sync with the enums they name.
+
+use std::process::Command;
 
 use ubench::{parse_flags, CliError, FlagKind};
 
@@ -13,7 +15,12 @@ fn args(list: &[&str]) -> Vec<String> {
 /// token preserved in the error.
 #[test]
 fn every_subcommand_rejects_unknown_flags() {
-    for &(sub, specs) in ubench::SUBCOMMANDS {
+    for &ubench::Command {
+        name: sub,
+        flags: specs,
+        ..
+    } in ubench::COMMANDS
+    {
         for bad in ["--definitely-not-a-flag", "--definitely-not-a-flag=1"] {
             let e = parse_flags(sub, &args(&[bad]), specs).unwrap_err();
             assert_eq!(
@@ -33,7 +40,12 @@ fn every_subcommand_rejects_unknown_flags() {
 /// each kind gets the inputs that must fail it.
 #[test]
 fn every_value_flag_rejects_malformed_values() {
-    for &(sub, specs) in ubench::SUBCOMMANDS {
+    for &ubench::Command {
+        name: sub,
+        flags: specs,
+        ..
+    } in ubench::COMMANDS
+    {
         for spec in specs {
             let bad_values: &[&str] = match spec.kind {
                 // A switch must reject any value at all.
@@ -80,7 +92,12 @@ fn every_value_flag_rejects_malformed_values() {
 /// through the typed accessors.
 #[test]
 fn every_flag_accepts_its_documented_form() {
-    for &(sub, specs) in ubench::SUBCOMMANDS {
+    for &ubench::Command {
+        name: sub,
+        flags: specs,
+        ..
+    } in ubench::COMMANDS
+    {
         for spec in specs {
             let good: String = match spec.kind {
                 FlagKind::Switch => spec.name.to_string(),
@@ -168,4 +185,52 @@ fn error_rendering_names_the_problem() {
         msg.contains("resnet") && msg.contains("squeezenet"),
         "{msg}"
     );
+}
+
+/// Every listed network name resolves (case-insensitively, the last
+/// positional winning); an unlisted one is a typed error.
+#[test]
+fn network_names_resolve_from_one_list() {
+    for &(name, id) in ubench::NETWORKS {
+        for given in [name.to_string(), name.to_ascii_uppercase()] {
+            let p = parse_flags("fleet", &args(&["alexnet", &given]), ubench::FLEET_FLAGS)
+                .expect("parse");
+            assert_eq!(p.network(unn::ModelId::MobileNet), Ok(id), "{given}");
+        }
+    }
+    let p = parse_flags("fleet", &[], ubench::FLEET_FLAGS).expect("parse");
+    assert_eq!(
+        p.network(unn::ModelId::MobileNet),
+        Ok(unn::ModelId::MobileNet)
+    );
+    let p = parse_flags("fleet", &args(&["resnet99"]), ubench::FLEET_FLAGS).expect("parse");
+    assert_eq!(
+        p.network(unn::ModelId::SqueezeNet),
+        Err(CliError::BadPositional {
+            subcommand: "fleet",
+            given: "resnet99".into()
+        })
+    );
+}
+
+/// `repro --json` goes through its flag table like every other command:
+/// an unknown flag exits 2 and writes nothing, where it used to be taken
+/// for the output directory.
+#[test]
+fn json_export_rejects_unknown_flags() {
+    let dir = std::env::temp_dir().join(format!("ulayer-cli-json-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for bad in [&["--json", "--bogus"][..], &["--json", "out", "--bogus"]] {
+        let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(bad)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro")
+            .status;
+        assert_eq!(status.code(), Some(2), "repro {bad:?}");
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("read dir").collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(left.is_empty(), "a rejected export wrote {left:?}");
 }

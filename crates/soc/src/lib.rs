@@ -17,8 +17,8 @@
 //! - [`SharedMemory`] — the zero-copy shared-buffer lifecycle model.
 //! - [`EnergyAccumulator`] — the Monsoon-style energy integration
 //!   (Figure 15).
-//! - [`profile_graph`] — per-layer single-device profiling (Figure 5) and
-//!   the latency predictor's training-data source.
+//! - [`single_layer_latency`] — one layer on one device, synchronously
+//!   (Figure 5 and the layer-to-processor baseline).
 
 #![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
@@ -36,6 +36,6 @@ pub use device::{DeviceId, DeviceKind};
 pub use energy::{EnergyAccumulator, EnergyBreakdown};
 pub use error::SocError;
 pub use memory::{BufferId, MapMode, MemoryStats, SharedMemory};
-pub use profiler::{profile_graph, single_layer_latency, total_latency};
+pub use profiler::single_layer_latency;
 pub use spec::SocSpec;
 pub use work::{layer_work, split_cuts, DtypePlan, KernelWork, WorkClass};
