@@ -227,9 +227,10 @@ fn fault_targets(spec: &SocSpec) -> Vec<ResourceId> {
 }
 
 /// Runs one plan through the single-run entry under `faults`, folding
-/// the outcome into the pin.
+/// the outcome into the pin and every run's `(peak_bytes, allocations)`
+/// into the memory pin.
 fn pin_plan(
-    pin: &mut Pin,
+    (pin, memory): (&mut Pin, &mut Pin),
     reached: &mut Reached,
     group: &str,
     spec: &SocSpec,
@@ -242,6 +243,8 @@ fn pin_plan(
             reached.retries += report.retries;
             reached.fallbacks += report.fallbacks.len() as u64;
             pin.add(group, &format!("{result:?}|{report:?}"));
+            let m = &result.memory;
+            memory.add(group, &format!("{} {}", m.peak_bytes, m.allocations));
         }
         Err(e) => {
             reached.typed_errors += 1;
@@ -253,6 +256,7 @@ fn pin_plan(
 #[test]
 fn engine_results_are_pinned() {
     let mut pin = Pin::default();
+    let mut memory = Pin::default();
     let mut reached = Reached::default();
     for (spec_name, spec) in specs() {
         let targets = fault_targets(&spec);
@@ -290,7 +294,8 @@ fn engine_results_are_pinned() {
                     }
                 }
                 for faults in &fault_plans {
-                    pin_plan(&mut pin, &mut reached, &group, &spec, &g, &plan, faults);
+                    let pins = (&mut pin, &mut memory);
+                    pin_plan(pins, &mut reached, &group, &spec, &g, &plan, faults);
                 }
             }
         }
@@ -300,6 +305,7 @@ fn engine_results_are_pinned() {
         "the matrix no longer reaches every path: {reached:?}"
     );
     pin.assert("engine matrix", RUNS, EXPECTED);
+    memory.assert("memory statistics", MEMORY_RUNS, MEMORY);
 }
 
 /// Recorded at the parent of the refactor, re-recorded when every
@@ -313,3 +319,9 @@ fn engine_results_are_pinned() {
 /// mesh, whose fault targets follow its dispatch counts).
 const RUNS: usize = 826;
 const EXPECTED: u64 = 0x350d_572b_c55d_d45c;
+
+/// Every successful run's `(peak_bytes, allocations)`, recorded on its
+/// own so a change to how the engine counts memory shows here even when
+/// the rest of the `Debug` text moves.
+const MEMORY_RUNS: usize = 719;
+const MEMORY: u64 = 0xb7a4_8a81_01e2_6c8b;
