@@ -1,5 +1,5 @@
 //! The scheduling engine: executes an [`ExecutionPlan`] on a simulated
-//! SoC, producing latency, a task trace, energy, and memory statistics.
+//! SoC, producing latency, a task trace, energy, and buffer memory.
 //! It schedules from the plan's lowering, a [`PlanLayout`]: the realized
 //! share each part is costed at, the channel range each fallback
 //! recomputes and the buffer each node writes are the layout's, the same
@@ -12,7 +12,9 @@
 //!   with CPU work exactly as the paper's framework arranges.
 //! - **Zero-copy shared memory** — tensors are never copied between
 //!   processors; crossing the CPU↔GPU boundary costs only map/unmap and
-//!   completion-wait tasks on the host timeline.
+//!   completion-wait tasks on the host timeline. The buffers a run holds
+//!   ([`MemoryStats`]) are summed from the layout: each node's output
+//!   buffer and each part's weights, allocated once and never freed.
 //! - **Cooperative merge** — a split layer's partial outputs join at a
 //!   host-side merge task that synchronizes with the GPU and maps the
 //!   output region.
@@ -27,12 +29,11 @@
 use std::ops::Range;
 
 use simcore::{
-    AttemptRecord, FaultLog, FaultPlan, ResourcePool, RetryPolicy, SimSpan, SimTime, TaskGraph,
-    TaskId, Trace,
+    AttemptRecord, FaultLog, FaultPlan, RetryPolicy, SimSpan, SimTime, TaskGraph, TaskId, Trace,
 };
 use usoc::{
-    layer_work, BufferId, DeviceId, DeviceKind, EnergyAccumulator, EnergyBreakdown, KernelWork,
-    MapMode, MemoryStats, SharedMemory, SocError, SocSpec,
+    layer_work, DeviceId, DeviceKind, EnergyAccumulator, EnergyBreakdown, KernelWork, SocError,
+    SocSpec,
 };
 use utensor::TensorError;
 
@@ -128,12 +129,45 @@ pub struct RunResult {
     pub resource_names: Vec<String>,
     /// Per-node `(first task start, last task end)`.
     pub node_spans: Vec<(SimTime, SimTime)>,
-    /// Shared-memory statistics of the run.
+    /// The run's buffer memory, from the plan's layout.
     pub memory: MemoryStats,
     /// Scheduler/memory/energy counters collected during the run.
     pub metrics: MetricsRegistry,
     /// Overhead attribution of the schedule (classes tile the makespan).
     pub attribution: Attribution,
+}
+
+/// The buffers one run holds, summed from its [`PlanLayout`]: one
+/// zero-copy output buffer per distinct [`NodeLayout::buffer`] and one
+/// long-lived weight buffer (uploaded at plan load, outside the latency
+/// window, per §6) per part of every layer with weights, an empty part's
+/// of zero bytes. Nothing is freed during a run, so the peak is the sum.
+///
+/// [`NodeLayout::buffer`]: crate::NodeLayout::buffer
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoryStats {
+    /// Buffers allocated.
+    pub allocations: usize,
+    /// High-water mark of allocated bytes.
+    pub peak_bytes: usize,
+}
+
+impl MemoryStats {
+    fn of(layout: &PlanLayout) -> MemoryStats {
+        let outputs = (layout.nodes.iter().enumerate())
+            .filter(|(i, n)| n.buffer.0 == *i)
+            .map(|(_, n)| n.buffer_bytes);
+        let weights = (layout.nodes.iter())
+            .filter(|n| n.parts.iter().any(|p| p.weight_elems > 0))
+            .flat_map(|n| &n.parts)
+            .map(|p| p.weight_elems * p.dtypes.weights.size_bytes());
+        let mut stats = MemoryStats::default();
+        for bytes in outputs.chain(weights) {
+            stats.allocations += 1;
+            stats.peak_bytes += bytes;
+        }
+        stats
+    }
 }
 
 impl RunResult {
@@ -150,8 +184,7 @@ impl RunResult {
             .enumerate()
             .map(|(i, n)| (simcore::ResourceId(i), n.clone()))
             .collect();
-        self.trace
-            .render_gantt(&names, simcore::GanttOptions::default())
+        self.trace.render_gantt(&names)
     }
 }
 
@@ -231,15 +264,6 @@ struct InstanceTasks {
     node_first_task: Vec<TaskId>,
 }
 
-/// The schedule under construction.
-struct Schedule {
-    tg: TaskGraph<TaskMeta>,
-    memory: SharedMemory,
-    /// Recovery actions registered so far (none unless scheduled
-    /// resiliently).
-    fallbacks: Vec<FallbackPart>,
-}
-
 /// Transfer chains of one inference by (data, destination device).
 type Xfers = std::collections::BTreeMap<(usize, usize), TaskId>;
 
@@ -291,24 +315,21 @@ fn transfer_chain(
 }
 
 /// Builds the task DAG of one inference of the lowered plan `layout`
-/// into `sched`.
+/// into `tg`.
 ///
 /// With `resilient` set, every accelerator kernel gets a registered CPU
 /// fallback ([`TaskGraph::add_fallback`]) sized as the CPU latency of the
-/// same work plus the salvage overhead (queue wait + map + dispatch);
-/// fallbacks are skipped for free when the primary succeeds.
+/// same work plus the salvage overhead (queue wait + map + dispatch),
+/// recorded in `fallbacks`; fallbacks are skipped for free when the
+/// primary succeeds.
 fn schedule_instance(
-    sched: &mut Schedule,
+    tg: &mut TaskGraph<TaskMeta>,
+    fallbacks: &mut Vec<FallbackPart>,
     spec: &SocSpec,
     graph: &Graph,
     layout: &PlanLayout,
     resilient: bool,
 ) -> Result<InstanceTasks, RunError> {
-    let Schedule {
-        tg,
-        memory,
-        fallbacks,
-    } = sched;
     let cpu = spec.cpu();
     let networked = spec.has_network_links();
     let elem_bytes = layout.storage.size_bytes();
@@ -335,17 +356,9 @@ fn schedule_instance(
     // specs; a split's merged output lives on the host).
     let mut producer_locs: Vec<DeviceId> = Vec::with_capacity(graph.len());
 
-    // Output buffers by owning node: a branch of an elided concat writes
-    // its channel range directly into the join's buffer, which the first
-    // branch allocates and the elided concat itself reuses.
-    let mut buffers: Vec<Option<BufferId>> = vec![None; graph.len()];
-
     for (i, (node, nl)) in graph.nodes().iter().zip(&layout.nodes).enumerate() {
         let id = NodeId(i);
         let name = &node.name;
-
-        // Output buffer for this node (zero-copy shared memory).
-        let out_buf = *buffers[nl.buffer.0].get_or_insert_with(|| memory.alloc(nl.buffer_bytes));
 
         // An elided concat whose branches all reside on one accelerator
         // stays resident there: it schedules nothing, and its output
@@ -602,8 +615,6 @@ fn schedule_instance(
             let part = &nl.parts[0];
             let (first, k, _) = schedule_kernel(tg, &mut xfers, part)?;
             let residency = if is_cpu(part.device) {
-                memory.map(out_buf, MapMode::WriteInvalidate)?;
-                memory.unmap(out_buf)?;
                 Residency::Cpu
             } else {
                 Residency::Accel(part.device)
@@ -653,8 +664,6 @@ fn schedule_instance(
             } else {
                 (spec.cpu_dispatch_span(), SimSpan::ZERO)
             };
-            memory.map(out_buf, MapMode::Read)?;
-            memory.unmap(out_buf)?;
             let merge = tg.add_with_priority(
                 format!("{name}::merge"),
                 res(cpu),
@@ -771,34 +780,12 @@ pub fn execute_plan_with_faults(
     if spec.has_network_links() {
         resource_names.extend(spec.links.iter().map(|l| l.resource_name()));
     }
-    let mut pool = ResourcePool::new();
-    for name in &resource_names {
-        pool.add(name.clone());
-    }
-    // The long-lived weight buffers (uploaded once at plan load, outside
-    // the inference-latency window, per §6): one per part of every layer
-    // with weights, an empty part's of zero bytes.
-    let mut memory = SharedMemory::new();
-    for node in &layout.nodes {
-        if node.parts.iter().any(|p| p.weight_elems > 0) {
-            for p in &node.parts {
-                memory.alloc(p.weight_elems * p.dtypes.weights.size_bytes());
-            }
-        }
-    }
-    let mut sched = Schedule {
-        tg: TaskGraph::new(),
-        memory,
-        fallbacks: Vec::new(),
-    };
-    let inst = schedule_instance(&mut sched, spec, graph, &layout, !faults.is_empty())?;
-    let Schedule {
-        tg,
-        memory,
-        fallbacks,
-    } = sched;
+    let mut tg = TaskGraph::new();
+    let mut fallbacks = Vec::new();
+    let resilient = !faults.is_empty();
+    let inst = schedule_instance(&mut tg, &mut fallbacks, spec, graph, &layout, resilient)?;
 
-    let (trace, sched, log) = tg.run(&mut pool, faults, policy)?;
+    let (trace, sched, log) = tg.run(resource_names.len(), faults, policy)?;
     check_recovered(&trace, &log)?;
     let report = fault_report(&log, &fallbacks);
 
@@ -823,7 +810,7 @@ pub fn execute_plan_with_faults(
     let energy = energy.finish(trace.makespan());
 
     let attribution = attribute(&trace, &resource_names, spec);
-    let memory = memory.stats();
+    let memory = MemoryStats::of(&layout);
     let mut metrics = MetricsRegistry::new();
     fill_run_metrics(&mut metrics, &trace, &sched, &memory, &energy);
     if !faults.is_empty() {
@@ -914,7 +901,6 @@ fn fill_run_metrics(
     }
     metrics.counter_max("memory.peak_bytes", stats.peak_bytes as u64);
     metrics.inc("memory.allocations", stats.allocations as u64);
-    metrics.inc("memory.copied_bytes", stats.copied_bytes as u64);
     metrics.gauge("latency.ms", trace.makespan().as_millis_f64());
     metrics.gauge("energy.total_mj", energy.total_mj());
 }
@@ -1166,17 +1152,25 @@ mod tests {
 
     #[test]
     fn memory_is_zero_copy() {
+        // GPU to CPU and back: every crossing is a host sync, map or
+        // unmap, never a transfer of the tensor.
         let spec = SocSpec::exynos_7420();
         let g = two_conv_graph();
-        let r = execute_plan(
-            &spec,
-            &g,
-            &single_plan(&g, &spec, spec.cpu(), DType::QUInt8),
-        )
-        .unwrap();
-        assert_eq!(r.memory.copied_bytes, 0);
-        assert!(r.memory.peak_bytes > 0);
-        assert!(r.memory.allocations >= g.len());
+        for devices in [[spec.gpu(), spec.cpu()], [spec.cpu(), spec.gpu()]] {
+            let placements = devices
+                .iter()
+                .map(|&d| NodePlacement::single(d, DType::QUInt8))
+                .collect();
+            let plan = ExecutionPlan::new(&g, &spec, placements, "mixed").unwrap();
+            let r = execute_plan(&spec, &g, &plan).unwrap();
+            assert!(r
+                .trace
+                .records()
+                .iter()
+                .all(|t| t.payload.class != OverheadClass::Transfer));
+            assert!(r.memory.peak_bytes > 0);
+            assert!(r.memory.allocations >= g.len());
+        }
     }
 
     #[test]

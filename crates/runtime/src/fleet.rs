@@ -8,12 +8,12 @@
 //!
 //! - **Cohorts, not copies.** A [`FleetCohort`] realizes a degradation
 //!   ladder once per SoC model ([`realize_ladder`]). Instances are
-//!   assigned to cohorts by seed and perturb their silicon with
-//!   per-device speed factors (the [`usoc::SocSpec::with_device_speeds`]
-//!   model): a rung's service time on an instance scales by the slowest
-//!   involved device's inverse factor. This keeps a 1000-device run at
-//!   thousands of cheap analytic dispatches instead of thousands of
-//!   full plan executions.
+//!   assigned to cohorts by seed and perturb their silicon with seeded
+//!   per-device speed factors (binning and DVFS spread across nominally
+//!   identical parts): a rung's service time on an instance scales by the
+//!   slowest involved device's inverse factor. This keeps a 1000-device
+//!   run at thousands of cheap analytic dispatches instead of thousands
+//!   of full plan executions.
 //! - **One weight copy per network.** Every instance holds an
 //!   [`Arc`] clone of the same [`FleetNetwork`] weight set; the report
 //!   counts distinct allocations across the fleet and

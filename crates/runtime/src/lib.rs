@@ -72,7 +72,8 @@ pub use baselines::{
     run_single_processor, single_processor_plan,
 };
 pub use engine::{
-    execute_plan, execute_plan_with_faults, FallbackScope, FaultReport, RunError, RunResult,
+    execute_plan, execute_plan_with_faults, FallbackScope, FaultReport, MemoryStats, RunError,
+    RunResult,
 };
 pub use fleet::{
     run_fleet, run_fleet_with_faults, FleetCohort, FleetConfig, FleetNetwork, FleetReport,

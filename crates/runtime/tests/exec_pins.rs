@@ -314,11 +314,14 @@ fn engine_results_are_pinned() {
 /// when the matrix dropped its stream variants and kept one single run
 /// per plan and fault plan (826 of the 5782 runs). Re-recorded once more
 /// when the per-task instance index and the arrival overhead class, both
-/// constant on a single run, left the `Debug` text. The matrix reaches
+/// constant on a single run, left the `Debug` text, and again when the
+/// memory statistics kept only `allocations` and `peak_bytes` and the
+/// metrics lost the always-zero `memory.copied_bytes` counter (`MEMORY`
+/// below did not move). The matrix reaches
 /// 285 retries, 1103 executed fallbacks and 107 typed errors (all on the
 /// mesh, whose fault targets follow its dispatch counts).
 const RUNS: usize = 826;
-const EXPECTED: u64 = 0x350d_572b_c55d_d45c;
+const EXPECTED: u64 = 0x70bd_bc91_106d_9ded;
 
 /// Every successful run's `(peak_bytes, allocations)`, recorded on its
 /// own so a change to how the engine counts memory shows here even when

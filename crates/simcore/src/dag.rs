@@ -1,7 +1,7 @@
 //! Dependency-aware task scheduling over simulated resources.
 //!
-//! A [`TaskGraph`] is a DAG of timed tasks, each bound to one resource
-//! (timeline). [`TaskGraph::run`] performs an event-driven list scheduling:
+//! A [`TaskGraph`] is a DAG of timed tasks, each bound to one resource.
+//! [`TaskGraph::run`] performs an event-driven list scheduling:
 //! a task starts as soon as (a) all its dependencies have completed and
 //! (b) its resource is free, with ties broken deterministically by ready
 //! time and insertion order. The result is a [`Trace`] with the realized
@@ -16,7 +16,7 @@ use std::fmt;
 
 use crate::event::EventQueue;
 use crate::faults::{AttemptOutcome, AttemptRecord, FaultLog, FaultPlan, RetryPolicy};
-use crate::resource::{ResourceId, ResourcePool};
+use crate::resource::ResourceId;
 use crate::time::{SimSpan, SimTime};
 use crate::trace::{TaskRecord, Trace};
 
@@ -32,23 +32,23 @@ impl fmt::Display for TaskId {
 
 /// A single timed task bound to a resource.
 #[derive(Clone, Debug)]
-pub struct TaskSpec<T> {
+struct TaskSpec<T> {
     /// Human-readable label (shows up in traces and Gantt charts).
-    pub label: String,
+    label: String,
     /// The resource this task occupies while running.
-    pub resource: ResourceId,
+    resource: ResourceId,
     /// How long the task occupies its resource.
-    pub duration: SimSpan,
+    duration: SimSpan,
     /// Tasks that must complete before this one may start.
-    pub deps: Vec<TaskId>,
+    deps: Vec<TaskId>,
     /// Dispatch priority among tasks that become ready at the same
     /// instant: lower values are granted their resource first. Use for
     /// short host-side operations (command issues, unmaps) that unblock
     /// other resources.
-    pub priority: i8,
+    priority: i8,
     /// Caller-owned payload carried into the trace (e.g. bytes moved,
     /// FLOPs, a closure result slot).
-    pub payload: T,
+    payload: T,
 }
 
 /// Errors from scheduling a task graph.
@@ -61,7 +61,7 @@ pub enum ScheduleError {
         /// The nonexistent dependency.
         dep: TaskId,
     },
-    /// A task referenced a resource id that is not in the pool.
+    /// A task referenced a resource id at or above the resource count.
     UnknownResource {
         /// The task holding the bad reference.
         task: TaskId,
@@ -106,16 +106,14 @@ pub struct SchedStats {
     pub peak_queue_depth: usize,
 }
 
-/// A DAG of timed tasks over a pool of resources.
+/// A DAG of timed tasks over a count of resources.
 ///
 /// # Examples
 ///
 /// ```
-/// use simcore::{FaultPlan, ResourcePool, RetryPolicy, SimSpan, TaskGraph};
+/// use simcore::{FaultPlan, ResourceId, RetryPolicy, SimSpan, TaskGraph};
 ///
-/// let mut pool = ResourcePool::new();
-/// let cpu = pool.add("cpu");
-/// let gpu = pool.add("gpu");
+/// let (cpu, gpu) = (ResourceId(0), ResourceId(1));
 ///
 /// let mut g = TaskGraph::new();
 /// let issue = g.add("issue", cpu, SimSpan::from_micros(10), &[], ());
@@ -124,7 +122,7 @@ pub struct SchedStats {
 /// let merge = g.add("merge", cpu, SimSpan::from_micros(5), &[kernel, cpu_work], ());
 ///
 /// let (trace, _, _) = g
-///     .run(&mut pool, &FaultPlan::none(), &RetryPolicy::default())
+///     .run(2, &FaultPlan::none(), &RetryPolicy::default())
 ///     .unwrap();
 /// // The GPU kernel and CPU work overlap; the merge waits for both.
 /// assert_eq!(trace.end_of(merge).as_nanos(), (10 + 100 + 5) * 1_000);
@@ -180,25 +178,6 @@ impl<T> TaskGraph<T> {
         id
     }
 
-    /// Number of tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// True when the graph has no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Read access to a task spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not in this graph.
-    pub fn spec(&self, id: TaskId) -> &TaskSpec<T> {
-        &self.tasks[id.0]
-    }
-
     /// Registers a conditional fallback for `primary` and returns its id.
     ///
     /// The fallback depends on its primary, and every task depending on
@@ -225,14 +204,14 @@ impl<T> TaskGraph<T> {
         id
     }
 
-    /// Schedules the graph over `pool`, consuming the graph, while
-    /// realizing the perturbations of `faults`.
+    /// Schedules the graph over resources `0..resources`, consuming the
+    /// graph, while realizing the perturbations of `faults`.
     ///
     /// Tasks start as soon as all dependencies are complete and their
-    /// resource is free. The pool's timelines accumulate the busy
-    /// intervals, so a fresh (or freshly `reset`) pool should be supplied
-    /// for each independent run. Beside the trace the run returns its
-    /// scheduler-pressure counters and the per-attempt fault log.
+    /// resource is free: each resource runs one task at a time, and the
+    /// run keeps the instant each becomes free. Beside the trace the run
+    /// returns its scheduler-pressure counters and the per-attempt fault
+    /// log.
     ///
     /// Fault semantics:
     ///
@@ -258,7 +237,7 @@ impl<T> TaskGraph<T> {
     /// its exact nanosecond value and the log stays empty.
     pub fn run(
         self,
-        pool: &mut ResourcePool,
+        resources: usize,
         faults: &FaultPlan,
         policy: &RetryPolicy,
     ) -> Result<(Trace<T>, SchedStats, FaultLog), ScheduleError> {
@@ -275,7 +254,7 @@ impl<T> TaskGraph<T> {
                     });
                 }
             }
-            if t.resource.0 >= pool.len() {
+            if t.resource.0 >= resources {
                 return Err(ScheduleError::UnknownResource {
                     task: TaskId(i),
                     resource: t.resource,
@@ -325,7 +304,10 @@ impl<T> TaskGraph<T> {
         let mut ends = vec![SimTime::ZERO; n];
         let mut attempts = vec![0usize; n];
         let mut ordinal: Vec<Option<usize>> = vec![None; n];
-        let mut dispatched = vec![0usize; pool.len()];
+        // Per resource: the instant it is free, and how many tasks it
+        // has been granted (a task's ordinal keys its transient faults).
+        let mut free_at = vec![SimTime::ZERO; resources];
+        let mut dispatched = vec![0usize; resources];
         let mut skip = vec![false; n];
         let mut failed = vec![false; n];
         let mut completed = 0usize;
@@ -344,13 +326,13 @@ impl<T> TaskGraph<T> {
                         continue;
                     }
                     attempts[i] += 1;
-                    let timeline = pool.get_mut(spec.resource);
-                    let start = now.max(timeline.available_at());
+                    let r = spec.resource.0;
+                    let start = now.max(free_at[r]);
                     let ord = match ordinal[i] {
                         Some(o) => o,
                         None => {
-                            let o = dispatched[spec.resource.0];
-                            dispatched[spec.resource.0] += 1;
+                            let o = dispatched[r];
+                            dispatched[r] += 1;
                             ordinal[i] = Some(o);
                             o
                         }
@@ -379,9 +361,10 @@ impl<T> TaskGraph<T> {
                             .transient_for(spec.resource, ord)
                             .is_some_and(|t| attempts[i] <= t.failures);
 
-                    let iv = timeline.reserve(now, duration);
-                    starts[i] = iv.start;
-                    ends[i] = iv.end;
+                    let end = start + duration;
+                    free_at[r] = end;
+                    starts[i] = start;
+                    ends[i] = end;
 
                     if lost {
                         // The command never completes; the watchdog fires
@@ -390,34 +373,34 @@ impl<T> TaskGraph<T> {
                         log.injected += 1;
                         failed[i] = true;
                         log.failed.push(TaskId(i));
-                        queue.push_with_priority(iv.end, i8::MIN, Ev::Done(i));
+                        queue.push_with_priority(end, i8::MIN, Ev::Done(i));
                     } else if transient {
                         log.injected += 1;
                         if attempts[i] < max_attempts {
                             // Retry after bounded exponential backoff.
-                            // The failed attempt stays on the timeline
-                            // but not in the trace; record it for energy
+                            // The failed attempt held its resource but
+                            // stays out of the trace; record it for energy
                             // accounting.
                             log.retries += 1;
                             log.wasted.push(AttemptRecord {
                                 task: TaskId(i),
                                 resource: spec.resource,
-                                start: iv.start,
-                                end: iv.end,
+                                start,
+                                end,
                                 outcome: AttemptOutcome::Transient,
                             });
-                            let retry_at = iv.end + policy.backoff_before(attempts[i] + 1);
+                            let retry_at = end + policy.backoff_before(attempts[i] + 1);
                             queue.push_with_priority(retry_at, spec.priority, Ev::Ready(i));
                         } else {
                             failed[i] = true;
                             log.failed.push(TaskId(i));
-                            queue.push_with_priority(iv.end, i8::MIN, Ev::Done(i));
+                            queue.push_with_priority(end, i8::MIN, Ev::Done(i));
                         }
                     } else {
                         // Done events outrank Ready events at the same
                         // instant so every task enabled at that time
                         // contends by priority.
-                        queue.push_with_priority(iv.end, i8::MIN, Ev::Done(i));
+                        queue.push_with_priority(end, i8::MIN, Ev::Done(i));
                     }
                 }
                 Ev::Done(i) => {
@@ -489,45 +472,42 @@ mod tests {
         SimSpan::from_micros(us)
     }
 
-    /// The fault-free schedule of `g`.
-    fn run<T>(g: TaskGraph<T>, pool: &mut ResourcePool) -> Result<Trace<T>, ScheduleError> {
-        g.run(pool, &FaultPlan::none(), &RetryPolicy::default())
+    /// The fault-free schedule of `g` over two resources.
+    fn run<T>(g: TaskGraph<T>) -> Result<Trace<T>, ScheduleError> {
+        g.run(2, &FaultPlan::none(), &RetryPolicy::default())
             .map(|(trace, _, _)| trace)
     }
 
     #[test]
     fn independent_tasks_on_one_resource_serialize() {
-        let mut pool = ResourcePool::new();
-        let cpu = pool.add("cpu");
+        let cpu = ResourceId(0);
         let mut g = TaskGraph::new();
         g.add("a", cpu, span(10), &[], ());
         g.add("b", cpu, span(10), &[], ());
-        let trace = run(g, &mut pool).unwrap();
+        let trace = run(g).unwrap();
         assert_eq!(trace.makespan(), span(20));
     }
 
     #[test]
     fn independent_tasks_on_two_resources_overlap() {
-        let mut pool = ResourcePool::new();
-        let cpu = pool.add("cpu");
-        let gpu = pool.add("gpu");
+        let cpu = ResourceId(0);
+        let gpu = ResourceId(1);
         let mut g = TaskGraph::new();
         g.add("a", cpu, span(10), &[], ());
         g.add("b", gpu, span(10), &[], ());
-        let trace = run(g, &mut pool).unwrap();
+        let trace = run(g).unwrap();
         assert_eq!(trace.makespan(), span(10));
     }
 
     #[test]
     fn dependencies_are_respected() {
-        let mut pool = ResourcePool::new();
-        let cpu = pool.add("cpu");
-        let gpu = pool.add("gpu");
+        let cpu = ResourceId(0);
+        let gpu = ResourceId(1);
         let mut g = TaskGraph::new();
         let a = g.add("a", cpu, span(10), &[], ());
         let b = g.add("b", gpu, span(20), &[a], ());
         let c = g.add("c", cpu, span(5), &[b], ());
-        let trace = run(g, &mut pool).unwrap();
+        let trace = run(g).unwrap();
         assert_eq!(trace.start_of(b), SimTime::from_nanos(10_000));
         assert_eq!(trace.start_of(c), SimTime::from_nanos(30_000));
         assert_eq!(trace.makespan(), span(35));
@@ -537,67 +517,62 @@ mod tests {
     fn work_conserving_despite_insertion_order() {
         // Task inserted first becomes ready later; the resource must not
         // idle waiting for it.
-        let mut pool = ResourcePool::new();
-        let cpu = pool.add("cpu");
-        let gpu = pool.add("gpu");
+        let cpu = ResourceId(0);
+        let gpu = ResourceId(1);
         let mut g = TaskGraph::new();
         let slow_dep = g.add("slow-dep", gpu, span(100), &[], ());
         // Inserted before `early`, but only ready at t=100.
         let late = g.add("late", cpu, span(10), &[slow_dep], ());
         let early = g.add("early", cpu, span(10), &[], ());
-        let trace = run(g, &mut pool).unwrap();
+        let trace = run(g).unwrap();
         assert_eq!(trace.start_of(early), SimTime::ZERO);
         assert_eq!(trace.start_of(late), SimTime::from_nanos(100_000));
     }
 
     #[test]
     fn cycle_detected() {
-        let mut pool = ResourcePool::new();
-        let cpu = pool.add("cpu");
+        let cpu = ResourceId(0);
         let mut g: TaskGraph<()> = TaskGraph::new();
         // Forward-reference a task to build a 2-cycle.
         let a = g.add("a", cpu, span(1), &[TaskId(1)], ());
         let _b = g.add("b", cpu, span(1), &[a], ());
-        let err = run(g, &mut pool).unwrap_err();
+        let err = run(g).unwrap_err();
         assert_eq!(err, ScheduleError::Cycle { unscheduled: 2 });
     }
 
     #[test]
     fn unknown_dep_rejected() {
-        let mut pool = ResourcePool::new();
-        let cpu = pool.add("cpu");
+        let cpu = ResourceId(0);
         let mut g: TaskGraph<()> = TaskGraph::new();
         g.add("a", cpu, span(1), &[TaskId(7)], ());
-        let err = run(g, &mut pool).unwrap_err();
+        let err = run(g).unwrap_err();
         assert!(matches!(err, ScheduleError::UnknownDependency { .. }));
     }
 
     #[test]
     fn unknown_resource_rejected() {
-        let mut pool = ResourcePool::new();
-        pool.add("cpu");
         let mut g: TaskGraph<()> = TaskGraph::new();
         g.add("a", ResourceId(5), span(1), &[], ());
-        let err = run(g, &mut pool).unwrap_err();
+        let err = run(g).unwrap_err();
         assert!(matches!(err, ScheduleError::UnknownResource { .. }));
     }
 
     #[test]
     fn fork_join_makespan() {
         // issue -> {gpu kernel, cpu work} -> merge; the classic μLayer shape.
-        let mut pool = ResourcePool::new();
-        let cpu = pool.add("cpu");
-        let gpu = pool.add("gpu");
+        let cpu = ResourceId(0);
+        let gpu = ResourceId(1);
         let mut g = TaskGraph::new();
         let issue = g.add("issue", cpu, span(10), &[], ());
         let k = g.add("kernel", gpu, span(100), &[issue], ());
         let w = g.add("cpu-work", cpu, span(80), &[issue], ());
         let m = g.add("merge", cpu, span(5), &[k, w], ());
-        let trace = run(g, &mut pool).unwrap();
+        let trace = run(g).unwrap();
         assert_eq!(trace.end_of(m).as_nanos(), 115_000);
         // CPU busy: issue + work + merge.
-        assert_eq!(pool.get(cpu).busy_time(), span(95));
-        assert_eq!(pool.get(gpu).busy_time(), span(100));
+        let busy = trace.busy_per_resource();
+        assert_eq!(busy[&cpu], span(95));
+        assert_eq!(busy[&gpu], span(100));
     }
 
     #[test]
@@ -607,15 +582,14 @@ mod tests {
         //  b   c     (different resources)
         //   \ /
         //    d
-        let mut pool = ResourcePool::new();
-        let r0 = pool.add("r0");
-        let r1 = pool.add("r1");
+        let r0 = ResourceId(0);
+        let r1 = ResourceId(1);
         let mut g = TaskGraph::new();
         let a = g.add("a", r0, span(10), &[], ());
         let b = g.add("b", r0, span(30), &[a], ());
         let c = g.add("c", r1, span(50), &[a], ());
         let d = g.add("d", r0, span(5), &[b, c], ());
-        let t = run(g, &mut pool).unwrap();
+        let t = run(g).unwrap();
         // d starts when the slower arm (c, ends at 60) completes.
         assert_eq!(t.start_of(d), SimTime::from_nanos(60_000));
         assert_eq!(t.makespan(), span(65));
@@ -623,12 +597,11 @@ mod tests {
 
     #[test]
     fn zero_duration_tasks_are_instant() {
-        let mut pool = ResourcePool::new();
-        let r = pool.add("r");
+        let r = ResourceId(0);
         let mut g = TaskGraph::new();
         let a = g.add("a", r, SimSpan::ZERO, &[], ());
         let b = g.add("b", r, span(10), &[a], ());
-        let t = run(g, &mut pool).unwrap();
+        let t = run(g).unwrap();
         assert_eq!(t.start_of(b), SimTime::ZERO);
         assert_eq!(t.records()[a.0].span(), SimSpan::ZERO);
     }
@@ -637,13 +610,12 @@ mod tests {
     fn priority_grants_resource_among_simultaneous_ready_tasks() {
         // Two tasks become ready at the same instant; the high-priority
         // (lower value) one runs first even though it was added later.
-        let mut pool = ResourcePool::new();
-        let cpu = pool.add("cpu");
+        let cpu = ResourceId(0);
         let mut g = TaskGraph::new();
         let gate = g.add("gate", cpu, span(10), &[], ());
         let slow = g.add("slow", cpu, span(100), &[gate], ());
         let urgent = g.add_with_priority("urgent", cpu, span(5), &[gate], -1, ());
-        let t = run(g, &mut pool).unwrap();
+        let t = run(g).unwrap();
         assert_eq!(t.start_of(urgent), SimTime::from_nanos(10_000));
         assert_eq!(t.start_of(slow), SimTime::from_nanos(15_000));
     }
@@ -653,28 +625,26 @@ mod tests {
         // `urgent` and `slow` are enabled by different Done events at the
         // same instant; Done events batch before Ready dispatch, so the
         // priority still decides.
-        let mut pool = ResourcePool::new();
-        let cpu = pool.add("cpu");
-        let aux = pool.add("aux");
+        let cpu = ResourceId(0);
+        let aux = ResourceId(1);
         let mut g = TaskGraph::new();
         let g1 = g.add("gate1", cpu, span(10), &[], ());
         let g2 = g.add("gate2", aux, span(10), &[], ());
         let slow = g.add("slow", cpu, span(100), &[g1], ());
         let urgent = g.add_with_priority("urgent", cpu, span(5), &[g2], -1, ());
-        let t = run(g, &mut pool).unwrap();
+        let t = run(g).unwrap();
         assert!(t.start_of(urgent) < t.start_of(slow));
     }
 
     #[test]
     fn run_with_stats_counts_tasks_and_queue_depth() {
-        let mut pool = ResourcePool::new();
-        let cpu = pool.add("cpu");
+        let cpu = ResourceId(0);
         let mut g = TaskGraph::new();
         for _ in 0..4 {
             g.add("t", cpu, span(10), &[], ());
         }
         let (trace, stats, _) = g
-            .run(&mut pool, &FaultPlan::none(), &RetryPolicy::default())
+            .run(2, &FaultPlan::none(), &RetryPolicy::default())
             .unwrap();
         assert_eq!(stats.tasks, 4);
         // All four Ready events are enqueued up front.
@@ -686,16 +656,15 @@ mod tests {
     fn fault_free_faulted_run_matches_plain_run() {
         // An empty fault plan perturbs nothing: the fork-join schedule is
         // the hand-computed one and the log stays empty.
-        let mut pool = ResourcePool::new();
-        let cpu = pool.add("cpu");
-        let gpu = pool.add("gpu");
+        let cpu = ResourceId(0);
+        let gpu = ResourceId(1);
         let mut g = TaskGraph::new();
         let issue = g.add("issue", cpu, span(10), &[], ());
         let k = g.add("kernel", gpu, span(100), &[issue], ());
         let w = g.add("cpu-work", cpu, span(80), &[issue], ());
         g.add("merge", cpu, span(5), &[k, w], ());
         let (trace, _, log) = g
-            .run(&mut pool, &FaultPlan::none(), &RetryPolicy::default())
+            .run(2, &FaultPlan::none(), &RetryPolicy::default())
             .unwrap();
         let times: Vec<(u64, u64)> = trace
             .records()
@@ -711,8 +680,7 @@ mod tests {
 
     #[test]
     fn transient_failure_retries_with_backoff() {
-        let mut pool = ResourcePool::new();
-        let gpu = pool.add("gpu");
+        let gpu = ResourceId(0);
         let mut g = TaskGraph::new();
         let k = g.add("kernel", gpu, span(100), &[], ());
         let faults = FaultPlan::none().with_transient(crate::faults::TransientFault {
@@ -723,9 +691,8 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 3,
             backoff: span(10),
-            ..RetryPolicy::default()
         };
-        let (trace, _, log) = g.run(&mut pool, &faults, &policy).unwrap();
+        let (trace, _, log) = g.run(2, &faults, &policy).unwrap();
         // Attempt 1 occupies [0, 100us) and fails; the retry starts after
         // the base backoff and succeeds.
         assert_eq!(trace.start_of(k), SimTime::from_nanos(110_000));
@@ -741,9 +708,8 @@ mod tests {
 
     #[test]
     fn persistent_failure_runs_fallback_and_gates_dependents() {
-        let mut pool = ResourcePool::new();
-        let cpu = pool.add("cpu");
-        let gpu = pool.add("gpu");
+        let cpu = ResourceId(0);
+        let gpu = ResourceId(1);
         let mut g = TaskGraph::new();
         let k = g.add("kernel", gpu, span(100), &[], ());
         let merge = g.add("merge", cpu, span(5), &[k], ());
@@ -756,9 +722,8 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 3,
             backoff: span(10),
-            ..RetryPolicy::default()
         };
-        let (trace, _, log) = g.run(&mut pool, &faults, &policy).unwrap();
+        let (trace, _, log) = g.run(2, &faults, &policy).unwrap();
         // Attempts: [0,100), retry +10 -> [110,210), retry +20 -> [230,330).
         assert_eq!(trace.end_of(k), SimTime::from_nanos(330_000));
         assert_eq!(trace.start_of(fb), SimTime::from_nanos(330_000));
@@ -775,9 +740,8 @@ mod tests {
     #[test]
     fn successful_primary_skips_fallback_without_cost() {
         let build = |with_fallback: bool| {
-            let mut pool = ResourcePool::new();
-            let cpu = pool.add("cpu");
-            let gpu = pool.add("gpu");
+            let cpu = ResourceId(0);
+            let gpu = ResourceId(1);
             let mut g = TaskGraph::new();
             let k = g.add("kernel", gpu, span(100), &[], ());
             let merge = g.add("merge", cpu, span(5), &[k], ());
@@ -785,7 +749,7 @@ mod tests {
                 g.add_fallback("kernel::fallback", cpu, span(50), k, ());
             }
             let (trace, _, log) = g
-                .run(&mut pool, &FaultPlan::none(), &RetryPolicy::default())
+                .run(2, &FaultPlan::none(), &RetryPolicy::default())
                 .unwrap();
             (trace.end_of(merge), trace, log)
         };
@@ -803,15 +767,14 @@ mod tests {
 
     #[test]
     fn device_loss_fails_permanently_without_retries() {
-        let mut pool = ResourcePool::new();
-        let gpu = pool.add("gpu");
+        let gpu = ResourceId(0);
         let mut g = TaskGraph::new();
         let k = g.add("kernel", gpu, span(100), &[], ());
         let faults = FaultPlan::none().with_loss(crate::faults::DeviceLoss {
             resource: gpu,
             at: SimTime::from_nanos(50_000),
         });
-        let (trace, _, log) = g.run(&mut pool, &faults, &RetryPolicy::default()).unwrap();
+        let (trace, _, log) = g.run(2, &faults, &RetryPolicy::default()).unwrap();
         // The watchdog times the attempt out after the predicted span;
         // no retry is attempted against a dead device.
         assert_eq!(trace.end_of(k), SimTime::from_nanos(100_000));
@@ -823,8 +786,7 @@ mod tests {
 
     #[test]
     fn throttle_window_stretches_reservations() {
-        let mut pool = ResourcePool::new();
-        let gpu = pool.add("gpu");
+        let gpu = ResourceId(0);
         let mut g = TaskGraph::new();
         let a = g.add("a", gpu, span(100), &[], ());
         let b = g.add("b", gpu, span(100), &[a], ());
@@ -835,7 +797,7 @@ mod tests {
             from: SimTime::ZERO,
             until: SimTime::from_nanos(150_000),
         });
-        let (trace, _, log) = g.run(&mut pool, &faults, &RetryPolicy::default()).unwrap();
+        let (trace, _, log) = g.run(2, &faults, &RetryPolicy::default()).unwrap();
         // a runs at half speed: [0, 200us); b starts outside the window
         // and runs at full speed.
         assert_eq!(trace.end_of(a), SimTime::from_nanos(200_000));
@@ -847,9 +809,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let build = || {
-            let mut pool = ResourcePool::new();
-            let cpu = pool.add("cpu");
-            let gpu = pool.add("gpu");
+            let cpu = ResourceId(0);
+            let gpu = ResourceId(1);
             let mut g = TaskGraph::new();
             let mut prev: Vec<TaskId> = Vec::new();
             for i in 0..50 {
@@ -860,7 +821,7 @@ mod tests {
                 }
                 prev.push(id);
             }
-            let t = run(g, &mut pool).unwrap();
+            let t = run(g).unwrap();
             t.records()
                 .iter()
                 .map(|r| (r.start, r.end))

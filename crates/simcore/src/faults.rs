@@ -185,12 +185,9 @@ impl FaultPlan {
 /// ([`crate::dag::TaskGraph::run`]) and link-transfer
 /// retries, so one policy object bounds every retry loop in a run.
 ///
-/// The delay the policy can add to one task is provably bounded:
-/// per-attempt backoff doubles from `backoff` (capped at 64×), optional
-/// seeded jitter adds at most `jitter` per wait, and the *cumulative*
-/// backoff across all attempts is clamped to `max_total_backoff` — see
-/// `RetryPolicy::total_backoff_bound` and
-/// `RetryPolicy::worst_case_delay`.
+/// Each wait doubles from `backoff` and is capped at 64× `backoff`, so
+/// the backoff one task can accumulate is at most
+/// (`max_attempts` − 1) × 64 × `backoff`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum attempts per task (first try included). At least 1.
@@ -198,20 +195,6 @@ pub struct RetryPolicy {
     /// Backoff before attempt 2; doubles per further attempt (bounded
     /// exponential backoff).
     pub backoff: SimSpan,
-    /// Upper bound of the deterministic jitter added to each backoff
-    /// (decorrelates retry storms across tasks sharing a policy). ZERO
-    /// — the default — disables jitter entirely, preserving the
-    /// pre-jitter schedule byte-for-byte.
-    pub jitter: SimSpan,
-    /// Seed of the jitter stream. Two equal policies produce identical
-    /// backoff sequences; policies differing only in seed produce
-    /// different (but individually deterministic) jitter.
-    pub seed: u64,
-    /// Hard cap on the cumulative backoff one task can accumulate
-    /// across *all* its retries. The previous doubling scheme was
-    /// unbounded in `max_attempts`; this clamp makes the total delay a
-    /// documented constant regardless of the attempt budget.
-    pub max_total_backoff: SimSpan,
 }
 
 impl Default for RetryPolicy {
@@ -219,71 +202,17 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             backoff: SimSpan::from_micros(50),
-            jitter: SimSpan::ZERO,
-            seed: 0,
-            // 1024x the base backoff: far above what default doubling
-            // can reach (so legacy schedules are unchanged), yet a hard
-            // ceiling for pathological attempt budgets.
-            max_total_backoff: SimSpan::from_micros(50 * 1024),
         }
     }
 }
 
 impl RetryPolicy {
-    /// The uncapped exponential term for attempt `next_attempt`:
-    /// doubles per attempt, capped at 64x the base backoff.
-    fn raw_backoff(&self, next_attempt: usize) -> SimSpan {
-        let exp = next_attempt.saturating_sub(2).min(6) as u32;
-        self.backoff * (1u64 << exp)
-    }
-
-    /// The deterministic jitter term for attempt `next_attempt`: a hash
-    /// of `(seed, attempt)` reduced into `[0, jitter]`.
-    fn jitter_before(&self, next_attempt: usize) -> SimSpan {
-        if self.jitter.is_zero() {
-            return SimSpan::ZERO;
-        }
-        let mut buf = [0u8; 16];
-        buf[..8].copy_from_slice(&self.seed.to_le_bytes());
-        buf[8..].copy_from_slice(&(next_attempt as u64).to_le_bytes());
-        let h = testkit::fnv1a(&buf);
-        SimSpan::from_nanos(h % (self.jitter.as_nanos() + 1))
-    }
-
     /// The backoff inserted before attempt number `next_attempt`
     /// (2-based: the wait between attempt `n-1` failing and attempt `n`
-    /// starting). Doubles per attempt (capped at 64x), plus the seeded
-    /// jitter term, with the whole sequence clamped so the cumulative
-    /// backoff through this attempt never exceeds `max_total_backoff`.
+    /// starting). Doubles per attempt, capped at 64× the base backoff.
     pub fn backoff_before(&self, next_attempt: usize) -> SimSpan {
-        let mut prior = SimSpan::ZERO;
-        for a in 2..next_attempt {
-            prior += self.raw_backoff(a) + self.jitter_before(a);
-        }
-        if prior >= self.max_total_backoff {
-            return SimSpan::ZERO;
-        }
-        let this = self.raw_backoff(next_attempt) + self.jitter_before(next_attempt);
-        this.min(self.max_total_backoff - prior)
-    }
-
-    /// The exact cumulative backoff this policy can insert across one
-    /// task's full attempt budget: the sum of every
-    /// [`RetryPolicy::backoff_before`], which by construction is
-    /// `<= max_total_backoff`.
-    #[cfg(test)]
-    pub(crate) fn total_backoff_bound(&self) -> SimSpan {
-        (2..=self.max_attempts)
-            .map(|a| self.backoff_before(a))
-            .sum()
-    }
-
-    /// The provable worst-case delay of one task whose every attempt
-    /// takes `attempt_span`: all `max_attempts` attempts run to their
-    /// watchdog timeout, plus the full (capped) backoff budget.
-    #[cfg(test)]
-    pub(crate) fn worst_case_delay(&self, attempt_span: SimSpan) -> SimSpan {
-        attempt_span * (self.max_attempts.max(1) as u64) + self.total_backoff_bound()
+        let exp = next_attempt.saturating_sub(2).min(6) as u32;
+        self.backoff * (1u64 << exp)
     }
 }
 
@@ -807,7 +736,6 @@ mod tests {
         let p = RetryPolicy {
             max_attempts: 10,
             backoff: SimSpan::from_micros(10),
-            ..RetryPolicy::default()
         };
         assert_eq!(p.backoff_before(2), SimSpan::from_micros(10));
         assert_eq!(p.backoff_before(3), SimSpan::from_micros(20));
@@ -815,79 +743,28 @@ mod tests {
         assert_eq!(p.backoff_before(12), SimSpan::from_micros(640));
     }
 
-    #[test]
-    fn total_backoff_respects_the_cap() {
-        let p = RetryPolicy {
-            max_attempts: 100,
-            backoff: SimSpan::from_micros(100),
-            max_total_backoff: SimSpan::from_micros(500),
-            ..RetryPolicy::default()
-        };
-        // 100 + 200 + clamp(400 -> 200) + 0 + 0 + ... = exactly the cap.
-        assert_eq!(p.backoff_before(2), SimSpan::from_micros(100));
-        assert_eq!(p.backoff_before(3), SimSpan::from_micros(200));
-        assert_eq!(p.backoff_before(4), SimSpan::from_micros(200));
-        assert_eq!(p.backoff_before(5), SimSpan::ZERO);
-        assert_eq!(p.total_backoff_bound(), SimSpan::from_micros(500));
-        // The worst-case delay is attempts x span + the capped budget.
-        let wc = p.worst_case_delay(SimSpan::from_micros(10));
-        assert_eq!(wc, SimSpan::from_micros(100 * 10 + 500));
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed_and_bounded() {
-        let mk = |seed| RetryPolicy {
-            jitter: SimSpan::from_micros(30),
-            seed,
-            ..RetryPolicy::default()
-        };
-        let seq = |p: RetryPolicy| -> Vec<SimSpan> {
-            (2..=p.max_attempts).map(|a| p.backoff_before(a)).collect()
-        };
-        assert_eq!(seq(mk(7)), seq(mk(7)));
-        assert_ne!(seq(mk(7)), seq(mk(8)), "seeds should decorrelate");
-        // Jitter never exceeds its bound per wait.
-        let p = mk(7);
-        for a in 2..=p.max_attempts {
-            let extra = p.backoff_before(a);
-            let base = RetryPolicy {
-                jitter: SimSpan::ZERO,
-                ..p
-            }
-            .backoff_before(a);
-            assert!(extra >= base && extra <= base + SimSpan::from_micros(30));
-        }
-    }
-
     testkit::props! {
         #![cases(64)]
         fn retry_backoff_total_is_capped_and_deterministic(
             max_attempts in 1usize..24,
             backoff_us in 1u64..500,
-            jitter_us in 0u64..200,
-            seed in 0u64..1_000,
-            cap_us in 1u64..2_000,
         ) {
             let p = RetryPolicy {
                 max_attempts,
                 backoff: SimSpan::from_micros(backoff_us),
-                jitter: SimSpan::from_micros(jitter_us),
-                seed,
-                max_total_backoff: SimSpan::from_micros(cap_us),
             };
             let waits: Vec<SimSpan> =
                 (2..=max_attempts).map(|a| p.backoff_before(a)).collect();
+            // Each wait is at most 64x the base backoff, so the total is
+            // at most (max_attempts - 1) x 64 x backoff.
+            let cap = p.backoff * 64u64;
+            testkit::prop_assert!(waits.iter().all(|&w| w <= cap));
             let total: SimSpan = waits.iter().copied().sum();
-            testkit::prop_assert!(total <= p.max_total_backoff);
-            testkit::prop_assert!(total == p.total_backoff_bound());
+            testkit::prop_assert!(total <= cap * (max_attempts as u64 - 1));
             // Deterministic: recomputing yields the identical sequence.
             let again: Vec<SimSpan> =
                 (2..=max_attempts).map(|a| p.backoff_before(a)).collect();
             testkit::prop_assert!(waits == again);
-            // The documented worst case dominates any realizable delay.
-            let span = SimSpan::from_micros(80);
-            let realized = span * (max_attempts as u64) + total;
-            testkit::prop_assert!(realized <= p.worst_case_delay(span));
         }
     }
 

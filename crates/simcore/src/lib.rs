@@ -7,13 +7,12 @@
 //! - [`SimTime`] / [`SimSpan`] — nanosecond-resolution instants and spans.
 //! - [`EventQueue`] — a deterministic time-ordered event queue with stable
 //!   FIFO ordering for simultaneous events.
-//! - [`ResourcePool`] — serially-reusable resources (a CPU cluster, a GPU,
-//!   a command queue) that track when they are busy and collect
-//!   utilization.
 //! - [`TaskGraph`] / [`Trace`] — a dependency-aware task scheduler that
-//!   executes a DAG of timed tasks over the pool's resources and produces
-//!   a trace with per-task start/end times, suitable for latency and
-//!   energy accounting as well as ASCII Gantt rendering.
+//!   executes a DAG of timed tasks over serially-reusable resources (a CPU
+//!   cluster, a GPU, a link), each named by a [`ResourceId`] and running
+//!   one task at a time, and produces a trace with per-task start/end
+//!   times, suitable for latency and energy accounting as well as ASCII
+//!   Gantt rendering.
 //! - [`FaultPlan`] / [`Scenario`] / [`FleetScenario`] — seeded fault
 //!   injection; [`ArrivalProcess`] — seeded frame arrivals;
 //!   [`DriftKeyQuantizer`] — the plan cache's drift key.
@@ -50,7 +49,7 @@ pub use faults::{
     Scenario, ThrottleWindow, TransientFault,
 };
 pub use json::JsonValue;
-pub use resource::{ResourceId, ResourcePool};
+pub use resource::ResourceId;
 pub use stats::{nearest_rank, LatencyRollup, SLO_QUANTILES};
 pub use time::{SimSpan, SimTime};
-pub use trace::{GanttOptions, TaskRecord, Trace};
+pub use trace::{TaskRecord, Trace};

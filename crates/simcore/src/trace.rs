@@ -35,23 +35,10 @@ impl<T> TaskRecord<T> {
     }
 }
 
-/// Options for ASCII Gantt rendering.
-#[derive(Clone, Copy, Debug)]
-pub struct GanttOptions {
-    /// Total width of the bar area in characters.
-    pub width: usize,
-    /// Maximum number of rows (resources) to render.
-    pub max_rows: usize,
-}
-
-impl Default for GanttOptions {
-    fn default() -> Self {
-        GanttOptions {
-            width: 72,
-            max_rows: 16,
-        }
-    }
-}
+/// Width of a Gantt chart's bar area, in characters.
+const GANTT_WIDTH: usize = 72;
+/// Most rows (resources) a Gantt chart renders.
+const GANTT_MAX_ROWS: usize = 16;
 
 /// The realized schedule of a task graph.
 #[derive(Clone, Debug)]
@@ -112,65 +99,29 @@ impl<T> Trace<T> {
         ids
     }
 
-    /// Idle time of `resource` over the `[0, makespan)` horizon: the
-    /// makespan minus the resource's busy time. Tasks on one resource
-    /// never overlap (timelines are serially reusable), so the difference
-    /// is exactly the sum of its gaps.
-    #[cfg(test)]
-    pub(crate) fn idle_of(&self, resource: ResourceId) -> SimSpan {
-        let busy: SimSpan = self
-            .records
-            .iter()
-            .filter(|r| r.resource == resource)
-            .map(TaskRecord::span)
-            .sum();
-        self.makespan - busy
-    }
-
-    /// Maps each record's payload, keeping the timing information.
-    #[cfg(test)]
-    pub(crate) fn map_payload<U>(self, mut f: impl FnMut(T) -> U) -> Trace<U> {
-        let records = self
-            .records
-            .into_iter()
-            .map(|r| TaskRecord {
-                id: r.id,
-                label: r.label,
-                resource: r.resource,
-                start: r.start,
-                end: r.end,
-                payload: f(r.payload),
-            })
-            .collect();
-        Trace {
-            records,
-            makespan: self.makespan,
-        }
-    }
-
     /// Renders an ASCII Gantt chart, one row per resource.
     ///
     /// Each row shows the resource's busy intervals as `#` runs over the
     /// `[0, makespan)` horizon. Intended for human inspection in examples
     /// and debugging, not for parsing.
-    pub fn render_gantt(&self, names: &[(ResourceId, String)], opts: GanttOptions) -> String {
+    pub fn render_gantt(&self, names: &[(ResourceId, String)]) -> String {
         let mut out = String::new();
         let horizon = self.makespan.as_nanos().max(1);
         let label_w = names.iter().map(|(_, n)| n.len()).max().unwrap_or(0).max(4);
-        for (rid, name) in names.iter().take(opts.max_rows) {
-            let mut row = vec![b'.'; opts.width];
+        for (rid, name) in names.iter().take(GANTT_MAX_ROWS) {
+            let mut row = vec![b'.'; GANTT_WIDTH];
             for r in self.records.iter().filter(|r| r.resource == *rid) {
                 let s =
-                    (r.start.as_nanos() as u128 * opts.width as u128 / horizon as u128) as usize;
+                    (r.start.as_nanos() as u128 * GANTT_WIDTH as u128 / horizon as u128) as usize;
                 let mut e =
-                    (r.end.as_nanos() as u128 * opts.width as u128 / horizon as u128) as usize;
+                    (r.end.as_nanos() as u128 * GANTT_WIDTH as u128 / horizon as u128) as usize;
                 if e <= s {
                     e = s + 1;
                 }
                 for c in row
                     .iter_mut()
-                    .take(e.min(opts.width))
-                    .skip(s.min(opts.width))
+                    .take(e.min(GANTT_WIDTH))
+                    .skip(s.min(GANTT_WIDTH))
                 {
                     *c = b'#';
                 }
@@ -225,45 +176,20 @@ mod tests {
     }
 
     #[test]
-    fn idle_complements_busy_over_makespan() {
-        let t = Trace::new(vec![rec(0, 0, 0, 10), rec(1, 1, 0, 30), rec(2, 0, 10, 25)]);
-        assert_eq!(t.resources(), vec![ResourceId(0), ResourceId(1)]);
-        assert_eq!(t.idle_of(ResourceId(0)), SimSpan::from_nanos(5));
-        assert_eq!(t.idle_of(ResourceId(1)), SimSpan::ZERO);
-        for rid in t.resources() {
-            let busy = t.busy_per_resource()[&rid];
-            assert_eq!(busy + t.idle_of(rid), t.makespan());
-        }
-    }
-
-    #[test]
-    fn map_payload_keeps_timing() {
-        let t = Trace::new(vec![rec(0, 0, 0, 10)]);
-        let t2 = t.map_payload(|p| p * 2);
-        assert_eq!(t2.records()[0].payload, 0);
-        assert_eq!(t2.makespan(), SimSpan::from_nanos(10));
-    }
-
-    #[test]
     fn gantt_renders_rows() {
         let t = Trace::new(vec![rec(0, 0, 0, 50), rec(1, 1, 50, 100)]);
         let names = vec![
             (ResourceId(0), "cpu".to_string()),
             (ResourceId(1), "gpu".to_string()),
         ];
-        let s = t.render_gantt(
-            &names,
-            GanttOptions {
-                width: 10,
-                max_rows: 4,
-            },
-        );
+        let s = t.render_gantt(&names);
         assert!(s.contains("cpu"));
         assert!(s.contains("gpu"));
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 3);
         // First half busy on cpu, second half on gpu.
-        assert!(lines[0].contains("#####"));
-        assert!(lines[1].contains("#####"));
+        let half = "#".repeat(GANTT_WIDTH / 2);
+        assert!(lines[0].contains(&format!("|{half}{}|", ".".repeat(GANTT_WIDTH / 2))));
+        assert!(lines[1].contains(&format!("|{}{half}|", ".".repeat(GANTT_WIDTH / 2))));
     }
 }

@@ -111,16 +111,6 @@ impl DeviceSpec {
         self.supported.contains(&dtype)
     }
 
-    /// The dtype this processor prefers under processor-friendly
-    /// quantization (§4.2): QUInt8 for CPUs and NPUs, F16 for GPUs.
-    #[cfg(test)]
-    pub(crate) fn preferred_dtype(&self) -> DType {
-        match self.kind {
-            DeviceKind::CpuCluster | DeviceKind::Npu => DType::QUInt8,
-            DeviceKind::Gpu => DType::F16,
-        }
-    }
-
     /// True when a kernel with working set `bytes` fits this device's
     /// local RAM (always true for unconstrained devices).
     pub fn fits_in_ram(&self, bytes: u64) -> bool {
@@ -154,16 +144,6 @@ mod tests {
         let s = spec();
         assert_eq!(s.throughput.for_dtype(DType::F32), 10.0);
         assert_eq!(s.throughput.for_dtype(DType::QUInt8), 22.0);
-    }
-
-    #[test]
-    fn preferences_follow_the_paper() {
-        let mut s = spec();
-        assert_eq!(s.preferred_dtype(), DType::QUInt8);
-        s.kind = DeviceKind::Gpu;
-        assert_eq!(s.preferred_dtype(), DType::F16);
-        s.kind = DeviceKind::Npu;
-        assert_eq!(s.preferred_dtype(), DType::QUInt8);
     }
 
     #[test]

@@ -96,16 +96,6 @@ pub(crate) fn energy_of_tasks(
     Ok(acc.finish(makespan))
 }
 
-/// Converts a makespan into the average power the Monsoon meter would
-/// display.
-#[cfg(test)]
-pub(crate) fn average_power_w(breakdown: &EnergyBreakdown, makespan: SimSpan) -> f64 {
-    if makespan.is_zero() {
-        return 0.0;
-    }
-    breakdown.total_j() / makespan.as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,16 +145,6 @@ mod tests {
         let manual = e.per_device_j.values().sum::<f64>() + e.static_j + e.dram_j;
         assert!((e.total_j() - manual).abs() < 1e-12);
         assert!((e.total_mj() - manual * 1e3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn average_power_sane() {
-        let soc = SocSpec::exynos_7420();
-        let e = energy_of_tasks(&soc, vec![(soc.cpu(), ms(100), 0)], ms(100)).unwrap();
-        let p = average_power_w(&e, ms(100));
-        // CPU 4.2 W + static 0.9 W.
-        assert!((p - 5.1).abs() < 1e-9);
-        assert_eq!(average_power_w(&e, SimSpan::ZERO), 0.0);
     }
 
     #[test]

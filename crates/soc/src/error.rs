@@ -18,8 +18,6 @@ pub enum SocError {
         /// The unsupported compute dtype.
         dtype: DType,
     },
-    /// A memory-model misuse (double free, unknown buffer).
-    Memory(String),
 }
 
 impl fmt::Display for SocError {
@@ -29,7 +27,6 @@ impl fmt::Display for SocError {
             SocError::UnsupportedDtype { device, dtype } => {
                 write!(f, "device '{device}' cannot compute in {dtype}")
             }
-            SocError::Memory(msg) => write!(f, "shared-memory error: {msg}"),
         }
     }
 }

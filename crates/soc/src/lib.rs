@@ -9,12 +9,15 @@
 //!   measurements), shared memory, §6 management overheads (async GPU
 //!   command issue, sync, zero-copy map/unmap), and the typed device
 //!   interconnect (zero-copy shared memory vs. serial network links);
-//!   [`SocSpec::exynos_7420`] and [`SocSpec::exynos_7880`] are the presets.
+//!   [`SocSpec::exynos_7420`], [`SocSpec::exynos_7880`] and
+//!   [`SocSpec::mcu_mesh`] are the presets. The crate prices the §6
+//!   spans and keeps no buffer state: the engine schedules each map and
+//!   unmap as a host task, and sums a run's buffers from the plan's
+//!   layout.
 //! - [`KernelWork`] / [`layer_work`] — kernel cost descriptors; separates
 //!   storage dtype (memory traffic) from compute dtype (ALU rate), which is
 //!   how processor-friendly quantization's GPU path is expressed
 //!   ([`DtypePlan`]).
-//! - [`SharedMemory`] — the zero-copy shared-buffer lifecycle model.
 //! - [`EnergyAccumulator`] — the Monsoon-style energy integration
 //!   (Figure 15).
 //! - [`single_layer_latency`] — one layer on one device, synchronously
@@ -27,7 +30,6 @@ mod device;
 mod energy;
 mod error;
 mod link;
-mod memory;
 mod profiler;
 mod spec;
 mod work;
@@ -35,7 +37,6 @@ mod work;
 pub use device::{DeviceId, DeviceKind};
 pub use energy::{EnergyAccumulator, EnergyBreakdown};
 pub use error::SocError;
-pub use memory::{BufferId, MapMode, MemoryStats, SharedMemory};
 pub use profiler::single_layer_latency;
 pub use spec::SocSpec;
 pub use work::{layer_work, split_cuts, DtypePlan, KernelWork, WorkClass};

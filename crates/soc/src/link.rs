@@ -104,12 +104,6 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
-    /// True when this link joins `x` and `y` (either direction).
-    #[cfg(test)]
-    pub(crate) fn joins(&self, x: DeviceId, y: DeviceId) -> bool {
-        (self.a == x && self.b == y) || (self.a == y && self.b == x)
-    }
-
     /// The endpoint opposite `d`, if `d` is an endpoint at all.
     pub fn other_end(&self, d: DeviceId) -> Option<DeviceId> {
         if self.a == d {
@@ -175,9 +169,6 @@ mod tests {
             b: DeviceId(2),
             link: Link::SharedMemory,
         };
-        assert!(l.joins(DeviceId(0), DeviceId(2)));
-        assert!(l.joins(DeviceId(2), DeviceId(0)));
-        assert!(!l.joins(DeviceId(0), DeviceId(1)));
         assert_eq!(l.other_end(DeviceId(0)), Some(DeviceId(2)));
         assert_eq!(l.other_end(DeviceId(2)), Some(DeviceId(0)));
         assert_eq!(l.other_end(DeviceId(1)), None);

@@ -238,37 +238,6 @@ impl SocSpec {
         self
     }
 
-    /// A big.LITTLE variant of the high-end SoC: the A53 little cluster
-    /// — which ACL's big-cluster configuration leaves idle — becomes a
-    /// third schedulable device sharing zero-copy memory with the big
-    /// cluster and the GPU, so the partitioner can enlist it in n-way
-    /// splits.
-    #[cfg(test)]
-    pub(crate) fn big_little() -> SocSpec {
-        let mut spec = SocSpec::exynos_7420();
-        spec.devices.insert(
-            1,
-            DeviceSpec {
-                name: "4x Cortex-A53 @1.5GHz (LITTLE)".into(),
-                kind: DeviceKind::CpuCluster,
-                cores: 4,
-                throughput: Throughput {
-                    // The in-order A53 cluster delivers roughly 40% of
-                    // the big cluster's sustained MAC rate per dtype.
-                    f32_gmacs: 5.6,
-                    f16_gmacs: 4.8,
-                    quint8_gmacs: 12.3,
-                },
-                active_power_w: 0.8,
-                kernel_overhead_us: 140.0,
-                supported: vec![DType::F32, DType::F16, DType::QUInt8],
-                ram_bytes: None,
-            },
-        );
-        spec.name = "Exynos 7420 big.LITTLE".into();
-        spec
-    }
-
     /// An MCU-style mesh of `nodes` (clamped to 2..=8) identical
     /// Cortex-M7-class nodes in a line topology, joined by 100 Mbps
     /// network links. Each node's working memory is capped at
@@ -326,33 +295,6 @@ impl SocSpec {
         }
     }
 
-    /// A fleet-perturbed copy of this SoC: device `d`'s compute
-    /// throughput is scaled by `factors[d]` (silicon binning, DVFS
-    /// floors, and vendor-kernel variance across nominally identical
-    /// parts). Factors below 1 model slower-than-nominal silicon and
-    /// are clamped to 0.05 to keep the roofline finite; memory
-    /// bandwidth and fixed overheads keep the base spec's values, so a
-    /// compute-bound kernel's latency scales by exactly `1/factor`.
-    /// Missing factors (fewer than `devices.len()`) leave their device
-    /// untouched.
-    #[cfg(test)]
-    pub(crate) fn with_device_speeds(&self, factors: &[f64]) -> SocSpec {
-        let mut spec = self.clone();
-        for (dev, &f) in spec.devices.iter_mut().zip(factors) {
-            let f = f.max(0.05);
-            dev.throughput.f32_gmacs *= f;
-            dev.throughput.f16_gmacs *= f;
-            dev.throughput.quint8_gmacs *= f;
-        }
-        let tag: Vec<String> = factors
-            .iter()
-            .take(spec.devices.len())
-            .map(|f| format!("x{:.2}", f.max(0.05)))
-            .collect();
-        spec.name = format!("{} [{}]", self.name, tag.join("/"));
-        spec
-    }
-
     /// Per-node working memory of [`SocSpec::mcu_mesh`], bytes. Sized so
     /// real CNN layers overflow a single node (forcing cross-node
     /// splits) while fractional parts still fit.
@@ -369,23 +311,6 @@ impl SocSpec {
     /// return false.
     pub fn has_network_links(&self) -> bool {
         self.links.iter().any(|l| l.link.is_network())
-    }
-
-    /// The link joining `a` and `b` directly, if any. With an empty
-    /// link table every device pair (and every device with itself)
-    /// shares memory.
-    #[cfg(test)]
-    pub(crate) fn link_between(&self, a: DeviceId, b: DeviceId) -> Option<Link> {
-        if a == b {
-            return Some(Link::SharedMemory);
-        }
-        if self.links.is_empty() {
-            if a.0 < self.devices.len() && b.0 < self.devices.len() {
-                return Some(Link::SharedMemory);
-            }
-            return None;
-        }
-        self.links.iter().find(|l| l.joins(a, b)).map(|l| l.link)
     }
 
     /// The shortest route from `from` to `to` as link indices, skipping
@@ -440,17 +365,6 @@ impl SocSpec {
     /// [`SocSpec::route_avoiding`] with every link up.
     pub fn route(&self, from: DeviceId, to: DeviceId) -> Option<Vec<usize>> {
         self.route_avoiding(from, to, &[])
-    }
-
-    /// Every device reachable from `root` with the links in `down` cut,
-    /// in id order (`root` included). The surviving connected subset a
-    /// partitioned mesh degrades to.
-    #[cfg(test)]
-    pub(crate) fn reachable_from(&self, root: DeviceId, down: &[usize]) -> Vec<DeviceId> {
-        self.device_ids()
-            .into_iter()
-            .filter(|&d| self.route_avoiding(root, d, down).is_some())
-            .collect()
     }
 
     /// The span of moving `bytes` from `from` to `to` hop-by-hop along
@@ -645,42 +559,18 @@ mod tests {
     }
 
     #[test]
-    fn perturbed_spec_scales_compute_bound_latency_inversely() {
-        let base = SocSpec::exynos_7420();
-        let slow = base.with_device_speeds(&[0.8, 1.25]);
-        let w = gemm_work(10_000_000_000, DType::F32);
-        let t_base_cpu = base.kernel_latency(base.cpu(), &w).unwrap().as_secs_f64();
-        let t_slow_cpu = slow.kernel_latency(slow.cpu(), &w).unwrap().as_secs_f64();
-        let ratio = t_slow_cpu / t_base_cpu;
-        assert!((ratio - 1.0 / 0.8).abs() < 0.02, "cpu ratio = {ratio}");
-        let t_base_gpu = base.kernel_latency(base.gpu(), &w).unwrap().as_secs_f64();
-        let t_fast_gpu = slow.kernel_latency(slow.gpu(), &w).unwrap().as_secs_f64();
-        let ratio = t_fast_gpu / t_base_gpu;
-        assert!((ratio - 1.0 / 1.25).abs() < 0.02, "gpu ratio = {ratio}");
-        // The perturbed part is labeled, and the base spec is untouched.
-        assert!(slow.name.contains("x0.80"), "{}", slow.name);
-        assert_eq!(base.devices[0].throughput.f32_gmacs, 14.0);
-        // Degenerate factors clamp instead of zeroing the roofline.
-        let dead = base.with_device_speeds(&[0.0]);
-        assert!(dead.devices[0].throughput.f32_gmacs > 0.0);
-    }
-
-    #[test]
     fn empty_link_table_is_all_pairs_shared_memory() {
         let soc = SocSpec::exynos_7420();
         assert!(!soc.has_network_links());
-        assert_eq!(
-            soc.link_between(soc.cpu(), soc.gpu()),
-            Some(Link::SharedMemory)
-        );
-        assert_eq!(soc.route(soc.cpu(), soc.gpu()), Some(vec![]));
-        assert_eq!(
-            soc.transfer_span(soc.cpu(), soc.gpu(), 1 << 20),
-            Some(SimSpan::ZERO)
-        );
-        assert_eq!(soc.reachable_from(soc.cpu(), &[]), soc.device_ids());
+        // Every pair is joined directly (the empty route) at no cost.
+        for a in soc.device_ids() {
+            for b in soc.device_ids() {
+                assert_eq!(soc.route(a, b), Some(vec![]));
+                assert_eq!(soc.transfer_span(a, b, 1 << 20), Some(SimSpan::ZERO));
+            }
+        }
         // Unknown devices are not silently reachable.
-        assert_eq!(soc.link_between(DeviceId(9), soc.cpu()), None);
+        assert_eq!(soc.route(DeviceId(9), soc.cpu()), None);
         assert_eq!(soc.route(soc.cpu(), DeviceId(9)), None);
     }
 
@@ -695,31 +585,13 @@ mod tests {
         assert_eq!(three, one * 3u64);
         assert!(one > SimSpan::ZERO);
         // Cutting the middle link partitions {0,1} from {2,3}.
-        assert_eq!(soc.route_avoiding(DeviceId(0), DeviceId(2), &[1]), None);
-        assert_eq!(
-            soc.reachable_from(DeviceId(0), &[1]),
-            vec![DeviceId(0), DeviceId(1)]
-        );
-        assert_eq!(
-            soc.reachable_from(DeviceId(3), &[1]),
-            vec![DeviceId(2), DeviceId(3)]
-        );
-    }
-
-    #[test]
-    fn big_little_exposes_two_cpu_clusters_on_shared_memory() {
-        let soc = SocSpec::big_little();
-        assert_eq!(soc.devices.len(), 3);
-        let cpus = soc
-            .devices
-            .iter()
-            .filter(|d| d.kind == DeviceKind::CpuCluster)
-            .count();
-        assert_eq!(cpus, 2);
-        assert!(!soc.has_network_links());
-        // The host is still the big cluster (first CPU in id order).
-        assert_eq!(soc.cpu(), DeviceId(0));
-        assert!(soc.devices[0].throughput.quint8_gmacs > soc.devices[1].throughput.quint8_gmacs);
+        let reachable = |root: usize| -> Vec<usize> {
+            (0..4)
+                .filter(|&d| (soc.route_avoiding(DeviceId(root), DeviceId(d), &[1])).is_some())
+                .collect()
+        };
+        assert_eq!(reachable(0), vec![0, 1]);
+        assert_eq!(reachable(3), vec![2, 3]);
     }
 
     #[test]

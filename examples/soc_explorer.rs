@@ -86,15 +86,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Zero-copy shared-memory stats.
+    // The plan's zero-copy buffers: outputs and weights, summed from its
+    // layout.
     let m = result.memory;
     println!(
-        "shared memory: {} buffers, peak {:.1} MiB, {} maps / {} unmaps, {} bytes copied (zero-copy)",
+        "shared memory: {} buffers, peak {:.1} MiB",
         m.allocations,
-        m.peak_bytes as f64 / (1024.0 * 1024.0),
-        m.maps,
-        m.unmaps,
-        m.copied_bytes
+        m.peak_bytes as f64 / (1024.0 * 1024.0)
     );
 
     println!("\nschedule:");

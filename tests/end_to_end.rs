@@ -3,7 +3,9 @@
 
 use ulayer::{ULayer, ULayerConfig};
 use unn::ModelId;
-use uruntime::{run_layer_to_processor, run_network_to_processor, run_single_processor};
+use uruntime::{
+    run_layer_to_processor, run_network_to_processor, run_single_processor, OverheadClass,
+};
 use usoc::SocSpec;
 use utensor::DType;
 
@@ -76,7 +78,12 @@ fn every_run_is_zero_copy_and_energy_positive() {
         let runtime = ULayer::new(spec.clone()).expect("ulayer");
         for id in ModelId::EVALUATED {
             let r = runtime.run(&id.build()).expect("run");
-            assert_eq!(r.memory.copied_bytes, 0, "{}", id.name());
+            // Zero-copy: processors exchange tensors through shared
+            // memory, so no task transfers one.
+            let transfers = (r.trace.records().iter())
+                .filter(|t| t.payload.class == OverheadClass::Transfer)
+                .count();
+            assert_eq!(transfers, 0, "{}", id.name());
             assert!(r.memory.peak_bytes > 0);
             assert!(r.energy.total_j() > 0.0);
             assert!(r.energy.static_j > 0.0);

@@ -70,8 +70,7 @@ fn every_architecture_is_lossless_under_uniform_quint8_cooperation() {
                 );
             }
             // And the forced plan also schedules.
-            let r = execute_plan(&spec, &g, &plan).expect("schedule");
-            assert_eq!(r.memory.copied_bytes, 0);
+            execute_plan(&spec, &g, &plan).expect("schedule");
         }
     }
 }
@@ -196,7 +195,6 @@ fn resnet_residual_adds_survive_the_full_pipeline() {
     let runtime = ULayer::new(spec).expect("runtime");
     let r = runtime.run(&ModelId::ResNet18.build()).expect("run");
     assert!(r.latency.as_nanos() > 0);
-    assert_eq!(r.memory.copied_bytes, 0);
 }
 
 #[test]
@@ -208,7 +206,6 @@ fn miniatures_run_on_both_socs_deterministically() {
             let a = runtime.run(&g).expect("run");
             let b = runtime.run(&g).expect("run");
             assert_eq!(a.latency, b.latency, "{}", g.name());
-            assert_eq!(a.memory.copied_bytes, 0);
         }
     }
 }
