@@ -17,8 +17,6 @@
 //! attractive again a few frames after its throttle window ends. A lost
 //! device is never re-promoted.
 
-use std::collections::{HashMap, HashSet};
-
 use simcore::{FaultPlan, RetryPolicy, SimSpan, SimTime};
 use unn::Graph;
 use uruntime::{execute_plan_with_faults, ExecutionPlan, NodePlacement, OverheadClass};
@@ -50,9 +48,18 @@ pub struct DriftAdapter {
     alpha: f64,
     /// Per-frame pull of *unobserved* keys back toward 1.0.
     relax: f64,
-    factors: HashMap<(usize, WorkClass), f64>,
-    touched: HashSet<(usize, WorkClass)>,
-    lost: HashSet<usize>,
+    /// One row per device index, grown on first observation or loss.
+    devices: Vec<DeviceDrift>,
+}
+
+/// One device's drift state, indexed by `class as usize`.
+#[derive(Clone, Copy, Debug, Default)]
+struct DeviceDrift {
+    /// The EWMA factor; `None` until the class is first observed.
+    factors: [Option<f64>; WorkClass::ALL.len()],
+    /// Classes observed this frame.
+    touched: [bool; WorkClass::ALL.len()],
+    lost: bool,
 }
 
 impl Default for DriftAdapter {
@@ -75,19 +82,26 @@ impl DriftAdapter {
         DriftAdapter {
             alpha: alpha.clamp(0.0, 1.0),
             relax: relax.clamp(0.0, 1.0),
-            factors: HashMap::new(),
-            touched: HashSet::new(),
-            lost: HashSet::new(),
+            devices: Vec::new(),
         }
+    }
+
+    /// `device`'s row, created (with its lower neighbours) if missing.
+    fn row_mut(&mut self, device: DeviceId) -> &mut DeviceDrift {
+        if self.devices.len() <= device.0 {
+            self.devices.resize(device.0 + 1, DeviceDrift::default());
+        }
+        &mut self.devices[device.0]
     }
 
     /// The multiplier the partitioner should apply to a predicted kernel
     /// latency on `device`. 1.0 when nothing has been observed.
     pub fn factor(&self, device: DeviceId, class: WorkClass) -> f64 {
-        if self.lost.contains(&device.0) {
-            return LOST_FACTOR;
+        match self.devices.get(device.0) {
+            Some(row) if row.lost => LOST_FACTOR,
+            Some(row) => row.factors[class as usize].unwrap_or(1.0),
+            None => 1.0,
         }
-        self.factors.get(&(device.0, class)).copied().unwrap_or(1.0)
     }
 
     /// Feeds one realized kernel: `observed` time against the
@@ -105,7 +119,7 @@ impl DriftAdapter {
         observed: SimSpan,
     ) {
         let p = predicted.as_secs_f64();
-        if p <= 0.0 || self.lost.contains(&device.0) {
+        if p <= 0.0 || self.is_lost(device) {
             return;
         }
         let ratio = observed.as_secs_f64() / p;
@@ -113,67 +127,53 @@ impl DriftAdapter {
             return;
         }
         let ratio = ratio.clamp(MIN_CORRECTION, MAX_CORRECTION);
-        let f = self.factors.entry((device.0, class)).or_insert(1.0);
-        *f = (*f * (1.0 - self.alpha) + ratio * self.alpha).clamp(MIN_CORRECTION, MAX_CORRECTION);
-        self.touched.insert((device.0, class));
+        let alpha = self.alpha;
+        let row = self.row_mut(device);
+        let f = row.factors[class as usize].get_or_insert(1.0);
+        *f = (*f * (1.0 - alpha) + ratio * alpha).clamp(MIN_CORRECTION, MAX_CORRECTION);
+        row.touched[class as usize] = true;
     }
 
     /// Ends a frame: every key *not* observed this frame relaxes toward
     /// 1.0 (the re-promotion path — a parked device regains trust).
     pub fn finish_frame(&mut self) {
-        for (key, f) in self.factors.iter_mut() {
-            if !self.touched.contains(key) {
-                *f = *f * (1.0 - self.relax) + self.relax;
+        let relax = self.relax;
+        for row in &mut self.devices {
+            for (f, touched) in row.factors.iter_mut().zip(&mut row.touched) {
+                if let Some(f) = f.as_mut().filter(|_| !*touched) {
+                    *f = *f * (1.0 - relax) + relax;
+                }
+                *touched = false;
             }
         }
-        self.touched.clear();
     }
 
     /// Marks a device permanently failed: its factor pins at
     /// `LOST_FACTOR` and never relaxes.
     pub fn mark_lost(&mut self, device: DeviceId) {
-        self.lost.insert(device.0);
+        self.row_mut(device).lost = true;
     }
 
     /// Whether the device has been marked lost.
     pub fn is_lost(&self, device: DeviceId) -> bool {
-        self.lost.contains(&device.0)
+        self.devices.get(device.0).is_some_and(|row| row.lost)
     }
 
     /// The largest factor currently held for `device` (1.0 if none).
     pub(crate) fn worst_factor(&self, device: DeviceId) -> f64 {
-        if self.lost.contains(&device.0) {
-            return LOST_FACTOR;
+        match self.devices.get(device.0) {
+            Some(row) if row.lost => LOST_FACTOR,
+            Some(row) => row.factors.iter().flatten().copied().fold(1.0, f64::max),
+            None => 1.0,
         }
-        self.factors
+    }
+
+    /// The lost devices, ascending.
+    pub(crate) fn lost_devices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.devices
             .iter()
-            .filter(|((d, _), _)| *d == device.0)
-            .map(|(_, f)| *f)
-            .fold(1.0, f64::max)
-    }
-
-    /// A canonical snapshot of every correction the partitioner would
-    /// see for `devices`: `((device, class), factor)` in device-major,
-    /// [`WorkClass::ALL`]-minor order. Unobserved keys appear as 1.0
-    /// and lost devices as their pin, exactly like
-    /// [`DriftAdapter::factor`] — so two adapters with equal snapshots
-    /// steer the partitioner identically, which is what the plan cache
-    /// keys and the incremental replanner's change detection rely on.
-    pub(crate) fn factor_snapshot(&self, devices: &[DeviceId]) -> Vec<((usize, WorkClass), f64)> {
-        let mut out = Vec::with_capacity(devices.len() * WorkClass::ALL.len());
-        for &d in devices {
-            for &class in &WorkClass::ALL {
-                out.push(((d.0, class), self.factor(d, class)));
-            }
-        }
-        out
-    }
-
-    /// The lost-device set, ascending.
-    pub(crate) fn lost_snapshot(&self) -> Vec<usize> {
-        let mut lost: Vec<usize> = self.lost.iter().copied().collect();
-        lost.sort_unstable();
-        lost
+            .enumerate()
+            .filter_map(|(d, row)| row.lost.then_some(d))
     }
 }
 

@@ -508,7 +508,8 @@ pub fn partition(
         "cost tables were built for a different device subset"
     );
     let coster = cx.coster();
-    let drift = DriftSnapshot::capture(cx.drift, cx.devices);
+    let mut drift = DriftSnapshot::default();
+    drift.capture(cx.drift, cx.devices);
     let base = base.map(|b| {
         debug_assert_eq!(b.choices.len(), cx.graph.len());
         (&b.choices, contraction(&b.drift, &drift))
@@ -521,7 +522,7 @@ pub fn partition(
         let row = &tables.singles[i];
         let reused = base.as_ref().and_then(|(choices, moved)| {
             let base = &choices[i];
-            match moved[tables.classes[i].index()] {
+            match moved[tables.classes[i] as usize] {
                 // No factor this layer's costs consult moved: every
                 // candidate cost — chosen and not — is unchanged.
                 None => Some(base.clone()),

@@ -11,9 +11,10 @@
 //! gaps:
 //!
 //! 1. **Drift-keyed plan cache** — finished [`PlanReport`]s (and ladder
-//!    rung sets) are cached under a [`PlanKey`]: the graph digest, the
-//!    lost-device set, the *quantized* drift state and the artifact
-//!    kind. The SoC and the configuration are not in the key: a
+//!    rung sets) are cached under a [`PlanKey`]: the graph's digest
+//!    ([`Graph::digest`], folded in as the graph is built: input shape,
+//!    node kinds and wiring), the lost-device set, the *quantized*
+//!    drift state and the artifact kind. The SoC and the configuration are not in the key: a
 //!    session is bound to one [`ULayer`]. Quantization runs every
 //!    `(device, work-class)` EWMA correction through a
 //!    [`simcore::DriftKeyQuantizer`] — log-scale buckets with
@@ -103,25 +104,12 @@ const PLAN_INCREMENTAL_BASE_NS: u64 = 3_000;
 const PLAN_REENUM_LAYER_NS: u64 = 4_000;
 const PLAN_COPIED_LAYER_NS: u64 = 200;
 
-/// Digest of everything about a [`Graph`] the planner consults: node
-/// kinds, wiring, and the output node. Names are deliberately excluded
-/// — renaming a layer never invalidates a cached plan.
-pub(crate) fn graph_digest(graph: &Graph) -> u64 {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(graph.len() * 48);
-    let _ = write!(s, "nodes {};", graph.len());
-    for node in graph.nodes() {
-        let _ = write!(s, "kind {:?}; in {:?};", node.kind, node.inputs);
-    }
-    let _ = write!(s, "out {:?}", graph.output());
-    testkit::fnv1a(s.as_bytes())
-}
-
 /// What kind of artifact a cache entry holds. Part of the key: a plan
 /// and a ladder for the same `(graph, drift)` coexist.
-#[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, Hash, PartialEq, Eq)]
 pub(crate) enum ArtifactKind {
     /// A full [`PlanReport`].
+    #[default]
     Plan,
     /// A degradation-ladder rung set.
     Ladder,
@@ -129,9 +117,9 @@ pub(crate) enum ArtifactKind {
 
 /// The drift-keyed cache key. Two frames with equal keys are — under
 /// [`ReusePolicy::Bucketed`] — planned identically.
-#[derive(Clone, Debug, Hash, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, Hash, PartialEq, Eq)]
 pub(crate) struct PlanKey {
-    /// [`graph_digest`] of the network.
+    /// [`Graph::digest`] of the network.
     pub graph: u64,
     /// Lost-device set, ascending.
     pub lost: Vec<usize>,
@@ -146,7 +134,7 @@ pub(crate) struct PlanKey {
 /// partitioner would see: per-`(device, class)` factors in
 /// device-major, [`WorkClass::ALL`]-minor order plus the lost set.
 /// Equal snapshots steer the partitioner identically.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct DriftSnapshot {
     /// `((device index, class), factor)` in canonical order.
     pub factors: Vec<((usize, WorkClass), f64)>,
@@ -155,23 +143,20 @@ pub(crate) struct DriftSnapshot {
 }
 
 impl DriftSnapshot {
-    /// Captures the state `drift` exposes over `devices` (all-1.0 and
-    /// no losses when there is no adapter — exactly what the
-    /// partitioner sees in that case).
-    pub(crate) fn capture(drift: Option<&DriftAdapter>, devices: &[DeviceId]) -> DriftSnapshot {
-        match drift {
-            Some(d) => DriftSnapshot {
-                factors: d.factor_snapshot(devices),
-                lost: d.lost_snapshot(),
-            },
-            None => DriftSnapshot {
-                factors: devices
-                    .iter()
-                    .flat_map(|d| WorkClass::ALL.iter().map(|&c| ((d.0, c), 1.0)))
-                    .collect(),
-                lost: Vec::new(),
-            },
+    /// Overwrites `self`, keeping its buffers, with the state `drift`
+    /// exposes over `devices` (all-1.0 and no losses when there is no
+    /// adapter — exactly what the partitioner sees in that case).
+    pub(crate) fn capture(&mut self, drift: Option<&DriftAdapter>, devices: &[DeviceId]) {
+        self.factors.clear();
+        for &d in devices {
+            for &class in &WorkClass::ALL {
+                let f = drift.map_or(1.0, |a| a.factor(d, class));
+                self.factors.push(((d.0, class), f));
+            }
         }
+        self.lost.clear();
+        self.lost
+            .extend(drift.into_iter().flat_map(DriftAdapter::lost_devices));
     }
 }
 
@@ -192,67 +177,6 @@ pub(crate) struct CacheEntry {
     pub snapshot: DriftSnapshot,
     /// The cached artifact.
     pub artifact: Artifact,
-}
-
-/// Bounded LRU over [`PlanKey`]s. Eviction order is a deterministic
-/// monotonic stamp (no wall-clock), so cache behavior is reproducible
-/// run to run.
-pub(crate) struct PlanCache {
-    map: HashMap<PlanKey, (u64, CacheEntry)>,
-    stamp: u64,
-    cap: usize,
-}
-
-impl PlanCache {
-    /// A cache holding at most `cap` artifacts (minimum 1).
-    pub(crate) fn new(cap: usize) -> PlanCache {
-        PlanCache {
-            map: HashMap::new(),
-            stamp: 0,
-            cap: cap.max(1),
-        }
-    }
-
-    /// Looks `key` up, refreshing its LRU stamp on a hit. Does not
-    /// count hits/misses — the session decides what a hit *means*
-    /// under its reuse policy.
-    pub(crate) fn get(&mut self, key: &PlanKey) -> Option<&CacheEntry> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        match self.map.get_mut(key) {
-            Some(slot) => {
-                slot.0 = stamp;
-                Some(&slot.1)
-            }
-            None => None,
-        }
-    }
-
-    /// Inserts (or replaces) `key`, evicting the least-recently-used
-    /// entry when full. Returns the number of evictions (0 or 1).
-    pub(crate) fn insert(&mut self, key: PlanKey, entry: CacheEntry) -> u64 {
-        self.stamp += 1;
-        let mut evicted = 0;
-        if !self.map.contains_key(&key) && self.map.len() >= self.cap {
-            // Deterministic tie-break: stamps are unique by construction.
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-                evicted = 1;
-            }
-        }
-        self.map.insert(key, (self.stamp, entry));
-        evicted
-    }
-
-    /// Number of live entries.
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// How a [`PlannerSession`] is allowed to reuse cached artifacts.
@@ -367,32 +291,36 @@ pub struct PlannerSession<'a> {
     rt: &'a ULayer,
     policy: ReusePolicy,
     quantizer: DriftKeyQuantizer,
-    cache: PlanCache,
+    /// The bounded LRU: each entry with the stamp of its last use. The
+    /// stamps are a deterministic counter (no wall-clock), so eviction
+    /// is reproducible run to run.
+    cache: HashMap<PlanKey, (u64, CacheEntry)>,
+    stamp: u64,
+    capacity: usize,
     devices: Vec<DeviceId>,
     graphs: HashMap<u64, GraphState>,
     stats: PlannerStats,
+    /// The current frame's drift snapshot and key, rebuilt in place
+    /// every frame; a miss clones them into the cache.
+    snapshot: DriftSnapshot,
+    key: PlanKey,
 }
 
 impl<'a> PlannerSession<'a> {
     /// A session with the default quantizer and a 32-entry cache.
     pub fn new(rt: &'a ULayer, policy: ReusePolicy) -> PlannerSession<'a> {
-        PlannerSession::with_capacity(rt, policy, 32)
-    }
-
-    /// A session with an explicit cache capacity.
-    pub(crate) fn with_capacity(
-        rt: &'a ULayer,
-        policy: ReusePolicy,
-        capacity: usize,
-    ) -> PlannerSession<'a> {
         PlannerSession {
             rt,
             policy,
             quantizer: DriftKeyQuantizer::default(),
-            cache: PlanCache::new(capacity),
+            cache: HashMap::new(),
+            stamp: 0,
+            capacity: 32,
             devices: rt.spec().device_ids(),
             graphs: HashMap::new(),
             stats: PlannerStats::default(),
+            snapshot: DriftSnapshot::default(),
+            key: PlanKey::default(),
         }
     }
 
@@ -410,18 +338,52 @@ impl<'a> PlannerSession<'a> {
     /// device-major, eight class slots per device ([`WorkClass::ALL`]
     /// has seven; the eighth is headroom).
     fn slot(device: usize, class: WorkClass) -> u64 {
-        (device * 8 + class.index()) as u64
+        (device * 8 + class as usize) as u64
     }
 
-    /// Quantizes `snapshot` into the cache key's drift component,
-    /// advancing the per-slot hysteresis state.
-    fn drift_key(&mut self, snapshot: &DriftSnapshot) -> Vec<(u64, i32)> {
-        let entries: Vec<(u64, f64)> = snapshot
-            .factors
-            .iter()
-            .map(|&((d, c), f)| (Self::slot(d, c), f))
-            .collect();
-        self.quantizer.snapshot_key(&entries)
+    /// Rebuilds the frame's snapshot and key for `graph` under `drift`
+    /// — advancing the per-slot hysteresis state — and looks the key
+    /// up: the cached artifact when the reuse policy accepts it.
+    fn lookup(
+        &mut self,
+        graph: &Graph,
+        drift: Option<&DriftAdapter>,
+        kind: ArtifactKind,
+    ) -> Option<Artifact> {
+        self.snapshot.capture(drift, &self.devices);
+        let factors = self.snapshot.factors.iter();
+        let slots = factors.map(|&((d, c), f)| (Self::slot(d, c), f));
+        self.quantizer.snapshot_key(slots, &mut self.key.drift);
+        self.key.graph = graph.digest();
+        self.key.lost.clone_from(&self.snapshot.lost);
+        self.key.kind = kind;
+        self.stamp += 1;
+        let (stamp, entry) = self.cache.get_mut(&self.key)?;
+        *stamp = self.stamp;
+        let usable = match self.policy {
+            ReusePolicy::Bucketed => true,
+            ReusePolicy::Exact => entry.snapshot == self.snapshot,
+        };
+        usable.then(|| entry.artifact.clone())
+    }
+
+    /// Caches `artifact` under the frame's key and snapshot, evicting
+    /// the least recently used entry when the cache is full.
+    fn insert(&mut self, artifact: Artifact) {
+        self.stamp += 1;
+        if !self.cache.contains_key(&self.key) && self.cache.len() >= self.capacity {
+            // Stamps are unique, so the victim is unique.
+            let lru = self.cache.iter().min_by_key(|(_, (stamp, _))| *stamp);
+            if let Some(victim) = lru.map(|(key, _)| key.clone()) {
+                self.cache.remove(&victim);
+                self.stats.evictions += 1;
+            }
+        }
+        let entry = CacheEntry {
+            snapshot: self.snapshot.clone(),
+            artifact,
+        };
+        self.cache.insert(self.key.clone(), (self.stamp, entry));
     }
 
     /// Plans one frame for `graph` under `drift`, consulting the cache
@@ -435,32 +397,14 @@ impl<'a> PlannerSession<'a> {
     ) -> Result<PlannedFrame, ULayerError> {
         let t0 = Instant::now();
         self.stats.frames += 1;
-        let gd = graph_digest(graph);
-        let snapshot = DriftSnapshot::capture(drift, &self.devices);
-        let key = PlanKey {
-            graph: gd,
-            lost: snapshot.lost.clone(),
-            drift: self.drift_key(&snapshot),
-            kind: ArtifactKind::Plan,
-        };
-
-        if let Some(entry) = self.cache.get(&key) {
-            let usable = match self.policy {
-                ReusePolicy::Bucketed => true,
-                ReusePolicy::Exact => entry.snapshot == snapshot,
-            };
-            if usable {
-                if let Artifact::Plan(report) = &entry.artifact {
-                    let frame = PlannedFrame {
-                        report: Arc::clone(report),
-                        planning: planning_span(PlanSource::CacheHit, graph.len()),
-                        source: PlanSource::CacheHit,
-                    };
-                    self.stats.cache_hits += 1;
-                    self.stats.wall_ns += t0.elapsed().as_nanos() as u64;
-                    return Ok(frame);
-                }
-            }
+        if let Some(Artifact::Plan(report)) = self.lookup(graph, drift, ArtifactKind::Plan) {
+            self.stats.cache_hits += 1;
+            self.stats.wall_ns += t0.elapsed().as_nanos() as u64;
+            return Ok(PlannedFrame {
+                report,
+                planning: planning_span(PlanSource::CacheHit, graph.len()),
+                source: PlanSource::CacheHit,
+            });
         }
         self.stats.cache_misses += 1;
 
@@ -472,7 +416,7 @@ impl<'a> PlannerSession<'a> {
             drift,
             devices: &self.devices,
         };
-        let state = match self.graphs.entry(gd) {
+        let state = match self.graphs.entry(graph.digest()) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => e.insert(GraphState {
                 tables: CostTables::build(&cx)?,
@@ -495,13 +439,7 @@ impl<'a> PlannerSession<'a> {
 
         let report = Arc::new(PlanReport::new(&cx, &planned)?);
         state.base = Some(planned);
-        self.stats.evictions += self.cache.insert(
-            key,
-            CacheEntry {
-                snapshot,
-                artifact: Artifact::Plan(Arc::clone(&report)),
-            },
-        );
+        self.insert(Artifact::Plan(Arc::clone(&report)));
         let frame = PlannedFrame {
             report,
             planning: planning_span(source, graph.len()),
@@ -520,37 +458,15 @@ impl<'a> PlannerSession<'a> {
     ) -> Result<Arc<Vec<LadderRung>>, ULayerError> {
         let t0 = Instant::now();
         self.stats.frames += 1;
-        let snapshot = DriftSnapshot::capture(drift, &self.devices);
-        let key = PlanKey {
-            graph: graph_digest(graph),
-            lost: snapshot.lost.clone(),
-            drift: self.drift_key(&snapshot),
-            kind: ArtifactKind::Ladder,
-        };
-        if let Some(entry) = self.cache.get(&key) {
-            let usable = match self.policy {
-                ReusePolicy::Bucketed => true,
-                ReusePolicy::Exact => entry.snapshot == snapshot,
-            };
-            if usable {
-                if let Artifact::Ladder(rungs) = &entry.artifact {
-                    let rungs = Arc::clone(rungs);
-                    self.stats.cache_hits += 1;
-                    self.stats.wall_ns += t0.elapsed().as_nanos() as u64;
-                    return Ok(rungs);
-                }
-            }
+        if let Some(Artifact::Ladder(rungs)) = self.lookup(graph, drift, ArtifactKind::Ladder) {
+            self.stats.cache_hits += 1;
+            self.stats.wall_ns += t0.elapsed().as_nanos() as u64;
+            return Ok(rungs);
         }
         self.stats.cache_misses += 1;
         self.stats.scratch_plans += 1;
         let rungs = Arc::new(self.rt.degradation_ladder(graph, drift)?);
-        self.stats.evictions += self.cache.insert(
-            key,
-            CacheEntry {
-                snapshot,
-                artifact: Artifact::Ladder(Arc::clone(&rungs)),
-            },
-        );
+        self.insert(Artifact::Ladder(Arc::clone(&rungs)));
         self.stats.wall_ns += t0.elapsed().as_nanos() as u64;
         Ok(rungs)
     }
@@ -570,7 +486,7 @@ pub(crate) fn contraction(
     for (old, new) in base.factors.iter().zip(&now.factors) {
         debug_assert_eq!(old.0, new.0, "snapshots must be aligned");
         if old.1 != new.1 {
-            let r = &mut rho[old.0 .1.index()];
+            let r = &mut rho[old.0 .1 as usize];
             *r = Some(r.unwrap_or(f64::INFINITY).min(new.1 / old.1));
         }
     }
@@ -627,18 +543,41 @@ mod tests {
         assert_eq!(session.branch_mappings, direct.branch_mappings);
     }
 
+    /// `g`'s layers, each under `prefix` and its index, on `input`.
+    fn rebuilt(g: &Graph, prefix: &str, input: utensor::Shape) -> Graph {
+        let mut out = Graph::new("rebuilt", input);
+        for (i, node) in g.nodes().iter().enumerate() {
+            out.add_multi(format!("{prefix}{i}"), node.kind.clone(), &node.inputs);
+        }
+        out
+    }
+
     #[test]
     fn graph_digest_ignores_names_but_not_structure() {
         let g1 = unn::ModelId::SqueezeNet.build_miniature();
-        let g2 = g1.clone();
         // Renames must not invalidate cached plans.
-        assert_eq!(graph_digest(&g1), graph_digest(&g2));
+        let renamed = rebuilt(&g1, "renamed/", g1.input_shape().clone());
+        assert_eq!(g1.digest(), renamed.digest());
+        assert_eq!(g1.digest(), g1.clone().digest());
         let g3 = unn::ModelId::LeNet.build_miniature();
-        assert_ne!(graph_digest(&g1), graph_digest(&g3));
-        // Same digest across clones, stable across calls.
-        assert_eq!(graph_digest(&g2), graph_digest(&g2));
-        g2.infer_shapes().unwrap();
-        assert_eq!(graph_digest(&g1), graph_digest(&g2));
+        assert_ne!(g1.digest(), g3.digest());
+        // The input shape is structure: the same layers on another
+        // input size plan differently.
+        let larger = rebuilt(&g1, "", utensor::Shape::nchw(1, 3, 48, 48));
+        assert_ne!(g1.digest(), larger.digest());
+        // So is every field of a kind, f32 fields included.
+        let lrn = |alpha| {
+            let mut g = Graph::new("lrn", utensor::Shape::nchw(1, 8, 4, 4));
+            let kind = unn::LayerKind::Lrn {
+                n: 5,
+                alpha,
+                beta: 0.75,
+                k: 2.0,
+            };
+            g.add_input_layer("lrn", kind);
+            g.digest()
+        };
+        assert_ne!(lrn(1e-4), lrn(2e-4));
     }
 
     #[test]
@@ -854,7 +793,8 @@ mod tests {
     fn lru_eviction_is_bounded_and_counted() {
         let rt = rt();
         let g = unn::ModelId::SqueezeNet.build_miniature();
-        let mut session = PlannerSession::with_capacity(&rt, ReusePolicy::Exact, 2);
+        let mut session = PlannerSession::new(&rt, ReusePolicy::Exact);
+        session.capacity = 2;
         let spec = rt.spec().clone();
         // Three distinct drift regimes -> three keys -> one eviction.
         let mut drift = DriftAdapter::with_rates(1.0, 0.0);
@@ -915,9 +855,7 @@ mod tests {
     fn lost_set_and_kind_participate_in_the_key() {
         let base = PlanKey {
             graph: 1,
-            lost: vec![],
-            drift: vec![],
-            kind: ArtifactKind::Plan,
+            ..PlanKey::default()
         };
         let mut lostk = base.clone();
         lostk.lost = vec![1];

@@ -14,7 +14,8 @@
 //! the NPU variant × the 4-node MCU mesh, each under a seeded random
 //! drift/fault walk (EWMA observations, device losses, relaxation).
 //! One arm additionally executes the planned frames functionally and
-//! pins the QUInt8 outputs to the scratch plan's.
+//! pins the QUInt8 outputs to the scratch plan's, and one plans the same
+//! layers on two input sizes through one session.
 
 use testkit::Rng;
 use ulayer::{DriftAdapter, PlanReport, PlannerSession, ReusePolicy, ULayer, ULayerConfig};
@@ -161,5 +162,44 @@ fn quantized_outputs_of_cached_plans_match_scratch() {
             a[logits].bit_equal(&b[logits]) && a[logits].bit_equal(&reference[logits]),
             "step {step}: QUInt8 outputs diverged"
         );
+    }
+}
+
+/// Conv, pool, conv on a `side`×`side` input.
+fn three_layers(side: usize) -> unn::Graph {
+    let conv = |oc| unn::LayerKind::Conv {
+        oc,
+        k: 3,
+        stride: 1,
+        pad: 1,
+        relu: true,
+    };
+    let pool = unn::LayerKind::Pool {
+        func: unn::PoolFunc::Max,
+        k: 2,
+        stride: 2,
+        pad: 0,
+    };
+    let mut g = unn::Graph::new("three", utensor::Shape::nchw(1, 3, side, side));
+    let c1 = g.add_input_layer("conv1", conv(32));
+    let p = g.add("pool", pool, c1);
+    g.add("conv2", conv(64), p);
+    g
+}
+
+/// The input shape is part of the cache key: the same layers at 16×16
+/// and at 224×224 plan separately in one session, each byte-identical
+/// to `ULayer::plan`, and each hits its own entry when it comes back.
+#[test]
+fn each_input_size_gets_its_own_plan() {
+    let rt = ULayer::new(SocSpec::exynos_7420()).unwrap();
+    let mut session = PlannerSession::new(&rt, ReusePolicy::Exact);
+    for (round, side) in [16, 224, 16, 224].into_iter().enumerate() {
+        let g = three_layers(side);
+        let frame = session.plan_frame(&g, None).unwrap();
+        let hit = frame.source == ulayer::PlanSource::CacheHit;
+        assert_eq!(hit, round >= 2, "{side}×{side}: {:?}", frame.source);
+        let direct = rt.plan(&g).unwrap();
+        assert_eq!(format!("{:?}", frame.report), format!("{direct:?}"));
     }
 }

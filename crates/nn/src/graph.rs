@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 use utensor::{Shape, TensorError};
 
@@ -58,6 +59,52 @@ pub struct Graph {
     name: String,
     input_shape: Shape,
     nodes: Vec<Node>,
+    /// Running structural digest; see [`Graph::digest`].
+    digest: u64,
+}
+
+/// The digest `digest` becomes once `part` is folded in.
+fn fold(digest: u64, part: impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    (digest, part).hash(&mut h);
+    h.finish()
+}
+
+/// Every field of `kind`, after a variant tag; f32 fields by their
+/// bits. The match is exhaustive, so a new variant or field cannot be
+/// left out of the digest silently.
+fn kind_words(kind: &LayerKind) -> [u64; 6] {
+    let u = |x: usize| x as u64;
+    let b = |x: bool| u64::from(x);
+    let f = |x: f32| u64::from(x.to_bits());
+    match *kind {
+        LayerKind::Conv {
+            oc,
+            k,
+            stride,
+            pad,
+            relu,
+        } => [0, u(oc), u(k), u(stride), u(pad), b(relu)],
+        LayerKind::DepthwiseConv {
+            k,
+            stride,
+            pad,
+            relu,
+        } => [1, u(k), u(stride), u(pad), b(relu), 0],
+        LayerKind::FullyConnected { out, relu } => [2, u(out), b(relu), 0, 0, 0],
+        LayerKind::Pool {
+            func,
+            k,
+            stride,
+            pad,
+        } => [3, func as u64, u(k), u(stride), u(pad), 0],
+        LayerKind::GlobalAvgPool => [4, 0, 0, 0, 0, 0],
+        LayerKind::Lrn { n, alpha, beta, k } => [5, u(n), f(alpha), f(beta), f(k), 0],
+        LayerKind::Relu => [6, 0, 0, 0, 0, 0],
+        LayerKind::Concat => [7, 0, 0, 0, 0, 0],
+        LayerKind::Add { relu } => [8, b(relu), 0, 0, 0, 0],
+        LayerKind::Softmax => [9, 0, 0, 0, 0, 0],
+    }
 }
 
 impl Graph {
@@ -65,6 +112,7 @@ impl Graph {
     pub fn new(name: impl Into<String>, input_shape: Shape) -> Graph {
         Graph {
             name: name.into(),
+            digest: fold(0, &input_shape),
             input_shape,
             nodes: Vec::new(),
         }
@@ -78,6 +126,16 @@ impl Graph {
     /// The graph input shape (NCHW).
     pub fn input_shape(&self) -> &Shape {
         &self.input_shape
+    }
+
+    /// A digest of everything about the graph a planner consults: the
+    /// input shape, then every node's kind (all fields) and inputs, in
+    /// order. Names are left out, so renaming a layer keeps the digest.
+    /// Folded in as the graph is built, so reading it costs nothing; it
+    /// is stable within one build of the program, not across Rust
+    /// releases, so no file or pin records it.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// Adds a node fed by the graph input.
@@ -108,6 +166,7 @@ impl Graph {
                 "graph must be built in topological order: {dep} referenced by {id}"
             );
         }
+        self.digest = fold(self.digest, (kind_words(&kind), &inputs));
         self.nodes.push(Node {
             name: name.into(),
             kind,

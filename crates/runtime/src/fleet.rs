@@ -621,6 +621,8 @@ struct InstancePolicy<'a> {
     /// Drift-key quantizer over device-index slots (hysteresis state
     /// lives across frames, like a real planning session's).
     quantizer: DriftKeyQuantizer,
+    /// The frame's drift key, rebuilt in place.
+    key: Vec<(u64, i32)>,
     /// Plan-cache LRU of drift keys, most-recent last.
     plan_lru: Vec<Vec<(u64, i32)>>,
     /// The frame accounting is filled in from the tally at the end.
@@ -695,28 +697,22 @@ impl ServePolicy for InstancePolicy<'_> {
     /// latency, as `OverheadClass::Planning` charges it in the engine.
     #[inline]
     fn planning(&mut self) -> SimSpan {
-        let factors: Vec<(u64, f64)> = (0..self.factors.len())
-            .map(|d| {
-                let correction = self.adapter.correction(DeviceId(d));
-                (d as u64, correction.clamp(1e-3, 1e6))
-            })
-            .collect();
-        let key = self.quantizer.snapshot_key(&factors);
-        let hit = self.cfg.plan_cache
-            && match self.plan_lru.iter().position(|k| *k == key) {
-                Some(pos) => {
-                    let k = self.plan_lru.remove(pos);
-                    self.plan_lru.push(k);
-                    true
-                }
-                None => {
-                    self.plan_lru.push(key);
-                    if self.plan_lru.len() > self.cfg.plan_cache_capacity {
-                        self.plan_lru.remove(0);
-                    }
-                    false
-                }
-            };
+        let adapter = &self.adapter;
+        let factors = (0..self.factors.len()).map(|d| {
+            let correction = adapter.correction(DeviceId(d));
+            (d as u64, correction.clamp(1e-3, 1e6))
+        });
+        self.quantizer.snapshot_key(factors, &mut self.key);
+        let pos = self.plan_lru.iter().position(|k| *k == self.key);
+        let key = match pos {
+            Some(pos) => self.plan_lru.remove(pos),
+            None => self.key.clone(),
+        };
+        self.plan_lru.push(key);
+        if self.plan_lru.len() > self.cfg.plan_cache_capacity {
+            self.plan_lru.remove(0);
+        }
+        let hit = self.cfg.plan_cache && pos.is_some();
         let span = if hit {
             self.stats.plan_hits += 1;
             PLAN_HIT_SPAN
@@ -942,6 +938,7 @@ pub fn run_fleet_with_faults(
                 adapter: new_adapter(),
                 gpu_ord: 0,
                 quantizer: DriftKeyQuantizer::default(),
+                key: Vec::new(),
                 plan_lru: Vec::new(),
                 stats: InstanceSummary {
                     instance: i,

@@ -27,9 +27,8 @@ pub struct DriftKeyQuantizer {
     /// Extra band half-width, as a fraction of `width`, a settled
     /// bucket holds beyond its nominal edges.
     hysteresis: f64,
-    /// Current bucket per slot (only non-settled-at-0 slots persist is
-    /// NOT true — every observed slot persists so hysteresis survives a
-    /// return to calm).
+    /// Current bucket per observed slot, calm ones included, so
+    /// hysteresis survives a return to calm.
     buckets: BTreeMap<u64, i32>,
 }
 
@@ -79,19 +78,25 @@ impl DriftKeyQuantizer {
         bucket
     }
 
-    /// Quantizes a whole factor snapshot and returns the canonical
-    /// drift key: `(slot, bucket)` pairs sorted by slot, with bucket-0
-    /// (calm) slots omitted. Slots absent from `factors` keep their
-    /// hysteresis state but do not appear in the key.
-    pub fn snapshot_key(&mut self, factors: &[(u64, f64)]) -> Vec<(u64, i32)> {
-        let mut key: Vec<(u64, i32)> = factors
-            .iter()
-            .map(|&(slot, f)| (slot, self.update(slot, f)))
-            .filter(|&(_, b)| b != 0)
-            .collect();
+    /// Quantizes a whole factor snapshot and writes the canonical drift
+    /// key into `key` (replacing its contents, keeping its buffer):
+    /// `(slot, bucket)` pairs sorted by slot, with bucket-0 (calm) slots
+    /// omitted. Slots absent from `factors` keep their hysteresis state
+    /// but do not appear in the key.
+    pub fn snapshot_key(
+        &mut self,
+        factors: impl IntoIterator<Item = (u64, f64)>,
+        key: &mut Vec<(u64, i32)>,
+    ) {
+        key.clear();
+        key.extend(
+            factors
+                .into_iter()
+                .map(|(slot, f)| (slot, self.update(slot, f)))
+                .filter(|&(_, b)| b != 0),
+        );
         key.sort_unstable();
         key.dedup();
-        key
     }
 }
 
@@ -102,7 +107,8 @@ mod tests {
     #[test]
     fn calm_factors_map_to_the_empty_key() {
         let mut q = DriftKeyQuantizer::default();
-        let key = q.snapshot_key(&[(0, 1.0), (1, 1.02), (2, 0.97)]);
+        let mut key = vec![(9, 9)];
+        q.snapshot_key([(0, 1.0), (1, 1.02), (2, 0.97)], &mut key);
         assert!(key.is_empty(), "calm snapshot keyed {key:?}");
     }
 
@@ -135,7 +141,8 @@ mod tests {
     #[test]
     fn snapshot_key_is_sorted() {
         let mut q = DriftKeyQuantizer::default();
-        let key = q.snapshot_key(&[(9, 3.0), (2, 2.0), (5, 1.0)]);
+        let mut key = Vec::new();
+        q.snapshot_key([(9, 3.0), (2, 2.0), (5, 1.0)], &mut key);
         assert_eq!(key.len(), 2);
         assert!(key.windows(2).all(|w| w[0].0 < w[1].0), "unsorted {key:?}");
     }

@@ -191,18 +191,6 @@ impl<E> EventQueue<E> {
         Some((entry.at, entry.event))
     }
 
-    /// The timestamp of the next event without removing it.
-    #[cfg(test)]
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// The current simulated instant (the time of the last popped event).
-    #[cfg(test)]
-    pub(crate) fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -252,16 +240,17 @@ mod tests {
     #[test]
     fn clock_advances_monotonically() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_nanos(10), ());
-        q.push(SimTime::from_nanos(20), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_nanos(10));
+        // Scheduling at the zero clock is allowed.
+        q.push(SimTime::ZERO, 0);
+        q.push(SimTime::from_nanos(20), 2);
+        q.push(SimTime::from_nanos(10), 1);
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 0)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)));
         // Scheduling at the current instant is allowed.
-        q.push(SimTime::from_nanos(10), ());
-        q.pop();
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_nanos(20));
+        q.push(SimTime::from_nanos(10), 3);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 3)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), 2)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -373,10 +362,15 @@ mod tests {
     fn len_and_peek() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.len(), 0);
         q.push(SimTime::from_nanos(3), 'a');
         q.push(SimTime::from_nanos(1), 'b');
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1)));
+        // The earliest event comes out first and leaves the rest.
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 'b')));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(3), 'a')));
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 }

@@ -20,6 +20,13 @@ fn factor_at(bucket: i32, offset: f64) -> f64 {
     ((bucket as f64 + offset) * WIDTH).exp()
 }
 
+/// `q`'s drift key for `factors`, in a fresh buffer.
+fn key_of(q: &mut DriftKeyQuantizer, factors: &[(u64, f64)]) -> Vec<(u64, i32)> {
+    let mut key = Vec::new();
+    q.snapshot_key(factors.iter().copied(), &mut key);
+    key
+}
+
 props! {
     #![cases(128)]
 
@@ -34,12 +41,12 @@ props! {
         let mut q = DriftKeyQuantizer::new(WIDTH, HYST);
         let mut rng = Rng::seed_from_u64(seed);
         // Settle strictly inside the bucket core (|offset| < 0.5).
-        let first = q.snapshot_key(&[(3, factor_at(bucket, 0.49 * (2.0 * rng.unit_f64() - 1.0)))]);
+        let first = key_of(&mut q, &[(3, factor_at(bucket, 0.49 * (2.0 * rng.unit_f64() - 1.0)))]);
         for _ in 0..steps {
             // Wander anywhere inside the widened hold band
             // [-0.5 - h, 0.5 + h], including past the nominal edges.
             let offset = (0.5 + HYST) * 0.999 * (2.0 * rng.unit_f64() - 1.0);
-            let key = q.snapshot_key(&[(3, factor_at(bucket, offset))]);
+            let key = key_of(&mut q, &[(3, factor_at(bucket, offset))]);
             prop_assert!(key == first,
                 "bucket {} flapped at offset {}: {:?} vs {:?}", bucket, offset, key, first);
         }
@@ -54,10 +61,10 @@ props! {
         steps in 4usize..32
     ) {
         let mut q = DriftKeyQuantizer::new(WIDTH, HYST);
-        let old = q.snapshot_key(&[(3, factor_at(bucket, 0.0))]);
+        let old = key_of(&mut q, &[(3, factor_at(bucket, 0.0))]);
         // Jump two buckets up: outside the hold band for `bucket`, so
         // the quantizer must re-target.
-        let new = q.snapshot_key(&[(3, factor_at(bucket + 2, 0.0))]);
+        let new = key_of(&mut q, &[(3, factor_at(bucket + 2, 0.0))]);
         prop_assert!(new != old, "crossing two buckets did not move the key");
         let mut rng = Rng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
         let mut changes = 0usize;
@@ -67,7 +74,7 @@ props! {
             // side facing the old bucket, where a hysteresis-free
             // quantizer would flap back.
             let offset = (0.5 + HYST) * 0.999 * (2.0 * rng.unit_f64() - 1.0);
-            let key = q.snapshot_key(&[(3, factor_at(bucket + 2, offset))]);
+            let key = key_of(&mut q, &[(3, factor_at(bucket + 2, offset))]);
             if key != prev {
                 changes += 1;
                 prev = key;
@@ -83,8 +90,8 @@ props! {
     fn zero_hysteresis_flaps_at_the_edge(bucket in -6i32..7) {
         let mut q = DriftKeyQuantizer::new(WIDTH, 0.0);
         // Alternate just below / just above the bucket's upper edge.
-        let below = q.snapshot_key(&[(3, factor_at(bucket, 0.49))]);
-        let above = q.snapshot_key(&[(3, factor_at(bucket, 0.51))]);
+        let below = key_of(&mut q, &[(3, factor_at(bucket, 0.49))]);
+        let above = key_of(&mut q, &[(3, factor_at(bucket, 0.51))]);
         prop_assert!(below != above, "edge oscillation did not flap without hysteresis");
     }
 
@@ -98,9 +105,9 @@ props! {
         let mut q = DriftKeyQuantizer::new(WIDTH, HYST);
         let mut rng = Rng::seed_from_u64(seed);
         let fa = factor_at(bucket_a, 0.3 * (2.0 * rng.unit_f64() - 1.0));
-        let first = q.snapshot_key(&[(1, fa), (2, factor_at(bucket_b, 0.0))]);
+        let first = key_of(&mut q, &[(1, fa), (2, factor_at(bucket_b, 0.0))]);
         // Slot 2 jumps three buckets; slot 1 keeps oscillating calmly.
-        let second = q.snapshot_key(&[
+        let second = key_of(&mut q, &[
             (1, factor_at(bucket_a, 0.4 * (2.0 * rng.unit_f64() - 1.0))),
             (2, factor_at(bucket_b + 3, 0.0)),
         ]);

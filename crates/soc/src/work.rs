@@ -36,7 +36,8 @@ pub enum WorkClass {
 impl WorkClass {
     /// Every class in canonical order — the iteration order drift
     /// snapshots and plan-cache keys use, so two independently built
-    /// snapshots of the same state serialize identically.
+    /// snapshots of the same state serialize identically. It is the
+    /// declaration order, so `class as usize` is a class's position here.
     pub const ALL: [WorkClass; 7] = [
         WorkClass::Gemm,
         WorkClass::Pointwise,
@@ -46,14 +47,6 @@ impl WorkClass {
         WorkClass::Norm,
         WorkClass::Copy,
     ];
-
-    /// This class's position in [`WorkClass::ALL`].
-    pub fn index(self) -> usize {
-        WorkClass::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("every class is in ALL")
-    }
 
     /// Fraction of the device's effective GEMM throughput this class
     /// achieves (GEMM is the calibration anchor).
@@ -232,6 +225,13 @@ pub fn layer_work(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn class_discriminants_follow_all() {
+        for (i, &class) in WorkClass::ALL.iter().enumerate() {
+            assert_eq!(class as usize, i);
+        }
+    }
 
     fn conv_kind() -> LayerKind {
         LayerKind::Conv {
